@@ -131,14 +131,36 @@ func Features(farm *Farm, s Sample) []float64 {
 	}
 }
 
-// KRR is Kernel Ridge Regression with an RBF kernel.
+// KRR is Kernel Ridge Regression with an RBF kernel. The regressor owns
+// its training state in flat buffers it reuses from fit to fit: the raw
+// and the max-abs-scaled training rows (row-major), the Gram matrix K+λI
+// and its Cholesky factor (both packed lower-triangular, entry (i, j),
+// j <= i, at i(i+1)/2+j), and the dual coefficients. Refits therefore
+// allocate only when the training set outgrows the buffers, and a refit
+// whose rows extend the previous fit's recomputes only the new rows (see
+// FitRows). Predict scales its input into a buffer the regressor owns, so
+// a KRR is not safe for concurrent use.
 type KRR struct {
 	Lambda float64 // ridge regularization
 	Gamma  float64 // RBF width
-	x      *tensor.Tensor
-	alpha  *tensor.Tensor
+
+	n, d   int       // training rows and features of the last fit
+	raw    []float64 // n×d training rows as given: the warm-refit prefix
+	xs     []float64 // n×d training rows divided by scale
+	colMax []float64 // per-column max-abs of the raw rows
+	scale  []float64 // colMax with zeros replaced by 1
+	gram   []float64 // packed lower triangle of K+λI
+	chol   []float64 // packed lower-triangular Cholesky factor of gram
+	alpha  []float64 // dual coefficients
+	feat   []float64 // Predict's scaled features, reused
 	yMean  float64
-	scale  []float64
+
+	fitted bool
+	// exact marks a fit whose chol factors gram with no jitter, built
+	// with hyperparameters lambda and gamma: its rows are the leading
+	// rows of any later factor over an extension of the same rows.
+	exact         bool
+	lambda, gamma float64
 }
 
 // NewKRR returns a regressor with the given hyperparameters.
@@ -148,34 +170,68 @@ func NewKRR(lambda, gamma float64) *KRR { return &KRR{Lambda: lambda, Gamma: gam
 // backtesting sweep (λ=0.01, γ=0.05 on max-abs-scaled features).
 func DefaultKRR() *KRR { return NewKRR(0.01, 0.05) }
 
-// Fit solves (K + λI)α = y on the training matrix.
+// Fit solves (K + λI)α = y on the training matrix (rows are samples).
 func (k *KRR) Fit(x *tensor.Tensor, y []float64) error {
 	if x.Rank() != 2 || x.Shape()[0] != len(y) {
 		return fmt.Errorf("energy: KRR training shape mismatch")
 	}
-	n, d := x.Shape()[0], x.Shape()[1]
+	return k.FitRows(x.Data(), x.Shape()[0], x.Shape()[1], y)
+}
+
+// FitRows solves (K + λI)α = y on n training rows of d features, given
+// row-major in x (row i is x[i*d:(i+1)*d]). x and y are read, not kept.
+//
+// The refit is warm when the previous fit succeeded without jitter under
+// the same d, λ and γ, its rows are a bitwise prefix of x, and x leaves
+// every column's max-abs scale unchanged. The Gram and Cholesky rows of
+// that prefix are then reused as they are and only the rows past it are
+// computed: O(n·d) kernel work and an O(n²) factor row per new row,
+// instead of the O(n²·d) Gram and O(n³) factor of a cold fit. The result
+// is bit-identical to a cold fit, because row i of a Cholesky factor
+// depends only on rows <= i of the factored matrix and every entry is
+// computed by the same operations in the same order. Any other refit,
+// and every jitter retry, factors from row 0.
+func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
+	if n < 0 || d < 0 || len(x) != n*d || len(y) != n {
+		return fmt.Errorf("energy: KRR training shape mismatch")
+	}
 	if n < 2 {
 		return fmt.Errorf("energy: KRR needs at least 2 samples")
 	}
-	// Standardize features for a well-conditioned kernel.
-	k.scale = make([]float64, d)
-	for j := 0; j < d; j++ {
-		m := 0.0
-		for i := 0; i < n; i++ {
-			m = math.Max(m, math.Abs(x.At(i, j)))
+	keep := k.prefixRows(x, n, d)
+	k.fitted, k.exact = false, false
+	k.n, k.d = n, d
+
+	// Standardize features for a well-conditioned kernel: each column is
+	// scaled by its max-abs, folded on from the reused prefix's maxima.
+	if keep == 0 {
+		k.colMax = grow(k.colMax, d)
+		clear(k.colMax)
+	}
+	for i := keep; i < n; i++ {
+		for j, v := range x[i*d : (i+1)*d] {
+			k.colMax[j] = math.Max(k.colMax[j], math.Abs(v))
 		}
+	}
+	k.scale = grow(k.scale, d)
+	for j, m := range k.colMax {
 		if m == 0 {
 			m = 1
 		}
-		k.scale[j] = m
-	}
-	xs := tensor.New(n, d)
-	for i := 0; i < n; i++ {
-		for j := 0; j < d; j++ {
-			xs.Set(x.At(i, j)/k.scale[j], i, j)
+		if math.Float64bits(m) != math.Float64bits(k.scale[j]) {
+			k.scale[j], keep = m, 0
 		}
 	}
-	k.x = xs
+
+	k.raw = grow(k.raw, n*d)
+	copy(k.raw[keep*d:], x[keep*d:])
+	k.xs = grow(k.xs, n*d)
+	for i := keep; i < n; i++ {
+		for j, v := range x[i*d : (i+1)*d] {
+			k.xs[i*d+j] = v / k.scale[j]
+		}
+	}
+	k.feat = grow(k.feat, d)
 
 	k.yMean = 0
 	for _, v := range y {
@@ -183,28 +239,111 @@ func (k *KRR) Fit(x *tensor.Tensor, y []float64) error {
 	}
 	k.yMean /= float64(n)
 
-	gram := tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := k.rbf(rowOf(xs, i), rowOf(xs, j))
-			gram.Set(v, i, j)
-			gram.Set(v, j, i)
+	k.gram = grow(k.gram, n*(n+1)/2)
+	k.chol = grow(k.chol, n*(n+1)/2)
+	for i := keep; i < n; i++ {
+		xi := k.xs[i*d : (i+1)*d]
+		row := k.gram[i*(i+1)/2 : i*(i+1)/2+i+1]
+		for j := 0; j < i; j++ {
+			row[j] = k.rbf(k.xs[j*d:(j+1)*d], xi)
 		}
-		gram.Set(gram.At(i, i)+k.Lambda, i, i)
+		row[i] = k.rbf(xi, xi) + k.Lambda
 	}
-	rhs := tensor.New(n)
+
+	// Factor K+λI, adding jitter to the diagonal geometrically until it
+	// is positive definite (up to 8 attempts).
+	jitter := 0.0
+	for attempt := 0; attempt < 8; attempt++ {
+		if k.factor(keep, jitter) {
+			k.solve(y)
+			k.fitted, k.exact = true, jitter == 0
+			k.lambda, k.gamma = k.Lambda, k.Gamma
+			return nil
+		}
+		keep = 0
+		if jitter == 0 {
+			jitter = 1e-10
+		} else {
+			jitter *= 10
+		}
+	}
+	return fmt.Errorf("energy: KRR solve: Gram matrix not positive definite even with jitter %.3g", jitter)
+}
+
+// prefixRows returns how many leading rows of x the previous fit's Gram
+// and Cholesky rows can serve as they are: all of that fit's rows when
+// it qualifies for a warm refit (FitRows), else 0.
+func (k *KRR) prefixRows(x []float64, n, d int) int {
+	if !k.exact || d != k.d || n < k.n || k.lambda != k.Lambda || k.gamma != k.Gamma {
+		return 0
+	}
+	for i, v := range k.raw {
+		if math.Float64bits(v) != math.Float64bits(x[i]) {
+			return 0
+		}
+	}
+	return k.n
+}
+
+// factor computes Cholesky rows from..n-1 of gram plus jitter on the
+// diagonal, on top of rows 0..from-1 already in chol. It reports false
+// at the first non-positive pivot.
+func (k *KRR) factor(from int, jitter float64) bool {
+	for i := from; i < k.n; i++ {
+		li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+		for j := 0; j <= i; j++ {
+			lj := k.chol[j*(j+1)/2 : j*(j+1)/2+j+1]
+			sum := k.gram[i*(i+1)/2+j]
+			if i == j {
+				sum += jitter
+			}
+			for c, v := range lj[:j] {
+				sum -= li[c] * v
+			}
+			if i == j {
+				if sum <= 0 {
+					return false
+				}
+				li[j] = math.Sqrt(sum)
+			} else {
+				li[j] = sum / lj[j]
+			}
+		}
+	}
+	return true
+}
+
+// solve sets alpha to the solution of L Lᵀ α = y − mean(y) by forward
+// then backward substitution, in place.
+func (k *KRR) solve(y []float64) {
+	n := k.n
+	k.alpha = grow(k.alpha, n)
+	a := k.alpha
 	for i, v := range y {
-		rhs.Set(v-k.yMean, i)
+		a[i] = v - k.yMean
 	}
-	alpha, err := tensor.SolveSPD(gram, rhs)
-	if err != nil {
-		return fmt.Errorf("energy: KRR solve: %w", err)
+	for i := 0; i < n; i++ {
+		li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+		s := a[i]
+		for c, v := range li[:i] {
+			s -= v * a[c]
+		}
+		a[i] = s / li[i]
 	}
-	k.alpha = alpha
-	return nil
+	for i := n - 1; i >= 0; i-- {
+		s := a[i]
+		// Column i of L below the diagonal: entry (c, i) for c > i.
+		off := (i+1)*(i+2)/2 + i
+		for c := i + 1; c < n; c++ {
+			s -= k.chol[off] * a[c]
+			off += c + 1
+		}
+		a[i] = s / k.chol[i*(i+1)/2+i]
+	}
 }
 
 func (k *KRR) rbf(a, b []float64) float64 {
+	b = b[:len(a)]
 	s := 0.0
 	for i := range a {
 		d := a[i] - b[i]
@@ -215,31 +354,29 @@ func (k *KRR) rbf(a, b []float64) float64 {
 
 // Predict returns the regression output for one feature vector.
 func (k *KRR) Predict(feat []float64) (float64, error) {
-	if k.alpha == nil {
+	if !k.fitted {
 		return 0, fmt.Errorf("energy: KRR not fitted")
 	}
-	if len(feat) != len(k.scale) {
-		return 0, fmt.Errorf("energy: KRR expects %d features, got %d", len(k.scale), len(feat))
+	if len(feat) != k.d {
+		return 0, fmt.Errorf("energy: KRR expects %d features, got %d", k.d, len(feat))
 	}
-	fs := make([]float64, len(feat))
+	fs := k.feat
 	for j, v := range feat {
 		fs[j] = v / k.scale[j]
 	}
-	n := k.x.Shape()[0]
 	out := k.yMean
-	for i := 0; i < n; i++ {
-		out += k.alpha.At(i) * k.rbf(fs, rowOf(k.x, i))
+	for i, a := range k.alpha[:k.n] {
+		out += a * k.rbf(fs, k.xs[i*k.d:(i+1)*k.d])
 	}
 	return out, nil
 }
 
-func rowOf(x *tensor.Tensor, i int) []float64 {
-	d := x.Shape()[1]
-	row := make([]float64, d)
-	for j := 0; j < d; j++ {
-		row[j] = x.At(i, j)
+// grow returns s resized to n entries, keeping its contents up to n.
+func grow(s []float64, n int) []float64 {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	return row
+	return append(s[:cap(s)], make([]float64, n-cap(s))...)
 }
 
 // BacktestResult reports forecast error per model (E12's table).

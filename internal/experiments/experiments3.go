@@ -7,6 +7,7 @@ import (
 
 	"everest/internal/airquality"
 	"everest/internal/energy"
+	"everest/internal/sdk"
 	"everest/internal/traffic"
 	"everest/internal/wrf"
 )
@@ -157,7 +158,7 @@ func E13() (Table, error) {
 	}
 
 	// Decision layer over daily peaks.
-	threshold := percentile(observed[split:], 0.8)
+	threshold := sdk.Percentile(observed[split:], 0.8)
 	decide := func(pred []float64) float64 {
 		var decisions []airquality.Decision
 		var truthPeaks []float64
@@ -185,17 +186,6 @@ func E13() (Table, error) {
 	t.metric("corrected_logerr", corrErr)
 	t.Notes = append(t.Notes, "correction trained on 6 days, evaluated on 30; reduction cost 20k€/day, miss penalty 100k€")
 	return t, nil
-}
-
-func percentile(xs []float64, q float64) float64 {
-	cp := append([]float64(nil), xs...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	idx := int(q * float64(len(cp)-1))
-	return cp[idx]
 }
 
 // E14 — traffic models (§II-D): map-matching accuracy, GMM with incomplete

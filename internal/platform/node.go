@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -80,14 +81,17 @@ func NewNode(name string, cpu CPUModel, devices ...*Device) *Node {
 
 // condAt returns the value of a condition history at modelled time t (the
 // change with the greatest at <= t wins; def if none applies). Histories
-// are time-sorted by construction (clampMonotonic), so the backward scan
-// stops at the first applicable entry — the newest wins ties because it
+// are time-sorted by construction (clampMonotonic), so the common query —
+// at or past the frontier — is the last entry, and any other is a binary
+// search for the last entry with at <= t: the newest wins ties because it
 // was appended last.
 func condAt(hist []condChange, t, def float64) float64 {
-	for i := len(hist) - 1; i >= 0; i-- {
-		if hist[i].at <= t {
-			return hist[i].value
-		}
+	n := len(hist)
+	if n > 0 && hist[n-1].at <= t {
+		return hist[n-1].value
+	}
+	if i := sort.Search(n, func(i int) bool { return !(hist[i].at <= t) }); i > 0 {
+		return hist[i-1].value
 	}
 	return def
 }

@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"everest/internal/energy"
-	"everest/internal/tensor"
 )
 
 // Forecaster buckets per-app arrivals into fixed modelled-time windows
@@ -28,13 +27,25 @@ type Forecaster struct {
 	alpha   float64 // EWMA smoothing factor
 	lag     int     // autoregressive features: the last lag window counts
 	minFit  int     // closed windows per app before the KRR engages
-	maxHist int     // history cap (bounds fit cost)
+	maxHist int     // history cap: bounds the KRR's training rows and buffers
 
-	cur    int64 // current open window index
-	counts map[string]float64
-	hist   map[string][]float64
-	ewma   map[string]float64
-	apps   []string // first-observed order: deterministic iteration
+	cur    int64          // current open window index
+	index  map[string]int // app -> position in apps and series
+	apps   []string       // first-observed order: deterministic iteration
+	series []series       // per-app state, indexed like apps
+	rows   []float64      // lagged training rows, rebuilt for every fit
+}
+
+// series is one app's demand state. Its KRR is refitted at every Predict
+// over the app's window history; while the history only grows, each refit
+// extends the previous one's training rows and is warm (energy.FitRows),
+// and once the history is trimmed at maxHist the rows shift and the refit
+// is cold.
+type series struct {
+	count float64   // arrivals in the open window
+	hist  []float64 // closed-window counts, oldest first
+	ewma  float64
+	krr   *energy.KRR
 }
 
 // NewForecaster returns a forecaster over windows of the given modelled
@@ -54,9 +65,7 @@ func NewForecaster(window, alpha float64, lag int) *Forecaster {
 	return &Forecaster{
 		window: window, alpha: alpha, lag: lag,
 		minFit: lag + 4, maxHist: 8 * lag,
-		counts: make(map[string]float64),
-		hist:   make(map[string][]float64),
-		ewma:   make(map[string]float64),
+		index: make(map[string]int),
 	}
 }
 
@@ -70,12 +79,14 @@ func (f *Forecaster) Apps() []string { return f.apps }
 // windows t has moved past.
 func (f *Forecaster) Observe(app string, t float64) {
 	f.RollTo(t)
-	if _, ok := f.counts[app]; !ok {
+	i, ok := f.index[app]
+	if !ok {
+		i = len(f.apps)
+		f.index[app] = i
 		f.apps = append(f.apps, app)
-		f.hist[app] = nil
-		f.ewma[app] = 0
+		f.series = append(f.series, series{krr: energy.DefaultKRR()})
 	}
-	f.counts[app]++
+	f.series[i].count++
 }
 
 // RollTo closes every window that ends at or before modelled time t,
@@ -84,14 +95,15 @@ func (f *Forecaster) Observe(app string, t float64) {
 func (f *Forecaster) RollTo(t float64) {
 	idx := int64(math.Floor(t / f.window))
 	for f.cur < idx {
-		for _, app := range f.apps {
-			c := f.counts[app]
-			f.hist[app] = append(f.hist[app], c)
-			if len(f.hist[app]) > f.maxHist {
-				f.hist[app] = f.hist[app][len(f.hist[app])-f.maxHist:]
+		for i := range f.series {
+			s := &f.series[i]
+			c := s.count
+			s.hist = append(s.hist, c)
+			if len(s.hist) > f.maxHist {
+				s.hist = s.hist[len(s.hist)-f.maxHist:]
 			}
-			f.ewma[app] = f.alpha*c + (1-f.alpha)*f.ewma[app]
-			f.counts[app] = 0
+			s.ewma = f.alpha*c + (1-f.alpha)*s.ewma
+			s.count = 0
 		}
 		f.cur++
 	}
@@ -102,10 +114,14 @@ func (f *Forecaster) RollTo(t float64) {
 // autoregression. Falls back to the EWMA whenever the fit or prediction
 // fails, and never returns a negative demand.
 func (f *Forecaster) Predict(app string) float64 {
-	base := f.ewma[app]
-	hist := f.hist[app]
-	if len(hist) >= f.minFit {
-		if krr, err := f.fitPredict(hist); err == nil && krr > base {
+	i, ok := f.index[app]
+	if !ok {
+		return 0
+	}
+	s := &f.series[i]
+	base := s.ewma
+	if len(s.hist) >= f.minFit {
+		if krr, err := f.fitPredict(s); err == nil && krr > base {
 			base = krr
 		}
 	}
@@ -115,23 +131,21 @@ func (f *Forecaster) Predict(app string) float64 {
 	return base
 }
 
-// fitPredict fits a KRR on lagged window counts and predicts the next
-// window from the most recent lag counts.
-func (f *Forecaster) fitPredict(hist []float64) (float64, error) {
-	n := len(hist) - f.lag
-	x := tensor.New(n, f.lag)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < f.lag; j++ {
-			x.Set(hist[i+j], i, j)
-		}
-		y[i] = hist[i+f.lag]
+// fitPredict refits the app's KRR on its lagged window counts — row i is
+// hist[i:i+lag], its target hist[i+lag] — and predicts the next window
+// from the most recent lag counts.
+func (f *Forecaster) fitPredict(s *series) (float64, error) {
+	hist, lag := s.hist, f.lag
+	n := len(hist) - lag
+	if cap(f.rows) < n*lag {
+		f.rows = make([]float64, n*lag, f.maxHist*lag)
 	}
-	k := energy.DefaultKRR()
-	if err := k.Fit(x, y); err != nil {
+	rows := f.rows[:n*lag]
+	for i := 0; i < n; i++ {
+		copy(rows[i*lag:(i+1)*lag], hist[i:i+lag])
+	}
+	if err := s.krr.FitRows(rows, n, lag, hist[lag:]); err != nil {
 		return 0, err
 	}
-	feat := make([]float64, f.lag)
-	copy(feat, hist[len(hist)-f.lag:])
-	return k.Predict(feat)
+	return s.krr.Predict(hist[len(hist)-lag:])
 }

@@ -51,8 +51,7 @@ func TestForecasterPredictsPeriodicReturn(t *testing.T) {
 	// next window is a burst window.
 	f.RollTo(40)
 	ewma := 0.0
-	for i := 0; i < len(f.hist["wave"]); i++ {
-		c := f.hist["wave"][i]
+	for _, c := range f.series[f.index["wave"]].hist {
 		ewma = 0.5*c + 0.5*ewma
 	}
 	if ewma >= 1 {
@@ -83,4 +82,62 @@ func TestForecasterPredictionNeverNegative(t *testing.T) {
 	if got := f.Predict("x"); got < 0 || math.IsNaN(got) {
 		t.Fatalf("prediction = %g, want clamped >= 0 and finite", got)
 	}
+}
+
+// observeWave records window w of a "wave" app whose counts repeat
+// every 12 windows.
+func observeWave(f *Forecaster, w int) {
+	for j := 0; j < (w%4)*(w%3); j++ {
+		f.Observe("wave", float64(w)+0.1)
+	}
+}
+
+// fullForecaster returns a forecaster whose "wave" history is at its
+// 8×lag cap after 150 windows.
+func fullForecaster() *Forecaster {
+	f := NewForecaster(1, 0.5, 16)
+	for w := 0; w < 150; w++ {
+		observeWave(f, w)
+	}
+	f.RollTo(150)
+	return f
+}
+
+// TestForecasterPredictAllocFree pins steady-state Predict at zero
+// allocations: the KRR refits into buffers it owns, the lagged rows are
+// built in the forecaster's reused buffer, and the features are the
+// history's own tail.
+func TestForecasterPredictAllocFree(t *testing.T) {
+	f := fullForecaster()
+	if n := len(f.series[0].hist); n != 8*f.lag {
+		t.Fatalf("history holds %d windows, want the 8×lag cap %d", n, 8*f.lag)
+	}
+	if got := testing.AllocsPerRun(100, func() { f.Predict("wave") }); got > 0 {
+		t.Errorf("Predict allocates %.1f per run, budget 0", got)
+	}
+}
+
+// BenchmarkForecasterPredict is the region layer's forecast cost on a
+// full 8×lag history: "same-window" repeats Predict within one window
+// (every refit reuses all rows), "new-window" closes a window before each
+// Predict (the capped history shifts, so the refit is cold).
+func BenchmarkForecasterPredict(b *testing.B) {
+	b.Run("same-window", func(b *testing.B) {
+		f := fullForecaster()
+		b.ReportAllocs()
+		for b.Loop() {
+			f.Predict("wave")
+		}
+	})
+	b.Run("new-window", func(b *testing.B) {
+		f := fullForecaster()
+		w := 150
+		b.ReportAllocs()
+		for b.Loop() {
+			observeWave(f, w)
+			w++
+			f.RollTo(float64(w))
+			f.Predict("wave")
+		}
+	})
 }

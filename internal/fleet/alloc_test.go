@@ -9,8 +9,7 @@ import (
 
 // TestRouteAllocFree pins the router's allocation budget: pricing every
 // site for one workflow — cache residency probes, cold-deploy estimates,
-// affinity — must not allocate in steady state. The per-need residency
-// scratch is a stack buffer (see siteCost), so the whole Submit-side
+// affinity — must not allocate in steady state, so the whole Submit-side
 // routing decision stays off the heap; a regression here would show up as
 // GC pressure scaling with routed workflows in BenchmarkSimulatorSpeed.
 func TestRouteAllocFree(t *testing.T) {

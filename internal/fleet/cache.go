@@ -17,8 +17,8 @@ import "everest/internal/platform"
 // what keeps the two granularities from clobbering each other: a
 // whole-device entry blocks every region of its card and vice versa.
 //
-// The cache itself is not synchronized; the owning site's mutex guards it
-// (the site worker mutates, the router peeks).
+// The cache itself is not synchronized; the fleet lock guards it (serving
+// mutates, the router peeks).
 type cacheSlot struct {
 	id     string
 	node   *platform.Node

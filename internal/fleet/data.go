@@ -73,26 +73,12 @@ func (f *Fleet) knownReads(reads []dataset.Ref) []dataset.Ref {
 		return nil
 	}
 	var out []dataset.Ref
-	f.catMu.RLock()
 	for _, r := range reads {
 		if f.catalog[r.Key()] {
 			out = append(out, r)
 		}
 	}
-	f.catMu.RUnlock()
 	return out
-}
-
-// catalogAdd records partitions as known to the federation.
-func (f *Fleet) catalogAdd(refs []dataset.Ref) {
-	if len(refs) == 0 {
-		return
-	}
-	f.catMu.Lock()
-	for _, r := range refs {
-		f.catalog[r.Key()] = true
-	}
-	f.catMu.Unlock()
 }
 
 // PlaceDataset seeds partitions into site i's dataset store at modelled
@@ -105,8 +91,9 @@ func (f *Fleet) PlaceDataset(i int, at float64, refs ...dataset.Ref) error {
 	if i < 0 || i >= len(f.sites) {
 		return fmt.Errorf("fleet: site %d outside [0, %d)", i, len(f.sites))
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	s := f.sites[i]
-	s.mu.Lock()
 	for _, r := range refs {
 		evicted := s.dstore.Publish(dataset.Version{
 			Ref: r, Time: at, Workflow: "(placed)", Task: "(placed)",
@@ -114,9 +101,8 @@ func (f *Fleet) PlaceDataset(i int, at float64, refs ...dataset.Ref) error {
 		s.stats.DatasetPublished++
 		s.stats.DatasetPublishedBytes += r.Bytes
 		s.stats.DatasetEvictions += len(evicted)
+		f.catalog[r.Key()] = true
 	}
-	s.mu.Unlock()
-	f.catalogAdd(refs)
 	return nil
 }
 
@@ -126,35 +112,22 @@ func (f *Fleet) DatasetResident(i int, r dataset.Ref) bool {
 	if i < 0 || i >= len(f.sites) {
 		return false
 	}
-	s := f.sites[i]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dstore.Holds(r)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sites[i].dstore.Holds(r)
 }
 
-// fetchData stages the workflow's admission-time known reads (w.reads,
-// the snapshot Submit filtered through the catalog) that the site does
-// not hold, charging the registry-fabric transfer for each and admitting
-// the fetched copies into the site store. Returns the modelled fetch
-// stall and the shipped bytes. Resident partitions cost nothing — that is
-// the locality win the router priced. The snapshot, not a serve-time
-// catalog read, decides what is fetched: a partition published between
-// admission and serve must not change this workflow's charges, or the
-// numbers would depend on completion interleaving.
+// fetchData stages the workflow's known reads (w.reads, the set Submit
+// filtered through the catalog) that the site does not hold, charging the
+// registry-fabric transfer for each and admitting the fetched copies into
+// the site store. Returns the modelled fetch stall and the shipped bytes.
+// Resident partitions cost nothing — that is the locality win the router
+// priced.
 func (f *Fleet) fetchData(s *site, w work, at float64) (float64, int64) {
 	if len(w.reads) == 0 {
 		return 0, 0
 	}
 	total, shipped := 0.0, int64(0)
-	var evs *[]Event
-	if f.cfg.Trace != nil {
-		evs = evPool.Get().(*[]Event)
-		defer func() {
-			*evs = (*evs)[:0]
-			evPool.Put(evs)
-		}()
-	}
-	s.mu.Lock()
 	for _, r := range w.reads {
 		if s.dstore.Contains(r) {
 			s.stats.DatasetHits++
@@ -170,20 +143,13 @@ func (f *Fleet) fetchData(s *site, w work, at float64) (float64, int64) {
 		s.stats.DatasetFetchSeconds += dt
 		s.stats.DatasetEvictions += len(evicted)
 		shipped += r.Bytes
-		if evs != nil {
-			*evs = append(*evs, Event{Kind: EventDataFetch, Site: s.name, Tenant: w.t.Tenant,
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: EventDataFetch, Site: s.name, Tenant: w.t.Tenant,
 				Workflow: w.t.Name, Time: at + total,
 				Detail: fmt.Sprintf("%v %dB in %.4gs", r.Key(), r.Bytes, dt)})
-			for _, ev := range evicted {
-				*evs = append(*evs, Event{Kind: EventDataEvict, Site: s.name,
-					Time: at + total, Detail: ev.Ref.Key().String()})
-			}
+			f.traceEvicted(s, evicted, at+total)
 		}
 		total += dt
-	}
-	s.mu.Unlock()
-	if evs != nil {
-		f.trace(*evs...)
 	}
 	return total, shipped
 }
@@ -194,16 +160,6 @@ func (f *Fleet) fetchData(s *site, w work, at float64) (float64, int64) {
 // version records (completion, workflow, task) so concurrent publishers
 // of the same name resolve by the standard tie-break.
 func (f *Fleet) publishOutputs(s *site, w work, completion float64) {
-	var published []dataset.Ref
-	var evs *[]Event
-	if f.cfg.Trace != nil {
-		evs = evPool.Get().(*[]Event)
-		defer func() {
-			*evs = (*evs)[:0]
-			evPool.Put(evs)
-		}()
-	}
-	s.mu.Lock()
 	w.wf.Range(func(t *runtime.TaskSpec) bool {
 		for _, r := range t.Writes {
 			evicted := s.dstore.Publish(dataset.Version{
@@ -212,23 +168,22 @@ func (f *Fleet) publishOutputs(s *site, w work, completion float64) {
 			s.stats.DatasetPublished++
 			s.stats.DatasetPublishedBytes += r.Bytes
 			s.stats.DatasetEvictions += len(evicted)
-			published = append(published, r)
-			if evs != nil {
-				*evs = append(*evs, Event{Kind: EventDataPublish, Site: s.name,
+			f.catalog[r.Key()] = true
+			if f.cfg.Trace != nil {
+				f.trace(Event{Kind: EventDataPublish, Site: s.name,
 					Tenant: w.t.Tenant, Workflow: w.t.Name, Time: completion,
 					Detail: fmt.Sprintf("%v %dB by %s", r.Key(), r.Bytes, t.Name)})
-				for _, ev := range evicted {
-					*evs = append(*evs, Event{Kind: EventDataEvict, Site: s.name,
-						Time: completion, Detail: ev.Ref.Key().String()})
-				}
+				f.traceEvicted(s, evicted, completion)
 			}
 		}
 		return true
 	})
-	s.mu.Unlock()
-	f.catalogAdd(published)
-	if evs != nil {
-		f.trace(*evs...)
+}
+
+// traceEvicted emits one EventDataEvict per partition the store dropped.
+func (f *Fleet) traceEvicted(s *site, evicted []dataset.Version, at float64) {
+	for _, ev := range evicted {
+		f.trace(Event{Kind: EventDataEvict, Site: s.name, Time: at, Detail: ev.Ref.Key().String()})
 	}
 }
 
@@ -236,9 +191,9 @@ func (f *Fleet) publishOutputs(s *site, w work, completion float64) {
 // reads: every partition fetched individually over the registry fabric,
 // which dominates any subset the serve path actually ships (per-fetch
 // pricing pays the fabric latency per partition, residency only removes
-// terms, and serve fetches exactly the admission-time snapshot this
-// bound covers). Guaranteed-class admission adds this to its debt, so a
-// proven deadline survives a completely cold dataset store.
+// terms, and serve fetches exactly the known reads this bound covers).
+// Guaranteed-class admission adds this to the workflow's own worst case,
+// so a proven deadline survives a completely cold dataset store.
 func (f *Fleet) fetchBound(reads []dataset.Ref) float64 {
 	total := 0.0
 	for _, r := range reads {

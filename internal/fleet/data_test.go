@@ -289,10 +289,9 @@ func TestLineageDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s := f.sites[0]
-		s.mu.Lock()
-		v, ok := s.dstore.Version(model)
-		s.mu.Unlock()
+		f.mu.Lock()
+		v, ok := f.sites[0].dstore.Version(model)
+		f.mu.Unlock()
 		if !ok {
 			t.Fatal("model not resident")
 		}

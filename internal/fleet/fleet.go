@@ -3,12 +3,12 @@
 // modelled timeline) behind one front door. The paper deploys the SDK's
 // runtime per cloudFPGA site (§VI); this package adds the horizontal
 // dimension the north star needs — a Router shards submitted workflows
-// across sites using a cost model that combines per-site queue depth
-// (live, from engine-measured service times and engine stats), tenant
-// affinity, and bitstream-cache locality: deploying a bitstream to a site
-// is priced (registry transfer over the netsim fabric plus reconfiguration
-// latency), cached deployments are free, and a bounded per-site LRU cache
-// forces real eviction and redeploy traffic under churn.
+// across sites using a cost model that combines per-site queue depth (the
+// modelled completion frontier built from engine-measured service times),
+// tenant affinity, and bitstream-cache locality: deploying a bitstream to a
+// site is priced (registry transfer over the netsim fabric plus
+// reconfiguration latency), cached deployments are free, and a bounded
+// per-site LRU cache forces real eviction and redeploy traffic under churn.
 //
 // Time discipline: each site's engine advances its own modelled clock with
 // no idle gaps (service times back to back). The fleet layers arrivals on
@@ -16,18 +16,15 @@
 // begins at max(arrival, site busy-until), pays its deployment stalls,
 // then its engine-measured service time (the site's makespan delta), and
 // the completion becomes the new busy-until. Everything is modelled
-// seconds; when workflows are submitted in arrival order and awaited one
-// at a time, every number is exactly deterministic across GOMAXPROCS (the
-// per-site engines then serve serially, which is the regime the E-fleet
-// scenario and the throughput benchmark run in). Asynchronous submission
-// is also supported — futures resolve as site queues drain — at the price
-// of routing against whatever live state exists at submit time.
+// seconds. Submit routes and serves each workflow under one fleet-wide
+// lock before it returns, so concurrent submitters serialize in a total
+// order, nothing admitted is ever still unserved, and every number is a
+// pure function of that order — exactly deterministic across GOMAXPROCS.
 package fleet
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"everest/internal/dataset"
@@ -119,9 +116,9 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is one fleet trace record. Callbacks are serialized by the fleet
-// (they may fire from site workers and from Submit), so they need no
-// locking of their own; they must not call back into the Fleet.
+// Event is one fleet trace record. Callbacks run under the fleet lock, so
+// they need no locking of their own; they must not call back into the
+// Fleet.
 type Event struct {
 	Kind      EventKind
 	Site      string
@@ -197,13 +194,16 @@ type Config struct {
 	// SiteEvents scripts per-site modelled-time environment faults
 	// (index = site; engine EngineConfig.Events semantics).
 	SiteEvents [][]runtime.EnvEvent
-	// Trace, when set, receives every fleet event (serialized).
+	// Trace, when set, receives every fleet event. It runs under the fleet
+	// lock and must not call back into the Fleet.
 	Trace func(Event)
 	// EngineTrace, when set, receives every site engine's runtime events
 	// tagged with the site name, serialized with the fleet's own events
-	// under the same trace mutex. With submit-and-wait driving the merged
-	// stream is deterministic: exactly one site serves at any moment, so
-	// engine events nest between that workflow's Route and Done events.
+	// under the trace mutex. It runs on the engine's dispatcher goroutine
+	// while the serving Submit holds the fleet lock, so it must not call
+	// back into the Fleet either. The merged stream is deterministic:
+	// exactly one site serves at any moment, so engine events nest between
+	// that workflow's Route and Done events.
 	EngineTrace func(site string, ev runtime.Event)
 }
 
@@ -217,10 +217,10 @@ type Request struct {
 	Arrival float64
 	// Guaranteed requests the proven-bound admission class: the request is
 	// admitted only on a site whose modelled worst case — queue frontier,
-	// estimate overhang, outstanding guaranteed debt, cold deploys, and the
-	// workflow's schedule-derived service bound — fits within Deadline.
-	// When no site can prove the deadline, Submit rejects with ErrSaturated
-	// instead of enqueueing. Best-effort traffic is unaffected.
+	// estimate overhang, cold deploys and staging, and the workflow's
+	// schedule-derived service bound — fits within Deadline. When no site
+	// can prove the deadline, Submit rejects with ErrSaturated and serves
+	// nothing. Best-effort traffic is unaffected.
 	Guaranteed bool
 	// Deadline is the relative latency bound (modelled seconds past
 	// Arrival) a guaranteed request must provably meet. Required (> 0)
@@ -250,32 +250,25 @@ type Result struct {
 	Bound      float64
 }
 
-// Ticket is the caller's handle on one routed workflow.
+// Ticket is the caller's handle on one served workflow.
 type Ticket struct {
 	Site   string
 	Tenant string
 	Name   string
 
-	done chan struct{}
-	res  Result
-	err  error
+	res Result
+	err error
 }
 
-// Wait blocks until the workflow completes and returns its result.
-func (t *Ticket) Wait() (Result, error) {
-	<-t.done
-	return t.res, t.err
-}
-
-// Done returns a channel closed when the workflow has completed.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
+// Wait returns the workflow's result. Submit serves before it returns the
+// ticket, so Wait never blocks.
+func (t *Ticket) Wait() (Result, error) { return t.res, t.err }
 
 // SiteStats snapshots one site's serving and cache state.
 type SiteStats struct {
-	Name    string
-	Served  int
-	Failed  int
-	Pending int // routed but not yet completed
+	Name   string
+	Served int
+	Failed int
 
 	CacheHits       int
 	CacheMisses     int
@@ -396,28 +389,24 @@ func (st Stats) sum(f func(SiteStats) int) int {
 	return n
 }
 
-// site is one federated engine plus its fleet-side serving state.
+// site is one federated engine plus its fleet-side serving state, guarded
+// by the fleet lock.
 type site struct {
 	name    string
 	cluster *platform.Cluster
 	engine  *runtime.Engine
-	q       *ticketQueue
 
-	mu           sync.Mutex
 	cache        *bitstreamCache
 	dstore       *dataset.Store // named-partition LRU beside the bitstream cache
 	everDeployed map[string]bool
-	active       bool    // serving: the router may choose it
-	activeFrom   float64 // modelled time the site became eligible (boot done)
-	busyUntil    float64 // queue-recursion frontier (modelled)
-	lastMakespan float64 // engine cumulative makespan after last workflow
-	pending      int
-	pendingG     int       // pending requests in the guaranteed class
-	boundDebt    float64   // summed worst cases of pending guaranteed work
+	active       bool      // serving: the router may choose it
+	activeFrom   float64   // modelled time the site became eligible (boot done)
+	busyUntil    float64   // queue-recursion frontier (modelled)
+	lastMakespan float64   // engine cumulative makespan after last workflow
 	stats        SiteStats // counter fields only; snapshots fill the rest
 }
 
-// work is one routed workflow waiting in a site's serial queue.
+// work is one routed workflow on its way through serve.
 type work struct {
 	t       *Ticket
 	wf      *runtime.Workflow
@@ -426,12 +415,10 @@ type work struct {
 	reads   []dataset.Ref // external dataset partitions the workflow reads
 
 	// Guaranteed-class fields: the admitted deadline and proven bound
-	// (relative to arrival), and the debt claimed against the site
-	// (deploy bound + service bound, released on completion).
+	// (relative to arrival).
 	guaranteed bool
 	deadline   float64
 	bound      float64
-	debt       float64
 }
 
 // Fleet shards workflows across federated engine sites.
@@ -440,8 +427,12 @@ type Fleet struct {
 	reg   *platform.Registry
 	sites []*site
 
+	// traceMu serializes engine events, which arrive on each site engine's
+	// dispatcher goroutine, with the fleet's own.
 	traceMu sync.Mutex
 
+	// mu guards everything below and all site state: Submit routes and
+	// serves under it, so submitters serialize in one total order.
 	mu        sync.Mutex
 	started   bool
 	closed    bool
@@ -452,11 +443,8 @@ type Fleet struct {
 	// catalog records every partition placed or published anywhere in the
 	// federation: the set data-locality pricing and serve-time fetches are
 	// scoped to (unknown refs are outside sources, equidistant from every
-	// site). Guarded by its own lock — routing reads it without f.mu.
-	catMu   sync.RWMutex
+	// site).
 	catalog map[dataset.Key]bool
-
-	workers sync.WaitGroup
 }
 
 // New builds a fleet over a shared bitstream registry. Each site gets its
@@ -532,7 +520,6 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 		s := &site{
 			name:    siteName,
 			cluster: c,
-			q:       newTicketQueue(),
 			engine: runtime.NewEngine(c, reg, runtime.EngineConfig{
 				Policy: cfg.Policy, Adaptive: cfg.Adaptive,
 				Events: events, Net: cfg.Net, Trace: engTrace,
@@ -555,30 +542,25 @@ func (f *Fleet) Sites() int { return len(f.sites) }
 func (f *Fleet) Cluster(i int) *platform.Cluster { return f.sites[i].cluster }
 
 // activeAt reports whether the site may serve work arriving at the given
-// modelled time. Called with s.mu held.
+// modelled time.
 func (s *site) activeAt(at float64) bool { return s.active && s.activeFrom <= at }
 
 // SetSiteActive scales site i in or out at modelled time at. Activation
 // takes effect at `at` (callers model boot delay by passing a future
-// time); deactivation refuses while the site still holds routed work, so
-// autoscalers drain before they shrink. The site's cache survives a
-// scale-down — bitstreams are still resident if it returns.
+// time). Submit serves before it returns, so a site never holds routed
+// work when it scales down. The site's cache survives a scale-down —
+// bitstreams are still resident if it returns.
 func (f *Fleet) SetSiteActive(i int, active bool, at float64) error {
 	if i < 0 || i >= len(f.sites) {
 		return fmt.Errorf("fleet: site %d outside [0, %d)", i, len(f.sites))
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	s := f.sites[i]
-	s.mu.Lock()
-	if !active && s.pending > 0 {
-		pending := s.pending
-		s.mu.Unlock()
-		return fmt.Errorf("fleet: %s still holds %d routed workflows", s.name, pending)
-	}
 	s.active = active
 	if active {
 		s.activeFrom = at
 	}
-	s.mu.Unlock()
 	kind := EventSiteLeave
 	if active {
 		kind = EventSiteJoin
@@ -592,15 +574,14 @@ func (f *Fleet) SetSiteActive(i int, active bool, at float64) error {
 // is active at that time (all scaled down or still booting). The region
 // tier prices inter-region handoff against this.
 func (f *Fleet) QueueWait(arrival float64) (float64, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	best, ok := 0.0, false
 	for _, s := range f.sites {
-		s.mu.Lock()
-		act := s.activeAt(arrival)
-		wait := s.busyUntil - arrival
-		s.mu.Unlock()
-		if !act {
+		if !s.activeAt(arrival) {
 			continue
 		}
+		wait := s.busyUntil - arrival
 		if wait < 0 {
 			wait = 0
 		}
@@ -623,53 +604,30 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 	if _, err := f.reg.Get(id); err != nil {
 		return -1, 0, fmt.Errorf("fleet: warm: %w", err)
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	best, bestBusy := -1, 0.0
 	for i, s := range f.sites {
-		s.mu.Lock()
-		act := s.activeAt(at)
-		resident := false
-		if act {
-			if slot, ok := s.cache.peek(id); ok && slot.node.DeviceOnlineAt(slot.dev, at) {
-				resident = true
-			}
-		}
-		busy := s.busyUntil
-		s.mu.Unlock()
-		if !act {
+		if !s.activeAt(at) {
 			continue
 		}
-		if resident {
+		if slot, ok := s.cache.peek(id); ok && slot.node.DeviceOnlineAt(slot.dev, at) {
 			return i, 0, nil
 		}
-		if best < 0 || busy < bestBusy {
-			best, bestBusy = i, busy
+		if best < 0 || s.busyUntil < bestBusy {
+			best, bestBusy = i, s.busyUntil
 		}
 	}
 	if best < 0 {
 		return -1, 0, fmt.Errorf("fleet: warm %s: no active site", id)
 	}
 	s := f.sites[best]
-	var evs *[]Event
-	if f.cfg.Trace != nil {
-		evs = evPool.Get().(*[]Event)
-		defer func() {
-			*evs = (*evs)[:0]
-			evPool.Put(evs)
-		}()
-	}
-	s.mu.Lock()
-	dt := f.deployOne(s, "prefetch", "warm:"+id, id, at, evs)
-	if dt > 0 {
-		s.stats.WarmDeploys++
-		s.stats.WarmSeconds += dt
-	}
-	s.mu.Unlock()
-	if evs != nil {
-		f.trace(*evs...)
-	}
+	dt := f.deployOne(s, "prefetch", "warm:"+id, id, at)
 	if dt == 0 {
 		return best, 0, fmt.Errorf("fleet: warm %s: no online device fits on %s", id, s.name)
 	}
+	s.stats.WarmDeploys++
+	s.stats.WarmSeconds += dt
 	f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: id,
 		Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
 	return best, dt, nil
@@ -686,36 +644,20 @@ func (f *Fleet) WarmAll(id string, at float64) (float64, error) {
 	if _, err := f.reg.Get(id); err != nil {
 		return 0, fmt.Errorf("fleet: warm-all: %w", err)
 	}
-	var evs *[]Event
-	if f.cfg.Trace != nil {
-		evs = evPool.Get().(*[]Event)
-		defer func() {
-			*evs = (*evs)[:0]
-			evPool.Put(evs)
-		}()
-	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	total := 0.0
 	for _, s := range f.sites {
-		s.mu.Lock()
 		if !s.activeAt(at) {
-			s.mu.Unlock()
 			continue
 		}
 		if slot, ok := s.cache.peek(id); ok && slot.node.DeviceOnlineAt(slot.dev, at) {
-			s.mu.Unlock()
 			continue
 		}
-		dt := f.deployOne(s, "prefetch", "warm:"+id, id, at, evs)
+		dt := f.deployOne(s, "prefetch", "warm:"+id, id, at)
 		if dt > 0 {
 			s.stats.WarmDeploys++
 			s.stats.WarmSeconds += dt
-		}
-		s.mu.Unlock()
-		if evs != nil {
-			f.trace(*evs...)
-			*evs = (*evs)[:0]
-		}
-		if dt > 0 {
 			total += dt
 			f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: id,
 				Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
@@ -724,7 +666,7 @@ func (f *Fleet) WarmAll(id string, at float64) (float64, error) {
 	return total, nil
 }
 
-// Start brings every site engine up and spawns one serial worker per site.
+// Start brings every site engine up.
 func (f *Fleet) Start() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -737,17 +679,15 @@ func (f *Fleet) Start() error {
 		}
 	}
 	f.started = true
-	for _, s := range f.sites {
-		f.workers.Add(1)
-		go f.runSite(s)
-	}
 	return nil
 }
 
-// Submit routes one workflow to the cheapest site and enqueues it there.
-// It never blocks on serving; the returned ticket resolves when the site's
-// serial worker drains to it. Rejections (ErrSaturated) happen only under
-// a configured MaxQueueSeconds admission bound.
+// Submit routes one workflow to the cheapest site and serves it to
+// completion before returning, all under the fleet lock: the returned
+// ticket is already resolved, and concurrent submitters serialize in one
+// total order. Rejections (ErrSaturated) happen only under a configured
+// MaxQueueSeconds admission bound or a guaranteed deadline no site can
+// prove.
 func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	if req.Workflow == nil {
 		return nil, fmt.Errorf("fleet: nil workflow")
@@ -761,33 +701,27 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	}
 	needs := bitstreamNeeds(req.Workflow)
 	reads := datasetReads(req.Workflow)
-	known := f.knownReads(reads)
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if !f.started || f.closed {
-		f.mu.Unlock()
 		return nil, fmt.Errorf("fleet: not serving (started=%v closed=%v)", f.started, f.closed)
 	}
+	known := f.knownReads(reads)
 	last, hasLast := f.lastSite[tenant]
-	f.mu.Unlock()
 
-	// Route outside the fleet lock: each candidate site is priced under its
-	// own mutex (sharded bookkeeping), and the argmin merge walks sites in
-	// index order with strict-less ties — deterministic regardless of how
-	// many submitters race, given identical per-site state. Guaranteed
-	// requests instead route by proof: the admitting site's bound claim is
-	// atomic, so concurrent admissions can never over-commit a site.
+	// Best-effort requests route by cost, guaranteed ones by proof; both
+	// walk sites in index order with strict-less ties, so routing is a
+	// pure function of fleet state.
 	var idx int
-	var bound, debt float64
+	var bound float64
 	var err error
 	if req.Guaranteed {
-		idx, bound, debt, err = f.routeGuaranteed(req.Workflow, needs, known, req.Arrival, req.Deadline)
+		idx, bound, err = f.routeGuaranteed(req.Workflow, needs, known, req.Arrival, req.Deadline)
 	} else {
 		idx, err = f.route(tenant, last, hasLast, needs, known, req.Arrival)
 	}
-	f.mu.Lock()
 	if err != nil {
 		f.rejected++
-		f.mu.Unlock()
 		f.trace(Event{Kind: EventReject, Tenant: tenant, Workflow: req.Name,
 			Time: req.Arrival, Detail: err.Error()})
 		return nil, err
@@ -799,15 +733,6 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	}
 	f.lastSite[tenant] = idx
 	s := f.sites[idx]
-	f.mu.Unlock()
-
-	if !req.Guaranteed {
-		// Guaranteed admissions already claimed their pending slot (and
-		// bound debt) atomically inside routeGuaranteed.
-		s.mu.Lock()
-		s.pending++
-		s.mu.Unlock()
-	}
 	if f.cfg.Trace != nil {
 		detail := fmt.Sprintf("needs=%d", len(needs))
 		if req.Guaranteed {
@@ -816,69 +741,38 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 		f.trace(Event{Kind: EventRoute, Site: s.name, Tenant: tenant, Workflow: name,
 			Time: req.Arrival, Detail: detail})
 	}
-	t := &Ticket{Site: s.name, Tenant: tenant, Name: name, done: make(chan struct{})}
-	if !s.q.push(work{t: t, wf: req.Workflow, arrival: req.Arrival, needs: needs, reads: known,
-		guaranteed: req.Guaranteed, deadline: req.Deadline, bound: bound, debt: debt}) {
-		// A concurrent Shutdown closed the site queues between routing and
-		// enqueue. Undo the accounting and refuse — returning the ticket
-		// would leave a Wait that never resolves (no worker remains to
-		// serve it).
-		s.mu.Lock()
-		s.pending--
-		if req.Guaranteed {
-			s.pendingG--
-			s.boundDebt -= debt
-			if s.boundDebt < 0 {
-				s.boundDebt = 0
-			}
-		}
-		s.mu.Unlock()
-		f.mu.Lock()
-		f.submitted--
-		f.rejected++
-		f.mu.Unlock()
-		f.trace(Event{Kind: EventReject, Site: s.name, Tenant: tenant,
-			Workflow: name, Time: req.Arrival, Detail: "fleet shut down"})
-		return nil, fmt.Errorf("fleet: shut down")
-	}
+	t := &Ticket{Site: s.name, Tenant: tenant, Name: name}
+	f.serve(s, work{t: t, wf: req.Workflow, arrival: req.Arrival, needs: needs, reads: known,
+		guaranteed: req.Guaranteed, deadline: req.Deadline, bound: bound})
 	return t, nil
 }
 
-// Shutdown refuses new submissions, drains every site queue, stops the
-// engines, and returns the final stats.
+// Shutdown refuses new submissions, stops the engines, and returns the
+// final stats. Nothing is left to drain: every admitted workflow was
+// served inside its Submit.
 func (f *Fleet) Shutdown() Stats {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return f.Stats()
+	if !f.closed {
+		f.closed = true
+		if f.started {
+			for _, s := range f.sites {
+				s.engine.Shutdown()
+			}
+		}
 	}
-	f.closed = true
-	started := f.started
 	f.mu.Unlock()
-	if started {
-		for _, s := range f.sites {
-			s.q.close()
-		}
-		f.workers.Wait()
-		for _, s := range f.sites {
-			s.engine.Shutdown()
-		}
-	}
 	return f.Stats()
 }
 
 // Stats snapshots the fleet.
 func (f *Fleet) Stats() Stats {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	out := Stats{Submitted: f.submitted, Rejected: f.rejected}
-	f.mu.Unlock()
 	for _, s := range f.sites {
-		s.mu.Lock()
 		ss := s.stats
-		ss.Pending = s.pending
 		ss.BusyUntil = s.busyUntil
 		ss.Active = s.active
-		s.mu.Unlock()
 		ss.Engine = s.engine.Stats()
 		out.Completed += ss.Served
 		out.Failed += ss.Failed
@@ -901,9 +795,7 @@ func (f *Fleet) Stats() Stats {
 // the tenant-affinity penalty for leaving the tenant's previous site, and
 // the data-locality fetch of federation-known input partitions the site
 // does not hold (a site holding the data charges zero — compute moves to
-// the data). Ties break on site order, so routing is deterministic. Runs
-// without the fleet lock — per-site state is read under each site's own
-// mutex.
+// the data). Ties break on site order, so routing is deterministic.
 func (f *Fleet) route(tenant string, last int, hasLast bool, needs []string, reads []dataset.Ref, arrival float64) (int, error) {
 	best, bestCost := -1, 0.0
 	for i, s := range f.sites {
@@ -925,26 +817,20 @@ func (f *Fleet) route(tenant string, last int, hasLast bool, needs []string, rea
 // routeGuaranteed admits a guaranteed request by proof. Every site is
 // priced with the full admission inequality
 //
-//	wait + overhang + boundDebt + deployBound + fetchBound + serviceBound <= deadline
+//	wait + overhang + deployBound + fetchBound + serviceBound <= deadline
 //
 // where wait is the site's queue frontier past the arrival, overhang the
-// engine's estimate frontier beyond the last settled makespan, boundDebt
-// the summed worst cases of already-admitted guaranteed work, deployBound
+// engine's estimate frontier beyond the last settled makespan, deployBound
 // the worst-case cold deployment of every needed bitstream, fetchBound
 // the worst-case staging of every external dataset partition, and
 // serviceBound the workflow's schedule-derived serve-alone worst case
-// (runtime.ServiceBound). Candidates are tried cheapest-bound first (site
-// order breaks ties) and the winning site's debt claim happens atomically
-// under its mutex, re-verifying the inequality — so racing admissions
-// cannot jointly over-commit a site. When no site can prove the deadline
-// the request is refused with ErrSaturated and nothing is enqueued.
-func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs []string, reads []dataset.Ref, arrival, deadline float64) (int, float64, float64, error) {
-	type candidate struct {
-		idx   int
-		bound float64
-		debt  float64
-	}
-	var cands []candidate
+// (runtime.ServiceBound). Submit serves every admitted workflow before it
+// returns, so no admitted work is ever still pending ahead of this one to
+// add to the sum. The cheapest provable bound wins, site order breaking
+// ties; when no site can prove the deadline the request is refused with
+// ErrSaturated and nothing is served.
+func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs []string, reads []dataset.Ref, arrival, deadline float64) (int, float64, error) {
+	best, bestBound := -1, 0.0
 	for i, s := range f.sites {
 		svc, err := runtime.ServiceBound(w, s.cluster, f.reg, runtime.BoundOptions{
 			SlowdownCap: f.cfg.SlowdownCap, Net: f.cfg.Net,
@@ -952,43 +838,25 @@ func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs []string, reads []dat
 		if err != nil {
 			continue // the site cannot bound the workflow at all
 		}
-		debt := f.deployBound(s, needs) + f.fetchBound(reads) + svc
-		if bound, ok := f.admissionBound(s, arrival, debt, false, deadline); ok {
-			cands = append(cands, candidate{idx: i, bound: bound, debt: debt})
+		own := f.deployBound(s, needs) + f.fetchBound(reads) + svc
+		bound, ok := f.admissionBound(s, arrival, own, deadline)
+		if ok && (best < 0 || bound < bestBound) {
+			best, bestBound = i, bound
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].bound != cands[b].bound {
-			return cands[a].bound < cands[b].bound
-		}
-		return cands[a].idx < cands[b].idx
-	})
-	for _, c := range cands {
-		if bound, ok := f.admissionBound(f.sites[c.idx], arrival, c.debt, true, deadline); ok {
-			return c.idx, bound, c.debt, nil
-		}
+	if best < 0 {
+		return 0, 0, fmt.Errorf("%w: no site can prove a %.4gs deadline (%d sites)",
+			ErrSaturated, deadline, len(f.sites))
 	}
-	return 0, 0, 0, fmt.Errorf("%w: no site can prove a %.4gs deadline (%d sites)",
-		ErrSaturated, deadline, len(f.sites))
+	return best, bestBound, nil
 }
 
-// admissionBound evaluates the guaranteed-class inequality on one site,
-// returning the proven relative bound; ok=false means the site cannot
-// admit (pending best-effort work makes it unboundable, or the bound
-// misses the deadline). With claim set, a passing evaluation atomically
-// books the debt and pending slot under the site mutex.
-func (f *Fleet) admissionBound(s *site, arrival, debt float64, claim bool, deadline float64) (float64, bool) {
-	// The engine's backlog only advances, so reading it before taking the
-	// site mutex keeps the bound conservative.
-	backlog := s.engine.Stats().Backlog
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// admissionBound evaluates the guaranteed-class inequality on one site for
+// a workflow whose own worst case (deploys, staging, service) is own,
+// returning the proven relative bound; ok=false means the site is not
+// active at the arrival or the bound misses the deadline.
+func (f *Fleet) admissionBound(s *site, arrival, own, deadline float64) (float64, bool) {
 	if !s.activeAt(arrival) {
-		return 0, false
-	}
-	if s.pending-s.pendingG > 0 {
-		// Queued best-effort work carries no proven bound: nothing sound
-		// can be promised behind it.
 		return 0, false
 	}
 	wait := s.busyUntil - arrival
@@ -999,18 +867,13 @@ func (f *Fleet) admissionBound(s *site, arrival, debt float64, claim bool, deadl
 	// the last settled makespan (estimates only ratchet down on reports),
 	// and the next service delta is measured from the settled makespan — so
 	// the gap is time the next workflow can be billed for.
-	overhang := backlog - s.lastMakespan
+	overhang := s.engine.Stats().Backlog - s.lastMakespan
 	if overhang < 0 {
 		overhang = 0
 	}
-	bound := wait + overhang + s.boundDebt + debt
+	bound := wait + overhang + own
 	if bound > deadline {
 		return 0, false
-	}
-	if claim {
-		s.pending++
-		s.pendingG++
-		s.boundDebt += debt
 	}
 	return bound, true
 }
@@ -1049,61 +912,29 @@ func (f *Fleet) deployBound(s *site, needs []string) float64 {
 // siteCost prices routing a workflow to one site; ok=false means the site
 // is saturated past the admission bound.
 func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs []string, reads []dataset.Ref, arrival float64) (float64, bool) {
-	s.mu.Lock()
 	if !s.activeAt(arrival) {
 		// Scaled out, or still booting at this arrival: not a candidate.
-		s.mu.Unlock()
 		return 0, false
 	}
-	busy := s.busyUntil
-	inFlight := s.pending
-	missing := s.dstore.MissingBytes(reads)
-	var cachedBuf [8]bool // workflows need a handful of bitstreams; avoid the alloc
-	cachedAt := cachedBuf[:len(cachedBuf):len(cachedBuf)]
-	if len(needs) > len(cachedBuf) {
-		cachedAt = make([]bool, len(needs))
-	}
-	cachedAt = cachedAt[:len(needs)]
-	for j, id := range needs {
-		if slot, ok := s.cache.peek(id); ok {
-			// A resident bitstream on a device that is offline by the time
-			// this work would start is stale: the deploy path will treat it
-			// as a miss, so the estimate must too.
-			at := arrival
-			if busy > at {
-				at = busy
-			}
-			cachedAt[j] = slot.node.DeviceOnlineAt(slot.dev, at)
-		}
-	}
-	s.mu.Unlock()
-	wait := busy - arrival
+	// Every routed workflow is served before Submit returns, so the
+	// busyUntil recursion is the whole queue.
+	wait := s.busyUntil - arrival
 	if wait < 0 {
 		wait = 0
-	}
-	// The busyUntil recursion only covers completed workflows. Work still
-	// routed-but-unserved (asynchronous submitters) extends the queue by
-	// roughly one engine-measured mean service time each — the live
-	// queue-depth signal read off the site's engine stats. With
-	// submit-and-wait driving (the deterministic scenarios) inFlight is
-	// always 0 and this term vanishes.
-	if inFlight > 0 {
-		est := s.engine.Stats()
-		if est.Completed > 0 {
-			meanService := est.Backlog / float64(est.Completed)
-			wait += float64(inFlight) * meanService
-		}
 	}
 	if f.cfg.MaxQueueSeconds > 0 && wait > f.cfg.MaxQueueSeconds {
 		return 0, false
 	}
 	cost := wait
 	at := arrival
-	if busy > at {
-		at = busy
+	if s.busyUntil > at {
+		at = s.busyUntil
 	}
-	for j, id := range needs {
-		if cachedAt[j] {
+	for _, id := range needs {
+		// A resident bitstream on a device that is offline by the time this
+		// work would start is stale: the deploy path will treat it as a
+		// miss, so the estimate must too.
+		if slot, ok := s.cache.peek(id); ok && slot.node.DeviceOnlineAt(slot.dev, at) {
 			continue // resident: deployment is free
 		}
 		if est, ok := f.estimateDeploy(s, id, at); ok {
@@ -1119,7 +950,7 @@ func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs []strin
 	// registry fabric before the workflow can run. PlacementBlind prices
 	// every site as if the data were local (the contrast arm the data
 	// benchmarks measure against).
-	if missing > 0 && !f.cfg.PlacementBlind {
+	if missing := s.dstore.MissingBytes(reads); missing > 0 && !f.cfg.PlacementBlind {
 		cost += f.cfg.RegistryNet.SendSeconds(missing)
 	}
 	return cost, true
@@ -1217,30 +1048,17 @@ func bitstreamNeeds(w *runtime.Workflow) []string {
 }
 
 // ---------------------------------------------------------------------------
-// site worker
+// serving
 
-// runSite drains one site's queue serially: deploy what the workflow
-// needs, serve it on the site engine, then advance the site's modelled
-// frontier with the queue recursion.
-func (f *Fleet) runSite(s *site) {
-	defer f.workers.Done()
-	for {
-		w, ok := s.q.pop()
-		if !ok {
-			return
-		}
-		f.serve(s, w)
-	}
-}
-
+// serve deploys what the workflow needs, serves it on the site engine, then
+// advances the site's modelled frontier with the queue recursion and
+// resolves the ticket. Called by Submit under the fleet lock.
 func (f *Fleet) serve(s *site, w work) {
 	t := w.t
-	s.mu.Lock()
 	start := w.arrival
 	if s.busyUntil > start {
 		start = s.busyUntil
 	}
-	s.mu.Unlock()
 	deploy := f.deployNeeds(s, w, start)
 	fetch, fetchedBytes := f.fetchData(s, w, start+deploy)
 
@@ -1250,16 +1068,7 @@ func (f *Fleet) serve(s *site, w work) {
 		sched, err = fut.Wait()
 	}
 
-	s.mu.Lock()
-	s.pending--
 	if w.guaranteed {
-		// Settle the admission claim: the worst case this request booked is
-		// no longer owed, whatever actually happened.
-		s.pendingG--
-		s.boundDebt -= w.debt
-		if s.boundDebt < 0 {
-			s.boundDebt = 0
-		}
 		s.stats.Guaranteed++
 	}
 	if err != nil {
@@ -1283,15 +1092,11 @@ func (f *Fleet) serve(s *site, w work) {
 			s.lastMakespan = frontier
 		}
 		s.busyUntil = start + deploy + fetch + partial
-		s.mu.Unlock()
 		t.err = fmt.Errorf("fleet: %s: %w", s.name, err)
-		// Trace before resolving the ticket: once Wait returns, every
-		// event of this workflow has been delivered.
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventDone, Site: s.name, Tenant: t.Tenant,
 				Workflow: t.Name, Time: start, Detail: "error: " + err.Error()})
 		}
-		close(t.done)
 		return
 	}
 	service := sched.Makespan - s.lastMakespan
@@ -1308,7 +1113,6 @@ func (f *Fleet) serve(s *site, w work) {
 	if w.guaranteed && completion-w.arrival > w.deadline {
 		s.stats.BoundViolations++
 	}
-	s.mu.Unlock()
 	f.publishOutputs(s, w, completion)
 
 	t.res = Result{
@@ -1318,40 +1122,21 @@ func (f *Fleet) serve(s *site, w work) {
 		Completion:   completion, Latency: completion - w.arrival,
 		Guaranteed: w.guaranteed, Bound: w.bound,
 	}
-	// Trace before resolving the ticket (see the error path above).
 	if f.cfg.Trace != nil {
 		f.trace(Event{Kind: EventDone, Site: s.name, Tenant: t.Tenant, Workflow: t.Name,
 			Time: completion, Detail: fmt.Sprintf("latency=%.4gs", completion-w.arrival)})
 	}
-	close(t.done)
 }
 
-// evPool recycles the deploy path's trace event buffers: with tracing on,
-// each served workflow borrows one buffer instead of growing a fresh slice
-// per bitstream; with tracing off the deploy path builds no events at all.
-var evPool = sync.Pool{New: func() any { b := make([]Event, 0, 8); return &b }}
-
 // deployNeeds stages every bitstream the workflow requests and the site
-// does not hold, returning the total modelled deployment stall. The site
-// worker is the only mutator of the cache; s.mu guards it against router
-// peeks.
+// does not hold, returning the total modelled deployment stall.
 func (f *Fleet) deployNeeds(s *site, w work, at float64) float64 {
 	total := 0.0
-	var evs *[]Event // nil = tracing off; events are never constructed
-	if f.cfg.Trace != nil {
-		evs = evPool.Get().(*[]Event)
-		defer func() {
-			*evs = (*evs)[:0]
-			evPool.Put(evs)
-		}()
-	}
 	for _, id := range w.needs {
-		s.mu.Lock()
 		slot, hit := s.cache.get(id)
 		if hit && slot.node.DeviceOnlineAt(slot.dev, at+total) {
 			s.stats.CacheHits++
-			s.mu.Unlock()
-			if evs != nil {
+			if f.cfg.Trace != nil {
 				f.trace(Event{Kind: EventCacheHit, Site: s.name, Tenant: w.t.Tenant,
 					Workflow: w.t.Name, Bitstream: id, Time: at + total})
 			}
@@ -1363,37 +1148,30 @@ func (f *Fleet) deployNeeds(s *site, w work, at float64) float64 {
 			slot.unprogram()
 			s.cache.remove(id)
 			s.stats.Evictions++
-			if evs != nil {
-				*evs = append(*evs, Event{Kind: EventEvict, Site: s.name, Bitstream: id,
+			if f.cfg.Trace != nil {
+				f.trace(Event{Kind: EventEvict, Site: s.name, Bitstream: id,
 					Time: at + total, Detail: fmt.Sprintf("%s/dev%d offline", slot.node.Name, slot.dev)})
 			}
 		}
 		s.stats.CacheMisses++
-		if evs != nil {
-			*evs = append(*evs, Event{Kind: EventCacheMiss, Site: s.name, Tenant: w.t.Tenant,
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: EventCacheMiss, Site: s.name, Tenant: w.t.Tenant,
 				Workflow: w.t.Name, Bitstream: id, Time: at + total})
 		}
-		dt := f.deployOne(s, w.t.Tenant, w.t.Name, id, at+total, evs)
-		s.mu.Unlock()
-		total += dt
-		if evs != nil {
-			f.trace(*evs...)
-			*evs = (*evs)[:0]
-		}
+		total += f.deployOne(s, w.t.Tenant, w.t.Name, id, at+total)
 	}
 	return total
 }
 
 // deployOne stages one bitstream, evicting LRU entries while the cache is
 // at capacity or no un-occupied device slot remains. Returns the modelled
-// stall (0 on software fallback). Called with s.mu held; trace events are
-// appended to evs when non-nil (tracing on).
-func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64, evs *[]Event) float64 {
+// stall (0 on software fallback).
+func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64) float64 {
 	bs, err := f.reg.Get(id)
 	if err != nil {
 		s.stats.FallbackDeploys++
-		if evs != nil {
-			*evs = append(*evs, Event{Kind: EventFallback, Site: s.name, Tenant: tenant,
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: EventFallback, Site: s.name, Tenant: tenant,
 				Workflow: wfName, Bitstream: id, Time: at, Detail: err.Error()})
 		}
 		return 0
@@ -1412,8 +1190,8 @@ func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64, evs *[
 			// Nothing left to evict and still no hosting device: the
 			// site's accelerators are offline, too small, or gone.
 			s.stats.FallbackDeploys++
-			if evs != nil {
-				*evs = append(*evs, Event{Kind: EventFallback, Site: s.name, Tenant: tenant,
+			if f.cfg.Trace != nil {
+				f.trace(Event{Kind: EventFallback, Site: s.name, Tenant: tenant,
 					Workflow: wfName, Bitstream: id, Time: at, Detail: "no online device fits"})
 			}
 			return 0
@@ -1421,8 +1199,8 @@ func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64, evs *[
 		victim.unprogram()
 		s.cache.remove(victim.id)
 		s.stats.Evictions++
-		if evs != nil {
-			*evs = append(*evs, Event{Kind: EventEvict, Site: s.name, Bitstream: victim.id,
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: EventEvict, Site: s.name, Bitstream: victim.id,
 				Time: at, Detail: fmt.Sprintf("lru from %s/%s", victim.node.Name, slotName(victim.dev, victim.region))})
 		}
 	}
@@ -1434,8 +1212,8 @@ func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64, evs *[
 	}
 	if err != nil {
 		s.stats.FallbackDeploys++
-		if evs != nil {
-			*evs = append(*evs, Event{Kind: EventFallback, Site: s.name, Tenant: tenant,
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: EventFallback, Site: s.name, Tenant: tenant,
 				Workflow: wfName, Bitstream: id, Time: at, Detail: err.Error()})
 		}
 		return 0
@@ -1453,8 +1231,8 @@ func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64, evs *[
 		kind = EventRedeploy
 	}
 	s.everDeployed[id] = true
-	if evs != nil {
-		*evs = append(*evs, Event{Kind: kind, Site: s.name, Tenant: tenant,
+	if f.cfg.Trace != nil {
+		f.trace(Event{Kind: kind, Site: s.name, Tenant: tenant,
 			Workflow: wfName, Bitstream: id, Time: at,
 			Detail: fmt.Sprintf("%s/%s xfer=%.4gs reconfig=%.3gs", node.Name, slotName(dev, region), xfer, dt)})
 	}
@@ -1480,56 +1258,4 @@ func (f *Fleet) trace(evs ...Event) {
 	for _, ev := range evs {
 		f.cfg.Trace(ev)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// per-site serial queue
-
-// ticketQueue is an unbounded FIFO of routed work; pushes never block.
-type ticketQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []work
-	closed bool
-}
-
-func newTicketQueue() *ticketQueue {
-	q := &ticketQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// push enqueues work; false means the queue is already closed (the
-// worker may be gone, so the caller must not rely on the work running).
-func (q *ticketQueue) push(w work) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.items = append(q.items, w)
-	q.cond.Signal()
-	return true
-}
-
-func (q *ticketQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// pop blocks until work is available or the queue is closed and drained.
-func (q *ticketQueue) pop() (work, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return work{}, false
-	}
-	w := q.items[0]
-	q.items = q.items[1:]
-	return w, true
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"everest/internal/hls"
@@ -416,36 +417,52 @@ func TestFallbackWhenNoOnlineDevice(t *testing.T) {
 	}
 }
 
-func TestAsyncTicketsResolveOnShutdown(t *testing.T) {
+// TestConcurrentSubmittersServeInline races submitters against one fleet:
+// Submit serves under the fleet lock, so every ticket is resolved when it
+// returns, nothing is left in flight on any engine, and each site's
+// completions advance monotonically in serve order.
+func TestConcurrentSubmittersServeInline(t *testing.T) {
+	const submitters, perSubmitter = 8, 16
 	reg := platform.NewRegistry()
-	f := newTestFleet(t, reg, Config{Sites: 2})
+	var served []string // EventDone workflow names, in serve order
+	f := newTestFleet(t, reg, Config{Sites: 2, Trace: func(ev Event) {
+		if ev.Kind == EventDone {
+			served = append(served, ev.Workflow)
+		}
+	}})
 
-	var tickets []*Ticket
-	for i := 0; i < 12; i++ {
-		tk, err := f.Submit(Request{Tenant: fmt.Sprintf("t%d", i%3), Workflow: cpuWorkflow(), Arrival: float64(i) * 0.01})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
+	var mu sync.Mutex
+	results := make(map[string]Result)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < perSubmitter; j++ {
+				tk, err := f.Submit(Request{Tenant: fmt.Sprintf("t%d", g%3),
+					Name: fmt.Sprintf("g%d-%d", g, j), Workflow: cpuWorkflow(),
+					Arrival: float64(j) * 0.01})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := tk.Wait()
+				if err != nil || res.Sched == nil || res.Site != tk.Site {
+					t.Errorf("%s unresolved when Submit returned: %+v %v", tk.Name, res, err)
+					return
+				}
+				mu.Lock()
+				results[tk.Name] = res
+				mu.Unlock()
+			}
+		}(g)
 	}
-	st := f.Shutdown()
-	for i, tk := range tickets {
-		select {
-		case <-tk.Done():
-		default:
-			t.Fatalf("ticket %d unresolved after Shutdown", i)
-		}
-		if _, err := tk.Wait(); err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
-		}
+	wg.Wait()
+
+	st := f.Stats()
+	if st.Completed != submitters*perSubmitter {
+		t.Fatalf("completed = %d, want %d", st.Completed, submitters*perSubmitter)
 	}
-	if st.Completed != 12 {
-		t.Fatalf("completed = %d, want 12", st.Completed)
-	}
-	if st.Makespan <= 0 {
-		t.Fatal("makespan should be positive")
-	}
-	// Engine stats surfaced per site.
 	for _, s := range st.Sites {
 		if s.Engine.Submitted != s.Served {
 			t.Fatalf("%s: engine submitted %d != served %d", s.Name, s.Engine.Submitted, s.Served)
@@ -453,6 +470,20 @@ func TestAsyncTicketsResolveOnShutdown(t *testing.T) {
 		if s.Engine.Active != 0 || s.Engine.ReadyTasks != 0 {
 			t.Fatalf("%s: engine should be drained, got %+v", s.Name, s.Engine)
 		}
+	}
+	last := make(map[string]float64)
+	for _, name := range served {
+		res := results[name]
+		if res.Completion < last[res.Site] {
+			t.Fatalf("%s on %s completes at %g, before its predecessor's %g",
+				name, res.Site, res.Completion, last[res.Site])
+		}
+		last[res.Site] = res.Completion
+	}
+
+	f.Shutdown()
+	if tk, err := f.Submit(Request{Workflow: cpuWorkflow()}); err == nil || tk != nil {
+		t.Fatalf("Submit after Shutdown = (%v, %v), want an error and no ticket", tk, err)
 	}
 }
 
@@ -465,24 +496,6 @@ func TestEventKindStrings(t *testing.T) {
 		if k.String() != want[i] {
 			t.Fatalf("kind %d = %q, want %q", i, k.String(), want[i])
 		}
-	}
-}
-
-func TestTicketQueuePushAfterCloseRefuses(t *testing.T) {
-	q := newTicketQueue()
-	if !q.push(work{}) {
-		t.Fatal("push on an open queue must succeed")
-	}
-	q.close()
-	if q.push(work{}) {
-		t.Fatal("push on a closed queue must refuse (its worker may be gone)")
-	}
-	// Items enqueued before close still drain.
-	if _, ok := q.pop(); !ok {
-		t.Fatal("queued item should survive close")
-	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("drained closed queue should report done")
 	}
 }
 

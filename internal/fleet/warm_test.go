@@ -136,30 +136,6 @@ func TestSetSiteActiveGatesRouting(t *testing.T) {
 	}
 }
 
-func TestSetSiteActiveRefusesWithPendingWork(t *testing.T) {
-	reg := platform.NewRegistry()
-	f := newTestFleet(t, reg, Config{Sites: 1})
-	defer f.Shutdown()
-	tk, err := f.Submit(Request{Workflow: cpuWorkflow(), Arrival: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The workflow may already be served by the time we try; only assert
-	// the refusal when work was still routed there.
-	errDeact := f.SetSiteActive(0, false, 0)
-	if _, err := tk.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if errDeact == nil {
-		// Drained before the call — deactivation after the drain must work.
-		if err := f.SetSiteActive(0, false, 0); err != nil {
-			t.Fatal(err)
-		}
-	} else if !strings.Contains(errDeact.Error(), "routed workflows") {
-		t.Fatalf("unexpected deactivation error: %v", errDeact)
-	}
-}
-
 func TestQueueWait(t *testing.T) {
 	reg := platform.NewRegistry()
 	f := newTestFleet(t, reg, Config{Sites: 2, InitialActiveSites: 1})

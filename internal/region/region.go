@@ -1116,7 +1116,7 @@ func (f *Federation) prefetch(r *region, at float64) {
 // autoscale reacts to the queue state at a window roll: a wait past
 // ScaleUpWait activates the next site (serving from at+SiteBootSeconds);
 // ScaleDownIdleWindows consecutive idle rolls deactivate the last one
-// (never below one site, never a site still holding work).
+// (never below one site).
 func (f *Federation) autoscale(r *region, at float64) {
 	wait, ok := r.fl.QueueWait(at)
 	switch {

@@ -35,10 +35,11 @@ import (
 //     bound on whatever grouping the placement produces.
 //
 // Summing the per-task worst cases over the whole DAG is then a bound on
-// the serve-alone makespan delta: the engine is work-conserving, and with
-// the fleet's serial per-site worker at most one workflow occupies the
-// engine at a time, so every stall a task can suffer (node clocks, device
-// claims, transfers) traces back to another task of the same workflow.
+// the serve-alone makespan delta: the engine is work-conserving, and since
+// the fleet serves each workflow to completion under its lock, at most one
+// workflow occupies the engine at a time, so every stall a task can suffer
+// (node clocks, device claims, transfers) traces back to another task of
+// the same workflow.
 
 // BoundOptions parameterizes ServiceBound.
 type BoundOptions struct {

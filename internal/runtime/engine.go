@@ -815,7 +815,7 @@ func (e *Engine) rebuildHeap(ds *dispatchState) {
 // and feeds the completion (or loss, once the node's injected failure time
 // passes) straight into onReport.
 func (e *Engine) execNode(ds *dispatchState, ni int) {
-	req, ok := e.queues[ni].tryPop()
+	req, ok := e.queues[ni].pop()
 	if !ok {
 		return
 	}
@@ -1026,6 +1026,9 @@ func (e *Engine) finish(ds *dispatchState, st *wfState, err error) {
 		Kind: EventWorkflowDone, Workflow: st.name, Tenant: st.tenant,
 		Time: st.sched.Makespan,
 	})
+	// Publish before resolving: a caller returning from Wait must see this
+	// completion (and its backlog) in Stats.
+	e.publishStats(ds)
 	close(st.fut.done)
 	e.maybeRecycle(st)
 }
@@ -1232,17 +1235,14 @@ func (e *Engine) transferSeconds(from, to string, bytes int64, deps int) float64
 
 // workQueue is an unbounded FIFO of execution requests in ring layout (the
 // popped prefix is reused once the queue drains). It is owned by the
-// dispatcher goroutine exclusively — push from placement, peek/tryPop from
+// dispatcher goroutine exclusively — push from placement, peek/pop from
 // inline execution, steal from control handling all run there — so it
 // carries no synchronization at all; dropping the old executor-era
 // mutex/condvar took both off the per-task hot path.
 type workQueue struct {
-	items  []execRequest
-	head   int
-	closed bool
+	items []execRequest
+	head  int
 }
-
-func newWorkQueue() *workQueue { return newWorkQueueCap(8) }
 
 func newWorkQueueCap(n int) *workQueue {
 	return &workQueue{items: make([]execRequest, 0, n)}
@@ -1270,21 +1270,12 @@ func (q *workQueue) steal(match func(execRequest) bool) []execRequest {
 	return stolen
 }
 
-func (q *workQueue) close() {
-	q.closed = true
-}
-
 // peek returns the head request without removing it.
 func (q *workQueue) peek() (execRequest, bool) {
 	if q.head >= len(q.items) {
 		return execRequest{}, false
 	}
 	return q.items[q.head], true
-}
-
-// tryPop removes and returns the head request.
-func (q *workQueue) tryPop() (execRequest, bool) {
-	return q.pop()
 }
 
 // pop removes and returns the head request; ok=false when empty.

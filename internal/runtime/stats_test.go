@@ -84,3 +84,36 @@ func TestEngineStatsCountsFailures(t *testing.T) {
 		t.Fatalf("failed node's devices should not count online, got %d", st.OnlineDevices)
 	}
 }
+
+// TestEngineStatsPublishedBeforeWait drives submit-and-wait rounds and
+// reads Stats the moment each Wait returns: the snapshot must already
+// count the completion and reach the workflow's makespan. Guaranteed-class
+// admission reads Backlog at exactly that moment, so a stale snapshot
+// would understate the bound it proves.
+func TestEngineStatsPublishedBeforeWait(t *testing.T) {
+	c := platform.NewCluster(platform.NewNode("n0", platform.XeonModel()))
+	e := NewEngine(c, platform.NewRegistry(), EngineConfig{})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Shutdown()
+	for i := 0; i < 2000; i++ {
+		w := NewWorkflow()
+		if err := w.Submit(TaskSpec{Name: "a", Flops: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+		fut, err := e.Submit(w, SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.Completed != i+1 || st.Backlog < sched.Makespan {
+			t.Fatalf("round %d: stats completed=%d backlog=%g after Wait, want %d and >= %g",
+				i, st.Completed, st.Backlog, i+1, sched.Makespan)
+		}
+	}
+}

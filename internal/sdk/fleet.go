@@ -129,9 +129,9 @@ func (fs *FleetServer) Publish(bs platform.Bitstream) error { return fs.Registry
 // Start brings every site engine up.
 func (fs *FleetServer) Start() error { return fs.fl.Start() }
 
-// SubmitAt routes one workflow arriving at the given modelled time. The
-// returned ticket resolves when the chosen site drains to it; admission
-// rejections return fleet.ErrSaturated.
+// SubmitAt routes one workflow arriving at the given modelled time and
+// serves it to completion before returning, so the ticket is already
+// resolved; admission rejections return fleet.ErrSaturated.
 func (fs *FleetServer) SubmitAt(tenant, name string, w *runtime.Workflow, arrival float64) (*fleet.Ticket, error) {
 	return fs.submit(fleet.Request{Tenant: tenant, Name: name, Workflow: w, Arrival: arrival})
 }
@@ -139,7 +139,7 @@ func (fs *FleetServer) SubmitAt(tenant, name string, w *runtime.Workflow, arriva
 // SubmitGuaranteedAt routes one workflow through the proven-bound
 // admission class: it is accepted only on a site whose modelled worst case
 // fits within deadline seconds of the arrival, and refused with
-// fleet.ErrSaturated otherwise (nothing is enqueued on refusal — callers
+// fleet.ErrSaturated otherwise (nothing is served on refusal — callers
 // typically degrade to SubmitAt).
 func (fs *FleetServer) SubmitGuaranteedAt(tenant, name string, w *runtime.Workflow, arrival, deadline float64) (*fleet.Ticket, error) {
 	return fs.submit(fleet.Request{Tenant: tenant, Name: name, Workflow: w, Arrival: arrival,
@@ -172,8 +172,8 @@ type FleetServerStats struct {
 	Latencies []float64 // all completed workflow latencies, submission order
 }
 
-// Shutdown drains every site, stops the engines, and returns the final
-// stats including per-tenant latency percentiles.
+// Shutdown stops every site engine and returns the final stats including
+// per-tenant latency percentiles.
 func (fs *FleetServer) Shutdown() FleetServerStats {
 	flStats := fs.fl.Shutdown()
 	fs.mu.Lock()
@@ -182,7 +182,7 @@ func (fs *FleetServer) Shutdown() FleetServerStats {
 	out := FleetServerStats{Fleet: flStats, Tenants: make(map[string]TenantLatency)}
 	byTenant := make(map[string][]float64)
 	for _, t := range tickets {
-		res, err := t.Wait() // resolved: Shutdown drained the queues
+		res, err := t.Wait() // resolved: Submit served it before returning
 		if err != nil {
 			continue
 		}

@@ -149,12 +149,11 @@ func (sc KMeansScenario) Run() (KMeansResult, error) {
 	now := 0.0
 	for r := 0; r < sc.Rounds; r++ {
 		// Map: one shard per partition, all arriving at the same modelled
-		// instant. Each is submitted and waited out before the next — the
-		// fleet's deterministic driving idiom: routing then reads fully
-		// settled modelled state (busy horizons, residency) instead of a
-		// host-schedule-dependent live queue depth, so the trace is
-		// byte-identical across GOMAXPROCS. The modelled arrivals still
-		// tie, so the maps contend for sites exactly as a burst would.
+		// instant. The fleet serves each inside its SubmitAt, so routing
+		// reads fully settled modelled state (busy horizons, residency) and
+		// the trace is byte-identical across GOMAXPROCS. The modelled
+		// arrivals still tie, so the maps contend for sites exactly as a
+		// burst would.
 		frontier := now
 		for p := range points {
 			t, err := srv.SubmitAt("kmeans", fmt.Sprintf("map-r%d-p%d", r, p), km.MapWorkflow(p), now)

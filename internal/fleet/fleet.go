@@ -198,12 +198,12 @@ type Config struct {
 	// lock and must not call back into the Fleet.
 	Trace func(Event)
 	// EngineTrace, when set, receives every site engine's runtime events
-	// tagged with the site name, serialized with the fleet's own events
-	// under the trace mutex. It runs on the engine's dispatcher goroutine
-	// while the serving Submit holds the fleet lock, so it must not call
-	// back into the Fleet either. The merged stream is deterministic:
-	// exactly one site serves at any moment, so engine events nest between
-	// that workflow's Route and Done events.
+	// tagged with the site name. Engine events fire only inside the
+	// fleet's Submit, Start and Shutdown, on the caller's goroutine under
+	// the fleet lock, so like Trace it must not call back into the Fleet.
+	// The merged stream is deterministic: exactly one site serves at any
+	// moment, so engine events nest between that workflow's Route and Done
+	// events.
 	EngineTrace func(site string, ev runtime.Event)
 }
 
@@ -427,10 +427,6 @@ type Fleet struct {
 	reg   *platform.Registry
 	sites []*site
 
-	// traceMu serializes engine events, which arrive on each site engine's
-	// dispatcher goroutine, with the fleet's own.
-	traceMu sync.Mutex
-
 	// mu guards everything below and all site state: Submit routes and
 	// serves under it, so submitters serialize in one total order.
 	mu        sync.Mutex
@@ -511,11 +507,7 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 		siteName := fmt.Sprintf("site%02d", i)
 		var engTrace func(runtime.Event)
 		if cfg.EngineTrace != nil {
-			engTrace = func(ev runtime.Event) {
-				f.traceMu.Lock()
-				defer f.traceMu.Unlock()
-				f.cfg.EngineTrace(siteName, ev)
-			}
+			engTrace = func(ev runtime.Event) { cfg.EngineTrace(siteName, ev) }
 		}
 		s := &site{
 			name:    siteName,
@@ -863,7 +855,7 @@ func (f *Fleet) admissionBound(s *site, arrival, own, deadline float64) (float64
 	if wait < 0 {
 		wait = 0
 	}
-	// Estimate overhang: the dispatcher's placement frontier may sit past
+	// Estimate overhang: the engine's placement frontier may sit past
 	// the last settled makespan (estimates only ratchet down on reports),
 	// and the next service delta is measured from the settled makespan — so
 	// the gap is time the next workflow can be billed for.
@@ -1248,13 +1240,11 @@ func slotName(dev, region int) string {
 	return fmt.Sprintf("dev%d", dev)
 }
 
-// trace emits events in order under the trace mutex.
+// trace emits events in order. Every caller holds the fleet lock.
 func (f *Fleet) trace(evs ...Event) {
 	if f.cfg.Trace == nil {
 		return
 	}
-	f.traceMu.Lock()
-	defer f.traceMu.Unlock()
 	for _, ev := range evs {
 		f.cfg.Trace(ev)
 	}

@@ -18,7 +18,7 @@ import (
 // events from the virtualization layer arrive through the engine control
 // API (UnplugDevice / PlugDevice / SetNodeSlowdown): they flip platform
 // attachment state immediately — executors fall back to software for FPGA
-// work that can no longer reach its device — and tell the dispatcher to
+// work that can no longer reach its device — and tell the engine to
 // invalidate queued FPGA placements on the affected node and degrade the
 // fpga variant in every active tuner.
 //
@@ -176,7 +176,7 @@ func (e *Engine) applyEnvEvents() {
 	}
 }
 
-// ctrlKind classifies environment events entering the dispatcher.
+// ctrlKind classifies environment events entering the event loop.
 type ctrlKind int
 
 const (
@@ -186,7 +186,7 @@ const (
 )
 
 // ctrlMsg is one environment event. Platform state is already flipped by
-// the time the dispatcher sees it; the message drives the scheduling-side
+// the time the event loop sees it; the message drives the scheduling-side
 // reaction (invalidation, tuner degradation, tracing).
 type ctrlMsg struct {
 	kind   ctrlKind
@@ -196,18 +196,16 @@ type ctrlMsg struct {
 	at     float64 // modelled time of the event
 }
 
-// sendCtrl enqueues an environment event for the dispatcher. It never
+// sendCtrl enqueues an environment event for the event loop. It never
 // blocks, whatever the queue depth and whichever goroutine calls it —
-// including the dispatcher itself via a fault-script trace callback — and
-// events are delivered in enqueue order.
+// including a fault-script trace callback running under the serve lock —
+// and events are applied in enqueue order: before the next execution when
+// the engine is serving, else at the start of the next Submit or by
+// Shutdown.
 func (e *Engine) sendCtrl(m ctrlMsg) {
 	e.ctrlMu.Lock()
 	e.ctrlQ = append(e.ctrlQ, m)
 	e.ctrlMu.Unlock()
-	select {
-	case e.ctrlSig <- struct{}{}:
-	default: // a wake-up is already pending
-	}
 }
 
 // takeCtrl drains the control queue in order.
@@ -219,10 +217,17 @@ func (e *Engine) takeCtrl() []ctrlMsg {
 	return q
 }
 
+// applyCtrl reacts to every queued control event, in order.
+func (e *Engine) applyCtrl(ds *dispatchState) {
+	for _, m := range e.takeCtrl() {
+		e.onCtrl(ds, m)
+	}
+}
+
 // UnplugDevice detaches device dev of a node at modelled time `at` (the
 // SR-IOV VF unplug of §VI-B surfaced as an engine event). Running and
 // queued FPGA work on that node degrades to software; in adaptive mode the
-// dispatcher additionally pulls back queued FPGA placements, reschedules
+// engine additionally pulls back queued FPGA placements, reschedules
 // them, and degrades the fpga variant in every active workflow's tuner.
 // Redundant calls — the device is already detached — change nothing, so
 // e.g. a second VM's last-VF unplug cannot double-degrade the tuners.
@@ -262,7 +267,7 @@ func (e *Engine) PlugDevice(node string, dev int, at float64) error {
 
 // SetNodeSlowdown changes a node's CPU load factor at modelled time `at`
 // (1 restores nominal speed). Executors pay it immediately; the adaptive
-// dispatcher learns it from the latency ratios the monitors observe — the
+// engine learns it from the latency ratios the monitors observe — the
 // event itself only traces.
 func (e *Engine) SetNodeSlowdown(node string, factor, at float64) error {
 	n := e.cluster.FindNode(node)
@@ -274,7 +279,7 @@ func (e *Engine) SetNodeSlowdown(node string, factor, at float64) error {
 	return nil
 }
 
-// onCtrl is the dispatcher's reaction to one environment event.
+// onCtrl is the event loop's reaction to one environment event.
 func (e *Engine) onCtrl(ds *dispatchState, m ctrlMsg) {
 	switch m.kind {
 	case ctrlSlow:

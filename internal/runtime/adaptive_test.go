@@ -300,7 +300,7 @@ func TestEngineControlErrors(t *testing.T) {
 }
 
 // TestRedundantPlugUnplugAreNoOps: control calls that do not change the
-// device's attachment state must emit no dispatcher events — a VF plugged
+// device's attachment state must emit no control events — a VF plugged
 // on an always-online device must not reset learned fpga drift, and a
 // second unplug must not double-degrade tuners.
 func TestRedundantPlugUnplugAreNoOps(t *testing.T) {

@@ -15,16 +15,19 @@ import (
 // wall-clock wins measured by BenchmarkSimulatorSpeed.
 
 // stoppedEngine starts an engine — building the node index tables and work
-// queues — and immediately shuts the dispatcher down, leaving the test
-// goroutine as the sole owner of the dispatch structures. That mirrors the
-// dispatcher's own single-owner discipline, so driving place/onReport
-// directly is exactly the production calling convention.
+// queues — and immediately shuts it down, leaving the test goroutine as
+// the sole owner of the dispatch structures. That mirrors the serve lock's
+// single-owner discipline, so driving place/onReport directly is exactly
+// the production calling convention.
 func stoppedEngine(t *testing.T, nodes int, cfg EngineConfig) *Engine {
 	t.Helper()
 	e := startEngine(t, testCluster(nodes), cfg)
 	e.Shutdown()
 	return e
 }
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
 
 func assertAllocs(t *testing.T, what string, budget float64, fn func()) {
 	t.Helper()
@@ -108,6 +111,28 @@ func TestOnReportAllocFree(t *testing.T) {
 				break
 			}
 			item.wf.queuedRefs--
+		}
+	})
+}
+
+// TestSubmitWaitAllocBudget pins a steady-state Submit+Wait of a fixed
+// 3-task chain on a started engine. What remains is per-workflow, not per
+// event: the Future, the Schedule and its assignment slice.
+func TestSubmitWaitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats sync.Pool reuse")
+	}
+	e := startEngine(t, testCluster(3), EngineConfig{})
+	defer e.Shutdown()
+	w := chainWorkflow(t, 3)
+	opt := SubmitOptions{Name: "chain", Tenant: "t"}
+	assertAllocs(t, "Submit+Wait (3-task chain)", 3, func() {
+		fut, err := e.Submit(w, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -23,7 +23,7 @@ import (
 //     the engine's fixed Batches:4 workload and take no load multiplier;
 //     platform.ExecuteBound dominates Execute on every device, so the max
 //     over devices that can host the bitstream bounds any placement.
-//   - Placement estimates never exceed these either: the dispatcher prices
+//   - Placement estimates never exceed these either: the engine prices
 //     software candidates with the monitor's slowdown estimate (an EWMA of
 //     observed factors, hence <= the cap) and picks the end-minimizing
 //     variant, so tuner drift on the fpga estimate cannot push the chosen

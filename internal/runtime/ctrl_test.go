@@ -82,7 +82,9 @@ func TestFutureDoneAndFailNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-fut.Done()
+	if fut.done != nil {
+		t.Fatal("a post-Start future must come back resolved, with no wake-up channel")
+	}
 	sched, err := fut.Wait()
 	if err != nil {
 		t.Fatal(err)

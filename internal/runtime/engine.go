@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"everest/internal/autotuner"
@@ -18,19 +19,19 @@ import (
 // (never wall clock).
 //
 // The event core is deterministic and allocation-free on its steady-state
-// path. One dispatcher goroutine owns every piece of scheduling state;
-// node executions happen inline on it, ordered by a 4-ary min-heap over
-// the per-node queue heads keyed by modelled start time with a total
-// tie-break (time, workflow id, task name, node index). Because no
-// cross-goroutine report channel exists, the observation order feeding the
-// monitors and tuners — and with it every trace stream — is a pure
-// function of the submission order, byte-identical across GOMAXPROCS.
-// Workflow records are pooled (sync.Pool) and index-based: task ids are
-// dense integers into flat spec/dependency arrays, so the hot path does no
-// map-by-name lookups and no per-event allocation. Concurrent submitters
-// remain supported (their arrival interleaving is inherently racy, as
-// before); one-at-a-time driving — the fleet regime — is exactly
-// reproducible.
+// path, and it starts no goroutine: Start, Submit and Shutdown run the
+// event loop on the caller's goroutine under one serve lock, which owns
+// every piece of scheduling state. Node executions happen inline, ordered
+// by a 4-ary min-heap over the per-node queue heads keyed by modelled
+// start time with a total tie-break (time, workflow id, task name, node
+// index). Each Submit admits its workflow and runs the loop until the
+// heap drains, so it returns an already-resolved Future; the observation
+// order feeding the monitors and tuners — and with it every trace stream —
+// is a pure function of the order submitters take the lock,
+// byte-identical across GOMAXPROCS. Workflow records are pooled
+// (sync.Pool) and index-based: task ids are dense integers into flat
+// spec/dependency arrays, so the hot path does no map-by-name lookups and
+// no per-event allocation.
 
 // EventKind classifies engine trace events.
 type EventKind int
@@ -87,8 +88,8 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is one engine trace record. Trace callbacks run on the dispatcher
-// goroutine, so they observe events in a consistent order and need no
+// Event is one engine trace record. Trace callbacks run under the engine's
+// serve lock, so they observe events in a consistent order and need no
 // locking of their own.
 type Event struct {
 	Kind     EventKind
@@ -105,8 +106,8 @@ type EngineConfig struct {
 	// Policy selects node placement: PolicyHEFT picks the earliest modelled
 	// finish time, PolicyFIFO the earliest modelled start time.
 	Policy Policy
-	// Failures are node deaths injected at engine start. The dispatcher has
-	// no advance knowledge of them: tasks are dispatched normally, lost when
+	// Failures are node deaths injected at engine start. Placement has no
+	// advance knowledge of them: tasks are dispatched normally, lost when
 	// the node dies under them, and rescheduled onto the survivors.
 	Failures []NodeFailure
 	// Events are environment changes (unplug/plug, slowdown) scripted at
@@ -115,7 +116,10 @@ type EngineConfig struct {
 	// estimates are design-time); the adaptive engine sees their latest
 	// state through the live checks.
 	Events []EnvEvent
-	// Trace, when set, receives every engine event (dispatcher goroutine).
+	// Trace, when set, receives every engine event. It runs on the goroutine
+	// inside Start, Submit or Shutdown, under the serve lock: it may call
+	// the control API (UnplugDevice, PlugDevice, SetNodeSlowdown) and Stats,
+	// but not Start, Submit or Shutdown.
 	Trace func(Event)
 	// Adaptive closes the autotuner→engine→virt loop: every placement
 	// consults a per-workflow variant tuner and the node monitors instead of
@@ -134,12 +138,14 @@ type EngineConfig struct {
 	Net *netsim.Stack
 }
 
-// Future is the handle returned for one workflow submission. Wait blocks
-// until the workflow drains and returns its realized schedule.
+// Future is the handle returned for one workflow submission. A submission
+// made after Start is already resolved when Submit returns; one made
+// before Start resolves when the engine starts (or shuts down unstarted).
 type Future struct {
+	// done wakes waiters on a pre-Start submission; nil otherwise.
 	done chan struct{}
 
-	// Written once by the dispatcher before close(done).
+	// Written once, before Submit returns or close(done).
 	sched *Schedule
 	err   error
 
@@ -150,12 +156,11 @@ type Future struct {
 
 // Wait blocks until the workflow completes and returns its schedule.
 func (f *Future) Wait() (*Schedule, error) {
-	<-f.done
+	if f.done != nil {
+		<-f.done
+	}
 	return f.sched, f.err
 }
-
-// Done returns a channel closed when the workflow has completed.
-func (f *Future) Done() <-chan struct{} { return f.done }
 
 // SubmitOptions name a submission and its tenant for fairness accounting.
 type SubmitOptions struct {
@@ -166,11 +171,11 @@ type SubmitOptions struct {
 // EngineStats is a point-in-time snapshot of one engine's serving state —
 // the per-engine export a federation tier (internal/fleet) reads to judge a
 // site's queue depth and accelerator capacity before routing work to it.
-// Counter fields are maintained by the dispatcher goroutine and published
-// after every event it processes; device fields are computed live from the
-// cluster at snapshot time.
+// Counter fields are maintained by the event loop and published once per
+// Start, Submit and Shutdown (and before a pre-Start future resolves);
+// device fields are computed live from the cluster at snapshot time.
 type EngineStats struct {
-	Submitted int // workflows the dispatcher has accepted
+	Submitted int // workflows the engine has admitted
 	Completed int // workflows drained successfully
 	Failed    int // workflows drained with an error
 	Active    int // workflows in flight
@@ -197,34 +202,34 @@ type Engine struct {
 	reg     *platform.Registry
 	cfg     EngineConfig
 
-	// Node index tables, built at Start: the dispatcher addresses nodes by
+	// Node index tables, built at Start: the event loop addresses nodes by
 	// dense integer index, never by name.
 	nodes   []*platform.Node
 	nodeIdx map[string]int
 	queues  []*workQueue // per-node FIFO, indexed like nodes
 
-	submitCh chan *wfState
-	doneCh   chan struct{} // closed when the dispatcher exits
-
+	// statsMu orders the published snapshot against readers only, so
+	// Stats never waits on the serve lock (trace callbacks may call it).
 	statsMu sync.Mutex
-	stats   EngineStats // dispatcher-published snapshot (counter fields)
+	stats   EngineStats // published snapshot (counter fields)
 
 	// Environment events (plug/unplug, slowdown) arrive through an
 	// unbounded ordered queue: sendCtrl must never block, because control
-	// calls are legal from the dispatcher's own trace callbacks (fault
-	// scripts) and from hot-plug subscriber goroutines. ctrlSig (capacity
-	// 1) wakes the dispatcher.
-	ctrlMu  sync.Mutex
-	ctrlQ   []ctrlMsg
-	ctrlSig chan struct{}
+	// calls are legal from trace callbacks running under the serve lock
+	// (fault scripts) and from hot-plug subscriber goroutines.
+	ctrlMu sync.Mutex
+	ctrlQ  []ctrlMsg
 
 	monitor *platform.Monitor
 
+	// mu is the serve lock: Start, Submit and Shutdown run the event loop
+	// under it, and it guards everything below plus all scheduling state.
 	mu      sync.Mutex
 	started bool
 	closed  bool
 	nextID  int
-	subWG   sync.WaitGroup // submissions in flight toward submitCh
+	ds      *dispatchState // built at Start
+	early   []*wfState     // submissions made before Start, in order
 }
 
 // NewEngine builds an engine over a cluster and bitstream registry.
@@ -233,24 +238,17 @@ func NewEngine(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig) *E
 	if mon == nil {
 		mon = platform.NewMonitor(c)
 	}
-	return &Engine{
-		cluster:  c,
-		reg:      reg,
-		cfg:      cfg,
-		monitor:  mon,
-		submitCh: make(chan *wfState, 64),
-		ctrlSig:  make(chan struct{}, 1),
-		doneCh:   make(chan struct{}),
-	}
+	return &Engine{cluster: c, reg: reg, cfg: cfg, monitor: mon}
 }
 
 // Monitor returns the engine's per-node observation layer.
 func (e *Engine) Monitor() *platform.Monitor { return e.monitor }
 
 // Stats returns a snapshot of the engine's serving state. The counter
-// fields reflect the dispatcher's view as of the last event it processed;
-// the device fields are computed from the cluster at call time. Safe to
-// call from any goroutine, before Start, and after Shutdown.
+// fields reflect the engine as of the last Start, Submit or Shutdown to
+// return; the device fields are computed from the cluster at call time.
+// Safe to call from any goroutine, from trace callbacks, before Start, and
+// after Shutdown.
 func (e *Engine) Stats() EngineStats {
 	e.statsMu.Lock()
 	st := e.stats
@@ -272,10 +270,9 @@ func (e *Engine) Stats() EngineStats {
 	return st
 }
 
-// publishStats copies the dispatcher's incrementally maintained counters
-// into the snapshot Stats() serves. Called by the dispatcher after each
-// processed event, so single-writer and O(1); the mutex only orders it
-// against readers.
+// publishStats copies the event loop's incrementally maintained counters
+// into the snapshot Stats() serves. Called under the serve lock, so
+// single-writer and O(1); statsMu only orders it against readers.
 func (e *Engine) publishStats(ds *dispatchState) {
 	st := EngineStats{
 		Submitted:    ds.submitted,
@@ -298,15 +295,19 @@ func (ds *dispatchState) raiseBacklog(t float64) {
 	}
 }
 
-// Start builds the node index tables and spawns the dispatcher loop. It
-// takes ownership of the cluster: stale failure state and device claims
-// left by a previous engine run are cleared before cfg.Failures are
-// applied.
+// Start builds the node index tables and the event loop's state, then
+// serves every submission queued before it: the batch is admitted in
+// submit order and placed together, round-robin across tenants. It takes
+// ownership of the cluster: stale failure state and device claims left by
+// a previous engine run are cleared before cfg.Failures are applied.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.started {
 		return fmt.Errorf("runtime: engine already started")
+	}
+	if e.closed {
+		return fmt.Errorf("runtime: engine shut down")
 	}
 	if len(e.cluster.Nodes) == 0 {
 		return fmt.Errorf("runtime: engine needs at least one node")
@@ -322,10 +323,6 @@ func (e *Engine) Start() error {
 	// and load faults, so environment events queued before Start are stale
 	// and must not degrade tuners for devices that are back online.
 	e.takeCtrl()
-	select {
-	case <-e.ctrlSig:
-	default:
-	}
 	for _, f := range e.cfg.Failures {
 		if n := e.cluster.FindNode(f.Node); n != nil {
 			n.Fail(f.AtTime)
@@ -341,58 +338,75 @@ func (e *Engine) Start() error {
 		// in-flight placements per peer node feeding it.
 		e.queues[i] = newWorkQueueCap(4 * len(e.nodes))
 	}
-	go e.dispatch()
+	e.ds = e.newDispatchState()
+	for _, st := range e.early {
+		e.onSubmit(e.ds, st)
+	}
+	e.early = nil
+	e.runLocal(e.ds)
+	e.publishStats(e.ds)
 	return nil
 }
 
 // Submit hands a workflow to the engine and returns its result future. The
-// workflow must not be mutated after submission. Submissions made before
-// Start queue up and are placed together — fairly across tenants — when the
-// engine starts.
+// workflow must not be mutated after submission. After Start, Submit serves
+// the workflow to completion on the caller's goroutine and the future comes
+// back resolved. Submissions made before Start queue up and are placed
+// together, fairly across tenants, when the engine starts.
 func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 	if w == nil {
 		return nil, fmt.Errorf("runtime: nil workflow")
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return nil, fmt.Errorf("runtime: engine shut down")
 	}
 	e.nextID++
-	id := e.nextID
-	e.subWG.Add(1)
-	e.mu.Unlock()
-
 	name := opt.Name
 	if name == "" {
-		name = fmt.Sprintf("wf%d", id)
+		name = fmt.Sprintf("wf%d", e.nextID)
 	}
 	tenant := opt.Tenant
 	if tenant == "" {
 		tenant = "default"
 	}
-	fut := &Future{done: make(chan struct{}), Name: name, Tenant: tenant}
-	st := newWFState(w, name, tenant, fut)
-	// st belongs to the dispatcher once sent — it may finish and recycle it
-	// before this returns, so only the future may be touched afterwards.
-	e.submitCh <- st
-	e.subWG.Done()
+	fut := &Future{Name: name, Tenant: tenant}
+	if !e.started {
+		fut.done = make(chan struct{})
+		e.early = append(e.early, newWFState(w, name, tenant, fut))
+		return fut, nil
+	}
+	// Control events raised while the engine was idle apply before the
+	// admission, so they cannot degrade the new workflow's tuner.
+	e.applyCtrl(e.ds)
+	e.onSubmit(e.ds, newWFState(w, name, tenant, fut))
+	e.runLocal(e.ds)
+	e.publishStats(e.ds)
 	return fut, nil
 }
 
-// Shutdown waits for every submitted workflow to drain, then stops the
-// dispatcher. It is safe to call once.
+// Shutdown refuses further submissions. Nothing is left to drain (each
+// Submit served its workflow), so it applies the control events raised
+// since the last Submit; on an engine that never started, the queued
+// submissions resolve with an error. Calling it again is a no-op.
 func (e *Engine) Shutdown() {
 	e.mu.Lock()
-	if !e.started || e.closed {
-		e.mu.Unlock()
+	defer e.mu.Unlock()
+	if e.closed {
 		return
 	}
 	e.closed = true
-	e.mu.Unlock()
-	e.subWG.Wait() // no more sends into submitCh
-	close(e.submitCh)
-	<-e.doneCh
+	if !e.started {
+		for _, st := range e.early {
+			st.fut.err = fmt.Errorf("runtime: engine shut down before start")
+			close(st.fut.done)
+		}
+		e.early = nil
+		return
+	}
+	e.applyCtrl(e.ds)
+	e.publishStats(e.ds)
 }
 
 // FailNode injects a node failure while the engine runs (best-effort: tasks
@@ -439,7 +453,7 @@ type wfState struct {
 	inflight   int // requests placed on node queues, not yet reported
 	queuedRefs int // ready items in tenant queues referencing this state
 	finished   bool
-	tq         int // tenant queue index (dispatcher-assigned)
+	tq         int // tenant queue index (assigned at admission)
 
 	// tuner is the per-workflow mARGOt instance (adaptive mode only).
 	tuner *autotuner.Tuner
@@ -592,7 +606,7 @@ type execRequest struct {
 	moved   int64   // bytes this placement pulls from other nodes
 	groups  int     // batched transfers feeding this placement
 	variant string  // implementation variant ("" = as submitted)
-	estDur  float64 // dispatcher's estimated duration (nodeFree reclaim)
+	estDur  float64 // placement's estimated duration (nodeFree reclaim)
 }
 
 // execReport is one inline execution's completion (or loss) notice.
@@ -614,7 +628,7 @@ type execReport struct {
 }
 
 // ---------------------------------------------------------------------------
-// dispatcher
+// event loop
 
 // tenantQueue is one tenant's FIFO of ready tasks, drained round-robin
 // against its peers. Ring layout: popped slots are reused once drained.
@@ -638,9 +652,10 @@ func (q *tenantQueue) pop() readyItem {
 	return it
 }
 
-// dispatchState is the dispatcher goroutine's private view of the cluster.
-// Every per-node attribute is a flat slice indexed by node; the execution
-// order across nodes comes from a modelled-time heap over the queue heads.
+// dispatchState is the event loop's view of the cluster, built once at
+// Start and touched only under the serve lock. Every per-node attribute is
+// a flat slice indexed by node; the execution order across nodes comes
+// from a modelled-time heap over the queue heads.
 type dispatchState struct {
 	nodeFree []float64 // estimated earliest idle time per node (placement)
 	clock    []float64 // realized per-node modelled clock (execution)
@@ -655,8 +670,11 @@ type dispatchState struct {
 	inHeap    []bool
 	heapDirty bool
 
-	// ready queues, one per tenant, drained round-robin.
+	// ready queues, one per tenant, drained round-robin. Bit qi of
+	// nonEmpty is set iff queues[qi] holds an item, so the next queue in
+	// round-robin order is found a word at a time.
 	queues    []*tenantQueue
+	nonEmpty  []uint64
 	tenantIdx map[string]int
 	rrNext    int
 
@@ -679,8 +697,8 @@ type dispatchState struct {
 	slowValid []bool
 
 	// Aggregates feeding the Stats snapshot, maintained incrementally
-	// where the dispatcher mutates queues/active/nodeFree so publishing a
-	// snapshot is O(1) on the hot loop.
+	// where the event loop mutates queues/active/nodeFree so publishing a
+	// snapshot is O(1).
 	submitted    int
 	completed    int
 	failed       int
@@ -690,7 +708,7 @@ type dispatchState struct {
 }
 
 // newDispatchState sizes every per-node array and scratch buffer from the
-// cluster once, ahead of the dispatch loop; the loop itself then runs
+// cluster once, ahead of the event loop; the loop itself then runs
 // allocation-free in steady state (enforced by the AllocsPerRun budgets in
 // alloc_test.go).
 func (e *Engine) newDispatchState() *dispatchState {
@@ -714,67 +732,28 @@ func (e *Engine) newDispatchState() *dispatchState {
 	}
 }
 
-func (e *Engine) dispatch() {
-	defer close(e.doneCh)
-	ds := e.newDispatchState()
-	submitCh := e.submitCh
-	for submitCh != nil || len(ds.active) > 0 {
-		select {
-		case st, ok := <-submitCh:
-			if !ok {
-				submitCh = nil
-			} else {
-				e.onSubmit(ds, st)
-			}
-		case <-e.ctrlSig:
-		}
-		submitCh = e.runLocal(ds, submitCh)
-	}
-	e.takeCtrl() // late control events are dropped, never block
-}
-
-// runLocal is the deterministic inner loop: it drains ready tasks into the
-// node queues and executes queued requests inline, one per iteration, in
+// runLocal is the deterministic event loop, run under the serve lock until
+// every admitted workflow has drained: it places ready tasks into the node
+// queues and executes queued requests inline, one per iteration, in
 // modelled-start-time order across nodes (FIFO within a node). Control
-// events are applied before every execution, so an unplug arriving from a
-// trace callback invalidates queued placements exactly as it would have
-// under any real interleaving. Pending submissions are slurped every
-// iteration: a burst of near-simultaneous submissions from several tenants
-// lands in the fairness queues together and is drained round-robin, and
-// mid-run arrivals multiplex with executing work.
-func (e *Engine) runLocal(ds *dispatchState, submitCh chan *wfState) chan *wfState {
+// events are applied before every execution, so an unplug raised by a
+// trace callback invalidates queued placements before the next task runs.
+func (e *Engine) runLocal(ds *dispatchState) {
 	for {
-	slurp:
-		for submitCh != nil {
-			select {
-			case st, ok := <-submitCh:
-				if !ok {
-					submitCh = nil
-				} else {
-					e.onSubmit(ds, st)
-				}
-			default:
-				break slurp
-			}
-		}
-		for _, msg := range e.takeCtrl() {
-			e.onCtrl(ds, msg)
-		}
+		e.applyCtrl(ds)
 		if ds.heapDirty {
 			e.rebuildHeap(ds)
 			ds.heapDirty = false
 		}
 		e.drainReady(ds)
 		if ds.heap.Len() == 0 {
-			e.publishStats(ds)
-			return submitCh
+			return
 		}
 		it := ds.heap.PopMin()
 		ni := it.Seq
 		ds.inHeap[ni] = false
 		e.execNode(ds, ni)
 		e.refreshHead(ds, ni)
-		e.publishStats(ds)
 	}
 }
 
@@ -820,10 +799,7 @@ func (e *Engine) execNode(ds *dispatchState, ni int) {
 		return
 	}
 	n := e.nodes[ni]
-	start := req.ready
-	if c := ds.clock[ni]; c > start {
-		start = c
-	}
+	start := ds.headStart(ni, req)
 	// Execution pays the live cost priced at the task's modelled start:
 	// the load and attachment in effect then. An FPGA placement whose
 	// device was unplugged by its start falls back to software.
@@ -871,8 +847,24 @@ func (e *Engine) trace(ev Event) {
 // pushReady appends one ready task to its workflow's tenant queue.
 func (e *Engine) pushReady(ds *dispatchState, st *wfState, task int32, restart bool, minStart float64) {
 	ds.queues[st.tq].push(readyItem{wf: st, task: task, restart: restart, minStart: minStart})
+	ds.nonEmpty[st.tq>>6] |= 1 << (st.tq & 63)
 	st.queuedRefs++
 	ds.readyCount++
+}
+
+// tenantQueue returns the index of a tenant's fairness queue, adding an
+// empty one for a new tenant.
+func (ds *dispatchState) tenantQueue(tenant string) int {
+	ti, ok := ds.tenantIdx[tenant]
+	if !ok {
+		ti = len(ds.queues)
+		ds.tenantIdx[tenant] = ti
+		ds.queues = append(ds.queues, &tenantQueue{})
+		if ti>>6 == len(ds.nonEmpty) {
+			ds.nonEmpty = append(ds.nonEmpty, 0)
+		}
+	}
+	return ti
 }
 
 func (e *Engine) onSubmit(ds *dispatchState, st *wfState) {
@@ -888,13 +880,7 @@ func (e *Engine) onSubmit(ds *dispatchState, st *wfState) {
 	if e.cfg.Adaptive {
 		st.tuner = e.newWorkflowTuner(st)
 	}
-	ti, ok := ds.tenantIdx[st.tenant]
-	if !ok {
-		ti = len(ds.queues)
-		ds.tenantIdx[st.tenant] = ti
-		ds.queues = append(ds.queues, &tenantQueue{})
-	}
-	st.tq = ti
+	st.tq = ds.tenantQueue(st.tenant)
 	for i := range st.specs {
 		if st.remaining[i] == 0 {
 			e.pushReady(ds, st, int32(i), false, 0)
@@ -1026,10 +1012,12 @@ func (e *Engine) finish(ds *dispatchState, st *wfState, err error) {
 		Kind: EventWorkflowDone, Workflow: st.name, Tenant: st.tenant,
 		Time: st.sched.Makespan,
 	})
-	// Publish before resolving: a caller returning from Wait must see this
-	// completion (and its backlog) in Stats.
-	e.publishStats(ds)
-	close(st.fut.done)
+	if st.fut.done != nil {
+		// A pre-Start waiter wakes before Start returns: publish first, so
+		// it sees this completion (and its backlog) in Stats.
+		e.publishStats(ds)
+		close(st.fut.done)
+	}
 	e.maybeRecycle(st)
 }
 
@@ -1050,20 +1038,29 @@ func (e *Engine) drainReady(ds *dispatchState) {
 	}
 }
 
-// nextFair pops the next ready task in round-robin tenant order.
+// nextFair pops the next ready task in round-robin tenant order: from the
+// first non-empty queue at or after rrNext, wrapping around.
 func (e *Engine) nextFair(ds *dispatchState) (readyItem, bool) {
-	n := len(ds.queues)
-	for i := 0; i < n; i++ {
-		qi := (ds.rrNext + i) % n
-		q := ds.queues[qi]
-		if q.empty() {
-			continue
-		}
-		ds.readyCount--
-		ds.rrNext = (qi + 1) % n
-		return q.pop(), true
+	if ds.readyCount == 0 {
+		return readyItem{}, false
 	}
-	return readyItem{}, false
+	// rrNext's own word is masked below rrNext; once the scan wraps back
+	// to it, its low bits are the last candidates in round-robin order.
+	w := ds.rrNext >> 6
+	word := ds.nonEmpty[w] &^ (1<<(ds.rrNext&63) - 1)
+	for word == 0 {
+		w = (w + 1) % len(ds.nonEmpty)
+		word = ds.nonEmpty[w]
+	}
+	qi := w<<6 + bits.TrailingZeros64(word)
+	q := ds.queues[qi]
+	it := q.pop()
+	if q.empty() {
+		ds.nonEmpty[w] &^= 1 << (qi & 63)
+	}
+	ds.readyCount--
+	ds.rrNext = (qi + 1) % len(ds.queues)
+	return it, true
 }
 
 // place chooses a node (and, in adaptive mode, an implementation variant)
@@ -1234,11 +1231,10 @@ func (e *Engine) transferSeconds(from, to string, bytes int64, deps int) float64
 // per-node work queues
 
 // workQueue is an unbounded FIFO of execution requests in ring layout (the
-// popped prefix is reused once the queue drains). It is owned by the
-// dispatcher goroutine exclusively — push from placement, peek/pop from
-// inline execution, steal from control handling all run there — so it
-// carries no synchronization at all; dropping the old executor-era
-// mutex/condvar took both off the per-task hot path.
+// popped prefix is reused once the queue drains). Push from placement,
+// peek/pop from inline execution and steal from control handling all run
+// in the event loop under the engine's serve lock, so the queue carries no
+// synchronization of its own.
 type workQueue struct {
 	items []execRequest
 	head  int
@@ -1253,7 +1249,7 @@ func (q *workQueue) push(r execRequest) {
 }
 
 // steal removes and returns every queued (not yet running) request matching
-// the predicate. The dispatcher uses it to invalidate placements when an
+// the predicate. The engine uses it to invalidate placements when an
 // environment event makes them stale — e.g. FPGA work queued on a node
 // whose accelerator was just unplugged.
 func (q *workQueue) steal(match func(execRequest) bool) []execRequest {

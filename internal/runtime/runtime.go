@@ -6,10 +6,10 @@
 //
 // Two execution layers share the Workflow/TaskSpec API. Scheduler is the
 // serial planner: it maps one workflow ahead of time and returns its
-// Schedule. Engine is the concurrent engine: an event-driven dispatcher
-// with per-node work queues and one executor goroutine per node that
-// multiplexes many workflows from many tenants onto the same cluster, with
-// batched inter-node transfers, round-robin tenant fairness, and reactive
+// Schedule. Engine is the concurrent engine: an event loop over per-node
+// work queues, run on the submitter's goroutine, that multiplexes many
+// workflows from many tenants onto the same cluster, with batched
+// inter-node transfers, round-robin tenant fairness, and reactive
 // rescheduling when a node fails mid-run.
 //
 // The public API mirrors the paper's description: applications submit tasks

@@ -118,7 +118,7 @@ func TestTimeHeapMatchesSort(t *testing.T) {
 
 // TestRebuildHeap covers the recovery path queue steals leave behind: a
 // steal (device unplug) invalidates an unknown subset of heap entries, so
-// the dispatcher rebuilds the head heap from the queues. The rebuilt heap
+// the event loop rebuilds the head heap from the queues. The rebuilt heap
 // must track exactly the non-empty queues, order heads by modelled start
 // with the node-index tie-break, and respect each node's realized clock.
 func TestRebuildHeap(t *testing.T) {

@@ -30,9 +30,10 @@ type Fault struct {
 
 // faultDriver wraps a trace callback with the fault script: it counts
 // task completions and injects each fault once its trigger is reached.
-// It runs on the engine's dispatcher goroutine; the engine control calls
-// below only flip platform state and enqueue a control message, so they
-// are safe (and non-blocking) from there.
+// It runs inside the engine's event loop, under its serve lock; the engine
+// control calls below only flip platform state and enqueue a control
+// message (applied before the next execution), so they are safe (and
+// non-blocking) from there.
 func (srv *Server) faultDriver(faults []Fault, user func(runtime.Event)) func(runtime.Event) {
 	pending := append([]Fault(nil), faults...)
 	done := 0
@@ -72,7 +73,9 @@ func (srv *Server) faultDriver(faults []Fault, user func(runtime.Event)) func(ru
 // supplies the modelled time stamped on the engine events. Hypervisors may
 // attach before Start: the engine's ownership reset at Start discards the
 // events delivered so far, so Start re-derives each device's attachment
-// from the hypervisor's current VF state.
+// from the hypervisor's current VF state. Attach before submitting, too:
+// a server with no hypervisor queues pre-Start submissions in the engine,
+// which serves them inside its Start, before that re-derivation.
 func (srv *Server) AttachHypervisor(h *virt.Hypervisor, clock func() float64) {
 	srv.mu.Lock()
 	srv.hyps = append(srv.hyps, h)

@@ -47,8 +47,8 @@ func atGOMAXPROCS(n int, fn func() []byte) []byte {
 
 // TestFleetScenarioDeterministicTrace pins the PR-6 determinism contract:
 // the merged fleet+engine trace stream of the E-fleet scenario must be
-// byte-identical whether Go schedules the dispatcher, the fleet router and
-// the trace fan-in on one CPU or eight. The heap tie-break (modelled time,
+// byte-identical whether the scenario runs on one CPU or eight. The heap
+// tie-break (modelled time,
 // then workflow id, then task name, then queue index) plus submit-and-wait
 // serving leaves the scheduler no freedom to reorder observable events.
 // CI runs this under -race, so a racy shortcut in the hot path fails even

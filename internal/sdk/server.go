@@ -165,8 +165,11 @@ func (sub *Submission) Wait() (*runtime.Schedule, error) {
 func (sub *Submission) Done() <-chan struct{} { return sub.done }
 
 // Submit accepts a workflow on behalf of a tenant. It never blocks the
-// caller: admission control (MaxConcurrent) is applied by a per-submission
-// goroutine, so over-limit submissions queue instead of failing.
+// caller: serving (and admission control, MaxConcurrent) runs on a
+// per-submission goroutine, so over-limit submissions queue instead of
+// failing. Without a limit or an attached hypervisor, submissions made
+// before Start reach the engine here, in submit order, so Start places the
+// whole batch together.
 func (srv *Server) Submit(tenant, name string, w *runtime.Workflow) (*Submission, error) {
 	if w == nil {
 		return nil, fmt.Errorf("sdk: nil workflow")
@@ -190,16 +193,29 @@ func (srv *Server) Submit(tenant, name string, w *runtime.Workflow) (*Submission
 	}
 	ts.Submitted++
 	srv.wg.Add(1)
+	opt := runtime.SubmitOptions{Name: name, Tenant: tenant}
+	var fut *runtime.Future
+	var err error
+	// Not with a hypervisor attached: the engine serves a queued batch
+	// inside its Start, before Start re-derives device attachment.
+	queued := !srv.started && srv.slots == nil && len(srv.hyps) == 0
+	if queued {
+		// The engine is not started (Start takes srv.mu), so this only
+		// queues the workflow.
+		fut, err = srv.eng.Submit(w, opt)
+	}
 	srv.mu.Unlock()
 
 	sub := &Submission{Name: name, Tenant: tenant, done: make(chan struct{})}
 	go func() {
 		defer srv.wg.Done()
-		if srv.slots != nil {
-			srv.slots <- struct{}{}
-			defer func() { <-srv.slots }()
+		if !queued {
+			if srv.slots != nil {
+				srv.slots <- struct{}{}
+				defer func() { <-srv.slots }()
+			}
+			fut, err = srv.eng.Submit(w, opt)
 		}
-		fut, err := srv.eng.Submit(w, runtime.SubmitOptions{Name: name, Tenant: tenant})
 		if err == nil {
 			sub.sched, sub.err = fut.Wait()
 		} else {

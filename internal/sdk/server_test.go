@@ -1,6 +1,7 @@
 package sdk
 
 import (
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -76,14 +77,27 @@ func TestServerThroughputSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pre-load the full batch before Start so the engine drains the queued
-	// submissions together (round-robin), which keeps run-to-run placement
-	// variance small.
-	srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT})
+	makespan := batchMakespan(t, workflows)
+	if makespan <= 0 {
+		t.Fatal("server makespan must be positive")
+	}
+	speedup := serial / makespan
+	t.Logf("serial %.3gs, concurrent %.3gs, speedup %.2fx", serial, makespan, speedup)
+	if speedup < 2 {
+		t.Errorf("multiplexing speedup %.2fx, want >= 2x", speedup)
+	}
+}
+
+// batchMakespan pre-loads a batch of synthetic workflows before Start, so
+// the engine places the queued submissions together (round-robin), and
+// returns the served batch's makespan.
+func batchMakespan(t *testing.T, workflows int) float64 {
+	t.Helper()
+	srv := New(DefaultCluster(8)).NewServer(ServerConfig{Policy: runtime.PolicyHEFT})
 	subs := make([]*Submission, workflows)
-	for i := range ws {
-		// Fresh workflows: the serial planner left the originals untouched,
-		// but the engine forbids reuse after submission by contract.
+	for i := range subs {
+		// Fresh workflows: the engine forbids reuse after submission by
+		// contract.
 		sub, err := srv.Submit("bench", "", SyntheticWorkflow(i))
 		if err != nil {
 			t.Fatal(err)
@@ -98,14 +112,23 @@ func TestServerThroughputSpeedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := srv.Shutdown()
-	if stats.Makespan <= 0 {
-		t.Fatal("server makespan must be positive")
+	return srv.Shutdown().Makespan
+}
+
+// TestServerPreStartBatchIsDeterministic: submissions made before Start
+// reach the engine in submit order, whatever the scheduler does with the
+// per-submission goroutines, so the batch makespan is one number.
+func TestServerPreStartBatchIsDeterministic(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	var spans []float64
+	for _, procs := range []int{1, 2, 1, 2} {
+		goruntime.GOMAXPROCS(procs)
+		spans = append(spans, batchMakespan(t, 8))
 	}
-	speedup := serial / stats.Makespan
-	t.Logf("serial %.3gs, concurrent %.3gs, speedup %.2fx", serial, stats.Makespan, speedup)
-	if speedup < 2 {
-		t.Errorf("multiplexing speedup %.2fx, want >= 2x", speedup)
+	for i, m := range spans {
+		if m != spans[0] {
+			t.Fatalf("batch makespans %v differ (run %d)", spans, i)
+		}
 	}
 }
 

@@ -127,19 +127,19 @@ func BenchmarkConcurrentWorkflows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv := sdk.New(sdk.DefaultCluster(8)).NewServer(sdk.ServerConfig{Policy: runtime.PolicyHEFT})
-		subs := make([]*sdk.Submission, workflows)
-		for j := range subs {
-			sub, err := srv.Submit("bench", "", sdk.SyntheticWorkflow(j))
+		futs := make([]*runtime.Future, workflows)
+		for j := range futs {
+			fut, err := srv.Submit("bench", "", sdk.SyntheticWorkflow(j))
 			if err != nil {
 				b.Fatal(err)
 			}
-			subs[j] = sub
+			futs[j] = fut
 		}
 		if err := srv.Start(); err != nil {
 			b.Fatal(err)
 		}
-		for _, sub := range subs {
-			if _, err := sub.Wait(); err != nil {
+		for _, fut := range futs {
+			if _, err := fut.Wait(); err != nil {
 				b.Fatal(err)
 			}
 		}

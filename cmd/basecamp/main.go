@@ -7,7 +7,7 @@
 //	                               # source-to-schedule: prints the HLS report plus the derived
 //	                               # cpu1/cpu16/fpga operating points and the tuner's pick
 //	basecamp deploy   -nodes N     # compile demo kernel, stage it, plan a workflow
-//	basecamp serve    -workflows N -concurrency K [-adaptive] [-net tcp10g|udp10g]  # concurrent multi-tenant runtime demo
+//	basecamp serve    -workflows N [-adaptive] [-net tcp10g|udp10g]  # concurrent multi-tenant runtime demo
 //	basecamp serve    -sites N -cache-slots K [-registry-net tcp10g|udp10g|eth100g] [-gap S]  # federated fleet serving
 //	basecamp serve    -sites N -suite [-apps energy,traffic,weather]  # serve the EVEREST application suite (workload registry)
 //	basecamp serve    -stream [-rate R] [-events N] [-arrival poisson|bursty|diurnal] [-partial=false]  # streaming pipelines with resident kernels
@@ -306,7 +306,6 @@ func cmdDeploy(args []string) error {
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	workflows := fs.Int("workflows", 16, "workflows to submit")
-	concurrency := fs.Int("concurrency", 8, "max workflows in flight (0 = unlimited)")
 	nodes := fs.Int("nodes", 8, "compute nodes in the simulated cluster (per site with -sites > 1)")
 	policyName := fs.String("policy", "heft", "placement policy: heft or fifo")
 	tenants := fs.Int("tenants", 4, "tenants sharing the cluster")
@@ -387,7 +386,7 @@ func cmdServe(args []string) error {
 			incompatible = append(incompatible, "-"+fl.Name)
 		case !*streamMode && streamOnly[fl.Name]:
 			incompatible = append(incompatible, "-"+fl.Name)
-		case !*streamMode && *sites > 1 && (fl.Name == "concurrency" || fl.Name == "fail"):
+		case !*streamMode && *sites > 1 && fl.Name == "fail":
 			incompatible = append(incompatible, "-"+fl.Name)
 		case !*streamMode && *sites == 1 && (fl.Name == "cache-slots" || fl.Name == "registry-net" ||
 			fl.Name == "gap" || fl.Name == "unplug-at" || fl.Name == "suite" || fl.Name == "apps" ||
@@ -491,7 +490,7 @@ func cmdServe(args []string) error {
 	}
 
 	cfg := sdk.ServerConfig{
-		Policy: policy, MaxConcurrent: *concurrency, Failures: failures,
+		Policy: policy, Failures: failures,
 		Adaptive: *adaptive, Net: stack,
 	}
 	if *trace {
@@ -502,21 +501,21 @@ func cmdServe(args []string) error {
 	}
 	srv := s.NewServer(cfg)
 	tenantName := func(i int) string { return fmt.Sprintf("tenant%02d", i%*tenants) }
-	subs := make([]*sdk.Submission, *workflows)
-	for i := range subs {
-		sub, err := srv.Submit(tenantName(i), "", sdk.SyntheticWorkflow(i))
+	futs := make([]*runtime.Future, *workflows)
+	for i := range futs {
+		fut, err := srv.Submit(tenantName(i), "", sdk.SyntheticWorkflow(i))
 		if err != nil {
 			return err
 		}
-		subs[i] = sub
+		futs[i] = fut
 	}
 	wallStart := time.Now()
 	if err := srv.Start(); err != nil {
 		return err
 	}
 	transfers, moved := 0, int64(0)
-	for i, sub := range subs {
-		sched, err := sub.Wait()
+	for i, fut := range futs {
+		sched, err := fut.Wait()
 		if err != nil {
 			return fmt.Errorf("serve: workflow %d: %w", i, err)
 		}
@@ -532,8 +531,8 @@ func cmdServe(args []string) error {
 	if *adaptive {
 		mode = "adaptive"
 	}
-	fmt.Printf("workflows  : %d across %d tenants (policy %s, concurrency %d, %s)\n",
-		stats.Completed, len(stats.Tenants), policy, *concurrency, mode)
+	fmt.Printf("workflows  : %d across %d tenants (policy %s, %s)\n",
+		stats.Completed, len(stats.Tenants), policy, mode)
 	fmt.Printf("serial     : %.3gs modelled, back-to-back\n", serial)
 	fmt.Printf("concurrent : %.3gs modelled\n", stats.Makespan)
 	if stats.Makespan > 0 {

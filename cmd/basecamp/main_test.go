@@ -62,9 +62,6 @@ func TestServeRejectsFleetIncompatibleFlags(t *testing.T) {
 	if err := cmdServe([]string{"-sites", "2", "-fail", "node00@0.5"}); err == nil {
 		t.Fatal("-fail with -sites > 1 accepted")
 	}
-	if err := cmdServe([]string{"-sites", "2", "-concurrency", "4"}); err == nil {
-		t.Fatal("-concurrency with -sites > 1 accepted")
-	}
 	if err := cmdServe([]string{"-policy", "turbo"}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}

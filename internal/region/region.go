@@ -295,24 +295,26 @@ type Result struct {
 }
 
 // Handle is the caller's handle on one submitted workflow. Interactive
-// and guaranteed work completes during SubmitAt; batch work may stay
-// held until later arrivals (or Drain) release it, so Wait on a batch
-// handle only after Drain or Shutdown.
+// and guaranteed work resolves inside SubmitAt; held batch work resolves
+// when a later arrival, Drain or Shutdown releases it.
 type Handle struct {
-	done chan struct{}
+	fed  *Federation // its lock guards the fields below
 	res  Result
 	err  error
 	held *held // non-nil while parked in the hold queue
 }
 
-// Wait blocks until the workflow completes and returns its result.
+// Wait returns the workflow's result. It never blocks on serving: on batch
+// work still held it returns an error, and Drain (or Shutdown) serves it.
+// It takes the federation lock, so trace callbacks must not call it.
 func (h *Handle) Wait() (Result, error) {
-	<-h.done
+	h.fed.mu.Lock()
+	defer h.fed.mu.Unlock()
+	if h.held != nil {
+		return Result{}, fmt.Errorf("region: batch workflow %s is held; Drain serves it", h.held.req.Name)
+	}
 	return h.res, h.err
 }
-
-// Done returns a channel closed when the workflow has completed.
-func (h *Handle) Done() <-chan struct{} { return h.done }
 
 // held is one deferred batch workflow.
 type held struct {
@@ -417,8 +419,6 @@ type Federation struct {
 	catalog *platform.Registry
 	wan     netsim.Stack
 	regions []*region
-
-	traceMu sync.Mutex
 
 	mu        sync.Mutex
 	started   bool
@@ -638,7 +638,7 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 		if release > req.Arrival {
 			// The guaranteed class owns the near frontier: park the batch
 			// work behind it.
-			h := &Handle{done: make(chan struct{})}
+			h := &Handle{fed: f}
 			f.heldSeq++
 			hw := &held{h: h, req: req, release: release, seq: f.heldSeq}
 			h.held = hw
@@ -649,12 +649,12 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 				Detail: fmt.Sprintf("release=%.4gs", release)})
 			return h, nil
 		}
-		h := &Handle{done: make(chan struct{})}
+		h := &Handle{fed: f}
 		f.serveNow(home, req, req.Arrival, 0, h)
 		return h, h.err
 	}
 
-	h := &Handle{done: make(chan struct{})}
+	h := &Handle{fed: f}
 	if err := f.route(req, h); err != nil {
 		f.submitted--
 		f.rejected++
@@ -794,7 +794,6 @@ func (f *Federation) serveNow(r *region, req Request, at float64, pushes int, h 
 		r.stats.Failed++
 		h.err = fmt.Errorf("region: %s: %w", r.name, err)
 		h.held = nil
-		close(h.done)
 		return
 	}
 	f.finish(r, req, tk, handoff, fetch, dfetch, at-req.Arrival, pushes, h)
@@ -807,7 +806,6 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, handoff, f
 	if err != nil {
 		r.stats.Failed++
 		h.err = fmt.Errorf("region: %s: %w", r.name, err)
-		close(h.done)
 		return
 	}
 	if req.App != "" {
@@ -850,7 +848,6 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, handoff, f
 	f.trace(Event{Kind: EventDone, Region: r.name, Tenant: req.Tenant,
 		Workflow: req.Name, App: req.App, Time: res.Completion,
 		Detail: fmt.Sprintf("class=%s latency=%.4gs cold=%v", req.Class, out.Latency, cold)})
-	close(h.done)
 }
 
 // fetchEstimate prices the WAN fetches a serve at region r would pay.
@@ -1222,12 +1219,11 @@ func (f *Federation) Stats() Stats {
 	return out
 }
 
-// trace emits one region event under the trace mutex.
+// trace emits one region event. Every caller holds f.mu, which serializes
+// the stream.
 func (f *Federation) trace(ev Event) {
 	if f.cfg.Trace == nil {
 		return
 	}
-	f.traceMu.Lock()
 	f.cfg.Trace(ev)
-	f.traceMu.Unlock()
 }

@@ -349,10 +349,8 @@ func TestBatchHeldBehindGuaranteedAndPreempted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-bh.Done():
-		t.Fatal("batch resolved while held")
-	default:
+	if _, err := bh.Wait(); err == nil || !strings.Contains(err.Error(), "Drain") {
+		t.Fatalf("Wait on a held batch = %v, want an error naming Drain", err)
 	}
 
 	// A priority arrival lands exactly when the batch is due: the batch is

@@ -200,8 +200,8 @@ type ctrlMsg struct {
 // blocks, whatever the queue depth and whichever goroutine calls it —
 // including a fault-script trace callback running under the serve lock —
 // and events are applied in enqueue order: before the next execution when
-// the engine is serving, else at the start of the next Submit or by
-// Shutdown.
+// the engine is serving, else at the start of the next Start or Submit,
+// or by Shutdown.
 func (e *Engine) sendCtrl(m ctrlMsg) {
 	e.ctrlMu.Lock()
 	e.ctrlQ = append(e.ctrlQ, m)

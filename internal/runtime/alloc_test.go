@@ -55,7 +55,7 @@ func TestTransferSecondsAllocFree(t *testing.T) {
 func TestPlaceAllocFree(t *testing.T) {
 	e := stoppedEngine(t, 3, EngineConfig{Policy: PolicyHEFT})
 	ds := e.newDispatchState()
-	st := newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{done: make(chan struct{})})
+	st := newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{})
 	e.onSubmit(ds, st)
 	for { // consume the initial ready items; the test re-places by hand
 		item, ok := e.nextFair(ds)
@@ -92,7 +92,7 @@ func TestPlaceAllocFree(t *testing.T) {
 func TestOnReportAllocFree(t *testing.T) {
 	e := stoppedEngine(t, 2, EngineConfig{})
 	ds := e.newDispatchState()
-	st := newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{done: make(chan struct{})})
+	st := newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{})
 	e.onSubmit(ds, st)
 	rep := execReport{wf: st, tidx: 0, node: 0, start: 0, end: 0.01, nominal: 0.008}
 	assertAllocs(t, "onReport (software completion)", 0, func() {

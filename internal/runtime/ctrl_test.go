@@ -65,6 +65,19 @@ func TestFutureDoneAndFailNode(t *testing.T) {
 		platform.NewNode("n1", platform.XeonModel()),
 	)
 	e := NewEngine(c, platform.NewRegistry(), EngineConfig{})
+	w := NewWorkflow()
+	if err := w.Submit(TaskSpec{Name: "a", Flops: 1e9}); err != nil {
+		t.Fatal(err)
+	}
+	early, err := e.Submit(w, SubmitOptions{Name: "early"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nothing serves a pre-Start future until Start: Wait says so instead
+	// of blocking.
+	if sched, err := early.Wait(); err == nil || sched != nil {
+		t.Fatalf("Wait before Start = %v, %v; want an error", sched, err)
+	}
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,23 +87,18 @@ func TestFutureDoneAndFailNode(t *testing.T) {
 	if err := e.FailNode("n1", 1e6); err != nil { // far future: harmless
 		t.Fatal(err)
 	}
-	w := NewWorkflow()
-	if err := w.Submit(TaskSpec{Name: "a", Flops: 1e9}); err != nil {
-		t.Fatal(err)
-	}
-	fut, err := e.Submit(w, SubmitOptions{})
+	late, err := e.Submit(w, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fut.done != nil {
-		t.Fatal("a post-Start future must come back resolved, with no wake-up channel")
-	}
-	sched, err := fut.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sched.Assignments) != 1 {
-		t.Fatalf("got %d assignments, want 1", len(sched.Assignments))
+	for _, fut := range []*Future{early, late} {
+		sched, err := fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sched.Assignments) != 1 {
+			t.Fatalf("%s: got %d assignments, want 1", fut.Name, len(sched.Assignments))
+		}
 	}
 	e.Shutdown()
 }

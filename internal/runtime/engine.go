@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"everest/internal/autotuner"
 	"everest/internal/netsim"
@@ -119,7 +120,8 @@ type EngineConfig struct {
 	// Trace, when set, receives every engine event. It runs on the goroutine
 	// inside Start, Submit or Shutdown, under the serve lock: it may call
 	// the control API (UnplugDevice, PlugDevice, SetNodeSlowdown) and Stats,
-	// but not Start, Submit or Shutdown.
+	// but not Start, Submit or Shutdown. Control events raised before Start
+	// are traced by Start, ahead of the pre-Start batch.
 	Trace func(Event)
 	// Adaptive closes the autotuner→engine→virt loop: every placement
 	// consults a per-workflow variant tuner and the node monitors instead of
@@ -140,24 +142,26 @@ type EngineConfig struct {
 
 // Future is the handle returned for one workflow submission. A submission
 // made after Start is already resolved when Submit returns; one made
-// before Start resolves when the engine starts (or shuts down unstarted).
+// before Start resolves inside Start (or fails in Shutdown of an engine
+// that never started).
 type Future struct {
-	// done wakes waiters on a pre-Start submission; nil otherwise.
-	done chan struct{}
-
-	// Written once, before Submit returns or close(done).
+	// Written once, before resolved is stored.
 	sched *Schedule
 	err   error
+	// resolved publishes sched and err: a Wait on another goroutine that
+	// loads true sees them.
+	resolved atomic.Bool
 
 	// Immutable submission metadata.
 	Name   string
 	Tenant string
 }
 
-// Wait blocks until the workflow completes and returns its schedule.
+// Wait returns the workflow's schedule. It never blocks: on a workflow the
+// engine has not served yet (submitted before Start) it returns an error.
 func (f *Future) Wait() (*Schedule, error) {
-	if f.done != nil {
-		<-f.done
+	if !f.resolved.Load() {
+		return nil, fmt.Errorf("runtime: workflow %s not served yet: the engine serves it at Start", f.Name)
 	}
 	return f.sched, f.err
 }
@@ -172,8 +176,8 @@ type SubmitOptions struct {
 // the per-engine export a federation tier (internal/fleet) reads to judge a
 // site's queue depth and accelerator capacity before routing work to it.
 // Counter fields are maintained by the event loop and published once per
-// Start, Submit and Shutdown (and before a pre-Start future resolves);
-// device fields are computed live from the cluster at snapshot time.
+// Start, Submit and Shutdown; device fields are computed live from the
+// cluster at snapshot time.
 type EngineStats struct {
 	Submitted int // workflows the engine has admitted
 	Completed int // workflows drained successfully
@@ -232,12 +236,23 @@ type Engine struct {
 	early   []*wfState     // submissions made before Start, in order
 }
 
-// NewEngine builds an engine over a cluster and bitstream registry.
+// NewEngine builds an engine over a cluster and bitstream registry and
+// takes ownership of the cluster: stale failure state, device claims,
+// attachment and load faults left by a previous engine run are cleared,
+// and the monitor forgets its load evidence. Control calls made after
+// NewEngine (UnplugDevice, PlugDevice, SetNodeSlowdown) therefore
+// describe this engine's world, even before Start.
 func NewEngine(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig) *Engine {
 	mon := cfg.Monitor
 	if mon == nil {
 		mon = platform.NewMonitor(c)
 	}
+	for _, n := range c.Nodes {
+		n.Heal()
+		n.ResetDeviceClaims()
+		n.ResetCondition()
+	}
+	mon.Reset()
 	return &Engine{cluster: c, reg: reg, cfg: cfg, monitor: mon}
 }
 
@@ -295,11 +310,11 @@ func (ds *dispatchState) raiseBacklog(t float64) {
 	}
 }
 
-// Start builds the node index tables and the event loop's state, then
-// serves every submission queued before it: the batch is admitted in
-// submit order and placed together, round-robin across tenants. It takes
-// ownership of the cluster: stale failure state and device claims left by
-// a previous engine run are cleared before cfg.Failures are applied.
+// Start applies cfg.Failures and cfg.Events, builds the node index tables
+// and the event loop's state, applies the control events raised since
+// NewEngine, then serves every submission queued before it: the batch is
+// admitted in submit order and placed together, round-robin across
+// tenants.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -313,16 +328,6 @@ func (e *Engine) Start() error {
 		return fmt.Errorf("runtime: engine needs at least one node")
 	}
 	e.started = true
-	for _, n := range e.cluster.Nodes {
-		n.Heal()
-		n.ResetDeviceClaims()
-		n.ResetCondition()
-	}
-	e.monitor.Reset() // stale load evidence dies with the previous run
-	// Start is the ownership boundary: ResetCondition above wiped attachment
-	// and load faults, so environment events queued before Start are stale
-	// and must not degrade tuners for devices that are back online.
-	e.takeCtrl()
 	for _, f := range e.cfg.Failures {
 		if n := e.cluster.FindNode(f.Node); n != nil {
 			n.Fail(f.AtTime)
@@ -339,6 +344,9 @@ func (e *Engine) Start() error {
 		e.queues[i] = newWorkQueueCap(4 * len(e.nodes))
 	}
 	e.ds = e.newDispatchState()
+	// Control events raised before Start apply before the batch, the same
+	// rule Submit follows for events raised while the engine is idle.
+	e.applyCtrl(e.ds)
 	for _, st := range e.early {
 		e.onSubmit(e.ds, st)
 	}
@@ -373,7 +381,6 @@ func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 	}
 	fut := &Future{Name: name, Tenant: tenant}
 	if !e.started {
-		fut.done = make(chan struct{})
 		e.early = append(e.early, newWFState(w, name, tenant, fut))
 		return fut, nil
 	}
@@ -400,7 +407,7 @@ func (e *Engine) Shutdown() {
 	if !e.started {
 		for _, st := range e.early {
 			st.fut.err = fmt.Errorf("runtime: engine shut down before start")
-			close(st.fut.done)
+			st.fut.resolved.Store(true)
 		}
 		e.early = nil
 		return
@@ -1008,16 +1015,11 @@ func (e *Engine) finish(ds *dispatchState, st *wfState, err error) {
 	}
 	st.fut.sched = st.sched
 	st.fut.err = err
+	st.fut.resolved.Store(true)
 	e.trace(Event{
 		Kind: EventWorkflowDone, Workflow: st.name, Tenant: st.tenant,
 		Time: st.sched.Makespan,
 	})
-	if st.fut.done != nil {
-		// A pre-Start waiter wakes before Start returns: publish first, so
-		// it sees this completion (and its backlog) in Stats.
-		e.publishStats(ds)
-		close(st.fut.done)
-	}
 	e.maybeRecycle(st)
 }
 

@@ -70,48 +70,32 @@ func (srv *Server) faultDriver(faults []Fault, user func(runtime.Event)) func(ru
 // when the last VF of a device is unplugged the accelerator disappears
 // from the engine's world (placements invalidate, the fpga variant
 // degrades), and the first replugged VF brings it back. clock, when set,
-// supplies the modelled time stamped on the engine events. Hypervisors may
-// attach before Start: the engine's ownership reset at Start discards the
-// events delivered so far, so Start re-derives each device's attachment
-// from the hypervisor's current VF state. Attach before submitting, too:
-// a server with no hypervisor queues pre-Start submissions in the engine,
-// which serves them inside its Start, before that re-derivation.
+// supplies the modelled time stamped on the engine events. Attachment is
+// derived from the hypervisor's VF table at attach time, before or after
+// Start: a device whose guests hold no VF while guests exist is
+// unreachable, exactly as if its last VF had just been unplugged.
 func (srv *Server) AttachHypervisor(h *virt.Hypervisor, clock func() float64) {
-	srv.mu.Lock()
-	srv.hyps = append(srv.hyps, h)
-	srv.mu.Unlock()
-	h.Subscribe(func(ev virt.HotplugEvent) {
-		at := 0.0
-		if clock != nil {
-			at = clock()
+	now := func() float64 {
+		if clock == nil {
+			return 0
 		}
+		return clock()
+	}
+	h.Subscribe(func(ev virt.HotplugEvent) {
 		switch {
 		case ev.Kind == virt.VFUnplugged && ev.AssignedVFs == 0:
-			_ = srv.eng.UnplugDevice(ev.Node, ev.Device, at)
+			_ = srv.eng.UnplugDevice(ev.Node, ev.Device, now())
 		case ev.Kind == virt.VFPlugged && ev.AssignedVFs == 1:
-			_ = srv.eng.PlugDevice(ev.Node, ev.Device, at)
+			_ = srv.eng.PlugDevice(ev.Node, ev.Device, now())
 		}
 	})
-}
-
-// syncHypervisors re-derives device attachment from each attached
-// hypervisor's current VF state (Server.Start, after the engine's
-// ownership reset marked everything attached): a device whose guests hold
-// no VF while guests exist is unreachable, exactly as if its last VF had
-// just been unplugged.
-func (srv *Server) syncHypervisors() {
-	srv.mu.Lock()
-	hyps := append([]*virt.Hypervisor(nil), srv.hyps...)
-	srv.mu.Unlock()
-	for _, h := range hyps {
-		st := h.Query()
-		if len(st.VMs) == 0 {
-			continue // no guests: host-side access, devices stay attached
-		}
-		for dev, n := range st.AssignedVFs {
-			if n == 0 {
-				_ = srv.eng.UnplugDevice(st.Node, dev, 0)
-			}
+	st := h.Query()
+	if len(st.VMs) == 0 {
+		return // no guests: host-side access, devices stay attached
+	}
+	for dev := 0; dev < len(st.AssignedVFs); dev++ { // device order: a deterministic trace
+		if st.AssignedVFs[dev] == 0 {
+			_ = srv.eng.UnplugDevice(st.Node, dev, now())
 		}
 	}
 }

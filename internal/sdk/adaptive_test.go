@@ -1,8 +1,10 @@
 package sdk
 
 import (
+	goruntime "runtime"
 	"testing"
 
+	"everest/internal/platform"
 	"everest/internal/runtime"
 	"everest/internal/virt"
 )
@@ -166,4 +168,112 @@ func TestAttachHypervisor(t *testing.T) {
 		t.Error("replugging the first VF must reattach the device")
 	}
 	srv.Shutdown()
+}
+
+// detachedHypervisor stages the scenario bitstream on the first two compute
+// nodes and returns a hypervisor over the first whose only guest holds no
+// VF, so that node's accelerator is unreachable.
+func detachedHypervisor(t *testing.T, s *SDK) (*virt.Hypervisor, *platform.Node, string) {
+	t.Helper()
+	bs := ScenarioBitstream()
+	if err := s.Registry.Put(bs); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range s.Cluster.Nodes[:2] {
+		if _, err := s.Deploy(bs.ID, n.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := s.Cluster.Nodes[0]
+	hyp, err := virt.NewHypervisor(node, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hyp.DefineVM("guest", 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hyp.PlugVF("guest", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hyp.UnplugVF("guest", 0); err != nil {
+		t.Fatal(err)
+	}
+	return hyp, node, bs.ID
+}
+
+// TestAttachHypervisorAfterStart: attachment is derived when the
+// hypervisor attaches, so a late attach applies the current VF state at
+// once instead of waiting for the next hot-plug event.
+func TestAttachHypervisorAfterStart(t *testing.T) {
+	s := New(DefaultCluster(2))
+	hyp, node, _ := detachedHypervisor(t, s)
+	srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	if !node.DeviceOnline(0) {
+		t.Fatal("no hypervisor attached yet: the device must be online")
+	}
+	srv.AttachHypervisor(hyp, nil)
+	if node.DeviceOnline(0) {
+		t.Fatal("a hypervisor whose last VF is unplugged must detach the device on attach")
+	}
+	if _, err := hyp.PlugVF("guest", 0); err != nil {
+		t.Fatal(err)
+	}
+	if !node.DeviceOnline(0) {
+		t.Fatal("replugging the first VF must reattach the device")
+	}
+}
+
+// TestPreStartBatchHonoursAttachedHypervisor: the pre-Start batch is
+// placed after attachment is derived, so it is one deterministic batch
+// that never offloads to the detached accelerator.
+func TestPreStartBatchHonoursAttachedHypervisor(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	var spans []float64
+	for _, procs := range []int{1, 2, 1, 2} {
+		goruntime.GOMAXPROCS(procs)
+		s := New(DefaultCluster(3))
+		hyp, node, bsID := detachedHypervisor(t, s)
+		srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+		srv.AttachHypervisor(hyp, nil)
+		futs := make([]*runtime.Future, 8)
+		for i := range futs {
+			fut, err := srv.Submit("batch", "", AdaptiveWorkflow(i, bsID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			futs[i] = fut
+		}
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		offloads := 0
+		for i, fut := range futs {
+			sched, err := fut.Wait()
+			if err != nil {
+				t.Fatalf("workflow %d: %v", i, err)
+			}
+			for _, a := range sched.Assignments {
+				if !a.OnFPGA {
+					continue
+				}
+				if a.Node == node.Name {
+					t.Fatalf("workflow %d: %s offloaded to the detached device on %s", i, a.Task, a.Node)
+				}
+				offloads++
+			}
+		}
+		if offloads == 0 {
+			t.Fatal("the attached accelerator must still take offloads")
+		}
+		spans = append(spans, srv.Shutdown().Makespan)
+	}
+	for i, m := range spans {
+		if m != spans[0] {
+			t.Fatalf("batch makespans %v differ (run %d)", spans, i)
+		}
+	}
 }

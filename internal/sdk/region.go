@@ -60,7 +60,10 @@ type RegionConfig struct {
 	Partitions []region.Partition
 	// Trace receives region events; FleetTrace and EngineTrace receive the
 	// nested tiers' events tagged with their region (and site). All three
-	// are serialized — the determinism harness hashes the merged stream.
+	// fire inline, on the goroutine of the call that raised them, and
+	// region events under the federation lock, so concurrent submitters
+	// never interleave them — the determinism harness hashes the merged
+	// stream.
 	Trace       func(region.Event)
 	FleetTrace  func(regionName string, ev fleet.Event)
 	EngineTrace func(regionName, site string, ev runtime.Event)

@@ -7,42 +7,40 @@ import (
 	"everest/internal/netsim"
 	"everest/internal/platform"
 	"everest/internal/runtime"
-	"everest/internal/virt"
 )
 
 // Server is the multi-tenant submission front of the virtualized runtime
-// (paper §VI-A): it accepts many concurrent workflow submissions, bounds how
-// many execute at once, keeps tenants fair through the engine's round-robin
-// ready queues, and hands each caller a future for its result. It is the
+// (paper §VI-A): it accepts workflow submissions from many tenants, keeps
+// tenants fair through the engine's round-robin ready queues, and hands
+// each caller the engine's future for its result. Every call runs on the
+// caller's goroutine: a submission made after Start is served before
+// Submit returns, and one made before Start is served by Start. It is the
 // layer `basecamp serve` exposes.
 type Server struct {
-	sdk   *SDK
-	eng   *runtime.Engine
-	slots chan struct{} // admission semaphore; nil when unlimited
+	sdk *SDK
+	eng *runtime.Engine
 
 	mu        sync.Mutex
 	started   bool
 	closed    bool
+	early     []*runtime.Future // pre-Start submissions, recorded by Start
 	submitted int
 	completed int
 	failed    int
 	tenants   map[string]*TenantStats
 	makespan  float64
-	hyps      []*virt.Hypervisor // attached via AttachHypervisor
-
-	wg sync.WaitGroup // outstanding submissions
 }
 
 // ServerConfig configures a Server.
 type ServerConfig struct {
 	// Policy selects the engine's placement strategy (default PolicyHEFT).
 	Policy runtime.Policy
-	// MaxConcurrent bounds how many workflows execute simultaneously
-	// (admission control); 0 means unlimited.
-	MaxConcurrent int
 	// Failures are node deaths injected at start (engine semantics).
 	Failures []runtime.NodeFailure
-	// Trace receives engine events when set.
+	// Trace receives engine events when set, on the goroutine serving the
+	// workflow. Start and Shutdown serve under the server's lock, so it
+	// may call the control API (UnplugDevice, PlugDevice, SetNodeSlowdown)
+	// and Monitor but no other Server method.
 	Trace func(runtime.Event)
 	// Adaptive enables variant-aware scheduling: every placement consults
 	// the per-workflow autotuner and the node monitors, and hot-plug events
@@ -84,7 +82,8 @@ type ServerStats struct {
 	Tenants  map[string]TenantStats
 }
 
-// NewServer builds a server over the SDK's cluster and registry.
+// NewServer builds a server over the SDK's cluster and registry. Its
+// engine takes ownership of the cluster here (runtime.NewEngine).
 func (s *SDK) NewServer(cfg ServerConfig) *Server {
 	srv := &Server{
 		sdk:     s,
@@ -98,9 +97,6 @@ func (s *SDK) NewServer(cfg ServerConfig) *Server {
 		Policy: cfg.Policy, Failures: cfg.Failures, Trace: trace,
 		Adaptive: cfg.Adaptive, Events: cfg.Events, Net: cfg.Net,
 	})
-	if cfg.MaxConcurrent > 0 {
-		srv.slots = make(chan struct{}, cfg.MaxConcurrent)
-	}
 	return srv
 }
 
@@ -123,54 +119,36 @@ func (srv *Server) SetNodeSlowdown(node string, factor, at float64) error {
 	return srv.eng.SetNodeSlowdown(node, factor, at)
 }
 
-// Start brings the engine up. Submissions made before Start queue. The
-// engine's ownership reset marks every device attached; Start then
-// re-derives attachment from any hypervisors attached before it ran.
+// Start brings the engine up and serves the submissions made before it,
+// placed together as one batch.
 func (srv *Server) Start() error {
 	srv.mu.Lock()
+	defer srv.mu.Unlock()
 	if srv.started {
-		srv.mu.Unlock()
 		return fmt.Errorf("sdk: server already started")
 	}
 	srv.started = true
-	// The engine starts under srv.mu so a concurrent Shutdown serializes
-	// behind it (it must observe a fully started engine to stop it);
-	// syncHypervisors runs after release because it takes srv.mu itself.
-	err := srv.eng.Start()
-	srv.mu.Unlock()
-	if err != nil {
+	if err := srv.eng.Start(); err != nil {
 		return err
 	}
-	srv.syncHypervisors()
+	srv.recordEarly()
 	return nil
 }
 
-// Submission is the caller's handle on one submitted workflow.
-type Submission struct {
-	Name   string
-	Tenant string
-
-	done  chan struct{}
-	sched *runtime.Schedule
-	err   error
+// recordEarly accounts the pre-Start batch once the engine has resolved
+// it. Callers hold srv.mu.
+func (srv *Server) recordEarly() {
+	for _, fut := range srv.early {
+		srv.record(fut)
+	}
+	srv.early = nil
 }
 
-// Wait blocks until the workflow completes and returns its schedule.
-func (sub *Submission) Wait() (*runtime.Schedule, error) {
-	<-sub.done
-	return sub.sched, sub.err
-}
-
-// Done returns a channel closed when the workflow has completed.
-func (sub *Submission) Done() <-chan struct{} { return sub.done }
-
-// Submit accepts a workflow on behalf of a tenant. It never blocks the
-// caller: serving (and admission control, MaxConcurrent) runs on a
-// per-submission goroutine, so over-limit submissions queue instead of
-// failing. Without a limit or an attached hypervisor, submissions made
-// before Start reach the engine here, in submit order, so Start places the
-// whole batch together.
-func (srv *Server) Submit(tenant, name string, w *runtime.Workflow) (*Submission, error) {
+// Submit accepts a workflow on behalf of a tenant and returns the engine's
+// future for it. After Start the workflow is served and recorded before
+// Submit returns. Before Start it only queues: Start serves the whole
+// batch in submit order, and Wait on its future fails until then.
+func (srv *Server) Submit(tenant, name string, w *runtime.Workflow) (*runtime.Future, error) {
 	if w == nil {
 		return nil, fmt.Errorf("sdk: nil workflow")
 	}
@@ -192,61 +170,52 @@ func (srv *Server) Submit(tenant, name string, w *runtime.Workflow) (*Submission
 		srv.tenants[tenant] = ts
 	}
 	ts.Submitted++
-	srv.wg.Add(1)
 	opt := runtime.SubmitOptions{Name: name, Tenant: tenant}
-	var fut *runtime.Future
-	var err error
-	// Not with a hypervisor attached: the engine serves a queued batch
-	// inside its Start, before Start re-derives device attachment.
-	queued := !srv.started && srv.slots == nil && len(srv.hyps) == 0
-	if queued {
-		// The engine is not started (Start takes srv.mu), so this only
-		// queues the workflow.
-		fut, err = srv.eng.Submit(w, opt)
+	if !srv.started {
+		// The engine only queues before Start. Doing it under srv.mu keeps
+		// the batch in submit order and wholly ahead of a concurrent Start.
+		defer srv.mu.Unlock()
+		fut, err := srv.eng.Submit(w, opt)
+		if err == nil {
+			srv.early = append(srv.early, fut)
+		}
+		return fut, err
 	}
 	srv.mu.Unlock()
-
-	sub := &Submission{Name: name, Tenant: tenant, done: make(chan struct{})}
-	go func() {
-		defer srv.wg.Done()
-		if !queued {
-			if srv.slots != nil {
-				srv.slots <- struct{}{}
-				defer func() { <-srv.slots }()
-			}
-			fut, err = srv.eng.Submit(w, opt)
-		}
-		if err == nil {
-			sub.sched, sub.err = fut.Wait()
-		} else {
-			sub.err = err
-		}
-		srv.record(sub)
-		close(sub.done)
-	}()
-	return sub, nil
-}
-
-func (srv *Server) record(sub *Submission) {
+	// Served outside srv.mu: the engine serializes submitters itself, and
+	// Stats readers need not wait for a serve.
+	fut, err := srv.eng.Submit(w, opt)
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	ts := srv.tenants[sub.Tenant]
-	if sub.err != nil {
+	if err != nil { // a concurrent Shutdown stopped the engine first
+		srv.failed++
+		ts.Failed++
+		return nil, err
+	}
+	srv.record(fut)
+	return fut, nil
+}
+
+// record accounts one resolved future. Callers hold srv.mu.
+func (srv *Server) record(fut *runtime.Future) {
+	ts := srv.tenants[fut.Tenant]
+	sched, err := fut.Wait()
+	if err != nil {
 		srv.failed++
 		ts.Failed++
 		return
 	}
 	srv.completed++
 	ts.Completed++
-	if sub.sched.Makespan > ts.LastFinish {
-		ts.LastFinish = sub.sched.Makespan
+	if sched.Makespan > ts.LastFinish {
+		ts.LastFinish = sched.Makespan
 	}
-	if sub.sched.Makespan > srv.makespan {
-		srv.makespan = sub.sched.Makespan
+	if sched.Makespan > srv.makespan {
+		srv.makespan = sched.Makespan
 	}
-	ts.Reschedules += sub.sched.Adapt.Reschedules
-	ts.Fallbacks += sub.sched.Adapt.Fallbacks
-	for v, n := range sub.sched.Adapt.VariantCounts {
+	ts.Reschedules += sched.Adapt.Reschedules
+	ts.Fallbacks += sched.Adapt.Fallbacks
+	for v, n := range sched.Adapt.VariantCounts {
 		if ts.Variants == nil {
 			ts.Variants = make(map[string]int)
 		}
@@ -278,26 +247,24 @@ func (srv *Server) Stats() ServerStats {
 	return out
 }
 
-// Shutdown refuses new submissions, waits for in-flight workflows to drain,
-// stops the engine, and returns the final stats. Calling Shutdown on a
-// server that was never started first starts the engine, so submissions
-// queued before Start still drain instead of hanging their waiters.
+// Shutdown refuses new submissions, stops the engine, and returns the
+// final stats, which count every Submit that returned before Shutdown was
+// called. Calling Shutdown on a server that was never started first
+// starts the engine, so submissions queued before Start are still served
+// instead of failing.
 func (srv *Server) Shutdown() ServerStats {
 	srv.mu.Lock()
-	if srv.closed {
-		srv.mu.Unlock()
-		return srv.Stats()
+	if !srv.closed {
+		srv.closed = true
+		if !srv.started {
+			srv.started = true
+			_ = srv.eng.Start()
+		}
+		// A batch whose Start failed is failed by the engine's Shutdown.
+		srv.eng.Shutdown()
+		srv.recordEarly()
 	}
-	srv.closed = true
-	started := srv.started
-	srv.started = true
 	srv.mu.Unlock()
-	if !started {
-		_ = srv.eng.Start()
-		srv.syncHypervisors()
-	}
-	srv.wg.Wait()
-	srv.eng.Shutdown()
 	return srv.Stats()
 }
 

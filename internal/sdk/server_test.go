@@ -4,7 +4,6 @@ import (
 	goruntime "runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"everest/internal/runtime"
 )
@@ -17,26 +16,26 @@ func TestServerConcurrentSubmissions(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	subs := make([]*Submission, workflows)
+	futs := make([]*runtime.Future, workflows)
 	for i := 0; i < workflows; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			tenant := []string{"wrf", "traffic", "energy"}[i%3]
-			sub, err := srv.Submit(tenant, "", SyntheticWorkflow(i))
+			fut, err := srv.Submit(tenant, "", SyntheticWorkflow(i))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			subs[i] = sub
+			futs[i] = fut
 		}(i)
 	}
 	wg.Wait()
-	for i, sub := range subs {
-		if sub == nil {
+	for i, fut := range futs {
+		if fut == nil {
 			t.Fatalf("submission %d missing", i)
 		}
-		sched, err := sub.Wait()
+		sched, err := fut.Wait()
 		if err != nil {
 			t.Fatalf("workflow %d: %v", i, err)
 		}
@@ -94,21 +93,21 @@ func TestServerThroughputSpeedup(t *testing.T) {
 func batchMakespan(t *testing.T, workflows int) float64 {
 	t.Helper()
 	srv := New(DefaultCluster(8)).NewServer(ServerConfig{Policy: runtime.PolicyHEFT})
-	subs := make([]*Submission, workflows)
-	for i := range subs {
+	futs := make([]*runtime.Future, workflows)
+	for i := range futs {
 		// Fresh workflows: the engine forbids reuse after submission by
 		// contract.
-		sub, err := srv.Submit("bench", "", SyntheticWorkflow(i))
+		fut, err := srv.Submit("bench", "", SyntheticWorkflow(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs[i] = sub
+		futs[i] = fut
 	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range subs {
-		if _, err := sub.Wait(); err != nil {
+	for _, fut := range futs {
+		if _, err := fut.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,8 +115,8 @@ func batchMakespan(t *testing.T, workflows int) float64 {
 }
 
 // TestServerPreStartBatchIsDeterministic: submissions made before Start
-// reach the engine in submit order, whatever the scheduler does with the
-// per-submission goroutines, so the batch makespan is one number.
+// reach the engine in submit order and Start serves them on its caller's
+// goroutine, so the batch makespan is one number at any GOMAXPROCS.
 func TestServerPreStartBatchIsDeterministic(t *testing.T) {
 	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
 	var spans []float64
@@ -132,30 +131,43 @@ func TestServerPreStartBatchIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestServerConcurrencyLimit(t *testing.T) {
-	const workflows = 10
-	s := New(DefaultCluster(2))
-	srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, MaxConcurrent: 2})
+// TestServerStartsNoGoroutine: every Server call runs on its caller's
+// goroutine, before and after Start.
+func TestServerStartsNoGoroutine(t *testing.T) {
+	const workflows = 16
+	before := goruntime.NumGoroutine()
+	check := func(when string) {
+		t.Helper()
+		if n := goruntime.NumGoroutine(); n > before {
+			t.Fatalf("%s: %d goroutines, %d before NewServer", when, n, before)
+		}
+	}
+	srv := New(DefaultCluster(4)).NewServer(ServerConfig{Policy: runtime.PolicyHEFT})
+	check("NewServer")
+	for i := 0; i < workflows; i++ {
+		if _, err := srv.Submit("early", "", SyntheticWorkflow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("pre-Start Submit")
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	subs := make([]*Submission, workflows)
+	check("Start")
 	for i := 0; i < workflows; i++ {
-		sub, err := srv.Submit("t", "", SyntheticWorkflow(i))
+		fut, err := srv.Submit("late", "", SyntheticWorkflow(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs[i] = sub
-	}
-	for i, sub := range subs {
-		if _, err := sub.Wait(); err != nil {
-			t.Fatalf("workflow %d: %v", i, err)
+		if _, err := fut.Wait(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	stats := srv.Shutdown()
-	if stats.Completed != workflows {
-		t.Errorf("completed %d, want %d", stats.Completed, workflows)
+	check("post-Start Submit+Wait")
+	if st := srv.Shutdown(); st.Completed != 2*workflows {
+		t.Fatalf("completed %d, want %d", st.Completed, 2*workflows)
 	}
+	check("Shutdown")
 }
 
 func TestServerFailureRecovery(t *testing.T) {
@@ -167,17 +179,17 @@ func TestServerFailureRecovery(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	var subs []*Submission
+	var futs []*runtime.Future
 	for i := 0; i < 6; i++ {
-		sub, err := srv.Submit("t", "", SyntheticWorkflow(i))
+		fut, err := srv.Submit("t", "", SyntheticWorkflow(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs = append(subs, sub)
+		futs = append(futs, fut)
 	}
 	restarts := 0
-	for i, sub := range subs {
-		sched, err := sub.Wait()
+	for i, fut := range futs {
+		sched, err := fut.Wait()
 		if err != nil {
 			t.Fatalf("workflow %d must survive a single node failure: %v", i, err)
 		}
@@ -215,25 +227,21 @@ func TestServerSubmitErrors(t *testing.T) {
 }
 
 func TestServerShutdownWithoutStartDrains(t *testing.T) {
-	// Forgetting Start must not hang Shutdown or the submission's waiter:
-	// Shutdown brings the engine up, drains the queued workflow, then stops.
+	// Forgetting Start must not lose the queued workflow: Shutdown brings
+	// the engine up, serves the batch, then stops.
 	s := New(DefaultCluster(1))
 	srv := s.NewServer(ServerConfig{})
-	sub, err := srv.Submit("t", "", SyntheticWorkflow(0))
+	fut, err := srv.Submit("t", "", SyntheticWorkflow(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan ServerStats, 1)
-	go func() { done <- srv.Shutdown() }()
-	select {
-	case stats := <-done:
-		if stats.Completed != 1 {
-			t.Errorf("queued workflow must complete during shutdown, stats %+v", stats)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Shutdown hung on a never-started server")
+	if _, err := fut.Wait(); err == nil {
+		t.Fatal("Wait before the engine served the workflow must fail, not block")
 	}
-	if _, err := sub.Wait(); err != nil {
+	if stats := srv.Shutdown(); stats.Completed != 1 {
+		t.Errorf("queued workflow must complete during shutdown, stats %+v", stats)
+	}
+	if _, err := fut.Wait(); err != nil {
 		t.Errorf("queued submission must resolve: %v", err)
 	}
 }
@@ -285,12 +293,17 @@ func TestServerControlAPIForwards(t *testing.T) {
 			t.Fatal("unknown node accepted by control API")
 		}
 	}
-	sub, err := srv.Submit("t0", "", SyntheticWorkflow(0))
+	fut, err := srv.Submit("t0", "", SyntheticWorkflow(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-sub.Done()
-	if _, err := sub.Wait(); err != nil {
+	if fut.Name != "t0/wf1" || fut.Tenant != "t0" {
+		t.Fatalf("future names %q of tenant %q, want t0/wf1 of t0", fut.Name, fut.Tenant)
+	}
+	if _, err := fut.Wait(); err != nil {
 		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Completed != 1 {
+		t.Fatalf("a served submission must be recorded before Submit returns, stats %+v", st)
 	}
 }

@@ -50,7 +50,7 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 	}
 
 	const workflows = 24
-	subs := make([]*sdk.Submission, workflows)
+	futs := make([]*runtime.Future, workflows)
 	var wg sync.WaitGroup
 	// Two pluggers cycling their hypervisor's VF while dispatch runs. The
 	// cycle count is bounded: hot-plug events are rare in the modelled
@@ -72,15 +72,15 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 			}
 		}(h)
 	}
-	for i := range subs {
-		sub, err := srv.Submit("racer", "", sdk.AdaptiveWorkflow(i, bs.ID))
+	for i := range futs {
+		fut, err := srv.Submit("racer", "", sdk.AdaptiveWorkflow(i, bs.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs[i] = sub
+		futs[i] = fut
 	}
-	for i, sub := range subs {
-		sched, err := sub.Wait()
+	for i, fut := range futs {
+		sched, err := fut.Wait()
 		if err != nil {
 			t.Fatalf("workflow %d: %v", i, err)
 		}
@@ -138,11 +138,11 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 		}
 		prev = name
 	}
-	sub, err := srv.Submit("t", "chain", w)
+	fut, err := srv.Submit("t", "chain", w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := sub.Wait()
+	sched, err := fut.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

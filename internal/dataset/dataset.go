@@ -119,9 +119,10 @@ type StoreStats struct {
 	EvictedBytes   int64 // bytes evicted by the byte bound
 }
 
+// entry is one resident partition, linked into the store's recency list.
 type entry struct {
-	ver Version
-	use int64 // LRU clock at last touch
+	ver        Version
+	prev, next *entry
 }
 
 // Store is a bytes-bounded LRU of dataset partitions — the site-local
@@ -129,17 +130,29 @@ type entry struct {
 // (region tier) both embed one. The zero capacity means unbounded. A
 // Store is not safe for concurrent use; callers hold their own site or
 // region lock, matching the bitstream cache it sits beside.
+//
+// Recency is an intrusive doubly linked list under a sentinel, so a
+// touch (Contains, Publish) and an eviction are both O(1) regardless of
+// how many partitions are resident. A publish never evicts the partition
+// it just admitted: that key is always the newest, so eviction stops when
+// only it remains. Evicted entries are recycled for later inserts and
+// evicted versions are appended to a caller-owned buffer (see Publish),
+// so a steady-state publish allocates nothing. A Store must be created
+// with NewStore and not copied.
 type Store struct {
 	capacity int64 // max resident bytes; 0 = unbounded
 	resident map[Key]*entry
+	lru      entry  // sentinel: lru.next is the oldest, lru.prev the newest
+	free     *entry // evicted entries awaiting reuse, linked through next
 	bytes    int64
-	seq      int64
 	stats    StoreStats
 }
 
 // NewStore returns an empty store bounded to capacity bytes (0 = unbounded).
 func NewStore(capacity int64) *Store {
-	return &Store{capacity: capacity, resident: make(map[Key]*entry)}
+	s := &Store{capacity: capacity, resident: make(map[Key]*entry)}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return s
 }
 
 // Capacity returns the byte bound (0 = unbounded).
@@ -159,8 +172,7 @@ func (s *Store) Stats() StoreStats { return s.stats }
 func (s *Store) Contains(r Ref) bool {
 	e, ok := s.resident[r.Key()]
 	if ok {
-		s.seq++
-		e.use = s.seq
+		s.touch(e)
 		s.stats.Hits++
 	} else {
 		s.stats.Misses++
@@ -200,70 +212,84 @@ func (s *Store) Version(r Ref) (Version, bool) {
 }
 
 // Publish admits a version, evicting least-recently-used partitions if
-// the byte bound requires it, and returns the evicted versions (oldest
-// first). A version already resident is replaced only when the newcomer
+// the byte bound requires it, and returns dst with the evicted versions
+// appended (oldest first). The caller owns dst: passing a reused buffer
+// (buf = s.Publish(v, buf[:0])) keeps an evicting publish off the heap.
+// A version already resident is replaced only when the newcomer
 // supersedes it per the (time, workflow id, name) tie-break; a rejected
 // publish still refreshes the winner's LRU position (the data was just
 // produced again, so it is hot either way).
-func (s *Store) Publish(v Version) []Version {
+func (s *Store) Publish(v Version, dst []Version) []Version {
 	key := v.Ref.Key()
-	s.seq++
 	if e, ok := s.resident[key]; ok {
-		e.use = s.seq
+		s.touch(e)
 		if !Supersedes(v, e.ver) {
 			s.stats.Rejected++
-			return nil
+			return dst
 		}
 		s.bytes += v.Ref.Bytes - e.ver.Ref.Bytes
 		e.ver = v
 		s.stats.Published++
 		s.stats.Superseded++
 		s.stats.PublishedBytes += v.Ref.Bytes
-		return s.enforce(key)
+		return s.enforce(e, dst)
 	}
 	if s.capacity > 0 && v.Ref.Bytes > s.capacity {
 		// Larger than the whole store: never resident, count as rejected
 		// so the caller sees the publish went nowhere.
 		s.stats.Rejected++
-		return nil
+		return dst
 	}
-	s.resident[key] = &entry{ver: v, use: s.seq}
+	e := s.free
+	if e != nil {
+		s.free = e.next
+	} else {
+		e = new(entry)
+	}
+	e.ver = v
+	s.pushNewest(e)
+	s.resident[key] = e
 	s.bytes += v.Ref.Bytes
 	s.stats.Published++
 	s.stats.PublishedBytes += v.Ref.Bytes
-	return s.enforce(key)
+	return s.enforce(e, dst)
 }
 
-// enforce evicts least-recently-used partitions until the byte bound
-// holds, never evicting the just-published key. Ties on the LRU clock are
-// impossible (the clock is strictly monotonic), so eviction order is
-// deterministic.
-func (s *Store) enforce(keep Key) []Version {
-	if s.capacity <= 0 || s.bytes <= s.capacity {
-		return nil
+// touch moves a resident entry to the newest end of the recency list.
+func (s *Store) touch(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	s.pushNewest(e)
+}
+
+func (s *Store) pushNewest(e *entry) {
+	e.prev, e.next = s.lru.prev, &s.lru
+	s.lru.prev.next = e
+	s.lru.prev = e
+}
+
+// enforce evicts least-recently-used partitions from the oldest end until
+// the byte bound holds, appending their versions to dst. keep, the entry
+// just published, is the newest, so reaching it means nothing else is
+// left to evict.
+func (s *Store) enforce(keep *entry, dst []Version) []Version {
+	if s.capacity <= 0 {
+		return dst
 	}
-	var evicted []Version
 	for s.bytes > s.capacity {
-		var oldestKey Key
-		var oldest *entry
-		for k, e := range s.resident {
-			if k == keep {
-				continue
-			}
-			if oldest == nil || e.use < oldest.use {
-				oldestKey, oldest = k, e
-			}
+		e := s.lru.next
+		if e == keep {
+			break
 		}
-		if oldest == nil {
-			break // only the protected key remains
-		}
-		delete(s.resident, oldestKey)
-		s.bytes -= oldest.ver.Ref.Bytes
+		e.prev.next, e.next.prev = e.next, e.prev
+		delete(s.resident, e.ver.Ref.Key())
+		s.bytes -= e.ver.Ref.Bytes
 		s.stats.Evictions++
-		s.stats.EvictedBytes += oldest.ver.Ref.Bytes
-		evicted = append(evicted, oldest.ver)
+		s.stats.EvictedBytes += e.ver.Ref.Bytes
+		dst = append(dst, e.ver)
+		*e = entry{next: s.free}
+		s.free = e
 	}
-	return evicted
+	return dst
 }
 
 // Keys returns the resident partition keys rendered in sorted order

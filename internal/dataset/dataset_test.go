@@ -48,7 +48,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	b := Ref{Name: "b", Bytes: 40}
 	c := Ref{Name: "c", Bytes: 40}
 	for i, r := range []Ref{a, b, c} {
-		s.Publish(Version{Ref: r, Time: float64(i)})
+		s.Publish(Version{Ref: r, Time: float64(i)}, nil)
 	}
 	// c's publish must evict a (the oldest) and keep b and c.
 	if s.Holds(a) {
@@ -65,7 +65,7 @@ func TestStoreLRUEviction(t *testing.T) {
 		t.Fatal("b not contained")
 	}
 	d := Ref{Name: "d", Bytes: 40}
-	evicted := s.Publish(Version{Ref: d, Time: 3})
+	evicted := s.Publish(Version{Ref: d, Time: 3}, nil)
 	if len(evicted) != 1 || evicted[0].Ref.Name != "c" {
 		t.Errorf("evicted %v, want c", evicted)
 	}
@@ -78,7 +78,7 @@ func TestStoreLRUEviction(t *testing.T) {
 func TestStoreOversizedRejected(t *testing.T) {
 	s := NewStore(10)
 	huge := Ref{Name: "huge", Bytes: 11}
-	if ev := s.Publish(Version{Ref: huge, Time: 1}); len(ev) != 0 {
+	if ev := s.Publish(Version{Ref: huge, Time: 1}, nil); len(ev) != 0 {
 		t.Errorf("oversized publish evicted %v", ev)
 	}
 	if s.Holds(huge) || s.Len() != 0 {
@@ -92,7 +92,7 @@ func TestStoreOversizedRejected(t *testing.T) {
 func TestStoreUnbounded(t *testing.T) {
 	s := NewStore(0)
 	for i := 0; i < 64; i++ {
-		s.Publish(Version{Ref: Ref{Name: "r", Partition: i, Bytes: 1 << 20}, Time: float64(i)})
+		s.Publish(Version{Ref: Ref{Name: "r", Partition: i, Bytes: 1 << 20}, Time: float64(i)}, nil)
 	}
 	if s.Len() != 64 || s.Stats().Evictions != 0 {
 		t.Errorf("unbounded store evicted: len=%d stats=%+v", s.Len(), s.Stats())
@@ -103,7 +103,7 @@ func TestStoreMissingBytes(t *testing.T) {
 	s := NewStore(0)
 	a := Ref{Name: "a", Bytes: 30}
 	b := Ref{Name: "b", Bytes: 50}
-	s.Publish(Version{Ref: a, Time: 1})
+	s.Publish(Version{Ref: a, Time: 1}, nil)
 	if got := s.MissingBytes([]Ref{a, b}); got != 50 {
 		t.Errorf("MissingBytes = %d, want 50", got)
 	}
@@ -115,18 +115,18 @@ func TestStoreMissingBytes(t *testing.T) {
 func TestStoreLineageTieBreak(t *testing.T) {
 	s := NewStore(0)
 	r := Ref{Name: "model", Bytes: 8}
-	s.Publish(Version{Ref: r, Time: 2, Workflow: "wfB", Task: "t"})
+	s.Publish(Version{Ref: r, Time: 2, Workflow: "wfB", Task: "t"}, nil)
 	// An older publish must not supersede the resident version.
-	s.Publish(Version{Ref: r, Time: 1, Workflow: "wfZ", Task: "t"})
+	s.Publish(Version{Ref: r, Time: 1, Workflow: "wfZ", Task: "t"}, nil)
 	if v, ok := s.Version(r); !ok || v.Workflow != "wfB" {
 		t.Errorf("older publish superseded: %+v", v)
 	}
 	// Same time: the higher workflow id wins, deterministically.
-	s.Publish(Version{Ref: r, Time: 2, Workflow: "wfC", Task: "t"})
+	s.Publish(Version{Ref: r, Time: 2, Workflow: "wfC", Task: "t"}, nil)
 	if v, _ := s.Version(r); v.Workflow != "wfC" {
 		t.Errorf("tie-break ignored workflow id: %+v", v)
 	}
-	s.Publish(Version{Ref: r, Time: 2, Workflow: "wfA", Task: "t"})
+	s.Publish(Version{Ref: r, Time: 2, Workflow: "wfA", Task: "t"}, nil)
 	if v, _ := s.Version(r); v.Workflow != "wfC" {
 		t.Errorf("lower workflow id superseded: %+v", v)
 	}
@@ -159,7 +159,7 @@ func TestStoreKeysSorted(t *testing.T) {
 	s := NewStore(0)
 	for _, n := range []string{"c", "a", "b"} {
 		for p := 1; p >= 0; p-- {
-			s.Publish(Version{Ref: Ref{Name: n, Partition: p, Bytes: 1}, Time: 1})
+			s.Publish(Version{Ref: Ref{Name: n, Partition: p, Bytes: 1}, Time: 1}, nil)
 		}
 	}
 	keys := s.Keys()
@@ -180,12 +180,12 @@ func TestStoreRejectedPublishStillTouches(t *testing.T) {
 	s := NewStore(100)
 	a := Ref{Name: "a", Bytes: 40}
 	b := Ref{Name: "b", Bytes: 40}
-	s.Publish(Version{Ref: a, Time: 1})
-	s.Publish(Version{Ref: b, Time: 2})
+	s.Publish(Version{Ref: a, Time: 1}, nil)
+	s.Publish(Version{Ref: b, Time: 2}, nil)
 	// Republish a with an older version: rejected, but it refreshes a's
 	// recency, so the next eviction takes b.
-	s.Publish(Version{Ref: a, Time: 0.5})
-	ev := s.Publish(Version{Ref: Ref{Name: "c", Bytes: 40}, Time: 3})
+	s.Publish(Version{Ref: a, Time: 0.5}, nil)
+	ev := s.Publish(Version{Ref: Ref{Name: "c", Bytes: 40}, Time: 3}, nil)
 	if len(ev) != 1 || ev[0].Ref.Name != "b" {
 		t.Errorf("evicted %v, want b (a was refreshed)", ev)
 	}
@@ -195,15 +195,15 @@ func TestHoldsDoesNotPerturbLRU(t *testing.T) {
 	s := NewStore(100)
 	a := Ref{Name: "a", Bytes: 40}
 	b := Ref{Name: "b", Bytes: 40}
-	s.Publish(Version{Ref: a, Time: 1})
-	s.Publish(Version{Ref: b, Time: 2})
+	s.Publish(Version{Ref: a, Time: 1}, nil)
+	s.Publish(Version{Ref: b, Time: 2}, nil)
 	// Pure reads must not count as use: a stays oldest.
 	for i := 0; i < 4; i++ {
 		if !s.Holds(a) {
 			t.Fatal("a not held")
 		}
 	}
-	ev := s.Publish(Version{Ref: Ref{Name: "c", Bytes: 40}, Time: 3})
+	ev := s.Publish(Version{Ref: Ref{Name: "c", Bytes: 40}, Time: 3}, nil)
 	if len(ev) != 1 || ev[0].Ref.Name != "a" {
 		t.Errorf("evicted %v, want a (Holds must not refresh)", ev)
 	}
@@ -218,7 +218,7 @@ func TestHoldsDoesNotPerturbLRU(t *testing.T) {
 // key, so a reader quoting a different size still hits the resident copy.
 func TestHoldsByKey(t *testing.T) {
 	s := NewStore(0)
-	s.Publish(Version{Ref: Ref{Name: "a", Bytes: 40}, Time: 1})
+	s.Publish(Version{Ref: Ref{Name: "a", Bytes: 40}, Time: 1}, nil)
 	if !s.Holds(Ref{Name: "a", Bytes: 39}) {
 		t.Error("Holds keyed on bytes; identity is (name, partition)")
 	}
@@ -230,7 +230,7 @@ func TestHoldsByKey(t *testing.T) {
 func ExampleStore() {
 	s := NewStore(128)
 	for p, r := range Partitioned("points", 96, 3) {
-		s.Publish(Version{Ref: r, Time: float64(p), Workflow: "ingest"})
+		s.Publish(Version{Ref: r, Time: float64(p), Workflow: "ingest"}, nil)
 	}
 	fmt.Println(s.Len(), s.Resident(), s.MissingBytes([]Ref{{Name: "points", Partition: 1, Bytes: 32}}))
 	// Output: 3 96 0

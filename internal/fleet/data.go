@@ -95,12 +95,12 @@ func (f *Fleet) PlaceDataset(i int, at float64, refs ...dataset.Ref) error {
 	defer f.mu.Unlock()
 	s := f.sites[i]
 	for _, r := range refs {
-		evicted := s.dstore.Publish(dataset.Version{
+		s.evicted = s.dstore.Publish(dataset.Version{
 			Ref: r, Time: at, Workflow: "(placed)", Task: "(placed)",
-		})
+		}, s.evicted[:0])
 		s.stats.DatasetPublished++
 		s.stats.DatasetPublishedBytes += r.Bytes
-		s.stats.DatasetEvictions += len(evicted)
+		s.stats.DatasetEvictions += len(s.evicted)
 		f.catalog[r.Key()] = true
 	}
 	return nil
@@ -135,19 +135,19 @@ func (f *Fleet) fetchData(s *site, w work, at float64) (float64, int64) {
 		}
 		s.stats.DatasetMisses++
 		dt := f.cfg.RegistryNet.SendSeconds(r.Bytes)
-		evicted := s.dstore.Publish(dataset.Version{
+		s.evicted = s.dstore.Publish(dataset.Version{
 			Ref: r, Time: at + total, Workflow: w.t.Name, Task: "(fetch)",
-		})
+		}, s.evicted[:0])
 		s.stats.DatasetFetches++
 		s.stats.DatasetFetchedBytes += r.Bytes
 		s.stats.DatasetFetchSeconds += dt
-		s.stats.DatasetEvictions += len(evicted)
+		s.stats.DatasetEvictions += len(s.evicted)
 		shipped += r.Bytes
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventDataFetch, Site: s.name, Tenant: w.t.Tenant,
 				Workflow: w.t.Name, Time: at + total,
 				Detail: fmt.Sprintf("%v %dB in %.4gs", r.Key(), r.Bytes, dt)})
-			f.traceEvicted(s, evicted, at+total)
+			f.traceEvicted(s, s.evicted, at+total)
 		}
 		total += dt
 	}
@@ -162,18 +162,18 @@ func (f *Fleet) fetchData(s *site, w work, at float64) (float64, int64) {
 func (f *Fleet) publishOutputs(s *site, w work, completion float64) {
 	w.wf.Range(func(t *runtime.TaskSpec) bool {
 		for _, r := range t.Writes {
-			evicted := s.dstore.Publish(dataset.Version{
+			s.evicted = s.dstore.Publish(dataset.Version{
 				Ref: r, Time: completion, Workflow: w.t.Name, Task: t.Name,
-			})
+			}, s.evicted[:0])
 			s.stats.DatasetPublished++
 			s.stats.DatasetPublishedBytes += r.Bytes
-			s.stats.DatasetEvictions += len(evicted)
+			s.stats.DatasetEvictions += len(s.evicted)
 			f.catalog[r.Key()] = true
 			if f.cfg.Trace != nil {
 				f.trace(Event{Kind: EventDataPublish, Site: s.name,
 					Tenant: w.t.Tenant, Workflow: w.t.Name, Time: completion,
 					Detail: fmt.Sprintf("%v %dB by %s", r.Key(), r.Bytes, t.Name)})
-				f.traceEvicted(s, evicted, completion)
+				f.traceEvicted(s, s.evicted, completion)
 			}
 		}
 		return true

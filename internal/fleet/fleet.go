@@ -397,7 +397,8 @@ type site struct {
 	engine  *runtime.Engine
 
 	cache        *bitstreamCache
-	dstore       *dataset.Store // named-partition LRU beside the bitstream cache
+	dstore       *dataset.Store    // named-partition LRU beside the bitstream cache
+	evicted      []dataset.Version // dstore.Publish's reused eviction buffer
 	everDeployed map[string]bool
 	active       bool      // serving: the router may choose it
 	activeFrom   float64   // modelled time the site became eligible (boot done)
@@ -620,8 +621,10 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 	}
 	s.stats.WarmDeploys++
 	s.stats.WarmSeconds += dt
-	f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: id,
-		Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
+	if f.cfg.Trace != nil {
+		f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: id,
+			Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
+	}
 	return best, dt, nil
 }
 
@@ -651,8 +654,10 @@ func (f *Fleet) WarmAll(id string, at float64) (float64, error) {
 			s.stats.WarmDeploys++
 			s.stats.WarmSeconds += dt
 			total += dt
-			f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: id,
-				Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
+			if f.cfg.Trace != nil {
+				f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: id,
+					Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
+			}
 		}
 	}
 	return total, nil

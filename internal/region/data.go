@@ -36,11 +36,11 @@ func (f *Federation) PlaceDataset(r int, at float64, refs ...dataset.Ref) error 
 	defer f.mu.Unlock()
 	reg := f.regions[r]
 	for _, ref := range refs {
-		evicted := reg.dstore.Publish(dataset.Version{
+		reg.evicted = reg.dstore.Publish(dataset.Version{
 			Ref: ref, Time: at, Workflow: "(placed)", Task: "(placed)",
-		})
+		}, reg.evicted[:0])
 		reg.stats.DataPublished++
-		reg.stats.DataEvictions += len(evicted)
+		reg.stats.DataEvictions += len(reg.evicted)
 		f.dataCat[ref.Key()] = ref
 	}
 	return nil
@@ -106,10 +106,10 @@ func (f *Federation) ensureData(r *region, known []dataset.Ref, at float64, pref
 			continue
 		}
 		dt := f.wan.SendSeconds(ref.Bytes)
-		evicted := r.dstore.Publish(dataset.Version{
+		r.evicted = r.dstore.Publish(dataset.Version{
 			Ref: ref, Time: at + total, Workflow: "(fetch)", Task: "(fetch)",
-		})
-		r.stats.DataEvictions += len(evicted)
+		}, r.evicted[:0])
+		r.stats.DataEvictions += len(r.evicted)
 		kind := EventDataFetch
 		if prefetch {
 			kind = EventDataPrefetch
@@ -120,8 +120,10 @@ func (f *Federation) ensureData(r *region, known []dataset.Ref, at float64, pref
 			r.stats.DataFetchedBytes += ref.Bytes
 			total += dt
 		}
-		f.trace(Event{Kind: kind, Region: r.name, Time: at + total,
-			Detail: fmt.Sprintf("%v %dB wan=%.4gs", ref.Key(), ref.Bytes, dt)})
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: kind, Region: r.name, Time: at + total,
+				Detail: fmt.Sprintf("%v %dB wan=%.4gs", ref.Key(), ref.Bytes, dt)})
+		}
 	}
 	return total
 }
@@ -133,11 +135,11 @@ func (f *Federation) ensureData(r *region, known []dataset.Ref, at float64, pref
 func (f *Federation) publishData(r *region, w *runtime.Workflow, name string, completion float64) {
 	w.Range(func(t *runtime.TaskSpec) bool {
 		for _, ref := range t.Writes {
-			evicted := r.dstore.Publish(dataset.Version{
+			r.evicted = r.dstore.Publish(dataset.Version{
 				Ref: ref, Time: completion, Workflow: name, Task: t.Name,
-			})
+			}, r.evicted[:0])
 			r.stats.DataPublished++
-			r.stats.DataEvictions += len(evicted)
+			r.stats.DataEvictions += len(r.evicted)
 			f.dataCat[ref.Key()] = ref
 		}
 		return true

@@ -408,7 +408,8 @@ type region struct {
 	// partitions cached next to the bitstream images, WAN-fetched from the
 	// federation on demand and prefetch-eligible. Guarded by the
 	// federation mutex like the rest of the region state.
-	dstore *dataset.Store
+	dstore  *dataset.Store
+	evicted []dataset.Version // dstore.Publish's reused eviction buffer
 
 	stats RegionStats
 }
@@ -644,9 +645,11 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 			h.held = hw
 			home.held = append(home.held, hw)
 			home.stats.Holds++
-			f.trace(Event{Kind: EventHold, Region: home.name, Tenant: req.Tenant,
-				Workflow: req.Name, App: req.App, Time: req.Arrival,
-				Detail: fmt.Sprintf("release=%.4gs", release)})
+			if f.cfg.Trace != nil {
+				f.trace(Event{Kind: EventHold, Region: home.name, Tenant: req.Tenant,
+					Workflow: req.Name, App: req.App, Time: req.Arrival,
+					Detail: fmt.Sprintf("release=%.4gs", release)})
+			}
 			return h, nil
 		}
 		h := &Handle{fed: f}
@@ -706,9 +709,11 @@ func (f *Federation) route(req Request, h *Handle) error {
 	sort.Slice(cands, func(a, b int) bool { return cands[a].less(cands[b], home) })
 	if req.Class != Guaranteed {
 		r := f.regions[cands[0].idx]
-		f.trace(Event{Kind: EventRoute, Region: r.name, Tenant: req.Tenant,
-			Workflow: req.Name, App: req.App, Time: req.Arrival,
-			Detail: fmt.Sprintf("cost=%.4gs of %d candidate(s)", cands[0].cost, len(cands))})
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: EventRoute, Region: r.name, Tenant: req.Tenant,
+				Workflow: req.Name, App: req.App, Time: req.Arrival,
+				Detail: fmt.Sprintf("cost=%.4gs of %d candidate(s)", cands[0].cost, len(cands))})
+		}
 		f.serveNow(r, req, req.Arrival, 0, h)
 		return h.err
 	}
@@ -719,9 +724,11 @@ func (f *Federation) route(req Request, h *Handle) error {
 			lastErr = err
 			continue
 		}
-		f.trace(Event{Kind: EventRoute, Region: r.name, Tenant: req.Tenant,
-			Workflow: req.Name, App: req.App, Time: req.Arrival,
-			Detail: fmt.Sprintf("guaranteed cost=%.4gs of %d candidate(s)", c.cost, len(cands))})
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: EventRoute, Region: r.name, Tenant: req.Tenant,
+				Workflow: req.Name, App: req.App, Time: req.Arrival,
+				Detail: fmt.Sprintf("guaranteed cost=%.4gs of %d candidate(s)", c.cost, len(cands))})
+		}
 		return nil
 	}
 	if lastErr == nil {
@@ -840,14 +847,18 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, handoff, f
 	if r.idx != req.Home {
 		r.stats.Handoffs++
 		f.regions[req.Home].stats.HandedOff++
-		f.trace(Event{Kind: EventHandoff, Region: r.name, Tenant: req.Tenant,
-			Workflow: req.Name, App: req.App, Time: req.Arrival,
-			Detail: fmt.Sprintf("home=%s xfer=%.4gs", f.regions[req.Home].name, handoff)})
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: EventHandoff, Region: r.name, Tenant: req.Tenant,
+				Workflow: req.Name, App: req.App, Time: req.Arrival,
+				Detail: fmt.Sprintf("home=%s xfer=%.4gs", f.regions[req.Home].name, handoff)})
+		}
 	}
 	h.res = out
-	f.trace(Event{Kind: EventDone, Region: r.name, Tenant: req.Tenant,
-		Workflow: req.Name, App: req.App, Time: res.Completion,
-		Detail: fmt.Sprintf("class=%s latency=%.4gs cold=%v", req.Class, out.Latency, cold)})
+	if f.cfg.Trace != nil {
+		f.trace(Event{Kind: EventDone, Region: r.name, Tenant: req.Tenant,
+			Workflow: req.Name, App: req.App, Time: res.Completion,
+			Detail: fmt.Sprintf("class=%s latency=%.4gs cold=%v", req.Class, out.Latency, cold)})
+	}
 }
 
 // fetchEstimate prices the WAN fetches a serve at region r would pay.
@@ -923,8 +934,10 @@ func (f *Federation) ensureStored(r *region, id string, at float64, prefetch boo
 		r.stats.WANFetches++
 		r.stats.WANFetchSeconds += dt
 	}
-	f.trace(Event{Kind: kind, Region: r.name, Bitstream: id, Time: at,
-		Detail: fmt.Sprintf("wan=%.4gs", dt)})
+	if f.cfg.Trace != nil {
+		f.trace(Event{Kind: kind, Region: r.name, Bitstream: id, Time: at,
+			Detail: fmt.Sprintf("wan=%.4gs", dt)})
+	}
 	return dt, nil
 }
 
@@ -979,9 +992,11 @@ func (f *Federation) preemptDue(t, completion float64) {
 			hw.release = math.Max(completion, t) + f.cfg.PreemptPenalty
 			hw.pushes++
 			r.stats.Preemptions++
-			f.trace(Event{Kind: EventPreempt, Region: r.name, Tenant: hw.req.Tenant,
-				Workflow: hw.req.Name, App: hw.req.App, Time: t,
-				Detail: fmt.Sprintf("pushed to %.4gs (%d)", hw.release, hw.pushes)})
+			if f.cfg.Trace != nil {
+				f.trace(Event{Kind: EventPreempt, Region: r.name, Tenant: hw.req.Tenant,
+					Workflow: hw.req.Name, App: hw.req.App, Time: t,
+					Detail: fmt.Sprintf("pushed to %.4gs (%d)", hw.release, hw.pushes)})
+			}
 		}
 	}
 }
@@ -1051,9 +1066,11 @@ func (f *Federation) release(r *region, hw *held) {
 			break
 		}
 	}
-	f.trace(Event{Kind: EventRelease, Region: r.name, Tenant: hw.req.Tenant,
-		Workflow: hw.req.Name, App: hw.req.App, Time: hw.release,
-		Detail: fmt.Sprintf("held %.4gs pushes=%d", hw.release-hw.req.Arrival, hw.pushes)})
+	if f.cfg.Trace != nil {
+		f.trace(Event{Kind: EventRelease, Region: r.name, Tenant: hw.req.Tenant,
+			Workflow: hw.req.Name, App: hw.req.App, Time: hw.release,
+			Detail: fmt.Sprintf("held %.4gs pushes=%d", hw.release-hw.req.Arrival, hw.pushes)})
+	}
 	f.serveNow(r, hw.req, hw.release, hw.pushes, hw.h)
 }
 
@@ -1122,8 +1139,10 @@ func (f *Federation) autoscale(r *region, at float64) {
 			r.active++
 			r.idleWindows = 0
 			r.stats.ScaleUps++
-			f.trace(Event{Kind: EventScaleUp, Region: r.name, Time: at,
-				Detail: fmt.Sprintf("wait=%.4gs sites=%d (boot %.3gs)", wait, r.active, f.cfg.SiteBootSeconds)})
+			if f.cfg.Trace != nil {
+				f.trace(Event{Kind: EventScaleUp, Region: r.name, Time: at,
+					Detail: fmt.Sprintf("wait=%.4gs sites=%d (boot %.3gs)", wait, r.active, f.cfg.SiteBootSeconds)})
+			}
 		}
 	case ok && wait == 0 && r.active > 1:
 		r.idleWindows++
@@ -1131,8 +1150,10 @@ func (f *Federation) autoscale(r *region, at float64) {
 			if err := r.fl.SetSiteActive(r.active-1, false, at); err == nil {
 				r.active--
 				r.stats.ScaleDowns++
-				f.trace(Event{Kind: EventScaleDown, Region: r.name, Time: at,
-					Detail: fmt.Sprintf("sites=%d", r.active)})
+				if f.cfg.Trace != nil {
+					f.trace(Event{Kind: EventScaleDown, Region: r.name, Time: at,
+						Detail: fmt.Sprintf("sites=%d", r.active)})
+				}
 			}
 			r.idleWindows = 0
 		}

@@ -509,10 +509,9 @@ func newWFState(w *Workflow, name, tenant string, fut *Future) *wfState {
 	// engine. Iterate in submission order, not map order: index assignment
 	// and the children lists must not vary run to run.
 	deps := 0
-	for i, taskName := range w.order {
-		t := w.tasks[taskName]
+	for i, t := range w.specs {
 		st.specs[i] = *t
-		st.nameIdx[taskName] = int32(i)
+		st.nameIdx[t.Name] = int32(i)
 		st.remaining[i] = int32(len(t.Deps))
 		st.doneAt[i] = 0
 		st.locAt[i] = -1

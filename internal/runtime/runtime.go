@@ -83,7 +83,7 @@ func (t *TaskSpec) TotalBytes() int64 { return t.ReadBytes() + t.WriteBytes() }
 // Workflow is a DAG of tasks (the Dask graph).
 type Workflow struct {
 	tasks map[string]*TaskSpec
-	order []string
+	specs []*TaskSpec // the same specs in submission order
 
 	// variants, when set, are compiler-derived operating points that seed
 	// this workflow's variant tuner in adaptive mode (SetVariants).
@@ -115,12 +115,18 @@ func (w *Workflow) Submit(spec TaskSpec) error {
 	cp.InputBytes = cp.ReadBytes()
 	cp.OutputBytes = cp.WriteBytes()
 	w.tasks[spec.Name] = &cp
-	w.order = append(w.order, spec.Name)
+	w.specs = append(w.specs, &cp)
 	return nil
 }
 
 // Tasks returns task names in submission order.
-func (w *Workflow) Tasks() []string { return append([]string(nil), w.order...) }
+func (w *Workflow) Tasks() []string {
+	names := make([]string, len(w.specs))
+	for i, t := range w.specs {
+		names[i] = t.Name
+	}
+	return names
+}
 
 // Get returns a task spec.
 func (w *Workflow) Get(name string) (*TaskSpec, bool) {
@@ -129,15 +135,15 @@ func (w *Workflow) Get(name string) (*TaskSpec, bool) {
 }
 
 // Len returns the number of tasks.
-func (w *Workflow) Len() int { return len(w.order) }
+func (w *Workflow) Len() int { return len(w.specs) }
 
 // Range visits every task spec in submission order until fn returns false.
 // Unlike Tasks()+Get it allocates nothing, so per-submission scans (the
 // fleet router's bitstream-needs pass) stay off the allocator; fn must not
 // retain or mutate the spec.
 func (w *Workflow) Range(fn func(t *TaskSpec) bool) {
-	for _, name := range w.order {
-		if !fn(w.tasks[name]) {
+	for _, t := range w.specs {
+		if !fn(t) {
 			return
 		}
 	}
@@ -349,15 +355,15 @@ func (s *Scheduler) taskOrder(w *Workflow) ([]string, error) {
 	// because deps must pre-exist, but verify defensively).
 	indeg := make(map[string]int)
 	children := make(map[string][]string)
-	for _, name := range w.order {
-		t := w.tasks[name]
-		indeg[name] = len(t.Deps)
+	for _, t := range w.specs {
+		indeg[t.Name] = len(t.Deps)
 		for _, d := range t.Deps {
-			children[d] = append(children[d], name)
+			children[d] = append(children[d], t.Name)
 		}
 	}
+	names := w.Tasks()
 	if s.Policy == PolicyFIFO {
-		return append([]string(nil), w.order...), nil
+		return names, nil
 	}
 
 	// Upward rank with a representative node cost.
@@ -379,12 +385,11 @@ func (s *Scheduler) taskOrder(w *Workflow) ([]string, error) {
 		rank[name] = cost + best
 		return rank[name]
 	}
-	for _, name := range w.order {
+	for _, name := range names {
 		compute(name)
 	}
 
 	// Priority order: higher rank first, but never before dependencies.
-	names := append([]string(nil), w.order...)
 	sort.SliceStable(names, func(i, j int) bool { return rank[names[i]] > rank[names[j]] })
 	var out []string
 	done := make(map[string]bool)

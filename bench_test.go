@@ -161,11 +161,7 @@ func BenchmarkAdaptivePlacement(b *testing.B) {
 	var speedups, makespans []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		static, err := sc.Run(false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		adaptive, err := sc.Run(true)
+		static, adaptive, err := sc.AdaptWin()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,11 +196,7 @@ func BenchmarkCompiledVariants(b *testing.B) {
 	var speedups, makespans []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		static, err := sc.RunWith(c, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		adaptive, err := sc.RunWith(c, true)
+		static, adaptive, err := sc.AdaptWinWith(c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,7 +272,7 @@ func BenchmarkAppSuite(b *testing.B) {
 	appP95s := make(map[string][]float64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, best, perApp, err := sc.SaturateSuite(suite, gaps)
+		points, best, err := sc.SaturateSuite(suite, gaps)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,13 +280,8 @@ func BenchmarkAppSuite(b *testing.B) {
 			b.Fatalf("no SLO-meeting rung: %+v", points)
 		}
 		tputs = append(tputs, best.Throughput)
-		for j, p := range points {
-			if p.Gap != best.Gap {
-				continue
-			}
-			for name, tl := range perApp[j] {
-				appP95s[name] = append(appP95s[name], tl.P95)
-			}
+		for name, tl := range best.Apps {
+			appP95s[name] = append(appP95s[name], tl.P95)
 		}
 	}
 	b.ReportMetric(median(tputs), "suite_throughput_at_slo")
@@ -413,14 +400,11 @@ func BenchmarkRegionServing(b *testing.B) {
 	violations := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arms := map[bool]sdk.RegionResult{}
-		for _, pf := range []bool{true, false} {
-			run := sc
-			run.Prefetch = pf
-			res, err := run.RunSuite(s)
-			if err != nil {
-				b.Fatal(err)
-			}
+		on, off, err := sc.PrefetchWin(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for pf, res := range map[bool]sdk.RegionResult{true: on, false: off} {
 			if res.Completed != sc.Workflows {
 				b.Fatalf("prefetch=%v completed %d/%d", pf, res.Completed, sc.Workflows)
 			}
@@ -428,9 +412,7 @@ func BenchmarkRegionServing(b *testing.B) {
 				b.Fatalf("prefetch=%v: no guaranteed admissions — the bench proves nothing", pf)
 			}
 			violations += float64(res.BoundViolations)
-			arms[pf] = res
 		}
-		on, off := arms[true], arms[false]
 		if on.TailColdStartP99 <= 0 {
 			b.Fatal("prefetch-on arm has no tail overhead to compare")
 		}
@@ -462,20 +444,16 @@ func BenchmarkDatasetLocality(b *testing.B) {
 	var wins, shipped, tputs []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arms := map[bool]sdk.KMeansResult{}
-		for _, blind := range []bool{false, true} {
-			sc := sdk.DefaultKMeansScenario()
-			sc.PlacementBlind = blind
-			res, err := sc.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Workflows != sc.Rounds*(sc.Config.Partitions+1) {
-				b.Fatalf("blind=%v completed %d workflows", blind, res.Workflows)
-			}
-			arms[blind] = res
+		sc := sdk.DefaultKMeansScenario()
+		local, blind, err := sc.LocalityWin()
+		if err != nil {
+			b.Fatal(err)
 		}
-		local, blind := arms[false], arms[true]
+		for isBlind, res := range map[bool]sdk.KMeansResult{false: local, true: blind} {
+			if res.Workflows != sc.Rounds*(sc.Config.Partitions+1) {
+				b.Fatalf("blind=%v completed %d workflows", isBlind, res.Workflows)
+			}
+		}
 		if blind.ShippedBytes == 0 {
 			b.Fatal("blind arm shipped nothing; the contrast is vacuous")
 		}

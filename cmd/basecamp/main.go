@@ -1,35 +1,39 @@
 // Command basecamp is the single point of access to the EVEREST SDK (paper
 // §IV: "all tools within the SDK are wrapped under the basecamp command").
 //
-// Subcommands:
-//
 //	basecamp compile  -kernel <file.ekl|demo|windpower|airquality> [-lang ekl|cfdlang] [-backend vitis|bambu] [-format f32|f64|bf16|f16|fixed16|posit16] [-device alveo-u55c|alveo-u280|cloudfpga] [-memports N] [-emit mlir|olympus|driver|source]
-//	                               # source-to-schedule: prints the HLS report plus the derived
-//	                               # cpu1/cpu16/fpga operating points and the tuner's pick
+//	                               # source-to-schedule: HLS report, derived operating points, tuner pick
 //	basecamp deploy   -nodes N     # compile demo kernel, stage it, plan a workflow
-//	basecamp serve    -workflows N [-adaptive] [-net tcp10g|udp10g]  # concurrent multi-tenant runtime demo
-//	basecamp serve    -sites N -cache-slots K [-registry-net tcp10g|udp10g|eth100g] [-gap S]  # federated fleet serving
-//	basecamp serve    -sites N -suite [-apps energy,traffic,weather]  # serve the EVEREST application suite (workload registry)
-//	basecamp serve    -stream [-rate R] [-events N] [-arrival poisson|bursty|diurnal] [-partial=false]  # streaming pipelines with resident kernels
-//	basecamp serve    -regions N [-prefetch=false] [-autoscale] [-wan wan10g|wan1g]  # hierarchical multi-region federation with predictive prefetch
-//	basecamp serve    -kmeans [-partitions N] [-centroids K]  # FPGA map-reduce k-means over the named data plane
-//	basecamp adapt    -workflows N [-compiled]  # adaptive vs static placement under injected faults
+//	basecamp serve    engine|fleet|suite|wcet|stream|region|kmeans [flags]
+//	                               # one serving pass of a named scenario
+//	basecamp bench    [E1..E14] [-list]
+//	                               # the reproduction experiment tables
+//	basecamp bench    fleet|suite|wcet|stream|region|kmeans|adapt|compiled [flags]
+//	                               # reproduce one serving claim: a load ladder or an on/off contrast
 //	basecamp dialects              # list the registered MLIR dialects (Fig. 5)
 //	basecamp anomaly  -trials N    # AutoML model selection on a synthetic stream
-//	basecamp bench                 # shortcut: run all reproduction experiments
+//
+// Each scenario has its own flags, defaulting to its sdk.Default* value
+// (`basecamp serve fleet -h` lists them); a flag it does not read is
+// rejected. Every bench also takes -cpuprofile and -memprofile.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
+	goruntime "runtime"
+	"runtime/pprof"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"everest/internal/anomaly"
-	"everest/internal/apps"
 	"everest/internal/base2"
 	"everest/internal/ekl"
 	"everest/internal/experiments"
@@ -47,42 +51,880 @@ import (
 	"everest/internal/wrf"
 )
 
+var commands = map[string]func(args []string) error{
+	"compile":  cmdCompile,
+	"deploy":   cmdDeploy,
+	"serve":    cmdServe,
+	"bench":    cmdBench,
+	"dialects": func([]string) error { return cmdDialects() },
+	"anomaly":  cmdAnomaly,
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	if len(os.Args) < 2 || commands[os.Args[1]] == nil {
+		fmt.Fprintf(os.Stderr, "usage: basecamp <compile|deploy|serve|bench|dialects|anomaly> [flags]\n"+
+			"       basecamp serve <%s> [flags]\n       basecamp bench [E1..E14|%s] [flags]\n",
+			strings.Join(scenarioNames(serveScenarios), "|"), strings.Join(scenarioNames(benchScenarios), "|"))
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "compile":
-		err = cmdCompile(os.Args[2:])
-	case "deploy":
-		err = cmdDeploy(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "adapt":
-		err = cmdAdapt(os.Args[2:])
-	case "dialects":
-		err = cmdDialects()
-	case "anomaly":
-		err = cmdAnomaly(os.Args[2:])
-	case "bench":
-		err = cmdBench()
-	case "help", "-h", "--help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "basecamp: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := commands[os.Args[1]](os.Args[2:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintf(os.Stderr, "basecamp: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: basecamp <compile|deploy|serve|adapt|dialects|anomaly|bench> [flags]`)
+// A scenario binds its flags on fs, each defaulting to the scenario's
+// sdk.Default* value, and returns the run that reads them once fs is
+// parsed; the flag package rejects any flag the scenario did not bind.
+type scenario func(fs *flag.FlagSet) (run func() error)
+
+var serveScenarios = map[string]scenario{
+	"engine": serveEngine,
+	"fleet":  serveFleet(sdk.DefaultFleetScenario()),
+	"suite":  serveFleet(sdk.DefaultSuiteScenario()),
+	"wcet":   serveWCET,
+	"stream": serveStream,
+	"region": serveRegion,
+	"kmeans": serveKMeans,
+}
+
+var benchScenarios = map[string]scenario{
+	"fleet":    benchFleet(sdk.DefaultFleetScenario()),
+	"suite":    benchFleet(sdk.DefaultSuiteScenario()),
+	"wcet":     benchWCET,
+	"stream":   benchStream,
+	"region":   benchRegion,
+	"kmeans":   benchKMeans,
+	"adapt":    benchAdapt,
+	"compiled": benchCompiled,
+}
+
+func scenarioNames(m map[string]scenario) []string { return slices.Sorted(maps.Keys(m)) }
+
+// parse parses args into fs; positional arguments are errors.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
+	}
+	return nil
+}
+
+// cmdServe is `basecamp serve <scenario> [flags]`: one serving pass.
+func cmdServe(args []string) error {
+	if len(args) == 0 || serveScenarios[args[0]] == nil {
+		return fmt.Errorf("serve: want a scenario: %s", strings.Join(scenarioNames(serveScenarios), ", "))
+	}
+	fs := flag.NewFlagSet("serve "+args[0], flag.ContinueOnError)
+	run := serveScenarios[args[0]](fs)
+	if err := parse(fs, args[1:]); err != nil {
+		return err
+	}
+	return run()
+}
+
+// cmdBench is `basecamp bench [E1..E14|scenario] [flags]`: the experiment
+// tables, or one serving scenario's claim, optionally under pprof.
+func cmdBench(args []string) (err error) {
+	name := ""
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
+	}
+	bind, ok := benchScenarios[name]
+	if !ok {
+		bind = benchExperiments(name)
+	}
+	fs := flag.NewFlagSet(strings.TrimSpace("bench "+name), flag.ContinueOnError)
+	run := bind(fs)
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file (pprof format)")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+		defer stop()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if werr := writeHeapProfile(*memProfile); werr != nil && err == nil {
+				err = fmt.Errorf("-memprofile: %w", werr)
+			}
+		}()
+	}
+	return run()
+}
+
+// startCPUProfile begins streaming a pprof CPU profile to path; the
+// returned stop flushes and closes it.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}, nil
+}
+
+// writeHeapProfile snapshots the live heap to path after settling it with
+// a GC cycle.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	goruntime.GC() // settle live heap before snapshotting
+	return pprof.WriteHeapProfile(f)
+}
+
+// listFlag binds a comma-separated list flag to dst.
+func listFlag(fs *flag.FlagSet, name, usage string, dst *[]string) {
+	fs.Func(name, fmt.Sprintf("%s (default %s)", usage, strings.Join(*dst, ",")), func(s string) error {
+		*dst = nil
+		for _, v := range strings.Split(s, ",") {
+			*dst = append(*dst, strings.TrimSpace(v))
+		}
+		return nil
+	})
+}
+
+// ladderFlag binds a comma-separated ladder of positive numbers to dst.
+func ladderFlag(fs *flag.FlagSet, name, usage string, dst *[]float64) {
+	fs.Func(name, fmt.Sprintf("%s (default %v)", usage, *dst), func(s string) error {
+		*dst = nil
+		for _, v := range strings.Split(s, ",") {
+			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			if err != nil {
+				return err
+			}
+			if f <= 0 {
+				return fmt.Errorf("rung %g must be > 0", f)
+			}
+			*dst = append(*dst, f)
+		}
+		return nil
+	})
+}
+
+// policyFlag binds -policy to dst.
+func policyFlag(fs *flag.FlagSet, dst *runtime.Policy) {
+	fs.Func("policy", fmt.Sprintf("placement policy: heft or fifo (default %s)", *dst), func(s string) error {
+		switch strings.ToLower(s) {
+		case "heft":
+			*dst = runtime.PolicyHEFT
+		case "fifo":
+			*dst = runtime.PolicyFIFO
+		default:
+			return fmt.Errorf("unknown policy %q", s)
+		}
+		return nil
+	})
+}
+
+func traceFlag(fs *flag.FlagSet) *bool { return fs.Bool("trace", false, "print the event trace") }
+
+// serveEngine is `basecamp serve engine`: synthetic workflows from several
+// tenants served concurrently on one cluster, against running them
+// back-to-back.
+func serveEngine(fs *flag.FlagSet) func() error {
+	workflows := fs.Int("workflows", 16, "workflows to submit")
+	nodes := fs.Int("nodes", 8, "compute nodes in the simulated cluster (plus cloudfpga0)")
+	tenants := fs.Int("tenants", 4, "tenants sharing the cluster")
+	failNode := fs.String("fail", "", "inject a node failure, e.g. node00@0.5")
+	adaptive := fs.Bool("adaptive", false, "variant-aware scheduling against live monitors")
+	netName := fs.String("net", "", "price transfers over a cloudFPGA stack: tcp10g or udp10g (default: flat fabric)")
+	cfg := sdk.ServerConfig{Policy: runtime.PolicyHEFT}
+	policyFlag(fs, &cfg.Policy)
+	trace := traceFlag(fs)
+	return func() error {
+		if *netName != "" {
+			st, err := netsim.StackByName(*netName)
+			if err != nil {
+				return err
+			}
+			cfg.Net = &st
+		}
+		if *workflows < 1 || *tenants < 1 || *nodes < 1 {
+			return fmt.Errorf("serve: workflows, tenants and nodes must be positive")
+		}
+		s := sdk.New(sdk.DefaultCluster(*nodes))
+		if *failNode != "" {
+			node, at, _ := strings.Cut(*failNode, "@")
+			f := runtime.NodeFailure{Node: node, AtTime: 0.5}
+			if at != "" {
+				if _, err := fmt.Sscanf(at, "%g", &f.AtTime); err != nil {
+					return fmt.Errorf("serve: bad -fail time %q", at)
+				}
+			}
+			if s.Cluster.FindNode(f.Node) == nil {
+				return fmt.Errorf("serve: -fail references unknown node %q", f.Node)
+			}
+			cfg.Failures = append(cfg.Failures, f)
+		}
+		ws := make([]*runtime.Workflow, *workflows)
+		for i := range ws {
+			ws[i] = sdk.SyntheticWorkflow(i)
+		}
+		serial, err := s.SerialMakespan(cfg.Policy, ws...)
+		if err != nil {
+			return err
+		}
+		cfg.Adaptive = *adaptive
+		if *trace {
+			cfg.Trace = func(ev runtime.Event) {
+				fmt.Printf("  [%8.4fs] %-13s wf=%-12s task=%-8s node=%-10s %s\n",
+					ev.Time, ev.Kind, ev.Workflow, ev.Task, ev.Node, ev.Detail)
+			}
+		}
+		srv := s.NewServer(cfg)
+		futs := make([]*runtime.Future, *workflows)
+		for i := range futs {
+			if futs[i], err = srv.Submit(fmt.Sprintf("tenant%02d", i%*tenants), "", sdk.SyntheticWorkflow(i)); err != nil {
+				return err
+			}
+		}
+		wallStart := time.Now()
+		if err := srv.Start(); err != nil {
+			return err
+		}
+		transfers, moved := 0, int64(0)
+		for i, fut := range futs {
+			sched, err := fut.Wait()
+			if err != nil {
+				return fmt.Errorf("serve: workflow %d: %w", i, err)
+			}
+			transfers += sched.Transfers
+			moved += sched.MovedBytes
+		}
+		stats := srv.Shutdown()
+		wall := time.Since(wallStart)
+
+		fmt.Printf("cluster    : %d compute nodes + cloudfpga0 (%d total)\n", *nodes, len(s.Cluster.Nodes))
+		fmt.Printf("workflows  : %d across %d tenants (policy %s, %s)\n",
+			stats.Completed, len(stats.Tenants), cfg.Policy, placement(cfg.Adaptive))
+		fmt.Printf("serial     : %.3gs modelled, back-to-back\n", serial)
+		fmt.Printf("concurrent : %.3gs modelled\n", stats.Makespan)
+		if stats.Makespan > 0 {
+			fmt.Printf("speedup    : %.2fx\n", serial/stats.Makespan)
+		}
+		fmt.Printf("transfers  : %d batched, %.1f MB moved\n", transfers, float64(moved)/1e6)
+		for _, name := range slices.Sorted(maps.Keys(stats.Tenants)) {
+			ts := stats.Tenants[name]
+			fmt.Printf("  %-10s : %d done, %d failed, last finish %.3gs%s\n",
+				name, ts.Completed, ts.Failed, ts.LastFinish, tenantAdaptSummary(ts))
+		}
+		fmt.Printf("wall time  : %s\n", wall.Round(time.Millisecond))
+		return nil
+	}
+}
+
+func placement(adaptive bool) string {
+	if adaptive {
+		return "adaptive"
+	}
+	return "static"
+}
+
+// fleetFlags binds the knobs every fleet-tier scenario reads, plus -apps
+// for the application-suite scenarios.
+func fleetFlags(fs *flag.FlagSet, sc *sdk.FleetScenario) {
+	fs.IntVar(&sc.Sites, "sites", sc.Sites, "federated engine sites")
+	fs.IntVar(&sc.NodesPerSite, "nodes", sc.NodesPerSite, "compute nodes per site (plus cloudfpga0)")
+	fs.IntVar(&sc.CacheSlots, "cache-slots", sc.CacheSlots, "resident bitstreams per site")
+	fs.IntVar(&sc.Tenants, "tenants", sc.Tenants, "tenants (closed loop: concurrent clients)")
+	fs.IntVar(&sc.Workflows, "workflows", sc.Workflows, "workflows to serve (per rung of a ladder)")
+	fs.Float64Var(&sc.UnplugAt, "unplug-at", sc.UnplugAt, "modelled time site 0's first accelerator detaches (0 = no fault)")
+	fs.StringVar(&sc.Net, "net", sc.Net, "intra-site transfer stack: tcp10g or udp10g (empty: flat fabric)")
+	fs.StringVar(&sc.RegistryNet, "registry-net", sc.RegistryNet, "registry->site deploy fabric: tcp10g, udp10g, or eth100g")
+	fs.BoolVar(&sc.Adaptive, "adaptive", sc.Adaptive, "variant-aware scheduling against live monitors")
+	policyFlag(fs, &sc.Policy)
+	if len(sc.Apps) > 0 {
+		listFlag(fs, "apps", "comma-separated workload-registry applications to serve", &sc.Apps)
+	}
+}
+
+// fleetBanner prints a fleet-tier scenario's shape, detail ending it.
+func fleetBanner(sc sdk.FleetScenario, detail string) {
+	fmt.Printf("fleet      : %d sites x (%d compute nodes + cloudfpga0), cache %d slot(s)/site, %s\n",
+		sc.Sites, sc.NodesPerSite, sc.CacheSlots, placement(sc.Adaptive))
+	workload := "mixed"
+	if len(sc.Apps) > 0 {
+		workload = "app-suite [" + strings.Join(sc.Apps, " ") + "]"
+	}
+	fmt.Printf("workload   : %d %s workflows from %d tenants, %s\n", sc.Workflows, workload, sc.Tenants, detail)
+}
+
+// serveFleet serves a fleet-tier scenario once — the E-fleet mix, or the
+// application suite when def names apps — in open or closed arrival mode.
+func serveFleet(def sdk.FleetScenario) scenario {
+	return func(fs *flag.FlagSet) func() error {
+		sc := def
+		fleetFlags(fs, &sc)
+		fs.Float64Var(&sc.ArrivalGap, "gap", sc.ArrivalGap, "modelled interarrival seconds (closed loop: initial stagger)")
+		fs.Float64Var(&sc.SLO, "slo", sc.SLO, "p95 latency SLO in modelled seconds")
+		fs.BoolVar(&sc.Closed, "closed", sc.Closed, "closed loop: each tenant keeps one workflow in flight")
+		return runFleet(&sc, traceFlag(fs))
+	}
+}
+
+// serveWCET is `basecamp serve wcet`: the E-wcet scenario, every 4th
+// workflow submitted through the proven-bound admission class.
+func serveWCET(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultGuaranteedScenario()
+	fleetFlags(fs, &sc)
+	fs.Float64Var(&sc.ArrivalGap, "gap", sc.ArrivalGap, "modelled interarrival seconds")
+	fs.Float64Var(&sc.GuaranteedDeadline, "deadline", sc.GuaranteedDeadline, "relative latency bound guaranteed submissions must provably meet, modelled seconds")
+	return runFleet(&sc, traceFlag(fs))
+}
+
+// runFleet serves sc once and prints the run.
+func runFleet(sc *sdk.FleetScenario, trace *bool) func() error {
+	return func() error {
+		if *trace {
+			sc.Trace = printFleetEvent
+		}
+		res, err := sc.Run()
+		if err != nil {
+			return err
+		}
+		arrivals := fmt.Sprintf("arrivals every %.3gs modelled", sc.ArrivalGap)
+		if sc.Closed {
+			arrivals = "closed loop, one in flight per tenant"
+		}
+		fleetBanner(*sc, arrivals)
+		fmt.Printf("completed  : %d (%d rejected), makespan %.4gs modelled\n", res.Completed, res.Rejected, res.Makespan)
+		fmt.Printf("throughput : %.4g workflows/s modelled\n", res.Throughput)
+		slo := "" // the E-wcet scenario reports p95 without gating it
+		if sc.SLO > 0 {
+			slo = fmt.Sprintf(" (SLO %.3gs met: %v)", sc.SLO, res.SLOMet)
+		}
+		fmt.Printf("latency    : p50 %.4gs, p95 %.4gs, max %.4gs%s\n", res.P50, res.P95, res.Max, slo)
+		if sc.GuaranteedEvery > 0 {
+			fmt.Printf("guaranteed : %d admitted / %d requested (rate %.2f) at deadline %.3gs; %d degraded to best-effort\n",
+				res.GuaranteedAdmitted, res.GuaranteedAdmitted+res.GuaranteedRefused,
+				res.GuaranteedAdmitRate, sc.GuaranteedDeadline, res.GuaranteedRefused)
+			fmt.Printf("bounds     : %d violations, worst tightness %.3g (latency/bound; sound iff 0 violations)\n",
+				res.BoundViolations, res.BoundTightness)
+		}
+		printLatencies("app ", res.Apps)
+		if sc.Closed {
+			printLatencies("", res.Stats.Tenants)
+		}
+		for _, s := range res.Stats.Fleet.Sites {
+			fmt.Printf("  %-7s : %3d served, cache %d hit / %d miss, %d evict, %d redeploy, %d fallback, %.3gs deploying\n",
+				s.Name, s.Served, s.CacheHits, s.CacheMisses, s.Evictions, s.Redeploys,
+				s.FallbackDeploys, s.DeploySeconds)
+		}
+		return nil
+	}
+}
+
+func printFleetEvent(ev fleet.Event) {
+	fmt.Printf("  [%8.4fs] %-10s site=%-7s tenant=%-9s wf=%-14s bs=%-12s %s\n",
+		ev.Time, ev.Kind, ev.Site, ev.Tenant, ev.Workflow, ev.Bitstream, ev.Detail)
+}
+
+// printLatencies renders per-tenant or per-application latencies.
+func printLatencies(label string, m map[string]sdk.TenantLatency) {
+	for _, name := range slices.Sorted(maps.Keys(m)) {
+		tl := m[name]
+		fmt.Printf("  %-14s : %2d done, p50 %.4gs, p95 %.4gs, max %.4gs\n",
+			label+name, tl.Completed, tl.P50, tl.P95, tl.Max)
+	}
+}
+
+// benchFleet sweeps a fleet-tier scenario over the gap ladder and reports
+// the throughput at the highest offered load whose p95 meets the SLO.
+func benchFleet(def sdk.FleetScenario) scenario {
+	return func(fs *flag.FlagSet) func() error {
+		sc := def
+		fleetFlags(fs, &sc)
+		fs.Float64Var(&sc.SLO, "slo", sc.SLO, "p95 latency SLO in modelled seconds")
+		gaps := sdk.DefaultSaturationGaps()
+		ladderFlag(fs, "gaps", "comma-separated interarrival gaps in modelled seconds", &gaps)
+		return func() error {
+			fleetBanner(sc, fmt.Sprintf("SLO p95 <= %.3gs modelled", sc.SLO))
+			var points []sdk.SaturationPoint
+			var best sdk.SaturationPoint
+			if len(sc.Apps) > 0 {
+				s, err := sc.BuildSuite()
+				if err != nil {
+					return err
+				}
+				if points, best, err = sc.SaturateSuite(s, gaps); err != nil {
+					return err
+				}
+			} else {
+				c, err := sc.Compile()
+				if err != nil {
+					return err
+				}
+				if points, best, err = sc.Saturate(c, gaps); err != nil {
+					return err
+				}
+			}
+			fmt.Println("offered/s   achieved/s   p50 s     p95 s     done  rej  SLO")
+			for _, p := range points {
+				fmt.Printf("%9.4g   %10.4g   %7.4g   %7.4g   %4d  %3d  %s\n",
+					p.OfferedRate, p.Throughput, p.P50, p.P95, p.Completed, p.Rejected, sloMark(p.SLOMet))
+			}
+			if best.Throughput <= 0 {
+				return fmt.Errorf("no rung met the SLO; lower the offered load or raise -slo")
+			}
+			fmt.Printf("throughput_at_slo: %.4g workflows/s (gap %.4gs, p95 %.4gs)\n", best.Throughput, best.Gap, best.P95)
+			printLatencies("app ", best.Apps)
+			return nil
+		}
+	}
+}
+
+func sloMark(met bool) string {
+	if met {
+		return "ok"
+	}
+	return "MISS"
+}
+
+// benchWCET is `basecamp bench wcet`: the E-wcet scenario re-served once
+// per deadline rung, reporting the guaranteed admit rate, bound violations
+// (the run fails on any) and the tightness of the worst proof.
+func benchWCET(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultGuaranteedScenario()
+	fleetFlags(fs, &sc)
+	fs.Float64Var(&sc.ArrivalGap, "gap", sc.ArrivalGap, "modelled interarrival seconds")
+	deadlines := []float64{0.5, 1, 2, 4, 8, 16}
+	ladderFlag(fs, "deadlines", "comma-separated deadline rungs in modelled seconds", &deadlines)
+	return func() error {
+		c, err := sc.Compile()
+		if err != nil {
+			return err
+		}
+		fleetBanner(sc, fmt.Sprintf("every %dth guaranteed", sc.GuaranteedEvery))
+		fmt.Printf("faults     : unplug@%.3gs + %gx slowdown@%.3gs on site 0 (cap honours the SlowdownCap contract)\n",
+			sc.UnplugAt, sc.SlowdownFactor, sc.SlowdownAt)
+		fmt.Printf("%10s %10s %10s %10s %12s %10s %10s\n",
+			"deadline_s", "requested", "admitted", "admit_rate", "violations", "tightness", "p95_s")
+		violations := 0
+		for _, dl := range deadlines {
+			rung := sc
+			rung.GuaranteedDeadline = dl
+			res, err := rung.RunWith(c)
+			if err != nil {
+				return err
+			}
+			violations += res.BoundViolations
+			fmt.Printf("%10.3g %10d %10d %10.2f %12d %10.3g %10.4g\n",
+				dl, res.GuaranteedAdmitted+res.GuaranteedRefused, res.GuaranteedAdmitted,
+				res.GuaranteedAdmitRate, res.BoundViolations, res.BoundTightness, res.P95)
+		}
+		return boundsHeld(violations)
+	}
+}
+
+// boundsHeld fails the run when an admitted guarantee missed its bound.
+func boundsHeld(violations int) error {
+	if violations > 0 {
+		return fmt.Errorf("%d guaranteed completions missed their proven bound — the admission math is broken", violations)
+	}
+	fmt.Println("bounds     : every admitted guarantee held (0 violations)")
+	return nil
+}
+
+// streamServer binds the knobs both stream scenarios read; the returned
+// constructor builds the server and prints its effective scenario.
+func streamServer(fs *flag.FlagSet, sc *sdk.StreamScenario) func() (*sdk.StreamServer, error) {
+	fs.IntVar(&sc.Nodes, "nodes", sc.Nodes, "compute nodes (plus cloudfpga0)")
+	listFlag(fs, "apps", "comma-separated workload-registry applications served as pipelines", &sc.Apps)
+	fs.IntVar(&sc.Pipelines, "pipelines", sc.Pipelines, "concurrent pipelines, round-robin over the apps")
+	fs.IntVar(&sc.Events, "events", sc.Events, "events per pipeline")
+	fs.StringVar(&sc.Arrival, "arrival", sc.Arrival, "arrival process: poisson, bursty, or diurnal")
+	fs.BoolVar(&sc.PartialReconfig, "partial", sc.PartialReconfig, "keep kernels resident in FPGA partial-reconfiguration regions")
+	fs.Float64Var(&sc.SLO, "slo", sc.SLO, "p99 end-to-end event latency SLO in modelled seconds")
+	return func() (*sdk.StreamServer, error) {
+		srv, err := sdk.NewStreamServer(*sc)
+		if err != nil {
+			return nil, err
+		}
+		*sc = srv.Scenario()
+		fmt.Printf("stream     : %d pipelines over [%s], %d events each at %.4g ev/s, %s arrivals\n",
+			sc.Pipelines, strings.Join(sc.Apps, " "), sc.Events, sc.Rate, sc.Arrival)
+		fmt.Printf("cluster    : %d compute node(s) + cloudfpga0, partial reconfig %v, SLO p99 <= %.3gs modelled\n",
+			sc.Nodes, sc.PartialReconfig, sc.SLO)
+		return srv, nil
+	}
+}
+
+// serveStream is `basecamp serve stream`: the app suite served as
+// long-lived streaming pipelines for one run at a fixed rate, with
+// per-pipeline outcomes and per-device residency churn.
+func serveStream(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultStreamScenario()
+	build := streamServer(fs, &sc)
+	fs.Float64Var(&sc.Rate, "rate", sc.Rate, "per-pipeline event arrival rate (events per modelled second)")
+	trace := traceFlag(fs)
+	return func() error {
+		if *trace {
+			sc.Trace = func(ev stream.Event) {
+				fmt.Printf("  [%10.6fs] %-7s pipe=%-10s stage=%-9s dev=%-11s %d ev\n",
+					ev.Time, ev.Kind, ev.Pipeline, ev.Stage, ev.Device, ev.Events)
+			}
+		}
+		srv, err := build()
+		if err != nil {
+			return err
+		}
+		st, err := srv.Run()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("served     : %d of %d events (%d shed), %d windows, makespan %.4gs modelled\n",
+			st.Done, st.Events, st.Shed, st.Windows, st.Makespan)
+		fmt.Printf("throughput : %.4g events/s modelled\n", st.Throughput)
+		fmt.Printf("latency    : p50 %.4gs, p99 %.4gs, max %.4gs (SLO met: %v)\n", st.P50, st.P99, st.Max, st.P99 <= sc.SLO)
+		for _, p := range st.Pipelines {
+			fmt.Printf("  %-10s : %-10s %7d done, %6d shed, p50 %.4gs, p99 %.4gs\n",
+				p.Name, p.Tenant, p.Done, p.Shed, p.P50, p.P99)
+		}
+		for _, d := range st.Devices {
+			fmt.Printf("  %-13s : %d kernel(s) in %d region(s), %d swaps (%.4gs reloading)\n",
+				d.Name, d.Kernels, d.Regions, d.Swaps, d.SwapSeconds)
+		}
+		return nil
+	}
+}
+
+// benchStream is `basecamp bench stream`: the E-stream rate ladder's
+// sustained events/sec at the p99 SLO, then the partial-reconfiguration
+// swap win at the scenario's rate.
+func benchStream(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultStreamScenario()
+	build := streamServer(fs, &sc)
+	rates := sdk.DefaultStreamRates()
+	ladderFlag(fs, "rates", "comma-separated per-pipeline event rates", &rates)
+	return func() error {
+		srv, err := build()
+		if err != nil {
+			return err
+		}
+		points, best, err := srv.Saturate(rates)
+		if err != nil {
+			return err
+		}
+		fmt.Println("rate/pipe   achieved/s   p50 s       p99 s       shed     swaps  SLO")
+		for _, p := range points {
+			fmt.Printf("%9.4g   %10.4g   %9.4g   %9.4g   %6d   %5d  %s\n",
+				p.Rate, p.Throughput, p.P50, p.P99, p.Shed, p.Swaps, sloMark(p.SLOMet))
+		}
+		if best.Throughput <= 0 {
+			return fmt.Errorf("no rung met the SLO; lower the offered rates or raise -slo")
+		}
+		fmt.Printf("events_per_sec_at_slo: %.4g (rate %.4g/pipeline, p99 %.4gs)\n", best.Throughput, best.Rate, best.P99)
+		on, off, err := srv.SwapWin()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("swap_win   : partial on  %.4g ev/s, p99 %.4gs, %d swaps\n", on.Throughput, on.P99, on.Swaps)
+		fmt.Printf("             partial off %.4g ev/s, p99 %.4gs, %d swaps (%.4gs reloading)\n",
+			off.Throughput, off.P99, off.Swaps, off.SwapSeconds)
+		return nil
+	}
+}
+
+// regionFlags binds the knobs both region scenarios read; the returned
+// banner prints the scenario's shape.
+func regionFlags(fs *flag.FlagSet, sc *sdk.RegionScenario) (banner func()) {
+	fs.IntVar(&sc.Regions, "regions", sc.Regions, "regions in the federation")
+	fs.IntVar(&sc.Workflows, "workflows", sc.Workflows, "workflows in the wave")
+	fs.Float64Var(&sc.ArrivalGap, "gap", sc.ArrivalGap, "modelled interarrival seconds")
+	fs.StringVar(&sc.WAN, "wan", sc.WAN, "inter-region fabric: wan10g or wan1g")
+	fs.BoolVar(&sc.Autoscale, "autoscale", sc.Autoscale, "let regions grow and shrink their active site count")
+	return func() {
+		fmt.Printf("federation : %d regions x %d sites x (%d compute nodes + cloudfpga0), store %d slot(s)/region, WAN %s\n",
+			sc.Regions, sc.SitesPerRegion, sc.NodesPerSite, sc.StoreSlots, sc.WAN)
+		fmt.Printf("workload   : %d app-suite [%s] workflows, wave period %.3gs, batch every %d, guaranteed every %dth wave arrival (deadline %.3gs)\n",
+			sc.Workflows, strings.Join(sc.Apps, " "), float64(sc.Regions*sc.BlockSize)*sc.ArrivalGap,
+			sc.BatchEvery, sc.GuaranteedEvery, sc.GuaranteedDeadline)
+	}
+}
+
+// serveRegion is `basecamp serve region`: the E-region traffic wave
+// served once through the multi-region federation, with per-region
+// stats.
+func serveRegion(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultRegionScenario()
+	banner := regionFlags(fs, &sc)
+	fs.BoolVar(&sc.Prefetch, "prefetch", sc.Prefetch, "forecast-driven bitstream prefetch")
+	trace := traceFlag(fs)
+	return func() error {
+		if *trace {
+			sc.Trace = func(ev region.Event) {
+				fmt.Printf("  [%8.4fs] %-10s region=%-9s tenant=%-9s wf=%-14s app=%-8s %s\n",
+					ev.Time, ev.Kind, ev.Region, ev.Tenant, ev.Workflow, ev.App, ev.Detail)
+			}
+		}
+		res, err := sc.Run()
+		if err != nil {
+			return err
+		}
+		banner()
+		fmt.Printf("completed  : %d (%d rejected), makespan %.4gs modelled\n", res.Completed, res.Rejected, res.Makespan)
+		fmt.Printf("throughput : %.4g workflows/s modelled\n", res.Throughput)
+		fmt.Printf("latency    : p50 %.4gs, p95 %.4gs, max %.4gs; tail p99 %.4gs, cold-start overhead p99 %.4gs\n",
+			res.P50, res.P95, res.Max, res.TailP99, res.TailColdStartP99)
+		fmt.Printf("guaranteed : %d admitted / %d requested (rate %.2f); %d degraded to best-effort; %d bound violations (sound iff 0)\n",
+			res.GuaranteedAdmitted, res.GuaranteedAdmitted+res.GuaranteedRefused,
+			res.GuaranteedAdmitRate, res.GuaranteedRefused, res.BoundViolations)
+		fmt.Printf("wan        : prefetch %v, %d handoffs, %d cold serves, %d prefetch stages, %d warms, %d preemptions\n",
+			sc.Prefetch, res.Handoffs, res.ColdServes, res.PrefetchFetches, res.Warms, res.Preemptions)
+		for _, r := range res.Stats.Regions {
+			fmt.Printf("  %-9s : %3d served (%d guaranteed, %d batch), %d cold, %d fetch %.3gs wan, %d prefetch %.3gs, %d evict, %d sites active\n",
+				r.Name, r.Served, r.Guaranteed, r.Batch, r.ColdServes,
+				r.WANFetches, r.WANFetchSeconds, r.PrefetchFetches, r.PrefetchSeconds,
+				r.StoreEvictions, r.ActiveSites)
+		}
+		return nil
+	}
+}
+
+// benchRegion is `basecamp bench region`: the E-region scenario served
+// with bitstream prefetch off and on, and the tail cold-start contrast.
+func benchRegion(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultRegionScenario()
+	banner := regionFlags(fs, &sc)
+	return func() error {
+		s, err := sc.BuildSuite()
+		if err != nil {
+			return err
+		}
+		banner()
+		on, off, err := sc.PrefetchWin(s)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%-12s %6s %9s %12s %10s %9s %9s %9s %11s\n",
+			"prefetch", "done", "tail_p99", "coldstart_99", "tail_cold", "handoffs", "staged", "admitted", "violations")
+		row := func(label string, res sdk.RegionResult) {
+			fmt.Printf("%-12s %6d %8.4gs %11.4gs %10d %9d %9d %5d/%-3d %11d\n",
+				label, res.Completed, res.TailP99, res.TailColdStartP99, res.TailCold,
+				res.Handoffs, res.PrefetchFetches, res.GuaranteedAdmitted,
+				res.GuaranteedAdmitted+res.GuaranteedRefused, res.BoundViolations)
+		}
+		row("off", off)
+		row("on", on)
+		if on.TailColdStartP99 <= 0 {
+			return fmt.Errorf("prefetch-on arm has no tail overhead to compare (%.4g)", on.TailColdStartP99)
+		}
+		fmt.Printf("coldstart_p99_speedup: %.4gx (off %.4gs / on %.4gs)\n",
+			off.TailColdStartP99/on.TailColdStartP99, off.TailColdStartP99, on.TailColdStartP99)
+		return boundsHeld(on.BoundViolations + off.BoundViolations)
+	}
+}
+
+// kmeansFlags binds the knobs both k-means scenarios read; the returned
+// banner prints the scenario's shape.
+func kmeansFlags(fs *flag.FlagSet, sc *sdk.KMeansScenario) (banner func()) {
+	fs.IntVar(&sc.Sites, "sites", sc.Sites, "federated sites the partitions are scattered across")
+	fs.IntVar(&sc.Config.Partitions, "partitions", sc.Config.Partitions, "point partitions (one map shard each)")
+	fs.IntVar(&sc.Config.Centroids, "centroids", sc.Config.Centroids, "cluster count")
+	fs.StringVar(&sc.RegistryNet, "registry-net", sc.RegistryNet, "inter-site data/deploy fabric")
+	return func() {
+		fmt.Printf("fleet      : %d sites over %s, site-local dataset stores, kernels pre-warmed fleet-wide\n",
+			sc.Sites, sc.RegistryNet)
+		fmt.Printf("workload   : %d rounds x (%d map shards + 1 reduce), %d points x %d dims, %d centroids, partitions scattered\n",
+			sc.Rounds, sc.Config.Partitions, sc.Config.Points, sc.Config.Dims, sc.Config.Centroids)
+	}
+}
+
+// serveKMeans is `basecamp serve kmeans`: the E-data map-reduce k-means
+// served once through the fleet's named data plane, with per-site data
+// traffic.
+func serveKMeans(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultKMeansScenario()
+	banner := kmeansFlags(fs, &sc)
+	trace := traceFlag(fs)
+	return func() error {
+		if *trace {
+			sc.Trace = printFleetEvent
+		}
+		res, err := sc.Run()
+		if err != nil {
+			return err
+		}
+		banner()
+		fmt.Printf("completed  : %d workflows, makespan %.4gs modelled, %.4g workflows/s\n",
+			res.Workflows, res.Makespan, res.Throughput)
+		fmt.Printf("data plane : %d B shipped (%.4g B/workflow), %.4gs staging stall, %d store hits / %d misses\n",
+			res.ShippedBytes, res.BytesPerWorkflow, res.FetchStall, res.DatasetHits, res.DatasetMisses)
+		for _, s := range res.Stats.Fleet.Sites {
+			fmt.Printf("  %-7s : %3d served, data %d hits / %d misses, %d fetches %dB in, %d published %dB, %d evicted\n",
+				s.Name, s.Served, s.DatasetHits, s.DatasetMisses,
+				s.DatasetFetches, s.DatasetFetchedBytes, s.DatasetPublished, s.DatasetPublishedBytes, s.DatasetEvictions)
+		}
+		return nil
+	}
+}
+
+// benchKMeans is `basecamp bench kmeans`: the E-data workload served
+// placement-blind and with data-locality routing, and the byte win.
+func benchKMeans(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultKMeansScenario()
+	banner := kmeansFlags(fs, &sc)
+	return func() error {
+		banner()
+		local, blind, err := sc.LocalityWin()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%-10s %6s %10s %12s %12s %9s %9s %12s\n",
+			"routing", "done", "shipped", "B/workflow", "stall", "hits", "misses", "wf/s")
+		row := func(label string, res sdk.KMeansResult) {
+			fmt.Printf("%-10s %6d %9dB %12.4g %11.4gs %9d %9d %12.4g\n",
+				label, res.Workflows, res.ShippedBytes, res.BytesPerWorkflow,
+				res.FetchStall, res.DatasetHits, res.DatasetMisses, res.Throughput)
+		}
+		row("blind", blind)
+		row("locality", local)
+		if local.BytesPerWorkflow <= 0 {
+			return fmt.Errorf("locality arm shipped nothing to compare (%.4g B/workflow)", local.BytesPerWorkflow)
+		}
+		fmt.Printf("locality_byte_win: %.4gx (blind %.4g B/wf / locality %.4g B/wf)\n",
+			blind.BytesPerWorkflow/local.BytesPerWorkflow, blind.BytesPerWorkflow, local.BytesPerWorkflow)
+		return nil
+	}
+}
+
+// faultFlags binds the knobs the E-adapt and E-compile scenarios share;
+// the returned printer renders a static-vs-adaptive pair: the fault
+// script, both makespans, and each tenant's adaptation activity.
+func faultFlags(fs *flag.FlagSet, workflows, nodes, fpgaNodes, tenants *int, slow, faultAt *float64) func(static, adaptive sdk.ScenarioResult) {
+	fs.IntVar(workflows, "workflows", *workflows, "workflows to submit")
+	fs.IntVar(nodes, "nodes", *nodes, "compute nodes in the simulated cluster (plus cloudfpga0)")
+	fs.IntVar(fpgaNodes, "fpga-nodes", *fpgaNodes, "nodes the bitstream is staged on")
+	fs.IntVar(tenants, "tenants", *tenants, "tenants sharing the cluster")
+	fs.Float64Var(slow, "slow", *slow, "load factor hitting the last compute node")
+	fs.Float64Var(faultAt, "fault-at", *faultAt, "modelled time the faults take effect")
+	return func(static, adaptive sdk.ScenarioResult) {
+		fmt.Printf("faults     : unplug FPGA of node00 + %.3gx slowdown of node%02d, from t=%.3gs\n",
+			*slow, *nodes-1, *faultAt)
+		fmt.Printf("static     : %.4gs modelled\n", static.Makespan)
+		fmt.Printf("adaptive   : %.4gs modelled\n", adaptive.Makespan)
+		if adaptive.Makespan > 0 {
+			fmt.Printf("speedup    : %.2fx\n", static.Makespan/adaptive.Makespan)
+		}
+		for _, name := range slices.Sorted(maps.Keys(adaptive.Stats.Tenants)) {
+			fmt.Printf("  %-10s : %s\n", name, strings.TrimPrefix(tenantAdaptSummary(adaptive.Stats.Tenants[name]), ", "))
+		}
+	}
+}
+
+// benchAdapt is `basecamp bench adapt`: the E-adapt workflows served
+// statically and adaptively under the same faults.
+func benchAdapt(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultAdaptiveScenario()
+	report := faultFlags(fs, &sc.Workflows, &sc.Nodes, &sc.FPGANodes, &sc.Tenants, &sc.Slowdown, &sc.FaultAt)
+	return func() error {
+		static, adaptive, err := sc.AdaptWin()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("scenario   : %d workflows, %d nodes (%d with FPGA), %d tenants\n",
+			sc.Workflows, sc.Nodes, sc.FPGANodes, sc.Tenants)
+		report(static, adaptive)
+		fmt.Println("node health (adaptive run):")
+		for _, h := range adaptive.Health {
+			fmt.Printf("  %-10s : %2d tasks, ewma %.3gs, load est %.2fx, devices %d/%d\n",
+				h.Node, h.Tasks, h.EWMALatency, h.SlowdownEst, h.DevicesOnline, h.DevicesTotal)
+		}
+		return nil
+	}
+}
+
+// benchCompiled is `basecamp bench compiled`: the E-compile comparison,
+// the adaptive arm's tuners seeded from compiler-derived operating points.
+func benchCompiled(fs *flag.FlagSet) func() error {
+	sc := sdk.DefaultCompiledScenario()
+	report := faultFlags(fs, &sc.Workflows, &sc.Nodes, &sc.FPGANodes, &sc.Tenants, &sc.Slowdown, &sc.FaultAt)
+	return func() error {
+		c, err := sc.Compile()
+		if err != nil {
+			return err
+		}
+		static, adaptive, err := sc.AdaptWinWith(c)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("scenario   : %d workflows of compiled kernel %q, %d nodes (%d with FPGA), %d tenants, %s transfers\n",
+			sc.Workflows, c.KernelName, sc.Nodes, sc.FPGANodes, sc.Tenants, sc.Net)
+		fmt.Printf("hls        : %s\n", c.Report.String())
+		fmt.Println("variants   : (derived from the HLS schedule + CPU cost model)")
+		for _, row := range c.Summary() {
+			fmt.Printf("  %s\n", row)
+		}
+		report(static, adaptive)
+		return nil
+	}
+}
+
+// tenantAdaptSummary renders a tenant's adaptation stats: empty when the
+// run had none, without the variants clause when no variant was chosen.
+func tenantAdaptSummary(ts sdk.TenantStats) string {
+	if len(ts.Variants) == 0 && ts.Reschedules == 0 && ts.Fallbacks == 0 {
+		return ""
+	}
+	variants := ""
+	if len(ts.Variants) > 0 {
+		var vars []string
+		for v, n := range ts.Variants {
+			vars = append(vars, fmt.Sprintf("%s:%d", v, n))
+		}
+		sort.Strings(vars)
+		variants = fmt.Sprintf("variants [%s], ", strings.Join(vars, " "))
+	}
+	return fmt.Sprintf(", %s%d resched, %d fallback", variants, ts.Reschedules, ts.Fallbacks)
+}
+
+// benchExperiments prints the reproduction experiment tables: every one,
+// or only the named one (E1..E14); -list prints the IDs instead.
+func benchExperiments(only string) scenario {
+	return func(fs *flag.FlagSet) func() error {
+		list := fs.Bool("list", false, "list experiment IDs and exit")
+		return func() error {
+			ran := false
+			for i, exp := range experiments.All() {
+				id := fmt.Sprintf("E%d", i+1)
+				if *list {
+					fmt.Println(id)
+					continue
+				}
+				if only != "" && !strings.EqualFold(only, id) {
+					continue
+				}
+				ran = true
+				tab, err := exp()
+				if err != nil {
+					return fmt.Errorf("%s: %w", id, err)
+				}
+				fmt.Println(tab.String())
+			}
+			if !ran && !*list {
+				return fmt.Errorf("bench: unknown experiment or scenario %q (want E1..E14 or %s)",
+					only, strings.Join(scenarioNames(benchScenarios), ", "))
+			}
+			return nil
+		}
+	}
 }
 
 func formatByName(name string) (base2.Format, error) {
@@ -216,14 +1058,7 @@ func cmdCompile(args []string) error {
 	return nil
 }
 
-func isExampleKernel(name string) bool {
-	for _, n := range variants.ExampleNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
+func isExampleKernel(name string) bool { return slices.Contains(variants.ExampleNames(), name) }
 
 func demoBinding() ekl.Binding {
 	rng := rand.New(rand.NewSource(1))
@@ -303,644 +1138,6 @@ func cmdDeploy(args []string) error {
 	return nil
 }
 
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	workflows := fs.Int("workflows", 16, "workflows to submit")
-	nodes := fs.Int("nodes", 8, "compute nodes in the simulated cluster (per site with -sites > 1)")
-	policyName := fs.String("policy", "heft", "placement policy: heft or fifo")
-	tenants := fs.Int("tenants", 4, "tenants sharing the cluster")
-	failNode := fs.String("fail", "", "inject a node failure, e.g. node00@0.5")
-	trace := fs.Bool("trace", false, "print engine events")
-	adaptive := fs.Bool("adaptive", false, "variant-aware scheduling against live monitors")
-	netName := fs.String("net", "", "price transfers over a cloudFPGA stack: tcp10g or udp10g (default: flat fabric)")
-	sites := fs.Int("sites", 1, "federated engine sites (> 1 serves through the fleet router)")
-	cacheSlots := fs.Int("cache-slots", 1, "resident bitstreams per site (fleet mode)")
-	registryNet := fs.String("registry-net", "tcp10g", "registry->site deploy fabric (fleet mode): tcp10g, udp10g, or eth100g")
-	gap := fs.Float64("gap", 0.05, "modelled interarrival seconds between submissions (fleet mode)")
-	unplugAt := fs.Float64("unplug-at", 0.5, "modelled time site 0's first accelerator detaches (fleet mode; 0 = no fault)")
-	guaranteed := fs.Bool("guaranteed", false, "submit every 4th workflow through the proven-bound admission class (fleet mode)")
-	deadline := fs.Float64("deadline", 4, "relative latency bound guaranteed submissions must provably meet, modelled seconds (fleet mode)")
-	suite := fs.Bool("suite", false, "serve the EVEREST application suite from the workload registry (fleet mode)")
-	appList := fs.String("apps", "", "comma-separated registry applications to serve (fleet mode; implies -suite)")
-	streamMode := fs.Bool("stream", false, "serve long-lived streaming pipelines (windowed operators over the app suite)")
-	rate := fs.Float64("rate", 0, "per-pipeline event arrival rate (stream mode; 0 = scenario default)")
-	events := fs.Int("events", 0, "events per pipeline (stream mode; 0 = scenario default)")
-	pipelines := fs.Int("pipelines", 0, "concurrent pipelines (stream mode; 0 = 2x apps)")
-	arrival := fs.String("arrival", "poisson", "arrival process (stream mode): poisson, bursty, or diurnal")
-	partial := fs.Bool("partial", true, "keep kernels resident in FPGA partial-reconfiguration regions (stream mode)")
-	regions := fs.Int("regions", 0, "serve through the hierarchical multi-region federation (> 0 regions; its own scenario)")
-	prefetch := fs.Bool("prefetch", true, "forecast-driven bitstream prefetch (region mode)")
-	autoscale := fs.Bool("autoscale", false, "let regions grow and shrink their active site count (region mode)")
-	wan := fs.String("wan", "", "inter-region fabric (region mode): wan10g or wan1g (default: scenario's)")
-	kmeans := fs.Bool("kmeans", false, "serve the FPGA map-reduce k-means over the named data plane (its own scenario)")
-	partitions := fs.Int("partitions", 0, "point partitions scattered across the sites (kmeans mode; 0 = scenario default)")
-	centroids := fs.Int("centroids", 0, "cluster count (kmeans mode; 0 = scenario default)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var policy runtime.Policy
-	switch strings.ToLower(*policyName) {
-	case "heft":
-		policy = runtime.PolicyHEFT
-	case "fifo":
-		policy = runtime.PolicyFIFO
-	default:
-		return fmt.Errorf("serve: unknown policy %q", *policyName)
-	}
-	// Each serving mode has flags the others would silently ignore, which
-	// would misreport what was measured: per-site serving is serial and
-	// faults are scripted per site in fleet mode, cache/deploy/arrival
-	// knobs only exist there, and the streaming tier has its own workload
-	// shape (open arrivals over windowed operators, no workflow count).
-	streamOnly := map[string]bool{
-		"rate": true, "events": true, "pipelines": true, "arrival": true, "partial": true,
-	}
-	streamOK := map[string]bool{"stream": true, "nodes": true, "trace": true, "apps": true}
-	regionMode := *regions > 0
-	regionOnly := map[string]bool{"prefetch": true, "autoscale": true, "wan": true}
-	regionOK := map[string]bool{"regions": true, "workflows": true, "gap": true, "trace": true}
-	kmeansMode := *kmeans
-	kmeansOnly := map[string]bool{"partitions": true, "centroids": true}
-	kmeansOK := map[string]bool{"kmeans": true, "sites": true, "registry-net": true, "trace": true}
-	var incompatible []string
-	nodesSet, workflowsSet, gapSet := false, false, false
-	sitesSet, registryNetSet := false, false
-	fs.Visit(func(fl *flag.Flag) {
-		nodesSet = nodesSet || fl.Name == "nodes"
-		workflowsSet = workflowsSet || fl.Name == "workflows"
-		gapSet = gapSet || fl.Name == "gap"
-		sitesSet = sitesSet || fl.Name == "sites"
-		registryNetSet = registryNetSet || fl.Name == "registry-net"
-		switch {
-		case regionMode && !regionOnly[fl.Name] && !regionOK[fl.Name]:
-			incompatible = append(incompatible, "-"+fl.Name)
-		case regionMode:
-			// an allowed region-mode flag
-		case kmeansMode && !kmeansOnly[fl.Name] && !kmeansOK[fl.Name]:
-			incompatible = append(incompatible, "-"+fl.Name)
-		case kmeansMode:
-			// an allowed kmeans-mode flag
-		case regionOnly[fl.Name] || kmeansOnly[fl.Name]:
-			incompatible = append(incompatible, "-"+fl.Name)
-		case *streamMode && !streamOnly[fl.Name] && !streamOK[fl.Name]:
-			incompatible = append(incompatible, "-"+fl.Name)
-		case !*streamMode && streamOnly[fl.Name]:
-			incompatible = append(incompatible, "-"+fl.Name)
-		case !*streamMode && *sites > 1 && fl.Name == "fail":
-			incompatible = append(incompatible, "-"+fl.Name)
-		case !*streamMode && *sites == 1 && (fl.Name == "cache-slots" || fl.Name == "registry-net" ||
-			fl.Name == "gap" || fl.Name == "unplug-at" || fl.Name == "suite" || fl.Name == "apps" ||
-			fl.Name == "guaranteed" || fl.Name == "deadline"):
-			incompatible = append(incompatible, "-"+fl.Name)
-		}
-	})
-	if len(incompatible) > 0 {
-		mode := "-sites > 1"
-		switch {
-		case regionMode:
-			mode = "-regions"
-		case kmeansMode:
-			mode = "-kmeans"
-		case *streamMode:
-			mode = "-stream"
-		case *sites == 1:
-			mode = "-sites 1"
-		}
-		return fmt.Errorf("serve: %s not supported with %s",
-			strings.Join(incompatible, ", "), mode)
-	}
-	if kmeansMode {
-		kmSites, kmNet := 0, "" // 0/"" → scenario defaults
-		if sitesSet {
-			kmSites = *sites
-		}
-		if registryNetSet {
-			kmNet = *registryNet
-		}
-		return serveKmeans(kmSites, *partitions, *centroids, kmNet, *trace)
-	}
-	if regionMode {
-		regionWorkflows, regionGap := 0, 0.0 // 0 → scenario defaults
-		if workflowsSet {
-			regionWorkflows = *workflows
-		}
-		if gapSet {
-			regionGap = *gap
-		}
-		return serveRegions(*regions, regionWorkflows, regionGap,
-			*prefetch, *autoscale, *wan, *trace)
-	}
-	if *streamMode {
-		streamNodes := 0 // scenario default (1 compute node + cloudfpga0)
-		if nodesSet {
-			streamNodes = *nodes
-		}
-		return serveStream(streamNodes, *appList, *pipelines, *events,
-			*rate, *arrival, *partial, *trace)
-	}
-	if *sites > 1 {
-		if *appList != "" {
-			*suite = true
-		}
-		gDeadline := 0.0
-		if *guaranteed {
-			gDeadline = *deadline
-		}
-		return serveFleet(*sites, *nodes, *cacheSlots, *workflows, *tenants,
-			policy, *adaptive, *netName, *registryNet, *gap, *unplugAt, gDeadline, *trace, *suite, *appList)
-	}
-	var stack *netsim.Stack
-	if *netName != "" {
-		st, err := netsim.StackByName(*netName)
-		if err != nil {
-			return err
-		}
-		stack = &st
-	}
-	if *workflows < 1 || *tenants < 1 || *nodes < 1 {
-		return fmt.Errorf("serve: workflows, tenants and nodes must be positive")
-	}
-	var failures []runtime.NodeFailure
-	if *failNode != "" {
-		parts := strings.SplitN(*failNode, "@", 2)
-		f := runtime.NodeFailure{Node: parts[0], AtTime: 0.5}
-		if len(parts) == 2 {
-			if _, err := fmt.Sscanf(parts[1], "%g", &f.AtTime); err != nil {
-				return fmt.Errorf("serve: bad -fail time %q", parts[1])
-			}
-		}
-		failures = append(failures, f)
-	}
-
-	// Serial baseline: the same workflows planned one at a time and run
-	// back-to-back — what the runtime did before it became concurrent.
-	s := sdk.New(sdk.DefaultCluster(*nodes))
-	for _, f := range failures {
-		if s.Cluster.FindNode(f.Node) == nil {
-			return fmt.Errorf("serve: -fail references unknown node %q", f.Node)
-		}
-	}
-	ws := make([]*runtime.Workflow, *workflows)
-	for i := range ws {
-		ws[i] = sdk.SyntheticWorkflow(i)
-	}
-	serial, err := s.SerialMakespan(policy, ws...)
-	if err != nil {
-		return err
-	}
-
-	cfg := sdk.ServerConfig{
-		Policy: policy, Failures: failures,
-		Adaptive: *adaptive, Net: stack,
-	}
-	if *trace {
-		cfg.Trace = func(ev runtime.Event) {
-			fmt.Printf("  [%8.4fs] %-13s wf=%-12s task=%-8s node=%-10s %s\n",
-				ev.Time, ev.Kind, ev.Workflow, ev.Task, ev.Node, ev.Detail)
-		}
-	}
-	srv := s.NewServer(cfg)
-	tenantName := func(i int) string { return fmt.Sprintf("tenant%02d", i%*tenants) }
-	futs := make([]*runtime.Future, *workflows)
-	for i := range futs {
-		fut, err := srv.Submit(tenantName(i), "", sdk.SyntheticWorkflow(i))
-		if err != nil {
-			return err
-		}
-		futs[i] = fut
-	}
-	wallStart := time.Now()
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	transfers, moved := 0, int64(0)
-	for i, fut := range futs {
-		sched, err := fut.Wait()
-		if err != nil {
-			return fmt.Errorf("serve: workflow %d: %w", i, err)
-		}
-		transfers += sched.Transfers
-		moved += sched.MovedBytes
-	}
-	stats := srv.Shutdown()
-	wall := time.Since(wallStart)
-
-	fmt.Printf("cluster    : %d compute nodes + cloudfpga0 (%d total)\n",
-		*nodes, len(s.Cluster.Nodes))
-	mode := "static"
-	if *adaptive {
-		mode = "adaptive"
-	}
-	fmt.Printf("workflows  : %d across %d tenants (policy %s, %s)\n",
-		stats.Completed, len(stats.Tenants), policy, mode)
-	fmt.Printf("serial     : %.3gs modelled, back-to-back\n", serial)
-	fmt.Printf("concurrent : %.3gs modelled\n", stats.Makespan)
-	if stats.Makespan > 0 {
-		fmt.Printf("speedup    : %.2fx\n", serial/stats.Makespan)
-	}
-	fmt.Printf("transfers  : %d batched, %.1f MB moved\n", transfers, float64(moved)/1e6)
-	var names []string
-	for name := range stats.Tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ts := stats.Tenants[name]
-		fmt.Printf("  %-10s : %d done, %d failed, last finish %.3gs%s\n",
-			name, ts.Completed, ts.Failed, ts.LastFinish, tenantAdaptSummary(ts))
-	}
-	fmt.Printf("wall time  : %s\n", wall.Round(time.Millisecond))
-	return nil
-}
-
-// serveFleet is `basecamp serve -sites N`: the same mixed E-fleet load
-// served through the federation tier — N independent engine sites behind
-// the fleet router, with bounded per-site bitstream caches and deploys
-// priced over the registry fabric. With suite set, the served stream is
-// the EVEREST application suite from the workload registry. A positive
-// gDeadline submits every 4th workflow through the proven-bound admission
-// class against that deadline (refusals degrade to best-effort).
-func serveFleet(sites, nodes, cacheSlots, workflows, tenants int, policy runtime.Policy, adaptive bool, netName, registryNet string, gap, unplugAt, gDeadline float64, trace, suite bool, appList string) error {
-	if workflows < 1 || tenants < 1 || nodes < 1 {
-		return fmt.Errorf("serve: workflows, tenants and nodes must be positive")
-	}
-	sc := sdk.FleetScenario{
-		Sites: sites, NodesPerSite: nodes, CacheSlots: cacheSlots,
-		Tenants: tenants, Workflows: workflows, ArrivalGap: gap,
-		UnplugAt: unplugAt,
-		Net:      netName, RegistryNet: registryNet,
-		Policy: policy, Adaptive: adaptive,
-		SLO: 1.75,
-	}
-	if gDeadline > 0 {
-		sc.GuaranteedEvery = 4
-		sc.GuaranteedDeadline = gDeadline
-	}
-	if suite {
-		sc.SLO = sdk.DefaultSuiteScenario().SLO
-		sc.Apps = apps.Names()
-		if appList != "" {
-			sc.Apps = nil
-			for _, name := range strings.Split(appList, ",") {
-				sc.Apps = append(sc.Apps, strings.TrimSpace(name))
-			}
-		}
-	}
-	if trace {
-		sc.Trace = func(ev fleet.Event) {
-			fmt.Printf("  [%8.4fs] %-10s site=%-7s tenant=%-9s wf=%-14s bs=%-12s %s\n",
-				ev.Time, ev.Kind, ev.Site, ev.Tenant, ev.Workflow, ev.Bitstream, ev.Detail)
-		}
-	}
-	res, err := sc.Run()
-	if err != nil {
-		return err
-	}
-	mode := "static"
-	if adaptive {
-		mode = "adaptive"
-	}
-	fmt.Printf("fleet      : %d sites x (%d compute nodes + cloudfpga0), cache %d slot(s)/site, %s\n",
-		sites, nodes, cacheSlots, mode)
-	workload := "mixed"
-	if suite {
-		workload = "app-suite [" + strings.Join(sc.Apps, " ") + "]"
-	}
-	fmt.Printf("workflows  : %d %s across %d tenants, arrivals every %.3gs modelled\n",
-		workflows, workload, tenants, gap)
-	fmt.Printf("completed  : %d (%d rejected), makespan %.4gs modelled\n",
-		res.Completed, res.Rejected, res.Makespan)
-	fmt.Printf("throughput : %.4g workflows/s modelled\n", res.Throughput)
-	fmt.Printf("latency    : p50 %.4gs, p95 %.4gs, max %.4gs (SLO %.3gs met: %v)\n",
-		res.P50, res.P95, res.Max, sc.SLO, res.SLOMet)
-	if gDeadline > 0 {
-		fmt.Printf("guaranteed : %d admitted / %d requested (rate %.2f) at deadline %.3gs; %d degraded to best-effort\n",
-			res.GuaranteedAdmitted, res.GuaranteedAdmitted+res.GuaranteedRefused,
-			res.GuaranteedAdmitRate, gDeadline, res.GuaranteedRefused)
-		fmt.Printf("bounds     : %d violations, worst tightness %.3g (latency/bound; sound iff 0 violations)\n",
-			res.BoundViolations, res.BoundTightness)
-	}
-	var appNames []string
-	for name := range res.Apps {
-		appNames = append(appNames, name)
-	}
-	sort.Strings(appNames)
-	for _, name := range appNames {
-		tl := res.Apps[name]
-		fmt.Printf("  app %-8s : %2d done, p50 %.4gs, p95 %.4gs, max %.4gs\n",
-			name, tl.Completed, tl.P50, tl.P95, tl.Max)
-	}
-	for _, s := range res.Stats.Fleet.Sites {
-		fmt.Printf("  %-7s : %3d served, cache %d hit / %d miss, %d evict, %d redeploy, %d fallback, %.3gs deploying\n",
-			s.Name, s.Served, s.CacheHits, s.CacheMisses, s.Evictions, s.Redeploys,
-			s.FallbackDeploys, s.DeploySeconds)
-	}
-	return nil
-}
-
-// serveRegions is `basecamp serve -regions`: the app suite served
-// through the hierarchical multi-region federation — a traffic wave
-// rotating across geo-distributed regions over a modelled WAN, with
-// background batch churn, proven-bound guaranteed admissions, and
-// (unless -prefetch=false) forecast-driven bitstream prefetch staging
-// each region's artifact store before the wave arrives.
-func serveRegions(regions, workflows int, gap float64, prefetch, autoscale bool, wan string, trace bool) error {
-	sc := sdk.DefaultRegionScenario()
-	if regions > 0 {
-		sc.Regions = regions
-	}
-	if workflows > 0 {
-		sc.Workflows = workflows
-	}
-	if gap > 0 {
-		sc.ArrivalGap = gap
-	}
-	sc.Prefetch = prefetch
-	sc.Autoscale = autoscale
-	if wan != "" {
-		sc.WAN = wan
-	}
-	if trace {
-		sc.Trace = func(ev region.Event) {
-			fmt.Printf("  [%8.4fs] %-10s region=%-9s tenant=%-9s wf=%-14s app=%-8s %s\n",
-				ev.Time, ev.Kind, ev.Region, ev.Tenant, ev.Workflow, ev.App, ev.Detail)
-		}
-	}
-	res, err := sc.Run()
-	if err != nil {
-		return err
-	}
-	wanName := sc.WAN
-	if wanName == "" {
-		wanName = "wan10g"
-	}
-	pf := "prefetch on"
-	if !prefetch {
-		pf = "prefetch off"
-	}
-	fmt.Printf("federation : %d regions x %d sites x (%d nodes + cloudfpga0), store %d slot(s)/region, %s over %s\n",
-		sc.Regions, sc.SitesPerRegion, sc.NodesPerSite, sc.StoreSlots, pf, wanName)
-	fmt.Printf("workflows  : %d app-suite [%s], wave blocks of %d every %.3gs modelled, batch every %d\n",
-		sc.Workflows, strings.Join(sc.Apps, " "), sc.BlockSize, sc.ArrivalGap, sc.BatchEvery)
-	fmt.Printf("completed  : %d (%d rejected), makespan %.4gs modelled\n",
-		res.Completed, res.Rejected, res.Makespan)
-	fmt.Printf("throughput : %.4g workflows/s modelled\n", res.Throughput)
-	fmt.Printf("latency    : p50 %.4gs, p95 %.4gs, max %.4gs; tail p99 %.4gs, cold-start overhead p99 %.4gs\n",
-		res.P50, res.P95, res.Max, res.TailP99, res.TailColdStartP99)
-	fmt.Printf("guaranteed : %d admitted / %d requested (rate %.2f) at deadline %.3gs; %d degraded to best-effort\n",
-		res.GuaranteedAdmitted, res.GuaranteedAdmitted+res.GuaranteedRefused,
-		res.GuaranteedAdmitRate, sc.GuaranteedDeadline, res.GuaranteedRefused)
-	fmt.Printf("bounds     : %d violations (sound iff 0)\n", res.BoundViolations)
-	fmt.Printf("wan        : %d handoffs, %d cold serves, %d prefetch stages, %d warms, %d preemptions\n",
-		res.Handoffs, res.ColdServes, res.PrefetchFetches, res.Warms, res.Preemptions)
-	for _, r := range res.Stats.Regions {
-		fmt.Printf("  %-9s : %3d served (%d guaranteed, %d batch), %d cold, %d fetch %.3gs wan, %d prefetch %.3gs, %d evict, %d sites active\n",
-			r.Name, r.Served, r.Guaranteed, r.Batch, r.ColdServes,
-			r.WANFetches, r.WANFetchSeconds, r.PrefetchFetches, r.PrefetchSeconds,
-			r.StoreEvictions, r.ActiveSites)
-	}
-	return nil
-}
-
-// serveKmeans is `basecamp serve -kmeans`: the FPGA map-reduce k-means
-// workload driven through the fleet's named data plane — point
-// partitions scattered across WAN-federated sites, maps routed to their
-// data by the placement-aware cost, only the per-cluster partial
-// statistics crossing the fabric to the reduce.
-func serveKmeans(sites, partitions, centroids int, registryNet string, trace bool) error {
-	sc := sdk.DefaultKMeansScenario()
-	if sites > 0 {
-		sc.Sites = sites
-	}
-	if partitions > 0 {
-		sc.Config.Partitions = partitions
-	}
-	if centroids > 0 {
-		sc.Config.Centroids = centroids
-	}
-	if registryNet != "" {
-		sc.RegistryNet = registryNet
-	}
-	if trace {
-		sc.Trace = func(ev fleet.Event) {
-			fmt.Printf("  [%8.4fs] %-10s site=%-7s tenant=%-9s wf=%-14s bs=%-12s %s\n",
-				ev.Time, ev.Kind, ev.Site, ev.Tenant, ev.Workflow, ev.Bitstream, ev.Detail)
-		}
-	}
-	res, err := sc.Run()
-	if err != nil {
-		return err
-	}
-	cfg := sc.Config
-	fmt.Printf("fleet      : %d sites over %s, dataset stores site-local, kernels pre-warmed fleet-wide\n",
-		sc.Sites, sc.RegistryNet)
-	fmt.Printf("workload   : %d rounds x (%d map shards + 1 reduce), %d points x %d dims, %d centroids\n",
-		sc.Rounds, cfg.Partitions, cfg.Points, cfg.Dims, cfg.Centroids)
-	fmt.Printf("completed  : %d workflows, makespan %.4gs modelled, %.4g workflows/s\n",
-		res.Workflows, res.Makespan, res.Throughput)
-	fmt.Printf("data plane : %d B shipped (%.4g B/workflow), %.4gs staging stall, %d store hits / %d misses\n",
-		res.ShippedBytes, res.BytesPerWorkflow, res.FetchStall, res.DatasetHits, res.DatasetMisses)
-	for _, s := range res.Stats.Fleet.Sites {
-		fmt.Printf("  %-7s : %3d served, data %d hits / %d misses, %d fetches %dB in, %d published %dB, %d evicted\n",
-			s.Name, s.Served, s.DatasetHits, s.DatasetMisses,
-			s.DatasetFetches, s.DatasetFetchedBytes, s.DatasetPublished, s.DatasetPublishedBytes, s.DatasetEvictions)
-	}
-	return nil
-}
-
-// serveStream is `basecamp serve -stream`: the app suite served as
-// long-lived streaming pipelines — open arrivals feeding windowed
-// operators with backpressure, compiled kernels resident in FPGA
-// partial-reconfiguration regions — for one run at a fixed rate,
-// reporting sustained throughput, latency percentiles, per-pipeline
-// outcomes, and per-device residency churn.
-func serveStream(nodes int, appList string, pipelines, events int, rate float64, arrival string, partial, trace bool) error {
-	sc := sdk.DefaultStreamScenario()
-	sc.Nodes = nodes // 0 → scenario default
-	if appList != "" {
-		sc.Apps = nil
-		for _, name := range strings.Split(appList, ",") {
-			sc.Apps = append(sc.Apps, strings.TrimSpace(name))
-		}
-		sc.Pipelines = 0 // re-derive from the app list
-	}
-	if pipelines > 0 {
-		sc.Pipelines = pipelines
-	}
-	if events > 0 {
-		sc.Events = events
-	}
-	if rate > 0 {
-		sc.Rate = rate
-	}
-	sc.Arrival = arrival
-	sc.PartialReconfig = partial
-	if trace {
-		sc.Trace = func(ev stream.Event) {
-			fmt.Printf("  [%10.6fs] %-7s pipe=%-10s stage=%-9s dev=%-11s %d ev\n",
-				ev.Time, ev.Kind, ev.Pipeline, ev.Stage, ev.Device, ev.Events)
-		}
-	}
-	srv, err := sdk.NewStreamServer(sc)
-	if err != nil {
-		return err
-	}
-	sc = srv.Scenario()
-	fmt.Printf("stream     : %d pipelines over [%s], %d events each at %.4g ev/s, %s arrivals\n",
-		sc.Pipelines, strings.Join(sc.Apps, " "), sc.Events, sc.Rate, sc.Arrival)
-	fmt.Printf("cluster    : %d compute node(s) + cloudfpga0, partial reconfig %v\n",
-		sc.Nodes, sc.PartialReconfig)
-	st, err := srv.Run()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("served     : %d of %d events (%d shed), %d windows, makespan %.4gs modelled\n",
-		st.Done, st.Events, st.Shed, st.Windows, st.Makespan)
-	fmt.Printf("throughput : %.4g events/s modelled\n", st.Throughput)
-	fmt.Printf("latency    : p50 %.4gs, p99 %.4gs, max %.4gs (SLO %.3gs met: %v)\n",
-		st.P50, st.P99, st.Max, sc.SLO, st.P99 <= sc.SLO)
-	for _, p := range st.Pipelines {
-		fmt.Printf("  %-10s : %-10s %7d done, %6d shed, p50 %.4gs, p99 %.4gs\n",
-			p.Name, p.Tenant, p.Done, p.Shed, p.P50, p.P99)
-	}
-	for _, d := range st.Devices {
-		fmt.Printf("  %-13s : %d kernel(s) in %d region(s), %d swaps (%.4gs reloading)\n",
-			d.Name, d.Kernels, d.Regions, d.Swaps, d.SwapSeconds)
-	}
-	return nil
-}
-
-// tenantAdaptSummary renders a tenant's adaptation stats, empty when the
-// run had none (static mode without faults). Static runs with faults have
-// reschedule/fallback counts but no variants; the variants clause is
-// omitted then.
-func tenantAdaptSummary(ts sdk.TenantStats) string {
-	if len(ts.Variants) == 0 && ts.Reschedules == 0 && ts.Fallbacks == 0 {
-		return ""
-	}
-	variants := ""
-	if len(ts.Variants) > 0 {
-		var vars []string
-		for v, n := range ts.Variants {
-			vars = append(vars, fmt.Sprintf("%s:%d", v, n))
-		}
-		sort.Strings(vars)
-		variants = fmt.Sprintf("variants [%s], ", strings.Join(vars, " "))
-	}
-	return fmt.Sprintf(", %s%d resched, %d fallback",
-		variants, ts.Reschedules, ts.Fallbacks)
-}
-
-// cmdAdapt runs the E-adapt comparison: the same FPGA-leaning workflows
-// and mid-run faults (accelerator unplug + node slowdown) served twice,
-// statically and adaptively, printing both makespans and the adaptation
-// activity. With -compiled it runs the E-compile variant instead: the
-// workload kernel is compiled source-to-schedule and the adaptive arm's
-// tuners are seeded from the derived operating points.
-func cmdAdapt(args []string) error {
-	fs := flag.NewFlagSet("adapt", flag.ExitOnError)
-	def := sdk.DefaultAdaptiveScenario()
-	workflows := fs.Int("workflows", def.Workflows, "workflows to submit")
-	nodes := fs.Int("nodes", def.Nodes, "compute nodes in the simulated cluster")
-	fpgaNodes := fs.Int("fpga-nodes", def.FPGANodes, "nodes the bitstream is staged on")
-	tenants := fs.Int("tenants", def.Tenants, "tenants sharing the cluster")
-	slow := fs.Float64("slow", def.Slowdown, "load factor hitting the last compute node")
-	faultAt := fs.Float64("fault-at", def.FaultAt, "modelled time the faults take effect")
-	compiled := fs.Bool("compiled", false, "E-compile: serve a source-to-schedule compiled kernel instead of the hand-declared workload")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *compiled {
-		csc := sdk.DefaultCompiledScenario()
-		csc.Workflows, csc.Nodes, csc.FPGANodes, csc.Tenants = *workflows, *nodes, *fpgaNodes, *tenants
-		csc.Slowdown = *slow
-		// -fault-at defaults to the E-adapt timing; only an explicit value
-		// overrides the compiled scenario's own default.
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "fault-at" {
-				csc.FaultAt = *faultAt
-			}
-		})
-		return runCompiledScenario(csc)
-	}
-	sc := sdk.AdaptiveScenario{
-		Workflows: *workflows, Nodes: *nodes, FPGANodes: *fpgaNodes,
-		Tenants: *tenants, Slowdown: *slow, FaultAt: *faultAt,
-	}
-	static, err := sc.Run(false)
-	if err != nil {
-		return err
-	}
-	adaptive, err := sc.Run(true)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scenario   : %d workflows, %d nodes (%d with FPGA), %d tenants\n",
-		sc.Workflows, sc.Nodes, sc.FPGANodes, sc.Tenants)
-	fmt.Printf("faults     : unplug FPGA of node00 + %.3gx slowdown of node%02d, from t=%.3gs\n",
-		sc.Slowdown, sc.Nodes-1, sc.FaultAt)
-	fmt.Printf("static     : %.4gs modelled\n", static.Makespan)
-	fmt.Printf("adaptive   : %.4gs modelled\n", adaptive.Makespan)
-	if adaptive.Makespan > 0 {
-		fmt.Printf("speedup    : %.2fx\n", static.Makespan/adaptive.Makespan)
-	}
-	var names []string
-	for name := range adaptive.Stats.Tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("  %-10s : %s\n", name,
-			strings.TrimPrefix(tenantAdaptSummary(adaptive.Stats.Tenants[name]), ", "))
-	}
-	fmt.Println("node health (adaptive run):")
-	for _, h := range adaptive.Health {
-		fmt.Printf("  %-10s : %2d tasks, ewma %.3gs, load est %.2fx, devices %d/%d\n",
-			h.Node, h.Tasks, h.EWMALatency, h.SlowdownEst, h.DevicesOnline, h.DevicesTotal)
-	}
-	return nil
-}
-
-// runCompiledScenario serves the E-compile comparison and prints it.
-func runCompiledScenario(sc sdk.CompiledScenario) error {
-	c, err := sc.Compile()
-	if err != nil {
-		return err
-	}
-	static, err := sc.RunWith(c, false)
-	if err != nil {
-		return err
-	}
-	adaptive, err := sc.RunWith(c, true)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("scenario   : %d workflows of compiled kernel %q, %d nodes (%d with FPGA), %d tenants, %s transfers\n",
-		sc.Workflows, c.KernelName, sc.Nodes, sc.FPGANodes, sc.Tenants, sc.Net)
-	fmt.Printf("hls        : %s\n", c.Report.String())
-	fmt.Println("variants   : (derived from the HLS schedule + CPU cost model)")
-	for _, row := range c.Summary() {
-		fmt.Printf("  %s\n", row)
-	}
-	fmt.Printf("faults     : unplug FPGA of node00 + %.3gx slowdown of node%02d, from t=%.3gs\n",
-		sc.Slowdown, sc.Nodes-1, sc.FaultAt)
-	fmt.Printf("static     : %.4gs modelled (hand-declared path)\n", static.Makespan)
-	fmt.Printf("adaptive   : %.4gs modelled (compiled variants)\n", adaptive.Makespan)
-	if adaptive.Makespan > 0 {
-		fmt.Printf("speedup    : %.2fx\n", static.Makespan/adaptive.Makespan)
-	}
-	var names []string
-	for name := range adaptive.Stats.Tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("  %-10s : %s\n", name,
-			strings.TrimPrefix(tenantAdaptSummary(adaptive.Stats.Tenants[name]), ", "))
-	}
-	return nil
-}
-
 func cmdDialects() error {
 	ctx := mlir.NewContext()
 	dialects.RegisterAll(ctx)
@@ -999,16 +1196,5 @@ func cmdAnomaly(args []string) error {
 		return err
 	}
 	fmt.Println(js)
-	return nil
-}
-
-func cmdBench() error {
-	for _, exp := range experiments.All() {
-		tab, err := exp()
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.String())
-	}
 	return nil
 }

@@ -45,8 +45,8 @@
 // baselines via cmd/benchgate.
 //
 // Entry points: the basecamp CLI (cmd/basecamp — compile, deploy,
-// serve [-sites N | -stream], adapt, anomaly, bench), the experiment
-// and serving harnesses (cmd/everest-bench — E1-E14 tables, -saturate,
-// -stream), the bench-regression gate (cmd/benchgate), and the runnable
+// dialects, anomaly, `serve <scenario>` for one serving pass and
+// `bench [E1..E14|scenario]` for the experiment tables and serving
+// claims), the bench-regression gate (cmd/benchgate), and the runnable
 // examples under examples/.
 package everest

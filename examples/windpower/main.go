@@ -54,8 +54,8 @@ func main() {
 	// The same KRR inference, carried through the SDK loop: the EKL kernel
 	// compiled source-to-schedule, with cpu1/cpu16/fpga operating points
 	// derived from the HLS schedule and the CPU cost model. This is what
-	// the adaptive runtime's tuners are seeded with (basecamp adapt
-	// -compiled serves it under faults).
+	// the adaptive runtime's tuners are seeded with (basecamp bench
+	// compiled serves it under faults).
 	c, err := variants.CompileExample("windpower", sdk.DefaultCompileOptions())
 	if err != nil {
 		log.Fatal(err)

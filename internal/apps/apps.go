@@ -10,7 +10,7 @@
 //
 // The registry is what feeds the serving stack: sdk.FleetScenario's mixed
 // suite interleaves the registered applications across tenants, `basecamp
-// serve -suite` and `everest-bench -saturate -suite` serve them through
+// serve suite` and `basecamp bench suite` serve them through
 // the fleet tier, and the examples build their workflows from here
 // instead of wiring internals by hand.
 package apps

@@ -1,7 +1,7 @@
 // Package experiments implements the EVEREST reproduction experiments
 // E1–E14 (see DESIGN.md §4): each experiment regenerates the paper-shaped
 // table for one claim of the paper, using the simulated platform substrate.
-// The cmd/everest-bench binary prints the tables; the root bench suite
+// `basecamp bench` prints the tables; the root bench suite
 // asserts their shape.
 package experiments
 

@@ -215,6 +215,16 @@ func (sc AdaptiveScenario) Run(adaptive bool) (ScenarioResult, error) {
 	}, nil
 }
 
+// AdaptWin serves the scenario statically and then adaptively and returns
+// both runs; everything but the engine mode is identical, so the makespan
+// ratio is the value of adaptation.
+func (sc AdaptiveScenario) AdaptWin() (static, adaptive ScenarioResult, err error) {
+	if static, err = sc.Run(false); err == nil {
+		adaptive, err = sc.Run(true)
+	}
+	return static, adaptive, err
+}
+
 // ScenarioBitstream returns the deployable artifact the adaptive scenario
 // stages: a replicated, double-buffered Monte-Carlo kernel sized for an
 // Alveo U55C. It is architecturally equivalent to what the compile flow

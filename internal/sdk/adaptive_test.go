@@ -30,11 +30,7 @@ func TestAdaptiveScenarioValidation(t *testing.T) {
 // static placement.
 func TestAdaptiveBeatsStaticUnderFaults(t *testing.T) {
 	sc := DefaultAdaptiveScenario()
-	static, err := sc.Run(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adaptive, err := sc.Run(true)
+	static, adaptive, err := sc.AdaptWin()
 	if err != nil {
 		t.Fatal(err)
 	}

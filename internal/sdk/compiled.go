@@ -180,6 +180,16 @@ func (sc CompiledScenario) RunWith(c *variants.Compiled, adaptive bool) (Scenari
 	}, nil
 }
 
+// AdaptWinWith serves the scenario statically and then adaptively around
+// one compilation and returns both runs; the makespan ratio is what the
+// compiler-derived operating points buy.
+func (sc CompiledScenario) AdaptWinWith(c *variants.Compiled) (static, adaptive ScenarioResult, err error) {
+	if static, err = sc.RunWith(c, false); err == nil {
+		adaptive, err = sc.RunWith(c, true)
+	}
+	return static, adaptive, err
+}
+
 // DefaultOlympus is the full system-generation optimization ladder used by
 // the compiled path (matching `basecamp compile` defaults).
 func DefaultOlympus() olympus.Options {

@@ -20,11 +20,11 @@ func TestCompiledScenarioDeterministicAndAdaptiveWins(t *testing.T) {
 	// Exact repeatability: the scenario serves workflows sequentially over
 	// modelled-time fault timelines, so a rerun reproduces the makespan
 	// bit-for-bit (this is what lets CI gate speedup_compiled).
-	static2, err := sc.Run(false)
+	c, err := sc.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive2, err := sc.Run(true)
+	static2, adaptive2, err := sc.AdaptWinWith(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,22 +122,22 @@ func TestSuiteDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // rung meets the SLO.
 func TestSuiteSaturationLadder(t *testing.T) {
 	sc := smallSuiteScenario()
-	points, best, perApp, err := sc.SaturateSuite(builtSuite(t), []float64{0.64, 0.01})
+	points, best, err := sc.SaturateSuite(builtSuite(t), []float64{0.64, 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 || len(perApp) != 2 {
-		t.Fatalf("points %d, perApp %d, want 2 each", len(points), len(perApp))
+	if len(points) != 2 {
+		t.Fatalf("points %d, want 2", len(points))
 	}
 	if best.Throughput <= 0 {
 		t.Fatalf("no SLO-meeting rung: %+v", points)
 	}
-	for i, m := range perApp {
-		if len(m) != len(apps.Names()) {
-			t.Fatalf("rung %d: per-app stats %+v", i, m)
+	for i, p := range points {
+		if len(p.Apps) != len(apps.Names()) {
+			t.Fatalf("rung %d: per-app stats %+v", i, p.Apps)
 		}
 	}
-	if _, _, _, err := sc.SaturateSuite(nil, nil); err == nil {
+	if _, _, err := sc.SaturateSuite(nil, nil); err == nil {
 		t.Fatal("nil suite accepted")
 	}
 }

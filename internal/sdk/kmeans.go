@@ -196,3 +196,15 @@ func (sc KMeansScenario) Run() (KMeansResult, error) {
 	}
 	return out, nil
 }
+
+// LocalityWin serves the scenario with data-locality routing and then
+// placement-blind and returns both runs; the win is the blind arm's
+// shipped bytes per workflow over the locality arm's.
+func (sc KMeansScenario) LocalityWin() (local, blind KMeansResult, err error) {
+	sc.PlacementBlind = false
+	if local, err = sc.Run(); err == nil {
+		sc.PlacementBlind = true
+		blind, err = sc.Run()
+	}
+	return local, blind, err
+}

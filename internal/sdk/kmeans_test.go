@@ -22,12 +22,7 @@ func smallKMeans() KMeansScenario {
 
 func TestKMeansScenarioArms(t *testing.T) {
 	sc := smallKMeans()
-	local, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.PlacementBlind = true
-	blind, err := sc.Run()
+	local, blind, err := sc.LocalityWin()
 	if err != nil {
 		t.Fatal(err)
 	}

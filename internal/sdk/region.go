@@ -344,8 +344,7 @@ type RegionResult struct {
 }
 
 // BuildSuite compiles the scenario's application suite (shared across
-// runs: the prefetch on/off contrast and the saturation ladder re-serve
-// the same compilations).
+// runs: PrefetchWin re-serves the same compilations).
 func (sc RegionScenario) BuildSuite() (*apps.Suite, error) {
 	return apps.BuildSuite(apps.DefaultOptions(), sc.Apps...)
 }
@@ -550,42 +549,15 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 	return out, nil
 }
 
-// Saturate sweeps the offered-load ladder over the region scenario (one
-// serving run per interarrival gap around the same built suite) and
-// returns every point plus the best: the highest achieved throughput
-// among rungs whose TailP99 met the SLO.
-func (sc RegionScenario) Saturate(s *apps.Suite, gaps []float64) ([]SaturationPoint, SaturationPoint, error) {
-	if len(gaps) == 0 {
-		gaps = DefaultSaturationGaps()
+// PrefetchWin serves the scenario over one built suite with
+// forecast-driven bitstream prefetch on and then off and returns both
+// runs; the win is the off arm's tail cold-start overhead over the on
+// arm's.
+func (sc RegionScenario) PrefetchWin(s *apps.Suite) (on, off RegionResult, err error) {
+	sc.Prefetch = true
+	if on, err = sc.RunSuite(s); err == nil {
+		sc.Prefetch = false
+		off, err = sc.RunSuite(s)
 	}
-	seen := make(map[float64]bool, len(gaps))
-	var points []SaturationPoint
-	var best SaturationPoint
-	for _, gap := range gaps {
-		if gap <= 0 {
-			return nil, SaturationPoint{}, fmt.Errorf("sdk: saturation gap must be > 0, got %g", gap)
-		}
-		if seen[gap] {
-			return nil, SaturationPoint{}, fmt.Errorf("sdk: duplicate saturation gap %g", gap)
-		}
-		seen[gap] = true
-		run := sc
-		run.ArrivalGap = gap
-		res, err := run.RunSuite(s)
-		if err != nil {
-			return nil, SaturationPoint{}, fmt.Errorf("sdk: region saturation at gap %g: %w", gap, err)
-		}
-		p := SaturationPoint{
-			Gap: gap, OfferedRate: 1 / gap,
-			Throughput: res.Throughput, P50: res.P50, P95: res.TailP99,
-			Completed: res.Completed, Rejected: res.Rejected,
-			SLOMet: res.SLOMet,
-		}
-		points = append(points, p)
-		if p.SLOMet && (p.Throughput > best.Throughput ||
-			(p.Throughput == best.Throughput && p.Gap > best.Gap)) {
-			best = p
-		}
-	}
-	return points, best, nil
+	return on, off, err
 }

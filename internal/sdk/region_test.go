@@ -113,14 +113,11 @@ func TestRegionScenarioPrefetchContrast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arms := map[bool]RegionResult{}
-	for _, pf := range []bool{true, false} {
-		run := sc
-		run.Prefetch = pf
-		res, err := run.RunSuite(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+	on, off, err := sc.PrefetchWin(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pf, res := range map[bool]RegionResult{true: on, false: off} {
 		if res.Completed != sc.Workflows {
 			t.Fatalf("prefetch=%v completed %d/%d", pf, res.Completed, sc.Workflows)
 		}
@@ -130,9 +127,7 @@ func TestRegionScenarioPrefetchContrast(t *testing.T) {
 		if res.GuaranteedAdmitted == 0 {
 			t.Fatalf("prefetch=%v: no guaranteed admissions", pf)
 		}
-		arms[pf] = res
 	}
-	on, off := arms[true], arms[false]
 	prefetchSeconds := 0.0
 	for _, r := range on.Stats.Regions {
 		prefetchSeconds += r.PrefetchSeconds
@@ -175,32 +170,6 @@ func TestRegionScenarioPartition(t *testing.T) {
 	}
 	if skips == 0 {
 		t.Fatal("partition never forced a local degrade")
-	}
-}
-
-func TestRegionScenarioSaturate(t *testing.T) {
-	sc := DefaultRegionScenario()
-	sc.Workflows = 40
-	sc.SLO = 30
-	s, err := sc.BuildSuite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	points, best, err := sc.Saturate(s, []float64{0.5, 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points, want 2", len(points))
-	}
-	if best.Gap == 0 || !best.SLOMet {
-		t.Fatalf("no SLO-meeting rung selected: %+v", best)
-	}
-	if _, _, err := sc.Saturate(s, []float64{0.5, 0.5}); err == nil {
-		t.Fatal("duplicate gap accepted")
-	}
-	if _, _, err := sc.Saturate(s, []float64{-1}); err == nil {
-		t.Fatal("negative gap accepted")
 	}
 }
 

@@ -43,7 +43,14 @@ type SaturationPoint struct {
 	Completed   int
 	Rejected    int
 	SLOMet      bool
+	// Apps holds the rung's per-application latency distributions when
+	// the ladder served the mixed suite (nil otherwise).
+	Apps map[string]TenantLatency
 }
+
+func (p SaturationPoint) offered() float64  { return p.OfferedRate }
+func (p SaturationPoint) achieved() float64 { return p.Throughput }
+func (p SaturationPoint) met() bool         { return p.SLOMet }
 
 // DefaultSaturationGaps is the standard offered-load ladder: interarrival
 // gaps halving from well under saturation to far past it.
@@ -52,76 +59,73 @@ func DefaultSaturationGaps() []float64 {
 }
 
 // Saturate serves the scenario once per gap in the ladder (open arrival
-// mode, same compiled kernel and aggregate workload each time) and
-// returns every measured point plus the best one: the highest achieved
-// throughput among rungs whose p95 latency met the SLO. A zero best means
-// no rung met it.
+// mode, same compiled kernel and workload each time) and returns every
+// point plus the best: the highest throughput among rungs whose p95 met
+// the SLO (see climb).
 func (sc FleetScenario) Saturate(c *variants.Compiled, gaps []float64) ([]SaturationPoint, SaturationPoint, error) {
-	return saturate(gaps, func(gap float64) (FleetResult, error) {
-		run := sc
-		run.Closed = false
-		run.ArrivalGap = gap
-		return run.RunWith(c)
-	})
+	return sc.saturate(gaps, func(run FleetScenario) (FleetResult, error) { return run.RunWith(c) })
 }
 
 // SaturateSuite sweeps the same offered-load ladder serving the built
 // application suite (the mixed EVEREST use-case stream) instead of the
-// single compiled kernel. The returned points carry per-application
-// latency percentiles through FleetResult in addition to the aggregate.
-func (sc FleetScenario) SaturateSuite(s *apps.Suite, gaps []float64) ([]SaturationPoint, SaturationPoint, []map[string]TenantLatency, error) {
-	var perApp []map[string]TenantLatency
-	points, best, err := saturate(gaps, func(gap float64) (FleetResult, error) {
-		run := sc
-		run.Closed = false
-		run.ArrivalGap = gap
-		res, err := run.RunSuite(s)
-		if err == nil {
-			perApp = append(perApp, res.Apps)
-		}
-		return res, err
-	})
-	if err != nil {
-		return nil, SaturationPoint{}, nil, err
-	}
-	return points, best, perApp, nil
+// single compiled kernel. Every point carries its per-application latency
+// percentiles in Apps.
+func (sc FleetScenario) SaturateSuite(s *apps.Suite, gaps []float64) ([]SaturationPoint, SaturationPoint, error) {
+	return sc.saturate(gaps, func(run FleetScenario) (FleetResult, error) { return run.RunSuite(s) })
 }
 
-// saturate sweeps the offered-load ladder with one serving run per gap.
-// The best point is selected by achieved throughput with ties broken
-// toward the lower offered rate (larger gap): equal-throughput rungs then
-// resolve the same way however the ladder is ordered, instead of letting
-// input order silently decide the reported SLO point. Duplicate gaps are
-// rejected for the same reason — serving the same rung twice could only
-// re-measure it, and which copy won would be an accident of position.
-func saturate(gaps []float64, run func(gap float64) (FleetResult, error)) ([]SaturationPoint, SaturationPoint, error) {
+// saturate climbs the gap ladder (the default one when gaps is empty),
+// serving one open-mode pass of the scenario per rung.
+func (sc FleetScenario) saturate(gaps []float64, serve func(FleetScenario) (FleetResult, error)) ([]SaturationPoint, SaturationPoint, error) {
 	if len(gaps) == 0 {
 		gaps = DefaultSaturationGaps()
 	}
-	seen := make(map[float64]bool, len(gaps))
-	var points []SaturationPoint
-	var best SaturationPoint
-	for _, gap := range gaps {
-		if gap <= 0 {
-			return nil, SaturationPoint{}, fmt.Errorf("sdk: saturation gap must be > 0, got %g", gap)
-		}
-		if seen[gap] {
-			return nil, SaturationPoint{}, fmt.Errorf("sdk: duplicate saturation gap %g", gap)
-		}
-		seen[gap] = true
-		res, err := run(gap)
-		if err != nil {
-			return nil, SaturationPoint{}, fmt.Errorf("sdk: saturation at gap %g: %w", gap, err)
-		}
-		p := SaturationPoint{
+	sc.Closed = false
+	return climb(gaps, "gap", func(gap float64) (SaturationPoint, error) {
+		sc.ArrivalGap = gap
+		res, err := serve(sc)
+		return SaturationPoint{
 			Gap: gap, OfferedRate: 1 / gap,
 			Throughput: res.Throughput, P50: res.P50, P95: res.P95,
 			Completed: res.Completed, Rejected: res.Rejected,
-			SLOMet: res.SLOMet,
+			SLOMet: res.SLOMet, Apps: res.Apps,
+		}, err
+	})
+}
+
+// rung is a measured point of an offered-load ladder.
+type rung interface {
+	offered() float64  // offered load
+	achieved() float64 // achieved throughput
+	met() bool         // the run sustained the SLO
+}
+
+// climb serves one run per rung of an offered-load ladder and returns
+// every point plus the best: the highest achieved throughput among rungs
+// that met the SLO, ties going to the lower offered load so that
+// equal-throughput rungs resolve the same way however the ladder is
+// ordered. A zero best means no rung met the SLO. Non-positive rungs are
+// rejected, and so are duplicates: serving a rung twice could only
+// re-measure it, and which copy won would be an accident of position.
+func climb[P rung](rungs []float64, unit string, serve func(float64) (P, error)) ([]P, P, error) {
+	var best, zero P
+	seen := make(map[float64]bool, len(rungs))
+	var points []P
+	for _, r := range rungs {
+		if r <= 0 {
+			return nil, zero, fmt.Errorf("sdk: saturation %s must be > 0, got %g", unit, r)
+		}
+		if seen[r] {
+			return nil, zero, fmt.Errorf("sdk: duplicate saturation %s %g", unit, r)
+		}
+		seen[r] = true
+		p, err := serve(r)
+		if err != nil {
+			return nil, zero, fmt.Errorf("sdk: saturation at %s %g: %w", unit, r, err)
 		}
 		points = append(points, p)
-		if p.SLOMet && (p.Throughput > best.Throughput ||
-			(p.Throughput == best.Throughput && p.Gap > best.Gap)) {
+		if p.met() && (p.achieved() > best.achieved() ||
+			(p.achieved() == best.achieved() && p.offered() < best.offered())) {
 			best = p
 		}
 	}

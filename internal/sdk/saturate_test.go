@@ -61,11 +61,11 @@ func TestPercentileNearIntegerRank(t *testing.T) {
 // throughput, and the reported best must be the lower offered rate
 // (larger gap) regardless of ladder order — pre-fix, input order decided.
 func TestSaturateTieBreaksOnLowerOfferedRate(t *testing.T) {
-	run := func(gap float64) (FleetResult, error) {
+	run := func(FleetScenario) (FleetResult, error) {
 		return FleetResult{Throughput: 10, P95: 1, SLOMet: true}, nil
 	}
 	for _, ladder := range [][]float64{{0.2, 0.1}, {0.1, 0.2}} {
-		points, best, err := saturate(ladder, run)
+		points, best, err := DefaultFleetScenario().saturate(ladder, run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +82,15 @@ func TestSaturateTieBreaksOnLowerOfferedRate(t *testing.T) {
 // re-measure it, and which copy won a tie would be an accident of
 // position, so duplicate gaps are an input error.
 func TestSaturateRejectsDuplicateGaps(t *testing.T) {
-	run := func(gap float64) (FleetResult, error) {
-		return FleetResult{Throughput: 1 / gap, SLOMet: true}, nil
+	run := func(sc FleetScenario) (FleetResult, error) {
+		return FleetResult{Throughput: 1 / sc.ArrivalGap, SLOMet: true}, nil
 	}
-	if _, _, err := saturate([]float64{0.2, 0.1, 0.2}, run); err == nil ||
+	sc := DefaultFleetScenario()
+	if _, _, err := sc.saturate([]float64{0.2, 0.1, 0.2}, run); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate gap accepted (err=%v)", err)
 	}
-	if _, _, err := saturate([]float64{0.2, 0}, run); err == nil {
+	if _, _, err := sc.saturate([]float64{0.2, 0}, run); err == nil {
 		t.Fatal("zero gap accepted")
 	}
 }

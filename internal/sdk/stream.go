@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"everest/internal/apps"
-	"everest/internal/platform"
 	"everest/internal/runtime"
 	"everest/internal/stream"
 )
@@ -72,6 +71,7 @@ func DefaultStreamScenario() StreamScenario {
 		Pipelines:       4,
 		Events:          250000,
 		Rate:            4000,
+		Arrival:         "poisson",
 		WindowEvents:    64,
 		WindowSeconds:   0.05,
 		PartialReconfig: true,
@@ -96,6 +96,9 @@ func (sc StreamScenario) withDefaults() StreamScenario {
 	}
 	if sc.Rate <= 0 {
 		sc.Rate = 4000
+	}
+	if sc.Arrival == "" {
+		sc.Arrival = "poisson"
 	}
 	if sc.WindowEvents <= 0 {
 		sc.WindowEvents = 64
@@ -129,7 +132,7 @@ type StreamServer struct {
 func NewStreamServer(sc StreamScenario) (*StreamServer, error) {
 	sc = sc.withDefaults()
 	switch sc.Arrival {
-	case "", "poisson", "bursty", "diurnal":
+	case "poisson", "bursty", "diurnal":
 	default:
 		return nil, fmt.Errorf("sdk: unknown arrival process %q (want poisson, bursty, or diurnal)", sc.Arrival)
 	}
@@ -244,6 +247,10 @@ type StreamPoint struct {
 	SLOMet     bool
 }
 
+func (p StreamPoint) offered() float64  { return p.Rate }
+func (p StreamPoint) achieved() float64 { return p.Throughput }
+func (p StreamPoint) met() bool         { return p.SLOMet }
+
 // DefaultStreamRates is the standard offered-load ladder: per-pipeline
 // event rates climbing from well under capacity (the bottleneck operator
 // sustains ~4300 ev/s) to far past it.
@@ -251,40 +258,24 @@ func DefaultStreamRates() []float64 {
 	return []float64{1000, 2000, 3000, 4000, 5000, 6000, 8000, 12000}
 }
 
-// slomet decides whether a rung sustains the SLO: the p99 end-to-end
-// latency is inside the target and overload lost (shed) no more than 0.1%
-// of the feed.
-func (s *StreamServer) slomet(st stream.Stats) bool {
-	return st.P99 <= s.sc.SLO && float64(st.Shed) <= 0.001*float64(st.Events)
-}
-
-// Saturate serves the scenario once per rate rung and returns every
-// measured point plus the best one: the highest achieved throughput among
-// rungs that sustained the SLO. A zero best means no rung met it.
+// Saturate serves the scenario once per rate rung (the default ladder
+// when rates is empty) and returns every measured point plus the best
+// one: the highest achieved throughput among rungs that sustained the
+// SLO — p99 end-to-end latency inside the target with no more than 0.1%
+// of the feed shed. A zero best means no rung met it.
 func (s *StreamServer) Saturate(rates []float64) ([]StreamPoint, StreamPoint, error) {
 	if len(rates) == 0 {
 		rates = DefaultStreamRates()
 	}
-	var points []StreamPoint
-	var best StreamPoint
-	for _, r := range rates {
+	return climb(rates, "rate", func(r float64) (StreamPoint, error) {
 		st, err := s.RunAt(r)
-		if err != nil {
-			return nil, StreamPoint{}, err
-		}
-		p := StreamPoint{
+		return StreamPoint{
 			Rate: r, Throughput: st.Throughput,
 			P50: st.P50, P99: st.P99,
 			Done: st.Done, Shed: st.Shed, Swaps: st.Swaps,
-			SLOMet: s.slomet(st),
-		}
-		points = append(points, p)
-		if p.SLOMet && (p.Throughput > best.Throughput ||
-			(p.Throughput == best.Throughput && p.Rate < best.Rate)) {
-			best = p
-		}
-	}
-	return points, best, nil
+			SLOMet: st.P99 <= s.sc.SLO && float64(st.Shed) <= 0.001*float64(st.Events),
+		}, err
+	})
 }
 
 // SwapWin measures the partial-reconfiguration payoff at the scenario's
@@ -303,7 +294,3 @@ func (s *StreamServer) SwapWin() (on, off stream.Stats, err error) {
 	s.sc.PartialReconfig = saved
 	return on, off, err
 }
-
-// StreamCluster returns the scenario's cluster shape (exported for the
-// CLIs' banner output).
-func (s *StreamServer) StreamCluster() *platform.Cluster { return DefaultCluster(s.sc.Nodes) }

@@ -89,6 +89,18 @@ func TestStreamSaturateFindsTheKnee(t *testing.T) {
 	}
 }
 
+// TestStreamSaturateRejectsBadRates: a non-positive rate would be served
+// at the arrival process's 1 ev/s floor under the wrong label, and a
+// duplicate rung only re-measures itself, so both are input errors.
+func TestStreamSaturateRejectsBadRates(t *testing.T) {
+	s := testStreamServer(t, 5000)
+	for _, rates := range [][]float64{{0, 4000}, {-1000}, {4000, 4000}} {
+		if _, _, err := s.Saturate(rates); err == nil {
+			t.Errorf("rate ladder %v accepted", rates)
+		}
+	}
+}
+
 func TestStreamSwapWin(t *testing.T) {
 	s := testStreamServer(t, 20000)
 	on, off, err := s.SwapWin()

@@ -183,14 +183,15 @@ type evalEnv struct {
 	kernel  *Kernel
 	tensors map[string]*tensor.Tensor
 	scalars map[string]float64
-	idx     map[string]int // current index-variable assignment
 	trace   []StmtInfo
 }
 
 func (e *evalEnv) isTensor(name string) bool { _, ok := e.tensors[name]; return ok }
 func (e *evalEnv) isScalar(name string) bool { _, ok := e.scalars[name]; return ok }
 
-// exec executes one statement.
+// exec executes one statement: it infers the iteration space and records
+// it in the trace, resolves the statement's expressions once (resolve.go),
+// then evaluates them at every point, range-checking each write.
 func (e *evalEnv) exec(s *Stmt) error {
 	freeOrder, err := e.freeIndices(s)
 	if err != nil {
@@ -236,47 +237,69 @@ func (e *evalEnv) exec(s *Stmt) error {
 	}
 	e.trace = append(e.trace, info)
 
-	e.idx = make(map[string]int, len(freeOrder)+4)
+	r := newResolver(e, freeOrder)
+	lhs := make([]intFn, len(s.LHS))
+	for i, le := range s.LHS {
+		lhs[i] = r.index(le)
+	}
 	pair, isPair := s.RHS.(PairExpr)
-	it := tensor.NewIndexer(bounds)
-	lhsIdx := make([]int, 0, len(freeOrder)+1)
-	for tuple, ok := it.Next(); ok; tuple, ok = it.Next() {
-		for i, name := range freeOrder {
-			e.idx[name] = tuple[i]
-		}
+	var rhs, rhsB valueFn
+	if isPair {
+		rhs, rhsB = r.value(pair.A), r.value(pair.B)
+	} else {
+		rhs = r.value(s.RHS)
+	}
+
+	slots := make([]int, r.slots)
+	at := make([]int, len(freeOrder))
+	for i := range at {
+		at[i] = i
+	}
+	data := target.Data()
+	lhsIdx := make([]int, 0, max(len(s.LHS), len(freeOrder))+1)
+	for ok := first(slots, at, bounds); ok; ok = next(slots, at, bounds) {
 		lhsIdx = lhsIdx[:0]
 		if s.LHS != nil {
-			for _, le := range s.LHS {
-				v, err := e.evalInt(le)
+			for _, f := range lhs {
+				v, err := f(slots)
 				if err != nil {
 					return err
 				}
 				lhsIdx = append(lhsIdx, v)
 			}
 		} else {
-			lhsIdx = append(lhsIdx, tuple...)
+			lhsIdx = append(lhsIdx, slots[:len(at)]...)
 		}
 		if isPair {
-			a, err := e.eval(pair.A)
+			a, err := rhs(slots)
 			if err != nil {
 				return err
 			}
-			bv, err := e.eval(pair.B)
+			bv, err := rhsB(slots)
 			if err != nil {
 				return err
 			}
-			target.Set(a, append(lhsIdx, 0)...)
-			target.Set(bv, append(lhsIdx, 1)...)
+			for half, v := range [2]float64{a, bv} {
+				off, err := offset(target, s.Name, append(lhsIdx, half))
+				if err != nil {
+					return err
+				}
+				data[off] = v
+			}
 			continue
 		}
-		v, err := e.eval(s.RHS)
+		v, err := rhs(slots)
+		if err != nil {
+			return err
+		}
+		off, err := offset(target, s.Name, lhsIdx)
 		if err != nil {
 			return err
 		}
 		if s.Accumulate {
-			v += target.At(lhsIdx...)
+			v += data[off]
 		}
-		target.Set(v, lhsIdx...)
+		data[off] = v
 	}
 	e.tensors[s.Name] = target
 	return nil
@@ -496,165 +519,6 @@ func (e *evalEnv) prepareTarget(s *Stmt, free []string, bounds []int) (*tensor.T
 	return tensor.New(shape...), nil
 }
 
-// eval evaluates an expression to a float64 under the current index
-// assignment.
-func (e *evalEnv) eval(x Expr) (float64, error) {
-	switch t := x.(type) {
-	case NumberLit:
-		return t.Value, nil
-
-	case IdentRef:
-		if v, ok := e.scalars[t.Name]; ok {
-			return v, nil
-		}
-		if v, ok := e.idx[t.Name]; ok {
-			return float64(v), nil
-		}
-		if tt, ok := e.tensors[t.Name]; ok {
-			if tt.Rank() == 0 {
-				return tt.Item(), nil
-			}
-			return 0, fmt.Errorf("tensor %q used without subscripts", t.Name)
-		}
-		return 0, fmt.Errorf("unbound identifier %q", t.Name)
-
-	case SubscriptExpr:
-		base := t.Base.(IdentRef)
-		tt, ok := e.tensors[base.Name]
-		if !ok {
-			return 0, fmt.Errorf("unknown tensor %q", base.Name)
-		}
-		idx := make([]int, len(t.Indices))
-		for d, ix := range t.Indices {
-			v, err := e.evalInt(ix)
-			if err != nil {
-				return 0, err
-			}
-			if v < 0 || v >= tt.Shape()[d] {
-				return 0, fmt.Errorf("index %d out of range [0,%d) in dim %d of %q",
-					v, tt.Shape()[d], d, base.Name)
-			}
-			idx[d] = v
-		}
-		return tt.At(idx...), nil
-
-	case BinaryExpr:
-		l, err := e.eval(t.L)
-		if err != nil {
-			return 0, err
-		}
-		r, err := e.eval(t.R)
-		if err != nil {
-			return 0, err
-		}
-		switch t.Op {
-		case "+":
-			return l + r, nil
-		case "-":
-			return l - r, nil
-		case "*":
-			return l * r, nil
-		case "/":
-			return l / r, nil
-		case "<=":
-			return boolVal(l <= r), nil
-		case "<":
-			return boolVal(l < r), nil
-		case ">=":
-			return boolVal(l >= r), nil
-		case ">":
-			return boolVal(l > r), nil
-		case "==":
-			return boolVal(l == r), nil
-		case "!=":
-			return boolVal(l != r), nil
-		}
-		return 0, fmt.Errorf("unknown operator %q", t.Op)
-
-	case UnaryExpr:
-		v, err := e.eval(t.X)
-		if err != nil {
-			return 0, err
-		}
-		return -v, nil
-
-	case CallExpr:
-		args := make([]float64, len(t.Args))
-		for i, a := range t.Args {
-			v, err := e.eval(a)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = v
-		}
-		switch t.Fn {
-		case "select":
-			if args[0] != 0 {
-				return args[1], nil
-			}
-			return args[2], nil
-		case "exp":
-			return math.Exp(args[0]), nil
-		case "log":
-			return math.Log(args[0]), nil
-		case "sqrt":
-			return math.Sqrt(args[0]), nil
-		case "abs":
-			return math.Abs(args[0]), nil
-		case "floor":
-			return math.Floor(args[0]), nil
-		case "min":
-			return math.Min(args[0], args[1]), nil
-		case "max":
-			return math.Max(args[0], args[1]), nil
-		case "pow":
-			return math.Pow(args[0], args[1]), nil
-		}
-		return 0, fmt.Errorf("unknown function %q", t.Fn)
-
-	case SumExpr:
-		// Extents of sum indices were validated in inferExtents; re-derive
-		// them here from the body's subscripts.
-		extents, err := e.sumExtents(t)
-		if err != nil {
-			return 0, err
-		}
-		bounds := make([]int, len(t.Indices))
-		for i, name := range t.Indices {
-			bounds[i] = extents[name]
-		}
-		saved := make([]int, len(t.Indices))
-		hadPrev := make([]bool, len(t.Indices))
-		for i, name := range t.Indices {
-			saved[i], hadPrev[i] = e.idx[name], hasKey(e.idx, name)
-		}
-		total := 0.0
-		it := tensor.NewIndexer(bounds)
-		for tuple, ok := it.Next(); ok; tuple, ok = it.Next() {
-			for i, name := range t.Indices {
-				e.idx[name] = tuple[i]
-			}
-			v, err := e.eval(t.Body)
-			if err != nil {
-				return 0, err
-			}
-			total += v
-		}
-		for i, name := range t.Indices {
-			if hadPrev[i] {
-				e.idx[name] = saved[i]
-			} else {
-				delete(e.idx, name)
-			}
-		}
-		return total, nil
-
-	case PairExpr:
-		return 0, fmt.Errorf("pair expression in value position")
-	}
-	return 0, fmt.Errorf("unhandled expression %T", x)
-}
-
 // sumExtents infers the extents of a SumExpr's indices from bare appearances
 // in its body.
 func (e *evalEnv) sumExtents(se SumExpr) (map[string]int, error) {
@@ -701,26 +565,3 @@ func (e *evalEnv) sumExtents(se SumExpr) (map[string]int, error) {
 	}
 	return extents, nil
 }
-
-// evalInt evaluates an expression expected to yield an integer (subscript
-// position).
-func (e *evalEnv) evalInt(x Expr) (int, error) {
-	v, err := e.eval(x)
-	if err != nil {
-		return 0, err
-	}
-	r := math.Round(v)
-	if math.Abs(v-r) > 1e-9 {
-		return 0, fmt.Errorf("subscript value %g is not an integer", v)
-	}
-	return int(r), nil
-}
-
-func boolVal(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func hasKey(m map[string]int, k string) bool { _, ok := m[k]; return ok }

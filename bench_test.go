@@ -161,7 +161,7 @@ func BenchmarkAdaptivePlacement(b *testing.B) {
 	var speedups, makespans []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		static, adaptive, err := sc.AdaptWin()
+		static, adaptive, err := sc.AdaptWin(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func BenchmarkCompiledVariants(b *testing.B) {
 	var speedups, makespans []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		static, adaptive, err := sc.AdaptWinWith(c)
+		static, adaptive, err := sc.AdaptWin(c)
 		if err != nil {
 			b.Fatal(err)
 		}

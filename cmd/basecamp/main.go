@@ -95,8 +95,8 @@ var benchScenarios = map[string]scenario{
 	"stream":   benchStream,
 	"region":   benchRegion,
 	"kmeans":   benchKMeans,
-	"adapt":    benchAdapt,
-	"compiled": benchCompiled,
+	"adapt":    benchEngine(sdk.DefaultAdaptiveScenario()),
+	"compiled": benchEngine(sdk.DefaultCompiledScenario()),
 }
 
 func scenarioNames(m map[string]scenario) []string { return slices.Sorted(maps.Keys(m)) }
@@ -345,7 +345,16 @@ func fleetFlags(fs *flag.FlagSet, sc *sdk.FleetScenario) {
 	fs.IntVar(&sc.CacheSlots, "cache-slots", sc.CacheSlots, "resident bitstreams per site")
 	fs.IntVar(&sc.Tenants, "tenants", sc.Tenants, "tenants (closed loop: concurrent clients)")
 	fs.IntVar(&sc.Workflows, "workflows", sc.Workflows, "workflows to serve (per rung of a ladder)")
-	fs.Float64Var(&sc.UnplugAt, "unplug-at", sc.UnplugAt, "modelled time site 0's first accelerator detaches (0 = no fault)")
+	// Every fleet preset scripts site 0's unplug first; -unplug-at 0 drops it.
+	unplug, faults := sc.SiteEvents[0][0], sc.SiteEvents[0][1:]
+	fs.Func("unplug-at", fmt.Sprintf("modelled time site 0's first accelerator detaches (0 = no fault) (default %g)", unplug.At), func(v string) (err error) {
+		unplug.At, err = strconv.ParseFloat(v, 64)
+		sc.SiteEvents = [][]runtime.EnvEvent{faults} // a fresh slice: the preset stays untouched
+		if unplug.At > 0 {
+			sc.SiteEvents[0] = append([]runtime.EnvEvent{unplug}, faults...)
+		}
+		return err
+	})
 	fs.StringVar(&sc.Net, "net", sc.Net, "intra-site transfer stack: tcp10g or udp10g (empty: flat fabric)")
 	fs.StringVar(&sc.RegistryNet, "registry-net", sc.RegistryNet, "registry->site deploy fabric: tcp10g, udp10g, or eth100g")
 	fs.BoolVar(&sc.Adaptive, "adaptive", sc.Adaptive, "variant-aware scheduling against live monitors")
@@ -420,7 +429,7 @@ func runFleet(sc *sdk.FleetScenario, trace *bool) func() error {
 		}
 		printLatencies("app ", res.Apps)
 		if sc.Closed {
-			printLatencies("", res.Stats.Tenants)
+			printLatencies("", res.Tenants)
 		}
 		for _, s := range res.Stats.Fleet.Sites {
 			fmt.Printf("  %-7s : %3d served, cache %d hit / %d miss, %d evict, %d redeploy, %d fallback, %.3gs deploying\n",
@@ -512,8 +521,14 @@ func benchWCET(fs *flag.FlagSet) func() error {
 			return err
 		}
 		fleetBanner(sc, fmt.Sprintf("every %dth guaranteed", sc.GuaranteedEvery))
-		fmt.Printf("faults     : unplug@%.3gs + %gx slowdown@%.3gs on site 0 (cap honours the SlowdownCap contract)\n",
-			sc.UnplugAt, sc.SlowdownFactor, sc.SlowdownAt)
+		faults := make([]string, len(sc.SiteEvents[0]))
+		for i, ev := range sc.SiteEvents[0] {
+			faults[i] = fmt.Sprintf("%gx slowdown@%.3gs", ev.Factor, ev.At)
+			if ev.Kind == runtime.EnvUnplug {
+				faults[i] = fmt.Sprintf("unplug@%.3gs", ev.At)
+			}
+		}
+		fmt.Printf("faults     : %s on site 0 (cap honours the SlowdownCap contract)\n", strings.Join(faults, " + "))
 		fmt.Printf("%10s %10s %10s %10s %12s %10s %10s\n",
 			"deadline_s", "requested", "admitted", "admit_rate", "violations", "tightness", "p95_s")
 		violations := 0
@@ -805,75 +820,60 @@ func benchKMeans(fs *flag.FlagSet) func() error {
 	}
 }
 
-// faultFlags binds the knobs the E-adapt and E-compile scenarios share;
-// the returned printer renders a static-vs-adaptive pair: the fault
-// script, both makespans, and each tenant's adaptation activity.
-func faultFlags(fs *flag.FlagSet, workflows, nodes, fpgaNodes, tenants *int, slow, faultAt *float64) func(static, adaptive sdk.ScenarioResult) {
-	fs.IntVar(workflows, "workflows", *workflows, "workflows to submit")
-	fs.IntVar(nodes, "nodes", *nodes, "compute nodes in the simulated cluster (plus cloudfpga0)")
-	fs.IntVar(fpgaNodes, "fpga-nodes", *fpgaNodes, "nodes the bitstream is staged on")
-	fs.IntVar(tenants, "tenants", *tenants, "tenants sharing the cluster")
-	fs.Float64Var(slow, "slow", *slow, "load factor hitting the last compute node")
-	fs.Float64Var(faultAt, "fault-at", *faultAt, "modelled time the faults take effect")
-	return func(static, adaptive sdk.ScenarioResult) {
-		fmt.Printf("faults     : unplug FPGA of node00 + %.3gx slowdown of node%02d, from t=%.3gs\n",
-			*slow, *nodes-1, *faultAt)
-		fmt.Printf("static     : %.4gs modelled\n", static.Makespan)
-		fmt.Printf("adaptive   : %.4gs modelled\n", adaptive.Makespan)
-		if adaptive.Makespan > 0 {
-			fmt.Printf("speedup    : %.2fx\n", static.Makespan/adaptive.Makespan)
+// benchEngine is `basecamp bench adapt|compiled`: an engine-tier
+// scenario's workflows served statically and adaptively under the same
+// faults — E-adapt's hand-declared Monte-Carlo workload, or E-compile's
+// kernel with the adaptive arm's tuners seeded from compiler-derived
+// operating points.
+func benchEngine(def sdk.AdaptiveScenario) scenario {
+	return func(fs *flag.FlagSet) func() error {
+		sc := def
+		fs.IntVar(&sc.Workflows, "workflows", sc.Workflows, "workflows to submit")
+		fs.IntVar(&sc.Nodes, "nodes", sc.Nodes, "compute nodes in the simulated cluster (plus cloudfpga0)")
+		fs.IntVar(&sc.FPGANodes, "fpga-nodes", sc.FPGANodes, "nodes the bitstream is staged on")
+		fs.IntVar(&sc.Tenants, "tenants", sc.Tenants, "tenants sharing the cluster")
+		fs.Float64Var(&sc.Slowdown, "slow", sc.Slowdown, "load factor hitting the last compute node")
+		fs.Float64Var(&sc.FaultAt, "fault-at", sc.FaultAt, "modelled time the faults take effect")
+		return func() error {
+			c, err := sc.Compile()
+			if err != nil {
+				return err
+			}
+			static, adaptive, err := sc.AdaptWin(c)
+			if err != nil {
+				return err
+			}
+			if c == nil {
+				fmt.Printf("scenario   : %d workflows, %d nodes (%d with FPGA), %d tenants\n",
+					sc.Workflows, sc.Nodes, sc.FPGANodes, sc.Tenants)
+			} else {
+				fmt.Printf("scenario   : %d workflows of compiled kernel %q, %d nodes (%d with FPGA), %d tenants, %s transfers\n",
+					sc.Workflows, c.KernelName, sc.Nodes, sc.FPGANodes, sc.Tenants, sc.Net)
+				fmt.Printf("hls        : %s\n", c.Report.String())
+				fmt.Println("variants   : (derived from the HLS schedule + CPU cost model)")
+				for _, row := range c.Summary() {
+					fmt.Printf("  %s\n", row)
+				}
+			}
+			fmt.Printf("faults     : unplug FPGA of node00 + %.3gx slowdown of node%02d, from t=%.3gs\n",
+				sc.Slowdown, sc.Nodes-1, sc.FaultAt)
+			fmt.Printf("static     : %.4gs modelled\n", static.Makespan)
+			fmt.Printf("adaptive   : %.4gs modelled\n", adaptive.Makespan)
+			if adaptive.Makespan > 0 {
+				fmt.Printf("speedup    : %.2fx\n", static.Makespan/adaptive.Makespan)
+			}
+			for _, name := range slices.Sorted(maps.Keys(adaptive.Stats.Tenants)) {
+				fmt.Printf("  %-10s : %s\n", name, strings.TrimPrefix(tenantAdaptSummary(adaptive.Stats.Tenants[name]), ", "))
+			}
+			if c == nil {
+				fmt.Println("node health (adaptive run):")
+				for _, h := range adaptive.Health {
+					fmt.Printf("  %-10s : %2d tasks, ewma %.3gs, load est %.2fx, devices %d/%d\n",
+						h.Node, h.Tasks, h.EWMALatency, h.SlowdownEst, h.DevicesOnline, h.DevicesTotal)
+				}
+			}
+			return nil
 		}
-		for _, name := range slices.Sorted(maps.Keys(adaptive.Stats.Tenants)) {
-			fmt.Printf("  %-10s : %s\n", name, strings.TrimPrefix(tenantAdaptSummary(adaptive.Stats.Tenants[name]), ", "))
-		}
-	}
-}
-
-// benchAdapt is `basecamp bench adapt`: the E-adapt workflows served
-// statically and adaptively under the same faults.
-func benchAdapt(fs *flag.FlagSet) func() error {
-	sc := sdk.DefaultAdaptiveScenario()
-	report := faultFlags(fs, &sc.Workflows, &sc.Nodes, &sc.FPGANodes, &sc.Tenants, &sc.Slowdown, &sc.FaultAt)
-	return func() error {
-		static, adaptive, err := sc.AdaptWin()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("scenario   : %d workflows, %d nodes (%d with FPGA), %d tenants\n",
-			sc.Workflows, sc.Nodes, sc.FPGANodes, sc.Tenants)
-		report(static, adaptive)
-		fmt.Println("node health (adaptive run):")
-		for _, h := range adaptive.Health {
-			fmt.Printf("  %-10s : %2d tasks, ewma %.3gs, load est %.2fx, devices %d/%d\n",
-				h.Node, h.Tasks, h.EWMALatency, h.SlowdownEst, h.DevicesOnline, h.DevicesTotal)
-		}
-		return nil
-	}
-}
-
-// benchCompiled is `basecamp bench compiled`: the E-compile comparison,
-// the adaptive arm's tuners seeded from compiler-derived operating points.
-func benchCompiled(fs *flag.FlagSet) func() error {
-	sc := sdk.DefaultCompiledScenario()
-	report := faultFlags(fs, &sc.Workflows, &sc.Nodes, &sc.FPGANodes, &sc.Tenants, &sc.Slowdown, &sc.FaultAt)
-	return func() error {
-		c, err := sc.Compile()
-		if err != nil {
-			return err
-		}
-		static, adaptive, err := sc.AdaptWinWith(c)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("scenario   : %d workflows of compiled kernel %q, %d nodes (%d with FPGA), %d tenants, %s transfers\n",
-			sc.Workflows, c.KernelName, sc.Nodes, sc.FPGANodes, sc.Tenants, sc.Net)
-		fmt.Printf("hls        : %s\n", c.Report.String())
-		fmt.Println("variants   : (derived from the HLS schedule + CPU cost model)")
-		for _, row := range c.Summary() {
-			fmt.Printf("  %s\n", row)
-		}
-		report(static, adaptive)
-		return nil
 	}
 }
 

@@ -48,13 +48,19 @@ func rejectAll(t *testing.T, cmd func(...string) error, cases [][]string) {
 // read reaches the run.
 func TestScenarioFlags(t *testing.T) {
 	rejectAll(t, serve, [][]string{{"stream", "-sites", "2"}, {"engine", "-prefetch=false"}})
-	rejectAll(t, bench, [][]string{{"kmeans", "-deadlines", "1"}})
+	rejectAll(t, bench, [][]string{{"kmeans", "-deadlines", "1"}, {"wcet", "-unplug-at", "soon"}})
+	rejectAll(t, serve, [][]string{{"wcet", "-deadline", "0"}}) // a config error, not 16 rejections
 	for _, tc := range []struct {
 		run  func(...string) error
 		args []string
 		want string
 	}{
 		{bench, []string{"wcet", "-sites", "2", "-deadlines", "4"}, "fleet      : 2 sites x"},
+		// -unplug-at moves site 0's scripted unplug, 0 drops it, and
+		// neither touches the preset the next run starts from.
+		{bench, []string{"wcet", "-unplug-at", "0.3", "-deadlines", "4"}, "faults     : unplug@0.3s + 3x slowdown@0.4s on site 0"},
+		{bench, []string{"wcet", "-unplug-at", "0", "-deadlines", "4"}, "faults     : 3x slowdown@0.4s on site 0"},
+		{bench, []string{"wcet", "-deadlines", "4"}, "faults     : unplug@0.5s + 3x slowdown@0.4s on site 0"},
 		{serve, []string{"stream", "-events", "5000", "-pipelines", "2"}, "stream     : 2 pipelines over [traffic energy], 5000 events each"},
 		{serve, []string{"kmeans", "-sites", "2", "-partitions", "4"}, "fleet      : 2 sites over wan1g"},
 	} {

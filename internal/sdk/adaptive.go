@@ -6,64 +6,16 @@ import (
 	"everest/internal/hls"
 	"everest/internal/platform"
 	"everest/internal/runtime"
+	"everest/internal/variants"
 	"everest/internal/virt"
 )
 
-// This file wires the adaptive loop's outer layers: scripted environment
-// faults for experiments (Fault), the virt→engine bridge that turns SR-IOV
-// hot-plug notifications into engine control events (AttachHypervisor),
-// and the FPGA-leaning synthetic workload the adaptive-placement
-// experiment schedules (AdaptiveWorkflow).
-
-// Fault is one scripted environment event — the kinds are the engine's
-// runtime.EnvEventKind values — triggered after AfterTasks task
-// completions have been observed engine-wide. Completion-count triggers
-// surprise a running engine under any scheduling interleaving; for the
-// deterministic modelled-time form use ServerConfig.Events instead.
-type Fault struct {
-	Kind       runtime.EnvEventKind
-	AfterTasks int // fire when this many tasks have completed
-	Node       string
-	Device     int     // EnvUnplug / EnvPlug
-	Factor     float64 // EnvSlowdown (1 restores nominal speed)
-}
-
-// faultDriver wraps a trace callback with the fault script: it counts
-// task completions and injects each fault once its trigger is reached.
-// It runs inside the engine's event loop, under its serve lock; the engine
-// control calls below only flip platform state and enqueue a control
-// message (applied before the next execution), so they are safe (and
-// non-blocking) from there.
-func (srv *Server) faultDriver(faults []Fault, user func(runtime.Event)) func(runtime.Event) {
-	pending := append([]Fault(nil), faults...)
-	done := 0
-	return func(ev runtime.Event) {
-		if ev.Kind == runtime.EventTaskDone {
-			done++
-			kept := pending[:0]
-			for _, f := range pending {
-				if done < f.AfterTasks {
-					kept = append(kept, f)
-					continue
-				}
-				var err error
-				switch f.Kind {
-				case runtime.EnvUnplug:
-					err = srv.eng.UnplugDevice(f.Node, f.Device, ev.Time)
-				case runtime.EnvPlug:
-					err = srv.eng.PlugDevice(f.Node, f.Device, ev.Time)
-				case runtime.EnvSlowdown:
-					err = srv.eng.SetNodeSlowdown(f.Node, f.Factor, ev.Time)
-				}
-				_ = err // a scripted fault on an unknown node is a no-op
-			}
-			pending = kept
-		}
-		if user != nil {
-			user(ev)
-		}
-	}
-}
+// This file wires the adaptive loop's outer layers: the virt→engine
+// bridge that turns SR-IOV hot-plug notifications into engine control
+// events (AttachHypervisor), the FPGA-leaning synthetic workload the
+// adaptive-placement experiment schedules (AdaptiveWorkflow), and the
+// engine-tier scenario both adaptation experiments (E-adapt, E-compile)
+// serve.
 
 // AttachHypervisor subscribes the server's engine to a hypervisor's
 // hot-plug notifications, closing the virt side of the adaptation loop:
@@ -126,16 +78,23 @@ func AdaptiveWorkflow(i int, bitstreamID string) *runtime.Workflow {
 	return w
 }
 
-// AdaptiveScenario bundles one run of the adaptive-placement experiment:
-// the same workflows, faults, and cluster served twice — statically and
-// adaptively — so the two makespans are directly comparable.
+// AdaptiveScenario bundles one run of an engine-tier adaptation
+// experiment: the same workflows, faults, and cluster served twice —
+// statically and adaptively — so the two makespans are directly
+// comparable. With no kernel named it serves the hand-declared
+// Monte-Carlo workload (E-adapt). With one named, the kernel is compiled
+// source-to-schedule and served in CompiledWorkflow, the adaptive arm's
+// tuners seeded from the compiled operating points (E-compile).
 type AdaptiveScenario struct {
+	Kernel    string           // built-in example kernel (variants.ExampleNames); "" = hand-declared
+	Opt       variants.Options // flow configuration compiling Kernel
 	Workflows int
 	Nodes     int // compute nodes (DefaultCluster adds cloudfpga0)
 	FPGANodes int // nodes the bitstream is staged on (prefix of the cluster)
 	Tenants   int
 	Slowdown  float64 // load factor hitting the last compute node
 	FaultAt   float64 // modelled time both faults take effect
+	Net       string  // netsim stack pricing transfers ("" = flat cluster fabric)
 }
 
 // DefaultAdaptiveScenario is the E-adapt configuration: an unplug of one
@@ -145,6 +104,22 @@ func DefaultAdaptiveScenario() AdaptiveScenario {
 	return AdaptiveScenario{Workflows: 8, Nodes: 4, FPGANodes: 2, Tenants: 2, Slowdown: 6, FaultAt: 0.1}
 }
 
+// DefaultCompiledScenario is the E-compile configuration: the windpower
+// KRR kernel compiled for fixed-point Vitis with banked PLMs (8 ports),
+// two of four nodes carrying the bitstream, an unplug of one accelerator
+// plus a 6x slowdown of one software node mid-run, and TCP/10G transfer
+// pricing. The static arm is the hand-declared path (placement from the
+// design-time task cost model, no tuner).
+func DefaultCompiledScenario() AdaptiveScenario {
+	return AdaptiveScenario{
+		Kernel:    "windpower",
+		Opt:       DefaultCompileOptions(),
+		Workflows: 8, Nodes: 4, FPGANodes: 2, Tenants: 2,
+		Slowdown: 6, FaultAt: 0.005,
+		Net: "tcp10g",
+	}
+}
+
 // ScenarioResult is one serving run of the scenario.
 type ScenarioResult struct {
 	Stats    ServerStats
@@ -152,16 +127,49 @@ type ScenarioResult struct {
 	Health   []platform.NodeHealth // monitor snapshot after the run
 }
 
-// Run serves the scenario's workflows once. adaptive selects the engine
-// mode; everything else — cluster shape, staged bitstreams, workflows, and
-// the fault script — is identical across modes, so the makespan ratio
-// isolates the value of adaptation. The faults are scripted as modelled-
-// time condition timelines (engine Events): from FaultAt onward the first
-// FPGA node's accelerator is detached and the last compute node is slowed,
-// and execution prices each task by the state at its own modelled start —
-// deterministic under any goroutine interleaving, which is what lets CI
-// gate the resulting speedup.
+// Compile runs the scenario's kernel source-to-schedule; with no kernel
+// named there is nothing to compile and it returns nil.
+func (sc AdaptiveScenario) Compile() (*variants.Compiled, error) {
+	if sc.Kernel == "" {
+		return nil, nil
+	}
+	return variants.CompileExample(sc.Kernel, sc.Opt)
+}
+
+// Run compiles the scenario's kernel and serves its workflows once;
+// adaptive selects the engine mode. Both arms of a comparison should
+// share one compilation: see AdaptWin.
 func (sc AdaptiveScenario) Run(adaptive bool) (ScenarioResult, error) {
+	c, err := sc.Compile()
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	return sc.serve(c, adaptive)
+}
+
+// AdaptWin serves the scenario statically and then adaptively around c,
+// its compilation from Compile, and returns both runs; everything but the
+// engine mode is identical, so the makespan ratio is the value of
+// adaptation.
+func (sc AdaptiveScenario) AdaptWin(c *variants.Compiled) (static, adaptive ScenarioResult, err error) {
+	if static, err = sc.serve(c, false); err == nil {
+		adaptive, err = sc.serve(c, true)
+	}
+	return static, adaptive, err
+}
+
+// serve runs the scenario once around c. Everything but the engine mode —
+// cluster shape, staged bitstreams, workflows, network stack, and the
+// fault script — is identical across modes. The faults are modelled-time
+// condition timelines (engine Events): from FaultAt onward the first FPGA
+// node's accelerator is detached and the last compute node is slowed, and
+// execution prices each task by the state at its own modelled start.
+// Workflows are served one at a time, so node clocks and placements
+// advance in a single modelled sequence and the makespan is identical
+// under any goroutine interleaving and GOMAXPROCS — which is what lets CI
+// gate the resulting speedup. Multiplexing is what
+// BenchmarkConcurrentWorkflows measures instead.
+func (sc AdaptiveScenario) serve(c *variants.Compiled, adaptive bool) (ScenarioResult, error) {
 	if sc.Workflows < 1 || sc.Nodes < 2 || sc.FPGANodes < 1 || sc.FPGANodes > sc.Nodes {
 		return ScenarioResult{}, fmt.Errorf("sdk: bad adaptive scenario %+v", sc)
 	}
@@ -170,14 +178,31 @@ func (sc AdaptiveScenario) Run(adaptive bool) (ScenarioResult, error) {
 		// here keeps the printed fault script honest.
 		return ScenarioResult{}, fmt.Errorf("sdk: adaptive scenario slowdown %g must be >= 1", sc.Slowdown)
 	}
-	s := New(DefaultCluster(sc.Nodes))
+	if (c != nil) != (sc.Kernel != "") || c != nil && c.Design == nil {
+		return ScenarioResult{}, fmt.Errorf("sdk: adaptive scenario kernel %q needs its compilation (Compile)", sc.Kernel)
+	}
+	net, err := stackByName(sc.Net)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
 	bs := ScenarioBitstream()
+	workflow := func(i int) *runtime.Workflow { return AdaptiveWorkflow(i, bs.ID) }
+	if c != nil {
+		bs = c.Design.Bitstream
+		workflow = func(i int) *runtime.Workflow {
+			w := CompiledWorkflow(i, c)
+			if adaptive {
+				w.SetVariants(c.Variants())
+			}
+			return w
+		}
+	}
+	s := New(DefaultCluster(sc.Nodes))
 	if err := s.Registry.Put(bs); err != nil {
 		return ScenarioResult{}, err
 	}
-	bsID := bs.ID
 	for i := 0; i < sc.FPGANodes; i++ {
-		if _, err := s.Deploy(bsID, s.Cluster.Nodes[i].Name); err != nil {
+		if _, err := s.Deploy(bs.ID, s.Cluster.Nodes[i].Name); err != nil {
 			return ScenarioResult{}, err
 		}
 	}
@@ -186,21 +211,13 @@ func (sc AdaptiveScenario) Run(adaptive bool) (ScenarioResult, error) {
 		{Kind: runtime.EnvUnplug, Node: s.Cluster.Nodes[0].Name, Device: 0, At: sc.FaultAt},
 		{Kind: runtime.EnvSlowdown, Node: s.Cluster.Nodes[sc.Nodes-1].Name, Factor: sc.Slowdown, At: sc.FaultAt},
 	}
-	srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: adaptive, Events: events})
-	tenants := sc.Tenants
-	if tenants < 1 {
-		tenants = 1
-	}
+	srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: adaptive, Events: events, Net: net})
+	tenants := max(sc.Tenants, 1)
 	if err := srv.Start(); err != nil {
 		return ScenarioResult{}, err
 	}
-	// Workflows are served one at a time: node clocks and placements then
-	// advance in a single deterministic modelled sequence, so the measured
-	// makespan is identical under any goroutine interleaving — the
-	// adaptation benchmark isolates adaptation, not multiplexing (which
-	// BenchmarkConcurrentWorkflows measures, with interleaving variance).
 	for i := 0; i < sc.Workflows; i++ {
-		sub, err := srv.Submit(fmt.Sprintf("tenant%02d", i%tenants), "", AdaptiveWorkflow(i, bsID))
+		sub, err := srv.Submit(fmt.Sprintf("tenant%02d", i%tenants), "", workflow(i))
 		if err != nil {
 			return ScenarioResult{}, err
 		}
@@ -213,16 +230,6 @@ func (sc AdaptiveScenario) Run(adaptive bool) (ScenarioResult, error) {
 		Stats: stats, Makespan: stats.Makespan,
 		Health: srv.Monitor().Snapshot(),
 	}, nil
-}
-
-// AdaptWin serves the scenario statically and then adaptively and returns
-// both runs; everything but the engine mode is identical, so the makespan
-// ratio is the value of adaptation.
-func (sc AdaptiveScenario) AdaptWin() (static, adaptive ScenarioResult, err error) {
-	if static, err = sc.Run(false); err == nil {
-		adaptive, err = sc.Run(true)
-	}
-	return static, adaptive, err
 }
 
 // ScenarioBitstream returns the deployable artifact the adaptive scenario

@@ -30,7 +30,7 @@ func TestAdaptiveScenarioValidation(t *testing.T) {
 // static placement.
 func TestAdaptiveBeatsStaticUnderFaults(t *testing.T) {
 	sc := DefaultAdaptiveScenario()
-	static, adaptive, err := sc.AdaptWin()
+	static, adaptive, err := sc.AdaptWin(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,37 +59,6 @@ func TestAdaptiveBeatsStaticUnderFaults(t *testing.T) {
 	}
 	if staticFallbacks == 0 {
 		t.Error("static run under an unplug must pay FPGA fallbacks")
-	}
-}
-
-// TestServerFaultScript checks the completion-count trigger fires each
-// fault exactly once and the health snapshot reflects it.
-func TestServerFaultScript(t *testing.T) {
-	s := New(DefaultCluster(2))
-	slowNode := s.Cluster.Nodes[1].Name
-	srv := s.NewServer(ServerConfig{
-		Policy: runtime.PolicyHEFT,
-		Faults: []Fault{{Kind: runtime.EnvSlowdown, AfterTasks: 2, Node: slowNode, Factor: 4}},
-	})
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		sub, err := srv.Submit("t", "", SyntheticWorkflow(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sub.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.Shutdown()
-	if got := s.Cluster.FindNode(slowNode).Slowdown(); got != 4 {
-		t.Errorf("slowdown after fault script = %g, want 4", got)
-	}
-	snap := srv.Monitor().Snapshot()
-	if len(snap) != len(s.Cluster.Nodes) {
-		t.Fatalf("snapshot covers %d nodes, want %d", len(snap), len(s.Cluster.Nodes))
 	}
 }
 

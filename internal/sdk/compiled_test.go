@@ -24,7 +24,7 @@ func TestCompiledScenarioDeterministicAndAdaptiveWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static2, adaptive2, err := sc.AdaptWinWith(c)
+	static2, adaptive2, err := sc.AdaptWin(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,9 @@ package sdk
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"everest/internal/apps"
 	"everest/internal/fleet"
-	"everest/internal/netsim"
 	"everest/internal/platform"
 	"everest/internal/runtime"
 	"everest/internal/variants"
@@ -67,9 +65,6 @@ type FleetServer struct {
 	Registry *platform.Registry
 
 	fl *fleet.Fleet
-
-	mu      sync.Mutex
-	tickets []*fleet.Ticket
 }
 
 // NewFleetServer builds the federation: cfg.Sites independent clusters
@@ -81,20 +76,13 @@ func NewFleetServer(cfg FleetConfig) (*FleetServer, error) {
 	if cfg.NodesPerSite < 1 {
 		cfg.NodesPerSite = 2
 	}
-	var net, regNet *netsim.Stack
-	if cfg.Net != "" {
-		st, err := netsim.StackByName(cfg.Net)
-		if err != nil {
-			return nil, err
-		}
-		net = &st
+	net, err := stackByName(cfg.Net)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.RegistryNet != "" {
-		st, err := netsim.StackByName(cfg.RegistryNet)
-		if err != nil {
-			return nil, err
-		}
-		regNet = &st
+	regNet, err := stackByName(cfg.RegistryNet)
+	if err != nil {
+		return nil, err
 	}
 	reg := platform.NewRegistry()
 	fl, err := fleet.New(reg, fleet.Config{
@@ -133,7 +121,7 @@ func (fs *FleetServer) Start() error { return fs.fl.Start() }
 // serves it to completion before returning, so the ticket is already
 // resolved; admission rejections return fleet.ErrSaturated.
 func (fs *FleetServer) SubmitAt(tenant, name string, w *runtime.Workflow, arrival float64) (*fleet.Ticket, error) {
-	return fs.submit(fleet.Request{Tenant: tenant, Name: name, Workflow: w, Arrival: arrival})
+	return fs.fl.Submit(fleet.Request{Tenant: tenant, Name: name, Workflow: w, Arrival: arrival})
 }
 
 // SubmitGuaranteedAt routes one workflow through the proven-bound
@@ -142,62 +130,18 @@ func (fs *FleetServer) SubmitAt(tenant, name string, w *runtime.Workflow, arriva
 // fleet.ErrSaturated otherwise (nothing is served on refusal — callers
 // typically degrade to SubmitAt).
 func (fs *FleetServer) SubmitGuaranteedAt(tenant, name string, w *runtime.Workflow, arrival, deadline float64) (*fleet.Ticket, error) {
-	return fs.submit(fleet.Request{Tenant: tenant, Name: name, Workflow: w, Arrival: arrival,
+	return fs.fl.Submit(fleet.Request{Tenant: tenant, Name: name, Workflow: w, Arrival: arrival,
 		Guaranteed: true, Deadline: deadline})
-}
-
-func (fs *FleetServer) submit(req fleet.Request) (*fleet.Ticket, error) {
-	t, err := fs.fl.Submit(req)
-	if err != nil {
-		return nil, err
-	}
-	fs.mu.Lock()
-	fs.tickets = append(fs.tickets, t)
-	fs.mu.Unlock()
-	return t, nil
-}
-
-// TenantLatency is one tenant's completed-workflow latency distribution.
-type TenantLatency struct {
-	Completed int
-	P50       float64
-	P95       float64
-	Max       float64
 }
 
 // FleetServerStats is the final accounting of a fleet serving run.
 type FleetServerStats struct {
-	Fleet     fleet.Stats
-	Tenants   map[string]TenantLatency
-	Latencies []float64 // all completed workflow latencies, submission order
+	Fleet fleet.Stats
 }
 
-// Shutdown stops every site engine and returns the final stats including
-// per-tenant latency percentiles.
+// Shutdown stops every site engine and returns the final stats.
 func (fs *FleetServer) Shutdown() FleetServerStats {
-	flStats := fs.fl.Shutdown()
-	fs.mu.Lock()
-	tickets := fs.tickets
-	fs.mu.Unlock()
-	out := FleetServerStats{Fleet: flStats, Tenants: make(map[string]TenantLatency)}
-	byTenant := make(map[string][]float64)
-	for _, t := range tickets {
-		res, err := t.Wait() // resolved: Submit served it before returning
-		if err != nil {
-			continue
-		}
-		out.Latencies = append(out.Latencies, res.Latency)
-		byTenant[t.Tenant] = append(byTenant[t.Tenant], res.Latency)
-	}
-	for tenant, ls := range byTenant {
-		out.Tenants[tenant] = TenantLatency{
-			Completed: len(ls),
-			P50:       Percentile(ls, 0.50),
-			P95:       Percentile(ls, 0.95),
-			Max:       Percentile(ls, 1.0),
-		}
-	}
-	return out
+	return FleetServerStats{Fleet: fs.fl.Shutdown()}
 }
 
 // ---------------------------------------------------------------------------
@@ -207,51 +151,31 @@ func (fs *FleetServer) Shutdown() FleetServerStats {
 // compiled and hand-declared workloads from many tenants arriving over
 // modelled time, served by a federation of engine sites with bounded
 // bitstream caches, with an accelerator unplug hitting the first site
-// mid-run. Workflows are submitted in arrival order and awaited one at a
-// time, so every modelled number is exactly deterministic across
-// GOMAXPROCS while site timelines still overlap in modelled time.
+// mid-run. The embedded FleetConfig is the federation it serves on
+// (SiteEvents scripts the faults; Trace and EngineTrace see the run);
+// the other fields shape the workload. Workflows are submitted in arrival
+// order and awaited one at a time, so every modelled number — and the
+// merged fleet+engine trace the determinism test hashes — is exactly
+// deterministic across GOMAXPROCS while site timelines still overlap in
+// modelled time.
 type FleetScenario struct {
-	Sites        int
-	NodesPerSite int
-	CacheSlots   int
-	// PartialReconfig deploys kernels into per-region FPGA slots
-	// (FleetConfig semantics).
-	PartialReconfig bool
-	Tenants         int
-	Workflows       int
+	FleetConfig
+	Tenants   int
+	Workflows int
 	// ArrivalGap is the open-mode interarrival (modelled seconds); in
 	// closed mode it staggers the clients' initial arrivals instead.
 	ArrivalGap float64
 	// Closed selects the closed-loop arrival mode: Tenants clients, each
 	// submitting its next workflow the moment its previous one completes.
 	Closed bool
-	// UnplugAt > 0 detaches site 0's first accelerator at that modelled
-	// time (cache churn: its resident bitstream goes stale).
-	UnplugAt float64
-	// SlowdownAt > 0 scripts a CPU slowdown fault of SlowdownFactor on
-	// site 0's first node at that modelled time. The factor must respect
-	// the fleet's SlowdownCap contract (default cap 4) or NewFleetServer
-	// fails — that validation is exactly what keeps guaranteed bounds
-	// sound under the fault.
-	SlowdownAt     float64
-	SlowdownFactor float64
 	// GuaranteedEvery > 0 submits every GuaranteedEvery-th workflow (index
 	// 0, GuaranteedEvery, ...) through the proven-bound admission class
-	// with GuaranteedDeadline as its relative latency bound. A refusal
-	// (fleet.ErrSaturated: no site can prove the deadline) is counted and
-	// the workflow degrades to best-effort, so the served stream is
-	// identical either way.
+	// with GuaranteedDeadline (> 0) as its relative latency bound. A
+	// refusal (fleet.ErrSaturated: no site can prove the deadline) is
+	// counted and the workflow degrades to best-effort, so the served
+	// stream is identical either way.
 	GuaranteedEvery    int
 	GuaranteedDeadline float64
-	// Net / RegistryNet name the transfer stacks (FleetConfig semantics).
-	Net         string
-	RegistryNet string
-	// Policy selects each site engine's placement strategy (the zero
-	// value is PolicyHEFT).
-	Policy   runtime.Policy
-	Adaptive bool
-	// MaxQueueSeconds forwards the admission bound (0 = never reject).
-	MaxQueueSeconds float64
 	// SLO is the p95 latency target the saturation metric gates on.
 	SLO float64
 	// Apps selects the mixed application-suite mode: the named workload-
@@ -260,44 +184,42 @@ type FleetScenario struct {
 	// default windpower/hand-declared mix. Serve it with RunSuite /
 	// SaturateSuite around a suite from BuildSuite.
 	Apps []string
-	// Trace receives fleet events during Run/RunWith when set (routing,
-	// cache hits/misses, deploys, evictions).
-	Trace func(fleet.Event)
-	// EngineTrace receives every site engine's runtime events tagged with
-	// the site name, merged in order with the fleet events. Because the
-	// scenario submits and awaits one workflow at a time, the merged stream
-	// is deterministic — the determinism regression test hashes it.
-	EngineTrace func(site string, ev runtime.Event)
 }
 
 // DefaultFleetScenario is the E-fleet configuration: 4 sites of 2 compute
 // nodes each, 32 tenants, 64 mixed workflows (compiled windpower kernels,
 // hand-declared Monte-Carlo, pure-software), one bitstream cache slot per
 // site (so the two FPGA bitstreams churn), deploys priced over the
-// TCP/10G registry fabric, and an unplug of site 0's accelerator mid-run.
+// TCP/10G registry fabric, and an unplug of site 0's first accelerator
+// at 0.5 s (cache churn: its resident bitstream goes stale).
 func DefaultFleetScenario() FleetScenario {
 	return FleetScenario{
-		Sites: 4, NodesPerSite: 2, CacheSlots: 1,
+		FleetConfig: FleetConfig{
+			Sites: 4, NodesPerSite: 2, CacheSlots: 1,
+			RegistryNet: "tcp10g",
+			Adaptive:    true,
+			SiteEvents:  [][]runtime.EnvEvent{{{Kind: runtime.EnvUnplug, Node: "node00", At: 0.5}}},
+		},
 		Tenants: 32, Workflows: 64,
-		ArrivalGap: 0.05, UnplugAt: 0.5,
-		RegistryNet: "tcp10g",
-		Adaptive:    true,
-		SLO:         1.75,
+		ArrivalGap: 0.05,
+		SLO:        1.75,
 	}
 }
 
 // DefaultGuaranteedScenario is the E-wcet configuration: the E-fleet mix
 // driven toward best-effort saturation (tighter arrivals), with every 4th
 // submission requesting the proven-bound admission class, site 0 losing
-// an accelerator AND suffering a 3x CPU slowdown mid-run (both within the
-// SlowdownCap contract). The verifier gates BoundViolations at exactly
-// zero on this scenario: admitted guarantees must hold through the faults
-// at saturation, refusals must degrade cleanly to best-effort.
+// an accelerator AND suffering a 3x CPU slowdown of its first node from
+// 0.4 s. The slowdown respects the fleet's SlowdownCap contract (default
+// cap 4) — NewFleetServer rejects a larger one, which is exactly what
+// keeps guaranteed bounds sound under the fault. The verifier gates
+// BoundViolations at exactly zero on this scenario: admitted guarantees
+// must hold through the faults at saturation, refusals must degrade
+// cleanly to best-effort.
 func DefaultGuaranteedScenario() FleetScenario {
 	sc := DefaultFleetScenario()
 	sc.ArrivalGap = 0.02 // push the best-effort tier toward saturation
-	sc.SlowdownAt = 0.4
-	sc.SlowdownFactor = 3
+	sc.SiteEvents[0] = append(sc.SiteEvents[0], runtime.EnvEvent{Kind: runtime.EnvSlowdown, Node: "node00", Factor: 3, At: 0.4})
 	sc.GuaranteedEvery = 4
 	sc.GuaranteedDeadline = 4
 	sc.SLO = 0 // saturation mode: p95 is reported, not gated
@@ -317,15 +239,12 @@ func (sc FleetScenario) Compile() (*variants.Compiled, error) {
 // resident, so the suite's four distinct per-stage bitstreams churn the
 // caches, and site 0 loses an accelerator mid-run.
 func DefaultSuiteScenario() FleetScenario {
-	return FleetScenario{
-		Sites: 4, NodesPerSite: 2, CacheSlots: 2,
-		Tenants: 24, Workflows: 48,
-		ArrivalGap: 0.05, UnplugAt: 0.5,
-		RegistryNet: "tcp10g",
-		Adaptive:    true,
-		SLO:         2.5,
-		Apps:        apps.Names(),
-	}
+	sc := DefaultFleetScenario()
+	sc.CacheSlots = 2
+	sc.Tenants, sc.Workflows = 24, 48
+	sc.SLO = 2.5
+	sc.Apps = apps.Names()
+	return sc
 }
 
 // FleetResult is one serving run of the scenario.
@@ -350,9 +269,33 @@ type FleetResult struct {
 	GuaranteedAdmitRate float64 // admitted / (admitted + refused)
 	BoundViolations     int
 	BoundTightness      float64
-	// Apps holds the per-application latency distributions when the run
-	// served the mixed suite (nil otherwise).
-	Apps map[string]TenantLatency
+	// Tenants holds each tenant's completed-workflow latencies; Apps the
+	// per-application ones when the run served the mixed suite (nil
+	// otherwise).
+	Tenants map[string]TenantLatency
+	Apps    map[string]TenantLatency
+}
+
+// TenantLatency is one tenant's completed-workflow latency distribution.
+type TenantLatency struct {
+	Completed int
+	P50       float64
+	P95       float64
+	Max       float64
+}
+
+// latenciesOf summarizes each bucket of a latency sample.
+func latenciesOf(buckets map[string][]float64) map[string]TenantLatency {
+	out := make(map[string]TenantLatency, len(buckets))
+	for name, ls := range buckets {
+		out[name] = TenantLatency{
+			Completed: len(ls),
+			P50:       Percentile(ls, 0.50),
+			P95:       Percentile(ls, 0.95),
+			Max:       Percentile(ls, 1.0),
+		}
+	}
+	return out
 }
 
 // Run compiles what the scenario serves — the application suite when Apps
@@ -448,32 +391,13 @@ func (sc FleetScenario) RunSuite(s *apps.Suite) (FleetResult, error) {
 // time, so every modelled number is exactly deterministic across
 // GOMAXPROCS.
 func (sc FleetScenario) run(bitstreams []platform.Bitstream, wf func(i int) *runtime.Workflow, appOf func(i int) string) (FleetResult, error) {
-	if sc.Sites < 1 || sc.Tenants < 1 || sc.Workflows < 1 {
+	if sc.Tenants < 1 || sc.Workflows < 1 {
 		return FleetResult{}, fmt.Errorf("sdk: bad fleet scenario %+v", sc)
 	}
-	var site0 []runtime.EnvEvent
-	if sc.UnplugAt > 0 {
-		site0 = append(site0, runtime.EnvEvent{Kind: runtime.EnvUnplug, Node: "node00", Device: 0, At: sc.UnplugAt})
+	if sc.GuaranteedEvery > 0 && sc.GuaranteedDeadline <= 0 {
+		return FleetResult{}, fmt.Errorf("sdk: fleet scenario guaranteed deadline %g must be > 0", sc.GuaranteedDeadline)
 	}
-	if sc.SlowdownAt > 0 {
-		factor := sc.SlowdownFactor
-		if factor <= 0 {
-			factor = 2
-		}
-		site0 = append(site0, runtime.EnvEvent{Kind: runtime.EnvSlowdown, Node: "node00", Factor: factor, At: sc.SlowdownAt})
-	}
-	var events [][]runtime.EnvEvent
-	if len(site0) > 0 {
-		events = [][]runtime.EnvEvent{site0}
-	}
-	srv, err := NewFleetServer(FleetConfig{
-		Sites: sc.Sites, NodesPerSite: sc.NodesPerSite, CacheSlots: sc.CacheSlots,
-		PartialReconfig: sc.PartialReconfig,
-		Policy:          sc.Policy, Adaptive: sc.Adaptive,
-		MaxQueueSeconds: sc.MaxQueueSeconds,
-		Net:             sc.Net, RegistryNet: sc.RegistryNet,
-		SiteEvents: events, Trace: sc.Trace, EngineTrace: sc.EngineTrace,
-	})
+	srv, err := NewFleetServer(sc.FleetConfig)
 	if err != nil {
 		return FleetResult{}, err
 	}
@@ -486,44 +410,50 @@ func (sc FleetScenario) run(bitstreams []platform.Bitstream, wf func(i int) *run
 		return FleetResult{}, err
 	}
 
-	rejected := 0
-	gAdmitted, gRefused := 0, 0
-	tightness := 0.0
-	byApp := make(map[string][]float64)
-	record := func(i int, res fleet.Result) {
-		if appOf != nil {
-			byApp[appOf(i)] = append(byApp[appOf(i)], res.Latency)
-		}
-		if res.Guaranteed && res.Bound > 0 {
-			if r := res.Latency / res.Bound; r > tightness {
-				tightness = r
-			}
-		}
-	}
-	// submit routes workflow i: through the proven-bound class when the
-	// scenario marks it guaranteed (degrading to best-effort when no site
-	// can prove the deadline), plainly otherwise.
-	submit := func(i int, tenant string, w *runtime.Workflow, arrival float64) (*fleet.Ticket, error) {
-		if sc.GuaranteedEvery > 0 && i%sc.GuaranteedEvery == 0 {
-			t, err := srv.SubmitGuaranteedAt(tenant, "", w, arrival, sc.GuaranteedDeadline)
-			if err == nil {
-				gAdmitted++
-				return t, nil
-			}
-			if !errors.Is(err, fleet.ErrSaturated) {
-				return nil, err
-			}
-			gRefused++ // no provable site: degrade to best-effort
-		}
-		return srv.SubmitAt(tenant, "", w, arrival)
-	}
 	// Tenant names are computed once: the per-submission Sprintf showed up
 	// in serving profiles.
 	tenants := make([]string, sc.Tenants)
 	for j := range tenants {
 		tenants[j] = fmt.Sprintf("tenant%02d", j)
 	}
-	tenantName := func(i int) string { return tenants[i%sc.Tenants] }
+	rejected := 0
+	var g guarantees
+	var latencies []float64
+	byTenant := make(map[string][]float64)
+	byApp := make(map[string][]float64)
+	// serve submits workflow i for tenant j and awaits it: through the
+	// proven-bound class when the scenario marks it guaranteed, plainly
+	// otherwise. ok is false when admission rejected it; any error but
+	// fleet.ErrSaturated aborts the run.
+	serve := func(i, j int, arrival float64) (res fleet.Result, ok bool, err error) {
+		w := wf(i)
+		plain := func() (*fleet.Ticket, error) { return srv.SubmitAt(tenants[j], "", w, arrival) }
+		var t *fleet.Ticket
+		if sc.GuaranteedEvery > 0 && i%sc.GuaranteedEvery == 0 {
+			t, err = submitGuaranteed(&g, func() (*fleet.Ticket, error) {
+				return srv.SubmitGuaranteedAt(tenants[j], "", w, arrival, sc.GuaranteedDeadline)
+			}, plain)
+		} else {
+			t, err = plain()
+		}
+		if errors.Is(err, fleet.ErrSaturated) {
+			rejected++
+			return res, false, nil
+		}
+		if err == nil {
+			res, err = t.Wait()
+		}
+		if err != nil {
+			return res, false, fmt.Errorf("sdk: fleet scenario workflow %d: %w", i, err)
+		}
+		latencies = append(latencies, res.Latency)
+		byTenant[tenants[j]] = append(byTenant[tenants[j]], res.Latency)
+		if appOf != nil {
+			byApp[appOf(i)] = append(byApp[appOf(i)], res.Latency)
+		}
+		g.observe(res.Guaranteed, res.Latency, res.Bound)
+		return res, true, nil
+	}
 	if sc.Closed {
 		// Closed loop: each tenant is one client; its next workflow
 		// arrives the moment its previous one completes. Submissions are
@@ -534,46 +464,33 @@ func (sc FleetScenario) run(bitstreams []platform.Bitstream, wf func(i int) *run
 		for j := 0; j < sc.Tenants; j++ {
 			next.Push(runtime.TimeItem{Time: float64(j) * sc.ArrivalGap, Seq: j})
 		}
-		for i := 0; i < sc.Workflows; i++ {
+		step := sc.ArrivalGap
+		if step <= 0 {
+			step = 0.01
+		}
+		for i := 0; i < sc.Workflows && err == nil; {
 			turn := next.PopMin()
-			client, arrival := turn.Seq, turn.Time
-			t, err := submit(i, tenants[client], wf(i), arrival)
-			if err != nil {
+			var res fleet.Result
+			var ok bool
+			if res, ok, err = serve(i, turn.Seq, turn.Time); !ok {
 				// Rejected: the client backs off and retries the same
 				// workflow at a later arrival (i is not consumed). Arrivals
 				// advance monotonically while the modelled backlog does
 				// not, so the retry is eventually admitted.
-				rejected++
-				step := sc.ArrivalGap
-				if step <= 0 {
-					step = 0.01
-				}
-				next.Push(runtime.TimeItem{Time: arrival + step, Seq: client})
-				i--
+				next.Push(runtime.TimeItem{Time: turn.Time + step, Seq: turn.Seq})
 				continue
 			}
-			res, err := t.Wait()
-			if err != nil {
-				srv.Shutdown()
-				return FleetResult{}, fmt.Errorf("sdk: fleet scenario workflow %d: %w", i, err)
-			}
-			record(i, res)
-			next.Push(runtime.TimeItem{Time: res.Completion, Seq: client})
+			next.Push(runtime.TimeItem{Time: res.Completion, Seq: turn.Seq})
+			i++
 		}
 	} else {
-		for i := 0; i < sc.Workflows; i++ {
-			t, err := submit(i, tenantName(i), wf(i), float64(i)*sc.ArrivalGap)
-			if err != nil {
-				rejected++
-				continue
-			}
-			res, err := t.Wait()
-			if err != nil {
-				srv.Shutdown()
-				return FleetResult{}, fmt.Errorf("sdk: fleet scenario workflow %d: %w", i, err)
-			}
-			record(i, res)
+		for i := 0; i < sc.Workflows && err == nil; i++ {
+			_, _, err = serve(i, i%sc.Tenants, float64(i)*sc.ArrivalGap)
 		}
+	}
+	if err != nil {
+		srv.Shutdown()
+		return FleetResult{}, err
 	}
 
 	stats := srv.Shutdown()
@@ -582,32 +499,63 @@ func (sc FleetScenario) run(bitstreams []platform.Bitstream, wf func(i int) *run
 		Completed: stats.Fleet.Completed,
 		Rejected:  rejected,
 		Makespan:  stats.Fleet.Makespan,
-		P50:       Percentile(stats.Latencies, 0.50),
-		P95:       Percentile(stats.Latencies, 0.95),
-		Max:       Percentile(stats.Latencies, 1.0),
+		P50:       Percentile(latencies, 0.50),
+		P95:       Percentile(latencies, 0.95),
+		Max:       Percentile(latencies, 1.0),
+		Tenants:   latenciesOf(byTenant),
 
-		GuaranteedAdmitted: gAdmitted,
-		GuaranteedRefused:  gRefused,
-		BoundViolations:    stats.Fleet.BoundViolations(),
-		BoundTightness:     tightness,
-	}
-	if gAdmitted+gRefused > 0 {
-		out.GuaranteedAdmitRate = float64(gAdmitted) / float64(gAdmitted+gRefused)
+		GuaranteedAdmitted:  g.admitted,
+		GuaranteedRefused:   g.refused,
+		GuaranteedAdmitRate: g.rate(),
+		BoundViolations:     stats.Fleet.BoundViolations(),
+		BoundTightness:      g.tightness,
 	}
 	if appOf != nil {
-		out.Apps = make(map[string]TenantLatency, len(byApp))
-		for name, ls := range byApp {
-			out.Apps[name] = TenantLatency{
-				Completed: len(ls),
-				P50:       Percentile(ls, 0.50),
-				P95:       Percentile(ls, 0.95),
-				Max:       Percentile(ls, 1.0),
-			}
-		}
+		out.Apps = latenciesOf(byApp)
 	}
 	if out.Makespan > 0 {
 		out.Throughput = float64(out.Completed) / out.Makespan
 	}
 	out.SLOMet = out.Completed == sc.Workflows && (sc.SLO <= 0 || out.P95 <= sc.SLO)
 	return out, nil
+}
+
+// guarantees tallies a scenario's proven-bound admission class, fleet or
+// region tier alike.
+type guarantees struct {
+	admitted, refused int
+	// tightness is the worst latency/bound ratio over admitted
+	// completions.
+	tightness float64
+}
+
+// submitGuaranteed tries a guaranteed submission and counts the outcome.
+// Only a refusal — fleet.ErrSaturated: nothing can prove the deadline —
+// degrades the workflow to best-effort; any other error is returned.
+func submitGuaranteed[T any](g *guarantees, guaranteed, degrade func() (T, error)) (T, error) {
+	t, err := guaranteed()
+	if err == nil {
+		g.admitted++
+		return t, nil
+	}
+	if !errors.Is(err, fleet.ErrSaturated) {
+		return t, err
+	}
+	g.refused++
+	return degrade()
+}
+
+// observe folds one completion into the tightness ratio.
+func (g *guarantees) observe(guaranteed bool, latency, bound float64) {
+	if guaranteed && bound > 0 {
+		g.tightness = max(g.tightness, latency/bound)
+	}
+}
+
+// rate is admitted / (admitted + refused); 0 when nothing was requested.
+func (g guarantees) rate() float64 {
+	if g.admitted+g.refused == 0 {
+		return 0
+	}
+	return float64(g.admitted) / float64(g.admitted+g.refused)
 }

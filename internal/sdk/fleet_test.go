@@ -3,6 +3,7 @@ package sdk
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"everest/internal/fleet"
@@ -41,13 +42,8 @@ func TestFleetScenarioDeterministicWithCacheChurn(t *testing.T) {
 	if a.Throughput != b.Throughput || a.P95 != b.P95 || a.Makespan != b.Makespan {
 		t.Fatalf("scenario not deterministic: %+v vs %+v", a, b)
 	}
-	if len(a.Stats.Latencies) != len(b.Stats.Latencies) {
-		t.Fatalf("latency counts differ: %d vs %d", len(a.Stats.Latencies), len(b.Stats.Latencies))
-	}
-	for i := range a.Stats.Latencies {
-		if a.Stats.Latencies[i] != b.Stats.Latencies[i] {
-			t.Fatalf("latency %d differs: %g vs %g", i, a.Stats.Latencies[i], b.Stats.Latencies[i])
-		}
+	if !reflect.DeepEqual(a.Tenants, b.Tenants) {
+		t.Fatalf("tenant latencies differ:\n%+v\n%+v", a.Tenants, b.Tenants)
 	}
 
 	if a.Completed != sc.Workflows || a.Rejected != 0 {
@@ -65,10 +61,10 @@ func TestFleetScenarioDeterministicWithCacheChurn(t *testing.T) {
 			t.Fatalf("site %s served nothing: the router is not sharding", s.Name)
 		}
 	}
-	if len(a.Stats.Tenants) != sc.Tenants {
-		t.Fatalf("tenant stats cover %d tenants, want %d", len(a.Stats.Tenants), sc.Tenants)
+	if len(a.Tenants) != sc.Tenants {
+		t.Fatalf("tenant stats cover %d tenants, want %d", len(a.Tenants), sc.Tenants)
 	}
-	for tenant, tl := range a.Stats.Tenants {
+	for tenant, tl := range a.Tenants {
 		if tl.Completed == 0 || tl.P95 < tl.P50 || tl.Max < tl.P95 {
 			t.Fatalf("tenant %s latency stats inconsistent: %+v", tenant, tl)
 		}

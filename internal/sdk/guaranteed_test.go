@@ -2,7 +2,13 @@ package sdk
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
+
+	"everest/internal/fleet"
 )
 
 // TestGuaranteedVerifierZeroViolations is the PR-8 soundness contract: at
@@ -80,5 +86,55 @@ func TestGuaranteedScenarioDeterministicTrace(t *testing.T) {
 	if !bytes.Equal(ref, got) {
 		t.Fatalf("guaranteed trace diverged across GOMAXPROCS (%d vs %d bytes):\n%s",
 			len(ref), len(got), firstDiff(ref, got))
+	}
+}
+
+// TestGuaranteedDeadlineMustBePositive: a guaranteed class without a
+// positive deadline is a configuration error, not saturation. Both
+// arrival modes must say so, instead of counting every guaranteed
+// submission as rejected (open loop) or retrying it forever (closed
+// loop).
+func TestGuaranteedDeadlineMustBePositive(t *testing.T) {
+	c, err := DefaultGuaranteedScenario().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, closed := range []bool{false, true} {
+		sc := DefaultGuaranteedScenario()
+		sc.Closed = closed
+		sc.GuaranteedDeadline = 0
+		done := make(chan error, 1)
+		go func() { _, err := sc.RunWith(c); done <- err }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "deadline") {
+				t.Errorf("closed=%v: got %v, want an error naming the deadline", closed, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("closed=%v: a zero-deadline run is still going after 30s", closed)
+		}
+	}
+}
+
+// TestSubmitGuaranteedDegradesOnlyOnSaturation pins the shared tally:
+// only fleet.ErrSaturated counts as a refusal and degrades; any other
+// error is returned untouched and counted as neither.
+func TestSubmitGuaranteedDegradesOnlyOnSaturation(t *testing.T) {
+	var g guarantees
+	degraded := 0
+	degrade := func() (int, error) { degraded++; return 2, nil }
+	if v, err := submitGuaranteed(&g, func() (int, error) { return 1, nil }, degrade); v != 1 || err != nil {
+		t.Fatalf("admitted: got %d, %v", v, err)
+	}
+	saturated := func() (int, error) { return 0, fmt.Errorf("site busy: %w", fleet.ErrSaturated) }
+	if v, err := submitGuaranteed(&g, saturated, degrade); v != 2 || err != nil {
+		t.Fatalf("refused: got %d, %v, want the degraded submission", v, err)
+	}
+	boom := errors.New("boom")
+	if _, err := submitGuaranteed(&g, func() (int, error) { return 0, boom }, degrade); !errors.Is(err, boom) {
+		t.Fatalf("other error: got %v, want boom", err)
+	}
+	if g.admitted != 1 || g.refused != 1 || degraded != 1 || g.rate() != 0.5 {
+		t.Fatalf("tally %+v, %d degraded; want 1 admitted, 1 refused, 1 degraded, rate 0.5", g, degraded)
 	}
 }

@@ -1,13 +1,10 @@
 package sdk
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"everest/internal/apps"
 	"everest/internal/fleet"
-	"everest/internal/netsim"
 	"everest/internal/platform"
 	"everest/internal/region"
 	"everest/internal/runtime"
@@ -76,9 +73,6 @@ type RegionServer struct {
 	Catalog *platform.Registry
 
 	fed *region.Federation
-
-	mu      sync.Mutex
-	handles []*region.Handle
 }
 
 // NewRegionServer builds the federation: cfg.Regions fleets of
@@ -94,25 +88,15 @@ func NewRegionServer(cfg RegionConfig) (*RegionServer, error) {
 	if cfg.NodesPerSite < 1 {
 		cfg.NodesPerSite = 2
 	}
-	stack := func(name string) (*netsim.Stack, error) {
-		if name == "" {
-			return nil, nil
-		}
-		st, err := netsim.StackByName(name)
-		if err != nil {
-			return nil, err
-		}
-		return &st, nil
-	}
-	net, err := stack(cfg.Net)
+	net, err := stackByName(cfg.Net)
 	if err != nil {
 		return nil, err
 	}
-	regNet, err := stack(cfg.RegistryNet)
+	regNet, err := stackByName(cfg.RegistryNet)
 	if err != nil {
 		return nil, err
 	}
-	wan, err := stack(cfg.WAN)
+	wan, err := stackByName(cfg.WAN)
 	if err != nil {
 		return nil, err
 	}
@@ -161,14 +145,7 @@ func (rs *RegionServer) Start() error { return rs.fed.Start() }
 // handles resolve inside the call, batch handles may stay held until
 // Drain). Rejections return the routing error with nothing enqueued.
 func (rs *RegionServer) SubmitAt(req region.Request) (*region.Handle, error) {
-	h, err := rs.fed.SubmitAt(req)
-	if err != nil {
-		return nil, err
-	}
-	rs.mu.Lock()
-	rs.handles = append(rs.handles, h)
-	rs.mu.Unlock()
-	return h, nil
+	return rs.fed.SubmitAt(req)
 }
 
 // Drain advances modelled time and serves every held batch workflow.
@@ -177,25 +154,12 @@ func (rs *RegionServer) Drain(at float64) { rs.fed.Drain(at) }
 // RegionServerStats is the final accounting of a region serving run.
 type RegionServerStats struct {
 	Federation region.Stats
-	Results    []region.Result // completed workflows, submission order
 }
 
 // Shutdown drains held batch work, stops every regional fleet, and
 // returns the final stats.
 func (rs *RegionServer) Shutdown() RegionServerStats {
-	stats := rs.fed.Shutdown()
-	rs.mu.Lock()
-	handles := rs.handles
-	rs.mu.Unlock()
-	out := RegionServerStats{Federation: stats}
-	for _, h := range handles {
-		res, err := h.Wait() // resolved: Shutdown drained the hold queues
-		if err != nil {
-			continue
-		}
-		out.Results = append(out.Results, res)
-	}
-	return out
+	return RegionServerStats{Federation: rs.fed.Shutdown()}
 }
 
 // ---------------------------------------------------------------------------
@@ -211,20 +175,15 @@ func (rs *RegionServer) Shutdown() RegionServerStats {
 // (priority inline, batch after Drain), so every modelled number is
 // exactly deterministic across GOMAXPROCS.
 type RegionScenario struct {
-	Regions               int
-	SitesPerRegion        int
-	InitialSitesPerRegion int
-	NodesPerSite          int
-	CacheSlots            int
-	// StoreSlots is each region's bounded artifact store — the default is
-	// smaller than the scenario's working set (suite bitstreams + the
-	// batch app's), so staging order decides who survives the LRU.
-	StoreSlots int
-	// PartialReconfig deploys kernels into per-region FPGA slots, giving
-	// each site enough resident capacity that cache warms stick — the
-	// default scenario's contrast is then purely the WAN store tier.
-	PartialReconfig bool
-	Workflows       int
+	// RegionConfig is the federation the wave is served on. The default
+	// StoreSlots is smaller than the scenario's working set (suite
+	// bitstreams + the batch app's), so staging order decides who
+	// survives the LRU; PartialReconfig gives each site enough resident
+	// capacity that cache warms stick, so the default contrast is purely
+	// the WAN store tier; ForecastLag must cover the wave period in
+	// windows for the KRR to see returns coming.
+	RegionConfig
+	Workflows int
 	// ArrivalGap is the interarrival inside the stream (modelled seconds).
 	ArrivalGap float64
 	// BlockSize is how many consecutive submissions the wave spends homed
@@ -242,31 +201,11 @@ type RegionScenario struct {
 	GuaranteedDeadline float64
 	// InputBytes is each workflow's WAN handoff payload.
 	InputBytes int64
-	// Prefetch / Autoscale / WindowSeconds / WarmThreshold / ForecastLag
-	// forward to the federation (RegionConfig semantics). ForecastLag must
-	// cover the wave period in windows for the KRR to see returns coming.
-	Prefetch      bool
-	Autoscale     bool
-	WindowSeconds float64
-	WarmThreshold float64
-	ForecastLag   int
-	// WAN / Net / RegistryNet name the fabrics (RegionConfig semantics).
-	WAN         string
-	Net         string
-	RegistryNet string
-	Adaptive    bool
 	// SLO is the tail-latency target the saturation metric gates on
 	// (applied to TailP99; 0 = report only).
 	SLO float64
 	// Apps names the workload-registry applications the wave serves.
 	Apps []string
-	// Partitions scripts WAN faults.
-	Partitions []region.Partition
-	// Trace / FleetTrace / EngineTrace mirror RegionConfig (the
-	// determinism harness hashes the merged stream).
-	Trace       func(region.Event)
-	FleetTrace  func(regionName string, ev fleet.Event)
-	EngineTrace func(regionName, site string, ev runtime.Event)
 }
 
 // DefaultRegionScenario is the E-region configuration: 3 regions of 3
@@ -289,17 +228,19 @@ type RegionScenario struct {
 // contrast the bench gates.
 func DefaultRegionScenario() RegionScenario {
 	return RegionScenario{
-		Regions: 3, SitesPerRegion: 3, NodesPerSite: 2,
-		CacheSlots: 4, StoreSlots: 4, PartialReconfig: true,
+		RegionConfig: RegionConfig{
+			Regions: 3, SitesPerRegion: 3, NodesPerSite: 2,
+			CacheSlots: 4, StoreSlots: 4, PartialReconfig: true,
+			Prefetch:      true,
+			WindowSeconds: 1, WarmThreshold: 0.25, ForecastLag: 16,
+			WAN: "wan1g", RegistryNet: "tcp10g",
+			Adaptive: true,
+		},
 		Workflows: 200, ArrivalGap: 0.5, BlockSize: 4,
 		BatchEvery: 5, GuaranteedEvery: 7, GuaranteedDeadline: 12,
-		InputBytes:    24 << 20,
-		Prefetch:      true,
-		WindowSeconds: 1, WarmThreshold: 0.25, ForecastLag: 16,
-		WAN: "wan1g", RegistryNet: "tcp10g",
-		Adaptive: true,
-		SLO:      0,
-		Apps:     apps.Names(),
+		InputBytes: 24 << 20,
+		SLO:        0,
+		Apps:       apps.Names(),
 	}
 }
 
@@ -375,20 +316,7 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 	if sc.Regions < 1 || sc.Workflows < 1 || sc.ArrivalGap <= 0 || sc.BlockSize < 1 {
 		return RegionResult{}, fmt.Errorf("sdk: bad region scenario %+v", sc)
 	}
-	srv, err := NewRegionServer(RegionConfig{
-		Regions: sc.Regions, SitesPerRegion: sc.SitesPerRegion,
-		InitialSitesPerRegion: sc.InitialSitesPerRegion,
-		NodesPerSite:          sc.NodesPerSite,
-		CacheSlots:            sc.CacheSlots, StoreSlots: sc.StoreSlots,
-		PartialReconfig: sc.PartialReconfig,
-		Adaptive:        sc.Adaptive,
-		Net:             sc.Net, RegistryNet: sc.RegistryNet, WAN: sc.WAN,
-		Prefetch: sc.Prefetch, Autoscale: sc.Autoscale,
-		WindowSeconds: sc.WindowSeconds, WarmThreshold: sc.WarmThreshold,
-		ForecastLag: sc.ForecastLag,
-		Partitions:  sc.Partitions,
-		Trace:       sc.Trace, FleetTrace: sc.FleetTrace, EngineTrace: sc.EngineTrace,
-	})
+	srv, err := NewRegionServer(sc.RegionConfig)
 	if err != nil {
 		return RegionResult{}, err
 	}
@@ -418,8 +346,7 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 		ok       bool
 	}
 	records := make([]record, sc.Workflows)
-	gAdmitted, gRefused := 0, 0
-	tightness := 0.0
+	var g guarantees
 	waveIdx := 0
 	var lastArrival float64
 	for i := 0; i < sc.Workflows; i++ {
@@ -451,24 +378,21 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 			Class:      region.Interactive,
 			InputBytes: sc.InputBytes,
 		}
-		guaranteed := sc.GuaranteedEvery > 0 && waveIdx%sc.GuaranteedEvery == 0
+		var h *region.Handle
+		var err error
+		if sc.GuaranteedEvery > 0 && waveIdx%sc.GuaranteedEvery == 0 {
+			// A region that cannot prove the deadline degrades the
+			// arrival to interactive.
+			guaranteed := req
+			guaranteed.Class = region.Guaranteed
+			guaranteed.Deadline = sc.GuaranteedDeadline
+			h, err = submitGuaranteed(&g,
+				func() (*region.Handle, error) { return srv.SubmitAt(guaranteed) },
+				func() (*region.Handle, error) { return srv.SubmitAt(req) })
+		} else {
+			h, err = srv.SubmitAt(req)
+		}
 		waveIdx++
-		if guaranteed {
-			req.Class = region.Guaranteed
-			req.Deadline = sc.GuaranteedDeadline
-		}
-		h, err := srv.SubmitAt(req)
-		if guaranteed {
-			if err == nil {
-				gAdmitted++
-			} else if errors.Is(err, fleet.ErrSaturated) {
-				// No region can prove the deadline: degrade to interactive.
-				gRefused++
-				req.Class = region.Interactive
-				req.Deadline = 0
-				h, err = srv.SubmitAt(req)
-			}
-		}
 		if err != nil {
 			return RegionResult{}, fmt.Errorf("sdk: region scenario workflow %d: %w", i, err)
 		}
@@ -478,11 +402,7 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 			return RegionResult{}, fmt.Errorf("sdk: region scenario workflow %d: %w", i, err)
 		}
 		records[i] = record{latency: res.Latency, overhead: res.Latency - res.Service, cold: res.Cold, ok: true}
-		if res.Guaranteed && res.Bound > 0 {
-			if r := res.Latency / res.Bound; r > tightness {
-				tightness = r
-			}
-		}
+		g.observe(res.Guaranteed, res.Latency, res.Bound)
 	}
 	srv.Drain(lastArrival)
 	for _, p := range batches {
@@ -528,19 +448,17 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 		TailColdStartP99: Percentile(tailOverhead, 0.99),
 		TailCold:         tailCold,
 
-		GuaranteedAdmitted: gAdmitted,
-		GuaranteedRefused:  gRefused,
-		BoundViolations:    stats.BoundViolations,
-		BoundTightness:     tightness,
+		GuaranteedAdmitted:  g.admitted,
+		GuaranteedRefused:   g.refused,
+		GuaranteedAdmitRate: g.rate(),
+		BoundViolations:     stats.BoundViolations,
+		BoundTightness:      g.tightness,
 
 		ColdServes:      stats.ColdServes,
 		PrefetchFetches: stats.PrefetchFetches,
 		Warms:           stats.Warms,
 		Handoffs:        stats.Handoffs,
 		Preemptions:     stats.Preemptions,
-	}
-	if gAdmitted+gRefused > 0 {
-		out.GuaranteedAdmitRate = float64(gAdmitted) / float64(gAdmitted+gRefused)
 	}
 	if out.Makespan > 0 {
 		out.Throughput = float64(out.Completed) / out.Makespan

@@ -52,18 +52,16 @@ func TestRegionServerServes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Wait(); err != nil {
+		res, err := h.Wait()
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := srv.Shutdown()
-	if st.Federation.Completed != 4 || len(st.Results) != 4 {
-		t.Fatalf("completed %d results %d, want 4/4", st.Federation.Completed, len(st.Results))
-	}
-	for i, res := range st.Results {
 		if res.Arrival != float64(i) {
-			t.Fatalf("result %d arrival %.3f: Results not in submission order", i, res.Arrival)
+			t.Fatalf("result %d arrival %.3f, want %d", i, res.Arrival, i)
 		}
+	}
+	if st := srv.Shutdown(); st.Federation.Completed != 4 {
+		t.Fatalf("completed %d, want 4", st.Federation.Completed)
 	}
 }
 

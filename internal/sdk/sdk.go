@@ -8,13 +8,12 @@ package sdk
 
 import (
 	"fmt"
-	"sort"
 
-	"everest/internal/autotuner"
 	"everest/internal/base2"
 	"everest/internal/ekl"
 	"everest/internal/hls"
 	"everest/internal/mlir"
+	"everest/internal/netsim"
 	"everest/internal/olympus"
 	"everest/internal/platform"
 	"everest/internal/runtime"
@@ -141,6 +140,19 @@ func DefaultCluster(n int) *platform.Cluster {
 	return platform.NewCluster(nodes...)
 }
 
+// stackByName resolves a netsim stack name; "" means no stack (the flat
+// cluster fabric, or the tier's default fabric).
+func stackByName(name string) (*netsim.Stack, error) {
+	if name == "" {
+		return nil, nil
+	}
+	st, err := netsim.StackByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
 // Publish stores a compiled design's bitstream in the registry.
 func (s *SDK) Publish(res *CompileResult) error {
 	return s.Registry.Put(res.Design.Bitstream)
@@ -219,31 +231,4 @@ func ExplorePlacement(stages []StageCost, cpu platform.CPUModel, dev *platform.D
 		out = append(out, choice)
 	}
 	return out, nil
-}
-
-// TuneTask applies the autotuner's current best configuration to a task's
-// knobs — the paper's "possibility of kernel fine-tuning" through the
-// Dask-like API (§VI-A). The selected knob values are merged into
-// spec.Knobs; existing keys set explicitly by the user are kept.
-func TuneTask(at *autotuner.Autotuner, spec *runtime.TaskSpec) autotuner.OperatingPoint {
-	sel := at.Select()
-	if spec.Knobs == nil {
-		spec.Knobs = make(map[string]string, len(sel.Config))
-	}
-	for k, v := range sel.Config {
-		if _, userSet := spec.Knobs[k]; !userSet {
-			spec.Knobs[k] = v
-		}
-	}
-	return sel
-}
-
-// PlacementSummary renders placements as stable text rows.
-func PlacementSummary(ps []Placement) []string {
-	rows := make([]string, 0, len(ps))
-	for _, p := range ps {
-		rows = append(rows, fmt.Sprintf("%-14s -> %-4s (%.3gs)", p.Stage, p.Target, p.TimeSec))
-	}
-	sort.Strings(rows)
-	return rows
 }

@@ -2,10 +2,8 @@ package sdk
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
-	"everest/internal/autotuner"
 	"everest/internal/base2"
 	"everest/internal/ekl"
 	"everest/internal/hls"
@@ -139,10 +137,6 @@ func TestExplorePlacement(t *testing.T) {
 	if byName["bookkeeping"].Target != "cpu" {
 		t.Errorf("tiny stage should stay on CPU, got %+v", byName["bookkeeping"])
 	}
-	rows := PlacementSummary(ps)
-	if len(rows) != 2 || !strings.Contains(strings.Join(rows, "\n"), "fpga") {
-		t.Errorf("summary wrong: %v", rows)
-	}
 }
 
 func TestGenericBinding(t *testing.T) {
@@ -177,33 +171,6 @@ kernel g {
 	// And compile end to end.
 	if _, err := Compile(src, b, CompileOptions{}); err != nil {
 		t.Fatalf("generic binding must compile: %v", err)
-	}
-}
-
-func TestTuneTask(t *testing.T) {
-	knobs := []autotuner.Knob{{Name: "impl", Values: []string{"cpu", "fpga"}},
-		{Name: "samples", Values: []string{"1000", "10000"}}}
-	points := []autotuner.OperatingPoint{
-		{Config: autotuner.Config{"impl": "cpu", "samples": "1000"},
-			Metrics: map[autotuner.Metric]float64{autotuner.MetricTimeMs: 500}},
-		{Config: autotuner.Config{"impl": "fpga", "samples": "10000"},
-			Metrics: map[autotuner.Metric]float64{autotuner.MetricTimeMs: 40}},
-	}
-	at, err := autotuner.New(knobs, points, nil,
-		autotuner.Rank{Metric: autotuner.MetricTimeMs, Minimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := runtime.TaskSpec{Name: "mc", Knobs: map[string]string{"samples": "500"}}
-	sel := TuneTask(at, &spec)
-	if sel.Config["impl"] != "fpga" {
-		t.Errorf("selected %v, want fpga variant", sel.Config)
-	}
-	if spec.Knobs["impl"] != "fpga" {
-		t.Error("tuned knob must be merged into the task spec")
-	}
-	if spec.Knobs["samples"] != "500" {
-		t.Error("user-set knobs must be preserved")
 	}
 }
 

@@ -46,12 +46,8 @@ type ServerConfig struct {
 	// the per-workflow autotuner and the node monitors, and hot-plug events
 	// invalidate stale placements (engine adaptive mode).
 	Adaptive bool
-	// Faults is a script of environment events injected while the server
-	// runs, each triggered after a number of completed tasks (see Fault).
-	Faults []Fault
 	// Events are modelled-time environment changes scripted at start
-	// (engine semantics; deterministic, unlike the completion-triggered
-	// Faults).
+	// (engine semantics).
 	Events []runtime.EnvEvent
 	// Net prices inter-node transfers over the packetization-aware
 	// cloudFPGA network stack when set (engine semantics).
@@ -89,12 +85,8 @@ func (s *SDK) NewServer(cfg ServerConfig) *Server {
 		sdk:     s,
 		tenants: make(map[string]*TenantStats),
 	}
-	trace := cfg.Trace
-	if len(cfg.Faults) > 0 {
-		trace = srv.faultDriver(cfg.Faults, cfg.Trace)
-	}
 	srv.eng = runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{
-		Policy: cfg.Policy, Failures: cfg.Failures, Trace: trace,
+		Policy: cfg.Policy, Failures: cfg.Failures, Trace: cfg.Trace,
 		Adaptive: cfg.Adaptive, Events: cfg.Events, Net: cfg.Net,
 	})
 	return srv

@@ -115,10 +115,20 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 	if _, err := s.Deploy(bs.ID, node.Name); err != nil {
 		t.Fatal(err)
 	}
-	srv := s.NewServer(sdk.ServerConfig{
+	// Unplug the only accelerator after the first completion. The trace
+	// runs inside the serve, so the unplug lands mid-workflow.
+	var srv *sdk.Server
+	unplugged := false
+	srv = s.NewServer(sdk.ServerConfig{
 		Policy: runtime.PolicyHEFT, Adaptive: true,
-		// Unplug the only accelerator after the first completion.
-		Faults: []sdk.Fault{{Kind: runtime.EnvUnplug, AfterTasks: 1, Node: node.Name}},
+		Trace: func(ev runtime.Event) {
+			if ev.Kind == runtime.EventTaskDone && !unplugged {
+				unplugged = true
+				if err := srv.UnplugDevice(node.Name, 0, ev.Time); err != nil {
+					t.Error(err)
+				}
+			}
+		},
 	})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 //
 //	basecamp compile  -kernel <file.ekl|demo|windpower|airquality> [-lang ekl|cfdlang] [-backend vitis|bambu] [-format f32|f64|bf16|f16|fixed16|posit16] [-device alveo-u55c|alveo-u280|cloudfpga] [-memports N] [-emit mlir|olympus|driver|source]
 //	                               # source-to-schedule: HLS report, derived operating points, tuner pick
-//	basecamp deploy   -nodes N     # compile demo kernel, stage it, plan a workflow
+//	basecamp deploy   -nodes N     # compile demo kernel, stage it, serve a workflow
 //	basecamp serve    engine|fleet|suite|wcet|stream|region|kmeans [flags]
 //	                               # one serving pass of a named scenario
 //	basecamp bench    [E1..E14] [-list]
@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"os"
 	goruntime "runtime"
@@ -264,9 +265,11 @@ func serveEngine(fs *flag.FlagSet) func() error {
 			node, at, _ := strings.Cut(*failNode, "@")
 			f := runtime.NodeFailure{Node: node, AtTime: 0.5}
 			if at != "" {
-				if _, err := fmt.Sscanf(at, "%g", &f.AtTime); err != nil {
-					return fmt.Errorf("serve: bad -fail time %q", at)
+				t, err := strconv.ParseFloat(at, 64)
+				if err != nil || t < 0 || math.IsInf(t, 0) || math.IsNaN(t) {
+					return fmt.Errorf("serve: bad -fail time %q: want a finite number of seconds >= 0", at)
 				}
+				f.AtTime = t
 			}
 			if s.Cluster.FindNode(f.Node) == nil {
 				return fmt.Errorf("serve: -fail references unknown node %q", f.Node)
@@ -1122,7 +1125,7 @@ func cmdDeploy(args []string) error {
 		Flops: 1e9, InputBytes: 1 << 22}); err != nil {
 		return err
 	}
-	sched, err := s.NewScheduler(runtime.PolicyHEFT).Plan(w)
+	sched, err := runtime.ServeAlone(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT}, w)
 	if err != nil {
 		return err
 	}

@@ -89,6 +89,10 @@ func TestServeEngineSmoke(t *testing.T) {
 		{"engine", "-net", "bogus"},
 		{"engine", "-fail", "node99@0.5"},
 		{"engine", "-fail", "node00@xyz"},
+		{"engine", "-fail", "node00@0.5junk"},
+		{"engine", "-fail", "node00@-3"},
+		{"engine", "-fail", "node00@NaN"},
+		{"engine", "-fail", "node00@Inf"},
 	})
 }
 

@@ -61,7 +61,7 @@ func main() {
 		fmt.Printf("  %s\n", row)
 	}
 
-	// 5. Stage the compiled bitstream and schedule the registry DAG over
+	// 5. Stage the compiled bitstream and serve the registry DAG alone on
 	// the simulated cluster.
 	sdkInst := sdk.New(sdk.DefaultCluster(4))
 	for _, bs := range app.Bitstreams() {
@@ -75,7 +75,7 @@ func main() {
 		}
 	}
 	w := app.Workflow(0)
-	sched, err := sdkInst.NewScheduler(runtime.PolicyHEFT).Plan(w)
+	sched, err := runtime.ServeAlone(sdkInst.Cluster, sdkInst.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT}, w)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func E6() (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			sched, err := runtime.NewScheduler(cluster, reg, pol).Plan(w)
+			sched, err := runtime.ServeAlone(cluster, reg, runtime.EngineConfig{Policy: pol}, w)
 			if err != nil {
 				return t, err
 			}
@@ -96,19 +96,22 @@ func E6() (Table, error) {
 		}
 	}
 
-	// Failure recovery on the fork-join DAG.
+	// Failure recovery on the fork-join DAG: the node running the fourth
+	// assignment dies as that task starts.
+	heft := runtime.EngineConfig{Policy: runtime.PolicyHEFT}
 	w, err := build("fork-join")
 	if err != nil {
 		return t, err
 	}
-	s := runtime.NewScheduler(cluster, reg, runtime.PolicyHEFT)
-	base, err := s.Plan(w)
+	base, err := runtime.ServeAlone(cluster, reg, heft, w)
 	if err != nil {
 		return t, err
 	}
-	victim := base.Assignments[3].Node
-	s.Failures = []runtime.NodeFailure{{Node: victim, AtTime: base.Assignments[3].Start}}
-	rec, err := s.PlanWithRecovery(w)
+	if w, err = build("fork-join"); err != nil {
+		return t, err
+	}
+	heft.Failures = []runtime.NodeFailure{{Node: base.Assignments[3].Node, AtTime: base.Assignments[3].Start}}
+	rec, err := runtime.ServeAlone(cluster, reg, heft, w)
 	if err != nil {
 		return t, err
 	}

@@ -40,7 +40,8 @@ const (
 const cpu16Cores = 16
 
 // designTime passed as `at` selects the design-time view of attachment
-// (faults invisible — the serial planner and static estimates).
+// (faults invisible — the static engine's placement estimates and the
+// adaptive tuner's seeds).
 const designTime = -1.0
 
 // fpgaCostOn returns the kernel execution time of task t on a device of

@@ -11,11 +11,9 @@ import (
 	"everest/internal/platform"
 )
 
-// This file implements the concurrent half of the resource manager: an
-// event-driven engine that multiplexes many workflows (tenants) onto one
-// simulated cluster. The serial Scheduler in runtime.go plans a single
-// workflow ahead of time; the Engine executes many of them online, with
-// per-node work queues, batched inter-node transfers, and reactive
+// This file implements the resource manager's engine: an event-driven loop
+// that multiplexes many workflows (tenants) onto one simulated cluster,
+// with per-node work queues, batched inter-node transfers, and reactive
 // rescheduling when a node fails mid-run. All time is modelled seconds
 // (never wall clock).
 //
@@ -414,6 +412,22 @@ func (e *Engine) Shutdown() {
 	}
 	e.applyCtrl(e.ds)
 	e.publishStats(e.ds)
+}
+
+// ServeAlone serves w alone on a fresh engine over c — NewEngine, Start,
+// Submit, Shutdown — and returns its schedule. Like NewEngine it takes
+// ownership of the cluster, and it leaves cfg.Failures applied to it.
+func ServeAlone(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig, w *Workflow) (*Schedule, error) {
+	e := NewEngine(c, reg, cfg)
+	if err := e.Start(); err != nil {
+		return nil, err
+	}
+	defer e.Shutdown()
+	fut, err := e.Submit(w, SubmitOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return fut.Wait()
 }
 
 // FailNode injects a node failure while the engine runs (best-effort: tasks

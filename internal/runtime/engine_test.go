@@ -133,8 +133,7 @@ func TestEngineConcurrentSubmissions(t *testing.T) {
 
 // TestEngineMultiplexingBeatsSerial is the tentpole property: running N
 // workflows through the concurrent engine must finish (in modelled time)
-// well before running the same N workflows back-to-back through the serial
-// planner.
+// well before running the same N workflows back-to-back, each served alone.
 func TestEngineMultiplexingBeatsSerial(t *testing.T) {
 	const workflows = 8
 	mkWorkflow := func() *Workflow {
@@ -153,15 +152,10 @@ func TestEngineMultiplexingBeatsSerial(t *testing.T) {
 		return w
 	}
 
-	// Serial baseline: each workflow planned alone, executed back-to-back.
+	// Serial baseline: each workflow served alone, executed back-to-back.
 	serial := 0.0
-	s := NewScheduler(testCluster(4), platform.NewRegistry(), PolicyHEFT)
 	for i := 0; i < workflows; i++ {
-		sched, err := s.Plan(mkWorkflow())
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial += sched.Makespan
+		serial += serveAlone(t, testCluster(4), EngineConfig{Policy: PolicyHEFT}, mkWorkflow()).Makespan
 	}
 
 	e := startEngine(t, testCluster(4), EngineConfig{Policy: PolicyHEFT})

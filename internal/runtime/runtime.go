@@ -1,16 +1,16 @@
 // Package runtime implements the EVEREST resource manager (paper §VI-A):
-// a Dask-like task-graph API over the simulated heterogeneous cluster, a
-// cost-aware list scheduler that (1) respects dependencies and resource
+// a Dask-like task-graph API over the simulated heterogeneous cluster, and
+// one cost-aware engine that (1) respects dependencies and resource
 // requests, (2) load-balances, (3) inserts inter-node data transfers, and
 // (4) monitors the cluster and reschedules tasks when a node fails.
 //
-// Two execution layers share the Workflow/TaskSpec API. Scheduler is the
-// serial planner: it maps one workflow ahead of time and returns its
-// Schedule. Engine is the concurrent engine: an event loop over per-node
-// work queues, run on the submitter's goroutine, that multiplexes many
-// workflows from many tenants onto the same cluster, with batched
-// inter-node transfers, round-robin tenant fairness, and reactive
-// rescheduling when a node fails mid-run.
+// Engine is an event loop over per-node work queues, run on the
+// submitter's goroutine, that multiplexes many workflows from many tenants
+// onto the same cluster, with batched inter-node transfers, round-robin
+// tenant fairness, and reactive rescheduling when a node fails mid-run.
+// ServeAlone is the same engine serving one workflow on an otherwise idle
+// cluster, so single-workflow schedules and the back-to-back baseline are
+// priced by the same model as multiplexed serving.
 //
 // The public API mirrors the paper's description: applications submit tasks
 // with minimal modification ("Dask-like API ... extended with
@@ -20,7 +20,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 
 	"everest/internal/autotuner"
 	"everest/internal/dataset"
@@ -110,7 +109,7 @@ func (w *Workflow) Submit(spec TaskSpec) error {
 	}
 	cp := spec
 	// Dataset path: derive the modelled byte fields from the refs so every
-	// downstream consumer (planner transfers, engine, cost models, bounds)
+	// downstream consumer (engine transfers, cost models, bounds)
 	// sees the same numbers whether bytes were declared or named.
 	cp.InputBytes = cp.ReadBytes()
 	cp.OutputBytes = cp.WriteBytes()
@@ -168,11 +167,12 @@ type Policy int
 
 // Scheduling policies.
 const (
-	// PolicyHEFT ranks tasks by upward rank and picks the node with the
-	// earliest finish time including transfer costs.
+	// PolicyHEFT places each ready task on the node with the earliest
+	// modelled finish time, transfer costs included. Tasks are placed in
+	// the order they become ready (no upward-rank ordering).
 	PolicyHEFT Policy = iota
-	// PolicyFIFO assigns tasks in submission order to the first free node
-	// (the E6 baseline).
+	// PolicyFIFO places each ready task on the node where it can start
+	// earliest, ignoring how long it runs there (the E6 baseline).
 	PolicyFIFO
 )
 
@@ -193,14 +193,14 @@ type Assignment struct {
 	Restart bool // true if this run replaces one lost to a node failure
 }
 
-// Schedule is the result of planning a workflow.
+// Schedule is the result of serving one workflow.
 type Schedule struct {
 	Assignments []Assignment
 	Makespan    float64
 	Transfers   int   // inter-node dependency transfers
 	MovedBytes  int64 // total bytes moved between nodes
 	Policy      Policy
-	Adapt       AdaptStats // adaptation and recovery activity (engine runs)
+	Adapt       AdaptStats // adaptation and recovery activity
 }
 
 // AdaptStats summarizes one workflow's adaptation activity under the
@@ -230,238 +230,16 @@ type NodeFailure struct {
 	AtTime float64
 }
 
-// Scheduler plans workflows onto a cluster.
-type Scheduler struct {
-	Cluster  *platform.Cluster
-	Registry *platform.Registry
-	Policy   Policy
-	Failures []NodeFailure
-}
-
-// NewScheduler builds a scheduler.
-func NewScheduler(c *platform.Cluster, reg *platform.Registry, p Policy) *Scheduler {
-	return &Scheduler{Cluster: c, Registry: reg, Policy: p}
-}
-
-// taskCost models one task's execution time on a node.
-func (s *Scheduler) taskCost(t *TaskSpec, n *platform.Node) (float64, bool) {
-	cost, onFPGA, _ := costOn(t, n)
-	return cost, onFPGA
-}
-
 // costOn models task t's execution time on node n with the design-time
 // model: nominal CPU speed, and FPGA offload assumed reachable whenever the
-// bitstream is programmed (attachment faults are invisible to it). Shared
-// by the serial planner and the static engine's placement estimates; live
-// execution costs come from costLive (adaptive.go).
+// bitstream is programmed (attachment faults are invisible to it). Used by
+// the static engine's placement estimates; live execution costs come from
+// costLive (adaptive.go).
 func costOn(t *TaskSpec, n *platform.Node) (cost float64, onFPGA bool, devIdx int) {
 	if c, idx, ok := fpgaCostOn(t, n, designTime); ok {
 		return c, true, idx
 	}
 	return n.RunCPU(t.Flops, t.TotalBytes(), t.Cores), false, -1
-}
-
-// Plan schedules the workflow and returns the schedule. The plan is
-// deterministic: ties break on node order, then task submission order.
-func (s *Scheduler) Plan(w *Workflow) (*Schedule, error) {
-	if w.Len() == 0 {
-		return &Schedule{Policy: s.Policy}, nil
-	}
-	order, err := s.taskOrder(w)
-	if err != nil {
-		return nil, err
-	}
-
-	failAt := make(map[string]float64)
-	for _, f := range s.Failures {
-		failAt[f.Node] = f.AtTime
-	}
-
-	sched := &Schedule{Policy: s.Policy}
-	nodeFree := make(map[string]float64) // node -> earliest idle time
-	taskDone := make(map[string]float64) // task -> completion time
-	taskNode := make(map[string]string)  // task -> node holding its output
-	alive := func(node string, until float64) bool {
-		t, failed := failAt[node]
-		return !failed || until <= t
-	}
-
-	for _, name := range order {
-		task := w.tasks[name]
-		bestNode := ""
-		bestEnd := 0.0
-		bestStart := 0.0
-		bestFPGA := false
-		bestBytes := int64(0)
-		bestTransfers := 0
-
-		for _, n := range s.Cluster.Nodes {
-			// Ready time: all deps done plus any transfer of their outputs.
-			ready := nodeFree[n.Name]
-			var moved int64
-			transfers := 0
-			for _, d := range task.Deps {
-				arrive := taskDone[d]
-				if taskNode[d] != n.Name {
-					dep := w.tasks[d]
-					arrive += s.Cluster.TransferSeconds(taskNode[d], n.Name, dep.OutputBytes)
-					moved += dep.OutputBytes
-					transfers++
-				}
-				if arrive > ready {
-					ready = arrive
-				}
-			}
-			cost, onFPGA := s.taskCost(task, n)
-			end := ready + cost
-			if !alive(n.Name, end) {
-				continue // node dies before completing this task
-			}
-			better := bestNode == "" || end < bestEnd ||
-				(end == bestEnd && onFPGA && !bestFPGA)
-			if s.Policy == PolicyFIFO {
-				// FIFO: first node that is idle at the dep-ready time wins;
-				// approximated by earliest start rather than earliest end.
-				better = bestNode == "" || ready < bestStart
-			}
-			if better {
-				bestNode, bestEnd, bestStart = n.Name, end, ready
-				bestFPGA, bestBytes, bestTransfers = onFPGA, moved, transfers
-			}
-		}
-		if bestNode == "" {
-			return nil, fmt.Errorf("runtime: no alive node can run task %q", name)
-		}
-		sched.Assignments = append(sched.Assignments, Assignment{
-			Task: name, Node: bestNode, Start: bestStart, End: bestEnd, OnFPGA: bestFPGA,
-		})
-		nodeFree[bestNode] = bestEnd
-		taskDone[name] = bestEnd
-		taskNode[name] = bestNode
-		sched.Transfers += bestTransfers
-		sched.MovedBytes += bestBytes
-		if bestEnd > sched.Makespan {
-			sched.Makespan = bestEnd
-		}
-	}
-	return sched, nil
-}
-
-// taskOrder returns tasks in scheduling priority order: HEFT uses upward
-// rank (critical path to exit), FIFO uses submission order. Both respect
-// dependencies.
-func (s *Scheduler) taskOrder(w *Workflow) ([]string, error) {
-	// Topological check (submission order already guarantees acyclicity
-	// because deps must pre-exist, but verify defensively).
-	indeg := make(map[string]int)
-	children := make(map[string][]string)
-	for _, t := range w.specs {
-		indeg[t.Name] = len(t.Deps)
-		for _, d := range t.Deps {
-			children[d] = append(children[d], t.Name)
-		}
-	}
-	names := w.Tasks()
-	if s.Policy == PolicyFIFO {
-		return names, nil
-	}
-
-	// Upward rank with a representative node cost.
-	ref := s.Cluster.Nodes[0]
-	rank := make(map[string]float64)
-	var compute func(name string) float64
-	compute = func(name string) float64 {
-		if r, ok := rank[name]; ok {
-			return r
-		}
-		t := w.tasks[name]
-		cost, _ := s.taskCost(t, ref)
-		best := 0.0
-		for _, c := range children[name] {
-			if r := compute(c); r > best {
-				best = r
-			}
-		}
-		rank[name] = cost + best
-		return rank[name]
-	}
-	for _, name := range names {
-		compute(name)
-	}
-
-	// Priority order: higher rank first, but never before dependencies.
-	sort.SliceStable(names, func(i, j int) bool { return rank[names[i]] > rank[names[j]] })
-	var out []string
-	done := make(map[string]bool)
-	remaining := names
-	for len(remaining) > 0 {
-		progressed := false
-		var next []string
-		for _, name := range remaining {
-			readyNow := true
-			for _, d := range w.tasks[name].Deps {
-				if !done[d] {
-					readyNow = false
-					break
-				}
-			}
-			if readyNow {
-				out = append(out, name)
-				done[name] = true
-				progressed = true
-			} else {
-				next = append(next, name)
-			}
-		}
-		if !progressed {
-			return nil, fmt.Errorf("runtime: dependency cycle detected")
-		}
-		remaining = next
-	}
-	return out, nil
-}
-
-// PlanWithRecovery plans the workflow, then replays the injected node
-// failures: any task that would finish after its node's failure time is
-// rescheduled onto the surviving nodes (its restart is recorded). Completed
-// outputs survive failures (the runtime checkpoints task outputs to the
-// shared data layer on completion).
-func (s *Scheduler) PlanWithRecovery(w *Workflow) (*Schedule, error) {
-	if len(s.Failures) == 0 {
-		return s.Plan(w)
-	}
-	// First pass without failures to find which tasks are hit.
-	clean := *s
-	clean.Failures = nil
-	base, err := clean.Plan(w)
-	if err != nil {
-		return nil, err
-	}
-	failAt := make(map[string]float64)
-	for _, f := range s.Failures {
-		failAt[f.Node] = f.AtTime
-	}
-	hit := make(map[string]bool)
-	for _, a := range base.Assignments {
-		if t, failed := failAt[a.Node]; failed && a.End > t {
-			hit[a.Task] = true
-		}
-	}
-	if len(hit) == 0 {
-		return base, nil
-	}
-	// Second pass with failures active plans the hit tasks (and everything
-	// after them) away from dead nodes.
-	re, err := s.Plan(w)
-	if err != nil {
-		return nil, err
-	}
-	for i := range re.Assignments {
-		if hit[re.Assignments[i].Task] {
-			re.Assignments[i].Restart = true
-		}
-	}
-	return re, nil
 }
 
 // LoadImbalance returns the ratio busiest/least-busy node time in the

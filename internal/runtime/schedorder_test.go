@@ -31,7 +31,7 @@ func TestInsertAssignmentOutOfOrder(t *testing.T) {
 		for i, a := range st.sched.Assignments {
 			if a.Task != want[i] {
 				t.Fatalf("position %d = %q, want %q (full order %v)",
-					i, a.Task, want[i], taskOrder(st.sched.Assignments))
+					i, a.Task, want[i], assignedTasks(st.sched.Assignments))
 			}
 		}
 	})
@@ -59,14 +59,14 @@ func TestInsertAssignmentOutOfOrder(t *testing.T) {
 			for i := range ref {
 				if st.sched.Assignments[i] != ref[i] {
 					t.Fatalf("round %d diverges from stable sort at %d:\n got %v\nwant %v",
-						round, i, taskOrder(st.sched.Assignments), taskOrder(ref))
+						round, i, assignedTasks(st.sched.Assignments), assignedTasks(ref))
 				}
 			}
 		}
 	})
 }
 
-func taskOrder(as []Assignment) []string {
+func assignedTasks(as []Assignment) []string {
 	out := make([]string, len(as))
 	for i, a := range as {
 		out[i] = fmt.Sprintf("%s@%g", a.Task, a.Start)

@@ -16,7 +16,6 @@ import (
 	"everest/internal/netsim"
 	"everest/internal/olympus"
 	"everest/internal/platform"
-	"everest/internal/runtime"
 	"everest/internal/tensor"
 	"everest/internal/variants"
 )
@@ -175,11 +174,6 @@ func (s *SDK) Deploy(bitstreamID, node string) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("sdk: no device on %q fits bitstream %q", node, bitstreamID)
-}
-
-// NewScheduler returns a resource manager over the SDK's cluster.
-func (s *SDK) NewScheduler(policy runtime.Policy) *runtime.Scheduler {
-	return runtime.NewScheduler(s.Cluster, s.Registry, policy)
 }
 
 // Placement is one CPU/FPGA allocation choice for a sub-kernel (E10).

@@ -95,7 +95,7 @@ func TestPublishDeployRun(t *testing.T) {
 		t.Error("unknown bitstream must fail")
 	}
 
-	// Schedule a workflow that uses it.
+	// Serve a workflow that uses it.
 	w := runtime.NewWorkflow()
 	if err := w.Submit(runtime.TaskSpec{
 		Name: "saxpy", Flops: 1e10, InputBytes: 1 << 22, OutputBytes: 1 << 22,
@@ -103,7 +103,7 @@ func TestPublishDeployRun(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sched, err := s.NewScheduler(runtime.PolicyHEFT).Plan(w)
+	sched, err := runtime.ServeAlone(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT}, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,19 +260,20 @@ func (srv *Server) Shutdown() ServerStats {
 	return srv.Stats()
 }
 
-// SerialMakespan models the pre-engine baseline: each workflow planned alone
-// by the serial list scheduler and executed back-to-back, so the total is
-// the sum of the individual makespans. It is the denominator of the
-// multiplexing speedup `basecamp serve` and the benchmarks report.
+// SerialMakespan models the back-to-back baseline: each workflow served
+// alone on a fresh engine over the SDK's cluster, one after another, so
+// the total is the sum of the individual makespans. It is the denominator
+// of the multiplexing speedup `basecamp serve` and the benchmarks report.
+// Each engine takes ownership of the cluster (see runtime.NewEngine), so
+// call it while no server is serving on it.
 func (s *SDK) SerialMakespan(policy runtime.Policy, ws ...*runtime.Workflow) (float64, error) {
 	total := 0.0
-	sched := s.NewScheduler(policy)
 	for i, w := range ws {
-		plan, err := sched.Plan(w)
+		sched, err := runtime.ServeAlone(s.Cluster, s.Registry, runtime.EngineConfig{Policy: policy}, w)
 		if err != nil {
-			return 0, fmt.Errorf("sdk: serial plan of workflow %d: %w", i, err)
+			return 0, fmt.Errorf("sdk: serving workflow %d alone: %w", i, err)
 		}
-		total += plan.Makespan
+		total += sched.Makespan
 	}
 	return total, nil
 }

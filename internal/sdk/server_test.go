@@ -59,8 +59,7 @@ func TestServerConcurrentSubmissions(t *testing.T) {
 
 // TestServerThroughputSpeedup is the acceptance check of the concurrent
 // runtime: N=8 concurrent workflows must finish (in modelled time) at least
-// 2x faster than the same workflows run back-to-back through the serial
-// planner.
+// 2x faster than the same workflows run back-to-back, each served alone.
 func TestServerThroughputSpeedup(t *testing.T) {
 	const workflows = 8
 	ws := make([]*runtime.Workflow, workflows)
@@ -84,6 +83,34 @@ func TestServerThroughputSpeedup(t *testing.T) {
 	t.Logf("serial %.3gs, concurrent %.3gs, speedup %.2fx", serial, makespan, speedup)
 	if speedup < 2 {
 		t.Errorf("multiplexing speedup %.2fx, want >= 2x", speedup)
+	}
+}
+
+// TestSerialMakespanPinned pins the back-to-back baseline exactly. BENCH_2
+// gates only the speedup ratio, so a placement change in the engine could
+// move numerator and denominator together unnoticed; this catches the
+// denominator drifting.
+func TestSerialMakespanPinned(t *testing.T) {
+	for _, tc := range []struct {
+		workflows int
+		policy    runtime.Policy
+		want      float64
+	}{
+		{8, runtime.PolicyHEFT, 2.5949479010909089}, // the BENCH_2 speedup_x8 batch
+		{16, runtime.PolicyHEFT, 5.3071786272727266},
+		{16, runtime.PolicyFIFO, 7.9697812509090928},
+	} {
+		ws := make([]*runtime.Workflow, tc.workflows)
+		for i := range ws {
+			ws[i] = SyntheticWorkflow(i)
+		}
+		got, err := New(DefaultCluster(8)).SerialMakespan(tc.policy, ws...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%d workflows, %s: serial makespan %.17g, want %.17g", tc.workflows, tc.policy, got, tc.want)
+		}
 	}
 }
 

@@ -246,7 +246,7 @@ func serveEngine(fs *flag.FlagSet) func() error {
 	failNode := fs.String("fail", "", "inject a node failure, e.g. node00@0.5")
 	adaptive := fs.Bool("adaptive", false, "variant-aware scheduling against live monitors")
 	netName := fs.String("net", "", "price transfers over a cloudFPGA stack: tcp10g or udp10g (default: flat fabric)")
-	cfg := sdk.ServerConfig{Policy: runtime.PolicyHEFT}
+	cfg := runtime.EngineConfig{Policy: runtime.PolicyHEFT}
 	policyFlag(fs, &cfg.Policy)
 	trace := traceFlag(fs)
 	return func() error {
@@ -291,15 +291,18 @@ func serveEngine(fs *flag.FlagSet) func() error {
 					ev.Time, ev.Kind, ev.Workflow, ev.Task, ev.Node, ev.Detail)
 			}
 		}
-		srv := s.NewServer(cfg)
+		eng := runtime.NewEngine(s.Cluster, s.Registry, cfg)
 		futs := make([]*runtime.Future, *workflows)
 		for i := range futs {
-			if futs[i], err = srv.Submit(fmt.Sprintf("tenant%02d", i%*tenants), "", sdk.SyntheticWorkflow(i)); err != nil {
+			// <tenant>/wf<n>: the workflow name breaks ties in the engine.
+			tenant := fmt.Sprintf("tenant%02d", i%*tenants)
+			opt := runtime.SubmitOptions{Name: fmt.Sprintf("%s/wf%d", tenant, i+1), Tenant: tenant}
+			if futs[i], err = eng.Submit(sdk.SyntheticWorkflow(i), opt); err != nil {
 				return err
 			}
 		}
 		wallStart := time.Now()
-		if err := srv.Start(); err != nil {
+		if err := eng.Start(); err != nil {
 			return err
 		}
 		transfers, moved := 0, int64(0)
@@ -311,8 +314,9 @@ func serveEngine(fs *flag.FlagSet) func() error {
 			transfers += sched.Transfers
 			moved += sched.MovedBytes
 		}
-		stats := srv.Shutdown()
+		eng.Shutdown()
 		wall := time.Since(wallStart)
+		stats := sdk.TallyOf(futs)
 
 		fmt.Printf("cluster    : %d compute nodes + cloudfpga0 (%d total)\n", *nodes, len(s.Cluster.Nodes))
 		fmt.Printf("workflows  : %d across %d tenants (policy %s, %s)\n",

@@ -94,6 +94,17 @@ func TestServeEngineSmoke(t *testing.T) {
 		{"engine", "-fail", "node00@NaN"},
 		{"engine", "-fail", "node00@Inf"},
 	})
+	// The default run is deterministic. Workflow names break ties in the
+	// engine, so a change to them moves these numbers.
+	out, err := capture(t, func() error { return serve("engine") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"concurrent : 1.57s", "speedup    : 3.37x", "62 batched"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("default serve engine output lacks %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestServeFleetSmoke(t *testing.T) {

@@ -18,13 +18,14 @@
 //     latency;
 //   - the virtualized runtime environment, three serving tiers deep:
 //     the concurrent multi-tenant engine with adaptive variant-aware
-//     placement (internal/runtime, fronted by internal/sdk.Server), the
-//     federation tier routing workflows across engine sites with bounded
-//     LRU bitstream caches and deploy pricing (internal/fleet, fronted by
-//     sdk.FleetServer), and the streaming tier serving long-lived
-//     windowed pipelines with shed-or-block backpressure and kernels
-//     resident in FPGA partial-reconfiguration regions (internal/stream,
-//     fronted by sdk.StreamServer) — all over the platform models
+//     placement (internal/runtime, driven directly, its futures tallied
+//     per tenant by sdk.TallyOf), the federation tier routing workflows
+//     across engine sites with bounded LRU bitstream caches and deploy
+//     pricing (internal/fleet, fronted by sdk.FleetServer), and the
+//     streaming tier serving long-lived windowed pipelines with
+//     shed-or-block backpressure and kernels resident in FPGA
+//     partial-reconfiguration regions (internal/stream, fronted by
+//     sdk.StreamServer) — all over the platform models
 //     (internal/platform, internal/netsim), SR-IOV virtualization
 //     (internal/virt), and the mARGOt autotuner (internal/autotuner);
 //   - the anomaly detection service (internal/anomaly) with TPE AutoML.

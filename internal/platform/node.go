@@ -6,40 +6,6 @@ import (
 	"sync"
 )
 
-// SimClock is the logical clock shared by the simulated cluster. All times
-// are modelled seconds; nothing sleeps.
-type SimClock struct {
-	mu  sync.Mutex
-	now float64
-}
-
-// Now returns the current modelled time.
-func (c *SimClock) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by dt seconds and returns the new time.
-func (c *SimClock) Advance(dt float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if dt > 0 {
-		c.now += dt
-	}
-	return c.now
-}
-
-// AdvanceTo moves the clock to t if t is in the future.
-func (c *SimClock) AdvanceTo(t float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t > c.now {
-		c.now = t
-	}
-	return c.now
-}
-
 // Node is one computing node of the EVEREST cluster: a CPU plus attached
 // FPGA devices, with an XRT-like programming interface.
 type Node struct {
@@ -421,7 +387,6 @@ func (n *Node) Alive(t float64) bool {
 type Cluster struct {
 	Nodes   []*Node
 	Network LinkSpec
-	Clock   SimClock
 }
 
 // NewCluster builds a cluster with a default 100 Gbps data-center fabric.

@@ -193,23 +193,6 @@ func TestCPUModel(t *testing.T) {
 	}
 }
 
-func TestSimClock(t *testing.T) {
-	var c SimClock
-	if c.Now() != 0 {
-		t.Error("clock must start at 0")
-	}
-	c.Advance(1.5)
-	c.Advance(-1) // ignored
-	if c.Now() != 1.5 {
-		t.Error("Advance wrong")
-	}
-	c.AdvanceTo(1.0) // ignored (past)
-	c.AdvanceTo(2.0)
-	if c.Now() != 2.0 {
-		t.Error("AdvanceTo wrong")
-	}
-}
-
 func TestClusterTransfer(t *testing.T) {
 	c := NewCluster(NewNode("a", XeonModel()), NewNode("b", XeonModel()))
 	if c.TransferSeconds("a", "a", 1<<30) != 0 {

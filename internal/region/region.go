@@ -1002,8 +1002,9 @@ func (f *Federation) preemptDue(t, completion float64) {
 }
 
 // Preempt manually pushes a held batch workflow back by the restart
-// penalty. Preempting work that already completed (or was never held) is
-// an error — there is nothing left to push.
+// penalty and traces the push as an EventPreempt at the frontier (the
+// latest arrival or drain time). Preempting work that already completed
+// (or was never held) is an error — there is nothing left to push.
 func (f *Federation) Preempt(h *Handle) error {
 	if h == nil {
 		return fmt.Errorf("region: nil handle")
@@ -1016,7 +1017,13 @@ func (f *Federation) Preempt(h *Handle) error {
 	}
 	hw.release += f.cfg.PreemptPenalty
 	hw.pushes++
-	f.regions[hw.req.Home].stats.Preemptions++
+	r := f.regions[hw.req.Home]
+	r.stats.Preemptions++
+	if f.cfg.Trace != nil {
+		f.trace(Event{Kind: EventPreempt, Region: r.name, Tenant: hw.req.Tenant,
+			Workflow: hw.req.Name, App: hw.req.App, Time: f.frontier,
+			Detail: fmt.Sprintf("pushed to %.4gs (%d)", hw.release, hw.pushes)})
+	}
 	return nil
 }
 

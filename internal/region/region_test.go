@@ -388,6 +388,54 @@ func TestBatchHeldBehindGuaranteedAndPreempted(t *testing.T) {
 	}
 }
 
+// TestManualPreemptMovesReleaseAndTraces: a manual Preempt pushes a held
+// batch's release back by exactly the restart penalty, and, like the
+// automatic push, it is traced: the EventPreempt count equals the
+// Preemptions counter.
+func TestManualPreemptMovesReleaseAndTraces(t *testing.T) {
+	serve := func(preempt bool) (release, penalty float64, events, counted int) {
+		f := newTestFed(t, platform.NewRegistry(), Config{Regions: 1, Trace: func(ev Event) {
+			switch ev.Kind {
+			case EventRelease:
+				release = ev.Time
+			case EventPreempt:
+				events++
+			}
+		}})
+		gh, err := f.SubmitAt(Request{App: "g", Workflow: cpuWorkflow(), Class: Guaranteed,
+			Deadline: 30, Arrival: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gres, err := gh.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bh, err := f.SubmitAt(Request{App: "b", Workflow: cpuWorkflow(), Class: Batch, Arrival: 0.001})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if preempt {
+			if err := f.Preempt(bh); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Drain(gres.Completion + 1)
+		if _, err := bh.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return release, f.cfg.PreemptPenalty, events, f.Shutdown().Preemptions
+	}
+	base, _, _, _ := serve(false)
+	pushed, penalty, events, counted := serve(true)
+	if pushed != base+penalty {
+		t.Errorf("preempted release %.17g, want %.17g + penalty %g", pushed, base, penalty)
+	}
+	if counted != 1 || events != counted {
+		t.Errorf("%d EventPreempt traced for %d counted preemptions, want 1 and 1", events, counted)
+	}
+}
+
 func TestBatchServedInlineWhenNoFrontier(t *testing.T) {
 	cat := platform.NewRegistry()
 	f := newTestFed(t, cat, Config{Regions: 1})

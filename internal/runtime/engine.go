@@ -100,7 +100,7 @@ type Event struct {
 	Detail   string  // event-specific: variant name, device, slowdown factor
 }
 
-// EngineConfig configures a concurrent engine.
+// EngineConfig configures an Engine.
 type EngineConfig struct {
 	// Policy selects node placement: PolicyHEFT picks the earliest modelled
 	// finish time, PolicyFIFO the earliest modelled start time.
@@ -198,7 +198,9 @@ type EngineStats struct {
 	ProgrammedOnline int
 }
 
-// Engine executes many workflows concurrently over a simulated cluster.
+// Engine multiplexes many workflows over a simulated cluster, serving
+// inline: Start, Submit and Shutdown run the event loop on the caller's
+// goroutine, and the engine starts none of its own.
 type Engine struct {
 	cluster *platform.Cluster
 	reg     *platform.Registry

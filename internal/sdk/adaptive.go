@@ -17,8 +17,8 @@ import (
 // engine-tier scenario both adaptation experiments (E-adapt, E-compile)
 // serve.
 
-// AttachHypervisor subscribes the server's engine to a hypervisor's
-// hot-plug notifications, closing the virt side of the adaptation loop:
+// AttachHypervisor subscribes an engine to a hypervisor's hot-plug
+// notifications, closing the virt side of the adaptation loop:
 // when the last VF of a device is unplugged the accelerator disappears
 // from the engine's world (placements invalidate, the fpga variant
 // degrades), and the first replugged VF brings it back. clock, when set,
@@ -26,7 +26,7 @@ import (
 // derived from the hypervisor's VF table at attach time, before or after
 // Start: a device whose guests hold no VF while guests exist is
 // unreachable, exactly as if its last VF had just been unplugged.
-func (srv *Server) AttachHypervisor(h *virt.Hypervisor, clock func() float64) {
+func AttachHypervisor(e *runtime.Engine, h *virt.Hypervisor, clock func() float64) {
 	now := func() float64 {
 		if clock == nil {
 			return 0
@@ -36,9 +36,9 @@ func (srv *Server) AttachHypervisor(h *virt.Hypervisor, clock func() float64) {
 	h.Subscribe(func(ev virt.HotplugEvent) {
 		switch {
 		case ev.Kind == virt.VFUnplugged && ev.AssignedVFs == 0:
-			_ = srv.eng.UnplugDevice(ev.Node, ev.Device, now())
+			_ = e.UnplugDevice(ev.Node, ev.Device, now())
 		case ev.Kind == virt.VFPlugged && ev.AssignedVFs == 1:
-			_ = srv.eng.PlugDevice(ev.Node, ev.Device, now())
+			_ = e.PlugDevice(ev.Node, ev.Device, now())
 		}
 	})
 	st := h.Query()
@@ -47,7 +47,7 @@ func (srv *Server) AttachHypervisor(h *virt.Hypervisor, clock func() float64) {
 	}
 	for dev := 0; dev < len(st.AssignedVFs); dev++ { // device order: a deterministic trace
 		if st.AssignedVFs[dev] == 0 {
-			_ = srv.eng.UnplugDevice(st.Node, dev, now())
+			_ = e.UnplugDevice(st.Node, dev, now())
 		}
 	}
 }
@@ -122,7 +122,7 @@ func DefaultCompiledScenario() AdaptiveScenario {
 
 // ScenarioResult is one serving run of the scenario.
 type ScenarioResult struct {
-	Stats    ServerStats
+	Stats    Tally
 	Makespan float64
 	Health   []platform.NodeHealth // monitor snapshot after the run
 }
@@ -211,25 +211,30 @@ func (sc AdaptiveScenario) serve(c *variants.Compiled, adaptive bool) (ScenarioR
 		{Kind: runtime.EnvUnplug, Node: s.Cluster.Nodes[0].Name, Device: 0, At: sc.FaultAt},
 		{Kind: runtime.EnvSlowdown, Node: s.Cluster.Nodes[sc.Nodes-1].Name, Factor: sc.Slowdown, At: sc.FaultAt},
 	}
-	srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: adaptive, Events: events, Net: net})
+	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{
+		Policy: runtime.PolicyHEFT, Adaptive: adaptive, Events: events, Net: net,
+	})
 	tenants := max(sc.Tenants, 1)
-	if err := srv.Start(); err != nil {
+	if err := eng.Start(); err != nil {
 		return ScenarioResult{}, err
 	}
-	for i := 0; i < sc.Workflows; i++ {
-		sub, err := srv.Submit(fmt.Sprintf("tenant%02d", i%tenants), "", workflow(i))
+	futs := make([]*runtime.Future, sc.Workflows)
+	for i := range futs {
+		// The workflow name is the engine's second tie-break key, so the
+		// <tenant>/wf<n> names are part of the modelled result.
+		tenant := fmt.Sprintf("tenant%02d", i%tenants)
+		fut, err := eng.Submit(workflow(i), runtime.SubmitOptions{Name: fmt.Sprintf("%s/wf%d", tenant, i+1), Tenant: tenant})
 		if err != nil {
 			return ScenarioResult{}, err
 		}
-		if _, err := sub.Wait(); err != nil {
+		if _, err := fut.Wait(); err != nil {
 			return ScenarioResult{}, fmt.Errorf("sdk: scenario workflow %d: %w", i, err)
 		}
+		futs[i] = fut
 	}
-	stats := srv.Shutdown()
-	return ScenarioResult{
-		Stats: stats, Makespan: stats.Makespan,
-		Health: srv.Monitor().Snapshot(),
-	}, nil
+	eng.Shutdown()
+	stats := TallyOf(futs)
+	return ScenarioResult{Stats: stats, Makespan: stats.Makespan, Health: eng.Monitor().Snapshot()}, nil
 }
 
 // ScenarioBitstream returns the deployable artifact the adaptive scenario

@@ -86,9 +86,9 @@ func TestAttachHypervisor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
-	srv.AttachHypervisor(hyp, nil)
-	if err := srv.Start(); err != nil {
+	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	AttachHypervisor(eng, hyp, nil)
+	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 	// Engine start resets attachment state; the VF is still plugged, so the
@@ -96,7 +96,7 @@ func TestAttachHypervisor(t *testing.T) {
 	if !node.DeviceOnline(0) {
 		t.Fatal("device must start online")
 	}
-	srv.Shutdown()
+	eng.Shutdown()
 
 	// Pre-Start desync case: the last VF is unplugged before Start, so the
 	// ownership reset would mark the device attached — Start must re-derive
@@ -104,9 +104,9 @@ func TestAttachHypervisor(t *testing.T) {
 	if _, err := hyp.UnplugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	srv = s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
-	srv.AttachHypervisor(hyp, nil)
-	if err := srv.Start(); err != nil {
+	eng = runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	AttachHypervisor(eng, hyp, nil)
+	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if node.DeviceOnline(0) {
@@ -132,7 +132,7 @@ func TestAttachHypervisor(t *testing.T) {
 	if !node.DeviceOnline(0) {
 		t.Error("replugging the first VF must reattach the device")
 	}
-	srv.Shutdown()
+	eng.Shutdown()
 }
 
 // detachedHypervisor stages the scenario bitstream on the first two compute
@@ -172,15 +172,15 @@ func detachedHypervisor(t *testing.T, s *SDK) (*virt.Hypervisor, *platform.Node,
 func TestAttachHypervisorAfterStart(t *testing.T) {
 	s := New(DefaultCluster(2))
 	hyp, node, _ := detachedHypervisor(t, s)
-	srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
-	if err := srv.Start(); err != nil {
+	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Shutdown()
+	defer eng.Shutdown()
 	if !node.DeviceOnline(0) {
 		t.Fatal("no hypervisor attached yet: the device must be online")
 	}
-	srv.AttachHypervisor(hyp, nil)
+	AttachHypervisor(eng, hyp, nil)
 	if node.DeviceOnline(0) {
 		t.Fatal("a hypervisor whose last VF is unplugged must detach the device on attach")
 	}
@@ -202,17 +202,17 @@ func TestPreStartBatchHonoursAttachedHypervisor(t *testing.T) {
 		goruntime.GOMAXPROCS(procs)
 		s := New(DefaultCluster(3))
 		hyp, node, bsID := detachedHypervisor(t, s)
-		srv := s.NewServer(ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
-		srv.AttachHypervisor(hyp, nil)
+		eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+		AttachHypervisor(eng, hyp, nil)
 		futs := make([]*runtime.Future, 8)
 		for i := range futs {
-			fut, err := srv.Submit("batch", "", AdaptiveWorkflow(i, bsID))
+			fut, err := eng.Submit(AdaptiveWorkflow(i, bsID), runtime.SubmitOptions{Tenant: "batch"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			futs[i] = fut
 		}
-		if err := srv.Start(); err != nil {
+		if err := eng.Start(); err != nil {
 			t.Fatal(err)
 		}
 		offloads := 0
@@ -234,7 +234,8 @@ func TestPreStartBatchHonoursAttachedHypervisor(t *testing.T) {
 		if offloads == 0 {
 			t.Fatal("the attached accelerator must still take offloads")
 		}
-		spans = append(spans, srv.Shutdown().Makespan)
+		eng.Shutdown()
+		spans = append(spans, TallyOf(futs).Makespan)
 	}
 	for i, m := range spans {
 		if m != spans[0] {

@@ -13,8 +13,8 @@ import (
 
 // This file is the SDK face of the federation tier (internal/fleet): a
 // FleetServer front that shards submissions across N engine sites behind
-// one door — the fleet-scale analogue of Server — plus the E-fleet
-// scenario serving mixed compiled and hand-declared workloads across
+// one door — the fleet-scale analogue of one runtime.Engine — plus the
+// E-fleet scenario serving mixed compiled and hand-declared workloads across
 // federated sites under bitstream-cache churn and unplug faults.
 
 // FleetConfig configures a FleetServer.

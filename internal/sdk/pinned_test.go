@@ -27,7 +27,7 @@ func boolPin(b bool) float64 {
 }
 
 // enginePins flattens both arms (static, then adaptive) of an engine-tier
-// scenario: the makespan, the server counters, every tenant's adaptation
+// scenario: the makespan, the tally counters, every tenant's adaptation
 // activity and every node's health snapshot.
 func enginePins(t *testing.T, sc interface {
 	Run(adaptive bool) (ScenarioResult, error)

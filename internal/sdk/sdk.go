@@ -2,8 +2,9 @@
 // access wrapped by the basecamp command. It composes the data-driven
 // compilation framework (ekl → MLIR → HLS → Olympus), the deployment layer
 // (bitstream registry + LEXIS-style descriptors), and the virtualized
-// runtime (cluster, resource manager, autotuner) — including Server, the
-// concurrent multi-tenant workflow front exposed as `basecamp serve`.
+// runtime (cluster, resource manager, autotuner). The engine tier has no
+// front of its own: callers drive runtime.Engine directly, and TallyOf
+// accounts its futures per tenant.
 package sdk
 
 import (

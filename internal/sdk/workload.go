@@ -46,3 +46,21 @@ func SyntheticWorkflow(i int) *runtime.Workflow {
 	}
 	return w
 }
+
+// SerialMakespan models the back-to-back baseline: each workflow served
+// alone on a fresh engine over the SDK's cluster, one after another, so
+// the total is the sum of the individual makespans. It is the denominator
+// of the multiplexing speedup `basecamp serve engine` and the benchmarks
+// report. Each engine takes ownership of the cluster (see
+// runtime.NewEngine), so call it while no engine is serving on it.
+func (s *SDK) SerialMakespan(policy runtime.Policy, ws ...*runtime.Workflow) (float64, error) {
+	total := 0.0
+	for i, w := range ws {
+		sched, err := runtime.ServeAlone(s.Cluster, s.Registry, runtime.EngineConfig{Policy: policy}, w)
+		if err != nil {
+			return 0, fmt.Errorf("sdk: serving workflow %d alone: %w", i, err)
+		}
+		total += sched.Makespan
+	}
+	return total, nil
+}

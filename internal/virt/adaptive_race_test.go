@@ -41,11 +41,11 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 		hyps[i] = h
 	}
 
-	srv := s.NewServer(sdk.ServerConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
 	for _, h := range hyps {
-		srv.AttachHypervisor(h, nil)
+		sdk.AttachHypervisor(eng, h, nil)
 	}
-	if err := srv.Start(); err != nil {
+	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,7 +73,7 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 		}(h)
 	}
 	for i := range futs {
-		fut, err := srv.Submit("racer", "", sdk.AdaptiveWorkflow(i, bs.ID))
+		fut, err := eng.Submit(sdk.AdaptiveWorkflow(i, bs.ID), runtime.SubmitOptions{Tenant: "racer"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,8 +95,8 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	stats := srv.Shutdown()
-	if stats.Completed != workflows || stats.Failed != 0 {
+	eng.Shutdown()
+	if stats := sdk.TallyOf(futs); stats.Completed != workflows || stats.Failed != 0 {
 		t.Fatalf("completed %d failed %d, want %d/0", stats.Completed, stats.Failed, workflows)
 	}
 }
@@ -117,20 +117,20 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 	}
 	// Unplug the only accelerator after the first completion. The trace
 	// runs inside the serve, so the unplug lands mid-workflow.
-	var srv *sdk.Server
+	var eng *runtime.Engine
 	unplugged := false
-	srv = s.NewServer(sdk.ServerConfig{
+	eng = runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{
 		Policy: runtime.PolicyHEFT, Adaptive: true,
 		Trace: func(ev runtime.Event) {
 			if ev.Kind == runtime.EventTaskDone && !unplugged {
 				unplugged = true
-				if err := srv.UnplugDevice(node.Name, 0, ev.Time); err != nil {
+				if err := eng.UnplugDevice(node.Name, 0, ev.Time); err != nil {
 					t.Error(err)
 				}
 			}
 		},
 	})
-	if err := srv.Start(); err != nil {
+	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 	w := runtime.NewWorkflow()
@@ -148,7 +148,7 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 		}
 		prev = name
 	}
-	fut, err := srv.Submit("t", "chain", w)
+	fut, err := eng.Submit(w, runtime.SubmitOptions{Name: "chain", Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Shutdown()
+	eng.Shutdown()
 	byTask := sched.ByTask()
 	if !byTask["k0"].OnFPGA {
 		t.Error("k0 must run on the FPGA before the unplug")

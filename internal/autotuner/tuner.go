@@ -30,48 +30,45 @@ type Variant struct {
 // hot-plug events through Degrade/SetAvailable — so variant selection
 // tracks the live environment instead of the static plan.
 //
-// The knowledge base is held in parallel slices indexed by variant order
-// rather than a general Autotuner: the engine calls Best/Expected on every
-// placement of every task, and the general operating-point snapshot (one
-// map allocation per point per call) dominated dispatch profiles. Semantics
-// are identical to an Autotuner with a single KnobImpl knob and an EWMA
-// alpha of 0.5.
+// The knowledge base is one slice of points in seed order rather than a
+// general Autotuner: the engine calls Best/Expected on every placement of
+// every task, and the general operating-point snapshot (one map allocation
+// per point per call) dominated dispatch profiles. Semantics are identical
+// to an Autotuner with a single KnobImpl knob and an EWMA alpha of 0.5.
 type Tuner struct {
-	mu       sync.Mutex
-	order    []string
-	seeds    []float64 // design-time expected ms, by variant index
-	expected []float64 // live expected ms (EWMA), by variant index
-	obs      []int     // observation counts, by variant index
-	disabled []bool    // variants currently unreachable (no device)
+	mu     sync.Mutex
+	points []point
+}
+
+// point is one variant's knowledge.
+type point struct {
+	name     string
+	seed     float64 // design-time expected ms
+	expected float64 // live expected ms (EWMA)
+	obs      int     // observation count
+	disabled bool    // currently unreachable (no device)
 }
 
 // index resolves a variant name with a linear scan: tuners hold a handful
-// of variants (cpu1/cpu16/fpga), where scanning a short string slice beats
-// a map on both lookup time and construction allocations — NewTuner runs
-// once per submitted workflow on the engine's hot path.
+// of variants (cpu1/cpu16/fpga), where scanning a short slice beats a map
+// on both lookup time and construction allocations — NewTuner runs once
+// per submitted workflow on the engine's hot path.
 func (t *Tuner) index(name string) (int, bool) {
-	for i, n := range t.order {
-		if n == name {
+	for i := range t.points {
+		if t.points[i].name == name {
 			return i, true
 		}
 	}
 	return -1, false
 }
 
-// NewTuner builds a variant tuner from design-time knowledge.
+// NewTuner builds a variant tuner from design-time knowledge. It does not
+// retain variants.
 func NewTuner(variants []Variant) (*Tuner, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("autotuner: tuner needs at least one variant")
 	}
-	n := len(variants)
-	floats := make([]float64, 2*n) // seeds and expected share one backing array
-	t := &Tuner{
-		order:    make([]string, 0, n),
-		seeds:    floats[:0:n],
-		expected: floats[n : n : 2*n],
-		obs:      make([]int, n),
-		disabled: make([]bool, n),
-	}
+	t := &Tuner{points: make([]point, 0, len(variants))}
 	for _, v := range variants {
 		if v.Name == "" || v.ExpectedMs <= 0 {
 			return nil, fmt.Errorf("autotuner: variant needs a name and positive expected latency")
@@ -83,16 +80,18 @@ func NewTuner(variants []Variant) (*Tuner, error) {
 		if _, dup := t.index(v.Name); dup {
 			return nil, fmt.Errorf("autotuner: duplicate variant %q", v.Name)
 		}
-		t.order = append(t.order, v.Name)
-		t.seeds = append(t.seeds, v.ExpectedMs)
-		t.expected = append(t.expected, v.ExpectedMs)
+		t.points = append(t.points, point{name: v.Name, seed: v.ExpectedMs, expected: v.ExpectedMs})
 	}
 	return t, nil
 }
 
 // Variants returns the variant names in seed order.
 func (t *Tuner) Variants() []string {
-	return append([]string(nil), t.order...)
+	names := make([]string, len(t.points))
+	for i := range t.points {
+		names[i] = t.points[i].name
+	}
+	return names
 }
 
 // Best returns the available variant with the lowest expected latency,
@@ -103,22 +102,22 @@ func (t *Tuner) Best() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	best, bestAny := -1, -1
-	for i := range t.order {
-		v := t.expected[i]
-		if bestAny < 0 || v < t.expected[bestAny] {
+	for i := range t.points {
+		v := t.points[i].expected
+		if bestAny < 0 || v < t.points[bestAny].expected {
 			bestAny = i
 		}
-		if t.disabled[i] {
+		if t.points[i].disabled {
 			continue
 		}
-		if best < 0 || v < t.expected[best] {
+		if best < 0 || v < t.points[best].expected {
 			best = i
 		}
 	}
 	if best < 0 {
 		best = bestAny
 	}
-	return t.order[best]
+	return t.points[best].name
 }
 
 // Expected returns the current expected latency of a variant in ms (0 for
@@ -127,7 +126,7 @@ func (t *Tuner) Expected(name string) float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i, ok := t.index(name); ok {
-		return t.expected[i]
+		return t.points[i].expected
 	}
 	return 0
 }
@@ -139,10 +138,10 @@ func (t *Tuner) Drift(name string) float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i, ok := t.index(name)
-	if !ok || t.seeds[i] <= 0 || t.expected[i] <= 0 {
+	if !ok || t.points[i].seed <= 0 || t.points[i].expected <= 0 {
 		return 1
 	}
-	return t.expected[i] / t.seeds[i]
+	return t.points[i].expected / t.points[i].seed
 }
 
 // Available reports whether a variant is currently selectable.
@@ -150,7 +149,7 @@ func (t *Tuner) Available(name string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	i, ok := t.index(name)
-	return ok && !t.disabled[i]
+	return ok && !t.points[i].disabled
 }
 
 // SetAvailable masks or unmasks a variant (e.g. fpga when the last VF of
@@ -159,7 +158,7 @@ func (t *Tuner) SetAvailable(name string, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i, known := t.index(name); known {
-		t.disabled[i] = !ok
+		t.points[i].disabled = !ok
 	}
 }
 
@@ -169,8 +168,9 @@ func (t *Tuner) Observe(name string, ms float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i, ok := t.index(name); ok {
-		t.expected[i] = 0.5*t.expected[i] + 0.5*ms
-		t.obs[i]++
+		p := &t.points[i]
+		p.expected = 0.5*p.expected + 0.5*ms
+		p.obs++
 	}
 }
 
@@ -179,7 +179,7 @@ func (t *Tuner) Observations(name string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i, ok := t.index(name); ok {
-		return t.obs[i]
+		return t.points[i].obs
 	}
 	return 0
 }
@@ -193,7 +193,7 @@ func (t *Tuner) Degrade(name string, factor float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i, ok := t.index(name); ok {
-		t.expected[i] *= factor
+		t.points[i].expected *= factor
 	}
 }
 
@@ -205,7 +205,7 @@ func (t *Tuner) Degrade(name string, factor float64) {
 func (t *Tuner) ResetExpected(name string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.index(name); ok && t.expected[i] > 0 {
-		t.expected[i] = t.seeds[i]
+	if i, ok := t.index(name); ok && t.points[i].expected > 0 {
+		t.points[i].expected = t.points[i].seed
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // TestRouteAllocFree pins the router's allocation budget: pricing every
 // site for one workflow — cache residency probes, cold-deploy estimates,
-// affinity — must not allocate in steady state, so the whole Submit-side
+// affinity, and for a guaranteed request the proven service and deploy
+// bounds — must not allocate in steady state, so the whole Submit-side
 // routing decision stays off the heap; a regression here would show up as
 // GC pressure scaling with routed workflows in BenchmarkSimulatorSpeed.
 func TestRouteAllocFree(t *testing.T) {
@@ -45,4 +46,45 @@ func TestRouteAllocFree(t *testing.T) {
 			t.Errorf("%s allocates %.1f per run, budget 0", tc.what, got)
 		}
 	}
+	w := fpgaWorkflow("bs0")
+	needs := bitstreamNeeds(w)
+	if got := testing.AllocsPerRun(200, func() {
+		if _, _, err := f.routeGuaranteed(w, needs, nil, 0.5, 60); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 0 {
+		t.Errorf("routeGuaranteed allocates %.1f per run, budget 0", got)
+	}
+}
+
+// BenchmarkFleetRoute measures the router alone: pricing every site of a
+// four-site fleet for one FPGA workflow, by cost (best-effort) and by
+// proof (guaranteed: service, deploy and admission bounds per site).
+func BenchmarkFleetRoute(b *testing.B) {
+	reg := platform.NewRegistry()
+	if err := reg.Put(testBitstream("bs0")); err != nil {
+		b.Fatal(err)
+	}
+	f, err := New(reg, Config{Sites: 4, NewCluster: testCluster(2)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := fpgaWorkflow("bs0")
+	needs := bitstreamNeeds(w)
+	b.Run("best-effort", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := f.route("tenant00", 1, true, needs, nil, 0.5); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("guaranteed", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, _, err := f.routeGuaranteed(w, needs, nil, 0.5, 60); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

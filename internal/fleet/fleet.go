@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"everest/internal/dataset"
+	"everest/internal/hls"
 	"everest/internal/netsim"
 	"everest/internal/platform"
 	"everest/internal/runtime"
@@ -594,7 +595,7 @@ func (f *Fleet) QueueWait(arrival float64) (float64, bool) {
 // registry lacks the bitstream, no site is active, or no online device
 // fits it.
 func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
-	if _, err := f.reg.Get(id); err != nil {
+	if _, err := f.reg.Entry(id); err != nil {
 		return -1, 0, fmt.Errorf("fleet: warm: %w", err)
 	}
 	f.mu.Lock()
@@ -636,7 +637,7 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 // summed staging seconds. An error means the registry lacks the
 // bitstream; sites where no online device fits it are skipped.
 func (f *Fleet) WarmAll(id string, at float64) (float64, error) {
-	if _, err := f.reg.Get(id); err != nil {
+	if _, err := f.reg.Entry(id); err != nil {
 		return 0, fmt.Errorf("fleet: warm-all: %w", err)
 	}
 	f.mu.Lock()
@@ -885,11 +886,11 @@ func (f *Fleet) admissionBound(s *site, arrival, own, deadline float64) (float64
 func (f *Fleet) deployBound(s *site, needs []string) float64 {
 	total := 0.0
 	for _, id := range needs {
-		bs, err := f.reg.Get(id)
+		ent, err := f.reg.Entry(id)
 		if err != nil {
 			continue
 		}
-		need := bs.TotalResources()
+		need := ent.Resources()
 		worst := 0.0
 		for _, n := range s.cluster.Nodes {
 			for _, d := range n.Devices {
@@ -956,11 +957,11 @@ func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs []strin
 // estimateDeploy prices a cold deploy of bitstream id to the site at
 // modelled time at; ok=false means no online device can host it.
 func (f *Fleet) estimateDeploy(s *site, id string, at float64) (float64, bool) {
-	bs, err := f.reg.Get(id)
+	ent, err := f.reg.Entry(id)
 	if err != nil {
 		return 0, false
 	}
-	n, dev, region := s.deployTarget(bs, at, f.cfg.PartialReconfig, nil)
+	n, dev, region := s.deployTarget(ent.Resources(), at, f.cfg.PartialReconfig, nil)
 	if n == nil {
 		return 0, false
 	}
@@ -978,15 +979,14 @@ func deployCost(net *netsim.Stack, d *platform.Device, region int) float64 {
 }
 
 // deployTarget returns the first alive node, online device (at modelled
-// time at), and slot that fits the bitstream, skipping slots the occupied
-// predicate claims. With partial set, PR region slots (region >= 0) are
-// tried on each device first and a kernel too large for a region falls
-// back to the whole device (region -1); without it every candidate is
-// whole-device. nil predicate skips nothing (estimates ignore cache
-// occupancy: an occupied slot only means an eviction, already priced by
-// the cache bound).
-func (s *site) deployTarget(bs platform.Bitstream, at float64, partial bool, occupied func(*platform.Node, int, int) bool) (*platform.Node, int, int) {
-	need := bs.TotalResources()
+// time at), and slot that fits a bitstream of footprint need, skipping
+// slots the occupied predicate claims. With partial set, PR region slots
+// (region >= 0) are tried on each device first and a kernel too large for
+// a region falls back to the whole device (region -1); without it every
+// candidate is whole-device. nil predicate skips nothing (estimates ignore
+// cache occupancy: an occupied slot only means an eviction, already priced
+// by the cache bound).
+func (s *site) deployTarget(need hls.Resources, at float64, partial bool, occupied func(*platform.Node, int, int) bool) (*platform.Node, int, int) {
 	for _, n := range s.cluster.Nodes {
 		if _, failed := n.FailedAt(); failed {
 			continue
@@ -1164,7 +1164,7 @@ func (f *Fleet) deployNeeds(s *site, w work, at float64) float64 {
 // at capacity or no un-occupied device slot remains. Returns the modelled
 // stall (0 on software fallback).
 func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64) float64 {
-	bs, err := f.reg.Get(id)
+	ent, err := f.reg.Entry(id)
 	if err != nil {
 		s.stats.FallbackDeploys++
 		if f.cfg.Trace != nil {
@@ -1177,7 +1177,7 @@ func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64) float6
 	dev, region := -1, -1
 	for {
 		if s.cache.len() < f.cfg.CacheSlots {
-			node, dev, region = s.deployTarget(bs, at, f.cfg.PartialReconfig, s.cache.occupied)
+			node, dev, region = s.deployTarget(ent.Resources(), at, f.cfg.PartialReconfig, s.cache.occupied)
 			if node != nil {
 				break
 			}
@@ -1203,9 +1203,9 @@ func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64) float6
 	}
 	var dt float64
 	if region >= 0 {
-		dt, err = node.ProgramRegion(dev, region, bs)
+		dt, err = node.ProgramRegion(dev, region, ent.Bitstream())
 	} else {
-		dt, err = node.Program(dev, bs)
+		dt, err = node.Program(dev, ent.Bitstream())
 	}
 	if err != nil {
 		s.stats.FallbackDeploys++

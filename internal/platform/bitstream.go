@@ -68,11 +68,63 @@ func (b Bitstream) TotalResources() hls.Resources {
 // LEXIS-based flow pushes artifacts into (paper §IV).
 type Registry struct {
 	mu sync.RWMutex
-	m  map[string]Bitstream
+	m  map[string]*Entry
+}
+
+// Entry is one stored bitstream with the quantities derived from it: its
+// fabric footprint, computed once at Put, and its worst-case timelines,
+// priced once per (device, workload). Put and Delete replace the entry, so
+// nothing derived outlives the bitstream it was derived from.
+type Entry struct {
+	bs        Bitstream
+	resources hls.Resources
+
+	mu     sync.Mutex
+	bounds map[boundKey]boundMemo
+}
+
+// boundKey names one worst-case pricing of an entry.
+type boundKey struct {
+	dev *Device
+	wl  Workload
+}
+
+// boundMemo is one remembered ExecuteBound result; ok=false records that
+// the bitstream does not run on the device.
+type boundMemo struct {
+	tl Timeline
+	ok bool
+}
+
+// maxBoundMemo caps an entry's bound memo; a full memo starts over, so a
+// stream of distinct workloads cannot grow it without limit.
+const maxBoundMemo = 256
+
+// Bitstream returns a copy of the stored bitstream.
+func (e *Entry) Bitstream() Bitstream { return e.bs }
+
+// Resources returns the bitstream's TotalResources.
+func (e *Entry) Resources() hls.Resources { return e.resources }
+
+// BoundOn returns ExecuteBound of the bitstream on dev for wl; ok=false
+// when it does not run there (it does not fit).
+func (e *Entry) BoundOn(dev *Device, wl Workload) (Timeline, bool) {
+	k := boundKey{dev: dev, wl: wl}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if m, hit := e.bounds[k]; hit {
+		return m.tl, m.ok
+	}
+	tl, err := ExecuteBound(dev, e.bs, wl)
+	if e.bounds == nil || len(e.bounds) >= maxBoundMemo {
+		e.bounds = make(map[boundKey]boundMemo)
+	}
+	e.bounds[k] = boundMemo{tl: tl, ok: err == nil}
+	return tl, err == nil
 }
 
 // NewRegistry returns an empty bitstream registry.
-func NewRegistry() *Registry { return &Registry{m: make(map[string]Bitstream)} }
+func NewRegistry() *Registry { return &Registry{m: make(map[string]*Entry)} }
 
 // Put stores a bitstream (overwrites by ID).
 func (r *Registry) Put(b Bitstream) error {
@@ -82,21 +134,41 @@ func (r *Registry) Put(b Bitstream) error {
 	if err := b.Config.Validate(); err != nil {
 		return err
 	}
+	e := &Entry{bs: b, resources: b.TotalResources()}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.m[b.ID] = b
+	r.m[b.ID] = e
 	return nil
+}
+
+// PutEntry stores an entry fetched from another registry (overwrites by
+// ID). The two registries then share it, and with it everything already
+// derived from the bitstream: a store that caches artifacts from a catalog
+// keeps their derived quantities across evictions and refetches.
+func (r *Registry) PutEntry(e *Entry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.m[e.bs.ID] = e
 }
 
 // Get fetches a bitstream by ID.
 func (r *Registry) Get(id string) (Bitstream, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	b, ok := r.m[id]
-	if !ok {
-		return Bitstream{}, fmt.Errorf("platform: no bitstream %q", id)
+	e, err := r.Entry(id)
+	if err != nil {
+		return Bitstream{}, err
 	}
-	return b, nil
+	return e.bs, nil
+}
+
+// Entry fetches the stored entry for id without copying the bitstream.
+func (r *Registry) Entry(id string) (*Entry, error) {
+	r.mu.RLock()
+	e, ok := r.m[id]
+	r.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("platform: no bitstream %q", id)
+	}
+	return e, nil
 }
 
 // Delete removes a bitstream by ID (missing IDs are a no-op). Bounded

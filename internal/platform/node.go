@@ -13,19 +13,51 @@ type Node struct {
 	CPU     CPUModel
 	Devices []*Device
 
-	mu         sync.Mutex
-	programmed map[int]Bitstream    // device index -> loaded whole-device bitstream
-	regions    map[[2]int]Bitstream // (device index, PR region) -> loaded kernel
-	busyUntil  map[int]float64      // device index -> modelled time it frees up
-	failed     bool
-	failedAt   float64
+	mu       sync.Mutex
+	slots    []deviceSlot         // indexed like Devices
+	regions  map[[2]int]Bitstream // (device index, PR region) -> loaded kernel
+	failed   bool
+	failedAt float64
 	// Condition faults are timelines in modelled time, not booleans: a
 	// task is priced by the state at its own modelled start, so a fault
 	// stamped at time T never applies retroactively to work modelled
 	// before T, whatever the wall-clock order executors observe events in
 	// (same principle as failed/failedAt).
-	slowHist []condChange         // CPU load-factor change history
-	devHist  map[int][]condChange // device index -> attachment change history
+	slowHist []condChange // CPU load-factor change history
+}
+
+// deviceSlot is the per-device state of a node: the loaded whole-device
+// image with the kernel timelines priced on it, the reservation frontier,
+// and the attachment history.
+type deviceSlot struct {
+	image  Bitstream
+	loaded bool
+	// memo holds the timelines of the workloads last priced on image, in
+	// insertion order; once full, memoNext names the entry to overwrite.
+	// Every image change resets memoLen, so a timeline never outlives the
+	// image it was priced on.
+	memo      [kernelMemoSize]kernelMemo
+	memoLen   int
+	memoNext  int
+	busyUntil float64      // modelled time the device frees up
+	hist      []condChange // attachment change history
+}
+
+// kernelMemoSize bounds the timelines a device slot remembers: a loaded
+// kernel serves a handful of distinct workload shapes.
+const kernelMemoSize = 4
+
+// kernelMemo is one priced workload.
+type kernelMemo struct {
+	wl Workload
+	tl Timeline
+}
+
+// load replaces the slot's image (loaded=false clears it); the memo dies
+// with the old image.
+func (s *deviceSlot) load(bs Bitstream, loaded bool) {
+	s.image, s.loaded = bs, loaded
+	s.memoLen, s.memoNext = 0, 0
 }
 
 // condChange is one modelled-time transition of a node condition.
@@ -38,10 +70,8 @@ type condChange struct {
 func NewNode(name string, cpu CPUModel, devices ...*Device) *Node {
 	return &Node{
 		Name: name, CPU: cpu, Devices: devices,
-		programmed: make(map[int]Bitstream),
-		regions:    make(map[[2]int]Bitstream),
-		busyUntil:  make(map[int]float64),
-		devHist:    make(map[int][]condChange),
+		slots:   make([]deviceSlot, len(devices)),
+		regions: make(map[[2]int]Bitstream),
 	}
 }
 
@@ -87,7 +117,7 @@ func (n *Node) Program(idx int, bs Bitstream) (float64, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.programmed[idx] = bs
+	n.slots[idx].load(bs, true)
 	// A whole-device image rewrites the entire fabric, displacing every
 	// kernel resident in a PR region.
 	n.clearRegionsLocked(idx)
@@ -123,7 +153,7 @@ func (n *Node) ProgramRegion(idx, region int, bs Bitstream) (float64, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.programmed, idx)
+	n.slots[idx].load(Bitstream{}, false)
 	n.regions[[2]int{idx, region}] = bs
 	return d.RegionReconfigSeconds(), nil
 }
@@ -183,31 +213,85 @@ func (n *Node) Unprogram(idx int) (bool, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	_, loaded := n.programmed[idx]
-	delete(n.programmed, idx)
+	loaded := n.slots[idx].loaded
+	n.slots[idx].load(Bitstream{}, false)
 	// Freeing the device clears PR regions too: the whole fabric is blank.
 	n.clearRegionsLocked(idx)
 	return loaded, nil
 }
 
-// Programmed returns the loaded bitstream for device idx.
-func (n *Node) Programmed(idx int) (Bitstream, bool) {
+// Programmed returns the ID of the bitstream loaded on device idx.
+func (n *Node) Programmed(idx int) (string, bool) {
+	if idx < 0 || idx >= len(n.Devices) {
+		return "", false
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	bs, ok := n.programmed[idx]
-	return bs, ok
+	s := &n.slots[idx]
+	return s.image.ID, s.loaded
 }
 
 // RunKernel executes the loaded bitstream with the workload, returning the
 // timeline. The caller accounts the time on its own clock.
 func (n *Node) RunKernel(idx int, wl Workload) (Timeline, error) {
+	if idx < 0 || idx >= len(n.Devices) {
+		return Timeline{}, fmt.Errorf("platform: node %s has no device %d", n.Name, idx)
+	}
 	n.mu.Lock()
-	bs, ok := n.programmed[idx]
-	n.mu.Unlock()
-	if !ok {
+	defer n.mu.Unlock()
+	if !n.slots[idx].loaded {
 		return Timeline{}, fmt.Errorf("platform: device %d of %s is not programmed", idx, n.Name)
 	}
-	return Execute(n.Devices[idx], bs, wl)
+	return n.kernelTimeLocked(idx, wl)
+}
+
+// KernelTime prices workload wl on device idx when the device is attached
+// at modelled time at and its loaded whole-device image is bitstreamID;
+// ok=false otherwise, or when the image cannot run on the device. A
+// negative at takes the design-time view, where attachment is ignored.
+// The check, the ID match and the pricing are one atomic step, and a
+// workload priced before on the same image is served from the slot's memo:
+// the timeline is Execute's, computed once per image.
+func (n *Node) KernelTime(idx int, bitstreamID string, wl Workload, at float64) (Timeline, bool) {
+	if idx < 0 || idx >= len(n.Devices) {
+		return Timeline{}, false
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	s := &n.slots[idx]
+	if at >= 0 && condAt(s.hist, at, 1) == 0 {
+		return Timeline{}, false
+	}
+	if !s.loaded || s.image.ID != bitstreamID {
+		return Timeline{}, false
+	}
+	tl, err := n.kernelTimeLocked(idx, wl)
+	return tl, err == nil
+}
+
+// kernelTimeLocked prices wl on device idx's loaded image through the
+// slot's memo (n.mu held, image loaded). A failed pricing is not
+// remembered: it depends on the image alone, and a valid registry never
+// produces one.
+func (n *Node) kernelTimeLocked(idx int, wl Workload) (Timeline, error) {
+	s := &n.slots[idx]
+	for i := 0; i < s.memoLen; i++ {
+		if s.memo[i].wl == wl {
+			return s.memo[i].tl, nil
+		}
+	}
+	tl, err := Execute(n.Devices[idx], s.image, wl)
+	if err != nil {
+		return Timeline{}, err
+	}
+	if s.memoLen < kernelMemoSize {
+		s.memo[s.memoLen] = kernelMemo{wl: wl, tl: tl}
+		s.memoLen++
+	} else {
+		s.memo[s.memoNext] = kernelMemo{wl: wl, tl: tl}
+		s.memoNext = (s.memoNext + 1) % kernelMemoSize
+	}
+	return tl, nil
 }
 
 // RunCPU models a software execution on n cores at the node's nominal
@@ -270,10 +354,11 @@ func (n *Node) SetDeviceOffline(idx int, off bool, at float64) (changed bool, er
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if condAt(n.devHist[idx], maxModelledTime, 1) == v {
+	s := &n.slots[idx]
+	if condAt(s.hist, maxModelledTime, 1) == v {
 		return false, nil
 	}
-	n.devHist[idx] = append(n.devHist[idx], condChange{at: clampMonotonic(n.devHist[idx], at), value: v})
+	s.hist = append(s.hist, condChange{at: clampMonotonic(s.hist, at), value: v})
 	return true, nil
 }
 
@@ -284,7 +369,7 @@ func (n *Node) DeviceOnlineAt(idx int, t float64) bool {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return condAt(n.devHist[idx], t, 1) != 0
+	return condAt(n.slots[idx].hist, t, 1) != 0
 }
 
 // DeviceOnline reports whether device idx is attached in the latest state.
@@ -299,8 +384,8 @@ func (n *Node) ResetCondition() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.slowHist = nil
-	for k := range n.devHist {
-		delete(n.devHist, k)
+	for i := range n.slots {
+		n.slots[i].hist = nil
 	}
 }
 
@@ -319,15 +404,16 @@ func (n *Node) ClaimDeviceAt(idx int, at, dur float64) (start, end float64, ok b
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	s := &n.slots[idx]
 	start = at
-	if b := n.busyUntil[idx]; b > start {
+	if b := s.busyUntil; b > start {
 		start = b
 	}
-	if condAt(n.devHist[idx], start, 1) == 0 {
+	if condAt(s.hist, start, 1) == 0 {
 		return 0, 0, false, nil
 	}
 	end = start + dur
-	n.busyUntil[idx] = end
+	s.busyUntil = end
 	return start, end, true, nil
 }
 
@@ -337,16 +423,19 @@ func (n *Node) ClaimDeviceAt(idx int, at, dur float64) (start, end float64, ok b
 func (n *Node) ResetDeviceClaims() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for idx := range n.busyUntil {
-		delete(n.busyUntil, idx)
+	for i := range n.slots {
+		n.slots[i].busyUntil = 0
 	}
 }
 
 // DeviceFreeAt returns the modelled time device idx becomes idle.
 func (n *Node) DeviceFreeAt(idx int) float64 {
+	if idx < 0 || idx >= len(n.Devices) {
+		return 0
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.busyUntil[idx]
+	return n.slots[idx].busyUntil
 }
 
 // Fail marks the node as failed at modelled time t (monitor hook: the

@@ -40,6 +40,7 @@ import (
 
 	"everest/internal/dataset"
 	"everest/internal/fleet"
+	"everest/internal/hls"
 	"everest/internal/netsim"
 	"everest/internal/platform"
 	"everest/internal/runtime"
@@ -865,19 +866,19 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, handoff, f
 func (f *Federation) fetchEstimate(r *region, needs []string, at float64) float64 {
 	total := 0.0
 	for _, id := range needs {
-		if _, err := r.reg.Get(id); err == nil {
+		if _, err := r.reg.Entry(id); err == nil {
 			continue
 		}
 		if f.partitioned(r.idx, at) {
 			total += f.cfg.FallbackSeconds
 			continue
 		}
-		bs, err := f.catalog.Get(id)
+		ent, err := f.catalog.Entry(id)
 		if err != nil {
 			total += f.cfg.FallbackSeconds
 			continue
 		}
-		total += f.wan.SendSeconds(f.imageBytes(r, bs))
+		total += f.wan.SendSeconds(f.imageBytes(r, ent.Resources()))
 	}
 	return total
 }
@@ -905,7 +906,7 @@ func (f *Federation) ensureArtifacts(r *region, needs []string, at float64) floa
 // Prefetch fetches are accounted separately — they run on the control
 // plane, off any workflow's critical path.
 func (f *Federation) ensureStored(r *region, id string, at float64, prefetch bool) (float64, error) {
-	if _, err := r.reg.Get(id); err == nil {
+	if _, err := r.reg.Entry(id); err == nil {
 		r.storeSeq++
 		r.storeUse[id] = r.storeSeq
 		return 0, nil
@@ -914,14 +915,12 @@ func (f *Federation) ensureStored(r *region, id string, at float64, prefetch boo
 		r.stats.PartitionSkips++
 		return 0, fmt.Errorf("region: %s partitioned at %.4gs", r.name, at)
 	}
-	bs, err := f.catalog.Get(id)
+	ent, err := f.catalog.Entry(id)
 	if err != nil {
 		return 0, err
 	}
-	dt := f.wan.SendSeconds(f.imageBytes(r, bs))
-	if err := r.reg.Put(bs); err != nil {
-		return 0, err
-	}
+	dt := f.wan.SendSeconds(f.imageBytes(r, ent.Resources()))
+	r.reg.PutEntry(ent)
 	r.storeSeq++
 	r.storeUse[id] = r.storeSeq
 	f.evictStore(r, at)
@@ -961,12 +960,11 @@ func (f *Federation) evictStore(r *region, at float64) {
 	}
 }
 
-// imageBytes is the configuration image a WAN fetch of bs into region r
-// ships: the largest image among the region's devices that can host it
-// (0 — a free fetch — only when no device fits, in which case the fleet
-// will degrade to software anyway).
-func (f *Federation) imageBytes(r *region, bs platform.Bitstream) int64 {
-	need := bs.TotalResources()
+// imageBytes is the configuration image a WAN fetch of a bitstream of
+// footprint need into region r ships: the largest image among the
+// region's devices that can host it (0 — a free fetch — only when no
+// device fits, in which case the fleet will degrade to software anyway).
+func (f *Federation) imageBytes(r *region, need hls.Resources) int64 {
 	var best int64
 	for si := 0; si < r.fl.Sites(); si++ {
 		for _, n := range r.fl.Cluster(si).Nodes {

@@ -51,17 +51,10 @@ func fpgaCostOn(t *TaskSpec, n *platform.Node, at float64) (cost float64, devIdx
 	if !t.NeedsFPGA || t.BitstreamID == "" {
 		return 0, -1, false
 	}
+	wl := platform.Workload{BytesIn: t.InputBytes, BytesOut: t.OutputBytes, Batches: 4}
 	for idx := range n.Devices {
-		if at != designTime && !n.DeviceOnlineAt(idx, at) {
-			continue
-		}
-		if bs, loaded := n.Programmed(idx); loaded && bs.ID == t.BitstreamID {
-			tl, err := n.RunKernel(idx, platform.Workload{
-				BytesIn: t.InputBytes, BytesOut: t.OutputBytes, Batches: 4,
-			})
-			if err == nil {
-				return tl.Total, idx, true
-			}
+		if tl, ok := n.KernelTime(idx, t.BitstreamID, wl, at); ok {
+			return tl.Total, idx, true
 		}
 	}
 	return 0, -1, false
@@ -121,7 +114,7 @@ func bitstreamProgrammed(t *TaskSpec, n *platform.Node) bool {
 		return false
 	}
 	for idx := range n.Devices {
-		if bs, loaded := n.Programmed(idx); loaded && bs.ID == t.BitstreamID {
+		if id, loaded := n.Programmed(idx); loaded && id == t.BitstreamID {
 			return true
 		}
 	}
@@ -463,10 +456,10 @@ func (e *Engine) newWorkflowTuner(st *wfState) *autotuner.Tuner {
 		}
 		return v
 	}
-	variants := []autotuner.Variant{
-		{Name: VariantCPU1, ExpectedMs: ms(cpu1, nTasks)},
-		{Name: VariantCPU16, ExpectedMs: ms(cpu16, nTasks)},
-	}
+	var seeds [3]autotuner.Variant
+	variants := append(seeds[:0],
+		autotuner.Variant{Name: VariantCPU1, ExpectedMs: ms(cpu1, nTasks)},
+		autotuner.Variant{Name: VariantCPU16, ExpectedMs: ms(cpu16, nTasks)})
 	if nFPGA > 0 {
 		variants = append(variants, autotuner.Variant{Name: VariantFPGA, ExpectedMs: ms(fpga, nFPGA)})
 	}

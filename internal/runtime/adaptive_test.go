@@ -60,8 +60,8 @@ func TestAdaptiveSelectsFPGAVariant(t *testing.T) {
 			t.Errorf("task %s ran as %v, want FPGA (healthy cluster)", a.Task, a.Node)
 		}
 	}
-	if got := sched.Adapt.VariantCounts[VariantFPGA]; got != 4 {
-		t.Errorf("fpga variant count = %d, want 4 (%+v)", got, sched.Adapt.VariantCounts)
+	if got := sched.VariantCounts()[VariantFPGA]; got != 4 {
+		t.Errorf("fpga variant count = %d, want 4 (%+v)", got, sched.VariantCounts())
 	}
 	if sched.Adapt.Fallbacks != 0 {
 		t.Errorf("fallbacks = %d, want 0", sched.Adapt.Fallbacks)
@@ -108,8 +108,8 @@ func TestAdaptiveReactsToUnplug(t *testing.T) {
 	}
 	// The switch must go to the parallel software variant, not the
 	// single-core fallback the static engine would pay.
-	if got := sched.Adapt.VariantCounts[VariantCPU16]; got != 4 {
-		t.Errorf("cpu16 count = %d, want 4 (%+v)", got, sched.Adapt.VariantCounts)
+	if got := sched.VariantCounts()[VariantCPU16]; got != 4 {
+		t.Errorf("cpu16 count = %d, want 4 (%+v)", got, sched.VariantCounts())
 	}
 	if sched.Adapt.Fallbacks != 0 {
 		t.Errorf("adaptive run paid %d FPGA fallbacks, want 0", sched.Adapt.Fallbacks)
@@ -185,8 +185,8 @@ func TestStaticPaysUnplugFallback(t *testing.T) {
 	if sched.Adapt.Fallbacks == 0 {
 		t.Error("static engine must record FPGA fallbacks after the unplug")
 	}
-	if len(sched.Adapt.VariantCounts) != 0 {
-		t.Errorf("static engine must not record variants: %+v", sched.Adapt.VariantCounts)
+	if len(sched.VariantCounts()) != 0 {
+		t.Errorf("static engine must not record variants: %+v", sched.VariantCounts())
 	}
 }
 

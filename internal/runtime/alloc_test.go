@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"everest/internal/netsim"
+	"everest/internal/platform"
 )
 
 // The PR-6 event core promises an allocation-free steady state: once an
@@ -117,22 +118,77 @@ func TestOnReportAllocFree(t *testing.T) {
 
 // TestSubmitWaitAllocBudget pins a steady-state Submit+Wait of a fixed
 // 3-task chain on a started engine. What remains is per-workflow, not per
-// event: the Future, the Schedule and its assignment slice.
+// event: the Future, the Schedule and its assignment slice, plus, in
+// adaptive mode, the workflow's tuner and its variant points.
 func TestSubmitWaitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector defeats sync.Pool reuse")
 	}
-	e := startEngine(t, testCluster(3), EngineConfig{})
-	defer e.Shutdown()
-	w := chainWorkflow(t, 3)
-	opt := SubmitOptions{Name: "chain", Tenant: "t"}
-	assertAllocs(t, "Submit+Wait (3-task chain)", 3, func() {
-		fut, err := e.Submit(w, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fut.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for _, tc := range []struct {
+		what   string
+		cfg    EngineConfig
+		budget float64
+	}{
+		{"Submit+Wait (3-task chain)", EngineConfig{}, 3},
+		{"adaptive Submit+Wait (3-task chain)", EngineConfig{Adaptive: true}, 5},
+	} {
+		e := startEngine(t, testCluster(3), tc.cfg)
+		w := chainWorkflow(t, 3)
+		opt := SubmitOptions{Name: "chain", Tenant: "t"}
+		assertAllocs(t, tc.what, tc.budget, func() {
+			fut, err := e.Submit(w, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fut.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		e.Shutdown()
+	}
+}
+
+// BenchmarkEngineSubmit measures engine dispatch alone: one Submit+Wait of
+// a 4-task offloadable chain on a started 2-node engine with the kernel
+// programmed, statically and adaptively placed.
+func BenchmarkEngineSubmit(b *testing.B) {
+	for _, mode := range []struct {
+		name     string
+		adaptive bool
+	}{{"static", false}, {"adaptive", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			cluster := testCluster(2)
+			bs := fpgaBitstream()
+			if _, err := cluster.Nodes[0].Program(0, bs); err != nil {
+				b.Fatal(err)
+			}
+			w := NewWorkflow()
+			for i := 0; i < 4; i++ {
+				spec := TaskSpec{Name: taskName(i), Flops: 5e10, InputBytes: 1 << 22, OutputBytes: 1 << 20,
+					Cores: 1, NeedsFPGA: true, BitstreamID: bs.ID}
+				if i > 0 {
+					spec.Deps = []string{taskName(i - 1)}
+				}
+				if err := w.Submit(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Adaptive: mode.adaptive})
+			if err := e.Start(); err != nil {
+				b.Fatal(err)
+			}
+			defer e.Shutdown()
+			opt := SubmitOptions{Name: "chain", Tenant: "t"}
+			b.ReportAllocs()
+			for b.Loop() {
+				fut, err := e.Submit(w, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := fut.Wait(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -67,30 +67,25 @@ func ServiceBound(w *Workflow, c *platform.Cluster, reg *platform.Registry, opt 
 		slowCap = 1
 	}
 	total := 0.0
-	var err error
-	w.Range(func(t *TaskSpec) bool {
-		exec, terr := taskBound(t, c, reg, slowCap)
-		if terr != nil {
-			err = terr
-			return false
+	for i := range w.specs {
+		t := &w.specs[i]
+		exec, err := taskBound(t, c, reg, slowCap)
+		if err != nil {
+			return 0, err
 		}
 		xfer := 0.0
-		for _, dep := range t.Deps {
-			d, ok := w.Get(dep)
-			if !ok || d.OutputBytes <= 0 {
+		for _, d := range w.depList[w.depOff[i]:w.depOff[i+1]] {
+			out := w.specs[d].OutputBytes
+			if out <= 0 {
 				continue
 			}
 			if opt.Net != nil {
-				xfer += opt.Net.SendSeconds(d.OutputBytes)
+				xfer += opt.Net.SendSeconds(out)
 			} else {
-				xfer += c.Network.TransferSeconds(d.OutputBytes)
+				xfer += c.Network.TransferSeconds(out)
 			}
 		}
 		total += exec + xfer
-		return true
-	})
-	if err != nil {
-		return 0, err
 	}
 	return total, nil
 }
@@ -113,12 +108,12 @@ func taskBound(t *TaskSpec, c *platform.Cluster, reg *platform.Registry, slowCap
 		return 0, fmt.Errorf("runtime: no alive node can bound task %q", t.Name)
 	}
 	if t.NeedsFPGA && t.BitstreamID != "" {
-		if bs, err := reg.Get(t.BitstreamID); err == nil {
+		if ent, err := reg.Entry(t.BitstreamID); err == nil {
 			wl := platform.Workload{BytesIn: t.InputBytes, BytesOut: t.OutputBytes, Batches: 4}
 			for _, n := range c.Nodes {
 				for _, d := range n.Devices {
-					tl, err := platform.ExecuteBound(d, bs, wl)
-					if err != nil {
+					tl, ok := ent.BoundOn(d, wl)
+					if !ok {
 						continue // does not fit on this device
 					}
 					if tl.Total > worst {

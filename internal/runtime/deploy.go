@@ -35,11 +35,14 @@ func (d *Deployment) JSON() (string, error) {
 
 // Stage programs every offloaded bitstream onto the first matching device
 // of each listed node, returning the total modelled staging time. It also
-// rewrites the workflow's task specs to request the FPGA.
+// rewrites the workflow's task specs to request the FPGA: on a copy that
+// replaces them, so engines already serving the workflow keep the specs
+// they were handed.
 func (d *Deployment) Stage(w *Workflow, c *platform.Cluster, reg *platform.Registry) (float64, error) {
 	total := 0.0
+	specs := append([]TaskSpec(nil), w.specs...)
 	for task, bsID := range d.Offloaded {
-		spec, ok := w.Get(task)
+		i, ok := w.index[task]
 		if !ok {
 			return 0, fmt.Errorf("runtime: deployment references unknown task %q", task)
 		}
@@ -67,8 +70,9 @@ func (d *Deployment) Stage(w *Workflow, c *platform.Cluster, reg *platform.Regis
 		if !staged {
 			return 0, fmt.Errorf("runtime: no device in the deployment can host bitstream %q", bsID)
 		}
-		spec.NeedsFPGA = true
-		spec.BitstreamID = bsID
+		specs[i].NeedsFPGA = true
+		specs[i].BitstreamID = bsID
 	}
+	w.specs = specs
 	return total, nil
 }

@@ -450,15 +450,17 @@ func (e *Engine) FailNode(name string, at float64) error {
 // wfState is the engine's per-workflow record. Tasks are identified by
 // their dense submission index; every per-task attribute lives in a flat
 // array indexed by it, and the dependency graph is a pair of flattened
-// adjacency lists (CSR layout). Records are pooled: a state is recycled
-// once the workflow has finished AND no queued request or ready item still
+// adjacency lists (CSR layout). The specs and the dependency side are the
+// workflow's own, shared read-only; the per-run state and the child side
+// live in pooled scratch. Records are pooled: a state is recycled once the
+// workflow has finished AND no queued request or ready item still
 // references it (inflight/queuedRefs), so a stale reference can never
 // alias a reused record.
 type wfState struct {
 	name   string
 	tenant string
 
-	specs     []TaskSpec // snapshot, submission order (index = task id)
+	specs     []TaskSpec // the workflow's specs (index = task id), read-only
 	remaining []int32    // task -> unfinished dep count
 	doneAt    []float64  // task -> completion time
 	locAt     []int32    // task -> node index holding its output (-1 = none)
@@ -467,8 +469,8 @@ type wfState struct {
 	// dependents (children) likewise. Children are stored in submission
 	// order — that order decides how siblings enter the ready queues when
 	// their parent completes, which placement determinism relies on.
-	depOff    []int32
-	depList   []int32
+	depOff    []int32 // the workflow's, read-only
+	depList   []int32 // the workflow's, read-only
 	childOff  []int32
 	childList []int32
 
@@ -480,22 +482,24 @@ type wfState struct {
 
 	// tuner is the per-workflow mARGOt instance (adaptive mode only).
 	tuner *autotuner.Tuner
-	// variants are compiler-derived tuner seeds snapshotted at submission
-	// (Workflow.SetVariants); empty means the engine derives its own.
+	// variants are the workflow's compiler-derived tuner seeds
+	// (Workflow.SetVariants), read-only; empty means the engine derives
+	// its own.
 	variants []autotuner.Variant
 
 	sched *Schedule
 	fut   *Future
 
-	// nameIdx resolves dependency names to indices at submission; cleared
-	// and reused across the pool.
-	nameIdx map[string]int32
 	// scratch is the CSR fill cursor, reused across the pool.
 	scratch []int32
 }
 
 var wfPool = sync.Pool{New: func() any { return new(wfState) }}
 
+// newWFState admits one submission of w. The workflow's slices are
+// shared, not copied: Submit only ever appends past what this state sees,
+// and no API rewrites a submitted spec in place (Deployment.Stage swaps in
+// a copy), so a caller changing the workflow later cannot race the engine.
 func newWFState(w *Workflow, name, tenant string, fut *Future) *wfState {
 	st := wfPool.Get().(*wfState)
 	n := w.Len()
@@ -504,53 +508,35 @@ func newWFState(w *Workflow, name, tenant string, fut *Future) *wfState {
 	st.inflight, st.queuedRefs = 0, 0
 	st.finished = false
 	st.tq = 0
-	st.variants = w.Variants()
+	st.variants = w.variants
 	st.sched = &Schedule{Assignments: make([]Assignment, 0, n)}
 	st.fut = fut
 
-	st.specs = growSpecs(st.specs, n)
+	st.specs, st.depOff, st.depList = w.specs[:n:n], nil, nil
+	if n > 0 { // a zero Workflow has no leading depOff entry
+		st.depOff = w.depOff[: n+1 : n+1]
+		st.depList = w.depList[:w.depOff[n]:w.depOff[n]]
+	}
 	st.remaining = growI32(st.remaining, n)
 	st.doneAt = growF64(st.doneAt, n)
 	st.locAt = growI32(st.locAt, n)
-	st.depOff = growI32(st.depOff, n+1)
 	st.childOff = growI32(st.childOff, n+1)
 	st.scratch = growI32(st.scratch, n)
-	if st.nameIdx == nil {
-		st.nameIdx = make(map[string]int32, n)
-	} else {
-		clear(st.nameIdx)
-	}
+	st.childList = growI32(st.childList, len(st.depList))
 
-	// Snapshot specs so callers mutating the workflow later cannot race the
-	// engine. Iterate in submission order, not map order: index assignment
-	// and the children lists must not vary run to run.
-	deps := 0
-	for i, t := range w.specs {
-		st.specs[i] = *t
-		st.nameIdx[t.Name] = int32(i)
-		st.remaining[i] = int32(len(t.Deps))
+	// Per-run state and per-parent child counts, in submission order:
+	// the children lists must not vary run to run.
+	for i := 0; i < n; i++ {
+		st.remaining[i] = st.depOff[i+1] - st.depOff[i]
 		st.doneAt[i] = 0
 		st.locAt[i] = -1
 		st.childOff[i] = 0
-		deps += len(t.Deps)
 	}
-	st.depList = growI32(st.depList, deps)
-	st.childList = growI32(st.childList, deps)
-
-	// Pass 1: dep indices + per-parent child counts.
-	off := int32(0)
-	for i := 0; i < n; i++ {
-		st.depOff[i] = off
-		for _, d := range st.specs[i].Deps {
-			di := st.nameIdx[d]
-			st.depList[off] = di
-			st.childOff[di]++
-			off++
-		}
+	for _, d := range st.depList {
+		st.childOff[d]++
 	}
-	st.depOff[n] = off
-	// Pass 2: prefix the child counts into offsets, then fill in submission
-	// order so each parent's children stay submission-ordered.
+	// Prefix the child counts into offsets, then fill in submission order
+	// so each parent's children stay submission-ordered.
 	sum := int32(0)
 	for i := 0; i < n; i++ {
 		cnt := st.childOff[i]
@@ -567,14 +553,6 @@ func newWFState(w *Workflow, name, tenant string, fut *Future) *wfState {
 		}
 	}
 	return st
-}
-
-// growSpecs returns a slice of length n, reusing capacity when possible.
-func growSpecs(s []TaskSpec, n int) []TaskSpec {
-	if cap(s) < n {
-		return make([]TaskSpec, n)
-	}
-	return s[:n]
 }
 
 func growI32(s []int32, n int) []int32 {
@@ -599,10 +577,8 @@ func (e *Engine) maybeRecycle(st *wfState) {
 	if !st.finished || st.inflight != 0 || st.queuedRefs != 0 {
 		return
 	}
-	full := st.specs[:cap(st.specs)]
-	for i := range full {
-		full[i] = TaskSpec{} // drop Deps/Knobs references for GC
-	}
+	// Drop the workflow's shared slices so the pool does not pin them.
+	st.specs, st.depOff, st.depList = nil, nil, nil
 	st.fut = nil
 	st.sched = nil
 	st.tuner = nil
@@ -960,18 +936,12 @@ func (e *Engine) onReport(ds *dispatchState, rep execReport) {
 	if st.tuner != nil && rep.variant == VariantFPGA {
 		st.tuner.Observe(rep.variant, dur*1000)
 	}
-	if rep.variant != "" {
-		if st.sched.Adapt.VariantCounts == nil {
-			st.sched.Adapt.VariantCounts = make(map[string]int)
-		}
-		st.sched.Adapt.VariantCounts[rep.variant]++
-	}
 	if rep.fellBack {
 		st.sched.Adapt.Fallbacks++
 	}
 	st.insertAssignment(Assignment{
 		Task: taskName, Node: nodeName, Start: rep.start, End: rep.end,
-		OnFPGA: rep.onFPGA, Restart: rep.restart,
+		OnFPGA: rep.onFPGA, Restart: rep.restart, Variant: rep.variant,
 	})
 	st.sched.Transfers += rep.groups
 	st.sched.MovedBytes += rep.moved

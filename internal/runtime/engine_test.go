@@ -483,3 +483,51 @@ func TestEngineBatchedTransfers(t *testing.T) {
 		t.Error("moved bytes must be recorded")
 	}
 }
+
+// TestEnginesShareOneWorkflow serves one *Workflow from two adaptive
+// engines on separate clusters at once: the specs and dependency indices
+// the engines share are only read, so under -race the two runs neither
+// race nor disturb each other, and both produce the same schedules.
+func TestEnginesShareOneWorkflow(t *testing.T) {
+	w := fpgaChain(t, 4, fpgaBitstream().ID)
+	const rounds = 20
+	var scheds [2][]*Schedule
+	var wg sync.WaitGroup
+	for i := range scheds {
+		cluster, _ := programmedCluster(t, 2)
+		e := startEngine(t, cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer e.Shutdown()
+			for r := 0; r < rounds; r++ {
+				fut, err := e.Submit(w, SubmitOptions{Name: "shared"})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sched, err := fut.Wait()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				scheds[i] = append(scheds[i], sched)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(scheds[0]) != rounds || len(scheds[1]) != rounds {
+		t.Fatalf("served %d and %d rounds, want %d each", len(scheds[0]), len(scheds[1]), rounds)
+	}
+	for r := range scheds[0] {
+		a, b := scheds[0][r], scheds[1][r]
+		if a.Makespan != b.Makespan || len(a.Assignments) != len(b.Assignments) {
+			t.Fatalf("round %d: makespans %g vs %g", r, a.Makespan, b.Makespan)
+		}
+		for k := range a.Assignments {
+			if a.Assignments[k] != b.Assignments[k] {
+				t.Fatalf("round %d: assignment %d differs: %+v vs %+v", r, k, a.Assignments[k], b.Assignments[k])
+			}
+		}
+	}
+}

@@ -79,10 +79,16 @@ func (t *TaskSpec) WriteBytes() int64 {
 // Submit normalizes the byte fields.
 func (t *TaskSpec) TotalBytes() int64 { return t.ReadBytes() + t.WriteBytes() }
 
-// Workflow is a DAG of tasks (the Dask graph).
+// Workflow is a DAG of tasks (the Dask graph), resolved as it is built:
+// Submit appends the spec and its dependency indices, so engines serving
+// the workflow share both read-only instead of re-resolving names per
+// submission.
 type Workflow struct {
-	tasks map[string]*TaskSpec
-	specs []*TaskSpec // the same specs in submission order
+	index map[string]int32 // task name -> submission index
+	specs []TaskSpec       // submission order (index = task id)
+	// Dependency CSR: the deps of task i are depList[depOff[i]:depOff[i+1]].
+	depOff  []int32
+	depList []int32
 
 	// variants, when set, are compiler-derived operating points that seed
 	// this workflow's variant tuner in adaptive mode (SetVariants).
@@ -91,7 +97,7 @@ type Workflow struct {
 
 // NewWorkflow returns an empty workflow.
 func NewWorkflow() *Workflow {
-	return &Workflow{tasks: make(map[string]*TaskSpec)}
+	return &Workflow{index: make(map[string]int32), depOff: []int32{0}}
 }
 
 // Submit adds a task; dependencies must already be submitted.
@@ -99,38 +105,45 @@ func (w *Workflow) Submit(spec TaskSpec) error {
 	if spec.Name == "" {
 		return fmt.Errorf("runtime: task needs a name")
 	}
-	if _, dup := w.tasks[spec.Name]; dup {
+	if _, dup := w.index[spec.Name]; dup {
 		return fmt.Errorf("runtime: duplicate task %q", spec.Name)
 	}
 	for _, d := range spec.Deps {
-		if _, ok := w.tasks[d]; !ok {
+		if _, ok := w.index[d]; !ok {
 			return fmt.Errorf("runtime: task %q depends on unknown task %q", spec.Name, d)
 		}
 	}
-	cp := spec
 	// Dataset path: derive the modelled byte fields from the refs so every
 	// downstream consumer (engine transfers, cost models, bounds)
 	// sees the same numbers whether bytes were declared or named.
-	cp.InputBytes = cp.ReadBytes()
-	cp.OutputBytes = cp.WriteBytes()
-	w.tasks[spec.Name] = &cp
-	w.specs = append(w.specs, &cp)
+	spec.InputBytes = spec.ReadBytes()
+	spec.OutputBytes = spec.WriteBytes()
+	for _, d := range spec.Deps {
+		w.depList = append(w.depList, w.index[d])
+	}
+	w.depOff = append(w.depOff, int32(len(w.depList)))
+	w.index[spec.Name] = int32(len(w.specs))
+	w.specs = append(w.specs, spec)
 	return nil
 }
 
 // Tasks returns task names in submission order.
 func (w *Workflow) Tasks() []string {
 	names := make([]string, len(w.specs))
-	for i, t := range w.specs {
-		names[i] = t.Name
+	for i := range w.specs {
+		names[i] = w.specs[i].Name
 	}
 	return names
 }
 
-// Get returns a task spec.
-func (w *Workflow) Get(name string) (*TaskSpec, bool) {
-	t, ok := w.tasks[name]
-	return t, ok
+// Get returns a copy of a task spec. Changing the copy changes nothing the
+// workflow serves.
+func (w *Workflow) Get(name string) (TaskSpec, bool) {
+	i, ok := w.index[name]
+	if !ok {
+		return TaskSpec{}, false
+	}
+	return w.specs[i], true
 }
 
 // Len returns the number of tasks.
@@ -141,8 +154,8 @@ func (w *Workflow) Len() int { return len(w.specs) }
 // fleet router's bitstream-needs pass) stay off the allocator; fn must not
 // retain or mutate the spec.
 func (w *Workflow) Range(fn func(t *TaskSpec) bool) {
-	for _, t := range w.specs {
-		if !fn(t) {
+	for i := range w.specs {
+		if !fn(&w.specs[i]) {
 			return
 		}
 	}
@@ -190,7 +203,8 @@ type Assignment struct {
 	Start   float64
 	End     float64
 	OnFPGA  bool
-	Restart bool // true if this run replaces one lost to a node failure
+	Restart bool   // true if this run replaces one lost to a node failure
+	Variant string // implementation variant the adaptive engine selected ("" = as submitted)
 }
 
 // Schedule is the result of serving one workflow.
@@ -204,15 +218,27 @@ type Schedule struct {
 }
 
 // AdaptStats summarizes one workflow's adaptation activity under the
-// concurrent engine: which implementation variants its tasks ran as
-// (adaptive mode only — static runs never select variants), how many
-// placements had to be redone after environment events or failures, and
-// how many FPGA placements executed in software because the device was
-// gone by the time they ran (static runs under faults pay these too).
+// concurrent engine: how many placements had to be redone after
+// environment events or failures, and how many FPGA placements executed
+// in software because the device was gone by the time they ran (static
+// runs under faults pay these too). The variants its tasks ran as are on
+// the assignments (Schedule.VariantCounts).
 type AdaptStats struct {
-	VariantCounts map[string]int // completed tasks per selected variant
-	Reschedules   int            // placements invalidated and redone
-	Fallbacks     int            // FPGA placements that executed on CPU
+	Reschedules int // placements invalidated and redone
+	Fallbacks   int // FPGA placements that executed on CPU
+}
+
+// VariantCounts returns the completed tasks per selected implementation
+// variant (adaptive mode only — static runs never select variants, and
+// get an empty map).
+func (s *Schedule) VariantCounts() map[string]int {
+	counts := make(map[string]int)
+	for _, a := range s.Assignments {
+		if a.Variant != "" {
+			counts[a.Variant]++
+		}
+	}
+	return counts
 }
 
 // ByTask returns the (final) assignment of each task.

@@ -242,6 +242,58 @@ func TestDeploymentStage(t *testing.T) {
 	}
 }
 
+// TestStageAndGetDoNotAliasServedSpecs: engines share a workflow's specs
+// read-only, so neither Stage nor a caller editing Get's result may reach
+// a submission already made. A workflow queued before Stage is served as
+// submitted (software), the next submission sees the staged spec (FPGA),
+// and changing Get's copy changes neither.
+func TestStageAndGetDoNotAliasServedSpecs(t *testing.T) {
+	cluster := testCluster(1)
+	reg := platform.NewRegistry()
+	if err := reg.Put(fpgaBitstream()); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkflow()
+	if err := w.Submit(TaskSpec{Name: "mc", Flops: 1e11, InputBytes: 1 << 22, OutputBytes: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(cluster, reg, EngineConfig{})
+	defer e.Shutdown()
+	before, err := e.Submit(w, SubmitOptions{Name: "before"}) // queued until Start
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Deployment{Nodes: []string{cluster.Nodes[0].Name}}
+	d.MarkOffload("mc", "bs-ptdr")
+	if _, err := d.Stage(w, cluster, reg); err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := w.Get("mc")
+	spec.NeedsFPGA, spec.BitstreamID = false, ""
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := e.Submit(w, SubmitOptions{Name: "after"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fut    *Future
+		onFPGA bool
+	}{{before, false}, {after, true}} {
+		sched, err := tc.fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sched.Assignments[0].OnFPGA; got != tc.onFPGA {
+			t.Errorf("%s: OnFPGA = %v, want %v", tc.fut.Name, got, tc.onFPGA)
+		}
+	}
+	if got, _ := w.Get("mc"); !got.NeedsFPGA || got.BitstreamID != "bs-ptdr" {
+		t.Errorf("editing Get's copy changed the stored spec: %+v", got)
+	}
+}
+
 func TestDeploymentErrors(t *testing.T) {
 	cluster := testCluster(1)
 	reg := platform.NewRegistry()

@@ -44,7 +44,7 @@ func TallyOf(futs []*runtime.Future) Tally {
 			out.Makespan = max(out.Makespan, sched.Makespan)
 			ts.Reschedules += sched.Adapt.Reschedules
 			ts.Fallbacks += sched.Adapt.Fallbacks
-			for v, n := range sched.Adapt.VariantCounts {
+			for v, n := range sched.VariantCounts() {
 				if ts.Variants == nil {
 					ts.Variants = make(map[string]int)
 				}

@@ -6,6 +6,8 @@ import (
 	"maps"
 	"slices"
 	"testing"
+
+	"everest/internal/stream"
 )
 
 // pinDigest is an FNV-64a digest over values, each formatted %.9g: nine
@@ -89,11 +91,67 @@ func kmeansPins(res KMeansResult) []float64 {
 	}, fleetPins(FleetResult{Stats: res.Stats})...)
 }
 
+// regionPins flattens one E-region arm: every RegionResult number, every
+// region's counters, and every site's counters within it.
+func regionPins(res RegionResult) []float64 {
+	out := []float64{
+		float64(res.Completed), float64(res.Rejected), res.Makespan, res.Throughput,
+		res.P50, res.P95, res.Max, res.BatchP95, res.TailP99, res.TailColdStartP99, float64(res.TailCold),
+		float64(res.GuaranteedAdmitted), float64(res.GuaranteedRefused), res.GuaranteedAdmitRate,
+		float64(res.BoundViolations), res.BoundTightness,
+		float64(res.ColdServes), float64(res.PrefetchFetches), float64(res.Warms),
+		float64(res.Handoffs), float64(res.Preemptions),
+	}
+	st := res.Stats
+	out = append(out, float64(st.Submitted), float64(st.Completed), float64(st.Failed), float64(st.Rejected),
+		float64(st.ColdServes), float64(st.Preemptions), float64(st.Handoffs), float64(st.WANFetches),
+		float64(st.PrefetchFetches), float64(st.Warms), float64(st.DataFetches), float64(st.DataPrefetches),
+		float64(st.Guaranteed), float64(st.BoundViolations), st.Makespan)
+	for _, r := range st.Regions {
+		out = append(out, float64(r.Served), float64(r.Failed),
+			float64(r.Guaranteed), float64(r.Interactive), float64(r.Batch),
+			float64(r.Handoffs), float64(r.HandedOff), float64(r.ColdServes), float64(r.Preemptions), float64(r.Holds),
+			float64(r.WANFetches), r.WANFetchSeconds, float64(r.PrefetchFetches), r.PrefetchSeconds,
+			float64(r.Warms), float64(r.StoreEvictions), float64(r.PartitionSkips),
+			float64(r.DataFetches), r.DataFetchSeconds, float64(r.DataFetchedBytes),
+			float64(r.DataPrefetches), float64(r.DataPublished), float64(r.DataEvictions),
+			float64(r.ScaleUps), float64(r.ScaleDowns), float64(r.ActiveSites))
+		f := r.Fleet
+		out = append(out, float64(f.Submitted), float64(f.Completed), float64(f.Failed), float64(f.Rejected), f.Makespan)
+		for _, s := range f.Sites {
+			out = append(out, float64(s.Served), float64(s.Failed), float64(s.CacheHits), float64(s.CacheMisses),
+				float64(s.Evictions), float64(s.Redeploys), float64(s.FallbackDeploys), s.DeploySeconds,
+				float64(s.WarmDeploys), s.WarmSeconds, boolPin(s.Active),
+				float64(s.Guaranteed), float64(s.BoundViolations), s.BusyUntil)
+		}
+	}
+	return out
+}
+
+// streamPins flattens one E-stream run: the totals, every pipeline and
+// stage, and every device's residency churn.
+func streamPins(st stream.Stats) []float64 {
+	out := []float64{
+		float64(st.Events), float64(st.Done), float64(st.Shed), float64(st.Windows),
+		st.Makespan, st.Throughput, st.P50, st.P99, st.Mean, st.Max, float64(st.Swaps), st.SwapSeconds,
+	}
+	for _, p := range st.Pipelines {
+		out = append(out, float64(p.Events), float64(p.Done), float64(p.Shed), float64(p.Windows),
+			p.P50, p.P99, p.Mean, p.Max)
+		for _, s := range p.Stages {
+			out = append(out, float64(s.Windows), s.BusySeconds, float64(s.ShedWindows), float64(s.ShedEvents))
+		}
+	}
+	for _, d := range st.Devices {
+		out = append(out, float64(d.Regions), float64(d.Kernels), float64(d.Swaps), d.SwapSeconds)
+	}
+	return out
+}
+
 // TestScenarioResultsPinned pins the modelled results of the default
-// scenarios the region and stream examples do not already pin: a refactor
-// of the scenario drivers that leaves the model alone must leave every
-// digest alone. A changed digest means a modelled number moved; say why
-// before updating it.
+// scenarios: a refactor of the scenario drivers or the serving tiers that
+// leaves the model alone must leave every digest alone. A changed digest
+// means a modelled number moved; say why before updating it.
 func TestScenarioResultsPinned(t *testing.T) {
 	want := map[string]string{
 		"E-adapt":   "20003102ac9fddb4",
@@ -102,6 +160,8 @@ func TestScenarioResultsPinned(t *testing.T) {
 		"E-apps":    "672c4c08925ea624",
 		"E-wcet":    "623fd79da954052b",
 		"E-data":    "8f7690dbc7894aa6",
+		"E-region":  "6c992d11d2a02afc",
+		"E-stream":  "bf737720d9a456dd",
 	}
 	run := func(name string, pins func(t *testing.T) []float64) {
 		t.Run(name, func(t *testing.T) {
@@ -132,5 +192,28 @@ func TestScenarioResultsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		return append(kmeansPins(local), kmeansPins(blind)...)
+	})
+	run("E-region", func(t *testing.T) []float64 {
+		sc := DefaultRegionScenario()
+		s, err := sc.BuildSuite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		on, off, err := sc.PrefetchWin(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(regionPins(on), regionPins(off)...)
+	})
+	run("E-stream", func(t *testing.T) []float64 {
+		srv, err := NewStreamServer(DefaultStreamScenario())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := srv.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return streamPins(st)
 	})
 }

@@ -535,7 +535,7 @@ func benchWCET(fs *flag.FlagSet) func() error {
 				faults[i] = fmt.Sprintf("unplug@%.3gs", ev.At)
 			}
 		}
-		fmt.Printf("faults     : %s on site 0 (cap honours the SlowdownCap contract)\n", strings.Join(faults, " + "))
+		fmt.Printf("faults     : %s on site 0 (within the fleet's slowdown cap of 4)\n", strings.Join(faults, " + "))
 		fmt.Printf("%10s %10s %10s %10s %12s %10s %10s\n",
 			"deadline_s", "requested", "admitted", "admit_rate", "violations", "tightness", "p95_s")
 		violations := 0

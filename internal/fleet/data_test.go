@@ -238,7 +238,8 @@ func TestSiteCostSingleDeployCharge(t *testing.T) {
 		t.Fatal("site not a candidate")
 	}
 	// wait 0 (idle) + affinity (no last site) + exactly one fallback.
-	want := f.cfg.AffinitySeconds + f.cfg.FallbackSeconds
+	affinity, fallback := affinitySeconds, fallbackSeconds
+	want := affinity + fallback
 	if cost != want {
 		t.Fatalf("cost = %g, want exactly %g (affinity + one fallback, no double charge)", cost, want)
 	}
@@ -255,7 +256,7 @@ func TestSiteCostSingleDeployCharge(t *testing.T) {
 	if !ok {
 		t.Fatal("site 2 not a candidate")
 	}
-	if want2 := f2.cfg.AffinitySeconds + est; cost2 != want2 {
+	if want2 := affinity + est; cost2 != want2 {
 		t.Fatalf("cost = %g, want exactly %g (affinity + one deploy estimate)", cost2, want2)
 	}
 }

@@ -25,6 +25,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"everest/internal/dataset"
@@ -130,7 +131,25 @@ type Event struct {
 	Detail    string
 }
 
-// Config configures a Fleet.
+// The router's and the guaranteed class's fixed prices.
+const (
+	// slowdownCap is the fleet's load contract: no node's CPU load factor
+	// ever exceeds it (New refuses scripted EnvSlowdown events beyond it).
+	// Guaranteed-class admission multiplies software worst cases by this
+	// cap, which is what lets a proven bound survive slowdown faults.
+	slowdownCap = 4
+	// affinitySeconds is the routing penalty added to sites other than the
+	// tenant's previous one: it keeps a tenant's bitstreams co-located
+	// unless queueing or deployment costs say otherwise.
+	affinitySeconds = 0.010
+	// fallbackSeconds is the routing penalty per required bitstream a site
+	// cannot host on any online device: the router's price for degrading
+	// that workflow's FPGA work to software.
+	fallbackSeconds = 0.250
+)
+
+// Config configures a Fleet. Every site starts active; SetSiteActive
+// scales sites out and back in.
 type Config struct {
 	// Sites is the number of federated engine sites (>= 1).
 	Sites int
@@ -152,29 +171,10 @@ type Config struct {
 	Policy runtime.Policy
 	// Adaptive enables variant-aware scheduling per site engine.
 	Adaptive bool
-	// InitialActiveSites caps how many sites serve at Start; the rest are
-	// scaled down until SetSiteActive brings them in (per-region
-	// autoscaling drives this). 0 means all sites start active.
-	InitialActiveSites int
 	// MaxQueueSeconds is the admission bound: a site whose modelled queue
 	// wait exceeds it is ineligible, and when every site is, Submit
 	// rejects with ErrSaturated. 0 means unlimited.
 	MaxQueueSeconds float64
-	// SlowdownCap is the fleet's load contract: no node's CPU load factor
-	// ever exceeds it (scripted EnvSlowdown events are validated against it
-	// at New). Guaranteed-class admission multiplies software worst cases
-	// by this cap, which is what lets a proven bound survive slowdown
-	// faults. Default 4.
-	SlowdownCap float64
-	// AffinitySeconds is the routing penalty added to sites other than
-	// the tenant's previous one (default 10 ms) — it keeps a tenant's
-	// bitstreams co-located unless queueing or deployment costs say
-	// otherwise.
-	AffinitySeconds float64
-	// FallbackSeconds is the routing penalty per required bitstream a
-	// site cannot host on any online device (default 250 ms) — the
-	// router's price for degrading that workflow's FPGA work to software.
-	FallbackSeconds float64
 	// Net prices intra-site transfers (per-engine semantics; nil = flat
 	// cluster fabric).
 	Net *netsim.Stack
@@ -193,7 +193,8 @@ type Config struct {
 	// fetch traffic is still paid, just never avoided.
 	PlacementBlind bool
 	// SiteEvents scripts per-site modelled-time environment faults
-	// (index = site; engine EngineConfig.Events semantics).
+	// (index = site; engine EngineConfig.Events semantics). New refuses a
+	// slowdown factor beyond slowdownCap.
 	SiteEvents [][]runtime.EnvEvent
 	// Trace, when set, receives every fleet event. It runs under the fleet
 	// lock and must not call back into the Fleet.
@@ -213,8 +214,8 @@ type Request struct {
 	Tenant   string
 	Name     string
 	Workflow *runtime.Workflow
-	// Arrival is the workflow's modelled submission time; queueing delay
-	// is measured from it.
+	// Arrival is the workflow's modelled submission time (finite);
+	// queueing delay is measured from it.
 	Arrival float64
 	// Guaranteed requests the proven-bound admission class: the request is
 	// admitted only on a site whose modelled worst case — queue frontier,
@@ -224,8 +225,8 @@ type Request struct {
 	// nothing. Best-effort traffic is unaffected.
 	Guaranteed bool
 	// Deadline is the relative latency bound (modelled seconds past
-	// Arrival) a guaranteed request must provably meet. Required (> 0)
-	// when Guaranteed is set.
+	// Arrival) a guaranteed request must provably meet. Required (> 0 and
+	// finite) when Guaranteed is set.
 	Deadline float64
 }
 
@@ -461,18 +462,9 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 	if cfg.CacheSlots < 1 {
 		cfg.CacheSlots = 1
 	}
-	if cfg.AffinitySeconds == 0 {
-		cfg.AffinitySeconds = 0.010
-	}
-	if cfg.FallbackSeconds == 0 {
-		cfg.FallbackSeconds = 0.250
-	}
 	if cfg.RegistryNet == nil {
 		st := netsim.Eth100G()
 		cfg.RegistryNet = &st
-	}
-	if cfg.SlowdownCap <= 0 {
-		cfg.SlowdownCap = 4
 	}
 	switch {
 	case cfg.DatasetStoreBytes == 0:
@@ -480,18 +472,14 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 	case cfg.DatasetStoreBytes < 0:
 		cfg.DatasetStoreBytes = 0 // dataset.Store treats 0 as unbounded
 	}
-	if cfg.InitialActiveSites < 0 || cfg.InitialActiveSites > cfg.Sites {
-		return nil, fmt.Errorf("fleet: InitialActiveSites %d outside [0, %d]",
-			cfg.InitialActiveSites, cfg.Sites)
-	}
-	// SlowdownCap is a contract, not a wish: refuse a configuration whose
-	// own scripted faults would break the bound the guaranteed class
+	// The slowdown cap is a contract, not a wish: refuse a configuration
+	// whose own scripted faults would break the bound the guaranteed class
 	// admits against.
 	for i, evs := range cfg.SiteEvents {
 		for _, ev := range evs {
-			if ev.Kind == runtime.EnvSlowdown && ev.Factor > cfg.SlowdownCap {
-				return nil, fmt.Errorf("fleet: site %d scripts slowdown factor %.3g beyond SlowdownCap %.3g",
-					i, ev.Factor, cfg.SlowdownCap)
+			if ev.Kind == runtime.EnvSlowdown && ev.Factor > slowdownCap {
+				return nil, fmt.Errorf("fleet: site %d scripts slowdown factor %.3g beyond the slowdown cap %d",
+					i, ev.Factor, slowdownCap)
 			}
 		}
 	}
@@ -521,7 +509,7 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 			cache:        newBitstreamCache(cfg.CacheSlots),
 			dstore:       dataset.NewStore(cfg.DatasetStoreBytes),
 			everDeployed: make(map[string]bool),
-			active:       cfg.InitialActiveSites == 0 || i < cfg.InitialActiveSites,
+			active:       true,
 		}
 		s.stats.Name = s.name
 		f.sites = append(f.sites, s)
@@ -685,13 +673,18 @@ func (f *Fleet) Start() error {
 // ticket is already resolved, and concurrent submitters serialize in one
 // total order. Rejections (ErrSaturated) happen only under a configured
 // MaxQueueSeconds admission bound or a guaranteed deadline no site can
-// prove.
+// prove. An invalid request (nil workflow, non-finite arrival, guaranteed
+// without a positive finite deadline) is an error that is neither
+// ErrSaturated nor counted as a rejection, and it touches no state.
 func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	if req.Workflow == nil {
 		return nil, fmt.Errorf("fleet: nil workflow")
 	}
-	if req.Guaranteed && req.Deadline <= 0 {
-		return nil, fmt.Errorf("fleet: guaranteed request needs a positive deadline, got %.3g", req.Deadline)
+	if math.IsNaN(req.Arrival) || math.IsInf(req.Arrival, 0) {
+		return nil, fmt.Errorf("fleet: arrival %g is not a finite modelled time", req.Arrival)
+	}
+	if req.Guaranteed && !(req.Deadline > 0 && req.Deadline < math.Inf(1)) {
+		return nil, fmt.Errorf("fleet: guaranteed request needs a positive finite deadline, got %.3g", req.Deadline)
 	}
 	tenant := req.Tenant
 	if tenant == "" {
@@ -831,7 +824,7 @@ func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs []string, reads []dat
 	best, bestBound := -1, 0.0
 	for i, s := range f.sites {
 		svc, err := runtime.ServiceBound(w, s.cluster, f.reg, runtime.BoundOptions{
-			SlowdownCap: f.cfg.SlowdownCap, Net: f.cfg.Net,
+			SlowdownCap: slowdownCap, Net: f.cfg.Net,
 		})
 		if err != nil {
 			continue // the site cannot bound the workflow at all
@@ -938,11 +931,11 @@ func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs []strin
 		if est, ok := f.estimateDeploy(s, id, at); ok {
 			cost += est
 		} else {
-			cost += f.cfg.FallbackSeconds
+			cost += fallbackSeconds
 		}
 	}
 	if !hasLast || last != idx {
-		cost += f.cfg.AffinitySeconds
+		cost += affinitySeconds
 	}
 	// Data locality: partitions the site does not hold must cross the
 	// registry fabric before the workflow can run. PlacementBlind prices

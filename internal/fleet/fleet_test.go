@@ -3,6 +3,8 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -69,12 +71,25 @@ func testCluster(nodes int) func(int) *platform.Cluster {
 
 func newTestFleet(t *testing.T, reg *platform.Registry, cfg Config) *Fleet {
 	t.Helper()
+	return newScaledFleet(t, reg, cfg, cfg.Sites)
+}
+
+// newScaledFleet is newTestFleet with only the first active sites
+// serving: the rest are scaled down before Start, as an autoscaler
+// starting small would leave them.
+func newScaledFleet(t *testing.T, reg *platform.Registry, cfg Config, active int) *Fleet {
+	t.Helper()
 	if cfg.NewCluster == nil {
 		cfg.NewCluster = testCluster(2)
 	}
 	f, err := New(reg, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := active; i < cfg.Sites; i++ {
+		if err := f.SetSiteActive(i, false, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -625,5 +640,44 @@ func TestPartialReconfigSharesOneDevice(t *testing.T) {
 	if prDeploys[0] >= wholeDeploys[0] {
 		t.Fatalf("region deploy %g should undercut whole-device deploy %g",
 			prDeploys[0], wholeDeploys[0])
+	}
+}
+
+// TestSubmitRejectsNonFiniteInput: a non-finite arrival, or a guaranteed
+// request with a non-finite deadline, is a bad request. Submit must say so
+// without wrapping ErrSaturated (a caller that retries on saturation
+// would retry forever), count nothing, trace nothing and leave every site
+// as it was.
+func TestSubmitRejectsNonFiniteInput(t *testing.T) {
+	reg := platform.NewRegistry()
+	traced := 0
+	f := newTestFleet(t, reg, Config{Sites: 2, Trace: func(Event) { traced++ }})
+	defer f.Shutdown()
+	nan, inf := math.NaN(), math.Inf(1)
+	before := f.Stats()
+	for _, req := range []Request{
+		{Workflow: cpuWorkflow(), Arrival: nan},
+		{Workflow: cpuWorkflow(), Arrival: inf},
+		{Workflow: cpuWorkflow(), Arrival: -inf},
+		{Workflow: cpuWorkflow(), Arrival: nan, Guaranteed: true, Deadline: 5},
+		{Workflow: cpuWorkflow(), Guaranteed: true, Deadline: nan},
+		{Workflow: cpuWorkflow(), Guaranteed: true, Deadline: inf},
+	} {
+		tk, err := f.Submit(req)
+		if err == nil {
+			t.Fatalf("arrival %g deadline %g: admitted on %s, want an error", req.Arrival, req.Deadline, tk.Site)
+		}
+		if errors.Is(err, ErrSaturated) {
+			t.Fatalf("arrival %g deadline %g: %v wraps ErrSaturated, want a bad-request error",
+				req.Arrival, req.Deadline, err)
+		}
+		if after := f.Stats(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("arrival %g deadline %g changed the fleet:\nbefore %+v\nafter  %+v",
+				req.Arrival, req.Deadline, before, after)
+		}
+		if _, ok := f.lastSite["default"]; traced != 0 || ok {
+			t.Fatalf("arrival %g deadline %g left state behind: %d events traced, affinity recorded %v",
+				req.Arrival, req.Deadline, traced, ok)
+		}
 	}
 }

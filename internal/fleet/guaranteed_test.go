@@ -19,13 +19,13 @@ func TestGuaranteedNeedsDeadline(t *testing.T) {
 
 func TestNewRejectsSlowdownBeyondCap(t *testing.T) {
 	_, err := New(platform.NewRegistry(), Config{
-		Sites: 1, NewCluster: testCluster(1), SlowdownCap: 2,
+		Sites: 1, NewCluster: testCluster(1),
 		SiteEvents: [][]runtime.EnvEvent{{
-			{Kind: runtime.EnvSlowdown, Node: "node00", Factor: 3, At: 0},
+			{Kind: runtime.EnvSlowdown, Node: "node00", Factor: slowdownCap + 1, At: 0},
 		}},
 	})
 	if err == nil {
-		t.Fatal("scripted slowdown beyond SlowdownCap must fail New")
+		t.Fatal("scripted slowdown beyond the slowdown cap must fail New")
 	}
 }
 

@@ -72,7 +72,7 @@ func TestWarmErrors(t *testing.T) {
 func TestSetSiteActiveGatesRouting(t *testing.T) {
 	reg := platform.NewRegistry()
 	reg.Put(testBitstream("bs-a"))
-	f := newTestFleet(t, reg, Config{Sites: 2, InitialActiveSites: 1})
+	f := newScaledFleet(t, reg, Config{Sites: 2}, 1)
 	defer f.Shutdown()
 
 	if got := f.Stats().ActiveSites(); got != 1 {
@@ -138,7 +138,7 @@ func TestSetSiteActiveGatesRouting(t *testing.T) {
 
 func TestQueueWait(t *testing.T) {
 	reg := platform.NewRegistry()
-	f := newTestFleet(t, reg, Config{Sites: 2, InitialActiveSites: 1})
+	f := newScaledFleet(t, reg, Config{Sites: 2}, 1)
 	defer f.Shutdown()
 	if w, ok := f.QueueWait(0); !ok || w != 0 {
 		t.Fatalf("idle fleet QueueWait = (%g, %v), want (0, true)", w, ok)
@@ -166,13 +166,6 @@ func TestQueueWait(t *testing.T) {
 	}
 }
 
-func TestInitialActiveSitesValidated(t *testing.T) {
-	reg := platform.NewRegistry()
-	if _, err := New(reg, Config{Sites: 2, NewCluster: testCluster(1), InitialActiveSites: 3}); err == nil {
-		t.Fatal("InitialActiveSites > Sites must fail")
-	}
-}
-
 func TestBitstreamNeedsExported(t *testing.T) {
 	w := fpgaWorkflow("bs-x")
 	needs := BitstreamNeeds(w)
@@ -191,7 +184,7 @@ func TestBitstreamNeedsExported(t *testing.T) {
 func TestWarmAllStagesEverySite(t *testing.T) {
 	reg := platform.NewRegistry()
 	reg.Put(testBitstream("bs-w"))
-	f := newTestFleet(t, reg, Config{Sites: 3, InitialActiveSites: 2})
+	f := newScaledFleet(t, reg, Config{Sites: 3}, 2)
 	defer f.Shutdown()
 
 	dt, err := f.WarmAll("bs-w", 0)

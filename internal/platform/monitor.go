@@ -50,17 +50,6 @@ func (m *Monitor) obs(node string) *nodeObs {
 	return o
 }
 
-// Reset discards all accumulated observations. An engine taking ownership
-// of a cluster calls it alongside Heal/ResetCondition: load learned during
-// a previous run is stale evidence for the next one.
-func (m *Monitor) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k := range m.stats {
-		delete(m.stats, k)
-	}
-}
-
 // RecordTask records one completed task's modelled latency on a node.
 func (m *Monitor) RecordTask(node string, latency float64) {
 	m.mu.Lock()

@@ -81,7 +81,7 @@ func (f *Federation) dataEstimate(r *region, known []dataset.Ref, at float64) fl
 			continue
 		}
 		if f.partitioned(r.idx, at) {
-			total += f.cfg.FallbackSeconds
+			total += fallbackSeconds
 			continue
 		}
 		total += f.wan.SendSeconds(ref.Bytes)

@@ -177,9 +177,9 @@ func TestDataEstimateSingleCharge(t *testing.T) {
 	}
 	// Inside the partition window the missing ref costs the flat fallback
 	// penalty instead of — never in addition to — the WAN transfer.
-	if got := f.dataEstimate(r, known, 15); got != f.cfg.FallbackSeconds {
-		t.Fatalf("partitioned estimate = %g, want FallbackSeconds %g",
-			got, f.cfg.FallbackSeconds)
+	if got := f.dataEstimate(r, known, 15); got != fallbackSeconds {
+		t.Fatalf("partitioned estimate = %g, want fallbackSeconds %g",
+			got, fallbackSeconds)
 	}
 	if got := f.dataEstimate(r, []dataset.Ref{resident}, 0); got != 0 {
 		t.Fatalf("resident estimate = %g, want 0", got)
@@ -196,12 +196,12 @@ func TestDataEstimateSingleCharge(t *testing.T) {
 // after the window roll the forecaster re-stages the hotter app's
 // partition, so its next arrival serves with zero staging stall.
 func TestRegionDataPrefetch(t *testing.T) {
-	partA := dataset.Ref{Name: "app-a/points", Bytes: 1 << 26}
-	partB := dataset.Ref{Name: "app-b/points", Bytes: 1 << 26}
+	// Each partition leaves 1 KiB of the region store free: it fits one.
+	partA := dataset.Ref{Name: "app-a/points", Bytes: datasetStoreBytes - 1024}
+	partB := dataset.Ref{Name: "app-b/points", Bytes: datasetStoreBytes - 1024}
 	run := func(prefetch bool) (Result, Stats) {
 		f := newTestFed(t, platform.NewRegistry(), Config{Regions: 1,
-			DatasetStoreBytes: 1<<26 + 1024,
-			Prefetch:          prefetch, WindowSeconds: 1, WarmThreshold: 0.5})
+			Prefetch: prefetch, WindowSeconds: 1, WarmThreshold: 0.5})
 		defer f.Shutdown()
 		// Placing B evicts A: the store fits one partition.
 		if err := f.PlaceDataset(0, 0, partA); err != nil {
@@ -247,10 +247,10 @@ func TestRegionDataPrefetch(t *testing.T) {
 // TestRegionDataStoreBounded: the byte bound evicts oldest-first and the
 // eviction counter moves (region-tier mirror of the fleet store test).
 func TestRegionDataStoreBounded(t *testing.T) {
-	f := newTestFed(t, platform.NewRegistry(), Config{Regions: 1,
-		DatasetStoreBytes: 2 << 20})
+	f := newTestFed(t, platform.NewRegistry(), Config{Regions: 1})
 	defer f.Shutdown()
-	refs := dataset.Partitioned("pts", 3<<20, 3)
+	// Three partitions of half the store each: the store holds two.
+	refs := dataset.Partitioned("pts", 3*datasetStoreBytes/2, 3)
 	if err := f.PlaceDataset(0, 0, refs...); err != nil {
 		t.Fatal(err)
 	}

@@ -164,59 +164,60 @@ type Partition struct {
 	From, Until float64
 }
 
-// Config configures a Federation.
+// The federation's fixed prices and autoscaling thresholds.
+const (
+	// handoffPenalty is the flat routing bias added to non-home regions on
+	// top of the modelled WAN transfer: the price of leaving the tenant's
+	// data locality.
+	handoffPenalty = 0.010
+	// fallbackSeconds is the routing penalty per artifact a region cannot
+	// obtain (partitioned WAN, missing from the catalog): the cost of
+	// degrading that work to software.
+	fallbackSeconds = 0.250
+	// preemptPenalty is the modelled restart cost a held batch workflow
+	// pays every time a priority arrival pushes it back.
+	preemptPenalty = 0.050
+	// Autoscaling activates the next site (serving after siteBootSeconds)
+	// when the queue wait at a window roll exceeds scaleUpWait, and
+	// deactivates one after scaleDownIdleWindows consecutive idle rolls.
+	scaleUpWait          = 0.5
+	scaleDownIdleWindows = 4
+	siteBootSeconds      = 2.0
+	// datasetStoreBytes bounds the dataset half of each region's artifact
+	// store: published partitions cached next to the bitstream images,
+	// WAN-fetched on demand and eligible for prefetch like any other
+	// artifact. Each region's fleet sites keep their own, smaller stores
+	// below this one.
+	datasetStoreBytes = 1 << 30
+)
+
+// Config configures a Federation. Every region's fleet places with HEFT
+// over the flat cluster fabric, and every site starts active.
 type Config struct {
 	// Regions is the number of federated regions (>= 1).
 	Regions int
 	// SitesPerRegion is each region's fleet size (>= 1).
 	SitesPerRegion int
-	// InitialSitesPerRegion caps how many sites per region serve at
-	// Start; autoscaling (or SetSiteActive) brings in the rest. 0 = all.
-	InitialSitesPerRegion int
 	// NewCluster builds region r, site s's cluster (required).
 	NewCluster func(region, site int) *platform.Cluster
-	// CacheSlots, PartialReconfig, Policy, Adaptive, SlowdownCap, Net and
-	// RegistryNet configure each region's fleet (fleet.Config semantics).
+	// CacheSlots, PartialReconfig, Adaptive and RegistryNet configure each
+	// region's fleet (fleet.Config semantics).
 	CacheSlots      int
 	PartialReconfig bool
-	Policy          runtime.Policy
 	Adaptive        bool
-	SlowdownCap     float64
-	Net             *netsim.Stack
 	RegistryNet     *netsim.Stack
 	// WAN prices inter-region transfers: workflow handoff payloads and
 	// catalog→region artifact fetches (default the wan10g metro fabric).
 	WAN *netsim.Stack
-	// HandoffPenalty is the flat routing bias added to non-home regions
-	// on top of the modelled WAN transfer (default 10 ms) — the price of
-	// leaving the tenant's data locality.
-	HandoffPenalty float64
-	// FallbackSeconds is the routing penalty per artifact a region cannot
-	// obtain (partitioned WAN, missing from the catalog): the cost of
-	// degrading that work to software (default 250 ms).
-	FallbackSeconds float64
 	// StoreSlots bounds each region's artifact store; filling it evicts
 	// the least-recently-used bitstream (the catalog keeps the
 	// authoritative copy, so eviction means a future WAN refetch).
 	// 0 = unbounded.
 	StoreSlots int
-	// DatasetStoreBytes bounds the dataset half of each region's artifact
-	// store — published partitions cached next to the bitstream images,
-	// WAN-fetched on demand and eligible for prefetch like any other
-	// artifact. 0 = the 1 GiB default; negative = unbounded. Each region's
-	// fleet sites keep their own (fleet.Config.DatasetStoreBytes) stores
-	// below this one.
-	DatasetStoreBytes int64
-	// PreemptPenalty is the modelled restart cost a held batch workflow
-	// pays every time a priority arrival pushes it back (default 50 ms).
-	PreemptPenalty float64
-	// Autoscale lets regions activate sites (after SiteBootSeconds) when
-	// the queue wait at a window roll exceeds ScaleUpWait, and deactivate
-	// one after ScaleDownIdleWindows consecutive idle rolls.
-	Autoscale            bool
-	ScaleUpWait          float64 // default 0.5
-	ScaleDownIdleWindows int     // default 4
-	SiteBootSeconds      float64 // default 2
+	// Autoscale lets a region activate its next site (serving after a 2 s
+	// boot) when the queue wait at a window roll exceeds 0.5 s, and
+	// release one after 4 consecutive idle rolls.
+	Autoscale bool
 	// Prefetch turns on the forecast-driven warming loop.
 	Prefetch bool
 	// WindowSeconds is the forecast window (default 0.25).
@@ -250,10 +251,10 @@ type Request struct {
 	// Home is the gateway region the request arrived at (its demand is
 	// observed there; serving elsewhere pays the WAN handoff).
 	Home int
-	// Arrival is the modelled submission time. Arrivals must be submitted
-	// in non-decreasing order — the federation is a modelled-time event
-	// loop, and prefetch, autoscaling, and hold releases all fire between
-	// arrivals.
+	// Arrival is the modelled submission time (finite). Arrivals must be
+	// submitted in non-decreasing order — the federation is a
+	// modelled-time event loop, and prefetch, autoscaling, and hold
+	// releases all fire between arrivals.
 	Arrival float64
 	// Class is the SLO class; Guaranteed requires a Deadline (relative
 	// latency bound in modelled seconds, fleet semantics).
@@ -460,31 +461,9 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 	if cfg.NewCluster == nil {
 		return nil, fmt.Errorf("region: NewCluster builder is required")
 	}
-	if cfg.InitialSitesPerRegion < 0 || cfg.InitialSitesPerRegion > cfg.SitesPerRegion {
-		return nil, fmt.Errorf("region: InitialSitesPerRegion %d outside [0, %d]",
-			cfg.InitialSitesPerRegion, cfg.SitesPerRegion)
-	}
 	if cfg.WAN == nil {
 		st := netsim.WAN10G()
 		cfg.WAN = &st
-	}
-	if cfg.HandoffPenalty == 0 {
-		cfg.HandoffPenalty = 0.010
-	}
-	if cfg.FallbackSeconds == 0 {
-		cfg.FallbackSeconds = 0.250
-	}
-	if cfg.PreemptPenalty == 0 {
-		cfg.PreemptPenalty = 0.050
-	}
-	if cfg.ScaleUpWait <= 0 {
-		cfg.ScaleUpWait = 0.5
-	}
-	if cfg.ScaleDownIdleWindows <= 0 {
-		cfg.ScaleDownIdleWindows = 4
-	}
-	if cfg.SiteBootSeconds <= 0 {
-		cfg.SiteBootSeconds = 2
 	}
 	if cfg.WindowSeconds <= 0 {
 		cfg.WindowSeconds = 0.25
@@ -499,12 +478,6 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 		if p.Until <= p.From {
 			return nil, fmt.Errorf("region: partition of region %d has empty interval [%g, %g)", p.Region, p.From, p.Until)
 		}
-	}
-	switch {
-	case cfg.DatasetStoreBytes == 0:
-		cfg.DatasetStoreBytes = 1 << 30
-	case cfg.DatasetStoreBytes < 0:
-		cfg.DatasetStoreBytes = 0 // dataset.Store: 0 = unbounded
 	}
 	f := &Federation{cfg: cfg, catalog: catalog, wan: *cfg.WAN,
 		appNeeds: make(map[string][]string),
@@ -523,33 +496,25 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 			etrace = func(site string, ev runtime.Event) { f.cfg.EngineTrace(name, site, ev) }
 		}
 		fl, err := fleet.New(reg, fleet.Config{
-			Sites:              cfg.SitesPerRegion,
-			NewCluster:         func(site int) *platform.Cluster { return cfg.NewCluster(i, site) },
-			CacheSlots:         cfg.CacheSlots,
-			PartialReconfig:    cfg.PartialReconfig,
-			Policy:             cfg.Policy,
-			Adaptive:           cfg.Adaptive,
-			SlowdownCap:        cfg.SlowdownCap,
-			InitialActiveSites: cfg.InitialSitesPerRegion,
-			Net:                cfg.Net,
-			RegistryNet:        cfg.RegistryNet,
-			Trace:              ftrace,
-			EngineTrace:        etrace,
+			Sites:           cfg.SitesPerRegion,
+			NewCluster:      func(site int) *platform.Cluster { return cfg.NewCluster(i, site) },
+			CacheSlots:      cfg.CacheSlots,
+			PartialReconfig: cfg.PartialReconfig,
+			Adaptive:        cfg.Adaptive,
+			RegistryNet:     cfg.RegistryNet,
+			Trace:           ftrace,
+			EngineTrace:     etrace,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("region: %s: %w", name, err)
-		}
-		active := cfg.SitesPerRegion
-		if cfg.InitialSitesPerRegion > 0 {
-			active = cfg.InitialSitesPerRegion
 		}
 		f.regions = append(f.regions, &region{
 			idx: i, name: name, reg: reg, fl: fl,
 			fc:       NewForecaster(cfg.WindowSeconds, 0.5, cfg.ForecastLag),
 			nextRoll: cfg.WindowSeconds,
-			active:   active,
+			active:   cfg.SitesPerRegion,
 			storeUse: make(map[string]int64),
-			dstore:   dataset.NewStore(cfg.DatasetStoreBytes),
+			dstore:   dataset.NewStore(datasetStoreBytes),
 		})
 		f.regions[i].stats.Name = name
 	}
@@ -597,7 +562,10 @@ func (f *Federation) partitioned(r int, t float64) bool {
 // already resolved on return). Batch work may be parked in the hold
 // queue and served by a later SubmitAt or Drain. An error means the
 // request was rejected (guaranteed proof impossible, no active site, or
-// invalid request); nothing was enqueued.
+// invalid request); nothing was enqueued. An invalid request (nil
+// workflow, home out of range, non-finite arrival, guaranteed without a
+// positive finite deadline) touches no state and is not counted as
+// rejected.
 func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 	if req.Workflow == nil {
 		return nil, fmt.Errorf("region: nil workflow")
@@ -605,8 +573,11 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 	if req.Home < 0 || req.Home >= len(f.regions) {
 		return nil, fmt.Errorf("region: home region %d outside [0, %d)", req.Home, len(f.regions))
 	}
-	if req.Class == Guaranteed && req.Deadline <= 0 {
-		return nil, fmt.Errorf("region: guaranteed request needs a positive deadline, got %.3g", req.Deadline)
+	if math.IsNaN(req.Arrival) || math.IsInf(req.Arrival, 0) {
+		return nil, fmt.Errorf("region: arrival %g is not a finite modelled time", req.Arrival)
+	}
+	if req.Class == Guaranteed && !(req.Deadline > 0 && req.Deadline < math.Inf(1)) {
+		return nil, fmt.Errorf("region: guaranteed request needs a positive finite deadline, got %.3g", req.Deadline)
 	}
 	if req.Tenant == "" {
 		req.Tenant = "default"
@@ -694,7 +665,7 @@ func (f *Federation) route(req Request, h *Handle) error {
 		}
 		handoff := 0.0
 		if r.idx != home {
-			handoff = f.wan.SendSeconds(req.InputBytes) + f.cfg.HandoffPenalty
+			handoff = f.wan.SendSeconds(req.InputBytes) + handoffPenalty
 		}
 		eff := req.Arrival + handoff
 		wait, ok := r.fl.QueueWait(eff)
@@ -870,12 +841,12 @@ func (f *Federation) fetchEstimate(r *region, needs []string, at float64) float6
 			continue
 		}
 		if f.partitioned(r.idx, at) {
-			total += f.cfg.FallbackSeconds
+			total += fallbackSeconds
 			continue
 		}
 		ent, err := f.catalog.Entry(id)
 		if err != nil {
-			total += f.cfg.FallbackSeconds
+			total += fallbackSeconds
 			continue
 		}
 		total += f.wan.SendSeconds(f.imageBytes(r, ent.Resources()))
@@ -987,7 +958,7 @@ func (f *Federation) preemptDue(t, completion float64) {
 			if hw.release > t {
 				continue
 			}
-			hw.release = math.Max(completion, t) + f.cfg.PreemptPenalty
+			hw.release = math.Max(completion, t) + preemptPenalty
 			hw.pushes++
 			r.stats.Preemptions++
 			if f.cfg.Trace != nil {
@@ -1013,7 +984,7 @@ func (f *Federation) Preempt(h *Handle) error {
 	if hw == nil {
 		return fmt.Errorf("region: workflow already completed; cannot preempt")
 	}
-	hw.release += f.cfg.PreemptPenalty
+	hw.release += preemptPenalty
 	hw.pushes++
 	r := f.regions[hw.req.Home]
 	r.stats.Preemptions++
@@ -1027,40 +998,45 @@ func (f *Federation) Preempt(h *Handle) error {
 
 // advance processes every modelled event due by time t, in time order
 // with deterministic tie-breaks: window rolls (forecast, prefetch,
-// autoscale), and — when flushHeld is set — hold-queue releases.
+// autoscale), and — when flushHeld is set — hold-queue releases. A roll
+// goes before a release due at the same time.
 func (f *Federation) advance(t float64, flushHeld bool) {
 	for {
-		bestT := math.Inf(1)
-		kind := -1 // 0 = roll, 1 = release
-		var br *region
-		var bh *held
+		var roll *region
 		for _, r := range f.regions {
-			if r.nextRoll <= t && r.nextRoll < bestT {
-				bestT, kind, br = r.nextRoll, 0, r
+			if r.nextRoll <= t && (roll == nil || r.nextRoll < roll.nextRoll) {
+				roll = r
 			}
 		}
 		if flushHeld {
-			for _, r := range f.regions {
-				for _, hw := range r.held {
-					if hw.release > t {
-						continue
-					}
-					if hw.release < bestT || (hw.release == bestT && kind == 1 && hw.seq < bh.seq) {
-						bestT, kind, br, bh = hw.release, 1, r, hw
-					}
-				}
+			if hr, hw := f.nextHeld(t); hw != nil && (roll == nil || hw.release < roll.nextRoll) {
+				f.release(hr, hw)
+				continue
 			}
 		}
-		if kind < 0 {
+		if roll == nil {
 			return
 		}
-		if kind == 0 {
-			f.roll(br, br.nextRoll)
-			br.nextRoll += f.cfg.WindowSeconds
-			continue
-		}
-		f.release(br, bh)
+		f.roll(roll, roll.nextRoll)
+		roll.nextRoll += f.cfg.WindowSeconds
 	}
+}
+
+// nextHeld returns the held batch workflow, across all regions, that is
+// released first among those due by t: earliest release, then FIFO by
+// submission. It returns a nil workflow when none is due.
+func (f *Federation) nextHeld(t float64) (*region, *held) {
+	var br *region
+	var bh *held
+	for _, r := range f.regions {
+		for _, hw := range r.held {
+			if hw.release <= t && (bh == nil || hw.release < bh.release ||
+				(hw.release == bh.release && hw.seq < bh.seq)) {
+				br, bh = r, hw
+			}
+		}
+	}
+	return br, bh
 }
 
 // release serves one held batch workflow at its release time.
@@ -1133,25 +1109,25 @@ func (f *Federation) prefetch(r *region, at float64) {
 }
 
 // autoscale reacts to the queue state at a window roll: a wait past
-// ScaleUpWait activates the next site (serving from at+SiteBootSeconds);
-// ScaleDownIdleWindows consecutive idle rolls deactivate the last one
+// scaleUpWait activates the next site (serving from at+siteBootSeconds);
+// scaleDownIdleWindows consecutive idle rolls deactivate the last one
 // (never below one site).
 func (f *Federation) autoscale(r *region, at float64) {
 	wait, ok := r.fl.QueueWait(at)
 	switch {
-	case ok && wait > f.cfg.ScaleUpWait && r.active < f.cfg.SitesPerRegion:
-		if err := r.fl.SetSiteActive(r.active, true, at+f.cfg.SiteBootSeconds); err == nil {
+	case ok && wait > scaleUpWait && r.active < f.cfg.SitesPerRegion:
+		if err := r.fl.SetSiteActive(r.active, true, at+siteBootSeconds); err == nil {
 			r.active++
 			r.idleWindows = 0
 			r.stats.ScaleUps++
 			if f.cfg.Trace != nil {
 				f.trace(Event{Kind: EventScaleUp, Region: r.name, Time: at,
-					Detail: fmt.Sprintf("wait=%.4gs sites=%d (boot %.3gs)", wait, r.active, f.cfg.SiteBootSeconds)})
+					Detail: fmt.Sprintf("wait=%.4gs sites=%d (boot %.3gs)", wait, r.active, siteBootSeconds)})
 			}
 		}
 	case ok && wait == 0 && r.active > 1:
 		r.idleWindows++
-		if r.idleWindows >= f.cfg.ScaleDownIdleWindows {
+		if r.idleWindows >= scaleDownIdleWindows {
 			if err := r.fl.SetSiteActive(r.active-1, false, at); err == nil {
 				r.active--
 				r.stats.ScaleDowns++
@@ -1178,19 +1154,11 @@ func (f *Federation) Drain(at float64) {
 	}
 	f.advance(f.frontier, true)
 	for {
-		var br *region
-		var bh *held
-		for _, r := range f.regions {
-			for _, hw := range r.held {
-				if bh == nil || hw.release < bh.release || (hw.release == bh.release && hw.seq < bh.seq) {
-					br, bh = r, hw
-				}
-			}
-		}
-		if bh == nil {
+		r, hw := f.nextHeld(math.Inf(1))
+		if hw == nil {
 			return
 		}
-		f.release(br, bh)
+		f.release(r, hw)
 	}
 }
 

@@ -3,6 +3,8 @@ package region
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -109,8 +111,6 @@ func TestNewValidates(t *testing.T) {
 		{"zero regions", cat, Config{SitesPerRegion: 1, NewCluster: testClusters(1)}},
 		{"zero sites", cat, Config{Regions: 1, NewCluster: testClusters(1)}},
 		{"nil cluster builder", cat, Config{Regions: 1, SitesPerRegion: 1}},
-		{"initial sites beyond fleet", cat, Config{Regions: 1, SitesPerRegion: 1,
-			InitialSitesPerRegion: 2, NewCluster: testClusters(1)}},
 		{"partition out of range", cat, Config{Regions: 1, SitesPerRegion: 1, NewCluster: testClusters(1),
 			Partitions: []Partition{{Region: 3, From: 0, Until: 1}}}},
 		{"partition empty interval", cat, Config{Regions: 1, SitesPerRegion: 1, NewCluster: testClusters(1),
@@ -424,7 +424,7 @@ func TestManualPreemptMovesReleaseAndTraces(t *testing.T) {
 		if _, err := bh.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		return release, f.cfg.PreemptPenalty, events, f.Shutdown().Preemptions
+		return release, preemptPenalty, events, f.Shutdown().Preemptions
 	}
 	base, _, _, _ := serve(false)
 	pushed, penalty, events, counted := serve(true)
@@ -557,11 +557,13 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 }
 
+// TestAutoscaleJoinsAndLeaves: every site starts active, so the region
+// first releases its idle extra site after 4 idle rolls, then brings it
+// back once the queue wait at a roll passes 0.5 s; the returning site
+// serves only after its 2 s boot.
 func TestAutoscaleJoinsAndLeaves(t *testing.T) {
 	cat := platform.NewRegistry()
-	f := newTestFed(t, cat, Config{Regions: 1, SitesPerRegion: 2, InitialSitesPerRegion: 1,
-		Autoscale: true, ScaleUpWait: 0.1, ScaleDownIdleWindows: 2, SiteBootSeconds: 0.5,
-		WindowSeconds: 0.25})
+	f := newTestFed(t, cat, Config{Regions: 1, SitesPerRegion: 2, Autoscale: true, WindowSeconds: 0.25})
 	defer f.Shutdown()
 	submit := func(w *runtime.Workflow, at float64) Result {
 		h, err := f.SubmitAt(Request{Workflow: w, Class: Interactive, Arrival: at})
@@ -574,26 +576,49 @@ func TestAutoscaleJoinsAndLeaves(t *testing.T) {
 		}
 		return res
 	}
-	res := submit(heavyWorkflow(), 0)
-	if res.Completion < 1 {
-		t.Fatalf("heavy completion %g, want a queue worth scaling for", res.Completion)
+	// sized is a one-task workflow of about the given service seconds on
+	// a test node (cpuWorkflow's 5e9 flops take about 0.098 s).
+	sized := func(seconds float64) *runtime.Workflow {
+		w := runtime.NewWorkflow()
+		if err := w.Submit(runtime.TaskSpec{Name: "only", Flops: seconds * 5e9 / 0.0977, OutputBytes: 1 << 18}); err != nil {
+			t.Fatal(err)
+		}
+		return w
 	}
-	// The next arrival drives window rolls past t=0.25: the roll sees the
-	// backed-up queue and activates site 1 (with boot delay).
-	submit(cpuWorkflow(), 0.3)
-	st := f.Stats()
-	if st.Regions[0].ScaleUps != 1 || st.Regions[0].ActiveSites != 2 {
-		t.Fatalf("ScaleUps=%d ActiveSites=%d, want 1/2", st.Regions[0].ScaleUps, st.Regions[0].ActiveSites)
+	region0 := func() RegionStats { return f.Stats().Regions[0] }
+	// Rolls at 0.25, 0.5 and 0.75 see an idle fleet: three idle windows
+	// are one short of a scale-down.
+	submit(cpuWorkflow(), 0.9)
+	if st := region0(); st.ScaleDowns != 0 || st.ActiveSites != 2 {
+		t.Fatalf("after 3 idle windows ScaleDowns=%d ActiveSites=%d, want 0/2", st.ScaleDowns, st.ActiveSites)
 	}
-	// Long idle stretch: rolls past the drain see zero wait and scale the
-	// extra site back out after ScaleDownIdleWindows windows.
-	submit(cpuWorkflow(), res.Completion+5)
-	st = f.Shutdown()
-	if st.Regions[0].ScaleDowns < 1 {
-		t.Fatalf("ScaleDowns = %d, want the idle site released", st.Regions[0].ScaleDowns)
+	// The fourth idle roll, at 1.0, releases site 1. The lone site then
+	// serves a 0.5 s workflow: the rolls at 1.25 and 1.5 see waits of
+	// about 0.35 s and 0.1 s, under the scale-up threshold.
+	submit(sized(0.5), 1.1)
+	if st := region0(); st.ScaleDowns != 1 || st.ActiveSites != 1 {
+		t.Fatalf("after 4 idle windows ScaleDowns=%d ActiveSites=%d, want 1/1", st.ScaleDowns, st.ActiveSites)
 	}
-	if st.Regions[0].ActiveSites != 1 {
-		t.Fatalf("ActiveSites = %d after idle, want 1", st.Regions[0].ActiveSites)
+	submit(sized(0.9), 1.6)
+	if st := region0(); st.ScaleUps != 0 {
+		t.Fatalf("waits under 0.5 s scaled up %d time(s)", st.ScaleUps)
+	}
+	// The roll at 1.75 sees a wait of about 0.75 s and activates site 1,
+	// which serves from 1.75 plus the 2 s boot.
+	heavy := submit(heavyWorkflow(), 1.8)
+	if st := region0(); st.ScaleUps != 1 || st.ActiveSites != 2 || heavy.Site != "site00" {
+		t.Fatalf("after the backed-up roll ScaleUps=%d ActiveSites=%d heavy on %s, want 1/2/site00",
+			st.ScaleUps, st.ActiveSites, heavy.Site)
+	}
+	const booted = 1.75 + 2
+	if heavy.Completion <= booted {
+		t.Fatalf("heavy workflow completes at %g, want site00 busy past the boot", heavy.Completion)
+	}
+	if res := submit(cpuWorkflow(), booted-0.05); res.Site != "site00" {
+		t.Fatalf("arrival during the boot served on %s, want site00", res.Site)
+	}
+	if res := submit(cpuWorkflow(), booted+0.05); res.Site != "site01" || res.Wait != 0 {
+		t.Fatalf("arrival after the boot served on %s after %gs, want idle site01", res.Site, res.Wait)
 	}
 }
 
@@ -673,6 +698,45 @@ func TestEventKindAndClassStrings(t *testing.T) {
 	for _, c := range []Class{Batch, Interactive, Guaranteed, Class(9)} {
 		if c.String() == "" {
 			t.Errorf("Class(%d).String() empty", int(c))
+		}
+	}
+}
+
+// TestSubmitRejectsNonFiniteInput: a non-finite arrival, or a guaranteed
+// request with a non-finite deadline, is a bad request. SubmitAt must say
+// so without wrapping fleet.ErrSaturated, count nothing, trace nothing,
+// and leave the frontier and the home forecaster as they were.
+func TestSubmitRejectsNonFiniteInput(t *testing.T) {
+	traced := 0
+	f := newTestFed(t, platform.NewRegistry(), Config{Regions: 1, Trace: func(Event) { traced++ }})
+	defer f.Shutdown()
+	nan, inf := math.NaN(), math.Inf(1)
+	before := f.Stats()
+	for _, req := range []Request{
+		{App: "x", Workflow: cpuWorkflow(), Class: Interactive, Arrival: nan},
+		{App: "x", Workflow: cpuWorkflow(), Class: Batch, Arrival: inf},
+		{App: "x", Workflow: cpuWorkflow(), Class: Interactive, Arrival: -inf},
+		{App: "x", Workflow: cpuWorkflow(), Class: Guaranteed, Deadline: nan},
+		{App: "x", Workflow: cpuWorkflow(), Class: Guaranteed, Deadline: inf},
+	} {
+		h, err := f.SubmitAt(req)
+		if err == nil {
+			res, _ := h.Wait()
+			t.Fatalf("arrival %g deadline %g: admitted on %s, want an error", req.Arrival, req.Deadline, res.Site)
+		}
+		if errors.Is(err, fleet.ErrSaturated) {
+			t.Fatalf("arrival %g deadline %g: %v wraps ErrSaturated, want a bad-request error",
+				req.Arrival, req.Deadline, err)
+		}
+		// Checked after every request: a non-finite frontier left behind
+		// would stall the next request's window rolls.
+		if after := f.Stats(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("arrival %g deadline %g changed the federation:\nbefore %+v\nafter  %+v",
+				req.Arrival, req.Deadline, before, after)
+		}
+		if traced != 0 || f.frontier != 0 || len(f.regions[0].fc.Apps()) != 0 || len(f.regions[0].held) != 0 {
+			t.Fatalf("arrival %g deadline %g left state behind: %d events, frontier %g, forecaster apps %v, %d held",
+				req.Arrival, req.Deadline, traced, f.frontier, f.regions[0].fc.Apps(), len(f.regions[0].held))
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 //     RunCPU(flops, bytes, cores) x SlowdownAt(start). CPUModel.TimeSeconds
 //     is non-increasing in cores, so one core on the slowest alive node is
 //     the worst case, and the load factor is capped by the fleet's
-//     SlowdownCap contract (validated against the scripted fault events).
+//     slowdown cap (fleet.New validates the scripted fault events).
 //   - FPGA executions cost platform.Execute on the programmed device with
 //     the engine's fixed Batches:4 workload and take no load multiplier;
 //     platform.ExecuteBound dominates Execute on every device, so the max

@@ -126,9 +126,6 @@ type EngineConfig struct {
 	// the design-time cost model, and hot-plug events invalidate queued
 	// placements (see adaptive.go).
 	Adaptive bool
-	// Monitor collects per-node observations; the engine creates its own
-	// when nil. Sharing one lets callers read node health after a run.
-	Monitor *platform.Monitor
 	// Net, when set, prices inter-node dependency transfers over the
 	// packetization-aware cloudFPGA network stack (netsim.Stack: per-MTU
 	// framing overhead, one-way stack latency, ack derating) instead of the
@@ -239,24 +236,20 @@ type Engine struct {
 // NewEngine builds an engine over a cluster and bitstream registry and
 // takes ownership of the cluster: stale failure state, device claims,
 // attachment and load faults left by a previous engine run are cleared,
-// and the monitor forgets its load evidence. Control calls made after
-// NewEngine (UnplugDevice, PlugDevice, SetNodeSlowdown) therefore
-// describe this engine's world, even before Start.
+// and the engine's own monitor starts with no load evidence. Control
+// calls made after NewEngine (UnplugDevice, PlugDevice, SetNodeSlowdown)
+// therefore describe this engine's world, even before Start.
 func NewEngine(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig) *Engine {
-	mon := cfg.Monitor
-	if mon == nil {
-		mon = platform.NewMonitor(c)
-	}
 	for _, n := range c.Nodes {
 		n.Heal()
 		n.ResetDeviceClaims()
 		n.ResetCondition()
 	}
-	mon.Reset()
-	return &Engine{cluster: c, reg: reg, cfg: cfg, monitor: mon}
+	return &Engine{cluster: c, reg: reg, cfg: cfg, monitor: platform.NewMonitor(c)}
 }
 
-// Monitor returns the engine's per-node observation layer.
+// Monitor returns the engine's per-node observation layer; callers read
+// node health through it after a run.
 func (e *Engine) Monitor() *platform.Monitor { return e.monitor }
 
 // Stats returns a snapshot of the engine's serving state. The counter

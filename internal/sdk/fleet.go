@@ -17,7 +17,8 @@ import (
 // E-fleet scenario serving mixed compiled and hand-declared workloads across
 // federated sites under bitstream-cache churn and unplug faults.
 
-// FleetConfig configures a FleetServer.
+// FleetConfig configures a FleetServer. Sites program whole devices;
+// partial reconfiguration is a region-tier setting (RegionConfig).
 type FleetConfig struct {
 	// Sites is the number of federated engine sites (>= 1).
 	Sites int
@@ -26,10 +27,6 @@ type FleetConfig struct {
 	NodesPerSite int
 	// CacheSlots bounds each site's resident bitstreams (default 1).
 	CacheSlots int
-	// PartialReconfig deploys kernels into per-region FPGA slots (region-
-	// sized image transfers and reconfiguration) instead of whole devices;
-	// kernels too large for a region fall back to whole-device programming.
-	PartialReconfig bool
 	// Policy selects each site engine's placement strategy.
 	Policy runtime.Policy
 	// Adaptive enables variant-aware scheduling per site.
@@ -89,7 +86,6 @@ func NewFleetServer(cfg FleetConfig) (*FleetServer, error) {
 		Sites:             cfg.Sites,
 		NewCluster:        func(int) *platform.Cluster { return DefaultCluster(cfg.NodesPerSite) },
 		CacheSlots:        cfg.CacheSlots,
-		PartialReconfig:   cfg.PartialReconfig,
 		Policy:            cfg.Policy,
 		Adaptive:          cfg.Adaptive,
 		MaxQueueSeconds:   cfg.MaxQueueSeconds,
@@ -210,12 +206,12 @@ func DefaultFleetScenario() FleetScenario {
 // driven toward best-effort saturation (tighter arrivals), with every 4th
 // submission requesting the proven-bound admission class, site 0 losing
 // an accelerator AND suffering a 3x CPU slowdown of its first node from
-// 0.4 s. The slowdown respects the fleet's SlowdownCap contract (default
-// cap 4) — NewFleetServer rejects a larger one, which is exactly what
-// keeps guaranteed bounds sound under the fault. The verifier gates
-// BoundViolations at exactly zero on this scenario: admitted guarantees
-// must hold through the faults at saturation, refusals must degrade
-// cleanly to best-effort.
+// 0.4 s. The slowdown respects the fleet's slowdown cap of 4, a constant
+// that fleet.New enforces — NewFleetServer rejects a larger factor, which
+// is exactly what keeps guaranteed bounds sound under the fault. The
+// verifier gates BoundViolations at exactly zero on this scenario:
+// admitted guarantees must hold through the faults at saturation,
+// refusals must degrade cleanly to best-effort.
 func DefaultGuaranteedScenario() FleetScenario {
 	sc := DefaultFleetScenario()
 	sc.ArrivalGap = 0.02 // push the best-effort tier toward saturation

@@ -18,15 +18,14 @@ import (
 // around the regions with background batch churn, the workload on which
 // prefetch-on must beat prefetch-off cold-start latency.
 
-// RegionConfig configures a RegionServer.
+// RegionConfig configures a RegionServer. Every site serves from Start;
+// with Autoscale a region releases idle sites and brings them back
+// under load.
 type RegionConfig struct {
 	// Regions is the number of federated regions (>= 1).
 	Regions int
 	// SitesPerRegion is each region's fleet size (default 2).
 	SitesPerRegion int
-	// InitialSitesPerRegion caps the sites serving at Start (0 = all);
-	// autoscaling brings in the rest.
-	InitialSitesPerRegion int
 	// NodesPerSite is each site cluster's compute-node count (default 2).
 	NodesPerSite int
 	// CacheSlots bounds each site's resident bitstreams (fleet semantics).
@@ -34,12 +33,11 @@ type RegionConfig struct {
 	// StoreSlots bounds each region's artifact store (region semantics;
 	// 0 = unbounded).
 	StoreSlots int
-	// PartialReconfig, Policy, Adaptive forward to every region's fleet.
+	// PartialReconfig and Adaptive forward to every region's fleet.
 	PartialReconfig bool
-	Policy          runtime.Policy
 	Adaptive        bool
-	// Net / RegistryNet name the intra-region fabrics ("" = defaults).
-	Net         string
+	// RegistryNet names the registry→site deploy fabric inside each
+	// region ("" = eth100g).
 	RegistryNet string
 	// WAN names the inter-region fabric ("" = wan10g; "wan1g" for the
 	// geo-distributed flavour).
@@ -88,10 +86,6 @@ func NewRegionServer(cfg RegionConfig) (*RegionServer, error) {
 	if cfg.NodesPerSite < 1 {
 		cfg.NodesPerSite = 2
 	}
-	net, err := stackByName(cfg.Net)
-	if err != nil {
-		return nil, err
-	}
 	regNet, err := stackByName(cfg.RegistryNet)
 	if err != nil {
 		return nil, err
@@ -102,27 +96,24 @@ func NewRegionServer(cfg RegionConfig) (*RegionServer, error) {
 	}
 	catalog := platform.NewRegistry()
 	fed, err := region.New(catalog, region.Config{
-		Regions:               cfg.Regions,
-		SitesPerRegion:        cfg.SitesPerRegion,
-		InitialSitesPerRegion: cfg.InitialSitesPerRegion,
-		NewCluster:            func(_, _ int) *platform.Cluster { return DefaultCluster(cfg.NodesPerSite) },
-		CacheSlots:            cfg.CacheSlots,
-		PartialReconfig:       cfg.PartialReconfig,
-		Policy:                cfg.Policy,
-		Adaptive:              cfg.Adaptive,
-		Net:                   net,
-		RegistryNet:           regNet,
-		WAN:                   wan,
-		StoreSlots:            cfg.StoreSlots,
-		Prefetch:              cfg.Prefetch,
-		Autoscale:             cfg.Autoscale,
-		WindowSeconds:         cfg.WindowSeconds,
-		WarmThreshold:         cfg.WarmThreshold,
-		ForecastLag:           cfg.ForecastLag,
-		Partitions:            cfg.Partitions,
-		Trace:                 cfg.Trace,
-		FleetTrace:            cfg.FleetTrace,
-		EngineTrace:           cfg.EngineTrace,
+		Regions:         cfg.Regions,
+		SitesPerRegion:  cfg.SitesPerRegion,
+		NewCluster:      func(_, _ int) *platform.Cluster { return DefaultCluster(cfg.NodesPerSite) },
+		CacheSlots:      cfg.CacheSlots,
+		PartialReconfig: cfg.PartialReconfig,
+		Adaptive:        cfg.Adaptive,
+		RegistryNet:     regNet,
+		WAN:             wan,
+		StoreSlots:      cfg.StoreSlots,
+		Prefetch:        cfg.Prefetch,
+		Autoscale:       cfg.Autoscale,
+		WindowSeconds:   cfg.WindowSeconds,
+		WarmThreshold:   cfg.WarmThreshold,
+		ForecastLag:     cfg.ForecastLag,
+		Partitions:      cfg.Partitions,
+		Trace:           cfg.Trace,
+		FleetTrace:      cfg.FleetTrace,
+		EngineTrace:     cfg.EngineTrace,
 	})
 	if err != nil {
 		return nil, err
@@ -201,9 +192,6 @@ type RegionScenario struct {
 	GuaranteedDeadline float64
 	// InputBytes is each workflow's WAN handoff payload.
 	InputBytes int64
-	// SLO is the tail-latency target the saturation metric gates on
-	// (applied to TailP99; 0 = report only).
-	SLO float64
 	// Apps names the workload-registry applications the wave serves.
 	Apps []string
 }
@@ -239,7 +227,6 @@ func DefaultRegionScenario() RegionScenario {
 		Workflows: 200, ArrivalGap: 0.5, BlockSize: 4,
 		BatchEvery: 5, GuaranteedEvery: 7, GuaranteedDeadline: 12,
 		InputBytes: 24 << 20,
-		SLO:        0,
 		Apps:       apps.Names(),
 	}
 }
@@ -269,7 +256,6 @@ type RegionResult struct {
 	TailP99          float64
 	TailColdStartP99 float64
 	TailCold         int
-	SLOMet           bool
 	// Guaranteed accounting (FleetResult semantics).
 	GuaranteedAdmitted  int
 	GuaranteedRefused   int
@@ -463,7 +449,6 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 	if out.Makespan > 0 {
 		out.Throughput = float64(out.Completed) / out.Makespan
 	}
-	out.SLOMet = out.Completed == sc.Workflows && (sc.SLO <= 0 || out.TailP99 <= sc.SLO)
 	return out, nil
 }
 

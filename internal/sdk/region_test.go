@@ -18,7 +18,6 @@ func TestRegionServerValidates(t *testing.T) {
 	}
 	for _, cfg := range []RegionConfig{
 		{Regions: 2, WAN: "no-such-fabric"},
-		{Regions: 2, Net: "no-such-fabric"},
 		{Regions: 2, RegistryNet: "no-such-fabric"},
 	} {
 		if _, err := NewRegionServer(cfg); err == nil {

@@ -44,8 +44,6 @@ type StreamScenario struct {
 	// (default 0.05).
 	WindowEvents  int
 	WindowSeconds float64
-	// QueueWindows bounds each inter-stage queue (stream.Config; default 4).
-	QueueWindows int
 	// PartialReconfig keeps several kernels resident per device in PR
 	// region slots; off, every kernel alternation reprograms a whole card.
 	PartialReconfig bool
@@ -226,7 +224,6 @@ func (s *StreamServer) RunAt(rate float64) (stream.Stats, error) {
 	e, err := stream.New(stream.Config{
 		Cluster:         DefaultCluster(s.sc.Nodes),
 		PartialReconfig: s.sc.PartialReconfig,
-		QueueWindows:    s.sc.QueueWindows,
 		Trace:           s.sc.Trace,
 	}, s.Pipelines(rate))
 	if err != nil {

@@ -44,7 +44,7 @@ type stageRun struct {
 	node *platform.Node // software host (pricing + FPGA fallback)
 	ds   *devState      // accelerator residency state; nil = software stage
 
-	queue []*window // ring buffer, len = Config.QueueWindows
+	queue []*window // ring buffer, len = queueWindows
 	qHead int
 	qLen  int
 
@@ -84,7 +84,6 @@ type pipeline struct {
 // Engines are single-shot: New, then Run once.
 type Engine struct {
 	cfg    Config
-	qcap   int
 	pipes  []*pipeline
 	devs   []*devState
 	heap   *runtime.TimeHeap
@@ -95,6 +94,9 @@ type Engine struct {
 	makespan  float64
 	ran       bool
 }
+
+// queueWindows bounds each inter-stage queue, in windows.
+const queueWindows = 4
 
 // Event slot offsets within a pipeline's Seq stride.
 const (
@@ -114,10 +116,7 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("stream: no pipelines")
 	}
-	if cfg.QueueWindows <= 0 {
-		cfg.QueueWindows = 4
-	}
-	e := &Engine{cfg: cfg, qcap: cfg.QueueWindows}
+	e := &Engine{cfg: cfg}
 
 	// Enumerate the cluster's accelerators in deterministic node/device
 	// order.
@@ -154,7 +153,7 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 			sr := &pl.stages[k]
 			sr.spec = st
 			sr.node = host
-			sr.queue = make([]*window, e.qcap)
+			sr.queue = make([]*window, queueWindows)
 			sr.stats.Name = st.Name
 			if !st.fpga() {
 				continue
@@ -221,7 +220,7 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 
 	e.stride = maxStages + slotDone
 	e.heap = runtime.NewTimeHeap(len(e.pipes) * (e.stride + 2))
-	e.pool = make([]*window, 0, len(e.pipes)*(maxStages*(e.qcap+2)+2))
+	e.pool = make([]*window, 0, len(e.pipes)*(maxStages*(queueWindows+2)+2))
 	return e, nil
 }
 
@@ -304,7 +303,7 @@ func (e *Engine) closeWindow(p *pipeline, t float64) {
 		// Backpressure: overload waits in the unbounded ingress buffer; the
 		// buffer drains FIFO as stage 0 frees queue slots, so a new window
 		// must queue behind earlier overflow.
-		if len(p.ingress)-p.ingHead > 0 || s0.qLen == e.qcap {
+		if len(p.ingress)-p.ingHead > 0 || s0.qLen == queueWindows {
 			p.ingress = append(p.ingress, w)
 			return
 		}
@@ -312,7 +311,7 @@ func (e *Engine) closeWindow(p *pipeline, t float64) {
 		e.tryStart(p, 0, t)
 		return
 	}
-	if s0.qLen == e.qcap {
+	if s0.qLen == queueWindows {
 		e.shedWindow(p, 0, w, t)
 		return
 	}
@@ -323,7 +322,7 @@ func (e *Engine) closeWindow(p *pipeline, t float64) {
 // push appends a window to stage k's bounded ring (caller checked space).
 func (e *Engine) push(p *pipeline, k int, w *window) {
 	si := &p.stages[k]
-	si.queue[(si.qHead+si.qLen)%e.qcap] = w
+	si.queue[(si.qHead+si.qLen)%queueWindows] = w
 	si.qLen++
 }
 
@@ -345,7 +344,7 @@ func (e *Engine) pop(p *pipeline, k int, t float64) *window {
 	si := &p.stages[k]
 	w := si.queue[si.qHead]
 	si.queue[si.qHead] = nil
-	si.qHead = (si.qHead + 1) % e.qcap
+	si.qHead = (si.qHead + 1) % queueWindows
 	si.qLen--
 	if k == 0 {
 		if p.ingHead < len(p.ingress) {
@@ -475,7 +474,7 @@ func (e *Engine) stageDone(p *pipeline, k int, t float64) {
 		e.finishWindow(p, w, t)
 	} else {
 		ni := &p.stages[k+1]
-		if ni.qLen == e.qcap {
+		if ni.qLen == queueWindows {
 			if p.spec.Policy == Shed {
 				e.shedWindow(p, k+1, w, t)
 			} else {

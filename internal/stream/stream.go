@@ -89,7 +89,8 @@ type PipelineSpec struct {
 	Stages []StageSpec
 }
 
-// Config configures a streaming Engine.
+// Config configures a streaming Engine. Every inter-stage queue holds
+// four windows.
 type Config struct {
 	// Cluster hosts the pipelines (required). Software operators price on
 	// the node CPUs; accelerated operators share the cluster's FPGAs.
@@ -99,8 +100,6 @@ type Config struct {
 	// holds one whole-device image at a time and every kernel alternation
 	// pays a full reconfiguration.
 	PartialReconfig bool
-	// QueueWindows bounds each inter-stage queue, in windows (default 4).
-	QueueWindows int
 	// Trace, when set, receives window-level events (close/shed/swap/done)
 	// in deterministic modelled-time order.
 	Trace func(Event)

@@ -17,6 +17,7 @@ package dataset
 import (
 	"fmt"
 	"sort"
+	"unique"
 )
 
 // Ref names one partition of a dataset together with its modelled size.
@@ -28,10 +29,10 @@ type Ref struct {
 	Bytes     int64  // modelled partition size
 }
 
-// Key identifies a partition independent of its size. It is a comparable
-// struct rather than a formatted string so hot-path lookups (the fleet
-// router prices every candidate site per submission, allocation-free)
-// need no formatting.
+// Key identifies a partition independent of its size. Keys are interned
+// once, where a partition enters the system (Intern), not hashed per
+// lookup: every store and catalog is keyed by the resulting ID, so the
+// serving path compares pointers instead of hashing dataset names.
 type Key struct {
 	Name      string
 	Partition int
@@ -39,8 +40,25 @@ type Key struct {
 
 func (k Key) String() string { return fmt.Sprintf("%s#%d", k.Name, k.Partition) }
 
-// Key returns the store key identifying this partition.
+// Key returns the identity of this partition.
 func (r Ref) Key() Key { return Key{Name: r.Name, Partition: r.Partition} }
+
+// ID is an interned Key: two IDs are equal exactly when their keys are,
+// and comparing or hashing one costs a pointer. IDs carry no order; render
+// them through Value when something must be sorted or printed.
+type ID = unique.Handle[Key]
+
+// Part is a partition resolved for serving: the Ref, and beside it the ID
+// stores and catalogs key it by. The Ref keeps its value semantics.
+type Part struct {
+	Ref Ref
+	ID  ID
+}
+
+// Intern resolves r to a Part. It hashes r's key, so call it where a
+// partition enters the system (workflow submission, placement), never
+// per lookup.
+func Intern(r Ref) Part { return Part{Ref: r, ID: unique.Make(r.Key())} }
 
 func (r Ref) String() string {
 	return fmt.Sprintf("%s#%d(%dB)", r.Name, r.Partition, r.Bytes)
@@ -86,6 +104,7 @@ func Sum(refs []Ref) int64 {
 // (see Supersedes).
 type Version struct {
 	Ref      Ref
+	ID       ID      // Ref's interned key (Intern); the store keys by it
 	Time     float64 // modelled publish time
 	Workflow string  // publishing workflow id
 	Task     string  // producing task (informational)
@@ -141,7 +160,7 @@ type entry struct {
 // with NewStore and not copied.
 type Store struct {
 	capacity int64 // max resident bytes; 0 = unbounded
-	resident map[Key]*entry
+	resident map[ID]*entry
 	lru      entry  // sentinel: lru.next is the oldest, lru.prev the newest
 	free     *entry // evicted entries awaiting reuse, linked through next
 	bytes    int64
@@ -150,7 +169,7 @@ type Store struct {
 
 // NewStore returns an empty store bounded to capacity bytes (0 = unbounded).
 func NewStore(capacity int64) *Store {
-	s := &Store{capacity: capacity, resident: make(map[Key]*entry)}
+	s := &Store{capacity: capacity, resident: make(map[ID]*entry)}
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	return s
 }
@@ -169,8 +188,8 @@ func (s *Store) Stats() StoreStats { return s.stats }
 
 // Contains reports whether the partition is resident, counting the probe
 // and refreshing its LRU position on a hit.
-func (s *Store) Contains(r Ref) bool {
-	e, ok := s.resident[r.Key()]
+func (s *Store) Contains(id ID) bool {
+	e, ok := s.resident[id]
 	if ok {
 		s.touch(e)
 		s.stats.Hits++
@@ -183,28 +202,28 @@ func (s *Store) Contains(r Ref) bool {
 // Holds reports residency without touching LRU order or counters — the
 // pure read routing estimates use, so pricing candidate sites does not
 // perturb the store state the chosen site will see.
-func (s *Store) Holds(r Ref) bool {
-	_, ok := s.resident[r.Key()]
+func (s *Store) Holds(id ID) bool {
+	_, ok := s.resident[id]
 	return ok
 }
 
-// MissingBytes sums the bytes of refs not resident, without touching LRU
+// MissingBytes sums the bytes of parts not resident, without touching LRU
 // order or counters (an estimate over candidate sites must not perturb
 // the store). Resident partitions contribute zero: the site already
 // holds them.
-func (s *Store) MissingBytes(refs []Ref) int64 {
+func (s *Store) MissingBytes(parts []Part) int64 {
 	var missing int64
-	for _, r := range refs {
-		if _, ok := s.resident[r.Key()]; !ok {
-			missing += r.Bytes
+	for _, p := range parts {
+		if _, ok := s.resident[p.ID]; !ok {
+			missing += p.Ref.Bytes
 		}
 	}
 	return missing
 }
 
 // Version returns the lineage record of a resident partition.
-func (s *Store) Version(r Ref) (Version, bool) {
-	e, ok := s.resident[r.Key()]
+func (s *Store) Version(id ID) (Version, bool) {
+	e, ok := s.resident[id]
 	if !ok {
 		return Version{}, false
 	}
@@ -218,10 +237,9 @@ func (s *Store) Version(r Ref) (Version, bool) {
 // A version already resident is replaced only when the newcomer
 // supersedes it per the (time, workflow id, name) tie-break; a rejected
 // publish still refreshes the winner's LRU position (the data was just
-// produced again, so it is hot either way).
+// produced again, so it is hot either way). v.ID must be v.Ref's ID.
 func (s *Store) Publish(v Version, dst []Version) []Version {
-	key := v.Ref.Key()
-	if e, ok := s.resident[key]; ok {
+	if e, ok := s.resident[v.ID]; ok {
 		s.touch(e)
 		if !Supersedes(v, e.ver) {
 			s.stats.Rejected++
@@ -248,7 +266,7 @@ func (s *Store) Publish(v Version, dst []Version) []Version {
 	}
 	e.ver = v
 	s.pushNewest(e)
-	s.resident[key] = e
+	s.resident[v.ID] = e
 	s.bytes += v.Ref.Bytes
 	s.stats.Published++
 	s.stats.PublishedBytes += v.Ref.Bytes
@@ -281,7 +299,7 @@ func (s *Store) enforce(keep *entry, dst []Version) []Version {
 			break
 		}
 		e.prev.next, e.next.prev = e.next, e.prev
-		delete(s.resident, e.ver.Ref.Key())
+		delete(s.resident, e.ver.ID)
 		s.bytes -= e.ver.Ref.Bytes
 		s.stats.Evictions++
 		s.stats.EvictedBytes += e.ver.Ref.Bytes
@@ -297,8 +315,44 @@ func (s *Store) enforce(keep *entry, dst []Version) []Version {
 func (s *Store) Keys() []string {
 	keys := make([]string, 0, len(s.resident))
 	for k := range s.resident {
-		keys = append(keys, k.String())
+		keys = append(keys, k.Value().String())
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// Catalog is the set of partitions known to a serving tier: placed or
+// published somewhere. Known refs are the ones locality pricing and
+// fetches are scoped to; an unknown ref is outside source data, equally
+// far from everywhere.
+type Catalog map[ID]struct{}
+
+// Add records a partition as known. The catalog only grows, and most
+// adds repeat a known partition, so it probes before it writes.
+func (c Catalog) Add(id ID) {
+	if _, ok := c[id]; !ok {
+		c[id] = struct{}{}
+	}
+}
+
+// Known filters parts down to the catalogued ones. It returns parts
+// itself, allocating nothing, when every part is known, and nil when
+// none is; the result must not be modified.
+func (c Catalog) Known(parts []Part) []Part {
+	for i, p := range parts {
+		if _, ok := c[p.ID]; ok {
+			continue
+		}
+		out := parts[:i:i]
+		for _, q := range parts[i+1:] {
+			if _, ok := c[q.ID]; ok {
+				out = append(out, q)
+			}
+		}
+		if len(out) == 0 {
+			return nil
+		}
+		return out
+	}
+	return parts
 }

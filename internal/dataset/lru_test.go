@@ -154,8 +154,10 @@ func fuzzRef(sel, size byte) Ref {
 }
 
 func fuzzVersion(key, size, lineage byte) Version {
+	r := fuzzRef(key, size)
 	return Version{
-		Ref:      fuzzRef(key, size),
+		Ref:      r,
+		ID:       id(r),
 		Time:     float64(lineage % 4),
 		Workflow: fuzzWorkflows[(lineage>>2)%3],
 		Task:     fuzzTasks[(lineage>>4)%2],
@@ -233,17 +235,18 @@ func FuzzStoreLRU(f *testing.F) {
 				}
 			case opContains:
 				r := fuzzRef(key, a)
-				if g, w := got.Contains(r), want.Contains(r); g != w {
+				if g, w := got.Contains(id(r)), want.Contains(r); g != w {
 					t.Fatalf("op %d: Contains(%v) = %v, want %v", i, r, g, w)
 				}
 			case opHolds:
 				r := fuzzRef(key, a)
-				if g, w := got.Holds(r), want.Holds(r); g != w {
+				if g, w := got.Holds(id(r)), want.Holds(r); g != w {
 					t.Fatalf("op %d: Holds(%v) = %v, want %v", i, r, g, w)
 				}
 			case opMissing:
 				refs := []Ref{fuzzRef(key, a), fuzzRef(a, b), fuzzRef(b, key)}
-				if g, w := got.MissingBytes(refs), want.MissingBytes(refs); g != w {
+				parts := []Part{Intern(refs[0]), Intern(refs[1]), Intern(refs[2])}
+				if g, w := got.MissingBytes(parts), want.MissingBytes(refs); g != w {
 					t.Fatalf("op %d: MissingBytes(%v) = %d, want %d", i, refs, g, w)
 				}
 			}
@@ -261,7 +264,7 @@ func FuzzStoreLRU(f *testing.F) {
 			}
 			for sel := byte(0); sel < 16; sel++ {
 				r := fuzzRef(sel, 0)
-				gv, gok := got.Version(r)
+				gv, gok := got.Version(id(r))
 				wv, wok := want.Version(r)
 				if gv != wv || gok != wok {
 					t.Fatalf("op %d: Version(%v) = %+v/%v, want %+v/%v", i, r.Key(), gv, gok, wv, wok)
@@ -276,7 +279,8 @@ func FuzzStoreLRU(f *testing.F) {
 func publishRing(n int, size int64) []Version {
 	vs := make([]Version, n)
 	for i := range vs {
-		vs[i] = Version{Ref: Ref{Name: "ring", Partition: i, Bytes: size}, Workflow: "wf", Task: "t"}
+		r := Ref{Name: "ring", Partition: i, Bytes: size}
+		vs[i] = Version{Ref: r, ID: id(r), Workflow: "wf", Task: "t"}
 	}
 	return vs
 }

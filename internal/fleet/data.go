@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"everest/internal/dataset"
-	"everest/internal/runtime"
 )
 
 // This file is the fleet's named data plane. Alongside the bitstream
@@ -25,61 +24,10 @@ import (
 // candidate and is dropped from the argmin — which keeps workloads that
 // name their sources but never share them priced exactly like the
 // anonymous-bytes path.
-
-// DatasetReads lists the workflow's external dataset reads: partitions
-// read by some task but written by none (intra-workflow intermediates
-// are already priced by the engine's transfer model). Order is first-use,
-// deduplicated. The region tier prices WAN staging off this set.
-func DatasetReads(w *runtime.Workflow) []dataset.Ref { return datasetReads(w) }
-
-// datasetReads collects external reads with the same linear-scan dedup as
-// bitstreamNeeds: workflows read a handful of partitions, and legacy
-// workflows (no refs anywhere) must allocate nothing.
-func datasetReads(w *runtime.Workflow) []dataset.Ref {
-	var writes []dataset.Key
-	w.Range(func(t *runtime.TaskSpec) bool {
-		for _, r := range t.Writes {
-			writes = append(writes, r.Key())
-		}
-		return true
-	})
-	var out []dataset.Ref
-	w.Range(func(t *runtime.TaskSpec) bool {
-	reads:
-		for _, r := range t.Reads {
-			k := r.Key()
-			for _, wk := range writes {
-				if wk == k {
-					continue reads
-				}
-			}
-			for _, o := range out {
-				if o.Key() == k {
-					continue reads
-				}
-			}
-			out = append(out, r)
-		}
-		return true
-	})
-	return out
-}
-
-// knownReads filters reads down to partitions the federation holds
-// somewhere (placed or published). Returns nil when none are known, so
-// legacy submissions stay allocation-free past this point.
-func (f *Fleet) knownReads(reads []dataset.Ref) []dataset.Ref {
-	if len(reads) == 0 {
-		return nil
-	}
-	var out []dataset.Ref
-	for _, r := range reads {
-		if f.catalog[r.Key()] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+//
+// Partitions are interned where they enter (Workflow.Submit resolves a
+// workflow's reads and outputs, PlaceDataset its placed refs), so the
+// stores and the catalog key by dataset.ID and serving hashes no names.
 
 // PlaceDataset seeds partitions into site i's dataset store at modelled
 // time at — the ingest step a scenario runs before serving (scattering
@@ -95,13 +43,14 @@ func (f *Fleet) PlaceDataset(i int, at float64, refs ...dataset.Ref) error {
 	defer f.mu.Unlock()
 	s := f.sites[i]
 	for _, r := range refs {
+		p := dataset.Intern(r)
 		s.evicted = s.dstore.Publish(dataset.Version{
-			Ref: r, Time: at, Workflow: "(placed)", Task: "(placed)",
+			Ref: r, ID: p.ID, Time: at, Workflow: "(placed)", Task: "(placed)",
 		}, s.evicted[:0])
 		s.stats.DatasetPublished++
 		s.stats.DatasetPublishedBytes += r.Bytes
 		s.stats.DatasetEvictions += len(s.evicted)
-		f.catalog[r.Key()] = true
+		f.catalog.Add(p.ID)
 	}
 	return nil
 }
@@ -114,7 +63,7 @@ func (f *Fleet) DatasetResident(i int, r dataset.Ref) bool {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.sites[i].dstore.Holds(r)
+	return f.sites[i].dstore.Holds(dataset.Intern(r).ID)
 }
 
 // fetchData stages the workflow's known reads (w.reads, the set Submit
@@ -123,20 +72,21 @@ func (f *Fleet) DatasetResident(i int, r dataset.Ref) bool {
 // the site store. Returns the modelled fetch stall and the shipped bytes.
 // Resident partitions cost nothing — that is the locality win the router
 // priced.
-func (f *Fleet) fetchData(s *site, w work, at float64) (float64, int64) {
+func (f *Fleet) fetchData(s *site, w *work, at float64) (float64, int64) {
 	if len(w.reads) == 0 {
 		return 0, 0
 	}
 	total, shipped := 0.0, int64(0)
-	for _, r := range w.reads {
-		if s.dstore.Contains(r) {
+	for _, p := range w.reads {
+		r := p.Ref
+		if s.dstore.Contains(p.ID) {
 			s.stats.DatasetHits++
 			continue
 		}
 		s.stats.DatasetMisses++
 		dt := f.cfg.RegistryNet.SendSeconds(r.Bytes)
 		s.evicted = s.dstore.Publish(dataset.Version{
-			Ref: r, Time: at + total, Workflow: w.t.Name, Task: "(fetch)",
+			Ref: r, ID: p.ID, Time: at + total, Workflow: w.t.Name, Task: "(fetch)",
 		}, s.evicted[:0])
 		s.stats.DatasetFetches++
 		s.stats.DatasetFetchedBytes += r.Bytes
@@ -146,7 +96,7 @@ func (f *Fleet) fetchData(s *site, w work, at float64) (float64, int64) {
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventDataFetch, Site: s.name, Tenant: w.t.Tenant,
 				Workflow: w.t.Name, Time: at + total,
-				Detail: fmt.Sprintf("%v %dB in %.4gs", r.Key(), r.Bytes, dt)})
+				Detail: fmt.Sprintf("%v %dB in %.4gs", p.ID.Value(), r.Bytes, dt)})
 			f.traceEvicted(s, s.evicted, at+total)
 		}
 		total += dt
@@ -159,31 +109,28 @@ func (f *Fleet) fetchData(s *site, w work, at float64) (float64, int64) {
 // publish is free (the data was just produced on this site); the lineage
 // version records (completion, workflow, task) so concurrent publishers
 // of the same name resolve by the standard tie-break.
-func (f *Fleet) publishOutputs(s *site, w work, completion float64) {
-	w.wf.Range(func(t *runtime.TaskSpec) bool {
-		for _, r := range t.Writes {
-			s.evicted = s.dstore.Publish(dataset.Version{
-				Ref: r, Time: completion, Workflow: w.t.Name, Task: t.Name,
-			}, s.evicted[:0])
-			s.stats.DatasetPublished++
-			s.stats.DatasetPublishedBytes += r.Bytes
-			s.stats.DatasetEvictions += len(s.evicted)
-			f.catalog[r.Key()] = true
-			if f.cfg.Trace != nil {
-				f.trace(Event{Kind: EventDataPublish, Site: s.name,
-					Tenant: w.t.Tenant, Workflow: w.t.Name, Time: completion,
-					Detail: fmt.Sprintf("%v %dB by %s", r.Key(), r.Bytes, t.Name)})
-				f.traceEvicted(s, s.evicted, completion)
-			}
+func (f *Fleet) publishOutputs(s *site, w *work, completion float64) {
+	for _, o := range w.wf.Outputs() {
+		s.evicted = s.dstore.Publish(dataset.Version{
+			Ref: o.Ref, ID: o.ID, Time: completion, Workflow: w.t.Name, Task: o.Task,
+		}, s.evicted[:0])
+		s.stats.DatasetPublished++
+		s.stats.DatasetPublishedBytes += o.Ref.Bytes
+		s.stats.DatasetEvictions += len(s.evicted)
+		f.catalog.Add(o.ID)
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: EventDataPublish, Site: s.name,
+				Tenant: w.t.Tenant, Workflow: w.t.Name, Time: completion,
+				Detail: fmt.Sprintf("%v %dB by %s", o.ID.Value(), o.Ref.Bytes, o.Task)})
+			f.traceEvicted(s, s.evicted, completion)
 		}
-		return true
-	})
+	}
 }
 
 // traceEvicted emits one EventDataEvict per partition the store dropped.
 func (f *Fleet) traceEvicted(s *site, evicted []dataset.Version, at float64) {
 	for _, ev := range evicted {
-		f.trace(Event{Kind: EventDataEvict, Site: s.name, Time: at, Detail: ev.Ref.Key().String()})
+		f.trace(Event{Kind: EventDataEvict, Site: s.name, Time: at, Detail: ev.ID.Value().String()})
 	}
 }
 
@@ -194,10 +141,10 @@ func (f *Fleet) traceEvicted(s *site, evicted []dataset.Version, at float64) {
 // terms, and serve fetches exactly the known reads this bound covers).
 // Guaranteed-class admission adds this to the workflow's own worst case,
 // so a proven deadline survives a completely cold dataset store.
-func (f *Fleet) fetchBound(reads []dataset.Ref) float64 {
+func (f *Fleet) fetchBound(reads []dataset.Part) float64 {
 	total := 0.0
-	for _, r := range reads {
-		total += f.cfg.RegistryNet.SendSeconds(r.Bytes)
+	for _, p := range reads {
+		total += f.cfg.RegistryNet.SendSeconds(p.Ref.Bytes)
 	}
 	return total
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	gort "runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"everest/internal/dataset"
@@ -291,7 +293,7 @@ func TestLineageDeterminism(t *testing.T) {
 			}
 		}
 		f.mu.Lock()
-		v, ok := f.sites[0].dstore.Version(model)
+		v, ok := f.sites[0].dstore.Version(dataset.Intern(model).ID)
 		f.mu.Unlock()
 		if !ok {
 			t.Fatal("model not resident")
@@ -339,5 +341,55 @@ func TestDatasetStoreBounded(t *testing.T) {
 	st := f.Stats()
 	if st.Sites[0].DatasetEvictions == 0 {
 		t.Fatal("no evictions counted")
+	}
+}
+
+// TestConcurrentFleetsInternAlike: partitions are interned in one
+// process-wide table. Two goroutines each build the k-means map fixture
+// — the same partition names, placed into their own fleet — and serve
+// it; each fleet's results must equal a serial run's.
+func TestConcurrentFleetsInternAlike(t *testing.T) {
+	run := func() ([]string, error) {
+		f, maps, err := kmeansMapFleet()
+		if err != nil {
+			return nil, err
+		}
+		defer f.Shutdown()
+		step := mapDriver(f, maps)
+		var out []string
+		for range 3 * len(maps) {
+			res, err := step()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, fmt.Sprintf("%s wait=%x fetch=%x %dB service=%x done=%x",
+				res.Site, res.Wait, res.Fetch, res.FetchedBytes, res.Service, res.Completion))
+		}
+		st := f.Stats()
+		return append(out, fmt.Sprintf("fetched=%d published=%d evicted=%d",
+			st.DatasetFetchedBytes(), st.DatasetPublished(), st.DatasetEvictions())), nil
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2][]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = run()
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !slices.Equal(got[g], want) {
+			t.Errorf("goroutine %d diverged from the serial run:\n got %v\nwant %v", g, got[g], want)
+		}
 	}
 }

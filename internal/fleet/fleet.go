@@ -414,8 +414,8 @@ type work struct {
 	t       *Ticket
 	wf      *runtime.Workflow
 	arrival float64
-	needs   []string      // bitstream IDs the workflow's FPGA tasks request
-	reads   []dataset.Ref // external dataset partitions the workflow reads
+	needs   []string       // bitstream IDs the workflow's FPGA tasks request
+	reads   []dataset.Part // known external dataset partitions the workflow reads
 
 	// Guaranteed-class fields: the admitted deadline and proven bound
 	// (relative to arrival).
@@ -443,7 +443,7 @@ type Fleet struct {
 	// federation: the set data-locality pricing and serve-time fetches are
 	// scoped to (unknown refs are outside sources, equidistant from every
 	// site).
-	catalog map[dataset.Key]bool
+	catalog dataset.Catalog
 }
 
 // New builds a fleet over a shared bitstream registry. Each site gets its
@@ -484,7 +484,7 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 		}
 	}
 	f := &Fleet{cfg: cfg, reg: reg, lastSite: make(map[string]int),
-		catalog: make(map[dataset.Key]bool)}
+		catalog: make(dataset.Catalog)}
 	for i := 0; i < cfg.Sites; i++ {
 		c := cfg.NewCluster(i)
 		if c == nil || len(c.Nodes) == 0 {
@@ -690,14 +690,13 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	needs := bitstreamNeeds(req.Workflow)
-	reads := datasetReads(req.Workflow)
+	needs := req.Workflow.Needs()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if !f.started || f.closed {
 		return nil, fmt.Errorf("fleet: not serving (started=%v closed=%v)", f.started, f.closed)
 	}
-	known := f.knownReads(reads)
+	known := f.catalog.Known(req.Workflow.Reads())
 	last, hasLast := f.lastSite[tenant]
 
 	// Best-effort requests route by cost, guaranteed ones by proof; both
@@ -733,7 +732,7 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 			Time: req.Arrival, Detail: detail})
 	}
 	t := &Ticket{Site: s.name, Tenant: tenant, Name: name}
-	f.serve(s, work{t: t, wf: req.Workflow, arrival: req.Arrival, needs: needs, reads: known,
+	f.serve(s, &work{t: t, wf: req.Workflow, arrival: req.Arrival, needs: needs, reads: known,
 		guaranteed: req.Guaranteed, deadline: req.Deadline, bound: bound})
 	return t, nil
 }
@@ -787,7 +786,7 @@ func (f *Fleet) Stats() Stats {
 // the data-locality fetch of federation-known input partitions the site
 // does not hold (a site holding the data charges zero — compute moves to
 // the data). Ties break on site order, so routing is deterministic.
-func (f *Fleet) route(tenant string, last int, hasLast bool, needs []string, reads []dataset.Ref, arrival float64) (int, error) {
+func (f *Fleet) route(tenant string, last int, hasLast bool, needs []string, reads []dataset.Part, arrival float64) (int, error) {
 	best, bestCost := -1, 0.0
 	for i, s := range f.sites {
 		cost, ok := f.siteCost(i, s, last, hasLast, needs, reads, arrival)
@@ -820,7 +819,7 @@ func (f *Fleet) route(tenant string, last int, hasLast bool, needs []string, rea
 // add to the sum. The cheapest provable bound wins, site order breaking
 // ties; when no site can prove the deadline the request is refused with
 // ErrSaturated and nothing is served.
-func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs []string, reads []dataset.Ref, arrival, deadline float64) (int, float64, error) {
+func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs []string, reads []dataset.Part, arrival, deadline float64) (int, float64, error) {
 	best, bestBound := -1, 0.0
 	for i, s := range f.sites {
 		svc, err := runtime.ServiceBound(w, s.cluster, f.reg, runtime.BoundOptions{
@@ -902,7 +901,7 @@ func (f *Fleet) deployBound(s *site, needs []string) float64 {
 
 // siteCost prices routing a workflow to one site; ok=false means the site
 // is saturated past the admission bound.
-func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs []string, reads []dataset.Ref, arrival float64) (float64, bool) {
+func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs []string, reads []dataset.Part, arrival float64) (float64, bool) {
 	if !s.activeAt(arrival) {
 		// Scaled out, or still booting at this arrival: not a candidate.
 		return 0, false
@@ -1010,40 +1009,13 @@ func (s *site) deployTarget(need hls.Resources, at float64, partial bool, occupi
 	return nil, -1, -1
 }
 
-// BitstreamNeeds lists the distinct bitstream IDs a workflow's FPGA
-// tasks request, in first-use order. The region tier prices WAN catalog
-// fetches and drives prefetch warming off this set.
-func BitstreamNeeds(w *runtime.Workflow) []string { return bitstreamNeeds(w) }
-
-// bitstreamNeeds lists the distinct bitstream IDs a workflow's FPGA tasks
-// request, in first-use order. Deduplication is a linear scan over the
-// output — workflows request a handful of bitstreams, so this beats a map
-// and keeps the router's per-submission work allocation-free except for
-// the result itself.
-func bitstreamNeeds(w *runtime.Workflow) []string {
-	var out []string
-	w.Range(func(t *runtime.TaskSpec) bool {
-		if !t.NeedsFPGA || t.BitstreamID == "" {
-			return true
-		}
-		for _, id := range out {
-			if id == t.BitstreamID {
-				return true
-			}
-		}
-		out = append(out, t.BitstreamID)
-		return true
-	})
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // serving
 
 // serve deploys what the workflow needs, serves it on the site engine, then
 // advances the site's modelled frontier with the queue recursion and
 // resolves the ticket. Called by Submit under the fleet lock.
-func (f *Fleet) serve(s *site, w work) {
+func (f *Fleet) serve(s *site, w *work) {
 	t := w.t
 	start := w.arrival
 	if s.busyUntil > start {
@@ -1120,7 +1092,7 @@ func (f *Fleet) serve(s *site, w work) {
 
 // deployNeeds stages every bitstream the workflow requests and the site
 // does not hold, returning the total modelled deployment stall.
-func (f *Fleet) deployNeeds(s *site, w work, at float64) float64 {
+func (f *Fleet) deployNeeds(s *site, w *work, at float64) float64 {
 	total := 0.0
 	for _, id := range w.needs {
 		slot, hit := s.cache.get(id)

@@ -166,17 +166,6 @@ func TestQueueWait(t *testing.T) {
 	}
 }
 
-func TestBitstreamNeedsExported(t *testing.T) {
-	w := fpgaWorkflow("bs-x")
-	needs := BitstreamNeeds(w)
-	if len(needs) != 1 || needs[0] != "bs-x" {
-		t.Fatalf("BitstreamNeeds = %v, want [bs-x]", needs)
-	}
-	if got := BitstreamNeeds(cpuWorkflow()); len(got) != 0 {
-		t.Fatalf("pure-software workflow needs = %v, want none", got)
-	}
-}
-
 // TestWarmAllStagesEverySite: one call leaves the bitstream resident at
 // every active site (each first serve is deploy-free wherever it lands),
 // a second call is a fleet-wide free no-op, and inactive sites are

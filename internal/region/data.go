@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"everest/internal/dataset"
-	"everest/internal/fleet"
 	"everest/internal/runtime"
 )
 
@@ -36,12 +35,13 @@ func (f *Federation) PlaceDataset(r int, at float64, refs ...dataset.Ref) error 
 	defer f.mu.Unlock()
 	reg := f.regions[r]
 	for _, ref := range refs {
+		p := dataset.Intern(ref)
 		reg.evicted = reg.dstore.Publish(dataset.Version{
-			Ref: ref, Time: at, Workflow: "(placed)", Task: "(placed)",
+			Ref: ref, ID: p.ID, Time: at, Workflow: "(placed)", Task: "(placed)",
 		}, reg.evicted[:0])
 		reg.stats.DataPublished++
 		reg.stats.DataEvictions += len(reg.evicted)
-		f.dataCat[ref.Key()] = ref
+		f.dataCat.Add(p.ID)
 	}
 	return nil
 }
@@ -54,19 +54,7 @@ func (f *Federation) DatasetResident(r int, ref dataset.Ref) bool {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.regions[r].dstore.Holds(ref)
-}
-
-// knownReads filters a workflow's external reads down to partitions the
-// federation catalog knows. Callers hold f.mu.
-func (f *Federation) knownReads(reads []dataset.Ref) []dataset.Ref {
-	var out []dataset.Ref
-	for _, r := range reads {
-		if _, ok := f.dataCat[r.Key()]; ok {
-			out = append(out, r)
-		}
-	}
-	return out
+	return f.regions[r].dstore.Holds(dataset.Intern(ref).ID)
 }
 
 // dataEstimate prices the WAN staging a serve at region r would pay for
@@ -74,17 +62,17 @@ func (f *Federation) knownReads(reads []dataset.Ref) []dataset.Ref {
 // top-level routing cost, symmetric with fetchEstimate for bitstreams.
 // Each partition is charged exactly once: the WAN transfer when it is
 // reachable, the fallback penalty when the region is partitioned off.
-func (f *Federation) dataEstimate(r *region, known []dataset.Ref, at float64) float64 {
+func (f *Federation) dataEstimate(r *region, known []dataset.Part, at float64) float64 {
 	total := 0.0
-	for _, ref := range known {
-		if r.dstore.Holds(ref) {
+	for _, p := range known {
+		if r.dstore.Holds(p.ID) {
 			continue
 		}
 		if f.partitioned(r.idx, at) {
 			total += fallbackSeconds
 			continue
 		}
-		total += f.wan.SendSeconds(ref.Bytes)
+		total += f.wan.SendSeconds(p.Ref.Bytes)
 	}
 	return total
 }
@@ -95,10 +83,11 @@ func (f *Federation) dataEstimate(r *region, known []dataset.Ref, at float64) fl
 // holds, the modelled behaviour of a region cut off from the
 // federation). With prefetch set the fetch is control-plane traffic:
 // accounted, but off any workflow's critical path.
-func (f *Federation) ensureData(r *region, known []dataset.Ref, at float64, prefetch bool) float64 {
+func (f *Federation) ensureData(r *region, known []dataset.Part, at float64, prefetch bool) float64 {
 	total := 0.0
-	for _, ref := range known {
-		if r.dstore.Contains(ref) {
+	for _, p := range known {
+		ref := p.Ref
+		if r.dstore.Contains(p.ID) {
 			continue
 		}
 		if f.partitioned(r.idx, at+total) {
@@ -107,7 +96,7 @@ func (f *Federation) ensureData(r *region, known []dataset.Ref, at float64, pref
 		}
 		dt := f.wan.SendSeconds(ref.Bytes)
 		r.evicted = r.dstore.Publish(dataset.Version{
-			Ref: ref, Time: at + total, Workflow: "(fetch)", Task: "(fetch)",
+			Ref: ref, ID: p.ID, Time: at + total, Workflow: "(fetch)", Task: "(fetch)",
 		}, r.evicted[:0])
 		r.stats.DataEvictions += len(r.evicted)
 		kind := EventDataFetch
@@ -122,7 +111,7 @@ func (f *Federation) ensureData(r *region, known []dataset.Ref, at float64, pref
 		}
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: kind, Region: r.name, Time: at + total,
-				Detail: fmt.Sprintf("%v %dB wan=%.4gs", ref.Key(), ref.Bytes, dt)})
+				Detail: fmt.Sprintf("%v %dB wan=%.4gs", p.ID.Value(), ref.Bytes, dt)})
 		}
 	}
 	return total
@@ -133,28 +122,12 @@ func (f *Federation) ensureData(r *region, known []dataset.Ref, at float64, pref
 // sharing step, free like every publish (the data was produced here).
 // Callers hold f.mu.
 func (f *Federation) publishData(r *region, w *runtime.Workflow, name string, completion float64) {
-	w.Range(func(t *runtime.TaskSpec) bool {
-		for _, ref := range t.Writes {
-			r.evicted = r.dstore.Publish(dataset.Version{
-				Ref: ref, Time: completion, Workflow: name, Task: t.Name,
-			}, r.evicted[:0])
-			r.stats.DataPublished++
-			r.stats.DataEvictions += len(r.evicted)
-			f.dataCat[ref.Key()] = ref
-		}
-		return true
-	})
-}
-
-// learnAppReads remembers an app's external reads at first serve, the
-// dataset counterpart of appNeeds — what prefetch stages ahead of
-// forecast demand. Callers hold f.mu.
-func (f *Federation) learnAppReads(app string, w *runtime.Workflow) {
-	if app == "" {
-		return
+	for _, o := range w.Outputs() {
+		r.evicted = r.dstore.Publish(dataset.Version{
+			Ref: o.Ref, ID: o.ID, Time: completion, Workflow: name, Task: o.Task,
+		}, r.evicted[:0])
+		r.stats.DataPublished++
+		r.stats.DataEvictions += len(r.evicted)
+		f.dataCat.Add(o.ID)
 	}
-	if _, ok := f.appReads[app]; ok {
-		return
-	}
-	f.appReads[app] = fleet.DatasetReads(w)
 }

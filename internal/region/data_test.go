@@ -170,7 +170,8 @@ func TestDataEstimateSingleCharge(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := f.regions[0]
-	known := []dataset.Ref{resident, missing}
+	res, miss := dataset.Intern(resident), dataset.Intern(missing)
+	known := []dataset.Part{res, miss}
 	if got := f.dataEstimate(r, known, 0); got != f.wan.SendSeconds(missing.Bytes) {
 		t.Fatalf("reachable estimate = %g, want exactly one WAN transfer %g",
 			got, f.wan.SendSeconds(missing.Bytes))
@@ -181,13 +182,13 @@ func TestDataEstimateSingleCharge(t *testing.T) {
 		t.Fatalf("partitioned estimate = %g, want fallbackSeconds %g",
 			got, fallbackSeconds)
 	}
-	if got := f.dataEstimate(r, []dataset.Ref{resident}, 0); got != 0 {
+	if got := f.dataEstimate(r, []dataset.Part{res}, 0); got != 0 {
 		t.Fatalf("resident estimate = %g, want 0", got)
 	}
-	// knownReads is the catalog gate in front of the estimate.
-	if got := f.knownReads([]dataset.Ref{resident, {Name: "never-seen"}}); len(got) != 1 ||
-		got[0].Name != "resident" {
-		t.Fatalf("knownReads = %v, want the resident ref only", got)
+	// The catalog is the gate in front of the estimate.
+	unseen := dataset.Intern(dataset.Ref{Name: "never-seen"})
+	if got := f.dataCat.Known([]dataset.Part{res, unseen}); len(got) != 1 || got[0] != res {
+		t.Fatalf("known reads = %v, want the resident ref only", got)
 	}
 }
 

@@ -435,13 +435,13 @@ type Federation struct {
 	appOrder []string
 
 	// dataCat is the federation dataset catalog: partitions placed or
-	// published somewhere, keyed for the locality/fetch pricing that
+	// published somewhere, the scope of the locality/fetch pricing that
 	// mirrors the bitstream catalog. Guarded by mu.
-	dataCat map[dataset.Key]dataset.Ref
+	dataCat dataset.Catalog
 	// appReads remembers each app's external dataset reads (learned at
 	// first serve, like appNeeds) so prefetch can stage data ahead of
 	// demand alongside the app's bitstreams.
-	appReads map[string][]dataset.Ref
+	appReads map[string][]dataset.Part
 }
 
 // New builds a federation over a shared artifact catalog. Each region
@@ -481,8 +481,8 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 	}
 	f := &Federation{cfg: cfg, catalog: catalog, wan: *cfg.WAN,
 		appNeeds: make(map[string][]string),
-		dataCat:  make(map[dataset.Key]dataset.Ref),
-		appReads: make(map[string][]dataset.Ref)}
+		dataCat:  make(dataset.Catalog),
+		appReads: make(map[string][]dataset.Part)}
 	for i := 0; i < cfg.Regions; i++ {
 		i := i
 		name := fmt.Sprintf("region%02d", i)
@@ -656,8 +656,8 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 // (stall-shrunk) deadline; when none can, the request is rejected.
 func (f *Federation) route(req Request, h *Handle) error {
 	home := req.Home
-	needs := fleet.BitstreamNeeds(req.Workflow)
-	known := f.knownReads(fleet.DatasetReads(req.Workflow))
+	needs := req.Workflow.Needs()
+	known := f.dataCat.Known(req.Workflow.Reads())
 	var cands []routeCand
 	for _, r := range f.regions {
 		if r.idx != home && (f.partitioned(home, req.Arrival) || f.partitioned(r.idx, req.Arrival)) {
@@ -734,10 +734,8 @@ func (f *Federation) tryGuaranteed(r *region, req Request, h *Handle) error {
 	if r.idx != req.Home {
 		handoff = f.wan.SendSeconds(req.InputBytes)
 	}
-	needs := fleet.BitstreamNeeds(req.Workflow)
-	fetch := f.ensureArtifacts(r, needs, req.Arrival+handoff)
-	known := f.knownReads(fleet.DatasetReads(req.Workflow))
-	dfetch := f.ensureData(r, known, req.Arrival+handoff+fetch, false)
+	fetch := f.ensureArtifacts(r, req.Workflow.Needs(), req.Arrival+handoff)
+	dfetch := f.ensureData(r, f.dataCat.Known(req.Workflow.Reads()), req.Arrival+handoff+fetch, false)
 	stall := handoff + fetch + dfetch
 	if req.Deadline <= stall {
 		return fmt.Errorf("%w: %s: stalls %.4gs consume the %.4gs deadline",
@@ -761,10 +759,8 @@ func (f *Federation) serveNow(r *region, req Request, at float64, pushes int, h 
 	if r.idx != req.Home {
 		handoff = f.wan.SendSeconds(req.InputBytes)
 	}
-	needs := fleet.BitstreamNeeds(req.Workflow)
-	fetch := f.ensureArtifacts(r, needs, at+handoff)
-	known := f.knownReads(fleet.DatasetReads(req.Workflow))
-	dfetch := f.ensureData(r, known, at+handoff+fetch, false)
+	fetch := f.ensureArtifacts(r, req.Workflow.Needs(), at+handoff)
+	dfetch := f.ensureData(r, f.dataCat.Known(req.Workflow.Reads()), at+handoff+fetch, false)
 	tk, err := r.fl.Submit(fleet.Request{
 		Tenant: req.Tenant, Name: req.Name, Workflow: req.Workflow,
 		Arrival: at + handoff + fetch + dfetch,
@@ -789,11 +785,11 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, handoff, f
 	}
 	if req.App != "" {
 		if _, ok := f.appNeeds[req.App]; !ok {
-			f.appNeeds[req.App] = fleet.BitstreamNeeds(req.Workflow)
+			f.appNeeds[req.App] = req.Workflow.Needs()
+			f.appReads[req.App] = req.Workflow.Reads()
 			f.appOrder = append(f.appOrder, req.App)
 		}
 	}
-	f.learnAppReads(req.App, req.Workflow)
 	f.publishData(r, req.Workflow, req.Name, res.Completion)
 	cold := fetch > 0 || dfetch > 0 || res.Deploy > 0
 	out := Result{
@@ -1102,7 +1098,7 @@ func (f *Federation) prefetch(r *region, at float64) {
 		// Datasets are prefetch-eligible like bitstreams: stage the app's
 		// known external partitions into the region store ahead of the
 		// demand, so the arriving workflows find them resident.
-		if known := f.knownReads(f.appReads[st.app]); len(known) > 0 {
+		if known := f.dataCat.Known(f.appReads[st.app]); len(known) > 0 {
 			f.ensureData(r, known, at, true)
 		}
 	}

@@ -39,7 +39,8 @@ func TestServiceBoundSoftwareChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := 0.0
-	w.Range(func(ts *TaskSpec) bool {
+	for i := range w.specs {
+		ts := &w.specs[i]
 		worst := 0.0
 		for _, n := range c.Nodes {
 			if v := n.RunCPU(ts.Flops, ts.InputBytes+ts.OutputBytes, 1) * 3; v > worst {
@@ -51,8 +52,7 @@ func TestServiceBoundSoftwareChain(t *testing.T) {
 			d, _ := w.Get(dep)
 			want += c.Network.TransferSeconds(d.OutputBytes)
 		}
-		return true
-	})
+	}
 	if diff := got - want; diff > 1e-12*want || diff < -1e-12*want {
 		t.Fatalf("software chain bound = %g, want %g", got, want)
 	}

@@ -36,8 +36,8 @@ func (d *Deployment) JSON() (string, error) {
 // Stage programs every offloaded bitstream onto the first matching device
 // of each listed node, returning the total modelled staging time. It also
 // rewrites the workflow's task specs to request the FPGA: on a copy that
-// replaces them, so engines already serving the workflow keep the specs
-// they were handed.
+// replaces them, with bitstream needs rebuilt from the copy, so engines
+// and fleets already serving the workflow keep what they were handed.
 func (d *Deployment) Stage(w *Workflow, c *platform.Cluster, reg *platform.Registry) (float64, error) {
 	total := 0.0
 	specs := append([]TaskSpec(nil), w.specs...)
@@ -73,6 +73,10 @@ func (d *Deployment) Stage(w *Workflow, c *platform.Cluster, reg *platform.Regis
 		specs[i].NeedsFPGA = true
 		specs[i].BitstreamID = bsID
 	}
-	w.specs = specs
+	var needs []string
+	for i := range specs {
+		needs = appendNeed(needs, &specs[i])
+	}
+	w.specs, w.needs = specs, needs
 	return total, nil
 }

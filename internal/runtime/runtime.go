@@ -20,6 +20,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"everest/internal/autotuner"
 	"everest/internal/dataset"
@@ -80,15 +81,23 @@ func (t *TaskSpec) WriteBytes() int64 {
 func (t *TaskSpec) TotalBytes() int64 { return t.ReadBytes() + t.WriteBytes() }
 
 // Workflow is a DAG of tasks (the Dask graph), resolved as it is built:
-// Submit appends the spec and its dependency indices, so engines serving
-// the workflow share both read-only instead of re-resolving names per
-// submission.
+// Submit appends the spec, its dependency indices and its data plane
+// (interned dataset partitions, bitstream needs), so engines, fleets and
+// regions serving the workflow share all of it read-only instead of
+// re-resolving names per submission.
 type Workflow struct {
 	index map[string]int32 // task name -> submission index
 	specs []TaskSpec       // submission order (index = task id)
 	// Dependency CSR: the deps of task i are depList[depOff[i]:depOff[i+1]].
 	depOff  []int32
 	depList []int32
+
+	// Data plane, resolved by Submit. Each slice only grows past what an
+	// earlier reader saw, except that a read later written is removed on
+	// a copy.
+	reads   []dataset.Part // external reads: read by some task, written by none
+	outputs []Output       // every task's Writes, in submission order
+	needs   []string       // distinct bitstream IDs the FPGA tasks request
 
 	// variants, when set, are compiler-derived operating points that seed
 	// this workflow's variant tuner in adaptive mode (SetVariants).
@@ -113,6 +122,11 @@ func (w *Workflow) Submit(spec TaskSpec) error {
 			return fmt.Errorf("runtime: task %q depends on unknown task %q", spec.Name, d)
 		}
 	}
+	// The workflow keeps its own copies: a caller reusing its slices
+	// must not change what the workflow prices or serves.
+	spec.Deps = slices.Clone(spec.Deps)
+	spec.Reads = slices.Clone(spec.Reads)
+	spec.Writes = slices.Clone(spec.Writes)
 	// Dataset path: derive the modelled byte fields from the refs so every
 	// downstream consumer (engine transfers, cost models, bounds)
 	// sees the same numbers whether bytes were declared or named.
@@ -124,8 +138,62 @@ func (w *Workflow) Submit(spec TaskSpec) error {
 	w.depOff = append(w.depOff, int32(len(w.depList)))
 	w.index[spec.Name] = int32(len(w.specs))
 	w.specs = append(w.specs, spec)
+	w.resolve(&spec)
 	return nil
 }
+
+// Output is one partition a task writes, resolved at Submit.
+type Output struct {
+	Task string // the producing task
+	dataset.Part
+}
+
+// resolve folds one submitted task into the data plane. Its writes join
+// the outputs and leave the external reads; its reads join them once,
+// in first-use order, unless some task already wrote them; its bitstream
+// joins the needs. This is the one place a workflow interns partitions.
+func (w *Workflow) resolve(t *TaskSpec) {
+	for _, r := range t.Writes {
+		p := dataset.Intern(r)
+		w.outputs = append(w.outputs, Output{Task: t.Name, Part: p})
+		if i := slices.IndexFunc(w.reads, func(q dataset.Part) bool { return q.ID == p.ID }); i >= 0 {
+			w.reads = slices.Delete(slices.Clone(w.reads), i, i+1)
+		}
+	}
+	for _, r := range t.Reads {
+		p := dataset.Intern(r)
+		if !slices.ContainsFunc(w.reads, func(q dataset.Part) bool { return q.ID == p.ID }) &&
+			!slices.ContainsFunc(w.outputs, func(o Output) bool { return o.ID == p.ID }) {
+			w.reads = append(w.reads, p)
+		}
+	}
+	w.needs = appendNeed(w.needs, t)
+}
+
+// appendNeed adds t's bitstream to needs unless t runs in software or
+// the bitstream is already listed.
+func appendNeed(needs []string, t *TaskSpec) []string {
+	if !t.NeedsFPGA || t.BitstreamID == "" || slices.Contains(needs, t.BitstreamID) {
+		return needs
+	}
+	return append(needs, t.BitstreamID)
+}
+
+// Reads returns the workflow's external dataset reads: partitions read by
+// some task but written by none (intra-workflow intermediates are priced
+// by the engine's transfer model), deduplicated in first-use order. The
+// slice is shared and must not be modified.
+func (w *Workflow) Reads() []dataset.Part { return w.reads[:len(w.reads):len(w.reads)] }
+
+// Outputs returns every task's written partitions in submission order,
+// what a serving tier publishes when the workflow completes. The slice
+// is shared and must not be modified.
+func (w *Workflow) Outputs() []Output { return w.outputs[:len(w.outputs):len(w.outputs)] }
+
+// Needs returns the distinct bitstream IDs the workflow's FPGA tasks
+// request, in first-use order. The slice is shared and must not be
+// modified.
+func (w *Workflow) Needs() []string { return w.needs[:len(w.needs):len(w.needs)] }
 
 // Tasks returns task names in submission order.
 func (w *Workflow) Tasks() []string {
@@ -143,23 +211,15 @@ func (w *Workflow) Get(name string) (TaskSpec, bool) {
 	if !ok {
 		return TaskSpec{}, false
 	}
-	return w.specs[i], true
+	spec := w.specs[i]
+	spec.Deps = slices.Clone(spec.Deps)
+	spec.Reads = slices.Clone(spec.Reads)
+	spec.Writes = slices.Clone(spec.Writes)
+	return spec, true
 }
 
 // Len returns the number of tasks.
 func (w *Workflow) Len() int { return len(w.specs) }
-
-// Range visits every task spec in submission order until fn returns false.
-// Unlike Tasks()+Get it allocates nothing, so per-submission scans (the
-// fleet router's bitstream-needs pass) stay off the allocator; fn must not
-// retain or mutate the spec.
-func (w *Workflow) Range(fn func(t *TaskSpec) bool) {
-	for i := range w.specs {
-		if !fn(&w.specs[i]) {
-			return
-		}
-	}
-}
 
 // SetVariants attaches compiler-derived operating points (expected latency
 // per implementation variant) to the workflow. In adaptive mode the engine

@@ -5,9 +5,10 @@ import "math"
 // Arrivals is a modelled open arrival process: Next returns the
 // interarrival gap (modelled seconds, always > 0) to the following event,
 // advancing the process's internal state. Implementations must be
-// deterministic in call order — the engine draws gaps from exactly one
-// goroutine, so a seeded process yields the same event train on every run
-// and every GOMAXPROCS setting.
+// deterministic in call order. Each pipeline draws from its own process,
+// in its own event order (a window's gaps are drawn when it opens), so a
+// seeded process yields the same event train on every run and every
+// GOMAXPROCS setting, whatever the other pipelines do.
 type Arrivals interface {
 	Next() float64
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"reflect"
 
 	"everest/internal/platform"
 	"everest/internal/runtime"
@@ -62,8 +63,8 @@ type pipeline struct {
 	idx    int
 	stages []stageRun
 
-	open    *window // filling window (nil between windows)
-	flushAt float64 // scheduled age-flush time of the open window
+	open *window // filling window (nil between windows)
+	next float64 // drawn first arrival of the next window (age closes)
 
 	// ingress is the unbounded overflow buffer of the Block policy: windows
 	// that find stage 0's bounded queue full wait here instead of being
@@ -133,11 +134,21 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 
 	maxStages := 0
 	assigned := make(map[string]*devState)
+	sources := make(map[Arrivals]string)
 	cursor := 0
 	for i := range specs {
 		p := &specs[i]
 		if err := p.validate(i); err != nil {
 			return nil, err
+		}
+		// A window's gaps are drawn when it opens, in the pipeline's own
+		// order, so a process shared across pipelines would yield a
+		// different event train than drawing in global event order.
+		if reflect.TypeOf(p.Arrivals).Comparable() {
+			if prev, ok := sources[p.Arrivals]; ok {
+				return nil, fmt.Errorf("stream: pipelines %s and %s share one arrival process", prev, p.Name)
+			}
+			sources[p.Arrivals] = p.Name
 		}
 		if len(p.Stages) > maxStages {
 			maxStages = len(p.Stages)
@@ -241,15 +252,20 @@ func (e *Engine) Run() (Stats, error) {
 	return e.stats(), nil
 }
 
-// step processes the next modelled-time event. This is the per-event hot
-// path the zero-alloc budget pins.
+// step processes the next modelled-time event. This is the hot path the
+// zero-alloc budget pins. An arrival-slot entry opens a window when none
+// is open and is the open window's close otherwise.
 func (e *Engine) step() {
 	it := e.heap.PopMin()
 	p := e.pipes[it.Seq/e.stride]
 	slot := it.Seq % e.stride
 	switch slot {
 	case slotArrival:
-		e.arrive(p, it.Time)
+		if p.open == nil {
+			e.admit(p, it.Time)
+		} else {
+			e.sourceClose(p, it.Time)
+		}
 	case slotFlush:
 		e.flushTimer(p, it.Time)
 	default:
@@ -257,35 +273,57 @@ func (e *Engine) step() {
 	}
 }
 
-// arrive admits one source event into the pipeline's open window and
-// schedules the next arrival.
-func (e *Engine) arrive(p *pipeline, t float64) {
-	p.generated++
-	if p.open == nil {
-		p.open = e.getWindow()
-		if p.spec.WindowSeconds > 0 {
-			p.flushAt = t + p.spec.WindowSeconds
-			e.heap.Push(runtime.TimeItem{Time: p.flushAt, Seq: p.idx*e.stride + slotFlush})
+// admit opens a window at the source event arriving at t and admits the
+// whole window in this one step: it draws gaps until the window holds
+// WindowEvents, the source reaches Events, or the next arrival lands
+// strictly after the age deadline (one exactly on it is still admitted:
+// the arrival slot sorts before the flush slot). Until the window closes
+// its arrivals touch only this pipeline, so only the close is scheduled,
+// at the (time, slot) key an event-by-event loop would close it at: the
+// last admitted arrival for a size or exhaustion close, the deadline for
+// an age close (which keeps the drawn first arrival of the next window in
+// p.next). A one-event window closes here.
+func (e *Engine) admit(p *pipeline, t float64) {
+	w := e.getWindow()
+	p.open = w
+	age := p.spec.WindowSeconds > 0
+	flushAt := t + p.spec.WindowSeconds
+	for {
+		w.arrivals = append(w.arrivals, t)
+		p.generated++
+		if len(w.arrivals) >= p.spec.WindowEvents || p.generated >= p.spec.Events {
+			break
 		}
+		next := t + p.spec.Arrivals.Next()
+		if age && next > flushAt {
+			p.next = next
+			e.heap.Push(runtime.TimeItem{Time: flushAt, Seq: p.idx*e.stride + slotFlush})
+			return
+		}
+		t = next
 	}
-	p.open.arrivals = append(p.open.arrivals, t)
-	if len(p.open.arrivals) >= p.spec.WindowEvents {
-		e.closeWindow(p, t)
+	if len(w.arrivals) == 1 {
+		e.sourceClose(p, t)
+		return
 	}
+	e.heap.Push(runtime.TimeItem{Time: t, Seq: p.idx*e.stride + slotArrival})
+}
+
+// sourceClose closes the open window at its last admitted arrival (on
+// size or source exhaustion) and draws the next window's first arrival.
+func (e *Engine) sourceClose(p *pipeline, t float64) {
+	e.closeWindow(p, t)
 	if p.generated < p.spec.Events {
 		e.heap.Push(runtime.TimeItem{Time: t + p.spec.Arrivals.Next(), Seq: p.idx*e.stride + slotArrival})
-	} else if p.open != nil {
-		// Source exhausted: flush the undersized tail window now.
-		e.closeWindow(p, t)
 	}
 }
 
-// flushTimer fires a window's age deadline; stale timers (the window
-// already closed on size) are recognized by the flushAt mismatch.
+// flushTimer fires the open window's age deadline and schedules the next
+// window's first arrival, drawn when the window was admitted. A flush
+// entry is only pushed for a window that closes by age, so none is stale.
 func (e *Engine) flushTimer(p *pipeline, t float64) {
-	if p.open != nil && p.flushAt == t && len(p.open.arrivals) > 0 {
-		e.closeWindow(p, t)
-	}
+	e.closeWindow(p, t)
+	e.heap.Push(runtime.TimeItem{Time: p.next, Seq: p.idx*e.stride + slotArrival})
 }
 
 // closeWindow seals the open window and offers it to the stage chain under
@@ -293,7 +331,6 @@ func (e *Engine) flushTimer(p *pipeline, t float64) {
 func (e *Engine) closeWindow(p *pipeline, t float64) {
 	w := p.open
 	p.open = nil
-	p.flushAt = 0
 	if e.cfg.Trace != nil {
 		e.cfg.Trace(Event{Kind: EventWindowClose, Pipeline: p.spec.Name,
 			Time: t, Events: len(w.arrivals)})

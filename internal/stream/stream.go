@@ -12,15 +12,22 @@
 // reconfigurable stream processing).
 //
 // The engine is a single-threaded discrete-event simulation over the
-// runtime.TimeHeap event core: all time is modelled seconds, the event
-// order is a total deterministic order (time, then a fixed per-pipeline
-// event slot), and the steady-state per-event path allocates nothing —
-// which is what keeps million-event feeds wall-clock feasible and trace
-// streams byte-identical across GOMAXPROCS settings.
+// runtime.TimeHeap event core: all time is modelled seconds, and the
+// event order is a total deterministic order (time, then a fixed
+// per-pipeline event slot). The step that opens a window admits all of
+// its arrivals at once, drawing the pipeline's gaps in its own order,
+// because until the window closes they touch nothing outside the
+// pipeline; only the close is scheduled, at the (time, slot) key an
+// event-by-event loop would close it at. The heap holds at most one
+// source entry per pipeline plus one completion per busy stage, and the
+// steady-state path allocates nothing — which is what keeps
+// million-event feeds wall-clock feasible and trace streams
+// byte-identical across GOMAXPROCS settings.
 package stream
 
 import (
 	"fmt"
+	"math"
 
 	"everest/internal/platform"
 )
@@ -74,7 +81,8 @@ type PipelineSpec struct {
 	Tenant string
 	// Policy is the tenant's SLO class overload behaviour.
 	Policy Policy
-	// Arrivals generates the event train (required).
+	// Arrivals generates the event train (required). Each pipeline needs
+	// its own process: New rejects one shared with an earlier pipeline.
 	Arrivals Arrivals
 	// Events is the number of events the source generates (required > 0);
 	// the run drains after the last arrival.
@@ -216,8 +224,29 @@ func (p *PipelineSpec) validate(i int) error {
 	if p.WindowEvents <= 0 {
 		p.WindowEvents = 64
 	}
+	if invalid(p.WindowSeconds) {
+		return fmt.Errorf("stream: pipeline %s has WindowSeconds %v, want finite and >= 0", p.Name, p.WindowSeconds)
+	}
 	if len(p.Stages) == 0 {
 		return fmt.Errorf("stream: pipeline %s has no stages", p.Name)
 	}
+	for k := range p.Stages {
+		st := &p.Stages[k]
+		for _, c := range []struct {
+			name string
+			v    float64
+		}{
+			{"FlopsPerEvent", st.FlopsPerEvent},
+			{"BytesPerEvent", float64(st.BytesPerEvent)},
+			{"FPGASecondsPerEvent", st.FPGASecondsPerEvent},
+		} {
+			if invalid(c.v) {
+				return fmt.Errorf("stream: pipeline %s stage %s has %s %v, want finite and >= 0", p.Name, st.Name, c.name, c.v)
+			}
+		}
+	}
 	return nil
 }
+
+// invalid reports a cost or duration that is negative, NaN or infinite.
+func invalid(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }

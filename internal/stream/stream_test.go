@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	goruntime "runtime"
+	"strings"
 	"testing"
 
 	"everest/internal/hls"
@@ -193,6 +194,96 @@ func TestEngineValidation(t *testing.T) {
 	}
 	if _, err := e.Run(); err == nil {
 		t.Fatalf("second Run on a single-shot engine should fail")
+	}
+}
+
+func TestEngineRejectsInvalidCosts(t *testing.T) {
+	fpga := func(sec float64) StageSpec {
+		return StageSpec{Name: "infer", FlopsPerEvent: 1e3, Bitstream: testBitstream("k", 40000), FPGASecondsPerEvent: sec}
+	}
+	soft := func(flops float64, bytes int64) StageSpec {
+		return StageSpec{Name: "ingest", FlopsPerEvent: flops, BytesPerEvent: bytes}
+	}
+	cases := []struct {
+		name   string
+		stage  StageSpec
+		window float64
+		want   string
+	}{
+		{"NaN flops", soft(math.NaN(), 64), 0, "stage ingest has FlopsPerEvent NaN"},
+		{"negative flops", soft(-1, 64), 0, "stage ingest has FlopsPerEvent -1"},
+		{"infinite flops", soft(math.Inf(1), 64), 0, "stage ingest has FlopsPerEvent +Inf"},
+		{"negative bytes", soft(1e3, -64), 0, "stage ingest has BytesPerEvent -64"},
+		{"NaN FPGA seconds", fpga(math.NaN()), 0, "stage infer has FPGASecondsPerEvent NaN"},
+		{"negative FPGA seconds", fpga(-1), 0, "stage infer has FPGASecondsPerEvent -1"},
+		{"NaN window age", soft(1e3, 64), math.NaN(), "has WindowSeconds NaN"},
+		{"negative window age", soft(1e3, 64), -0.05, "has WindowSeconds -0.05"},
+		{"infinite window age", soft(1e3, 64), math.Inf(1), "has WindowSeconds +Inf"},
+	}
+	for _, c := range cases {
+		_, err := New(Config{Cluster: testCluster()}, []PipelineSpec{{
+			Name: "feed", Arrivals: NewPoisson(100, 1), Events: 100,
+			WindowSeconds: c.window, Stages: []StageSpec{c.stage},
+		}})
+		if err == nil || !strings.Contains(err.Error(), "pipeline feed") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to name pipeline feed and %q", c.name, err, c.want)
+		}
+	}
+}
+
+func TestEngineRejectsSharedArrivals(t *testing.T) {
+	spec := func(name string, a Arrivals) PipelineSpec {
+		return PipelineSpec{Name: name, Arrivals: a, Events: 100, Stages: []StageSpec{softStage("s", 1e3)}}
+	}
+	shared := NewPoisson(2000, 3)
+	_, err := New(Config{Cluster: testCluster()}, []PipelineSpec{spec("a", shared), spec("b", NewPoisson(2000, 4)), spec("c", shared)})
+	if err == nil || !strings.Contains(err.Error(), "pipelines a and c share one arrival process") {
+		t.Errorf("shared process: err = %v, want a rejection naming a and c", err)
+	}
+	// Separate processes with the same seed draw the same gaps, but each
+	// pipeline owns its own.
+	e, err := New(Config{Cluster: testCluster()}, []PipelineSpec{spec("a", NewPoisson(2000, 3)), spec("b", NewPoisson(2000, 3))})
+	if err != nil {
+		t.Fatalf("separate same-seed processes rejected: %v", err)
+	}
+	st, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pipelines[0].P99 != st.Pipelines[1].P99 || st.Done != 200 {
+		t.Errorf("same-seed pipelines should serve identical trains: %+v", st.Pipelines)
+	}
+}
+
+func TestEngineAdmitsArrivalAtFlushDeadline(t *testing.T) {
+	// Arrivals every 0.25 s against a 0.5 s window age: each window's third
+	// arrival lands exactly on its deadline and is still admitted, because
+	// an arrival sorts before a flush at the same instant.
+	var closes []Event
+	e, err := New(Config{Cluster: testCluster(), Trace: func(ev Event) {
+		if ev.Kind == EventWindowClose {
+			closes = append(closes, ev)
+		}
+	}}, []PipelineSpec{{
+		Name: "grid", Arrivals: &fixedGap{gap: 0.25}, Events: 8,
+		WindowEvents: 64, WindowSeconds: 0.5,
+		Stages: []StageSpec{softStage("s", 1e3)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Age closes at 0.75 and 1.5, then the source runs dry at 2.0.
+	want := []Event{{Time: 0.75, Events: 3}, {Time: 1.5, Events: 3}, {Time: 2.0, Events: 2}}
+	if len(closes) != len(want) {
+		t.Fatalf("closes = %+v, want %+v", closes, want)
+	}
+	for i, w := range want {
+		if closes[i].Time != w.Time || closes[i].Events != w.Events {
+			t.Errorf("close %d = %v s with %d events, want %v s with %d", i, closes[i].Time, closes[i].Events, w.Time, w.Events)
+		}
 	}
 }
 
@@ -463,27 +554,44 @@ func min(a, b int) int {
 
 func TestStreamSteadyStateAllocs(t *testing.T) {
 	e, err := New(Config{Cluster: testCluster()}, []PipelineSpec{{
-		Name: "steady", Arrivals: NewPoisson(5000, 5), Events: 400000, WindowEvents: 64,
+		// A window fills in 12.8 ms on average, so about half close on age.
+		Name: "steady", Arrivals: NewPoisson(5000, 5), Events: 400000,
+		WindowEvents: 64, WindowSeconds: 0.0128,
 		Stages: []StageSpec{softStage("ingest", 1e3), softStage("project", 2e3)},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ran = true // drive the loop by hand
-	e.heap.Push(runtime.TimeItem{Time: e.pipes[0].spec.Arrivals.Next(), Seq: slotArrival})
-	// Warm up: let the freelist, rings, and heap reach steady state.
-	for i := 0; i < 50000 && e.heap.Len() > 0; i++ {
+	p := e.pipes[0]
+	// At most one source entry per pipeline plus one completion per busy
+	// stage: a flush entry is pushed only for a window that closes by age,
+	// so the heap holds no stale timers.
+	maxHeap := len(e.pipes) * (1 + len(p.stages))
+	step := func() {
 		e.step()
+		if n := e.heap.Len(); n > maxHeap {
+			t.Fatalf("heap holds %d entries, want <= %d", n, maxHeap)
+		}
+	}
+	e.ran = true // drive the loop by hand
+	e.heap.Push(runtime.TimeItem{Time: p.spec.Arrivals.Next(), Seq: slotArrival})
+	// Warm up by windows (a step admits or closes a whole window): let the
+	// freelist, rings, and heap reach steady state.
+	for p.windows < 1000 && e.heap.Len() > 0 {
+		step()
 	}
 	if e.heap.Len() == 0 {
 		t.Fatal("warmup drained the event budget; raise Events")
 	}
 	avg := testing.AllocsPerRun(2000, func() {
 		if e.heap.Len() > 0 {
-			e.step()
+			step()
 		}
 	})
+	if e.heap.Len() == 0 {
+		t.Fatal("the measured steps drained the event budget; raise Events")
+	}
 	if avg != 0 {
-		t.Errorf("steady-state step allocates %.2f objects/event, want 0", avg)
+		t.Errorf("steady-state step allocates %.2f objects/step, want 0", avg)
 	}
 }

@@ -128,14 +128,14 @@ func Supersedes(a, b Version) bool {
 
 // StoreStats counts store activity (modelled run totals).
 type StoreStats struct {
-	Hits           int   // Contains/MissingBytes probes that found a partition
+	Hits           int   // Contains probes (Stage's included) that found a part
 	Misses         int   // probes that did not
 	Published      int   // publishes accepted (new or superseding)
 	Superseded     int   // publishes that replaced a resident version
 	Rejected       int   // publishes dropped by the lineage tie-break
-	Evictions      int   // partitions evicted by the byte bound
+	Evictions      int   // parts evicted by the byte or entry bound
 	PublishedBytes int64 // bytes accepted into the store
-	EvictedBytes   int64 // bytes evicted by the byte bound
+	EvictedBytes   int64 // bytes evicted by the byte or entry bound
 }
 
 // entry is one resident partition, linked into the store's recency list.
@@ -144,32 +144,37 @@ type entry struct {
 	prev, next *entry
 }
 
-// Store is a bytes-bounded LRU of dataset partitions — the site-local
-// dataset cache (fleet tier) and the regional artifact-store extension
-// (region tier) both embed one. The zero capacity means unbounded. A
+// Store is the one bounded LRU the serving tiers ship bytes into: each
+// fleet site's dataset store, each region's dataset store and each
+// region's bitstream image store are Stores. It is bounded in bytes, in
+// entries, or both (0 = unbounded); Stage ships what it lacks over a
+// Link and Estimate prices the same shipment without touching it. A
 // Store is not safe for concurrent use; callers hold their own site or
-// region lock, matching the bitstream cache it sits beside.
+// region lock.
 //
 // Recency is an intrusive doubly linked list under a sentinel, so a
 // touch (Contains, Publish) and an eviction are both O(1) regardless of
-// how many partitions are resident. A publish never evicts the partition
-// it just admitted: that key is always the newest, so eviction stops when
-// only it remains. Evicted entries are recycled for later inserts and
-// evicted versions are appended to a caller-owned buffer (see Publish),
-// so a steady-state publish allocates nothing. A Store must be created
-// with NewStore and not copied.
+// how many parts are resident. A publish never evicts the part it just
+// admitted: that key is always the newest, so eviction stops when only
+// it remains. Evicted entries are recycled for later inserts and evicted
+// versions go to a buffer the store reuses, so a steady-state publish
+// allocates nothing. A Store must be created with NewStore and not
+// copied.
 type Store struct {
 	capacity int64 // max resident bytes; 0 = unbounded
+	slots    int   // max resident entries; 0 = unbounded
 	resident map[ID]*entry
 	lru      entry  // sentinel: lru.next is the oldest, lru.prev the newest
 	free     *entry // evicted entries awaiting reuse, linked through next
 	bytes    int64
+	evicted  []Version // the last admission's evictions (Publish's result)
 	stats    StoreStats
 }
 
-// NewStore returns an empty store bounded to capacity bytes (0 = unbounded).
-func NewStore(capacity int64) *Store {
-	s := &Store{capacity: capacity, resident: make(map[ID]*entry)}
+// NewStore returns an empty store bounded to capacity bytes and to slots
+// entries (0 = unbounded, for either).
+func NewStore(capacity int64, slots int) *Store {
+	s := &Store{capacity: capacity, slots: slots, resident: make(map[ID]*entry)}
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	return s
 }
@@ -221,6 +226,75 @@ func (s *Store) MissingBytes(parts []Part) int64 {
 	return missing
 }
 
+// Link prices shipping part p into a store, the transfer starting at
+// modelled time at. ok=false means the part cannot be shipped then; the
+// seconds are then the price of doing without it, which Estimate charges
+// and Stage does not.
+type Link func(p Part, at float64) (seconds float64, ok bool)
+
+// Fetch reports one part a Stage call found missing and offered to its
+// link.
+type Fetch struct {
+	Part    Part
+	At      float64 // modelled start of the transfer
+	Seconds float64 // the link's price
+	Shipped bool    // false: the link refused the part; nothing was admitted
+	// Evicted lists the versions admitting the part evicted, oldest first.
+	// The store reuses the slice: it is valid only during the callback.
+	Evicted []Version
+}
+
+// Stage ships every part of parts the store lacks over link, one transfer
+// after another from at, admits each as a version published at its
+// transfer's start by workflow by, and reports each offered part to
+// fetched (which may be nil). Resident parts are touched and cost
+// nothing, and a part listed twice ships at most once. It returns the
+// seconds and bytes shipped.
+func (s *Store) Stage(parts []Part, at float64, by string, link Link, fetched func(Fetch)) (seconds float64, bytes int64) {
+	for i, p := range parts {
+		if s.Contains(p.ID) || listed(parts[:i], p.ID) {
+			continue
+		}
+		x := Fetch{Part: p, At: at + seconds}
+		x.Seconds, x.Shipped = link(p, x.At)
+		if x.Shipped {
+			x.Evicted = s.Publish(Version{Ref: p.Ref, ID: p.ID, Time: x.At, Workflow: by, Task: "(fetch)"})
+			seconds += x.Seconds
+			bytes += p.Ref.Bytes
+		}
+		if fetched != nil {
+			fetched(x)
+		}
+	}
+	return seconds, bytes
+}
+
+// Estimate prices what Stage would charge for parts, leaving the store
+// untouched: the link's seconds for every distinct missing part, refused
+// parts included. Every part is priced at at, not at its place in the
+// queue, and a part the shipment itself would evict is not priced again.
+func (s *Store) Estimate(parts []Part, at float64, link Link) float64 {
+	seconds := 0.0
+	for i, p := range parts {
+		if s.Holds(p.ID) || listed(parts[:i], p.ID) {
+			continue
+		}
+		dt, _ := link(p, at)
+		seconds += dt
+	}
+	return seconds
+}
+
+// listed reports whether id is among parts.
+func listed(parts []Part, id ID) bool {
+	for _, q := range parts {
+		if q.ID == id {
+			return true
+		}
+	}
+	return false
+}
+
 // Version returns the lineage record of a resident partition.
 func (s *Store) Version(id ID) (Version, bool) {
 	e, ok := s.resident[id]
@@ -230,33 +304,34 @@ func (s *Store) Version(id ID) (Version, bool) {
 	return e.ver, true
 }
 
-// Publish admits a version, evicting least-recently-used partitions if
-// the byte bound requires it, and returns dst with the evicted versions
-// appended (oldest first). The caller owns dst: passing a reused buffer
-// (buf = s.Publish(v, buf[:0])) keeps an evicting publish off the heap.
-// A version already resident is replaced only when the newcomer
-// supersedes it per the (time, workflow id, name) tie-break; a rejected
-// publish still refreshes the winner's LRU position (the data was just
-// produced again, so it is hot either way). v.ID must be v.Ref's ID.
-func (s *Store) Publish(v Version, dst []Version) []Version {
+// Publish admits a version, evicting least-recently-used parts if a bound
+// requires it, and returns the evicted versions (oldest first) in a
+// buffer the store reuses: the result is valid only until the next
+// Publish or Stage. A version already resident is replaced only when the
+// newcomer supersedes it per the (time, workflow id, name) tie-break; a
+// rejected publish still refreshes the winner's LRU position (the data
+// was just produced again, so it is hot either way). v.ID must be
+// v.Ref's ID.
+func (s *Store) Publish(v Version) []Version {
+	s.evicted = s.evicted[:0]
 	if e, ok := s.resident[v.ID]; ok {
 		s.touch(e)
 		if !Supersedes(v, e.ver) {
 			s.stats.Rejected++
-			return dst
+			return s.evicted
 		}
 		s.bytes += v.Ref.Bytes - e.ver.Ref.Bytes
 		e.ver = v
 		s.stats.Published++
 		s.stats.Superseded++
 		s.stats.PublishedBytes += v.Ref.Bytes
-		return s.enforce(e, dst)
+		return s.enforce(e)
 	}
 	if s.capacity > 0 && v.Ref.Bytes > s.capacity {
 		// Larger than the whole store: never resident, count as rejected
 		// so the caller sees the publish went nowhere.
 		s.stats.Rejected++
-		return dst
+		return s.evicted
 	}
 	e := s.free
 	if e != nil {
@@ -270,7 +345,7 @@ func (s *Store) Publish(v Version, dst []Version) []Version {
 	s.bytes += v.Ref.Bytes
 	s.stats.Published++
 	s.stats.PublishedBytes += v.Ref.Bytes
-	return s.enforce(e, dst)
+	return s.enforce(e)
 }
 
 // touch moves a resident entry to the newest end of the recency list.
@@ -285,15 +360,12 @@ func (s *Store) pushNewest(e *entry) {
 	s.lru.prev = e
 }
 
-// enforce evicts least-recently-used partitions from the oldest end until
-// the byte bound holds, appending their versions to dst. keep, the entry
+// enforce evicts least-recently-used parts from the oldest end until both
+// bounds hold, collecting their versions in s.evicted. keep, the entry
 // just published, is the newest, so reaching it means nothing else is
 // left to evict.
-func (s *Store) enforce(keep *entry, dst []Version) []Version {
-	if s.capacity <= 0 {
-		return dst
-	}
-	for s.bytes > s.capacity {
+func (s *Store) enforce(keep *entry) []Version {
+	for (s.capacity > 0 && s.bytes > s.capacity) || (s.slots > 0 && len(s.resident) > s.slots) {
 		e := s.lru.next
 		if e == keep {
 			break
@@ -303,11 +375,11 @@ func (s *Store) enforce(keep *entry, dst []Version) []Version {
 		s.bytes -= e.ver.Ref.Bytes
 		s.stats.Evictions++
 		s.stats.EvictedBytes += e.ver.Ref.Bytes
-		dst = append(dst, e.ver)
+		s.evicted = append(s.evicted, e.ver)
 		*e = entry{next: s.free}
 		s.free = e
 	}
-	return dst
+	return s.evicted
 }
 
 // Keys returns the resident partition keys rendered in sorted order

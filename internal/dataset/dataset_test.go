@@ -90,7 +90,7 @@ func TestCatalogKnown(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	s := NewStore(100)
+	s := NewStore(100, 0)
 	if s.Capacity() != 100 {
 		t.Fatalf("Capacity = %d", s.Capacity())
 	}
@@ -98,7 +98,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	b := Ref{Name: "b", Bytes: 40}
 	c := Ref{Name: "c", Bytes: 40}
 	for i, r := range []Ref{a, b, c} {
-		s.Publish(Version{Ref: r, ID: id(r), Time: float64(i)}, nil)
+		s.Publish(Version{Ref: r, ID: id(r), Time: float64(i)})
 	}
 	// c's publish must evict a (the oldest) and keep b and c.
 	if s.Holds(id(a)) {
@@ -115,7 +115,7 @@ func TestStoreLRUEviction(t *testing.T) {
 		t.Fatal("b not contained")
 	}
 	d := Ref{Name: "d", Bytes: 40}
-	evicted := s.Publish(Version{Ref: d, ID: id(d), Time: 3}, nil)
+	evicted := s.Publish(Version{Ref: d, ID: id(d), Time: 3})
 	if len(evicted) != 1 || evicted[0].Ref.Name != "c" {
 		t.Errorf("evicted %v, want c", evicted)
 	}
@@ -126,9 +126,9 @@ func TestStoreLRUEviction(t *testing.T) {
 }
 
 func TestStoreOversizedRejected(t *testing.T) {
-	s := NewStore(10)
+	s := NewStore(10, 0)
 	huge := Ref{Name: "huge", Bytes: 11}
-	if ev := s.Publish(Version{Ref: huge, ID: id(huge), Time: 1}, nil); len(ev) != 0 {
+	if ev := s.Publish(Version{Ref: huge, ID: id(huge), Time: 1}); len(ev) != 0 {
 		t.Errorf("oversized publish evicted %v", ev)
 	}
 	if s.Holds(id(huge)) || s.Len() != 0 {
@@ -140,10 +140,10 @@ func TestStoreOversizedRejected(t *testing.T) {
 }
 
 func TestStoreUnbounded(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, 0)
 	for i := 0; i < 64; i++ {
 		r := Ref{Name: "r", Partition: i, Bytes: 1 << 20}
-		s.Publish(Version{Ref: r, ID: id(r), Time: float64(i)}, nil)
+		s.Publish(Version{Ref: r, ID: id(r), Time: float64(i)})
 	}
 	if s.Len() != 64 || s.Stats().Evictions != 0 {
 		t.Errorf("unbounded store evicted: len=%d stats=%+v", s.Len(), s.Stats())
@@ -151,10 +151,10 @@ func TestStoreUnbounded(t *testing.T) {
 }
 
 func TestStoreMissingBytes(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, 0)
 	a := Ref{Name: "a", Bytes: 30}
 	b := Ref{Name: "b", Bytes: 50}
-	s.Publish(Version{Ref: a, ID: id(a), Time: 1}, nil)
+	s.Publish(Version{Ref: a, ID: id(a), Time: 1})
 	if got := s.MissingBytes([]Part{Intern(a), Intern(b)}); got != 50 {
 		t.Errorf("MissingBytes = %d, want 50", got)
 	}
@@ -164,20 +164,20 @@ func TestStoreMissingBytes(t *testing.T) {
 }
 
 func TestStoreLineageTieBreak(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, 0)
 	r := Ref{Name: "model", Bytes: 8}
-	s.Publish(Version{Ref: r, ID: id(r), Time: 2, Workflow: "wfB", Task: "t"}, nil)
+	s.Publish(Version{Ref: r, ID: id(r), Time: 2, Workflow: "wfB", Task: "t"})
 	// An older publish must not supersede the resident version.
-	s.Publish(Version{Ref: r, ID: id(r), Time: 1, Workflow: "wfZ", Task: "t"}, nil)
+	s.Publish(Version{Ref: r, ID: id(r), Time: 1, Workflow: "wfZ", Task: "t"})
 	if v, ok := s.Version(id(r)); !ok || v.Workflow != "wfB" {
 		t.Errorf("older publish superseded: %+v", v)
 	}
 	// Same time: the higher workflow id wins, deterministically.
-	s.Publish(Version{Ref: r, ID: id(r), Time: 2, Workflow: "wfC", Task: "t"}, nil)
+	s.Publish(Version{Ref: r, ID: id(r), Time: 2, Workflow: "wfC", Task: "t"})
 	if v, _ := s.Version(id(r)); v.Workflow != "wfC" {
 		t.Errorf("tie-break ignored workflow id: %+v", v)
 	}
-	s.Publish(Version{Ref: r, ID: id(r), Time: 2, Workflow: "wfA", Task: "t"}, nil)
+	s.Publish(Version{Ref: r, ID: id(r), Time: 2, Workflow: "wfA", Task: "t"})
 	if v, _ := s.Version(id(r)); v.Workflow != "wfC" {
 		t.Errorf("lower workflow id superseded: %+v", v)
 	}
@@ -207,11 +207,11 @@ func TestSupersedes(t *testing.T) {
 }
 
 func TestStoreKeysSorted(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, 0)
 	for _, n := range []string{"c", "a", "b"} {
 		for p := 1; p >= 0; p-- {
 			r := Ref{Name: n, Partition: p, Bytes: 1}
-			s.Publish(Version{Ref: r, ID: id(r), Time: 1}, nil)
+			s.Publish(Version{Ref: r, ID: id(r), Time: 1})
 		}
 	}
 	keys := s.Keys()
@@ -229,27 +229,27 @@ func TestStoreKeysSorted(t *testing.T) {
 // same-version republish: re-publishing resident data marks it used even
 // though the version does not supersede.
 func TestStoreRejectedPublishStillTouches(t *testing.T) {
-	s := NewStore(100)
+	s := NewStore(100, 0)
 	a := Ref{Name: "a", Bytes: 40}
 	b := Ref{Name: "b", Bytes: 40}
-	s.Publish(Version{Ref: a, ID: id(a), Time: 1}, nil)
-	s.Publish(Version{Ref: b, ID: id(b), Time: 2}, nil)
+	s.Publish(Version{Ref: a, ID: id(a), Time: 1})
+	s.Publish(Version{Ref: b, ID: id(b), Time: 2})
 	// Republish a with an older version: rejected, but it refreshes a's
 	// recency, so the next eviction takes b.
-	s.Publish(Version{Ref: a, ID: id(a), Time: 0.5}, nil)
+	s.Publish(Version{Ref: a, ID: id(a), Time: 0.5})
 	c := Ref{Name: "c", Bytes: 40}
-	ev := s.Publish(Version{Ref: c, ID: id(c), Time: 3}, nil)
+	ev := s.Publish(Version{Ref: c, ID: id(c), Time: 3})
 	if len(ev) != 1 || ev[0].Ref.Name != "b" {
 		t.Errorf("evicted %v, want b (a was refreshed)", ev)
 	}
 }
 
 func TestHoldsDoesNotPerturbLRU(t *testing.T) {
-	s := NewStore(100)
+	s := NewStore(100, 0)
 	a := Ref{Name: "a", Bytes: 40}
 	b := Ref{Name: "b", Bytes: 40}
-	s.Publish(Version{Ref: a, ID: id(a), Time: 1}, nil)
-	s.Publish(Version{Ref: b, ID: id(b), Time: 2}, nil)
+	s.Publish(Version{Ref: a, ID: id(a), Time: 1})
+	s.Publish(Version{Ref: b, ID: id(b), Time: 2})
 	// Pure reads must not count as use: a stays oldest.
 	for i := 0; i < 4; i++ {
 		if !s.Holds(id(a)) {
@@ -257,7 +257,7 @@ func TestHoldsDoesNotPerturbLRU(t *testing.T) {
 		}
 	}
 	c := Ref{Name: "c", Bytes: 40}
-	ev := s.Publish(Version{Ref: c, ID: id(c), Time: 3}, nil)
+	ev := s.Publish(Version{Ref: c, ID: id(c), Time: 3})
 	if len(ev) != 1 || ev[0].Ref.Name != "a" {
 		t.Errorf("evicted %v, want a (Holds must not refresh)", ev)
 	}
@@ -271,9 +271,9 @@ func TestHoldsDoesNotPerturbLRU(t *testing.T) {
 // (name, partition) alone; Bytes is the declared size, not part of the
 // key, so a reader quoting a different size still hits the resident copy.
 func TestHoldsByKey(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore(0, 0)
 	a := Ref{Name: "a", Bytes: 40}
-	s.Publish(Version{Ref: a, ID: id(a), Time: 1}, nil)
+	s.Publish(Version{Ref: a, ID: id(a), Time: 1})
 	if !s.Holds(id(Ref{Name: "a", Bytes: 39})) {
 		t.Error("Holds keyed on bytes; identity is (name, partition)")
 	}
@@ -283,10 +283,10 @@ func TestHoldsByKey(t *testing.T) {
 }
 
 func ExampleStore() {
-	s := NewStore(128)
+	s := NewStore(128, 0)
 	for p, r := range Partitioned("points", 96, 3) {
 		part := Intern(r) // once, where the partition enters the system
-		s.Publish(Version{Ref: part.Ref, ID: part.ID, Time: float64(p), Workflow: "ingest"}, nil)
+		s.Publish(Version{Ref: part.Ref, ID: part.ID, Time: float64(p), Workflow: "ingest"})
 	}
 	probe := Intern(Ref{Name: "points", Partition: 1, Bytes: 32})
 	fmt.Println(s.Len(), s.Resident(), s.MissingBytes([]Part{probe}))

@@ -11,9 +11,11 @@ import (
 // operation for operation: a logical clock stamps every touch and each
 // eviction scans every resident partition for the smallest stamp. It is
 // the original O(n)-per-eviction implementation, kept here only as the
-// differential model for FuzzStoreLRU.
+// differential model for FuzzStoreLRU, with the entry bound and a serial
+// stage added beside it.
 type scanStore struct {
 	capacity int64
+	slots    int
 	resident map[Key]*scanEntry
 	bytes    int64
 	seq      int64
@@ -25,8 +27,8 @@ type scanEntry struct {
 	use int64 // clock at last touch
 }
 
-func newScanStore(capacity int64) *scanStore {
-	return &scanStore{capacity: capacity, resident: make(map[Key]*scanEntry)}
+func newScanStore(capacity int64, slots int) *scanStore {
+	return &scanStore{capacity: capacity, slots: slots, resident: make(map[Key]*scanEntry)}
 }
 
 func (s *scanStore) Contains(r Ref) bool {
@@ -92,11 +94,8 @@ func (s *scanStore) Publish(v Version) []Version {
 }
 
 func (s *scanStore) enforce(keep Key) []Version {
-	if s.capacity <= 0 || s.bytes <= s.capacity {
-		return nil
-	}
 	var evicted []Version
-	for s.bytes > s.capacity {
+	for (s.capacity > 0 && s.bytes > s.capacity) || (s.slots > 0 && len(s.resident) > s.slots) {
 		var oldestKey Key
 		var oldest *scanEntry
 		for k, e := range s.resident {
@@ -119,6 +118,41 @@ func (s *scanStore) enforce(keep Key) []Version {
 	return evicted
 }
 
+// scanFetch is one part the reference stage offered to its link.
+type scanFetch struct {
+	ref     Ref
+	at      float64
+	seconds float64
+	shipped bool
+	evicted []Version
+}
+
+// Stage is the reference serial stage: probe each listed partition in
+// order; one missing and not already listed is offered to the link at the
+// running time, and a shipped one is published and advances the clock.
+func (s *scanStore) Stage(refs []Ref, at float64, by string, link func(Ref, float64) (float64, bool)) (float64, int64, []scanFetch) {
+	var seconds float64
+	var bytes int64
+	var fetches []scanFetch
+	seen := make(map[Key]bool)
+	for _, r := range refs {
+		if s.Contains(r) || seen[r.Key()] {
+			seen[r.Key()] = true
+			continue
+		}
+		seen[r.Key()] = true
+		x := scanFetch{ref: r, at: at + seconds}
+		x.seconds, x.shipped = link(r, x.at)
+		if x.shipped {
+			x.evicted = s.Publish(Version{Ref: r, ID: id(r), Time: x.at, Workflow: by, Task: "(fetch)"})
+			seconds += x.seconds
+			bytes += r.Bytes
+		}
+		fetches = append(fetches, x)
+	}
+	return seconds, bytes, fetches
+}
+
 func (s *scanStore) Keys() []string {
 	keys := make([]string, 0, len(s.resident))
 	for k := range s.resident {
@@ -128,22 +162,25 @@ func (s *scanStore) Keys() []string {
 	return keys
 }
 
-// Fuzzed op encoding for FuzzStoreLRU. The first byte picks the capacity;
-// every following 4 bytes are one op: [code, key, a, b], up to maxFuzzOps.
+// Fuzzed op encoding for FuzzStoreLRU. The first byte picks the capacity
+// (bits 0-1) and the entry bound (bits 2-3); every following 4 bytes are
+// one op: [code, key, a, b], up to maxFuzzOps.
 // The fuzzer minimizes each new input in time quadratic in its length, so
 // the op budget is kept to what sixteen keys need to cycle the LRU.
 const maxFuzzOps = 64
 
 const (
-	opPublish = iota // a = bytes, b = time | workflow | task; code&0x80 = non-empty dst
+	opPublish = iota // a = bytes, b = time | workflow | task
 	opContains
 	opHolds
 	opMissing // refs at keys key, a, b with sizes a, b, key
+	opStage   // the opMissing refs from time b%4 by workflow b%3; code&0x80 = refusing link
 	opCount
 )
 
 var (
 	fuzzCapacities = []int64{0, 10, 100, 1000}
+	fuzzSlots      = []int{0, 1, 2, 4}
 	fuzzNames      = []string{"a", "b", "c", "d"}
 	fuzzWorkflows  = []string{"wfA", "wfB", "wfC"}
 	fuzzTasks      = []string{"t0", "t1"}
@@ -151,6 +188,14 @@ var (
 
 func fuzzRef(sel, size byte) Ref {
 	return Ref{Name: fuzzNames[sel%4], Partition: int(sel/4) % 4, Bytes: int64(size)}
+}
+
+// fuzzLink prices a fuzzed transfer by size alone; the refusing variant
+// also turns down odd partitions at even times and even ones at odd times.
+func fuzzLink(refusing bool) func(Ref, float64) (float64, bool) {
+	return func(r Ref, at float64) (float64, bool) {
+		return 0.5 + float64(r.Bytes)/16, !refusing || (r.Partition+int(at))%2 == 0
+	}
 }
 
 func fuzzVersion(key, size, lineage byte) Version {
@@ -175,8 +220,11 @@ func lruOps(capSel byte, ops ...[4]byte) []byte {
 
 // FuzzStoreLRU drives the linked-list Store and the scan reference with
 // the same op sequence and requires identical observable state after
-// every op: evicted versions in order, probe results, counters, resident
-// bytes, keys and every partition's lineage record.
+// every op: evicted versions in order, probe results, every fetch a stage
+// reports, counters, resident bytes, keys and every partition's lineage
+// record. A stage must also ship no part twice and, over a link that
+// never refuses, charge at least what Estimate priced on the store it
+// started from, and exactly that when it evicted none of its own parts.
 func FuzzStoreLRU(f *testing.F) {
 	// Key selectors: 0 = a#0, 1 = b#0, 2 = c#0, 3 = d#0, 4 = a#1, ...
 	// Lineage byte: time in bits 0-1, workflow in 2-3, task in 4.
@@ -199,11 +247,18 @@ func FuzzStoreLRU(f *testing.F) {
 		[4]byte{opHolds, 0, 0, 0}, [4]byte{opMissing, 0, 40, 40}, [4]byte{opPublish, 2, 40, 3}))
 	f.Add(lruOps(2, // superseding growth past the bound evicts everything else
 		[4]byte{opPublish, 0, 30, 0}, [4]byte{opPublish, 1, 30, 0}, [4]byte{opPublish, 2, 30, 0},
-		[4]byte{opPublish | 0x80, 1, 99, 1}, [4]byte{opPublish, 3, 1, 2}))
+		[4]byte{opPublish, 1, 99, 1}, [4]byte{opPublish, 3, 1, 2}))
 	f.Add(lruOps(3, // many small publishes in a large store, with probes
 		[4]byte{opPublish, 0, 200, 0}, [4]byte{opPublish, 5, 250, 0}, [4]byte{opPublish, 10, 220, 1},
 		[4]byte{opContains, 0, 0, 0}, [4]byte{opContains, 7, 0, 0}, [4]byte{opPublish, 15, 240, 2},
-		[4]byte{opPublish | 0x80, 3, 230, 3}, [4]byte{opPublish, 5, 10, 3}))
+		[4]byte{opPublish, 3, 230, 3}, [4]byte{opPublish, 5, 10, 3}))
+	f.Add(lruOps(2|1<<2, // one entry: stage a, b, c over a resident a; b evicts a, c evicts b
+		[4]byte{opPublish, 0, 5, 0}, [4]byte{opStage, 0, 1, 2}, [4]byte{opStage, 2, 2, 2}))
+	f.Add(lruOps(3|2<<2, // two entries, duplicates and a refusing link across times
+		[4]byte{opStage, 5, 5, 1}, [4]byte{opStage | 0x80, 4, 9, 6}, [4]byte{opContains, 9, 0, 0},
+		[4]byte{opStage | 0x80, 3, 7, 3}, [4]byte{opPublish, 7, 40, 2}, [4]byte{opStage, 7, 8, 7}))
+	f.Add(lruOps(1|3<<2, // bytes and entries both bound; a stage of oversized parts
+		[4]byte{opStage, 0, 4, 8}, [4]byte{opStage, 12, 200, 40}, [4]byte{opMissing, 12, 0, 4}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -213,24 +268,14 @@ func FuzzStoreLRU(f *testing.F) {
 			data = data[:max] // longer runs only slow minimization down
 		}
 		capacity := fuzzCapacities[int(data[0])%len(fuzzCapacities)]
-		got, want := NewStore(capacity), newScanStore(capacity)
-		var buf []Version
-		marker := Version{Workflow: "(caller)"}
+		slots := fuzzSlots[int(data[0]>>2)%len(fuzzSlots)]
+		got, want := NewStore(capacity, slots), newScanStore(capacity, slots)
 		for i, ops := 0, data[1:]; len(ops) >= 4; i, ops = i+1, ops[4:] {
 			code, key, a, b := ops[0], ops[1], ops[2], ops[3]
-			switch code % opCount {
+			switch (code & 0x7f) % opCount {
 			case opPublish:
 				v := fuzzVersion(key, a, b)
-				dst := buf[:0]
-				if code&0x80 != 0 {
-					dst = append(dst, marker)
-				}
-				buf = got.Publish(v, dst)
-				ev := buf[len(dst):]
-				if code&0x80 != 0 && buf[0] != marker {
-					t.Fatalf("op %d: Publish overwrote the caller's dst prefix", i)
-				}
-				if wantEv := want.Publish(v); !slices.Equal(ev, wantEv) {
+				if ev, wantEv := got.Publish(v), want.Publish(v); !slices.Equal(ev, wantEv) {
 					t.Fatalf("op %d: Publish(%+v) evicted %v, want %v", i, v, ev, wantEv)
 				}
 			case opContains:
@@ -248,6 +293,42 @@ func FuzzStoreLRU(f *testing.F) {
 				parts := []Part{Intern(refs[0]), Intern(refs[1]), Intern(refs[2])}
 				if g, w := got.MissingBytes(parts), want.MissingBytes(refs); g != w {
 					t.Fatalf("op %d: MissingBytes(%v) = %d, want %d", i, refs, g, w)
+				}
+			case opStage:
+				refs := []Ref{fuzzRef(key, a), fuzzRef(a, b), fuzzRef(b, key)}
+				parts := []Part{Intern(refs[0]), Intern(refs[1]), Intern(refs[2])}
+				at, by := float64(b%4), fuzzWorkflows[b%3]
+				refusing := code&0x80 != 0
+				price := fuzzLink(refusing)
+				link := func(p Part, at float64) (float64, bool) { return price(p.Ref, at) }
+				est := got.Estimate(parts, at, link)
+				var fetches []scanFetch
+				gs, gb := got.Stage(parts, at, by, link, func(x Fetch) {
+					fetches = append(fetches, scanFetch{x.Part.Ref, x.At, x.Seconds, x.Shipped, slices.Clone(x.Evicted)})
+				})
+				ws, wb, wantFetches := want.Stage(refs, at, by, price)
+				if gs != ws || gb != wb {
+					t.Fatalf("op %d: Stage(%v) = %g s/%d B, want %g s/%d B", i, refs, gs, gb, ws, wb)
+				}
+				if !slices.EqualFunc(fetches, wantFetches, func(x, y scanFetch) bool {
+					return x.ref == y.ref && x.at == y.at && x.seconds == y.seconds &&
+						x.shipped == y.shipped && slices.Equal(x.evicted, y.evicted)
+				}) {
+					t.Fatalf("op %d: Stage(%v) fetched %+v, want %+v", i, refs, fetches, wantFetches)
+				}
+				shipped := map[Key]bool{}
+				ownEvicted := false
+				for _, x := range fetches {
+					if x.shipped && shipped[x.ref.Key()] {
+						t.Fatalf("op %d: Stage(%v) shipped %v twice", i, refs, x.ref.Key())
+					}
+					shipped[x.ref.Key()] = x.shipped
+					for _, v := range x.evicted {
+						ownEvicted = ownEvicted || slices.ContainsFunc(refs, func(r Ref) bool { return r.Key() == v.Ref.Key() })
+					}
+				}
+				if !refusing && (gs < est || (!ownEvicted && gs != est)) {
+					t.Fatalf("op %d: Stage(%v) charged %g, Estimate priced %g (own evictions: %v)", i, refs, gs, est, ownEvicted)
 				}
 			}
 			if g, w := got.Stats(), want.stats; g != w {
@@ -292,13 +373,13 @@ func publishRing(n int, size int64) []Version {
 func TestStorePublishAllocFree(t *testing.T) {
 	const resident = 8
 	ring := publishRing(4*resident, 64)
-	s := NewStore(resident * 64)
-	var buf []Version
+	s := NewStore(resident*64, 0)
+	var evicted []Version
 	i := 0
 	publish := func() {
 		v := ring[i%len(ring)]
 		v.Time = float64(i)
-		buf = s.Publish(v, buf[:0])
+		evicted = s.Publish(v)
 		i++
 	}
 	for range 2 * len(ring) {
@@ -306,11 +387,40 @@ func TestStorePublishAllocFree(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(1000, func() {
 		publish()
-		if len(buf) != 1 {
-			t.Fatalf("publish evicted %d, want 1", len(buf))
+		if len(evicted) != 1 {
+			t.Fatalf("publish evicted %d, want 1", len(evicted))
 		}
 	}); got != 0 {
 		t.Errorf("evicting publish allocates %.2f per run, budget 0", got)
+	}
+}
+
+// TestStoreStageAllocFree pins a steady-state evicting Stage at zero
+// allocations: the link, the fetch callback and the eviction buffer all
+// stay off the heap, as the serving tiers' fetch paths need.
+func TestStoreStageAllocFree(t *testing.T) {
+	ring := publishRing(16, 64)
+	parts := make([]Part, len(ring))
+	for i, v := range ring {
+		parts[i] = Part{Ref: v.Ref, ID: v.ID}
+	}
+	s := NewStore(0, 4)
+	link := Link(func(p Part, _ float64) (float64, bool) { return float64(p.Ref.Bytes), true })
+	fetches, i := 0, 0
+	stage := func() {
+		s.Stage(parts[i%len(parts):i%len(parts)+1], float64(i), "wf", link, func(x Fetch) {
+			fetches += len(x.Evicted)
+		})
+		i++
+	}
+	for range 2 * len(parts) {
+		stage()
+	}
+	if got := testing.AllocsPerRun(1000, stage); got != 0 {
+		t.Errorf("evicting stage allocates %.2f per run, budget 0", got)
+	}
+	if fetches == 0 {
+		t.Fatal("the ring never evicted")
 	}
 }
 
@@ -322,18 +432,17 @@ func BenchmarkStorePublish(b *testing.B) {
 	for _, resident := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
 			ring := publishRing(2*resident, 64)
-			s := NewStore(int64(resident) * 64)
-			var buf []Version
+			s := NewStore(int64(resident)*64, 0)
 			for i, v := range ring {
 				v.Time = float64(i)
-				buf = s.Publish(v, buf[:0])
+				s.Publish(v)
 			}
 			b.ReportAllocs()
 			i := len(ring)
 			for b.Loop() {
 				v := ring[i%len(ring)]
 				v.Time = float64(i)
-				buf = s.Publish(v, buf[:0])
+				s.Publish(v)
 				i++
 			}
 			if s.Len() != resident {

@@ -11,6 +11,15 @@ import (
 // raceEnabled is set by race_test.go under the race detector.
 var raceEnabled bool
 
+// needParts interns bitstream IDs the way Workflow.Submit resolves needs.
+func needParts(ids ...string) []dataset.Part {
+	var out []dataset.Part
+	for _, id := range ids {
+		out = append(out, dataset.Intern(dataset.Ref{Name: id}))
+	}
+	return out
+}
+
 // TestRouteAllocFree pins the router's allocation budget: pricing every
 // site for one workflow — cache residency probes, cold-deploy estimates,
 // affinity, and for a guaranteed request the proven service and deploy
@@ -36,12 +45,12 @@ func TestRouteAllocFree(t *testing.T) {
 	reads := []dataset.Part{dataset.Intern(refs[0]), dataset.Intern(refs[1])}
 	for _, tc := range []struct {
 		what  string
-		needs []string
+		needs []dataset.Part
 		reads []dataset.Part
 	}{
 		{"route (software-only)", nil, nil},
-		{"route (cold bitstreams)", []string{"bs0", "bs1"}, nil},
-		{"route (dataset locality)", []string{"bs0"}, reads},
+		{"route (cold bitstreams)", needParts("bs0", "bs1"), nil},
+		{"route (dataset locality)", needParts("bs0"), reads},
 	} {
 		if got := testing.AllocsPerRun(200, func() {
 			if _, err := f.route("tenant00", 1, true, tc.needs, tc.reads, 0.5); err != nil {
@@ -109,8 +118,9 @@ func BenchmarkFleetRoute(b *testing.B) {
 // set, so serving the map workflows fetches, publishes and evicts. It
 // returns one map workflow per partition: assign reads the partition's
 // points and the centroids and writes its weights; fold reads weights
-// and points and writes the partial sums.
-func kmeansMapFleet() (*Fleet, []*runtime.Workflow, error) {
+// and points and writes the partial sums. trace, when set, receives the
+// fleet's events.
+func kmeansMapFleet(trace func(Event)) (*Fleet, []*runtime.Workflow, error) {
 	const sites, parts = 4, 8
 	const pt, wt, pa, ce = 1 << 20, 1 << 16, 1 << 12, 1 << 12
 	kernels := []string{"bs-assign", "bs-fold"}
@@ -122,7 +132,7 @@ func kmeansMapFleet() (*Fleet, []*runtime.Workflow, error) {
 	}
 	working := int64(parts*(pt+wt+pa) + ce)
 	f, err := New(reg, Config{Sites: sites, NewCluster: testCluster(2), CacheSlots: 2,
-		DatasetStoreBytes: working / 2 / sites})
+		DatasetStoreBytes: working / 2 / sites, Trace: trace})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -183,7 +193,7 @@ func mapDriver(f *Fleet, maps []*runtime.Workflow) func() (Result, error) {
 // times, returning a step that must not fail.
 func warmMapFleet(tb testing.TB) (*Fleet, func()) {
 	tb.Helper()
-	f, maps, err := kmeansMapFleet()
+	f, maps, err := kmeansMapFleet(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -44,13 +44,15 @@ func (f *Fleet) PlaceDataset(i int, at float64, refs ...dataset.Ref) error {
 	s := f.sites[i]
 	for _, r := range refs {
 		p := dataset.Intern(r)
-		s.evicted = s.dstore.Publish(dataset.Version{
+		evicted := s.dstore.Publish(dataset.Version{
 			Ref: r, ID: p.ID, Time: at, Workflow: "(placed)", Task: "(placed)",
-		}, s.evicted[:0])
+		})
 		s.stats.DatasetPublished++
 		s.stats.DatasetPublishedBytes += r.Bytes
-		s.stats.DatasetEvictions += len(s.evicted)
 		f.catalog.Add(p.ID)
+		if f.cfg.Trace != nil {
+			f.traceEvicted(s, evicted, at)
+		}
 	}
 	return nil
 }
@@ -67,41 +69,23 @@ func (f *Fleet) DatasetResident(i int, r dataset.Ref) bool {
 }
 
 // fetchData stages the workflow's known reads (w.reads, the set Submit
-// filtered through the catalog) that the site does not hold, charging the
-// registry-fabric transfer for each and admitting the fetched copies into
+// filtered through the catalog) that the site does not hold over the
+// registry fabric, one after another, admitting the fetched copies into
 // the site store. Returns the modelled fetch stall and the shipped bytes.
 // Resident partitions cost nothing — that is the locality win the router
 // priced.
 func (f *Fleet) fetchData(s *site, w *work, at float64) (float64, int64) {
-	if len(w.reads) == 0 {
-		return 0, 0
-	}
-	total, shipped := 0.0, int64(0)
-	for _, p := range w.reads {
-		r := p.Ref
-		if s.dstore.Contains(p.ID) {
-			s.stats.DatasetHits++
-			continue
-		}
-		s.stats.DatasetMisses++
-		dt := f.cfg.RegistryNet.SendSeconds(r.Bytes)
-		s.evicted = s.dstore.Publish(dataset.Version{
-			Ref: r, ID: p.ID, Time: at + total, Workflow: w.t.Name, Task: "(fetch)",
-		}, s.evicted[:0])
+	return s.dstore.Stage(w.reads, at, w.t.Name, f.registryLink, func(x dataset.Fetch) {
 		s.stats.DatasetFetches++
-		s.stats.DatasetFetchedBytes += r.Bytes
-		s.stats.DatasetFetchSeconds += dt
-		s.stats.DatasetEvictions += len(s.evicted)
-		shipped += r.Bytes
+		s.stats.DatasetFetchedBytes += x.Part.Ref.Bytes
+		s.stats.DatasetFetchSeconds += x.Seconds
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventDataFetch, Site: s.name, Tenant: w.t.Tenant,
-				Workflow: w.t.Name, Time: at + total,
-				Detail: fmt.Sprintf("%v %dB in %.4gs", p.ID.Value(), r.Bytes, dt)})
-			f.traceEvicted(s, s.evicted, at+total)
+				Workflow: w.t.Name, Time: x.At,
+				Detail: fmt.Sprintf("%v %dB in %.4gs", x.Part.ID.Value(), x.Part.Ref.Bytes, x.Seconds)})
+			f.traceEvicted(s, x.Evicted, x.At)
 		}
-		total += dt
-	}
-	return total, shipped
+	})
 }
 
 // publishOutputs admits every task's Writes into the site store at the
@@ -111,18 +95,17 @@ func (f *Fleet) fetchData(s *site, w *work, at float64) (float64, int64) {
 // of the same name resolve by the standard tie-break.
 func (f *Fleet) publishOutputs(s *site, w *work, completion float64) {
 	for _, o := range w.wf.Outputs() {
-		s.evicted = s.dstore.Publish(dataset.Version{
+		evicted := s.dstore.Publish(dataset.Version{
 			Ref: o.Ref, ID: o.ID, Time: completion, Workflow: w.t.Name, Task: o.Task,
-		}, s.evicted[:0])
+		})
 		s.stats.DatasetPublished++
 		s.stats.DatasetPublishedBytes += o.Ref.Bytes
-		s.stats.DatasetEvictions += len(s.evicted)
 		f.catalog.Add(o.ID)
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventDataPublish, Site: s.name,
 				Tenant: w.t.Tenant, Workflow: w.t.Name, Time: completion,
 				Detail: fmt.Sprintf("%v %dB by %s", o.ID.Value(), o.Ref.Bytes, o.Task)})
-			f.traceEvicted(s, s.evicted, completion)
+			f.traceEvicted(s, evicted, completion)
 		}
 	}
 }

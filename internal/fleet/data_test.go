@@ -221,7 +221,7 @@ func TestGuaranteedFetchBound(t *testing.T) {
 // that misses the cache AND has no online device to host the bitstream
 // must be priced exactly one fallback penalty — the deploy-estimate and
 // fallback arms of siteCost are alternatives, never additive. The audit
-// found no double-count on any fetchEstimate/estimateDeploy call site;
+// found no double-count on any estimate call site;
 // this pins that invariant.
 func TestSiteCostSingleDeployCharge(t *testing.T) {
 	reg := platform.NewRegistry()
@@ -235,7 +235,7 @@ func TestSiteCostSingleDeployCharge(t *testing.T) {
 	}}})
 	defer f.Shutdown()
 	s := f.sites[0]
-	cost, ok := f.siteCost(0, s, 0, false, []string{bs.ID}, nil, 0.5)
+	cost, ok := f.siteCost(0, s, 0, false, needParts(bs.ID), nil, 0.5)
 	if !ok {
 		t.Fatal("site not a candidate")
 	}
@@ -254,12 +254,51 @@ func TestSiteCostSingleDeployCharge(t *testing.T) {
 	if !ok || est <= 0 {
 		t.Fatalf("deploy estimate = %g/%v", est, ok)
 	}
-	cost2, ok := f2.siteCost(0, s2, 0, false, []string{bs.ID}, nil, 0.5)
+	cost2, ok := f2.siteCost(0, s2, 0, false, needParts(bs.ID), nil, 0.5)
 	if !ok {
 		t.Fatal("site 2 not a candidate")
 	}
 	if want2 := affinity + est; cost2 != want2 {
 		t.Fatalf("cost = %g, want exactly %g (affinity + one deploy estimate)", cost2, want2)
+	}
+}
+
+// TestDataCountersMatchTrace: the dataset hit, miss and eviction
+// counters are read from the site stores and the fetch counters are kept
+// by hand, and both must agree with the trace on a data plane under store
+// pressure: one EventDataEvict per eviction (placement, fetch and publish
+// alike) and one EventDataFetch per fetch.
+func TestDataCountersMatchTrace(t *testing.T) {
+	counts := map[EventKind]int{}
+	f, maps, err := kmeansMapFleet(func(ev Event) { counts[ev.Kind]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Shutdown()
+	step := mapDriver(f, maps)
+	for range 4 * len(maps) {
+		if _, err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := f.Stats()
+	misses := 0
+	for _, s := range st.Sites {
+		misses += s.DatasetMisses
+	}
+	if st.DatasetEvictions() == 0 || st.DatasetFetches() == 0 || st.DatasetHits() == 0 {
+		t.Fatalf("evictions %d, fetches %d, hits %d: want a data plane under pressure",
+			st.DatasetEvictions(), st.DatasetFetches(), st.DatasetHits())
+	}
+	if counts[EventDataEvict] != st.DatasetEvictions() {
+		t.Errorf("%d EventDataEvict events, DatasetEvictions = %d", counts[EventDataEvict], st.DatasetEvictions())
+	}
+	if counts[EventDataFetch] != st.DatasetFetches() {
+		t.Errorf("%d EventDataFetch events, DatasetFetches = %d", counts[EventDataFetch], st.DatasetFetches())
+	}
+	// Every known read is probed once per serve: a miss is a fetch.
+	if misses != st.DatasetFetches() {
+		t.Errorf("DatasetMisses = %d, DatasetFetches = %d", misses, st.DatasetFetches())
 	}
 }
 
@@ -350,7 +389,7 @@ func TestDatasetStoreBounded(t *testing.T) {
 // it; each fleet's results must equal a serial run's.
 func TestConcurrentFleetsInternAlike(t *testing.T) {
 	run := func() ([]string, error) {
-		f, maps, err := kmeansMapFleet()
+		f, maps, err := kmeansMapFleet(nil)
 		if err != nil {
 			return nil, err
 		}

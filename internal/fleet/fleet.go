@@ -399,8 +399,7 @@ type site struct {
 	engine  *runtime.Engine
 
 	cache        *bitstreamCache
-	dstore       *dataset.Store    // named-partition LRU beside the bitstream cache
-	evicted      []dataset.Version // dstore.Publish's reused eviction buffer
+	dstore       *dataset.Store // named-partition LRU beside the bitstream cache
 	everDeployed map[string]bool
 	active       bool      // serving: the router may choose it
 	activeFrom   float64   // modelled time the site became eligible (boot done)
@@ -414,7 +413,7 @@ type work struct {
 	t       *Ticket
 	wf      *runtime.Workflow
 	arrival float64
-	needs   []string       // bitstream IDs the workflow's FPGA tasks request
+	needs   []dataset.Part // bitstreams the workflow's FPGA tasks request (Ref.Name is the ID)
 	reads   []dataset.Part // known external dataset partitions the workflow reads
 
 	// Guaranteed-class fields: the admitted deadline and proven bound
@@ -444,6 +443,8 @@ type Fleet struct {
 	// scoped to (unknown refs are outside sources, equidistant from every
 	// site).
 	catalog dataset.Catalog
+	// registryLink prices a dataset fetch over the registry fabric.
+	registryLink dataset.Link
 }
 
 // New builds a fleet over a shared bitstream registry. Each site gets its
@@ -484,7 +485,10 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 		}
 	}
 	f := &Fleet{cfg: cfg, reg: reg, lastSite: make(map[string]int),
-		catalog: make(dataset.Catalog)}
+		catalog: make(dataset.Catalog),
+		registryLink: func(p dataset.Part, _ float64) (float64, bool) {
+			return cfg.RegistryNet.SendSeconds(p.Ref.Bytes), true
+		}}
 	for i := 0; i < cfg.Sites; i++ {
 		c := cfg.NewCluster(i)
 		if c == nil || len(c.Nodes) == 0 {
@@ -507,7 +511,7 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 				Events: events, Net: cfg.Net, Trace: engTrace,
 			}),
 			cache:        newBitstreamCache(cfg.CacheSlots),
-			dstore:       dataset.NewStore(cfg.DatasetStoreBytes),
+			dstore:       dataset.NewStore(cfg.DatasetStoreBytes, 0),
 			everDeployed: make(map[string]bool),
 			active:       true,
 		}
@@ -761,6 +765,8 @@ func (f *Fleet) Stats() Stats {
 	out := Stats{Submitted: f.submitted, Rejected: f.rejected}
 	for _, s := range f.sites {
 		ss := s.stats
+		ds := s.dstore.Stats()
+		ss.DatasetHits, ss.DatasetMisses, ss.DatasetEvictions = ds.Hits, ds.Misses, ds.Evictions
 		ss.BusyUntil = s.busyUntil
 		ss.Active = s.active
 		ss.Engine = s.engine.Stats()
@@ -786,7 +792,7 @@ func (f *Fleet) Stats() Stats {
 // the data-locality fetch of federation-known input partitions the site
 // does not hold (a site holding the data charges zero — compute moves to
 // the data). Ties break on site order, so routing is deterministic.
-func (f *Fleet) route(tenant string, last int, hasLast bool, needs []string, reads []dataset.Part, arrival float64) (int, error) {
+func (f *Fleet) route(tenant string, last int, hasLast bool, needs, reads []dataset.Part, arrival float64) (int, error) {
 	best, bestCost := -1, 0.0
 	for i, s := range f.sites {
 		cost, ok := f.siteCost(i, s, last, hasLast, needs, reads, arrival)
@@ -819,7 +825,7 @@ func (f *Fleet) route(tenant string, last int, hasLast bool, needs []string, rea
 // add to the sum. The cheapest provable bound wins, site order breaking
 // ties; when no site can prove the deadline the request is refused with
 // ErrSaturated and nothing is served.
-func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs []string, reads []dataset.Part, arrival, deadline float64) (int, float64, error) {
+func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs, reads []dataset.Part, arrival, deadline float64) (int, float64, error) {
 	best, bestBound := -1, 0.0
 	for i, s := range f.sites {
 		svc, err := runtime.ServiceBound(w, s.cluster, f.reg, runtime.BoundOptions{
@@ -875,10 +881,10 @@ func (f *Fleet) admissionBound(s *site, arrival, own, deadline float64) (float64
 // every path deployOne can take, including the region-sized partial
 // images. A bitstream no device fits costs nothing here: the deploy path
 // falls back to software, which the service bound already covers.
-func (f *Fleet) deployBound(s *site, needs []string) float64 {
+func (f *Fleet) deployBound(s *site, needs []dataset.Part) float64 {
 	total := 0.0
-	for _, id := range needs {
-		ent, err := f.reg.Entry(id)
+	for _, p := range needs {
+		ent, err := f.reg.Entry(p.Ref.Name)
 		if err != nil {
 			continue
 		}
@@ -901,7 +907,7 @@ func (f *Fleet) deployBound(s *site, needs []string) float64 {
 
 // siteCost prices routing a workflow to one site; ok=false means the site
 // is saturated past the admission bound.
-func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs []string, reads []dataset.Part, arrival float64) (float64, bool) {
+func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs, reads []dataset.Part, arrival float64) (float64, bool) {
 	if !s.activeAt(arrival) {
 		// Scaled out, or still booting at this arrival: not a candidate.
 		return 0, false
@@ -920,14 +926,14 @@ func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs []strin
 	if s.busyUntil > at {
 		at = s.busyUntil
 	}
-	for _, id := range needs {
+	for _, p := range needs {
 		// A resident bitstream on a device that is offline by the time this
 		// work would start is stale: the deploy path will treat it as a
 		// miss, so the estimate must too.
-		if slot, ok := s.cache.peek(id); ok && slot.node.DeviceOnlineAt(slot.dev, at) {
+		if slot, ok := s.cache.peek(p.Ref.Name); ok && slot.node.DeviceOnlineAt(slot.dev, at) {
 			continue // resident: deployment is free
 		}
-		if est, ok := f.estimateDeploy(s, id, at); ok {
+		if est, ok := f.estimateDeploy(s, p.Ref.Name, at); ok {
 			cost += est
 		} else {
 			cost += fallbackSeconds
@@ -1094,7 +1100,8 @@ func (f *Fleet) serve(s *site, w *work) {
 // does not hold, returning the total modelled deployment stall.
 func (f *Fleet) deployNeeds(s *site, w *work, at float64) float64 {
 	total := 0.0
-	for _, id := range w.needs {
+	for _, p := range w.needs {
+		id := p.Ref.Name
 		slot, hit := s.cache.get(id)
 		if hit && slot.node.DeviceOnlineAt(slot.dev, at+total) {
 			s.stats.CacheHits++

@@ -36,11 +36,10 @@ func (f *Federation) PlaceDataset(r int, at float64, refs ...dataset.Ref) error 
 	reg := f.regions[r]
 	for _, ref := range refs {
 		p := dataset.Intern(ref)
-		reg.evicted = reg.dstore.Publish(dataset.Version{
+		reg.dstore.Publish(dataset.Version{
 			Ref: ref, ID: p.ID, Time: at, Workflow: "(placed)", Task: "(placed)",
-		}, reg.evicted[:0])
+		})
 		reg.stats.DataPublished++
-		reg.stats.DataEvictions += len(reg.evicted)
 		f.dataCat.Add(p.ID)
 	}
 	return nil
@@ -57,64 +56,41 @@ func (f *Federation) DatasetResident(r int, ref dataset.Ref) bool {
 	return f.regions[r].dstore.Holds(dataset.Intern(ref).ID)
 }
 
-// dataEstimate prices the WAN staging a serve at region r would pay for
-// the known reads it is missing — the data-locality term of the
-// top-level routing cost, symmetric with fetchEstimate for bitstreams.
-// Each partition is charged exactly once: the WAN transfer when it is
-// reachable, the fallback penalty when the region is partitioned off.
-func (f *Federation) dataEstimate(r *region, known []dataset.Part, at float64) float64 {
-	total := 0.0
-	for _, p := range known {
-		if r.dstore.Holds(p.ID) {
-			continue
-		}
-		if f.partitioned(r.idx, at) {
-			total += fallbackSeconds
-			continue
-		}
-		total += f.wan.SendSeconds(p.Ref.Bytes)
-	}
-	return total
-}
-
 // ensureData stages every known read region r's store is missing,
-// WAN-fetching serially, and returns the total modelled stall. A
-// partitioned region skips the fetch (the serve proceeds on what it
-// holds, the modelled behaviour of a region cut off from the
+// WAN-fetching one after another from at, and returns the total modelled
+// stall. A partitioned region skips the fetch (the serve proceeds on what
+// it holds, the modelled behaviour of a region cut off from the
 // federation). With prefetch set the fetch is control-plane traffic:
-// accounted, but off any workflow's critical path.
+// accounted, but off any workflow's critical path, and every fetch of the
+// burst starts at at.
 func (f *Federation) ensureData(r *region, known []dataset.Part, at float64, prefetch bool) float64 {
-	total := 0.0
-	for _, p := range known {
-		ref := p.Ref
-		if r.dstore.Contains(p.ID) {
-			continue
-		}
-		if f.partitioned(r.idx, at+total) {
+	fetched := func(x dataset.Fetch) {
+		if !x.Shipped {
 			r.stats.PartitionSkips++
-			continue
+			return
 		}
-		dt := f.wan.SendSeconds(ref.Bytes)
-		r.evicted = r.dstore.Publish(dataset.Version{
-			Ref: ref, ID: p.ID, Time: at + total, Workflow: "(fetch)", Task: "(fetch)",
-		}, r.evicted[:0])
-		r.stats.DataEvictions += len(r.evicted)
 		kind := EventDataFetch
 		if prefetch {
 			kind = EventDataPrefetch
 			r.stats.DataPrefetches++
 		} else {
 			r.stats.DataFetches++
-			r.stats.DataFetchSeconds += dt
-			r.stats.DataFetchedBytes += ref.Bytes
-			total += dt
+			r.stats.DataFetchSeconds += x.Seconds
+			r.stats.DataFetchedBytes += x.Part.Ref.Bytes
 		}
 		if f.cfg.Trace != nil {
-			f.trace(Event{Kind: kind, Region: r.name, Time: at + total,
-				Detail: fmt.Sprintf("%v %dB wan=%.4gs", p.ID.Value(), ref.Bytes, dt)})
+			f.trace(Event{Kind: kind, Region: r.name, Time: x.At,
+				Detail: fmt.Sprintf("%v %dB wan=%.4gs", x.Part.ID.Value(), x.Part.Ref.Bytes, x.Seconds)})
 		}
 	}
-	return total
+	if !prefetch {
+		seconds, _ := r.dstore.Stage(known, at, "(fetch)", r.dataLink, fetched)
+		return seconds
+	}
+	for i := range known {
+		r.dstore.Stage(known[i:i+1], at, "(fetch)", r.dataLink, fetched)
+	}
+	return 0
 }
 
 // publishData admits a completed workflow's output partitions into the
@@ -123,11 +99,10 @@ func (f *Federation) ensureData(r *region, known []dataset.Part, at float64, pre
 // Callers hold f.mu.
 func (f *Federation) publishData(r *region, w *runtime.Workflow, name string, completion float64) {
 	for _, o := range w.Outputs() {
-		r.evicted = r.dstore.Publish(dataset.Version{
+		r.dstore.Publish(dataset.Version{
 			Ref: o.Ref, ID: o.ID, Time: completion, Workflow: name, Task: o.Task,
-		}, r.evicted[:0])
+		})
 		r.stats.DataPublished++
-		r.stats.DataEvictions += len(r.evicted)
 		f.dataCat.Add(o.ID)
 	}
 }

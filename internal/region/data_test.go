@@ -63,7 +63,7 @@ func TestRegionDatasetLocalityRouting(t *testing.T) {
 // at its home region by an expensive payload handoff WAN-fetches the
 // remote partition at exactly the stack's transfer time, the fetched
 // copy becomes resident (the second serve is free), and the stats and
-// trace account the transfer once.
+// trace account the transfer once, traced at its start.
 func TestRegionWANDataFetch(t *testing.T) {
 	var events []Event
 	f := newTestFed(t, platform.NewRegistry(), Config{Regions: 2,
@@ -106,6 +106,11 @@ func TestRegionWANDataFetch(t *testing.T) {
 	for _, e := range events {
 		if e.Kind == EventDataFetch {
 			fetches++
+			// Stamped at the fetch start, like every other fetch event:
+			// the serve arrives at 0 and stages nothing before the data.
+			if e.Time != 0 {
+				t.Fatalf("EventDataFetch at %g, want the fetch start 0", e.Time)
+			}
 		}
 	}
 	if fetches != 1 {
@@ -172,17 +177,17 @@ func TestDataEstimateSingleCharge(t *testing.T) {
 	r := f.regions[0]
 	res, miss := dataset.Intern(resident), dataset.Intern(missing)
 	known := []dataset.Part{res, miss}
-	if got := f.dataEstimate(r, known, 0); got != f.wan.SendSeconds(missing.Bytes) {
+	if got := r.dstore.Estimate(known, 0, r.dataLink); got != f.wan.SendSeconds(missing.Bytes) {
 		t.Fatalf("reachable estimate = %g, want exactly one WAN transfer %g",
 			got, f.wan.SendSeconds(missing.Bytes))
 	}
 	// Inside the partition window the missing ref costs the flat fallback
 	// penalty instead of — never in addition to — the WAN transfer.
-	if got := f.dataEstimate(r, known, 15); got != fallbackSeconds {
+	if got := r.dstore.Estimate(known, 15, r.dataLink); got != fallbackSeconds {
 		t.Fatalf("partitioned estimate = %g, want fallbackSeconds %g",
 			got, fallbackSeconds)
 	}
-	if got := f.dataEstimate(r, []dataset.Part{res}, 0); got != 0 {
+	if got := r.dstore.Estimate([]dataset.Part{res}, 0, r.dataLink); got != 0 {
 		t.Fatalf("resident estimate = %g, want 0", got)
 	}
 	// The catalog is the gate in front of the estimate.

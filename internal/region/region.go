@@ -393,7 +393,7 @@ type Stats struct {
 type region struct {
 	idx  int
 	name string
-	reg  *platform.Registry // region artifact store (the fleet deploys from it)
+	reg  *platform.Registry // the images' registry entries (the fleet deploys from it)
 	fl   *fleet.Fleet
 	fc   *Forecaster
 
@@ -403,15 +403,13 @@ type region struct {
 	active      int // sites currently activated by the region
 	idleWindows int
 
-	storeSeq int64
-	storeUse map[string]int64 // artifact id -> last-use seq (LRU)
-
-	// dstore is the dataset half of the region artifact store: published
-	// partitions cached next to the bitstream images, WAN-fetched from the
-	// federation on demand and prefetch-eligible. Guarded by the
-	// federation mutex like the rest of the region state.
-	dstore  *dataset.Store
-	evicted []dataset.Version // dstore.Publish's reused eviction buffer
+	// The region artifact store, guarded by the federation mutex: images
+	// holds the bitstreams (one entry each, bounded to StoreSlots; reg
+	// holds exactly its IDs), dstore the published dataset partitions.
+	// Both are WAN-fetched from the federation on demand, priced by their
+	// links, and prefetch-eligible.
+	images, dstore      *dataset.Store
+	imageLink, dataLink dataset.Link
 
 	stats RegionStats
 }
@@ -431,7 +429,7 @@ type Federation struct {
 	rejected  int
 	heldSeq   int
 
-	appNeeds map[string][]string // app -> bitstream IDs (learned at first serve)
+	appNeeds map[string][]dataset.Part // app -> bitstreams (learned at first serve)
 	appOrder []string
 
 	// dataCat is the federation dataset catalog: partitions placed or
@@ -480,7 +478,7 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 		}
 	}
 	f := &Federation{cfg: cfg, catalog: catalog, wan: *cfg.WAN,
-		appNeeds: make(map[string][]string),
+		appNeeds: make(map[string][]dataset.Part),
 		dataCat:  make(dataset.Catalog),
 		appReads: make(map[string][]dataset.Part)}
 	for i := 0; i < cfg.Regions; i++ {
@@ -508,15 +506,34 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("region: %s: %w", name, err)
 		}
-		f.regions = append(f.regions, &region{
+		r := &region{
 			idx: i, name: name, reg: reg, fl: fl,
 			fc:       NewForecaster(cfg.WindowSeconds, 0.5, cfg.ForecastLag),
 			nextRoll: cfg.WindowSeconds,
 			active:   cfg.SitesPerRegion,
-			storeUse: make(map[string]int64),
-			dstore:   dataset.NewStore(datasetStoreBytes),
-		})
-		f.regions[i].stats.Name = name
+			images:   dataset.NewStore(0, cfg.StoreSlots),
+			dstore:   dataset.NewStore(datasetStoreBytes, 0),
+		}
+		r.stats.Name = name
+		// A region cut off from the WAN, or asking for an image the catalog
+		// lacks, does without: the fallback penalty prices the software run.
+		r.imageLink = func(p dataset.Part, at float64) (float64, bool) {
+			if f.partitioned(r.idx, at) {
+				return fallbackSeconds, false
+			}
+			ent, err := f.catalog.Entry(p.Ref.Name)
+			if err != nil {
+				return fallbackSeconds, false
+			}
+			return f.wan.SendSeconds(f.imageBytes(r, ent.Resources())), true
+		}
+		r.dataLink = func(p dataset.Part, at float64) (float64, bool) {
+			if f.partitioned(r.idx, at) {
+				return fallbackSeconds, false
+			}
+			return f.wan.SendSeconds(p.Ref.Bytes), true
+		}
+		f.regions = append(f.regions, r)
 	}
 	return f, nil
 }
@@ -672,7 +689,7 @@ func (f *Federation) route(req Request, h *Handle) error {
 		if !ok {
 			continue // no active site
 		}
-		cost := handoff + wait + f.fetchEstimate(r, needs, eff) + f.dataEstimate(r, known, eff)
+		cost := handoff + wait + r.images.Estimate(needs, eff, r.imageLink) + r.dstore.Estimate(known, eff, r.dataLink)
 		cands = append(cands, routeCand{idx: r.idx, cost: cost})
 	}
 	if len(cands) == 0 {
@@ -734,7 +751,7 @@ func (f *Federation) tryGuaranteed(r *region, req Request, h *Handle) error {
 	if r.idx != req.Home {
 		handoff = f.wan.SendSeconds(req.InputBytes)
 	}
-	fetch := f.ensureArtifacts(r, req.Workflow.Needs(), req.Arrival+handoff)
+	fetch := f.ensureArtifacts(r, req.Workflow.Needs(), req.Arrival+handoff, false)
 	dfetch := f.ensureData(r, f.dataCat.Known(req.Workflow.Reads()), req.Arrival+handoff+fetch, false)
 	stall := handoff + fetch + dfetch
 	if req.Deadline <= stall {
@@ -759,7 +776,7 @@ func (f *Federation) serveNow(r *region, req Request, at float64, pushes int, h 
 	if r.idx != req.Home {
 		handoff = f.wan.SendSeconds(req.InputBytes)
 	}
-	fetch := f.ensureArtifacts(r, req.Workflow.Needs(), at+handoff)
+	fetch := f.ensureArtifacts(r, req.Workflow.Needs(), at+handoff, false)
 	dfetch := f.ensureData(r, f.dataCat.Known(req.Workflow.Reads()), at+handoff+fetch, false)
 	tk, err := r.fl.Submit(fleet.Request{
 		Tenant: req.Tenant, Name: req.Name, Workflow: req.Workflow,
@@ -829,102 +846,43 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, handoff, f
 	}
 }
 
-// fetchEstimate prices the WAN fetches a serve at region r would pay.
-func (f *Federation) fetchEstimate(r *region, needs []string, at float64) float64 {
-	total := 0.0
-	for _, id := range needs {
-		if _, err := r.reg.Entry(id); err == nil {
-			continue
-		}
-		if f.partitioned(r.idx, at) {
-			total += fallbackSeconds
-			continue
-		}
-		ent, err := f.catalog.Entry(id)
-		if err != nil {
-			total += fallbackSeconds
-			continue
-		}
-		total += f.wan.SendSeconds(f.imageBytes(r, ent.Resources()))
-	}
-	return total
-}
-
 // ensureArtifacts makes every needed bitstream resident in region r's
-// store, WAN-fetching the missing ones serially, and returns the total
-// modelled stall. Artifacts that cannot be obtained (partitioned WAN,
-// absent from the catalog) are skipped — the fleet degrades those tasks
-// to software, which is the modelled behaviour of a region cut off from
-// the catalog.
-func (f *Federation) ensureArtifacts(r *region, needs []string, at float64) float64 {
-	total := 0.0
-	for _, id := range needs {
-		dt, err := f.ensureStored(r, id, at+total, false)
-		if err != nil {
-			continue
-		}
-		total += dt
-	}
-	return total
-}
-
-// ensureStored fetches one artifact into region r's store if absent,
-// returning the modelled fetch seconds (0 when already resident).
-// Prefetch fetches are accounted separately — they run on the control
-// plane, off any workflow's critical path.
-func (f *Federation) ensureStored(r *region, id string, at float64, prefetch bool) (float64, error) {
-	if _, err := r.reg.Entry(id); err == nil {
-		r.storeSeq++
-		r.storeUse[id] = r.storeSeq
-		return 0, nil
-	}
-	if f.partitioned(r.idx, at) {
-		r.stats.PartitionSkips++
-		return 0, fmt.Errorf("region: %s partitioned at %.4gs", r.name, at)
-	}
-	ent, err := f.catalog.Entry(id)
-	if err != nil {
-		return 0, err
-	}
-	dt := f.wan.SendSeconds(f.imageBytes(r, ent.Resources()))
-	r.reg.PutEntry(ent)
-	r.storeSeq++
-	r.storeUse[id] = r.storeSeq
-	f.evictStore(r, at)
-	kind := EventFetch
-	if prefetch {
-		kind = EventPrefetch
-		r.stats.PrefetchFetches++
-		r.stats.PrefetchSeconds += dt
-	} else {
-		r.stats.WANFetches++
-		r.stats.WANFetchSeconds += dt
-	}
-	if f.cfg.Trace != nil {
-		f.trace(Event{Kind: kind, Region: r.name, Bitstream: id, Time: at,
-			Detail: fmt.Sprintf("wan=%.4gs", dt)})
-	}
-	return dt, nil
-}
-
-// evictStore enforces the bounded region store: LRU artifacts (never the
-// one just touched) are dropped until the store fits.
-func (f *Federation) evictStore(r *region, at float64) {
-	if f.cfg.StoreSlots <= 0 {
-		return
-	}
-	for len(r.storeUse) > f.cfg.StoreSlots {
-		victim, vseq := "", int64(math.MaxInt64)
-		for id, seq := range r.storeUse {
-			if seq < vseq {
-				victim, vseq = id, seq
+// store, WAN-fetching the missing ones one after another from at, and
+// returns the total modelled stall. Artifacts that cannot be obtained
+// (partitioned WAN, absent from the catalog) are skipped — the fleet
+// degrades those tasks to software, which is the modelled behaviour of a
+// region cut off from the catalog. With prefetch set the fetches are
+// control-plane traffic: accounted, but off any workflow's critical path.
+func (f *Federation) ensureArtifacts(r *region, needs []dataset.Part, at float64, prefetch bool) float64 {
+	seconds, _ := r.images.Stage(needs, at, "(fetch)", r.imageLink, func(x dataset.Fetch) {
+		id := x.Part.Ref.Name
+		if !x.Shipped {
+			if f.partitioned(r.idx, x.At) {
+				r.stats.PartitionSkips++
 			}
+			return
 		}
-		delete(r.storeUse, victim)
-		r.reg.Delete(victim)
-		r.stats.StoreEvictions++
-		f.trace(Event{Kind: EventEvictStore, Region: r.name, Bitstream: victim, Time: at})
-	}
+		for _, ev := range x.Evicted {
+			r.reg.Delete(ev.Ref.Name)
+			f.trace(Event{Kind: EventEvictStore, Region: r.name, Bitstream: ev.Ref.Name, Time: x.At})
+		}
+		ent, _ := f.catalog.Entry(id) // the link shipped it, so the catalog has it
+		r.reg.PutEntry(ent)
+		kind := EventFetch
+		if prefetch {
+			kind = EventPrefetch
+			r.stats.PrefetchFetches++
+			r.stats.PrefetchSeconds += x.Seconds
+		} else {
+			r.stats.WANFetches++
+			r.stats.WANFetchSeconds += x.Seconds
+		}
+		if f.cfg.Trace != nil {
+			f.trace(Event{Kind: kind, Region: r.name, Bitstream: id, Time: x.At,
+				Detail: fmt.Sprintf("wan=%.4gs", x.Seconds)})
+		}
+	})
+	return seconds
 }
 
 // imageBytes is the configuration image a WAN fetch of a bitstream of
@@ -1087,11 +1045,13 @@ func (f *Federation) prefetch(r *region, at float64) {
 	}
 	sort.SliceStable(due, func(a, b int) bool { return due[a].pred < due[b].pred })
 	for _, st := range due {
-		for _, id := range f.appNeeds[st.app] {
-			if _, err := f.ensureStored(r, id, at, true); err != nil {
-				continue
+		needs := f.appNeeds[st.app]
+		for i, p := range needs {
+			// One image at a time: each is warmed before the next is staged.
+			if f.ensureArtifacts(r, needs[i:i+1], at, true); !r.images.Holds(p.ID) {
+				continue // partitioned, or absent from the catalog
 			}
-			if _, dt, err := r.fl.Warm(id, at); err == nil && dt > 0 {
+			if _, dt, err := r.fl.Warm(p.Ref.Name, at); err == nil && dt > 0 {
 				r.stats.Warms++
 			}
 		}
@@ -1186,6 +1146,8 @@ func (f *Federation) Stats() Stats {
 	out := Stats{Submitted: f.submitted, Rejected: f.rejected}
 	for _, r := range f.regions {
 		rs := r.stats
+		rs.StoreEvictions = r.images.Stats().Evictions
+		rs.DataEvictions = r.dstore.Stats().Evictions
 		rs.Fleet = r.fl.Stats()
 		rs.ActiveSites = rs.Fleet.ActiveSites()
 		out.Completed += rs.Served

@@ -555,6 +555,70 @@ func TestStoreLRUEviction(t *testing.T) {
 	if st.Regions[0].StoreEvictions != 1 {
 		t.Fatalf("StoreEvictions = %d, want 1", st.Regions[0].StoreEvictions)
 	}
+
+	// A hit refreshes recency: with two slots, serving a, b, a, c evicts
+	// b, the least recently used, not a, the least recently fetched.
+	cat.Put(testBitstream("bs-c"))
+	f = newTestFed(t, cat, Config{Regions: 1, StoreSlots: 2})
+	defer f.Shutdown()
+	for i, bs := range []string{"bs-a", "bs-b", "bs-a", "bs-c"} {
+		submit(bs, float64(i))
+	}
+	if ids := f.Store(0).IDs(); !reflect.DeepEqual(ids, []string{"bs-a", "bs-c"}) {
+		t.Fatalf("store after a, b, a, c = %v, want [bs-a bs-c] (the hit on a refreshed it)", ids)
+	}
+	if st := f.Shutdown(); st.Regions[0].StoreEvictions != 1 || st.WANFetches != 3 {
+		t.Fatalf("StoreEvictions = %d, WANFetches = %d, want 1 and 3", st.Regions[0].StoreEvictions, st.WANFetches)
+	}
+}
+
+// TestStoreCountersMatchTrace: the image store's counters are read from
+// the store and the fetch counters are kept by hand, and both must agree
+// with the trace on a churning, prefetching federation: one
+// EventEvictStore per eviction, one EventFetch per serving-path fetch and
+// one EventPrefetch per prefetch.
+func TestStoreCountersMatchTrace(t *testing.T) {
+	cat := platform.NewRegistry()
+	ids := []string{"bs-a", "bs-b", "bs-c", "bs-d"}
+	for _, id := range ids {
+		cat.Put(testBitstream(id))
+	}
+	counts := map[EventKind]int{}
+	f := newTestFed(t, cat, Config{Regions: 2, CacheSlots: 1, StoreSlots: 1,
+		Prefetch: true, WindowSeconds: 1, WarmThreshold: 0.25,
+		Trace: func(e Event) { counts[e.Kind]++ }})
+	defer f.Shutdown()
+	for i := range 48 {
+		// Apps a and b are hot in even seconds, c and d in odd ones.
+		at := 0.25 * float64(i)
+		app := ids[2*(int(at)%2)+i%2]
+		h, err := f.SubmitAt(Request{App: app, Workflow: fpgaWorkflow(app), Home: i % 2,
+			Class: Interactive, Arrival: at})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := f.Shutdown()
+	evictions := 0
+	for _, rs := range st.Regions {
+		evictions += rs.StoreEvictions
+	}
+	if evictions == 0 || st.PrefetchFetches == 0 {
+		t.Fatalf("StoreEvictions = %d, PrefetchFetches = %d: want a churning, prefetching store",
+			evictions, st.PrefetchFetches)
+	}
+	if counts[EventEvictStore] != evictions {
+		t.Errorf("%d EventEvictStore events, StoreEvictions = %d", counts[EventEvictStore], evictions)
+	}
+	if counts[EventFetch] != st.WANFetches {
+		t.Errorf("%d EventFetch events, WANFetches = %d", counts[EventFetch], st.WANFetches)
+	}
+	if counts[EventPrefetch] != st.PrefetchFetches {
+		t.Errorf("%d EventPrefetch events, PrefetchFetches = %d", counts[EventPrefetch], st.PrefetchFetches)
+	}
 }
 
 // TestAutoscaleJoinsAndLeaves: every site starts active, so the region

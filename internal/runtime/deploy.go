@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"everest/internal/dataset"
 	"everest/internal/platform"
 )
 
@@ -73,7 +74,7 @@ func (d *Deployment) Stage(w *Workflow, c *platform.Cluster, reg *platform.Regis
 		specs[i].NeedsFPGA = true
 		specs[i].BitstreamID = bsID
 	}
-	var needs []string
+	var needs []dataset.Part
 	for i := range specs {
 		needs = appendNeed(needs, &specs[i])
 	}

@@ -97,7 +97,7 @@ type Workflow struct {
 	// a copy.
 	reads   []dataset.Part // external reads: read by some task, written by none
 	outputs []Output       // every task's Writes, in submission order
-	needs   []string       // distinct bitstream IDs the FPGA tasks request
+	needs   []dataset.Part // distinct bitstreams the FPGA tasks request
 
 	// variants, when set, are compiler-derived operating points that seed
 	// this workflow's variant tuner in adaptive mode (SetVariants).
@@ -171,12 +171,15 @@ func (w *Workflow) resolve(t *TaskSpec) {
 }
 
 // appendNeed adds t's bitstream to needs unless t runs in software or
-// the bitstream is already listed.
-func appendNeed(needs []string, t *TaskSpec) []string {
-	if !t.NeedsFPGA || t.BitstreamID == "" || slices.Contains(needs, t.BitstreamID) {
+// the bitstream is already listed. A need is interned like a partition
+// (Ref.Name is the bitstream ID, its image size is the serving tier's to
+// price), so the stores that ship images key it by ID too.
+func appendNeed(needs []dataset.Part, t *TaskSpec) []dataset.Part {
+	if !t.NeedsFPGA || t.BitstreamID == "" ||
+		slices.ContainsFunc(needs, func(p dataset.Part) bool { return p.Ref.Name == t.BitstreamID }) {
 		return needs
 	}
-	return append(needs, t.BitstreamID)
+	return append(needs, dataset.Intern(dataset.Ref{Name: t.BitstreamID}))
 }
 
 // Reads returns the workflow's external dataset reads: partitions read by
@@ -190,10 +193,10 @@ func (w *Workflow) Reads() []dataset.Part { return w.reads[:len(w.reads):len(w.r
 // is shared and must not be modified.
 func (w *Workflow) Outputs() []Output { return w.outputs[:len(w.outputs):len(w.outputs)] }
 
-// Needs returns the distinct bitstream IDs the workflow's FPGA tasks
-// request, in first-use order. The slice is shared and must not be
-// modified.
-func (w *Workflow) Needs() []string { return w.needs[:len(w.needs):len(w.needs)] }
+// Needs returns the distinct bitstreams the workflow's FPGA tasks
+// request, in first-use order, each as an interned part whose Ref.Name
+// is the bitstream ID. The slice is shared and must not be modified.
+func (w *Workflow) Needs() []dataset.Part { return w.needs[:len(w.needs):len(w.needs)] }
 
 // Tasks returns task names in submission order.
 func (w *Workflow) Tasks() []string {

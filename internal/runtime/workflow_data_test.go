@@ -75,7 +75,7 @@ func TestWorkflowNeeds(t *testing.T) {
 		}
 	}
 	before := w.Needs()
-	if !slices.Equal(before, []string{"bs-x", "bs-y"}) {
+	if !slices.Equal(before, needParts("bs-x", "bs-y")) {
 		t.Fatalf("Needs = %v, want [bs-x bs-y]", before)
 	}
 	d := &Deployment{Nodes: []string{cluster.Nodes[0].Name}}
@@ -83,10 +83,10 @@ func TestWorkflowNeeds(t *testing.T) {
 	if _, err := d.Stage(w, cluster, reg); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Needs(); !slices.Equal(got, []string{"bs-ptdr", "bs-x", "bs-y"}) {
+	if got := w.Needs(); !slices.Equal(got, needParts("bs-ptdr", "bs-x", "bs-y")) {
 		t.Fatalf("staged Needs = %v, want [bs-ptdr bs-x bs-y]", got)
 	}
-	if !slices.Equal(before, []string{"bs-x", "bs-y"}) {
+	if !slices.Equal(before, needParts("bs-x", "bs-y")) {
 		t.Fatalf("Stage rewrote an earlier reader's needs: %v", before)
 	}
 }
@@ -138,12 +138,21 @@ func refReads(w *Workflow) []dataset.Ref {
 }
 
 // refNeeds is the reference bitstream-needs scan.
-func refNeeds(w *Workflow) []string {
-	var out []string
+func refNeeds(w *Workflow) []dataset.Part {
+	var ids []string
 	for _, t := range w.specs {
-		if t.NeedsFPGA && t.BitstreamID != "" && !slices.Contains(out, t.BitstreamID) {
-			out = append(out, t.BitstreamID)
+		if t.NeedsFPGA && t.BitstreamID != "" && !slices.Contains(ids, t.BitstreamID) {
+			ids = append(ids, t.BitstreamID)
 		}
+	}
+	return needParts(ids...)
+}
+
+// needParts interns bitstream IDs the way Submit resolves needs.
+func needParts(ids ...string) []dataset.Part {
+	var out []dataset.Part
+	for _, id := range ids {
+		out = append(out, dataset.Intern(dataset.Ref{Name: id}))
 	}
 	return out
 }

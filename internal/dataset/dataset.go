@@ -212,20 +212,6 @@ func (s *Store) Holds(id ID) bool {
 	return ok
 }
 
-// MissingBytes sums the bytes of parts not resident, without touching LRU
-// order or counters (an estimate over candidate sites must not perturb
-// the store). Resident partitions contribute zero: the site already
-// holds them.
-func (s *Store) MissingBytes(parts []Part) int64 {
-	var missing int64
-	for _, p := range parts {
-		if _, ok := s.resident[p.ID]; !ok {
-			missing += p.Ref.Bytes
-		}
-	}
-	return missing
-}
-
 // Link prices shipping part p into a store, the transfer starting at
 // modelled time at. ok=false means the part cannot be shipped then; the
 // seconds are then the price of doing without it, which Estimate charges
@@ -247,7 +233,7 @@ type Fetch struct {
 // Stage ships every part of parts the store lacks over link, one transfer
 // after another from at, admits each as a version published at its
 // transfer's start by workflow by, and reports each offered part to
-// fetched (which may be nil). Resident parts are touched and cost
+// fetched. Resident parts are touched and cost
 // nothing, and a part listed twice ships at most once. It returns the
 // seconds and bytes shipped.
 func (s *Store) Stage(parts []Part, at float64, by string, link Link, fetched func(Fetch)) (seconds float64, bytes int64) {
@@ -262,9 +248,7 @@ func (s *Store) Stage(parts []Part, at float64, by string, link Link, fetched fu
 			seconds += x.Seconds
 			bytes += p.Ref.Bytes
 		}
-		if fetched != nil {
-			fetched(x)
-		}
+		fetched(x)
 	}
 	return seconds, bytes
 }
@@ -272,7 +256,10 @@ func (s *Store) Stage(parts []Part, at float64, by string, link Link, fetched fu
 // Estimate prices what Stage would charge for parts, leaving the store
 // untouched: the link's seconds for every distinct missing part, refused
 // parts included. Every part is priced at at, not at its place in the
-// queue, and a part the shipment itself would evict is not priced again.
+// queue. Over a link that never refuses and ignores the time, Stage
+// charges exactly this, unless the shipment evicts a part it has yet to
+// reach (the store is too small for the call), which Stage then ships
+// too.
 func (s *Store) Estimate(parts []Part, at float64, link Link) float64 {
 	seconds := 0.0
 	for i, p := range parts {

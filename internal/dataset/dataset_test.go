@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -150,16 +151,83 @@ func TestStoreUnbounded(t *testing.T) {
 	}
 }
 
-func TestStoreMissingBytes(t *testing.T) {
-	s := NewStore(0, 0)
+// byteLink prices a transfer at one second per 10 bytes and ships
+// everything.
+func byteLink(p Part, _ float64) (float64, bool) { return float64(p.Ref.Bytes) / 10, true }
+
+// TestStoreEstimate: Estimate charges the link's price for each distinct
+// missing part, refused ones included, and leaves the store untouched.
+func TestStoreEstimate(t *testing.T) {
+	s := NewStore(0, 2)
 	a := Ref{Name: "a", Bytes: 30}
 	b := Ref{Name: "b", Bytes: 50}
+	c := Ref{Name: "c", Bytes: 70}
 	s.Publish(Version{Ref: a, ID: id(a), Time: 1})
-	if got := s.MissingBytes([]Part{Intern(a), Intern(b)}); got != 50 {
-		t.Errorf("MissingBytes = %d, want 50", got)
+	s.Publish(Version{Ref: b, ID: id(b), Time: 2})
+	if got := s.Estimate([]Part{Intern(a), Intern(c), Intern(c)}, 0, byteLink); got != 7 {
+		t.Errorf("Estimate = %g, want 7 (c once, a resident)", got)
 	}
-	if got := s.MissingBytes(nil); got != 0 {
-		t.Errorf("MissingBytes(nil) = %d", got)
+	if got := s.Estimate(nil, 0, byteLink); got != 0 {
+		t.Errorf("Estimate(nil) = %g", got)
+	}
+	refuse := func(p Part, _ float64) (float64, bool) { return 0.25, false }
+	if got := s.Estimate([]Part{Intern(c)}, 0, refuse); got != 0.25 {
+		t.Errorf("refused Estimate = %g, want the refusal price 0.25", got)
+	}
+	// Untouched: no probe was counted, and a is still the oldest.
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("Estimate moved counters: %+v", st)
+	}
+	if ev := s.Publish(Version{Ref: c, ID: id(c), Time: 3}); len(ev) != 1 || ev[0].Ref != a {
+		t.Errorf("evicted %v, want a (Estimate must not refresh)", ev)
+	}
+}
+
+// TestStoreStage: Stage ships the missing parts one after another from
+// its start time, publishes each at its transfer's start, reports every
+// offered part with what its admission evicted, skips refused and
+// repeated parts, and bills only what it shipped.
+func TestStoreStage(t *testing.T) {
+	s := NewStore(0, 2)
+	a := Ref{Name: "a", Bytes: 30}
+	b := Ref{Name: "b", Bytes: 50}
+	c := Ref{Name: "c", Bytes: 70}
+	d := Ref{Name: "d", Bytes: 90}
+	s.Publish(Version{Ref: a, ID: id(a), Time: 0})
+	link := func(p Part, at float64) (float64, bool) {
+		return float64(p.Ref.Bytes) / 10, p.Ref.Name != "d"
+	}
+	var got []Fetch
+	seconds, bytes := s.Stage([]Part{Intern(b), Intern(a), Intern(b), Intern(d), Intern(c)}, 10, "wf", link,
+		func(x Fetch) {
+			x.Evicted = slices.Clone(x.Evicted)
+			got = append(got, x)
+		})
+	if seconds != 12 || bytes != 120 {
+		t.Fatalf("Stage = %g s, %d B; want 12 s and 120 B (b and c)", seconds, bytes)
+	}
+	// b ships at 10 s; a, then b again, are hits that refresh them; d is
+	// refused at 15 s; c ships at 15 s and evicts a, now the oldest.
+	want := []Fetch{
+		{Part: Intern(b), At: 10, Seconds: 5, Shipped: true},
+		{Part: Intern(d), At: 15, Seconds: 9},
+		{Part: Intern(c), At: 15, Seconds: 7, Shipped: true,
+			Evicted: []Version{{Ref: a, ID: id(a), Time: 0}}},
+	}
+	if !slices.EqualFunc(got, want, func(x, y Fetch) bool {
+		return x.Part == y.Part && x.At == y.At && x.Seconds == y.Seconds &&
+			x.Shipped == y.Shipped && slices.Equal(x.Evicted, y.Evicted)
+	}) {
+		t.Fatalf("fetches = %+v\nwant %+v", got, want)
+	}
+	if v, ok := s.Version(id(c)); !ok || v.Time != 15 || v.Workflow != "wf" || v.Task != "(fetch)" {
+		t.Errorf("c's version = %+v/%v, want published at 15 s by wf", v, ok)
+	}
+	if s.Holds(id(d)) || !s.Holds(id(b)) || s.Len() != 2 {
+		t.Errorf("resident %v, want [b c]", s.Keys())
+	}
+	if st := s.Stats(); st.Hits != 2 || st.Misses != 3 || st.Evictions != 1 {
+		t.Errorf("stats %+v, want 2 hits (a, then b), 3 misses (b, d, c), 1 eviction", st)
 	}
 }
 
@@ -289,6 +357,7 @@ func ExampleStore() {
 		s.Publish(Version{Ref: part.Ref, ID: part.ID, Time: float64(p), Workflow: "ingest"})
 	}
 	probe := Intern(Ref{Name: "points", Partition: 1, Bytes: 32})
-	fmt.Println(s.Len(), s.Resident(), s.MissingBytes([]Part{probe}))
+	wan := func(p Part, _ float64) (float64, bool) { return float64(p.Ref.Bytes) / 1e9, true }
+	fmt.Println(s.Len(), s.Resident(), s.Estimate([]Part{probe}, 0, wan))
 	// Output: 3 96 0
 }

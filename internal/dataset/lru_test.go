@@ -48,14 +48,18 @@ func (s *scanStore) Holds(r Ref) bool {
 	return ok
 }
 
-func (s *scanStore) MissingBytes(refs []Ref) int64 {
-	var missing int64
+// Estimate is the reference price: each missing key once, at at.
+func (s *scanStore) Estimate(refs []Ref, at float64, link func(Ref, float64) (float64, bool)) float64 {
+	seconds := 0.0
+	seen := make(map[Key]bool)
 	for _, r := range refs {
-		if _, ok := s.resident[r.Key()]; !ok {
-			missing += r.Bytes
+		if _, ok := s.resident[r.Key()]; !ok && !seen[r.Key()] {
+			dt, _ := link(r, at)
+			seconds += dt
 		}
+		seen[r.Key()] = true
 	}
-	return missing
+	return seconds
 }
 
 func (s *scanStore) Version(r Ref) (Version, bool) {
@@ -173,8 +177,8 @@ const (
 	opPublish = iota // a = bytes, b = time | workflow | task
 	opContains
 	opHolds
-	opMissing // refs at keys key, a, b with sizes a, b, key
-	opStage   // the opMissing refs from time b%4 by workflow b%3; code&0x80 = refusing link
+	opEstimate // refs at keys key, a, b with sizes a, b, key at time b%4; code&0x80 = refusing link
+	opStage    // the opEstimate refs and link, staged from time b%4 by workflow b%3
 	opCount
 )
 
@@ -234,7 +238,7 @@ func FuzzStoreLRU(f *testing.F) {
 	f.Add(lruOps(1, [4]byte{opPublish, 0, 11, 1}, [4]byte{opHolds, 0, 0, 0})) // oversized
 	f.Add(lruOps(0,                                                           // unbounded
 		[4]byte{opPublish, 0, 255, 0}, [4]byte{opPublish, 4, 255, 1}, [4]byte{opPublish, 8, 255, 2},
-		[4]byte{opPublish, 12, 255, 3}, [4]byte{opMissing, 0, 1, 4}))
+		[4]byte{opPublish, 12, 255, 3}, [4]byte{opEstimate, 0, 1, 4}))
 	f.Add(lruOps(0, // TestStoreLineageTieBreak: later, older, equal-time higher and lower workflow
 		[4]byte{opPublish, 0, 8, 2 | 1<<2}, [4]byte{opPublish, 0, 8, 1 | 2<<2},
 		[4]byte{opPublish, 0, 8, 2 | 2<<2}, [4]byte{opPublish, 0, 8, 2 | 0<<2},
@@ -244,7 +248,7 @@ func FuzzStoreLRU(f *testing.F) {
 		[4]byte{opPublish, 0, 40, 0}, [4]byte{opPublish, 2, 40, 3}))
 	f.Add(lruOps(2, // TestHoldsDoesNotPerturbLRU
 		[4]byte{opPublish, 0, 40, 1}, [4]byte{opPublish, 1, 40, 2},
-		[4]byte{opHolds, 0, 0, 0}, [4]byte{opMissing, 0, 40, 40}, [4]byte{opPublish, 2, 40, 3}))
+		[4]byte{opHolds, 0, 0, 0}, [4]byte{opEstimate, 0, 40, 40}, [4]byte{opPublish, 2, 40, 3}))
 	f.Add(lruOps(2, // superseding growth past the bound evicts everything else
 		[4]byte{opPublish, 0, 30, 0}, [4]byte{opPublish, 1, 30, 0}, [4]byte{opPublish, 2, 30, 0},
 		[4]byte{opPublish, 1, 99, 1}, [4]byte{opPublish, 3, 1, 2}))
@@ -258,7 +262,7 @@ func FuzzStoreLRU(f *testing.F) {
 		[4]byte{opStage, 5, 5, 1}, [4]byte{opStage | 0x80, 4, 9, 6}, [4]byte{opContains, 9, 0, 0},
 		[4]byte{opStage | 0x80, 3, 7, 3}, [4]byte{opPublish, 7, 40, 2}, [4]byte{opStage, 7, 8, 7}))
 	f.Add(lruOps(1|3<<2, // bytes and entries both bound; a stage of oversized parts
-		[4]byte{opStage, 0, 4, 8}, [4]byte{opStage, 12, 200, 40}, [4]byte{opMissing, 12, 0, 4}))
+		[4]byte{opStage, 0, 4, 8}, [4]byte{opStage, 12, 200, 40}, [4]byte{opEstimate, 12, 0, 4}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -288,11 +292,13 @@ func FuzzStoreLRU(f *testing.F) {
 				if g, w := got.Holds(id(r)), want.Holds(r); g != w {
 					t.Fatalf("op %d: Holds(%v) = %v, want %v", i, r, g, w)
 				}
-			case opMissing:
+			case opEstimate:
 				refs := []Ref{fuzzRef(key, a), fuzzRef(a, b), fuzzRef(b, key)}
 				parts := []Part{Intern(refs[0]), Intern(refs[1]), Intern(refs[2])}
-				if g, w := got.MissingBytes(parts), want.MissingBytes(refs); g != w {
-					t.Fatalf("op %d: MissingBytes(%v) = %d, want %d", i, refs, g, w)
+				at, price := float64(b%4), fuzzLink(code&0x80 != 0)
+				link := func(p Part, at float64) (float64, bool) { return price(p.Ref, at) }
+				if g, w := got.Estimate(parts, at, link), want.Estimate(refs, at, price); g != w {
+					t.Fatalf("op %d: Estimate(%v) = %g, want %g", i, refs, g, w)
 				}
 			case opStage:
 				refs := []Ref{fuzzRef(key, a), fuzzRef(a, b), fuzzRef(b, key)}

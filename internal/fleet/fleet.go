@@ -286,7 +286,9 @@ type SiteStats struct {
 
 	// Dataset-store accounting: serve-time locality probes over known
 	// partitions (hits read in place, misses ship), fetch traffic, publish
-	// volume, and LRU evictions.
+	// volume, and LRU evictions. Hits, misses and evictions are read from
+	// the site store at snapshot; publishes count attempts, accepted or
+	// not.
 	DatasetHits           int
 	DatasetMisses         int
 	DatasetFetches        int
@@ -943,11 +945,12 @@ func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs, reads 
 		cost += affinitySeconds
 	}
 	// Data locality: partitions the site does not hold must cross the
-	// registry fabric before the workflow can run. PlacementBlind prices
-	// every site as if the data were local (the contrast arm the data
-	// benchmarks measure against).
-	if missing := s.dstore.MissingBytes(reads); missing > 0 && !f.cfg.PlacementBlind {
-		cost += f.cfg.RegistryNet.SendSeconds(missing)
+	// registry fabric, one transfer each, before the workflow can run,
+	// which is what fetchData bills. PlacementBlind prices every site as
+	// if the data were local (the contrast arm the data benchmarks
+	// measure against).
+	if !f.cfg.PlacementBlind {
+		cost += s.dstore.Estimate(reads, at, f.registryLink)
 	}
 	return cost, true
 }

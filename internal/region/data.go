@@ -61,10 +61,9 @@ func (f *Federation) DatasetResident(r int, ref dataset.Ref) bool {
 // stall. A partitioned region skips the fetch (the serve proceeds on what
 // it holds, the modelled behaviour of a region cut off from the
 // federation). With prefetch set the fetch is control-plane traffic:
-// accounted, but off any workflow's critical path, and every fetch of the
-// burst starts at at.
+// accounted, but off any workflow's critical path.
 func (f *Federation) ensureData(r *region, known []dataset.Part, at float64, prefetch bool) float64 {
-	fetched := func(x dataset.Fetch) {
+	seconds, _ := r.dstore.Stage(known, at, "(fetch)", r.dataLink, func(x dataset.Fetch) {
 		if !x.Shipped {
 			r.stats.PartitionSkips++
 			return
@@ -82,15 +81,8 @@ func (f *Federation) ensureData(r *region, known []dataset.Part, at float64, pre
 			f.trace(Event{Kind: kind, Region: r.name, Time: x.At,
 				Detail: fmt.Sprintf("%v %dB wan=%.4gs", x.Part.ID.Value(), x.Part.Ref.Bytes, x.Seconds)})
 		}
-	}
-	if !prefetch {
-		seconds, _ := r.dstore.Stage(known, at, "(fetch)", r.dataLink, fetched)
-		return seconds
-	}
-	for i := range known {
-		r.dstore.Stage(known[i:i+1], at, "(fetch)", r.dataLink, fetched)
-	}
-	return 0
+	})
+	return seconds
 }
 
 // publishData admits a completed workflow's output partitions into the

@@ -349,15 +349,15 @@ type RegionStats struct {
 	PrefetchFetches int
 	PrefetchSeconds float64
 	Warms           int
-	StoreEvictions  int
-	PartitionSkips  int
+	StoreEvictions  int // images the StoreSlots bound evicted (read from the store)
+	PartitionSkips  int // fetches skipped because the WAN was partitioned
 
 	DataFetches      int     // dataset partitions WAN-staged on serve paths
 	DataFetchSeconds float64 // modelled stall those fetches cost
 	DataFetchedBytes int64   // dataset bytes shipped over the WAN
 	DataPrefetches   int     // partitions staged ahead of demand
-	DataPublished    int     // partitions published into the region store
-	DataEvictions    int     // partitions the byte bound evicted
+	DataPublished    int     // partition publishes attempted into the region store
+	DataEvictions    int     // partitions the byte bound evicted (read from the store)
 
 	ScaleUps    int
 	ScaleDowns  int
@@ -1057,9 +1057,11 @@ func (f *Federation) prefetch(r *region, at float64) {
 		}
 		// Datasets are prefetch-eligible like bitstreams: stage the app's
 		// known external partitions into the region store ahead of the
-		// demand, so the arriving workflows find them resident.
-		if known := f.dataCat.Known(f.appReads[st.app]); len(known) > 0 {
-			f.ensureData(r, known, at, true)
+		// demand, so the arriving workflows find them resident. Each is
+		// its own transfer starting at the roll.
+		known := f.dataCat.Known(f.appReads[st.app])
+		for i := range known {
+			f.ensureData(r, known[i:i+1], at, true)
 		}
 	}
 }

@@ -20,7 +20,7 @@
 //     the concurrent multi-tenant engine with adaptive variant-aware
 //     placement (internal/runtime, driven directly, its futures tallied
 //     per tenant by sdk.TallyOf), the federation tier routing workflows
-//     across engine sites with bounded LRU bitstream caches and deploy
+//     across engine sites with bounded LRU bitstream residency and deploy
 //     pricing (internal/fleet, fronted by sdk.FleetServer), and the
 //     streaming tier serving long-lived windowed pipelines with
 //     shed-or-block backpressure and kernels resident in FPGA

@@ -146,7 +146,11 @@ type entry struct {
 
 // Store is the one bounded LRU the serving tiers ship bytes into: each
 // fleet site's dataset store, each region's dataset store and each
-// region's bitstream image store are Stores. It is bounded in bytes, in
+// region's bitstream image store are Stores. It also orders FPGA
+// residency: each fleet site's resident bitstreams and each stream
+// device's resident kernels are entry-bounded Stores beside the device
+// slots that record where they are loaded (Oldest names the LRU victim,
+// Evict drops it as its slot is cleared). It is bounded in bytes, in
 // entries, or both (0 = unbounded); Stage ships what it lacks over a
 // Link and Estimate prices the same shipment without touching it. A
 // Store is not safe for concurrent use; callers hold their own site or
@@ -357,16 +361,42 @@ func (s *Store) enforce(keep *entry) []Version {
 		if e == keep {
 			break
 		}
-		e.prev.next, e.next.prev = e.next, e.prev
-		delete(s.resident, e.ver.ID)
-		s.bytes -= e.ver.Ref.Bytes
-		s.stats.Evictions++
-		s.stats.EvictedBytes += e.ver.Ref.Bytes
 		s.evicted = append(s.evicted, e.ver)
-		*e = entry{next: s.free}
-		s.free = e
+		s.unlink(e)
 	}
 	return s.evicted
+}
+
+// unlink evicts a resident entry: off the recency list and out of the
+// index, counted as an eviction, and onto the free list for reuse.
+func (s *Store) unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	delete(s.resident, e.ver.ID)
+	s.bytes -= e.ver.Ref.Bytes
+	s.stats.Evictions++
+	s.stats.EvictedBytes += e.ver.Ref.Bytes
+	*e = entry{next: s.free}
+	s.free = e
+}
+
+// Oldest returns the least recently used resident version: the one the
+// next bound-driven eviction would take.
+func (s *Store) Oldest() (Version, bool) {
+	if s.lru.next == &s.lru {
+		return Version{}, false
+	}
+	return s.lru.next.ver, true
+}
+
+// Evict drops one resident part, counted as an eviction, and reports
+// whether it was resident. Callers whose store mirrors state held
+// elsewhere (a device slot) use it to drop an entry the bounds would not.
+func (s *Store) Evict(id ID) bool {
+	e, ok := s.resident[id]
+	if ok {
+		s.unlink(e)
+	}
+	return ok
 }
 
 // Keys returns the resident partition keys rendered in sorted order

@@ -122,6 +122,33 @@ func (s *scanStore) enforce(keep Key) []Version {
 	return evicted
 }
 
+// Oldest is the reference victim: the resident partition with the
+// smallest touch stamp.
+func (s *scanStore) Oldest() (Version, bool) {
+	var oldest *scanEntry
+	for _, e := range s.resident {
+		if oldest == nil || e.use < oldest.use {
+			oldest = e
+		}
+	}
+	if oldest == nil {
+		return Version{}, false
+	}
+	return oldest.ver, true
+}
+
+// Evict is the reference named eviction: counted like a bound-driven one.
+func (s *scanStore) Evict(r Ref) bool {
+	e, ok := s.resident[r.Key()]
+	if ok {
+		delete(s.resident, r.Key())
+		s.bytes -= e.ver.Ref.Bytes
+		s.stats.Evictions++
+		s.stats.EvictedBytes += e.ver.Ref.Bytes
+	}
+	return ok
+}
+
 // scanFetch is one part the reference stage offered to its link.
 type scanFetch struct {
 	ref     Ref
@@ -179,6 +206,8 @@ const (
 	opHolds
 	opEstimate // refs at keys key, a, b with sizes a, b, key at time b%4; code&0x80 = refusing link
 	opStage    // the opEstimate refs and link, staged from time b%4 by workflow b%3
+	opOldest
+	opEvict
 	opCount
 )
 
@@ -263,6 +292,12 @@ func FuzzStoreLRU(f *testing.F) {
 		[4]byte{opStage | 0x80, 3, 7, 3}, [4]byte{opPublish, 7, 40, 2}, [4]byte{opStage, 7, 8, 7}))
 	f.Add(lruOps(1|3<<2, // bytes and entries both bound; a stage of oversized parts
 		[4]byte{opStage, 0, 4, 8}, [4]byte{opStage, 12, 200, 40}, [4]byte{opEstimate, 12, 0, 4}))
+	f.Add(lruOps(3|2<<2, // named evictions of the oldest, the newest and a missing part
+		[4]byte{opPublish, 0, 5, 0}, [4]byte{opPublish, 1, 5, 1}, [4]byte{opOldest, 0, 0, 0},
+		[4]byte{opEvict, 0, 0, 0}, [4]byte{opOldest, 0, 0, 0}, [4]byte{opPublish, 2, 5, 2},
+		[4]byte{opEvict, 2, 0, 0}, [4]byte{opEvict, 3, 0, 0}, [4]byte{opPublish, 3, 5, 3},
+		[4]byte{opContains, 1, 0, 0}, [4]byte{opOldest, 0, 0, 0}, [4]byte{opEvict, 1, 0, 0},
+		[4]byte{opEvict, 3, 0, 0}, [4]byte{opOldest, 0, 0, 0}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -335,6 +370,17 @@ func FuzzStoreLRU(f *testing.F) {
 				}
 				if !refusing && (gs < est || (!ownEvicted && gs != est)) {
 					t.Fatalf("op %d: Stage(%v) charged %g, Estimate priced %g (own evictions: %v)", i, refs, gs, est, ownEvicted)
+				}
+			case opOldest:
+				gv, gok := got.Oldest()
+				wv, wok := want.Oldest()
+				if gv != wv || gok != wok {
+					t.Fatalf("op %d: Oldest = %+v/%v, want %+v/%v", i, gv, gok, wv, wok)
+				}
+			case opEvict:
+				r := fuzzRef(key, a)
+				if g, w := got.Evict(id(r)), want.Evict(r); g != w {
+					t.Fatalf("op %d: Evict(%v) = %v, want %v", i, r, g, w)
 				}
 			}
 			if g, w := got.Stats(), want.stats; g != w {

@@ -6,8 +6,8 @@ import (
 	"everest/internal/dataset"
 )
 
-// This file is the fleet's named data plane. Alongside the bitstream
-// cache, each site keeps a bounded LRU dataset store
+// This file is the fleet's named data plane. Alongside its resident
+// bitstreams, each site keeps a bounded LRU dataset store
 // (dataset.Store) of partitions it has ingested or produced. The router
 // prices data locality from it — a site already holding a task's input
 // partitions charges zero fetch, any other site charges the

@@ -5,10 +5,13 @@
 // dimension the north star needs — a Router shards submitted workflows
 // across sites using a cost model that combines per-site queue depth (the
 // modelled completion frontier built from engine-measured service times),
-// tenant affinity, and bitstream-cache locality: deploying a bitstream to a
+// tenant affinity, and bitstream locality: deploying a bitstream to a
 // site is priced (registry transfer over the netsim fabric plus
-// reconfiguration latency), cached deployments are free, and a bounded
-// per-site LRU cache forces real eviction and redeploy traffic under churn.
+// reconfiguration latency), resident bitstreams are free, and a bound of
+// CacheSlots resident bitstreams per site, evicted LRU, forces real
+// eviction and redeploy traffic under churn. The site's nodes record what
+// is programmed where (platform.Node.Holding, Vacant); the site keeps only
+// their recency, in a dataset.Store.
 //
 // Time discipline: each site's engine advances its own modelled clock with
 // no idle gaps (service times back to back). The fleet layers arrivals on
@@ -154,7 +157,8 @@ type Config struct {
 	// Sites is the number of federated engine sites (>= 1).
 	Sites int
 	// NewCluster builds site i's cluster (required; each site owns its
-	// cluster exclusively).
+	// cluster exclusively, and its devices start unprogrammed: what the
+	// site programs on them is its record of residency).
 	NewCluster func(site int) *platform.Cluster
 	// CacheSlots bounds how many bitstreams a site keeps resident
 	// (default 1). Filling it evicts LRU — the victim's slot is
@@ -182,7 +186,7 @@ type Config struct {
 	// dataset-partition fetches (default the eth100g data-center fabric).
 	RegistryNet *netsim.Stack
 	// DatasetStoreBytes bounds each site's dataset store — the LRU of
-	// named partitions it holds next to its bitstream cache. Filling it
+	// named partitions it holds next to its resident bitstreams. Filling it
 	// evicts least-recently-used partitions, so returning readers pay a
 	// refetch. Default 256 MiB; negative means unbounded.
 	DatasetStoreBytes int64
@@ -400,8 +404,11 @@ type site struct {
 	cluster *platform.Cluster
 	engine  *runtime.Engine
 
-	cache        *bitstreamCache
-	dstore       *dataset.Store // named-partition LRU beside the bitstream cache
+	// bstore is the recency of the bitstreams resident on the site's
+	// devices, keyed by need ID and bounded to CacheSlots entries. Where
+	// each one is programmed is the nodes' record (holder), not a copy.
+	bstore       *dataset.Store
+	dstore       *dataset.Store // named-partition LRU beside the bitstreams
 	everDeployed map[string]bool
 	active       bool      // serving: the router may choose it
 	activeFrom   float64   // modelled time the site became eligible (boot done)
@@ -512,7 +519,7 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 				Policy: cfg.Policy, Adaptive: cfg.Adaptive,
 				Events: events, Net: cfg.Net, Trace: engTrace,
 			}),
-			cache:        newBitstreamCache(cfg.CacheSlots),
+			bstore:       dataset.NewStore(0, cfg.CacheSlots),
 			dstore:       dataset.NewStore(cfg.DatasetStoreBytes, 0),
 			everDeployed: make(map[string]bool),
 			active:       true,
@@ -592,6 +599,7 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 	if _, err := f.reg.Entry(id); err != nil {
 		return -1, 0, fmt.Errorf("fleet: warm: %w", err)
 	}
+	p := dataset.Intern(dataset.Ref{Name: id})
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	best, bestBusy := -1, 0.0
@@ -599,7 +607,7 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 		if !s.activeAt(at) {
 			continue
 		}
-		if slot, ok := s.cache.peek(id); ok && slot.node.DeviceOnlineAt(slot.dev, at) {
+		if s.live(p, at) {
 			return i, 0, nil
 		}
 		if best < 0 || s.busyUntil < bestBusy {
@@ -610,7 +618,8 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 		return -1, 0, fmt.Errorf("fleet: warm %s: no active site", id)
 	}
 	s := f.sites[best]
-	dt := f.deployOne(s, "prefetch", "warm:"+id, id, at)
+	f.dropStale(s, p, at)
+	dt := f.deployOne(s, "prefetch", "warm:"+id, p, at)
 	if dt == 0 {
 		return best, 0, fmt.Errorf("fleet: warm %s: no online device fits on %s", id, s.name)
 	}
@@ -634,17 +643,16 @@ func (f *Fleet) WarmAll(id string, at float64) (float64, error) {
 	if _, err := f.reg.Entry(id); err != nil {
 		return 0, fmt.Errorf("fleet: warm-all: %w", err)
 	}
+	p := dataset.Intern(dataset.Ref{Name: id})
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	total := 0.0
 	for _, s := range f.sites {
-		if !s.activeAt(at) {
+		if !s.activeAt(at) || s.live(p, at) {
 			continue
 		}
-		if slot, ok := s.cache.peek(id); ok && slot.node.DeviceOnlineAt(slot.dev, at) {
-			continue
-		}
-		dt := f.deployOne(s, "prefetch", "warm:"+id, id, at)
+		f.dropStale(s, p, at)
+		dt := f.deployOne(s, "prefetch", "warm:"+id, p, at)
 		if dt > 0 {
 			s.stats.WarmDeploys++
 			s.stats.WarmSeconds += dt
@@ -769,6 +777,7 @@ func (f *Fleet) Stats() Stats {
 		ss := s.stats
 		ds := s.dstore.Stats()
 		ss.DatasetHits, ss.DatasetMisses, ss.DatasetEvictions = ds.Hits, ds.Misses, ds.Evictions
+		ss.Evictions = s.bstore.Stats().Evictions
 		ss.BusyUntil = s.busyUntil
 		ss.Active = s.active
 		ss.Engine = s.engine.Stats()
@@ -932,7 +941,7 @@ func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs, reads 
 		// A resident bitstream on a device that is offline by the time this
 		// work would start is stale: the deploy path will treat it as a
 		// miss, so the estimate must too.
-		if slot, ok := s.cache.peek(p.Ref.Name); ok && slot.node.DeviceOnlineAt(slot.dev, at) {
+		if s.live(p, at) {
 			continue // resident: deployment is free
 		}
 		if est, ok := f.estimateDeploy(s, p.Ref.Name, at); ok {
@@ -981,13 +990,13 @@ func deployCost(net *netsim.Stack, d *platform.Device, region int) float64 {
 
 // deployTarget returns the first alive node, online device (at modelled
 // time at), and slot that fits a bitstream of footprint need, skipping
-// slots the occupied predicate claims. With partial set, PR region slots
+// slots the vacant predicate refuses. With partial set, PR region slots
 // (region >= 0) are tried on each device first and a kernel too large for
 // a region falls back to the whole device (region -1); without it every
-// candidate is whole-device. nil predicate skips nothing (estimates ignore
-// cache occupancy: an occupied slot only means an eviction, already priced
-// by the cache bound).
-func (s *site) deployTarget(need hls.Resources, at float64, partial bool, occupied func(*platform.Node, int, int) bool) (*platform.Node, int, int) {
+// candidate is whole-device. A nil predicate skips nothing (estimates
+// ignore occupancy: an occupied slot only means an eviction, already
+// priced by the CacheSlots bound); deploys pass (*platform.Node).Vacant.
+func (s *site) deployTarget(need hls.Resources, at float64, partial bool, vacant func(*platform.Node, int, int) bool) (*platform.Node, int, int) {
 	for _, n := range s.cluster.Nodes {
 		if _, failed := n.FailedAt(); failed {
 			continue
@@ -1002,14 +1011,14 @@ func (s *site) deployTarget(need hls.Resources, at float64, partial bool, occupi
 			}
 			if partial && need.FitsIn(d.RegionCapacity()) {
 				for r := 0; r < d.Regions(); r++ {
-					if occupied != nil && occupied(n, idx, r) {
+					if vacant != nil && !vacant(n, idx, r) {
 						continue
 					}
 					return n, idx, r
 				}
 				continue
 			}
-			if occupied != nil && occupied(n, idx, -1) {
+			if vacant != nil && !vacant(n, idx, -1) {
 				continue
 			}
 			return n, idx, -1
@@ -1105,8 +1114,7 @@ func (f *Fleet) deployNeeds(s *site, w *work, at float64) float64 {
 	total := 0.0
 	for _, p := range w.needs {
 		id := p.Ref.Name
-		slot, hit := s.cache.get(id)
-		if hit && slot.node.DeviceOnlineAt(slot.dev, at+total) {
+		if s.bstore.Contains(p.ID) && s.live(p, at+total) {
 			s.stats.CacheHits++
 			if f.cfg.Trace != nil {
 				f.trace(Event{Kind: EventCacheHit, Site: s.name, Tenant: w.t.Tenant,
@@ -1114,31 +1122,72 @@ func (f *Fleet) deployNeeds(s *site, w *work, at float64) float64 {
 			}
 			continue
 		}
-		if hit {
-			// Resident, but the hosting device is offline now (unplug
-			// churn): drop the stale entry and redeploy elsewhere.
-			slot.unprogram()
-			s.cache.remove(id)
-			s.stats.Evictions++
-			if f.cfg.Trace != nil {
-				f.trace(Event{Kind: EventEvict, Site: s.name, Bitstream: id,
-					Time: at + total, Detail: fmt.Sprintf("%s/dev%d offline", slot.node.Name, slot.dev)})
-			}
-		}
+		f.dropStale(s, p, at+total)
 		s.stats.CacheMisses++
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventCacheMiss, Site: s.name, Tenant: w.t.Tenant,
 				Workflow: w.t.Name, Bitstream: id, Time: at + total})
 		}
-		total += f.deployOne(s, w.t.Tenant, w.t.Name, id, at+total)
+		total += f.deployOne(s, w.t.Tenant, w.t.Name, p, at+total)
 	}
 	return total
 }
 
-// deployOne stages one bitstream, evicting LRU entries while the cache is
-// at capacity or no un-occupied device slot remains. Returns the modelled
+// holder returns the node, device and region (-1: whole device) holding
+// bitstream id on this site, or a nil node. The site programs each
+// bitstream at most once, so the first holder is the only one, and every
+// bitstream bstore holds has one.
+func (s *site) holder(id string) (*platform.Node, int, int) {
+	for _, n := range s.cluster.Nodes {
+		if dev, region, ok := n.Holding(id); ok {
+			return n, dev, region
+		}
+	}
+	return nil, -1, -1
+}
+
+// live reports whether bitstream p is resident on the site on a device
+// online at modelled time at. It leaves recency alone: routing and
+// prefetch probe with it, serving touches the store first.
+func (s *site) live(p dataset.Part, at float64) bool {
+	if !s.bstore.Holds(p.ID) {
+		return false
+	}
+	n, dev, _ := s.holder(p.Ref.Name)
+	return n.DeviceOnlineAt(dev, at)
+}
+
+// evict unprograms resident bitstream p from its slot and drops it from
+// the site store (counted as an eviction), returning where it was.
+func (s *site) evict(p dataset.Part) (*platform.Node, int, int) {
+	n, dev, region := s.holder(p.Ref.Name)
+	_, _ = n.Unprogram(dev, region) // dev and region come from the node itself
+	s.bstore.Evict(p.ID)
+	return n, dev, region
+}
+
+// dropStale evicts bitstream p when the site holds it on a device that is
+// offline at modelled time at (unplug churn), so a deploy re-stages it on
+// a live device instead of displacing a live bitstream. Callers have
+// checked that p is not live.
+func (f *Fleet) dropStale(s *site, p dataset.Part, at float64) {
+	if !s.bstore.Holds(p.ID) {
+		return
+	}
+	n, dev, _ := s.evict(p)
+	if f.cfg.Trace != nil {
+		f.trace(Event{Kind: EventEvict, Site: s.name, Bitstream: p.Ref.Name,
+			Time: at, Detail: fmt.Sprintf("%s/dev%d offline", n.Name, dev)})
+	}
+}
+
+// deployOne stages one bitstream that is not resident on the site,
+// evicting LRU entries while the site is at CacheSlots or no vacant
+// device slot remains. Each eviction is followed by a fresh search: the
+// first vacant slot may come before the victim's. Returns the modelled
 // stall (0 on software fallback).
-func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64) float64 {
+func (f *Fleet) deployOne(s *site, tenant, wfName string, p dataset.Part, at float64) float64 {
+	id := p.Ref.Name
 	ent, err := f.reg.Entry(id)
 	if err != nil {
 		s.stats.FallbackDeploys++
@@ -1151,14 +1200,14 @@ func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64) float6
 	var node *platform.Node
 	dev, region := -1, -1
 	for {
-		if s.cache.len() < f.cfg.CacheSlots {
-			node, dev, region = s.deployTarget(ent.Resources(), at, f.cfg.PartialReconfig, s.cache.occupied)
+		if s.bstore.Len() < f.cfg.CacheSlots {
+			node, dev, region = s.deployTarget(ent.Resources(), at, f.cfg.PartialReconfig, (*platform.Node).Vacant)
 			if node != nil {
 				break
 			}
 		}
-		victim := s.cache.lru()
-		if victim == nil {
+		victim, ok := s.bstore.Oldest()
+		if !ok {
 			// Nothing left to evict and still no hosting device: the
 			// site's accelerators are offline, too small, or gone.
 			s.stats.FallbackDeploys++
@@ -1168,12 +1217,10 @@ func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64) float6
 			}
 			return 0
 		}
-		victim.unprogram()
-		s.cache.remove(victim.id)
-		s.stats.Evictions++
+		vn, vdev, vregion := s.evict(dataset.Part{Ref: victim.Ref, ID: victim.ID})
 		if f.cfg.Trace != nil {
-			f.trace(Event{Kind: EventEvict, Site: s.name, Bitstream: victim.id,
-				Time: at, Detail: fmt.Sprintf("lru from %s/%s", victim.node.Name, slotName(victim.dev, victim.region))})
+			f.trace(Event{Kind: EventEvict, Site: s.name, Bitstream: victim.Ref.Name,
+				Time: at, Detail: fmt.Sprintf("lru from %s/%s", vn.Name, slotName(vdev, vregion))})
 		}
 	}
 	var dt float64
@@ -1196,7 +1243,7 @@ func (f *Fleet) deployOne(s *site, tenant, wfName, id string, at float64) float6
 		img = d.RegionConfigBytes()
 	}
 	xfer := f.cfg.RegistryNet.SendSeconds(img)
-	s.cache.add(id, node, dev, region)
+	s.bstore.Publish(dataset.Version{Ref: p.Ref, ID: p.ID})
 	kind := EventDeploy
 	if s.everDeployed[id] {
 		s.stats.Redeploys++

@@ -97,87 +97,6 @@ func newScaledFleet(t *testing.T, reg *platform.Registry, cfg Config, active int
 	return f
 }
 
-func TestCacheLRUOrderAndOccupancy(t *testing.T) {
-	c := newBitstreamCache(2)
-	n := platform.NewNode("n", platform.XeonModel(), platform.AlveoU55C(), platform.AlveoU55C())
-	c.add("a", n, 0, -1)
-	c.add("b", n, 1, -1)
-	if got := c.lru(); got == nil || got.id != "a" {
-		t.Fatalf("lru = %+v, want a", got)
-	}
-	if _, ok := c.get("a"); !ok { // touch refreshes recency
-		t.Fatal("get(a) missed")
-	}
-	if got := c.lru(); got == nil || got.id != "b" {
-		t.Fatalf("lru after touch = %+v, want b", got)
-	}
-	if _, ok := c.peek("b"); !ok {
-		t.Fatal("peek(b) missed")
-	}
-	if got := c.lru(); got == nil || got.id != "b" {
-		t.Fatalf("peek must not refresh recency; lru = %+v, want b", got)
-	}
-	if !c.occupied(n, 0, -1) || !c.occupied(n, 1, -1) {
-		t.Fatal("both device slots should be occupied")
-	}
-	c.remove("b")
-	if c.occupied(n, 1, -1) {
-		t.Fatal("slot 1 should be free after remove")
-	}
-	if c.len() != 1 {
-		t.Fatalf("len = %d, want 1", c.len())
-	}
-}
-
-// TestCacheAddRefreshInPlace re-deploys a resident bitstream to a
-// different device slot: the entry must refresh in place and the stale
-// device must be unprogrammed. Pre-fix, add() overwrote the map slot and
-// leaked the old (node, dev) — the stale device stayed programmed and
-// occupied() reported the dead slot forever.
-func TestCacheAddRefreshInPlace(t *testing.T) {
-	c := newBitstreamCache(2)
-	n := platform.NewNode("n", platform.XeonModel(), platform.AlveoU55C(), platform.AlveoU55C())
-	bs := testBitstream("a")
-	if _, err := n.Program(0, bs); err != nil {
-		t.Fatal(err)
-	}
-	c.add("a", n, 0, -1)
-	if _, err := n.Program(1, bs); err != nil {
-		t.Fatal(err)
-	}
-	c.add("a", n, 1, -1) // same id lands on a different device
-	if c.len() != 1 {
-		t.Fatalf("len = %d, want 1", c.len())
-	}
-	if c.occupied(n, 0, -1) {
-		t.Fatal("stale slot (n, 0) still reported occupied")
-	}
-	if !c.occupied(n, 1, -1) {
-		t.Fatal("fresh slot (n, 1) not reported occupied")
-	}
-	if _, loaded := n.Programmed(0); loaded {
-		t.Fatal("stale device 0 left programmed")
-	}
-	slot, ok := c.peek("a")
-	if !ok || slot.dev != 1 {
-		t.Fatalf("slot = %+v, want dev 1", slot)
-	}
-	// Refreshing the same (node, dev) must not unprogram the live device.
-	c.add("a", n, 1, -1)
-	if _, loaded := n.Programmed(1); !loaded {
-		t.Fatal("refresh on the same slot unprogrammed the live device")
-	}
-	// The refresh must count as a touch: "a" is now more recent than "b".
-	if _, err := n.Program(0, testBitstream("b")); err != nil {
-		t.Fatal(err)
-	}
-	c.add("b", n, 0, -1)
-	c.add("a", n, 1, -1)
-	if got := c.lru(); got == nil || got.id != "b" {
-		t.Fatalf("lru = %+v, want b (refresh must update recency)", got)
-	}
-}
-
 func TestNewValidatesConfig(t *testing.T) {
 	reg := platform.NewRegistry()
 	if _, err := New(nil, Config{Sites: 1, NewCluster: testCluster(1)}); err == nil {

@@ -105,7 +105,7 @@ func FuzzKernelTime(f *testing.F) {
 					loaded[dev] = false
 				}
 			case ktUnprogram:
-				was, err := n.Unprogram(dev)
+				was, err := n.Unprogram(dev, -1)
 				if err != nil || was != loaded[dev] {
 					t.Fatalf("op %d: Unprogram(%d) = %v, %v; want %v", i, dev, was, err, loaded[dev])
 				}

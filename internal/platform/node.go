@@ -14,8 +14,7 @@ type Node struct {
 	Devices []*Device
 
 	mu       sync.Mutex
-	slots    []deviceSlot         // indexed like Devices
-	regions  map[[2]int]Bitstream // (device index, PR region) -> loaded kernel
+	slots    []deviceSlot // indexed like Devices
 	failed   bool
 	failedAt float64
 	// Condition faults are timelines in modelled time, not booleans: a
@@ -27,11 +26,16 @@ type Node struct {
 }
 
 // deviceSlot is the per-device state of a node: the loaded whole-device
-// image with the kernel timelines priced on it, the reservation frontier,
-// and the attachment history.
+// image with the kernel timelines priced on it, the kernels resident in
+// its PR regions, the reservation frontier, and the attachment history.
+// It is the one record of what is programmed where: the serving tiers
+// query it (Holding, Vacant) instead of keeping copies.
 type deviceSlot struct {
 	image  Bitstream
 	loaded bool
+	// regions holds the kernel resident in each PR region, allocated on
+	// the first region load; a region whose image has no ID is vacant.
+	regions []Bitstream
 	// memo holds the timelines of the workloads last priced on image, in
 	// insertion order; once full, memoNext names the entry to overwrite.
 	// Every image change resets memoLen, so a timeline never outlives the
@@ -70,8 +74,7 @@ type condChange struct {
 func NewNode(name string, cpu CPUModel, devices ...*Device) *Node {
 	return &Node{
 		Name: name, CPU: cpu, Devices: devices,
-		slots:   make([]deviceSlot, len(devices)),
-		regions: make(map[[2]int]Bitstream),
+		slots: make([]deviceSlot, len(devices)),
 	}
 }
 
@@ -120,15 +123,8 @@ func (n *Node) Program(idx int, bs Bitstream) (float64, error) {
 	n.slots[idx].load(bs, true)
 	// A whole-device image rewrites the entire fabric, displacing every
 	// kernel resident in a PR region.
-	n.clearRegionsLocked(idx)
+	clear(n.slots[idx].regions)
 	return n.Devices[idx].ReconfigSeconds(), nil
-}
-
-// clearRegionsLocked drops every PR-region entry of device idx (n.mu held).
-func (n *Node) clearRegionsLocked(idx int) {
-	for r := 0; r < n.Devices[idx].Regions(); r++ {
-		delete(n.regions, [2]int{idx, r})
-	}
 }
 
 // ProgramRegion loads a kernel bitstream into one partial-reconfiguration
@@ -137,7 +133,9 @@ func (n *Node) clearRegionsLocked(idx int) {
 // change swaps only the region that changes. The kernel must fit the
 // region's share of the fabric; the modelled latency returned is the
 // region-sized reconfiguration time. A previously loaded whole-device image
-// is displaced (its static shell is what the regions plug into).
+// is displaced (its static shell is what the regions plug into), and so is
+// the kernel the region held. The kernel needs an ID: it is what Holding
+// finds it by.
 func (n *Node) ProgramRegion(idx, region int, bs Bitstream) (float64, error) {
 	if idx < 0 || idx >= len(n.Devices) {
 		return 0, fmt.Errorf("platform: node %s has no device %d", n.Name, idx)
@@ -147,77 +145,101 @@ func (n *Node) ProgramRegion(idx, region int, bs Bitstream) (float64, error) {
 		return 0, fmt.Errorf("platform: %s device %d has no PR region %d (regions: %d)",
 			n.Name, idx, region, d.Regions())
 	}
+	if bs.ID == "" {
+		return 0, fmt.Errorf("platform: a PR region kernel needs a bitstream ID")
+	}
 	if !bs.TotalResources().FitsIn(d.RegionCapacity()) {
 		return 0, fmt.Errorf("platform: bitstream %q does not fit a PR region of %s (1/%d of the fabric)",
 			bs.ID, d.Name, d.Regions())
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.slots[idx].load(Bitstream{}, false)
-	n.regions[[2]int{idx, region}] = bs
+	s := &n.slots[idx]
+	s.load(Bitstream{}, false)
+	if s.regions == nil {
+		s.regions = make([]Bitstream, d.Regions())
+	}
+	s.regions[region] = bs
 	return d.RegionReconfigSeconds(), nil
 }
 
-// UnprogramRegion clears one PR region of device idx, returning whether a
-// kernel was resident there. Per-region cache evictions use this so the
-// victim region frees without disturbing its neighbours.
-func (n *Node) UnprogramRegion(idx, region int) (bool, error) {
+// Unprogram clears PR region `region` of device idx, or with region -1
+// the whole device, returning whether a kernel (for -1, a whole-device
+// image) was loaded there. A cache-capacity eviction in a bitstream
+// deployment tier uses this to free the victim's slot without disturbing
+// its neighbours: the next task requesting the evicted bitstream on this
+// node no longer finds it and must pay a redeploy (or fall back to
+// software). Device reservations are untouched — work already claimed
+// keeps its window.
+func (n *Node) Unprogram(idx, region int) (bool, error) {
 	if idx < 0 || idx >= len(n.Devices) {
 		return false, fmt.Errorf("platform: node %s has no device %d", n.Name, idx)
 	}
-	if region < 0 || region >= n.Devices[idx].Regions() {
+	if region >= n.Devices[idx].Regions() {
 		return false, fmt.Errorf("platform: %s device %d has no PR region %d", n.Name, idx, region)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	_, loaded := n.regions[[2]int{idx, region}]
-	delete(n.regions, [2]int{idx, region})
+	s := &n.slots[idx]
+	if region >= 0 {
+		loaded := region < len(s.regions) && s.regions[region].ID != ""
+		if loaded {
+			s.regions[region] = Bitstream{}
+		}
+		return loaded, nil
+	}
+	loaded := s.loaded
+	s.load(Bitstream{}, false)
+	// Freeing the device clears PR regions too: the whole fabric is blank.
+	clear(s.regions)
 	return loaded, nil
 }
 
-// RegionProgrammed returns the kernel resident in one PR region of device
-// idx.
-func (n *Node) RegionProgrammed(idx, region int) (Bitstream, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	bs, ok := n.regions[[2]int{idx, region}]
-	return bs, ok
-}
-
-// ProgrammedRegions counts the kernels resident across device idx's PR
-// regions.
-func (n *Node) ProgrammedRegions(idx int) int {
-	if idx < 0 || idx >= len(n.Devices) {
-		return 0
+// Holding returns the device and PR region holding bitstream id (region -1
+// for a whole-device image); ok=false when no device of the node holds it.
+func (n *Node) Holding(id string) (dev, region int, ok bool) {
+	if id == "" {
+		return -1, -1, false
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	count := 0
-	for r := 0; r < n.Devices[idx].Regions(); r++ {
-		if _, ok := n.regions[[2]int{idx, r}]; ok {
-			count++
+	for i := range n.slots {
+		s := &n.slots[i]
+		if s.loaded && s.image.ID == id {
+			return i, -1, true
+		}
+		for r := range s.regions {
+			if s.regions[r].ID == id {
+				return i, r, true
+			}
 		}
 	}
-	return count
+	return -1, -1, false
 }
 
-// Unprogram clears the bitstream loaded on device idx, returning whether
-// one was loaded. A cache-capacity eviction in a bitstream deployment tier
-// uses this to free the slot: the next task requesting the evicted
-// bitstream on this node no longer finds it and must pay a redeploy (or
-// fall back to software). Device reservations are untouched — work already
-// claimed keeps its window.
-func (n *Node) Unprogram(idx int) (bool, error) {
-	if idx < 0 || idx >= len(n.Devices) {
-		return false, fmt.Errorf("platform: node %s has no device %d", n.Name, idx)
+// Vacant reports whether programming PR region `region` of device idx
+// (region -1: the whole device) would displace no resident kernel. A
+// whole-device image occupies every region, and a kernel in any region
+// occupies the whole device.
+func (n *Node) Vacant(idx, region int) bool {
+	if idx < 0 || idx >= len(n.Devices) || region >= n.Devices[idx].Regions() {
+		return false
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	loaded := n.slots[idx].loaded
-	n.slots[idx].load(Bitstream{}, false)
-	// Freeing the device clears PR regions too: the whole fabric is blank.
-	n.clearRegionsLocked(idx)
-	return loaded, nil
+	s := &n.slots[idx]
+	if s.loaded {
+		return false
+	}
+	if region >= 0 {
+		return region >= len(s.regions) || s.regions[region].ID == ""
+	}
+	for r := range s.regions {
+		if s.regions[r].ID != "" {
+			return false
+		}
+	}
+	return true
 }
 
 // Programmed returns the ID of the bitstream loaded on device idx.

@@ -365,18 +365,120 @@ func TestUnprogramFreesDeviceSlot(t *testing.T) {
 	if _, ok := n.Programmed(0); !ok {
 		t.Fatal("bitstream should be loaded")
 	}
-	loaded, err := n.Unprogram(0)
+	loaded, err := n.Unprogram(0, -1)
 	if err != nil || !loaded {
 		t.Fatalf("Unprogram = (%v, %v), want (true, nil)", loaded, err)
 	}
 	if _, ok := n.Programmed(0); ok {
 		t.Fatal("bitstream should be gone after Unprogram")
 	}
-	loaded, err = n.Unprogram(0)
+	loaded, err = n.Unprogram(0, -1)
 	if err != nil || loaded {
 		t.Fatalf("second Unprogram = (%v, %v), want (false, nil)", loaded, err)
 	}
-	if _, err := n.Unprogram(5); err == nil {
+	if _, err := n.Unprogram(5, -1); err == nil {
 		t.Fatal("out-of-range device accepted")
+	}
+}
+
+// TestNodeResidencyQueries walks one two-card node through whole-device
+// and PR-region loads and clears, checking Holding and Vacant after each:
+// a whole-device image blocks every region of its card, a region kernel
+// blocks the whole card, and clearing one region frees only it.
+func TestNodeResidencyQueries(t *testing.T) {
+	n := NewNode("n0", XeonModel(), AlveoU55C(), AlveoU55C())
+	small := func(id string) Bitstream {
+		bs := testBitstream(1, 4, 1, false)
+		bs.ID = id
+		return bs
+	}
+	type want struct {
+		id          string
+		dev, region int
+		ok          bool
+	}
+	check := func(step string, holds []want, vacant map[[2]int]bool) {
+		t.Helper()
+		for _, w := range holds {
+			dev, region, ok := n.Holding(w.id)
+			if ok != w.ok || (ok && (dev != w.dev || region != w.region)) {
+				t.Errorf("%s: Holding(%q) = dev%d r%d %v, want dev%d r%d %v", step, w.id, dev, region, ok, w.dev, w.region, w.ok)
+			}
+		}
+		for dev := range n.Devices {
+			for region := -1; region < n.Devices[dev].Regions(); region++ {
+				if got, w := n.Vacant(dev, region), vacant[[2]int{dev, region}]; got != w {
+					t.Errorf("%s: Vacant(%d, %d) = %v, want %v", step, dev, region, got, w)
+				}
+			}
+		}
+	}
+	free := func(except ...[2]int) map[[2]int]bool {
+		m := map[[2]int]bool{}
+		for dev := range 2 {
+			for region := -1; region < 4; region++ {
+				m[[2]int{dev, region}] = true
+			}
+		}
+		for _, k := range except {
+			m[k] = false
+		}
+		return m
+	}
+	check("blank", []want{{id: "a"}, {id: ""}}, free())
+
+	if _, err := n.Program(0, small("a")); err != nil {
+		t.Fatal(err)
+	}
+	check("whole a", []want{{"a", 0, -1, true}},
+		free([2]int{0, -1}, [2]int{0, 0}, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}))
+
+	if _, err := n.ProgramRegion(1, 2, small("b")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.ProgramRegion(1, 0, small("c")); err != nil {
+		t.Fatal(err)
+	}
+	check("regions b, c", []want{{"a", 0, -1, true}, {"b", 1, 2, true}, {"c", 1, 0, true}},
+		free([2]int{0, -1}, [2]int{0, 0}, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3},
+			[2]int{1, -1}, [2]int{1, 0}, [2]int{1, 2}))
+
+	// A region load displaces the whole-device image of its card.
+	if _, err := n.ProgramRegion(0, 3, small("d")); err != nil {
+		t.Fatal(err)
+	}
+	check("region d over a", []want{{id: "a"}, {"d", 0, 3, true}},
+		free([2]int{0, -1}, [2]int{0, 3}, [2]int{1, -1}, [2]int{1, 0}, [2]int{1, 2}))
+
+	if was, err := n.Unprogram(1, 2); err != nil || !was {
+		t.Fatalf("Unprogram(1, 2) = %v, %v; want true", was, err)
+	}
+	if was, err := n.Unprogram(1, 2); err != nil || was {
+		t.Fatalf("second Unprogram(1, 2) = %v, %v; want false", was, err)
+	}
+	if _, err := n.Unprogram(1, 4); err == nil {
+		t.Error("Unprogram of PR region 4 of a 4-region card accepted")
+	}
+	check("clear b", []want{{id: "b"}, {"c", 1, 0, true}},
+		free([2]int{0, -1}, [2]int{0, 3}, [2]int{1, -1}, [2]int{1, 0}))
+
+	// A whole-device image displaces every region of its card, and
+	// Unprogram clears them all.
+	if _, err := n.Program(1, small("e")); err != nil {
+		t.Fatal(err)
+	}
+	check("whole e over c", []want{{id: "c"}, {"e", 1, -1, true}},
+		free([2]int{0, -1}, [2]int{0, 3}, [2]int{1, -1}, [2]int{1, 0}, [2]int{1, 1}, [2]int{1, 2}, [2]int{1, 3}))
+	if _, err := n.Unprogram(0, -1); err != nil {
+		t.Fatal(err)
+	}
+	check("unprogram 0", []want{{id: "d"}, {"e", 1, -1, true}},
+		free([2]int{1, -1}, [2]int{1, 0}, [2]int{1, 1}, [2]int{1, 2}, [2]int{1, 3}))
+
+	if n.Vacant(2, -1) || n.Vacant(0, 4) {
+		t.Error("an out-of-range slot reads vacant")
+	}
+	if _, err := n.ProgramRegion(0, 0, small("")); err == nil {
+		t.Error("a region kernel without an ID was accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"everest/internal/dataset"
 	"everest/internal/platform"
 	"everest/internal/runtime"
 )
@@ -16,22 +17,21 @@ type window struct {
 	arrivals []float64
 }
 
-// devState is one accelerator's kernel residency bookkeeping. With partial
+// devState is one accelerator's swap bookkeeping. With partial
 // reconfiguration the device exposes Regions() slots, each holding one
 // kernel, evicted LRU; without it the whole device holds a single image
-// and every kernel alternation pays a full reprogram. The platform Node is
-// kept truthful throughout (ProgramRegion/Program), so the busy-window
-// serialization (ClaimDeviceAt) and the residency model share one device.
+// and every kernel alternation pays a full reprogram. What is loaded where
+// is the platform Node's record (ProgramRegion/Program, Holding, Vacant),
+// so the busy-window serialization (ClaimDeviceAt) and residency share one
+// device; recent orders the resident kernels for LRU eviction.
 type devState struct {
-	node     *platform.Node
-	dev      int
-	d        *platform.Device
-	name     string   // "node00/dev0"
-	partial  bool     // per-region swapping enabled and every kernel fits
-	resident []string // region slot -> resident kernel id ("" = empty)
-	lru      []int64  // region slot -> last-touch sequence
-	seq      int64
-	kernels  int // distinct kernels assigned here
+	node    *platform.Node
+	dev     int
+	d       *platform.Device
+	name    string         // "node00/dev0"
+	partial bool           // per-region swapping enabled and every kernel fits
+	recent  *dataset.Store // resident kernels, bounded to the slot count
+	kernels int            // distinct kernels assigned here
 
 	everLoaded  map[string]bool // kernels that have paid their cold load
 	swaps       int64           // reloads beyond each kernel's first (churn)
@@ -41,9 +41,10 @@ type devState struct {
 // stageRun is one pipeline stage's serving state: a bounded input queue of
 // windows and a single-server executor (one window in service at a time).
 type stageRun struct {
-	spec *StageSpec
-	node *platform.Node // software host (pricing + FPGA fallback)
-	ds   *devState      // accelerator residency state; nil = software stage
+	spec   *StageSpec
+	node   *platform.Node // software host (pricing + FPGA fallback)
+	ds     *devState      // accelerator residency state; nil = software stage
+	kernel dataset.Part   // the stage's bitstream as ds.recent keys it
 
 	queue []*window // ring buffer, len = queueWindows
 	qHead int
@@ -190,6 +191,7 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 				ds.kernels++
 			}
 			sr.ds = ds
+			sr.kernel = dataset.Intern(dataset.Ref{Name: st.Bitstream.ID})
 		}
 		e.pipes = append(e.pipes, pl)
 	}
@@ -225,8 +227,10 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 		if ds.partial {
 			slots = ds.d.Regions()
 		}
-		ds.resident = make([]string, slots)
-		ds.lru = make([]int64, slots)
+		ds.recent = dataset.NewStore(0, slots)
+		// Residency starts empty: nothing this engine did not load counts.
+		// ds.dev is the node's own device index, so the clear cannot fail.
+		_, _ = ds.node.Unprogram(ds.dev, -1)
 	}
 
 	e.stride = maxStages + slotDone
@@ -442,32 +446,22 @@ func (e *Engine) startService(p *pipeline, k int, w *window, t float64) {
 // exists to avoid.
 func (e *Engine) ensureResident(p *pipeline, si *stageRun, t float64, events int) float64 {
 	ds := si.ds
+	if ds.recent.Contains(si.kernel.ID) {
+		return 0
+	}
 	id := si.spec.Bitstream.ID
-	slot := -1
-	for r, res := range ds.resident {
-		if res == id {
-			ds.seq++
-			ds.lru[r] = ds.seq
-			return 0
-		}
-		if slot < 0 && res == "" {
-			slot = r
-		}
-	}
-	if slot < 0 {
-		slot = 0
-		for r := 1; r < len(ds.resident); r++ {
-			if ds.lru[r] < ds.lru[slot] {
-				slot = r
-			}
-		}
-	}
 	var dt float64
 	var err error
 	var img int64
 	if ds.partial {
-		if ds.resident[slot] != "" {
-			_, _ = ds.node.UnprogramRegion(ds.dev, slot)
+		// The first vacant region, else the least recently used kernel's.
+		slot := 0
+		for slot < ds.d.Regions() && !ds.node.Vacant(ds.dev, slot) {
+			slot++
+		}
+		if slot == ds.d.Regions() {
+			victim, _ := ds.recent.Oldest()
+			_, slot, _ = ds.node.Holding(victim.Ref.Name)
 		}
 		dt, err = ds.node.ProgramRegion(ds.dev, slot, si.spec.Bitstream)
 		img = ds.d.RegionConfigBytes()
@@ -481,9 +475,9 @@ func (e *Engine) ensureResident(p *pipeline, si *stageRun, t float64, events int
 		return 0
 	}
 	cost := e.cfg.Cluster.Network.TransferSeconds(img) + dt
-	ds.resident[slot] = id
-	ds.seq++
-	ds.lru[slot] = ds.seq
+	// The bound evicts the displaced kernel, the oldest, if the device was
+	// full.
+	ds.recent.Publish(dataset.Version{Ref: si.kernel.Ref, ID: si.kernel.ID})
 	if ds.everLoaded[id] {
 		// A reload of a kernel this device already paid for: churn the PR
 		// floorplan would have kept resident.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	goruntime "runtime"
 	"strings"
 	"testing"
@@ -464,6 +465,97 @@ func TestEnginePartialReconfigSwapWin(t *testing.T) {
 	}
 	if !foundOn {
 		t.Errorf("device stats should show one card hosting 2 kernels across regions: %+v", on.Devices)
+	}
+}
+
+// manySwapSpecs puts six kernels on one card: more than its four PR
+// regions, so even partial reconfiguration evicts LRU regions.
+func manySwapSpecs() []PipelineSpec {
+	var specs []PipelineSpec
+	for i := range 6 {
+		specs = append(specs, PipelineSpec{
+			Name: fmt.Sprintf("p%d", i), Arrivals: NewPoisson(100, uint64(30+i)), Events: 600, WindowEvents: 32,
+			Stages: []StageSpec{{
+				Name: "infer", FlopsPerEvent: 1e5, BytesPerEvent: 256,
+				Bitstream: testBitstream(fmt.Sprintf("k%d", i), 40000), FPGASecondsPerEvent: 7e-5,
+			}},
+		})
+	}
+	return specs
+}
+
+// TestSwapCountersMatchTrace checks each device's Swaps against its
+// trace: every load is one EventSwap, and a swap is a load beyond each
+// kernel's first.
+func TestSwapCountersMatchTrace(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		partial bool
+		specs   []PipelineSpec
+	}{
+		{"whole-device", false, swapSpecs()},
+		{"regions", true, swapSpecs()},
+		{"regions-evicting", true, manySwapSpecs()},
+	} {
+		loads := map[string]int{}
+		kernels := map[string]map[string]bool{}
+		e, err := New(Config{Cluster: testCluster(), PartialReconfig: c.partial, Trace: func(ev Event) {
+			if ev.Kind == EventSwap {
+				loads[ev.Device]++
+				if kernels[ev.Device] == nil {
+					kernels[ev.Device] = map[string]bool{}
+				}
+				kernels[ev.Device][ev.Bitstream] = true
+			}
+		}}, c.specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.name != "regions" && st.Swaps == 0 {
+			t.Errorf("%s: no swaps; the scenario should evict", c.name)
+		}
+		for _, d := range st.Devices {
+			if got := int64(loads[d.Name] - len(kernels[d.Name])); got != d.Swaps {
+				t.Errorf("%s: %s traced %d loads of %d kernels, Swaps = %d", c.name, d.Name, loads[d.Name], len(kernels[d.Name]), d.Swaps)
+			}
+		}
+	}
+}
+
+// TestNewClearsAssignedDevices builds engines over a card already holding
+// kernels, including one the pipelines use, in every region and whole:
+// residency starts empty, so the stats match a fresh cluster's.
+func TestNewClearsAssignedDevices(t *testing.T) {
+	run := func(partial bool, c *platform.Cluster) Stats {
+		e, err := New(Config{Cluster: c, PartialReconfig: partial}, manySwapSpecs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, partial := range []bool{false, true} {
+		c := testCluster()
+		n := c.Nodes[0]
+		if partial {
+			for r, id := range []string{"k0", "x1", "x2", "x3"} {
+				if _, err := n.ProgramRegion(0, r, testBitstream(id, 40000)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if _, err := n.Program(0, testBitstream("k0", 40000)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := run(partial, c), run(partial, testCluster()); !reflect.DeepEqual(got, want) {
+			t.Errorf("partial=%v: stats over a programmed card %+v, over a fresh one %+v", partial, got, want)
+		}
 	}
 }
 

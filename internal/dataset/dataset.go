@@ -210,10 +210,10 @@ func (s *Store) Contains(id ID) bool {
 
 // Holds reports residency without touching LRU order or counters — the
 // pure read routing estimates use, so pricing candidate sites does not
-// perturb the store state the chosen site will see.
+// perturb the store state the chosen site will see. A nil store holds
+// nothing, so its Estimate prices a completely cold store.
 func (s *Store) Holds(id ID) bool {
-	_, ok := s.resident[id]
-	return ok
+	return s != nil && s.resident[id] != nil
 }
 
 // Link prices shipping part p into a store, the transfer starting at

@@ -21,8 +21,8 @@ func needParts(ids ...string) []dataset.Part {
 }
 
 // TestRouteAllocFree pins the router's allocation budget: pricing every
-// site for one workflow — cache residency probes, cold-deploy estimates,
-// affinity, and for a guaranteed request the proven service and deploy
+// site for one workflow — cache residency probes (cold, and resident on
+// every site after WarmAll), cold-deploy estimates, affinity, and for a guaranteed request the proven service and deploy
 // bounds — must not allocate in steady state, so the whole Submit-side
 // routing decision stays off the heap; a regression here would show up as
 // GC pressure scaling with routed workflows in BenchmarkSimulatorSpeed.
@@ -47,11 +47,18 @@ func TestRouteAllocFree(t *testing.T) {
 		what  string
 		needs []dataset.Part
 		reads []dataset.Part
+		warm  string // staged on every site first
 	}{
-		{"route (software-only)", nil, nil},
-		{"route (cold bitstreams)", needParts("bs0", "bs1"), nil},
-		{"route (dataset locality)", needParts("bs0"), reads},
+		{"route (software-only)", nil, nil, ""},
+		{"route (cold bitstreams)", needParts("bs0", "bs1"), nil, ""},
+		{"route (dataset locality)", needParts("bs0"), reads, ""},
+		{"route (resident bitstream)", needParts("bs0"), nil, "bs0"},
 	} {
+		if tc.warm != "" {
+			if _, err := f.WarmAll(tc.warm, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if got := testing.AllocsPerRun(200, func() {
 			if _, err := f.route("tenant00", 1, true, tc.needs, tc.reads, 0.5); err != nil {
 				t.Fatal(err)
@@ -80,8 +87,10 @@ func TestRouteAllocFree(t *testing.T) {
 }
 
 // BenchmarkFleetRoute measures the router alone: pricing every site of a
-// four-site fleet for one FPGA workflow, by cost (best-effort) and by
-// proof (guaranteed: service, deploy and admission bounds per site).
+// four-site fleet for one FPGA workflow, by cost (best-effort, with the
+// bitstream cold, and warm: resident on every site, so each site probes
+// its nodes for it) and by proof (guaranteed: service, deploy and
+// admission bounds per site).
 func BenchmarkFleetRoute(b *testing.B) {
 	reg := platform.NewRegistry()
 	if err := reg.Put(testBitstream("bs0")); err != nil {
@@ -105,6 +114,17 @@ func BenchmarkFleetRoute(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			if _, _, err := f.routeGuaranteed(w, needs, nil, 0.5, 60); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		if _, err := f.WarmAll("bs0", 0); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := f.route("tenant00", 1, true, needs, nil, 0.5); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -116,18 +116,3 @@ func (f *Fleet) traceEvicted(s *site, evicted []dataset.Version, at float64) {
 		f.trace(Event{Kind: EventDataEvict, Site: s.name, Time: at, Detail: ev.ID.Value().String()})
 	}
 }
-
-// fetchBound prices the worst-case data staging of a workflow's known
-// reads: every partition fetched individually over the registry fabric,
-// which dominates any subset the serve path actually ships (per-fetch
-// pricing pays the fabric latency per partition, residency only removes
-// terms, and serve fetches exactly the known reads this bound covers).
-// Guaranteed-class admission adds this to the workflow's own worst case,
-// so a proven deadline survives a completely cold dataset store.
-func (f *Fleet) fetchBound(reads []dataset.Part) float64 {
-	total := 0.0
-	for _, p := range reads {
-		total += f.cfg.RegistryNet.SendSeconds(p.Ref.Bytes)
-	}
-	return total
-}

@@ -540,6 +540,13 @@ func (f *Fleet) Cluster(i int) *platform.Cluster { return f.sites[i].cluster }
 // modelled time.
 func (s *site) activeAt(at float64) bool { return s.active && s.activeFrom <= at }
 
+// start returns when work arriving at the given modelled time begins on the
+// site: the single-server queue recursion max(arrival, busyUntil). Every
+// routed workflow is served before Submit returns, so busyUntil is the
+// whole queue, and start - arrival is the queue wait the router prices, the
+// guaranteed proof bounds and serving bills.
+func (s *site) start(arrival float64) float64 { return max(arrival, s.busyUntil) }
+
 // SetSiteActive scales site i in or out at modelled time at. Activation
 // takes effect at `at` (callers model boot delay by passing a future
 // time). Submit serves before it returns, so a site never holds routed
@@ -576,11 +583,7 @@ func (f *Fleet) QueueWait(arrival float64) (float64, bool) {
 		if !s.activeAt(arrival) {
 			continue
 		}
-		wait := s.busyUntil - arrival
-		if wait < 0 {
-			wait = 0
-		}
-		if !ok || wait < best {
+		if wait := s.start(arrival) - arrival; !ok || wait < best {
 			best, ok = wait, true
 		}
 	}
@@ -617,17 +620,9 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 	if best < 0 {
 		return -1, 0, fmt.Errorf("fleet: warm %s: no active site", id)
 	}
-	s := f.sites[best]
-	f.dropStale(s, p, at)
-	dt := f.deployOne(s, "prefetch", "warm:"+id, p, at)
+	dt := f.warm(f.sites[best], p, at)
 	if dt == 0 {
-		return best, 0, fmt.Errorf("fleet: warm %s: no online device fits on %s", id, s.name)
-	}
-	s.stats.WarmDeploys++
-	s.stats.WarmSeconds += dt
-	if f.cfg.Trace != nil {
-		f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: id,
-			Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
+		return best, 0, fmt.Errorf("fleet: warm %s: no online device fits on %s", id, f.sites[best].name)
 	}
 	return best, dt, nil
 }
@@ -651,19 +646,27 @@ func (f *Fleet) WarmAll(id string, at float64) (float64, error) {
 		if !s.activeAt(at) || s.live(p, at) {
 			continue
 		}
-		f.dropStale(s, p, at)
-		dt := f.deployOne(s, "prefetch", "warm:"+id, p, at)
-		if dt > 0 {
-			s.stats.WarmDeploys++
-			s.stats.WarmSeconds += dt
-			total += dt
-			if f.cfg.Trace != nil {
-				f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: id,
-					Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
-			}
-		}
+		total += f.warm(s, p, at)
 	}
 	return total, nil
+}
+
+// warm stages bitstream p, not live on site s, at modelled time at on the
+// deployment control plane, for Warm and WarmAll. Returns the staging
+// seconds, 0 when no online device fits it.
+func (f *Fleet) warm(s *site, p dataset.Part, at float64) float64 {
+	f.dropStale(s, p, at)
+	dt := f.deployOne(s, "prefetch", "warm:"+p.Ref.Name, p, at)
+	if dt == 0 {
+		return 0
+	}
+	s.stats.WarmDeploys++
+	s.stats.WarmSeconds += dt
+	if f.cfg.Trace != nil {
+		f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: p.Ref.Name,
+			Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
+	}
+	return dt
 }
 
 // Start brings every site engine up.
@@ -824,12 +827,13 @@ func (f *Fleet) route(tenant string, last int, hasLast bool, needs, reads []data
 // routeGuaranteed admits a guaranteed request by proof. Every site is
 // priced with the full admission inequality
 //
-//	wait + overhang + deployBound + fetchBound + serviceBound <= deadline
+//	wait + overhang + deployBound + fetch + serviceBound <= deadline
 //
-// where wait is the site's queue frontier past the arrival, overhang the
-// engine's estimate frontier beyond the last settled makespan, deployBound
-// the worst-case cold deployment of every needed bitstream, fetchBound
-// the worst-case staging of every external dataset partition, and
+// where wait is the site's queue frontier past the arrival (site.start),
+// overhang the engine's estimate frontier beyond the last settled
+// makespan, deployBound the worst-case cold deployment of every needed
+// bitstream, fetch the staging of every known dataset partition into a
+// cold store (Store.Estimate on a nil store, which holds nothing), and
 // serviceBound the workflow's schedule-derived serve-alone worst case
 // (runtime.ServiceBound). Submit serves every admitted workflow before it
 // returns, so no admitted work is ever still pending ahead of this one to
@@ -837,6 +841,8 @@ func (f *Fleet) route(tenant string, last int, hasLast bool, needs, reads []data
 // ties; when no site can prove the deadline the request is refused with
 // ErrSaturated and nothing is served.
 func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs, reads []dataset.Part, arrival, deadline float64) (int, float64, error) {
+	// A nil store holds nothing: every known read is shipped cold.
+	fetch := (*dataset.Store)(nil).Estimate(reads, arrival, f.registryLink)
 	best, bestBound := -1, 0.0
 	for i, s := range f.sites {
 		svc, err := runtime.ServiceBound(w, s.cluster, f.reg, runtime.BoundOptions{
@@ -845,7 +851,7 @@ func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs, reads []dataset.Part
 		if err != nil {
 			continue // the site cannot bound the workflow at all
 		}
-		own := f.deployBound(s, needs) + f.fetchBound(reads) + svc
+		own := f.deployBound(s, needs) + fetch + svc
 		bound, ok := f.admissionBound(s, arrival, own, deadline)
 		if ok && (best < 0 || bound < bestBound) {
 			best, bestBound = i, bound
@@ -866,10 +872,7 @@ func (f *Fleet) admissionBound(s *site, arrival, own, deadline float64) (float64
 	if !s.activeAt(arrival) {
 		return 0, false
 	}
-	wait := s.busyUntil - arrival
-	if wait < 0 {
-		wait = 0
-	}
+	wait := s.start(arrival) - arrival
 	// Estimate overhang: the engine's placement frontier may sit past
 	// the last settled makespan (estimates only ratchet down on reports),
 	// and the next service delta is measured from the settled makespan — so
@@ -906,9 +909,8 @@ func (f *Fleet) deployBound(s *site, needs []dataset.Part) float64 {
 				if !need.FitsIn(d.Capacity) {
 					continue
 				}
-				if c := deployCost(f.cfg.RegistryNet, d, -1); c > worst {
-					worst = c
-				}
+				xfer, reconfig := deployCost(f.cfg.RegistryNet, d, -1)
+				worst = max(worst, xfer+reconfig)
 			}
 		}
 		total += worst
@@ -923,32 +925,14 @@ func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs, reads 
 		// Scaled out, or still booting at this arrival: not a candidate.
 		return 0, false
 	}
-	// Every routed workflow is served before Submit returns, so the
-	// busyUntil recursion is the whole queue.
-	wait := s.busyUntil - arrival
-	if wait < 0 {
-		wait = 0
-	}
+	at := s.start(arrival)
+	wait := at - arrival
 	if f.cfg.MaxQueueSeconds > 0 && wait > f.cfg.MaxQueueSeconds {
 		return 0, false
 	}
 	cost := wait
-	at := arrival
-	if s.busyUntil > at {
-		at = s.busyUntil
-	}
 	for _, p := range needs {
-		// A resident bitstream on a device that is offline by the time this
-		// work would start is stale: the deploy path will treat it as a
-		// miss, so the estimate must too.
-		if s.live(p, at) {
-			continue // resident: deployment is free
-		}
-		if est, ok := f.estimateDeploy(s, p.Ref.Name, at); ok {
-			cost += est
-		} else {
-			cost += fallbackSeconds
-		}
+		cost += f.estimateDeploy(s, p, at)
 	}
 	if !hasLast || last != idx {
 		cost += affinitySeconds
@@ -964,28 +948,35 @@ func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs, reads 
 	return cost, true
 }
 
-// estimateDeploy prices a cold deploy of bitstream id to the site at
-// modelled time at; ok=false means no online device can host it.
-func (f *Fleet) estimateDeploy(s *site, id string, at float64) (float64, bool) {
-	ent, err := f.reg.Entry(id)
-	if err != nil {
-		return 0, false
+// estimateDeploy prices bitstream p on the site for work starting at
+// modelled time at: nothing when it is live there, else a cold deploy to
+// the first slot that fits (deployCost), else fallbackSeconds, the
+// router's penalty for running the work in software. A resident bitstream
+// on a device offline by then is stale: the deploy path treats it as a
+// miss, so the estimate does too.
+func (f *Fleet) estimateDeploy(s *site, p dataset.Part, at float64) float64 {
+	if s.live(p, at) {
+		return 0
 	}
-	n, dev, region := s.deployTarget(ent.Resources(), at, f.cfg.PartialReconfig, nil)
-	if n == nil {
-		return 0, false
+	if ent, err := f.reg.Entry(p.Ref.Name); err == nil {
+		if n, dev, region := s.deployTarget(ent.Resources(), at, f.cfg.PartialReconfig, nil); n != nil {
+			xfer, reconfig := deployCost(f.cfg.RegistryNet, n.Devices[dev], region)
+			return xfer + reconfig
+		}
 	}
-	return deployCost(f.cfg.RegistryNet, n.Devices[dev], region), true
+	return fallbackSeconds
 }
 
 // deployCost prices staging one configuration image onto a device slot:
-// the registry transfer of the image plus the reconfiguration latency,
-// both region-sized when the slot is a PR region (region >= 0).
-func deployCost(net *netsim.Stack, d *platform.Device, region int) float64 {
+// the registry transfer of the image and the reconfiguration latency,
+// both region-sized when the slot is a PR region (region >= 0). It is the
+// one price of a deploy: the router's estimate, the guaranteed bound and
+// the bill deployOne charges all read it.
+func deployCost(net *netsim.Stack, d *platform.Device, region int) (xfer, reconfig float64) {
 	if region >= 0 {
-		return net.SendSeconds(d.RegionConfigBytes()) + d.RegionReconfigSeconds()
+		return net.SendSeconds(d.RegionConfigBytes()), d.RegionReconfigSeconds()
 	}
-	return net.SendSeconds(d.ConfigBytes()) + d.ReconfigSeconds()
+	return net.SendSeconds(d.ConfigBytes()), d.ReconfigSeconds()
 }
 
 // deployTarget returns the first alive node, online device (at modelled
@@ -1035,10 +1026,7 @@ func (s *site) deployTarget(need hls.Resources, at float64, partial bool, vacant
 // resolves the ticket. Called by Submit under the fleet lock.
 func (f *Fleet) serve(s *site, w *work) {
 	t := w.t
-	start := w.arrival
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
+	start := s.start(w.arrival)
 	deploy := f.deployNeeds(s, w, start)
 	fetch, fetchedBytes := f.fetchData(s, w, start+deploy)
 
@@ -1174,10 +1162,10 @@ func (f *Fleet) dropStale(s *site, p dataset.Part, at float64) {
 	if !s.bstore.Holds(p.ID) {
 		return
 	}
-	n, dev, _ := s.evict(p)
+	n, dev, region := s.evict(p)
 	if f.cfg.Trace != nil {
 		f.trace(Event{Kind: EventEvict, Site: s.name, Bitstream: p.Ref.Name,
-			Time: at, Detail: fmt.Sprintf("%s/dev%d offline", n.Name, dev)})
+			Time: at, Detail: fmt.Sprintf("%s/%s offline", n.Name, slotName(dev, region))})
 	}
 }
 
@@ -1223,11 +1211,10 @@ func (f *Fleet) deployOne(s *site, tenant, wfName string, p dataset.Part, at flo
 				Time: at, Detail: fmt.Sprintf("lru from %s/%s", vn.Name, slotName(vdev, vregion))})
 		}
 	}
-	var dt float64
 	if region >= 0 {
-		dt, err = node.ProgramRegion(dev, region, ent.Bitstream())
+		_, err = node.ProgramRegion(dev, region, ent.Bitstream())
 	} else {
-		dt, err = node.Program(dev, ent.Bitstream())
+		_, err = node.Program(dev, ent.Bitstream())
 	}
 	if err != nil {
 		s.stats.FallbackDeploys++
@@ -1237,12 +1224,7 @@ func (f *Fleet) deployOne(s *site, tenant, wfName string, p dataset.Part, at flo
 		}
 		return 0
 	}
-	d := node.Devices[dev]
-	img := d.ConfigBytes()
-	if region >= 0 {
-		img = d.RegionConfigBytes()
-	}
-	xfer := f.cfg.RegistryNet.SendSeconds(img)
+	xfer, reconfig := deployCost(f.cfg.RegistryNet, node.Devices[dev], region)
 	s.bstore.Publish(dataset.Version{Ref: p.Ref, ID: p.ID})
 	kind := EventDeploy
 	if s.everDeployed[id] {
@@ -1253,9 +1235,9 @@ func (f *Fleet) deployOne(s *site, tenant, wfName string, p dataset.Part, at flo
 	if f.cfg.Trace != nil {
 		f.trace(Event{Kind: kind, Site: s.name, Tenant: tenant,
 			Workflow: wfName, Bitstream: id, Time: at,
-			Detail: fmt.Sprintf("%s/%s xfer=%.4gs reconfig=%.3gs", node.Name, slotName(dev, region), xfer, dt)})
+			Detail: fmt.Sprintf("%s/%s xfer=%.4gs reconfig=%.3gs", node.Name, slotName(dev, region), xfer, reconfig)})
 	}
-	return xfer + dt
+	return xfer + reconfig
 }
 
 // slotName renders a device slot for trace details: "dev0" whole-device,

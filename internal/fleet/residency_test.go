@@ -178,7 +178,7 @@ func (r *refSite) dropStale(id string) {
 	if sl, ok := r.cache.m[id]; ok {
 		delete(r.cache.m, id)
 		r.stats.Evictions++
-		r.events = append(r.events, fmt.Sprintf("evict %s %s/dev%d offline", id, sl.node.Name, sl.dev))
+		r.events = append(r.events, fmt.Sprintf("evict %s %s/%s offline", id, sl.node.Name, slotName(sl.dev, sl.region)))
 	}
 }
 

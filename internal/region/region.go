@@ -430,7 +430,6 @@ type Federation struct {
 	heldSeq   int
 
 	appNeeds map[string][]dataset.Part // app -> bitstreams (learned at first serve)
-	appOrder []string
 
 	// dataCat is the federation dataset catalog: partitions placed or
 	// published somewhere, the scope of the locality/fetch pricing that
@@ -804,7 +803,6 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, handoff, f
 		if _, ok := f.appNeeds[req.App]; !ok {
 			f.appNeeds[req.App] = req.Workflow.Needs()
 			f.appReads[req.App] = req.Workflow.Reads()
-			f.appOrder = append(f.appOrder, req.App)
 		}
 	}
 	f.publishData(r, req.Workflow, req.Name, res.Completion)

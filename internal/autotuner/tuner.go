@@ -1,9 +1,6 @@
 package autotuner
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // KnobImpl is the knob name a variant Tuner controls: the implementation
 // choice of one workload ("impl" ∈ {cpu1, cpu16, fpga} in the paper's E7
@@ -23,12 +20,14 @@ type Variant struct {
 	BoundMs float64
 }
 
-// Tuner is the concurrency-safe mARGOt instance the adaptive engine embeds
-// per workload: one "impl" knob whose operating points carry expected
-// execution latency, ranked minimize-time. The engine consults Best/
-// Expected on every dispatch, feeds Observe from completions, and reacts to
-// hot-plug events through Degrade/SetAvailable — so variant selection
-// tracks the live environment instead of the static plan.
+// Tuner is the mARGOt instance the adaptive engine embeds per workload:
+// one "impl" knob whose operating points carry expected execution latency,
+// ranked minimize-time. The engine consults Best/Expected on every
+// dispatch, feeds Observe from completions, and reacts to hot-plug events
+// through Degrade/SetAvailable — so variant selection tracks the live
+// environment instead of the static plan. A Tuner is not safe for
+// concurrent use: each belongs to one workflow, and its engine touches it
+// only under the serve lock.
 //
 // The knowledge base is one slice of points in seed order rather than a
 // general Autotuner: the engine calls Best/Expected on every placement of
@@ -36,7 +35,6 @@ type Variant struct {
 // per point per call) dominated dispatch profiles. Semantics are identical
 // to an Autotuner with a single KnobImpl knob and an EWMA alpha of 0.5.
 type Tuner struct {
-	mu     sync.Mutex
 	points []point
 }
 
@@ -99,8 +97,6 @@ func (t *Tuner) Variants() []string {
 // to the overall best — the graceful degradation mARGOt applies when no
 // point is feasible.
 func (t *Tuner) Best() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	best, bestAny := -1, -1
 	for i := range t.points {
 		v := t.points[i].expected
@@ -123,8 +119,6 @@ func (t *Tuner) Best() string {
 // Expected returns the current expected latency of a variant in ms (0 for
 // unknown variants).
 func (t *Tuner) Expected(name string) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if i, ok := t.index(name); ok {
 		return t.points[i].expected
 	}
@@ -135,8 +129,6 @@ func (t *Tuner) Expected(name string) float64 {
 // deviation of the live environment from the design-time model (1 = on
 // model). Schedulers scale their per-task nominal estimates by it.
 func (t *Tuner) Drift(name string) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	i, ok := t.index(name)
 	if !ok || t.points[i].seed <= 0 || t.points[i].expected <= 0 {
 		return 1
@@ -146,8 +138,6 @@ func (t *Tuner) Drift(name string) float64 {
 
 // Available reports whether a variant is currently selectable.
 func (t *Tuner) Available(name string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	i, ok := t.index(name)
 	return ok && !t.points[i].disabled
 }
@@ -155,8 +145,6 @@ func (t *Tuner) Available(name string) bool {
 // SetAvailable masks or unmasks a variant (e.g. fpga when the last VF of
 // the last programmed device is unplugged cluster-wide).
 func (t *Tuner) SetAvailable(name string, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if i, known := t.index(name); known {
 		t.points[i].disabled = !ok
 	}
@@ -165,8 +153,6 @@ func (t *Tuner) SetAvailable(name string, ok bool) {
 // Observe feeds one measured latency (ms) for a variant back into the
 // knowledge base with the same EWMA the general autotuner applies.
 func (t *Tuner) Observe(name string, ms float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if i, ok := t.index(name); ok {
 		p := &t.points[i]
 		p.expected = 0.5*p.expected + 0.5*ms
@@ -176,8 +162,6 @@ func (t *Tuner) Observe(name string, ms float64) {
 
 // Observations returns how many measurements a variant has received.
 func (t *Tuner) Observations(name string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if i, ok := t.index(name); ok {
 		return t.points[i].obs
 	}
@@ -190,8 +174,6 @@ func (t *Tuner) Degrade(name string, factor float64) {
 	if factor <= 0 {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if i, ok := t.index(name); ok {
 		t.points[i].expected *= factor
 	}
@@ -203,8 +185,6 @@ func (t *Tuner) Degrade(name string, factor float64) {
 // when the environment event that caused the degradation is undone (e.g.
 // the accelerator is replugged).
 func (t *Tuner) ResetExpected(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if i, ok := t.index(name); ok && t.points[i].expected > 0 {
 		t.points[i].expected = t.points[i].seed
 	}

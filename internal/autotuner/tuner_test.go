@@ -2,7 +2,6 @@ package autotuner
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -102,30 +101,6 @@ func TestTunerAvailabilityAndDegrade(t *testing.T) {
 	if tn.Expected("ghost") != 0 || tn.Drift("ghost") != 1 {
 		t.Fatal("unknown variant must report zero expectation, unit drift")
 	}
-}
-
-func TestTunerConcurrentAccess(t *testing.T) {
-	tn := newTestTuner(t)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				switch i % 4 {
-				case 0:
-					tn.Observe("fpga", float64(10+g))
-				case 1:
-					tn.Best()
-				case 2:
-					tn.SetAvailable("fpga", i%8 == 2)
-				default:
-					tn.Drift("cpu16")
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 func TestAutotunerScale(t *testing.T) {

@@ -8,9 +8,6 @@ import (
 	"everest/internal/runtime"
 )
 
-// raceEnabled is set by race_test.go under the race detector.
-var raceEnabled bool
-
 // needParts interns bitstream IDs the way Workflow.Submit resolves needs.
 func needParts(ids ...string) []dataset.Part {
 	var out []dataset.Part
@@ -236,9 +233,6 @@ func warmMapFleet(tb testing.TB) (*Fleet, func()) {
 // interned reads, outputs and needs, so none of that is rebuilt per
 // submission.
 func TestFleetDataSubmitAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector defeats sync.Pool reuse")
-	}
 	f, submit := warmMapFleet(t)
 	defer f.Shutdown()
 	const budget = 6

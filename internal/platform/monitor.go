@@ -1,9 +1,6 @@
 package platform
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Monitor is the per-node observation layer of the adaptive resource
 // manager (paper §VI-A/§VI-C): it aggregates what actually happened on each
@@ -17,11 +14,12 @@ import (
 // slowed node therefore mispredicts for its first task or two and then
 // converges, which is exactly the adaptation transient experiment E-adapt
 // measures.
+//
+// A Monitor is not safe for concurrent use: the engine that owns it feeds
+// and reads it only under its serve lock.
 type Monitor struct {
 	cluster *Cluster
-
-	mu    sync.Mutex
-	stats map[string]*nodeObs
+	stats   map[string]*nodeObs
 }
 
 // nodeObs is one node's accumulated observations.
@@ -52,8 +50,6 @@ func (m *Monitor) obs(node string) *nodeObs {
 
 // RecordTask records one completed task's modelled latency on a node.
 func (m *Monitor) RecordTask(node string, latency float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	o := m.obs(node)
 	if o.tasks == 0 {
 		o.ewmaLatency = latency
@@ -71,8 +67,6 @@ func (m *Monitor) ObserveRatio(node string, observed, nominal float64) {
 		return
 	}
 	ratio := observed / nominal
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	o := m.obs(node)
 	if !o.hasRatio {
 		o.ewmaRatio = ratio
@@ -85,26 +79,11 @@ func (m *Monitor) ObserveRatio(node string, observed, nominal float64) {
 // SlowdownEstimate returns the learned load factor of a node (1 = nominal
 // until evidence arrives).
 func (m *Monitor) SlowdownEstimate(node string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	o := m.stats[node]
 	if o == nil || !o.hasRatio || o.ewmaRatio < 1 {
 		return 1
 	}
 	return o.ewmaRatio
-}
-
-// DeviceAvailable reports whether device idx of the named node is attached,
-// and the node alive, right now.
-func (m *Monitor) DeviceAvailable(node string, idx int) bool {
-	n := m.cluster.FindNode(node)
-	if n == nil {
-		return false
-	}
-	if _, failed := n.FailedAt(); failed {
-		return false
-	}
-	return n.DeviceOnline(idx)
 }
 
 // NodeHealth is one node's monitor snapshot.
@@ -120,8 +99,6 @@ type NodeHealth struct {
 
 // Snapshot returns the health of every cluster node, sorted by name.
 func (m *Monitor) Snapshot() []NodeHealth {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]NodeHealth, 0, len(m.cluster.Nodes))
 	for _, n := range m.cluster.Nodes {
 		h := NodeHealth{Node: n.Name, SlowdownEst: 1, DevicesTotal: len(n.Devices)}

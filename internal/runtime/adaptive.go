@@ -177,6 +177,7 @@ const (
 	ctrlUnplug ctrlKind = iota
 	ctrlPlug
 	ctrlSlow
+	ctrlFail // never queued: execution observes the death itself
 )
 
 // ctrlMsg is one environment event. Platform state is already flipped by
@@ -190,16 +191,41 @@ type ctrlMsg struct {
 	at     float64 // modelled time of the event
 }
 
-// sendCtrl enqueues an environment event for the event loop. It never
-// blocks, whatever the queue depth and whichever goroutine calls it —
-// including a fault-script trace callback running under the serve lock —
-// and events are applied in enqueue order: before the next execution when
-// the engine is serving, else at the start of the next Start or Submit,
-// or by Shutdown.
-func (e *Engine) sendCtrl(m ctrlMsg) {
+// control writes one control call's platform state and enqueues its
+// event for the event loop, both under ctrlMu. It never waits on the serve
+// lock, whatever the queue depth and whichever goroutine calls it —
+// including a fault-script trace callback running under that lock — and
+// events are applied in enqueue order: before the next execution when the
+// engine is serving, else at the start of the next Start or Submit, or by
+// Shutdown. Shutdown closes the queue under the same lock, so a call
+// either lands before it or returns an error and touches nothing: a
+// shut-down engine still subscribed to a hypervisor never flips a node
+// that a live engine now serves. Redundant attachment writes enqueue
+// nothing.
+func (e *Engine) control(m ctrlMsg) error {
+	n := e.cluster.FindNode(m.node)
+	if n == nil {
+		return fmt.Errorf("runtime: unknown node %q", m.node)
+	}
 	e.ctrlMu.Lock()
+	defer e.ctrlMu.Unlock()
+	if e.ctrlShut {
+		return fmt.Errorf("runtime: engine shut down")
+	}
+	switch m.kind {
+	case ctrlUnplug, ctrlPlug:
+		changed, err := n.SetDeviceOffline(m.dev, m.kind == ctrlUnplug, m.at)
+		if err != nil || !changed {
+			return err
+		}
+	case ctrlSlow:
+		n.SetSlowdown(m.factor, m.at)
+	case ctrlFail:
+		n.Fail(m.at)
+		return nil
+	}
 	e.ctrlQ = append(e.ctrlQ, m)
-	e.ctrlMu.Unlock()
+	return nil
 }
 
 // takeCtrl drains the control queue in order.
@@ -226,18 +252,7 @@ func (e *Engine) applyCtrl(ds *dispatchState) {
 // Redundant calls — the device is already detached — change nothing, so
 // e.g. a second VM's last-VF unplug cannot double-degrade the tuners.
 func (e *Engine) UnplugDevice(node string, dev int, at float64) error {
-	n := e.cluster.FindNode(node)
-	if n == nil {
-		return fmt.Errorf("runtime: unknown node %q", node)
-	}
-	changed, err := n.SetDeviceOffline(dev, true, at)
-	if err != nil {
-		return err
-	}
-	if changed {
-		e.sendCtrl(ctrlMsg{kind: ctrlUnplug, node: node, dev: dev, at: at})
-	}
-	return nil
+	return e.control(ctrlMsg{kind: ctrlUnplug, node: node, dev: dev, at: at})
 }
 
 // PlugDevice reattaches device dev of a node at modelled time `at`,
@@ -245,18 +260,7 @@ func (e *Engine) UnplugDevice(node string, dev int, at float64) error {
 // Redundant calls — the device was never detached — change nothing, so a
 // VF plugged on an always-online device cannot wipe learned fpga drift.
 func (e *Engine) PlugDevice(node string, dev int, at float64) error {
-	n := e.cluster.FindNode(node)
-	if n == nil {
-		return fmt.Errorf("runtime: unknown node %q", node)
-	}
-	changed, err := n.SetDeviceOffline(dev, false, at)
-	if err != nil {
-		return err
-	}
-	if changed {
-		e.sendCtrl(ctrlMsg{kind: ctrlPlug, node: node, dev: dev, at: at})
-	}
-	return nil
+	return e.control(ctrlMsg{kind: ctrlPlug, node: node, dev: dev, at: at})
 }
 
 // SetNodeSlowdown changes a node's CPU load factor at modelled time `at`
@@ -264,13 +268,7 @@ func (e *Engine) PlugDevice(node string, dev int, at float64) error {
 // engine learns it from the latency ratios the monitors observe — the
 // event itself only traces.
 func (e *Engine) SetNodeSlowdown(node string, factor, at float64) error {
-	n := e.cluster.FindNode(node)
-	if n == nil {
-		return fmt.Errorf("runtime: unknown node %q", node)
-	}
-	n.SetSlowdown(factor, at)
-	e.sendCtrl(ctrlMsg{kind: ctrlSlow, node: node, factor: factor, at: at})
-	return nil
+	return e.control(ctrlMsg{kind: ctrlSlow, node: node, factor: factor, at: at})
 }
 
 // onCtrl is the event loop's reaction to one environment event.

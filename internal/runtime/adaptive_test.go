@@ -291,11 +291,25 @@ func TestEngineControlErrors(t *testing.T) {
 		t.Error("unknown node must error on slowdown")
 	}
 	e.Shutdown()
-	// Control calls after shutdown must not hang (events are dropped).
+	// Control calls after shutdown return at once with an error and leave
+	// the node as it was.
+	n := cluster.Nodes[0]
 	for i := 0; i < 300; i++ {
-		if err := e.SetNodeSlowdown(cluster.Nodes[0].Name, 2, 0); err != nil {
-			t.Fatal(err)
+		if err := e.SetNodeSlowdown(n.Name, 2, 0); err == nil {
+			t.Fatal("slowdown after shutdown must error")
 		}
+	}
+	if err := e.UnplugDevice(n.Name, 0, 0); err == nil {
+		t.Error("unplug after shutdown must error")
+	}
+	if err := e.PlugDevice(n.Name, 0, 0); err == nil {
+		t.Error("plug after shutdown must error")
+	}
+	if err := e.FailNode(n.Name, 0); err == nil {
+		t.Error("node failure after shutdown must error")
+	}
+	if _, failed := n.FailedAt(); failed || n.Slowdown() != 1 || !n.DeviceOnline(0) {
+		t.Error("control calls after shutdown must not touch the node")
 	}
 }
 
@@ -376,7 +390,13 @@ func TestMonitorLearnsThroughEngine(t *testing.T) {
 	e.Shutdown()
 	// At least one task landed on the slow node before the monitor learned;
 	// its estimate must have moved well above nominal.
-	if est := e.Monitor().SlowdownEstimate(slow); est < 2 {
+	est := 0.0
+	for _, h := range e.Health() {
+		if h.Node == slow {
+			est = h.SlowdownEst
+		}
+	}
+	if est < 2 {
 		t.Errorf("slowdown estimate for %s = %g, want >= 2", slow, est)
 	}
 }

@@ -27,9 +27,6 @@ func stoppedEngine(t *testing.T, nodes int, cfg EngineConfig) *Engine {
 	return e
 }
 
-// raceEnabled is set by race_test.go under the race detector.
-var raceEnabled bool
-
 func assertAllocs(t *testing.T, what string, budget float64, fn func()) {
 	t.Helper()
 	if got := testing.AllocsPerRun(200, fn); got > budget {
@@ -56,7 +53,7 @@ func TestTransferSecondsAllocFree(t *testing.T) {
 func TestPlaceAllocFree(t *testing.T) {
 	e := stoppedEngine(t, 3, EngineConfig{Policy: PolicyHEFT})
 	ds := e.newDispatchState()
-	st := newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{})
+	st := e.newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{})
 	e.onSubmit(ds, st)
 	for { // consume the initial ready items; the test re-places by hand
 		item, ok := e.nextFair(ds)
@@ -93,7 +90,7 @@ func TestPlaceAllocFree(t *testing.T) {
 func TestOnReportAllocFree(t *testing.T) {
 	e := stoppedEngine(t, 2, EngineConfig{})
 	ds := e.newDispatchState()
-	st := newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{})
+	st := e.newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{})
 	e.onSubmit(ds, st)
 	rep := execReport{wf: st, tidx: 0, node: 0, start: 0, end: 0.01, nominal: 0.008}
 	assertAllocs(t, "onReport (software completion)", 0, func() {
@@ -121,9 +118,6 @@ func TestOnReportAllocFree(t *testing.T) {
 // event: the Future, the Schedule and its assignment slice, plus, in
 // adaptive mode, the workflow's tuner and its variant points.
 func TestSubmitWaitAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector defeats sync.Pool reuse")
-	}
 	for _, tc := range []struct {
 		what   string
 		cfg    EngineConfig

@@ -27,10 +27,10 @@ import (
 // heap drains, so it returns an already-resolved Future; the observation
 // order feeding the monitors and tuners — and with it every trace stream —
 // is a pure function of the order submitters take the lock,
-// byte-identical across GOMAXPROCS. Workflow records are pooled
-// (sync.Pool) and index-based: task ids are dense integers into flat
-// spec/dependency arrays, so the hot path does no map-by-name lookups and
-// no per-event allocation.
+// byte-identical across GOMAXPROCS. Workflow records are recycled through
+// a per-engine free list and index-based: task ids are dense integers into
+// flat spec/dependency arrays, so the hot path does no map-by-name lookups
+// and no per-event allocation.
 
 // EventKind classifies engine trace events.
 type EventKind int
@@ -117,9 +117,9 @@ type EngineConfig struct {
 	Events []EnvEvent
 	// Trace, when set, receives every engine event. It runs on the goroutine
 	// inside Start, Submit or Shutdown, under the serve lock: it may call
-	// the control API (UnplugDevice, PlugDevice, SetNodeSlowdown) and Stats,
-	// but not Start, Submit or Shutdown. Control events raised before Start
-	// are traced by Start, ahead of the pre-Start batch.
+	// the control API (UnplugDevice, PlugDevice, SetNodeSlowdown, FailNode),
+	// but not Start, Submit, Shutdown, Stats or Health. Control events
+	// raised before Start are traced by Start, ahead of the pre-Start batch.
 	Trace func(Event)
 	// Adaptive closes the autotuner→engine→virt loop: every placement
 	// consults a per-workflow variant tuner and the node monitors instead of
@@ -170,9 +170,8 @@ type SubmitOptions struct {
 // EngineStats is a point-in-time snapshot of one engine's serving state —
 // the per-engine export a federation tier (internal/fleet) reads to judge a
 // site's queue depth and accelerator capacity before routing work to it.
-// Counter fields are maintained by the event loop and published once per
-// Start, Submit and Shutdown; device fields are computed live from the
-// cluster at snapshot time.
+// Counter fields are the event loop's own, read under the serve lock;
+// device fields are computed live from the cluster at snapshot time.
 type EngineStats struct {
 	Submitted int // workflows the engine has admitted
 	Completed int // workflows drained successfully
@@ -209,19 +208,14 @@ type Engine struct {
 	nodeIdx map[string]int
 	queues  []*workQueue // per-node FIFO, indexed like nodes
 
-	// statsMu orders the published snapshot against readers only, so
-	// Stats never waits on the serve lock (trace callbacks may call it).
-	statsMu sync.Mutex
-	stats   EngineStats // published snapshot (counter fields)
-
 	// Environment events (plug/unplug, slowdown) arrive through an
-	// unbounded ordered queue: sendCtrl must never block, because control
-	// calls are legal from trace callbacks running under the serve lock
-	// (fault scripts) and from hot-plug subscriber goroutines.
-	ctrlMu sync.Mutex
-	ctrlQ  []ctrlMsg
-
-	monitor *platform.Monitor
+	// unbounded ordered queue: a control call must never block on the
+	// serve lock, because control calls are legal from trace callbacks
+	// running under it (fault scripts) and from hot-plug subscriber
+	// goroutines. ctrlShut, set by Shutdown, refuses every later call.
+	ctrlMu   sync.Mutex
+	ctrlQ    []ctrlMsg
+	ctrlShut bool
 
 	// mu is the serve lock: Start, Submit and Shutdown run the event loop
 	// under it, and it guards everything below plus all scheduling state.
@@ -231,6 +225,8 @@ type Engine struct {
 	nextID  int
 	ds      *dispatchState // built at Start
 	early   []*wfState     // submissions made before Start, in order
+	free    []*wfState     // recycled workflow records (maybeRecycle)
+	monitor *platform.Monitor
 }
 
 // NewEngine builds an engine over a cluster and bitstream registry and
@@ -248,19 +244,37 @@ func NewEngine(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig) *E
 	return &Engine{cluster: c, reg: reg, cfg: cfg, monitor: platform.NewMonitor(c)}
 }
 
-// Monitor returns the engine's per-node observation layer; callers read
-// node health through it after a run.
-func (e *Engine) Monitor() *platform.Monitor { return e.monitor }
+// Health returns the per-node health the engine's monitor has learned
+// (platform.Monitor.Snapshot). It takes the serve lock, so it waits while
+// a Start, Submit or Shutdown serves, and must not be called from the
+// engine's own trace callback.
+func (e *Engine) Health() []platform.NodeHealth {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.monitor.Snapshot()
+}
 
 // Stats returns a snapshot of the engine's serving state. The counter
-// fields reflect the engine as of the last Start, Submit or Shutdown to
-// return; the device fields are computed from the cluster at call time.
-// Safe to call from any goroutine, from trace callbacks, before Start, and
-// after Shutdown.
+// fields are the event loop's (zero before Start); the device fields are
+// computed from the cluster at call time. Stats takes the serve lock, so
+// it waits while a Start, Submit or Shutdown serves, and must not be
+// called from the engine's own trace callback. Safe to call from any
+// other goroutine, before Start, and after Shutdown.
 func (e *Engine) Stats() EngineStats {
-	e.statsMu.Lock()
-	st := e.stats
-	e.statsMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var st EngineStats
+	if ds := e.ds; ds != nil {
+		st = EngineStats{
+			Submitted:    ds.submitted,
+			Completed:    ds.completed,
+			Failed:       ds.failed,
+			Active:       len(ds.active),
+			ReadyTasks:   ds.readyCount,
+			PendingTasks: ds.pendingTotal,
+			Backlog:      ds.backlog,
+		}
+	}
 	for _, n := range e.cluster.Nodes {
 		if _, failed := n.FailedAt(); failed {
 			continue
@@ -276,24 +290,6 @@ func (e *Engine) Stats() EngineStats {
 		}
 	}
 	return st
-}
-
-// publishStats copies the event loop's incrementally maintained counters
-// into the snapshot Stats() serves. Called under the serve lock, so
-// single-writer and O(1); statsMu only orders it against readers.
-func (e *Engine) publishStats(ds *dispatchState) {
-	st := EngineStats{
-		Submitted:    ds.submitted,
-		Completed:    ds.completed,
-		Failed:       ds.failed,
-		Active:       len(ds.active),
-		ReadyTasks:   ds.readyCount,
-		PendingTasks: ds.pendingTotal,
-		Backlog:      ds.backlog,
-	}
-	e.statsMu.Lock()
-	e.stats = st
-	e.statsMu.Unlock()
 }
 
 // raiseBacklog tracks the modelled frontier as nodeFree entries advance.
@@ -345,7 +341,6 @@ func (e *Engine) Start() error {
 	}
 	e.early = nil
 	e.runLocal(e.ds)
-	e.publishStats(e.ds)
 	return nil
 }
 
@@ -374,22 +369,22 @@ func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 	}
 	fut := &Future{Name: name, Tenant: tenant}
 	if !e.started {
-		e.early = append(e.early, newWFState(w, name, tenant, fut))
+		e.early = append(e.early, e.newWFState(w, name, tenant, fut))
 		return fut, nil
 	}
 	// Control events raised while the engine was idle apply before the
 	// admission, so they cannot degrade the new workflow's tuner.
 	e.applyCtrl(e.ds)
-	e.onSubmit(e.ds, newWFState(w, name, tenant, fut))
+	e.onSubmit(e.ds, e.newWFState(w, name, tenant, fut))
 	e.runLocal(e.ds)
-	e.publishStats(e.ds)
 	return fut, nil
 }
 
-// Shutdown refuses further submissions. Nothing is left to drain (each
-// Submit served its workflow), so it applies the control events raised
-// since the last Submit; on an engine that never started, the queued
-// submissions resolve with an error. Calling it again is a no-op.
+// Shutdown refuses further submissions and control calls. Nothing is left
+// to drain (each Submit served its workflow), so it applies the control
+// events raised since the last Submit; on an engine that never started,
+// the queued submissions resolve with an error. Calling it again is a
+// no-op.
 func (e *Engine) Shutdown() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -397,6 +392,9 @@ func (e *Engine) Shutdown() {
 		return
 	}
 	e.closed = true
+	e.ctrlMu.Lock()
+	e.ctrlShut = true
+	e.ctrlMu.Unlock()
 	if !e.started {
 		for _, st := range e.early {
 			st.fut.err = fmt.Errorf("runtime: engine shut down before start")
@@ -406,7 +404,6 @@ func (e *Engine) Shutdown() {
 		return
 	}
 	e.applyCtrl(e.ds)
-	e.publishStats(e.ds)
 }
 
 // ServeAlone serves w alone on a fresh engine over c — NewEngine, Start,
@@ -427,14 +424,10 @@ func ServeAlone(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig, w
 
 // FailNode injects a node failure while the engine runs (best-effort: tasks
 // that already completed in modelled time are unaffected). Prefer
-// EngineConfig.Failures for deterministic experiments.
+// EngineConfig.Failures for deterministic experiments. Like every control
+// call, it fails on a shut-down engine.
 func (e *Engine) FailNode(name string, at float64) error {
-	n := e.cluster.FindNode(name)
-	if n == nil {
-		return fmt.Errorf("runtime: unknown node %q", name)
-	}
-	n.Fail(at)
-	return nil
+	return e.control(ctrlMsg{kind: ctrlFail, node: name, at: at})
 }
 
 // ---------------------------------------------------------------------------
@@ -445,8 +438,8 @@ func (e *Engine) FailNode(name string, at float64) error {
 // array indexed by it, and the dependency graph is a pair of flattened
 // adjacency lists (CSR layout). The specs and the dependency side are the
 // workflow's own, shared read-only; the per-run state and the child side
-// live in pooled scratch. Records are pooled: a state is recycled once the
-// workflow has finished AND no queued request or ready item still
+// live in recycled scratch. A state returns to the engine's free list once
+// the workflow has finished AND no queued request or ready item still
 // references it (inflight/queuedRefs), so a stale reference can never
 // alias a reused record.
 type wfState struct {
@@ -483,18 +476,22 @@ type wfState struct {
 	sched *Schedule
 	fut   *Future
 
-	// scratch is the CSR fill cursor, reused across the pool.
+	// scratch is the CSR fill cursor, reused across recycles.
 	scratch []int32
 }
 
-var wfPool = sync.Pool{New: func() any { return new(wfState) }}
-
-// newWFState admits one submission of w. The workflow's slices are
-// shared, not copied: Submit only ever appends past what this state sees,
-// and no API rewrites a submitted spec in place (Deployment.Stage swaps in
-// a copy), so a caller changing the workflow later cannot race the engine.
-func newWFState(w *Workflow, name, tenant string, fut *Future) *wfState {
-	st := wfPool.Get().(*wfState)
+// newWFState admits one submission of w into a recycled record (a new one
+// when the free list is empty). The workflow's slices are shared, not
+// copied: Submit only ever appends past what this state sees, and no API
+// rewrites a submitted spec in place (Deployment.Stage swaps in a copy),
+// so a caller changing the workflow later cannot race the engine.
+func (e *Engine) newWFState(w *Workflow, name, tenant string, fut *Future) *wfState {
+	var st *wfState
+	if k := len(e.free); k > 0 {
+		st, e.free = e.free[k-1], e.free[:k-1]
+	} else {
+		st = new(wfState)
+	}
 	n := w.Len()
 	st.name, st.tenant = name, tenant
 	st.pending = n
@@ -562,7 +559,7 @@ func growF64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// maybeRecycle returns a workflow record to the pool once nothing can
+// maybeRecycle returns a workflow record to the free list once nothing can
 // reference it anymore: the workflow has finished and no node queue entry
 // or ready item still points at it. The Future keeps its own schedule, so
 // clearing the record's pointers cannot affect a caller holding the handle.
@@ -570,13 +567,13 @@ func (e *Engine) maybeRecycle(st *wfState) {
 	if !st.finished || st.inflight != 0 || st.queuedRefs != 0 {
 		return
 	}
-	// Drop the workflow's shared slices so the pool does not pin them.
+	// Drop the workflow's shared slices so the free list does not pin them.
 	st.specs, st.depOff, st.depList = nil, nil, nil
 	st.fut = nil
 	st.sched = nil
 	st.tuner = nil
 	st.variants = nil
-	wfPool.Put(st)
+	e.free = append(e.free, st)
 }
 
 // readyItem is one dispatchable task waiting in a tenant's fairness queue.
@@ -682,7 +679,7 @@ type dispatchState struct {
 
 	// Cached monitor slowdown estimates per node. The estimate only moves
 	// when onReport feeds a software completion ratio for that node, which
-	// invalidates the cache entry — so place() avoids a mutexed map lookup
+	// invalidates the cache entry — so place() avoids a by-name map lookup
 	// per candidate node per task.
 	slowEst   []float64
 	slowValid []bool

@@ -106,7 +106,7 @@ func TestWorkflowVariantsSeedTuner(t *testing.T) {
 		{Name: VariantCPU1, ExpectedMs: 123},
 		{Name: VariantCPU16, ExpectedMs: 7},
 	})
-	st := newWFState(w, "wf", "tenant", &Future{})
+	st := e.newWFState(w, "wf", "tenant", &Future{})
 	tn := e.newWorkflowTuner(st)
 	if tn == nil {
 		t.Fatal("no tuner")
@@ -128,7 +128,7 @@ func TestWorkflowVariantsSeedTuner(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.SetVariants([]autotuner.Variant{{Name: VariantCPU1, ExpectedMs: -1}})
-	st2 := newWFState(w2, "wf2", "tenant", &Future{})
+	st2 := e.newWFState(w2, "wf2", "tenant", &Future{})
 	tn2 := e.newWorkflowTuner(st2)
 	if tn2 == nil || !tn2.Available(VariantCPU16) {
 		t.Fatal("malformed variant set must fall back to derived seeds")

@@ -124,7 +124,7 @@ func TestTimeHeapMatchesSort(t *testing.T) {
 func TestRebuildHeap(t *testing.T) {
 	e := stoppedEngine(t, 3, EngineConfig{})
 	ds := e.newDispatchState()
-	st := newWFState(chainWorkflow(t, 3), "wf0", "default", &Future{})
+	st := e.newWFState(chainWorkflow(t, 3), "wf0", "default", &Future{})
 	// Stale pre-steal heap content that the rebuild must discard.
 	ds.heap.Push(TimeItem{Time: 99, Seq: 1})
 	ds.inHeap[1] = true

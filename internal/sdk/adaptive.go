@@ -234,7 +234,7 @@ func (sc AdaptiveScenario) serve(c *variants.Compiled, adaptive bool) (ScenarioR
 	}
 	eng.Shutdown()
 	stats := TallyOf(futs)
-	return ScenarioResult{Stats: stats, Makespan: stats.Makespan, Health: eng.Monitor().Snapshot()}, nil
+	return ScenarioResult{Stats: stats, Makespan: stats.Makespan, Health: eng.Health()}, nil
 }
 
 // ScenarioBitstream returns the deployable artifact the adaptive scenario

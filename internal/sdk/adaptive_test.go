@@ -135,6 +135,69 @@ func TestAttachHypervisor(t *testing.T) {
 	eng.Shutdown()
 }
 
+// TestShutDownEngineLeavesHotplugToLiveEngine: a hypervisor keeps every
+// engine ever attached to it subscribed, so a shut-down engine still sees
+// the unplug. It must not touch the node: if it flipped the shared device
+// first, the live engine would find the unplug redundant and never react.
+func TestShutDownEngineLeavesHotplugToLiveEngine(t *testing.T) {
+	s := New(DefaultCluster(2))
+	bs := ScenarioBitstream()
+	if err := s.Registry.Put(bs); err != nil {
+		t.Fatal(err)
+	}
+	node := s.Cluster.Nodes[0]
+	if _, err := s.Deploy(bs.ID, node.Name); err != nil {
+		t.Fatal(err)
+	}
+	hyp, err := virt.NewHypervisor(node, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hyp.DefineVM("guest", 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hyp.PlugVF("guest", 0); err != nil {
+		t.Fatal(err)
+	}
+	old := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
+	AttachHypervisor(old, hyp, nil)
+	if err := old.Start(); err != nil {
+		t.Fatal(err)
+	}
+	old.Shutdown()
+
+	unplugs := 0
+	live := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{
+		Policy: runtime.PolicyHEFT, Adaptive: true,
+		Trace: func(ev runtime.Event) {
+			if ev.Kind == runtime.EventDeviceUnplug {
+				unplugs++
+			}
+		},
+	})
+	AttachHypervisor(live, hyp, nil)
+	if err := live.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer live.Shutdown()
+	if _, err := hyp.UnplugVF("guest", 0); err != nil {
+		t.Fatal(err)
+	}
+	fut, err := live.Submit(AdaptiveWorkflow(0, bs.ID), runtime.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if unplugs != 1 {
+		t.Fatalf("live engine traced %d device unplugs, want 1", unplugs)
+	}
+	if node.DeviceOnline(0) {
+		t.Fatal("the live engine must detach the unplugged device")
+	}
+}
+
 // detachedHypervisor stages the scenario bitstream on the first two compute
 // nodes and returns a hypervisor over the first whose only guest holds no
 // VF, so that node's accelerator is unreachable.

@@ -12,10 +12,11 @@ import (
 // TestUnplugRacedAgainstDispatch hammers the adaptation loop from both
 // ends at once: a stream of FPGA workflows drains through the engine while
 // two goroutines plug and unplug the accelerators' VFs through the
-// hypervisors. Every workflow must still complete with a full, dependency-
-// ordered schedule, and the run must be -race clean. Tasks whose device
-// vanished under them either reschedule (adaptive invalidation) or degrade
-// to software — both end in a valid schedule.
+// hypervisors, and a third reads Stats and Health. Every workflow must
+// still complete with a full, dependency-ordered schedule, and the run
+// must be -race clean. Tasks whose device vanished under them either
+// reschedule (adaptive invalidation) or degrade to software — both end in
+// a valid schedule.
 func TestUnplugRacedAgainstDispatch(t *testing.T) {
 	s := sdk.New(sdk.DefaultCluster(3))
 	bs := sdk.ScenarioBitstream()
@@ -52,6 +53,29 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 	const workflows = 24
 	futs := make([]*runtime.Future, workflows)
 	var wg sync.WaitGroup
+	// A reader polling Stats and Health from its own goroutine: both take
+	// the serve lock, so they read the event loop's counters and the
+	// monitor between submissions, never during one.
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if st := eng.Stats(); st.Completed > st.Submitted {
+				t.Errorf("stats completed %d > submitted %d", st.Completed, st.Submitted)
+				return
+			}
+			if h := eng.Health(); len(h) != len(s.Cluster.Nodes) {
+				t.Errorf("health covers %d nodes, want %d", len(h), len(s.Cluster.Nodes))
+				return
+			}
+		}
+	}()
 	// Two pluggers cycling their hypervisor's VF while dispatch runs. The
 	// cycle count is bounded: hot-plug events are rare in the modelled
 	// world, and an unthrottled spam loop would only measure how fast the
@@ -94,10 +118,14 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 			}
 		}
 	}
+	close(done)
 	wg.Wait()
 	eng.Shutdown()
 	if stats := sdk.TallyOf(futs); stats.Completed != workflows || stats.Failed != 0 {
 		t.Fatalf("completed %d failed %d, want %d/0", stats.Completed, stats.Failed, workflows)
+	}
+	if st := eng.Stats(); st.Completed != workflows {
+		t.Fatalf("engine stats count %d completed, want %d", st.Completed, workflows)
 	}
 }
 

@@ -405,9 +405,13 @@ func E5() (Table, error) {
 		return t, err
 	}
 	wl := platform.Workload{BytesIn: 1 << 27, BytesOut: 1 << 25}
+	kernel, ok := node.KernelTime(0, bs.ID, wl, -1)
+	if !ok {
+		return t, fmt.Errorf("experiments: E5 kernel %s does not run on %s", bs.ID, node.Name)
+	}
 	var native float64
 	for _, path := range []virt.IOPath{virt.Native, virt.VFPassthrough, virt.VirtIO} {
-		tl, err := h.RunAccelerated("guest", 0, wl, path)
+		tl, err := h.RunAccelerated("guest", 0, kernel, path)
 		if err != nil {
 			return t, err
 		}

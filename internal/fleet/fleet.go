@@ -484,10 +484,10 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 	}
 	// The slowdown cap is a contract, not a wish: refuse a configuration
 	// whose own scripted faults would break the bound the guaranteed class
-	// admits against.
+	// admits against. A NaN factor is not within it either.
 	for i, evs := range cfg.SiteEvents {
 		for _, ev := range evs {
-			if ev.Kind == runtime.EnvSlowdown && ev.Factor > slowdownCap {
+			if ev.Kind == runtime.EnvSlowdown && !(ev.Factor <= slowdownCap) {
 				return nil, fmt.Errorf("fleet: site %d scripts slowdown factor %.3g beyond the slowdown cap %d",
 					i, ev.Factor, slowdownCap)
 			}

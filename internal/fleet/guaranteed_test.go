@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"everest/internal/platform"
@@ -18,14 +19,16 @@ func TestGuaranteedNeedsDeadline(t *testing.T) {
 }
 
 func TestNewRejectsSlowdownBeyondCap(t *testing.T) {
-	_, err := New(platform.NewRegistry(), Config{
-		Sites: 1, NewCluster: testCluster(1),
-		SiteEvents: [][]runtime.EnvEvent{{
-			{Kind: runtime.EnvSlowdown, Node: "node00", Factor: slowdownCap + 1, At: 0},
-		}},
-	})
-	if err == nil {
-		t.Fatal("scripted slowdown beyond the slowdown cap must fail New")
+	for _, factor := range []float64{slowdownCap + 1, math.NaN()} {
+		_, err := New(platform.NewRegistry(), Config{
+			Sites: 1, NewCluster: testCluster(1),
+			SiteEvents: [][]runtime.EnvEvent{{
+				{Kind: runtime.EnvSlowdown, Node: "node00", Factor: factor, At: 0},
+			}},
+		})
+		if err == nil {
+			t.Fatalf("scripted slowdown factor %g beyond the slowdown cap must fail New", factor)
+		}
 	}
 }
 

@@ -60,9 +60,9 @@ func TestNodeConditionState(t *testing.T) {
 		t.Fatal("unknown device index must error")
 	}
 	n.SetSlowdown(4, 0)
-	n.ResetCondition()
+	n.Reset()
 	if n.Slowdown() != 1 || !n.DeviceOnline(0) {
-		t.Fatal("ResetCondition must clear slowdown and reattach devices")
+		t.Fatal("Reset must clear slowdown and reattach devices")
 	}
 }
 

@@ -3,17 +3,22 @@ package platform
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Node is one computing node of the EVEREST cluster: a CPU plus attached
 // FPGA devices, with an XRT-like programming interface.
+//
+// A node takes no lock of its own. Setup code touches it before the front
+// that serves it (runtime.Engine, fleet.Fleet, stream.Engine) starts; from
+// then on only that front touches it, inside its serving section (under
+// the front's lock, for the fronts that take concurrent callers). Control
+// calls from other goroutines, such as hot-plug subscribers, go through
+// the front's mailbox, never to the node.
 type Node struct {
 	Name    string
 	CPU     CPUModel
 	Devices []*Device
 
-	mu       sync.Mutex
 	slots    []deviceSlot // indexed like Devices
 	failed   bool
 	failedAt float64
@@ -118,8 +123,6 @@ func (n *Node) Program(idx int, bs Bitstream) (float64, error) {
 	if !bs.TotalResources().FitsIn(n.Devices[idx].Capacity) {
 		return 0, fmt.Errorf("platform: bitstream %q does not fit on %s", bs.ID, n.Devices[idx].Name)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.slots[idx].load(bs, true)
 	// A whole-device image rewrites the entire fabric, displacing every
 	// kernel resident in a PR region.
@@ -152,8 +155,6 @@ func (n *Node) ProgramRegion(idx, region int, bs Bitstream) (float64, error) {
 		return 0, fmt.Errorf("platform: bitstream %q does not fit a PR region of %s (1/%d of the fabric)",
 			bs.ID, d.Name, d.Regions())
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := &n.slots[idx]
 	s.load(Bitstream{}, false)
 	if s.regions == nil {
@@ -178,8 +179,6 @@ func (n *Node) Unprogram(idx, region int) (bool, error) {
 	if region >= n.Devices[idx].Regions() {
 		return false, fmt.Errorf("platform: %s device %d has no PR region %d", n.Name, idx, region)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := &n.slots[idx]
 	if region >= 0 {
 		loaded := region < len(s.regions) && s.regions[region].ID != ""
@@ -201,8 +200,6 @@ func (n *Node) Holding(id string) (dev, region int, ok bool) {
 	if id == "" {
 		return -1, -1, false
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for i := range n.slots {
 		s := &n.slots[i]
 		if s.loaded && s.image.ID == id {
@@ -225,8 +222,6 @@ func (n *Node) Vacant(idx, region int) bool {
 	if idx < 0 || idx >= len(n.Devices) || region >= n.Devices[idx].Regions() {
 		return false
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := &n.slots[idx]
 	if s.loaded {
 		return false
@@ -247,39 +242,20 @@ func (n *Node) Programmed(idx int) (string, bool) {
 	if idx < 0 || idx >= len(n.Devices) {
 		return "", false
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := &n.slots[idx]
 	return s.image.ID, s.loaded
-}
-
-// RunKernel executes the loaded bitstream with the workload, returning the
-// timeline. The caller accounts the time on its own clock.
-func (n *Node) RunKernel(idx int, wl Workload) (Timeline, error) {
-	if idx < 0 || idx >= len(n.Devices) {
-		return Timeline{}, fmt.Errorf("platform: node %s has no device %d", n.Name, idx)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.slots[idx].loaded {
-		return Timeline{}, fmt.Errorf("platform: device %d of %s is not programmed", idx, n.Name)
-	}
-	return n.kernelTimeLocked(idx, wl)
 }
 
 // KernelTime prices workload wl on device idx when the device is attached
 // at modelled time at and its loaded whole-device image is bitstreamID;
 // ok=false otherwise, or when the image cannot run on the device. A
 // negative at takes the design-time view, where attachment is ignored.
-// The check, the ID match and the pricing are one atomic step, and a
-// workload priced before on the same image is served from the slot's memo:
-// the timeline is Execute's, computed once per image.
+// A workload priced before on the same image is served from the slot's
+// memo: the timeline is Execute's, computed once per image.
 func (n *Node) KernelTime(idx int, bitstreamID string, wl Workload, at float64) (Timeline, bool) {
 	if idx < 0 || idx >= len(n.Devices) {
 		return Timeline{}, false
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := &n.slots[idx]
 	if at >= 0 && condAt(s.hist, at, 1) == 0 {
 		return Timeline{}, false
@@ -287,15 +263,14 @@ func (n *Node) KernelTime(idx int, bitstreamID string, wl Workload, at float64) 
 	if !s.loaded || s.image.ID != bitstreamID {
 		return Timeline{}, false
 	}
-	tl, err := n.kernelTimeLocked(idx, wl)
+	tl, err := n.kernelTime(idx, wl)
 	return tl, err == nil
 }
 
-// kernelTimeLocked prices wl on device idx's loaded image through the
-// slot's memo (n.mu held, image loaded). A failed pricing is not
-// remembered: it depends on the image alone, and a valid registry never
-// produces one.
-func (n *Node) kernelTimeLocked(idx int, wl Workload) (Timeline, error) {
+// kernelTime prices wl on device idx's loaded image through the slot's
+// memo (image loaded). A failed pricing is not remembered: it depends on
+// the image alone, and a valid registry never produces one.
+func (n *Node) kernelTime(idx int, wl Workload) (Timeline, error) {
 	s := &n.slots[idx]
 	for i := 0; i < s.memoLen; i++ {
 		if s.memo[i].wl == wl {
@@ -339,15 +314,11 @@ func (n *Node) SetSlowdown(factor, at float64) {
 	if factor < 1 {
 		factor = 1
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.slowHist = append(n.slowHist, condChange{at: clampMonotonic(n.slowHist, at), value: factor})
 }
 
 // SlowdownAt returns the CPU load multiplier in effect at modelled time t.
 func (n *Node) SlowdownAt(t float64) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return condAt(n.slowHist, t, 1)
 }
 
@@ -361,8 +332,7 @@ const maxModelledTime = 1e300
 
 // SetDeviceOffline marks device idx as detached (off=true) or reattached
 // from modelled time `at` onward, reporting whether the latest state
-// actually changed — the check and the timeline append are one atomic
-// step, so concurrent callers cannot both observe "changed". An offline
+// actually changed: a redundant write appends nothing. An offline
 // device keeps its programmed bitstream — replugging a VF brings the
 // accelerator back without reconfiguration — but cannot execute kernels
 // while detached.
@@ -374,8 +344,6 @@ func (n *Node) SetDeviceOffline(idx int, off bool, at float64) (changed bool, er
 	if off {
 		v = 0
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := &n.slots[idx]
 	if condAt(s.hist, maxModelledTime, 1) == v {
 		return false, nil
@@ -389,8 +357,6 @@ func (n *Node) DeviceOnlineAt(idx int, t float64) bool {
 	if idx < 0 || idx >= len(n.Devices) {
 		return false
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return condAt(n.slots[idx].hist, t, 1) != 0
 }
 
@@ -399,14 +365,16 @@ func (n *Node) DeviceOnline(idx int) bool {
 	return n.DeviceOnlineAt(idx, maxModelledTime)
 }
 
-// ResetCondition clears load and attachment fault timelines (slowdown back
-// to nominal, all devices online). Engines call it with Heal and
-// ResetDeviceClaims when they take ownership of a cluster.
-func (n *Node) ResetCondition() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// Reset returns the node to a fresh run's state, keeping what is
+// programmed: no failure, every device idle at modelled time zero and
+// attached, slowdown back to nominal. Engines call it when they take
+// ownership of a cluster, so stale failures, claims and faults of a
+// previous run do not leak into theirs.
+func (n *Node) Reset() {
+	n.failed, n.failedAt = false, 0
 	n.slowHist = nil
 	for i := range n.slots {
+		n.slots[i].busyUntil = 0
 		n.slots[i].hist = nil
 	}
 }
@@ -417,15 +385,12 @@ func (n *Node) ResetCondition() {
 // owner. The reservation is made only if the device is still attached at
 // the granted start (otherwise ok=false and nothing is reserved) — so a
 // claim that would queue past a detach never leaves a phantom busy window
-// blocking work after a replug; the attachment check and the reservation
-// are one atomic step. This is the executor hook that lets concurrent
-// workflow engines share one physical accelerator safely.
+// blocking work after a replug. This is the executor hook through which
+// every workflow an engine serves shares one physical accelerator.
 func (n *Node) ClaimDeviceAt(idx int, at, dur float64) (start, end float64, ok bool, err error) {
 	if idx < 0 || idx >= len(n.Devices) {
 		return 0, 0, false, fmt.Errorf("platform: node %s has no device %d", n.Name, idx)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	s := &n.slots[idx]
 	start = at
 	if b := s.busyUntil; b > start {
@@ -439,59 +404,19 @@ func (n *Node) ClaimDeviceAt(idx int, at, dur float64) (start, end float64, ok b
 	return start, end, true, nil
 }
 
-// ResetDeviceClaims clears all device reservations, returning every device
-// to idle at modelled time zero. Engines call it when they take ownership of
-// a cluster so stale claims from a previous run do not inflate start times.
-func (n *Node) ResetDeviceClaims() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for i := range n.slots {
-		n.slots[i].busyUntil = 0
-	}
-}
-
-// DeviceFreeAt returns the modelled time device idx becomes idle.
-func (n *Node) DeviceFreeAt(idx int) float64 {
-	if idx < 0 || idx >= len(n.Devices) {
-		return 0
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.slots[idx].busyUntil
-}
-
 // Fail marks the node as failed at modelled time t (monitor hook: the
 // resource manager's failure detector calls this, executors consult
-// FailedAt or Alive). Only the earliest failure time is kept.
+// FailedAt). Only the earliest failure time is kept.
 func (n *Node) Fail(t float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !n.failed || t < n.failedAt {
 		n.failed = true
 		n.failedAt = t
 	}
 }
 
-// Heal clears the failure state (tests and re-provisioning flows).
-func (n *Node) Heal() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.failed = false
-	n.failedAt = 0
-}
-
 // FailedAt reports whether the node has failed and, if so, when.
 func (n *Node) FailedAt() (float64, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.failedAt, n.failed
-}
-
-// Alive reports whether the node is still up at modelled time t.
-func (n *Node) Alive(t float64) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return !n.failed || t <= n.failedAt
 }
 
 // Cluster is a set of nodes joined by a data-center network.

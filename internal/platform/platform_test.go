@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -161,7 +160,7 @@ func TestNetworkAttachedPaysLinkCost(t *testing.T) {
 func TestNodeProgramAndRun(t *testing.T) {
 	n := NewNode("n0", XeonModel(), AlveoU55C())
 	bs := testBitstream(1, 1, 1, false)
-	if _, err := n.RunKernel(0, Workload{BytesIn: 1}); err == nil {
+	if _, ok := n.KernelTime(0, bs.ID, Workload{BytesIn: 1}, -1); ok {
 		t.Error("running an unprogrammed device must fail")
 	}
 	dt, err := n.Program(0, bs)
@@ -171,8 +170,8 @@ func TestNodeProgramAndRun(t *testing.T) {
 	if _, ok := n.Programmed(0); !ok {
 		t.Error("Programmed must report the bitstream")
 	}
-	if _, err := n.RunKernel(0, Workload{BytesIn: 1 << 20}); err != nil {
-		t.Errorf("RunKernel: %v", err)
+	if _, ok := n.KernelTime(0, bs.ID, Workload{BytesIn: 1 << 20}, -1); !ok {
+		t.Error("KernelTime must price the programmed kernel")
 	}
 	if _, err := n.Program(5, bs); err == nil {
 		t.Error("bad device index must fail")
@@ -265,24 +264,18 @@ func TestNodeFailureState(t *testing.T) {
 	if _, failed := n.FailedAt(); failed {
 		t.Error("fresh node must not be failed")
 	}
-	if !n.Alive(1e9) {
-		t.Error("fresh node must be alive at any time")
-	}
 	n.Fail(5.0)
 	n.Fail(7.0) // later failure must not move the time forward
 	if at, failed := n.FailedAt(); !failed || at != 5.0 {
 		t.Errorf("FailedAt = %v %v, want 5 true", at, failed)
 	}
-	if !n.Alive(5.0) || n.Alive(5.1) {
-		t.Error("node must be alive up to the failure time and dead after")
-	}
 	n.Fail(2.0) // earlier failure wins
 	if at, _ := n.FailedAt(); at != 2.0 {
 		t.Errorf("earliest failure must be kept, got %v", at)
 	}
-	n.Heal()
-	if !n.Alive(1e9) {
-		t.Error("healed node must be alive")
+	n.Reset()
+	if _, failed := n.FailedAt(); failed {
+		t.Error("reset node must be alive")
 	}
 }
 
@@ -297,8 +290,10 @@ func TestClaimDeviceSerializes(t *testing.T) {
 	if err != nil || !ok || s2 != 3.0 || e2 != 4.0 {
 		t.Fatalf("second claim must queue: [%v,%v] %v %v", s2, e2, ok, err)
 	}
-	if free := n.DeviceFreeAt(0); free != 4.0 {
-		t.Errorf("DeviceFreeAt = %v, want 4", free)
+	// A zero-length claim reserves nothing: its granted start reads the
+	// device's free time.
+	if free, _, ok, err := n.ClaimDeviceAt(0, 0, 0); err != nil || !ok || free != 4.0 {
+		t.Errorf("device free at %v (ok=%v err=%v), want 4", free, ok, err)
 	}
 	if _, _, _, err := n.ClaimDeviceAt(1, 0, 1); err == nil {
 		t.Error("claiming a missing device must fail")
@@ -310,26 +305,27 @@ func TestClaimDeviceSerializes(t *testing.T) {
 	if _, _, ok, err := n.ClaimDeviceAt(0, 2.0, 1.0); err != nil || ok {
 		t.Fatalf("claim queuing past the detach must refuse: ok=%v err=%v", ok, err)
 	}
-	if free := n.DeviceFreeAt(0); free != 4.0 {
-		t.Errorf("refused claim must leave no phantom window, free=%v", free)
+	// Reattached from the old frontier, the device is free at 4 again: the
+	// refused claim (it would have run 4–5) left no phantom window.
+	if _, err := n.SetDeviceOffline(0, false, 4.0); err != nil {
+		t.Fatal(err)
 	}
-}
+	if free, _, ok, err := n.ClaimDeviceAt(0, 0, 0); err != nil || !ok || free != 4.0 {
+		t.Errorf("refused claim must leave no phantom window, free=%v ok=%v err=%v", free, ok, err)
+	}
 
-func TestClaimDeviceRaceSafety(t *testing.T) {
-	n := NewNode("n0", XeonModel(), AlveoU55C())
-	var wg sync.WaitGroup
+	// Unit claims all made at 0 queue back to back: the 32nd ends at 32.
+	m := NewNode("n1", XeonModel(), AlveoU55C())
+	end := 0.0
 	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, ok, err := n.ClaimDeviceAt(0, 0, 1.0); err != nil || !ok {
-				t.Error(ok, err)
-			}
-		}()
+		_, e, ok, err := m.ClaimDeviceAt(0, 0, 1.0)
+		if err != nil || !ok {
+			t.Fatalf("unit claim %d: ok=%v err=%v", i, ok, err)
+		}
+		end = e
 	}
-	wg.Wait()
-	if free := n.DeviceFreeAt(0); free != 32.0 {
-		t.Errorf("32 serialized unit claims must end at 32, got %v", free)
+	if end != 32.0 {
+		t.Errorf("32 serialized unit claims must end at 32, got %v", end)
 	}
 }
 

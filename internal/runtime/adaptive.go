@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 
 	"everest/internal/autotuner"
 	"everest/internal/platform"
@@ -16,11 +17,11 @@ import (
 // implementation variant (cpu1 / cpu16 / fpga) and tracks it from
 // completions, so selection follows the environment. And SR-IOV hot-plug
 // events from the virtualization layer arrive through the engine control
-// API (UnplugDevice / PlugDevice / SetNodeSlowdown): they flip platform
-// attachment state immediately — executors fall back to software for FPGA
-// work that can no longer reach its device — and tell the engine to
-// invalidate queued FPGA placements on the affected node and degrade the
-// fpga variant in every active tuner.
+// API (UnplugDevice / PlugDevice / SetNodeSlowdown): at the engine's next
+// serve-lock section they flip platform attachment state — executors fall
+// back to software for FPGA work that can no longer reach its device —
+// and the engine invalidates queued FPGA placements on the affected node
+// and degrades the fpga variant in every active tuner.
 //
 // The static engine pays the same faults but never consults any of this:
 // the gap between the two under induced faults is what
@@ -152,8 +153,31 @@ type EnvEvent struct {
 	At     float64 // modelled time the change takes effect
 }
 
-// applyEnvEvents writes the scripted condition timelines (engine Start).
-func (e *Engine) applyEnvEvents() {
+// checkScript refuses a scripted failure or event with a non-finite time
+// or factor (engine Start). Entries naming unknown nodes are not checked:
+// they are ignored.
+func (e *Engine) checkScript() error {
+	for _, f := range e.cfg.Failures {
+		if e.cluster.FindNode(f.Node) != nil && !finite(f.AtTime) {
+			return fmt.Errorf("runtime: scripted failure of %s at %g", f.Node, f.AtTime)
+		}
+	}
+	for _, ev := range e.cfg.Events {
+		if e.cluster.FindNode(ev.Node) != nil && (!finite(ev.At) || !finite(ev.Factor)) {
+			return fmt.Errorf("runtime: scripted event on %s at %g (factor %g)", ev.Node, ev.At, ev.Factor)
+		}
+	}
+	return nil
+}
+
+// applyScript writes the scripted failures and condition timelines
+// (engine Start).
+func (e *Engine) applyScript() {
+	for _, f := range e.cfg.Failures {
+		if n := e.cluster.FindNode(f.Node); n != nil {
+			n.Fail(f.AtTime)
+		}
+	}
 	for _, ev := range e.cfg.Events {
 		n := e.cluster.FindNode(ev.Node)
 		if n == nil {
@@ -170,6 +194,9 @@ func (e *Engine) applyEnvEvents() {
 	}
 }
 
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // ctrlKind classifies environment events entering the event loop.
 type ctrlKind int
 
@@ -177,69 +204,83 @@ const (
 	ctrlUnplug ctrlKind = iota
 	ctrlPlug
 	ctrlSlow
-	ctrlFail // never queued: execution observes the death itself
+	ctrlFail
 )
 
-// ctrlMsg is one environment event. Platform state is already flipped by
-// the time the event loop sees it; the message drives the scheduling-side
-// reaction (invalidation, tuner degradation, tracing).
+// ctrlMsg is one control call, validated and queued for the event loop,
+// which writes the node and then reacts (invalidation, tuner degradation,
+// tracing).
 type ctrlMsg struct {
 	kind   ctrlKind
-	node   string
+	node   *platform.Node
 	dev    int
 	factor float64
 	at     float64 // modelled time of the event
 }
 
-// control writes one control call's platform state and enqueues its
-// event for the event loop, both under ctrlMu. It never waits on the serve
-// lock, whatever the queue depth and whichever goroutine calls it —
-// including a fault-script trace callback running under that lock — and
-// events are applied in enqueue order: before the next execution when the
-// engine is serving, else at the start of the next Start or Submit, or by
-// Shutdown. Shutdown closes the queue under the same lock, so a call
-// either lands before it or returns an error and touches nothing: a
-// shut-down engine still subscribed to a hypervisor never flips a node
-// that a live engine now serves. Redundant attachment writes enqueue
-// nothing.
-func (e *Engine) control(m ctrlMsg) error {
-	n := e.cluster.FindNode(m.node)
+// control validates one control call and enqueues it under ctrlMu; it
+// never touches the node and never waits on the serve lock, whatever the
+// queue depth and whichever goroutine calls it — including a fault-script
+// trace callback running under that lock. The call takes effect at the
+// engine's next serve-lock section (writeCtrl): before the next execution
+// when the engine is serving, else at the entry of Submit, Stats, Health
+// or Shutdown, and at Start for calls made before it. Shutdown closes the
+// queue under the same lock, so a call either lands before it or returns
+// an error and touches nothing: a shut-down engine still subscribed to a
+// hypervisor never flips a node that a live engine now serves.
+func (e *Engine) control(kind ctrlKind, node string, dev int, factor, at float64) error {
+	n := e.cluster.FindNode(node)
 	if n == nil {
-		return fmt.Errorf("runtime: unknown node %q", m.node)
+		return fmt.Errorf("runtime: unknown node %q", node)
+	}
+	if (kind == ctrlUnplug || kind == ctrlPlug) && (dev < 0 || dev >= len(n.Devices)) {
+		return fmt.Errorf("runtime: node %s has no device %d", node, dev)
+	}
+	if !finite(at) || !finite(factor) {
+		return fmt.Errorf("runtime: control call on %s at %g (factor %g)", node, at, factor)
 	}
 	e.ctrlMu.Lock()
 	defer e.ctrlMu.Unlock()
 	if e.ctrlShut {
 		return fmt.Errorf("runtime: engine shut down")
 	}
-	switch m.kind {
-	case ctrlUnplug, ctrlPlug:
-		changed, err := n.SetDeviceOffline(m.dev, m.kind == ctrlUnplug, m.at)
-		if err != nil || !changed {
-			return err
-		}
-	case ctrlSlow:
-		n.SetSlowdown(m.factor, m.at)
-	case ctrlFail:
-		n.Fail(m.at)
-		return nil
-	}
-	e.ctrlQ = append(e.ctrlQ, m)
+	e.ctrlQ = append(e.ctrlQ, ctrlMsg{kind: kind, node: n, dev: dev, factor: factor, at: at})
 	return nil
 }
 
-// takeCtrl drains the control queue in order.
-func (e *Engine) takeCtrl() []ctrlMsg {
+// writeCtrl drains the control queue and writes every call's node state
+// in order (serve lock held). It returns the calls the event loop reacts
+// to: a failure has none (execution observes the death itself), and
+// neither has a plug or unplug that left the attachment as it was, so a
+// redundant call traces nothing and degrades no tuner.
+func (e *Engine) writeCtrl() []ctrlMsg {
 	e.ctrlMu.Lock()
 	q := e.ctrlQ
 	e.ctrlQ = nil
 	e.ctrlMu.Unlock()
-	return q
+	react := q[:0]
+	for _, m := range q {
+		switch m.kind {
+		case ctrlUnplug, ctrlPlug:
+			// No error: control checked the device index.
+			if changed, _ := m.node.SetDeviceOffline(m.dev, m.kind == ctrlUnplug, m.at); !changed {
+				continue
+			}
+		case ctrlSlow:
+			m.node.SetSlowdown(m.factor, m.at)
+		case ctrlFail:
+			m.node.Fail(m.at)
+			continue
+		}
+		react = append(react, m)
+	}
+	return react
 }
 
-// applyCtrl reacts to every queued control event, in order.
+// applyCtrl writes every queued control call, then reacts to each, in
+// order.
 func (e *Engine) applyCtrl(ds *dispatchState) {
-	for _, m := range e.takeCtrl() {
+	for _, m := range e.writeCtrl() {
 		e.onCtrl(ds, m)
 	}
 }
@@ -252,7 +293,7 @@ func (e *Engine) applyCtrl(ds *dispatchState) {
 // Redundant calls — the device is already detached — change nothing, so
 // e.g. a second VM's last-VF unplug cannot double-degrade the tuners.
 func (e *Engine) UnplugDevice(node string, dev int, at float64) error {
-	return e.control(ctrlMsg{kind: ctrlUnplug, node: node, dev: dev, at: at})
+	return e.control(ctrlUnplug, node, dev, 0, at)
 }
 
 // PlugDevice reattaches device dev of a node at modelled time `at`,
@@ -260,31 +301,32 @@ func (e *Engine) UnplugDevice(node string, dev int, at float64) error {
 // Redundant calls — the device was never detached — change nothing, so a
 // VF plugged on an always-online device cannot wipe learned fpga drift.
 func (e *Engine) PlugDevice(node string, dev int, at float64) error {
-	return e.control(ctrlMsg{kind: ctrlPlug, node: node, dev: dev, at: at})
+	return e.control(ctrlPlug, node, dev, 0, at)
 }
 
 // SetNodeSlowdown changes a node's CPU load factor at modelled time `at`
-// (1 restores nominal speed). Executors pay it immediately; the adaptive
-// engine learns it from the latency ratios the monitors observe — the
-// event itself only traces.
+// (1 restores nominal speed). Executors pay it from the engine's next
+// serve-lock section; the adaptive engine learns it from the latency
+// ratios the monitors observe — the event itself only traces.
 func (e *Engine) SetNodeSlowdown(node string, factor, at float64) error {
-	return e.control(ctrlMsg{kind: ctrlSlow, node: node, factor: factor, at: at})
+	return e.control(ctrlSlow, node, 0, factor, at)
 }
 
 // onCtrl is the event loop's reaction to one environment event.
 func (e *Engine) onCtrl(ds *dispatchState, m ctrlMsg) {
+	name := m.node.Name
 	switch m.kind {
 	case ctrlSlow:
 		e.trace(Event{
-			Kind: EventNodeSlowdown, Node: m.node, Time: m.at,
+			Kind: EventNodeSlowdown, Node: name, Time: m.at,
 			Detail: fmt.Sprintf("factor=%.3g", m.factor),
 		})
 	case ctrlUnplug:
 		e.trace(Event{
-			Kind: EventDeviceUnplug, Node: m.node, Time: m.at,
+			Kind: EventDeviceUnplug, Node: name, Time: m.at,
 			Detail: fmt.Sprintf("dev%d", m.dev),
 		})
-		if !e.cfg.Adaptive || !e.deviceProgrammed(m.node, m.dev) {
+		if _, programmed := m.node.Programmed(m.dev); !e.cfg.Adaptive || !programmed {
 			// An unprogrammed device leaving changes no FPGA capacity:
 			// nothing to invalidate or degrade.
 			return
@@ -296,7 +338,7 @@ func (e *Engine) onCtrl(ds *dispatchState, m ctrlMsg) {
 		// modelled ready time precedes the detach: it may legitimately run
 		// before the fault (non-retroactivity), and the claim-time
 		// attachment check resolves the boundary either way.
-		if ni, ok := e.nodeIdx[m.node]; ok {
+		if ni, ok := e.nodeIdx[name]; ok {
 			q, n := e.queues[ni], e.nodes[ni]
 			stolen := q.steal(func(r execRequest) bool {
 				if r.variant != VariantFPGA {
@@ -316,7 +358,7 @@ func (e *Engine) onCtrl(ds *dispatchState, m ctrlMsg) {
 				r.wf.sched.Adapt.Reschedules++
 				e.trace(Event{
 					Kind: EventReschedule, Workflow: r.wf.name, Tenant: r.wf.tenant,
-					Task: r.task.Name, Node: m.node, Time: m.at, Detail: "device-unplug",
+					Task: r.task.Name, Node: name, Time: m.at, Detail: "device-unplug",
 				})
 				e.pushReady(ds, r.wf, r.tidx, true, m.at)
 			}
@@ -359,10 +401,10 @@ func (e *Engine) onCtrl(ds *dispatchState, m ctrlMsg) {
 		}
 	case ctrlPlug:
 		e.trace(Event{
-			Kind: EventDevicePlug, Node: m.node, Time: m.at,
+			Kind: EventDevicePlug, Node: name, Time: m.at,
 			Detail: fmt.Sprintf("dev%d", m.dev),
 		})
-		if !e.cfg.Adaptive || !e.deviceProgrammed(m.node, m.dev) {
+		if _, programmed := m.node.Programmed(m.dev); !e.cfg.Adaptive || !programmed {
 			return
 		}
 		for st := range ds.active {
@@ -375,17 +417,6 @@ func (e *Engine) onCtrl(ds *dispatchState, m ctrlMsg) {
 			}
 		}
 	}
-}
-
-// deviceProgrammed reports whether the node's device carries a bitstream —
-// only then does its attachment change FPGA capacity.
-func (e *Engine) deviceProgrammed(node string, dev int) bool {
-	n := e.cluster.FindNode(node)
-	if n == nil {
-		return false
-	}
-	_, ok := n.Programmed(dev)
-	return ok
 }
 
 // onlineFPGADevices counts attached, programmed devices on alive nodes —

@@ -3,6 +3,7 @@ package runtime
 import (
 	"testing"
 
+	"everest/internal/autotuner"
 	"everest/internal/platform"
 )
 
@@ -314,38 +315,93 @@ func TestEngineControlErrors(t *testing.T) {
 }
 
 // TestRedundantPlugUnplugAreNoOps: control calls that do not change the
-// device's attachment state must emit no control events — a VF plugged
-// on an always-online device must not reset learned fpga drift, and a
-// second unplug must not double-degrade tuners.
+// device's attachment state must emit no control events and touch no
+// tuner — a VF plugged on an always-online device must not reset learned
+// fpga drift, and a second unplug must not double-degrade tuners. The
+// calls come from trace callbacks, so the reactions land while the
+// chain's tuner is active, before its next placement.
 func TestRedundantPlugUnplugAreNoOps(t *testing.T) {
-	cluster, _ := programmedCluster(t, 1)
-	e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Adaptive: true})
-	node := cluster.Nodes[0].Name
-	// The engine is not started, so control messages stay queued and can
-	// be inspected directly.
-	if err := e.PlugDevice(node, 0, 0); err != nil {
+	cluster, bs := programmedCluster(t, 2)
+	if _, err := cluster.Nodes[1].Program(0, bs); err != nil {
 		t.Fatal(err)
 	}
-	if msgs := e.takeCtrl(); len(msgs) != 0 {
-		t.Fatalf("plug of attached device queued %d events, want 0", len(msgs))
+	n0, n1 := cluster.Nodes[0].Name, cluster.Nodes[1].Name
+	e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Policy: PolicyHEFT, Adaptive: true})
+	// The chain is the one active workflow; its tuner is the one to watch.
+	tuner := func() *autotuner.Tuner {
+		for st := range e.ds.active {
+			return st.tuner
+		}
+		t.Fatal("no active workflow")
+		return nil
 	}
-	if err := e.UnplugDevice(node, 0, 0.5); err != nil {
+	var ctrlEvents []Event
+	done, checked := 0, 0
+	before := 0.0
+	e.cfg.Trace = func(ev Event) {
+		switch ev.Kind {
+		case EventDeviceUnplug, EventDevicePlug:
+			ctrlEvents = append(ctrlEvents, ev)
+		case EventTaskDone:
+			done++
+			before = tuner().Expected(VariantFPGA)
+			var errs []error
+			switch done {
+			case 1: // one real unplug, one redundant
+				errs = append(errs, e.UnplugDevice(n0, 0, ev.Time), e.UnplugDevice(n0, 0, ev.Time))
+			case 2: // a plug of an attached device
+				errs = append(errs, e.PlugDevice(n1, 0, ev.Time))
+			case 3: // a real replug
+				errs = append(errs, e.PlugDevice(n0, 0, ev.Time))
+			}
+			for _, err := range errs {
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		case EventVariant:
+			// The first placement after each batch of calls sees their
+			// reactions applied.
+			if done == 0 || done > 3 || checked == done {
+				return
+			}
+			checked = done
+			got := tuner().Expected(VariantFPGA)
+			switch done {
+			case 1:
+				// One programmed device stays online: a single Degrade by 2.
+				if got != 2*before {
+					t.Errorf("after unplug + redundant unplug: fpga expected %g, want %g (one degrade)", got, 2*before)
+				}
+			case 2:
+				if got != before {
+					t.Errorf("after a redundant plug: fpga expected %g, want %g unchanged", got, before)
+				}
+			case 3:
+				if drift := tuner().Drift(VariantFPGA); drift != 1 {
+					t.Errorf("after the replug: fpga drift %g, want 1 (reset)", drift)
+				}
+			}
+		}
+	}
+	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UnplugDevice(node, 0, 0.6); err != nil {
+	fut, err := e.Submit(fpgaChain(t, 5, bs.ID), SubmitOptions{Name: "noops"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if msgs := e.takeCtrl(); len(msgs) != 1 {
-		t.Fatalf("double unplug queued %d events, want 1", len(msgs))
-	}
-	if cluster.Nodes[0].DeviceOnline(0) {
-		t.Fatal("device must be detached")
-	}
-	if err := e.PlugDevice(node, 0, 1.0); err != nil {
+	if _, err := fut.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if msgs := e.takeCtrl(); len(msgs) != 1 {
-		t.Fatal("replug of a detached device must queue one event")
+	e.Shutdown()
+	if checked != 3 {
+		t.Fatalf("checked %d control batches, want 3", checked)
+	}
+	if len(ctrlEvents) != 2 ||
+		ctrlEvents[0].Kind != EventDeviceUnplug || ctrlEvents[0].Node != n0 ||
+		ctrlEvents[1].Kind != EventDevicePlug || ctrlEvents[1].Node != n0 {
+		t.Fatalf("control events %+v, want one unplug and one plug of %s", ctrlEvents, n0)
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"testing"
 
 	"everest/internal/hls"
@@ -40,6 +41,73 @@ func TestScriptedEnvEventsApplyAtStart(t *testing.T) {
 	}
 	if got := n1.SlowdownAt(0.1); got != 1 {
 		t.Fatalf("slowdown before the event = %g, want 1", got)
+	}
+}
+
+// TestControlRejectsNonFinite: a NaN or infinite time or factor is refused
+// at the call, though the call only enqueues, and in the script at Start;
+// a chain served after the refused calls stays finite.
+func TestControlRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	calls := []struct {
+		name string
+		call func(e *Engine, node string) error
+	}{
+		{"slowdown factor NaN", func(e *Engine, n string) error { return e.SetNodeSlowdown(n, nan, 0) }},
+		{"slowdown factor +Inf", func(e *Engine, n string) error { return e.SetNodeSlowdown(n, inf, 0) }},
+		{"slowdown at NaN", func(e *Engine, n string) error { return e.SetNodeSlowdown(n, 2, nan) }},
+		{"unplug at NaN", func(e *Engine, n string) error { return e.UnplugDevice(n, 0, nan) }},
+		{"unplug at +Inf", func(e *Engine, n string) error { return e.UnplugDevice(n, 0, inf) }},
+		{"plug at -Inf", func(e *Engine, n string) error { return e.PlugDevice(n, 0, -inf) }},
+		{"fail at NaN", func(e *Engine, n string) error { return e.FailNode(n, nan) }},
+		{"fail at -Inf", func(e *Engine, n string) error { return e.FailNode(n, -inf) }},
+	}
+	for _, tc := range calls {
+		c := testCluster(2)
+		e := startEngine(t, c, EngineConfig{})
+		if err := tc.call(e, c.Nodes[0].Name); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		fut, err := e.Submit(chainWorkflow(t, 3), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := fut.Wait()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, a := range sched.Assignments {
+			if math.IsNaN(a.End) || math.IsInf(a.End, 0) {
+				t.Errorf("%s: assignment %+v", tc.name, a)
+			}
+		}
+		if math.IsNaN(sched.Makespan) || math.IsInf(sched.Makespan, 0) {
+			t.Errorf("%s: makespan %g", tc.name, sched.Makespan)
+		}
+		e.Shutdown()
+	}
+
+	scripts := []struct {
+		name   string
+		cfg    EngineConfig
+		refuse bool
+	}{
+		{"slowdown factor NaN", EngineConfig{Events: []EnvEvent{{Kind: EnvSlowdown, Node: nodeName(0), Factor: nan}}}, true},
+		{"slowdown factor +Inf", EngineConfig{Events: []EnvEvent{{Kind: EnvSlowdown, Node: nodeName(0), Factor: inf}}}, true},
+		{"unplug at NaN", EngineConfig{Events: []EnvEvent{{Kind: EnvUnplug, Node: nodeName(0), At: nan}}}, true},
+		{"plug at +Inf", EngineConfig{Events: []EnvEvent{{Kind: EnvPlug, Node: nodeName(0), At: inf}}}, true},
+		{"failure at NaN", EngineConfig{Failures: []NodeFailure{{Node: nodeName(0), AtTime: nan}}}, true},
+		{"unknown node ignored", EngineConfig{
+			Events:   []EnvEvent{{Kind: EnvSlowdown, Node: "ghost", Factor: nan, At: nan}},
+			Failures: []NodeFailure{{Node: "ghost", AtTime: nan}},
+		}, false},
+	}
+	for _, tc := range scripts {
+		e := NewEngine(testCluster(2), platform.NewRegistry(), tc.cfg)
+		if err := e.Start(); (err != nil) != tc.refuse {
+			t.Errorf("script %s: Start error %v, want refused=%v", tc.name, err, tc.refuse)
+		}
+		e.Shutdown()
 	}
 }
 

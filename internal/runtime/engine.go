@@ -116,8 +116,9 @@ type EngineConfig struct {
 	// state through the live checks.
 	Events []EnvEvent
 	// Trace, when set, receives every engine event. It runs on the goroutine
-	// inside Start, Submit or Shutdown, under the serve lock: it may call
-	// the control API (UnplugDevice, PlugDevice, SetNodeSlowdown, FailNode),
+	// inside Start, Submit, Shutdown, Stats or Health, under the serve lock
+	// (the last two trace the control events they apply): it may call the
+	// control API (UnplugDevice, PlugDevice, SetNodeSlowdown, FailNode),
 	// but not Start, Submit, Shutdown, Stats or Health. Control events
 	// raised before Start are traced by Start, ahead of the pre-Start batch.
 	Trace func(Event)
@@ -171,7 +172,8 @@ type SubmitOptions struct {
 // the per-engine export a federation tier (internal/fleet) reads to judge a
 // site's queue depth and accelerator capacity before routing work to it.
 // Counter fields are the event loop's own, read under the serve lock;
-// device fields are computed live from the cluster at snapshot time.
+// device fields are computed from the cluster at snapshot time, after the
+// control calls made so far are applied.
 type EngineStats struct {
 	Submitted int // workflows the engine has admitted
 	Completed int // workflows drained successfully
@@ -208,11 +210,12 @@ type Engine struct {
 	nodeIdx map[string]int
 	queues  []*workQueue // per-node FIFO, indexed like nodes
 
-	// Environment events (plug/unplug, slowdown) arrive through an
-	// unbounded ordered queue: a control call must never block on the
-	// serve lock, because control calls are legal from trace callbacks
-	// running under it (fault scripts) and from hot-plug subscriber
-	// goroutines. ctrlShut, set by Shutdown, refuses every later call.
+	// Control calls (plug/unplug, slowdown, failure) arrive through an
+	// unbounded ordered queue, the mailbox the serve lock drains: a
+	// control call must never block on the serve lock, because control
+	// calls are legal from trace callbacks running under it (fault
+	// scripts) and from hot-plug subscriber goroutines. ctrlShut, set by
+	// Shutdown, refuses every later call.
 	ctrlMu   sync.Mutex
 	ctrlQ    []ctrlMsg
 	ctrlShut bool
@@ -231,15 +234,13 @@ type Engine struct {
 
 // NewEngine builds an engine over a cluster and bitstream registry and
 // takes ownership of the cluster: stale failure state, device claims,
-// attachment and load faults left by a previous engine run are cleared,
-// and the engine's own monitor starts with no load evidence. Control
-// calls made after NewEngine (UnplugDevice, PlugDevice, SetNodeSlowdown)
-// therefore describe this engine's world, even before Start.
+// attachment and load faults left by a previous engine run are cleared
+// (platform.Node.Reset), and the engine's own monitor starts with no load
+// evidence. Control calls made before Start queue up and apply at Start,
+// so they describe this engine's world.
 func NewEngine(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig) *Engine {
 	for _, n := range c.Nodes {
-		n.Heal()
-		n.ResetDeviceClaims()
-		n.ResetCondition()
+		n.Reset()
 	}
 	return &Engine{cluster: c, reg: reg, cfg: cfg, monitor: platform.NewMonitor(c)}
 }
@@ -247,24 +248,31 @@ func NewEngine(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig) *E
 // Health returns the per-node health the engine's monitor has learned
 // (platform.Monitor.Snapshot). It takes the serve lock, so it waits while
 // a Start, Submit or Shutdown serves, and must not be called from the
-// engine's own trace callback.
+// engine's own trace callback. On a started engine it first applies the
+// control calls made since the last serve-lock section.
 func (e *Engine) Health() []platform.NodeHealth {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.started {
+		e.applyCtrl(e.ds)
+	}
 	return e.monitor.Snapshot()
 }
 
 // Stats returns a snapshot of the engine's serving state. The counter
 // fields are the event loop's (zero before Start); the device fields are
-// computed from the cluster at call time. Stats takes the serve lock, so
-// it waits while a Start, Submit or Shutdown serves, and must not be
-// called from the engine's own trace callback. Safe to call from any
-// other goroutine, before Start, and after Shutdown.
+// computed from the cluster at call time and, once the engine has
+// started, include every control call made so far: Stats applies the
+// queued ones first. Stats takes the serve lock, so it waits while a
+// Start, Submit or Shutdown serves, and must not be called from the
+// engine's own trace callback. Safe to call from any other goroutine,
+// before Start, and after Shutdown.
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var st EngineStats
 	if ds := e.ds; ds != nil {
+		e.applyCtrl(ds)
 		st = EngineStats{
 			Submitted:    ds.submitted,
 			Completed:    ds.completed,
@@ -299,11 +307,12 @@ func (ds *dispatchState) raiseBacklog(t float64) {
 	}
 }
 
-// Start applies cfg.Failures and cfg.Events, builds the node index tables
-// and the event loop's state, applies the control events raised since
-// NewEngine, then serves every submission queued before it: the batch is
-// admitted in submit order and placed together, round-robin across
-// tenants.
+// Start writes the control calls made since NewEngine to the nodes, then
+// cfg.Failures and cfg.Events (it refuses a non-finite time or factor in
+// them), builds the node index tables and the event loop's state, reacts
+// to those control calls, then serves every submission queued before it:
+// the batch is admitted in submit order and placed together, round-robin
+// across tenants.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -316,13 +325,14 @@ func (e *Engine) Start() error {
 	if len(e.cluster.Nodes) == 0 {
 		return fmt.Errorf("runtime: engine needs at least one node")
 	}
-	e.started = true
-	for _, f := range e.cfg.Failures {
-		if n := e.cluster.FindNode(f.Node); n != nil {
-			n.Fail(f.AtTime)
-		}
+	if err := e.checkScript(); err != nil {
+		return err
 	}
-	e.applyEnvEvents()
+	e.started = true
+	// Control calls made before Start write the nodes ahead of the script,
+	// the order in which they were made.
+	queued := e.writeCtrl()
+	e.applyScript()
 	e.nodes = e.cluster.Nodes
 	e.nodeIdx = make(map[string]int, len(e.nodes))
 	e.queues = make([]*workQueue, len(e.nodes))
@@ -333,9 +343,12 @@ func (e *Engine) Start() error {
 		e.queues[i] = newWorkQueueCap(4 * len(e.nodes))
 	}
 	e.ds = e.newDispatchState()
-	// Control events raised before Start apply before the batch, the same
-	// rule Submit follows for events raised while the engine is idle.
-	e.applyCtrl(e.ds)
+	// Control events raised before Start are reacted to before the batch,
+	// the same rule Submit follows for events raised while the engine is
+	// idle.
+	for _, m := range queued {
+		e.onCtrl(e.ds, m)
+	}
 	for _, st := range e.early {
 		e.onSubmit(e.ds, st)
 	}
@@ -382,9 +395,10 @@ func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 
 // Shutdown refuses further submissions and control calls. Nothing is left
 // to drain (each Submit served its workflow), so it applies the control
-// events raised since the last Submit; on an engine that never started,
-// the queued submissions resolve with an error. Calling it again is a
-// no-op.
+// events raised since the last serve-lock section. On an engine that
+// never started, the queued submissions resolve with an error, and the
+// queued control calls are dropped: the engine never serves the world
+// they describe. Calling it again is a no-op.
 func (e *Engine) Shutdown() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -425,9 +439,10 @@ func ServeAlone(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig, w
 // FailNode injects a node failure while the engine runs (best-effort: tasks
 // that already completed in modelled time are unaffected). Prefer
 // EngineConfig.Failures for deterministic experiments. Like every control
-// call, it fails on a shut-down engine.
+// call, it takes effect at the engine's next serve-lock section, and it
+// fails on a shut-down engine or a non-finite time.
 func (e *Engine) FailNode(name string, at float64) error {
-	return e.control(ctrlMsg{kind: ctrlFail, node: name, at: at})
+	return e.control(ctrlFail, name, 0, 0, at)
 }
 
 // ---------------------------------------------------------------------------

@@ -62,6 +62,17 @@ func TestAdaptiveBeatsStaticUnderFaults(t *testing.T) {
 	}
 }
 
+// offlineDevices counts the accelerators of c the engine sees detached:
+// Stats applies the control calls made so far, then counts the attached
+// ones (no node of these tests fails).
+func offlineDevices(c *platform.Cluster, e *runtime.Engine) int {
+	total := 0
+	for _, n := range c.Nodes {
+		total += len(n.Devices)
+	}
+	return total - e.Stats().OnlineDevices
+}
+
 // TestAttachHypervisor drives the full virt→engine path: unplugging the
 // last VF detaches the device from the engine's world, replugging restores
 // it.
@@ -93,7 +104,7 @@ func TestAttachHypervisor(t *testing.T) {
 	}
 	// Engine start resets attachment state; the VF is still plugged, so the
 	// device starts online.
-	if !node.DeviceOnline(0) {
+	if offlineDevices(s.Cluster, eng) != 0 {
 		t.Fatal("device must start online")
 	}
 	eng.Shutdown()
@@ -109,7 +120,7 @@ func TestAttachHypervisor(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if node.DeviceOnline(0) {
+	if offlineDevices(s.Cluster, eng) != 1 {
 		t.Fatal("device unplugged before Start must come up detached")
 	}
 	// Restore the VF so the live unplug/replug sequence below starts from
@@ -117,19 +128,19 @@ func TestAttachHypervisor(t *testing.T) {
 	if _, err := hyp.PlugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	if !node.DeviceOnline(0) {
+	if offlineDevices(s.Cluster, eng) != 0 {
 		t.Fatal("replug must reattach the device")
 	}
 	if _, err := hyp.UnplugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	if node.DeviceOnline(0) {
+	if offlineDevices(s.Cluster, eng) != 1 {
 		t.Error("unplugging the last VF must detach the device")
 	}
 	if _, err := hyp.PlugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	if !node.DeviceOnline(0) {
+	if offlineDevices(s.Cluster, eng) != 0 {
 		t.Error("replugging the first VF must reattach the device")
 	}
 	eng.Shutdown()
@@ -234,23 +245,23 @@ func detachedHypervisor(t *testing.T, s *SDK) (*virt.Hypervisor, *platform.Node,
 // once instead of waiting for the next hot-plug event.
 func TestAttachHypervisorAfterStart(t *testing.T) {
 	s := New(DefaultCluster(2))
-	hyp, node, _ := detachedHypervisor(t, s)
+	hyp, _, _ := detachedHypervisor(t, s)
 	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Shutdown()
-	if !node.DeviceOnline(0) {
+	if offlineDevices(s.Cluster, eng) != 0 {
 		t.Fatal("no hypervisor attached yet: the device must be online")
 	}
 	AttachHypervisor(eng, hyp, nil)
-	if node.DeviceOnline(0) {
+	if offlineDevices(s.Cluster, eng) != 1 {
 		t.Fatal("a hypervisor whose last VF is unplugged must detach the device on attach")
 	}
 	if _, err := hyp.PlugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	if !node.DeviceOnline(0) {
+	if offlineDevices(s.Cluster, eng) != 0 {
 		t.Fatal("replugging the first VF must reattach the device")
 	}
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // TestUnplugRacedAgainstDispatch hammers the adaptation loop from both
-// ends at once: a stream of FPGA workflows drains through the engine while
-// two goroutines plug and unplug the accelerators' VFs through the
-// hypervisors, and a third reads Stats and Health. Every workflow must
-// still complete with a full, dependency-ordered schedule, and the run
-// must be -race clean. Tasks whose device vanished under them either
+// ends at once: two submitter goroutines drain a stream of FPGA workflows
+// through one engine while two more plug and unplug the accelerators' VFs
+// through the hypervisors, and a fifth reads Stats and Health. Every
+// workflow must still complete with a full, dependency-ordered schedule,
+// and the run must be -race clean: the control calls only enqueue, and
+// the nodes are written under the serve lock. Tasks whose device vanished under them either
 // reschedule (adaptive invalidation) or degrade to software — both end in
 // a valid schedule.
 func TestUnplugRacedAgainstDispatch(t *testing.T) {
@@ -96,12 +97,27 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 			}
 		}(h)
 	}
-	for i := range futs {
-		fut, err := eng.Submit(sdk.AdaptiveWorkflow(i, bs.ID), runtime.SubmitOptions{Tenant: "racer"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs[i] = fut
+	// Two submitters, each serving every other workflow.
+	var submitters sync.WaitGroup
+	for k := 0; k < 2; k++ {
+		submitters.Add(1)
+		go func(k int) {
+			defer submitters.Done()
+			for i := k; i < workflows; i += 2 {
+				fut, err := eng.Submit(sdk.AdaptiveWorkflow(i, bs.ID), runtime.SubmitOptions{Tenant: "racer"})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				futs[i] = fut
+			}
+		}(k)
+	}
+	submitters.Wait()
+	if t.Failed() {
+		close(done)
+		wg.Wait()
+		t.FailNow()
 	}
 	for i, fut := range futs {
 		sched, err := fut.Wait()

@@ -337,24 +337,19 @@ func (h *Hypervisor) hasVF(vmName string, device int) bool {
 	return false
 }
 
-// RunAccelerated executes the programmed kernel of the device on behalf of
-// a VM through the chosen I/O path. VF passthrough requires the VM to hold
-// a VF of that device.
-func (h *Hypervisor) RunAccelerated(vmName string, device int, wl platform.Workload, path IOPath) (platform.Timeline, error) {
+// RunAccelerated returns what kernel timeline tl costs a VM through the
+// chosen I/O path: the path's overhead applied to tl's transfers. The
+// caller prices tl on the device (platform.Node.KernelTime) inside the
+// front that owns the node; the hypervisor reads no node state. VF
+// passthrough requires the VM to hold a VF of that device.
+func (h *Hypervisor) RunAccelerated(vmName string, device int, tl platform.Timeline, path IOPath) (platform.Timeline, error) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if path == VFPassthrough && !h.hasVF(vmName, device) {
-		h.mu.Unlock()
 		return platform.Timeline{}, fmt.Errorf("virt: VM %q has no VF for device %d", vmName, device)
 	}
 	if _, ok := h.vms[vmName]; !ok && path != Native {
-		h.mu.Unlock()
 		return platform.Timeline{}, fmt.Errorf("virt: no VM %q", vmName)
-	}
-	h.mu.Unlock()
-
-	tl, err := h.Node.RunKernel(device, wl)
-	if err != nil {
-		return platform.Timeline{}, err
 	}
 	ov := path.Overhead()
 	tl.TransferIn *= ov

@@ -97,25 +97,37 @@ func TestPlugUnplug(t *testing.T) {
 	}
 }
 
+// kernelTime prices wl on the test node's programmed kernel, the
+// timeline RunAccelerated applies its I/O path to.
+func kernelTime(t *testing.T, n *platform.Node, wl platform.Workload) platform.Timeline {
+	t.Helper()
+	tl, ok := n.KernelTime(0, "bs", wl, -1)
+	if !ok {
+		t.Fatal("the test kernel must run on device 0")
+	}
+	return tl
+}
+
 func TestIOPathOverheads(t *testing.T) {
-	h, _ := NewHypervisor(testNode(t), 2)
+	n := testNode(t)
+	h, _ := NewHypervisor(n, 2)
 	if _, err := h.DefineVM("g1", 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.PlugVF("g1", 0); err != nil {
 		t.Fatal(err)
 	}
-	wl := platform.Workload{BytesIn: 1 << 26, BytesOut: 1 << 24}
+	kernel := kernelTime(t, n, platform.Workload{BytesIn: 1 << 26, BytesOut: 1 << 24})
 
-	native, err := h.RunAccelerated("g1", 0, wl, Native)
+	native, err := h.RunAccelerated("g1", 0, kernel, Native)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vf, err := h.RunAccelerated("g1", 0, wl, VFPassthrough)
+	vf, err := h.RunAccelerated("g1", 0, kernel, VFPassthrough)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vio, err := h.RunAccelerated("g1", 0, wl, VirtIO)
+	vio, err := h.RunAccelerated("g1", 0, kernel, VirtIO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,15 +144,16 @@ func TestIOPathOverheads(t *testing.T) {
 }
 
 func TestVFRequiredForPassthrough(t *testing.T) {
-	h, _ := NewHypervisor(testNode(t), 1)
+	n := testNode(t)
+	h, _ := NewHypervisor(n, 1)
 	if _, err := h.DefineVM("g1", 1); err != nil {
 		t.Fatal(err)
 	}
-	wl := platform.Workload{BytesIn: 1 << 20}
-	if _, err := h.RunAccelerated("g1", 0, wl, VFPassthrough); err == nil {
+	kernel := kernelTime(t, n, platform.Workload{BytesIn: 1 << 20})
+	if _, err := h.RunAccelerated("g1", 0, kernel, VFPassthrough); err == nil {
 		t.Error("passthrough without a VF must fail")
 	}
-	if _, err := h.RunAccelerated("g1", 0, wl, VirtIO); err != nil {
+	if _, err := h.RunAccelerated("g1", 0, kernel, VirtIO); err != nil {
 		t.Errorf("virtio path needs no VF: %v", err)
 	}
 }

@@ -1,6 +1,8 @@
 package platform
 
 import (
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -313,19 +315,38 @@ func TestClaimDeviceSerializes(t *testing.T) {
 	if free, _, ok, err := n.ClaimDeviceAt(0, 0, 0); err != nil || !ok || free != 4.0 {
 		t.Errorf("refused claim must leave no phantom window, free=%v ok=%v err=%v", free, ok, err)
 	}
+}
 
-	// Unit claims all made at 0 queue back to back: the 32nd ends at 32.
-	m := NewNode("n1", XeonModel(), AlveoU55C())
-	end := 0.0
-	for i := 0; i < 32; i++ {
-		_, e, ok, err := m.ClaimDeviceAt(0, 0, 1.0)
-		if err != nil || !ok {
-			t.Fatalf("unit claim %d: ok=%v err=%v", i, ok, err)
-		}
-		end = e
+// TestClaimDeviceRaceSafety claims one device from 32 goroutines that keep
+// the node's ownership rule: a lock standing in for the serving front's
+// serializes their calls, and the node itself takes none. The unit claims,
+// all made at 0, must get disjoint windows that tile [0, 32].
+func TestClaimDeviceRaceSafety(t *testing.T) {
+	n := NewNode("n0", XeonModel(), AlveoU55C())
+	var (
+		front sync.Mutex
+		wg    sync.WaitGroup
+		ends  = make([]float64, 32)
+	)
+	for i := range ends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			front.Lock()
+			s, e, ok, err := n.ClaimDeviceAt(0, 0, 1.0)
+			front.Unlock()
+			if err != nil || !ok || e != s+1.0 {
+				t.Errorf("unit claim %d: [%v,%v] ok=%v err=%v", i, s, e, ok, err)
+			}
+			ends[i] = e
+		}()
 	}
-	if end != 32.0 {
-		t.Errorf("32 serialized unit claims must end at 32, got %v", end)
+	wg.Wait()
+	sort.Float64s(ends)
+	for i, e := range ends {
+		if e != float64(i+1) {
+			t.Fatalf("32 serialized unit claims must end at 1..32, got %v", ends)
+		}
 	}
 }
 

@@ -505,8 +505,13 @@ kernel k {
 		"a":   tensor.New(2),
 		"sel": tensor.FromData([]float64{0, 5}, 2), // 5 out of range
 	}}
-	if _, err := k.Run(b); err == nil {
-		t.Error("out-of-range gather must error")
+	_, err := k.Run(b)
+	if err == nil {
+		t.Fatal("out-of-range gather must error")
+	}
+	// Lowering evaluates the gather, so it reports the same error.
+	if _, _, lerr := Lower(k, b); lerr == nil || lerr.Error() != err.Error() {
+		t.Errorf("Lower error %v, Run error %v", lerr, err)
 	}
 }
 
@@ -524,8 +529,13 @@ kernel k {
 		"a": tensor.New(3),
 		"w": tensor.FromData([]float64{0.5, 1, 2}, 3),
 	}}
-	if _, err := k.Run(b); err == nil {
-		t.Error("non-integer subscript must error")
+	_, err := k.Run(b)
+	if err == nil {
+		t.Fatal("non-integer subscript must error")
+	}
+	// Lowering evaluates the gather, so it reports the same error.
+	if _, _, lerr := Lower(k, b); lerr == nil || lerr.Error() != err.Error() {
+		t.Errorf("Lower error %v, Run error %v", lerr, err)
 	}
 }
 

@@ -198,7 +198,7 @@ func TestSpecializedShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shapes := SpecializedShapes(res)
+	shapes := SpecializedShapes(res).Tensors
 	if len(shapes["out"]) != 1 || shapes["out"][0] != 3 {
 		t.Errorf("shapes = %v", shapes)
 	}

@@ -1,6 +1,7 @@
 package ekl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -41,24 +42,60 @@ type StmtInfo struct {
 // the reference semantics of EKL: the HLS path must produce numerically
 // identical results (experiment E1).
 func (k *Kernel) Run(b Binding) (*Result, error) {
-	env, dims, err := k.bind(b)
+	env, dims, err := k.interpret(b, false)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range k.Stmts {
-		if err := env.exec(s); err != nil {
-			return nil, fmt.Errorf("ekl: kernel %q line %d: %w", k.Name, s.Line, err)
-		}
-	}
 	res := &Result{Outputs: make(map[string]*tensor.Tensor), All: env.tensors, Dims: dims, Trace: env.trace}
 	for _, out := range k.Outputs {
-		t, ok := env.tensors[out.Name]
-		if !ok {
-			return nil, fmt.Errorf("ekl: kernel %q: output %q never assigned", k.Name, out.Name)
-		}
-		res.Outputs[out.Name] = t
+		res.Outputs[out.Name] = env.tensors[out.Name]
 	}
 	return res, nil
+}
+
+// inferShapes is Lower's shape pass: it runs every statement up to its
+// per-point loop, which it skips because the statement cannot fail there
+// (evalEnv.exec), and returns the shapes Run would produce, with the same
+// error wherever Run errors. It reports false, with no error, at the first
+// statement it cannot prove: that one needs Run.
+func (k *Kernel) inferShapes(b Binding) (*Shapes, bool, error) {
+	env, dims, err := k.interpret(b, true)
+	switch {
+	case err == errNeedsValues:
+		return nil, false, nil
+	case err != nil:
+		return nil, false, err
+	}
+	return newShapes(env.tensors, dims, env.trace), true, nil
+}
+
+// errNeedsValues stops a shape pass at a statement whose per-point loop
+// might fail.
+var errNeedsValues = errors.New("ekl: statement needs evaluation")
+
+// interpret binds the kernel and executes its statements in order; with
+// shapesOnly, as far as the shape pass goes.
+func (k *Kernel) interpret(b Binding, shapesOnly bool) (*evalEnv, map[string]int, error) {
+	env, dims, err := k.bind(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	env.shapesOnly = shapesOnly
+	for _, s := range k.Stmts {
+		err := env.exec(s)
+		if err == errNeedsValues {
+			return nil, nil, err
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("ekl: kernel %q line %d: %w", k.Name, s.Line, err)
+		}
+	}
+	for _, out := range k.Outputs {
+		if _, ok := env.tensors[out.Name]; !ok {
+			return nil, nil, fmt.Errorf("ekl: kernel %q: output %q never assigned", k.Name, out.Name)
+		}
+	}
+	return env, dims, nil
 }
 
 // Check performs the static (binding-independent) checks: unique names,
@@ -180,10 +217,11 @@ func (k *Kernel) bind(b Binding) (*evalEnv, map[string]int, error) {
 
 // evalEnv is the mutable interpreter state.
 type evalEnv struct {
-	kernel  *Kernel
-	tensors map[string]*tensor.Tensor
-	scalars map[string]float64
-	trace   []StmtInfo
+	kernel     *Kernel
+	tensors    map[string]*tensor.Tensor
+	scalars    map[string]float64
+	trace      []StmtInfo
+	shapesOnly bool // skip every per-point loop; see exec
 }
 
 func (e *evalEnv) isTensor(name string) bool { _, ok := e.tensors[name]; return ok }
@@ -192,6 +230,15 @@ func (e *evalEnv) isScalar(name string) bool { _, ok := e.scalars[name]; return 
 // exec executes one statement: it infers the iteration space and records
 // it in the trace, resolves the statement's expressions once (resolve.go),
 // then evaluates them at every point, range-checking each write.
+//
+// With shapesOnly it skips that per-point loop for a statement that cannot
+// fail in it, and otherwise returns errNeedsValues. A statement cannot fail
+// there when the resolver deferred no failure and evaluates no subscript
+// (resolver.mayFail): every subscript, read or written, is then a bare
+// index variable, which inferExtents and sumExtents tied to the dimension
+// it indexes, so every read is in range. What is left is the write, which
+// writesFit checks. The target gets its shape, and its zeros are never
+// read: a later statement either skips its loop as well or stops the pass.
 func (e *evalEnv) exec(s *Stmt) error {
 	freeOrder, err := e.freeIndices(s)
 	if err != nil {
@@ -250,6 +297,14 @@ func (e *evalEnv) exec(s *Stmt) error {
 		rhs = r.value(s.RHS)
 	}
 
+	if e.shapesOnly {
+		if r.mayFail || !writesFit(s, target, extents, bounds, isPair) {
+			return errNeedsValues
+		}
+		e.tensors[s.Name] = target
+		return nil
+	}
+
 	slots := make([]int, r.slots)
 	at := make([]int, len(freeOrder))
 	for i := range at {
@@ -303,6 +358,32 @@ func (e *evalEnv) exec(s *Stmt) error {
 	}
 	e.tensors[s.Name] = target
 	return nil
+}
+
+// writesFit reports whether every point's write lands in the target, for a
+// statement whose explicit subscripts are bare free indices: the extent
+// written along each dimension, with a pair's trailing 2, fits the target.
+func writesFit(s *Stmt, target *tensor.Tensor, extents map[string]int, bounds []int, isPair bool) bool {
+	written := bounds
+	if s.LHS != nil {
+		written = make([]int, len(s.LHS), len(s.LHS)+1)
+		for d, le := range s.LHS {
+			written[d] = extents[le.(IdentRef).Name]
+		}
+	}
+	if isPair {
+		written = append(written[:len(written):len(written)], 2)
+	}
+	shape := target.Shape()
+	if len(written) != len(shape) {
+		return false
+	}
+	for d, n := range written {
+		if n > shape[d] {
+			return false
+		}
+	}
+	return true
 }
 
 // freeIndices determines the ordered free index variables of a statement:

@@ -6,18 +6,26 @@ import (
 
 	"everest/internal/mlir"
 	"everest/internal/mlir/dialects"
+	"everest/internal/tensor"
 )
 
 // Lower compiles a kernel into the EVEREST MLIR stack (paper Fig. 5): it
-// first executes the kernel on the binding to specialize all shapes (shape
-// inference by abstract execution), then emits an ekl-dialect module whose
-// statement ops carry the concrete iteration spaces.
+// first specializes every shape to the binding, then emits an ekl-dialect
+// module whose statement ops carry the concrete iteration spaces.
+//
+// Shapes come from abstract execution: the interpreter's own inference runs
+// statement by statement, and the per-point loop is skipped wherever it is
+// proven unable to fail (evalEnv.exec), so Lower reports exactly the errors
+// Run does. A kernel with a statement that is not proven, such as a gather
+// whose subscripts are data, is run by Run from its start instead, so its
+// data-dependent errors are still reported at compile time.
 //
 // The returned module verifies under the registered dialects and can be
 // progressively lowered with LowerToTeIL and LowerToAffine, which is the
-// pipeline measured by experiment E2.
-func Lower(k *Kernel, b Binding) (*mlir.Module, *Result, error) {
-	res, err := k.Run(b)
+// pipeline measured by experiment E2. The returned shapes carry no value:
+// Run is the only way to get values.
+func Lower(k *Kernel, b Binding) (*mlir.Module, *Shapes, error) {
+	sh, err := k.shapes(b)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -34,12 +42,11 @@ func Lower(k *Kernel, b Binding) (*mlir.Module, *Result, error) {
 	// Materialize inputs and params as ekl.tensor bindings.
 	vals := make(map[string]*mlir.Value)
 	for _, in := range k.Inputs {
-		t := res.All[in.Name]
 		elem := mlir.F64()
 		if in.IsIndex {
 			elem = mlir.Index()
 		}
-		op := kb.Create("ekl.tensor", nil, []mlir.Type{mlir.TensorOf(elem, t.Shape()...)},
+		op := kb.Create("ekl.tensor", nil, []mlir.Type{mlir.TensorOf(elem, sh.Tensors[in.Name]...)},
 			map[string]mlir.Attribute{"name": mlir.StringAttr(in.Name), "kind": mlir.StringAttr("input")})
 		op.Result(0).SetName(in.Name)
 		vals[in.Name] = op.Result(0)
@@ -53,8 +60,7 @@ func Lower(k *Kernel, b Binding) (*mlir.Module, *Result, error) {
 
 	// Lower statements in order using the recorded iteration spaces.
 	for i, s := range k.Stmts {
-		info := res.Trace[i]
-		lw := &stmtLowerer{b: kb, vals: vals, info: info, res: res}
+		lw := &stmtLowerer{b: kb, vals: vals, info: sh.Trace[i]}
 		v, err := lw.lowerExpr(s.RHS)
 		if err != nil {
 			return nil, nil, fmt.Errorf("ekl: lowering %q line %d: %w", s.Name, s.Line, err)
@@ -69,7 +75,20 @@ func Lower(k *Kernel, b Binding) (*mlir.Module, *Result, error) {
 	if err := m.Verify(); err != nil {
 		return nil, nil, fmt.Errorf("ekl: lowered module does not verify: %w", err)
 	}
-	return m, res, nil
+	return m, sh, nil
+}
+
+// shapes returns the kernel's shapes under b: from the shape pass when it
+// proves every statement, else from a full run.
+func (k *Kernel) shapes(b Binding) (*Shapes, error) {
+	if sh, proven, err := k.inferShapes(b); proven || err != nil {
+		return sh, err
+	}
+	res, err := k.Run(b)
+	if err != nil {
+		return nil, err
+	}
+	return SpecializedShapes(res), nil
 }
 
 // stmtLowerer lowers one statement's expression tree.
@@ -77,7 +96,6 @@ type stmtLowerer struct {
 	b    *mlir.Builder
 	vals map[string]*mlir.Value
 	info StmtInfo
-	res  *Result
 }
 
 func (l *stmtLowerer) resultType(indices []string) mlir.Type {
@@ -485,12 +503,40 @@ func LowerToAffine() mlir.Pass {
 	}}
 }
 
-// SpecializedShapes returns name -> shape for everything the kernel computed
-// under the binding; used by tests and by Olympus buffer sizing.
-func SpecializedShapes(res *Result) map[string][]int {
-	out := make(map[string][]int, len(res.All))
-	for name, t := range res.All {
+// Shapes is what lowering knows of a kernel under one binding: the shape
+// of every tensor and the iteration space of every statement, and no
+// value.
+type Shapes struct {
+	// Tensors maps every input and every assigned name to its shape.
+	Tensors map[string][]int
+	// Dims and Trace are as in Result.
+	Dims  map[string]int
+	Trace []StmtInfo
+}
+
+// Size returns the element count of the named tensor, 0 if there is none.
+func (s *Shapes) Size(name string) int {
+	shape, ok := s.Tensors[name]
+	if !ok {
+		return 0
+	}
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
+}
+
+func newShapes(tensors map[string]*tensor.Tensor, dims map[string]int, trace []StmtInfo) *Shapes {
+	out := make(map[string][]int, len(tensors))
+	for name, t := range tensors {
 		out[name] = t.Shape()
 	}
-	return out
+	return &Shapes{Tensors: out, Dims: dims, Trace: trace}
+}
+
+// SpecializedShapes returns the shapes of a run: what Lower returns for the
+// same kernel and binding.
+func SpecializedShapes(res *Result) *Shapes {
+	return newShapes(res.All, res.Dims, res.Trace)
 }

@@ -27,6 +27,9 @@ type resolver struct {
 	env   *evalEnv
 	scope map[string]int // index variable in scope -> its slot
 	slots int            // slots allocated so far
+	// mayFail is set once some point might fail: a deferred failure, or a
+	// subscript that evaluates a value, which can leave its range.
+	mayFail bool
 }
 
 // newResolver puts the statement's free indices in scope, in slots
@@ -42,7 +45,8 @@ func newResolver(e *evalEnv, free []string) *resolver {
 // fail defers err to evaluation: an expression that cannot be evaluated
 // errors only if the iteration reaches it, so an empty iteration space
 // still succeeds and the first error is the one operand order reaches.
-func fail(err error) valueFn {
+func (r *resolver) fail(err error) valueFn {
+	r.mayFail = true
 	return func([]int) (float64, error) { return 0, err }
 }
 
@@ -64,6 +68,7 @@ func (r *resolver) value(x Expr) valueFn {
 		op := binaryOps[t.Op]
 		var unknown error
 		if op == nil {
+			r.mayFail = true
 			unknown = fmt.Errorf("unknown operator %q", t.Op)
 		}
 		return func(s []int) (float64, error) {
@@ -99,6 +104,7 @@ func (r *resolver) value(x Expr) valueFn {
 		fn := builtins[t.Fn]
 		var unknown error
 		if fn == nil {
+			r.mayFail = true
 			unknown = fmt.Errorf("unknown function %q", t.Fn)
 		}
 		vals := make([]float64, len(args))
@@ -120,9 +126,9 @@ func (r *resolver) value(x Expr) valueFn {
 		return r.sum(t)
 
 	case PairExpr:
-		return fail(fmt.Errorf("pair expression in value position"))
+		return r.fail(fmt.Errorf("pair expression in value position"))
 	}
-	return fail(fmt.Errorf("unhandled expression %T", x))
+	return r.fail(fmt.Errorf("unhandled expression %T", x))
 }
 
 // ident resolves a bare identifier: a scalar parameter, then an index
@@ -138,9 +144,9 @@ func (r *resolver) ident(name string) valueFn {
 		if tt.Rank() == 0 {
 			return func([]int) (float64, error) { return tt.Item(), nil }
 		}
-		return fail(fmt.Errorf("tensor %q used without subscripts", name))
+		return r.fail(fmt.Errorf("tensor %q used without subscripts", name))
 	}
-	return fail(fmt.Errorf("unbound identifier %q", name))
+	return r.fail(fmt.Errorf("unbound identifier %q", name))
 }
 
 // index resolves a subscript position. A bare index variable reads its
@@ -153,6 +159,7 @@ func (r *resolver) index(x Expr) intFn {
 			}
 		}
 	}
+	r.mayFail = true
 	f := r.value(x)
 	return func(s []int) (int, error) {
 		v, err := f(s)
@@ -173,7 +180,7 @@ func (r *resolver) subscript(t SubscriptExpr) valueFn {
 	name := t.Base.(IdentRef).Name
 	tt, ok := r.env.tensors[name]
 	if !ok {
-		return fail(fmt.Errorf("unknown tensor %q", name))
+		return r.fail(fmt.Errorf("unknown tensor %q", name))
 	}
 	ix := make([]intFn, len(t.Indices))
 	for d, e := range t.Indices {
@@ -182,6 +189,7 @@ func (r *resolver) subscript(t SubscriptExpr) valueFn {
 	shape, data := tt.Shape(), tt.Data()
 	var rank error
 	if len(ix) != len(shape) {
+		r.mayFail = true
 		rank = fmt.Errorf("tensor %q has rank %d but %d subscripts", name, len(shape), len(ix))
 	}
 	return func(s []int) (float64, error) {
@@ -211,7 +219,7 @@ func (r *resolver) subscript(t SubscriptExpr) valueFn {
 func (r *resolver) sum(t SumExpr) valueFn {
 	extents, err := r.env.sumExtents(t)
 	if err != nil {
-		return fail(err)
+		return r.fail(err)
 	}
 	bounds := make([]int, len(t.Indices))
 	at := make([]int, len(t.Indices))

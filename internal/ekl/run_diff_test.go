@@ -161,8 +161,61 @@ func TestRunRejectsOutOfRangeWrites(t *testing.T) {
 	}
 }
 
+// TestLowerPaths pins which built-in kernels Lower specializes from the
+// shape pass alone and which it runs: a kernel that silently fell back to
+// Run would compile orders of magnitude slower and pass every other test.
+func TestLowerPaths(t *testing.T) {
+	proven := map[string]bool{
+		"airquality": true, "windpower": true,
+		"kmeans_assign": true, "kmeans_partial": true, "kmeans_update": true,
+		"traffic_projection": true,
+		"rrtmg":              false, // gathers: its subscripts are data
+	}
+	for _, rk := range realKernels(t) {
+		want, ok := proven[rk.name]
+		if !ok {
+			t.Errorf("%s: no expected lowering path", rk.name)
+			continue
+		}
+		delete(proven, rk.name)
+		_, got, err := ekl.InferShapes(mustParse(t, rk.src), rk.binding)
+		if err != nil {
+			t.Fatalf("%s: %v", rk.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: shape pass proved it %v, want %v", rk.name, got, want)
+		}
+	}
+	for name := range proven {
+		t.Errorf("%s: not among the built-in kernels", name)
+	}
+}
+
+// TestLowerEmptySpace: a deferred failure in an empty iteration space is
+// not proven, so Lower runs the kernel, which succeeds as Run does.
+func TestLowerEmptySpace(t *testing.T) {
+	k := mustParse(t, "kernel empty {\n  input a : [N]\n  input b : [3]\n  y = a[i] * b\n  output y\n}\n")
+	b := ekl.Binding{Tensors: map[string]*tensor.Tensor{"a": tensor.New(0), "b": tensor.New(3)}}
+	res, err := k.Run(b)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if _, proven, err := ekl.InferShapes(k, b); proven || err != nil {
+		t.Fatalf("shape pass proved %v with error %v, want a fallback", proven, err)
+	}
+	_, sh, err := ekl.Lower(k, b)
+	if err != nil {
+		t.Fatalf("Lower: %v", err)
+	}
+	if want := ekl.SpecializedShapes(res); !reflect.DeepEqual(sh, want) {
+		t.Fatalf("Lower shapes %+v, Run %+v", sh, want)
+	}
+}
+
 // FuzzRun: Run never panics, errors wherever the tree walk panicked, and
-// otherwise matches it exactly.
+// otherwise matches it exactly. Lower's shape pass agrees with Run: where it
+// errors, Run errors with the same text, and where it proves a kernel, Run
+// succeeds with the same shapes, dims and trace.
 func FuzzRun(f *testing.F) {
 	ekl.FuzzSeeds(f)
 	for _, rk := range realKernels(f) {
@@ -176,6 +229,22 @@ func FuzzRun(f *testing.F) {
 	f.Add("kernel shadow {\n  input a : [4]\n  input m : [4, 4]\n  y = a[i] * sum(i) m[i, i] + a[i] * i\n  output y\n}\n")
 	f.Add("kernel dup {\n  input m : [3, 3]\n  y = sum(i, i) m[i, i] * i\n  output y\n}\n")
 	f.Add("kernel nest {\n  input a : [5]\n  y = sum(i) a[i] * sum(i) a[i] * i + i\n  output y\n}\n")
+	// Shape pass corners: a deferred failure (the parser builds no unknown
+	// function, so a bare tensor read; TestLowerEmptySpace has it in an
+	// empty space, which no literal dimension or fuzz extent gives), a
+	// scalar parameter as a subscript, an explicit LHS and a += into an
+	// existing larger target, and a += into a pair target.
+	f.Add("kernel empty {\n  input a : [N]\n  input b : [3]\n  y = a[i] * b\n  output y\n}\n")
+	f.Add("kernel par {\n  iparam n = 1\n  input m : [4, 3]\n  y = m[i, n]\n  output y\n}\n")
+	f.Add("kernel lhs {\n  input a : [3]\n  input b : [5]\n  y = b[j]\n  y[i] = a[i]\n  output y\n}\n")
+	f.Add("kernel part {\n  input a : [3]\n  input b : [5]\n  y = b[j]\n  y += a[i]\n  output y\n}\n")
+	f.Add("kernel pairacc {\n  input a : [3]\n  y = [a[i], -a[i]]\n  y += [a[i], a[i] * 2]\n  output y\n}\n")
+	// Writes that leave the target, which the shape pass must not prove: a
+	// += one point longer than its target, a += of a higher rank, and a
+	// pair into an explicit LHS.
+	f.Add("kernel over {\n  input a : [4]\n  input b : [5]\n  y = a[i]\n  y += b[i]\n  output y\n}\n")
+	f.Add("kernel rank {\n  input a : [4]\n  input c : [4, 4]\n  y = a[i]\n  y += c[i, j]\n  output y\n}\n")
+	f.Add("kernel pairlhs {\n  input a : [4]\n  y = [a[i], a[i]]\n  y[i, j] = [a[i], a[i]]\n  output y\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := ekl.Parse(src)
 		if err != nil {
@@ -188,6 +257,7 @@ func FuzzRun(f *testing.F) {
 			}
 			want, panicked, wantErr := refRunRecover(k, b)
 			got, gotErr := runNoPanic(t, k, b)
+			checkShapePass(t, k, b, got, gotErr)
 			if panicked {
 				if gotErr == nil {
 					t.Fatalf("reference panicked but Run succeeded on\n%s", k.Source())
@@ -197,6 +267,29 @@ func FuzzRun(f *testing.F) {
 			sameRun(t, got, want, gotErr, wantErr)
 		}
 	})
+}
+
+// checkShapePass fails t unless the shape pass agrees with Run's outcome.
+func checkShapePass(t *testing.T, k *ekl.Kernel, b ekl.Binding, got *ekl.Result, gotErr error) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("shape pass panicked: %v on\n%s", p, k.Source())
+		}
+	}()
+	sh, proven, err := ekl.InferShapes(k, b)
+	switch {
+	case err != nil:
+		if gotErr == nil || gotErr.Error() != err.Error() {
+			t.Fatalf("shape pass error %v, Run error %v on\n%s", err, gotErr, k.Source())
+		}
+	case proven && gotErr != nil:
+		t.Fatalf("shape pass proved a kernel Run rejects with %v:\n%s", gotErr, k.Source())
+	case proven:
+		if want := ekl.SpecializedShapes(got); !reflect.DeepEqual(sh, want) {
+			t.Fatalf("shape pass %+v, Run %+v on\n%s", sh, want, k.Source())
+		}
+	}
 }
 
 func refRunRecover(k *ekl.Kernel, b ekl.Binding) (res *ekl.Result, panicked bool, err error) {

@@ -79,13 +79,14 @@ func FromModule(m *mlir.Module, format base2.Format) []Kernel {
 }
 
 // FromEKLKernel builds one fused HLS kernel directly from an EKL kernel and
-// its executed trace: the loop nest of the dominant (largest iteration
-// space) statement, with the op mix aggregated from the whole kernel body.
-// This matches how the SDK offloads a kernel as a single accelerator.
-func FromEKLKernel(k *ekl.Kernel, res *ekl.Result, format base2.Format) Kernel {
+// the shapes ekl.Lower specialized it to: the loop nest of the dominant
+// (largest iteration space) statement of the trace, with the op mix
+// aggregated from the whole kernel body. This matches how the SDK offloads
+// a kernel as a single accelerator.
+func FromEKLKernel(k *ekl.Kernel, sh *ekl.Shapes, format base2.Format) Kernel {
 	var nest LoopNest
 	var domTrips int64 = -1
-	for _, info := range res.Trace {
+	for _, info := range sh.Trace {
 		var counts []int
 		trips := int64(1)
 		for _, ix := range info.Free {
@@ -116,14 +117,10 @@ func FromEKLKernel(k *ekl.Kernel, res *ekl.Result, format base2.Format) Kernel {
 	var bufBytes int64
 	elemBytes := int64((format.Bits() + 7) / 8)
 	for _, in := range k.Inputs {
-		if t, ok := res.All[in.Name]; ok {
-			bufBytes += int64(t.Size()) * elemBytes
-		}
+		bufBytes += int64(sh.Size(in.Name)) * elemBytes
 	}
 	for _, out := range k.Outputs {
-		if t, ok := res.All[out.Name]; ok {
-			bufBytes += int64(t.Size()) * elemBytes
-		}
+		bufBytes += int64(sh.Size(out.Name)) * elemBytes
 	}
 
 	return Kernel{Name: k.Name, Nest: nest, Format: format, BufferBytes: bufBytes}

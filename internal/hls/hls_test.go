@@ -237,11 +237,11 @@ func TestFromEKLKernel(t *testing.T) {
 		"a": tensor.Random(rng, -1, 1, 8, 16),
 		"b": tensor.Random(rng, -1, 1, 16, 4),
 	}}
-	res, err := k.Run(bind)
+	_, shapes, err := ekl.Lower(k, bind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hk := FromEKLKernel(k, res, base2.Float32{})
+	hk := FromEKLKernel(k, shapes, base2.Float32{})
 	if got := hk.Nest.Trips(); got != 8*16*4 {
 		t.Errorf("trip count %d, want 512", got)
 	}

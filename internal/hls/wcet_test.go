@@ -232,7 +232,7 @@ func TestBestDirectivesWCETInvariant(t *testing.T) {
 }
 
 // TestWCETFromEKLKernels runs the ekl fuzz corpus' concrete-shape kernels
-// end to end — parse, execute, convert via FromEKLKernel, search directives
+// end to end — parse, lower, convert via FromEKLKernel, search directives
 // — and checks the bound invariant on every derived schedule.
 func TestWCETFromEKLKernels(t *testing.T) {
 	cases := []struct {
@@ -256,12 +256,12 @@ func TestWCETFromEKLKernels(t *testing.T) {
 		for name, shape := range c.tensors {
 			bind.Tensors[name] = tensor.Random(rng, -1, 1, shape...)
 		}
-		res, err := k.Run(bind)
+		_, shapes, err := ekl.Lower(k, bind)
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
 		for _, format := range sweepFormats(t) {
-			hk := FromEKLKernel(k, res, format)
+			hk := FromEKLKernel(k, shapes, format)
 			for _, b := range []Backend{VitisBackend{}, BambuBackend{}} {
 				if !b.SupportsFormat(format) {
 					continue

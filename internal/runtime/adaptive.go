@@ -154,8 +154,9 @@ type EnvEvent struct {
 }
 
 // checkScript refuses a scripted failure or event with a non-finite time
-// or factor (engine Start). Entries naming unknown nodes are not checked:
-// they are ignored.
+// or factor, and a scripted plug or unplug of a device the node does not
+// have (engine Start). Entries naming unknown nodes are not checked: they
+// are ignored.
 func (e *Engine) checkScript() error {
 	for _, f := range e.cfg.Failures {
 		if e.cluster.FindNode(f.Node) != nil && !finite(f.AtTime) {
@@ -163,9 +164,27 @@ func (e *Engine) checkScript() error {
 		}
 	}
 	for _, ev := range e.cfg.Events {
-		if e.cluster.FindNode(ev.Node) != nil && (!finite(ev.At) || !finite(ev.Factor)) {
+		n := e.cluster.FindNode(ev.Node)
+		if n == nil {
+			continue
+		}
+		if ev.Kind == EnvUnplug || ev.Kind == EnvPlug {
+			if err := checkDevice(n, ev.Device); err != nil {
+				return err
+			}
+		}
+		if !finite(ev.At) || !finite(ev.Factor) {
 			return fmt.Errorf("runtime: scripted event on %s at %g (factor %g)", ev.Node, ev.At, ev.Factor)
 		}
+	}
+	return nil
+}
+
+// checkDevice refuses a plug or unplug of a device index node n does not
+// have, scripted or called.
+func checkDevice(n *platform.Node, dev int) error {
+	if dev < 0 || dev >= len(n.Devices) {
+		return fmt.Errorf("runtime: node %s has no device %d", n.Name, dev)
 	}
 	return nil
 }
@@ -183,6 +202,7 @@ func (e *Engine) applyScript() {
 		if n == nil {
 			continue
 		}
+		// A plug or unplug cannot fail: checkScript checked the device index.
 		switch ev.Kind {
 		case EnvUnplug:
 			_, _ = n.SetDeviceOffline(ev.Device, true, ev.At)
@@ -233,8 +253,10 @@ func (e *Engine) control(kind ctrlKind, node string, dev int, factor, at float64
 	if n == nil {
 		return fmt.Errorf("runtime: unknown node %q", node)
 	}
-	if (kind == ctrlUnplug || kind == ctrlPlug) && (dev < 0 || dev >= len(n.Devices)) {
-		return fmt.Errorf("runtime: node %s has no device %d", node, dev)
+	if kind == ctrlUnplug || kind == ctrlPlug {
+		if err := checkDevice(n, dev); err != nil {
+			return err
+		}
 	}
 	if !finite(at) || !finite(factor) {
 		return fmt.Errorf("runtime: control call on %s at %g (factor %g)", node, at, factor)

@@ -111,6 +111,34 @@ func TestControlRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestScriptRejectsUnknownDevice: a scripted plug or unplug of a device
+// index the node does not have is refused at Start, with the control
+// call's own error, before any node is written.
+func TestScriptRejectsUnknownDevice(t *testing.T) {
+	for _, ev := range []EnvEvent{
+		{Kind: EnvUnplug, Node: nodeName(0), Device: 5, At: 1},
+		{Kind: EnvPlug, Node: nodeName(0), Device: -1, At: 1},
+	} {
+		c := testCluster(2)
+		e := NewEngine(c, platform.NewRegistry(), EngineConfig{
+			Failures: []NodeFailure{{Node: nodeName(1), AtTime: 0.5}},
+			Events:   []EnvEvent{ev},
+		})
+		want := e.UnplugDevice(nodeName(0), ev.Device, 1)
+		if want == nil {
+			t.Fatalf("control call accepted device %d", ev.Device)
+		}
+		err := e.Start()
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("event %+v: Start error %v, want %v", ev, err, want)
+		}
+		if _, failed := c.Nodes[1].FailedAt(); failed {
+			t.Errorf("event %+v: refused Start wrote the scripted failure", ev)
+		}
+		e.Shutdown()
+	}
+}
+
 func TestEventKindAndPolicyStrings(t *testing.T) {
 	kinds := []EventKind{EventSubmit, EventTaskDone, EventTransfer, EventNodeFailure,
 		EventReschedule, EventWorkflowDone, EventDeviceUnplug, EventDevicePlug,

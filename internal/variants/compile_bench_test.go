@@ -7,14 +7,17 @@ import (
 	"everest/internal/ekl"
 	"everest/internal/traffic"
 	"everest/internal/variants"
+	"everest/internal/wrf"
 )
 
 // BenchmarkCompilePipeline times CompileEKL end to end — parse and check,
-// the reference interpretation inside ekl.Lower, the MLIR passes, HLS
+// the shape specialization inside ekl.Lower, the MLIR passes, HLS
 // scheduling, system generation and the operating points — for each
 // built-in kernel at the binding it is compiled against. The k-means
 // kernels use the kmeans-data workload's shape (8 partitions of 8192
 // points, 16 dims, 8 centroids), so their sum is that workload's set-up.
+// rrtmg, at the weather app's binding (24 columns), is the one kernel
+// whose gathers Lower still runs through the reference interpreter.
 // Wall-clock only: no BENCH_*.json gates it.
 func BenchmarkCompilePipeline(b *testing.B) {
 	type kernel struct {
@@ -43,7 +46,9 @@ func BenchmarkCompilePipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ks = append(ks, kernel{"traffic_projection", traffic.ProjectionEKL(), traffic.ProjectionBinding(net, trip.Points)})
+	ks = append(ks,
+		kernel{"traffic_projection", traffic.ProjectionEKL(), traffic.ProjectionBinding(net, trip.Points)},
+		kernel{"rrtmg", wrf.EKLSource(), wrf.NewRadiation(11, 8).EKLBinding(11, 24)})
 
 	for _, k := range ks {
 		b.Run(k.name, func(b *testing.B) {

@@ -189,7 +189,7 @@ func CompileEKL(src string, binding ekl.Binding, opt Options) (*Compiled, error)
 	if err := k.Check(); err != nil {
 		return nil, err
 	}
-	module, res, err := ekl.Lower(k, binding)
+	module, shapes, err := ekl.Lower(k, binding)
 	if err != nil {
 		return nil, err
 	}
@@ -198,25 +198,21 @@ func CompileEKL(src string, binding ekl.Binding, opt Options) (*Compiled, error)
 		return nil, err
 	}
 
-	hk := hls.FromEKLKernel(k, res, format)
+	hk := hls.FromEKLKernel(k, shapes, format)
 
 	// PLM planning: inputs phase 0, outputs phase 1 (as the SDK façade does).
 	var buffers []olympus.Buffer
 	elemBytes := int64((format.Bits() + 7) / 8)
 	var inBytes, outBytes int64
 	for _, in := range k.Inputs {
-		if t, ok := res.All[in.Name]; ok {
-			n := int64(t.Size()) * elemBytes
-			inBytes += n
-			buffers = append(buffers, olympus.Buffer{Name: in.Name, Bytes: n, Phase: 0})
-		}
+		n := int64(shapes.Size(in.Name)) * elemBytes
+		inBytes += n
+		buffers = append(buffers, olympus.Buffer{Name: in.Name, Bytes: n, Phase: 0})
 	}
 	for _, out := range k.Outputs {
-		if t, ok := res.All[out.Name]; ok {
-			n := int64(t.Size()) * elemBytes
-			outBytes += n
-			buffers = append(buffers, olympus.Buffer{Name: out.Name, Bytes: n, Phase: 1})
-		}
+		n := int64(shapes.Size(out.Name)) * elemBytes
+		outBytes += n
+		buffers = append(buffers, olympus.Buffer{Name: out.Name, Bytes: n, Phase: 1})
 	}
 	design, err := olympus.Generate(hk, backend, dev, buffers, opt.Olympus)
 	if err != nil {

@@ -129,7 +129,7 @@ func BenchmarkConcurrentWorkflows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := sdk.New(sdk.DefaultCluster(8))
-		eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
+		eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
 		futs := make([]*runtime.Future, workflows)
 		for j := range futs {
 			// bench/wf<n>: the workflow name breaks ties in the engine.

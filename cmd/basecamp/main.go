@@ -291,7 +291,7 @@ func serveEngine(fs *flag.FlagSet) func() error {
 					ev.Time, ev.Kind, ev.Workflow, ev.Task, ev.Node, ev.Detail)
 			}
 		}
-		eng := runtime.NewEngine(s.Cluster, s.Registry, cfg)
+		eng := runtime.NewEngine(s.Cluster, cfg)
 		futs := make([]*runtime.Future, *workflows)
 		for i := range futs {
 			// <tenant>/wf<n>: the workflow name breaks ties in the engine.
@@ -1129,7 +1129,7 @@ func cmdDeploy(args []string) error {
 		Flops: 1e9, InputBytes: 1 << 22}); err != nil {
 		return err
 	}
-	sched, err := runtime.ServeAlone(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT}, w)
+	sched, err := runtime.ServeAlone(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT}, w)
 	if err != nil {
 		return err
 	}

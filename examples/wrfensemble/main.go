@@ -75,7 +75,7 @@ func main() {
 		}
 	}
 	w := app.Workflow(0)
-	sched, err := runtime.ServeAlone(sdkInst.Cluster, sdkInst.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT}, w)
+	sched, err := runtime.ServeAlone(sdkInst.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT}, w)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,8 +88,6 @@ var allowedLocks = map[string]string{
 	"runtime.Future.resolved": "Wait may run on another goroutine than the Submit or Start that resolved the future",
 	"fleet.Fleet.mu":          "the fleet's front lock: concurrent submitters serialize on it",
 	"region.Federation.mu":    "the region tier's front lock: concurrent submitters serialize on it",
-	"platform.Registry.mu":    "Publish and Put add bitstreams from user goroutines while engines read them",
-	"platform.Entry.mu":       "the bound memo fills from every front sharing the registry, each under its own lock",
 	"virt.Hypervisor.mu":      "the hypervisor is an external actor with concurrent pluggers",
 }
 

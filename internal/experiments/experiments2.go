@@ -26,7 +26,6 @@ func E6() (Table, error) {
 		Header: []string{"workload", "policy", "makespan s", "transfers", "imbalance"},
 	}
 	cluster := sdk.DefaultCluster(4)
-	reg := platform.NewRegistry()
 
 	build := func(kind string) (*runtime.Workflow, error) {
 		w := runtime.NewWorkflow()
@@ -86,7 +85,7 @@ func E6() (Table, error) {
 			if err != nil {
 				return t, err
 			}
-			sched, err := runtime.ServeAlone(cluster, reg, runtime.EngineConfig{Policy: pol}, w)
+			sched, err := runtime.ServeAlone(cluster, runtime.EngineConfig{Policy: pol}, w)
 			if err != nil {
 				return t, err
 			}
@@ -103,7 +102,7 @@ func E6() (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	base, err := runtime.ServeAlone(cluster, reg, heft, w)
+	base, err := runtime.ServeAlone(cluster, heft, w)
 	if err != nil {
 		return t, err
 	}
@@ -111,7 +110,7 @@ func E6() (Table, error) {
 		return t, err
 	}
 	heft.Failures = []runtime.NodeFailure{{Node: base.Assignments[3].Node, AtTime: base.Assignments[3].Start}}
-	rec, err := runtime.ServeAlone(cluster, reg, heft, w)
+	rec, err := runtime.ServeAlone(cluster, heft, w)
 	if err != nil {
 		return t, err
 	}

@@ -43,6 +43,9 @@ import (
 // bound. Callers detect it with errors.Is.
 var ErrSaturated = errors.New("fleet: all sites saturated")
 
+// errShutDown refuses a control-plane call on a fleet that was shut down.
+var errShutDown = errors.New("fleet: shut down")
+
 // EventKind classifies fleet trace events.
 type EventKind int
 
@@ -435,12 +438,12 @@ type work struct {
 // Fleet shards workflows across federated engine sites.
 type Fleet struct {
 	cfg   Config
-	reg   *platform.Registry
 	sites []*site
 
 	// mu guards everything below and all site state: Submit routes and
 	// serves under it, so submitters serialize in one total order.
 	mu        sync.Mutex
+	reg       *platform.Registry
 	started   bool
 	closed    bool
 	lastSite  map[string]int // tenant -> previous site (affinity)
@@ -456,9 +459,9 @@ type Fleet struct {
 	registryLink dataset.Link
 }
 
-// New builds a fleet over a shared bitstream registry. Each site gets its
-// own cluster from cfg.NewCluster and its own engine; the registry is the
-// federation-wide artifact store deploys transfer from.
+// New builds a fleet over a bitstream registry the caller hands over (later
+// writes go through Publish), the store deploys transfer from. Each site
+// gets its own cluster from cfg.NewCluster and its own engine.
 func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("fleet: nil registry")
@@ -515,7 +518,7 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 		s := &site{
 			name:    siteName,
 			cluster: c,
-			engine: runtime.NewEngine(c, reg, runtime.EngineConfig{
+			engine: runtime.NewEngine(c, runtime.EngineConfig{
 				Policy: cfg.Policy, Adaptive: cfg.Adaptive,
 				Events: events, Net: cfg.Net, Trace: engTrace,
 			}),
@@ -547,17 +550,28 @@ func (s *site) activeAt(at float64) bool { return s.active && s.activeFrom <= at
 // guaranteed proof bounds and serving bills.
 func (s *site) start(arrival float64) float64 { return max(arrival, s.busyUntil) }
 
+// Publish stores a bitstream in the fleet's registry under the fleet lock;
+// sites deploy it on demand.
+func (f *Fleet) Publish(bs platform.Bitstream) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.reg.Put(bs)
+}
+
 // SetSiteActive scales site i in or out at modelled time at. Activation
 // takes effect at `at` (callers model boot delay by passing a future
 // time). Submit serves before it returns, so a site never holds routed
 // work when it scales down. The site's cache survives a scale-down —
-// bitstreams are still resident if it returns.
+// bitstreams are still resident if it returns. It refuses after Shutdown.
 func (f *Fleet) SetSiteActive(i int, active bool, at float64) error {
 	if i < 0 || i >= len(f.sites) {
 		return fmt.Errorf("fleet: site %d outside [0, %d)", i, len(f.sites))
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return errShutDown
+	}
 	s := f.sites[i]
 	s.active = active
 	if active {
@@ -595,16 +609,19 @@ func (f *Fleet) QueueWait(arrival float64) (float64, bool) {
 // the deployment control plane concurrently with serving, so it steals no
 // service time from workflows — which is what makes speculative prefetch
 // pay. An already-resident bitstream is a free no-op. Returns the chosen
-// site index and the modelled staging seconds; an error means the
-// registry lacks the bitstream, no site is active, or no online device
-// fits it.
+// site index and the modelled staging seconds; an error means the fleet
+// was shut down, the registry lacks the bitstream, no site is active, or
+// no online device fits it.
 func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return -1, 0, errShutDown
+	}
 	if _, err := f.reg.Entry(id); err != nil {
 		return -1, 0, fmt.Errorf("fleet: warm: %w", err)
 	}
 	p := dataset.Intern(dataset.Ref{Name: id})
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	best, bestBusy := -1, 0.0
 	for i, s := range f.sites {
 		if !s.activeAt(at) {
@@ -632,15 +649,19 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 // site is about to serve (a scattered map-reduce workload, a federation-
 // wide rollout). Staging runs on the deployment control plane, so it
 // stalls no workflow; already-resident sites are free no-ops. Returns the
-// summed staging seconds. An error means the registry lacks the
-// bitstream; sites where no online device fits it are skipped.
+// summed staging seconds. An error means the fleet was shut down or the
+// registry lacks the bitstream; sites where no online device fits it are
+// skipped.
 func (f *Fleet) WarmAll(id string, at float64) (float64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return 0, errShutDown
+	}
 	if _, err := f.reg.Entry(id); err != nil {
 		return 0, fmt.Errorf("fleet: warm-all: %w", err)
 	}
 	p := dataset.Intern(dataset.Ref{Name: id})
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	total := 0.0
 	for _, s := range f.sites {
 		if !s.activeAt(at) || s.live(p, at) {

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"everest/internal/dataset"
 	"everest/internal/platform"
 	"everest/internal/runtime"
 )
@@ -214,5 +216,45 @@ func TestWarmAllStagesEverySite(t *testing.T) {
 	}
 	if _, err := f.WarmAll("missing", 0); err == nil {
 		t.Fatal("warm-all of an unregistered bitstream must fail")
+	}
+}
+
+// TestControlCallsRefuseAfterShutdown: once the fleet is shut down, Warm,
+// WarmAll, PlaceDataset and SetSiteActive each refuse, like the engine's
+// control calls: they program no device, publish no partition, and trace
+// nothing. (Before Start they stay legal: scenarios stage before serving.)
+func TestControlCallsRefuseAfterShutdown(t *testing.T) {
+	reg := platform.NewRegistry()
+	for _, id := range []string{"bs-a", "bs-b"} {
+		if err := reg.Put(testBitstream(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	traced := 0
+	f := newTestFleet(t, reg, Config{Sites: 2, CacheSlots: 2, Trace: func(Event) { traced++ }})
+	if _, err := f.Submit(Request{Workflow: fpgaWorkflow("bs-a")}); err != nil {
+		t.Fatal(err)
+	}
+	before, events := f.Shutdown(), traced
+
+	// bs-b is resident nowhere, so a warm that went through would deploy.
+	for name, call := range map[string]func() error{
+		"Warm":          func() error { _, _, err := f.Warm("bs-b", 1); return err },
+		"WarmAll":       func() error { _, err := f.WarmAll("bs-b", 1); return err },
+		"PlaceDataset":  func() error { return f.PlaceDataset(1, 1, dataset.Ref{Name: "late", Bytes: 1 << 20}) },
+		"SetSiteActive": func() error { return f.SetSiteActive(1, false, 1) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s after Shutdown succeeded, want a refusal", name)
+		}
+	}
+	if after := f.Stats(); !reflect.DeepEqual(after, before) {
+		t.Errorf("control calls after Shutdown moved the stats:\n before %+v\n after  %+v", before, after)
+	}
+	if traced != events {
+		t.Errorf("control calls after Shutdown traced %d events, want 0", traced-events)
+	}
+	if f.DatasetResident(1, dataset.Ref{Name: "late", Bytes: 1 << 20}) {
+		t.Error("PlaceDataset after Shutdown published the partition")
 	}
 }

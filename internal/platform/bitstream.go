@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"everest/internal/hls"
 )
@@ -65,10 +64,12 @@ func (b Bitstream) TotalResources() hls.Resources {
 }
 
 // Registry stores bitstreams by ID, mimicking the deployment store the
-// LEXIS-based flow pushes artifacts into (paper §IV).
+// LEXIS-based flow pushes artifacts into (paper §IV). It takes no lock: it
+// belongs to the front that serves from it. Setup code writes it before
+// that front starts, then only the front touches it, under its lock.
+// Entries shared through PutEntry stay inside one federation.
 type Registry struct {
-	mu sync.RWMutex
-	m  map[string]*Entry
+	m map[string]*Entry
 }
 
 // Entry is one stored bitstream with the quantities derived from it: its
@@ -78,9 +79,7 @@ type Registry struct {
 type Entry struct {
 	bs        Bitstream
 	resources hls.Resources
-
-	mu     sync.Mutex
-	bounds map[boundKey]boundMemo
+	bounds    map[boundKey]boundMemo
 }
 
 // boundKey names one worst-case pricing of an entry.
@@ -110,8 +109,6 @@ func (e *Entry) Resources() hls.Resources { return e.resources }
 // when it does not run there (it does not fit).
 func (e *Entry) BoundOn(dev *Device, wl Workload) (Timeline, bool) {
 	k := boundKey{dev: dev, wl: wl}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if m, hit := e.bounds[k]; hit {
 		return m.tl, m.ok
 	}
@@ -134,10 +131,7 @@ func (r *Registry) Put(b Bitstream) error {
 	if err := b.Config.Validate(); err != nil {
 		return err
 	}
-	e := &Entry{bs: b, resources: b.TotalResources()}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.m[b.ID] = e
+	r.m[b.ID] = &Entry{bs: b, resources: b.TotalResources()}
 	return nil
 }
 
@@ -146,8 +140,6 @@ func (r *Registry) Put(b Bitstream) error {
 // derived from the bitstream: a store that caches artifacts from a catalog
 // keeps their derived quantities across evictions and refetches.
 func (r *Registry) PutEntry(e *Entry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.m[e.bs.ID] = e
 }
 
@@ -162,9 +154,7 @@ func (r *Registry) Get(id string) (Bitstream, error) {
 
 // Entry fetches the stored entry for id without copying the bitstream.
 func (r *Registry) Entry(id string) (*Entry, error) {
-	r.mu.RLock()
 	e, ok := r.m[id]
-	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("platform: no bitstream %q", id)
 	}
@@ -175,15 +165,11 @@ func (r *Registry) Entry(id string) (*Entry, error) {
 // region stores evict idle artifacts through this; the federation-wide
 // catalog retains the authoritative copy.
 func (r *Registry) Delete(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	delete(r.m, id)
 }
 
 // IDs returns all stored bitstream IDs, sorted.
 func (r *Registry) IDs() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	ids := make([]string, 0, len(r.m))
 	for id := range r.m {
 		ids = append(ids, id)

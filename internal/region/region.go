@@ -417,11 +417,13 @@ type region struct {
 // Federation is the top-level router over regional fleets.
 type Federation struct {
 	cfg     Config
-	catalog *platform.Registry
 	wan     netsim.Stack
 	regions []*region
 
+	// mu guards everything below, all region state, and every registry
+	// the federation serves from: the catalog and the region stores.
 	mu        sync.Mutex
+	catalog   *platform.Registry
 	started   bool
 	closed    bool
 	frontier  float64 // latest processed modelled time
@@ -441,10 +443,10 @@ type Federation struct {
 	appReads map[string][]dataset.Part
 }
 
-// New builds a federation over a shared artifact catalog. Each region
-// gets its own fleet on its own (initially empty) registry; artifacts
-// reach a region by WAN fetch from the catalog — on demand, or ahead of
-// demand when prefetch is on.
+// New builds a federation over an artifact catalog the caller hands over
+// (later writes go through Publish). Each region gets its own fleet on its
+// own (initially empty) registry; artifacts reach a region by WAN fetch
+// from the catalog — on demand, or ahead of demand when prefetch is on.
 func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 	if catalog == nil {
 		return nil, fmt.Errorf("region: nil catalog")
@@ -540,11 +542,13 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 // Regions returns the number of federated regions.
 func (f *Federation) Regions() int { return len(f.regions) }
 
-// Fleet exposes region r's fleet (tests and CLIs inspect it).
-func (f *Federation) Fleet(r int) *fleet.Fleet { return f.regions[r].fl }
-
-// Store exposes region r's artifact registry.
-func (f *Federation) Store(r int) *platform.Registry { return f.regions[r].reg }
+// Publish stores a bitstream in the federation-wide catalog under the
+// federation lock; regions WAN-fetch it on demand or ahead of demand.
+func (f *Federation) Publish(bs platform.Bitstream) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.catalog.Put(bs)
+}
 
 // Start brings every regional fleet up.
 func (f *Federation) Start() error {
@@ -1101,10 +1105,18 @@ func (f *Federation) autoscale(r *region, at float64) {
 
 // Drain advances modelled time to at and serves every held batch
 // workflow (in release order), whatever its release time. Call it after
-// the last arrival and before waiting on batch handles.
+// the last arrival and before waiting on batch handles. On a federation
+// that was shut down it does nothing: Shutdown already drained it.
 func (f *Federation) Drain(at float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.closed {
+		f.drain(at)
+	}
+}
+
+// drain is Drain under f.mu.
+func (f *Federation) drain(at float64) {
 	if at > f.frontier {
 		f.frontier = at
 	}
@@ -1119,24 +1131,20 @@ func (f *Federation) Drain(at float64) {
 }
 
 // Shutdown drains held work, stops every regional fleet, and returns the
-// final stats.
+// final stats. Draining and closing share one lock section, so no
+// submission lands between them to be held and never served.
 func (f *Federation) Shutdown() Stats {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return f.Stats()
-	}
-	f.mu.Unlock()
-	f.Drain(0)
-	f.mu.Lock()
-	f.closed = true
-	started := f.started
-	f.mu.Unlock()
-	if started {
-		for _, r := range f.regions {
-			r.fl.Shutdown()
+	if !f.closed {
+		f.drain(0)
+		f.closed = true
+		if f.started {
+			for _, r := range f.regions {
+				r.fl.Shutdown()
+			}
 		}
 	}
+	f.mu.Unlock()
 	return f.Stats()
 }
 

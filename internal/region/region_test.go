@@ -165,7 +165,7 @@ func TestInteractiveServedAtHomePaysWANOnce(t *testing.T) {
 	if res.Fetch <= 0 || res.Deploy <= 0 || !res.Cold {
 		t.Fatalf("first serve fetch=%g deploy=%g cold=%v, want a fully cold serve", res.Fetch, res.Deploy, res.Cold)
 	}
-	if ids := f.Store(0).IDs(); len(ids) != 1 || ids[0] != "bs-a" {
+	if ids := f.regions[0].reg.IDs(); len(ids) != 1 || ids[0] != "bs-a" {
 		t.Fatalf("region store = %v, want [bs-a]", ids)
 	}
 
@@ -257,7 +257,7 @@ func TestPartitionForcesLocalServing(t *testing.T) {
 	if res.Fetch != 0 {
 		t.Fatalf("fetch stall %g through a partition, want 0", res.Fetch)
 	}
-	if ids := f.Store(0).IDs(); len(ids) != 0 {
+	if ids := f.regions[0].reg.IDs(); len(ids) != 0 {
 		t.Fatalf("partitioned store = %v, want empty", ids)
 	}
 	st := f.Shutdown()
@@ -316,7 +316,7 @@ func TestNoActiveRegionRejects(t *testing.T) {
 	cat := platform.NewRegistry()
 	f := newTestFed(t, cat, Config{Regions: 1})
 	defer f.Shutdown()
-	if err := f.Fleet(0).SetSiteActive(0, false, 0); err != nil {
+	if err := f.regions[0].fl.SetSiteActive(0, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	_, err := f.SubmitAt(Request{Workflow: cpuWorkflow(), Class: Interactive, Arrival: 0})
@@ -548,7 +548,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 	submit("bs-a", 0)
 	submit("bs-b", 1)
-	if ids := f.Store(0).IDs(); len(ids) != 1 || ids[0] != "bs-b" {
+	if ids := f.regions[0].reg.IDs(); len(ids) != 1 || ids[0] != "bs-b" {
 		t.Fatalf("store after churn = %v, want the LRU bs-a evicted", ids)
 	}
 	st := f.Shutdown()
@@ -564,7 +564,7 @@ func TestStoreLRUEviction(t *testing.T) {
 	for i, bs := range []string{"bs-a", "bs-b", "bs-a", "bs-c"} {
 		submit(bs, float64(i))
 	}
-	if ids := f.Store(0).IDs(); !reflect.DeepEqual(ids, []string{"bs-a", "bs-c"}) {
+	if ids := f.regions[0].reg.IDs(); !reflect.DeepEqual(ids, []string{"bs-a", "bs-c"}) {
 		t.Fatalf("store after a, b, a, c = %v, want [bs-a bs-c] (the hit on a refreshed it)", ids)
 	}
 	if st := f.Shutdown(); st.Regions[0].StoreEvictions != 1 || st.WANFetches != 3 {
@@ -692,11 +692,6 @@ func TestAccessorsAndDoubleStart(t *testing.T) {
 	defer f.Shutdown()
 	if got := f.Regions(); got != 2 {
 		t.Fatalf("Regions() = %d, want 2", got)
-	}
-	for r := 0; r < f.Regions(); r++ {
-		if f.Fleet(r) == nil || f.Store(r) == nil {
-			t.Fatalf("region %d: nil Fleet or Store accessor", r)
-		}
 	}
 	if err := f.Start(); err == nil || !strings.Contains(err.Error(), "already started") {
 		t.Fatalf("second Start = %v, want already-started error", err)

@@ -74,7 +74,7 @@ func TestAdaptiveSelectsFPGAVariant(t *testing.T) {
 // the chain to software, never paying the single-core fallback.
 func TestAdaptiveReactsToUnplug(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Policy: PolicyHEFT, Adaptive: true})
+	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
 	done := 0
 	e.cfg.Trace = func(ev Event) {
 		if ev.Kind == EventTaskDone {
@@ -122,7 +122,7 @@ func TestAdaptiveReactsToUnplug(t *testing.T) {
 // stays on the real accelerator.
 func TestUnplugOfUnprogrammedDeviceIsCapacityNeutral(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Policy: PolicyHEFT, Adaptive: true})
+	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
 	done := 0
 	e.cfg.Trace = func(ev Event) {
 		if ev.Kind == EventTaskDone {
@@ -159,7 +159,7 @@ func TestUnplugOfUnprogrammedDeviceIsCapacityNeutral(t *testing.T) {
 // work into the single-core fallback.
 func TestStaticPaysUnplugFallback(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Policy: PolicyHEFT})
+	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT})
 	done := 0
 	e.cfg.Trace = func(ev Event) {
 		if ev.Kind == EventTaskDone {
@@ -195,7 +195,7 @@ func TestStaticPaysUnplugFallback(t *testing.T) {
 // variant must come back.
 func TestAdaptivePlugRestoresFPGA(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Policy: PolicyHEFT, Adaptive: true})
+	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
 	done := 0
 	e.cfg.Trace = func(ev Event) {
 		if ev.Kind != EventTaskDone {
@@ -326,7 +326,7 @@ func TestRedundantPlugUnplugAreNoOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	n0, n1 := cluster.Nodes[0].Name, cluster.Nodes[1].Name
-	e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Policy: PolicyHEFT, Adaptive: true})
+	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
 	// The chain is the one active workflow; its tuner is the one to watch.
 	tuner := func() *autotuner.Tuner {
 		for st := range e.ds.active {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"everest/internal/netsim"
-	"everest/internal/platform"
 )
 
 // The PR-6 event core promises an allocation-free steady state: once an
@@ -167,7 +166,7 @@ func BenchmarkEngineSubmit(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Adaptive: mode.adaptive})
+			e := NewEngine(cluster, EngineConfig{Adaptive: mode.adaptive})
 			if err := e.Start(); err != nil {
 				b.Fatal(err)
 			}

@@ -170,7 +170,7 @@ func TestServiceBoundDominatesServeAlone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := NewEngine(c, reg, EngineConfig{})
+			e := NewEngine(c, EngineConfig{})
 			if err := e.Start(); err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,7 @@ func TestScriptedEnvEventsApplyAtStart(t *testing.T) {
 	n0 := platform.NewNode("n0", platform.XeonModel(), platform.AlveoU55C())
 	n1 := platform.NewNode("n1", platform.XeonModel(), platform.AlveoU55C())
 	c := platform.NewCluster(n0, n1)
-	e := NewEngine(c, platform.NewRegistry(), EngineConfig{
+	e := NewEngine(c, EngineConfig{
 		Events: []EnvEvent{
 			{Kind: EnvUnplug, Node: "n0", Device: 0, At: 0.5},
 			{Kind: EnvSlowdown, Node: "n1", Factor: 3, At: 0.25},
@@ -103,7 +103,7 @@ func TestControlRejectsNonFinite(t *testing.T) {
 		}, false},
 	}
 	for _, tc := range scripts {
-		e := NewEngine(testCluster(2), platform.NewRegistry(), tc.cfg)
+		e := NewEngine(testCluster(2), tc.cfg)
 		if err := e.Start(); (err != nil) != tc.refuse {
 			t.Errorf("script %s: Start error %v, want refused=%v", tc.name, err, tc.refuse)
 		}
@@ -120,7 +120,7 @@ func TestScriptRejectsUnknownDevice(t *testing.T) {
 		{Kind: EnvPlug, Node: nodeName(0), Device: -1, At: 1},
 	} {
 		c := testCluster(2)
-		e := NewEngine(c, platform.NewRegistry(), EngineConfig{
+		e := NewEngine(c, EngineConfig{
 			Failures: []NodeFailure{{Node: nodeName(1), AtTime: 0.5}},
 			Events:   []EnvEvent{ev},
 		})
@@ -160,7 +160,7 @@ func TestFutureDoneAndFailNode(t *testing.T) {
 		platform.NewNode("n0", platform.XeonModel()),
 		platform.NewNode("n1", platform.XeonModel()),
 	)
-	e := NewEngine(c, platform.NewRegistry(), EngineConfig{})
+	e := NewEngine(c, EngineConfig{})
 	w := NewWorkflow()
 	if err := w.Submit(TaskSpec{Name: "a", Flops: 1e9}); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,6 @@ func TestAdaptiveUnplugThenPlugMidRun(t *testing.T) {
 	n0 := platform.NewNode("n0", platform.XeonModel(), platform.AlveoU55C())
 	n1 := platform.NewNode("n1", platform.XeonModel())
 	c := platform.NewCluster(n0, n1)
-	reg := platform.NewRegistry()
 	bs := platform.Bitstream{
 		ID: "bs-ctrl", Kernel: "k", Target: "alveo-u55c",
 		Report: hls.Report{LatencyCycle: 1 << 18, II: 1, IterLatency: 8,
@@ -217,14 +216,11 @@ func TestAdaptiveUnplugThenPlugMidRun(t *testing.T) {
 			PackedElements: 4, DoubleBuffered: true, PLMBytes: 1 << 16},
 		ElemBits: 32,
 	}
-	if err := reg.Put(bs); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := n0.Program(0, bs); err != nil {
 		t.Fatal(err)
 	}
 	var events []Event
-	e := NewEngine(c, reg, EngineConfig{
+	e := NewEngine(c, EngineConfig{
 		Adaptive: true,
 		Trace:    func(ev Event) { events = append(events, ev) },
 	})

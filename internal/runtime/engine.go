@@ -201,7 +201,6 @@ type EngineStats struct {
 // goroutine, and the engine starts none of its own.
 type Engine struct {
 	cluster *platform.Cluster
-	reg     *platform.Registry
 	cfg     EngineConfig
 
 	// Node index tables, built at Start: the event loop addresses nodes by
@@ -232,17 +231,16 @@ type Engine struct {
 	monitor *platform.Monitor
 }
 
-// NewEngine builds an engine over a cluster and bitstream registry and
-// takes ownership of the cluster: stale failure state, device claims,
+// NewEngine builds an engine over a cluster and takes ownership of the cluster: stale failure state, device claims,
 // attachment and load faults left by a previous engine run are cleared
 // (platform.Node.Reset), and the engine's own monitor starts with no load
 // evidence. Control calls made before Start queue up and apply at Start,
 // so they describe this engine's world.
-func NewEngine(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig) *Engine {
+func NewEngine(c *platform.Cluster, cfg EngineConfig) *Engine {
 	for _, n := range c.Nodes {
 		n.Reset()
 	}
-	return &Engine{cluster: c, reg: reg, cfg: cfg, monitor: platform.NewMonitor(c)}
+	return &Engine{cluster: c, cfg: cfg, monitor: platform.NewMonitor(c)}
 }
 
 // Health returns the per-node health the engine's monitor has learned
@@ -423,8 +421,8 @@ func (e *Engine) Shutdown() {
 // ServeAlone serves w alone on a fresh engine over c — NewEngine, Start,
 // Submit, Shutdown — and returns its schedule. Like NewEngine it takes
 // ownership of the cluster, and it leaves cfg.Failures applied to it.
-func ServeAlone(c *platform.Cluster, reg *platform.Registry, cfg EngineConfig, w *Workflow) (*Schedule, error) {
-	e := NewEngine(c, reg, cfg)
+func ServeAlone(c *platform.Cluster, cfg EngineConfig, w *Workflow) (*Schedule, error) {
+	e := NewEngine(c, cfg)
 	if err := e.Start(); err != nil {
 		return nil, err
 	}

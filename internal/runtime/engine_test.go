@@ -10,7 +10,7 @@ import (
 
 func startEngine(t *testing.T, cluster *platform.Cluster, cfg EngineConfig) *Engine {
 	t.Helper()
-	e := NewEngine(cluster, platform.NewRegistry(), cfg)
+	e := NewEngine(cluster, cfg)
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestEngineEmptyWorkflow(t *testing.T) {
 }
 
 func TestEngineLifecycleErrors(t *testing.T) {
-	e := NewEngine(testCluster(1), platform.NewRegistry(), EngineConfig{})
+	e := NewEngine(testCluster(1), EngineConfig{})
 	if _, err := e.Submit(nil, SubmitOptions{}); err == nil {
 		t.Error("nil workflow must fail")
 	}
@@ -81,7 +81,7 @@ func TestEngineLifecycleErrors(t *testing.T) {
 	if _, err := e.Submit(NewWorkflow(), SubmitOptions{}); err == nil {
 		t.Error("submit after shutdown must fail")
 	}
-	empty := NewEngine(platform.NewCluster(), platform.NewRegistry(), EngineConfig{})
+	empty := NewEngine(platform.NewCluster(), EngineConfig{})
 	if err := empty.Start(); err == nil {
 		t.Error("engine over an empty cluster must refuse to start")
 	}
@@ -373,15 +373,11 @@ func TestEngineAllNodesDeadFailsWorkflow(t *testing.T) {
 
 func TestEngineFPGAOffload(t *testing.T) {
 	cluster := testCluster(2)
-	reg := platform.NewRegistry()
 	bs := fpgaBitstream()
-	if err := reg.Put(bs); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := cluster.Nodes[0].Program(0, bs); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(cluster, reg, EngineConfig{Policy: PolicyHEFT})
+	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +408,7 @@ func TestEngineTenantFairness(t *testing.T) {
 	// robin draining must not let either tenant finish its whole burst before
 	// the other gets started, so their completion times stay comparable.
 	const perTenant = 6
-	e := NewEngine(testCluster(2), platform.NewRegistry(), EngineConfig{Policy: PolicyHEFT})
+	e := NewEngine(testCluster(2), EngineConfig{Policy: PolicyHEFT})
 	submit := func(tenant string) []*Future {
 		var futs []*Future
 		for i := 0; i < perTenant; i++ {

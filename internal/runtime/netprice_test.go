@@ -5,7 +5,6 @@ import (
 
 	"everest/internal/autotuner"
 	"everest/internal/netsim"
-	"everest/internal/platform"
 )
 
 // Packetization-aware transfer pricing (EngineConfig.Net): the engine
@@ -15,8 +14,8 @@ import (
 func TestTransferSecondsStackVsFlat(t *testing.T) {
 	cluster := testCluster(2)
 	stack := netsim.TCP10G()
-	withNet := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Net: &stack})
-	flat := NewEngine(cluster, platform.NewRegistry(), EngineConfig{})
+	withNet := NewEngine(cluster, EngineConfig{Net: &stack})
+	flat := NewEngine(cluster, EngineConfig{})
 
 	const bytes = int64(1 << 20)
 	got := withNet.transferSeconds("a", "b", bytes, 3)

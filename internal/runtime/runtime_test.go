@@ -76,7 +76,7 @@ func TestWorkflowValidation(t *testing.T) {
 // serveAlone serves w alone on a fresh engine and fails the test on error.
 func serveAlone(t *testing.T, c *platform.Cluster, cfg EngineConfig, w *Workflow) *Schedule {
 	t.Helper()
-	sched, err := ServeAlone(c, platform.NewRegistry(), cfg, w)
+	sched, err := ServeAlone(c, cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestStageAndGetDoNotAliasServedSpecs(t *testing.T) {
 	if err := w.Submit(TaskSpec{Name: "mc", Flops: 1e11, InputBytes: 1 << 22, OutputBytes: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(cluster, reg, EngineConfig{})
+	e := NewEngine(cluster, EngineConfig{})
 	defer e.Shutdown()
 	before, err := e.Submit(w, SubmitOptions{Name: "before"}) // queued until Start
 	if err != nil {
@@ -314,7 +314,7 @@ func TestDeploymentErrors(t *testing.T) {
 }
 
 func TestEmptyWorkflowPlan(t *testing.T) {
-	sched, err := ServeAlone(testCluster(1), platform.NewRegistry(), EngineConfig{}, NewWorkflow())
+	sched, err := ServeAlone(testCluster(1), EngineConfig{}, NewWorkflow())
 	if err != nil || sched.Makespan != 0 {
 		t.Errorf("empty workflow served alone: %v %v", sched, err)
 	}

@@ -5,8 +5,6 @@ import (
 	goruntime "runtime"
 	"testing"
 	"time"
-
-	"everest/internal/platform"
 )
 
 // The engine runs on its callers' goroutines: Start, Submit and Shutdown
@@ -21,7 +19,7 @@ func TestEngineStartsNoGoroutine(t *testing.T) {
 			t.Fatalf("%s: %d goroutines, %d before NewEngine", when, n, before)
 		}
 	}
-	e := NewEngine(testCluster(3), platform.NewRegistry(), EngineConfig{})
+	e := NewEngine(testCluster(3), EngineConfig{})
 	check("NewEngine")
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
@@ -59,7 +57,7 @@ func waitOrFail(t *testing.T, what string, fn func()) {
 
 func TestEngineEarlySubmissionsNeverBlock(t *testing.T) {
 	const n = 100
-	e := NewEngine(testCluster(2), platform.NewRegistry(), EngineConfig{})
+	e := NewEngine(testCluster(2), EngineConfig{})
 	futs := make([]*Future, n)
 	w := chainWorkflow(t, 2)
 	waitOrFail(t, "pre-Start submissions", func() {
@@ -88,7 +86,7 @@ func TestEngineEarlySubmissionsNeverBlock(t *testing.T) {
 }
 
 func TestEngineShutdownUnstartedFailsQueued(t *testing.T) {
-	e := NewEngine(testCluster(1), platform.NewRegistry(), EngineConfig{})
+	e := NewEngine(testCluster(1), EngineConfig{})
 	fut, err := e.Submit(chainWorkflow(t, 1), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +113,7 @@ func TestIdleUnplugAppliesBeforeNextSubmit(t *testing.T) {
 	}
 	var kinds []EventKind
 	var drift []float64 // fpga drift of "second" at each of its placements
-	e := NewEngine(cluster, platform.NewRegistry(), EngineConfig{Adaptive: true})
+	e := NewEngine(cluster, EngineConfig{Adaptive: true})
 	e.cfg.Trace = func(ev Event) {
 		if ev.Workflow == "second" || ev.Workflow == "" {
 			kinds = append(kinds, ev.Kind)

@@ -11,7 +11,7 @@ func TestEngineStatsLifecycle(t *testing.T) {
 		platform.NewNode("n0", platform.XeonModel(), platform.AlveoU55C()),
 		platform.NewNode("n1", platform.XeonModel()),
 	)
-	e := NewEngine(c, platform.NewRegistry(), EngineConfig{})
+	e := NewEngine(c, EngineConfig{})
 
 	st := e.Stats()
 	if st.Submitted != 0 || st.Active != 0 {
@@ -58,7 +58,7 @@ func TestEngineStatsLifecycle(t *testing.T) {
 
 func TestEngineStatsCountsFailures(t *testing.T) {
 	c := platform.NewCluster(platform.NewNode("n0", platform.XeonModel()))
-	e := NewEngine(c, platform.NewRegistry(), EngineConfig{
+	e := NewEngine(c, EngineConfig{
 		Failures: []NodeFailure{{Node: "n0", AtTime: 0}},
 	})
 	if err := e.Start(); err != nil {
@@ -92,7 +92,7 @@ func TestEngineStatsCountsFailures(t *testing.T) {
 // would understate the bound it proves.
 func TestEngineStatsPublishedBeforeWait(t *testing.T) {
 	c := platform.NewCluster(platform.NewNode("n0", platform.XeonModel()))
-	e := NewEngine(c, platform.NewRegistry(), EngineConfig{})
+	e := NewEngine(c, EngineConfig{})
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}

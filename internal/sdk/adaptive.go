@@ -211,7 +211,7 @@ func (sc AdaptiveScenario) serve(c *variants.Compiled, adaptive bool) (ScenarioR
 		{Kind: runtime.EnvUnplug, Node: s.Cluster.Nodes[0].Name, Device: 0, At: sc.FaultAt},
 		{Kind: runtime.EnvSlowdown, Node: s.Cluster.Nodes[sc.Nodes-1].Name, Factor: sc.Slowdown, At: sc.FaultAt},
 	}
-	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{
+	eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{
 		Policy: runtime.PolicyHEFT, Adaptive: adaptive, Events: events, Net: net,
 	})
 	tenants := max(sc.Tenants, 1)

@@ -97,7 +97,7 @@ func TestAttachHypervisor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
 	AttachHypervisor(eng, hyp, nil)
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestAttachHypervisor(t *testing.T) {
 	if _, err := hyp.UnplugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	eng = runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	eng = runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
 	AttachHypervisor(eng, hyp, nil)
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestShutDownEngineLeavesHotplugToLiveEngine(t *testing.T) {
 	if _, err := hyp.PlugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	old := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
+	old := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
 	AttachHypervisor(old, hyp, nil)
 	if err := old.Start(); err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestShutDownEngineLeavesHotplugToLiveEngine(t *testing.T) {
 	old.Shutdown()
 
 	unplugs := 0
-	live := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{
+	live := runtime.NewEngine(s.Cluster, runtime.EngineConfig{
 		Policy: runtime.PolicyHEFT, Adaptive: true,
 		Trace: func(ev runtime.Event) {
 			if ev.Kind == runtime.EventDeviceUnplug {
@@ -246,7 +246,7 @@ func detachedHypervisor(t *testing.T, s *SDK) (*virt.Hypervisor, *platform.Node,
 func TestAttachHypervisorAfterStart(t *testing.T) {
 	s := New(DefaultCluster(2))
 	hyp, _, _ := detachedHypervisor(t, s)
-	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestPreStartBatchHonoursAttachedHypervisor(t *testing.T) {
 		goruntime.GOMAXPROCS(procs)
 		s := New(DefaultCluster(3))
 		hyp, node, bsID := detachedHypervisor(t, s)
-		eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+		eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
 		AttachHypervisor(eng, hyp, nil)
 		futs := make([]*runtime.Future, 8)
 		for i := range futs {

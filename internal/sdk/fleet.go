@@ -56,11 +56,10 @@ type FleetConfig struct {
 	EngineTrace func(site string, ev runtime.Event)
 }
 
-// FleetServer is the multi-site submission front: one Registry shared by
+// FleetServer is the multi-site submission front: one registry shared by
 // all sites, a router placing each workflow, and per-site serial serving.
+// The fleet owns the registry; Publish writes it under the fleet lock.
 type FleetServer struct {
-	Registry *platform.Registry
-
 	fl *fleet.Fleet
 }
 
@@ -81,8 +80,7 @@ func NewFleetServer(cfg FleetConfig) (*FleetServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := platform.NewRegistry()
-	fl, err := fleet.New(reg, fleet.Config{
+	fl, err := fleet.New(platform.NewRegistry(), fleet.Config{
 		Sites:             cfg.Sites,
 		NewCluster:        func(int) *platform.Cluster { return DefaultCluster(cfg.NodesPerSite) },
 		CacheSlots:        cfg.CacheSlots,
@@ -100,7 +98,7 @@ func NewFleetServer(cfg FleetConfig) (*FleetServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FleetServer{Registry: reg, fl: fl}, nil
+	return &FleetServer{fl: fl}, nil
 }
 
 // Fleet exposes the underlying federation tier.
@@ -108,7 +106,7 @@ func (fs *FleetServer) Fleet() *fleet.Fleet { return fs.fl }
 
 // Publish stores a bitstream in the federation registry; sites deploy
 // from it on demand (cache misses pay the transfer + reconfiguration).
-func (fs *FleetServer) Publish(bs platform.Bitstream) error { return fs.Registry.Put(bs) }
+func (fs *FleetServer) Publish(bs platform.Bitstream) error { return fs.fl.Publish(bs) }
 
 // Start brings every site engine up.
 func (fs *FleetServer) Start() error { return fs.fl.Start() }

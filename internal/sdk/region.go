@@ -66,10 +66,9 @@ type RegionConfig struct {
 
 // RegionServer is the hierarchical submission front: a federation-wide
 // artifact catalog, regional fleets behind a WAN-aware router, and SLO
-// classes on every submission.
+// classes on every submission. The federation owns the catalog; Publish
+// writes it under the federation lock.
 type RegionServer struct {
-	Catalog *platform.Registry
-
 	fed *region.Federation
 }
 
@@ -94,8 +93,7 @@ func NewRegionServer(cfg RegionConfig) (*RegionServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	catalog := platform.NewRegistry()
-	fed, err := region.New(catalog, region.Config{
+	fed, err := region.New(platform.NewRegistry(), region.Config{
 		Regions:         cfg.Regions,
 		SitesPerRegion:  cfg.SitesPerRegion,
 		NewCluster:      func(_, _ int) *platform.Cluster { return DefaultCluster(cfg.NodesPerSite) },
@@ -118,7 +116,7 @@ func NewRegionServer(cfg RegionConfig) (*RegionServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RegionServer{Catalog: catalog, fed: fed}, nil
+	return &RegionServer{fed: fed}, nil
 }
 
 // Federation exposes the underlying region tier.
@@ -126,7 +124,7 @@ func (rs *RegionServer) Federation() *region.Federation { return rs.fed }
 
 // Publish stores a bitstream in the federation-wide catalog; regions
 // WAN-fetch it into their bounded stores on demand or ahead of demand.
-func (rs *RegionServer) Publish(bs platform.Bitstream) error { return rs.Catalog.Put(bs) }
+func (rs *RegionServer) Publish(bs platform.Bitstream) error { return rs.fed.Publish(bs) }
 
 // Start brings every regional fleet up.
 func (rs *RegionServer) Start() error { return rs.fed.Start() }

@@ -118,6 +118,8 @@ func GenericBinding(k *ekl.Kernel, symDefault int) ekl.Binding {
 }
 
 // SDK bundles the runtime-side state: the bitstream registry and cluster.
+// The SDK owns its registry, which takes no lock: writes go through
+// Publish, one call at a time, and no engine reads it.
 type SDK struct {
 	Registry *platform.Registry
 	Cluster  *platform.Cluster

@@ -103,7 +103,7 @@ func TestPublishDeployRun(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sched, err := runtime.ServeAlone(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT}, w)
+	sched, err := runtime.ServeAlone(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT}, w)
 	if err != nil {
 		t.Fatal(err)
 	}

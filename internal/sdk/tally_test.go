@@ -13,7 +13,7 @@ import (
 func TestTallyOf(t *testing.T) {
 	const workflows = 12
 	s := New(DefaultCluster(4))
-	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
+	eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTallyOf(t *testing.T) {
 	}
 
 	// An engine shut down before Start fails its queued futures.
-	idle := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{})
+	idle := runtime.NewEngine(s.Cluster, runtime.EngineConfig{})
 	fut, err := idle.Submit(SyntheticWorkflow(0), runtime.SubmitOptions{Tenant: "wrf"})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestSerialMakespanPinned(t *testing.T) {
 func batchMakespan(t *testing.T, workflows int) float64 {
 	t.Helper()
 	s := New(DefaultCluster(8))
-	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
+	eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
 	futs := make([]*runtime.Future, workflows)
 	for i := range futs {
 		// Fresh workflows: the engine forbids reuse after submission by

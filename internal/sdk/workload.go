@@ -56,7 +56,7 @@ func SyntheticWorkflow(i int) *runtime.Workflow {
 func (s *SDK) SerialMakespan(policy runtime.Policy, ws ...*runtime.Workflow) (float64, error) {
 	total := 0.0
 	for i, w := range ws {
-		sched, err := runtime.ServeAlone(s.Cluster, s.Registry, runtime.EngineConfig{Policy: policy}, w)
+		sched, err := runtime.ServeAlone(s.Cluster, runtime.EngineConfig{Policy: policy}, w)
 		if err != nil {
 			return 0, fmt.Errorf("sdk: serving workflow %d alone: %w", i, err)
 		}

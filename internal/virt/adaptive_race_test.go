@@ -43,7 +43,7 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 		hyps[i] = h
 	}
 
-	eng := runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
 	for _, h := range hyps {
 		sdk.AttachHypervisor(eng, h, nil)
 	}
@@ -163,7 +163,7 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 	// runs inside the serve, so the unplug lands mid-workflow.
 	var eng *runtime.Engine
 	unplugged := false
-	eng = runtime.NewEngine(s.Cluster, s.Registry, runtime.EngineConfig{
+	eng = runtime.NewEngine(s.Cluster, runtime.EngineConfig{
 		Policy: runtime.PolicyHEFT, Adaptive: true,
 		Trace: func(ev runtime.Event) {
 			if ev.Kind == runtime.EventTaskDone && !unplugged {

@@ -133,34 +133,40 @@ func Features(farm *Farm, s Sample) []float64 {
 
 // KRR is Kernel Ridge Regression with an RBF kernel. The regressor owns
 // its training state in flat buffers it reuses from fit to fit: the raw
-// and the max-abs-scaled training rows (row-major), the Gram matrix K+λI
-// and its Cholesky factor (both packed lower-triangular, entry (i, j),
-// j <= i, at i(i+1)/2+j), and the dual coefficients. Refits therefore
-// allocate only when the training set outgrows the buffers, and a refit
-// whose rows extend the previous fit's recomputes only the new rows (see
-// FitRows). Predict scales its input into a buffer the regressor owns, so
-// a KRR is not safe for concurrent use.
+// training values (the warm-refit prefix), the max-abs-scaled training
+// rows (row-major), the Cholesky factor of K+λI (packed lower-triangular,
+// entry (i, j), j <= i, at i(i+1)/2+j), and the dual coefficients. K+λI
+// itself is never stored: the factorization computes each entry where it
+// uses it. Refits therefore allocate only when the training set outgrows
+// the buffers, and a refit whose rows extend the previous fit's
+// recomputes only the new rows (see FitRows). Predict scales its input
+// and keeps its kernel vector in buffers the regressor owns, so a KRR is
+// not safe for concurrent use.
 type KRR struct {
 	Lambda float64 // ridge regularization
 	Gamma  float64 // RBF width
-
-	n, d   int       // training rows and features of the last fit
-	raw    []float64 // n×d training rows as given: the warm-refit prefix
-	xs     []float64 // n×d training rows divided by scale
-	colMax []float64 // per-column max-abs of the raw rows
-	scale  []float64 // colMax with zeros replaced by 1
-	gram   []float64 // packed lower triangle of K+λI
-	chol   []float64 // packed lower-triangular Cholesky factor of gram
-	alpha  []float64 // dual coefficients
-	feat   []float64 // Predict's scaled features, reused
-	yMean  float64
+	// n rows of d features; row i starts at raw[i*stride]
+	n, d, stride int
+	raw          []float64 // the (n-1)·stride+d raw values spanned by the rows
+	xs           []float64 // n×d training rows divided by scale
+	colMax       []float64 // per-column max-abs of the raw rows
+	scale        []float64 // colMax with zeros replaced by 1
+	chol         []float64 // packed lower-triangular Cholesky factor of K+λI
+	alpha        []float64 // dual coefficients
+	feat         []float64 // Predict's scaled features, reused
+	kv           []float64 // Predict's kernel vector: kv[j] = k(feat, row j)
+	yMean        float64
 
 	fitted bool
-	// exact marks a fit whose chol factors gram with no jitter, built
+	// exact marks a fit whose chol factors K+λI with no jitter, built
 	// with hyperparameters lambda and gamma: its rows are the leading
 	// rows of any later factor over an extension of the same rows.
 	exact         bool
 	lambda, gamma float64
+	// kvOK marks feat and kv as computed by a Predict since the last fit,
+	// with that fit's scales and γ. kvUsed records whether the last fit
+	// took its new row's kernel entries from them.
+	kvOK, kvUsed bool
 }
 
 // NewKRR returns a regressor with the given hyperparameters.
@@ -182,25 +188,49 @@ func (k *KRR) Fit(x *tensor.Tensor, y []float64) error {
 // row-major in x (row i is x[i*d:(i+1)*d]). x and y are read, not kept.
 //
 // The refit is warm when the previous fit succeeded without jitter under
-// the same d, λ and γ, its rows are a bitwise prefix of x, and x leaves
-// every column's max-abs scale unchanged. The Gram and Cholesky rows of
-// that prefix are then reused as they are and only the rows past it are
-// computed: O(n·d) kernel work and an O(n²) factor row per new row,
-// instead of the O(n²·d) Gram and O(n³) factor of a cold fit. The result
-// is bit-identical to a cold fit, because row i of a Cholesky factor
-// depends only on rows <= i of the factored matrix and every entry is
-// computed by the same operations in the same order. Any other refit,
-// and every jitter retry, factors from row 0.
+// the same row geometry, λ and γ, the raw values its rows spanned are a
+// bitwise prefix of x, and x leaves every column's max-abs scale
+// unchanged. The Cholesky rows of that prefix are then reused as they are
+// and only the rows past it are computed: O(n·d) kernel work and an
+// O(n²) factor row per new row, instead of the O(n²·d) kernel and O(n³)
+// factor of a cold fit. When exactly one row is new and its scaled
+// features are, bit for bit, those of the last Predict since the previous
+// fit, that Predict's kernel vector serves as the new row's kernel
+// entries. The result is bit-identical to a cold fit, because row i of a
+// Cholesky factor depends only on rows <= i of the factored matrix, every
+// entry is computed by the same operations in the same order, and
+// (a−b)² and (b−a)² are the same double. Any other refit, and every
+// jitter retry, factors from row 0.
 func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 	if n < 0 || d < 0 || len(x) != n*d || len(y) != n {
 		return fmt.Errorf("energy: KRR training shape mismatch")
 	}
+	return k.fit(x, n, d, d, y)
+}
+
+// FitLagged fits the autoregression of one series on its lag windows in
+// place: row i is series[i:i+lag] and its target series[i+lag], for the
+// len(series)−lag rows that have a target. series is read, not kept. It
+// equals FitRows on the materialized rows bit for bit, and a refit over
+// an extension of the previous fit's series is warm as in FitRows.
+func (k *KRR) FitLagged(series []float64, lag int) error {
+	if lag < 1 || len(series) < lag {
+		return fmt.Errorf("energy: KRR training shape mismatch")
+	}
+	return k.fit(series, len(series)-lag, lag, 1, series[lag:])
+}
+
+// fit is the body of FitRows and FitLagged: n rows of d features, row i
+// at x[i*stride:i*stride+d], and their n targets y.
+func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
 	if n < 2 {
 		return fmt.Errorf("energy: KRR needs at least 2 samples")
 	}
-	keep := k.prefixRows(x, n, d)
-	k.fitted, k.exact = false, false
-	k.n, k.d = n, d
+	span := (n-1)*stride + d
+	keep, from := k.prefixRows(x, n, d, stride)
+	kvOK := k.kvOK
+	k.fitted, k.exact, k.kvOK, k.kvUsed = false, false, false, false
+	k.n, k.d, k.stride = n, d, stride
 
 	// Standardize features for a well-conditioned kernel: each column is
 	// scaled by its max-abs, folded on from the reused prefix's maxima.
@@ -209,7 +239,7 @@ func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 		clear(k.colMax)
 	}
 	for i := keep; i < n; i++ {
-		for j, v := range x[i*d : (i+1)*d] {
+		for j, v := range x[i*stride : i*stride+d] {
 			k.colMax[j] = math.Max(k.colMax[j], math.Abs(v))
 		}
 	}
@@ -223,15 +253,24 @@ func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 		}
 	}
 
-	k.raw = grow(k.raw, n*d)
-	copy(k.raw[keep*d:], x[keep*d:])
+	k.raw = grow(k.raw, span)
+	copy(k.raw[from:], x[from:span])
 	k.xs = grow(k.xs, n*d)
 	for i := keep; i < n; i++ {
-		for j, v := range x[i*d : (i+1)*d] {
+		for j, v := range x[i*stride : i*stride+d] {
 			k.xs[i*d+j] = v / k.scale[j]
 		}
 	}
+
+	// The last Predict's kernel vector is the last row's kernel entries
+	// when that row is the only new one, the scales held, and its scaled
+	// features are the ones Predict evaluated.
 	k.feat = grow(k.feat, d)
+	k.kv = grow(k.kv, n)
+	var kv []float64
+	if kvOK && keep > 0 && n == keep+1 && sameBits(k.xs[(n-1)*d:n*d], k.feat) {
+		kv, k.kvUsed = k.kv[:n-1], true
+	}
 
 	k.yMean = 0
 	for _, v := range y {
@@ -239,28 +278,18 @@ func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 	}
 	k.yMean /= float64(n)
 
-	k.gram = grow(k.gram, n*(n+1)/2)
-	k.chol = grow(k.chol, n*(n+1)/2)
-	for i := keep; i < n; i++ {
-		xi := k.xs[i*d : (i+1)*d]
-		row := k.gram[i*(i+1)/2 : i*(i+1)/2+i+1]
-		for j := 0; j < i; j++ {
-			row[j] = k.rbf(k.xs[j*d:(j+1)*d], xi)
-		}
-		row[i] = k.rbf(xi, xi) + k.Lambda
-	}
-
 	// Factor K+λI, adding jitter to the diagonal geometrically until it
 	// is positive definite (up to 8 attempts).
+	k.chol = grow(k.chol, n*(n+1)/2)
 	jitter := 0.0
 	for attempt := 0; attempt < 8; attempt++ {
-		if k.factor(keep, jitter) {
+		if k.factor(keep, kv, jitter) {
 			k.solve(y)
 			k.fitted, k.exact = true, jitter == 0
 			k.lambda, k.gamma = k.Lambda, k.Gamma
 			return nil
 		}
-		keep = 0
+		keep, kv = 0, nil
 		if jitter == 0 {
 			jitter = 1e-10
 		} else {
@@ -270,33 +299,52 @@ func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 	return fmt.Errorf("energy: KRR solve: Gram matrix not positive definite even with jitter %.3g", jitter)
 }
 
-// prefixRows returns how many leading rows of x the previous fit's Gram
-// and Cholesky rows can serve as they are: all of that fit's rows when
-// it qualifies for a warm refit (FitRows), else 0.
-func (k *KRR) prefixRows(x []float64, n, d int) int {
-	if !k.exact || d != k.d || n < k.n || k.lambda != k.Lambda || k.gamma != k.Gamma {
-		return 0
+// prefixRows returns how many leading rows of x the previous fit's
+// Cholesky rows can serve as they are, and how many leading raw values of
+// x that fit already holds: all of that fit's rows and its raw span when
+// it qualifies for a warm refit (FitRows), else 0 and 0.
+func (k *KRR) prefixRows(x []float64, n, d, stride int) (rows, values int) {
+	if !k.exact || d != k.d || stride != k.stride || n < k.n || k.lambda != k.Lambda || k.gamma != k.Gamma ||
+		!sameBits(k.raw, x[:len(k.raw)]) {
+		return 0, 0
 	}
-	for i, v := range k.raw {
-		if math.Float64bits(v) != math.Float64bits(x[i]) {
-			return 0
-		}
-	}
-	return k.n
+	return k.n, len(k.raw)
 }
 
-// factor computes Cholesky rows from..n-1 of gram plus jitter on the
-// diagonal, on top of rows 0..from-1 already in chol. It reports false
-// at the first non-positive pivot.
-func (k *KRR) factor(from int, jitter float64) bool {
+// sameBits reports whether a and b, of equal length, hold the same
+// doubles bit for bit.
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// factor computes Cholesky rows from..n-1 of K+λI plus jitter on the
+// diagonal, on top of rows 0..from-1 already in chol. K+λI is never held
+// whole: each row's entries, k(row j, row i) left of the diagonal and
+// k(row i, row i)+λ on it, are computed into the factor row that
+// eliminates them in place. kv, when not nil, holds the last row's
+// entries left of the diagonal. It reports false at the first
+// non-positive pivot.
+func (k *KRR) factor(from int, kv []float64, jitter float64) bool {
+	d := k.d
 	for i := from; i < k.n; i++ {
+		xi := k.xs[i*d : (i+1)*d]
 		li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+		if kv != nil && i == k.n-1 {
+			copy(li, kv)
+		} else {
+			for j := range li[:i] {
+				li[j] = k.rbf(k.xs[j*d:(j+1)*d], xi)
+			}
+		}
+		li[i] = k.rbf(xi, xi) + k.Lambda + jitter
 		for j := 0; j <= i; j++ {
 			lj := k.chol[j*(j+1)/2 : j*(j+1)/2+j+1]
-			sum := k.gram[i*(i+1)/2+j]
-			if i == j {
-				sum += jitter
-			}
+			sum := li[j]
 			for c, v := range lj[:j] {
 				sum -= li[c] * v
 			}
@@ -352,7 +400,8 @@ func (k *KRR) rbf(a, b []float64) float64 {
 	return math.Exp(-k.Gamma * s)
 }
 
-// Predict returns the regression output for one feature vector.
+// Predict returns the regression output for one feature vector. It keeps
+// the scaled features and their kernel vector for the next fit (FitRows).
 func (k *KRR) Predict(feat []float64) (float64, error) {
 	if !k.fitted {
 		return 0, fmt.Errorf("energy: KRR not fitted")
@@ -365,9 +414,12 @@ func (k *KRR) Predict(feat []float64) (float64, error) {
 		fs[j] = v / k.scale[j]
 	}
 	out := k.yMean
+	kv := k.kv[:k.n]
 	for i, a := range k.alpha[:k.n] {
-		out += a * k.rbf(fs, k.xs[i*k.d:(i+1)*k.d])
+		kv[i] = k.rbf(fs, k.xs[i*k.d:(i+1)*k.d])
+		out += a * kv[i]
 	}
+	k.kvOK = k.Gamma == k.gamma
 	return out, nil
 }
 

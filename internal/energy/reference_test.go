@@ -176,6 +176,73 @@ func TestKRRMatchesReference(t *testing.T) {
 	}
 }
 
+// TestKRRFitLaggedMatchesReference draws series over the shapes of
+// TestKRRMatchesReference (n rows, lag = d), fits them in place with
+// FitLagged, and requires the same error outcome and bitwise-equal
+// predictions as FitRows on the materialized lag windows and as the
+// reference. Under λ=0 the last window repeats the first, so K is
+// singular without jitter.
+func TestKRRFitLaggedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	jittered := 0
+	for trial := 0; trial < 60; trial++ {
+		n, lag := 2+rng.Intn(40), 1+rng.Intn(9)
+		lambda, gamma := 0.01, 0.05
+		switch trial % 4 {
+		case 1:
+			lambda, gamma = 1e-6, 1
+		case 2:
+			lambda, gamma = 0, 0.5
+		}
+		series := make([]float64, n+lag)
+		for i := range series {
+			series[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(5)-2))
+		}
+		if lambda == 0 {
+			copy(series[n-1:n-1+lag], series[:lag])
+		}
+		x := tensor.New(n, lag)
+		for i := 0; i < n; i++ {
+			for j := 0; j < lag; j++ {
+				x.Set(series[i+j], i, j)
+			}
+		}
+		y := series[lag:]
+		ref := &refKRR{Lambda: lambda, Gamma: gamma}
+		rows := NewKRR(lambda, gamma)
+		got := NewKRR(lambda, gamma)
+		refErr, rowsErr, gotErr := ref.Fit(x, y), rows.FitRows(x.Data(), n, lag, y), got.FitLagged(series, lag)
+		if (refErr == nil) != (gotErr == nil) || (rowsErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d: reference error %v, FitRows error %v, FitLagged error %v", trial, refErr, rowsErr, gotErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		if !got.exact {
+			jittered++
+		}
+		for q := 0; q < 5; q++ {
+			feat := make([]float64, lag)
+			for j := range feat {
+				feat[j] = x.At(rng.Intn(n), j) + rng.NormFloat64()*0.1
+			}
+			want, _ := ref.Predict(feat)
+			fromRows, _ := rows.Predict(feat)
+			have, err := got.Predict(feat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(have) != math.Float64bits(want) || math.Float64bits(have) != math.Float64bits(fromRows) {
+				t.Fatalf("trial %d (n=%d lag=%d λ=%g γ=%g): FitLagged predict = %v, FitRows %v, reference %v",
+					trial, n, lag, lambda, gamma, have, fromRows, want)
+			}
+		}
+	}
+	if jittered == 0 {
+		t.Fatal("no trial exercised the jitter ladder")
+	}
+}
+
 // TestBacktestMatchesReference pins E12: the KRR MAE Backtest reports on
 // E12's data set and split equals, bit for bit, the MAE of the reference
 // regressor, so the E12 table cannot drift.

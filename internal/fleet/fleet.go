@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"everest/internal/dataset"
@@ -45,6 +46,14 @@ var ErrSaturated = errors.New("fleet: all sites saturated")
 
 // errShutDown refuses a control-plane call on a fleet that was shut down.
 var errShutDown = errors.New("fleet: shut down")
+
+// WorkflowName is the name a front gives an unnamed workflow: "tenant/wfN",
+// N being the front's count of accepted submissions. The name is the
+// engine's tie-break key, so its bytes are fixed; it costs one allocation.
+func WorkflowName(tenant string, n int) string {
+	var num [20]byte
+	return tenant + "/wf" + string(strconv.AppendInt(num[:0], int64(n), 10))
+}
 
 // EventKind classifies fleet trace events.
 type EventKind int
@@ -757,7 +766,7 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	f.submitted++
 	name := req.Name
 	if name == "" {
-		name = fmt.Sprintf("%s/wf%d", tenant, f.submitted)
+		name = WorkflowName(tenant, f.submitted)
 	}
 	f.lastSite[tenant] = idx
 	s := f.sites[idx]

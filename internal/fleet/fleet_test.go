@@ -600,3 +600,39 @@ func TestSubmitRejectsNonFiniteInput(t *testing.T) {
 		}
 	}
 }
+
+// TestUnnamedWorkflowName pins the name Submit gives an unnamed
+// workflow, the engine's tie-break key: "tenant/wfN", N counting every
+// accepted submission of any tenant, named or not. Building it costs one
+// allocation.
+func TestUnnamedWorkflowName(t *testing.T) {
+	f := newTestFleet(t, platform.NewRegistry(), Config{Sites: 1})
+	defer f.Shutdown()
+	var last *Ticket
+	for i := 1; i <= 12; i++ {
+		req := Request{Tenant: "tenantA", Workflow: cpuWorkflow(), Arrival: float64(i)}
+		switch {
+		case i%3 == 0:
+			req.Tenant = "tenantB"
+		case i == 5:
+			req.Name = "named"
+		}
+		tk, err := f.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = tk
+	}
+	if last.Name != "tenantB/wf12" {
+		t.Fatalf("twelfth submission named %q, want tenantB/wf12", last.Name)
+	}
+	if got := WorkflowName("tenantA", 12); got != "tenantA/wf12" {
+		t.Fatalf("WorkflowName = %q, want tenantA/wf12", got)
+	}
+	if got := WorkflowName("", 1234567); got != "/wf1234567" {
+		t.Fatalf("WorkflowName = %q, want /wf1234567", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = WorkflowName("tenantA", 1234567) }); got > 1 {
+		t.Fatalf("WorkflowName allocates %.1f per call, budget 1", got)
+	}
+}

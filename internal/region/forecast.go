@@ -33,14 +33,15 @@ type Forecaster struct {
 	index  map[string]int // app -> position in apps and series
 	apps   []string       // first-observed order: deterministic iteration
 	series []series       // per-app state, indexed like apps
-	rows   []float64      // lagged training rows, rebuilt for every fit
 }
 
 // series is one app's demand state. Its KRR is refitted at every Predict
-// over the app's window history; while the history only grows, each refit
-// extends the previous one's training rows and is warm (energy.FitRows),
-// and once the history is trimmed at maxHist the rows shift and the refit
-// is cold.
+// on the lag windows of the app's window history, read in place
+// (energy.FitLagged). While the history only grows, each refit extends
+// the previous one's rows and is warm unless a column's scale moved, and
+// the one row a closed window adds is the previous Predict's features,
+// whose kernel vector the KRR reuses. Once the history is trimmed at
+// maxHist the rows shift and the refit is cold.
 type series struct {
 	count float64   // arrivals in the open window
 	hist  []float64 // closed-window counts, oldest first
@@ -135,17 +136,8 @@ func (f *Forecaster) Predict(app string) float64 {
 // hist[i:i+lag], its target hist[i+lag] — and predicts the next window
 // from the most recent lag counts.
 func (f *Forecaster) fitPredict(s *series) (float64, error) {
-	hist, lag := s.hist, f.lag
-	n := len(hist) - lag
-	if cap(f.rows) < n*lag {
-		f.rows = make([]float64, n*lag, f.maxHist*lag)
-	}
-	rows := f.rows[:n*lag]
-	for i := 0; i < n; i++ {
-		copy(rows[i*lag:(i+1)*lag], hist[i:i+lag])
-	}
-	if err := s.krr.FitRows(rows, n, lag, hist[lag:]); err != nil {
+	if err := s.krr.FitLagged(s.hist, f.lag); err != nil {
 		return 0, err
 	}
-	return s.krr.Predict(hist[len(hist)-lag:])
+	return s.krr.Predict(s.hist[len(s.hist)-f.lag:])
 }

@@ -104,9 +104,8 @@ func fullForecaster() *Forecaster {
 }
 
 // TestForecasterPredictAllocFree pins steady-state Predict at zero
-// allocations: the KRR refits into buffers it owns, the lagged rows are
-// built in the forecaster's reused buffer, and the features are the
-// history's own tail.
+// allocations: the KRR refits into buffers it owns, reading the lagged
+// rows and the features in place from the history.
 func TestForecasterPredictAllocFree(t *testing.T) {
 	f := fullForecaster()
 	if n := len(f.series[0].hist); n != 8*f.lag {
@@ -117,10 +116,13 @@ func TestForecasterPredictAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkForecasterPredict is the region layer's forecast cost on a
-// full 8×lag history: "same-window" repeats Predict within one window
+// BenchmarkForecasterPredict is the region layer's forecast cost.
+// "same-window" repeats Predict within one window on a full 8×lag history
 // (every refit reuses all rows), "new-window" closes a window before each
-// Predict (the capped history shifts, so the refit is cold).
+// Predict on a full history (the capped history shifts, so the refit is
+// cold), and "growing" closes a window before each Predict while the
+// history stays below its cap, the regime of a region-wave episode: every
+// refit adds one row, and the forecaster restarts after 50 windows.
 func BenchmarkForecasterPredict(b *testing.B) {
 	b.Run("same-window", func(b *testing.B) {
 		f := fullForecaster()
@@ -134,6 +136,29 @@ func BenchmarkForecasterPredict(b *testing.B) {
 		w := 150
 		b.ReportAllocs()
 		for b.Loop() {
+			observeWave(f, w)
+			w++
+			f.RollTo(float64(w))
+			f.Predict("wave")
+		}
+	})
+	b.Run("growing", func(b *testing.B) {
+		// A b.N loop: with go1.24, b.Loop around a StopTimer/StartTimer
+		// pair never ends its ramp-up.
+		const episode = 50
+		var f *Forecaster
+		w := episode
+		b.ReportAllocs()
+		for range b.N {
+			if w == episode {
+				b.StopTimer()
+				f = NewForecaster(1, 0.5, 16)
+				for w = 0; w < f.minFit; w++ {
+					observeWave(f, w)
+				}
+				f.RollTo(float64(w))
+				b.StartTimer()
+			}
 			observeWave(f, w)
 			w++
 			f.RollTo(float64(w))

@@ -618,7 +618,7 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 
 	f.submitted++
 	if req.Name == "" {
-		req.Name = fmt.Sprintf("%s/wf%d", req.Tenant, f.submitted)
+		req.Name = fleet.WorkflowName(req.Tenant, f.submitted)
 	}
 	home := f.regions[req.Home]
 	home.fc.Observe(req.App, req.Arrival)

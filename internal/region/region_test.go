@@ -745,6 +745,35 @@ func TestTraceEmitsRegionEvents(t *testing.T) {
 	}
 }
 
+// TestUnnamedWorkflowName pins the name SubmitAt gives an unnamed
+// workflow, the engine's tie-break key: "tenant/wfN", N counting every
+// submission the federation accepted, and "default" standing in for an
+// empty tenant.
+func TestUnnamedWorkflowName(t *testing.T) {
+	var names []string
+	f := newTestFed(t, platform.NewRegistry(), Config{Regions: 2, Trace: func(ev Event) {
+		if ev.Kind == EventDone {
+			names = append(names, ev.Workflow)
+		}
+	}})
+	defer f.Shutdown()
+	for i := 1; i <= 12; i++ {
+		req := Request{Tenant: "tenantA", Workflow: cpuWorkflow(), Class: Interactive, Arrival: float64(i)}
+		switch i {
+		case 5:
+			req.Name = "named"
+		case 11:
+			req.Tenant = ""
+		}
+		if _, err := f.SubmitAt(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(names) != 12 || names[4] != "named" || names[10] != "default/wf11" || names[11] != "tenantA/wf12" {
+		t.Fatalf("served names %q, want named fifth, default/wf11 and tenantA/wf12 last", names)
+	}
+}
+
 func TestEventKindAndClassStrings(t *testing.T) {
 	kinds := []EventKind{EventRoute, EventHandoff, EventFetch, EventPrefetch, EventHold,
 		EventRelease, EventPreempt, EventScaleUp, EventScaleDown, EventEvictStore,

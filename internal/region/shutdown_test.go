@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"everest/internal/dataset"
 	"everest/internal/fleet"
 	"everest/internal/platform"
 )
@@ -100,5 +101,39 @@ func TestDrainAfterShutdownDoesNothing(t *testing.T) {
 	if traced != events || f.frontier != frontier {
 		t.Fatalf("Drain after Shutdown traced %d events and moved the frontier %g -> %g",
 			traced-events, frontier, f.frontier)
+	}
+}
+
+// TestPlaceDatasetAfterShutdownRefuses: placement is legal before Start,
+// and after Shutdown it errors without publishing into the region store,
+// counting the publish or making the partition known federation-wide.
+func TestPlaceDatasetAfterShutdownRefuses(t *testing.T) {
+	f, err := New(platform.NewRegistry(), Config{Regions: 2, SitesPerRegion: 1, NewCluster: testClusters(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := dataset.Ref{Name: "ingest/early", Bytes: 1 << 20}
+	if err := f.PlaceDataset(0, 0, early); err != nil {
+		t.Fatalf("PlaceDataset before Start: %v", err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	before := f.Shutdown().Regions[1].DataPublished
+	late := dataset.Ref{Name: "ingest/late", Bytes: 1 << 20}
+	if err := f.PlaceDataset(1, 5, late); err == nil {
+		t.Fatal("PlaceDataset after Shutdown returned no error")
+	}
+	if got := f.Stats().Regions[1].DataPublished; got != before {
+		t.Fatalf("DataPublished = %d after a refused placement, want %d", got, before)
+	}
+	if f.DatasetResident(1, late) {
+		t.Fatal("a refused placement is resident in the region store")
+	}
+	if known := f.dataCat.Known([]dataset.Part{dataset.Intern(late)}); len(known) != 0 {
+		t.Fatal("a refused placement is known to the federation catalog")
+	}
+	if !f.DatasetResident(0, early) {
+		t.Fatal("the placement before Start is not resident")
 	}
 }

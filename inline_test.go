@@ -177,3 +177,35 @@ func TestInternalLocks(t *testing.T) {
 			strings.Join(missing, "\n"))
 	}
 }
+
+// stagingFields names the platform.Device values a deploy is priced
+// from, whole-device and region-sized. Device.StagingCost is their one
+// reader: no tier outside platform selects one.
+var stagingFields = map[string]bool{
+	"ConfigBytes": true, "RegionConfigBytes": true,
+	"ReconfigSeconds": true, "RegionReconfigSeconds": true,
+}
+
+// TestOneStagingPrice is the deploy-price ratchet: no non-test file under
+// internal/ outside internal/platform selects a staging field. A tier
+// that stages a bitstream reads Device.StagingCost and sends its bytes
+// over its own link, so a second deploy price written elsewhere fails
+// here.
+func TestOneStagingPrice(t *testing.T) {
+	var sites []string
+	walkInternal(t, func(fset *token.FileSet, pkg string, file *ast.File) {
+		if pkg == "platform" {
+			return
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && stagingFields[sel.Sel.Name] {
+				sites = append(sites, fset.Position(sel.Pos()).String()+": ."+sel.Sel.Name)
+			}
+			return true
+		})
+	})
+	if len(sites) > 0 {
+		t.Fatalf("%d staging-field reads outside internal/platform (price through Device.StagingCost):\n%s",
+			len(sites), strings.Join(sites, "\n"))
+	}
+}

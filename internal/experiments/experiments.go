@@ -391,7 +391,7 @@ func E5() (Table, error) {
 			PackedElements: 8, PLMBytes: 1 << 16},
 		ElemBits: 64,
 	}
-	if _, err := node.Program(0, bs); err != nil {
+	if _, err := node.Program(0, -1, bs); err != nil {
 		return t, err
 	}
 	h, err := virt.NewHypervisor(node, 4)

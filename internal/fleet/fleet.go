@@ -28,12 +28,12 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"strconv"
 	"sync"
 
 	"everest/internal/dataset"
-	"everest/internal/hls"
 	"everest/internal/netsim"
 	"everest/internal/platform"
 	"everest/internal/runtime"
@@ -560,10 +560,13 @@ func (s *site) activeAt(at float64) bool { return s.active && s.activeFrom <= at
 func (s *site) start(arrival float64) float64 { return max(arrival, s.busyUntil) }
 
 // Publish stores a bitstream in the fleet's registry under the fleet lock;
-// sites deploy it on demand.
+// sites deploy it on demand. It refuses after Shutdown.
 func (f *Fleet) Publish(bs platform.Bitstream) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return errShutDown
+	}
 	return f.reg.Put(bs)
 }
 
@@ -939,8 +942,8 @@ func (f *Fleet) deployBound(s *site, needs []dataset.Part) float64 {
 				if !need.FitsIn(d.Capacity) {
 					continue
 				}
-				xfer, reconfig := deployCost(f.cfg.RegistryNet, d, -1)
-				worst = max(worst, xfer+reconfig)
+				bytes, reconfig := d.StagingCost(-1)
+				worst = max(worst, f.cfg.RegistryNet.SendSeconds(bytes)+reconfig)
 			}
 		}
 		total += worst
@@ -980,72 +983,43 @@ func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs, reads 
 
 // estimateDeploy prices bitstream p on the site for work starting at
 // modelled time at: nothing when it is live there, else a cold deploy to
-// the first slot that fits (deployCost), else fallbackSeconds, the
-// router's penalty for running the work in software. A resident bitstream
-// on a device offline by then is stale: the deploy path treats it as a
-// miss, so the estimate does too.
+// the first slot that fits (platform.Device.Fit; vacancy aside, as an
+// occupied slot only means an eviction, already priced by the CacheSlots
+// bound), else fallbackSeconds, the router's penalty for running the work
+// in software. A resident bitstream on a device offline by then is stale:
+// the deploy path treats it as a miss, so the estimate does too.
 func (f *Fleet) estimateDeploy(s *site, p dataset.Part, at float64) float64 {
 	if s.live(p, at) {
 		return 0
 	}
 	if ent, err := f.reg.Entry(p.Ref.Name); err == nil {
-		if n, dev, region := s.deployTarget(ent.Resources(), at, f.cfg.PartialReconfig, nil); n != nil {
-			xfer, reconfig := deployCost(f.cfg.RegistryNet, n.Devices[dev], region)
-			return xfer + reconfig
+		for n, idx := range s.deployTargets(at) {
+			if region, ok := n.Devices[idx].Fit(ent.Resources(), f.cfg.PartialReconfig); ok {
+				bytes, reconfig := n.Devices[idx].StagingCost(region)
+				return f.cfg.RegistryNet.SendSeconds(bytes) + reconfig
+			}
 		}
 	}
 	return fallbackSeconds
 }
 
-// deployCost prices staging one configuration image onto a device slot:
-// the registry transfer of the image and the reconfiguration latency,
-// both region-sized when the slot is a PR region (region >= 0). It is the
-// one price of a deploy: the router's estimate, the guaranteed bound and
-// the bill deployOne charges all read it.
-func deployCost(net *netsim.Stack, d *platform.Device, region int) (xfer, reconfig float64) {
-	if region >= 0 {
-		return net.SendSeconds(d.RegionConfigBytes()), d.RegionReconfigSeconds()
-	}
-	return net.SendSeconds(d.ConfigBytes()), d.ReconfigSeconds()
-}
-
-// deployTarget returns the first alive node, online device (at modelled
-// time at), and slot that fits a bitstream of footprint need, skipping
-// slots the vacant predicate refuses. With partial set, PR region slots
-// (region >= 0) are tried on each device first and a kernel too large for
-// a region falls back to the whole device (region -1); without it every
-// candidate is whole-device. A nil predicate skips nothing (estimates
-// ignore occupancy: an occupied slot only means an eviction, already
-// priced by the CacheSlots bound); deploys pass (*platform.Node).Vacant.
-func (s *site) deployTarget(need hls.Resources, at float64, partial bool, vacant func(*platform.Node, int, int) bool) (*platform.Node, int, int) {
-	for _, n := range s.cluster.Nodes {
-		if _, failed := n.FailedAt(); failed {
-			continue
-		}
-		for idx := range n.Devices {
-			if !n.DeviceOnlineAt(idx, at) {
+// deployTargets yields the devices a deploy may target at modelled time
+// at: each device online then, on each node not failed, in node and
+// device order. The router's estimate takes the first that fits, a
+// deploy the first with a vacant slot (platform.Node.Slot).
+func (s *site) deployTargets(at float64) iter.Seq2[*platform.Node, int] {
+	return func(yield func(*platform.Node, int) bool) {
+		for _, n := range s.cluster.Nodes {
+			if _, failed := n.FailedAt(); failed {
 				continue
 			}
-			d := n.Devices[idx]
-			if !need.FitsIn(d.Capacity) {
-				continue
-			}
-			if partial && need.FitsIn(d.RegionCapacity()) {
-				for r := 0; r < d.Regions(); r++ {
-					if vacant != nil && !vacant(n, idx, r) {
-						continue
-					}
-					return n, idx, r
+			for idx := range n.Devices {
+				if n.DeviceOnlineAt(idx, at) && !yield(n, idx) {
+					return
 				}
-				continue
 			}
-			if vacant != nil && !vacant(n, idx, -1) {
-				continue
-			}
-			return n, idx, -1
 		}
 	}
-	return nil, -1, -1
 }
 
 // ---------------------------------------------------------------------------
@@ -1219,7 +1193,12 @@ func (f *Fleet) deployOne(s *site, tenant, wfName string, p dataset.Part, at flo
 	dev, region := -1, -1
 	for {
 		if s.bstore.Len() < f.cfg.CacheSlots {
-			node, dev, region = s.deployTarget(ent.Resources(), at, f.cfg.PartialReconfig, (*platform.Node).Vacant)
+			for n, idx := range s.deployTargets(at) {
+				if r, ok := n.Slot(idx, ent.Resources(), f.cfg.PartialReconfig); ok {
+					node, dev, region = n, idx, r
+					break
+				}
+			}
 			if node != nil {
 				break
 			}
@@ -1241,12 +1220,7 @@ func (f *Fleet) deployOne(s *site, tenant, wfName string, p dataset.Part, at flo
 				Time: at, Detail: fmt.Sprintf("lru from %s/%s", vn.Name, slotName(vdev, vregion))})
 		}
 	}
-	if region >= 0 {
-		_, err = node.ProgramRegion(dev, region, ent.Bitstream())
-	} else {
-		_, err = node.Program(dev, ent.Bitstream())
-	}
-	if err != nil {
+	if _, err := node.Program(dev, region, ent.Bitstream()); err != nil {
 		s.stats.FallbackDeploys++
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventFallback, Site: s.name, Tenant: tenant,
@@ -1254,7 +1228,8 @@ func (f *Fleet) deployOne(s *site, tenant, wfName string, p dataset.Part, at flo
 		}
 		return 0
 	}
-	xfer, reconfig := deployCost(f.cfg.RegistryNet, node.Devices[dev], region)
+	bytes, reconfig := node.Devices[dev].StagingCost(region)
+	xfer := f.cfg.RegistryNet.SendSeconds(bytes)
 	s.bstore.Publish(dataset.Version{Ref: p.Ref, ID: p.ID})
 	kind := EventDeploy
 	if s.everDeployed[id] {

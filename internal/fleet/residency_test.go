@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"everest/internal/hls"
 	"everest/internal/platform"
 )
 
@@ -157,8 +158,9 @@ func (c *refCache) occupied(node *platform.Node, dev, region int) bool {
 
 // refSite replays one site's serve, warm and deploy decisions on a
 // refCache, with the stale-copy drop in every path. It shares the real
-// site's target search and device conditions, never its residency, and
-// records the residency events the fleet should trace.
+// site's device conditions, never its residency or its slot rule
+// (platform.Node.Slot), and records the residency events the fleet should
+// trace.
 type refSite struct {
 	s       *site
 	reg     *platform.Registry
@@ -210,10 +212,9 @@ func (r *refSite) deploy(id string, at float64) bool {
 	if err != nil {
 		panic(err)
 	}
-	vacant := func(n *platform.Node, dev, region int) bool { return !r.cache.occupied(n, dev, region) }
 	for {
 		if len(r.cache.m) < r.cache.slots {
-			if n, dev, region := r.s.deployTarget(ent.Resources(), at, r.partial, vacant); n != nil {
+			if n, dev, region := r.target(ent.Resources(), at); n != nil {
 				r.cache.seq++
 				r.cache.m[id] = &refSlot{id: id, node: n, dev: dev, region: region, use: r.cache.seq}
 				kind := "deploy"
@@ -236,6 +237,35 @@ func (r *refSite) deploy(id string, at float64) bool {
 		r.stats.Evictions++
 		r.events = append(r.events, fmt.Sprintf("evict %s lru from %s/%s", v.id, v.node.Name, slotName(v.dev, v.region)))
 	}
+}
+
+// target is the reference slot rule, on the refCache's occupancy: the
+// first alive node's device online at modelled time at that fits need,
+// in its first unoccupied PR region when partial is on and need fits a
+// region, else whole if unoccupied.
+func (r *refSite) target(need hls.Resources, at float64) (*platform.Node, int, int) {
+	for _, n := range r.s.cluster.Nodes {
+		if _, failed := n.FailedAt(); failed {
+			continue
+		}
+		for idx, d := range n.Devices {
+			if !n.DeviceOnlineAt(idx, at) || !need.FitsIn(d.Capacity) {
+				continue
+			}
+			if r.partial && need.FitsIn(d.RegionCapacity()) {
+				for region := range d.Regions() {
+					if !r.cache.occupied(n, idx, region) {
+						return n, idx, region
+					}
+				}
+				continue
+			}
+			if !r.cache.occupied(n, idx, -1) {
+				return n, idx, -1
+			}
+		}
+	}
+	return nil, -1, -1
 }
 
 // residencyEvent renders a fleet trace event the way refSite records it;

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -256,5 +257,32 @@ func TestControlCallsRefuseAfterShutdown(t *testing.T) {
 	}
 	if f.DatasetResident(1, dataset.Ref{Name: "late", Bytes: 1 << 20}) {
 		t.Error("PlaceDataset after Shutdown published the partition")
+	}
+}
+
+// TestPublishRefusesAfterShutdown: Publish is legal before Start, and
+// after Shutdown it refuses with the other control calls' error without
+// writing the registry.
+func TestPublishRefusesAfterShutdown(t *testing.T) {
+	reg := platform.NewRegistry()
+	f, err := New(reg, Config{Sites: 1, NewCluster: testCluster(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Publish(testBitstream("bs-early")); err != nil {
+		t.Fatalf("Publish before Start: %v", err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	f.Shutdown()
+	if err := f.Publish(testBitstream("bs-late")); !errors.Is(err, errShutDown) {
+		t.Fatalf("Publish after Shutdown = %v, want %v", err, errShutDown)
+	}
+	if _, err := reg.Entry("bs-late"); err == nil {
+		t.Fatal("a refused Publish wrote the registry")
+	}
+	if _, err := reg.Entry("bs-early"); err != nil {
+		t.Fatalf("the Publish before Start is gone: %v", err)
 	}
 }

@@ -92,8 +92,7 @@ func (d *Device) String() string {
 // ReconfigSeconds is the modelled bitstream configuration latency of the
 // device: full-device configuration takes O(100ms) on PCIe-attached
 // cards; network-attached cloudFPGA nodes use faster partial
-// reconfiguration (Ringlein FPL'19). Node.Program charges it, and
-// deployment tiers use it to price cold deploys consistently.
+// reconfiguration (Ringlein FPL'19). StagingCost is its one reader.
 func (d *Device) ReconfigSeconds() float64 {
 	if d.Attachment == NetworkAttached {
 		return 0.040
@@ -122,27 +121,37 @@ func (d *Device) RegionCapacity() hls.Resources {
 	}
 }
 
-// RegionReconfigSeconds is the modelled configuration latency of a single
-// PR region: reconfiguration streams configuration frames, so the latency
-// scales with the region's share of the fabric.
-func (d *Device) RegionReconfigSeconds() float64 {
-	return d.ReconfigSeconds() / float64(d.Regions())
-}
-
 // ConfigBytes models the whole-device configuration image size: the frame
 // count scales with fabric size (~16 bytes of configuration per LUT),
 // which puts an Alveo xclbin in the tens of megabytes and a cloudFPGA
-// partial image a quarter of that. Deployment tiers price registry
-// transfers with it.
+// partial image a quarter of that. StagingCost is its one reader.
 func (d *Device) ConfigBytes() int64 {
 	return int64(d.Capacity.LUT) * 16
 }
 
-// RegionConfigBytes is the configuration image size of one PR region — the
-// region's share of the whole-device image. Per-region deploys transfer
-// and reconfigure only this slice.
-func (d *Device) RegionConfigBytes() int64 {
-	return d.ConfigBytes() / int64(d.Regions())
+// StagingCost is what staging one slot of the device costs: the
+// configuration image shipped to it and the reconfiguration latency.
+// Region -1 is the whole device (ConfigBytes, ReconfigSeconds). A PR
+// region (region >= 0) takes its share of both: reconfiguration streams
+// configuration frames, so image and latency scale with the region's
+// slice of the fabric. It is the one deploy price: Node.Program charges
+// its seconds, and every deployment tier sends its bytes over the tier's
+// own link (registry fabric, cluster network or WAN).
+func (d *Device) StagingCost(region int) (bytes int64, seconds float64) {
+	if region >= 0 {
+		return d.ConfigBytes() / int64(d.Regions()), d.ReconfigSeconds() / float64(d.Regions())
+	}
+	return d.ConfigBytes(), d.ReconfigSeconds()
+}
+
+// Fit names the slot a kernel of footprint need takes on the device,
+// vacancy aside: PR region 0 when partial is on and need fits a region,
+// else the whole device (-1); ok=false when need does not fit the device.
+func (d *Device) Fit(need hls.Resources, partial bool) (region int, ok bool) {
+	if partial && need.FitsIn(d.RegionCapacity()) {
+		return 0, true
+	}
+	return -1, need.FitsIn(d.Capacity)
 }
 
 // AlveoU55C returns the model of an AMD Alveo U55C: HBM2 card used by the

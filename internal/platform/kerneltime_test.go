@@ -55,8 +55,8 @@ func ktOps(ops ...[4]byte) []byte {
 	return out
 }
 
-// FuzzKernelTime drives a node through random sequences of Program,
-// ProgramRegion, Unprogram, SetDeviceOffline and KernelTime calls, and
+// FuzzKernelTime drives a node through random sequences of Program (whole
+// device and PR region), Unprogram, SetDeviceOffline and KernelTime calls, and
 // checks every price against an uncached Execute of the image the test
 // itself loaded: the memo must never serve a timeline of an earlier image,
 // including one under the same ID, and the attachment and ID checks must
@@ -95,13 +95,13 @@ func FuzzKernelTime(f *testing.F) {
 			switch code {
 			case ktProgram:
 				bs := ktImage(a)
-				if _, err := n.Program(dev, bs); err == nil {
+				if _, err := n.Program(dev, -1, bs); err == nil {
 					images[dev], loaded[dev] = bs, true
 				}
 			case ktProgramRegion:
 				bs := ktImage(a)
 				bs.Report.Resources = hls.Resources{LUT: 1000, FF: 1000}
-				if _, err := n.ProgramRegion(dev, int(b)%4, bs); err == nil {
+				if _, err := n.Program(dev, int(b)%4, bs); err == nil {
 					loaded[dev] = false
 				}
 			case ktUnprogram:
@@ -137,7 +137,7 @@ func FuzzKernelTime(f *testing.F) {
 func TestKernelTimeWarmAllocFree(t *testing.T) {
 	n := NewNode("n", XeonModel(), AlveoU55C())
 	bs := testBitstream(2, 2, 2, true)
-	if _, err := n.Program(0, bs); err != nil {
+	if _, err := n.Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	wl := Workload{BytesIn: 1 << 22, BytesOut: 1 << 20, Batches: 4}
@@ -152,7 +152,7 @@ func TestKernelTimeWarmAllocFree(t *testing.T) {
 		t.Errorf("warm KernelTime allocates %.1f per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		if _, err := n.Program(0, bs); err != nil {
+		if _, err := n.Program(0, -1, bs); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {

@@ -3,6 +3,8 @@ package platform
 import (
 	"fmt"
 	"sort"
+
+	"everest/internal/hls"
 )
 
 // Node is one computing node of the EVEREST cluster: a CPU plus attached
@@ -34,7 +36,7 @@ type Node struct {
 // image with the kernel timelines priced on it, the kernels resident in
 // its PR regions, the reservation frontier, and the attachment history.
 // It is the one record of what is programmed where: the serving tiers
-// query it (Holding, Vacant) instead of keeping copies.
+// query it (Holding, Vacant, Slot) instead of keeping copies.
 type deviceSlot struct {
 	image  Bitstream
 	loaded bool
@@ -114,36 +116,29 @@ func clampMonotonic(hist []condChange, at float64) float64 {
 	return at
 }
 
-// Program loads a bitstream onto device idx (XRT xclLoadXclbin analogue).
-// Reprogramming takes modelled time returned as seconds.
-func (n *Node) Program(idx int, bs Bitstream) (float64, error) {
-	if idx < 0 || idx >= len(n.Devices) {
-		return 0, fmt.Errorf("platform: node %s has no device %d", n.Name, idx)
-	}
-	if !bs.TotalResources().FitsIn(n.Devices[idx].Capacity) {
-		return 0, fmt.Errorf("platform: bitstream %q does not fit on %s", bs.ID, n.Devices[idx].Name)
-	}
-	n.slots[idx].load(bs, true)
-	// A whole-device image rewrites the entire fabric, displacing every
-	// kernel resident in a PR region.
-	clear(n.slots[idx].regions)
-	return n.Devices[idx].ReconfigSeconds(), nil
-}
-
-// ProgramRegion loads a kernel bitstream into one partial-reconfiguration
-// region of device idx, leaving every other region resident — the streaming
-// and fleet tiers use this so one card hosts several kernels and a stage
-// change swaps only the region that changes. The kernel must fit the
-// region's share of the fabric; the modelled latency returned is the
-// region-sized reconfiguration time. A previously loaded whole-device image
-// is displaced (its static shell is what the regions plug into), and so is
-// the kernel the region held. The kernel needs an ID: it is what Holding
-// finds it by.
-func (n *Node) ProgramRegion(idx, region int, bs Bitstream) (float64, error) {
+// Program loads a kernel bitstream onto device idx (XRT xclLoadXclbin
+// analogue) and returns the reconfiguration seconds of Device.StagingCost.
+// Region -1 configures the whole device, displacing every PR region.
+// Region >= 0 loads one PR region and leaves the others resident, so one
+// card hosts several kernels; the kernel must fit the region's share of
+// the fabric and needs an ID (what Holding finds it by), and it displaces
+// a whole-device image (the shell the regions plug into) and the kernel
+// the region held.
+func (n *Node) Program(idx, region int, bs Bitstream) (float64, error) {
 	if idx < 0 || idx >= len(n.Devices) {
 		return 0, fmt.Errorf("platform: node %s has no device %d", n.Name, idx)
 	}
 	d := n.Devices[idx]
+	s := &n.slots[idx]
+	_, seconds := d.StagingCost(region)
+	if region == -1 {
+		if !bs.TotalResources().FitsIn(d.Capacity) {
+			return 0, fmt.Errorf("platform: bitstream %q does not fit on %s", bs.ID, d.Name)
+		}
+		s.load(bs, true)
+		clear(s.regions)
+		return seconds, nil
+	}
 	if region < 0 || region >= d.Regions() {
 		return 0, fmt.Errorf("platform: %s device %d has no PR region %d (regions: %d)",
 			n.Name, idx, region, d.Regions())
@@ -155,13 +150,12 @@ func (n *Node) ProgramRegion(idx, region int, bs Bitstream) (float64, error) {
 		return 0, fmt.Errorf("platform: bitstream %q does not fit a PR region of %s (1/%d of the fabric)",
 			bs.ID, d.Name, d.Regions())
 	}
-	s := &n.slots[idx]
 	s.load(Bitstream{}, false)
 	if s.regions == nil {
 		s.regions = make([]Bitstream, d.Regions())
 	}
 	s.regions[region] = bs
-	return d.RegionReconfigSeconds(), nil
+	return seconds, nil
 }
 
 // Unprogram clears PR region `region` of device idx, or with region -1
@@ -235,6 +229,27 @@ func (n *Node) Vacant(idx, region int) bool {
 		}
 	}
 	return true
+}
+
+// Slot names the vacant slot a kernel of footprint need takes on device
+// idx: with partial on and a footprint that fits a PR region, the first
+// vacant region; otherwise the whole device, if it is vacant. ok=false
+// when there is no such slot. It is the one slot rule of every tier that
+// deploys onto a node.
+func (n *Node) Slot(idx int, need hls.Resources, partial bool) (region int, ok bool) {
+	if idx < 0 || idx >= len(n.Devices) {
+		return -1, false
+	}
+	region, ok = n.Devices[idx].Fit(need, partial)
+	if !ok || region < 0 {
+		return -1, ok && n.Vacant(idx, -1)
+	}
+	for r := range n.Devices[idx].Regions() {
+		if n.Vacant(idx, r) {
+			return r, true
+		}
+	}
+	return -1, false
 }
 
 // Programmed returns the ID of the bitstream loaded on device idx.

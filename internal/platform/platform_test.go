@@ -165,7 +165,7 @@ func TestNodeProgramAndRun(t *testing.T) {
 	if _, ok := n.KernelTime(0, bs.ID, Workload{BytesIn: 1}, -1); ok {
 		t.Error("running an unprogrammed device must fail")
 	}
-	dt, err := n.Program(0, bs)
+	dt, err := n.Program(0, -1, bs)
 	if err != nil || dt <= 0 {
 		t.Fatalf("Program: %v (%g)", err, dt)
 	}
@@ -175,7 +175,7 @@ func TestNodeProgramAndRun(t *testing.T) {
 	if _, ok := n.KernelTime(0, bs.ID, Workload{BytesIn: 1 << 20}, -1); !ok {
 		t.Error("KernelTime must price the programmed kernel")
 	}
-	if _, err := n.Program(5, bs); err == nil {
+	if _, err := n.Program(5, -1, bs); err == nil {
 		t.Error("bad device index must fail")
 	}
 }
@@ -376,7 +376,7 @@ func TestUnprogramFreesDeviceSlot(t *testing.T) {
 		Config:   SystemConfig{Replicas: 1, BusWidthBits: 512, Lanes: 4, PackedElements: 1, PLMBytes: 1 << 12},
 		ElemBits: 32,
 	}
-	if _, err := n.Program(0, bs); err != nil {
+	if _, err := n.Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := n.Programmed(0); !ok {
@@ -444,16 +444,16 @@ func TestNodeResidencyQueries(t *testing.T) {
 	}
 	check("blank", []want{{id: "a"}, {id: ""}}, free())
 
-	if _, err := n.Program(0, small("a")); err != nil {
+	if _, err := n.Program(0, -1, small("a")); err != nil {
 		t.Fatal(err)
 	}
 	check("whole a", []want{{"a", 0, -1, true}},
 		free([2]int{0, -1}, [2]int{0, 0}, [2]int{0, 1}, [2]int{0, 2}, [2]int{0, 3}))
 
-	if _, err := n.ProgramRegion(1, 2, small("b")); err != nil {
+	if _, err := n.Program(1, 2, small("b")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.ProgramRegion(1, 0, small("c")); err != nil {
+	if _, err := n.Program(1, 0, small("c")); err != nil {
 		t.Fatal(err)
 	}
 	check("regions b, c", []want{{"a", 0, -1, true}, {"b", 1, 2, true}, {"c", 1, 0, true}},
@@ -461,7 +461,7 @@ func TestNodeResidencyQueries(t *testing.T) {
 			[2]int{1, -1}, [2]int{1, 0}, [2]int{1, 2}))
 
 	// A region load displaces the whole-device image of its card.
-	if _, err := n.ProgramRegion(0, 3, small("d")); err != nil {
+	if _, err := n.Program(0, 3, small("d")); err != nil {
 		t.Fatal(err)
 	}
 	check("region d over a", []want{{id: "a"}, {"d", 0, 3, true}},
@@ -481,7 +481,7 @@ func TestNodeResidencyQueries(t *testing.T) {
 
 	// A whole-device image displaces every region of its card, and
 	// Unprogram clears them all.
-	if _, err := n.Program(1, small("e")); err != nil {
+	if _, err := n.Program(1, -1, small("e")); err != nil {
 		t.Fatal(err)
 	}
 	check("whole e over c", []want{{id: "c"}, {"e", 1, -1, true}},
@@ -495,7 +495,84 @@ func TestNodeResidencyQueries(t *testing.T) {
 	if n.Vacant(2, -1) || n.Vacant(0, 4) {
 		t.Error("an out-of-range slot reads vacant")
 	}
-	if _, err := n.ProgramRegion(0, 0, small("")); err == nil {
+	if _, err := n.Program(0, 0, small("")); err == nil {
 		t.Error("a region kernel without an ID was accepted")
+	}
+}
+
+// TestStagingCostAndSlot: StagingCost is the whole-device or the
+// region-sized image and reconfiguration, and Program charges its
+// seconds; Fit names the slot a footprint takes vacancy aside, and Slot
+// the vacant one: the first free PR region for a region-sized kernel with
+// partial on, otherwise the whole device if it is vacant.
+func TestStagingCostAndSlot(t *testing.T) {
+	n := NewNode("n0", XeonModel(), AlveoU55C())
+	d := n.Devices[0]
+	if b, s := d.StagingCost(-1); b != d.ConfigBytes() || s != d.ReconfigSeconds() {
+		t.Errorf("StagingCost(-1) = %d B, %g s; want the whole-device %d B, %g s", b, s, d.ConfigBytes(), d.ReconfigSeconds())
+	}
+	if b, s := d.StagingCost(2); b != d.ConfigBytes()/4 || s != d.ReconfigSeconds()/4 {
+		t.Errorf("StagingCost(2) = %d B, %g s; want a quarter of the whole-device %d B, %g s", b, s, d.ConfigBytes(), d.ReconfigSeconds())
+	}
+	small := func(id string) Bitstream {
+		bs := testBitstream(1, 4, 1, false)
+		bs.ID = id
+		return bs
+	}
+	big, huge := testBitstream(40, 4, 1, false), testBitstream(200, 4, 1, false)
+	for _, c := range []struct {
+		bs      Bitstream
+		partial bool
+		region  int
+		ok      bool
+	}{
+		{small("s"), true, 0, true}, {small("s"), false, -1, true},
+		{big, true, -1, true}, {big, false, -1, true},
+		{huge, true, -1, false}, {huge, false, -1, false},
+	} {
+		if region, ok := d.Fit(c.bs.TotalResources(), c.partial); region != c.region || ok != c.ok {
+			t.Errorf("Fit(%d LUT, partial %v) = %d, %v; want %d, %v",
+				c.bs.TotalResources().LUT, c.partial, region, ok, c.region, c.ok)
+		}
+	}
+
+	slot := func(step string, bs Bitstream, partial bool, want int, wantOK bool) {
+		t.Helper()
+		if region, ok := n.Slot(0, bs.TotalResources(), partial); region != want || ok != wantOK {
+			t.Errorf("%s: Slot(partial %v) = %d, %v; want %d, %v", step, partial, region, ok, want, wantOK)
+		}
+	}
+	slot("blank", small("s"), true, 0, true)
+	slot("blank", big, true, -1, true)
+	slot("blank", huge, true, -1, false)
+	for r, id := range []string{"a", "b"} {
+		dt, err := n.Program(0, r, small(id))
+		if _, want := d.StagingCost(r); err != nil || dt != want {
+			t.Fatalf("Program(0, %d) = %g, %v; want %g", r, dt, err, want)
+		}
+	}
+	slot("regions 0, 1", small("s"), true, 2, true)
+	slot("regions 0, 1", small("s"), false, -1, false)
+	slot("regions 0, 1", big, true, -1, false)
+	for r, id := range []string{"c", "d"} {
+		if _, err := n.Program(0, r+2, small(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slot("regions full", small("s"), true, -1, false)
+	if _, err := n.Unprogram(0, -1); err != nil {
+		t.Fatal(err)
+	}
+	dt, err := n.Program(0, -1, big)
+	if _, want := d.StagingCost(-1); err != nil || dt != want {
+		t.Fatalf("Program(0, -1) = %g, %v; want %g", dt, err, want)
+	}
+	slot("whole image", small("s"), true, -1, false)
+	slot("whole image", big, false, -1, false)
+	if _, err := n.Program(0, -2, small("e")); err == nil {
+		t.Error("Program of region -2 was accepted")
+	}
+	if _, ok := n.Slot(1, big.TotalResources(), false); ok {
+		t.Error("Slot on a device the node does not have reads ok")
 	}
 }

@@ -36,7 +36,7 @@ func (f *Federation) PlaceDataset(r int, at float64, refs ...dataset.Ref) error 
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return fmt.Errorf("region: shut down")
+		return errShutDown
 	}
 	reg := f.regions[r]
 	for _, ref := range refs {

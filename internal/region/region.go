@@ -33,6 +33,7 @@
 package region
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -294,6 +295,9 @@ type Result struct {
 	// Preemptions counts how many times this workflow was pushed back
 	// while held (batch only).
 	Preemptions int
+
+	// Sched is the serving engine's schedule of the workflow.
+	Sched *runtime.Schedule
 }
 
 // Handle is the caller's handle on one submitted workflow. Interactive
@@ -539,14 +543,21 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 	return f, nil
 }
 
+// errShutDown refuses a mutating call on a federation that was shut down.
+var errShutDown = errors.New("region: shut down")
+
 // Regions returns the number of federated regions.
 func (f *Federation) Regions() int { return len(f.regions) }
 
 // Publish stores a bitstream in the federation-wide catalog under the
-// federation lock; regions WAN-fetch it on demand or ahead of demand.
+// federation lock; regions WAN-fetch it on demand or ahead of demand. It
+// refuses after Shutdown.
 func (f *Federation) Publish(bs platform.Bitstream) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return errShutDown
+	}
 	return f.catalog.Put(bs)
 }
 
@@ -816,7 +827,7 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, handoff, f
 		Arrival: req.Arrival, Handoff: handoff, Fetch: fetch, DataFetch: dfetch, Hold: hold,
 		Wait: res.Wait, Deploy: res.Deploy, Service: res.Service,
 		Completion: res.Completion, Latency: res.Completion - req.Arrival,
-		Cold: cold, Guaranteed: res.Guaranteed, Preemptions: pushes,
+		Cold: cold, Guaranteed: res.Guaranteed, Preemptions: pushes, Sched: res.Sched,
 	}
 	if res.Guaranteed {
 		out.Bound = handoff + fetch + dfetch + res.Bound
@@ -888,16 +899,17 @@ func (f *Federation) ensureArtifacts(r *region, needs []dataset.Part, at float64
 }
 
 // imageBytes is the configuration image a WAN fetch of a bitstream of
-// footprint need into region r ships: the largest image among the
-// region's devices that can host it (0 — a free fetch — only when no
-// device fits, in which case the fleet will degrade to software anyway).
+// footprint need into region r ships: the largest whole-device staging
+// image (platform.Device.StagingCost) among the region's devices that can
+// host it (0 — a free fetch — only when no device fits, in which case the
+// fleet will degrade to software anyway).
 func (f *Federation) imageBytes(r *region, need hls.Resources) int64 {
 	var best int64
 	for si := 0; si < r.fl.Sites(); si++ {
 		for _, n := range r.fl.Cluster(si).Nodes {
 			for _, d := range n.Devices {
-				if need.FitsIn(d.Capacity) && d.ConfigBytes() > best {
-					best = d.ConfigBytes()
+				if bytes, _ := d.StagingCost(-1); need.FitsIn(d.Capacity) && bytes > best {
+					best = bytes
 				}
 			}
 		}

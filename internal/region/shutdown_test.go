@@ -1,6 +1,7 @@
 package region
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -135,5 +136,33 @@ func TestPlaceDatasetAfterShutdownRefuses(t *testing.T) {
 	}
 	if !f.DatasetResident(0, early) {
 		t.Fatal("the placement before Start is not resident")
+	}
+}
+
+// TestPublishAfterShutdownRefuses: Publish is legal before Start, and
+// after Shutdown it returns the error PlaceDataset returns without
+// writing the catalog.
+func TestPublishAfterShutdownRefuses(t *testing.T) {
+	catalog := platform.NewRegistry()
+	f, err := New(catalog, Config{Regions: 2, SitesPerRegion: 1, NewCluster: testClusters(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Publish(testBitstream("bs-early")); err != nil {
+		t.Fatalf("Publish before Start: %v", err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	f.Shutdown()
+	err = f.Publish(testBitstream("bs-late"))
+	if want := f.PlaceDataset(0, 1, dataset.Ref{Name: "late", Bytes: 1 << 20}); err == nil || !errors.Is(err, want) {
+		t.Fatalf("Publish after Shutdown = %v, want PlaceDataset's %v", err, want)
+	}
+	if _, err := catalog.Entry("bs-late"); err == nil {
+		t.Fatal("a refused Publish wrote the catalog")
+	}
+	if _, err := catalog.Entry("bs-early"); err != nil {
+		t.Fatalf("the Publish before Start is gone: %v", err)
 	}
 }

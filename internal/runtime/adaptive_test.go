@@ -35,7 +35,7 @@ func programmedCluster(t *testing.T, n int) (*platform.Cluster, platform.Bitstre
 	t.Helper()
 	cluster := testCluster(n)
 	bs := fpgaBitstream()
-	if _, err := cluster.Nodes[0].Program(0, bs); err != nil {
+	if _, err := cluster.Nodes[0].Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	return cluster, bs
@@ -322,7 +322,7 @@ func TestEngineControlErrors(t *testing.T) {
 // chain's tuner is active, before its next placement.
 func TestRedundantPlugUnplugAreNoOps(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	if _, err := cluster.Nodes[1].Program(0, bs); err != nil {
+	if _, err := cluster.Nodes[1].Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	n0, n1 := cluster.Nodes[0].Name, cluster.Nodes[1].Name

@@ -152,7 +152,7 @@ func BenchmarkEngineSubmit(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			cluster := testCluster(2)
 			bs := fpgaBitstream()
-			if _, err := cluster.Nodes[0].Program(0, bs); err != nil {
+			if _, err := cluster.Nodes[0].Program(0, -1, bs); err != nil {
 				b.Fatal(err)
 			}
 			w := NewWorkflow()

@@ -216,7 +216,7 @@ func TestAdaptiveUnplugThenPlugMidRun(t *testing.T) {
 			PackedElements: 4, DoubleBuffered: true, PLMBytes: 1 << 16},
 		ElemBits: 32,
 	}
-	if _, err := n0.Program(0, bs); err != nil {
+	if _, err := n0.Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	var events []Event

@@ -58,7 +58,7 @@ func (d *Deployment) Stage(w *Workflow, c *platform.Cluster, reg *platform.Regis
 				return 0, fmt.Errorf("runtime: deployment references unknown node %q", nodeName)
 			}
 			for idx := range n.Devices {
-				if dt, err := n.Program(idx, bs); err == nil {
+				if dt, err := n.Program(idx, -1, bs); err == nil {
 					total += dt
 					staged = true
 					break

@@ -374,7 +374,7 @@ func TestEngineAllNodesDeadFailsWorkflow(t *testing.T) {
 func TestEngineFPGAOffload(t *testing.T) {
 	cluster := testCluster(2)
 	bs := fpgaBitstream()
-	if _, err := cluster.Nodes[0].Program(0, bs); err != nil {
+	if _, err := cluster.Nodes[0].Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT})

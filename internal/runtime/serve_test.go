@@ -108,7 +108,7 @@ func TestEngineShutdownUnstartedFailsQueued(t *testing.T) {
 // device left.
 func TestIdleUnplugAppliesBeforeNextSubmit(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	if _, err := cluster.Nodes[1].Program(0, bs); err != nil {
+	if _, err := cluster.Nodes[1].Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	var kinds []EventKind

@@ -294,6 +294,12 @@ func batchBitstream() platform.Bitstream {
 
 // RunSuite serves the scenario once around a built application suite.
 func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
+	return sc.runSuite(s, func(*runtime.Workflow, region.Result) {})
+}
+
+// runSuite is RunSuite, handing every served workflow and its result to
+// observe.
+func (sc RegionScenario) runSuite(s *apps.Suite, observe func(*runtime.Workflow, region.Result)) (RegionResult, error) {
 	if s == nil || len(s.Apps) == 0 {
 		return RegionResult{}, fmt.Errorf("sdk: region scenario needs a built application suite")
 	}
@@ -319,6 +325,7 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 
 	type pending struct {
 		idx    int
+		wf     *runtime.Workflow
 		handle *region.Handle
 	}
 	var batches []pending
@@ -339,9 +346,10 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 		if sc.BatchEvery > 0 && i%sc.BatchEvery == sc.BatchEvery-1 {
 			// Background batch: its own app and bitstream, home rotating
 			// independently of the wave, deferrable.
+			w := AdaptiveWorkflow(i, mc.ID)
 			h, err := srv.SubmitAt(region.Request{
 				Tenant: "batch", App: "mc",
-				Workflow:   AdaptiveWorkflow(i, mc.ID),
+				Workflow:   w,
 				Home:       i % sc.Regions,
 				Arrival:    arrival,
 				Class:      region.Batch,
@@ -350,7 +358,7 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 			if err != nil {
 				return RegionResult{}, fmt.Errorf("sdk: region scenario batch %d: %w", i, err)
 			}
-			batches = append(batches, pending{idx: i, handle: h})
+			batches = append(batches, pending{idx: i, wf: w, handle: h})
 			continue
 		}
 		app, w := s.Workflow(waveIdx)
@@ -387,6 +395,7 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 		}
 		records[i] = record{latency: res.Latency, overhead: res.Latency - res.Service, cold: res.Cold, ok: true}
 		g.observe(res.Guaranteed, res.Latency, res.Bound)
+		observe(w, res)
 	}
 	srv.Drain(lastArrival)
 	for _, p := range batches {
@@ -396,6 +405,7 @@ func (sc RegionScenario) RunSuite(s *apps.Suite) (RegionResult, error) {
 			return RegionResult{}, fmt.Errorf("sdk: region scenario batch %d: %w", p.idx, err)
 		}
 		records[p.idx] = record{latency: res.Latency, overhead: res.Latency - res.Service, cold: res.Cold, batch: true, ok: true}
+		observe(p.wf, res)
 	}
 
 	final := srv.Shutdown()

@@ -225,3 +225,41 @@ func TestRegionScenarioDeterministicTrace(t *testing.T) {
 			len(ref), len(got), firstDiff(ref, got))
 	}
 }
+
+// TestRegionPRKernelsRunOnNoFPGA pins the PR-region gap as exact counts
+// of E-region's FPGA-requesting tasks that ran on an FPGA, read from each
+// result's schedule and the workflow specs. With partial reconfiguration
+// on, kernels are deployed into PR regions that the engine never prices
+// (Node.KernelTime matches only the whole-device image), so none runs on
+// an FPGA; with it off, whole-device deploys serve some. ROADMAP item 2
+// fixes the pricing and flips the PR-on pin to at least the PR-off count.
+func TestRegionPRKernelsRunOnNoFPGA(t *testing.T) {
+	s, err := DefaultRegionScenario().BuildSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		partial        bool
+		onFPGA, wanted int
+	}{{true, 0, 400}, {false, 124, 400}} {
+		sc := DefaultRegionScenario()
+		sc.PartialReconfig = tc.partial
+		onFPGA, wanted := 0, 0
+		if _, err := sc.runSuite(s, func(w *rt.Workflow, res region.Result) {
+			for _, a := range res.Sched.Assignments {
+				if spec, _ := w.Get(a.Task); spec.NeedsFPGA {
+					wanted++
+					if a.OnFPGA {
+						onFPGA++
+					}
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if onFPGA != tc.onFPGA || wanted != tc.wanted {
+			t.Errorf("PartialReconfig %v: %d of %d FPGA-requesting tasks ran on an FPGA, want %d of %d",
+				tc.partial, onFPGA, wanted, tc.onFPGA, tc.wanted)
+		}
+	}
+}

@@ -172,7 +172,7 @@ func (s *SDK) Deploy(bitstreamID, node string) (float64, error) {
 		return 0, fmt.Errorf("sdk: unknown node %q", node)
 	}
 	for idx := range n.Devices {
-		if dt, err := n.Program(idx, bs); err == nil {
+		if dt, err := n.Program(idx, -1, bs); err == nil {
 			return dt, nil
 		}
 	}
@@ -197,17 +197,16 @@ type StageCost struct {
 	BytesOut int64
 }
 
-// ReconfigSeconds is the modelled bitstream configuration cost an FPGA
-// placement pays once per batch in the flexible multi-kernel setting (XRT
-// xclbin load, ~120 ms). It is what keeps small batches on the CPU.
-const ReconfigSeconds = 0.120
-
 // ExplorePlacement decides, at compile time, where to run each stage of a
 // pipeline: it compares the modelled CPU time against the FPGA time
 // (including transfers and per-batch reconfiguration) and picks the faster
 // target — the §VIII "transparently decide at compile time where to
-// allocate the kernels (FPGA or CPU)" exploration.
+// allocate the kernels (FPGA or CPU)" exploration. An FPGA placement pays
+// the device's whole-device reconfiguration once per batch
+// (Device.StagingCost: an XRT xclbin load, 120 ms on an Alveo), which
+// keeps small batches on the CPU.
 func ExplorePlacement(stages []StageCost, cpu platform.CPUModel, dev *platform.Device, backend hls.Backend) ([]Placement, error) {
+	_, reconfig := dev.StagingCost(-1)
 	var out []Placement
 	for _, st := range stages {
 		cpuTime := cpu.TimeSeconds(st.Flops, st.BytesIn+st.BytesOut, 1)
@@ -220,8 +219,8 @@ func ExplorePlacement(stages []StageCost, cpu platform.CPUModel, dev *platform.D
 				tl, err := platform.Execute(dev, design.Bitstream, platform.Workload{
 					BytesIn: st.BytesIn, BytesOut: st.BytesOut, Batches: 4,
 				})
-				if err == nil && ReconfigSeconds+tl.Total < cpuTime {
-					choice = Placement{Stage: st.Name, Target: "fpga", TimeSec: ReconfigSeconds + tl.Total}
+				if err == nil && reconfig+tl.Total < cpuTime {
+					choice = Placement{Stage: st.Name, Target: "fpga", TimeSec: reconfig + tl.Total}
 				}
 			}
 		}

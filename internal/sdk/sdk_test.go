@@ -137,6 +137,33 @@ func TestExplorePlacement(t *testing.T) {
 	if byName["bookkeeping"].Target != "cpu" {
 		t.Errorf("tiny stage should stay on CPU, got %+v", byName["bookkeeping"])
 	}
+
+	// An FPGA placement pays the target device's own whole-device
+	// reconfiguration (120 ms on an Alveo, 40 ms on a cloudFPGA) on top of
+	// the design's modelled execution.
+	for _, dev := range []*platform.Device{platform.AlveoU55C(), platform.CloudFPGA()} {
+		ps, err := ExplorePlacement(stages[:1], platform.XeonModel(), dev, hls.VitisBackend{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		design, err := olympus.Generate(stages[0].Kernel, hls.VitisBackend{}, dev, nil, olympus.Options{
+			SharePLM: true, DoubleBuffer: true, Replicate: true, MaxReplicas: 8, PackData: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl, err := platform.Execute(dev, design.Bitstream, platform.Workload{
+			BytesIn: stages[0].BytesIn, BytesOut: stages[0].BytesOut, Batches: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reconfig := dev.ReconfigSeconds()
+		if p := ps[0]; p.Target != "fpga" || p.TimeSec != reconfig+tl.Total {
+			t.Errorf("%s: projection placed %+v, want fpga at %g s (reconfiguration %g + execution %g)",
+				dev.Name, p, reconfig+tl.Total, reconfig, tl.Total)
+		}
+	}
 }
 
 func TestGenericBinding(t *testing.T) {

@@ -21,7 +21,7 @@ type window struct {
 // reconfiguration the device exposes Regions() slots, each holding one
 // kernel, evicted LRU; without it the whole device holds a single image
 // and every kernel alternation pays a full reprogram. What is loaded where
-// is the platform Node's record (ProgramRegion/Program, Holding, Vacant),
+// is the platform Node's record (Program, Holding, Slot),
 // so the busy-window serialization (ClaimDeviceAt) and residency share one
 // device; recent orders the resident kernels for LRU eviction.
 type devState struct {
@@ -128,6 +128,7 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 			devList = append(devList, &devState{
 				node: n, dev: idx, d: n.Devices[idx],
 				name:       fmt.Sprintf("%s/dev%d", n.Name, idx),
+				partial:    cfg.PartialReconfig && n.Devices[idx].Regions() > 1,
 				everLoaded: make(map[string]bool),
 			})
 		}
@@ -190,39 +191,22 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 				assigned[st.Bitstream.ID] = ds
 				ds.kernels++
 			}
+			// A device swaps per region only when every kernel assigned to
+			// it fits one: mixing region and whole-device images on one
+			// card is not modelled.
+			if !st.Bitstream.TotalResources().FitsIn(ds.d.RegionCapacity()) {
+				ds.partial = false
+			}
 			sr.ds = ds
 			sr.kernel = dataset.Intern(dataset.Ref{Name: st.Bitstream.ID})
 		}
 		e.pipes = append(e.pipes, pl)
 	}
 
-	// Decide each device's swap granularity: per-region only when the
-	// floorplan has regions and every kernel assigned to the device fits
-	// one — mixing region and whole-device images on one card is not
-	// modelled.
 	for _, ds := range devList {
 		if ds.kernels == 0 {
 			continue
 		}
-		ds.partial = cfg.PartialReconfig && ds.d.Regions() > 1
-		e.devs = append(e.devs, ds)
-	}
-	if cfg.PartialReconfig {
-		for id, ds := range assigned {
-			if !ds.partial {
-				continue
-			}
-			for i := range specs {
-				for k := range specs[i].Stages {
-					st := &specs[i].Stages[k]
-					if st.Bitstream.ID == id && !st.Bitstream.TotalResources().FitsIn(ds.d.RegionCapacity()) {
-						ds.partial = false
-					}
-				}
-			}
-		}
-	}
-	for _, ds := range e.devs {
 		slots := 1
 		if ds.partial {
 			slots = ds.d.Regions()
@@ -231,6 +215,7 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 		// Residency starts empty: nothing this engine did not load counts.
 		// ds.dev is the node's own device index, so the clear cannot fail.
 		_, _ = ds.node.Unprogram(ds.dev, -1)
+		e.devs = append(e.devs, ds)
 	}
 
 	e.stride = maxStages + slotDone
@@ -439,42 +424,31 @@ func (e *Engine) startService(p *pipeline, k int, w *window, t float64) {
 }
 
 // ensureResident makes the stage's kernel resident on its device and
-// returns the modelled swap stall (0 on residency hit). Partial devices
-// swap one LRU region (region-sized image transfer + region
-// reconfiguration); whole-device mode pays the full image and
-// reconfiguration on every kernel alternation — the cost the PR floorplan
-// exists to avoid.
+// returns the modelled swap stall (0 on residency hit): the slot's staging
+// image over the cluster network plus its reconfiguration. The kernel
+// takes the slot platform.Node.Slot names, else the least recently used
+// kernel's. Partial devices swap one region; whole-device mode pays the
+// full image and reconfiguration on every kernel alternation — the cost
+// the PR floorplan exists to avoid.
 func (e *Engine) ensureResident(p *pipeline, si *stageRun, t float64, events int) float64 {
 	ds := si.ds
 	if ds.recent.Contains(si.kernel.ID) {
 		return 0
 	}
 	id := si.spec.Bitstream.ID
-	var dt float64
-	var err error
-	var img int64
-	if ds.partial {
-		// The first vacant region, else the least recently used kernel's.
-		slot := 0
-		for slot < ds.d.Regions() && !ds.node.Vacant(ds.dev, slot) {
-			slot++
-		}
-		if slot == ds.d.Regions() {
-			victim, _ := ds.recent.Oldest()
-			_, slot, _ = ds.node.Holding(victim.Ref.Name)
-		}
-		dt, err = ds.node.ProgramRegion(ds.dev, slot, si.spec.Bitstream)
-		img = ds.d.RegionConfigBytes()
-	} else {
-		dt, err = ds.node.Program(ds.dev, si.spec.Bitstream)
-		img = ds.d.ConfigBytes()
+	region, ok := ds.node.Slot(ds.dev, si.spec.Bitstream.TotalResources(), ds.partial)
+	if !ok {
+		victim, _ := ds.recent.Oldest()
+		_, region, _ = ds.node.Holding(victim.Ref.Name)
 	}
+	_, err := ds.node.Program(ds.dev, region, si.spec.Bitstream)
 	if err != nil {
 		// Should be unreachable (fit was checked at New); charge nothing
 		// rather than corrupt the timeline.
 		return 0
 	}
-	cost := e.cfg.Cluster.Network.TransferSeconds(img) + dt
+	bytes, reconfig := ds.d.StagingCost(region)
+	cost := e.cfg.Cluster.Network.TransferSeconds(bytes) + reconfig
 	// The bound evicts the displaced kernel, the oldest, if the device was
 	// full.
 	ds.recent.Publish(dataset.Version{Ref: si.kernel.Ref, ID: si.kernel.ID})

@@ -546,11 +546,11 @@ func TestNewClearsAssignedDevices(t *testing.T) {
 		n := c.Nodes[0]
 		if partial {
 			for r, id := range []string{"k0", "x1", "x2", "x3"} {
-				if _, err := n.ProgramRegion(0, r, testBitstream(id, 40000)); err != nil {
+				if _, err := n.Program(0, r, testBitstream(id, 40000)); err != nil {
 					t.Fatal(err)
 				}
 			}
-		} else if _, err := n.Program(0, testBitstream("k0", 40000)); err != nil {
+		} else if _, err := n.Program(0, -1, testBitstream("k0", 40000)); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := run(partial, c), run(partial, testCluster()); !reflect.DeepEqual(got, want) {

@@ -19,7 +19,7 @@ func testNode(t *testing.T) *platform.Node {
 			PackedElements: 8, PLMBytes: 1 << 16},
 		ElemBits: 64,
 	}
-	if _, err := n.Program(0, bs); err != nil {
+	if _, err := n.Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	return n

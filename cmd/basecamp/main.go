@@ -1007,7 +1007,7 @@ func cmdCompile(args []string) error {
 		}
 		// Shapes, not values, drive hardware generation: synthesize a
 		// binding with default extents for symbolic dimensions.
-		c, err = variants.CompileEKL(src, sdk.GenericBinding(k, 16), opt)
+		c, err = variants.CompileEKL(src, variants.SynthesizeBinding(k, nil), opt)
 	}
 	if err != nil {
 		return err

@@ -114,6 +114,19 @@ func TestBuildKMeansCustomConfig(t *testing.T) {
 	}
 }
 
+// TestBuildKMeansOnePartition: a one-partition job builds, and its reduce
+// kernel is specialized to one partition (a synthesized extent of 1 is
+// kept, not replaced by the default).
+func TestBuildKMeansOnePartition(t *testing.T) {
+	km, err := BuildKMeans(DefaultOptions(), KMeansConfig{Partitions: 1, Points: 64, Dims: 4, Centroids: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := km.Update.InputBytes, dataset.Sum(km.PartialRefs()); got != want || len(km.PartialRefs()) != 1 {
+		t.Fatalf("update reads %dB over %d partials, want %dB over 1", got, len(km.PartialRefs()), want)
+	}
+}
+
 func TestKMeansMapWorkflowShape(t *testing.T) {
 	km := kmeansRound(t)
 	for _, p := range []int{0, km.Config.Partitions - 1} {

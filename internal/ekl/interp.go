@@ -9,7 +9,11 @@ import (
 	"everest/internal/tensor"
 )
 
-// Binding supplies concrete tensors and scalars for one kernel execution.
+// Binding supplies the tensors and scalars of one kernel execution. A
+// tensor may be data-less (tensor.Shaped): it binds a shape, which is all
+// Lower's shape pass reads. Values are created only when a statement
+// evaluates: Run then gives each data-less input fresh synthetic values
+// (see bind) and leaves the Binding as it was.
 type Binding struct {
 	Tensors map[string]*tensor.Tensor
 	Scalars map[string]float64
@@ -76,11 +80,10 @@ var errNeedsValues = errors.New("ekl: statement needs evaluation")
 // interpret binds the kernel and executes its statements in order; with
 // shapesOnly, as far as the shape pass goes.
 func (k *Kernel) interpret(b Binding, shapesOnly bool) (*evalEnv, map[string]int, error) {
-	env, dims, err := k.bind(b)
+	env, dims, err := k.bind(b, shapesOnly)
 	if err != nil {
 		return nil, nil, err
 	}
-	env.shapesOnly = shapesOnly
 	for _, s := range k.Stmts {
 		err := env.exec(s)
 		if err == errNeedsValues {
@@ -164,17 +167,20 @@ func (k *Kernel) Check() error {
 }
 
 // bind validates the binding against the declarations and unifies symbolic
-// dimension extents.
-func (k *Kernel) bind(b Binding) (*evalEnv, map[string]int, error) {
+// dimension extents. Unless shapesOnly, it gives each data-less input a
+// fresh tensor of synthetic values (synthesize).
+func (k *Kernel) bind(b Binding, shapesOnly bool) (*evalEnv, map[string]int, error) {
 	if err := k.Check(); err != nil {
 		return nil, nil, err
 	}
 	env := &evalEnv{
-		kernel:  k,
-		tensors: make(map[string]*tensor.Tensor),
-		scalars: make(map[string]float64),
+		kernel:     k,
+		tensors:    make(map[string]*tensor.Tensor),
+		scalars:    make(map[string]float64),
+		shapesOnly: shapesOnly,
 	}
 	dims := make(map[string]int)
+	seed := uint64(syntheticSeed)
 	for _, in := range k.Inputs {
 		t, ok := b.Tensors[in.Name]
 		if !ok {
@@ -197,6 +203,9 @@ func (k *Kernel) bind(b Binding) (*evalEnv, map[string]int, error) {
 					k.Name, in.Name, d, got, dim.Size)
 			}
 		}
+		if !shapesOnly && !t.HasData() {
+			t = synthesize(t.Shape(), in.IsIndex, &seed)
+		}
 		env.tensors[in.Name] = t
 	}
 	for _, p := range k.Params {
@@ -213,6 +222,28 @@ func (k *Kernel) bind(b Binding) (*evalEnv, map[string]int, error) {
 		env.scalars[p.Name] = v
 	}
 	return env, dims, nil
+}
+
+// syntheticSeed starts the xorshift stream that synthesize draws from.
+const syntheticSeed = 0x2545f4914f6cdd1d
+
+// synthesize returns a fresh tensor of the given shape for a data-less
+// input: zeros for an index input, so every subscript it feeds is in
+// range, else the next values in (0, 1] of the xorshift stream at seed,
+// which bind draws in declaration order.
+func synthesize(shape []int, index bool, seed *uint64) *tensor.Tensor {
+	t := tensor.New(shape...)
+	if index {
+		return t
+	}
+	data := t.Data()
+	for i := range data {
+		*seed ^= *seed << 13
+		*seed ^= *seed >> 7
+		*seed ^= *seed << 17
+		data[i] = float64(*seed%1000)/1000 + 0.001
+	}
+	return t
 }
 
 // evalEnv is the mutable interpreter state.
@@ -237,8 +268,8 @@ func (e *evalEnv) isScalar(name string) bool { _, ok := e.scalars[name]; return 
 // (resolver.mayFail): every subscript, read or written, is then a bare
 // index variable, which inferExtents and sumExtents tied to the dimension
 // it indexes, so every read is in range. What is left is the write, which
-// writesFit checks. The target gets its shape, and its zeros are never
-// read: a later statement either skips its loop as well or stops the pass.
+// writesFit checks. The target gets its shape and no data, which nothing
+// reads: a later statement either skips its loop as well or stops the pass.
 func (e *evalEnv) exec(s *Stmt) error {
 	freeOrder, err := e.freeIndices(s)
 	if err != nil {
@@ -564,7 +595,7 @@ func (e *evalEnv) inferExtents(s *Stmt, free []string) (map[string]int, error) {
 }
 
 // prepareTarget returns the tensor the statement writes into, creating it
-// when needed.
+// when needed: data-less in the shape pass, zero-filled otherwise.
 func (e *evalEnv) prepareTarget(s *Stmt, free []string, bounds []int) (*tensor.Tensor, error) {
 	existing, exists := e.tensors[s.Name]
 	_, isPair := s.RHS.(PairExpr)
@@ -596,6 +627,9 @@ func (e *evalEnv) prepareTarget(s *Stmt, free []string, bounds []int) (*tensor.T
 	}
 	if isPair {
 		shape = append(append([]int(nil), bounds...), 2)
+	}
+	if e.shapesOnly {
+		return tensor.Shaped(shape...), nil
 	}
 	return tensor.New(shape...), nil
 }

@@ -23,7 +23,7 @@ type refEnv struct {
 
 // refRun is Kernel.Run on the tree-walking evaluator.
 func refRun(k *Kernel, b Binding) (*Result, error) {
-	env0, dims, err := k.bind(b)
+	env0, dims, err := k.bind(b, false)
 	if err != nil {
 		return nil, err
 	}

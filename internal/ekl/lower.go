@@ -20,6 +20,11 @@ import (
 // whose subscripts are data, is run by Run from its start instead, so its
 // data-dependent errors are still reported at compile time.
 //
+// A proven kernel is lowered from shapes alone: its binding may be
+// data-less (tensor.Shaped), and Lower then allocates nothing that scales
+// with the data. Values are created only when a statement evaluates, in
+// the fallback to Run.
+//
 // The returned module verifies under the registered dialects and can be
 // progressively lowered with LowerToTeIL and LowerToAffine, which is the
 // pipeline measured by experiment E2. The returned shapes carry no value:

@@ -1,9 +1,13 @@
 package ekl_test
 
 import (
+	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -130,6 +134,80 @@ func TestRunAllocsIndependentOfSize(t *testing.T) {
 	}
 }
 
+// allocBytes returns the heap bytes one call of f allocates, averaged over
+// a few calls after a warm-up.
+func allocBytes(f func()) int64 {
+	const calls = 4
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / calls
+}
+
+// TestCompileBytesIndependentOfSize: synthesizing a binding and lowering a
+// proven kernel carry shapes only, so neither allocates with the data.
+func TestCompileBytesIndependentOfSize(t *testing.T) {
+	k := mustParse(t, apps.KMeansAssignEKL())
+	extents := func(n int) map[string]int { return map[string]int{"N": n, "D": 4, "K": 8} }
+	const slack = 64 << 10
+	synth := func(n int) int64 {
+		return allocBytes(func() { variants.SynthesizeBinding(k, extents(n)) })
+	}
+	if small, large := synth(64), synth(65536); large-small >= slack {
+		t.Errorf("SynthesizeBinding: %d B at N=64, %d B at N=65536: it allocates with the data", small, large)
+	}
+	lower := func(n int) int64 {
+		b := variants.SynthesizeBinding(k, extents(n))
+		return allocBytes(func() {
+			if _, _, err := ekl.Lower(k, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := lower(64), lower(65536); large-small >= slack {
+		t.Errorf("Lower: %d B at N=64, %d B at N=65536: it allocates with the data", small, large)
+	}
+}
+
+// TestSynthesizedRunPinned pins the values Run creates for a synthesized
+// binding: the hash of every tensor's bits, inputs included, as read when
+// SynthesizeBinding still filled the inputs itself. Run leaves the
+// binding data-less.
+func TestSynthesizedRunPinned(t *testing.T) {
+	k := mustParse(t, apps.KMeansAssignEKL())
+	b := variants.SynthesizeBinding(k, map[string]int{"N": 256, "D": 4, "K": 8})
+	res, err := k.Run(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(res.All))
+	for name := range res.All {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := fnv.New64a()
+	var word [8]byte
+	for _, name := range names {
+		h.Write([]byte(name))
+		for _, v := range res.All[name].Data() {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+			h.Write(word[:])
+		}
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "1cf423f6cae2c402"; got != want {
+		t.Errorf("kmeans_assign on its synthesized binding hashes to %s, want %s", got, want)
+	}
+	for name, in := range b.Tensors {
+		if in.HasData() {
+			t.Errorf("Run wrote values into the binding's %q", name)
+		}
+	}
+}
+
 func TestRunRejectsOutOfRangeWrites(t *testing.T) {
 	vec := func(n int) *tensor.Tensor { return tensor.New(n) }
 	for _, c := range []struct {
@@ -215,7 +293,8 @@ func TestLowerEmptySpace(t *testing.T) {
 // FuzzRun: Run never panics, errors wherever the tree walk panicked, and
 // otherwise matches it exactly. Lower's shape pass agrees with Run: where it
 // errors, Run errors with the same text, and where it proves a kernel, Run
-// succeeds with the same shapes, dims and trace.
+// succeeds with the same shapes, dims and trace, which Lower also returns
+// from a data-less copy of the binding.
 func FuzzRun(f *testing.F) {
 	ekl.FuzzSeeds(f)
 	for _, rk := range realKernels(f) {
@@ -286,8 +365,16 @@ func checkShapePass(t *testing.T, k *ekl.Kernel, b ekl.Binding, got *ekl.Result,
 	case proven && gotErr != nil:
 		t.Fatalf("shape pass proved a kernel Run rejects with %v:\n%s", gotErr, k.Source())
 	case proven:
-		if want := ekl.SpecializedShapes(got); !reflect.DeepEqual(sh, want) {
+		want := ekl.SpecializedShapes(got)
+		if !reflect.DeepEqual(sh, want) {
 			t.Fatalf("shape pass %+v, Run %+v on\n%s", sh, want, k.Source())
+		}
+		shaped := ekl.Binding{Tensors: map[string]*tensor.Tensor{}, Scalars: b.Scalars}
+		for name, in := range b.Tensors {
+			shaped.Tensors[name] = tensor.Shaped(in.Shape()...)
+		}
+		if _, lsh, err := ekl.Lower(k, shaped); err != nil || !reflect.DeepEqual(lsh, want) {
+			t.Fatalf("Lower from shapes %+v (error %v), Run %+v on\n%s", lsh, err, want, k.Source())
 		}
 	}
 }

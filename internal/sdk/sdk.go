@@ -17,7 +17,6 @@ import (
 	"everest/internal/netsim"
 	"everest/internal/olympus"
 	"everest/internal/platform"
-	"everest/internal/tensor"
 	"everest/internal/variants"
 )
 
@@ -63,58 +62,6 @@ func Compile(src string, binding ekl.Binding, opt CompileOptions) (*CompileResul
 		Report: c.Report, Design: c.Design, PassStats: c.PassStats,
 		Compiled: c,
 	}, nil
-}
-
-// GenericBinding synthesizes a valid binding for a kernel from its
-// declarations: symbolic dimensions get symDefault, literal dimensions are
-// kept, index tensors are zero-filled (always in range), value tensors get
-// small deterministic pseudo-random data, and parameters take their
-// defaults (or 1 for defaultless iparams, 0.5 otherwise). This is what lets
-// `basecamp compile -kernel file.ekl` work without a caller-provided data
-// set: the shapes, not the values, drive hardware generation.
-func GenericBinding(k *ekl.Kernel, symDefault int) ekl.Binding {
-	if symDefault < 2 {
-		symDefault = 16
-	}
-	b := ekl.Binding{
-		Tensors: make(map[string]*tensor.Tensor),
-		Scalars: make(map[string]float64),
-	}
-	seed := uint64(0x9e3779b97f4a7c15)
-	next := func() float64 {
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
-		return float64(seed%1000)/1000 + 0.001
-	}
-	for _, in := range k.Inputs {
-		shape := make([]int, len(in.Dims))
-		for i, d := range in.Dims {
-			if d.Sym != "" {
-				shape[i] = symDefault
-			} else {
-				shape[i] = d.Size
-			}
-		}
-		t := tensor.New(shape...)
-		if !in.IsIndex {
-			for i := range t.Data() {
-				t.Data()[i] = next()
-			}
-		}
-		b.Tensors[in.Name] = t
-	}
-	for _, p := range k.Params {
-		switch {
-		case p.HasDef:
-			b.Scalars[p.Name] = p.Default
-		case p.IsInt:
-			b.Scalars[p.Name] = 1
-		default:
-			b.Scalars[p.Name] = 0.5
-		}
-	}
-	return b
 }
 
 // SDK bundles the runtime-side state: the bitstream registry and cluster.

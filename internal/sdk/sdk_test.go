@@ -12,6 +12,7 @@ import (
 	"everest/internal/runtime"
 	"everest/internal/tensor"
 	"everest/internal/traffic"
+	"everest/internal/variants"
 )
 
 const saxpySrc = `
@@ -181,7 +182,7 @@ kernel g {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := GenericBinding(k, 8)
+	b := variants.SynthesizeBinding(k, map[string]int{"N": 8})
 	if b.Tensors["a"].Shape()[0] != 8 || b.Tensors["a"].Shape()[1] != 4 {
 		t.Errorf("shape synthesis wrong: %v", b.Tensors["a"].Shape())
 	}

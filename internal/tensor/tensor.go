@@ -10,7 +10,10 @@ import (
 	"strings"
 )
 
-// Tensor is a dense row-major float64 tensor. The zero value is a scalar 0.
+// Tensor is a dense row-major float64 tensor. A data-less tensor (Shaped)
+// has a shape and strides but no elements: code that needs only shapes,
+// such as the EKL shape pass, takes one, and nothing may read or write its
+// elements. The zero value is a data-less scalar.
 type Tensor struct {
 	shape   []int
 	strides []int
@@ -20,14 +23,19 @@ type Tensor struct {
 // New returns a zero-filled tensor with the given shape. An empty shape
 // yields a scalar.
 func New(shape ...int) *Tensor {
-	n := 1
+	t := Shaped(shape...)
+	t.data = make([]float64, t.Size())
+	return t
+}
+
+// Shaped returns a data-less tensor with the given shape.
+func Shaped(shape ...int) *Tensor {
 	for _, d := range shape {
 		if d < 0 {
 			panic(fmt.Sprintf("tensor: negative dim %d", d))
 		}
-		n *= d
 	}
-	t := &Tensor{shape: append([]int(nil), shape...), data: make([]float64, n)}
+	t := &Tensor{shape: append([]int(nil), shape...)}
 	t.computeStrides()
 	return t
 }
@@ -77,10 +85,21 @@ func (t *Tensor) Shape() []int { return t.shape }
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.shape) }
 
-// Size returns the number of elements.
-func (t *Tensor) Size() int { return len(t.data) }
+// Size returns the number of elements the shape holds, whether or not t
+// carries them.
+func (t *Tensor) Size() int {
+	n := 1
+	for _, d := range t.shape {
+		n *= d
+	}
+	return n
+}
 
-// Data returns the backing slice (row-major; mutating it mutates the tensor).
+// HasData reports whether t carries its elements; see Shaped.
+func (t *Tensor) HasData() bool { return t.data != nil }
+
+// Data returns the backing slice (row-major; mutating it mutates the
+// tensor), nil for a data-less tensor.
 func (t *Tensor) Data() []float64 { return t.data }
 
 // At returns the element at the given multi-index.

@@ -23,6 +23,16 @@ func TestNewAndIndexing(t *testing.T) {
 	}
 }
 
+func TestShapedCarriesNoData(t *testing.T) {
+	a := Shaped(2, 3)
+	if a.Rank() != 2 || a.Size() != 6 || a.HasData() || a.Data() != nil {
+		t.Fatalf("Shaped(2, 3): rank %d, size %d, data %v", a.Rank(), a.Size(), a.Data())
+	}
+	if !New(2, 3).HasData() || !New(0).HasData() {
+		t.Error("New must carry its elements, even when there are none")
+	}
+}
+
 func TestScalarAndItem(t *testing.T) {
 	s := Scalar(3.25)
 	if s.Rank() != 0 || s.Item() != 3.25 {

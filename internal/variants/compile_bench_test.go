@@ -18,6 +18,9 @@ import (
 // points, 16 dims, 8 centroids), so their sum is that workload's set-up.
 // rrtmg, at the weather app's binding (24 columns), is the one kernel
 // whose gathers Lower still runs through the reference interpreter.
+// Every binding above is built outside the timed loop; kmeans-build
+// times the kmeans-data workload's whole set-up compile, apps.BuildKMeans
+// at its geometry, binding synthesis included.
 // Wall-clock only: no BENCH_*.json gates it.
 func BenchmarkCompilePipeline(b *testing.B) {
 	type kernel struct {
@@ -60,4 +63,13 @@ func BenchmarkCompilePipeline(b *testing.B) {
 			}
 		})
 	}
+	b.Run("kmeans-build", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := apps.KMeansConfig{Partitions: 8, Points: 8192, Dims: 16, Centroids: 8}
+		for i := 0; i < b.N; i++ {
+			if _, err := apps.BuildKMeans(apps.DefaultOptions(), cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

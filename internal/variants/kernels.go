@@ -98,45 +98,29 @@ func CompileExample(name string, opt Options) (*Compiled, error) {
 	return CompileEKL(src, binding, opt)
 }
 
-// SynthesizeBinding materializes a deterministic binding for a kernel:
-// symbolic dimensions take their extent from extents (default 16), value
-// tensors are filled with deterministic pseudo-random data, index tensors
-// with zeros (always in range), and parameters take their declared
-// defaults (1 for defaultless iparams, 0.5 otherwise). Shapes, not values,
-// drive hardware generation — the values only feed the reference
-// interpretation that specializes them.
+// SynthesizeBinding returns a deterministic, data-less binding for a
+// kernel: each input is a tensor.Shaped whose symbolic dimensions take
+// their extent from extents (16 where it is absent or not positive), and
+// each parameter takes its declared default (1 for a defaultless iparam,
+// 0.5 otherwise). Shapes, not values, drive hardware generation: values
+// are created only when a statement evaluates (ekl.Binding).
 func SynthesizeBinding(k *ekl.Kernel, extents map[string]int) ekl.Binding {
 	b := ekl.Binding{
 		Tensors: make(map[string]*tensor.Tensor),
 		Scalars: make(map[string]float64),
 	}
-	seed := uint64(0x2545f4914f6cdd1d)
-	next := func() float64 {
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
-		return float64(seed%1000)/1000 + 0.001
-	}
 	for _, in := range k.Inputs {
 		shape := make([]int, len(in.Dims))
 		for i, d := range in.Dims {
+			shape[i] = d.Size
 			if d.Sym != "" {
-				ext := extents[d.Sym]
-				if ext < 2 {
-					ext = 16
+				shape[i] = extents[d.Sym]
+				if shape[i] < 1 {
+					shape[i] = 16
 				}
-				shape[i] = ext
-			} else {
-				shape[i] = d.Size
 			}
 		}
-		t := tensor.New(shape...)
-		if !in.IsIndex {
-			for i := range t.Data() {
-				t.Data()[i] = next()
-			}
-		}
-		b.Tensors[in.Name] = t
+		b.Tensors[in.Name] = tensor.Shaped(shape...)
 	}
 	for _, p := range k.Params {
 		switch {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"everest/internal/dataset"
+	"everest/internal/runtime"
 )
 
 // This file is the fleet's named data plane. Alongside its resident
@@ -34,16 +35,16 @@ import (
 // k-means point partitions across the fleet, staging a shared feature
 // table). Placement is free: the data is assumed to land through the
 // ingest plane, not the serving queue. The partitions become known to the
-// federation, so routing prices their locality from then on. It refuses
-// after Shutdown.
+// federation, so routing prices their locality from then on. After
+// Shutdown it returns runtime.ErrShutDown.
 func (f *Fleet) PlaceDataset(i int, at float64, refs ...dataset.Ref) error {
 	if i < 0 || i >= len(f.sites) {
 		return fmt.Errorf("fleet: site %d outside [0, %d)", i, len(f.sites))
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return errShutDown
+	if err := f.life.Check(runtime.Control); err != nil {
+		return err
 	}
 	s := f.sites[i]
 	for _, r := range refs {

@@ -44,9 +44,6 @@ import (
 // bound. Callers detect it with errors.Is.
 var ErrSaturated = errors.New("fleet: all sites saturated")
 
-// errShutDown refuses a control-plane call on a fleet that was shut down.
-var errShutDown = errors.New("fleet: shut down")
-
 // WorkflowName is the name a front gives an unnamed workflow: "tenant/wfN",
 // N being the front's count of accepted submissions. The name is the
 // engine's tie-break key, so its bytes are fixed; it costs one allocation.
@@ -97,40 +94,18 @@ const (
 	EventDataEvict
 )
 
+// eventNames holds each EventKind's name, indexed by kind.
+var eventNames = [...]string{
+	"route", "reject", "cache-hit", "cache-miss", "deploy", "evict",
+	"redeploy", "fallback", "done", "warm", "site-join", "site-leave",
+	"data-fetch", "data-publish", "data-evict",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EventRoute:
-		return "route"
-	case EventReject:
-		return "reject"
-	case EventCacheHit:
-		return "cache-hit"
-	case EventCacheMiss:
-		return "cache-miss"
-	case EventDeploy:
-		return "deploy"
-	case EventEvict:
-		return "evict"
-	case EventRedeploy:
-		return "redeploy"
-	case EventFallback:
-		return "fallback"
-	case EventDone:
-		return "done"
-	case EventWarm:
-		return "warm"
-	case EventSiteJoin:
-		return "site-join"
-	case EventSiteLeave:
-		return "site-leave"
-	case EventDataFetch:
-		return "data-fetch"
-	case EventDataPublish:
-		return "data-publish"
-	case EventDataEvict:
-		return "data-evict"
+	if k < 0 || int(k) >= len(eventNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return eventNames[k]
 }
 
 // Event is one fleet trace record. Callbacks run under the fleet lock, so
@@ -339,55 +314,51 @@ type Stats struct {
 }
 
 // CacheHits sums cache hits across sites.
-func (st Stats) CacheHits() int { return st.sum(func(s SiteStats) int { return s.CacheHits }) }
+func (st Stats) CacheHits() int { return sum(st, func(s SiteStats) int { return s.CacheHits }) }
 
 // CacheMisses sums cache misses across sites.
-func (st Stats) CacheMisses() int { return st.sum(func(s SiteStats) int { return s.CacheMisses }) }
+func (st Stats) CacheMisses() int { return sum(st, func(s SiteStats) int { return s.CacheMisses }) }
 
 // Evictions sums cache evictions across sites.
-func (st Stats) Evictions() int { return st.sum(func(s SiteStats) int { return s.Evictions }) }
+func (st Stats) Evictions() int { return sum(st, func(s SiteStats) int { return s.Evictions }) }
 
 // Redeploys sums eviction- or fault-triggered redeploys across sites.
-func (st Stats) Redeploys() int { return st.sum(func(s SiteStats) int { return s.Redeploys }) }
+func (st Stats) Redeploys() int { return sum(st, func(s SiteStats) int { return s.Redeploys }) }
 
 // Guaranteed sums guaranteed-class completions across sites.
-func (st Stats) Guaranteed() int { return st.sum(func(s SiteStats) int { return s.Guaranteed }) }
+func (st Stats) Guaranteed() int { return sum(st, func(s SiteStats) int { return s.Guaranteed }) }
 
 // BoundViolations sums guaranteed completions that missed their proven
 // bound across sites — zero whenever the admission math is sound.
 func (st Stats) BoundViolations() int {
-	return st.sum(func(s SiteStats) int { return s.BoundViolations })
+	return sum(st, func(s SiteStats) int { return s.BoundViolations })
 }
 
 // WarmDeploys sums prefetch-staged bitstream deploys across sites.
-func (st Stats) WarmDeploys() int { return st.sum(func(s SiteStats) int { return s.WarmDeploys }) }
+func (st Stats) WarmDeploys() int { return sum(st, func(s SiteStats) int { return s.WarmDeploys }) }
 
 // DatasetHits sums serve-time dataset residency hits across sites.
-func (st Stats) DatasetHits() int { return st.sum(func(s SiteStats) int { return s.DatasetHits }) }
+func (st Stats) DatasetHits() int { return sum(st, func(s SiteStats) int { return s.DatasetHits }) }
 
 // DatasetFetches sums dataset-partition fetches across sites.
 func (st Stats) DatasetFetches() int {
-	return st.sum(func(s SiteStats) int { return s.DatasetFetches })
+	return sum(st, func(s SiteStats) int { return s.DatasetFetches })
 }
 
 // DatasetFetchedBytes sums the dataset bytes shipped between sites — the
 // traffic data-locality routing exists to avoid.
 func (st Stats) DatasetFetchedBytes() int64 {
-	var n int64
-	for _, s := range st.Sites {
-		n += s.DatasetFetchedBytes
-	}
-	return n
+	return sum(st, func(s SiteStats) int64 { return s.DatasetFetchedBytes })
 }
 
 // DatasetPublished sums partitions published to site stores across sites.
 func (st Stats) DatasetPublished() int {
-	return st.sum(func(s SiteStats) int { return s.DatasetPublished })
+	return sum(st, func(s SiteStats) int { return s.DatasetPublished })
 }
 
 // DatasetEvictions sums dataset-store LRU evictions across sites.
 func (st Stats) DatasetEvictions() int {
-	return st.sum(func(s SiteStats) int { return s.DatasetEvictions })
+	return sum(st, func(s SiteStats) int { return s.DatasetEvictions })
 }
 
 // ActiveSites counts sites currently serving (autoscaling state).
@@ -401,8 +372,9 @@ func (st Stats) ActiveSites() int {
 	return n
 }
 
-func (st Stats) sum(f func(SiteStats) int) int {
-	n := 0
+// sum folds one per-site counter across sites.
+func sum[T int | int64](st Stats, f func(SiteStats) T) T {
+	var n T
 	for _, s := range st.Sites {
 		n += f(s)
 	}
@@ -453,8 +425,7 @@ type Fleet struct {
 	// serves under it, so submitters serialize in one total order.
 	mu        sync.Mutex
 	reg       *platform.Registry
-	started   bool
-	closed    bool
+	life      runtime.Lifecycle
 	lastSite  map[string]int // tenant -> previous site (affinity)
 	submitted int
 	rejected  int
@@ -560,12 +531,13 @@ func (s *site) activeAt(at float64) bool { return s.active && s.activeFrom <= at
 func (s *site) start(arrival float64) float64 { return max(arrival, s.busyUntil) }
 
 // Publish stores a bitstream in the fleet's registry under the fleet lock;
-// sites deploy it on demand. It refuses after Shutdown.
+// sites deploy it on demand. After Shutdown it returns
+// runtime.ErrShutDown.
 func (f *Fleet) Publish(bs platform.Bitstream) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return errShutDown
+	if err := f.life.Check(runtime.Control); err != nil {
+		return err
 	}
 	return f.reg.Put(bs)
 }
@@ -574,24 +546,22 @@ func (f *Fleet) Publish(bs platform.Bitstream) error {
 // takes effect at `at` (callers model boot delay by passing a future
 // time). Submit serves before it returns, so a site never holds routed
 // work when it scales down. The site's cache survives a scale-down —
-// bitstreams are still resident if it returns. It refuses after Shutdown.
+// bitstreams are still resident if it returns. After Shutdown it returns
+// runtime.ErrShutDown.
 func (f *Fleet) SetSiteActive(i int, active bool, at float64) error {
 	if i < 0 || i >= len(f.sites) {
 		return fmt.Errorf("fleet: site %d outside [0, %d)", i, len(f.sites))
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return errShutDown
+	if err := f.life.Check(runtime.Control); err != nil {
+		return err
 	}
 	s := f.sites[i]
 	s.active = active
-	if active {
-		s.activeFrom = at
-	}
 	kind := EventSiteLeave
 	if active {
-		kind = EventSiteJoin
+		s.activeFrom, kind = at, EventSiteJoin
 	}
 	f.trace(Event{Kind: kind, Site: s.name, Time: at})
 	return nil
@@ -622,13 +592,13 @@ func (f *Fleet) QueueWait(arrival float64) (float64, bool) {
 // service time from workflows — which is what makes speculative prefetch
 // pay. An already-resident bitstream is a free no-op. Returns the chosen
 // site index and the modelled staging seconds; an error means the fleet
-// was shut down, the registry lacks the bitstream, no site is active, or
-// no online device fits it.
+// was shut down (runtime.ErrShutDown), the registry lacks the bitstream,
+// no site is active, or no online device fits it.
 func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return -1, 0, errShutDown
+	if err := f.life.Check(runtime.Control); err != nil {
+		return -1, 0, err
 	}
 	if _, err := f.reg.Entry(id); err != nil {
 		return -1, 0, fmt.Errorf("fleet: warm: %w", err)
@@ -661,14 +631,14 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 // site is about to serve (a scattered map-reduce workload, a federation-
 // wide rollout). Staging runs on the deployment control plane, so it
 // stalls no workflow; already-resident sites are free no-ops. Returns the
-// summed staging seconds. An error means the fleet was shut down or the
-// registry lacks the bitstream; sites where no online device fits it are
-// skipped.
+// summed staging seconds. An error means the fleet was shut down
+// (runtime.ErrShutDown) or the registry lacks the bitstream; sites where
+// no online device fits it are skipped.
 func (f *Fleet) WarmAll(id string, at float64) (float64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return 0, errShutDown
+	if err := f.life.Check(runtime.Control); err != nil {
+		return 0, err
 	}
 	if _, err := f.reg.Entry(id); err != nil {
 		return 0, fmt.Errorf("fleet: warm-all: %w", err)
@@ -702,19 +672,21 @@ func (f *Fleet) warm(s *site, p dataset.Part, at float64) float64 {
 	return dt
 }
 
-// Start brings every site engine up.
+// Start brings every site engine up. After Shutdown it returns
+// runtime.ErrShutDown, and a Start that fails shuts the fleet down.
 func (f *Fleet) Start() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.started {
-		return fmt.Errorf("fleet: already started")
+	if err := f.life.Check(runtime.Begin); err != nil {
+		return err
 	}
 	for _, s := range f.sites {
 		if err := s.engine.Start(); err != nil {
+			f.shut()
 			return fmt.Errorf("fleet: %s: %w", s.name, err)
 		}
 	}
-	f.started = true
+	f.life = runtime.Serving
 	return nil
 }
 
@@ -725,7 +697,8 @@ func (f *Fleet) Start() error {
 // MaxQueueSeconds admission bound or a guaranteed deadline no site can
 // prove. An invalid request (nil workflow, non-finite arrival, guaranteed
 // without a positive finite deadline) is an error that is neither
-// ErrSaturated nor counted as a rejection, and it touches no state.
+// ErrSaturated nor counted as a rejection, and it touches no state; so is
+// runtime.ErrShutDown after Shutdown.
 func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	if req.Workflow == nil {
 		return nil, fmt.Errorf("fleet: nil workflow")
@@ -743,8 +716,8 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	needs := req.Workflow.Needs()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.started || f.closed {
-		return nil, fmt.Errorf("fleet: not serving (started=%v closed=%v)", f.started, f.closed)
+	if err := f.life.Check(runtime.Serve); err != nil {
+		return nil, err
 	}
 	known := f.catalog.Known(req.Workflow.Reads())
 	last, hasLast := f.lastSite[tenant]
@@ -787,21 +760,24 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	return t, nil
 }
 
-// Shutdown refuses new submissions, stops the engines, and returns the
-// final stats. Nothing is left to drain: every admitted workflow was
-// served inside its Submit.
+// Shutdown refuses every later mutating call with runtime.ErrShutDown,
+// stops the engines, started or not, and returns the final stats. Nothing
+// is left to drain: every admitted workflow was served inside its Submit.
 func (f *Fleet) Shutdown() Stats {
 	f.mu.Lock()
-	if !f.closed {
-		f.closed = true
-		if f.started {
-			for _, s := range f.sites {
-				s.engine.Shutdown()
-			}
-		}
+	if f.life != runtime.Shut {
+		f.shut()
 	}
 	f.mu.Unlock()
 	return f.Stats()
+}
+
+// shut is Shutdown under the fleet lock, and the end of a failed Start.
+func (f *Fleet) shut() {
+	f.life = runtime.Shut
+	for _, s := range f.sites {
+		s.engine.Shutdown()
+	}
 }
 
 // Stats snapshots the fleet.

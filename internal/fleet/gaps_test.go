@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"everest/internal/apps"
@@ -129,5 +130,66 @@ func TestDeployGapsPinned(t *testing.T) {
 					c.deployGap, tc.n, tc.deployGap)
 			}
 		})
+	}
+}
+
+// shiftFleet serves the two-clock probe with every arrival and fault
+// moved by shift: one site of two single-Alveo nodes holding two
+// bitstreams, twelve workflows 0.15 s apart cycling the FPGA workflow
+// over three bitstreams with every fourth a CPU workflow, node00's device
+// unplugged at 0.3 s and plugged back at 0.9 s, and node01 slowed 3× at
+// 0.5 s. It returns each workflow's latency.
+func shiftFleet(t *testing.T, shift float64) []float64 {
+	t.Helper()
+	ids := []string{"bs-a", "bs-b", "bs-c"}
+	reg := platform.NewRegistry()
+	for _, id := range ids {
+		if err := reg.Put(testBitstream(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := newTestFleet(t, reg, Config{Sites: 1, CacheSlots: 2, SiteEvents: [][]runtime.EnvEvent{{
+		{Kind: runtime.EnvUnplug, Node: "node00", Device: 0, At: 0.3 + shift},
+		{Kind: runtime.EnvSlowdown, Node: "node01", Factor: 3, At: 0.5 + shift},
+		{Kind: runtime.EnvPlug, Node: "node00", Device: 0, At: 0.9 + shift},
+	}}})
+	defer f.Shutdown()
+	var lat []float64
+	for i := 0; i < 12; i++ {
+		w := fpgaWorkflow(ids[i%3])
+		if i%4 == 3 {
+			w = cpuWorkflow()
+		}
+		tk, err := f.Submit(Request{Tenant: "t", Workflow: w, Arrival: shift + 0.15*float64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat = append(lat, res.Latency)
+	}
+	return lat
+}
+
+// TestTimeShiftGapPinned pins the two-clock gap (DESIGN §10) as a
+// metamorphic count: shifting every arrival and fault by +10 s must not
+// change a latency, yet it changes 5 of 12. A site engine's clock starts
+// at 0 and advances only by service time, so it meets the scripted
+// faults at other moments than the fleet's clock does. ROADMAP item 5
+// (one modelled clock) flips this pin to 0; a change that widens the gap
+// fails here.
+func TestTimeShiftGapPinned(t *testing.T) {
+	base, shifted := shiftFleet(t, 0), shiftFleet(t, 10)
+	changed := 0
+	for i := range base {
+		if math.Abs(shifted[i]-base[i]) > 1e-9 {
+			changed++
+			t.Logf("workflow %d: latency %.6g s, %.6g s shifted", i, base[i], shifted[i])
+		}
+	}
+	if changed != 5 {
+		t.Errorf("a +10 s shift changed %d of %d latencies, want 5", changed, len(base))
 	}
 }

@@ -276,8 +276,8 @@ func TestPublishRefusesAfterShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Shutdown()
-	if err := f.Publish(testBitstream("bs-late")); !errors.Is(err, errShutDown) {
-		t.Fatalf("Publish after Shutdown = %v, want %v", err, errShutDown)
+	if err := f.Publish(testBitstream("bs-late")); !errors.Is(err, runtime.ErrShutDown) {
+		t.Fatalf("Publish after Shutdown = %v, want %v", err, runtime.ErrShutDown)
 	}
 	if _, err := reg.Entry("bs-late"); err == nil {
 		t.Fatal("a refused Publish wrote the registry")

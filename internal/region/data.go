@@ -27,16 +27,16 @@ import (
 // at — the ingest step a federation scenario runs before serving. The
 // partitions become known federation-wide, so routing prices their
 // locality from then on. Placement is free (ingest plane, not WAN). It
-// is legal before Start; after Shutdown it returns an error and places
-// nothing.
+// is legal before Start; after Shutdown it returns runtime.ErrShutDown
+// and places nothing.
 func (f *Federation) PlaceDataset(r int, at float64, refs ...dataset.Ref) error {
 	if r < 0 || r >= len(f.regions) {
 		return fmt.Errorf("region: region %d outside [0, %d)", r, len(f.regions))
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return errShutDown
+	if err := f.life.Check(runtime.Control); err != nil {
+		return err
 	}
 	reg := f.regions[r]
 	for _, ref := range refs {

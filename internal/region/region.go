@@ -33,7 +33,6 @@
 package region
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -61,15 +60,10 @@ const (
 )
 
 func (c Class) String() string {
-	switch c {
-	case Batch:
-		return "batch"
-	case Interactive:
-		return "interactive"
-	case Guaranteed:
-		return "guaranteed"
+	if c < 0 || c > Guaranteed {
+		return "unknown"
 	}
-	return "unknown"
+	return [...]string{"batch", "interactive", "guaranteed"}[c]
 }
 
 // EventKind classifies region trace events.
@@ -111,38 +105,18 @@ const (
 	EventDone
 )
 
+// eventNames holds each EventKind's name, indexed by kind.
+var eventNames = [...]string{
+	"route", "handoff", "fetch", "prefetch", "hold", "release", "preempt",
+	"scale-up", "scale-down", "evict-store", "data-fetch", "data-prefetch",
+	"reject", "done",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EventRoute:
-		return "route"
-	case EventHandoff:
-		return "handoff"
-	case EventFetch:
-		return "fetch"
-	case EventPrefetch:
-		return "prefetch"
-	case EventHold:
-		return "hold"
-	case EventRelease:
-		return "release"
-	case EventPreempt:
-		return "preempt"
-	case EventScaleUp:
-		return "scale-up"
-	case EventScaleDown:
-		return "scale-down"
-	case EventEvictStore:
-		return "evict-store"
-	case EventDataFetch:
-		return "data-fetch"
-	case EventDataPrefetch:
-		return "data-prefetch"
-	case EventReject:
-		return "reject"
-	case EventDone:
-		return "done"
+	if k < 0 || int(k) >= len(eventNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return eventNames[k]
 }
 
 // Event is one region trace record, serialized by the federation.
@@ -428,8 +402,7 @@ type Federation struct {
 	// the federation serves from: the catalog and the region stores.
 	mu        sync.Mutex
 	catalog   *platform.Registry
-	started   bool
-	closed    bool
+	life      runtime.Lifecycle
 	frontier  float64 // latest processed modelled time
 	submitted int
 	rejected  int
@@ -543,37 +516,36 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 	return f, nil
 }
 
-// errShutDown refuses a mutating call on a federation that was shut down.
-var errShutDown = errors.New("region: shut down")
-
 // Regions returns the number of federated regions.
 func (f *Federation) Regions() int { return len(f.regions) }
 
 // Publish stores a bitstream in the federation-wide catalog under the
-// federation lock; regions WAN-fetch it on demand or ahead of demand. It
-// refuses after Shutdown.
+// federation lock; regions WAN-fetch it on demand or ahead of demand.
+// After Shutdown it returns runtime.ErrShutDown.
 func (f *Federation) Publish(bs platform.Bitstream) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return errShutDown
+	if err := f.life.Check(runtime.Control); err != nil {
+		return err
 	}
 	return f.catalog.Put(bs)
 }
 
-// Start brings every regional fleet up.
+// Start brings every regional fleet up. After Shutdown it returns
+// runtime.ErrShutDown, and a Start that fails shuts the federation down.
 func (f *Federation) Start() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.started {
-		return fmt.Errorf("region: already started")
+	if err := f.life.Check(runtime.Begin); err != nil {
+		return err
 	}
 	for _, r := range f.regions {
 		if err := r.fl.Start(); err != nil {
+			f.shut()
 			return fmt.Errorf("region: %s: %w", r.name, err)
 		}
 	}
-	f.started = true
+	f.life = runtime.Serving
 	return nil
 }
 
@@ -596,7 +568,7 @@ func (f *Federation) partitioned(r int, t float64) bool {
 // invalid request); nothing was enqueued. An invalid request (nil
 // workflow, home out of range, non-finite arrival, guaranteed without a
 // positive finite deadline) touches no state and is not counted as
-// rejected.
+// rejected; neither does a request after Shutdown (runtime.ErrShutDown).
 func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 	if req.Workflow == nil {
 		return nil, fmt.Errorf("region: nil workflow")
@@ -615,8 +587,8 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.started || f.closed {
-		return nil, fmt.Errorf("region: not serving (started=%v closed=%v)", f.started, f.closed)
+	if err := f.life.Check(runtime.Serve); err != nil {
+		return nil, err
 	}
 	if req.Arrival < f.frontier {
 		return nil, fmt.Errorf("region: arrival %.6g before frontier %.6g (arrivals must be non-decreasing)",
@@ -761,12 +733,7 @@ func (a routeCand) less(b routeCand, home int) bool {
 // handoff, artifact fetches, dataset staging) are charged first and
 // shrink the deadline the fleet must prove.
 func (f *Federation) tryGuaranteed(r *region, req Request, h *Handle) error {
-	handoff := 0.0
-	if r.idx != req.Home {
-		handoff = f.wan.SendSeconds(req.InputBytes)
-	}
-	fetch := f.ensureArtifacts(r, req.Workflow.Needs(), req.Arrival+handoff, false)
-	dfetch := f.ensureData(r, f.dataCat.Known(req.Workflow.Reads()), req.Arrival+handoff+fetch, false)
+	handoff, fetch, dfetch := f.stage(r, req, req.Arrival)
 	stall := handoff + fetch + dfetch
 	if req.Deadline <= stall {
 		return fmt.Errorf("%w: %s: stalls %.4gs consume the %.4gs deadline",
@@ -779,35 +746,40 @@ func (f *Federation) tryGuaranteed(r *region, req Request, h *Handle) error {
 	if err != nil {
 		return err
 	}
-	f.finish(r, req, tk, handoff, fetch, dfetch, 0, 0, h)
+	f.finish(r, req, tk, nil, handoff, fetch, dfetch, 0, 0, h)
 	return nil
+}
+
+// stage charges the serving-path stalls of req at region r from at: the
+// WAN handoff (away from home), then artifact fetches, then dataset
+// staging.
+func (f *Federation) stage(r *region, req Request, at float64) (handoff, fetch, dfetch float64) {
+	if r.idx != req.Home {
+		handoff = f.wan.SendSeconds(req.InputBytes)
+	}
+	fetch = f.ensureArtifacts(r, req.Workflow.Needs(), at+handoff, false)
+	dfetch = f.ensureData(r, f.dataCat.Known(req.Workflow.Reads()), at+handoff+fetch, false)
+	return handoff, fetch, dfetch
 }
 
 // serveNow serves one request at region r with the given serving-path
 // arrival (the hold release for batch work), resolving h.
 func (f *Federation) serveNow(r *region, req Request, at float64, pushes int, h *Handle) {
-	handoff := 0.0
-	if r.idx != req.Home {
-		handoff = f.wan.SendSeconds(req.InputBytes)
-	}
-	fetch := f.ensureArtifacts(r, req.Workflow.Needs(), at+handoff, false)
-	dfetch := f.ensureData(r, f.dataCat.Known(req.Workflow.Reads()), at+handoff+fetch, false)
+	handoff, fetch, dfetch := f.stage(r, req, at)
 	tk, err := r.fl.Submit(fleet.Request{
 		Tenant: req.Tenant, Name: req.Name, Workflow: req.Workflow,
 		Arrival: at + handoff + fetch + dfetch,
 	})
-	if err != nil {
-		r.stats.Failed++
-		h.err = fmt.Errorf("region: %s: %w", r.name, err)
-		h.held = nil
-		return
-	}
-	f.finish(r, req, tk, handoff, fetch, dfetch, at-req.Arrival, pushes, h)
+	f.finish(r, req, tk, err, handoff, fetch, dfetch, at-req.Arrival, pushes, h)
 }
 
-// finish waits out the fleet serve and fills the handle's result.
-func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, handoff, fetch, dfetch, hold float64, pushes int, h *Handle) {
-	res, err := tk.Wait()
+// finish waits out the fleet serve (unless its Submit failed with err) and
+// fills the handle's result.
+func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, err error, handoff, fetch, dfetch, hold float64, pushes int, h *Handle) {
+	var res fleet.Result
+	if err == nil {
+		res, err = tk.Wait()
+	}
 	h.held = nil
 	if err != nil {
 		r.stats.Failed++
@@ -941,13 +913,17 @@ func (f *Federation) preemptDue(t, completion float64) {
 // Preempt manually pushes a held batch workflow back by the restart
 // penalty and traces the push as an EventPreempt at the frontier (the
 // latest arrival or drain time). Preempting work that already completed
-// (or was never held) is an error — there is nothing left to push.
+// (or was never held) is an error — there is nothing left to push — and
+// after Shutdown it returns runtime.ErrShutDown.
 func (f *Federation) Preempt(h *Handle) error {
 	if h == nil {
 		return fmt.Errorf("region: nil handle")
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if err := f.life.Check(runtime.Control); err != nil {
+		return err
+	}
 	hw := h.held
 	if hw == nil {
 		return fmt.Errorf("region: workflow already completed; cannot preempt")
@@ -1122,7 +1098,7 @@ func (f *Federation) autoscale(r *region, at float64) {
 func (f *Federation) Drain(at float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.closed {
+	if f.life != runtime.Shut {
 		f.drain(at)
 	}
 }
@@ -1142,22 +1118,27 @@ func (f *Federation) drain(at float64) {
 	}
 }
 
-// Shutdown drains held work, stops every regional fleet, and returns the
-// final stats. Draining and closing share one lock section, so no
+// Shutdown drains held work, stops every regional fleet, started or not,
+// and returns the final stats; every later mutating call returns
+// runtime.ErrShutDown. Draining and closing share one lock section, so no
 // submission lands between them to be held and never served.
 func (f *Federation) Shutdown() Stats {
 	f.mu.Lock()
-	if !f.closed {
+	if f.life != runtime.Shut {
 		f.drain(0)
-		f.closed = true
-		if f.started {
-			for _, r := range f.regions {
-				r.fl.Shutdown()
-			}
-		}
+		f.shut()
 	}
 	f.mu.Unlock()
 	return f.Stats()
+}
+
+// shut closes the federation and its fleets (federation lock held): the
+// end of Shutdown and of a failed Start.
+func (f *Federation) shut() {
+	f.life = runtime.Shut
+	for _, r := range f.regions {
+		r.fl.Shutdown()
+	}
 }
 
 // Stats snapshots the federation.

@@ -10,6 +10,7 @@ import (
 	"everest/internal/dataset"
 	"everest/internal/fleet"
 	"everest/internal/platform"
+	"everest/internal/runtime"
 )
 
 // TestShutdownResolvesRacingBatch: batch submitters race Shutdown while a
@@ -140,8 +141,8 @@ func TestPlaceDatasetAfterShutdownRefuses(t *testing.T) {
 }
 
 // TestPublishAfterShutdownRefuses: Publish is legal before Start, and
-// after Shutdown it returns the error PlaceDataset returns without
-// writing the catalog.
+// after Shutdown it returns runtime.ErrShutDown, the error PlaceDataset
+// returns, without writing the catalog.
 func TestPublishAfterShutdownRefuses(t *testing.T) {
 	catalog := platform.NewRegistry()
 	f, err := New(catalog, Config{Regions: 2, SitesPerRegion: 1, NewCluster: testClusters(1)})
@@ -159,10 +160,62 @@ func TestPublishAfterShutdownRefuses(t *testing.T) {
 	if want := f.PlaceDataset(0, 1, dataset.Ref{Name: "late", Bytes: 1 << 20}); err == nil || !errors.Is(err, want) {
 		t.Fatalf("Publish after Shutdown = %v, want PlaceDataset's %v", err, want)
 	}
+	if !errors.Is(err, runtime.ErrShutDown) {
+		t.Fatalf("Publish after Shutdown = %v, want %v", err, runtime.ErrShutDown)
+	}
 	if _, err := catalog.Entry("bs-late"); err == nil {
 		t.Fatal("a refused Publish wrote the catalog")
 	}
 	if _, err := catalog.Entry("bs-early"); err != nil {
 		t.Fatalf("the Publish before Start is gone: %v", err)
+	}
+}
+
+// TestStartAfterShutdownRefuses: a federation shut down before it ever
+// started stays shut. Start refuses with ErrShutDown and starts no
+// regional fleet: Shutdown already shut them, started or not.
+func TestStartAfterShutdownRefuses(t *testing.T) {
+	f, err := New(platform.NewRegistry(), Config{Regions: 2, SitesPerRegion: 1, NewCluster: testClusters(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Shutdown()
+	if err := f.Start(); !errors.Is(err, runtime.ErrShutDown) {
+		t.Fatalf("Start after Shutdown = %v, want %v", err, runtime.ErrShutDown)
+	}
+	for _, r := range f.regions {
+		if err := r.fl.Start(); !errors.Is(err, runtime.ErrShutDown) {
+			t.Errorf("%s fleet Start = %v: Shutdown left the fleet open", r.name, err)
+		}
+	}
+	if _, err := f.SubmitAt(Request{Workflow: cpuWorkflow()}); !errors.Is(err, runtime.ErrShutDown) {
+		t.Errorf("SubmitAt = %v, want %v", err, runtime.ErrShutDown)
+	}
+}
+
+// TestFailedStartShutsFederation: region01's only site lost its nodes
+// after New, so its engine refuses to start after region00's fleet has
+// started. The failed Start is final: it shuts region00's fleet, and
+// every later call gets ErrShutDown.
+func TestFailedStartShutsFederation(t *testing.T) {
+	f, err := New(platform.NewRegistry(), Config{Regions: 2, SitesPerRegion: 1, NewCluster: testClusters(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.regions[1].fl.Cluster(0).Nodes = nil
+	if err := f.Start(); err == nil || !strings.Contains(err.Error(), "region01") {
+		t.Fatalf("Start = %v, want region01's refusal", err)
+	}
+	if err := f.regions[0].fl.Publish(testBitstream("bs-late")); !errors.Is(err, runtime.ErrShutDown) {
+		t.Errorf("region00 fleet Publish = %v: the failed Start left it serving", err)
+	}
+	if err := f.Start(); !errors.Is(err, runtime.ErrShutDown) {
+		t.Errorf("second Start = %v, want %v", err, runtime.ErrShutDown)
+	}
+	if _, err := f.SubmitAt(Request{Workflow: cpuWorkflow()}); !errors.Is(err, runtime.ErrShutDown) {
+		t.Errorf("SubmitAt = %v, want %v", err, runtime.ErrShutDown)
+	}
+	if err := f.Publish(testBitstream("bs-late")); !errors.Is(err, runtime.ErrShutDown) {
+		t.Errorf("Publish = %v, want %v", err, runtime.ErrShutDown)
 	}
 }

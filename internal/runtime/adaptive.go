@@ -153,11 +153,14 @@ type EnvEvent struct {
 	At     float64 // modelled time the change takes effect
 }
 
-// checkScript refuses a scripted failure or event with a non-finite time
-// or factor, and a scripted plug or unplug of a device the node does not
-// have (engine Start). Entries naming unknown nodes are not checked: they
-// are ignored.
-func (e *Engine) checkScript() error {
+// checkStart refuses an empty cluster, a scripted failure or event with a
+// non-finite time or factor, and a scripted plug or unplug of a device the
+// node does not have (engine Start). Entries naming unknown nodes are not
+// checked: they are ignored.
+func (e *Engine) checkStart() error {
+	if len(e.cluster.Nodes) == 0 {
+		return fmt.Errorf("runtime: engine needs at least one node")
+	}
 	for _, f := range e.cfg.Failures {
 		if e.cluster.FindNode(f.Node) != nil && !finite(f.AtTime) {
 			return fmt.Errorf("runtime: scripted failure of %s at %g", f.Node, f.AtTime)
@@ -202,7 +205,7 @@ func (e *Engine) applyScript() {
 		if n == nil {
 			continue
 		}
-		// A plug or unplug cannot fail: checkScript checked the device index.
+		// A plug or unplug cannot fail: checkStart checked the device index.
 		switch ev.Kind {
 		case EnvUnplug:
 			_, _ = n.SetDeviceOffline(ev.Device, true, ev.At)
@@ -246,7 +249,7 @@ type ctrlMsg struct {
 // when the engine is serving, else at the entry of Submit, Stats, Health
 // or Shutdown, and at Start for calls made before it. Shutdown closes the
 // queue under the same lock, so a call either lands before it or returns
-// an error and touches nothing: a shut-down engine still subscribed to a
+// ErrShutDown and touches nothing: a shut-down engine still subscribed to a
 // hypervisor never flips a node that a live engine now serves.
 func (e *Engine) control(kind ctrlKind, node string, dev int, factor, at float64) error {
 	n := e.cluster.FindNode(node)
@@ -263,8 +266,8 @@ func (e *Engine) control(kind ctrlKind, node string, dev int, factor, at float64
 	}
 	e.ctrlMu.Lock()
 	defer e.ctrlMu.Unlock()
-	if e.ctrlShut {
-		return fmt.Errorf("runtime: engine shut down")
+	if err := e.life.Check(Control); err != nil {
+		return err
 	}
 	e.ctrlQ = append(e.ctrlQ, ctrlMsg{kind: kind, node: n, dev: dev, factor: factor, at: at})
 	return nil
@@ -314,6 +317,7 @@ func (e *Engine) applyCtrl(ds *dispatchState) {
 // them, and degrades the fpga variant in every active workflow's tuner.
 // Redundant calls — the device is already detached — change nothing, so
 // e.g. a second VM's last-VF unplug cannot double-degrade the tuners.
+// After Shutdown it returns ErrShutDown, as every control call does.
 func (e *Engine) UnplugDevice(node string, dev int, at float64) error {
 	return e.control(ctrlUnplug, node, dev, 0, at)
 }
@@ -322,6 +326,7 @@ func (e *Engine) UnplugDevice(node string, dev int, at float64) error {
 // restoring the fpga variant's availability for active workflows.
 // Redundant calls — the device was never detached — change nothing, so a
 // VF plugged on an always-online device cannot wipe learned fpga drift.
+// After Shutdown it returns ErrShutDown.
 func (e *Engine) PlugDevice(node string, dev int, at float64) error {
 	return e.control(ctrlPlug, node, dev, 0, at)
 }
@@ -329,7 +334,8 @@ func (e *Engine) PlugDevice(node string, dev int, at float64) error {
 // SetNodeSlowdown changes a node's CPU load factor at modelled time `at`
 // (1 restores nominal speed). Executors pay it from the engine's next
 // serve-lock section; the adaptive engine learns it from the latency
-// ratios the monitors observe — the event itself only traces.
+// ratios the monitors observe — the event itself only traces. After
+// Shutdown it returns ErrShutDown.
 func (e *Engine) SetNodeSlowdown(node string, factor, at float64) error {
 	return e.control(ctrlSlow, node, 0, factor, at)
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -61,30 +62,18 @@ const (
 	EventVariant
 )
 
+// eventNames holds each EventKind's name, indexed by kind.
+var eventNames = [...]string{
+	"submit", "task-done", "transfer", "node-failure", "reschedule",
+	"workflow-done", "device-unplug", "device-plug", "node-slowdown",
+	"variant",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EventSubmit:
-		return "submit"
-	case EventTaskDone:
-		return "task-done"
-	case EventTransfer:
-		return "transfer"
-	case EventNodeFailure:
-		return "node-failure"
-	case EventReschedule:
-		return "reschedule"
-	case EventWorkflowDone:
-		return "workflow-done"
-	case EventDeviceUnplug:
-		return "device-unplug"
-	case EventDevicePlug:
-		return "device-plug"
-	case EventNodeSlowdown:
-		return "node-slowdown"
-	case EventVariant:
-		return "variant"
+	if k < 0 || int(k) >= len(eventNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return eventNames[k]
 }
 
 // Event is one engine trace record. Trace callbacks run under the engine's
@@ -196,6 +185,47 @@ type EngineStats struct {
 	ProgrammedOnline int
 }
 
+// Lifecycle is the one lifecycle state of a serving front (Engine,
+// fleet.Fleet, region.Federation), guarded by the front's own lock: it is
+// Unstarted when built, Serving after Start, and Shut for good after
+// Shutdown or a failed Start.
+type Lifecycle uint8
+
+const (
+	Unstarted Lifecycle = iota
+	Serving
+	Shut
+)
+
+// Call is the kind of a front's mutating call: Control calls are legal
+// before Start and while serving, Serve calls only while serving, and
+// Begin (Start) only before Start.
+type Call uint8
+
+const (
+	Control Call = iota
+	Serve
+	Begin
+)
+
+// ErrShutDown is every front's refusal of a mutating call once it is
+// Shut. Callers match it with errors.Is.
+var ErrShutDown = errors.New("front shut down")
+
+// Check is the entry check of every mutating call on a front in state l:
+// nil when a call of kind c is legal, ErrShutDown once Shut.
+func (l Lifecycle) Check(c Call) error {
+	switch {
+	case l == Shut:
+		return ErrShutDown
+	case c == Serve && l == Unstarted:
+		return errors.New("front not started")
+	case c == Begin && l == Serving:
+		return errors.New("front already started")
+	}
+	return nil
+}
+
 // Engine multiplexes many workflows over a simulated cluster, serving
 // inline: Start, Submit and Shutdown run the event loop on the caller's
 // goroutine, and the engine starts none of its own.
@@ -213,19 +243,17 @@ type Engine struct {
 	// unbounded ordered queue, the mailbox the serve lock drains: a
 	// control call must never block on the serve lock, because control
 	// calls are legal from trace callbacks running under it (fault
-	// scripts) and from hot-plug subscriber goroutines. ctrlShut, set by
-	// Shutdown, refuses every later call.
-	ctrlMu   sync.Mutex
-	ctrlQ    []ctrlMsg
-	ctrlShut bool
+	// scripts) and from hot-plug subscriber goroutines. The lifecycle is
+	// written under both locks, so control calls read it under ctrlMu.
+	ctrlMu sync.Mutex
+	ctrlQ  []ctrlMsg
+	life   Lifecycle
 
 	// mu is the serve lock: Start, Submit and Shutdown run the event loop
 	// under it, and it guards everything below plus all scheduling state.
 	mu      sync.Mutex
-	started bool
-	closed  bool
 	nextID  int
-	ds      *dispatchState // built at Start
+	ds      *dispatchState // built at Start: the engine has an event loop
 	early   []*wfState     // submissions made before Start, in order
 	free    []*wfState     // recycled workflow records (maybeRecycle)
 	monitor *platform.Monitor
@@ -251,7 +279,7 @@ func NewEngine(c *platform.Cluster, cfg EngineConfig) *Engine {
 func (e *Engine) Health() []platform.NodeHealth {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.started {
+	if e.ds != nil {
 		e.applyCtrl(e.ds)
 	}
 	return e.monitor.Snapshot()
@@ -310,23 +338,19 @@ func (ds *dispatchState) raiseBacklog(t float64) {
 // them), builds the node index tables and the event loop's state, reacts
 // to those control calls, then serves every submission queued before it:
 // the batch is admitted in submit order and placed together, round-robin
-// across tenants.
+// across tenants. After Shutdown it returns ErrShutDown, and a Start that
+// fails shuts the engine down.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.started {
-		return fmt.Errorf("runtime: engine already started")
-	}
-	if e.closed {
-		return fmt.Errorf("runtime: engine shut down")
-	}
-	if len(e.cluster.Nodes) == 0 {
-		return fmt.Errorf("runtime: engine needs at least one node")
-	}
-	if err := e.checkScript(); err != nil {
+	if err := e.life.Check(Begin); err != nil {
 		return err
 	}
-	e.started = true
+	if err := e.checkStart(); err != nil {
+		e.shut()
+		return err
+	}
+	e.setLife(Serving)
 	// Control calls made before Start write the nodes ahead of the script,
 	// the order in which they were made.
 	queued := e.writeCtrl()
@@ -359,15 +383,16 @@ func (e *Engine) Start() error {
 // workflow must not be mutated after submission. After Start, Submit serves
 // the workflow to completion on the caller's goroutine and the future comes
 // back resolved. Submissions made before Start queue up and are placed
-// together, fairly across tenants, when the engine starts.
+// together, fairly across tenants, when the engine starts. After Shutdown
+// it returns ErrShutDown.
 func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 	if w == nil {
 		return nil, fmt.Errorf("runtime: nil workflow")
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return nil, fmt.Errorf("runtime: engine shut down")
+	if err := e.life.Check(Control); err != nil {
+		return nil, err
 	}
 	e.nextID++
 	name := opt.Name
@@ -379,7 +404,7 @@ func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 		tenant = "default"
 	}
 	fut := &Future{Name: name, Tenant: tenant}
-	if !e.started {
+	if e.ds == nil {
 		e.early = append(e.early, e.newWFState(w, name, tenant, fut))
 		return fut, nil
 	}
@@ -391,31 +416,41 @@ func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 	return fut, nil
 }
 
-// Shutdown refuses further submissions and control calls. Nothing is left
-// to drain (each Submit served its workflow), so it applies the control
-// events raised since the last serve-lock section. On an engine that
-// never started, the queued submissions resolve with an error, and the
-// queued control calls are dropped: the engine never serves the world
-// they describe. Calling it again is a no-op.
+// Shutdown refuses further submissions and control calls with
+// ErrShutDown. Nothing is left to drain (each Submit served its
+// workflow), so it applies the control events raised since the last
+// serve-lock section. On an engine that never started, the queued
+// submissions resolve with ErrShutDown, and the queued control calls are
+// dropped: the engine never serves the world they describe. Calling it
+// again is a no-op.
 func (e *Engine) Shutdown() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return
+	if e.life != Shut {
+		e.shut()
 	}
-	e.closed = true
-	e.ctrlMu.Lock()
-	e.ctrlShut = true
-	e.ctrlMu.Unlock()
-	if !e.started {
+}
+
+// shut is Shutdown under the serve lock, and the end of a failed Start.
+func (e *Engine) shut() {
+	e.setLife(Shut)
+	if e.ds == nil {
 		for _, st := range e.early {
-			st.fut.err = fmt.Errorf("runtime: engine shut down before start")
+			st.fut.err = ErrShutDown
 			st.fut.resolved.Store(true)
 		}
 		e.early = nil
 		return
 	}
 	e.applyCtrl(e.ds)
+}
+
+// setLife moves the engine to state l under ctrlMu (serve lock held), so
+// a control call lands either before the move or after it.
+func (e *Engine) setLife(l Lifecycle) {
+	e.ctrlMu.Lock()
+	e.life = l
+	e.ctrlMu.Unlock()
 }
 
 // ServeAlone serves w alone on a fresh engine over c — NewEngine, Start,
@@ -438,7 +473,7 @@ func ServeAlone(c *platform.Cluster, cfg EngineConfig, w *Workflow) (*Schedule, 
 // that already completed in modelled time are unaffected). Prefer
 // EngineConfig.Failures for deterministic experiments. Like every control
 // call, it takes effect at the engine's next serve-lock section, and it
-// fails on a shut-down engine or a non-finite time.
+// fails on a non-finite time and with ErrShutDown after Shutdown.
 func (e *Engine) FailNode(name string, at float64) error {
 	return e.control(ctrlFail, name, 0, 0, at)
 }

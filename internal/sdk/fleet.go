@@ -106,14 +106,17 @@ func (fs *FleetServer) Fleet() *fleet.Fleet { return fs.fl }
 
 // Publish stores a bitstream in the federation registry; sites deploy
 // from it on demand (cache misses pay the transfer + reconfiguration).
+// After Shutdown it returns runtime.ErrShutDown.
 func (fs *FleetServer) Publish(bs platform.Bitstream) error { return fs.fl.Publish(bs) }
 
-// Start brings every site engine up.
+// Start brings every site engine up. After Shutdown, or a Start that
+// failed, it returns runtime.ErrShutDown.
 func (fs *FleetServer) Start() error { return fs.fl.Start() }
 
 // SubmitAt routes one workflow arriving at the given modelled time and
 // serves it to completion before returning, so the ticket is already
-// resolved; admission rejections return fleet.ErrSaturated.
+// resolved; admission rejections return fleet.ErrSaturated, and after
+// Shutdown it returns runtime.ErrShutDown.
 func (fs *FleetServer) SubmitAt(tenant, name string, w *runtime.Workflow, arrival float64) (*fleet.Ticket, error) {
 	return fs.fl.Submit(fleet.Request{Tenant: tenant, Name: name, Workflow: w, Arrival: arrival})
 }
@@ -122,7 +125,8 @@ func (fs *FleetServer) SubmitAt(tenant, name string, w *runtime.Workflow, arriva
 // admission class: it is accepted only on a site whose modelled worst case
 // fits within deadline seconds of the arrival, and refused with
 // fleet.ErrSaturated otherwise (nothing is served on refusal — callers
-// typically degrade to SubmitAt).
+// typically degrade to SubmitAt). After Shutdown it returns
+// runtime.ErrShutDown.
 func (fs *FleetServer) SubmitGuaranteedAt(tenant, name string, w *runtime.Workflow, arrival, deadline float64) (*fleet.Ticket, error) {
 	return fs.fl.Submit(fleet.Request{Tenant: tenant, Name: name, Workflow: w, Arrival: arrival,
 		Guaranteed: true, Deadline: deadline})
@@ -133,7 +137,8 @@ type FleetServerStats struct {
 	Fleet fleet.Stats
 }
 
-// Shutdown stops every site engine and returns the final stats.
+// Shutdown stops every site engine and returns the final stats; every
+// later mutating call returns runtime.ErrShutDown.
 func (fs *FleetServer) Shutdown() FleetServerStats {
 	return FleetServerStats{Fleet: fs.fl.Shutdown()}
 }

@@ -3,10 +3,12 @@ package sdk
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"everest/internal/fleet"
+	"everest/internal/platform"
 	"everest/internal/runtime"
 	"everest/internal/variants"
 )
@@ -368,5 +370,63 @@ func TestFleetClosedLoopRetriesRejections(t *testing.T) {
 	if res.Completed != sc.Workflows {
 		t.Fatalf("completed %d of %d: rejected closed-loop workflows must be retried, not dropped",
 			res.Completed, sc.Workflows)
+	}
+}
+
+// TestEngineStartGapPinned pins the second face of the two-clock gap
+// (DESIGN §10) on E-fleet: the fleet bills a workflow's execution from
+// start + deploy + fetch on its own clock, while the site engine, whose
+// clock advances only by service time, starts the workflow's first task
+// earlier in every one of the 64 workflows, by up to 2.1749 s. ROADMAP
+// item 5 (one modelled clock) flips the count to 0; a change that widens
+// the gap raises the maximum lag and fails here.
+func TestEngineStartGapPinned(t *testing.T) {
+	sc := DefaultFleetScenario()
+	c := compileFleetKernel(t)
+	srv, err := NewFleetServer(sc.FleetConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bs := range []platform.Bitstream{c.Design.Bitstream, ScenarioBitstream()} {
+		if err := srv.Publish(bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The E-fleet open-loop pass (FleetScenario.run), one result at a time.
+	early, maxLag := 0, 0.0
+	var latencies []float64
+	for i := 0; i < sc.Workflows; i++ {
+		tk, err := srv.SubmitAt(fmt.Sprintf("tenant%02d", i%sc.Tenants), "", sc.workflow(i, c), float64(i)*sc.ArrivalGap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		latencies = append(latencies, res.Latency)
+		engineStart := math.Inf(1)
+		for _, a := range res.Sched.Assignments {
+			engineStart = min(engineStart, a.Start)
+		}
+		if lag := res.Arrival + res.Wait + res.Deploy + res.Fetch - engineStart; lag > 0 {
+			early++
+			maxLag = max(maxLag, lag)
+		}
+	}
+	srv.Shutdown()
+	ref, err := sc.RunWith(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p95 := Percentile(latencies, 0.95); p95 != ref.P95 {
+		t.Fatalf("replayed E-fleet p95 %g, scenario p95 %g: the replay is not E-fleet", p95, ref.P95)
+	}
+	if early != 64 || math.Abs(maxLag-2.174894675) > 1e-9 {
+		t.Errorf("engine start precedes the fleet's exec start in %d of %d workflows, by up to %.10g s; want 64, 2.174894675 s",
+			early, sc.Workflows, maxLag)
 	}
 }

@@ -124,15 +124,18 @@ func (rs *RegionServer) Federation() *region.Federation { return rs.fed }
 
 // Publish stores a bitstream in the federation-wide catalog; regions
 // WAN-fetch it into their bounded stores on demand or ahead of demand.
+// After Shutdown it returns runtime.ErrShutDown.
 func (rs *RegionServer) Publish(bs platform.Bitstream) error { return rs.fed.Publish(bs) }
 
-// Start brings every regional fleet up.
+// Start brings every regional fleet up. After Shutdown, or a Start that
+// failed, it returns runtime.ErrShutDown.
 func (rs *RegionServer) Start() error { return rs.fed.Start() }
 
 // SubmitAt routes one workflow through the federation (region.Request
 // semantics: arrivals must be non-decreasing; interactive and guaranteed
 // handles resolve inside the call, batch handles may stay held until
-// Drain). Rejections return the routing error with nothing enqueued.
+// Drain). Rejections return the routing error with nothing enqueued;
+// after Shutdown it returns runtime.ErrShutDown.
 func (rs *RegionServer) SubmitAt(req region.Request) (*region.Handle, error) {
 	return rs.fed.SubmitAt(req)
 }
@@ -146,7 +149,8 @@ type RegionServerStats struct {
 }
 
 // Shutdown drains held batch work, stops every regional fleet, and
-// returns the final stats.
+// returns the final stats; every later mutating call returns
+// runtime.ErrShutDown.
 func (rs *RegionServer) Shutdown() RegionServerStats {
 	return RegionServerStats{Federation: rs.fed.Shutdown()}
 }

@@ -2,6 +2,7 @@ package sdk
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -260,6 +261,47 @@ func TestRegionPRKernelsRunOnNoFPGA(t *testing.T) {
 		if onFPGA != tc.onFPGA || wanted != tc.wanted {
 			t.Errorf("PartialReconfig %v: %d of %d FPGA-requesting tasks ran on an FPGA, want %d of %d",
 				tc.partial, onFPGA, wanted, tc.onFPGA, tc.wanted)
+		}
+	}
+}
+
+// TestServersRefuseAfterShutdown: the sdk fronts pass the tiers'
+// lifecycle through, so every mutating call on a FleetServer or a
+// RegionServer after Shutdown refuses with runtime.ErrShutDown.
+func TestServersRefuseAfterShutdown(t *testing.T) {
+	fs, err := NewFleetServer(FleetConfig{Sites: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Shutdown()
+	rs, err := NewRegionServer(RegionConfig{Regions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.Shutdown() // never started
+	for name, call := range map[string]func() error{
+		"FleetServer.Publish": func() error { return fs.Publish(ScenarioBitstream()) },
+		"FleetServer.Start":   fs.Start,
+		"FleetServer.SubmitAt": func() error {
+			_, err := fs.SubmitAt("t", "", SyntheticWorkflow(0), 0)
+			return err
+		},
+		"FleetServer.SubmitGuaranteedAt": func() error {
+			_, err := fs.SubmitGuaranteedAt("t", "", SyntheticWorkflow(0), 0, 10)
+			return err
+		},
+		"RegionServer.Publish": func() error { return rs.Publish(ScenarioBitstream()) },
+		"RegionServer.Start":   rs.Start,
+		"RegionServer.SubmitAt": func() error {
+			_, err := rs.SubmitAt(region.Request{Workflow: SyntheticWorkflow(0)})
+			return err
+		},
+	} {
+		if err := call(); !errors.Is(err, rt.ErrShutDown) {
+			t.Errorf("%s after Shutdown = %v, want %v", name, err, rt.ErrShutDown)
 		}
 	}
 }

@@ -671,7 +671,6 @@ func regionFlags(fs *flag.FlagSet, sc *sdk.RegionScenario) (banner func()) {
 	fs.IntVar(&sc.Workflows, "workflows", sc.Workflows, "workflows in the wave")
 	fs.Float64Var(&sc.ArrivalGap, "gap", sc.ArrivalGap, "modelled interarrival seconds")
 	fs.StringVar(&sc.WAN, "wan", sc.WAN, "inter-region fabric: wan10g or wan1g")
-	fs.BoolVar(&sc.Autoscale, "autoscale", sc.Autoscale, "let regions grow and shrink their active site count")
 	return func() {
 		fmt.Printf("federation : %d regions x %d sites x (%d compute nodes + cloudfpga0), store %d slot(s)/region, WAN %s\n",
 			sc.Regions, sc.SitesPerRegion, sc.NodesPerSite, sc.StoreSlots, sc.WAN)
@@ -711,10 +710,10 @@ func serveRegion(fs *flag.FlagSet) func() error {
 		fmt.Printf("wan        : prefetch %v, %d handoffs, %d cold serves, %d prefetch stages, %d warms, %d preemptions\n",
 			sc.Prefetch, res.Handoffs, res.ColdServes, res.PrefetchFetches, res.Warms, res.Preemptions)
 		for _, r := range res.Stats.Regions {
-			fmt.Printf("  %-9s : %3d served (%d guaranteed, %d batch), %d cold, %d fetch %.3gs wan, %d prefetch %.3gs, %d evict, %d sites active\n",
+			fmt.Printf("  %-9s : %3d served (%d guaranteed, %d batch), %d cold, %d fetch %.3gs wan, %d prefetch %.3gs, %d evict\n",
 				r.Name, r.Served, r.Guaranteed, r.Batch, r.ColdServes,
 				r.WANFetches, r.WANFetchSeconds, r.PrefetchFetches, r.PrefetchSeconds,
-				r.StoreEvictions, r.ActiveSites)
+				r.StoreEvictions)
 		}
 		return nil
 	}

@@ -225,7 +225,7 @@ func TestServeRejectsStreamIncompatibleFlags(t *testing.T) {
 }
 
 func TestServeRegionsSmoke(t *testing.T) {
-	if err := serve("region", "-workflows", "60", "-prefetch=false", "-autoscale", "-trace"); err != nil {
+	if err := serve("region", "-workflows", "60", "-prefetch=false", "-trace"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -241,8 +241,9 @@ func TestServeRejectsRegionIncompatibleFlags(t *testing.T) {
 		{"region", "-cache-slots", "2"},
 		{"region", "-deadline", "2"},
 		{"region", "-apps", "energy"},
+		{"region", "-autoscale"}, // every region site serves; there is no scaling knob
 		{"fleet", "-prefetch=false"},
-		{"engine", "-autoscale"},
+		{"engine", "-regions", "2"},
 		{"stream", "-wan", "wan1g"},
 	})
 	rejectAll(t, bench, [][]string{{"region", "-prefetch=false"}}) // the bench serves both arms

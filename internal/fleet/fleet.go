@@ -79,10 +79,6 @@ const (
 	EventDone
 	// EventWarm fires when a prefetch warms a bitstream into a site cache.
 	EventWarm
-	// EventSiteJoin fires when a site is activated (scale-up).
-	EventSiteJoin
-	// EventSiteLeave fires when a site is deactivated (scale-down).
-	EventSiteLeave
 	// EventDataFetch fires when a missing dataset partition is shipped to
 	// the serving site over the registry fabric.
 	EventDataFetch
@@ -97,8 +93,8 @@ const (
 // eventNames holds each EventKind's name, indexed by kind.
 var eventNames = [...]string{
 	"route", "reject", "cache-hit", "cache-miss", "deploy", "evict",
-	"redeploy", "fallback", "done", "warm", "site-join", "site-leave",
-	"data-fetch", "data-publish", "data-evict",
+	"redeploy", "fallback", "done", "warm", "data-fetch", "data-publish",
+	"data-evict",
 }
 
 func (k EventKind) String() string {
@@ -138,8 +134,7 @@ const (
 	fallbackSeconds = 0.250
 )
 
-// Config configures a Fleet. Every site starts active; SetSiteActive
-// scales sites out and back in.
+// Config configures a Fleet.
 type Config struct {
 	// Sites is the number of federated engine sites (>= 1).
 	Sites int
@@ -205,8 +200,8 @@ type Request struct {
 	Tenant   string
 	Name     string
 	Workflow *runtime.Workflow
-	// Arrival is the workflow's modelled submission time (finite);
-	// queueing delay is measured from it.
+	// Arrival is the workflow's modelled submission time (finite and
+	// non-negative); queueing delay is measured from it.
 	Arrival float64
 	// Guaranteed requests the proven-bound admission class: the request is
 	// admitted only on a site whose modelled worst case — queue frontier,
@@ -289,10 +284,6 @@ type SiteStats struct {
 	DatasetPublishedBytes int64
 	DatasetEvictions      int
 
-	// Active reports whether the site is serving (autoscaling may have
-	// scaled it down, or it may still be booting at snapshot time).
-	Active bool
-
 	// Guaranteed-class accounting: completions admitted on proof, and how
 	// many of them missed their promised bound (the verifier gates this at
 	// exactly zero).
@@ -361,17 +352,6 @@ func (st Stats) DatasetEvictions() int {
 	return sum(st, func(s SiteStats) int { return s.DatasetEvictions })
 }
 
-// ActiveSites counts sites currently serving (autoscaling state).
-func (st Stats) ActiveSites() int {
-	n := 0
-	for _, s := range st.Sites {
-		if s.Active {
-			n++
-		}
-	}
-	return n
-}
-
 // sum folds one per-site counter across sites.
 func sum[T int | int64](st Stats, f func(SiteStats) T) T {
 	var n T
@@ -394,8 +374,6 @@ type site struct {
 	bstore       *dataset.Store
 	dstore       *dataset.Store // named-partition LRU beside the bitstreams
 	everDeployed map[string]bool
-	active       bool      // serving: the router may choose it
-	activeFrom   float64   // modelled time the site became eligible (boot done)
 	busyUntil    float64   // queue-recursion frontier (modelled)
 	lastMakespan float64   // engine cumulative makespan after last workflow
 	stats        SiteStats // counter fields only; snapshots fill the rest
@@ -505,7 +483,6 @@ func New(reg *platform.Registry, cfg Config) (*Fleet, error) {
 			bstore:       dataset.NewStore(0, cfg.CacheSlots),
 			dstore:       dataset.NewStore(cfg.DatasetStoreBytes, 0),
 			everDeployed: make(map[string]bool),
-			active:       true,
 		}
 		s.stats.Name = s.name
 		f.sites = append(f.sites, s)
@@ -518,10 +495,6 @@ func (f *Fleet) Sites() int { return len(f.sites) }
 
 // Cluster exposes site i's cluster (tests and CLIs inspect device state).
 func (f *Fleet) Cluster(i int) *platform.Cluster { return f.sites[i].cluster }
-
-// activeAt reports whether the site may serve work arriving at the given
-// modelled time.
-func (s *site) activeAt(at float64) bool { return s.active && s.activeFrom <= at }
 
 // start returns when work arriving at the given modelled time begins on the
 // site: the single-server queue recursion max(arrival, busyUntil). Every
@@ -542,58 +515,27 @@ func (f *Fleet) Publish(bs platform.Bitstream) error {
 	return f.reg.Put(bs)
 }
 
-// SetSiteActive scales site i in or out at modelled time at. Activation
-// takes effect at `at` (callers model boot delay by passing a future
-// time). Submit serves before it returns, so a site never holds routed
-// work when it scales down. The site's cache survives a scale-down —
-// bitstreams are still resident if it returns. After Shutdown it returns
-// runtime.ErrShutDown.
-func (f *Fleet) SetSiteActive(i int, active bool, at float64) error {
-	if i < 0 || i >= len(f.sites) {
-		return fmt.Errorf("fleet: site %d outside [0, %d)", i, len(f.sites))
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.life.Check(runtime.Control); err != nil {
-		return err
-	}
-	s := f.sites[i]
-	s.active = active
-	kind := EventSiteLeave
-	if active {
-		s.activeFrom, kind = at, EventSiteJoin
-	}
-	f.trace(Event{Kind: kind, Site: s.name, Time: at})
-	return nil
-}
-
 // QueueWait returns the modelled queue delay a workflow arriving at the
-// given time would see on the least-loaded site. ok=false means no site
-// is active at that time (all scaled down or still booting). The region
-// tier prices inter-region handoff against this.
-func (f *Fleet) QueueWait(arrival float64) (float64, bool) {
+// given time would see on the least-loaded site. The region tier prices
+// inter-region handoff against this.
+func (f *Fleet) QueueWait(arrival float64) float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	best, ok := 0.0, false
+	best := math.Inf(1)
 	for _, s := range f.sites {
-		if !s.activeAt(arrival) {
-			continue
-		}
-		if wait := s.start(arrival) - arrival; !ok || wait < best {
-			best, ok = wait, true
-		}
+		best = min(best, s.start(arrival)-arrival)
 	}
-	return best, ok
+	return best
 }
 
-// Warm pre-stages bitstream id into the least-busy active site's cache at
+// Warm pre-stages bitstream id into the least-busy site's cache at
 // modelled time at, without occupying the serving queue: staging runs on
 // the deployment control plane concurrently with serving, so it steals no
 // service time from workflows — which is what makes speculative prefetch
 // pay. An already-resident bitstream is a free no-op. Returns the chosen
 // site index and the modelled staging seconds; an error means the fleet
 // was shut down (runtime.ErrShutDown), the registry lacks the bitstream,
-// no site is active, or no online device fits it.
+// or no online device fits it.
 func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -604,20 +546,14 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 		return -1, 0, fmt.Errorf("fleet: warm: %w", err)
 	}
 	p := dataset.Intern(dataset.Ref{Name: id})
-	best, bestBusy := -1, 0.0
+	best := 0
 	for i, s := range f.sites {
-		if !s.activeAt(at) {
-			continue
-		}
 		if s.live(p, at) {
 			return i, 0, nil
 		}
-		if best < 0 || s.busyUntil < bestBusy {
-			best, bestBusy = i, s.busyUntil
+		if s.busyUntil < f.sites[best].busyUntil {
+			best = i
 		}
-	}
-	if best < 0 {
-		return -1, 0, fmt.Errorf("fleet: warm %s: no active site", id)
 	}
 	dt := f.warm(f.sites[best], p, at)
 	if dt == 0 {
@@ -626,7 +562,7 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 	return best, dt, nil
 }
 
-// WarmAll pre-stages bitstream id into every active site's cache at
+// WarmAll pre-stages bitstream id into every site's cache at
 // modelled time at — the fleet-wide analogue of Warm for models every
 // site is about to serve (a scattered map-reduce workload, a federation-
 // wide rollout). Staging runs on the deployment control plane, so it
@@ -646,10 +582,9 @@ func (f *Fleet) WarmAll(id string, at float64) (float64, error) {
 	p := dataset.Intern(dataset.Ref{Name: id})
 	total := 0.0
 	for _, s := range f.sites {
-		if !s.activeAt(at) || s.live(p, at) {
-			continue
+		if !s.live(p, at) {
+			total += f.warm(s, p, at)
 		}
-		total += f.warm(s, p, at)
 	}
 	return total, nil
 }
@@ -695,8 +630,8 @@ func (f *Fleet) Start() error {
 // ticket is already resolved, and concurrent submitters serialize in one
 // total order. Rejections (ErrSaturated) happen only under a configured
 // MaxQueueSeconds admission bound or a guaranteed deadline no site can
-// prove. An invalid request (nil workflow, non-finite arrival, guaranteed
-// without a positive finite deadline) is an error that is neither
+// prove. An invalid request (nil workflow, negative or non-finite arrival,
+// guaranteed without a positive finite deadline) is an error that is neither
 // ErrSaturated nor counted as a rejection, and it touches no state; so is
 // runtime.ErrShutDown after Shutdown.
 func (f *Fleet) Submit(req Request) (*Ticket, error) {
@@ -705,6 +640,9 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	}
 	if math.IsNaN(req.Arrival) || math.IsInf(req.Arrival, 0) {
 		return nil, fmt.Errorf("fleet: arrival %g is not a finite modelled time", req.Arrival)
+	}
+	if req.Arrival < 0 {
+		return nil, fmt.Errorf("fleet: arrival %g is before modelled time 0", req.Arrival)
 	}
 	if req.Guaranteed && !(req.Deadline > 0 && req.Deadline < math.Inf(1)) {
 		return nil, fmt.Errorf("fleet: guaranteed request needs a positive finite deadline, got %.3g", req.Deadline)
@@ -791,7 +729,6 @@ func (f *Fleet) Stats() Stats {
 		ss.DatasetHits, ss.DatasetMisses, ss.DatasetEvictions = ds.Hits, ds.Misses, ds.Evictions
 		ss.Evictions = s.bstore.Stats().Evictions
 		ss.BusyUntil = s.busyUntil
-		ss.Active = s.active
 		ss.Engine = s.engine.Stats()
 		out.Completed += ss.Served
 		out.Failed += ss.Failed
@@ -875,12 +812,9 @@ func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs, reads []dataset.Part
 
 // admissionBound evaluates the guaranteed-class inequality on one site for
 // a workflow whose own worst case (deploys, staging, service) is own,
-// returning the proven relative bound; ok=false means the site is not
-// active at the arrival or the bound misses the deadline.
+// returning the proven relative bound; ok=false means the bound misses
+// the deadline.
 func (f *Fleet) admissionBound(s *site, arrival, own, deadline float64) (float64, bool) {
-	if !s.activeAt(arrival) {
-		return 0, false
-	}
 	wait := s.start(arrival) - arrival
 	// Estimate overhang: the engine's placement frontier may sit past
 	// the last settled makespan (estimates only ratchet down on reports),
@@ -930,10 +864,6 @@ func (f *Fleet) deployBound(s *site, needs []dataset.Part) float64 {
 // siteCost prices routing a workflow to one site; ok=false means the site
 // is saturated past the admission bound.
 func (f *Fleet) siteCost(idx int, s *site, last int, hasLast bool, needs, reads []dataset.Part, arrival float64) (float64, bool) {
-	if !s.activeAt(arrival) {
-		// Scaled out, or still booting at this arrival: not a candidate.
-		return 0, false
-	}
 	at := s.start(arrival)
 	wait := at - arrival
 	if f.cfg.MaxQueueSeconds > 0 && wait > f.cfg.MaxQueueSeconds {

@@ -71,25 +71,12 @@ func testCluster(nodes int) func(int) *platform.Cluster {
 
 func newTestFleet(t *testing.T, reg *platform.Registry, cfg Config) *Fleet {
 	t.Helper()
-	return newScaledFleet(t, reg, cfg, cfg.Sites)
-}
-
-// newScaledFleet is newTestFleet with only the first active sites
-// serving: the rest are scaled down before Start, as an autoscaler
-// starting small would leave them.
-func newScaledFleet(t *testing.T, reg *platform.Registry, cfg Config, active int) *Fleet {
-	t.Helper()
 	if cfg.NewCluster == nil {
 		cfg.NewCluster = testCluster(2)
 	}
 	f, err := New(reg, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := active; i < cfg.Sites; i++ {
-		if err := f.SetSiteActive(i, false, 0); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -562,8 +549,8 @@ func TestPartialReconfigSharesOneDevice(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsNonFiniteInput: a non-finite arrival, or a guaranteed
-// request with a non-finite deadline, is a bad request. Submit must say so
+// TestSubmitRejectsNonFiniteInput: a negative or non-finite arrival, or a
+// guaranteed request with a non-finite deadline, is a bad request. Submit must say so
 // without wrapping ErrSaturated (a caller that retries on saturation
 // would retry forever), count nothing, trace nothing and leave every site
 // as it was.
@@ -578,6 +565,7 @@ func TestSubmitRejectsNonFiniteInput(t *testing.T) {
 		{Workflow: cpuWorkflow(), Arrival: nan},
 		{Workflow: cpuWorkflow(), Arrival: inf},
 		{Workflow: cpuWorkflow(), Arrival: -inf},
+		{Workflow: cpuWorkflow(), Arrival: -1},
 		{Workflow: cpuWorkflow(), Arrival: nan, Guaranteed: true, Deadline: 5},
 		{Workflow: cpuWorkflow(), Guaranteed: true, Deadline: nan},
 		{Workflow: cpuWorkflow(), Guaranteed: true, Deadline: inf},

@@ -62,9 +62,9 @@ func TestFailedStartShutsFleet(t *testing.T) {
 	}
 }
 
-// TestShutdownRacesMutators: Publish, PlaceDataset, SetSiteActive, Warm
-// and Submit on the fleet, and UnplugDevice/PlugDevice on a site engine's
-// distinct devices, race Shutdown. Each call either happened, and is
+// TestShutdownRacesMutators: Publish, PlaceDataset, Warm and Submit on
+// the fleet, and UnplugDevice/PlugDevice on a site engine's distinct
+// devices, race Shutdown. Each call either happened, and is
 // visible afterwards, or returned ErrShutDown and left no trace: the
 // lifecycle is checked under the lock that guards what the call writes.
 func TestShutdownRacesMutators(t *testing.T) {
@@ -76,11 +76,18 @@ func TestShutdownRacesMutators(t *testing.T) {
 		}
 	}
 	traced := map[EventKind]int{} // written under the fleet lock
-	// Site 2 serves nothing, so only the racing control calls touch its
-	// devices; sites 0 and 1 keep every Warm and Submit servable.
-	f := newScaledFleet(t, reg, Config{Sites: 3, CacheSlots: 4, NewCluster: testCluster(2),
-		Trace: func(ev Event) { traced[ev.Kind]++ }}, 2)
-	base, leaves := f.Stats(), traced[EventSiteLeave] // site 2's scale-down
+	// Site 2's nodes carry a spare card, device 1, that only the racing
+	// control calls touch: Submit's workflows run in software, and device
+	// 0 stays online for every Warm that lands there.
+	f := newTestFleet(t, reg, Config{Sites: 3, CacheSlots: 4, NewCluster: func(i int) *platform.Cluster {
+		if i < 2 {
+			return testCluster(2)(i)
+		}
+		return platform.NewCluster(
+			platform.NewNode("node00", platform.XeonModel(), platform.AlveoU55C(), platform.AlveoU55C()),
+			platform.NewNode("node01", platform.XeonModel(), platform.AlveoU55C(), platform.AlveoU55C()))
+	}, Trace: func(ev Event) { traced[ev.Kind]++ }})
+	base := f.Stats()
 	idle := f.Cluster(2).Nodes
 
 	type outcome struct{ accepted []int }
@@ -115,13 +122,12 @@ func TestShutdownRacesMutators(t *testing.T) {
 			}
 		}()
 	}
-	var pub, place, active, warm, submit outcome
+	var pub, place, warm, submit outcome
 	unplug := make([]outcome, len(idle))
 	race(&pub, func(i int) error { return f.Publish(testBitstream(fmt.Sprintf("pub-%d", i))) })
 	race(&place, func(i int) error {
 		return f.PlaceDataset(i%2, 0, dataset.Ref{Name: fmt.Sprintf("place-%d", i), Bytes: 1 << 10})
 	})
-	race(&active, func(i int) error { return f.SetSiteActive(1, i%2 == 1, float64(i)) })
 	warmDeploys := 0 // accepted Warms that staged a bitstream
 	race(&warm, func(i int) error {
 		_, dt, err := f.Warm(fmt.Sprintf("warm-%d", i%warmIDs), float64(i))
@@ -137,9 +143,9 @@ func TestShutdownRacesMutators(t *testing.T) {
 	for n := range idle {
 		race(&unplug[n], func(i int) error {
 			if i%2 == 0 {
-				return f.sites[2].engine.UnplugDevice(idle[n].Name, 0, float64(i))
+				return f.sites[2].engine.UnplugDevice(idle[n].Name, 1, float64(i))
 			}
-			return f.sites[2].engine.PlugDevice(idle[n].Name, 0, float64(i))
+			return f.sites[2].engine.PlugDevice(idle[n].Name, 1, float64(i))
 		})
 	}
 	started.Wait()
@@ -151,8 +157,8 @@ func TestShutdownRacesMutators(t *testing.T) {
 			t.Errorf("a call racing Shutdown failed with %v, want %v", err, runtime.ErrShutDown)
 		}
 	}
-	if len(refusal) != 5+len(idle) {
-		t.Fatalf("%d calls refused, want one per mutator (%d)", len(refusal), 5+len(idle))
+	if len(refusal) != 4+len(idle) {
+		t.Fatalf("%d calls refused, want one per mutator (%d)", len(refusal), 4+len(idle))
 	}
 	if after := f.Stats(); !reflect.DeepEqual(after, final) {
 		t.Errorf("stats moved after Shutdown returned:\n final %+v\n after %+v", final, after)
@@ -173,12 +179,6 @@ func TestShutdownRacesMutators(t *testing.T) {
 	if i := len(place.accepted); f.DatasetResident(i%2, dataset.Ref{Name: fmt.Sprintf("place-%d", i), Bytes: 1 << 10}) {
 		t.Error("the refused PlaceDataset published its partition")
 	}
-	if n, want := traced[EventSiteJoin]+traced[EventSiteLeave]-leaves, len(active.accepted); n != want {
-		t.Errorf("%d site join/leave events, want one per accepted SetSiteActive (%d)", n, want)
-	}
-	if want := len(active.accepted)%2 == 0; final.Sites[1].Active != want {
-		t.Errorf("site01 active = %v, want the last accepted SetSiteActive's %v", final.Sites[1].Active, want)
-	}
 	if got := final.WarmDeploys() - base.WarmDeploys(); got != warmDeploys || traced[EventWarm] != got {
 		t.Errorf("%d warm deploys and %d warm events, want the %d accepted Warms that staged",
 			got, traced[EventWarm], warmDeploys)
@@ -191,9 +191,9 @@ func TestShutdownRacesMutators(t *testing.T) {
 	}
 	for n, out := range unplug {
 		// Calls alternate unplug, plug, ...: the last accepted one decides.
-		if want := len(out.accepted)%2 == 0; idle[n].DeviceOnline(0) != want {
-			t.Errorf("%s device 0 online = %v after %d accepted calls, want %v",
-				idle[n].Name, idle[n].DeviceOnline(0), len(out.accepted), want)
+		if want := len(out.accepted)%2 == 0; idle[n].DeviceOnline(1) != want {
+			t.Errorf("%s device 1 online = %v after %d accepted calls, want %v",
+				idle[n].Name, idle[n].DeviceOnline(1), len(out.accepted), want)
 		}
 	}
 }

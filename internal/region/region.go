@@ -19,8 +19,6 @@
 //     hold queue that priority arrivals preempt (push back, with a
 //     restart penalty) — so batch absorbs slack without ever standing in
 //     front of the classes above it;
-//   - per-region autoscaling: sites join (after a boot delay) when the
-//     queue wait crosses a threshold and leave after idle windows;
 //   - predictive bitstream prefetch (see Forecaster): at every window
 //     roll a region forecasts next-window demand per app and stages the
 //     app's bitstreams — WAN fetch into the region store, cache warm
@@ -87,10 +85,6 @@ const (
 	EventRelease
 	// EventPreempt fires when a priority arrival pushes held batch back.
 	EventPreempt
-	// EventScaleUp fires when autoscaling activates a site.
-	EventScaleUp
-	// EventScaleDown fires when autoscaling deactivates a site.
-	EventScaleDown
 	// EventEvictStore fires when a bounded region store drops an artifact.
 	EventEvictStore
 	// EventDataFetch fires when a missing dataset partition is WAN-staged
@@ -108,8 +102,7 @@ const (
 // eventNames holds each EventKind's name, indexed by kind.
 var eventNames = [...]string{
 	"route", "handoff", "fetch", "prefetch", "hold", "release", "preempt",
-	"scale-up", "scale-down", "evict-store", "data-fetch", "data-prefetch",
-	"reject", "done",
+	"evict-store", "data-fetch", "data-prefetch", "reject", "done",
 }
 
 func (k EventKind) String() string {
@@ -139,7 +132,7 @@ type Partition struct {
 	From, Until float64
 }
 
-// The federation's fixed prices and autoscaling thresholds.
+// The federation's fixed prices.
 const (
 	// handoffPenalty is the flat routing bias added to non-home regions on
 	// top of the modelled WAN transfer: the price of leaving the tenant's
@@ -152,12 +145,6 @@ const (
 	// preemptPenalty is the modelled restart cost a held batch workflow
 	// pays every time a priority arrival pushes it back.
 	preemptPenalty = 0.050
-	// Autoscaling activates the next site (serving after siteBootSeconds)
-	// when the queue wait at a window roll exceeds scaleUpWait, and
-	// deactivates one after scaleDownIdleWindows consecutive idle rolls.
-	scaleUpWait          = 0.5
-	scaleDownIdleWindows = 4
-	siteBootSeconds      = 2.0
 	// datasetStoreBytes bounds the dataset half of each region's artifact
 	// store: published partitions cached next to the bitstream images,
 	// WAN-fetched on demand and eligible for prefetch like any other
@@ -167,7 +154,7 @@ const (
 )
 
 // Config configures a Federation. Every region's fleet places with HEFT
-// over the flat cluster fabric, and every site starts active.
+// over the flat cluster fabric.
 type Config struct {
 	// Regions is the number of federated regions (>= 1).
 	Regions int
@@ -189,10 +176,6 @@ type Config struct {
 	// authoritative copy, so eviction means a future WAN refetch).
 	// 0 = unbounded.
 	StoreSlots int
-	// Autoscale lets a region activate its next site (serving after a 2 s
-	// boot) when the queue wait at a window roll exceeds 0.5 s, and
-	// release one after 4 consecutive idle rolls.
-	Autoscale bool
 	// Prefetch turns on the forecast-driven warming loop.
 	Prefetch bool
 	// WindowSeconds is the forecast window (default 0.25).
@@ -228,8 +211,8 @@ type Request struct {
 	Home int
 	// Arrival is the modelled submission time (finite). Arrivals must be
 	// submitted in non-decreasing order — the federation is a
-	// modelled-time event loop, and prefetch, autoscaling, and hold
-	// releases all fire between arrivals.
+	// modelled-time event loop, and prefetch and hold releases fire
+	// between arrivals.
 	Arrival float64
 	// Class is the SLO class; Guaranteed requires a Deadline (relative
 	// latency bound in modelled seconds, fleet semantics).
@@ -337,10 +320,6 @@ type RegionStats struct {
 	DataPublished    int     // partition publishes attempted into the region store
 	DataEvictions    int     // partitions the byte bound evicted (read from the store)
 
-	ScaleUps    int
-	ScaleDowns  int
-	ActiveSites int
-
 	Fleet fleet.Stats
 }
 
@@ -375,11 +354,9 @@ type region struct {
 	fl   *fleet.Fleet
 	fc   *Forecaster
 
-	held        []*held
-	gFrontier   float64 // latest guaranteed completion (batch holds behind it)
-	nextRoll    float64
-	active      int // sites currently activated by the region
-	idleWindows int
+	held      []*held
+	gFrontier float64 // latest guaranteed completion (batch holds behind it)
+	nextRoll  float64
 
 	// The region artifact store, guarded by the federation mutex: images
 	// holds the bitstreams (one entry each, bounded to StoreSlots; reg
@@ -488,7 +465,6 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 			idx: i, name: name, reg: reg, fl: fl,
 			fc:       NewForecaster(cfg.WindowSeconds, 0.5, cfg.ForecastLag),
 			nextRoll: cfg.WindowSeconds,
-			active:   cfg.SitesPerRegion,
 			images:   dataset.NewStore(0, cfg.StoreSlots),
 			dstore:   dataset.NewStore(datasetStoreBytes, 0),
 		}
@@ -564,8 +540,8 @@ func (f *Federation) partitioned(r int, t float64) bool {
 // served to completion inside the call (modelled time; the handle is
 // already resolved on return). Batch work may be parked in the hold
 // queue and served by a later SubmitAt or Drain. An error means the
-// request was rejected (guaranteed proof impossible, no active site, or
-// invalid request); nothing was enqueued. An invalid request (nil
+// request was rejected (guaranteed proof impossible, or invalid request);
+// nothing was enqueued. An invalid request (nil
 // workflow, home out of range, non-finite arrival, guaranteed without a
 // positive finite deadline) touches no state and is not counted as
 // rejected; neither does a request after Shutdown (runtime.ErrShutDown).
@@ -654,7 +630,8 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 //	          + fetch estimate + data estimate
 //
 // with the home region winning ties. A WAN partition (of home or of the
-// candidate) removes every non-home candidate. Guaranteed requests try
+// candidate) removes every non-home candidate; the home region is always
+// one. Guaranteed requests try
 // candidates cheapest-first until one region's fleet proves the
 // (stall-shrunk) deadline; when none can, the request is rejected.
 func (f *Federation) route(req Request, h *Handle) error {
@@ -671,15 +648,8 @@ func (f *Federation) route(req Request, h *Handle) error {
 			handoff = f.wan.SendSeconds(req.InputBytes) + handoffPenalty
 		}
 		eff := req.Arrival + handoff
-		wait, ok := r.fl.QueueWait(eff)
-		if !ok {
-			continue // no active site
-		}
-		cost := handoff + wait + r.images.Estimate(needs, eff, r.imageLink) + r.dstore.Estimate(known, eff, r.dataLink)
+		cost := handoff + r.fl.QueueWait(eff) + r.images.Estimate(needs, eff, r.imageLink) + r.dstore.Estimate(known, eff, r.dataLink)
 		cands = append(cands, routeCand{idx: r.idx, cost: cost})
-	}
-	if len(cands) == 0 {
-		return fmt.Errorf("region: no region can serve %s (all partitioned or scaled down)", req.Name)
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].less(cands[b], home) })
 	if req.Class != Guaranteed {
@@ -705,9 +675,6 @@ func (f *Federation) route(req Request, h *Handle) error {
 				Detail: fmt.Sprintf("guaranteed cost=%.4gs of %d candidate(s)", c.cost, len(cands))})
 		}
 		return nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("%w: no region can prove a %.4gs deadline", fleet.ErrSaturated, req.Deadline)
 	}
 	return lastErr
 }
@@ -910,39 +877,8 @@ func (f *Federation) preemptDue(t, completion float64) {
 	}
 }
 
-// Preempt manually pushes a held batch workflow back by the restart
-// penalty and traces the push as an EventPreempt at the frontier (the
-// latest arrival or drain time). Preempting work that already completed
-// (or was never held) is an error — there is nothing left to push — and
-// after Shutdown it returns runtime.ErrShutDown.
-func (f *Federation) Preempt(h *Handle) error {
-	if h == nil {
-		return fmt.Errorf("region: nil handle")
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.life.Check(runtime.Control); err != nil {
-		return err
-	}
-	hw := h.held
-	if hw == nil {
-		return fmt.Errorf("region: workflow already completed; cannot preempt")
-	}
-	hw.release += preemptPenalty
-	hw.pushes++
-	r := f.regions[hw.req.Home]
-	r.stats.Preemptions++
-	if f.cfg.Trace != nil {
-		f.trace(Event{Kind: EventPreempt, Region: r.name, Tenant: hw.req.Tenant,
-			Workflow: hw.req.Name, App: hw.req.App, Time: f.frontier,
-			Detail: fmt.Sprintf("pushed to %.4gs (%d)", hw.release, hw.pushes)})
-	}
-	return nil
-}
-
 // advance processes every modelled event due by time t, in time order
-// with deterministic tie-breaks: window rolls (forecast, prefetch,
-// autoscale), and — when flushHeld is set — hold-queue releases. A roll
+// with deterministic tie-breaks: window rolls (forecast, prefetch), and — when flushHeld is set — hold-queue releases. A roll
 // goes before a release due at the same time.
 func (f *Federation) advance(t float64, flushHeld bool) {
 	for {
@@ -999,15 +935,12 @@ func (f *Federation) release(r *region, hw *held) {
 	f.serveNow(r, hw.req, hw.release, hw.pushes, hw.h)
 }
 
-// roll processes one region's window boundary: close forecast windows,
-// stage predicted demand (prefetch), and autoscale.
+// roll processes one region's window boundary: close forecast windows
+// and stage predicted demand (prefetch).
 func (f *Federation) roll(r *region, at float64) {
 	r.fc.RollTo(at)
 	if f.cfg.Prefetch {
 		f.prefetch(r, at)
-	}
-	if f.cfg.Autoscale {
-		f.autoscale(r, at)
 	}
 }
 
@@ -1053,41 +986,6 @@ func (f *Federation) prefetch(r *region, at float64) {
 		for i := range known {
 			f.ensureData(r, known[i:i+1], at, true)
 		}
-	}
-}
-
-// autoscale reacts to the queue state at a window roll: a wait past
-// scaleUpWait activates the next site (serving from at+siteBootSeconds);
-// scaleDownIdleWindows consecutive idle rolls deactivate the last one
-// (never below one site).
-func (f *Federation) autoscale(r *region, at float64) {
-	wait, ok := r.fl.QueueWait(at)
-	switch {
-	case ok && wait > scaleUpWait && r.active < f.cfg.SitesPerRegion:
-		if err := r.fl.SetSiteActive(r.active, true, at+siteBootSeconds); err == nil {
-			r.active++
-			r.idleWindows = 0
-			r.stats.ScaleUps++
-			if f.cfg.Trace != nil {
-				f.trace(Event{Kind: EventScaleUp, Region: r.name, Time: at,
-					Detail: fmt.Sprintf("wait=%.4gs sites=%d (boot %.3gs)", wait, r.active, siteBootSeconds)})
-			}
-		}
-	case ok && wait == 0 && r.active > 1:
-		r.idleWindows++
-		if r.idleWindows >= scaleDownIdleWindows {
-			if err := r.fl.SetSiteActive(r.active-1, false, at); err == nil {
-				r.active--
-				r.stats.ScaleDowns++
-				if f.cfg.Trace != nil {
-					f.trace(Event{Kind: EventScaleDown, Region: r.name, Time: at,
-						Detail: fmt.Sprintf("sites=%d", r.active)})
-				}
-			}
-			r.idleWindows = 0
-		}
-	default:
-		r.idleWindows = 0
 	}
 }
 
@@ -1150,7 +1048,6 @@ func (f *Federation) Stats() Stats {
 		rs.StoreEvictions = r.images.Stats().Evictions
 		rs.DataEvictions = r.dstore.Stats().Evictions
 		rs.Fleet = r.fl.Stats()
-		rs.ActiveSites = rs.Fleet.ActiveSites()
 		out.Completed += rs.Served
 		out.Failed += rs.Failed
 		out.ColdServes += rs.ColdServes

@@ -312,22 +312,17 @@ func TestGuaranteedRejectedWhenUnprovable(t *testing.T) {
 	}
 }
 
-func TestNoActiveRegionRejects(t *testing.T) {
-	cat := platform.NewRegistry()
-	f := newTestFed(t, cat, Config{Regions: 1})
-	defer f.Shutdown()
-	if err := f.regions[0].fl.SetSiteActive(0, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	_, err := f.SubmitAt(Request{Workflow: cpuWorkflow(), Class: Interactive, Arrival: 0})
-	if err == nil || !strings.Contains(err.Error(), "no region can serve") {
-		t.Fatalf("submit with every site scaled out = %v, want a routing refusal", err)
-	}
-}
-
+// TestBatchHeldBehindGuaranteedAndPreempted: batch arriving behind a
+// guaranteed serve is held, a priority arrival pushes it back once, and
+// the push is traced: one EventPreempt for the one counted preemption.
 func TestBatchHeldBehindGuaranteedAndPreempted(t *testing.T) {
 	cat := platform.NewRegistry()
-	f := newTestFed(t, cat, Config{Regions: 1})
+	preempts := 0
+	f := newTestFed(t, cat, Config{Regions: 1, Trace: func(ev Event) {
+		if ev.Kind == EventPreempt {
+			preempts++
+		}
+	}})
 	defer f.Shutdown()
 
 	// A guaranteed serve owns the near frontier.
@@ -383,56 +378,11 @@ func TestBatchHeldBehindGuaranteedAndPreempted(t *testing.T) {
 	if st.Regions[0].Holds != 1 || st.Preemptions != 1 {
 		t.Fatalf("Holds=%d Preemptions=%d, want 1/1", st.Regions[0].Holds, st.Preemptions)
 	}
+	if preempts != st.Preemptions {
+		t.Fatalf("%d EventPreempt traced for %d counted preemptions", preempts, st.Preemptions)
+	}
 	if st.BoundViolations != 0 {
 		t.Fatalf("BoundViolations = %d, want 0", st.BoundViolations)
-	}
-}
-
-// TestManualPreemptMovesReleaseAndTraces: a manual Preempt pushes a held
-// batch's release back by exactly the restart penalty, and, like the
-// automatic push, it is traced: the EventPreempt count equals the
-// Preemptions counter.
-func TestManualPreemptMovesReleaseAndTraces(t *testing.T) {
-	serve := func(preempt bool) (release, penalty float64, events, counted int) {
-		f := newTestFed(t, platform.NewRegistry(), Config{Regions: 1, Trace: func(ev Event) {
-			switch ev.Kind {
-			case EventRelease:
-				release = ev.Time
-			case EventPreempt:
-				events++
-			}
-		}})
-		gh, err := f.SubmitAt(Request{App: "g", Workflow: cpuWorkflow(), Class: Guaranteed,
-			Deadline: 30, Arrival: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gres, err := gh.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bh, err := f.SubmitAt(Request{App: "b", Workflow: cpuWorkflow(), Class: Batch, Arrival: 0.001})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if preempt {
-			if err := f.Preempt(bh); err != nil {
-				t.Fatal(err)
-			}
-		}
-		f.Drain(gres.Completion + 1)
-		if _, err := bh.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		return release, preemptPenalty, events, f.Shutdown().Preemptions
-	}
-	base, _, _, _ := serve(false)
-	pushed, penalty, events, counted := serve(true)
-	if pushed != base+penalty {
-		t.Errorf("preempted release %.17g, want %.17g + penalty %g", pushed, base, penalty)
-	}
-	if counted != 1 || events != counted {
-		t.Errorf("%d EventPreempt traced for %d counted preemptions, want 1 and 1", events, counted)
 	}
 }
 
@@ -450,25 +400,6 @@ func TestBatchServedInlineWhenNoFrontier(t *testing.T) {
 	}
 	if res.Hold != 0 || res.Class != Batch {
 		t.Fatalf("idle-federation batch hold=%g class=%v, want immediate serve", res.Hold, res.Class)
-	}
-}
-
-func TestPreemptAfterCompletionErrors(t *testing.T) {
-	cat := platform.NewRegistry()
-	f := newTestFed(t, cat, Config{Regions: 1})
-	defer f.Shutdown()
-	if err := f.Preempt(nil); err == nil {
-		t.Error("nil handle preempt accepted")
-	}
-	h, err := f.SubmitAt(Request{Workflow: cpuWorkflow(), Class: Interactive, Arrival: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Preempt(h); err == nil || !strings.Contains(err.Error(), "already completed") {
-		t.Fatalf("preempting completed work = %v, want refusal", err)
 	}
 }
 
@@ -621,71 +552,6 @@ func TestStoreCountersMatchTrace(t *testing.T) {
 	}
 }
 
-// TestAutoscaleJoinsAndLeaves: every site starts active, so the region
-// first releases its idle extra site after 4 idle rolls, then brings it
-// back once the queue wait at a roll passes 0.5 s; the returning site
-// serves only after its 2 s boot.
-func TestAutoscaleJoinsAndLeaves(t *testing.T) {
-	cat := platform.NewRegistry()
-	f := newTestFed(t, cat, Config{Regions: 1, SitesPerRegion: 2, Autoscale: true, WindowSeconds: 0.25})
-	defer f.Shutdown()
-	submit := func(w *runtime.Workflow, at float64) Result {
-		h, err := f.SubmitAt(Request{Workflow: w, Class: Interactive, Arrival: at})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := h.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	// sized is a one-task workflow of about the given service seconds on
-	// a test node (cpuWorkflow's 5e9 flops take about 0.098 s).
-	sized := func(seconds float64) *runtime.Workflow {
-		w := runtime.NewWorkflow()
-		if err := w.Submit(runtime.TaskSpec{Name: "only", Flops: seconds * 5e9 / 0.0977, OutputBytes: 1 << 18}); err != nil {
-			t.Fatal(err)
-		}
-		return w
-	}
-	region0 := func() RegionStats { return f.Stats().Regions[0] }
-	// Rolls at 0.25, 0.5 and 0.75 see an idle fleet: three idle windows
-	// are one short of a scale-down.
-	submit(cpuWorkflow(), 0.9)
-	if st := region0(); st.ScaleDowns != 0 || st.ActiveSites != 2 {
-		t.Fatalf("after 3 idle windows ScaleDowns=%d ActiveSites=%d, want 0/2", st.ScaleDowns, st.ActiveSites)
-	}
-	// The fourth idle roll, at 1.0, releases site 1. The lone site then
-	// serves a 0.5 s workflow: the rolls at 1.25 and 1.5 see waits of
-	// about 0.35 s and 0.1 s, under the scale-up threshold.
-	submit(sized(0.5), 1.1)
-	if st := region0(); st.ScaleDowns != 1 || st.ActiveSites != 1 {
-		t.Fatalf("after 4 idle windows ScaleDowns=%d ActiveSites=%d, want 1/1", st.ScaleDowns, st.ActiveSites)
-	}
-	submit(sized(0.9), 1.6)
-	if st := region0(); st.ScaleUps != 0 {
-		t.Fatalf("waits under 0.5 s scaled up %d time(s)", st.ScaleUps)
-	}
-	// The roll at 1.75 sees a wait of about 0.75 s and activates site 1,
-	// which serves from 1.75 plus the 2 s boot.
-	heavy := submit(heavyWorkflow(), 1.8)
-	if st := region0(); st.ScaleUps != 1 || st.ActiveSites != 2 || heavy.Site != "site00" {
-		t.Fatalf("after the backed-up roll ScaleUps=%d ActiveSites=%d heavy on %s, want 1/2/site00",
-			st.ScaleUps, st.ActiveSites, heavy.Site)
-	}
-	const booted = 1.75 + 2
-	if heavy.Completion <= booted {
-		t.Fatalf("heavy workflow completes at %g, want site00 busy past the boot", heavy.Completion)
-	}
-	if res := submit(cpuWorkflow(), booted-0.05); res.Site != "site00" {
-		t.Fatalf("arrival during the boot served on %s, want site00", res.Site)
-	}
-	if res := submit(cpuWorkflow(), booted+0.05); res.Site != "site01" || res.Wait != 0 {
-		t.Fatalf("arrival after the boot served on %s after %gs, want idle site01", res.Site, res.Wait)
-	}
-}
-
 func TestAccessorsAndDoubleStart(t *testing.T) {
 	cat := platform.NewRegistry()
 	f := newTestFed(t, cat, Config{Regions: 2})
@@ -776,8 +642,7 @@ func TestUnnamedWorkflowName(t *testing.T) {
 
 func TestEventKindAndClassStrings(t *testing.T) {
 	kinds := []EventKind{EventRoute, EventHandoff, EventFetch, EventPrefetch, EventHold,
-		EventRelease, EventPreempt, EventScaleUp, EventScaleDown, EventEvictStore,
-		EventReject, EventDone, EventKind(99)}
+		EventRelease, EventPreempt, EventEvictStore, EventReject, EventDone, EventKind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Errorf("EventKind(%d).String() empty", int(k))

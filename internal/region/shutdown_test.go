@@ -78,7 +78,7 @@ func TestDrainAfterShutdownDoesNothing(t *testing.T) {
 		}
 	}
 	traced := 0
-	f := newTestFed(t, cat, Config{Regions: 1, Prefetch: true, Autoscale: true,
+	f := newTestFed(t, cat, Config{Regions: 1, Prefetch: true,
 		WarmThreshold: 0.1, StoreSlots: 1, CacheSlots: 1,
 		Trace:      func(Event) { traced++ },
 		FleetTrace: func(string, fleet.Event) { traced++ },

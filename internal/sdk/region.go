@@ -13,14 +13,12 @@ import (
 // This file is the SDK face of the hierarchical federation tier
 // (internal/region): a RegionServer front over a fleet-of-fleets —
 // regions of federated sites joined by a slow WAN, with SLO classes,
-// batch preemption, per-region autoscaling and predictive bitstream
-// prefetch — plus the E-region scenario: a traffic wave traveling
-// around the regions with background batch churn, the workload on which
-// prefetch-on must beat prefetch-off cold-start latency.
+// batch preemption and predictive bitstream prefetch — plus the E-region
+// scenario: a traffic wave traveling around the regions with background
+// batch churn, the workload on which prefetch-on must beat prefetch-off
+// cold-start latency.
 
-// RegionConfig configures a RegionServer. Every site serves from Start;
-// with Autoscale a region releases idle sites and brings them back
-// under load.
+// RegionConfig configures a RegionServer. Every site serves from Start.
 type RegionConfig struct {
 	// Regions is the number of federated regions (>= 1).
 	Regions int
@@ -42,10 +40,8 @@ type RegionConfig struct {
 	// WAN names the inter-region fabric ("" = wan10g; "wan1g" for the
 	// geo-distributed flavour).
 	WAN string
-	// Prefetch turns on forecast-driven bitstream staging; Autoscale lets
-	// regions grow and shrink their active site count.
-	Prefetch  bool
-	Autoscale bool
+	// Prefetch turns on forecast-driven bitstream staging.
+	Prefetch bool
 	// WindowSeconds / WarmThreshold / ForecastLag tune the forecaster
 	// (region.Config semantics; zero values take the defaults).
 	WindowSeconds float64
@@ -104,7 +100,6 @@ func NewRegionServer(cfg RegionConfig) (*RegionServer, error) {
 		WAN:             wan,
 		StoreSlots:      cfg.StoreSlots,
 		Prefetch:        cfg.Prefetch,
-		Autoscale:       cfg.Autoscale,
 		WindowSeconds:   cfg.WindowSeconds,
 		WarmThreshold:   cfg.WarmThreshold,
 		ForecastLag:     cfg.ForecastLag,

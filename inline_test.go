@@ -92,7 +92,6 @@ func TestInternalServesInline(t *testing.T) {
 // front's own lock reaches takes no lock of its own.
 var allowedLocks = map[string]string{
 	"runtime.Engine.mu":       "the engine's serve lock: concurrent submitters serialize on it",
-	"runtime.Engine.ctrlMu":   "control calls come from hot-plug goroutines and from trace callbacks under the serve lock, and read the lifecycle under it alone",
 	"runtime.Future.resolved": "Wait may run on another goroutine than the Submit or Start that resolved the future",
 	"fleet.Fleet.mu":          "the fleet's front lock: concurrent submitters serialize on it",
 	"region.Federation.mu":    "the region tier's front lock: concurrent submitters serialize on it",

@@ -22,10 +22,11 @@ type Variant struct {
 
 // Tuner is the mARGOt instance the adaptive engine embeds per workload:
 // one "impl" knob whose operating points carry expected execution latency,
-// ranked minimize-time. The engine consults Best/Expected on every
-// dispatch, feeds Observe from completions, and reacts to hot-plug events
-// through Degrade/SetAvailable — so variant selection tracks the live
-// environment instead of the static plan. A Tuner is not safe for
+// ranked minimize-time. The engine consults Available/Drift on every
+// dispatch and feeds Observe from completions, so variant selection tracks
+// the live environment instead of the static plan. Hot-plug events need no
+// hook here: a device's attachment is priced per placement, and a tuner
+// lives only while its workflow is served. A Tuner is not safe for
 // concurrent use: each belongs to one workflow, and its engine touches it
 // only under the serve lock.
 //
@@ -44,7 +45,6 @@ type point struct {
 	seed     float64 // design-time expected ms
 	expected float64 // live expected ms (EWMA)
 	obs      int     // observation count
-	disabled bool    // currently unreachable (no device)
 }
 
 // index resolves a variant name with a linear scan: tuners hold a handful
@@ -92,26 +92,14 @@ func (t *Tuner) Variants() []string {
 	return names
 }
 
-// Best returns the available variant with the lowest expected latency,
-// first-seeded winning ties. When every variant is disabled it falls back
-// to the overall best — the graceful degradation mARGOt applies when no
-// point is feasible.
+// Best returns the variant with the lowest expected latency, first-seeded
+// winning ties.
 func (t *Tuner) Best() string {
-	best, bestAny := -1, -1
+	best := 0
 	for i := range t.points {
-		v := t.points[i].expected
-		if bestAny < 0 || v < t.points[bestAny].expected {
-			bestAny = i
-		}
-		if t.points[i].disabled {
-			continue
-		}
-		if best < 0 || v < t.points[best].expected {
+		if t.points[i].expected < t.points[best].expected {
 			best = i
 		}
-	}
-	if best < 0 {
-		best = bestAny
 	}
 	return t.points[best].name
 }
@@ -136,18 +124,11 @@ func (t *Tuner) Drift(name string) float64 {
 	return t.points[i].expected / t.points[i].seed
 }
 
-// Available reports whether a variant is currently selectable.
+// Available reports whether the tuner knows a variant, and so may select
+// it.
 func (t *Tuner) Available(name string) bool {
-	i, ok := t.index(name)
-	return ok && !t.points[i].disabled
-}
-
-// SetAvailable masks or unmasks a variant (e.g. fpga when the last VF of
-// the last programmed device is unplugged cluster-wide).
-func (t *Tuner) SetAvailable(name string, ok bool) {
-	if i, known := t.index(name); known {
-		t.points[i].disabled = !ok
-	}
+	_, ok := t.index(name)
+	return ok
 }
 
 // Observe feeds one measured latency (ms) for a variant back into the
@@ -166,26 +147,4 @@ func (t *Tuner) Observations(name string) int {
 		return t.points[i].obs
 	}
 	return 0
-}
-
-// Degrade multiplies a variant's expected latency by factor — the immediate
-// reaction to an environment event, ahead of the next observation.
-func (t *Tuner) Degrade(name string, factor float64) {
-	if factor <= 0 {
-		return
-	}
-	if i, ok := t.index(name); ok {
-		t.points[i].expected *= factor
-	}
-}
-
-// ResetExpected restores a variant's expected latency to its design-time
-// seed. A degraded-then-deselected variant receives no observations, so a
-// Degrade could otherwise never decay; the resource manager calls this
-// when the environment event that caused the degradation is undone (e.g.
-// the accelerator is replugged).
-func (t *Tuner) ResetExpected(name string) {
-	if i, ok := t.index(name); ok && t.points[i].expected > 0 {
-		t.points[i].expected = t.points[i].seed
-	}
 }

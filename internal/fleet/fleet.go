@@ -528,25 +528,27 @@ func (f *Fleet) QueueWait(arrival float64) float64 {
 	return best
 }
 
-// Warm pre-stages bitstream id into the least-busy site's cache at
-// modelled time at, without occupying the serving queue: staging runs on
-// the deployment control plane concurrently with serving, so it steals no
-// service time from workflows — which is what makes speculative prefetch
-// pay. An already-resident bitstream is a free no-op. Returns the chosen
-// site index and the modelled staging seconds; an error means the fleet
-// was shut down (runtime.ErrShutDown), the registry lacks the bitstream,
-// or no online device fits it.
+// Warm pre-stages bitstream id, at modelled time at, into the least-busy
+// site on which an online device fits it, without occupying the serving
+// queue: staging runs on the deployment control plane concurrently with
+// serving, so it steals no service time from workflows — which is what
+// makes speculative prefetch pay. An already-resident bitstream is a free
+// no-op. Returns the chosen site index and the modelled staging seconds;
+// an error means the fleet was shut down (runtime.ErrShutDown), the
+// registry lacks the bitstream, or no online device fits it on any site,
+// in which case the least-busy site records the fallback.
 func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.life.Check(runtime.Control); err != nil {
 		return -1, 0, err
 	}
-	if _, err := f.reg.Entry(id); err != nil {
+	ent, err := f.reg.Entry(id)
+	if err != nil {
 		return -1, 0, fmt.Errorf("fleet: warm: %w", err)
 	}
 	p := dataset.Intern(dataset.Ref{Name: id})
-	best := 0
+	best, fit := 0, -1
 	for i, s := range f.sites {
 		if s.live(p, at) {
 			return i, 0, nil
@@ -554,6 +556,12 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 		if s.busyUntil < f.sites[best].busyUntil {
 			best = i
 		}
+		if (fit < 0 || s.busyUntil < f.sites[fit].busyUntil) && s.fits(ent, f.cfg.PartialReconfig, at) {
+			fit = i
+		}
+	}
+	if fit >= 0 {
+		best = fit
 	}
 	dt := f.warm(f.sites[best], p, at)
 	if dt == 0 {
@@ -926,6 +934,17 @@ func (s *site) deployTargets(at float64) iter.Seq2[*platform.Node, int] {
 			}
 		}
 	}
+}
+
+// fits reports whether an online device of the site could host bitstream
+// ent at modelled time at once vacant: deployOne's walk, before it evicts.
+func (s *site) fits(ent *platform.Entry, partial bool, at float64) bool {
+	for n, idx := range s.deployTargets(at) {
+		if _, ok := n.Devices[idx].Fit(ent.Resources(), partial); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ func TestFailedStartShutsFleet(t *testing.T) {
 	if err := f.Start(); err == nil || !strings.Contains(err.Error(), "site01") {
 		t.Fatalf("Start = %v, want site01's refusal", err)
 	}
-	if err := f.sites[0].engine.UnplugDevice("node00", 0, 1); !errors.Is(err, runtime.ErrShutDown) {
-		t.Errorf("site00 engine UnplugDevice = %v: the failed Start left it serving", err)
+	if err := f.sites[0].engine.Apply(runtime.EnvEvent{Kind: runtime.EnvUnplug, Node: "node00", At: 1}); !errors.Is(err, runtime.ErrShutDown) {
+		t.Errorf("site00 engine Apply = %v: the failed Start left it serving", err)
 	}
 	if err := f.Start(); !errors.Is(err, runtime.ErrShutDown) {
 		t.Errorf("second Start = %v, want %v", err, runtime.ErrShutDown)
@@ -63,10 +63,11 @@ func TestFailedStartShutsFleet(t *testing.T) {
 }
 
 // TestShutdownRacesMutators: Publish, PlaceDataset, Warm and Submit on
-// the fleet, and UnplugDevice/PlugDevice on a site engine's distinct
-// devices, race Shutdown. Each call either happened, and is
-// visible afterwards, or returned ErrShutDown and left no trace: the
-// lifecycle is checked under the lock that guards what the call writes.
+// the fleet race Shutdown. Each call either happened, and is visible
+// afterwards, or returned ErrShutDown and left no trace: the lifecycle is
+// checked under the fleet lock, which guards what the call writes. (A site
+// engine's Apply writes its nodes, which the router reads under the fleet
+// lock, so no caller outside the fleet reaches a site engine.)
 func TestShutdownRacesMutators(t *testing.T) {
 	const warmIDs = 64
 	reg := platform.NewRegistry()
@@ -76,19 +77,9 @@ func TestShutdownRacesMutators(t *testing.T) {
 		}
 	}
 	traced := map[EventKind]int{} // written under the fleet lock
-	// Site 2's nodes carry a spare card, device 1, that only the racing
-	// control calls touch: Submit's workflows run in software, and device
-	// 0 stays online for every Warm that lands there.
-	f := newTestFleet(t, reg, Config{Sites: 3, CacheSlots: 4, NewCluster: func(i int) *platform.Cluster {
-		if i < 2 {
-			return testCluster(2)(i)
-		}
-		return platform.NewCluster(
-			platform.NewNode("node00", platform.XeonModel(), platform.AlveoU55C(), platform.AlveoU55C()),
-			platform.NewNode("node01", platform.XeonModel(), platform.AlveoU55C(), platform.AlveoU55C()))
-	}, Trace: func(ev Event) { traced[ev.Kind]++ }})
+	f := newTestFleet(t, reg, Config{Sites: 3, CacheSlots: 4, NewCluster: testCluster(2),
+		Trace: func(ev Event) { traced[ev.Kind]++ }})
 	base := f.Stats()
-	idle := f.Cluster(2).Nodes
 
 	type outcome struct{ accepted []int }
 	var (
@@ -123,7 +114,6 @@ func TestShutdownRacesMutators(t *testing.T) {
 		}()
 	}
 	var pub, place, warm, submit outcome
-	unplug := make([]outcome, len(idle))
 	race(&pub, func(i int) error { return f.Publish(testBitstream(fmt.Sprintf("pub-%d", i))) })
 	race(&place, func(i int) error {
 		return f.PlaceDataset(i%2, 0, dataset.Ref{Name: fmt.Sprintf("place-%d", i), Bytes: 1 << 10})
@@ -140,14 +130,6 @@ func TestShutdownRacesMutators(t *testing.T) {
 		_, err := f.Submit(Request{Workflow: cpuWorkflow(), Arrival: float64(i)})
 		return err
 	})
-	for n := range idle {
-		race(&unplug[n], func(i int) error {
-			if i%2 == 0 {
-				return f.sites[2].engine.UnplugDevice(idle[n].Name, 1, float64(i))
-			}
-			return f.sites[2].engine.PlugDevice(idle[n].Name, 1, float64(i))
-		})
-	}
 	started.Wait()
 	final := f.Shutdown()
 	done.Wait()
@@ -157,8 +139,8 @@ func TestShutdownRacesMutators(t *testing.T) {
 			t.Errorf("a call racing Shutdown failed with %v, want %v", err, runtime.ErrShutDown)
 		}
 	}
-	if len(refusal) != 4+len(idle) {
-		t.Fatalf("%d calls refused, want one per mutator (%d)", len(refusal), 4+len(idle))
+	if len(refusal) != 4 {
+		t.Fatalf("%d calls refused, want one per mutator (4)", len(refusal))
 	}
 	if after := f.Stats(); !reflect.DeepEqual(after, final) {
 		t.Errorf("stats moved after Shutdown returned:\n final %+v\n after %+v", final, after)
@@ -188,12 +170,5 @@ func TestShutdownRacesMutators(t *testing.T) {
 	}
 	if final.Completed != final.Submitted {
 		t.Errorf("%d of %d accepted submissions completed", final.Completed, final.Submitted)
-	}
-	for n, out := range unplug {
-		// Calls alternate unplug, plug, ...: the last accepted one decides.
-		if want := len(out.accepted)%2 == 0; idle[n].DeviceOnline(1) != want {
-			t.Errorf("%s device 1 online = %v after %d accepted calls, want %v",
-				idle[n].Name, idle[n].DeviceOnline(1), len(out.accepted), want)
-		}
 	}
 }

@@ -63,6 +63,39 @@ func TestWarmErrors(t *testing.T) {
 	}
 }
 
+// TestWarmSkipsSitesWithNoFit: the least-busy site is taken among the
+// sites an online device of which fits the bitstream, so a site with no
+// FPGA never swallows the warm; with no such site anywhere Warm errs.
+func TestWarmSkipsSitesWithNoFit(t *testing.T) {
+	reg := platform.NewRegistry()
+	if err := reg.Put(testBitstream("bs")); err != nil {
+		t.Fatal(err)
+	}
+	cpuOnly := func(int) *platform.Cluster {
+		return platform.NewCluster(platform.NewNode("node00", platform.XeonModel()))
+	}
+	f := newTestFleet(t, reg, Config{Sites: 2, NewCluster: func(i int) *platform.Cluster {
+		if i == 0 {
+			return cpuOnly(i)
+		}
+		return testCluster(1)(i)
+	}})
+	defer f.Shutdown()
+	site, dt, err := f.Warm("bs", 0)
+	if err != nil || site != 1 || dt <= 0 {
+		t.Fatalf("Warm = (site %d, %gs, %v), want a staging on site 1", site, dt, err)
+	}
+	if st := f.Stats(); st.Sites[1].WarmDeploys != 1 || st.Sites[0].FallbackDeploys != 0 {
+		t.Fatalf("site stats %+v, want one warm deploy on site 1 and no fallback on site 0", st.Sites)
+	}
+
+	none := newTestFleet(t, reg, Config{Sites: 2, NewCluster: cpuOnly})
+	defer none.Shutdown()
+	if _, _, err := none.Warm("bs", 0); err == nil {
+		t.Fatal("a fleet with no FPGA must refuse to warm")
+	}
+}
+
 func TestQueueWait(t *testing.T) {
 	reg := platform.NewRegistry()
 	f := newTestFleet(t, reg, Config{Sites: 1})

@@ -13,9 +13,9 @@ import (
 // A node takes no lock of its own. Setup code touches it before the front
 // that serves it (runtime.Engine, fleet.Fleet, stream.Engine) starts; from
 // then on only that front touches it, inside its serving section (under
-// the front's lock, for the fronts that take concurrent callers). Control
-// calls from other goroutines, such as hot-plug subscribers, go through
-// the front's mailbox, never to the node.
+// the front's lock, for the fronts that take concurrent callers). A
+// hot-plug subscriber on another goroutine reaches the node only through
+// runtime.Engine.Apply, which writes it under the engine's serve lock.
 type Node struct {
 	Name    string
 	CPU     CPUModel

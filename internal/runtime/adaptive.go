@@ -15,13 +15,17 @@ import (
 // each node's real load from observed/nominal latency ratios. A per-
 // workflow autotuner.Tuner holds the expected latency of each
 // implementation variant (cpu1 / cpu16 / fpga) and tracks it from
-// completions, so selection follows the environment. And SR-IOV hot-plug
-// events from the virtualization layer arrive through the engine control
-// API (UnplugDevice / PlugDevice / SetNodeSlowdown): at the engine's next
-// serve-lock section they flip platform attachment state — executors fall
-// back to software for FPGA work that can no longer reach its device —
-// and the engine invalidates queued FPGA placements on the affected node
-// and degrades the fpga variant in every active tuner.
+// completions, so selection follows the environment. And environment
+// events (EnvEvent: an SR-IOV VF unplug or plug from the virtualization
+// layer, a node slowdown) reach the nodes by one writer, writeEvent: Start
+// writes the script (EngineConfig.Events), and Apply writes one event at
+// call time under the serve lock, between serves. Either way the event is
+// a modelled-time condition timeline: executors price each task by the
+// state at its own start and fall back to software for FPGA work that can
+// no longer reach its device, and adaptive placement prices the fpga
+// variant against attachment at the task's ready time. An event written
+// by Apply finds the engine idle, so no queued placement is ever pulled
+// back and no active tuner needs telling.
 //
 // The static engine pays the same faults but never consults any of this:
 // the gap between the two under induced faults is what
@@ -123,7 +127,7 @@ func bitstreamProgrammed(t *TaskSpec, n *platform.Node) bool {
 }
 
 // ---------------------------------------------------------------------------
-// environment control API
+// environment events
 
 // EnvEventKind classifies scripted environment events.
 type EnvEventKind int
@@ -138,13 +142,12 @@ const (
 	EnvSlowdown
 )
 
-// EnvEvent is one environment change scripted at engine start
-// (EngineConfig.Events): the condition timeline is written before any task
-// is placed, so executors price every task against it deterministically —
-// the At-and-later modelled world pays the fault, earlier work does not —
-// with no dependence on wall-clock event ordering. Use the engine control
-// API (UnplugDevice / PlugDevice / SetNodeSlowdown) instead for events
-// that must surprise a running engine.
+// EnvEvent is one environment change: scripted at engine start
+// (EngineConfig.Events) or applied between serves (Engine.Apply). Either
+// way its condition timeline is written before any task placed after it,
+// so executors price every such task against it deterministically — the
+// At-and-later modelled world pays the fault, earlier work does not — with
+// no dependence on wall-clock event ordering.
 type EnvEvent struct {
 	Kind   EnvEventKind
 	Node   string
@@ -153,10 +156,9 @@ type EnvEvent struct {
 	At     float64 // modelled time the change takes effect
 }
 
-// checkStart refuses an empty cluster, a scripted failure or event with a
-// non-finite time or factor, and a scripted plug or unplug of a device the
-// node does not have (engine Start). Entries naming unknown nodes are not
-// checked: they are ignored.
+// checkStart refuses an empty cluster, a scripted failure with a
+// non-finite time and a scripted event checkEvent refuses (engine Start).
+// Entries naming unknown nodes are not checked: they are ignored.
 func (e *Engine) checkStart() error {
 	if len(e.cluster.Nodes) == 0 {
 		return fmt.Errorf("runtime: engine needs at least one node")
@@ -167,29 +169,41 @@ func (e *Engine) checkStart() error {
 		}
 	}
 	for _, ev := range e.cfg.Events {
-		n := e.cluster.FindNode(ev.Node)
-		if n == nil {
-			continue
-		}
-		if ev.Kind == EnvUnplug || ev.Kind == EnvPlug {
-			if err := checkDevice(n, ev.Device); err != nil {
+		if n := e.cluster.FindNode(ev.Node); n != nil {
+			if err := checkEvent(n, ev); err != nil {
 				return err
 			}
-		}
-		if !finite(ev.At) || !finite(ev.Factor) {
-			return fmt.Errorf("runtime: scripted event on %s at %g (factor %g)", ev.Node, ev.At, ev.Factor)
 		}
 	}
 	return nil
 }
 
-// checkDevice refuses a plug or unplug of a device index node n does not
-// have, scripted or called.
-func checkDevice(n *platform.Node, dev int) error {
-	if dev < 0 || dev >= len(n.Devices) {
-		return fmt.Errorf("runtime: node %s has no device %d", n.Name, dev)
+// checkEvent refuses an event on node n of an unknown kind, with a
+// non-finite time or factor, or plugging or unplugging a device n does not
+// have, scripted or applied.
+func checkEvent(n *platform.Node, ev EnvEvent) error {
+	switch {
+	case ev.Kind < EnvUnplug || ev.Kind > EnvSlowdown:
+		return fmt.Errorf("runtime: event on %s of unknown kind %d", n.Name, ev.Kind)
+	case ev.Kind != EnvSlowdown && (ev.Device < 0 || ev.Device >= len(n.Devices)):
+		return fmt.Errorf("runtime: node %s has no device %d", n.Name, ev.Device)
+	case !finite(ev.At) || !finite(ev.Factor):
+		return fmt.Errorf("runtime: event on %s at %g (factor %g)", n.Name, ev.At, ev.Factor)
 	}
 	return nil
+}
+
+// writeEvent writes one checked event to its node n and reports whether it
+// changed anything: a plug or unplug that leaves the attachment as it was
+// does not.
+func writeEvent(n *platform.Node, ev EnvEvent) bool {
+	if ev.Kind == EnvSlowdown {
+		n.SetSlowdown(ev.Factor, ev.At)
+		return true
+	}
+	// No error: checkEvent checked the device index.
+	changed, _ := n.SetDeviceOffline(ev.Device, ev.Kind == EnvUnplug, ev.At)
+	return changed
 }
 
 // applyScript writes the scripted failures and condition timelines
@@ -201,18 +215,8 @@ func (e *Engine) applyScript() {
 		}
 	}
 	for _, ev := range e.cfg.Events {
-		n := e.cluster.FindNode(ev.Node)
-		if n == nil {
-			continue
-		}
-		// A plug or unplug cannot fail: checkStart checked the device index.
-		switch ev.Kind {
-		case EnvUnplug:
-			_, _ = n.SetDeviceOffline(ev.Device, true, ev.At)
-		case EnvPlug:
-			_, _ = n.SetDeviceOffline(ev.Device, false, ev.At)
-		case EnvSlowdown:
-			n.SetSlowdown(ev.Factor, ev.At)
+		if n := e.cluster.FindNode(ev.Node); n != nil {
+			writeEvent(n, ev)
 		}
 	}
 }
@@ -220,248 +224,40 @@ func (e *Engine) applyScript() {
 // finite reports whether x is neither NaN nor infinite.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// ctrlKind classifies environment events entering the event loop.
-type ctrlKind int
-
-const (
-	ctrlUnplug ctrlKind = iota
-	ctrlPlug
-	ctrlSlow
-	ctrlFail
-)
-
-// ctrlMsg is one control call, validated and queued for the event loop,
-// which writes the node and then reacts (invalidation, tuner degradation,
-// tracing).
-type ctrlMsg struct {
-	kind   ctrlKind
-	node   *platform.Node
-	dev    int
-	factor float64
-	at     float64 // modelled time of the event
-}
-
-// control validates one control call and enqueues it under ctrlMu; it
-// never touches the node and never waits on the serve lock, whatever the
-// queue depth and whichever goroutine calls it — including a fault-script
-// trace callback running under that lock. The call takes effect at the
-// engine's next serve-lock section (writeCtrl): before the next execution
-// when the engine is serving, else at the entry of Submit, Stats, Health
-// or Shutdown, and at Start for calls made before it. Shutdown closes the
-// queue under the same lock, so a call either lands before it or returns
-// ErrShutDown and touches nothing: a shut-down engine still subscribed to a
-// hypervisor never flips a node that a live engine now serves.
-func (e *Engine) control(kind ctrlKind, node string, dev int, factor, at float64) error {
-	n := e.cluster.FindNode(node)
-	if n == nil {
-		return fmt.Errorf("runtime: unknown node %q", node)
-	}
-	if kind == ctrlUnplug || kind == ctrlPlug {
-		if err := checkDevice(n, dev); err != nil {
-			return err
-		}
-	}
-	if !finite(at) || !finite(factor) {
-		return fmt.Errorf("runtime: control call on %s at %g (factor %g)", node, at, factor)
-	}
-	e.ctrlMu.Lock()
-	defer e.ctrlMu.Unlock()
+// Apply writes one environment event to its node now, at the modelled time
+// ev.At, and traces it if it changed anything: a plug of an attached
+// device or an unplug of a detached one is a silent no-op. It takes the
+// serve lock, so it runs between serves, when the engine is idle: the
+// event reaches every task placed after Apply returns and no task placed
+// before. Before Start it writes ahead of the script Start writes. It
+// refuses an unknown node or an event checkStart would refuse, and returns
+// ErrShutDown after Shutdown, touching nothing. A trace callback must not
+// call it. Node failures are scripted only (EngineConfig.Failures).
+func (e *Engine) Apply(ev EnvEvent) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := e.life.Check(Control); err != nil {
 		return err
 	}
-	e.ctrlQ = append(e.ctrlQ, ctrlMsg{kind: kind, node: n, dev: dev, factor: factor, at: at})
+	n := e.cluster.FindNode(ev.Node)
+	if n == nil {
+		return fmt.Errorf("runtime: unknown node %q", ev.Node)
+	}
+	if err := checkEvent(n, ev); err != nil {
+		return err
+	}
+	if !writeEvent(n, ev) {
+		return nil
+	}
+	tr := Event{Kind: EventDeviceUnplug, Node: n.Name, Time: ev.At, Detail: fmt.Sprintf("dev%d", ev.Device)}
+	switch ev.Kind {
+	case EnvPlug:
+		tr.Kind = EventDevicePlug
+	case EnvSlowdown:
+		tr.Kind, tr.Detail = EventNodeSlowdown, fmt.Sprintf("factor=%.3g", ev.Factor)
+	}
+	e.trace(tr)
 	return nil
-}
-
-// writeCtrl drains the control queue and writes every call's node state
-// in order (serve lock held). It returns the calls the event loop reacts
-// to: a failure has none (execution observes the death itself), and
-// neither has a plug or unplug that left the attachment as it was, so a
-// redundant call traces nothing and degrades no tuner.
-func (e *Engine) writeCtrl() []ctrlMsg {
-	e.ctrlMu.Lock()
-	q := e.ctrlQ
-	e.ctrlQ = nil
-	e.ctrlMu.Unlock()
-	react := q[:0]
-	for _, m := range q {
-		switch m.kind {
-		case ctrlUnplug, ctrlPlug:
-			// No error: control checked the device index.
-			if changed, _ := m.node.SetDeviceOffline(m.dev, m.kind == ctrlUnplug, m.at); !changed {
-				continue
-			}
-		case ctrlSlow:
-			m.node.SetSlowdown(m.factor, m.at)
-		case ctrlFail:
-			m.node.Fail(m.at)
-			continue
-		}
-		react = append(react, m)
-	}
-	return react
-}
-
-// applyCtrl writes every queued control call, then reacts to each, in
-// order.
-func (e *Engine) applyCtrl(ds *dispatchState) {
-	for _, m := range e.writeCtrl() {
-		e.onCtrl(ds, m)
-	}
-}
-
-// UnplugDevice detaches device dev of a node at modelled time `at` (the
-// SR-IOV VF unplug of §VI-B surfaced as an engine event). Running and
-// queued FPGA work on that node degrades to software; in adaptive mode the
-// engine additionally pulls back queued FPGA placements, reschedules
-// them, and degrades the fpga variant in every active workflow's tuner.
-// Redundant calls — the device is already detached — change nothing, so
-// e.g. a second VM's last-VF unplug cannot double-degrade the tuners.
-// After Shutdown it returns ErrShutDown, as every control call does.
-func (e *Engine) UnplugDevice(node string, dev int, at float64) error {
-	return e.control(ctrlUnplug, node, dev, 0, at)
-}
-
-// PlugDevice reattaches device dev of a node at modelled time `at`,
-// restoring the fpga variant's availability for active workflows.
-// Redundant calls — the device was never detached — change nothing, so a
-// VF plugged on an always-online device cannot wipe learned fpga drift.
-// After Shutdown it returns ErrShutDown.
-func (e *Engine) PlugDevice(node string, dev int, at float64) error {
-	return e.control(ctrlPlug, node, dev, 0, at)
-}
-
-// SetNodeSlowdown changes a node's CPU load factor at modelled time `at`
-// (1 restores nominal speed). Executors pay it from the engine's next
-// serve-lock section; the adaptive engine learns it from the latency
-// ratios the monitors observe — the event itself only traces. After
-// Shutdown it returns ErrShutDown.
-func (e *Engine) SetNodeSlowdown(node string, factor, at float64) error {
-	return e.control(ctrlSlow, node, 0, factor, at)
-}
-
-// onCtrl is the event loop's reaction to one environment event.
-func (e *Engine) onCtrl(ds *dispatchState, m ctrlMsg) {
-	name := m.node.Name
-	switch m.kind {
-	case ctrlSlow:
-		e.trace(Event{
-			Kind: EventNodeSlowdown, Node: name, Time: m.at,
-			Detail: fmt.Sprintf("factor=%.3g", m.factor),
-		})
-	case ctrlUnplug:
-		e.trace(Event{
-			Kind: EventDeviceUnplug, Node: name, Time: m.at,
-			Detail: fmt.Sprintf("dev%d", m.dev),
-		})
-		if _, programmed := m.node.Programmed(m.dev); !e.cfg.Adaptive || !programmed {
-			// An unprogrammed device leaving changes no FPGA capacity:
-			// nothing to invalidate or degrade.
-			return
-		}
-		// Invalidate queued FPGA placements the node can no longer serve:
-		// they would fall back to the slow software path, so pull them
-		// back and re-place. Work another attached programmed device on
-		// the same node can still run stays queued — as does work whose
-		// modelled ready time precedes the detach: it may legitimately run
-		// before the fault (non-retroactivity), and the claim-time
-		// attachment check resolves the boundary either way.
-		if ni, ok := e.nodeIdx[name]; ok {
-			q, n := e.queues[ni], e.nodes[ni]
-			stolen := q.steal(func(r execRequest) bool {
-				if r.variant != VariantFPGA {
-					return false
-				}
-				_, _, stillServable := fpgaCostOn(r.task, n, r.ready)
-				return !stillServable
-			})
-			reclaimed := 0.0
-			for _, r := range stolen {
-				reclaimed += r.estDur
-				r.wf.inflight--
-				if r.wf.finished {
-					e.maybeRecycle(r.wf)
-					continue
-				}
-				r.wf.sched.Adapt.Reschedules++
-				e.trace(Event{
-					Kind: EventReschedule, Workflow: r.wf.name, Tenant: r.wf.tenant,
-					Task: r.task.Name, Node: name, Time: m.at, Detail: "device-unplug",
-				})
-				e.pushReady(ds, r.wf, r.tidx, true, m.at)
-			}
-			if len(stolen) > 0 {
-				// Stolen heads leave stale heap entries behind; rebuild
-				// before the next inline execution (rare path).
-				ds.heapDirty = true
-			}
-			// Give the node back the idle time its stolen placements had
-			// reserved, so re-placement sees its true availability (floored
-			// at the event time; completion reports re-raise it as needed).
-			if reclaimed > 0 {
-				free := ds.nodeFree[ni] - reclaimed
-				if free < m.at {
-					free = m.at
-				}
-				ds.nodeFree[ni] = free
-				// The frontier may have shrunk with it; recompute (rare
-				// path — only on device-unplug invalidation).
-				ds.backlog = 0
-				for _, f := range ds.nodeFree {
-					if f > ds.backlog {
-						ds.backlog = f
-					}
-				}
-			}
-		}
-		// Degrade the fpga variant in every active tuner: fewer devices
-		// remain, and none might. Observations refine this estimate later.
-		online := e.onlineFPGADevices()
-		for st := range ds.active {
-			if st.tuner == nil {
-				continue
-			}
-			if online == 0 {
-				st.tuner.SetAvailable(VariantFPGA, false)
-			} else {
-				st.tuner.Degrade(VariantFPGA, 1+1/float64(online))
-			}
-		}
-	case ctrlPlug:
-		e.trace(Event{
-			Kind: EventDevicePlug, Node: name, Time: m.at,
-			Detail: fmt.Sprintf("dev%d", m.dev),
-		})
-		if _, programmed := m.node.Programmed(m.dev); !e.cfg.Adaptive || !programmed {
-			return
-		}
-		for st := range ds.active {
-			if st.tuner != nil {
-				st.tuner.SetAvailable(VariantFPGA, true)
-				// Undo the unplug-time Degrade: a deselected variant gets
-				// no observations, so the penalty would otherwise stick
-				// forever. Observations re-learn any remaining degradation.
-				st.tuner.ResetExpected(VariantFPGA)
-			}
-		}
-	}
-}
-
-// onlineFPGADevices counts attached, programmed devices on alive nodes —
-// the capacity the fpga variant can still reach cluster-wide.
-func (e *Engine) onlineFPGADevices() int {
-	online := 0
-	for _, n := range e.cluster.Nodes {
-		if _, failed := n.FailedAt(); failed {
-			continue
-		}
-		for idx := range n.Devices {
-			if _, ok := n.Programmed(idx); ok && n.DeviceOnline(idx) {
-				online++
-			}
-		}
-	}
-	return online
 }
 
 // ---------------------------------------------------------------------------
@@ -527,9 +323,9 @@ func (e *Engine) newWorkflowTuner(st *wfState) *autotuner.Tuner {
 	return tn
 }
 
-// variantsInto appends the implementation variants task may run as,
-// filtered by the workflow tuner's availability mask, into the caller's
-// scratch buffer (no per-placement allocation).
+// variantsInto appends the implementation variants task may run as, among
+// those the workflow tuner knows, into the caller's scratch buffer (no
+// per-placement allocation).
 func (e *Engine) variantsInto(buf []string, st *wfState, t *TaskSpec) []string {
 	for _, v := range [...]string{VariantCPU1, VariantCPU16} {
 		if st.tuner.Available(v) {

@@ -1,9 +1,9 @@
 package runtime
 
 import (
+	"errors"
 	"testing"
 
-	"everest/internal/autotuner"
 	"everest/internal/platform"
 )
 
@@ -69,35 +69,39 @@ func TestAdaptiveSelectsFPGAVariant(t *testing.T) {
 	}
 }
 
-// TestAdaptiveReactsToUnplug unplugs the only accelerator after the first
-// task completes: the tuner must mask the fpga variant and move the rest of
-// the chain to software, never paying the single-core fallback.
+// doneAt serves w alone on c under cfg and returns the end of task
+// taskName(i): the modelled time of the chain's (i+1)-th completion. A
+// fault scripted at that time reaches every later task of the chain and
+// none before it.
+func doneAt(t *testing.T, c *platform.Cluster, cfg EngineConfig, w *Workflow, i int) float64 {
+	t.Helper()
+	sched, err := ServeAlone(c, cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched.ByTask()[taskName(i)].End
+}
+
+// serveScripted serves w alone on c under cfg with events scripted.
+func serveScripted(t *testing.T, c *platform.Cluster, cfg EngineConfig, w *Workflow, events ...EnvEvent) *Schedule {
+	t.Helper()
+	cfg.Events = events
+	sched, err := ServeAlone(c, cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
+}
+
+// TestAdaptiveReactsToUnplug unplugs the only accelerator when the first
+// task completes: the rest of the chain must move to software, never
+// paying the single-core fallback.
 func TestAdaptiveReactsToUnplug(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
-	done := 0
-	e.cfg.Trace = func(ev Event) {
-		if ev.Kind == EventTaskDone {
-			done++
-			if done == 1 {
-				if err := e.UnplugDevice(cluster.Nodes[0].Name, 0, ev.Time); err != nil {
-					t.Error(err)
-				}
-			}
-		}
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	fut, err := e.Submit(fpgaChain(t, 5, bs.ID), SubmitOptions{Name: "unplugged"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := fut.Wait()
-	e.Shutdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := EngineConfig{Policy: PolicyHEFT, Adaptive: true}
+	w := fpgaChain(t, 5, bs.ID)
+	at := doneAt(t, cluster, cfg, w, 0)
+	sched := serveScripted(t, cluster, cfg, w, EnvEvent{Kind: EnvUnplug, Node: cluster.Nodes[0].Name, At: at})
 	byTask := sched.ByTask()
 	if !byTask[taskName(0)].OnFPGA {
 		t.Error("first task must run on the FPGA before the unplug")
@@ -118,35 +122,15 @@ func TestAdaptiveReactsToUnplug(t *testing.T) {
 }
 
 // TestUnplugOfUnprogrammedDeviceIsCapacityNeutral: detaching a device
-// that carries no bitstream must not degrade the fpga variant — the chain
-// stays on the real accelerator.
+// that carries no bitstream must not move the chain off the real
+// accelerator.
 func TestUnplugOfUnprogrammedDeviceIsCapacityNeutral(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
-	done := 0
-	e.cfg.Trace = func(ev Event) {
-		if ev.Kind == EventTaskDone {
-			done++
-			if done == 1 {
-				// Node 1's device has no bitstream: zero FPGA capacity lost.
-				if err := e.UnplugDevice(cluster.Nodes[1].Name, 0, ev.Time); err != nil {
-					t.Error(err)
-				}
-			}
-		}
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	fut, err := e.Submit(fpgaChain(t, 4, bs.ID), SubmitOptions{Name: "neutral"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := fut.Wait()
-	e.Shutdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := EngineConfig{Policy: PolicyHEFT, Adaptive: true}
+	w := fpgaChain(t, 4, bs.ID)
+	at := doneAt(t, cluster, cfg, w, 0)
+	// Node 1's device has no bitstream: zero FPGA capacity lost.
+	sched := serveScripted(t, cluster, cfg, w, EnvEvent{Kind: EnvUnplug, Node: cluster.Nodes[1].Name, At: at})
 	for _, a := range sched.Assignments {
 		if !a.OnFPGA {
 			t.Errorf("task %s left the FPGA after a capacity-neutral unplug", a.Task)
@@ -159,30 +143,10 @@ func TestUnplugOfUnprogrammedDeviceIsCapacityNeutral(t *testing.T) {
 // work into the single-core fallback.
 func TestStaticPaysUnplugFallback(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT})
-	done := 0
-	e.cfg.Trace = func(ev Event) {
-		if ev.Kind == EventTaskDone {
-			done++
-			if done == 1 {
-				if err := e.UnplugDevice(cluster.Nodes[0].Name, 0, ev.Time); err != nil {
-					t.Error(err)
-				}
-			}
-		}
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	fut, err := e.Submit(fpgaChain(t, 4, bs.ID), SubmitOptions{Name: "static"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := fut.Wait()
-	e.Shutdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := EngineConfig{Policy: PolicyHEFT}
+	w := fpgaChain(t, 4, bs.ID)
+	at := doneAt(t, cluster, cfg, w, 0)
+	sched := serveScripted(t, cluster, cfg, w, EnvEvent{Kind: EnvUnplug, Node: cluster.Nodes[0].Name, At: at})
 	if sched.Adapt.Fallbacks == 0 {
 		t.Error("static engine must record FPGA fallbacks after the unplug")
 	}
@@ -191,40 +155,17 @@ func TestStaticPaysUnplugFallback(t *testing.T) {
 	}
 }
 
-// TestAdaptivePlugRestoresFPGA replugs the device mid-chain: the fpga
-// variant must come back.
+// TestAdaptivePlugRestoresFPGA unplugs the device at the first completion
+// and replugs it at the third: the fpga variant must come back.
 func TestAdaptivePlugRestoresFPGA(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
-	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
-	done := 0
-	e.cfg.Trace = func(ev Event) {
-		if ev.Kind != EventTaskDone {
-			return
-		}
-		done++
-		var err error
-		switch done {
-		case 1:
-			err = e.UnplugDevice(cluster.Nodes[0].Name, 0, ev.Time)
-		case 3:
-			err = e.PlugDevice(cluster.Nodes[0].Name, 0, ev.Time)
-		}
-		if err != nil {
-			t.Error(err)
-		}
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	fut, err := e.Submit(fpgaChain(t, 6, bs.ID), SubmitOptions{Name: "roundtrip"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := fut.Wait()
-	e.Shutdown()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := EngineConfig{Policy: PolicyHEFT, Adaptive: true}
+	w := fpgaChain(t, 6, bs.ID)
+	node := cluster.Nodes[0].Name
+	unplug := EnvEvent{Kind: EnvUnplug, Node: node, At: doneAt(t, cluster, cfg, w, 0)}
+	cfg.Events = []EnvEvent{unplug}
+	plugAt := doneAt(t, cluster, cfg, w, 2)
+	sched := serveScripted(t, cluster, cfg, w, unplug, EnvEvent{Kind: EnvPlug, Node: node, At: plugAt})
 	byTask := sched.ByTask()
 	if byTask[taskName(2)].OnFPGA {
 		t.Error("mid-chain task must run in software while unplugged")
@@ -241,7 +182,7 @@ func TestAdaptiveAvoidsSlowNode(t *testing.T) {
 	run := func(adaptive bool) *Schedule {
 		cluster := testCluster(2)
 		e := startEngine(t, cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: adaptive})
-		if err := e.SetNodeSlowdown(cluster.Nodes[0].Name, 8, 0); err != nil {
+		if err := e.Apply(EnvEvent{Kind: EnvSlowdown, Node: cluster.Nodes[0].Name, Factor: 8}); err != nil {
 			t.Fatal(err)
 		}
 		w := NewWorkflow()
@@ -279,151 +220,77 @@ func TestAdaptiveAvoidsSlowNode(t *testing.T) {
 func TestEngineControlErrors(t *testing.T) {
 	cluster := testCluster(1)
 	e := startEngine(t, cluster, EngineConfig{})
-	if err := e.UnplugDevice("ghost", 0, 0); err == nil {
-		t.Error("unknown node must error")
-	}
-	if err := e.UnplugDevice(cluster.Nodes[0].Name, 9, 0); err == nil {
-		t.Error("unknown device must error")
-	}
-	if err := e.PlugDevice("ghost", 0, 0); err == nil {
-		t.Error("unknown node must error on plug")
-	}
-	if err := e.SetNodeSlowdown("ghost", 2, 0); err == nil {
-		t.Error("unknown node must error on slowdown")
-	}
-	e.Shutdown()
-	// Control calls after shutdown return at once with an error and leave
-	// the node as it was.
 	n := cluster.Nodes[0]
-	for i := 0; i < 300; i++ {
-		if err := e.SetNodeSlowdown(n.Name, 2, 0); err == nil {
-			t.Fatal("slowdown after shutdown must error")
+	for _, ev := range []EnvEvent{
+		{Kind: EnvUnplug, Node: "ghost"},
+		{Kind: EnvUnplug, Node: n.Name, Device: 9},
+		{Kind: EnvPlug, Node: "ghost"},
+		{Kind: EnvSlowdown, Node: "ghost", Factor: 2},
+	} {
+		if err := e.Apply(ev); err == nil {
+			t.Errorf("Apply(%+v) must error", ev)
 		}
 	}
-	if err := e.UnplugDevice(n.Name, 0, 0); err == nil {
-		t.Error("unplug after shutdown must error")
+	e.Shutdown()
+	// Apply after shutdown returns at once with ErrShutDown and leaves the
+	// node as it was.
+	for i := 0; i < 300; i++ {
+		if err := e.Apply(EnvEvent{Kind: EnvSlowdown, Node: n.Name, Factor: 2}); !errors.Is(err, ErrShutDown) {
+			t.Fatalf("slowdown after shutdown = %v, want %v", err, ErrShutDown)
+		}
 	}
-	if err := e.PlugDevice(n.Name, 0, 0); err == nil {
-		t.Error("plug after shutdown must error")
+	for _, kind := range []EnvEventKind{EnvUnplug, EnvPlug} {
+		if err := e.Apply(EnvEvent{Kind: kind, Node: n.Name}); !errors.Is(err, ErrShutDown) {
+			t.Errorf("kind %d after shutdown = %v, want %v", kind, err, ErrShutDown)
+		}
 	}
-	if err := e.FailNode(n.Name, 0); err == nil {
-		t.Error("node failure after shutdown must error")
-	}
-	if _, failed := n.FailedAt(); failed || n.Slowdown() != 1 || !n.DeviceOnline(0) {
-		t.Error("control calls after shutdown must not touch the node")
+	if n.Slowdown() != 1 || !n.DeviceOnline(0) {
+		t.Error("Apply after shutdown must not touch the node")
 	}
 }
 
-// TestRedundantPlugUnplugAreNoOps: control calls that do not change the
-// device's attachment state must emit no control events and touch no
-// tuner — a VF plugged on an always-online device must not reset learned
-// fpga drift, and a second unplug must not double-degrade tuners. The
-// calls come from trace callbacks, so the reactions land while the
-// chain's tuner is active, before its next placement.
+// TestRedundantPlugUnplugAreNoOps: an Apply that does not change the
+// device's attachment state writes and traces nothing, between serves as
+// at any other time.
 func TestRedundantPlugUnplugAreNoOps(t *testing.T) {
 	cluster, bs := programmedCluster(t, 2)
 	if _, err := cluster.Nodes[1].Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	n0, n1 := cluster.Nodes[0].Name, cluster.Nodes[1].Name
-	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
-	// The chain is the one active workflow; its tuner is the one to watch.
-	tuner := func() *autotuner.Tuner {
-		for st := range e.ds.active {
-			return st.tuner
+	var envEvents []Event
+	e := startEngine(t, cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true, Trace: func(ev Event) {
+		if ev.Kind == EventDeviceUnplug || ev.Kind == EventDevicePlug {
+			envEvents = append(envEvents, ev)
 		}
-		t.Fatal("no active workflow")
-		return nil
-	}
-	var ctrlEvents []Event
-	done, checked := 0, 0
-	before := 0.0
-	e.cfg.Trace = func(ev Event) {
-		switch ev.Kind {
-		case EventDeviceUnplug, EventDevicePlug:
-			ctrlEvents = append(ctrlEvents, ev)
-		case EventTaskDone:
-			done++
-			before = tuner().Expected(VariantFPGA)
-			var errs []error
-			switch done {
-			case 1: // one real unplug, one redundant
-				errs = append(errs, e.UnplugDevice(n0, 0, ev.Time), e.UnplugDevice(n0, 0, ev.Time))
-			case 2: // a plug of an attached device
-				errs = append(errs, e.PlugDevice(n1, 0, ev.Time))
-			case 3: // a real replug
-				errs = append(errs, e.PlugDevice(n0, 0, ev.Time))
-			}
-			for _, err := range errs {
-				if err != nil {
-					t.Error(err)
-				}
-			}
-		case EventVariant:
-			// The first placement after each batch of calls sees their
-			// reactions applied.
-			if done == 0 || done > 3 || checked == done {
-				return
-			}
-			checked = done
-			got := tuner().Expected(VariantFPGA)
-			switch done {
-			case 1:
-				// One programmed device stays online: a single Degrade by 2.
-				if got != 2*before {
-					t.Errorf("after unplug + redundant unplug: fpga expected %g, want %g (one degrade)", got, 2*before)
-				}
-			case 2:
-				if got != before {
-					t.Errorf("after a redundant plug: fpga expected %g, want %g unchanged", got, before)
-				}
-			case 3:
-				if drift := tuner().Drift(VariantFPGA); drift != 1 {
-					t.Errorf("after the replug: fpga drift %g, want 1 (reset)", drift)
-				}
+	}})
+	defer e.Shutdown()
+	at := 0.0
+	for _, batch := range [][]EnvEvent{
+		{{Kind: EnvUnplug, Node: n0}, {Kind: EnvUnplug, Node: n0}}, // one real unplug, one redundant
+		{{Kind: EnvPlug, Node: n1}},                                // a plug of an attached device
+		{{Kind: EnvPlug, Node: n0}},                                // a real replug
+	} {
+		for _, ev := range batch {
+			ev.At = at
+			if err := e.Apply(ev); err != nil {
+				t.Fatal(err)
 			}
 		}
+		fut, err := e.Submit(fpgaChain(t, 2, bs.ID), SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = sched.Makespan
 	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	fut, err := e.Submit(fpgaChain(t, 5, bs.ID), SubmitOptions{Name: "noops"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fut.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	e.Shutdown()
-	if checked != 3 {
-		t.Fatalf("checked %d control batches, want 3", checked)
-	}
-	if len(ctrlEvents) != 2 ||
-		ctrlEvents[0].Kind != EventDeviceUnplug || ctrlEvents[0].Node != n0 ||
-		ctrlEvents[1].Kind != EventDevicePlug || ctrlEvents[1].Node != n0 {
-		t.Fatalf("control events %+v, want one unplug and one plug of %s", ctrlEvents, n0)
-	}
-}
-
-func TestWorkQueueSteal(t *testing.T) {
-	q := newWorkQueueCap(8)
-	st := &wfState{}
-	mk := func(name, variant string) execRequest {
-		return execRequest{wf: st, task: &TaskSpec{Name: name}, variant: variant}
-	}
-	q.push(mk("a", VariantFPGA))
-	q.push(mk("b", VariantCPU16))
-	q.push(mk("c", VariantFPGA))
-	stolen := q.steal(func(r execRequest) bool { return r.variant == VariantFPGA })
-	if len(stolen) != 2 || stolen[0].task.Name != "a" || stolen[1].task.Name != "c" {
-		t.Fatalf("stolen = %v", stolen)
-	}
-	r, ok := q.pop()
-	if !ok || r.task.Name != "b" {
-		t.Fatalf("queue after steal: %v %v", r, ok)
-	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("pop on an empty queue must report ok=false")
+	if len(envEvents) != 2 ||
+		envEvents[0].Kind != EventDeviceUnplug || envEvents[0].Node != n0 ||
+		envEvents[1].Kind != EventDevicePlug || envEvents[1].Node != n0 {
+		t.Fatalf("environment events %+v, want one unplug and one plug of %s", envEvents, n0)
 	}
 }
 
@@ -433,7 +300,7 @@ func TestMonitorLearnsThroughEngine(t *testing.T) {
 	cluster := testCluster(2)
 	e := startEngine(t, cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true})
 	slow := cluster.Nodes[0].Name
-	if err := e.SetNodeSlowdown(slow, 6, 0); err != nil {
+	if err := e.Apply(EnvEvent{Kind: EnvSlowdown, Node: slow, Factor: 6}); err != nil {
 		t.Fatal(err)
 	}
 	fut, err := e.Submit(chainWorkflow(t, 6), SubmitOptions{Name: "learn"})

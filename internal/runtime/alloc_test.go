@@ -67,7 +67,9 @@ func TestPlaceAllocFree(t *testing.T) {
 		for _, q := range e.queues {
 			q.items, q.head = q.items[:0], 0
 		}
-		ds.heap.Reset()
+		for ds.heap.Len() > 0 {
+			ds.heap.PopMin()
+		}
 		for i := range ds.inHeap {
 			ds.inHeap[i] = false
 			ds.nodeFree[i] = 0

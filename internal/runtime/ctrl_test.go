@@ -44,28 +44,28 @@ func TestScriptedEnvEventsApplyAtStart(t *testing.T) {
 	}
 }
 
-// TestControlRejectsNonFinite: a NaN or infinite time or factor is refused
-// at the call, though the call only enqueues, and in the script at Start;
-// a chain served after the refused calls stays finite.
+// TestControlRejectsNonFinite: a NaN or infinite time or factor, or an
+// unknown kind, is refused by Apply and in the script at Start; a chain
+// served after the refused calls stays finite.
 func TestControlRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	calls := []struct {
 		name string
-		call func(e *Engine, node string) error
+		ev   EnvEvent
 	}{
-		{"slowdown factor NaN", func(e *Engine, n string) error { return e.SetNodeSlowdown(n, nan, 0) }},
-		{"slowdown factor +Inf", func(e *Engine, n string) error { return e.SetNodeSlowdown(n, inf, 0) }},
-		{"slowdown at NaN", func(e *Engine, n string) error { return e.SetNodeSlowdown(n, 2, nan) }},
-		{"unplug at NaN", func(e *Engine, n string) error { return e.UnplugDevice(n, 0, nan) }},
-		{"unplug at +Inf", func(e *Engine, n string) error { return e.UnplugDevice(n, 0, inf) }},
-		{"plug at -Inf", func(e *Engine, n string) error { return e.PlugDevice(n, 0, -inf) }},
-		{"fail at NaN", func(e *Engine, n string) error { return e.FailNode(n, nan) }},
-		{"fail at -Inf", func(e *Engine, n string) error { return e.FailNode(n, -inf) }},
+		{"slowdown factor NaN", EnvEvent{Kind: EnvSlowdown, Factor: nan}},
+		{"slowdown factor +Inf", EnvEvent{Kind: EnvSlowdown, Factor: inf}},
+		{"slowdown at NaN", EnvEvent{Kind: EnvSlowdown, Factor: 2, At: nan}},
+		{"unplug at NaN", EnvEvent{Kind: EnvUnplug, At: nan}},
+		{"unplug at +Inf", EnvEvent{Kind: EnvUnplug, At: inf}},
+		{"plug at -Inf", EnvEvent{Kind: EnvPlug, At: -inf}},
+		{"unknown kind", EnvEvent{Kind: EnvSlowdown + 1, At: 1}},
 	}
 	for _, tc := range calls {
 		c := testCluster(2)
 		e := startEngine(t, c, EngineConfig{})
-		if err := tc.call(e, c.Nodes[0].Name); err == nil {
+		tc.ev.Node = c.Nodes[0].Name
+		if err := e.Apply(tc.ev); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 		fut, err := e.Submit(chainWorkflow(t, 3), SubmitOptions{})
@@ -96,6 +96,7 @@ func TestControlRejectsNonFinite(t *testing.T) {
 		{"slowdown factor +Inf", EngineConfig{Events: []EnvEvent{{Kind: EnvSlowdown, Node: nodeName(0), Factor: inf}}}, true},
 		{"unplug at NaN", EngineConfig{Events: []EnvEvent{{Kind: EnvUnplug, Node: nodeName(0), At: nan}}}, true},
 		{"plug at +Inf", EngineConfig{Events: []EnvEvent{{Kind: EnvPlug, Node: nodeName(0), At: inf}}}, true},
+		{"unknown kind", EngineConfig{Events: []EnvEvent{{Kind: -1, Node: nodeName(0), At: 1}}}, true},
 		{"failure at NaN", EngineConfig{Failures: []NodeFailure{{Node: nodeName(0), AtTime: nan}}}, true},
 		{"unknown node ignored", EngineConfig{
 			Events:   []EnvEvent{{Kind: EnvSlowdown, Node: "ghost", Factor: nan, At: nan}},
@@ -112,8 +113,8 @@ func TestControlRejectsNonFinite(t *testing.T) {
 }
 
 // TestScriptRejectsUnknownDevice: a scripted plug or unplug of a device
-// index the node does not have is refused at Start, with the control
-// call's own error, before any node is written.
+// index the node does not have is refused at Start, with Apply's own
+// error for the same event, before any node is written.
 func TestScriptRejectsUnknownDevice(t *testing.T) {
 	for _, ev := range []EnvEvent{
 		{Kind: EnvUnplug, Node: nodeName(0), Device: 5, At: 1},
@@ -124,9 +125,9 @@ func TestScriptRejectsUnknownDevice(t *testing.T) {
 			Failures: []NodeFailure{{Node: nodeName(1), AtTime: 0.5}},
 			Events:   []EnvEvent{ev},
 		})
-		want := e.UnplugDevice(nodeName(0), ev.Device, 1)
+		want := e.Apply(ev)
 		if want == nil {
-			t.Fatalf("control call accepted device %d", ev.Device)
+			t.Fatalf("Apply accepted device %d", ev.Device)
 		}
 		err := e.Start()
 		if err == nil || err.Error() != want.Error() {
@@ -155,12 +156,14 @@ func TestEventKindAndPolicyStrings(t *testing.T) {
 	}
 }
 
-func TestFutureDoneAndFailNode(t *testing.T) {
+// TestFutureDoneAndFarFailure: a pre-Start future resolves at Start, and
+// a node failure scripted far past the served work changes nothing.
+func TestFutureDoneAndFarFailure(t *testing.T) {
 	c := platform.NewCluster(
 		platform.NewNode("n0", platform.XeonModel()),
 		platform.NewNode("n1", platform.XeonModel()),
 	)
-	e := NewEngine(c, EngineConfig{})
+	e := NewEngine(c, EngineConfig{Failures: []NodeFailure{{Node: "n1", AtTime: 1e6}}})
 	w := NewWorkflow()
 	if err := w.Submit(TaskSpec{Name: "a", Flops: 1e9}); err != nil {
 		t.Fatal(err)
@@ -175,12 +178,6 @@ func TestFutureDoneAndFailNode(t *testing.T) {
 		t.Fatalf("Wait before Start = %v, %v; want an error", sched, err)
 	}
 	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.FailNode("ghost", 0); err == nil {
-		t.Fatal("unknown node accepted")
-	}
-	if err := e.FailNode("n1", 1e6); err != nil { // far future: harmless
 		t.Fatal(err)
 	}
 	late, err := e.Submit(w, SubmitOptions{})
@@ -199,10 +196,10 @@ func TestFutureDoneAndFailNode(t *testing.T) {
 	e.Shutdown()
 }
 
-// TestAdaptiveUnplugThenPlugMidRun drives the full control loop: an
-// adaptive engine loses its only programmed accelerator mid-run (queued
-// FPGA placements invalidate, tuners degrade) and gets it back (tuners
-// reset to their seeds), with workflows completing throughout.
+// TestAdaptiveUnplugThenPlugMidRun drives the full environment loop: an
+// adaptive engine loses its only programmed accelerator between two
+// workflows and gets it back before a third, each change one Apply, with
+// workflows completing throughout and every change traced.
 func TestAdaptiveUnplugThenPlugMidRun(t *testing.T) {
 	n0 := platform.NewNode("n0", platform.XeonModel(), platform.AlveoU55C())
 	n1 := platform.NewNode("n1", platform.XeonModel())
@@ -253,10 +250,11 @@ func TestAdaptiveUnplugThenPlugMidRun(t *testing.T) {
 		return sched
 	}
 	first := run()
-	if err := e.UnplugDevice("n0", 0, first.Makespan); err != nil {
+	unplug := EnvEvent{Kind: EnvUnplug, Node: "n0", At: first.Makespan}
+	if err := e.Apply(unplug); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.UnplugDevice("n0", 0, first.Makespan); err != nil { // redundant: no-op
+	if err := e.Apply(unplug); err != nil { // redundant: no-op
 		t.Fatal(err)
 	}
 	second := run()
@@ -265,7 +263,7 @@ func TestAdaptiveUnplugThenPlugMidRun(t *testing.T) {
 			t.Fatalf("post-unplug FPGA placement: %+v", a)
 		}
 	}
-	if err := e.PlugDevice("n0", 0, second.Makespan); err != nil {
+	if err := e.Apply(EnvEvent{Kind: EnvPlug, Node: "n0", At: second.Makespan}); err != nil {
 		t.Fatal(err)
 	}
 	third := run()
@@ -278,7 +276,7 @@ func TestAdaptiveUnplugThenPlugMidRun(t *testing.T) {
 	if onFPGA == 0 {
 		t.Fatal("replugged accelerator should attract offload again")
 	}
-	if err := e.SetNodeSlowdown("n1", 4, third.Makespan); err != nil {
+	if err := e.Apply(EnvEvent{Kind: EnvSlowdown, Node: "n1", Factor: 4, At: third.Makespan}); err != nil {
 		t.Fatal(err)
 	}
 	e.Shutdown()

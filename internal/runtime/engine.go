@@ -51,7 +51,7 @@ const (
 	// EventWorkflowDone fires when the last task of a workflow completes.
 	EventWorkflowDone
 	// EventDeviceUnplug fires when an accelerator is detached from a node
-	// (SR-IOV VF unplug surfaced through the engine control API).
+	// (an SR-IOV VF unplug applied through Engine.Apply).
 	EventDeviceUnplug
 	// EventDevicePlug fires when a detached accelerator comes back.
 	EventDevicePlug
@@ -105,16 +105,13 @@ type EngineConfig struct {
 	// state through the live checks.
 	Events []EnvEvent
 	// Trace, when set, receives every engine event. It runs on the goroutine
-	// inside Start, Submit, Shutdown, Stats or Health, under the serve lock
-	// (the last two trace the control events they apply): it may call the
-	// control API (UnplugDevice, PlugDevice, SetNodeSlowdown, FailNode),
-	// but not Start, Submit, Shutdown, Stats or Health. Control events
-	// raised before Start are traced by Start, ahead of the pre-Start batch.
+	// inside Start, Submit or Apply, under the serve lock, so it must not
+	// call any method of the engine, Apply included, directly or through a
+	// hypervisor subscription (sdk.AttachHypervisor).
 	Trace func(Event)
 	// Adaptive closes the autotuner→engine→virt loop: every placement
 	// consults a per-workflow variant tuner and the node monitors instead of
-	// the design-time cost model, and hot-plug events invalidate queued
-	// placements (see adaptive.go).
+	// the design-time cost model (see adaptive.go).
 	Adaptive bool
 	// Net, when set, prices inter-node dependency transfers over the
 	// packetization-aware cloudFPGA network stack (netsim.Stack: per-MTU
@@ -161,8 +158,7 @@ type SubmitOptions struct {
 // the per-engine export a federation tier (internal/fleet) reads to judge a
 // site's queue depth and accelerator capacity before routing work to it.
 // Counter fields are the event loop's own, read under the serve lock;
-// device fields are computed from the cluster at snapshot time, after the
-// control calls made so far are applied.
+// device fields are computed from the cluster at snapshot time.
 type EngineStats struct {
 	Submitted int // workflows the engine has admitted
 	Completed int // workflows drained successfully
@@ -239,19 +235,11 @@ type Engine struct {
 	nodeIdx map[string]int
 	queues  []*workQueue // per-node FIFO, indexed like nodes
 
-	// Control calls (plug/unplug, slowdown, failure) arrive through an
-	// unbounded ordered queue, the mailbox the serve lock drains: a
-	// control call must never block on the serve lock, because control
-	// calls are legal from trace callbacks running under it (fault
-	// scripts) and from hot-plug subscriber goroutines. The lifecycle is
-	// written under both locks, so control calls read it under ctrlMu.
-	ctrlMu sync.Mutex
-	ctrlQ  []ctrlMsg
-	life   Lifecycle
-
 	// mu is the serve lock: Start, Submit and Shutdown run the event loop
-	// under it, and it guards everything below plus all scheduling state.
+	// under it, Apply writes the nodes under it, and it guards everything
+	// below plus all scheduling state and the cluster's nodes.
 	mu      sync.Mutex
+	life    Lifecycle
 	nextID  int
 	ds      *dispatchState // built at Start: the engine has an event loop
 	early   []*wfState     // submissions made before Start, in order
@@ -262,8 +250,8 @@ type Engine struct {
 // NewEngine builds an engine over a cluster and takes ownership of the cluster: stale failure state, device claims,
 // attachment and load faults left by a previous engine run are cleared
 // (platform.Node.Reset), and the engine's own monitor starts with no load
-// evidence. Control calls made before Start queue up and apply at Start,
-// so they describe this engine's world.
+// evidence. An event Apply writes after NewEngine therefore describes
+// this engine's world.
 func NewEngine(c *platform.Cluster, cfg EngineConfig) *Engine {
 	for _, n := range c.Nodes {
 		n.Reset()
@@ -273,32 +261,26 @@ func NewEngine(c *platform.Cluster, cfg EngineConfig) *Engine {
 
 // Health returns the per-node health the engine's monitor has learned
 // (platform.Monitor.Snapshot). It takes the serve lock, so it waits while
-// a Start, Submit or Shutdown serves, and must not be called from the
-// engine's own trace callback. On a started engine it first applies the
-// control calls made since the last serve-lock section.
+// a Start, Submit or Apply runs, and must not be called from the engine's
+// own trace callback.
 func (e *Engine) Health() []platform.NodeHealth {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ds != nil {
-		e.applyCtrl(e.ds)
-	}
 	return e.monitor.Snapshot()
 }
 
 // Stats returns a snapshot of the engine's serving state. The counter
 // fields are the event loop's (zero before Start); the device fields are
-// computed from the cluster at call time and, once the engine has
-// started, include every control call made so far: Stats applies the
-// queued ones first. Stats takes the serve lock, so it waits while a
-// Start, Submit or Shutdown serves, and must not be called from the
-// engine's own trace callback. Safe to call from any other goroutine,
-// before Start, and after Shutdown.
+// computed from the cluster at call time, so they include every event
+// Apply has written. Stats takes the serve lock, so it waits while a
+// Start, Submit or Apply runs, and must not be called from the engine's
+// own trace callback. Safe to call from any other goroutine, before
+// Start, and after Shutdown.
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var st EngineStats
 	if ds := e.ds; ds != nil {
-		e.applyCtrl(ds)
 		st = EngineStats{
 			Submitted:    ds.submitted,
 			Completed:    ds.completed,
@@ -333,13 +315,13 @@ func (ds *dispatchState) raiseBacklog(t float64) {
 	}
 }
 
-// Start writes the control calls made since NewEngine to the nodes, then
-// cfg.Failures and cfg.Events (it refuses a non-finite time or factor in
-// them), builds the node index tables and the event loop's state, reacts
-// to those control calls, then serves every submission queued before it:
-// the batch is admitted in submit order and placed together, round-robin
-// across tenants. After Shutdown it returns ErrShutDown, and a Start that
-// fails shuts the engine down.
+// Start writes cfg.Failures and cfg.Events to the nodes (it refuses a
+// non-finite failure time and an event Apply would refuse), after any
+// event Apply wrote before it, builds the node index tables and the event loop's state, then
+// serves every submission queued before it: the batch is admitted in
+// submit order and placed together, round-robin across tenants. After
+// Shutdown it returns ErrShutDown, and a Start that fails shuts the
+// engine down.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -350,10 +332,7 @@ func (e *Engine) Start() error {
 		e.shut()
 		return err
 	}
-	e.setLife(Serving)
-	// Control calls made before Start write the nodes ahead of the script,
-	// the order in which they were made.
-	queued := e.writeCtrl()
+	e.life = Serving
 	e.applyScript()
 	e.nodes = e.cluster.Nodes
 	e.nodeIdx = make(map[string]int, len(e.nodes))
@@ -365,12 +344,6 @@ func (e *Engine) Start() error {
 		e.queues[i] = newWorkQueueCap(4 * len(e.nodes))
 	}
 	e.ds = e.newDispatchState()
-	// Control events raised before Start are reacted to before the batch,
-	// the same rule Submit follows for events raised while the engine is
-	// idle.
-	for _, m := range queued {
-		e.onCtrl(e.ds, m)
-	}
 	for _, st := range e.early {
 		e.onSubmit(e.ds, st)
 	}
@@ -408,21 +381,15 @@ func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 		e.early = append(e.early, e.newWFState(w, name, tenant, fut))
 		return fut, nil
 	}
-	// Control events raised while the engine was idle apply before the
-	// admission, so they cannot degrade the new workflow's tuner.
-	e.applyCtrl(e.ds)
 	e.onSubmit(e.ds, e.newWFState(w, name, tenant, fut))
 	e.runLocal(e.ds)
 	return fut, nil
 }
 
-// Shutdown refuses further submissions and control calls with
-// ErrShutDown. Nothing is left to drain (each Submit served its
-// workflow), so it applies the control events raised since the last
-// serve-lock section. On an engine that never started, the queued
-// submissions resolve with ErrShutDown, and the queued control calls are
-// dropped: the engine never serves the world they describe. Calling it
-// again is a no-op.
+// Shutdown refuses further submissions and Apply calls with ErrShutDown.
+// Nothing is left to drain: each Submit served its workflow. On an engine
+// that never started, the queued submissions resolve with ErrShutDown.
+// Calling it again is a no-op.
 func (e *Engine) Shutdown() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -433,24 +400,12 @@ func (e *Engine) Shutdown() {
 
 // shut is Shutdown under the serve lock, and the end of a failed Start.
 func (e *Engine) shut() {
-	e.setLife(Shut)
-	if e.ds == nil {
-		for _, st := range e.early {
-			st.fut.err = ErrShutDown
-			st.fut.resolved.Store(true)
-		}
-		e.early = nil
-		return
+	e.life = Shut
+	for _, st := range e.early {
+		st.fut.err = ErrShutDown
+		st.fut.resolved.Store(true)
 	}
-	e.applyCtrl(e.ds)
-}
-
-// setLife moves the engine to state l under ctrlMu (serve lock held), so
-// a control call lands either before the move or after it.
-func (e *Engine) setLife(l Lifecycle) {
-	e.ctrlMu.Lock()
-	e.life = l
-	e.ctrlMu.Unlock()
+	e.early = nil
 }
 
 // ServeAlone serves w alone on a fresh engine over c — NewEngine, Start,
@@ -467,15 +422,6 @@ func ServeAlone(c *platform.Cluster, cfg EngineConfig, w *Workflow) (*Schedule, 
 		return nil, err
 	}
 	return fut.Wait()
-}
-
-// FailNode injects a node failure while the engine runs (best-effort: tasks
-// that already completed in modelled time are unaffected). Prefer
-// EngineConfig.Failures for deterministic experiments. Like every control
-// call, it takes effect at the engine's next serve-lock section, and it
-// fails on a non-finite time and with ErrShutDown after Shutdown.
-func (e *Engine) FailNode(name string, at float64) error {
-	return e.control(ctrlFail, name, 0, 0, at)
 }
 
 // ---------------------------------------------------------------------------
@@ -639,10 +585,9 @@ type execRequest struct {
 	tidx    int32
 	ready   float64 // dep outputs available on this node (incl. transfers)
 	restart bool
-	moved   int64   // bytes this placement pulls from other nodes
-	groups  int     // batched transfers feeding this placement
-	variant string  // implementation variant ("" = as submitted)
-	estDur  float64 // placement's estimated duration (nodeFree reclaim)
+	moved   int64  // bytes this placement pulls from other nodes
+	groups  int    // batched transfers feeding this placement
+	variant string // implementation variant ("" = as submitted)
 }
 
 // execReport is one inline execution's completion (or loss) notice.
@@ -700,11 +645,9 @@ type dispatchState struct {
 
 	// heap orders the per-node queue heads by modelled start time with the
 	// deterministic tie-break (time, workflow, task, node index). inHeap
-	// tracks which nodes currently have an entry; heapDirty forces a
-	// rebuild after queue steals invalidate heads (rare: unplug events).
-	heap      *TimeHeap
-	inHeap    []bool
-	heapDirty bool
+	// tracks which nodes currently have an entry.
+	heap   *TimeHeap
+	inHeap []bool
 
 	// ready queues, one per tenant, drained round-robin. Bit qi of
 	// nonEmpty is set iff queues[qi] holds an item, so the next queue in
@@ -740,7 +683,7 @@ type dispatchState struct {
 	failed       int
 	readyCount   int     // items across all fairness queues
 	pendingTotal int     // unfinished tasks across active workflows
-	backlog      float64 // max nodeFree (recomputed only on reclaim)
+	backlog      float64 // max nodeFree
 }
 
 // newDispatchState sizes every per-node array and scratch buffer from the
@@ -771,16 +714,12 @@ func (e *Engine) newDispatchState() *dispatchState {
 // runLocal is the deterministic event loop, run under the serve lock until
 // every admitted workflow has drained: it places ready tasks into the node
 // queues and executes queued requests inline, one per iteration, in
-// modelled-start-time order across nodes (FIFO within a node). Control
-// events are applied before every execution, so an unplug raised by a
-// trace callback invalidates queued placements before the next task runs.
+// modelled-start-time order across nodes (FIFO within a node). It returns
+// with the engine idle: no active workflow, no ready item and every node
+// queue empty, so an event Apply writes between serves has no placement
+// to invalidate and no active tuner to inform.
 func (e *Engine) runLocal(ds *dispatchState) {
 	for {
-		e.applyCtrl(ds)
-		if ds.heapDirty {
-			e.rebuildHeap(ds)
-			ds.heapDirty = false
-		}
 		e.drainReady(ds)
 		if ds.heap.Len() == 0 {
 			return
@@ -812,16 +751,6 @@ func (e *Engine) refreshHead(ds *dispatchState, ni int) {
 			Time: ds.headStart(ni, r), WF: r.wf.name, Task: r.task.Name, Seq: ni,
 		})
 		ds.inHeap[ni] = true
-	}
-}
-
-// rebuildHeap reconstructs the head heap from scratch — needed after queue
-// steals (device unplug) invalidate an unknown subset of heads.
-func (e *Engine) rebuildHeap(ds *dispatchState) {
-	ds.heap.Reset()
-	for ni := range e.queues {
-		ds.inHeap[ni] = false
-		e.refreshHead(ds, ni)
 	}
 }
 
@@ -1231,7 +1160,6 @@ func (e *Engine) place(ds *dispatchState, item readyItem) {
 	e.queues[bestNode].push(execRequest{
 		wf: st, task: task, tidx: tid, ready: bestReady, restart: item.restart,
 		moved: bestBytes, groups: bestGroups, variant: bestVariant,
-		estDur: bestEnd - bestReady,
 	})
 	e.refreshHead(ds, bestNode)
 }
@@ -1256,10 +1184,9 @@ func (e *Engine) transferSeconds(from, to string, bytes int64, deps int) float64
 // per-node work queues
 
 // workQueue is an unbounded FIFO of execution requests in ring layout (the
-// popped prefix is reused once the queue drains). Push from placement,
-// peek/pop from inline execution and steal from control handling all run
-// in the event loop under the engine's serve lock, so the queue carries no
-// synchronization of its own.
+// popped prefix is reused once the queue drains). Push from placement and
+// peek/pop from inline execution both run in the event loop under the
+// engine's serve lock, so the queue carries no synchronization of its own.
 type workQueue struct {
 	items []execRequest
 	head  int
@@ -1271,24 +1198,6 @@ func newWorkQueueCap(n int) *workQueue {
 
 func (q *workQueue) push(r execRequest) {
 	q.items = append(q.items, r)
-}
-
-// steal removes and returns every queued (not yet running) request matching
-// the predicate. The engine uses it to invalidate placements when an
-// environment event makes them stale — e.g. FPGA work queued on a node
-// whose accelerator was just unplugged.
-func (q *workQueue) steal(match func(execRequest) bool) []execRequest {
-	var stolen []execRequest
-	kept := q.items[:q.head]
-	for _, r := range q.items[q.head:] {
-		if match(r) {
-			stolen = append(stolen, r)
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	q.items = kept
-	return stolen
 }
 
 // peek returns the head request without removing it.

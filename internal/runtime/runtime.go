@@ -281,13 +281,13 @@ type Schedule struct {
 }
 
 // AdaptStats summarizes one workflow's adaptation activity under the
-// concurrent engine: how many placements had to be redone after
-// environment events or failures, and how many FPGA placements executed
-// in software because the device was gone by the time they ran (static
-// runs under faults pay these too). The variants its tasks ran as are on
-// the assignments (Schedule.VariantCounts).
+// concurrent engine: how many placements had to be redone after a node
+// failure, and how many FPGA placements executed in software because the
+// device was gone by the time they ran (static runs under faults pay
+// these too). The variants its tasks ran as are on the assignments
+// (Schedule.VariantCounts).
 type AdaptStats struct {
-	Reschedules int // placements invalidated and redone
+	Reschedules int // placements lost to a node failure and redone
 	Fallbacks   int // FPGA placements that executed on CPU
 }
 

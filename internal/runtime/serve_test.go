@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand/v2"
+	"reflect"
 	goruntime "runtime"
 	"testing"
 	"time"
@@ -102,58 +103,95 @@ func TestEngineShutdownUnstartedFailsQueued(t *testing.T) {
 	}
 }
 
-// TestIdleUnplugAppliesBeforeNextSubmit: an unplug raised between
-// submissions is traced before the next workflow enters, and cannot
-// degrade that workflow's fpga variant — it was not active when the
-// device left.
+// TestIdleUnplugAppliesBeforeNextSubmit: an unplug applied between
+// submissions is traced before the next workflow enters, and that
+// workflow's fpga variant starts undegraded. Apply is the script's writer
+// run at call time: the same unplug scripted in EngineConfig.Events at the
+// same modelled time gives the second workflow the same schedule and the
+// same trace, apart from the device-unplug event Apply traces (Start
+// traces no scripted event).
 func TestIdleUnplugAppliesBeforeNextSubmit(t *testing.T) {
-	cluster, bs := programmedCluster(t, 2)
-	if _, err := cluster.Nodes[1].Program(0, -1, bs); err != nil {
-		t.Fatal(err)
-	}
-	var kinds []EventKind
-	var drift []float64 // fpga drift of "second" at each of its placements
-	e := NewEngine(cluster, EngineConfig{Adaptive: true})
-	e.cfg.Trace = func(ev Event) {
-		if ev.Workflow == "second" || ev.Workflow == "" {
-			kinds = append(kinds, ev.Kind)
-		}
-		if ev.Kind == EventVariant && ev.Workflow == "second" {
-			for st := range e.ds.active {
-				if st.name == "second" {
-					drift = append(drift, st.tuner.Drift(VariantFPGA))
+	// serve runs "first" and "second" on a fresh engine over two nodes,
+	// node 0 programmed. With no script it applies an unplug of node 0's
+	// device between them, at the first workflow's makespan, so the second
+	// workflow finds no accelerator.
+	serve := func(script []EnvEvent) (first, second *Schedule, trace []Event, drift []float64) {
+		cluster, bs := programmedCluster(t, 2)
+		e := NewEngine(cluster, EngineConfig{Adaptive: true, Events: script})
+		e.cfg.Trace = func(ev Event) {
+			trace = append(trace, ev)
+			if ev.Kind == EventVariant && ev.Workflow == "second" {
+				for st := range e.ds.active {
+					if st.name == "second" {
+						drift = append(drift, st.tuner.Drift(VariantFPGA))
+					}
 				}
 			}
 		}
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Shutdown()
-	wf := func() *Workflow {
-		w := NewWorkflow()
-		if err := w.Submit(TaskSpec{Name: "mc", Flops: 5e11, InputBytes: 1 << 24,
-			OutputBytes: 1 << 20, NeedsFPGA: true, BitstreamID: bs.ID}); err != nil {
+		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}
-		return w
+		defer e.Shutdown()
+		run := func(name string) *Schedule {
+			w := NewWorkflow()
+			if err := w.Submit(TaskSpec{Name: "mc", Flops: 5e11, InputBytes: 1 << 24,
+				OutputBytes: 1 << 20, NeedsFPGA: true, BitstreamID: bs.ID}); err != nil {
+				t.Fatal(err)
+			}
+			fut, err := e.Submit(w, SubmitOptions{Name: name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched, err := fut.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sched
+		}
+		first = run("first")
+		if script == nil {
+			if err := e.Apply(EnvEvent{Kind: EnvUnplug, Node: nodeName(0), At: first.Makespan}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return first, run("second"), trace, drift
 	}
-	first, err := e.Submit(wf(), SubmitOptions{Name: "first"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, _ := first.Wait()
-	if err := e.UnplugDevice(cluster.Nodes[0].Name, 0, sched.Makespan); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Submit(wf(), SubmitOptions{Name: "second"}); err != nil {
-		t.Fatal(err)
+
+	first, second, applied, drift := serve(nil)
+	var kinds []EventKind
+	for _, ev := range applied {
+		if ev.Workflow == "second" || ev.Workflow == "" {
+			kinds = append(kinds, ev.Kind)
+		}
 	}
 	if len(kinds) < 2 || kinds[0] != EventDeviceUnplug || kinds[1] != EventSubmit {
 		t.Fatalf("trace order %v, want device-unplug then submit", kinds)
 	}
 	if len(drift) == 0 || drift[0] != 1 {
 		t.Fatalf("fpga drift of the next workflow = %v, want undegraded 1", drift)
+	}
+	for _, a := range second.Assignments {
+		if a.OnFPGA {
+			t.Fatalf("second workflow offloaded to the unplugged device: %+v", a)
+		}
+	}
+
+	scriptFirst, scriptSecond, scripted, _ := serve([]EnvEvent{{Kind: EnvUnplug, Node: nodeName(0), At: first.Makespan}})
+	if !reflect.DeepEqual(scriptFirst, first) || !reflect.DeepEqual(scriptSecond, second) {
+		t.Fatalf("scripted unplug served\n%+v\n%+v\napplied unplug served\n%+v\n%+v",
+			scriptFirst, scriptSecond, first, second)
+	}
+	var rest []Event
+	for _, ev := range applied {
+		if ev.Kind != EventDeviceUnplug {
+			rest = append(rest, ev)
+		}
+	}
+	if len(rest) != len(applied)-1 {
+		t.Fatalf("Apply traced %d device-unplug events, want 1", len(applied)-len(rest))
+	}
+	if !reflect.DeepEqual(rest, scripted) {
+		t.Fatalf("scripted trace\n%+v\napplied trace without its unplug\n%+v", scripted, rest)
 	}
 }
 

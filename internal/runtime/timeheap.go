@@ -47,9 +47,6 @@ func NewTimeHeap(n int) *TimeHeap {
 // Len returns the number of queued entries.
 func (h *TimeHeap) Len() int { return len(h.items) }
 
-// Reset empties the heap, keeping its backing storage.
-func (h *TimeHeap) Reset() { h.items = h.items[:0] }
-
 // Push inserts an entry.
 func (h *TimeHeap) Push(it TimeItem) {
 	h.items = append(h.items, it)

@@ -87,12 +87,11 @@ func TestTimeHeapTieBreak(t *testing.T) {
 
 // TestTimeHeapMatchesSort cross-checks the 4-ary sift logic against
 // sort.Slice over the same total order on randomized interleaved
-// push/pop traffic, including Reset reuse of the backing storage.
+// push/pop traffic, each round reusing the drained heap's backing storage.
 func TestTimeHeapMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	h := NewTimeHeap(8)
 	for round := 0; round < 20; round++ {
-		h.Reset()
 		n := 1 + rng.Intn(64)
 		items := make([]TimeItem, n)
 		for i := range items {
@@ -113,38 +112,5 @@ func TestTimeHeapMatchesSort(t *testing.T) {
 				t.Fatalf("round %d pop %d = %+v, want %+v", round, i, got, want)
 			}
 		}
-	}
-}
-
-// TestRebuildHeap covers the recovery path queue steals leave behind: a
-// steal (device unplug) invalidates an unknown subset of heap entries, so
-// the event loop rebuilds the head heap from the queues. The rebuilt heap
-// must track exactly the non-empty queues, order heads by modelled start
-// with the node-index tie-break, and respect each node's realized clock.
-func TestRebuildHeap(t *testing.T) {
-	e := stoppedEngine(t, 3, EngineConfig{})
-	ds := e.newDispatchState()
-	st := e.newWFState(chainWorkflow(t, 3), "wf0", "default", &Future{})
-	// Stale pre-steal heap content that the rebuild must discard.
-	ds.heap.Push(TimeItem{Time: 99, Seq: 1})
-	ds.inHeap[1] = true
-	ds.heapDirty = true
-	e.queues[0].push(execRequest{wf: st, task: &st.specs[0], tidx: 0, ready: 2.0})
-	e.queues[2].push(execRequest{wf: st, task: &st.specs[1], tidx: 1, ready: 0.5})
-	ds.clock[2] = 1.0 // realized clock floors the head's start time
-	e.rebuildHeap(ds)
-	if ds.heap.Len() != 2 {
-		t.Fatalf("heap holds %d entries, want 2", ds.heap.Len())
-	}
-	if !ds.inHeap[0] || ds.inHeap[1] || !ds.inHeap[2] {
-		t.Fatalf("inHeap = %v, want [true false true]", ds.inHeap)
-	}
-	top := ds.heap.PopMin()
-	if top.Seq != 2 || top.Time != 1.0 {
-		t.Fatalf("min head = %+v, want node 2 at clock-floored time 1.0", top)
-	}
-	next := ds.heap.PopMin()
-	if next.Seq != 0 || next.Time != 2.0 {
-		t.Fatalf("second head = %+v, want node 0 at time 2.0", next)
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // This file wires the adaptive loop's outer layers: the virt→engine
-// bridge that turns SR-IOV hot-plug notifications into engine control
-// events (AttachHypervisor), the FPGA-leaning synthetic workload the
+// bridge that turns SR-IOV hot-plug notifications into engine
+// environment events (AttachHypervisor), the FPGA-leaning synthetic workload the
 // adaptive-placement experiment schedules (AdaptiveWorkflow), and the
 // engine-tier scenario both adaptation experiments (E-adapt, E-compile)
 // serve.
@@ -20,12 +20,15 @@ import (
 // AttachHypervisor subscribes an engine to a hypervisor's hot-plug
 // notifications, closing the virt side of the adaptation loop:
 // when the last VF of a device is unplugged the accelerator disappears
-// from the engine's world (placements invalidate, the fpga variant
-// degrades), and the first replugged VF brings it back. clock, when set,
-// supplies the modelled time stamped on the engine events. Attachment is
-// derived from the hypervisor's VF table at attach time, before or after
-// Start: a device whose guests hold no VF while guests exist is
-// unreachable, exactly as if its last VF had just been unplugged.
+// from the engine's world, and the first replugged VF brings it back.
+// Each notification is one runtime.Engine.Apply, so it waits for a
+// running serve to return and reaches only the workflows submitted after
+// it; the engine's trace callback must therefore not plug or unplug a VF
+// of an attached hypervisor. clock, when set, supplies the modelled time
+// stamped on the engine events. Attachment is derived from the
+// hypervisor's VF table at attach time, before or after Start: a device
+// whose guests hold no VF while guests exist is unreachable, exactly as
+// if its last VF had just been unplugged.
 func AttachHypervisor(e *runtime.Engine, h *virt.Hypervisor, clock func() float64) {
 	now := func() float64 {
 		if clock == nil {
@@ -36,9 +39,9 @@ func AttachHypervisor(e *runtime.Engine, h *virt.Hypervisor, clock func() float6
 	h.Subscribe(func(ev virt.HotplugEvent) {
 		switch {
 		case ev.Kind == virt.VFUnplugged && ev.AssignedVFs == 0:
-			_ = e.UnplugDevice(ev.Node, ev.Device, now())
+			_ = e.Apply(runtime.EnvEvent{Kind: runtime.EnvUnplug, Node: ev.Node, Device: ev.Device, At: now()})
 		case ev.Kind == virt.VFPlugged && ev.AssignedVFs == 1:
-			_ = e.PlugDevice(ev.Node, ev.Device, now())
+			_ = e.Apply(runtime.EnvEvent{Kind: runtime.EnvPlug, Node: ev.Node, Device: ev.Device, At: now()})
 		}
 	})
 	st := h.Query()
@@ -47,7 +50,7 @@ func AttachHypervisor(e *runtime.Engine, h *virt.Hypervisor, clock func() float6
 	}
 	for dev := 0; dev < len(st.AssignedVFs); dev++ { // device order: a deterministic trace
 		if st.AssignedVFs[dev] == 0 {
-			_ = e.UnplugDevice(st.Node, dev, now())
+			_ = e.Apply(runtime.EnvEvent{Kind: runtime.EnvUnplug, Node: st.Node, Device: dev, At: now()})
 		}
 	}
 }

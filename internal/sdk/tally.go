@@ -10,7 +10,7 @@ type TenantStats struct {
 	LastFinish float64 // modelled completion time of the tenant's last workflow
 
 	// Adaptation activity across the tenant's completed workflows.
-	Reschedules int            // placements invalidated and redone
+	Reschedules int            // placements lost to a node failure and redone
 	Fallbacks   int            // FPGA placements that executed on CPU
 	Variants    map[string]int // completed tasks per selected variant
 }

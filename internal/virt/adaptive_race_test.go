@@ -14,10 +14,11 @@ import (
 // through one engine while two more plug and unplug the accelerators' VFs
 // through the hypervisors, and a fifth reads Stats and Health. Every
 // workflow must still complete with a full, dependency-ordered schedule,
-// and the run must be -race clean: the control calls only enqueue, and
-// the nodes are written under the serve lock. Tasks whose device vanished under them either
-// reschedule (adaptive invalidation) or degrade to software — both end in
-// a valid schedule.
+// and the run must be -race clean: each hot-plug notification is one
+// Engine.Apply, which writes the node under the serve lock, between two
+// serves. A workflow served after an unplug prices the detached device
+// and places its offload elsewhere, or degrades it to software; both end
+// in a valid schedule.
 func TestUnplugRacedAgainstDispatch(t *testing.T) {
 	s := sdk.New(sdk.DefaultCluster(3))
 	bs := sdk.ScenarioBitstream()
@@ -79,8 +80,7 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 	}()
 	// Two pluggers cycling their hypervisor's VF while dispatch runs. The
 	// cycle count is bounded: hot-plug events are rare in the modelled
-	// world, and an unthrottled spam loop would only measure how fast the
-	// engine's (unbounded, never-blocking) control queue can absorb it.
+	// world, and each one waits for the serve lock.
 	for _, h := range hyps {
 		wg.Add(1)
 		go func(h *virt.Hypervisor) {
@@ -146,9 +146,9 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 }
 
 // TestConcurrentUnplugMidTaskReschedules pins the deterministic half of
-// the race: FPGA work queued behind a long-running task is invalidated by
-// an unplug and must be rescheduled off the dead accelerator rather than
-// silently degrading on it.
+// the race: an unplug scripted at the modelled time the chain's first
+// task completes moves the rest of the chain off the dead accelerator
+// rather than silently degrading it to software there.
 func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 	s := sdk.New(sdk.DefaultCluster(2))
 	bs := sdk.ScenarioBitstream()
@@ -157,24 +157,6 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 	}
 	node := s.Cluster.Nodes[0]
 	if _, err := s.Deploy(bs.ID, node.Name); err != nil {
-		t.Fatal(err)
-	}
-	// Unplug the only accelerator after the first completion. The trace
-	// runs inside the serve, so the unplug lands mid-workflow.
-	var eng *runtime.Engine
-	unplugged := false
-	eng = runtime.NewEngine(s.Cluster, runtime.EngineConfig{
-		Policy: runtime.PolicyHEFT, Adaptive: true,
-		Trace: func(ev runtime.Event) {
-			if ev.Kind == runtime.EventTaskDone && !unplugged {
-				unplugged = true
-				if err := eng.UnplugDevice(node.Name, 0, ev.Time); err != nil {
-					t.Error(err)
-				}
-			}
-		},
-	})
-	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 	w := runtime.NewWorkflow()
@@ -192,15 +174,17 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 		}
 		prev = name
 	}
-	fut, err := eng.Submit(w, runtime.SubmitOptions{Name: "chain", Tenant: "t"})
+	cfg := runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true}
+	healthy, err := runtime.ServeAlone(s.Cluster, cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := fut.Wait()
+	// Unplug the only accelerator when the first task completes.
+	cfg.Events = []runtime.EnvEvent{{Kind: runtime.EnvUnplug, Node: node.Name, At: healthy.ByTask()["k0"].End}}
+	sched, err := runtime.ServeAlone(s.Cluster, cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Shutdown()
 	byTask := sched.ByTask()
 	if !byTask["k0"].OnFPGA {
 		t.Error("k0 must run on the FPGA before the unplug")
@@ -211,6 +195,6 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 		}
 	}
 	if sched.Adapt.Fallbacks != 0 {
-		t.Errorf("adaptive chain paid %d fallbacks, want 0 (reschedule instead)", sched.Adapt.Fallbacks)
+		t.Errorf("adaptive chain paid %d fallbacks, want 0 (placed off the dead device instead)", sched.Adapt.Fallbacks)
 	}
 }

@@ -152,10 +152,9 @@ var frontMethods = map[string]lifeEntry{
 	"runtime.Engine.Submit": {refuses, served, func(p *lifeProbe) error {
 		return discard(p.eng.Submit(sdk.SyntheticWorkflow(3), runtime.SubmitOptions{}))
 	}},
-	"runtime.Engine.FailNode":        {refuses, testsOnly, func(p *lifeProbe) error { return p.eng.FailNode("node00", 1) }},
-	"runtime.Engine.UnplugDevice":    {refuses, served, func(p *lifeProbe) error { return p.eng.UnplugDevice("node00", 0, 1) }},
-	"runtime.Engine.PlugDevice":      {refuses, served, func(p *lifeProbe) error { return p.eng.PlugDevice("node00", 0, 1) }},
-	"runtime.Engine.SetNodeSlowdown": {refuses, testsOnly, func(p *lifeProbe) error { return p.eng.SetNodeSlowdown("node00", 2, 1) }},
+	"runtime.Engine.Apply": {refuses, served, func(p *lifeProbe) error {
+		return p.eng.Apply(runtime.EnvEvent{Kind: runtime.EnvUnplug, Node: "node00", At: 1})
+	}},
 
 	"fleet.Fleet.Sites":           {readOnly, served, func(p *lifeProbe) error { p.fl.Sites(); return nil }},
 	"fleet.Fleet.Cluster":         {readOnly, served, func(p *lifeProbe) error { p.fl.Cluster(0); return nil }},

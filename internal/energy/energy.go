@@ -133,24 +133,25 @@ func Features(farm *Farm, s Sample) []float64 {
 
 // KRR is Kernel Ridge Regression with an RBF kernel. The regressor owns
 // its training state in flat buffers it reuses from fit to fit: the raw
-// training values (the warm-refit prefix), the max-abs-scaled training
-// rows (row-major), the Cholesky factor of K+λI (packed lower-triangular,
-// entry (i, j), j <= i, at i(i+1)/2+j), and the dual coefficients. K+λI
-// itself is never stored: the factorization computes each entry where it
-// uses it. Refits therefore allocate only when the training set outgrows
-// the buffers, and a refit whose rows extend the previous fit's
-// recomputes only the new rows (see FitRows). Predict scales its input
-// and keeps its kernel vector in buffers the regressor owns, so a KRR is
-// not safe for concurrent use.
+// training values (the warm-refit prefix), the same values max-abs-scaled
+// and laid out like the raw ones, the Cholesky factor of K+λI (packed
+// lower-triangular, entry (i, j), j <= i, at i(i+1)/2+j), and the dual
+// coefficients. K+λI itself is never stored: the factorization computes
+// each entry where it uses it. Refits therefore allocate only when the
+// training set outgrows the buffers, and a refit whose rows extend the
+// previous fit's recomputes only the new rows (see FitRows). Predict
+// scales its input and keeps its kernel vector in buffers the regressor
+// owns, so a KRR is not safe for concurrent use.
 type KRR struct {
 	Lambda float64 // ridge regularization
 	Gamma  float64 // RBF width
-	// n rows of d features; row i starts at raw[i*stride]
+	// n rows of d features; row i starts at raw[i*stride], and the value
+	// at offset p of the span is scaled by scale[p%stride]
 	n, d, stride int
 	raw          []float64 // the (n-1)·stride+d raw values spanned by the rows
-	xs           []float64 // n×d training rows divided by scale
-	colMax       []float64 // per-column max-abs of the raw rows
-	scale        []float64 // colMax with zeros replaced by 1
+	xs           []float64 // raw divided by its scales; row i is xs[i*stride:i*stride+d]
+	maxAbs       []float64 // max-abs of the raw values at each offset modulo stride
+	scale        []float64 // maxAbs with zeros replaced by 1
 	chol         []float64 // packed lower-triangular Cholesky factor of K+λI
 	alpha        []float64 // dual coefficients
 	feat         []float64 // Predict's scaled features, reused
@@ -165,8 +166,10 @@ type KRR struct {
 	lambda, gamma float64
 	// kvOK marks feat and kv as computed by a Predict since the last fit,
 	// with that fit's scales and γ. kvUsed records whether the last fit
-	// took its new row's kernel entries from them.
+	// took its new row's kernel entries from them, and kept how many
+	// factor rows it reused from the fit before (0: it factored cold).
 	kvOK, kvUsed bool
+	kept         int
 }
 
 // NewKRR returns a regressor with the given hyperparameters.
@@ -185,22 +188,23 @@ func (k *KRR) Fit(x *tensor.Tensor, y []float64) error {
 }
 
 // FitRows solves (K + λI)α = y on n training rows of d features, given
-// row-major in x (row i is x[i*d:(i+1)*d]). x and y are read, not kept.
+// row-major in x (row i is x[i*d:(i+1)*d]). Each column is scaled by its
+// own max-abs. x and y are read, not kept.
 //
 // The refit is warm when the previous fit succeeded without jitter under
 // the same row geometry, λ and γ, the raw values its rows spanned are a
-// bitwise prefix of x, and x leaves every column's max-abs scale
-// unchanged. The Cholesky rows of that prefix are then reused as they are
-// and only the rows past it are computed: O(n·d) kernel work and an
-// O(n²) factor row per new row, instead of the O(n²·d) kernel and O(n³)
-// factor of a cold fit. When exactly one row is new and its scaled
-// features are, bit for bit, those of the last Predict since the previous
-// fit, that Predict's kernel vector serves as the new row's kernel
-// entries. The result is bit-identical to a cold fit, because row i of a
-// Cholesky factor depends only on rows <= i of the factored matrix, every
-// entry is computed by the same operations in the same order, and
-// (a−b)² and (b−a)² are the same double. Any other refit, and every
-// jitter retry, factors from row 0.
+// bitwise prefix of x, and x leaves every scale unchanged. The Cholesky
+// rows of that prefix are then reused as they are and only the rows past
+// it are computed: O(n·d) kernel work and an O(n²) factor row per new
+// row, instead of the O(n²·d) kernel and O(n³) factor of a cold fit.
+// When exactly one row is new and its scaled features are, bit for bit,
+// those of the last Predict since the previous fit, that Predict's kernel
+// vector serves as the new row's kernel entries. The result is
+// bit-identical to a cold fit, because row i of a Cholesky factor depends
+// only on rows <= i of the factored matrix, every entry is computed by
+// the same operations in the same order, and (a−b)² and (b−a)² are the
+// same double. Any other refit, and every jitter retry, factors from
+// row 0.
 func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 	if n < 0 || d < 0 || len(x) != n*d || len(y) != n {
 		return fmt.Errorf("energy: KRR training shape mismatch")
@@ -210,9 +214,12 @@ func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 
 // FitLagged fits the autoregression of one series on its lag windows in
 // place: row i is series[i:i+lag] and its target series[i+lag], for the
-// len(series)−lag rows that have a target. series is read, not kept. It
-// equals FitRows on the materialized rows bit for bit, and a refit over
-// an extension of the previous fit's series is warm as in FitRows.
+// len(series)−lag rows that have a target. Every lag column holds the
+// same series, so all of them share one scale: the max-abs of the values
+// the rows span, series[:len(series)−1]. The regressor keeps that span
+// scaled once and reads each row in place from it. series is read, not
+// kept. A refit over an extension of the previous fit's series is warm
+// as in FitRows, so a new series maximum turns exactly one refit cold.
 func (k *KRR) FitLagged(series []float64, lag int) error {
 	if lag < 1 || len(series) < lag {
 		return fmt.Errorf("energy: KRR training shape mismatch")
@@ -221,7 +228,9 @@ func (k *KRR) FitLagged(series []float64, lag int) error {
 }
 
 // fit is the body of FitRows and FitLagged: n rows of d features, row i
-// at x[i*stride:i*stride+d], and their n targets y.
+// at x[i*stride:i*stride+d], and their n targets y. The value at offset p
+// of the span is scaled by the max-abs of the values at its offset modulo
+// stride: its column when stride is d, the whole span when it is 1.
 func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
 	if n < 2 {
 		return fmt.Errorf("energy: KRR needs at least 2 samples")
@@ -229,22 +238,21 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
 	span := (n-1)*stride + d
 	keep, from := k.prefixRows(x, n, d, stride)
 	kvOK := k.kvOK
-	k.fitted, k.exact, k.kvOK, k.kvUsed = false, false, false, false
+	k.fitted, k.exact, k.kvOK, k.kvUsed, k.kept = false, false, false, false, 0
 	k.n, k.d, k.stride = n, d, stride
 
-	// Standardize features for a well-conditioned kernel: each column is
-	// scaled by its max-abs, folded on from the reused prefix's maxima.
+	// Standardize for a well-conditioned kernel, folding the maxima on
+	// from the reused prefix's.
 	if keep == 0 {
-		k.colMax = grow(k.colMax, d)
-		clear(k.colMax)
+		k.maxAbs = grow(k.maxAbs, stride)
+		clear(k.maxAbs)
 	}
-	for i := keep; i < n; i++ {
-		for j, v := range x[i*stride : i*stride+d] {
-			k.colMax[j] = math.Max(k.colMax[j], math.Abs(v))
-		}
+	for p := from; p < span; p++ {
+		j := p % stride
+		k.maxAbs[j] = math.Max(k.maxAbs[j], math.Abs(x[p]))
 	}
-	k.scale = grow(k.scale, d)
-	for j, m := range k.colMax {
+	k.scale = grow(k.scale, stride)
+	for j, m := range k.maxAbs {
 		if m == 0 {
 			m = 1
 		}
@@ -255,11 +263,12 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
 
 	k.raw = grow(k.raw, span)
 	copy(k.raw[from:], x[from:span])
-	k.xs = grow(k.xs, n*d)
-	for i := keep; i < n; i++ {
-		for j, v := range x[i*stride : i*stride+d] {
-			k.xs[i*d+j] = v / k.scale[j]
-		}
+	if keep == 0 {
+		from = 0
+	}
+	k.xs = grow(k.xs, span)
+	for p := from; p < span; p++ {
+		k.xs[p] = x[p] / k.scale[p%stride]
 	}
 
 	// The last Predict's kernel vector is the last row's kernel entries
@@ -268,7 +277,7 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
 	k.feat = grow(k.feat, d)
 	k.kv = grow(k.kv, n)
 	var kv []float64
-	if kvOK && keep > 0 && n == keep+1 && sameBits(k.xs[(n-1)*d:n*d], k.feat) {
+	if kvOK && keep > 0 && n == keep+1 && sameBits(k.row(n-1), k.feat) {
 		kv, k.kvUsed = k.kv[:n-1], true
 	}
 
@@ -285,7 +294,7 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
 	for attempt := 0; attempt < 8; attempt++ {
 		if k.factor(keep, kv, jitter) {
 			k.solve(y)
-			k.fitted, k.exact = true, jitter == 0
+			k.fitted, k.exact, k.kept = true, jitter == 0, keep
 			k.lambda, k.gamma = k.Lambda, k.Gamma
 			return nil
 		}
@@ -298,6 +307,9 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
 	}
 	return fmt.Errorf("energy: KRR solve: Gram matrix not positive definite even with jitter %.3g", jitter)
 }
+
+// row returns training row i, scaled, in place.
+func (k *KRR) row(i int) []float64 { return k.xs[i*k.stride : i*k.stride+k.d] }
 
 // prefixRows returns how many leading rows of x the previous fit's
 // Cholesky rows can serve as they are, and how many leading raw values of
@@ -330,15 +342,14 @@ func sameBits(a, b []float64) bool {
 // entries left of the diagonal. It reports false at the first
 // non-positive pivot.
 func (k *KRR) factor(from int, kv []float64, jitter float64) bool {
-	d := k.d
 	for i := from; i < k.n; i++ {
-		xi := k.xs[i*d : (i+1)*d]
+		xi := k.row(i)
 		li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
 		if kv != nil && i == k.n-1 {
 			copy(li, kv)
 		} else {
 			for j := range li[:i] {
-				li[j] = k.rbf(k.xs[j*d:(j+1)*d], xi)
+				li[j] = k.rbf(k.row(j), xi)
 			}
 		}
 		li[i] = k.rbf(xi, xi) + k.Lambda + jitter
@@ -411,12 +422,12 @@ func (k *KRR) Predict(feat []float64) (float64, error) {
 	}
 	fs := k.feat
 	for j, v := range feat {
-		fs[j] = v / k.scale[j]
+		fs[j] = v / k.scale[j%k.stride]
 	}
 	out := k.yMean
 	kv := k.kv[:k.n]
 	for i, a := range k.alpha[:k.n] {
-		kv[i] = k.rbf(fs, k.xs[i*k.d:(i+1)*k.d])
+		kv[i] = k.rbf(fs, k.row(i))
 		out += a * kv[i]
 	}
 	k.kvOK = k.Gamma == k.gamma

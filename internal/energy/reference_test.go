@@ -12,6 +12,9 @@ import (
 // refKRR is the tensor-based KRR the flat, incremental one replaced, kept
 // verbatim as the reference the new code must match bit for bit: dense
 // n×n Gram through rowOf and tensor.At/Set, solved by tensor.SolveSPD.
+// Fit scales each column by its own max-abs; FitLagged materializes the
+// lag windows and scales them all by the max-abs of the whole matrix, the
+// one-scale rule of KRR.FitLagged.
 type refKRR struct {
 	Lambda, Gamma float64
 	x             *tensor.Tensor
@@ -28,7 +31,7 @@ func (k *refKRR) Fit(x *tensor.Tensor, y []float64) error {
 	if n < 2 {
 		return fmt.Errorf("energy: KRR needs at least 2 samples")
 	}
-	k.scale = make([]float64, d)
+	scale := make([]float64, d)
 	for j := 0; j < d; j++ {
 		m := 0.0
 		for i := 0; i < n; i++ {
@@ -37,8 +40,39 @@ func (k *refKRR) Fit(x *tensor.Tensor, y []float64) error {
 		if m == 0 {
 			m = 1
 		}
-		k.scale[j] = m
+		scale[j] = m
 	}
+	return k.fitScaled(x, y, scale)
+}
+
+// FitLagged fits row i = series[i:i+lag], target series[i+lag], with every
+// column scaled by the max-abs of all the rows' values.
+func (k *refKRR) FitLagged(series []float64, lag int) error {
+	n := len(series) - lag
+	if n < 2 {
+		return fmt.Errorf("energy: KRR needs at least 2 samples")
+	}
+	x := tensor.New(n, lag)
+	m := 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j < lag; j++ {
+			x.Set(series[i+j], i, j)
+			m = math.Max(m, math.Abs(x.At(i, j)))
+		}
+	}
+	if m == 0 {
+		m = 1
+	}
+	scale := make([]float64, lag)
+	for j := range scale {
+		scale[j] = m
+	}
+	return k.fitScaled(x, series[lag:], scale)
+}
+
+func (k *refKRR) fitScaled(x *tensor.Tensor, y []float64, scale []float64) error {
+	n, d := x.Shape()[0], x.Shape()[1]
+	k.scale = scale
 	xs := tensor.New(n, d)
 	for i := 0; i < n; i++ {
 		for j := 0; j < d; j++ {
@@ -177,14 +211,15 @@ func TestKRRMatchesReference(t *testing.T) {
 }
 
 // TestKRRFitLaggedMatchesReference draws series over the shapes of
-// TestKRRMatchesReference (n rows, lag = d), fits them in place with
-// FitLagged, and requires the same error outcome and bitwise-equal
-// predictions as FitRows on the materialized lag windows and as the
-// reference. Under λ=0 the last window repeats the first, so K is
-// singular without jitter.
+// TestKRRMatchesReference (n rows, lag = d) and fits them in place with
+// FitLagged, which must match the reference's one-scale FitLagged: the
+// same error outcome and bitwise-equal predictions. FitRows on the
+// materialized lag windows must still match the reference's per-column
+// Fit. Under λ=0 the last window repeats the first, so K is singular
+// without jitter.
 func TestKRRFitLaggedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	jittered := 0
+	jittered, scalesDiffer := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		n, lag := 2+rng.Intn(40), 1+rng.Intn(9)
 		lambda, gamma := 0.01, 0.05
@@ -208,12 +243,14 @@ func TestKRRFitLaggedMatchesReference(t *testing.T) {
 			}
 		}
 		y := series[lag:]
-		ref := &refKRR{Lambda: lambda, Gamma: gamma}
+		ref, refRows := &refKRR{Lambda: lambda, Gamma: gamma}, &refKRR{Lambda: lambda, Gamma: gamma}
 		rows := NewKRR(lambda, gamma)
 		got := NewKRR(lambda, gamma)
-		refErr, rowsErr, gotErr := ref.Fit(x, y), rows.FitRows(x.Data(), n, lag, y), got.FitLagged(series, lag)
-		if (refErr == nil) != (gotErr == nil) || (rowsErr == nil) != (gotErr == nil) {
-			t.Fatalf("trial %d: reference error %v, FitRows error %v, FitLagged error %v", trial, refErr, rowsErr, gotErr)
+		refErr, refRowsErr := ref.FitLagged(series, lag), refRows.Fit(x, y)
+		rowsErr, gotErr := rows.FitRows(x.Data(), n, lag, y), got.FitLagged(series, lag)
+		if (refErr == nil) != (gotErr == nil) || (refRowsErr == nil) != (rowsErr == nil) {
+			t.Fatalf("trial %d: reference FitLagged error %v, FitLagged error %v; reference Fit error %v, FitRows error %v",
+				trial, refErr, gotErr, refRowsErr, rowsErr)
 		}
 		if gotErr != nil {
 			continue
@@ -221,25 +258,39 @@ func TestKRRFitLaggedMatchesReference(t *testing.T) {
 		if !got.exact {
 			jittered++
 		}
+		if !sameBits(ref.scale, refRows.scale) {
+			scalesDiffer++
+		}
 		for q := 0; q < 5; q++ {
 			feat := make([]float64, lag)
 			for j := range feat {
 				feat[j] = x.At(rng.Intn(n), j) + rng.NormFloat64()*0.1
 			}
 			want, _ := ref.Predict(feat)
-			fromRows, _ := rows.Predict(feat)
 			have, err := got.Predict(feat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Float64bits(have) != math.Float64bits(want) || math.Float64bits(have) != math.Float64bits(fromRows) {
-				t.Fatalf("trial %d (n=%d lag=%d λ=%g γ=%g): FitLagged predict = %v, FitRows %v, reference %v",
-					trial, n, lag, lambda, gamma, have, fromRows, want)
+			if math.Float64bits(have) != math.Float64bits(want) {
+				t.Fatalf("trial %d (n=%d lag=%d λ=%g γ=%g): FitLagged predict = %v, reference %v",
+					trial, n, lag, lambda, gamma, have, want)
+			}
+			if rowsErr != nil {
+				continue
+			}
+			wantRows, _ := refRows.Predict(feat)
+			haveRows, _ := rows.Predict(feat)
+			if math.Float64bits(haveRows) != math.Float64bits(wantRows) {
+				t.Fatalf("trial %d (n=%d lag=%d λ=%g γ=%g): FitRows predict = %v, reference %v",
+					trial, n, lag, lambda, gamma, haveRows, wantRows)
 			}
 		}
 	}
 	if jittered == 0 {
 		t.Fatal("no trial exercised the jitter ladder")
+	}
+	if scalesDiffer == 0 {
+		t.Fatal("no trial told the one-scale rule from per-column scales")
 	}
 }
 

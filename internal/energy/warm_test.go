@@ -17,17 +17,17 @@ type warmStats struct {
 // window counts arrive one at a time, the history is capped at maxHist
 // (the prefix shifts once it is full), and after every arrival the
 // regressor is refitted in place on the history's lag windows (FitLagged)
-// and asked for the next window. Every warm refit must equal a fresh cold
-// FitRows on the materialized rows — row i is hist[i:i+lag], its target
-// hist[i+lag] — bit for bit: the error outcome, the dual coefficients and
-// the prediction. With foreign set, the regressor is also asked about
-// features no later row holds after every fit, so the next fit must not
-// reuse that Predict's kernel vector.
+// and asked for the next window. Every warm refit must equal, bit for
+// bit, a fresh cold FitLagged and the reference's FitLagged on the same
+// history: the error outcome, the dual coefficients and the prediction.
+// With foreign set, the regressor is also asked about features no later
+// row holds after every fit, so the next fit must not reuse that
+// Predict's kernel vector.
 func replayWarmRefit(t testing.TB, counts []float64, lag, maxHist int, lambda, gamma float64, foreign bool) warmStats {
 	t.Helper()
 	var st warmStats
 	warm := NewKRR(lambda, gamma)
-	var hist, rows []float64
+	var hist []float64
 	for step, c := range counts {
 		hist = append(hist, c)
 		if len(hist) > maxHist {
@@ -37,22 +37,19 @@ func replayWarmRefit(t testing.TB, counts []float64, lag, maxHist int, lambda, g
 		if n < 2 {
 			continue
 		}
-		rows = rows[:0]
-		for i := 0; i < n; i++ {
-			rows = append(rows, hist[i:i+lag]...)
-		}
-		reused, _ := warm.prefixRows(hist, n, lag, 1)
 		warmErr := warm.FitLagged(hist, lag)
 		cold := NewKRR(lambda, gamma)
-		coldErr := cold.FitRows(rows, n, lag, hist[lag:])
-		if (warmErr == nil) != (coldErr == nil) {
-			t.Fatalf("step %d: warm error %v, cold error %v", step, warmErr, coldErr)
+		coldErr := cold.FitLagged(hist, lag)
+		ref := &refKRR{Lambda: lambda, Gamma: gamma}
+		refErr := ref.FitLagged(hist, lag)
+		if (warmErr == nil) != (coldErr == nil) || (refErr == nil) != (coldErr == nil) {
+			t.Fatalf("step %d: warm error %v, cold error %v, reference error %v", step, warmErr, coldErr, refErr)
 		}
 		if coldErr != nil {
 			continue
 		}
 		st.fits++
-		if reused > 0 {
+		if warm.kept > 0 {
 			st.warm++
 		}
 		if warm.kvUsed {
@@ -69,7 +66,10 @@ func replayWarmRefit(t testing.TB, counts []float64, lag, maxHist int, lambda, g
 		}
 		for i := range cold.alpha {
 			if math.Float64bits(warm.alpha[i]) != math.Float64bits(cold.alpha[i]) {
-				t.Fatalf("step %d (n=%d, reused=%d, kv=%v): alpha[%d] = %v warm, %v cold", step, n, reused, warm.kvUsed, i, warm.alpha[i], cold.alpha[i])
+				t.Fatalf("step %d (n=%d, kept=%d, kv=%v): alpha[%d] = %v warm, %v cold", step, n, warm.kept, warm.kvUsed, i, warm.alpha[i], cold.alpha[i])
+			}
+			if math.Float64bits(warm.alpha[i]) != math.Float64bits(ref.alpha.At(i)) {
+				t.Fatalf("step %d (n=%d, kept=%d): alpha[%d] = %v warm, %v reference", step, n, warm.kept, i, warm.alpha[i], ref.alpha.At(i))
 			}
 		}
 		feat := hist[len(hist)-lag:]
@@ -78,8 +78,9 @@ func replayWarmRefit(t testing.TB, counts []float64, lag, maxHist int, lambda, g
 			t.Fatal(err)
 		}
 		cp, _ := cold.Predict(feat)
-		if math.Float64bits(wp) != math.Float64bits(cp) {
-			t.Fatalf("step %d: warm predict %v, cold %v", step, wp, cp)
+		rp, _ := ref.Predict(feat)
+		if math.Float64bits(wp) != math.Float64bits(cp) || math.Float64bits(wp) != math.Float64bits(rp) {
+			t.Fatalf("step %d: warm predict %v, cold %v, reference %v", step, wp, cp, rp)
 		}
 		if foreign {
 			// Window counts are integers, so no later row holds these.
@@ -98,18 +99,10 @@ func replayWarmRefit(t testing.TB, counts []float64, lag, maxHist int, lambda, g
 func TestKRRWarmRefitMatchesCold(t *testing.T) {
 	// A period-4 wave of small-integer window counts, long
 	// enough to cross several buffer-capacity boundaries and the cap.
-	wave := make([]float64, 140)
-	for i := range wave {
-		if i%4 == 0 {
-			wave[i] = float64(3 + i%3)
-		} else {
-			wave[i] = float64(i % 2)
-		}
-	}
-	// A burst larger than anything before it raises each column's scale
-	// in turn as it slides through the lag window.
-	burst := append(append([]float64(nil), wave[:40]...), 11)
-	burst = append(burst, wave[40:80]...)
+	wave := waveCounts(140)
+	// A burst larger than anything before it raises the series scale
+	// once, when it enters the rows' span.
+	burst := burstWave(40, 40)
 
 	for _, tc := range []struct {
 		name          string
@@ -149,6 +142,59 @@ func TestKRRWarmRefitMatchesCold(t *testing.T) {
 				t.Fatal("no fit needed jitter")
 			}
 		})
+	}
+}
+
+// waveCounts returns n window counts of a period-4 wave of small
+// integers up to 5.
+func waveCounts(n int) []float64 {
+	wave := make([]float64, n)
+	for i := range wave {
+		if i%4 == 0 {
+			wave[i] = float64(3 + i%3)
+		} else {
+			wave[i] = float64(i % 2)
+		}
+	}
+	return wave
+}
+
+// burstWave is waveCounts(before+after) with a burst of 11, a new series
+// maximum, inserted after its first before counts.
+func burstWave(before, after int) []float64 {
+	wave := waveCounts(before + after)
+	return append(append(wave[:before:before], 11), wave[before:]...)
+}
+
+// TestKRRNewMaximumRefitsColdOnce pins the work one new series maximum
+// costs the forecaster's regressor: a lag-16 history of the wave grows
+// window by window past a burst, refitted in place (FitLagged) after
+// every window, and every refit after the first must reuse the previous
+// factor except the one whose rows first span the burst. Under a scale
+// per lag column, before the one-scale rule, the burst raised each
+// column's scale in turn as it slid through the lag window, and 16 of
+// the same sequence's 41 refits went cold.
+func TestKRRNewMaximumRefitsColdOnce(t *testing.T) {
+	const lag = 16
+	counts := burstWave(40, 40)
+	krr := DefaultKRR()
+	fits, cold, coldRows := 0, 0, 0
+	for end := 40; end <= len(counts); end++ {
+		if err := krr.FitLagged(counts[:end], lag); err != nil {
+			t.Fatal(err)
+		}
+		if fits++; fits > 1 && krr.kept == 0 {
+			cold++
+			coldRows = end - lag
+		}
+	}
+	if cold != 1 {
+		t.Fatalf("%d of %d refits were cold, want 1", cold, fits-1)
+	}
+	// The burst is value 40, first in the rows' span (series[:end-1])
+	// at end 42, when the fit has 26 rows.
+	if coldRows != 26 {
+		t.Fatalf("the cold refit had %d rows, want 26", coldRows)
 	}
 }
 

@@ -37,11 +37,12 @@ type Forecaster struct {
 
 // series is one app's demand state. Its KRR is refitted at every Predict
 // on the lag windows of the app's window history, read in place
-// (energy.FitLagged). While the history only grows, each refit extends
-// the previous one's rows and is warm unless a column's scale moved, and
-// the one row a closed window adds is the previous Predict's features,
-// whose kernel vector the KRR reuses. Once the history is trimmed at
-// maxHist the rows shift and the refit is cold.
+// (energy.FitLagged), with one scale for the whole history. While the
+// history only grows, each refit extends the previous one's rows and is
+// warm unless a new maximum entered them, which turns that one refit
+// cold, and the one row a closed window adds is the previous Predict's
+// features, whose kernel vector the KRR reuses. Once the history is
+// trimmed at maxHist the rows shift and the refit is cold.
 type series struct {
 	count float64   // arrivals in the open window
 	hist  []float64 // closed-window counts, oldest first

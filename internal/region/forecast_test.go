@@ -116,13 +116,28 @@ func TestForecasterPredictAllocFree(t *testing.T) {
 	}
 }
 
+// observeRising records window w of a "wave" app whose every fourth
+// window is a burst larger than any before it, so the history's maximum
+// keeps rising.
+func observeRising(f *Forecaster, w int) {
+	c := w % 2
+	if w%4 == 0 {
+		c = 1 + w/4
+	}
+	for j := 0; j < c; j++ {
+		f.Observe("wave", float64(w)+0.1)
+	}
+}
+
 // BenchmarkForecasterPredict is the region layer's forecast cost.
 // "same-window" repeats Predict within one window on a full 8×lag history
 // (every refit reuses all rows), "new-window" closes a window before each
 // Predict on a full history (the capped history shifts, so the refit is
 // cold), and "growing" closes a window before each Predict while the
-// history stays below its cap, the regime of a region-wave episode: every
-// refit adds one row, and the forecaster restarts after 50 windows.
+// history stays below its cap: every refit adds one row, and the
+// forecaster restarts after 50 windows. "rising" is "growing" on a history
+// whose maximum keeps rising, the regime of a region-wave episode: every
+// fourth window brings a new maximum, which turns one refit cold.
 func BenchmarkForecasterPredict(b *testing.B) {
 	b.Run("same-window", func(b *testing.B) {
 		f := fullForecaster()
@@ -142,27 +157,32 @@ func BenchmarkForecasterPredict(b *testing.B) {
 			f.Predict("wave")
 		}
 	})
-	b.Run("growing", func(b *testing.B) {
-		// A b.N loop: with go1.24, b.Loop around a StopTimer/StartTimer
-		// pair never ends its ramp-up.
-		const episode = 50
-		var f *Forecaster
-		w := episode
-		b.ReportAllocs()
-		for range b.N {
-			if w == episode {
-				b.StopTimer()
-				f = NewForecaster(1, 0.5, 16)
-				for w = 0; w < f.minFit; w++ {
-					observeWave(f, w)
-				}
-				f.RollTo(float64(w))
-				b.StartTimer()
+	b.Run("growing", func(b *testing.B) { benchEpisodes(b, observeWave) })
+	b.Run("rising", func(b *testing.B) { benchEpisodes(b, observeRising) })
+}
+
+// benchEpisodes closes a window of observe's app before each Predict, on
+// a history that grows from minFit windows and restarts after 50.
+func benchEpisodes(b *testing.B, observe func(*Forecaster, int)) {
+	// A b.N loop: with go1.24, b.Loop around a StopTimer/StartTimer
+	// pair never ends its ramp-up.
+	const episode = 50
+	var f *Forecaster
+	w := episode
+	b.ReportAllocs()
+	for range b.N {
+		if w == episode {
+			b.StopTimer()
+			f = NewForecaster(1, 0.5, 16)
+			for w = 0; w < f.minFit; w++ {
+				observe(f, w)
 			}
-			observeWave(f, w)
-			w++
 			f.RollTo(float64(w))
-			f.Predict("wave")
+			b.StartTimer()
 		}
-	})
+		observe(f, w)
+		w++
+		f.RollTo(float64(w))
+		f.Predict("wave")
+	}
 }

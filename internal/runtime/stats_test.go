@@ -76,23 +76,29 @@ func assertIdle(t *testing.T, e *Engine, when string) {
 	}
 }
 
-// TestEngineIdleAfterFaultedAdaptiveServes: an adaptive engine serving
-// FPGA chains through a scripted mid-run unplug, replug and slowdown, from
-// a pre-Start batch and one Submit at a time, is idle whenever Start,
-// Submit or Shutdown returns.
-func TestEngineIdleAfterFaultedAdaptiveServes(t *testing.T) {
+// An FPGA task takes about 0.45 ms, so in serveReplug the unplug lands
+// inside the pre-Start batch and the replug inside the Submits that
+// follow.
+const replugUnplugAt, replugPlugAt = 0.002, 0.01
+
+// serveReplug serves FPGA chains on an adaptive engine over three nodes,
+// the test bitstream programmed on nodes 0 and 1, whose script unplugs
+// node 0's accelerator at replugUnplugAt, slows node 2 six-fold at the
+// same moment and replugs node 0's at replugPlugAt: four chains from a
+// pre-Start batch, then eight Submits one at a time. It calls check after
+// Start and after each Submit, and returns the engine, still serving, with
+// the twelve futures.
+func serveReplug(t *testing.T, check func(e *Engine, when string)) (*Engine, []*Future) {
+	t.Helper()
 	cluster, bs := programmedCluster(t, 3)
 	if _, err := cluster.Nodes[1].Program(0, -1, bs); err != nil {
 		t.Fatal(err)
 	}
 	n0 := cluster.Nodes[0].Name
-	// An FPGA task takes about 0.45 ms, so the unplug lands inside the
-	// pre-Start batch and the replug inside the Submits that follow.
-	const unplugAt, plugAt = 0.002, 0.01
 	e := NewEngine(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: true, Events: []EnvEvent{
-		{Kind: EnvUnplug, Node: n0, At: unplugAt},
-		{Kind: EnvSlowdown, Node: cluster.Nodes[2].Name, Factor: 6, At: unplugAt},
-		{Kind: EnvPlug, Node: n0, At: plugAt},
+		{Kind: EnvUnplug, Node: n0, At: replugUnplugAt},
+		{Kind: EnvSlowdown, Node: cluster.Nodes[2].Name, Factor: 6, At: replugUnplugAt},
+		{Kind: EnvPlug, Node: n0, At: replugPlugAt},
 	}})
 	futs := make([]*Future, 0, 12)
 	for i := 0; i < 4; i++ {
@@ -105,15 +111,25 @@ func TestEngineIdleAfterFaultedAdaptiveServes(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
-	assertIdle(t, e, "after Start")
+	check(e, "after Start")
 	for i := 0; i < 8; i++ {
 		fut, err := e.Submit(fpgaChain(t, 4, bs.ID), SubmitOptions{Tenant: taskName(i % 3)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIdle(t, e, "after Submit")
+		check(e, "after Submit")
 		futs = append(futs, fut)
 	}
+	return e, futs
+}
+
+// TestEngineIdleAfterFaultedAdaptiveServes: an adaptive engine serving
+// FPGA chains through a scripted mid-run unplug, replug and slowdown, from
+// a pre-Start batch and one Submit at a time, is idle whenever Start,
+// Submit or Shutdown returns.
+func TestEngineIdleAfterFaultedAdaptiveServes(t *testing.T) {
+	e, futs := serveReplug(t, func(e *Engine, when string) { assertIdle(t, e, when) })
+	n0 := e.nodes[0].Name
 	e.Shutdown()
 	assertIdle(t, e, "after Shutdown")
 	if st := e.Stats(); st.Completed != 12 || st.Failed != 0 {
@@ -132,12 +148,12 @@ func TestEngineIdleAfterFaultedAdaptiveServes(t *testing.T) {
 		}
 		for _, a := range sched.Assignments {
 			switch {
-			case !a.OnFPGA || a.Start >= plugAt:
+			case !a.OnFPGA || a.Start >= replugPlugAt:
 			case a.Node != n0:
-				if a.Start >= unplugAt {
+				if a.Start >= replugUnplugAt {
 					after++
 				}
-			case a.Start < unplugAt:
+			case a.Start < replugUnplugAt:
 				before++
 			default:
 				during++
@@ -147,6 +163,37 @@ func TestEngineIdleAfterFaultedAdaptiveServes(t *testing.T) {
 	if before == 0 || during != 0 || after == 0 {
 		t.Errorf("FPGA tasks on node 0 before and during the unplug, and elsewhere during it = %d/%d/%d, want >0/0/>0",
 			before, during, after)
+	}
+}
+
+// TestReplugGapPinned pins a placement gap in the adaptive engine as an
+// exact count: place prices the fpga variant on a node only at that
+// node's ready time. After serveReplug's replug, node 0's ready time
+// still lies inside the window its accelerator was detached, because the
+// node went idle there, so the fpga variant is never priced on it again,
+// although a start on the replugged device would finish first. Node 0
+// runs 0 of the FPGA tasks that start after the replug, and node 1's
+// accelerator queues all 16. A fix that prices the variant at the
+// device's own ready time flips the first count; it moves modelled
+// numbers, and a change that widens the gap fails here.
+func TestReplugGapPinned(t *testing.T) {
+	e, futs := serveReplug(t, func(*Engine, string) {})
+	e.Shutdown()
+	onNode := map[string]int{}
+	for _, fut := range futs {
+		sched, err := fut.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range sched.Assignments {
+			if a.OnFPGA && a.Start >= replugPlugAt {
+				onNode[a.Node]++
+			}
+		}
+	}
+	n0, n1 := e.nodes[0].Name, e.nodes[1].Name
+	if onNode[n0] != 0 || onNode[n1] != 16 || len(onNode) != 1 {
+		t.Errorf("FPGA tasks after the replug by node = %v, want %s 0 and %s 16", onNode, n0, n1)
 	}
 }
 

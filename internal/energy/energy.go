@@ -134,14 +134,20 @@ func Features(farm *Farm, s Sample) []float64 {
 // KRR is Kernel Ridge Regression with an RBF kernel. The regressor owns
 // its training state in flat buffers it reuses from fit to fit: the raw
 // training values (the warm-refit prefix), the same values max-abs-scaled
-// and laid out like the raw ones, the Cholesky factor of K+λI (packed
-// lower-triangular, entry (i, j), j <= i, at i(i+1)/2+j), and the dual
-// coefficients. K+λI itself is never stored: the factorization computes
-// each entry where it uses it. Refits therefore allocate only when the
-// training set outgrows the buffers, and a refit whose rows extend the
-// previous fit's recomputes only the new rows (see FitRows). Predict
-// scales its input and keeps its kernel vector in buffers the regressor
-// owns, so a KRR is not safe for concurrent use.
+// and laid out like the raw ones, the Cholesky factor L of K+λI (packed
+// lower-triangular, entry (i, j), j <= i, at i(i+1)/2+j), and the fit's
+// solution in one of two forms, chosen by the entry point that made the
+// fit. Fit and FitRows keep the dual coefficients α = (K+λI)⁻¹(y−ȳ), so
+// a Predict costs one kernel vector and a dot product. FitLagged keeps
+// the forward solves u = L⁻¹y and v = L⁻¹1, and a Predict forward-solves
+// its kernel vector k too, w = L⁻¹k, and returns ȳ + w·(u − ȳv); that w
+// is the next lagged fit's new factor row (see FitLagged). K+λI itself is
+// never stored: the factorization computes each entry where it uses it.
+// Refits therefore allocate only when the training set outgrows the
+// buffers, and a refit whose rows extend the previous fit's recomputes
+// only the new rows (see FitRows). Predict scales its input and keeps its
+// kernel vector in buffers the regressor owns, so a KRR is not safe for
+// concurrent use.
 type KRR struct {
 	Lambda float64 // ridge regularization
 	Gamma  float64 // RBF width
@@ -152,13 +158,18 @@ type KRR struct {
 	xs           []float64 // raw divided by its scales; row i is xs[i*stride:i*stride+d]
 	maxAbs       []float64 // max-abs of the raw values at each offset modulo stride
 	scale        []float64 // maxAbs with zeros replaced by 1
-	chol         []float64 // packed lower-triangular Cholesky factor of K+λI
-	alpha        []float64 // dual coefficients
+	chol         []float64 // packed lower-triangular Cholesky factor L of K+λI
+	alpha        []float64 // dual coefficients, or u = L⁻¹y after a lagged fit
+	v            []float64 // L⁻¹1 after a lagged fit
 	feat         []float64 // Predict's scaled features, reused
-	kv           []float64 // Predict's kernel vector: kv[j] = k(feat, row j)
-	yMean        float64
+	// Predict's kernel vector, kv[j] = k(feat, row j), forward-solved in
+	// place to L⁻¹kv after a lagged fit
+	kv    []float64
+	yMean float64
 
 	fitted bool
+	// lagged marks a fit made by FitLagged: it keeps u and v, not α.
+	lagged bool
 	// exact marks a fit whose chol factors K+λI with no jitter, built
 	// with hyperparameters lambda and gamma: its rows are the leading
 	// rows of any later factor over an extension of the same rows.
@@ -166,10 +177,12 @@ type KRR struct {
 	lambda, gamma float64
 	// kvOK marks feat and kv as computed by a Predict since the last fit,
 	// with that fit's scales and γ. kvUsed records whether the last fit
-	// took its new row's kernel entries from them, and kept how many
-	// factor rows it reused from the fit before (0: it factored cold).
-	kvOK, kvUsed bool
-	kept         int
+	// took its new row's kernel entries from them (after a lagged fit,
+	// its eliminated factor row), kept how many factor rows it reused
+	// from the fit before (0: it factored cold), and backSolved whether
+	// it ran a back substitution (dual form only).
+	kvOK, kvUsed, backSolved bool
+	kept                     int
 }
 
 // NewKRR returns a regressor with the given hyperparameters.
@@ -191,12 +204,13 @@ func (k *KRR) Fit(x *tensor.Tensor, y []float64) error {
 // row-major in x (row i is x[i*d:(i+1)*d]). Each column is scaled by its
 // own max-abs. x and y are read, not kept.
 //
-// The refit is warm when the previous fit succeeded without jitter under
-// the same row geometry, λ and γ, the raw values its rows spanned are a
-// bitwise prefix of x, and x leaves every scale unchanged. The Cholesky
-// rows of that prefix are then reused as they are and only the rows past
-// it are computed: O(n·d) kernel work and an O(n²) factor row per new
-// row, instead of the O(n²·d) kernel and O(n³) factor of a cold fit.
+// The refit is warm when the previous fit, by the same entry point,
+// succeeded without jitter under the same row geometry, λ and γ, the raw
+// values its rows spanned are a bitwise prefix of x, and x leaves every
+// scale unchanged. The Cholesky rows of that prefix are then reused as
+// they are and only the rows past it are computed: O(n·d) kernel work
+// and an O(n²) factor row per new row, instead of the O(n²·d) kernel and
+// O(n³) factor of a cold fit.
 // When exactly one row is new and its scaled features are, bit for bit,
 // those of the last Predict since the previous fit, that Predict's kernel
 // vector serves as the new row's kernel entries. The result is
@@ -209,7 +223,7 @@ func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 	if n < 0 || d < 0 || len(x) != n*d || len(y) != n {
 		return fmt.Errorf("energy: KRR training shape mismatch")
 	}
-	return k.fit(x, n, d, d, y)
+	return k.fit(x, n, d, d, y, false)
 }
 
 // FitLagged fits the autoregression of one series on its lag windows in
@@ -218,28 +232,40 @@ func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 // same series, so all of them share one scale: the max-abs of the values
 // the rows span, series[:len(series)−1]. The regressor keeps that span
 // scaled once and reads each row in place from it. series is read, not
-// kept. A refit over an extension of the previous fit's series is warm
-// as in FitRows, so a new series maximum turns exactly one refit cold.
+// kept. A refit over an extension of the previous fit's series, by the
+// previous FitLagged, is warm as in FitRows, so a new series maximum
+// turns exactly one refit cold.
+//
+// The fit keeps the forward solves u = L⁻¹y and v = L⁻¹1 instead of dual
+// coefficients (see KRR), so a warm refit extends both by one entry per
+// new row and runs no back substitution. A Predict after it leaves
+// w = L⁻¹k in its kernel-vector buffer, which is exactly the next
+// factor row's entries left of the diagonal when that row's scaled
+// features are the Predict's, bit for bit. A warm refit that adds that
+// one row then copies w in and computes only the diagonal,
+// √(k(x,x)+λ−w·w): one forecaster roll costs one kernel vector and one
+// O(n²/2) elimination, both in Predict.
 func (k *KRR) FitLagged(series []float64, lag int) error {
 	if lag < 1 || len(series) < lag {
 		return fmt.Errorf("energy: KRR training shape mismatch")
 	}
-	return k.fit(series, len(series)-lag, lag, 1, series[lag:])
+	return k.fit(series, len(series)-lag, lag, 1, series[lag:], true)
 }
 
 // fit is the body of FitRows and FitLagged: n rows of d features, row i
-// at x[i*stride:i*stride+d], and their n targets y. The value at offset p
-// of the span is scaled by the max-abs of the values at its offset modulo
-// stride: its column when stride is d, the whole span when it is 1.
-func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
+// at x[i*stride:i*stride+d], and their n targets y, solved in the lagged
+// form or the dual one. The value at offset p of the span is scaled by
+// the max-abs of the values at its offset modulo stride: its column when
+// stride is d, the whole span when it is 1.
+func (k *KRR) fit(x []float64, n, d, stride int, y []float64, lagged bool) error {
 	if n < 2 {
 		return fmt.Errorf("energy: KRR needs at least 2 samples")
 	}
 	span := (n-1)*stride + d
-	keep, from := k.prefixRows(x, n, d, stride)
+	keep, from := k.prefixRows(x, n, d, stride, lagged)
 	kvOK := k.kvOK
-	k.fitted, k.exact, k.kvOK, k.kvUsed, k.kept = false, false, false, false, 0
-	k.n, k.d, k.stride = n, d, stride
+	k.fitted, k.exact, k.kvOK, k.kvUsed, k.backSolved, k.kept = false, false, false, false, false, 0
+	k.n, k.d, k.stride, k.lagged = n, d, stride, lagged
 
 	// Standardize for a well-conditioned kernel, folding the maxima on
 	// from the reused prefix's.
@@ -272,8 +298,9 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
 	}
 
 	// The last Predict's kernel vector is the last row's kernel entries
-	// when that row is the only new one, the scales held, and its scaled
-	// features are the ones Predict evaluated.
+	// (forward-solved, after a lagged fit) when that row is the only new
+	// one, the scales held, and its scaled features are the ones Predict
+	// evaluated.
 	k.feat = grow(k.feat, d)
 	k.kv = grow(k.kv, n)
 	var kv []float64
@@ -293,7 +320,11 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64) error {
 	jitter := 0.0
 	for attempt := 0; attempt < 8; attempt++ {
 		if k.factor(keep, kv, jitter) {
-			k.solve(y)
+			if lagged {
+				k.forward(y, keep)
+			} else {
+				k.solve(y)
+			}
 			k.fitted, k.exact, k.kept = true, jitter == 0, keep
 			k.lambda, k.gamma = k.Lambda, k.Gamma
 			return nil
@@ -314,10 +345,10 @@ func (k *KRR) row(i int) []float64 { return k.xs[i*k.stride : i*k.stride+k.d] }
 // prefixRows returns how many leading rows of x the previous fit's
 // Cholesky rows can serve as they are, and how many leading raw values of
 // x that fit already holds: all of that fit's rows and its raw span when
-// it qualifies for a warm refit (FitRows), else 0 and 0.
-func (k *KRR) prefixRows(x []float64, n, d, stride int) (rows, values int) {
-	if !k.exact || d != k.d || stride != k.stride || n < k.n || k.lambda != k.Lambda || k.gamma != k.Gamma ||
-		!sameBits(k.raw, x[:len(k.raw)]) {
+// it qualifies for a warm refit (FitRows) in the same form, else 0 and 0.
+func (k *KRR) prefixRows(x []float64, n, d, stride int, lagged bool) (rows, values int) {
+	if !k.exact || lagged != k.lagged || d != k.d || stride != k.stride || n < k.n ||
+		k.lambda != k.Lambda || k.gamma != k.Gamma || !sameBits(k.raw, x[:len(k.raw)]) {
 		return 0, 0
 	}
 	return k.n, len(k.raw)
@@ -339,25 +370,32 @@ func sameBits(a, b []float64) bool {
 // whole: each row's entries, k(row j, row i) left of the diagonal and
 // k(row i, row i)+λ on it, are computed into the factor row that
 // eliminates them in place. kv, when not nil, holds the last row's
-// entries left of the diagonal. It reports false at the first
-// non-positive pivot.
+// entries left of the diagonal: its kernel entries, or after a lagged
+// fit those entries already eliminated, so only the diagonal is left.
+// It reports false at the first non-positive pivot.
 func (k *KRR) factor(from int, kv []float64, jitter float64) bool {
 	for i := from; i < k.n; i++ {
 		xi := k.row(i)
 		li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+		first := 0 // the first entry left to eliminate
 		if kv != nil && i == k.n-1 {
 			copy(li, kv)
+			if k.lagged {
+				first = i
+			}
 		} else {
 			for j := range li[:i] {
 				li[j] = k.rbf(k.row(j), xi)
 			}
 		}
 		li[i] = k.rbf(xi, xi) + k.Lambda + jitter
-		for j := 0; j <= i; j++ {
+		for j := first; j <= i; j++ {
 			lj := k.chol[j*(j+1)/2 : j*(j+1)/2+j+1]
 			sum := li[j]
-			for c, v := range lj[:j] {
-				sum -= li[c] * v
+			lr := lj[:j]
+			lc := li[:len(lr)]
+			for c, v := range lr {
+				sum -= lc[c] * v
 			}
 			if i == j {
 				if sum <= 0 {
@@ -370,6 +408,27 @@ func (k *KRR) factor(from int, kv []float64, jitter float64) bool {
 		}
 	}
 	return true
+}
+
+// forward extends u = L⁻¹y (in alpha) and v = L⁻¹1 past the first keep
+// rows, which kept their factor rows. u's last kept entry is solved
+// again: its target, the previous series' last value, lies outside the
+// span the prefix check compared.
+func (k *KRR) forward(y []float64, keep int) {
+	k.alpha = grow(k.alpha, k.n)
+	k.v = grow(k.v, k.n)
+	u, v := k.alpha, k.v
+	for i := max(keep-1, 0); i < k.n; i++ {
+		li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+		su, sv := y[i], 1.0
+		lr := li[:i]
+		ur, vr := u[:len(lr)], v[:len(lr)]
+		for c, l := range lr {
+			su -= l * ur[c]
+			sv -= l * vr[c]
+		}
+		u[i], v[i] = su/li[i], sv/li[i]
+	}
 }
 
 // solve sets alpha to the solution of L Lᵀ α = y − mean(y) by forward
@@ -399,6 +458,7 @@ func (k *KRR) solve(y []float64) {
 		}
 		a[i] = s / k.chol[i*(i+1)/2+i]
 	}
+	k.backSolved = true
 }
 
 func (k *KRR) rbf(a, b []float64) float64 {
@@ -412,7 +472,9 @@ func (k *KRR) rbf(a, b []float64) float64 {
 }
 
 // Predict returns the regression output for one feature vector. It keeps
-// the scaled features and their kernel vector for the next fit (FitRows).
+// the scaled features and their kernel vector for the next fit (FitRows);
+// after a lagged fit it forward-solves that vector in place, row by row,
+// with the operations the factorization would eliminate it with.
 func (k *KRR) Predict(feat []float64) (float64, error) {
 	if !k.fitted {
 		return 0, fmt.Errorf("energy: KRR not fitted")
@@ -426,9 +488,24 @@ func (k *KRR) Predict(feat []float64) (float64, error) {
 	}
 	out := k.yMean
 	kv := k.kv[:k.n]
-	for i, a := range k.alpha[:k.n] {
-		kv[i] = k.rbf(fs, k.row(i))
-		out += a * kv[i]
+	if k.lagged {
+		u, v := k.alpha[:k.n], k.v[:k.n]
+		for i := range kv {
+			li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+			s := k.rbf(fs, k.row(i))
+			lr := li[:i]
+			w := kv[:len(lr)]
+			for c, l := range lr {
+				s -= w[c] * l
+			}
+			kv[i] = s / li[i]
+			out += kv[i] * (u[i] - k.yMean*v[i])
+		}
+	} else {
+		for i, a := range k.alpha[:k.n] {
+			kv[i] = k.rbf(fs, k.row(i))
+			out += a * kv[i]
+		}
 	}
 	k.kvOK = k.Gamma == k.gamma
 	return out, nil

@@ -11,14 +11,20 @@ import (
 
 // refKRR is the tensor-based KRR the flat, incremental one replaced, kept
 // verbatim as the reference the new code must match bit for bit: dense
-// n×n Gram through rowOf and tensor.At/Set, solved by tensor.SolveSPD.
-// Fit scales each column by its own max-abs; FitLagged materializes the
-// lag windows and scales them all by the max-abs of the whole matrix, the
-// one-scale rule of KRR.FitLagged.
+// n×n Gram through rowOf and tensor.At/Set. Fit scales each column by its
+// own max-abs and solves for the dual coefficients with tensor.SolveSPD.
+// FitLagged materializes the lag windows, scales them all by the max-abs
+// of the whole matrix (the one-scale rule of KRR.FitLagged), and keeps
+// the dense Cholesky factor L of SolveSPD's jitter ladder with the
+// forward solves u = L⁻¹y and v = L⁻¹1; its Predict forward-solves the
+// kernel vector, w = L⁻¹k, and returns ȳ + w·(u − ȳv), in KRR's
+// operation order.
 type refKRR struct {
 	Lambda, Gamma float64
 	x             *tensor.Tensor
-	alpha         *tensor.Tensor
+	alpha         *tensor.Tensor // dual coefficients (Fit)
+	l             *tensor.Tensor // Cholesky factor of K+λI (FitLagged)
+	u, v          []float64      // L⁻¹y and L⁻¹1 (FitLagged)
 	yMean         float64
 	scale         []float64
 }
@@ -42,7 +48,7 @@ func (k *refKRR) Fit(x *tensor.Tensor, y []float64) error {
 		}
 		scale[j] = m
 	}
-	return k.fitScaled(x, y, scale)
+	return k.fitScaled(x, y, scale, false)
 }
 
 // FitLagged fits row i = series[i:i+lag], target series[i+lag], with every
@@ -67,10 +73,10 @@ func (k *refKRR) FitLagged(series []float64, lag int) error {
 	for j := range scale {
 		scale[j] = m
 	}
-	return k.fitScaled(x, series[lag:], scale)
+	return k.fitScaled(x, series[lag:], scale, true)
 }
 
-func (k *refKRR) fitScaled(x *tensor.Tensor, y []float64, scale []float64) error {
+func (k *refKRR) fitScaled(x *tensor.Tensor, y []float64, scale []float64, lagged bool) error {
 	n, d := x.Shape()[0], x.Shape()[1]
 	k.scale = scale
 	xs := tensor.New(n, d)
@@ -96,6 +102,18 @@ func (k *refKRR) fitScaled(x *tensor.Tensor, y []float64, scale []float64) error
 		}
 		gram.Set(gram.At(i, i)+k.Lambda, i, i)
 	}
+	if lagged {
+		l, err := choleskyJittered(gram)
+		if err != nil {
+			return fmt.Errorf("energy: KRR solve: %w", err)
+		}
+		ones := make([]float64, n)
+		for i := range ones {
+			ones[i] = 1
+		}
+		k.l, k.u, k.v = l, forwardSub(l, y), forwardSub(l, ones)
+		return nil
+	}
 	rhs := tensor.New(n)
 	for i, v := range y {
 		rhs.Set(v-k.yMean, i)
@@ -108,6 +126,43 @@ func (k *refKRR) fitScaled(x *tensor.Tensor, y []float64, scale []float64) error
 	return nil
 }
 
+// choleskyJittered is tensor.SolveSPD's jitter ladder, returning the
+// factor instead of a solution.
+func choleskyJittered(a *tensor.Tensor) (*tensor.Tensor, error) {
+	n := a.Shape()[0]
+	work := a.Clone()
+	jitter := 0.0
+	for attempt := 0; attempt < 8; attempt++ {
+		l, err := tensor.Cholesky(work)
+		if err == nil {
+			return l, nil
+		}
+		if jitter == 0 {
+			jitter = 1e-10
+		} else {
+			jitter *= 10
+		}
+		work = a.Clone()
+		for i := 0; i < n; i++ {
+			work.Set(work.At(i, i)+jitter, i, i)
+		}
+	}
+	return nil, fmt.Errorf("not positive definite even with jitter %.3g", jitter)
+}
+
+// forwardSub solves L z = b, the forward half of tensor.CholeskySolve.
+func forwardSub(l *tensor.Tensor, b []float64) []float64 {
+	z := make([]float64, len(b))
+	for i := range z {
+		s := b[i]
+		for c := 0; c < i; c++ {
+			s -= l.At(i, c) * z[c]
+		}
+		z[i] = s / l.At(i, i)
+	}
+	return z
+}
+
 func (k *refKRR) rbf(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
@@ -118,7 +173,7 @@ func (k *refKRR) rbf(a, b []float64) float64 {
 }
 
 func (k *refKRR) Predict(feat []float64) (float64, error) {
-	if k.alpha == nil {
+	if k.alpha == nil && k.l == nil {
 		return 0, fmt.Errorf("energy: KRR not fitted")
 	}
 	if len(feat) != len(k.scale) {
@@ -130,6 +185,17 @@ func (k *refKRR) Predict(feat []float64) (float64, error) {
 	}
 	n := k.x.Shape()[0]
 	out := k.yMean
+	if k.l != nil {
+		kv := make([]float64, n)
+		for i := 0; i < n; i++ {
+			kv[i] = k.rbf(fs, rowOf(k.x, i))
+		}
+		w := forwardSub(k.l, kv)
+		for i := 0; i < n; i++ {
+			out += w[i] * (k.u[i] - k.yMean*k.v[i])
+		}
+		return out, nil
+	}
 	for i := 0; i < n; i++ {
 		out += k.alpha.At(i) * k.rbf(fs, rowOf(k.x, i))
 	}
@@ -213,10 +279,11 @@ func TestKRRMatchesReference(t *testing.T) {
 // TestKRRFitLaggedMatchesReference draws series over the shapes of
 // TestKRRMatchesReference (n rows, lag = d) and fits them in place with
 // FitLagged, which must match the reference's one-scale FitLagged: the
-// same error outcome and bitwise-equal predictions. FitRows on the
-// materialized lag windows must still match the reference's per-column
-// Fit. Under λ=0 the last window repeats the first, so K is singular
-// without jitter.
+// same error outcome, bitwise-equal forward solves u and v, and
+// bitwise-equal predictions, the same bits again when Predict is asked
+// twice. FitRows on the materialized lag windows must still match the
+// reference's per-column Fit. Under λ=0 the last window repeats the
+// first, so K is singular without jitter.
 func TestKRRFitLaggedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	jittered, scalesDiffer := 0, 0
@@ -261,6 +328,10 @@ func TestKRRFitLaggedMatchesReference(t *testing.T) {
 		if !sameBits(ref.scale, refRows.scale) {
 			scalesDiffer++
 		}
+		if !sameBits(got.alpha[:n], ref.u) || !sameBits(got.v[:n], ref.v) {
+			t.Fatalf("trial %d (n=%d lag=%d λ=%g γ=%g): u = %v, v = %v; reference u = %v, v = %v",
+				trial, n, lag, lambda, gamma, got.alpha[:n], got.v[:n], ref.u, ref.v)
+		}
 		for q := 0; q < 5; q++ {
 			feat := make([]float64, lag)
 			for j := range feat {
@@ -274,6 +345,11 @@ func TestKRRFitLaggedMatchesReference(t *testing.T) {
 			if math.Float64bits(have) != math.Float64bits(want) {
 				t.Fatalf("trial %d (n=%d lag=%d λ=%g γ=%g): FitLagged predict = %v, reference %v",
 					trial, n, lag, lambda, gamma, have, want)
+			}
+			// Predict forward-solves its kernel vector in place; asking
+			// again must not read what the first call left there.
+			if again, _ := got.Predict(feat); math.Float64bits(again) != math.Float64bits(have) {
+				t.Fatalf("trial %d: a second Predict on the same features = %v, first %v", trial, again, have)
 			}
 			if rowsErr != nil {
 				continue

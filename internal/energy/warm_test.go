@@ -19,7 +19,8 @@ type warmStats struct {
 // regressor is refitted in place on the history's lag windows (FitLagged)
 // and asked for the next window. Every warm refit must equal, bit for
 // bit, a fresh cold FitLagged and the reference's FitLagged on the same
-// history: the error outcome, the dual coefficients and the prediction.
+// history: the error outcome, the forward solves u = L⁻¹y and v = L⁻¹1,
+// and the prediction.
 // With foreign set, the regressor is also asked about features no later
 // row holds after every fit, so the next fit must not reuse that
 // Predict's kernel vector.
@@ -64,12 +65,21 @@ func replayWarmRefit(t testing.TB, counts []float64, lag, maxHist int, lambda, g
 		if warm.exact != cold.exact {
 			t.Fatalf("step %d: warm fit exact=%v, cold exact=%v", step, warm.exact, cold.exact)
 		}
-		for i := range cold.alpha {
-			if math.Float64bits(warm.alpha[i]) != math.Float64bits(cold.alpha[i]) {
-				t.Fatalf("step %d (n=%d, kept=%d, kv=%v): alpha[%d] = %v warm, %v cold", step, n, warm.kept, warm.kvUsed, i, warm.alpha[i], cold.alpha[i])
-			}
-			if math.Float64bits(warm.alpha[i]) != math.Float64bits(ref.alpha.At(i)) {
-				t.Fatalf("step %d (n=%d, kept=%d): alpha[%d] = %v warm, %v reference", step, n, warm.kept, i, warm.alpha[i], ref.alpha.At(i))
+		// A lagged fit keeps u in alpha's buffer.
+		for _, vec := range []struct {
+			name             string
+			warm, cold, want []float64
+		}{
+			{"u", warm.alpha[:n], cold.alpha[:n], ref.u},
+			{"v", warm.v[:n], cold.v[:n], ref.v},
+		} {
+			for i, w := range vec.warm {
+				if math.Float64bits(w) != math.Float64bits(vec.cold[i]) {
+					t.Fatalf("step %d (n=%d, kept=%d, kv=%v): %s[%d] = %v warm, %v cold", step, n, warm.kept, warm.kvUsed, vec.name, i, w, vec.cold[i])
+				}
+				if math.Float64bits(w) != math.Float64bits(vec.want[i]) {
+					t.Fatalf("step %d (n=%d, kept=%d): %s[%d] = %v warm, %v reference", step, n, warm.kept, vec.name, i, w, vec.want[i])
+				}
 			}
 		}
 		feat := hist[len(hist)-lag:]
@@ -117,6 +127,11 @@ func TestKRRWarmRefitMatchesCold(t *testing.T) {
 		{name: "history cap shifts the prefix", counts: wave, lag: 4, maxHist: 32, lambda: 0.01, gamma: 0.05},
 		{name: "scale raised mid-sequence", counts: burst, lag: 4, maxHist: 1000, lambda: 0.01, gamma: 0.05},
 		{name: "scale lowered as the cap trims a burst", counts: burst, lag: 4, maxHist: 24, lambda: 0.01, gamma: 0.05},
+		// Capped zeros shift onto the same bits, so the refit after the
+		// 1 arrives keeps every row while its last target changed: u's
+		// last kept entry must be solved again.
+		{name: "capped history keeps its rows, last target changes", counts: append(make([]float64, 24), 1),
+			lag: 4, maxHist: 16, lambda: 0.01, gamma: 0.05},
 		{name: "forecaster geometry", counts: wave, lag: 16, maxHist: 128, lambda: 0.01, gamma: 0.05, wantKV: true},
 		// A Predict on features no row holds sits between the fits: every
 		// refit must refuse its kernel vector and still equal a cold fit.
@@ -195,6 +210,111 @@ func TestKRRNewMaximumRefitsColdOnce(t *testing.T) {
 	// at end 42, when the fit has 26 rows.
 	if coldRows != 26 {
 		t.Fatalf("the cold refit had %d rows, want 26", coldRows)
+	}
+}
+
+// TestKRRWarmRollWork pins the work of a forecaster roll on a growing
+// history: refitted in place (FitLagged) after every window and asked
+// for the next one, every refit after the first keeps all previous
+// factor rows, takes its one new row from the previous Predict's
+// forward-solved kernel vector (so it computes only that row's
+// diagonal), and runs no back substitution. FitRows over the same rows,
+// the dual form, still runs one back substitution per fit, as every fit
+// did before lagged fits kept forward solves.
+func TestKRRWarmRollWork(t *testing.T) {
+	const lag = 16
+	counts := waveCounts(100)
+	lagged, dual := DefaultKRR(), DefaultKRR()
+	rolls := 0
+	for end := lag + 2; end <= len(counts); end++ {
+		hist := counts[:end]
+		n := end - lag
+		if err := lagged.FitLagged(hist, lag); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]float64, 0, n*lag)
+		for i := range n {
+			rows = append(rows, hist[i:i+lag]...)
+		}
+		if err := dual.FitRows(rows, n, lag, hist[lag:]); err != nil {
+			t.Fatal(err)
+		}
+		if !dual.backSolved {
+			t.Fatalf("n=%d: FitRows ran no back substitution", n)
+		}
+		if lagged.backSolved {
+			t.Fatalf("n=%d: FitLagged ran a back substitution", n)
+		}
+		if end > lag+2 {
+			rolls++
+			if lagged.kept != n-1 || !lagged.kvUsed {
+				t.Fatalf("n=%d: the refit kept %d of %d rows, new row from Predict %v; want a warm roll", n, lagged.kept, n-1, lagged.kvUsed)
+			}
+		}
+		if _, err := lagged.Predict(hist[end-lag:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dual.Predict(hist[end-lag:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rolls != len(counts)-lag-2 {
+		t.Fatalf("%d warm rolls, want %d", rolls, len(counts)-lag-2)
+	}
+}
+
+// TestKRRFormChangeRefitsCold: with one feature, FitRows over x[i] =
+// series[i] and FitLagged with lag 1 read the same rows under the same
+// scale, so a refit by the other entry point passes every other warm
+// check. It must still refit cold: a dual fit holds α where a lagged
+// refit would extend u, and after a lagged fit Predict leaves the new
+// row's eliminated entries where a dual refit would read kernel entries.
+// Each refit follows a Predict on its one new row and must equal a fresh
+// fit by the same entry point bit for bit.
+func TestKRRFormChangeRefitsCold(t *testing.T) {
+	series := waveCounts(24)
+	const n = 20 // rows of the first fit; the refit adds one
+	fitRows := func(k *KRR, rows int) error { return k.FitRows(series[:rows], rows, 1, series[1:rows+1]) }
+	fitLagged := func(k *KRR, rows int) error { return k.FitLagged(series[:rows+1], 1) }
+	for _, tc := range []struct {
+		name         string
+		first, refit func(*KRR, int) error
+	}{
+		{"dual then lagged", fitRows, fitLagged},
+		{"lagged then dual", fitLagged, fitRows},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			warm, cold := DefaultKRR(), DefaultKRR()
+			if err := tc.first(warm, n); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := warm.Predict(series[n : n+1]); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.refit(warm, n+1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.refit(cold, n+1); err != nil {
+				t.Fatal(err)
+			}
+			if warm.kept != 0 || warm.kvUsed {
+				t.Fatalf("the refit kept %d rows, kernel vector reused %v; want a cold fit", warm.kept, warm.kvUsed)
+			}
+			m := n + 1
+			same := sameBits(warm.chol[:m*(m+1)/2], cold.chol) && sameBits(warm.alpha[:m], cold.alpha)
+			if cold.lagged {
+				same = same && sameBits(warm.v[:m], cold.v)
+			}
+			if !same {
+				t.Fatal("the refit's factor or solution differs from a fresh fit's")
+			}
+			feat := []float64{2}
+			wp, _ := warm.Predict(feat)
+			cp, _ := cold.Predict(feat)
+			if math.Float64bits(wp) != math.Float64bits(cp) {
+				t.Fatalf("predict = %v after the refit, %v fresh", wp, cp)
+			}
+		})
 	}
 }
 

@@ -40,9 +40,13 @@ type Forecaster struct {
 // (energy.FitLagged), with one scale for the whole history. While the
 // history only grows, each refit extends the previous one's rows and is
 // warm unless a new maximum entered them, which turns that one refit
-// cold, and the one row a closed window adds is the previous Predict's
-// features, whose kernel vector the KRR reuses. Once the history is
-// trimmed at maxHist the rows shift and the refit is cold.
+// cold. The one row a closed window adds is the previous Predict's
+// features, and that Predict's forward-solved kernel vector is the row's
+// Cholesky entries, so the warm refit computes only the diagonal and
+// extends the fit's forward solves by one entry. A roll therefore costs
+// one kernel vector and one O(n²/2) elimination, both in Predict, and
+// no back substitution. Once the history is trimmed at maxHist the rows
+// shift and the refit is cold.
 type series struct {
 	count float64   // arrivals in the open window
 	hist  []float64 // closed-window counts, oldest first

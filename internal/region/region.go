@@ -178,15 +178,18 @@ type Config struct {
 	StoreSlots int
 	// Prefetch turns on the forecast-driven warming loop.
 	Prefetch bool
-	// WindowSeconds is the forecast window (default 0.25).
+	// WindowSeconds is the forecast window (finite; <= 0 means the
+	// default 0.25).
 	WindowSeconds float64
 	// WarmThreshold is the predicted next-window arrival count at which a
-	// region stages an app's bitstreams (default 0.5).
+	// region stages an app's bitstreams (finite; <= 0 means the default
+	// 0.5).
 	WarmThreshold float64
 	// ForecastLag is the KRR autoregression depth in windows (default 16;
 	// it must cover a full period of any pattern worth anticipating).
 	ForecastLag int
-	// Partitions scripts WAN reachability faults.
+	// Partitions scripts WAN reachability faults (finite, non-empty
+	// intervals).
 	Partitions []Partition
 	// Trace, when set, receives every region event (serialized).
 	Trace func(Event)
@@ -418,6 +421,14 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 		st := netsim.WAN10G()
 		cfg.WAN = &st
 	}
+	// A non-finite window never rolls and a non-finite threshold warms no
+	// app, so prefetch would silently never run: refuse both.
+	if !finite(cfg.WindowSeconds) {
+		return nil, fmt.Errorf("region: WindowSeconds must be finite, got %g", cfg.WindowSeconds)
+	}
+	if !finite(cfg.WarmThreshold) {
+		return nil, fmt.Errorf("region: WarmThreshold must be finite, got %g", cfg.WarmThreshold)
+	}
 	if cfg.WindowSeconds <= 0 {
 		cfg.WindowSeconds = 0.25
 	}
@@ -427,6 +438,12 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 	for _, p := range cfg.Partitions {
 		if p.Region < 0 || p.Region >= cfg.Regions {
 			return nil, fmt.Errorf("region: partition targets region %d outside [0, %d)", p.Region, cfg.Regions)
+		}
+		if !finite(p.From) {
+			return nil, fmt.Errorf("region: partition of region %d has a non-finite From %g", p.Region, p.From)
+		}
+		if !finite(p.Until) {
+			return nil, fmt.Errorf("region: partition of region %d has a non-finite Until %g", p.Region, p.Until)
 		}
 		if p.Until <= p.From {
 			return nil, fmt.Errorf("region: partition of region %d has empty interval [%g, %g)", p.Region, p.From, p.Until)
@@ -492,6 +509,8 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 	return f, nil
 }
 
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // Regions returns the number of federated regions.
 func (f *Federation) Regions() int { return len(f.regions) }
 
@@ -552,7 +571,7 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 	if req.Home < 0 || req.Home >= len(f.regions) {
 		return nil, fmt.Errorf("region: home region %d outside [0, %d)", req.Home, len(f.regions))
 	}
-	if math.IsNaN(req.Arrival) || math.IsInf(req.Arrival, 0) {
+	if !finite(req.Arrival) {
 		return nil, fmt.Errorf("region: arrival %g is not a finite modelled time", req.Arrival)
 	}
 	if req.Class == Guaranteed && !(req.Deadline > 0 && req.Deadline < math.Inf(1)) {

@@ -123,6 +123,55 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNonFiniteSettings: a NaN or infinite forecast window
+// never rolls, a non-finite warm threshold qualifies no app, and a NaN
+// partition bound slips past the empty-interval check, so New must
+// refuse each with an error naming the field. Zero and negative window
+// and threshold still mean the default.
+func TestNewRefusesNonFiniteSettings(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	base := func() Config {
+		return Config{Regions: 1, SitesPerRegion: 1, NewCluster: testClusters(1), Prefetch: true}
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"WindowSeconds", func(c *Config) { c.WindowSeconds = nan }},
+		{"WindowSeconds", func(c *Config) { c.WindowSeconds = inf }},
+		{"WindowSeconds", func(c *Config) { c.WindowSeconds = -inf }},
+		{"WarmThreshold", func(c *Config) { c.WarmThreshold = nan }},
+		{"WarmThreshold", func(c *Config) { c.WarmThreshold = inf }},
+		{"From", func(c *Config) { c.Partitions = []Partition{{Region: 0, From: nan, Until: 1}} }},
+		{"Until", func(c *Config) { c.Partitions = []Partition{{Region: 0, From: 0, Until: nan}} }},
+		{"Until", func(c *Config) { c.Partitions = []Partition{{Region: 0, From: 0, Until: inf}} }},
+	} {
+		cfg := base()
+		tc.set(&cfg)
+		f, err := New(platform.NewRegistry(), cfg)
+		if err == nil {
+			f.Shutdown()
+			t.Errorf("%s: New accepted %+v", tc.field, cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name the field", tc.field, err)
+		}
+	}
+	for _, v := range []float64{0, -1} {
+		cfg := base()
+		cfg.WindowSeconds, cfg.WarmThreshold = v, v
+		f, err := New(platform.NewRegistry(), cfg)
+		if err != nil {
+			t.Fatalf("window and threshold %g: %v, want the defaults", v, err)
+		}
+		if f.cfg.WindowSeconds != 0.25 || f.cfg.WarmThreshold != 0.5 {
+			t.Fatalf("window and threshold %g became %g and %g, want 0.25 and 0.5", v, f.cfg.WindowSeconds, f.cfg.WarmThreshold)
+		}
+		f.Shutdown()
+	}
+}
+
 func TestSubmitValidates(t *testing.T) {
 	cat := platform.NewRegistry()
 	f := newTestFed(t, cat, Config{Regions: 1})

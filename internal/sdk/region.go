@@ -43,7 +43,8 @@ type RegionConfig struct {
 	// Prefetch turns on forecast-driven bitstream staging.
 	Prefetch bool
 	// WindowSeconds / WarmThreshold / ForecastLag tune the forecaster
-	// (region.Config semantics; zero values take the defaults).
+	// (region.Config semantics; zero values take the defaults, and
+	// non-finite values are refused).
 	WindowSeconds float64
 	WarmThreshold float64
 	ForecastLag   int

@@ -25,8 +25,9 @@ type Variant struct {
 // ranked minimize-time. The engine consults Available/Drift on every
 // dispatch and feeds Observe from completions, so variant selection tracks
 // the live environment instead of the static plan. Hot-plug events need no
-// hook here: a device's attachment is priced per placement, and a tuner
-// lives only while its workflow is served. A Tuner is not safe for
+// hook here: a device's attachment is priced per placement, and a tuner's
+// knowledge lives only while its workflow is served (the engine reseeds a
+// recycled record's tuner with Reset). A Tuner is not safe for
 // concurrent use: each belongs to one workflow, and its engine touches it
 // only under the serve lock.
 //
@@ -49,8 +50,8 @@ type point struct {
 
 // index resolves a variant name with a linear scan: tuners hold a handful
 // of variants (cpu1/cpu16/fpga), where scanning a short slice beats a map
-// on both lookup time and construction allocations — NewTuner runs once
-// per submitted workflow on the engine's hot path.
+// on both lookup time and construction allocations — Reset runs once per
+// submitted workflow on the engine's hot path.
 func (t *Tuner) index(name string) (int, bool) {
 	for i := range t.points {
 		if t.points[i].name == name {
@@ -60,27 +61,52 @@ func (t *Tuner) index(name string) (int, bool) {
 	return -1, false
 }
 
-// NewTuner builds a variant tuner from design-time knowledge. It does not
-// retain variants.
+// NewTuner builds a variant tuner from design-time knowledge: Reset on a
+// fresh tuner. It does not retain variants.
 func NewTuner(variants []Variant) (*Tuner, error) {
-	if len(variants) == 0 {
-		return nil, fmt.Errorf("autotuner: tuner needs at least one variant")
-	}
-	t := &Tuner{points: make([]point, 0, len(variants))}
-	for _, v := range variants {
-		if v.Name == "" || v.ExpectedMs <= 0 {
-			return nil, fmt.Errorf("autotuner: variant needs a name and positive expected latency")
-		}
-		if v.BoundMs < 0 || (v.BoundMs > 0 && v.BoundMs < v.ExpectedMs) {
-			return nil, fmt.Errorf("autotuner: variant %q bound %.4gms must be absent (0) or >= expected %.4gms",
-				v.Name, v.BoundMs, v.ExpectedMs)
-		}
-		if _, dup := t.index(v.Name); dup {
-			return nil, fmt.Errorf("autotuner: duplicate variant %q", v.Name)
-		}
-		t.points = append(t.points, point{name: v.Name, seed: v.ExpectedMs, expected: v.ExpectedMs})
+	t := new(Tuner)
+	if err := t.Reset(variants); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// Reset reseeds the tuner from design-time knowledge, dropping every
+// observation, so a recycled tuner is indistinguishable from a new one. It
+// reuses the tuner's storage and allocates only when variants outnumber
+// its capacity. It does not retain variants. A malformed set is refused
+// with the error NewTuner gives, and leaves no variant Available.
+func (t *Tuner) Reset(variants []Variant) error {
+	if cap(t.points) < len(variants) {
+		t.points = make([]point, 0, len(variants))
+	}
+	t.points = t.points[:0]
+	if len(variants) == 0 {
+		return fmt.Errorf("autotuner: tuner needs at least one variant")
+	}
+	for _, v := range variants {
+		if err := t.seed(v); err != nil {
+			t.points = t.points[:0]
+			return err
+		}
+	}
+	return nil
+}
+
+// seed checks one variant and appends its point.
+func (t *Tuner) seed(v Variant) error {
+	if v.Name == "" || v.ExpectedMs <= 0 {
+		return fmt.Errorf("autotuner: variant needs a name and positive expected latency")
+	}
+	if v.BoundMs < 0 || (v.BoundMs > 0 && v.BoundMs < v.ExpectedMs) {
+		return fmt.Errorf("autotuner: variant %q bound %.4gms must be absent (0) or >= expected %.4gms",
+			v.Name, v.BoundMs, v.ExpectedMs)
+	}
+	if _, dup := t.index(v.Name); dup {
+		return fmt.Errorf("autotuner: duplicate variant %q", v.Name)
+	}
+	t.points = append(t.points, point{name: v.Name, seed: v.ExpectedMs, expected: v.ExpectedMs})
+	return nil
 }
 
 // Variants returns the variant names in seed order.

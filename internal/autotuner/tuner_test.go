@@ -2,6 +2,7 @@ package autotuner
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -62,6 +63,79 @@ func TestTunerSelectsAndAdapts(t *testing.T) {
 	}
 	if got := tn.Best(); got != "fpga" {
 		t.Fatalf("after recovery best = %q, want fpga", got)
+	}
+}
+
+// TestTunerResetRestoresSeeds: Reset after observations drops every one
+// of them, so each variant reads its seed again.
+func TestTunerResetRestoresSeeds(t *testing.T) {
+	seeds := []Variant{{Name: "cpu1", ExpectedMs: 1000}, {Name: "cpu16", ExpectedMs: 120}, {Name: "fpga", ExpectedMs: 15}}
+	tn := newTestTuner(t)
+	for _, v := range seeds {
+		tn.Observe(v.Name, 7*v.ExpectedMs)
+	}
+	if err := tn.Reset(seeds); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range seeds {
+		if got := tn.Expected(v.Name); got != v.ExpectedMs {
+			t.Errorf("%s expected %g after Reset, want the seed %g", v.Name, got, v.ExpectedMs)
+		}
+		if got := tn.Observations(v.Name); got != 0 {
+			t.Errorf("%s has %d observations after Reset, want 0", v.Name, got)
+		}
+		if got := tn.Drift(v.Name); got != 1 {
+			t.Errorf("%s drift %g after Reset, want 1", v.Name, got)
+		}
+	}
+	if got := tn.Variants(); !slices.Equal(got, []string{"cpu1", "cpu16", "fpga"}) {
+		t.Errorf("variants after Reset = %v, want the seed order", got)
+	}
+}
+
+// TestTunerResetReusesStorage: reseeding a tuner that already holds as
+// many points allocates nothing, which is what lets the engine recycle a
+// workflow's tuner with its record.
+func TestTunerResetReusesStorage(t *testing.T) {
+	tn := newTestTuner(t)
+	seeds := []Variant{{Name: "cpu1", ExpectedMs: 900}, {Name: "fpga", ExpectedMs: 20}}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := tn.Reset(seeds); err != nil {
+			t.Fatal(err)
+		}
+		tn.Observe("fpga", 60)
+	}); got != 0 {
+		t.Fatalf("Reset into a tuner with room allocates %.1f per run, want 0", got)
+	}
+}
+
+// TestTunerResetRefusesLikeNewTuner: every set NewTuner refuses, Reset
+// refuses with the same error, and the refused tuner offers no variant.
+func TestTunerResetRefusesLikeNewTuner(t *testing.T) {
+	for _, bad := range [][]Variant{
+		nil,
+		{{Name: "", ExpectedMs: 1}},
+		{{Name: "a", ExpectedMs: 0}},
+		{{Name: "a", ExpectedMs: -1}},
+		{{Name: "a", ExpectedMs: 1}, {Name: "a", ExpectedMs: 2}},
+		{{Name: "a", ExpectedMs: 2, BoundMs: 1}},
+		{{Name: "a", ExpectedMs: 2, BoundMs: -1}},
+		{{Name: "a", ExpectedMs: 1}, {Name: "b", ExpectedMs: 2, BoundMs: 1}},
+	} {
+		_, want := NewTuner(bad)
+		if want == nil {
+			t.Fatalf("NewTuner accepted %+v", bad)
+		}
+		tn := newTestTuner(t)
+		err := tn.Reset(bad)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("Reset(%+v) = %v, want %q", bad, err, want)
+		}
+		for _, name := range []string{"cpu1", "cpu16", "fpga", "a", "b"} {
+			if tn.Available(name) {
+				t.Errorf("after Reset(%+v) refused, %q is still available", bad, name)
+			}
+		}
 	}
 }
 

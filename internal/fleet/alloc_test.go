@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 
+	"everest/internal/autotuner"
 	"everest/internal/dataset"
 	"everest/internal/platform"
 	"everest/internal/runtime"
@@ -228,14 +230,15 @@ func warmMapFleet(tb testing.TB) (*Fleet, func()) {
 
 // TestFleetDataSubmitAllocBudget pins a warm data-plane Submit — route by
 // data locality, fetch the missing partitions, serve on the site engine,
-// publish the outputs — at its allocation count: the ticket, its name,
-// and the engine's schedule and future. The resolved workflow carries its
-// interned reads, outputs and needs, so none of that is rebuilt per
-// submission.
+// publish the outputs — at the three objects the caller keeps: the ticket
+// (which holds the schedule the site engine serves into), the workflow's
+// name, and the schedule's assignment slice. The resolved workflow carries
+// its interned reads, outputs and needs, so none of that is rebuilt per
+// submission, and the engine's record is recycled.
 func TestFleetDataSubmitAllocBudget(t *testing.T) {
 	f, submit := warmMapFleet(t)
 	defer f.Shutdown()
-	const budget = 6
+	const budget = 3
 	if got := testing.AllocsPerRun(200, submit); got > budget {
 		t.Errorf("warm data-plane Submit allocates %.1f per run, budget %d", got, budget)
 	}
@@ -250,6 +253,98 @@ func TestFleetDataSubmitAllocBudget(t *testing.T) {
 // partitions and stores at half the working set (kmeansMapFleet).
 func BenchmarkFleetData(b *testing.B) {
 	f, submit := warmMapFleet(b)
+	defer f.Shutdown()
+	b.ReportAllocs()
+	for b.Loop() {
+		submit()
+	}
+}
+
+// adaptiveChurnFleet is the fleet-churn shape at test size: a started
+// fleet of four adaptive sites of two nodes, each caching one bitstream,
+// serving a mix that churns that slot — an FPGA workflow carrying
+// compiler-derived operating points (Workflow.SetVariants), hand-declared
+// FPGA work on four more bitstreams, and pure software — for 32 tenants,
+// unnamed, so the fleet names each one. Arrivals come a fixed gap apart,
+// about as fast as the four sites serve, so work spreads over every site
+// and five bitstreams contend for four slots. It serves the mix long
+// enough for every site to know every tenant and returns a step that
+// submits the next workflow and waits it out.
+func adaptiveChurnFleet(tb testing.TB) (*Fleet, func()) {
+	tb.Helper()
+	const tenants, gap = 32, 0.02
+	reg := platform.NewRegistry()
+	ids := []string{"bs-a", "bs-b", "bs-c", "bs-d", "bs-e"}
+	for _, id := range ids {
+		if err := reg.Put(testBitstream(id)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	f, err := New(reg, Config{Sites: 4, NewCluster: testCluster(2), CacheSlots: 1, Adaptive: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	compiled := fpgaWorkflow("bs-a")
+	compiled.SetVariants([]autotuner.Variant{
+		{Name: runtime.VariantCPU1, ExpectedMs: 400},
+		{Name: runtime.VariantCPU16, ExpectedMs: 40},
+		{Name: runtime.VariantFPGA, ExpectedMs: 4, BoundMs: 8},
+	})
+	mix := []*runtime.Workflow{compiled, cpuWorkflow()}
+	for _, id := range ids[1:] {
+		mix = append(mix, fpgaWorkflow(id))
+	}
+	names := make([]string, tenants)
+	for i := range names {
+		names[i] = fmt.Sprintf("tenant%02d", i)
+	}
+	i := 0
+	submit := func() {
+		tk, err := f.Submit(Request{Tenant: names[i%tenants], Workflow: mix[i%len(mix)], Arrival: float64(i) * gap})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := tk.Wait(); err != nil {
+			tb.Fatal(err)
+		}
+		i++
+	}
+	for range 16 * tenants {
+		submit()
+	}
+	return f, submit
+}
+
+// TestFleetChurnSubmitAllocBudget pins an adaptive, one-slot fleet Submit
+// of the churn mix at the three objects the caller keeps: the ticket (with
+// the schedule inside), the fleet-made workflow name, and the assignment
+// slice. Cache churn, routing and the engine's recycled record and tuner
+// allocate nothing.
+func TestFleetChurnSubmitAllocBudget(t *testing.T) {
+	f, submit := adaptiveChurnFleet(t)
+	defer f.Shutdown()
+	const budget = 3
+	if got := testing.AllocsPerRun(200, submit); got > budget {
+		t.Errorf("adaptive one-slot Submit allocates %.1f per run, budget %d", got, budget)
+	}
+	st := f.Stats()
+	evictions := 0
+	for _, s := range st.Sites {
+		evictions += s.Evictions
+	}
+	if evictions == 0 || st.Failed != 0 {
+		t.Fatalf("fixture evicted %d bitstreams with %d failures: want a churning cache", evictions, st.Failed)
+	}
+}
+
+// BenchmarkFleetSubmitAdaptive measures one Submit+Wait of the churn mix
+// on an adaptive fleet with one cache slot per site (adaptiveChurnFleet), the
+// serving path of the fleet-churn workload.
+func BenchmarkFleetSubmitAdaptive(b *testing.B) {
+	f, submit := adaptiveChurnFleet(b)
 	defer f.Shutdown()
 	b.ReportAllocs()
 	for b.Loop() {

@@ -244,8 +244,11 @@ type Ticket struct {
 	Tenant string
 	Name   string
 
-	res Result
-	err error
+	// sched is the storage the site engine serves the workflow into
+	// (runtime.Engine.Serve); res.Sched points at it once it succeeded.
+	sched runtime.Schedule
+	res   Result
+	err   error
 }
 
 // Wait returns the workflow's result. Submit serves before it returns the
@@ -959,11 +962,7 @@ func (f *Fleet) serve(s *site, w *work) {
 	deploy := f.deployNeeds(s, w, start)
 	fetch, fetchedBytes := f.fetchData(s, w, start+deploy)
 
-	fut, err := s.engine.Submit(w.wf, runtime.SubmitOptions{Name: t.Name, Tenant: t.Tenant})
-	var sched *runtime.Schedule
-	if err == nil {
-		sched, err = fut.Wait()
-	}
+	err := s.engine.Serve(w.wf, runtime.SubmitOptions{Name: t.Name, Tenant: t.Tenant}, &t.sched)
 
 	if w.guaranteed {
 		s.stats.Guaranteed++
@@ -996,6 +995,7 @@ func (f *Fleet) serve(s *site, w *work) {
 		}
 		return
 	}
+	sched := &t.sched
 	service := sched.Makespan - s.lastMakespan
 	if service < 0 {
 		service = 0

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"everest/internal/autotuner"
 	"everest/internal/hls"
 	"everest/internal/platform"
 	"everest/internal/runtime"
@@ -622,5 +624,51 @@ func TestUnnamedWorkflowName(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { _ = WorkflowName("tenantA", 1234567) }); got > 1 {
 		t.Fatalf("WorkflowName allocates %.1f per call, budget 1", got)
+	}
+}
+
+// TestTicketSchedulesAreOwned serves workflows of several shapes on an
+// adaptive one-site fleet, so every one lands on the same engine and its
+// records and tuners recycle, and copies each ticket's schedule right
+// after its Submit. At the end every schedule must still equal its copy,
+// and no two tickets may share an assignment array.
+func TestTicketSchedulesAreOwned(t *testing.T) {
+	reg := platform.NewRegistry()
+	if err := reg.Put(testBitstream("bs0")); err != nil {
+		t.Fatal(err)
+	}
+	f := newTestFleet(t, reg, Config{Sites: 1, Adaptive: true})
+	defer f.Shutdown()
+	shapes := []*runtime.Workflow{fpgaWorkflow("bs0"), cpuWorkflow(), fpgaWorkflow("bs0")}
+	shapes[2].SetVariants([]autotuner.Variant{
+		{Name: runtime.VariantCPU1, ExpectedMs: 400},
+		{Name: runtime.VariantCPU16, ExpectedMs: 40},
+		{Name: runtime.VariantFPGA, ExpectedMs: 4},
+	})
+	var scheds []*runtime.Schedule
+	var copies []runtime.Schedule
+	for i := range 24 {
+		tk, err := f.Submit(Request{Tenant: "t", Workflow: shapes[i%len(shapes)], Arrival: 0.1 * float64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := tk.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := *res.Sched
+		c.Assignments = slices.Clone(res.Sched.Assignments)
+		scheds, copies = append(scheds, res.Sched), append(copies, c)
+	}
+	arrays := map[*runtime.Assignment]int{}
+	for i, s := range scheds {
+		if !reflect.DeepEqual(*s, copies[i]) {
+			t.Errorf("ticket %d's schedule changed after its Submit returned:\n got  %+v\n want %+v", i, *s, copies[i])
+		}
+		end := &s.Assignments[:cap(s.Assignments)][cap(s.Assignments)-1]
+		if j, ok := arrays[end]; ok {
+			t.Errorf("tickets %d and %d share an assignment array", j, i)
+		}
+		arrays[end] = i
 	}
 }

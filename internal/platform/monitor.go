@@ -15,11 +15,14 @@ import "sort"
 // converges, which is exactly the adaptation transient experiment E-adapt
 // measures.
 //
+// Nodes are addressed by their index in Cluster.Nodes, the way the engine
+// addresses them, so feeding a completion looks nothing up by name.
+//
 // A Monitor is not safe for concurrent use: the engine that owns it feeds
 // and reads it only under its serve lock.
 type Monitor struct {
 	cluster *Cluster
-	stats   map[string]*nodeObs
+	obs     []nodeObs // indexed like cluster.Nodes at NewMonitor
 }
 
 // nodeObs is one node's accumulated observations.
@@ -34,23 +37,16 @@ type nodeObs struct {
 // so both adaptation loops react at the same rate.
 const ewmaAlpha = 0.5
 
-// NewMonitor builds a monitor over a cluster.
+// NewMonitor builds a monitor over a cluster, with one empty record per
+// node it has now.
 func NewMonitor(c *Cluster) *Monitor {
-	return &Monitor{cluster: c, stats: make(map[string]*nodeObs)}
+	return &Monitor{cluster: c, obs: make([]nodeObs, len(c.Nodes))}
 }
 
-func (m *Monitor) obs(node string) *nodeObs {
-	o := m.stats[node]
-	if o == nil {
-		o = &nodeObs{}
-		m.stats[node] = o
-	}
-	return o
-}
-
-// RecordTask records one completed task's modelled latency on a node.
-func (m *Monitor) RecordTask(node string, latency float64) {
-	o := m.obs(node)
+// RecordTask records one completed task's modelled latency on node
+// c.Nodes[node].
+func (m *Monitor) RecordTask(node int, latency float64) {
+	o := &m.obs[node]
 	if o.tasks == 0 {
 		o.ewmaLatency = latency
 	} else {
@@ -62,12 +58,12 @@ func (m *Monitor) RecordTask(node string, latency float64) {
 // ObserveRatio feeds one observed/nominal execution-time pair for a
 // software task. Nominal is the design-time cost model's prediction; the
 // ratio tracks the node's real load.
-func (m *Monitor) ObserveRatio(node string, observed, nominal float64) {
+func (m *Monitor) ObserveRatio(node int, observed, nominal float64) {
 	if nominal <= 0 {
 		return
 	}
 	ratio := observed / nominal
-	o := m.obs(node)
+	o := &m.obs[node]
 	if !o.hasRatio {
 		o.ewmaRatio = ratio
 		o.hasRatio = true
@@ -76,11 +72,11 @@ func (m *Monitor) ObserveRatio(node string, observed, nominal float64) {
 	}
 }
 
-// SlowdownEstimate returns the learned load factor of a node (1 = nominal
-// until evidence arrives).
-func (m *Monitor) SlowdownEstimate(node string) float64 {
-	o := m.stats[node]
-	if o == nil || !o.hasRatio || o.ewmaRatio < 1 {
+// SlowdownEstimate returns the learned load factor of node c.Nodes[node]
+// (1 = nominal until evidence arrives).
+func (m *Monitor) SlowdownEstimate(node int) float64 {
+	o := &m.obs[node]
+	if !o.hasRatio || o.ewmaRatio < 1 {
 		return 1
 	}
 	return o.ewmaRatio
@@ -100,9 +96,10 @@ type NodeHealth struct {
 // Snapshot returns the health of every cluster node, sorted by name.
 func (m *Monitor) Snapshot() []NodeHealth {
 	out := make([]NodeHealth, 0, len(m.cluster.Nodes))
-	for _, n := range m.cluster.Nodes {
+	for i, n := range m.cluster.Nodes {
 		h := NodeHealth{Node: n.Name, SlowdownEst: 1, DevicesTotal: len(n.Devices)}
-		if o := m.stats[n.Name]; o != nil {
+		if i < len(m.obs) {
+			o := &m.obs[i]
 			h.Tasks = o.tasks
 			h.EWMALatency = o.ewmaLatency
 			if o.hasRatio && o.ewmaRatio > 1 {

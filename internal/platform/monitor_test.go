@@ -102,31 +102,31 @@ func TestConditionTimelineMonotonicClamp(t *testing.T) {
 
 func TestMonitorLearnsSlowdown(t *testing.T) {
 	m := NewMonitor(monitorCluster())
-	if est := m.SlowdownEstimate("n1"); est != 1 {
+	if est := m.SlowdownEstimate(1); est != 1 {
 		t.Fatalf("no evidence: estimate %g, want 1", est)
 	}
 	// A 4x-loaded node: the EWMA converges toward 4.
 	for i := 0; i < 6; i++ {
-		m.ObserveRatio("n1", 4.0, 1.0)
+		m.ObserveRatio(1, 4.0, 1.0)
 	}
-	if est := m.SlowdownEstimate("n1"); math.Abs(est-4) > 0.1 {
+	if est := m.SlowdownEstimate(1); math.Abs(est-4) > 0.1 {
 		t.Fatalf("estimate %g, want ~4", est)
 	}
 	// Recovery: nominal-speed observations pull it back down.
 	for i := 0; i < 8; i++ {
-		m.ObserveRatio("n1", 1.0, 1.0)
+		m.ObserveRatio(1, 1.0, 1.0)
 	}
-	if est := m.SlowdownEstimate("n1"); est > 1.1 {
+	if est := m.SlowdownEstimate(1); est > 1.1 {
 		t.Fatalf("estimate after recovery %g, want ~1", est)
 	}
-	m.ObserveRatio("n1", 1.0, 0) // zero nominal is ignored
+	m.ObserveRatio(1, 1.0, 0) // zero nominal is ignored
 }
 
 func TestMonitorSnapshotAndAvailability(t *testing.T) {
 	c := monitorCluster()
 	m := NewMonitor(c)
-	m.RecordTask("n0", 2.0)
-	m.RecordTask("n0", 4.0)
+	m.RecordTask(0, 2.0)
+	m.RecordTask(0, 4.0)
 	c.FindNode("n0").SetDeviceOffline(0, true, 0)
 	c.FindNode("n1").Fail(1.0)
 

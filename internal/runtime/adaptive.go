@@ -263,22 +263,22 @@ func (e *Engine) Apply(ev EnvEvent) error {
 // ---------------------------------------------------------------------------
 // adaptive placement
 
-// newWorkflowTuner seeds a variant tuner. Workflows carrying compiler-
-// derived operating points (Workflow.SetVariants — the compiled path of
-// the SDK loop) seed from those directly: every expected latency then
-// traces back to the HLS schedule and the CPU cost model, never to the
-// task specs. Otherwise the seeds come from the design-time cost model:
-// the workflow's mean task cost per variant on a reference node, with the
-// fpga variant present only when some task can actually offload somewhere.
-func (e *Engine) newWorkflowTuner(st *wfState) *autotuner.Tuner {
-	if len(st.variants) > 0 {
-		if tn, err := autotuner.NewTuner(st.variants); err == nil {
-			return tn
-		}
-		// A malformed set falls through to the engine-derived seeds.
+// seedTuner reseeds the record's variant tuner for its workflow and
+// reports whether the tuner holds seeds; when it does not, the workflow is
+// placed statically. Workflows carrying compiler-derived operating points
+// (Workflow.SetVariants — the compiled path of the SDK loop) seed from
+// those directly: every expected latency then traces back to the HLS
+// schedule and the CPU cost model, never to the task specs. Otherwise the
+// seeds come from the design-time cost model: the workflow's mean task
+// cost per variant on a reference node, with the fpga variant present only
+// when some task can actually offload somewhere.
+func (e *Engine) seedTuner(st *wfState) bool {
+	if len(st.variants) > 0 && st.tuner.Reset(st.variants) == nil {
+		return true
 	}
+	// A malformed set falls through to the engine-derived seeds.
 	if len(e.cluster.Nodes) == 0 {
-		return nil // fall back to static placement (which reports the error)
+		return false // fall back to static placement (which reports the error)
 	}
 	ref := e.cluster.Nodes[0]
 	var cpu1, cpu16, fpga float64
@@ -300,7 +300,7 @@ func (e *Engine) newWorkflowTuner(st *wfState) *autotuner.Tuner {
 		}
 	}
 	if nTasks == 0 {
-		return nil
+		return false
 	}
 	ms := func(total float64, n int) float64 {
 		v := total / float64(n) * 1000
@@ -316,11 +316,8 @@ func (e *Engine) newWorkflowTuner(st *wfState) *autotuner.Tuner {
 	if nFPGA > 0 {
 		variants = append(variants, autotuner.Variant{Name: VariantFPGA, ExpectedMs: ms(fpga, nFPGA)})
 	}
-	tn, err := autotuner.NewTuner(variants)
-	if err != nil {
-		return nil // fall back to static placement for this workflow
-	}
-	return tn
+	// A refused set leaves the workflow to static placement.
+	return st.tuner.Reset(variants) == nil
 }
 
 // variantsInto appends the implementation variants task may run as, among

@@ -52,7 +52,7 @@ func TestTransferSecondsAllocFree(t *testing.T) {
 func TestPlaceAllocFree(t *testing.T) {
 	e := stoppedEngine(t, 3, EngineConfig{Policy: PolicyHEFT})
 	ds := e.newDispatchState()
-	st := e.newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{})
+	st := e.newWFState(chainWorkflow(t, 2), "wf0", "default", &Schedule{})
 	e.onSubmit(ds, st)
 	for { // consume the initial ready items; the test re-places by hand
 		item, ok := e.nextFair(ds)
@@ -91,7 +91,7 @@ func TestPlaceAllocFree(t *testing.T) {
 func TestOnReportAllocFree(t *testing.T) {
 	e := stoppedEngine(t, 2, EngineConfig{})
 	ds := e.newDispatchState()
-	st := e.newWFState(chainWorkflow(t, 2), "wf0", "default", &Future{})
+	st := e.newWFState(chainWorkflow(t, 2), "wf0", "default", &Schedule{})
 	e.onSubmit(ds, st)
 	rep := execReport{wf: st, tidx: 0, node: 0, start: 0, end: 0.01, nominal: 0.008}
 	assertAllocs(t, "onReport (software completion)", 0, func() {
@@ -115,17 +115,18 @@ func TestOnReportAllocFree(t *testing.T) {
 }
 
 // TestSubmitWaitAllocBudget pins a steady-state Submit+Wait of a fixed
-// 3-task chain on a started engine. What remains is per-workflow, not per
-// event: the Future, the Schedule and its assignment slice, plus, in
-// adaptive mode, the workflow's tuner and its variant points.
+// 3-task chain on a started engine at what the caller keeps: the Future,
+// which holds the Schedule, and the assignment slice. The workflow record
+// and, in adaptive mode, its tuner are recycled, so neither mode allocates
+// more.
 func TestSubmitWaitAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		what   string
 		cfg    EngineConfig
 		budget float64
 	}{
-		{"Submit+Wait (3-task chain)", EngineConfig{}, 3},
-		{"adaptive Submit+Wait (3-task chain)", EngineConfig{Adaptive: true}, 5},
+		{"Submit+Wait (3-task chain)", EngineConfig{}, 2},
+		{"adaptive Submit+Wait (3-task chain)", EngineConfig{Adaptive: true}, 2},
 	} {
 		e := startEngine(t, testCluster(3), tc.cfg)
 		w := chainWorkflow(t, 3)
@@ -136,6 +137,30 @@ func TestSubmitWaitAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := fut.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		e.Shutdown()
+	}
+}
+
+// TestServeAllocBudget pins Serve into a schedule the caller owns at one
+// allocation, static and adaptive: the assignment slice, which the caller
+// keeps.
+func TestServeAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		what string
+		cfg  EngineConfig
+	}{
+		{"Serve (3-task chain)", EngineConfig{}},
+		{"adaptive Serve (3-task chain)", EngineConfig{Adaptive: true}},
+	} {
+		e := startEngine(t, testCluster(3), tc.cfg)
+		w := chainWorkflow(t, 3)
+		opt := SubmitOptions{Name: "chain", Tenant: "t"}
+		var sched Schedule
+		assertAllocs(t, tc.what, 1, func() {
+			if err := e.Serve(w, opt, &sched); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -127,12 +127,17 @@ type EngineConfig struct {
 // before Start resolves inside Start (or fails in Shutdown of an engine
 // that never started).
 type Future struct {
-	// Written once, before resolved is stored.
+	// Written once, before resolved is stored: sched points at schedule
+	// once the engine has served the workflow, and stays nil for one it
+	// never served.
 	sched *Schedule
 	err   error
 	// resolved publishes sched and err: a Wait on another goroutine that
 	// loads true sees them.
 	resolved atomic.Bool
+	// schedule is the storage the engine serves the workflow into, held
+	// here so that a submission allocates one object for both.
+	schedule Schedule
 
 	// Immutable submission metadata.
 	Name   string
@@ -146,6 +151,12 @@ func (f *Future) Wait() (*Schedule, error) {
 		return nil, fmt.Errorf("runtime: workflow %s not served yet: the engine serves it at Start", f.Name)
 	}
 	return f.sched, f.err
+}
+
+// resolve publishes a served workflow's schedule and error.
+func (f *Future) resolve(err error) {
+	f.sched, f.err = &f.schedule, err
+	f.resolved.Store(true)
 }
 
 // SubmitOptions name a submission and its tenant for fairness accounting.
@@ -335,6 +346,10 @@ func (e *Engine) Start() error {
 	e.life = Serving
 	e.applyScript()
 	e.nodes = e.cluster.Nodes
+	// The monitor is indexed like the node tables: the loop feeds and
+	// reads it by node index. Evidence comes only from served tasks, so
+	// the monitor NewEngine built has none to lose.
+	e.monitor = platform.NewMonitor(e.cluster)
 	e.nodeIdx = make(map[string]int, len(e.nodes))
 	e.queues = make([]*workQueue, len(e.nodes))
 	for i, n := range e.nodes {
@@ -354,10 +369,10 @@ func (e *Engine) Start() error {
 
 // Submit hands a workflow to the engine and returns its result future. The
 // workflow must not be mutated after submission. After Start, Submit serves
-// the workflow to completion on the caller's goroutine and the future comes
-// back resolved. Submissions made before Start queue up and are placed
-// together, fairly across tenants, when the engine starts. After Shutdown
-// it returns ErrShutDown.
+// the workflow to completion on the caller's goroutine, as Serve does, and
+// the future comes back resolved. Submissions made before Start queue up
+// and are placed together, fairly across tenants, when the engine starts.
+// After Shutdown it returns ErrShutDown.
 func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 	if w == nil {
 		return nil, fmt.Errorf("runtime: nil workflow")
@@ -367,23 +382,63 @@ func (e *Engine) Submit(w *Workflow, opt SubmitOptions) (*Future, error) {
 	if err := e.life.Check(Control); err != nil {
 		return nil, err
 	}
+	name, tenant := e.admitNames(opt)
+	fut := &Future{Name: name, Tenant: tenant}
+	if e.ds == nil {
+		st := e.newWFState(w, name, tenant, &fut.schedule)
+		st.fut = fut
+		e.early = append(e.early, st)
+		return fut, nil
+	}
+	fut.resolve(e.serve(w, name, tenant, &fut.schedule))
+	return fut, nil
+}
+
+// Serve serves a workflow to completion on the caller's goroutine and
+// writes its schedule into storage the caller owns: it overwrites *into,
+// with a new assignment slice, and the engine keeps no reference to it
+// once Serve returns. It returns the workflow's error; on one, *into holds
+// the partial schedule served before the failure. The workflow must not be
+// mutated after submission. Serve needs a started engine, and after
+// Shutdown it returns ErrShutDown.
+func (e *Engine) Serve(w *Workflow, opt SubmitOptions, into *Schedule) error {
+	if w == nil || into == nil {
+		return fmt.Errorf("runtime: Serve needs a workflow and a schedule to write")
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.life.Check(Serve); err != nil {
+		return err
+	}
+	name, tenant := e.admitNames(opt)
+	return e.serve(w, name, tenant, into)
+}
+
+// admitNames numbers one submission and fills in its default name and
+// tenant.
+func (e *Engine) admitNames(opt SubmitOptions) (name, tenant string) {
 	e.nextID++
-	name := opt.Name
+	name, tenant = opt.Name, opt.Tenant
 	if name == "" {
 		name = fmt.Sprintf("wf%d", e.nextID)
 	}
-	tenant := opt.Tenant
 	if tenant == "" {
 		tenant = "default"
 	}
-	fut := &Future{Name: name, Tenant: tenant}
-	if e.ds == nil {
-		e.early = append(e.early, e.newWFState(w, name, tenant, fut))
-		return fut, nil
-	}
-	e.onSubmit(e.ds, e.newWFState(w, name, tenant, fut))
+	return name, tenant
+}
+
+// serve is the one serve core of a started engine, run under the serve
+// lock by Serve and by Submit after Start: it admits the workflow into a
+// recycled record that serves it into the caller's schedule, runs the
+// event loop until it drains, and returns the workflow's error. The
+// drained loop has recycled the record, but nothing reuses it before the
+// serve lock is released, so its error is still there to read.
+func (e *Engine) serve(w *Workflow, name, tenant string, into *Schedule) error {
+	st := e.newWFState(w, name, tenant, into)
+	e.onSubmit(e.ds, st)
 	e.runLocal(e.ds)
-	return fut, nil
+	return st.err
 }
 
 // Shutdown refuses further submissions and Apply calls with ErrShutDown.
@@ -417,11 +472,9 @@ func ServeAlone(c *platform.Cluster, cfg EngineConfig, w *Workflow) (*Schedule, 
 		return nil, err
 	}
 	defer e.Shutdown()
-	fut, err := e.Submit(w, SubmitOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return fut.Wait()
+	var sched Schedule
+	err := e.Serve(w, SubmitOptions{}, &sched)
+	return &sched, err
 }
 
 // ---------------------------------------------------------------------------
@@ -460,26 +513,33 @@ type wfState struct {
 	finished   bool
 	tq         int // tenant queue index (assigned at admission)
 
-	// tuner is the per-workflow mARGOt instance (adaptive mode only).
-	tuner *autotuner.Tuner
+	// tuner is the per-workflow mARGOt instance, reseeded for each
+	// workflow the record serves; tuned reports that it holds the current
+	// workflow's seeds (adaptive mode only).
+	tuner autotuner.Tuner
+	tuned bool
 	// variants are the workflow's compiler-derived tuner seeds
 	// (Workflow.SetVariants), read-only; empty means the engine derives
 	// its own.
 	variants []autotuner.Variant
 
+	// sched is the caller's storage the workflow is served into; fut is
+	// the future of a submission queued before Start, resolved by finish.
 	sched *Schedule
 	fut   *Future
+	err   error // the workflow's outcome, set by finish
 
 	// scratch is the CSR fill cursor, reused across recycles.
 	scratch []int32
 }
 
 // newWFState admits one submission of w into a recycled record (a new one
-// when the free list is empty). The workflow's slices are shared, not
-// copied: Submit only ever appends past what this state sees, and no API
-// rewrites a submitted spec in place (Deployment.Stage swaps in a copy),
-// so a caller changing the workflow later cannot race the engine.
-func (e *Engine) newWFState(w *Workflow, name, tenant string, fut *Future) *wfState {
+// when the free list is empty) that serves it into the caller's schedule,
+// which it resets with a new assignment slice. The workflow's slices are
+// shared, not copied: Submit only ever appends past what this state sees,
+// and no API rewrites a submitted spec in place (Deployment.Stage swaps in
+// a copy), so a caller changing the workflow later cannot race the engine.
+func (e *Engine) newWFState(w *Workflow, name, tenant string, into *Schedule) *wfState {
 	var st *wfState
 	if k := len(e.free); k > 0 {
 		st, e.free = e.free[k-1], e.free[:k-1]
@@ -493,8 +553,9 @@ func (e *Engine) newWFState(w *Workflow, name, tenant string, fut *Future) *wfSt
 	st.finished = false
 	st.tq = 0
 	st.variants = w.variants
-	st.sched = &Schedule{Assignments: make([]Assignment, 0, n)}
-	st.fut = fut
+	st.tuned = false
+	*into = Schedule{Assignments: make([]Assignment, 0, n)}
+	st.sched, st.fut, st.err = into, nil, nil
 
 	st.specs, st.depOff, st.depList = w.specs[:n:n], nil, nil
 	if n > 0 { // a zero Workflow has no leading depOff entry
@@ -555,17 +616,18 @@ func growF64(s []float64, n int) []float64 {
 
 // maybeRecycle returns a workflow record to the free list once nothing can
 // reference it anymore: the workflow has finished and no node queue entry
-// or ready item still points at it. The Future keeps its own schedule, so
-// clearing the record's pointers cannot affect a caller holding the handle.
+// or ready item still points at it. The schedule is the caller's, so
+// dropping the record's pointer to it hands it over whole; the tuner's
+// storage stays with the record for the next workflow's Reset.
 func (e *Engine) maybeRecycle(st *wfState) {
 	if !st.finished || st.inflight != 0 || st.queuedRefs != 0 {
 		return
 	}
-	// Drop the workflow's shared slices so the free list does not pin them.
+	// Drop the workflow's shared slices and the caller's storage so the
+	// free list pins neither.
 	st.specs, st.depOff, st.depList = nil, nil, nil
 	st.fut = nil
 	st.sched = nil
-	st.tuner = nil
 	st.variants = nil
 	e.free = append(e.free, st)
 }
@@ -668,13 +730,6 @@ type dispatchState struct {
 	// variant candidate scratch (adaptive placements).
 	variantsBuf []string
 
-	// Cached monitor slowdown estimates per node. The estimate only moves
-	// when onReport feeds a software completion ratio for that node, which
-	// invalidates the cache entry — so place() avoids a by-name map lookup
-	// per candidate node per task.
-	slowEst   []float64
-	slowValid []bool
-
 	// Aggregates feeding the Stats snapshot, maintained incrementally
 	// where the event loop mutates queues/active/nodeFree so publishing a
 	// snapshot is O(1).
@@ -706,8 +761,6 @@ func (e *Engine) newDispatchState() *dispatchState {
 		gCount:      make([]int32, nn),
 		gTouched:    make([]int32, 0, nn),
 		variantsBuf: make([]string, 0, 3),
-		slowEst:     make([]float64, nn),
-		slowValid:   make([]bool, nn),
 	}
 }
 
@@ -843,7 +896,7 @@ func (e *Engine) onSubmit(ds *dispatchState, st *wfState) {
 	ds.active[st] = true
 	ds.pendingTotal += st.pending
 	if e.cfg.Adaptive {
-		st.tuner = e.newWorkflowTuner(st)
+		st.tuned = e.seedTuner(st)
 	}
 	st.tq = ds.tenantQueue(st.tenant)
 	for i := range st.specs {
@@ -895,12 +948,11 @@ func (e *Engine) onReport(ds *dispatchState, rep execReport) {
 	// load, and feeding their raw latencies into the tuner would mix task
 	// sizes into the estimate and double-count node load.
 	dur := rep.end - rep.start
-	e.monitor.RecordTask(nodeName, dur)
+	e.monitor.RecordTask(rep.node, dur)
 	if !rep.onFPGA {
-		e.monitor.ObserveRatio(nodeName, dur, rep.nominal)
-		ds.slowValid[rep.node] = false
+		e.monitor.ObserveRatio(rep.node, dur, rep.nominal)
 	}
-	if st.tuner != nil && rep.variant == VariantFPGA {
+	if st.tuned && rep.variant == VariantFPGA {
 		st.tuner.Observe(rep.variant, dur*1000)
 	}
 	if rep.fellBack {
@@ -965,9 +1017,10 @@ func (e *Engine) finish(ds *dispatchState, st *wfState, err error) {
 	} else {
 		ds.completed++
 	}
-	st.fut.sched = st.sched
-	st.fut.err = err
-	st.fut.resolved.Store(true)
+	st.err = err
+	if st.fut != nil {
+		st.fut.resolve(err)
+	}
 	e.trace(Event{
 		Kind: EventWorkflowDone, Workflow: st.name, Tenant: st.tenant,
 		Time: st.sched.Makespan,
@@ -1029,7 +1082,7 @@ func (e *Engine) place(ds *dispatchState, item readyItem) {
 	st := item.wf
 	tid := item.task
 	task := &st.specs[tid]
-	adaptive := e.cfg.Adaptive && st.tuner != nil
+	adaptive := st.tuned
 
 	// Group dependency outputs by the node holding them: one bulk transfer
 	// per foreign source (one link latency per source instead of one per
@@ -1087,7 +1140,6 @@ func (e *Engine) place(ds *dispatchState, item readyItem) {
 		if free := ds.nodeFree[ni]; free > ready {
 			ready = free
 		}
-		slowdown := -1.0 // monitor estimate, fetched once per node, lazily
 		for _, v := range variants {
 			var est float64
 			if !adaptive {
@@ -1106,14 +1158,7 @@ func (e *Engine) place(ds *dispatchState, item readyItem) {
 				if v == VariantCPU16 {
 					cores = cpu16Cores
 				}
-				if slowdown < 0 {
-					if !ds.slowValid[ni] {
-						ds.slowEst[ni] = e.monitor.SlowdownEstimate(n.Name)
-						ds.slowValid[ni] = true
-					}
-					slowdown = ds.slowEst[ni]
-				}
-				est = n.RunCPU(task.Flops, taskBytes, cores) * slowdown
+				est = n.RunCPU(task.Flops, taskBytes, cores) * e.monitor.SlowdownEstimate(ni)
 			}
 			end := ready + est
 			better := bestNode < 0 || end < bestEnd

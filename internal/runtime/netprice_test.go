@@ -105,11 +105,11 @@ func TestWorkflowVariantsSeedTuner(t *testing.T) {
 		{Name: VariantCPU1, ExpectedMs: 123},
 		{Name: VariantCPU16, ExpectedMs: 7},
 	})
-	st := e.newWFState(w, "wf", "tenant", &Future{})
-	tn := e.newWorkflowTuner(st)
-	if tn == nil {
+	st := e.newWFState(w, "wf", "tenant", &Schedule{})
+	if !e.seedTuner(st) {
 		t.Fatal("no tuner")
 	}
+	tn := &st.tuner
 	if got := tn.Expected(VariantCPU1); got != 123 {
 		t.Fatalf("cpu1 seed = %g, want the compiled 123", got)
 	}
@@ -127,9 +127,8 @@ func TestWorkflowVariantsSeedTuner(t *testing.T) {
 		t.Fatal(err)
 	}
 	w2.SetVariants([]autotuner.Variant{{Name: VariantCPU1, ExpectedMs: -1}})
-	st2 := e.newWFState(w2, "wf2", "tenant", &Future{})
-	tn2 := e.newWorkflowTuner(st2)
-	if tn2 == nil || !tn2.Available(VariantCPU16) {
+	st2 := e.newWFState(w2, "wf2", "tenant", &Schedule{})
+	if !e.seedTuner(st2) || !st2.tuner.Available(VariantCPU16) {
 		t.Fatal("malformed variant set must fall back to derived seeds")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand/v2"
 	"reflect"
 	goruntime "runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -268,4 +270,167 @@ func tqOf(it readyItem) int {
 		return -1
 	}
 	return it.wf.tq
+}
+
+// cloneSchedule deep-copies a schedule, keeping an empty assignment slice
+// non-nil so the copy compares equal to it.
+func cloneSchedule(s *Schedule) Schedule {
+	c := *s
+	c.Assignments = slices.Clone(s.Assignments)
+	return c
+}
+
+// backingEnd identifies a slice's backing array by the address of its last
+// element: slices sharing an array share that address.
+func backingEnd(as []Assignment) *Assignment {
+	if cap(as) == 0 {
+		return nil
+	}
+	return &as[:cap(as)][cap(as)-1]
+}
+
+// TestServeSchedulesAreCallerOwned serves a stream of workflows of several
+// shapes on one adaptive engine, so records and their tuners recycle, each
+// into its own caller-owned schedule, and then a long one that fails
+// because every node dies under it. No later serve may write into an
+// earlier schedule, the failed one included, and no two schedules may
+// share an assignment array.
+func TestServeSchedulesAreCallerOwned(t *testing.T) {
+	const n = 24
+	cfg := EngineConfig{Policy: PolicyHEFT, Adaptive: true}
+	cluster, bs := programmedCluster(t, 2)
+	shapes := []*Workflow{fpgaChain(t, 3, bs.ID), chainWorkflow(t, 2), forkJoinWorkflow(t, 3), chainWorkflow(t, 4)}
+	// serve runs the stream on e, each workflow into a new schedule, and
+	// returns the schedules in the order served.
+	serve := func(e *Engine) []*Schedule {
+		var out []*Schedule
+		for i := range n {
+			s := new(Schedule)
+			if err := e.Serve(shapes[i%len(shapes)], SubmitOptions{Tenant: "t"}, s); err != nil {
+				t.Fatalf("workflow %d: %v", i, err)
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	dry := startEngine(t, cluster, cfg)
+	end := 0.0
+	for _, s := range serve(dry) {
+		end = max(end, s.Makespan)
+	}
+	dry.Shutdown()
+
+	// Both nodes die just after the stream's last completion: the stream
+	// serves as before, and a task running past that time finds no node
+	// left to run on.
+	die := end * (1 + 1e-9)
+	cfg.Failures = []NodeFailure{{Node: nodeName(0), AtTime: die}, {Node: nodeName(1), AtTime: die}}
+	e := startEngine(t, cluster, cfg)
+	defer e.Shutdown()
+	var scheds []*Schedule
+	var copies []Schedule
+	for _, s := range serve(e) {
+		scheds = append(scheds, s)
+		copies = append(copies, cloneSchedule(s))
+	}
+	long := NewWorkflow()
+	if err := long.Submit(TaskSpec{Name: "long", Flops: 1e15, OutputBytes: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	failed := new(Schedule)
+	if err := e.Serve(long, SubmitOptions{Tenant: "t"}, failed); err == nil || !strings.Contains(err.Error(), "no alive node") {
+		t.Fatalf("a workflow running past every node's death: err = %v, want no alive node", err)
+	}
+	scheds, copies = append(scheds, failed), append(copies, cloneSchedule(failed))
+	for range 4 {
+		if err := e.Serve(chainWorkflow(t, 3), SubmitOptions{Tenant: "t"}, new(Schedule)); err == nil {
+			t.Fatal("a workflow served after every node died succeeded")
+		}
+	}
+
+	arrays := map[*Assignment]int{}
+	for i, s := range scheds {
+		if !reflect.DeepEqual(*s, copies[i]) {
+			t.Errorf("schedule %d changed after its Serve returned:\n got  %+v\n want %+v", i, *s, copies[i])
+		}
+		if p := backingEnd(s.Assignments); p != nil {
+			if j, ok := arrays[p]; ok {
+				t.Errorf("schedules %d and %d share an assignment array", j, i)
+			}
+			arrays[p] = i
+		}
+	}
+}
+
+// TestRecycledTunerStartsUndegraded serves an adaptive workflow whose fpga
+// placement falls back to software — a slowed node runs late past an
+// unplug the placement did not see coming — so its tuner learns an fpga
+// drift above 1, then serves the next workflow on the same recycled
+// record: its tuner starts from its seeds, at drift 1.
+func TestRecycledTunerStartsUndegraded(t *testing.T) {
+	cfg := EngineConfig{Policy: PolicyHEFT, Adaptive: true}
+	// degraded is one software task and one independent offload on a
+	// one-node cluster: the offload queues behind the software task.
+	degraded := NewWorkflow()
+	for _, spec := range []TaskSpec{
+		{Name: taskName(0), Flops: 5e11, OutputBytes: 1 << 20, Cores: 1},
+		{Name: taskName(1), Flops: 5e10, InputBytes: 1 << 22, OutputBytes: 1 << 20, Cores: 1,
+			NeedsFPGA: true, BitstreamID: fpgaBitstream().ID},
+	} {
+		if err := degraded.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cluster, bs := programmedCluster(t, 1)
+	pre := doneAt(t, cluster, cfg, degraded, 0)
+	// Node 0 runs 3x slow from the start, which the monitor has not
+	// learned when the offload is placed at the software task's
+	// estimated end, and its device is unplugged between that estimate
+	// and the software task's real end.
+	cfg.Events = []EnvEvent{
+		{Kind: EnvSlowdown, Node: nodeName(0), Factor: 3, At: 0},
+		{Kind: EnvUnplug, Node: nodeName(0), At: 2 * pre},
+	}
+	e := NewEngine(cluster, cfg)
+	var records []*wfState
+	var learned, seeded []float64
+	e.cfg.Trace = func(ev Event) {
+		for st := range e.ds.active {
+			switch {
+			case ev.Kind == EventTaskDone && st.name == "degraded":
+				learned = append(learned, st.tuner.Drift(VariantFPGA))
+				records = append(records, st)
+			case ev.Kind == EventVariant && st.name == "next":
+				seeded = append(seeded, st.tuner.Drift(VariantFPGA))
+				records = append(records, st)
+			}
+		}
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Shutdown()
+	var first, second Schedule
+	if err := e.Serve(degraded, SubmitOptions{Name: "degraded"}, &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Adapt.Fallbacks == 0 || len(learned) == 0 || learned[len(learned)-1] <= 1 {
+		t.Fatalf("first workflow: %d fallbacks, fpga drift %v: want a fallback blowup", first.Adapt.Fallbacks, learned)
+	}
+	if err := e.Serve(fpgaChain(t, 2, bs.ID), SubmitOptions{Name: "next"}, &second); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range records[1:] {
+		if st != records[0] {
+			t.Fatal("the second workflow was not served on the first one's recycled record")
+		}
+	}
+	if len(seeded) == 0 {
+		t.Fatal("the second workflow made no adaptive placement")
+	}
+	for _, d := range seeded {
+		if d != 1 {
+			t.Fatalf("fpga drift of the next workflow = %v, want 1 at every placement", seeded)
+		}
+	}
 }

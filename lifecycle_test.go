@@ -152,6 +152,10 @@ var frontMethods = map[string]lifeEntry{
 	"runtime.Engine.Submit": {refuses, served, func(p *lifeProbe) error {
 		return discard(p.eng.Submit(sdk.SyntheticWorkflow(3), runtime.SubmitOptions{}))
 	}},
+	// fleet.serve serves every routed workflow through it.
+	"runtime.Engine.Serve": {refuses, served, func(p *lifeProbe) error {
+		return p.eng.Serve(sdk.SyntheticWorkflow(3), runtime.SubmitOptions{}, &runtime.Schedule{})
+	}},
 	"runtime.Engine.Apply": {refuses, served, func(p *lifeProbe) error {
 		return p.eng.Apply(runtime.EnvEvent{Kind: runtime.EnvUnplug, Node: "node00", At: 1})
 	}},

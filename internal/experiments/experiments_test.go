@@ -1,14 +1,40 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsRun executes every experiment and checks that each
-// produces a non-empty table.
+// tableDigests pins every experiment's printed table: the first 16 hex
+// digits of the sha256 of its String(). A change that moves a table
+// re-records its digest here and says why.
+var tableDigests = map[string]string{
+	"E1":  "10ad38c62034b714",
+	"E2":  "529e2f154aca1358",
+	"E3":  "fe2830af3b03cfc4",
+	"E4":  "4da32d4002c471db",
+	"E5":  "f44b3044926033a6",
+	"E6":  "253120dd42d1648c",
+	"E7":  "c824552898096cb0",
+	"E8":  "7bdbb101413f943c",
+	"E9":  "2b080c4ba9915a81",
+	"E10": "236a7a8945d32ffa",
+	"E11": "287a7c35159f5636",
+	"E12": "5bcfbae640a95573",
+	"E13": "58a330ff70c4f966",
+	"E14": "e9aaf43741fb7c75",
+}
+
+// TestAllExperimentsRun executes every experiment, checks that each
+// produces a non-empty table, and holds each table to its pinned digest.
 func TestAllExperimentsRun(t *testing.T) {
-	for i, exp := range All() {
+	exps := All()
+	if len(exps) != len(tableDigests) {
+		t.Fatalf("%d experiments, %d pinned digests", len(exps), len(tableDigests))
+	}
+	for i, exp := range exps {
 		tab, err := exp()
 		if err != nil {
 			t.Fatalf("experiment %d (%s): %v", i+1, tab.ID, err)
@@ -16,8 +42,12 @@ func TestAllExperimentsRun(t *testing.T) {
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s produced no rows", tab.ID)
 		}
-		if !strings.Contains(tab.String(), tab.ID) {
+		out := tab.String()
+		if !strings.Contains(out, tab.ID) {
 			t.Errorf("%s: String() must include the experiment ID", tab.ID)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out)))[:16]; got != tableDigests[tab.ID] {
+			t.Errorf("%s table digest %s, want %s", tab.ID, got, tableDigests[tab.ID])
 		}
 	}
 }

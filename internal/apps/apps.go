@@ -205,11 +205,3 @@ func (s *Suite) Bitstreams() []platform.Bitstream {
 	return out
 }
 
-// AppNames returns the suite's application names in serving order.
-func (s *Suite) AppNames() []string {
-	out := make([]string, len(s.Apps))
-	for i, a := range s.Apps {
-		out[i] = a.Name
-	}
-	return out
-}

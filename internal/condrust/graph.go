@@ -2,7 +2,6 @@ package condrust
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"everest/internal/mlir"
@@ -227,26 +226,3 @@ func (g *Graph) EmitDFG() (*mlir.Module, error) {
 
 // CriticalPathLen returns the number of stages (the depth of the graph).
 func (g *Graph) CriticalPathLen() int { return len(g.Stages()) }
-
-// NodeNames returns all bound names in definition order.
-func (g *Graph) NodeNames() []string {
-	names := make([]string, len(g.Nodes))
-	for i, n := range g.Nodes {
-		names[i] = n.Name
-	}
-	return names
-}
-
-// SortedFunctions returns the distinct actor function names, sorted.
-func (g *Graph) SortedFunctions() []string {
-	set := make(map[string]bool)
-	for _, n := range g.Nodes {
-		set[n.Fn] = true
-	}
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -16,7 +16,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 	"unique"
 )
 
@@ -60,33 +59,9 @@ type Part struct {
 // per lookup.
 func Intern(r Ref) Part { return Part{Ref: r, ID: unique.Make(r.Key())} }
 
-func (r Ref) String() string {
-	return fmt.Sprintf("%s#%d(%dB)", r.Name, r.Partition, r.Bytes)
-}
-
 // Single returns the whole dataset as its only partition.
 func Single(name string, bytes int64) Ref {
 	return Ref{Name: name, Partition: 0, Bytes: bytes}
-}
-
-// Partitioned splits a dataset of total bytes into n equal partitions,
-// spreading any remainder one byte each over the first partitions so the
-// sum is exact and the split deterministic.
-func Partitioned(name string, total int64, n int) []Ref {
-	if n < 1 {
-		n = 1
-	}
-	each := total / int64(n)
-	rem := total % int64(n)
-	refs := make([]Ref, n)
-	for i := range refs {
-		b := each
-		if int64(i) < rem {
-			b++
-		}
-		refs[i] = Ref{Name: name, Partition: i, Bytes: b}
-	}
-	return refs
 }
 
 // Sum returns the total modelled bytes across refs.
@@ -183,12 +158,6 @@ func NewStore(capacity int64, slots int) *Store {
 	return s
 }
 
-// Capacity returns the byte bound (0 = unbounded).
-func (s *Store) Capacity() int64 { return s.capacity }
-
-// Resident returns the bytes currently held.
-func (s *Store) Resident() int64 { return s.bytes }
-
 // Len returns the number of resident partitions.
 func (s *Store) Len() int { return len(s.resident) }
 
@@ -284,15 +253,6 @@ func listed(parts []Part, id ID) bool {
 		}
 	}
 	return false
-}
-
-// Version returns the lineage record of a resident partition.
-func (s *Store) Version(id ID) (Version, bool) {
-	e, ok := s.resident[id]
-	if !ok {
-		return Version{}, false
-	}
-	return e.ver, true
 }
 
 // Publish admits a version, evicting least-recently-used parts if a bound
@@ -397,17 +357,6 @@ func (s *Store) Evict(id ID) bool {
 		s.unlink(e)
 	}
 	return ok
-}
-
-// Keys returns the resident partition keys rendered in sorted order
-// (tests and state digests).
-func (s *Store) Keys() []string {
-	keys := make([]string, 0, len(s.resident))
-	for k := range s.resident {
-		keys = append(keys, k.Value().String())
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Catalog is the set of partitions known to a serving tier: placed or

@@ -3,33 +3,30 @@ package dataset
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"testing"
 )
 
 // id interns r's key, as a serving tier does where r enters it.
 func id(r Ref) ID { return Intern(r).ID }
 
-func TestPartitioned(t *testing.T) {
-	refs := Partitioned("pts", 10, 3)
-	if len(refs) != 3 {
-		t.Fatalf("got %d partitions, want 3", len(refs))
+// version returns the lineage record of a resident partition.
+func version(s *Store, id ID) (Version, bool) {
+	e, ok := s.resident[id]
+	if !ok {
+		return Version{}, false
 	}
-	// 10 bytes over 3 partitions: the remainder spreads over the first.
-	want := []int64{4, 3, 3}
-	for i, r := range refs {
-		if r.Name != "pts" || r.Partition != i {
-			t.Errorf("partition %d: got %v", i, r)
-		}
-		if r.Bytes != want[i] {
-			t.Errorf("partition %d: %d bytes, want %d", i, r.Bytes, want[i])
-		}
+	return e.ver, true
+}
+
+// keys returns the resident partition keys rendered in sorted order.
+func keys(s *Store) []string {
+	keys := make([]string, 0, len(s.resident))
+	for k := range s.resident {
+		keys = append(keys, k.Value().String())
 	}
-	if Sum(refs) != 10 {
-		t.Errorf("Sum = %d, want 10", Sum(refs))
-	}
-	if got := Partitioned("x", 5, 0); len(got) != 1 || got[0].Bytes != 5 {
-		t.Errorf("Partitioned with 0 shards = %v, want one whole ref", got)
-	}
+	sort.Strings(keys)
+	return keys
 }
 
 func TestKeyString(t *testing.T) {
@@ -92,8 +89,8 @@ func TestCatalogKnown(t *testing.T) {
 
 func TestStoreLRUEviction(t *testing.T) {
 	s := NewStore(100, 0)
-	if s.Capacity() != 100 {
-		t.Fatalf("Capacity = %d", s.Capacity())
+	if s.capacity != 100 {
+		t.Fatalf("Capacity = %d", s.capacity)
 	}
 	a := Ref{Name: "a", Bytes: 40}
 	b := Ref{Name: "b", Bytes: 40}
@@ -108,8 +105,8 @@ func TestStoreLRUEviction(t *testing.T) {
 	if !s.Holds(id(b)) || !s.Holds(id(c)) {
 		t.Error("b or c missing after eviction")
 	}
-	if s.Resident() != 80 || s.Len() != 2 {
-		t.Errorf("Resident=%d Len=%d, want 80/2", s.Resident(), s.Len())
+	if s.bytes != 80 || s.Len() != 2 {
+		t.Errorf("Resident=%d Len=%d, want 80/2", s.bytes, s.Len())
 	}
 	// Touching b (Contains counts as use) protects it from the next evict.
 	if !s.Contains(id(b)) {
@@ -220,11 +217,11 @@ func TestStoreStage(t *testing.T) {
 	}) {
 		t.Fatalf("fetches = %+v\nwant %+v", got, want)
 	}
-	if v, ok := s.Version(id(c)); !ok || v.Time != 15 || v.Workflow != "wf" || v.Task != "(fetch)" {
+	if v, ok := version(s, id(c)); !ok || v.Time != 15 || v.Workflow != "wf" || v.Task != "(fetch)" {
 		t.Errorf("c's version = %+v/%v, want published at 15 s by wf", v, ok)
 	}
 	if s.Holds(id(d)) || !s.Holds(id(b)) || s.Len() != 2 {
-		t.Errorf("resident %v, want [b c]", s.Keys())
+		t.Errorf("resident %v, want [b c]", keys(s))
 	}
 	if st := s.Stats(); st.Hits != 2 || st.Misses != 3 || st.Evictions != 1 {
 		t.Errorf("stats %+v, want 2 hits (a, then b), 3 misses (b, d, c), 1 eviction", st)
@@ -237,16 +234,16 @@ func TestStoreLineageTieBreak(t *testing.T) {
 	s.Publish(Version{Ref: r, ID: id(r), Time: 2, Workflow: "wfB", Task: "t"})
 	// An older publish must not supersede the resident version.
 	s.Publish(Version{Ref: r, ID: id(r), Time: 1, Workflow: "wfZ", Task: "t"})
-	if v, ok := s.Version(id(r)); !ok || v.Workflow != "wfB" {
+	if v, ok := version(s, id(r)); !ok || v.Workflow != "wfB" {
 		t.Errorf("older publish superseded: %+v", v)
 	}
 	// Same time: the higher workflow id wins, deterministically.
 	s.Publish(Version{Ref: r, ID: id(r), Time: 2, Workflow: "wfC", Task: "t"})
-	if v, _ := s.Version(id(r)); v.Workflow != "wfC" {
+	if v, _ := version(s, id(r)); v.Workflow != "wfC" {
 		t.Errorf("tie-break ignored workflow id: %+v", v)
 	}
 	s.Publish(Version{Ref: r, ID: id(r), Time: 2, Workflow: "wfA", Task: "t"})
-	if v, _ := s.Version(id(r)); v.Workflow != "wfC" {
+	if v, _ := version(s, id(r)); v.Workflow != "wfC" {
 		t.Errorf("lower workflow id superseded: %+v", v)
 	}
 	if sup := s.Stats().Superseded; sup != 1 {
@@ -271,25 +268,6 @@ func TestSupersedes(t *testing.T) {
 		if got := Supersedes(c.a, base); got != c.want {
 			t.Errorf("case %d: Supersedes(%+v) = %v, want %v", i, c.a, got, c.want)
 		}
-	}
-}
-
-func TestStoreKeysSorted(t *testing.T) {
-	s := NewStore(0, 0)
-	for _, n := range []string{"c", "a", "b"} {
-		for p := 1; p >= 0; p-- {
-			r := Ref{Name: n, Partition: p, Bytes: 1}
-			s.Publish(Version{Ref: r, ID: id(r), Time: 1})
-		}
-	}
-	keys := s.Keys()
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("Keys() not sorted: %v before %v", keys[i-1], keys[i])
-		}
-	}
-	if len(keys) != 6 {
-		t.Fatalf("len(Keys()) = %d, want 6", len(keys))
 	}
 }
 
@@ -352,12 +330,12 @@ func TestHoldsByKey(t *testing.T) {
 
 func ExampleStore() {
 	s := NewStore(128, 0)
-	for p, r := range Partitioned("points", 96, 3) {
-		part := Intern(r) // once, where the partition enters the system
+	for p := range 3 {
+		part := Intern(Ref{Name: "points", Partition: p, Bytes: 32}) // once, where the partition enters the system
 		s.Publish(Version{Ref: part.Ref, ID: part.ID, Time: float64(p), Workflow: "ingest"})
 	}
 	probe := Intern(Ref{Name: "points", Partition: 1, Bytes: 32})
 	wan := func(p Part, _ float64) (float64, bool) { return float64(p.Ref.Bytes) / 1e9, true }
-	fmt.Println(s.Len(), s.Resident(), s.Estimate([]Part{probe}, 0, wan))
-	// Output: 3 96 0
+	fmt.Println(s.Len(), s.Estimate([]Part{probe}, 0, wan))
+	// Output: 3 0
 }

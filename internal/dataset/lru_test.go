@@ -386,18 +386,18 @@ func FuzzStoreLRU(f *testing.F) {
 			if g, w := got.Stats(), want.stats; g != w {
 				t.Fatalf("op %d: Stats = %+v, want %+v", i, g, w)
 			}
-			if g, w := got.Resident(), want.bytes; g != w {
+			if g, w := got.bytes, want.bytes; g != w {
 				t.Fatalf("op %d: Resident = %d, want %d", i, g, w)
 			}
 			if g, w := got.Len(), len(want.resident); g != w {
 				t.Fatalf("op %d: Len = %d, want %d", i, g, w)
 			}
-			if g, w := got.Keys(), want.Keys(); !slices.Equal(g, w) {
+			if g, w := keys(got), want.Keys(); !slices.Equal(g, w) {
 				t.Fatalf("op %d: Keys = %v, want %v", i, g, w)
 			}
 			for sel := byte(0); sel < 16; sel++ {
 				r := fuzzRef(sel, 0)
-				gv, gok := got.Version(id(r))
+				gv, gok := version(got, id(r))
 				wv, wok := want.Version(r)
 				if gv != wv || gok != wok {
 					t.Fatalf("op %d: Version(%v) = %+v/%v, want %+v/%v", i, r.Key(), gv, gok, wv, wok)

@@ -37,7 +37,7 @@ func TestRouteAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := dataset.Partitioned("points", 1<<24, 2)
+	refs := partitions("points", 1<<23, 2)
 	if err := f.PlaceDataset(0, 0, refs...); err != nil {
 		t.Fatal(err)
 	}

@@ -62,17 +62,6 @@ func (f *Fleet) PlaceDataset(i int, at float64, refs ...dataset.Ref) error {
 	return nil
 }
 
-// DatasetResident reports whether site i currently holds the partition
-// (tests and scenario assertions; does not perturb LRU order).
-func (f *Fleet) DatasetResident(i int, r dataset.Ref) bool {
-	if i < 0 || i >= len(f.sites) {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.sites[i].dstore.Holds(dataset.Intern(r).ID)
-}
-
 // fetchData stages the workflow's known reads (w.reads, the set Submit
 // filtered through the catalog) that the site does not hold over the
 // registry fabric, one after another, admitting the fetched copies into

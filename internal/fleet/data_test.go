@@ -18,6 +18,24 @@ import (
 
 // dataWorkflow is a single software task reading the given partitions and
 // writing the given outputs.
+// resident reports whether site i's store holds the partition.
+func resident(f *Fleet, i int, r dataset.Ref) bool {
+	return f.sites[i].dstore.Holds(dataset.Intern(r).ID)
+}
+
+// partitions returns n partitions of name, each of the given size.
+func partitions(name string, bytes int64, n int) []dataset.Ref {
+	refs := make([]dataset.Ref, n)
+	for i := range refs {
+		refs[i] = dataset.Ref{Name: name, Partition: i, Bytes: bytes}
+	}
+	return refs
+}
+
+// warmDeploys and guaranteedDone read one site's counter for sum.
+func warmDeploys(s SiteStats) int    { return s.WarmDeploys }
+func guaranteedDone(s SiteStats) int { return s.Guaranteed }
+
 func dataWorkflow(reads, writes []dataset.Ref) *runtime.Workflow {
 	w := runtime.NewWorkflow()
 	if err := w.Submit(runtime.TaskSpec{
@@ -92,7 +110,7 @@ func TestPlacementBlindFetches(t *testing.T) {
 		t.Fatalf("fetch = %g/%dB, want %g/%dB", res.Fetch, res.FetchedBytes, want, ref.Bytes)
 	}
 	// The staged copy is admitted: the serving site now holds it too.
-	if !f.DatasetResident(0, ref) || !f.DatasetResident(2, ref) {
+	if !resident(f, 0, ref) || !resident(f, 2, ref) {
 		t.Fatal("fetched copy not resident at the serving site")
 	}
 	st := f.Stats()
@@ -132,7 +150,7 @@ func TestCrossWorkflowDatasetReuse(t *testing.T) {
 	if _, err := fmt.Sscanf(res.Site, "site%02d", &home); err != nil {
 		t.Fatal(err)
 	}
-	if !f.DatasetResident(home, out) {
+	if !resident(f, home, out) {
 		t.Fatal("published output not resident at the producing site")
 	}
 	// Consumer from a different tenant: data gravity must pull it to the
@@ -544,10 +562,11 @@ func TestDataCountersMatchTrace(t *testing.T) {
 	}
 }
 
-// TestLineageDeterminism is the PR-10 determinism satellite: two
-// concurrent workflows publish the same dataset name, and the resident
-// version must resolve by the (time, workflow id, task) tie-break — with
-// the full fleet trace byte-identical across GOMAXPROCS widths.
+// TestLineageDeterminism: two concurrent workflows publish the same
+// dataset name, and the full fleet trace, which orders the publishes, is
+// byte-identical across GOMAXPROCS widths. The dataset store's tests pin
+// the (time, workflow id, task) tie-break that picks the resident
+// version.
 func TestLineageDeterminism(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
@@ -573,17 +592,9 @@ func TestLineageDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		f.mu.Lock()
-		v, ok := f.sites[0].dstore.Version(dataset.Intern(model).ID)
-		f.mu.Unlock()
-		if !ok {
+		if !resident(f, 0, model) {
 			t.Fatal("model not resident")
 		}
-		// Both writers complete at distinct modelled times; the later
-		// completion owns the name. With equal times the higher workflow id
-		// (trainB) would win — either way the outcome is a pure function of
-		// (time, workflow, task).
-		fmt.Fprintf(&buf, "version %s %s %.9f\n", v.Workflow, v.Task, v.Time)
 		f.Shutdown()
 		return buf.Bytes()
 	}
@@ -607,16 +618,16 @@ func atGOMAXPROCS(n int, fn func() []byte) []byte {
 func TestDatasetStoreBounded(t *testing.T) {
 	f := newTestFleet(t, platform.NewRegistry(), Config{Sites: 1, DatasetStoreBytes: 2 << 20})
 	defer f.Shutdown()
-	refs := dataset.Partitioned("pts", 3<<20, 3) // 3 MiB over a 2 MiB store
+	refs := partitions("pts", 1<<20, 3) // 3 MiB over a 2 MiB store
 	for _, r := range refs {
 		if err := f.PlaceDataset(0, 0, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if f.DatasetResident(0, refs[0]) {
+	if resident(f, 0, refs[0]) {
 		t.Fatal("oldest partition survived past the store bound")
 	}
-	if !f.DatasetResident(0, refs[2]) {
+	if !resident(f, 0, refs[2]) {
 		t.Fatal("newest partition missing")
 	}
 	st := f.Stats()

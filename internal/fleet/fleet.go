@@ -319,17 +319,11 @@ func (st Stats) Evictions() int { return sum(st, func(s SiteStats) int { return 
 // Redeploys sums eviction- or fault-triggered redeploys across sites.
 func (st Stats) Redeploys() int { return sum(st, func(s SiteStats) int { return s.Redeploys }) }
 
-// Guaranteed sums guaranteed-class completions across sites.
-func (st Stats) Guaranteed() int { return sum(st, func(s SiteStats) int { return s.Guaranteed }) }
-
 // BoundViolations sums guaranteed completions that missed their proven
 // bound across sites — zero whenever the admission math is sound.
 func (st Stats) BoundViolations() int {
 	return sum(st, func(s SiteStats) int { return s.BoundViolations })
 }
-
-// WarmDeploys sums prefetch-staged bitstream deploys across sites.
-func (st Stats) WarmDeploys() int { return sum(st, func(s SiteStats) int { return s.WarmDeploys }) }
 
 // DatasetHits sums serve-time dataset residency hits across sites.
 func (st Stats) DatasetHits() int { return sum(st, func(s SiteStats) int { return s.DatasetHits }) }

@@ -62,8 +62,8 @@ func TestGuaranteedAdmitAndSettle(t *testing.T) {
 		t.Fatalf("latency %g exceeds proven bound %g", res.Latency, res.Bound)
 	}
 	st := f.Stats()
-	if st.Guaranteed() != 1 || st.BoundViolations() != 0 {
-		t.Fatalf("guaranteed/violations = %d/%d, want 1/0", st.Guaranteed(), st.BoundViolations())
+	if sum(st, guaranteedDone) != 1 || st.BoundViolations() != 0 {
+		t.Fatalf("guaranteed/violations = %d/%d, want 1/0", sum(st, guaranteedDone), st.BoundViolations())
 	}
 }
 

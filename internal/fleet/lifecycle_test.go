@@ -118,11 +118,11 @@ func TestShutdownRacesMutators(t *testing.T) {
 	race(&place, func(i int) error {
 		return f.PlaceDataset(i%2, 0, dataset.Ref{Name: fmt.Sprintf("place-%d", i), Bytes: 1 << 10})
 	})
-	warmDeploys := 0 // accepted Warms that staged a bitstream
+	warmed := 0 // accepted Warms that staged a bitstream
 	race(&warm, func(i int) error {
 		_, dt, err := f.Warm(fmt.Sprintf("warm-%d", i%warmIDs), float64(i))
 		if err == nil && dt > 0 {
-			warmDeploys++
+			warmed++
 		}
 		return err
 	})
@@ -154,16 +154,16 @@ func TestShutdownRacesMutators(t *testing.T) {
 		t.Error("the refused Publish wrote the registry")
 	}
 	for _, i := range place.accepted {
-		if !f.DatasetResident(i%2, dataset.Ref{Name: fmt.Sprintf("place-%d", i), Bytes: 1 << 10}) {
+		if !resident(f, i%2, dataset.Ref{Name: fmt.Sprintf("place-%d", i), Bytes: 1 << 10}) {
 			t.Errorf("accepted PlaceDataset %d is not resident", i)
 		}
 	}
-	if i := len(place.accepted); f.DatasetResident(i%2, dataset.Ref{Name: fmt.Sprintf("place-%d", i), Bytes: 1 << 10}) {
+	if i := len(place.accepted); resident(f, i%2, dataset.Ref{Name: fmt.Sprintf("place-%d", i), Bytes: 1 << 10}) {
 		t.Error("the refused PlaceDataset published its partition")
 	}
-	if got := final.WarmDeploys() - base.WarmDeploys(); got != warmDeploys || traced[EventWarm] != got {
+	if got := sum(final, warmDeploys) - sum(base, warmDeploys); got != warmed || traced[EventWarm] != got {
 		t.Errorf("%d warm deploys and %d warm events, want the %d accepted Warms that staged",
-			got, traced[EventWarm], warmDeploys)
+			got, traced[EventWarm], warmed)
 	}
 	if got := final.Submitted - base.Submitted; got != len(submit.accepted) || traced[EventRoute] != got {
 		t.Errorf("%d submitted and %d routed, want %d accepted Submits", got, traced[EventRoute], len(submit.accepted))

@@ -3,10 +3,10 @@ package fleet
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
+	"everest/internal/dataset"
 	"everest/internal/hls"
 	"everest/internal/platform"
 )
@@ -93,9 +93,9 @@ func TestResidencyCountersMatchTrace(t *testing.T) {
 		at = res.Completion
 	}
 	st := f.Stats()
-	if st.Evictions() == 0 || st.Redeploys() == 0 || st.WarmDeploys() == 0 || st.CacheHits() == 0 {
+	if st.Evictions() == 0 || st.Redeploys() == 0 || sum(st, warmDeploys) == 0 || st.CacheHits() == 0 {
 		t.Fatalf("hits %d, evictions %d, redeploys %d, warms %d: want residency churn",
-			st.CacheHits(), st.Evictions(), st.Redeploys(), st.WarmDeploys())
+			st.CacheHits(), st.Evictions(), st.Redeploys(), sum(st, warmDeploys))
 	}
 	for _, c := range []struct {
 		kind EventKind
@@ -103,7 +103,7 @@ func TestResidencyCountersMatchTrace(t *testing.T) {
 	}{
 		{EventCacheHit, st.CacheHits()}, {EventCacheMiss, st.CacheMisses()},
 		{EventEvict, st.Evictions()}, {EventRedeploy, st.Redeploys()},
-		{EventWarm, st.WarmDeploys()},
+		{EventWarm, sum(st, warmDeploys)},
 	} {
 		if counts[c.kind] != c.n {
 			t.Errorf("%d %v events, counter reads %d", counts[c.kind], c.kind, c.n)
@@ -406,7 +406,7 @@ func checkOneRecord(t *testing.T, op int, s *site, ref *refSite) {
 	t.Helper()
 	var want []string
 	for id, sl := range ref.cache.m {
-		want = append(want, id+"#0")
+		want = append(want, id)
 		for _, n := range s.cluster.Nodes {
 			dev, region, ok := n.Holding(id)
 			if mine := n == sl.node; ok != mine || (mine && (dev != sl.dev || region != sl.region)) {
@@ -432,8 +432,12 @@ func checkOneRecord(t *testing.T, op int, s *site, ref *refSite) {
 	if occupied != len(ref.cache.m) {
 		t.Fatalf("op %d: %d slots programmed, reference holds %d bitstreams", op, occupied, len(ref.cache.m))
 	}
-	sort.Strings(want)
-	if got := s.bstore.Keys(); !slices.Equal(got, want) {
-		t.Fatalf("op %d: site store holds %v, want %v", op, got, want)
+	for _, id := range want {
+		if !s.bstore.Holds(dataset.Intern(dataset.Ref{Name: id}).ID) {
+			t.Fatalf("op %d: site store lacks %s", op, id)
+		}
+	}
+	if s.bstore.Len() != len(want) {
+		t.Fatalf("op %d: site store holds %d bitstreams, want %d", op, s.bstore.Len(), len(want))
 	}
 }

@@ -32,8 +32,8 @@ func TestWarmStagesAndIsIdempotent(t *testing.T) {
 		t.Fatalf("re-warm = (site %d, %g), want resident no-op on site %d", site2, dt2, site)
 	}
 	st := f.Stats()
-	if st.WarmDeploys() != 1 {
-		t.Fatalf("WarmDeploys = %d, want 1", st.WarmDeploys())
+	if sum(st, warmDeploys) != 1 {
+		t.Fatalf("WarmDeploys = %d, want 1", sum(st, warmDeploys))
 	}
 	if st.Sites[site].WarmSeconds != dt {
 		t.Fatalf("WarmSeconds = %g, want %g", st.Sites[site].WarmSeconds, dt)
@@ -200,7 +200,7 @@ func TestControlCallsRefuseAfterShutdown(t *testing.T) {
 	if traced != events {
 		t.Errorf("control calls after Shutdown traced %d events, want 0", traced-events)
 	}
-	if f.DatasetResident(1, dataset.Ref{Name: "late", Bytes: 1 << 20}) {
+	if resident(f, 1, dataset.Ref{Name: "late", Bytes: 1 << 20}) {
 		t.Error("PlaceDataset after Shutdown published the partition")
 	}
 }

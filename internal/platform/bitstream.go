@@ -2,7 +2,6 @@ package platform
 
 import (
 	"fmt"
-	"sort"
 
 	"everest/internal/hls"
 )
@@ -166,14 +165,4 @@ func (r *Registry) Entry(id string) (*Entry, error) {
 // catalog retains the authoritative copy.
 func (r *Registry) Delete(id string) {
 	delete(r.m, id)
-}
-
-// IDs returns all stored bitstream IDs, sorted.
-func (r *Registry) IDs() []string {
-	ids := make([]string, 0, len(r.m))
-	for id := range r.m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

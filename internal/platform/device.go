@@ -28,13 +28,6 @@ const (
 	NetworkAttached
 )
 
-func (a Attachment) String() string {
-	if a == NetworkAttached {
-		return "network"
-	}
-	return "pcie"
-}
-
 // MemorySpec describes one device memory system.
 type MemorySpec struct {
 	Kind          string  // "hbm2", "ddr4"
@@ -43,14 +36,6 @@ type MemorySpec struct {
 	LatencyNs     float64 // access latency
 	SizeBytes     int64
 	PortWidthBits int // AXI port width per channel
-}
-
-// ChannelBandwidthGBs returns the per-channel share of the peak bandwidth.
-func (m MemorySpec) ChannelBandwidthGBs() float64 {
-	if m.Channels == 0 {
-		return m.BandwidthGBs
-	}
-	return m.BandwidthGBs / float64(m.Channels)
 }
 
 // LinkSpec describes a host or network link.
@@ -83,10 +68,6 @@ type Device struct {
 	// several streaming kernels resident and swap only the one that
 	// changes.
 	PRRegions int
-}
-
-func (d *Device) String() string {
-	return fmt.Sprintf("%s (%s, %s)", d.Name, d.Attachment, d.Memory.Kind)
 }
 
 // ReconfigSeconds is the modelled bitstream configuration latency of the

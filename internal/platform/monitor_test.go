@@ -31,8 +31,8 @@ func TestNodeConditionState(t *testing.T) {
 		t.Fatal("RunCPU must stay nominal under load")
 	}
 	n.SetSlowdown(0.25, 2.0) // clamps to 1
-	if n.Slowdown() != 1 {
-		t.Fatalf("slowdown below 1 must clamp, got %g", n.Slowdown())
+	if n.SlowdownAt(math.Inf(1)) != 1 {
+		t.Fatalf("slowdown below 1 must clamp, got %g", n.SlowdownAt(math.Inf(1)))
 	}
 
 	if !n.DeviceOnline(0) {
@@ -61,7 +61,7 @@ func TestNodeConditionState(t *testing.T) {
 	}
 	n.SetSlowdown(4, 0)
 	n.Reset()
-	if n.Slowdown() != 1 || !n.DeviceOnline(0) {
+	if n.SlowdownAt(math.Inf(1)) != 1 || !n.DeviceOnline(0) {
 		t.Fatal("Reset must clear slowdown and reattach devices")
 	}
 }
@@ -92,7 +92,7 @@ func TestConditionTimelineMonotonicClamp(t *testing.T) {
 
 	n.SetSlowdown(6, 2.0)
 	n.SetSlowdown(1, 0.5) // restore stamped before the fault: clamps to 2.0
-	if got := n.Slowdown(); got != 1 {
+	if got := n.SlowdownAt(math.Inf(1)); got != 1 {
 		t.Fatalf("restore must win: latest slowdown %g, want 1", got)
 	}
 	if got := n.SlowdownAt(1.0); got != 1 {

@@ -337,11 +337,6 @@ func (n *Node) SlowdownAt(t float64) float64 {
 	return condAt(n.slowHist, t, 1)
 }
 
-// Slowdown returns the most recently set CPU load multiplier.
-func (n *Node) Slowdown() float64 {
-	return n.SlowdownAt(maxModelledTime)
-}
-
 // maxModelledTime queries a condition timeline's latest state.
 const maxModelledTime = 1e300
 
@@ -456,14 +451,6 @@ func (c *Cluster) FindNode(name string) *Node {
 		}
 	}
 	return nil
-}
-
-// TransferSeconds models moving bytes between two nodes.
-func (c *Cluster) TransferSeconds(from, to string, bytes int64) float64 {
-	if from == to {
-		return 0
-	}
-	return c.Network.TransferSeconds(bytes)
 }
 
 // BatchTransferSeconds models moving the coalesced outputs of `deps`

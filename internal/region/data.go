@@ -23,44 +23,6 @@ import (
 // reaches both that fleet's site store (fleet publishOutputs) and the
 // region store (publishData), so a later serve pays neither fabric.
 
-// PlaceDataset seeds partitions into region r's store at modelled time
-// at — the ingest step a federation scenario runs before serving. The
-// partitions become known federation-wide, so routing prices their
-// locality from then on. Placement is free (ingest plane, not WAN). It
-// is legal before Start; after Shutdown it returns runtime.ErrShutDown
-// and places nothing.
-func (f *Federation) PlaceDataset(r int, at float64, refs ...dataset.Ref) error {
-	if r < 0 || r >= len(f.regions) {
-		return fmt.Errorf("region: region %d outside [0, %d)", r, len(f.regions))
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if err := f.life.Check(runtime.Control); err != nil {
-		return err
-	}
-	reg := f.regions[r]
-	for _, ref := range refs {
-		p := dataset.Intern(ref)
-		reg.dstore.Publish(dataset.Version{
-			Ref: ref, ID: p.ID, Time: at, Workflow: "(placed)", Task: "(placed)",
-		})
-		reg.stats.DataPublished++
-		f.dataCat.Add(p.ID)
-	}
-	return nil
-}
-
-// DatasetResident reports whether region r's store currently holds the
-// partition (tests and scenario assertions; no LRU perturbation).
-func (f *Federation) DatasetResident(r int, ref dataset.Ref) bool {
-	if r < 0 || r >= len(f.regions) {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.regions[r].dstore.Holds(dataset.Intern(ref).ID)
-}
-
 // ensureData stages every known read region r's store is missing,
 // WAN-fetching one after another from at, and returns the total modelled
 // stall. A partitioned region skips the fetch (the serve proceeds on what

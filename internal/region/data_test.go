@@ -22,6 +22,22 @@ func dataWorkflow(reads, writes []dataset.Ref) *runtime.Workflow {
 	return w
 }
 
+// place seeds partitions into region r's store and the federation
+// catalog at time 0, the ingest a region scenario runs before serving.
+func place(f *Federation, r int, refs ...dataset.Ref) {
+	for _, ref := range refs {
+		p := dataset.Intern(ref)
+		f.regions[r].dstore.Publish(dataset.Version{Ref: ref, ID: p.ID, Workflow: "(placed)", Task: "(placed)"})
+		f.regions[r].stats.DataPublished++
+		f.dataCat.Add(p.ID)
+	}
+}
+
+// resident reports whether region r's store holds the partition.
+func resident(f *Federation, r int, ref dataset.Ref) bool {
+	return f.regions[r].dstore.Holds(dataset.Intern(ref).ID)
+}
+
 func submitData(t *testing.T, f *Federation, req Request) Result {
 	t.Helper()
 	h, err := f.SubmitAt(req)
@@ -43,10 +59,8 @@ func TestRegionDatasetLocalityRouting(t *testing.T) {
 	f := newTestFed(t, platform.NewRegistry(), Config{Regions: 2})
 	defer f.Shutdown()
 	part := dataset.Ref{Name: "train/points", Bytes: 1 << 30}
-	if err := f.PlaceDataset(1, 0, part); err != nil {
-		t.Fatal(err)
-	}
-	if !f.DatasetResident(1, part) || f.DatasetResident(0, part) {
+	place(f, 1, part)
+	if !resident(f, 1, part) || resident(f, 0, part) {
 		t.Fatal("placement did not land in region 1 only")
 	}
 	res := submitData(t, f, Request{Name: "reader", Home: 0, Arrival: 0, Class: Interactive,
@@ -70,9 +84,7 @@ func TestRegionWANDataFetch(t *testing.T) {
 		Trace: func(e Event) { events = append(events, e) }})
 	defer f.Shutdown()
 	part := dataset.Ref{Name: "train/points", Bytes: 1 << 28}
-	if err := f.PlaceDataset(1, 0, part); err != nil {
-		t.Fatal(err)
-	}
+	place(f, 1, part)
 	// The 4 GiB input payload makes the handoff to region 1 far more
 	// expensive than fetching the 256 MiB partition home.
 	res := submitData(t, f, Request{Name: "reader", Home: 0, Arrival: 0, Class: Interactive,
@@ -87,7 +99,7 @@ func TestRegionWANDataFetch(t *testing.T) {
 	if !res.Cold {
 		t.Fatal("a serve that WAN-staged data must be Cold")
 	}
-	if !f.DatasetResident(0, part) {
+	if !resident(f, 0, part) {
 		t.Fatal("fetched partition not cached in the region store")
 	}
 	// Resident now: the same read later is free.
@@ -130,7 +142,7 @@ func TestRegionCrossWorkflowPublish(t *testing.T) {
 	if prod.Region != "region00" {
 		t.Fatalf("producer served at %s, want its home region00", prod.Region)
 	}
-	if !f.DatasetResident(0, model) {
+	if !resident(f, 0, model) {
 		t.Fatal("producer output not published into the region store")
 	}
 	cons := submitData(t, f, Request{Name: "consumer", Home: 1, Arrival: prod.Completion, Class: Interactive,
@@ -171,9 +183,7 @@ func TestDataEstimateSingleCharge(t *testing.T) {
 	defer f.Shutdown()
 	resident := dataset.Ref{Name: "resident", Bytes: 1 << 27}
 	missing := dataset.Ref{Name: "missing", Bytes: 1 << 28}
-	if err := f.PlaceDataset(0, 0, resident); err != nil {
-		t.Fatal(err)
-	}
+	place(f, 0, resident)
 	r := f.regions[0]
 	res, miss := dataset.Intern(resident), dataset.Intern(missing)
 	known := []dataset.Part{res, miss}
@@ -210,12 +220,8 @@ func TestRegionDataPrefetch(t *testing.T) {
 			Prefetch: prefetch, WindowSeconds: 1, WarmThreshold: 0.5})
 		defer f.Shutdown()
 		// Placing B evicts A: the store fits one partition.
-		if err := f.PlaceDataset(0, 0, partA); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.PlaceDataset(0, 0, partB); err != nil {
-			t.Fatal(err)
-		}
+		place(f, 0, partA)
+		place(f, 0, partB)
 		submit := func(app string, part dataset.Ref, at float64) Result {
 			return submitData(t, f, Request{Name: app, App: app, Home: 0, Arrival: at, Class: Interactive,
 				Workflow: dataWorkflow([]dataset.Ref{part}, nil)})
@@ -256,14 +262,13 @@ func TestRegionDataStoreBounded(t *testing.T) {
 	f := newTestFed(t, platform.NewRegistry(), Config{Regions: 1})
 	defer f.Shutdown()
 	// Three partitions of half the store each: the store holds two.
-	refs := dataset.Partitioned("pts", 3*datasetStoreBytes/2, 3)
-	if err := f.PlaceDataset(0, 0, refs...); err != nil {
-		t.Fatal(err)
-	}
-	if f.DatasetResident(0, refs[0]) {
+	refs := []dataset.Ref{{Name: "pts", Bytes: datasetStoreBytes / 2}, {Name: "pts", Partition: 1, Bytes: datasetStoreBytes / 2},
+		{Name: "pts", Partition: 2, Bytes: datasetStoreBytes / 2}}
+	place(f, 0, refs...)
+	if resident(f, 0, refs[0]) {
 		t.Fatal("oldest partition survived a full store")
 	}
-	if !f.DatasetResident(0, refs[1]) || !f.DatasetResident(0, refs[2]) {
+	if !resident(f, 0, refs[1]) || !resident(f, 0, refs[2]) {
 		t.Fatal("newest partitions missing")
 	}
 	if st := f.Stats().Regions[0]; st.DataEvictions != 1 || st.DataPublished != 3 {

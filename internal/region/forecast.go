@@ -75,9 +75,6 @@ func NewForecaster(window, alpha float64, lag int) *Forecaster {
 	}
 }
 
-// Window returns the window length in modelled seconds.
-func (f *Forecaster) Window() float64 { return f.window }
-
 // Apps returns the observed apps in first-seen order.
 func (f *Forecaster) Apps() []string { return f.apps }
 

@@ -7,8 +7,8 @@ import (
 
 func TestForecasterDefaultsAndRolls(t *testing.T) {
 	f := NewForecaster(0, 0, 0)
-	if f.Window() != 0.25 {
-		t.Fatalf("default window = %g, want 0.25", f.Window())
+	if f.window != 0.25 {
+		t.Fatalf("default window = %g, want 0.25", f.window)
 	}
 	f = NewForecaster(1, 0.5, 4)
 	f.Observe("a", 0.1)

@@ -511,9 +511,6 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// Regions returns the number of federated regions.
-func (f *Federation) Regions() int { return len(f.regions) }
-
 // Publish stores a bitstream in the federation-wide catalog under the
 // federation lock; regions WAN-fetch it on demand or ahead of demand.
 // After Shutdown it returns runtime.ErrShutDown.

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"everest/internal/platform"
@@ -79,7 +80,7 @@ func doneAt(t *testing.T, c *platform.Cluster, cfg EngineConfig, w *Workflow, i 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sched.ByTask()[taskName(i)].End
+	return assignmentsByTask(sched)[taskName(i)].End
 }
 
 // serveScripted serves w alone on c under cfg with events scripted.
@@ -102,7 +103,7 @@ func TestAdaptiveReactsToUnplug(t *testing.T) {
 	w := fpgaChain(t, 5, bs.ID)
 	at := doneAt(t, cluster, cfg, w, 0)
 	sched := serveScripted(t, cluster, cfg, w, EnvEvent{Kind: EnvUnplug, Node: cluster.Nodes[0].Name, At: at})
-	byTask := sched.ByTask()
+	byTask := assignmentsByTask(sched)
 	if !byTask[taskName(0)].OnFPGA {
 		t.Error("first task must run on the FPGA before the unplug")
 	}
@@ -166,7 +167,7 @@ func TestAdaptivePlugRestoresFPGA(t *testing.T) {
 	cfg.Events = []EnvEvent{unplug}
 	plugAt := doneAt(t, cluster, cfg, w, 2)
 	sched := serveScripted(t, cluster, cfg, w, unplug, EnvEvent{Kind: EnvPlug, Node: node, At: plugAt})
-	byTask := sched.ByTask()
+	byTask := assignmentsByTask(sched)
 	if byTask[taskName(2)].OnFPGA {
 		t.Error("mid-chain task must run in software while unplugged")
 	}
@@ -244,7 +245,7 @@ func TestEngineControlErrors(t *testing.T) {
 			t.Errorf("kind %d after shutdown = %v, want %v", kind, err, ErrShutDown)
 		}
 	}
-	if n.Slowdown() != 1 || !n.DeviceOnline(0) {
+	if n.SlowdownAt(math.Inf(1)) != 1 || !n.DeviceOnline(0) {
 		t.Error("Apply after shutdown must not touch the node")
 	}
 }

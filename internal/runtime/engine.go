@@ -537,8 +537,8 @@ type wfState struct {
 // when the free list is empty) that serves it into the caller's schedule,
 // which it resets with a new assignment slice. The workflow's slices are
 // shared, not copied: Submit only ever appends past what this state sees,
-// and no API rewrites a submitted spec in place (Deployment.Stage swaps in
-// a copy), so a caller changing the workflow later cannot race the engine.
+// and no API rewrites a submitted spec in place, so a caller changing the
+// workflow later cannot race the engine.
 func (e *Engine) newWFState(w *Workflow, name, tenant string, into *Schedule) *wfState {
 	var st *wfState
 	if k := len(e.free); k > 0 {

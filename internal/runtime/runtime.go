@@ -304,15 +304,6 @@ func (s *Schedule) VariantCounts() map[string]int {
 	return counts
 }
 
-// ByTask returns the (final) assignment of each task.
-func (s *Schedule) ByTask() map[string]Assignment {
-	m := make(map[string]Assignment, len(s.Assignments))
-	for _, a := range s.Assignments {
-		m[a.Task] = a
-	}
-	return m
-}
-
 // NodeFailure injects a node failure at a modelled time (E6 failure test).
 type NodeFailure struct {
 	Node   string

@@ -53,9 +53,6 @@ func (h *TimeHeap) Push(it TimeItem) {
 	h.siftUp(len(h.items) - 1)
 }
 
-// Peek returns the minimum entry without removing it.
-func (h *TimeHeap) Peek() TimeItem { return h.items[0] }
-
 // PopMin removes and returns the minimum entry.
 func (h *TimeHeap) PopMin() TimeItem {
 	top := h.items[0]

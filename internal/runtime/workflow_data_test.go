@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"everest/internal/dataset"
-	"everest/internal/platform"
 )
 
 // TestSubmitCopiesSpecSlices: Submit keeps its own copies of Deps, Reads
@@ -52,15 +51,8 @@ func TestSubmitCopiesSpecSlices(t *testing.T) {
 }
 
 // TestWorkflowNeeds: the distinct bitstreams of the FPGA tasks, in
-// first-use order; a software task or an empty ID adds none. Stage
-// rebuilds the needs on the copy it swaps in, leaving a slice an earlier
-// reader holds as it was.
+// first-use order; a software task or an empty ID adds none.
 func TestWorkflowNeeds(t *testing.T) {
-	cluster := testCluster(1)
-	reg := platform.NewRegistry()
-	if err := reg.Put(fpgaBitstream()); err != nil {
-		t.Fatal(err)
-	}
 	w := NewWorkflow()
 	for _, spec := range []TaskSpec{
 		{Name: "cpu", Flops: 1e9},
@@ -74,20 +66,8 @@ func TestWorkflowNeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := w.Needs()
-	if !slices.Equal(before, needParts("bs-x", "bs-y")) {
-		t.Fatalf("Needs = %v, want [bs-x bs-y]", before)
-	}
-	d := &Deployment{Nodes: []string{cluster.Nodes[0].Name}}
-	d.MarkOffload("cpu", "bs-ptdr")
-	if _, err := d.Stage(w, cluster, reg); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Needs(); !slices.Equal(got, needParts("bs-ptdr", "bs-x", "bs-y")) {
-		t.Fatalf("staged Needs = %v, want [bs-ptdr bs-x bs-y]", got)
-	}
-	if !slices.Equal(before, needParts("bs-x", "bs-y")) {
-		t.Fatalf("Stage rewrote an earlier reader's needs: %v", before)
+	if got := w.Needs(); !slices.Equal(got, needParts("bs-x", "bs-y")) {
+		t.Fatalf("Needs = %v, want [bs-x bs-y]", got)
 	}
 }
 
@@ -189,29 +169,23 @@ func checkData(t *testing.T, w *Workflow, when string) {
 // FuzzWorkflowData builds random workflows over a 3-name x 3-partition
 // space — reads and writes with varying declared sizes, FPGA flags and
 // bitstream IDs, optional dependencies — and checks the data plane Submit
-// resolves against the reference scans after every task, that a slice
-// handed out earlier never changes, and, when the first byte is odd,
-// that Deployment.Stage rebuilds the needs on the specs it swaps in.
+// resolves against the reference scans after every task, and that a
+// slice handed out earlier never changes.
 //
-// Encoding: byte 0 = stage flag; then per task one header byte
+// Encoding: per task one header byte
 // [reads:2 | writes:2 | fpga:1 | bitstream:2 | dep:1] followed by one
 // byte per read and write: key = b%9, size = b/9.
 func FuzzWorkflowData(f *testing.F) {
 	// The k-means map shape: assign reads points#p and centroids and
 	// writes weights#p; fold reads weights#p and points#p, writes
 	// partial#p.
-	f.Add([]byte{0, 2 | 1<<2 | 1<<4 | 1<<5, 0, 6, 1, 2 | 1<<2 | 1<<4 | 2<<5 | 1<<7, 1, 0, 2})
-	f.Add([]byte{1, 3 | 2<<2, 0, 1, 2, 3, 4, 1 | 1<<2 | 1<<7, 5, 0, 1 | 1<<4 | 3<<5, 10}) // staged, later write
-	f.Add([]byte{0, 1 | 1<<2, 4, 4, 2, 13, 22})                                           // same key, new sizes
-	f.Add([]byte{1})
+	f.Add([]byte{2 | 1<<2 | 1<<4 | 1<<5, 0, 6, 1, 2 | 1<<2 | 1<<4 | 2<<5 | 1<<7, 1, 0, 2})
+	f.Add([]byte{3 | 2<<2, 0, 1, 2, 3, 4, 1 | 1<<2 | 1<<7, 5, 0, 1 | 1<<4 | 3<<5, 10}) // later write
+	f.Add([]byte{1 | 1<<2, 4, 4, 2, 13, 22})                                           // same key, new sizes
 	bitstreams := []string{"", "bs-a", "bs-b", "bs-ptdr"}
 	names := []string{"pts", "wts", "part"}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		stage, data := data[0]&1 == 1, data[1:]
 		ref := func(b byte) dataset.Ref {
 			return dataset.Ref{Name: names[b%9/3], Partition: int(b % 3), Bytes: int64(b/9) * 10}
 		}
@@ -238,33 +212,10 @@ func FuzzWorkflowData(f *testing.F) {
 			}
 			checkData(t, w, fmt.Sprintf("after task %d", i))
 		}
-		defer func() {
-			for i, s := range snaps {
-				if !slices.Equal(s.got, s.want) {
-					t.Fatalf("the Reads slice handed out before task %d changed: %v, was %v", i, s.got, s.want)
-				}
+		for i, s := range snaps {
+			if !slices.Equal(s.got, s.want) {
+				t.Fatalf("the Reads slice handed out before task %d changed: %v, was %v", i, s.got, s.want)
 			}
-		}()
-		if !stage || w.Len() == 0 {
-			return
 		}
-		cluster := testCluster(1)
-		reg := platform.NewRegistry()
-		if err := reg.Put(fpgaBitstream()); err != nil {
-			t.Fatal(err)
-		}
-		needs := w.Needs()
-		wantNeeds := slices.Clone(needs)
-		d := &Deployment{Nodes: []string{cluster.Nodes[0].Name}}
-		for i := 0; i < w.Len(); i += 2 {
-			d.MarkOffload(fmt.Sprintf("t%d", i), "bs-ptdr")
-		}
-		if _, err := d.Stage(w, cluster, reg); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(needs, wantNeeds) {
-			t.Fatalf("Stage rewrote the needs an earlier reader holds: %v, was %v", needs, wantNeeds)
-		}
-		checkData(t, w, "after Stage")
 	})
 }

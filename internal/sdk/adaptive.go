@@ -139,17 +139,6 @@ func (sc AdaptiveScenario) Compile() (*variants.Compiled, error) {
 	return variants.CompileExample(sc.Kernel, sc.Opt)
 }
 
-// Run compiles the scenario's kernel and serves its workflows once;
-// adaptive selects the engine mode. Both arms of a comparison should
-// share one compilation: see AdaptWin.
-func (sc AdaptiveScenario) Run(adaptive bool) (ScenarioResult, error) {
-	c, err := sc.Compile()
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	return sc.serve(c, adaptive)
-}
-
 // AdaptWin serves the scenario statically and then adaptively around c,
 // its compilation from Compile, and returns both runs; everything but the
 // engine mode is identical, so the makespan ratio is the value of

@@ -9,6 +9,16 @@ import (
 	"everest/internal/virt"
 )
 
+// runOnce compiles the scenario's kernel and serves its workflows once;
+// adaptive selects the engine mode.
+func runOnce(sc AdaptiveScenario, adaptive bool) (ScenarioResult, error) {
+	c, err := sc.Compile()
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	return sc.serve(c, adaptive)
+}
+
 func TestAdaptiveScenarioValidation(t *testing.T) {
 	bad := []AdaptiveScenario{
 		{Workflows: 0, Nodes: 4, FPGANodes: 1},
@@ -18,7 +28,7 @@ func TestAdaptiveScenarioValidation(t *testing.T) {
 		{Workflows: 1, Nodes: 4, FPGANodes: 1, Slowdown: 0.5},
 	}
 	for _, sc := range bad {
-		if _, err := sc.Run(true); err == nil {
+		if _, err := runOnce(sc, true); err == nil {
 			t.Errorf("scenario %+v must fail validation", sc)
 		}
 	}

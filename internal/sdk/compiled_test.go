@@ -9,11 +9,11 @@ import (
 func TestCompiledScenarioDeterministicAndAdaptiveWins(t *testing.T) {
 	sc := DefaultCompiledScenario()
 
-	static1, err := sc.Run(false)
+	static1, err := runOnce(sc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive1, err := sc.Run(true)
+	adaptive1, err := runOnce(sc, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,22 +73,22 @@ func TestCompiledScenarioDeterministicAndAdaptiveWins(t *testing.T) {
 func TestCompiledScenarioValidation(t *testing.T) {
 	sc := DefaultCompiledScenario()
 	sc.Nodes = 1
-	if _, err := sc.Run(false); err == nil {
+	if _, err := runOnce(sc, false); err == nil {
 		t.Fatal("one-node scenario should be rejected")
 	}
 	sc = DefaultCompiledScenario()
 	sc.Slowdown = 0.5
-	if _, err := sc.Run(false); err == nil {
+	if _, err := runOnce(sc, false); err == nil {
 		t.Fatal("sub-nominal slowdown should be rejected")
 	}
 	sc = DefaultCompiledScenario()
 	sc.Kernel = "nope"
-	if _, err := sc.Run(false); err == nil {
+	if _, err := runOnce(sc, false); err == nil {
 		t.Fatal("unknown kernel should be rejected")
 	}
 	sc = DefaultCompiledScenario()
 	sc.Net = "carrier-pigeon"
-	if _, err := sc.Run(false); err == nil {
+	if _, err := runOnce(sc, false); err == nil {
 		t.Fatal("unknown network stack should be rejected")
 	}
 }

@@ -31,13 +31,11 @@ func boolPin(b bool) float64 {
 // enginePins flattens both arms (static, then adaptive) of an engine-tier
 // scenario: the makespan, the tally counters, every tenant's adaptation
 // activity and every node's health snapshot.
-func enginePins(t *testing.T, sc interface {
-	Run(adaptive bool) (ScenarioResult, error)
-}) []float64 {
+func enginePins(t *testing.T, sc AdaptiveScenario) []float64 {
 	t.Helper()
 	var out []float64
 	for _, adaptive := range []bool{false, true} {
-		res, err := sc.Run(adaptive)
+		res, err := runOnce(sc, adaptive)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,9 +116,9 @@ func TestPublishWhileServingFleet(t *testing.T) {
 		}
 	}
 	st := srv.Shutdown().Fleet
-	if st.Completed != accepted || st.Guaranteed() == 0 || st.BoundViolations() != 0 {
+	if st.Completed != accepted || guaranteedDone(st) == 0 || st.BoundViolations() != 0 {
 		t.Fatalf("completed %d of %d accepted, %d guaranteed, %d bound violations",
-			st.Completed, accepted, st.Guaranteed(), st.BoundViolations())
+			st.Completed, accepted, guaranteedDone(st), st.BoundViolations())
 	}
 }
 
@@ -168,7 +168,7 @@ func TestPublishWhileServingRegion(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < publishPerWorker; i++ {
-			srv.Federation().Stats()
+			srv.fed.Stats()
 		}
 	}()
 	wg.Wait()

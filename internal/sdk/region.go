@@ -115,9 +115,6 @@ func NewRegionServer(cfg RegionConfig) (*RegionServer, error) {
 	return &RegionServer{fed: fed}, nil
 }
 
-// Federation exposes the underlying region tier.
-func (rs *RegionServer) Federation() *region.Federation { return rs.fed }
-
 // Publish stores a bitstream in the federation-wide catalog; regions
 // WAN-fetch it into their bounded stores on demand or ahead of demand.
 // After Shutdown it returns runtime.ErrShutDown.

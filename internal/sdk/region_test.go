@@ -41,9 +41,6 @@ func TestRegionServerServes(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Federation().Regions(); got != 2 {
-		t.Fatalf("Regions() = %d, want 2", got)
-	}
 	for i := 0; i < 4; i++ {
 		h, err := srv.SubmitAt(region.Request{
 			Tenant: "t", App: "app", Workflow: AdaptiveWorkflow(i, bs.ID),

@@ -48,13 +48,6 @@ const (
 	Block
 )
 
-func (p Policy) String() string {
-	if p == Block {
-		return "block"
-	}
-	return "shed"
-}
-
 // StageSpec is one windowed operator of a pipeline. Costs are per event;
 // serving a window of W events costs W times the per-event work (plus a
 // kernel swap when an accelerated stage's bitstream is not resident on its

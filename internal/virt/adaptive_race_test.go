@@ -9,6 +9,15 @@ import (
 	"everest/internal/virt"
 )
 
+// assignmentsByTask returns the (final) assignment of each task.
+func assignmentsByTask(s *runtime.Schedule) map[string]runtime.Assignment {
+	m := make(map[string]runtime.Assignment, len(s.Assignments))
+	for _, a := range s.Assignments {
+		m[a.Task] = a
+	}
+	return m
+}
+
 // TestUnplugRacedAgainstDispatch hammers the adaptation loop from both
 // ends at once: two submitter goroutines drain a stream of FPGA workflows
 // through one engine while two more plug and unplug the accelerators' VFs
@@ -127,7 +136,7 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 		if len(sched.Assignments) != 4 {
 			t.Fatalf("workflow %d: %d assignments, want 4", i, len(sched.Assignments))
 		}
-		byTask := sched.ByTask()
+		byTask := assignmentsByTask(sched)
 		for _, mc := range []string{"mc0", "mc1"} {
 			if byTask[mc].Start < byTask["prep"].End-1e-12 {
 				t.Errorf("workflow %d: %s starts before prep ends", i, mc)
@@ -180,12 +189,12 @@ func TestConcurrentUnplugMidTaskReschedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unplug the only accelerator when the first task completes.
-	cfg.Events = []runtime.EnvEvent{{Kind: runtime.EnvUnplug, Node: node.Name, At: healthy.ByTask()["k0"].End}}
+	cfg.Events = []runtime.EnvEvent{{Kind: runtime.EnvUnplug, Node: node.Name, At: assignmentsByTask(healthy)["k0"].End}}
 	sched, err := runtime.ServeAlone(s.Cluster, cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byTask := sched.ByTask()
+	byTask := assignmentsByTask(sched)
 	if !byTask["k0"].OnFPGA {
 		t.Error("k0 must run on the FPGA before the unplug")
 	}

@@ -89,9 +89,6 @@ type VM struct {
 	vfs   map[int]*VF // keyed by VF ID
 }
 
-// VFCount returns how many VFs the VM holds.
-func (v *VM) VFCount() int { return len(v.vfs) }
-
 // HotplugKind classifies hot-plug notifications.
 type HotplugKind int
 
@@ -102,13 +99,6 @@ const (
 	// VFUnplugged fires when a VF is removed from a VM.
 	VFUnplugged
 )
-
-func (k HotplugKind) String() string {
-	if k == VFUnplugged {
-		return "vf-unplugged"
-	}
-	return "vf-plugged"
-}
 
 // HotplugEvent is one VF plug/unplug notification. AssignedVFs reports how
 // many VFs of the device remain assigned to any VM after the operation —
@@ -232,36 +222,6 @@ func (h *Hypervisor) DefineVM(name string, vcpus int) (*VM, error) {
 	vm := &VM{Name: name, VCPUs: vcpus, vfs: make(map[int]*VF)}
 	h.vms[name] = vm
 	return vm, nil
-}
-
-// DestroyVM removes a guest, releasing its VFs (one unplug notification
-// per released VF).
-func (h *Hypervisor) DestroyVM(name string) error {
-	h.mu.Lock()
-	vm, ok := h.vms[name]
-	if !ok {
-		h.mu.Unlock()
-		return fmt.Errorf("virt: no VM %q", name)
-	}
-	ids := make([]int, 0, len(vm.vfs))
-	for id := range vm.vfs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids) // deterministic release (and notification) order
-	for _, id := range ids {
-		vf := vm.vfs[id]
-		vf.Assigned = ""
-		h.plugOps++
-		free, assigned := h.deviceVFState(vf.Device)
-		h.pending = append(h.pending, HotplugEvent{
-			Kind: VFUnplugged, Node: h.Node.Name, VM: name, Device: vf.Device,
-			FreeVFs: free, AssignedVFs: assigned,
-		})
-	}
-	delete(h.vms, name)
-	h.mu.Unlock()
-	h.drain()
-	return nil
 }
 
 // PlugVF assigns a free VF of the device to the VM (the dynamic plugging

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"go/ast"
 	"go/token"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -40,37 +41,37 @@ type lifeProbe struct {
 	traced   int
 }
 
-// lifeState is every observable a mutating call could move: stats,
-// health, trace, registries, dataset stores and node state.
+// lifeState is every observable a mutating call could move: stats
+// (which count dataset placements), health, trace, the registries and
+// node state.
 type lifeState struct {
-	Engine   runtime.EngineStats
-	Health   []platform.NodeHealth
-	Fleet    fleet.Stats
-	Fed      region.Stats
-	Traced   int
-	Reg, Cat []string
-	Resident [2]bool
-	Online   []bool
-	Slow     []float64
-	Failed   []bool
+	Engine runtime.EngineStats
+	Health []platform.NodeHealth
+	Fleet  fleet.Stats
+	Fed    region.Stats
+	Traced int
+	Late   [2]bool // the refused Publish's bitstream is in the registry, the catalog
+	Online []bool
+	Slow   []float64
+	Failed []bool
 }
 
-// lateRef is the partition the refused placements name.
+// lateRef is the partition the refused placement names.
 var lateRef = dataset.Ref{Name: "probe/late", Bytes: 1 << 20}
 
 func (p *lifeProbe) state() lifeState {
 	s := lifeState{
 		Engine: p.eng.Stats(), Health: p.eng.Health(),
 		Fleet: p.fl.Stats(), Fed: p.fed.Stats(), Traced: p.traced,
-		Reg: p.reg.IDs(), Cat: p.cat.IDs(),
-		Resident: [2]bool{p.fl.DatasetResident(0, lateRef), p.fed.DatasetResident(0, lateRef)},
 	}
-	sort.Strings(s.Reg)
-	sort.Strings(s.Cat)
+	for i, reg := range []*platform.Registry{p.reg, p.cat} {
+		_, err := reg.Get("probe-late")
+		s.Late[i] = err == nil
+	}
 	for _, n := range append(p.engNodes, p.fl.Cluster(0).Nodes...) {
 		_, failed := n.FailedAt()
 		s.Online = append(s.Online, n.DeviceOnline(0))
-		s.Slow = append(s.Slow, n.Slowdown())
+		s.Slow = append(s.Slow, n.SlowdownAt(math.Inf(1)))
 		s.Failed = append(s.Failed, failed)
 	}
 	return s
@@ -121,19 +122,10 @@ func newLifeProbe(t *testing.T) *lifeProbe {
 	return p
 }
 
-// reachKind is where a front method is called from outside tests.
-type reachKind int
-
-const (
-	served    reachKind = iota // a non-test file outside the method's package calls it
-	testsOnly                  // only tests call it: a candidate to delete
-)
-
-// lifeEntry is one exported front method: its class, its reach, and a
-// call with valid arguments, so that only the lifecycle can refuse it.
+// lifeEntry is one exported front method: its class and a call with
+// valid arguments, so that only the lifecycle can refuse it.
 type lifeEntry struct {
 	class lifeClass
-	reach reachKind
 	call  func(p *lifeProbe) error
 }
 
@@ -142,58 +134,54 @@ func discard[T any](_ T, err error) error { return err }
 // frontMethods lists every exported method of the three serving fronts.
 // A method added to a front without an entry here fails
 // TestFrontLifecycle, so the invariant "every mutating call refuses after
-// Shutdown" covers it from its first commit; TestFrontSurfaceReached
-// checks each entry's reach.
+// Shutdown" covers it from its first commit; TestSurfaceReached checks
+// that something reaches it.
 var frontMethods = map[string]lifeEntry{
-	"runtime.Engine.Health":   {readOnly, served, func(p *lifeProbe) error { p.eng.Health(); return nil }},
-	"runtime.Engine.Stats":    {readOnly, served, func(p *lifeProbe) error { p.eng.Stats(); return nil }},
-	"runtime.Engine.Start":    {lifecycle, served, func(p *lifeProbe) error { return p.eng.Start() }},
-	"runtime.Engine.Shutdown": {lifecycle, served, func(p *lifeProbe) error { p.eng.Shutdown(); return nil }},
-	"runtime.Engine.Submit": {refuses, served, func(p *lifeProbe) error {
+	"runtime.Engine.Health":   {readOnly, func(p *lifeProbe) error { p.eng.Health(); return nil }},
+	"runtime.Engine.Stats":    {readOnly, func(p *lifeProbe) error { p.eng.Stats(); return nil }},
+	"runtime.Engine.Start":    {lifecycle, func(p *lifeProbe) error { return p.eng.Start() }},
+	"runtime.Engine.Shutdown": {lifecycle, func(p *lifeProbe) error { p.eng.Shutdown(); return nil }},
+	"runtime.Engine.Submit": {refuses, func(p *lifeProbe) error {
 		return discard(p.eng.Submit(sdk.SyntheticWorkflow(3), runtime.SubmitOptions{}))
 	}},
 	// fleet.serve serves every routed workflow through it.
-	"runtime.Engine.Serve": {refuses, served, func(p *lifeProbe) error {
+	"runtime.Engine.Serve": {refuses, func(p *lifeProbe) error {
 		return p.eng.Serve(sdk.SyntheticWorkflow(3), runtime.SubmitOptions{}, &runtime.Schedule{})
 	}},
-	"runtime.Engine.Apply": {refuses, served, func(p *lifeProbe) error {
+	"runtime.Engine.Apply": {refuses, func(p *lifeProbe) error {
 		return p.eng.Apply(runtime.EnvEvent{Kind: runtime.EnvUnplug, Node: "node00", At: 1})
 	}},
 
-	"fleet.Fleet.Sites":           {readOnly, served, func(p *lifeProbe) error { p.fl.Sites(); return nil }},
-	"fleet.Fleet.Cluster":         {readOnly, served, func(p *lifeProbe) error { p.fl.Cluster(0); return nil }},
-	"fleet.Fleet.QueueWait":       {readOnly, served, func(p *lifeProbe) error { p.fl.QueueWait(1); return nil }},
-	"fleet.Fleet.DatasetResident": {readOnly, testsOnly, func(p *lifeProbe) error { p.fl.DatasetResident(0, lateRef); return nil }},
-	"fleet.Fleet.Stats":           {readOnly, served, func(p *lifeProbe) error { p.fl.Stats(); return nil }},
-	"fleet.Fleet.Start":           {lifecycle, served, func(p *lifeProbe) error { return p.fl.Start() }},
-	"fleet.Fleet.Shutdown":        {lifecycle, served, func(p *lifeProbe) error { p.fl.Shutdown(); return nil }},
-	"fleet.Fleet.Publish": {refuses, served, func(p *lifeProbe) error {
+	"fleet.Fleet.Sites":     {readOnly, func(p *lifeProbe) error { p.fl.Sites(); return nil }},
+	"fleet.Fleet.Cluster":   {readOnly, func(p *lifeProbe) error { p.fl.Cluster(0); return nil }},
+	"fleet.Fleet.QueueWait": {readOnly, func(p *lifeProbe) error { p.fl.QueueWait(1); return nil }},
+	"fleet.Fleet.Stats":     {readOnly, func(p *lifeProbe) error { p.fl.Stats(); return nil }},
+	"fleet.Fleet.Start":     {lifecycle, func(p *lifeProbe) error { return p.fl.Start() }},
+	"fleet.Fleet.Shutdown":  {lifecycle, func(p *lifeProbe) error { p.fl.Shutdown(); return nil }},
+	"fleet.Fleet.Publish": {refuses, func(p *lifeProbe) error {
 		bs := sdk.ScenarioBitstream()
 		bs.ID = "probe-late"
 		return p.fl.Publish(bs)
 	}},
-	"fleet.Fleet.Warm":         {refuses, served, func(p *lifeProbe) error { _, _, err := p.fl.Warm(sdk.ScenarioBitstream().ID, 1); return err }},
-	"fleet.Fleet.WarmAll":      {refuses, served, func(p *lifeProbe) error { return discard(p.fl.WarmAll(sdk.ScenarioBitstream().ID, 1)) }},
-	"fleet.Fleet.PlaceDataset": {refuses, served, func(p *lifeProbe) error { return p.fl.PlaceDataset(0, 1, lateRef) }},
-	"fleet.Fleet.Submit": {refuses, served, func(p *lifeProbe) error {
+	"fleet.Fleet.Warm":         {refuses, func(p *lifeProbe) error { _, _, err := p.fl.Warm(sdk.ScenarioBitstream().ID, 1); return err }},
+	"fleet.Fleet.WarmAll":      {refuses, func(p *lifeProbe) error { return discard(p.fl.WarmAll(sdk.ScenarioBitstream().ID, 1)) }},
+	"fleet.Fleet.PlaceDataset": {refuses, func(p *lifeProbe) error { return p.fl.PlaceDataset(0, 1, lateRef) }},
+	"fleet.Fleet.Submit": {refuses, func(p *lifeProbe) error {
 		return discard(p.fl.Submit(fleet.Request{Workflow: sdk.SyntheticWorkflow(4), Arrival: 1}))
 	}},
 
-	"region.Federation.Regions":         {readOnly, served, func(p *lifeProbe) error { p.fed.Regions(); return nil }},
-	"region.Federation.DatasetResident": {readOnly, testsOnly, func(p *lifeProbe) error { p.fed.DatasetResident(0, lateRef); return nil }},
-	"region.Federation.Stats":           {readOnly, served, func(p *lifeProbe) error { p.fed.Stats(); return nil }},
-	"region.Federation.Start":           {lifecycle, served, func(p *lifeProbe) error { return p.fed.Start() }},
-	"region.Federation.Shutdown":        {lifecycle, served, func(p *lifeProbe) error { p.fed.Shutdown(); return nil }},
-	"region.Federation.Publish": {refuses, served, func(p *lifeProbe) error {
+	"region.Federation.Stats":    {readOnly, func(p *lifeProbe) error { p.fed.Stats(); return nil }},
+	"region.Federation.Start":    {lifecycle, func(p *lifeProbe) error { return p.fed.Start() }},
+	"region.Federation.Shutdown": {lifecycle, func(p *lifeProbe) error { p.fed.Shutdown(); return nil }},
+	"region.Federation.Publish": {refuses, func(p *lifeProbe) error {
 		bs := sdk.ScenarioBitstream()
 		bs.ID = "probe-late"
 		return p.fed.Publish(bs)
 	}},
-	"region.Federation.PlaceDataset": {refuses, served, func(p *lifeProbe) error { return p.fed.PlaceDataset(0, 1, lateRef) }},
-	"region.Federation.SubmitAt": {refuses, served, func(p *lifeProbe) error {
+	"region.Federation.SubmitAt": {refuses, func(p *lifeProbe) error {
 		return discard(p.fed.SubmitAt(region.Request{App: "a", Workflow: sdk.SyntheticWorkflow(5), Arrival: 1}))
 	}},
-	"region.Federation.Drain": {noop, served, func(p *lifeProbe) error { p.fed.Drain(100); return nil }},
+	"region.Federation.Drain": {noop, func(p *lifeProbe) error { p.fed.Drain(100); return nil }},
 }
 
 // frontTypes names each serving front by package directory.
@@ -267,123 +255,5 @@ func TestFrontLifecycle(t *testing.T) {
 			t.Errorf("%s after Shutdown changed the fronts' state:\n before %+v\n after  %+v", key, want, got)
 			want = got
 		}
-	}
-}
-
-// configTypes names each front's config struct by package directory.
-var configTypes = map[string]string{"runtime": "EngineConfig", "fleet": "Config", "region": "Config", "stream": "Config"}
-
-// reachRoots are the trees whose non-test files count as callers: the
-// library, the CLIs, the benchmark and the examples.
-var reachRoots = []string{"internal", "cmd", "bench", "examples"}
-
-// TestFrontSurfaceReached keeps unreached surface out. A front method is
-// reached when a non-test file under reachRoots outside its own package
-// selects its name (a name match, so a same-named selector counts), and
-// frontMethods must record that reach exactly. Every exported field of
-// the config structs in configTypes must be set outside its own package,
-// as a key of a composite literal of that type or by assignment to a
-// selector of that name: a knob nothing turns is deleted, not kept.
-func TestFrontSurfaceReached(t *testing.T) {
-	fields := map[string]bool{} // "pkg.Type.Field"
-	walkInternal(t, func(_ *token.FileSet, pkg string, file *ast.File) {
-		typ, ok := configTypes[pkg]
-		if !ok {
-			return
-		}
-		for _, decl := range file.Decls {
-			gen, ok := decl.(*ast.GenDecl)
-			if !ok || gen.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gen.Specs {
-				ts := spec.(*ast.TypeSpec)
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok || ts.Name.Name != typ {
-					continue
-				}
-				for _, f := range st.Fields.List {
-					for _, name := range f.Names {
-						if name.IsExported() {
-							fields[pkg+"."+typ+"."+name.Name] = true
-						}
-					}
-				}
-			}
-		}
-	})
-	if len(fields) == 0 {
-		t.Fatal("the walk found no config fields")
-	}
-	// Each map records the package directories a name appears in.
-	selected := map[string]map[string]bool{} // selector name
-	assigned := map[string]map[string]bool{} // assigned selector name
-	keyed := map[string]map[string]bool{}    // "pkg.Type.Key" of a typed composite literal
-	note := func(m map[string]map[string]bool, key, pkg string) {
-		if m[key] == nil {
-			m[key] = map[string]bool{}
-		}
-		m[key][pkg] = true
-	}
-	walkSources(t, reachRoots, func(_ *token.FileSet, pkg string, file *ast.File) {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				note(selected, n.Sel.Name, pkg)
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						note(assigned, sel.Sel.Name, pkg)
-					}
-				}
-			case *ast.CompositeLit:
-				typ, ok := n.Type.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				x, ok := typ.X.(*ast.Ident)
-				if !ok {
-					return true
-				}
-				for _, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if key, ok := kv.Key.(*ast.Ident); ok {
-							note(keyed, x.Name+"."+typ.Sel.Name+"."+key.Name, pkg)
-						}
-					}
-				}
-			}
-			return true
-		})
-	})
-	// outside reports whether name appears in m in a package other than own.
-	outside := func(m map[string]map[string]bool, name, own string) bool {
-		for pkg := range m[name] {
-			if pkg != own {
-				return true
-			}
-		}
-		return false
-	}
-	var wrong []string
-	for key, e := range frontMethods {
-		parts := strings.Split(key, ".")
-		reached := outside(selected, parts[2], parts[0])
-		switch {
-		case reached && e.reach == testsOnly:
-			wrong = append(wrong, key+": recorded testsOnly, but a non-test file outside "+parts[0]+" calls it")
-		case !reached && e.reach == served:
-			wrong = append(wrong, key+": recorded served, but only tests call it")
-		}
-	}
-	for key := range fields {
-		parts := strings.Split(key, ".")
-		if !outside(keyed, key, parts[0]) && !outside(assigned, parts[2], parts[0]) {
-			wrong = append(wrong, key+": no non-test file outside "+parts[0]+" sets it")
-		}
-	}
-	sort.Strings(wrong)
-	if len(wrong) > 0 {
-		t.Errorf("front surface reach:\n%s", strings.Join(wrong, "\n"))
 	}
 }

@@ -5,10 +5,8 @@ import (
 
 	"everest/internal/base2"
 	"everest/internal/hls"
-	"everest/internal/netsim"
 	"everest/internal/olympus"
 	"everest/internal/platform"
-	"everest/internal/wrf"
 )
 
 // Ablation benches for the design choices called out in DESIGN.md §6.
@@ -128,19 +126,4 @@ func BenchmarkAblation_AttachmentCrossover(b *testing.B) {
 	// ratioSmall >> 1 (10G link hurts); ratioLarge -> ~1 (compute bound).
 	b.ReportMetric(ratioSmall, "cloud_over_pcie_transfer_heavy")
 	b.ReportMetric(ratioLarge, "cloud_over_pcie_compute_heavy")
-}
-
-// BenchmarkAblation_DistributedEnsemble — ZRLMPI strong scaling of the
-// ensemble across network-attached ranks.
-func BenchmarkAblation_DistributedEnsemble(b *testing.B) {
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		table, err := wrf.ScalingTable(16, 1<<22, 0.05, 10, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = table[0].Total / table[len(table)-1].Total
-	}
-	b.ReportMetric(speedup, "speedup_16ranks")
-	_ = netsim.UDP10G()
 }

@@ -522,7 +522,7 @@ func BenchmarkEinsumMatMul64(b *testing.B) {
 	y := tensor.Random(rng, -1, 1, 64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
+		tensor.MustEinsum("ij,jk->ik", x, y)
 	}
 }
 

@@ -308,57 +308,6 @@ func TestDetectionNodeJSON(t *testing.T) {
 	}
 }
 
-func TestDetectionNodeOnlineUpdate(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	train, _ := syntheticData(rng, 100, 0)
-	det := &ZScore{}
-	if err := det.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	node := &DetectionNode{Detector: det, WindowSize: 2}
-	b1, _ := syntheticData(rng, 50, 0)
-	b2, _ := syntheticData(rng, 50, 0)
-	b3, _ := syntheticData(rng, 50, 0)
-	for _, b := range []*tensor.Tensor{b1, b2, b3} {
-		if err := node.Update(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Window keeps only 2 batches.
-	if len(node.window) != 2 {
-		t.Errorf("window size = %d, want 2", len(node.window))
-	}
-}
-
-func TestLoadCSV(t *testing.T) {
-	src := "a,b,c\n1,2,3\n4,5,6\n"
-	got, err := LoadCSV(strings.NewReader(src), DataConfig{SkipRows: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Shape()[0] != 2 || got.Shape()[1] != 3 || got.At(1, 2) != 6 {
-		t.Errorf("LoadCSV = %v", got)
-	}
-	// Column subset (the "specific subset of data" of §VII).
-	sub, err := LoadCSV(strings.NewReader(src), DataConfig{SkipRows: 1, Columns: []int{2, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.At(0, 0) != 3 || sub.At(0, 1) != 1 {
-		t.Errorf("column subset wrong: %v", sub)
-	}
-	// Errors.
-	if _, err := LoadCSV(strings.NewReader("x,y\n"), DataConfig{SkipRows: 1}); err == nil {
-		t.Error("empty after header must fail")
-	}
-	if _, err := LoadCSV(strings.NewReader("1,notnum\n"), DataConfig{}); err == nil {
-		t.Error("non-numeric must fail")
-	}
-	if _, err := LoadCSV(strings.NewReader("1,2\n"), DataConfig{Columns: []int{5}}); err == nil {
-		t.Error("out-of-range column must fail")
-	}
-}
-
 func TestBuildDetectorUnknown(t *testing.T) {
 	a := newAssignment()
 	a.Cats["detector"] = "oracle"

@@ -1,13 +1,10 @@
 package anomaly
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 
 	"everest/internal/tensor"
 )
@@ -215,82 +212,4 @@ func (n *DetectionNode) Detect(data *tensor.Tensor) (Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// Update feeds current data into the sliding window and refits the model
-// ("the model is continuously updated with current data").
-func (n *DetectionNode) Update(batch *tensor.Tensor) error {
-	if n.WindowSize <= 0 {
-		n.WindowSize = 8
-	}
-	n.window = append(n.window, batch.Clone())
-	if len(n.window) > n.WindowSize {
-		n.window = n.window[len(n.window)-n.WindowSize:]
-	}
-	// Concatenate the window.
-	cols := batch.Shape()[1]
-	total := 0
-	for _, b := range n.window {
-		total += b.Shape()[0]
-	}
-	all := tensor.New(total, cols)
-	r := 0
-	for _, b := range n.window {
-		for i := 0; i < b.Shape()[0]; i++ {
-			for j := 0; j < cols; j++ {
-				all.Set(b.At(i, j), r, j)
-			}
-			r++
-		}
-	}
-	return n.Detector.Fit(all)
-}
-
-// DataConfig is the "simple configuration file" of §VII for loading special
-// formats: which columns to use, the delimiter, and header handling.
-type DataConfig struct {
-	Columns   []int `json:"columns"`   // empty = all columns
-	SkipRows  int   `json:"skip_rows"` // header rows to skip
-	Delimiter rune  `json:"-"`
-}
-
-// LoadCSV reads numeric CSV data under the config into a sample matrix.
-func LoadCSV(r io.Reader, cfg DataConfig) (*tensor.Tensor, error) {
-	cr := csv.NewReader(r)
-	if cfg.Delimiter != 0 {
-		cr.Comma = cfg.Delimiter
-	}
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("anomaly: csv: %w", err)
-	}
-	if cfg.SkipRows > 0 {
-		if cfg.SkipRows >= len(records) {
-			return nil, fmt.Errorf("anomaly: csv has only %d rows", len(records))
-		}
-		records = records[cfg.SkipRows:]
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("anomaly: empty csv")
-	}
-	cols := cfg.Columns
-	if len(cols) == 0 {
-		for j := range records[0] {
-			cols = append(cols, j)
-		}
-	}
-	out := tensor.New(len(records), len(cols))
-	for i, rec := range records {
-		for jj, j := range cols {
-			if j < 0 || j >= len(rec) {
-				return nil, fmt.Errorf("anomaly: row %d has no column %d", i, j)
-			}
-			v, err := strconv.ParseFloat(rec[j], 64)
-			if err != nil {
-				return nil, fmt.Errorf("anomaly: row %d col %d: %w", i, j, err)
-			}
-			out.Set(v, i, jj)
-		}
-	}
-	return out, nil
 }

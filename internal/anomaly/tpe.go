@@ -86,9 +86,6 @@ func NewTPE(space []Param, seed int64) (*TPE, error) {
 	}, nil
 }
 
-// Trials returns a copy of all observed trials.
-func (t *TPE) Trials() []Trial { return append([]Trial(nil), t.trials...) }
-
 // Best returns the best (lowest loss) trial so far.
 func (t *TPE) Best() (Trial, bool) {
 	if len(t.trials) == 0 {

@@ -204,4 +204,3 @@ func (s *Suite) Bitstreams() []platform.Bitstream {
 	}
 	return out
 }
-

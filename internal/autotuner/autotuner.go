@@ -28,9 +28,8 @@ type Metric string
 
 // Common metrics.
 const (
-	MetricTimeMs   Metric = "exec_time_ms"
-	MetricEnergyJ  Metric = "energy_j"
-	MetricErrorPct Metric = "error_pct"
+	MetricTimeMs  Metric = "exec_time_ms"
+	MetricEnergyJ Metric = "energy_j"
 )
 
 // Config is a knob assignment, e.g. {"impl": "fpga", "samples": "10000"}.
@@ -68,7 +67,6 @@ type GoalOp int
 // Goal operators.
 const (
 	LE GoalOp = iota // metric <= value
-	GE               // metric >= value
 )
 
 // Goal is one constraint on a metric.
@@ -237,40 +235,6 @@ func (a *Autotuner) Observe(c Config, m Metric, value float64) error {
 	a.observations[key]++
 	return nil
 }
-
-// Scale multiplies a configuration's expected metric by factor — the
-// degradation hook the resource manager pulls when the environment changes
-// abruptly (e.g. an SR-IOV unplug makes the fpga variant's expected time
-// jump without waiting for a slow probe to confirm it).
-func (a *Autotuner) Scale(c Config, m Metric, factor float64) error {
-	if factor <= 0 {
-		return fmt.Errorf("autotuner: scale factor must be positive, got %g", factor)
-	}
-	key := c.Key()
-	p, ok := a.points[key]
-	if !ok {
-		return fmt.Errorf("autotuner: scale of unknown operating point %q", key)
-	}
-	if v, had := p.Metrics[m]; had {
-		p.Metrics[m] = v * factor
-	}
-	return nil
-}
-
-// Observations returns how many observations a configuration has received.
-func (a *Autotuner) Observations(c Config) int { return a.observations[c.Key()] }
-
-// Points returns snapshots of all operating points in insertion order.
-func (a *Autotuner) Points() []OperatingPoint {
-	out := make([]OperatingPoint, 0, len(a.order))
-	for _, key := range a.order {
-		out = append(out, snapshot(a.points[key]))
-	}
-	return out
-}
-
-// SetGoals replaces the goal set (requirements can change at runtime).
-func (a *Autotuner) SetGoals(goals []Goal) { a.goals = goals }
 
 func abs(x float64) float64 {
 	if x < 0 {

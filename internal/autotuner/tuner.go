@@ -2,11 +2,6 @@ package autotuner
 
 import "fmt"
 
-// KnobImpl is the knob name a variant Tuner controls: the implementation
-// choice of one workload ("impl" ∈ {cpu1, cpu16, fpga} in the paper's E7
-// scenario).
-const KnobImpl = "impl"
-
 // Variant seeds one implementation choice with its design-time expected
 // latency.
 type Variant struct {
@@ -32,10 +27,10 @@ type Variant struct {
 // only under the serve lock.
 //
 // The knowledge base is one slice of points in seed order rather than a
-// general Autotuner: the engine calls Best/Expected on every placement of
-// every task, and the general operating-point snapshot (one map allocation
+// general Autotuner: the engine calls Best on every placement of every
+// task, and the general operating-point snapshot (one map allocation
 // per point per call) dominated dispatch profiles. Semantics are identical
-// to an Autotuner with a single KnobImpl knob and an EWMA alpha of 0.5.
+// to an Autotuner with a single "impl" knob and an EWMA alpha of 0.5.
 type Tuner struct {
 	points []point
 }
@@ -109,15 +104,6 @@ func (t *Tuner) seed(v Variant) error {
 	return nil
 }
 
-// Variants returns the variant names in seed order.
-func (t *Tuner) Variants() []string {
-	names := make([]string, len(t.points))
-	for i := range t.points {
-		names[i] = t.points[i].name
-	}
-	return names
-}
-
 // Best returns the variant with the lowest expected latency, first-seeded
 // winning ties.
 func (t *Tuner) Best() string {
@@ -128,15 +114,6 @@ func (t *Tuner) Best() string {
 		}
 	}
 	return t.points[best].name
-}
-
-// Expected returns the current expected latency of a variant in ms (0 for
-// unknown variants).
-func (t *Tuner) Expected(name string) float64 {
-	if i, ok := t.index(name); ok {
-		return t.points[i].expected
-	}
-	return 0
 }
 
 // Drift returns expected/seed for a variant: the learned multiplicative
@@ -165,12 +142,4 @@ func (t *Tuner) Observe(name string, ms float64) {
 		p.expected = 0.5*p.expected + 0.5*ms
 		p.obs++
 	}
-}
-
-// Observations returns how many measurements a variant has received.
-func (t *Tuner) Observations(name string) int {
-	if i, ok := t.index(name); ok {
-		return t.points[i].obs
-	}
-	return 0
 }

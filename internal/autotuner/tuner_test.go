@@ -6,6 +6,32 @@ import (
 	"testing"
 )
 
+// expected returns a variant's current expected latency in ms (0 for
+// unknown variants).
+func expected(tn *Tuner, name string) float64 {
+	if i, ok := tn.index(name); ok {
+		return tn.points[i].expected
+	}
+	return 0
+}
+
+// observations returns how many measurements a variant has received.
+func observations(tn *Tuner, name string) int {
+	if i, ok := tn.index(name); ok {
+		return tn.points[i].obs
+	}
+	return 0
+}
+
+// variantNames returns the variant names in seed order.
+func variantNames(tn *Tuner) []string {
+	names := make([]string, len(tn.points))
+	for i := range tn.points {
+		names[i] = tn.points[i].name
+	}
+	return names
+}
+
 func newTestTuner(t *testing.T) *Tuner {
 	t.Helper()
 	tn, err := NewTuner([]Variant{
@@ -46,10 +72,10 @@ func TestTunerSelectsAndAdapts(t *testing.T) {
 	}
 	if got := tn.Best(); got != "cpu16" {
 		t.Fatalf("after degradation best = %q (fpga now %.0fms), want cpu16",
-			got, tn.Expected("fpga"))
+			got, expected(tn, "fpga"))
 	}
-	if tn.Observations("fpga") != 6 {
-		t.Fatalf("observations = %d, want 6", tn.Observations("fpga"))
+	if observations(tn, "fpga") != 6 {
+		t.Fatalf("observations = %d, want 6", observations(tn, "fpga"))
 	}
 	if d := tn.Drift("fpga"); d < 10 {
 		t.Fatalf("fpga drift = %g, want >= 10 (expected latency blew up)", d)
@@ -78,17 +104,17 @@ func TestTunerResetRestoresSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range seeds {
-		if got := tn.Expected(v.Name); got != v.ExpectedMs {
+		if got := expected(tn, v.Name); got != v.ExpectedMs {
 			t.Errorf("%s expected %g after Reset, want the seed %g", v.Name, got, v.ExpectedMs)
 		}
-		if got := tn.Observations(v.Name); got != 0 {
+		if got := observations(tn, v.Name); got != 0 {
 			t.Errorf("%s has %d observations after Reset, want 0", v.Name, got)
 		}
 		if got := tn.Drift(v.Name); got != 1 {
 			t.Errorf("%s drift %g after Reset, want 1", v.Name, got)
 		}
 	}
-	if got := tn.Variants(); !slices.Equal(got, []string{"cpu1", "cpu16", "fpga"}) {
+	if got := variantNames(tn); !slices.Equal(got, []string{"cpu1", "cpu16", "fpga"}) {
 		t.Errorf("variants after Reset = %v, want the seed order", got)
 	}
 }
@@ -143,7 +169,7 @@ func TestTunerResetRefusesLikeNewTuner(t *testing.T) {
 // it was seeded with, and unknown names read as absent.
 func TestTunerAvailableIsKnownVariant(t *testing.T) {
 	tn := newTestTuner(t)
-	for _, v := range tn.Variants() {
+	for _, v := range variantNames(tn) {
 		if !tn.Available(v) {
 			t.Errorf("seeded variant %q must be available", v)
 		}
@@ -151,30 +177,7 @@ func TestTunerAvailableIsKnownVariant(t *testing.T) {
 	if tn.Available("ghost") {
 		t.Fatal("unknown variant must be unavailable")
 	}
-	if tn.Expected("ghost") != 0 || tn.Drift("ghost") != 1 {
+	if expected(tn, "ghost") != 0 || tn.Drift("ghost") != 1 {
 		t.Fatal("unknown variant must report zero expectation, unit drift")
-	}
-}
-
-func TestAutotunerScale(t *testing.T) {
-	at, err := New(
-		[]Knob{{Name: "impl", Values: []string{"a"}}},
-		[]OperatingPoint{{Config: Config{"impl": "a"}, Metrics: map[Metric]float64{MetricTimeMs: 10}}},
-		nil, Rank{Metric: MetricTimeMs, Minimize: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := at.Scale(Config{"impl": "a"}, MetricTimeMs, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := at.Select().Metrics[MetricTimeMs]; math.Abs(got-30) > 1e-9 {
-		t.Fatalf("scaled metric = %g, want 30", got)
-	}
-	if err := at.Scale(Config{"impl": "b"}, MetricTimeMs, 2); err == nil {
-		t.Error("scaling unknown point must fail")
-	}
-	if err := at.Scale(Config{"impl": "a"}, MetricTimeMs, 0); err == nil {
-		t.Error("non-positive factor must fail")
 	}
 }

@@ -11,7 +11,6 @@
 package base2
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -50,15 +49,6 @@ func (Float32) Bits() int { return 32 }
 // Quantize implements Format.
 func (Float32) Quantize(x float64) float64 { return float64(float32(x)) }
 
-// QuantizeSlice quantizes xs through f into a new slice.
-func QuantizeSlice(f Format, xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = f.Quantize(x)
-	}
-	return out
-}
-
 // ErrorStats summarizes quantization error over a data set.
 type ErrorStats struct {
 	MaxAbs  float64
@@ -93,9 +83,4 @@ func MeasureError(f Format, xs []float64) ErrorStats {
 	}
 	st.RMSE = math.Sqrt(sq / float64(len(xs)))
 	return st
-}
-
-// String renders the stats compactly.
-func (s ErrorStats) String() string {
-	return fmt.Sprintf("maxabs=%.3g rmse=%.3g maxrel=%.3g n=%d", s.MaxAbs, s.RMSE, s.MaxRel, s.Samples)
 }

@@ -62,99 +62,3 @@ func (f FixedFormat) ToRaw(x float64) int64 {
 
 // FromRaw converts a raw integer back to float64.
 func (f FixedFormat) FromRaw(raw int64) float64 { return float64(raw) / f.scale() }
-
-// Fixed is a fixed-point value carrying its format.
-type Fixed struct {
-	Raw int64
-	Fmt FixedFormat
-}
-
-// NewFixed quantizes x into format f.
-func NewFixed(f FixedFormat, x float64) Fixed { return Fixed{Raw: f.ToRaw(x), Fmt: f} }
-
-// Float returns the value as float64.
-func (a Fixed) Float() float64 { return a.Fmt.FromRaw(a.Raw) }
-
-func (a Fixed) String() string { return fmt.Sprintf("%g:%s", a.Float(), a.Fmt.Name()) }
-
-func (a Fixed) sameFmt(b Fixed) error {
-	if a.Fmt != b.Fmt {
-		return fmt.Errorf("base2: format mismatch %s vs %s", a.Fmt.Name(), b.Fmt.Name())
-	}
-	return nil
-}
-
-func (f FixedFormat) saturate(raw int64) int64 {
-	if raw > f.maxRaw() {
-		return f.maxRaw()
-	}
-	if raw < f.minRaw() {
-		return f.minRaw()
-	}
-	return raw
-}
-
-// Add returns a+b with saturation. Formats must match.
-func (a Fixed) Add(b Fixed) (Fixed, error) {
-	if err := a.sameFmt(b); err != nil {
-		return Fixed{}, err
-	}
-	return Fixed{Raw: a.Fmt.saturate(a.Raw + b.Raw), Fmt: a.Fmt}, nil
-}
-
-// Sub returns a-b with saturation. Formats must match.
-func (a Fixed) Sub(b Fixed) (Fixed, error) {
-	if err := a.sameFmt(b); err != nil {
-		return Fixed{}, err
-	}
-	return Fixed{Raw: a.Fmt.saturate(a.Raw - b.Raw), Fmt: a.Fmt}, nil
-}
-
-// Mul returns a*b, rounding the product back into the shared format with
-// round-to-nearest-even on the shifted-out fraction bits.
-func (a Fixed) Mul(b Fixed) (Fixed, error) {
-	if err := a.sameFmt(b); err != nil {
-		return Fixed{}, err
-	}
-	// Full product has 2*FracBits fraction bits; shift back by FracBits.
-	prod := a.Raw * b.Raw
-	fb := a.Fmt.FracBits
-	if fb == 0 {
-		return Fixed{Raw: a.Fmt.saturate(prod), Fmt: a.Fmt}, nil
-	}
-	half := int64(1) << (fb - 1)
-	shifted := prod >> fb
-	rem := prod - (shifted << fb)
-	if rem < 0 {
-		rem += int64(1) << fb
-		shifted--
-	}
-	switch {
-	case rem > half, rem == half && shifted&1 == 1:
-		shifted++
-	}
-	return Fixed{Raw: a.Fmt.saturate(shifted), Fmt: a.Fmt}, nil
-}
-
-// Div returns a/b rounded to nearest, or an error on division by zero.
-func (a Fixed) Div(b Fixed) (Fixed, error) {
-	if err := a.sameFmt(b); err != nil {
-		return Fixed{}, err
-	}
-	if b.Raw == 0 {
-		return Fixed{}, fmt.Errorf("base2: fixed-point division by zero")
-	}
-	// Compute in float64 (exact for <= 53 significant bits) and re-quantize;
-	// hardware would use a shifted integer divide with the same result.
-	q := a.Float() / b.Float()
-	return NewFixed(a.Fmt, q), nil
-}
-
-// MaxValue returns the largest representable value.
-func (f FixedFormat) MaxValue() float64 { return f.FromRaw(f.maxRaw()) }
-
-// MinValue returns the smallest (most negative) representable value.
-func (f FixedFormat) MinValue() float64 { return f.FromRaw(f.minRaw()) }
-
-// Resolution returns the spacing between adjacent values (one ULP).
-func (f FixedFormat) Resolution() float64 { return 1 / f.scale() }

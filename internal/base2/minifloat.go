@@ -21,9 +21,6 @@ func FP16() MiniFloat { return MiniFloat{Label: "f16", ExpBits: 5, FracBits: 10}
 // BF16 is bfloat16 (truncated binary32).
 func BF16() MiniFloat { return MiniFloat{Label: "bf16", ExpBits: 8, FracBits: 7} }
 
-// FP8E4M3 is the 8-bit e4m3 format used for ML inference datapaths.
-func FP8E4M3() MiniFloat { return MiniFloat{Label: "fp8e4m3", ExpBits: 4, FracBits: 3} }
-
 // Name implements Format.
 func (f MiniFloat) Name() string {
 	if f.Label != "" {
@@ -121,11 +118,3 @@ func (f MiniFloat) Decode(bits uint64) float64 {
 	}
 	return v
 }
-
-// MaxValue returns the largest finite representable value.
-func (f MiniFloat) MaxValue() float64 {
-	return f.Decode(uint64(f.maxExpField()-1)<<f.FracBits | ((uint64(1) << f.FracBits) - 1))
-}
-
-// MinNormal returns the smallest positive normal value.
-func (f MiniFloat) MinNormal() float64 { return f.Decode(uint64(1) << f.FracBits) }

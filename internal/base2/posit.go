@@ -172,22 +172,6 @@ func (p PositFormat) Decode(bits uint64) float64 {
 	return val
 }
 
-// MaxPos returns the largest representable posit value.
-func (p PositFormat) MaxPos() float64 {
-	return p.Decode((uint64(1) << (p.N - 1)) - 1)
-}
-
-// MinPos returns the smallest positive representable value.
-func (p PositFormat) MinPos() float64 { return p.Decode(1) }
-
-// Add returns the posit sum of two bit patterns (round through float64,
-// which is exact for N <= 32 operands and the double-rounding-free cases our
-// datapaths use).
-func (p PositFormat) Add(a, b uint64) uint64 { return p.Encode(p.Decode(a) + p.Decode(b)) }
-
-// Mul returns the posit product of two bit patterns.
-func (p PositFormat) Mul(a, b uint64) uint64 { return p.Encode(p.Decode(a) * p.Decode(b)) }
-
 func floorDiv(a, b int) int {
 	q := a / b
 	if (a%b != 0) && ((a < 0) != (b < 0)) {

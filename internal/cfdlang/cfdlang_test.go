@@ -48,7 +48,7 @@ func TestRunMatmulMatchesEinsum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.MatMul(a, b)
+	want := tensor.MustEinsum("ij,jk->ik", a, b)
 	if tensor.MaxAbsDiff(out["C"], want) > 1e-12 {
 		t.Error("CFDlang matmul disagrees with einsum matmul")
 	}

@@ -10,16 +10,6 @@ type Program struct {
 	Kernels []*Kernel
 }
 
-// Find returns the kernel with the given name, or nil.
-func (p *Program) Find(name string) *Kernel {
-	for _, k := range p.Kernels {
-		if k.Name == name {
-			return k
-		}
-	}
-	return nil
-}
-
 // Kernel is one EKL kernel: declarations plus ordered statements.
 type Kernel struct {
 	Name    string
@@ -28,16 +18,6 @@ type Kernel struct {
 	Outputs []*OutputDecl
 	Stmts   []*Stmt
 	Line    int
-}
-
-// Input returns the input declaration with the given name, or nil.
-func (k *Kernel) Input(name string) *TensorDecl {
-	for _, in := range k.Inputs {
-		if in.Name == name {
-			return in
-		}
-	}
-	return nil
 }
 
 // Output returns the output declaration with the given name, or nil.

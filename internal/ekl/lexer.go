@@ -64,8 +64,6 @@ type Token struct {
 	Col  int
 }
 
-func (t Token) String() string { return fmt.Sprintf("%q@%d:%d", t.Text, t.Line, t.Col) }
-
 // Lexer turns EKL source into tokens. '#' starts a line comment.
 type Lexer struct {
 	src  []rune

@@ -358,21 +358,6 @@ func letterSpecSubset(all, subset []string) string {
 	return b.String()
 }
 
-// LowerToESN normalizes ekl.einsum contractions into the esn dialect
-// (Fig. 5: the shared Einstein-notation layer between ekl and cfdlang). The
-// rewrite is in place: the op keeps its operands, results, and spec.
-func LowerToESN() mlir.Pass {
-	return mlir.PassFunc{PassName: "ekl-to-esn", Fn: func(m *mlir.Module) error {
-		m.Walk(func(op *mlir.Op) {
-			if op.Is("ekl.einsum") {
-				op.Dialect = "esn"
-				op.Name = "contract"
-			}
-		})
-		return nil
-	}}
-}
-
 // LowerToTeIL rewrites einsum/select/gather/binary statement ops into
 // teil.loop nests (paper: ekl -> teil lowering). It returns a module pass.
 func LowerToTeIL() mlir.Pass {
@@ -380,14 +365,11 @@ func LowerToTeIL() mlir.Pass {
 		ctx := m.Context()
 		m.WalkBlocks(func(blk *mlir.Block) {
 			for _, op := range append([]*mlir.Op(nil), blk.Ops...) {
-				switch {
-				case op.Dialect == "ekl":
-					switch op.Name {
-					case "einsum", "select", "gather", "binary", "unary":
-						lowerStmtOpToLoop(ctx, op)
-					}
-				case op.Is("esn.contract"), op.Is("esn.map"):
-					// Normalized Einstein-notation ops lower identically.
+				if op.Dialect != "ekl" {
+					continue
+				}
+				switch op.Name {
+				case "einsum", "select", "gather", "binary", "unary":
 					lowerStmtOpToLoop(ctx, op)
 				}
 			}

@@ -1,82 +1,9 @@
 package hls
 
 import (
-	"fmt"
-
 	"everest/internal/base2"
 	"everest/internal/ekl"
-	"everest/internal/mlir"
 )
-
-// FromModule extracts HLS kernels from a lowered EKL module (one kernel per
-// teil-lowered statement op). The op mix is read from the teil loop bodies;
-// trip counts come from the recorded bounds.
-func FromModule(m *mlir.Module, format base2.Format) []Kernel {
-	var kernels []Kernel
-	i := 0
-	m.Walk(func(op *mlir.Op) {
-		if !mlir.GetBool(op.Attrs, "teil.lowered", false) {
-			return
-		}
-		bounds, _ := op.Attrs["bounds"].(mlir.ArrayAttr)
-		nest := LoopNest{}
-		for _, b := range bounds {
-			if ia, ok := b.(mlir.IntAttr); ok && ia > 0 {
-				nest.TripCounts = append(nest.TripCounts, int(ia))
-			}
-		}
-		if len(nest.TripCounts) == 0 {
-			nest.TripCounts = []int{1}
-		}
-		var mix OpMix
-		for _, region := range op.Regions {
-			for _, blk := range region.Blocks {
-				for _, nested := range blk.Ops {
-					switch nested.FullName() {
-					case "teil.load":
-						mix.Loads++
-					case "teil.store":
-						mix.Stores++
-					case "teil.accumulate":
-						mix.Adds++
-						nest.Reduction = true
-					case "teil.binary":
-						switch mlir.GetString(nested.Attrs, "fn", "*") {
-						case "+", "-":
-							mix.Adds++
-						case "/":
-							mix.Divs++
-						case "<", "<=", ">", ">=", "==", "!=":
-							mix.Compares++
-						default:
-							mix.Muls++
-						}
-					case "teil.unary":
-						mix.Special++
-					}
-				}
-			}
-		}
-		if op.Is("ekl.gather") {
-			mix.Gathers++
-		}
-		if op.Is("ekl.select") {
-			mix.Compares++
-		}
-		nest.Body = mix
-		name := mlir.GetString(op.Attrs, "name", "")
-		if name == "" {
-			name = op.FullName()
-		}
-		kernels = append(kernels, Kernel{
-			Name:   nameWithIndex(name, i),
-			Nest:   nest,
-			Format: format,
-		})
-		i++
-	})
-	return kernels
-}
 
 // FromEKLKernel builds one fused HLS kernel directly from an EKL kernel and
 // the shapes ekl.Lower specialized it to: the loop nest of the dominant
@@ -174,11 +101,4 @@ func countOps(e ekl.Expr, mix *OpMix) {
 		countOps(t.A, mix)
 		countOps(t.B, mix)
 	}
-}
-
-func nameWithIndex(name string, i int) string {
-	if name == "" {
-		name = "kernel"
-	}
-	return fmt.Sprintf("%s_%d", name, i)
 }

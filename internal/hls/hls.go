@@ -38,9 +38,6 @@ type OpMix struct {
 	Gathers  int // data-dependent (irregular) reads
 }
 
-// Total returns the total arithmetic operation count (excluding memory).
-func (m OpMix) Total() int { return m.Adds + m.Muls + m.Divs + m.Compares + m.Special }
-
 // LoopNest is a perfect loop nest with the per-iteration operation mix.
 type LoopNest struct {
 	TripCounts []int // outermost first
@@ -138,17 +135,6 @@ type Report struct {
 	Resources   Resources
 	ClockMHz    float64
 	Directives  Directives
-}
-
-// TimeSeconds converts the cycle latency to seconds at the achieved clock.
-func (r Report) TimeSeconds() float64 {
-	return float64(r.LatencyCycle) / (r.ClockMHz * 1e6)
-}
-
-// WCETSeconds converts the worst-case cycle bound to seconds at the
-// achieved clock.
-func (r Report) WCETSeconds() float64 {
-	return float64(r.WCETCycle) / (r.ClockMHz * 1e6)
 }
 
 func (r Report) String() string {

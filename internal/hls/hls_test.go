@@ -7,7 +7,6 @@ import (
 
 	"everest/internal/base2"
 	"everest/internal/ekl"
-	"everest/internal/mlir"
 	"everest/internal/tensor"
 )
 
@@ -148,25 +147,6 @@ func TestBackendsDiffer(t *testing.T) {
 	}
 }
 
-func TestBestDirectives(t *testing.T) {
-	k := vecKernel(base2.Float32{}, 4096)
-	budget := Resources{LUT: 200000, FF: 300000, DSP: 100, BRAM: 100}
-	rep, err := BestDirectives(k, VitisBackend{}, budget, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Directives.PipelineEnabled {
-		t.Error("best configuration should enable pipelining")
-	}
-	if !rep.Resources.FitsIn(budget) {
-		t.Error("chosen configuration must fit the budget")
-	}
-	// Impossible budget must error.
-	if _, err := BestDirectives(k, VitisBackend{}, Resources{LUT: 10}, 8); err == nil {
-		t.Error("impossible budget must error")
-	}
-}
-
 func TestResourcesHelpers(t *testing.T) {
 	a := Resources{LUT: 10, FF: 20, DSP: 2, BRAM: 1}
 	b := a.Scale(3)
@@ -256,41 +236,5 @@ func TestFromEKLKernel(t *testing.T) {
 	}
 	if _, err := Schedule(hk, Directives{PipelineEnabled: true}, VitisBackend{}); err != nil {
 		t.Errorf("schedule of EKL-derived kernel failed: %v", err)
-	}
-}
-
-func TestFromModule(t *testing.T) {
-	k, err := ekl.ParseKernel(matmulSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	bind := ekl.Binding{Tensors: map[string]*tensor.Tensor{
-		"a": tensor.Random(rng, -1, 1, 4, 8),
-		"b": tensor.Random(rng, -1, 1, 8, 4),
-	}}
-	m, _, err := ekl.Lower(k, bind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm := mlir.NewPassManager().Add(ekl.LowerToTeIL())
-	if err := pm.Run(m); err != nil {
-		t.Fatal(err)
-	}
-	kernels := FromModule(m, base2.Float32{})
-	if len(kernels) == 0 {
-		t.Fatal("FromModule found no kernels")
-	}
-	found := false
-	for _, hk := range kernels {
-		if hk.Nest.Reduction && hk.Nest.Trips() >= 4*4*8 {
-			found = true
-		}
-		if _, err := Schedule(hk, Directives{PipelineEnabled: true}, BambuBackend{}); err != nil {
-			t.Errorf("schedule(%s): %v", hk.Name, err)
-		}
-	}
-	if !found {
-		t.Error("no kernel captured the full matmul iteration space")
 	}
 }

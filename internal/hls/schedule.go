@@ -180,37 +180,6 @@ func bramBlocks(bytes int64) int {
 	return int((bytes + 2047) / 2048)
 }
 
-// BestDirectives searches the small directive space (pipeline on/off,
-// unroll in powers of two up to maxUnroll) for the lowest-latency
-// configuration that fits within the resource budget. It returns the chosen
-// directives and report.
-func BestDirectives(k Kernel, b Backend, budget Resources, maxUnroll int) (Report, error) {
-	if maxUnroll < 1 {
-		maxUnroll = 1
-	}
-	var best Report
-	found := false
-	for _, pipe := range []bool{false, true} {
-		for u := 1; u <= maxUnroll; u *= 2 {
-			rep, err := Schedule(k, Directives{PipelineEnabled: pipe, Unroll: u}, b)
-			if err != nil {
-				return Report{}, err
-			}
-			if !rep.Resources.FitsIn(budget) {
-				continue
-			}
-			if !found || rep.LatencyCycle < best.LatencyCycle {
-				best = rep
-				found = true
-			}
-		}
-	}
-	if !found {
-		return Report{}, fmt.Errorf("hls: kernel %q does not fit in the resource budget %s", k.Name, budget)
-	}
-	return best, nil
-}
-
 func ceilDiv(a, b int) int {
 	if b <= 0 {
 		return a

@@ -141,37 +141,3 @@ func TestUnrollClampsToInnerTripCount(t *testing.T) {
 		t.Fatalf("unroll 64 over a 4-trip inner loop should equal unroll 4: %v vs %v", wide, clamped)
 	}
 }
-
-func TestBestDirectivesRespectsTightBudget(t *testing.T) {
-	k := Kernel{
-		Name:   "budget",
-		Nest:   LoopNest{TripCounts: []int{128}, Body: OpMix{Adds: 2, Muls: 2, Loads: 3, Stores: 1}},
-		Format: base2.Float32{},
-	}
-	loose, err := BestDirectives(k, VitisBackend{}, Resources{LUT: 1 << 20, FF: 1 << 21, DSP: 9024, BRAM: 4032}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A budget that only admits the un-unrolled datapath forces a slower
-	// but fitting schedule.
-	single, err := Schedule(k, Directives{PipelineEnabled: true}, VitisBackend{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight := single.Resources
-	constrained, err := BestDirectives(k, VitisBackend{}, tight, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if constrained.Directives.Unroll > 1 {
-		t.Fatalf("tight budget admitted unroll %d", constrained.Directives.Unroll)
-	}
-	if constrained.LatencyCycle < loose.LatencyCycle {
-		t.Fatalf("constrained schedule (%d cycles) cannot beat the loose one (%d)",
-			constrained.LatencyCycle, loose.LatencyCycle)
-	}
-	// And a budget below even that admits nothing.
-	if _, err := BestDirectives(k, VitisBackend{}, Resources{LUT: 10}, 8); err == nil {
-		t.Fatal("expected no-fit error for a 10-LUT budget")
-	}
-}

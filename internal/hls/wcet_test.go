@@ -31,7 +31,7 @@ func sweepFormats(t testing.TB) []base2.Format {
 	}
 	return []base2.Format{
 		base2.Float64{}, base2.Float32{},
-		base2.FP16(), base2.BF16(), base2.FP8E4M3(),
+		base2.FP16(), base2.BF16(), base2.MiniFloat{Label: "fp8e4m3", ExpBits: 4, FracBits: 3},
 		fx412, fx1616, posit16, posit32,
 	}
 }
@@ -51,9 +51,6 @@ func checkWCET(t *testing.T, rep Report) {
 	if !rep.Directives.PipelineEnabled && rep.LatencyCycle != rep.WCETCycle {
 		t.Fatalf("%s: sequential schedule must be its own worst case: latency %d, wcet %d",
 			rep.Kernel, rep.LatencyCycle, rep.WCETCycle)
-	}
-	if rep.WCETSeconds() < rep.TimeSeconds() {
-		t.Fatalf("%s: WCETSeconds %.3g below TimeSeconds %.3g", rep.Kernel, rep.WCETSeconds(), rep.TimeSeconds())
 	}
 }
 
@@ -208,32 +205,10 @@ func TestWCETInvariantProperty(t *testing.T) {
 	}
 }
 
-// TestBestDirectivesWCETInvariant: the directive search may pick any point
-// in its grid, so the chosen schedule must carry a sound bound too.
-func TestBestDirectivesWCETInvariant(t *testing.T) {
-	budget := Resources{LUT: 200000, FF: 300000, DSP: 500, BRAM: 200}
-	for _, format := range sweepFormats(t) {
-		for _, b := range []Backend{VitisBackend{}, BambuBackend{}} {
-			if !b.SupportsFormat(format) {
-				continue
-			}
-			k := Kernel{
-				Name:   "best-" + format.Name(),
-				Nest:   LoopNest{TripCounts: []int{5, 23}, Body: OpMix{Adds: 1, Muls: 1, Loads: 2, Stores: 1}},
-				Format: format,
-			}
-			rep, err := BestDirectives(k, b, budget, 8)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", b.Name(), format.Name(), err)
-			}
-			checkWCET(t, rep)
-		}
-	}
-}
-
 // TestWCETFromEKLKernels runs the ekl fuzz corpus' concrete-shape kernels
-// end to end — parse, lower, convert via FromEKLKernel, search directives
-// — and checks the bound invariant on every derived schedule.
+// end to end — parse, lower, convert via FromEKLKernel, schedule at every
+// pipeline and unroll (1 to 8) point — and checks the bound invariant on
+// every derived schedule.
 func TestWCETFromEKLKernels(t *testing.T) {
 	cases := []struct {
 		src     string
@@ -245,7 +220,6 @@ func TestWCETFromEKLKernels(t *testing.T) {
 		{"kernel acc {\n  input a : [6]\n  s = 0\n  s += sum(i) exp(a[i])\n  output s\n}\n",
 			map[string][]int{"a": {6}}},
 	}
-	budget := Resources{LUT: 400000, FF: 600000, DSP: 1000, BRAM: 500}
 	for ci, c := range cases {
 		k, err := ekl.ParseKernel(c.src)
 		if err != nil {
@@ -266,11 +240,15 @@ func TestWCETFromEKLKernels(t *testing.T) {
 				if !b.SupportsFormat(format) {
 					continue
 				}
-				rep, err := BestDirectives(hk, b, budget, 8)
-				if err != nil {
-					t.Fatalf("case %d %s/%s: %v", ci, b.Name(), format.Name(), err)
+				for _, pipe := range []bool{false, true} {
+					for u := 1; u <= 8; u *= 2 {
+						rep, err := Schedule(hk, Directives{PipelineEnabled: pipe, Unroll: u}, b)
+						if err != nil {
+							t.Fatalf("case %d %s/%s: %v", ci, b.Name(), format.Name(), err)
+						}
+						checkWCET(t, rep)
+					}
 				}
-				checkWCET(t, rep)
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package mlir
 
 import (
-	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -32,11 +30,6 @@ func (a BoolAttr) String() string { return strconv.FormatBool(bool(a)) }
 type StringAttr string
 
 func (a StringAttr) String() string { return strconv.Quote(string(a)) }
-
-// TypeAttr wraps a Type as an attribute (e.g. function signatures).
-type TypeAttr struct{ Type Type }
-
-func (a TypeAttr) String() string { return a.Type.String() }
 
 // ArrayAttr is an ordered list of attributes.
 type ArrayAttr []Attribute
@@ -68,52 +61,6 @@ func StringsAttr(vals ...string) ArrayAttr {
 	return arr
 }
 
-// DictAttr is a string-keyed attribute dictionary, printed sorted.
-type DictAttr map[string]Attribute
-
-func (a DictAttr) String() string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s = %s", k, a[k].String())
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// DenseAttr is a dense tensor constant (row-major float64 storage; the
-// element type records the intended on-device format).
-type DenseAttr struct {
-	Shape []int
-	Elem  Type
-	Data  []float64
-}
-
-func (a DenseAttr) String() string {
-	// Print small tensors in full and large ones abbreviated, keeping module
-	// dumps readable without losing determinism.
-	const maxInline = 16
-	var b strings.Builder
-	b.WriteString("dense<")
-	if len(a.Data) <= maxInline {
-		b.WriteString("[")
-		for i, v := range a.Data {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		b.WriteString("]")
-	} else {
-		fmt.Fprintf(&b, "...%d values...", len(a.Data))
-	}
-	fmt.Fprintf(&b, "> : tensor<%s%s>", dimsString(a.Shape), a.Elem)
-	return b.String()
-}
-
 // GetInt fetches an IntAttr value with a default.
 func GetInt(attrs map[string]Attribute, key string, def int64) int64 {
 	if v, ok := attrs[key].(IntAttr); ok {
@@ -134,14 +81,6 @@ func GetString(attrs map[string]Attribute, key, def string) string {
 func GetBool(attrs map[string]Attribute, key string, def bool) bool {
 	if v, ok := attrs[key].(BoolAttr); ok {
 		return bool(v)
-	}
-	return def
-}
-
-// GetFloat fetches a FloatAttr value with a default.
-func GetFloat(attrs map[string]Attribute, key string, def float64) float64 {
-	if v, ok := attrs[key].(FloatAttr); ok {
-		return float64(v)
 	}
 	return def
 }

@@ -34,9 +34,14 @@ func buildIn(t *testing.T) (*mlir.Module, *mlir.Builder) {
 	ctx := newCtx()
 	m := mlir.NewModule(ctx, "t")
 	b := mlir.NewBuilder(ctx, m.Body())
-	_, _, fb := b.Func("f", mlir.FunctionType{})
-	return m, fb
+	fn := b.CreateWithRegions("builtin.func", nil, nil, map[string]mlir.Attribute{"sym_name": mlir.StringAttr("f")}, 1)
+	return m, mlir.NewBuilder(ctx, fn.Regions[0].Entry())
 }
+
+// testType is an opaque type for ops whose verifiers only compare types.
+type testType string
+
+func (t testType) String() string { return string(t) }
 
 func TestEinsumVerifier(t *testing.T) {
 	m, fb := buildIn(t)
@@ -132,7 +137,7 @@ func TestBase2CastVerifier(t *testing.T) {
 	m2, fb2 := buildIn(t)
 	v2 := fb2.ConstantFloat(0, mlir.F64())
 	fb2.Create("base2.quantize", []*mlir.Value{v2},
-		[]mlir.Type{mlir.FixedType{IntBits: 8, FracBits: 8}}, nil)
+		[]mlir.Type{testType("!base2.fixed<8,8>")}, nil)
 	if err := m2.Verify(); err != nil {
 		t.Errorf("valid quantize rejected: %v", err)
 	}
@@ -210,18 +215,18 @@ func TestFSMOps(t *testing.T) {
 
 func TestEVPOps(t *testing.T) {
 	m, fb := buildIn(t)
-	tgt := fb.Create("evp.target", nil, []mlir.Type{mlir.NoneType{}},
+	tgt := fb.Create("evp.target", nil, []mlir.Type{testType("none")},
 		map[string]mlir.Attribute{"platform": mlir.StringAttr("alveo-u55c")})
 	fb.Create("evp.deploy", []*mlir.Value{tgt.Result(0)}, nil,
 		map[string]mlir.Attribute{"node": mlir.StringAttr("node00")})
-	fb.Create("evp.variant", nil, []mlir.Type{mlir.NoneType{}},
+	fb.Create("evp.variant", nil, []mlir.Type{testType("none")},
 		map[string]mlir.Attribute{"name": mlir.StringAttr("fpga")})
 	if err := m.Verify(); err != nil {
 		t.Fatalf("evp ops rejected: %v", err)
 	}
 
 	m2, fb2 := buildIn(t)
-	fb2.Create("evp.target", nil, []mlir.Type{mlir.NoneType{}}, nil)
+	fb2.Create("evp.target", nil, []mlir.Type{testType("none")}, nil)
 	if err := m2.Verify(); err == nil {
 		t.Error("evp.target without platform must fail")
 	}

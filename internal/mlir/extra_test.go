@@ -3,47 +3,14 @@ package mlir
 import (
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestPassManagerDumpAndPipelineString(t *testing.T) {
-	ctx := NewContext()
-	m := NewModule(ctx, "dump")
-	b := NewBuilder(ctx, m.Body())
-	_, _, fb := b.Func("f", FunctionType{})
-	v := fb.ConstantFloat(1, F64())
-	fb.Return(v)
-
-	var dump strings.Builder
-	pm := NewPassManager()
-	pm.DumpEachTo = &dump
-	pm.AddFunc("noop", func(*Module) error { return nil }).Add(DeadCodeElim())
-	if got := pm.PipelineString(); got != "noop,dce" {
-		t.Errorf("PipelineString = %q", got)
-	}
-	if err := pm.Run(m); err != nil {
-		t.Fatal(err)
-	}
-	text := dump.String()
-	if !strings.Contains(text, "after noop") || !strings.Contains(text, "after dce") {
-		t.Error("dump must include per-pass sections")
-	}
-	for _, st := range pm.Stats {
-		if st.Duration < 0 || st.Duration > time.Minute {
-			t.Errorf("implausible pass duration %v", st.Duration)
-		}
-		if st.OpsAfter <= 0 {
-			t.Errorf("OpsAfter not recorded for %s", st.Pass)
-		}
-	}
-}
 
 func TestPassManagerErrorPropagation(t *testing.T) {
 	ctx := NewContext()
 	m := NewModule(ctx, "err")
-	pm := NewPassManager().AddFunc("boom", func(*Module) error {
+	pm := NewPassManager().Add(PassFunc{PassName: "boom", Fn: func(*Module) error {
 		return &VerifyError{Op: "x", Err: errSentinel}
-	})
+	}})
 	err := pm.Run(m)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("pass error must name the pass: %v", err)
@@ -69,76 +36,7 @@ func TestVerifyErrorUnwrap(t *testing.T) {
 	}
 }
 
-func TestOpStringDetached(t *testing.T) {
-	ctx := NewContext()
-	m := NewModule(ctx, "s")
-	b := NewBuilder(ctx, m.Body())
-	_, _, fb := b.Func("f", FunctionType{})
-	x := fb.ConstantFloat(1, F64())
-	op := fb.Create("builtin.call", []*Value{x}, []Type{F64()},
-		map[string]Attribute{"callee": StringAttr("g")})
-	text := op.String()
-	if !strings.Contains(text, "builtin.call") || !strings.Contains(text, `callee = "g"`) {
-		t.Errorf("op String missing parts: %s", text)
-	}
-}
-
-func TestRegionAndBlockHelpers(t *testing.T) {
-	ctx := NewContext()
-	m := NewModule(ctx, "r")
-	b := NewBuilder(ctx, m.Body())
-	op := b.CreateWithRegions("builtin.module", nil, nil,
-		map[string]Attribute{"sym_name": StringAttr("nested")}, 1)
-	r := op.Regions[0]
-	if r.ParentOp() != op {
-		t.Error("ParentOp broken")
-	}
-	blk2 := r.AddBlock()
-	if len(r.Blocks) != 2 || blk2.Region() != r {
-		t.Error("AddBlock broken")
-	}
-	// Terminator detection on an empty block.
-	if blk2.Terminator() != nil {
-		t.Error("empty block has no terminator")
-	}
-	bb := NewBuilder(ctx, blk2)
-	bb.Return()
-	if blk2.Terminator() == nil {
-		t.Error("return must be detected as terminator")
-	}
-}
-
-func TestEraseOpsAndValueHelpers(t *testing.T) {
-	ctx := NewContext()
-	m := NewModule(ctx, "e")
-	b := NewBuilder(ctx, m.Body())
-	_, entry, fb := b.Func("f", FunctionType{Inputs: []Type{F64()}})
-	arg := entry.Args[0]
-	if arg.DefiningOp() != nil || !arg.IsBlockArg() {
-		t.Error("block arg properties wrong")
-	}
-	if arg.ID() <= 0 {
-		t.Error("value ids must be positive")
-	}
-	c := fb.ConstantFloat(2, F64())
-	c.SetName("two")
-	if c.Name() != "two" {
-		t.Error("SetName broken")
-	}
-	c.SetType(F32())
-	if c.Type().String() != "f32" {
-		t.Error("SetType broken")
-	}
-	removed := m.EraseOps(func(op *Op) bool { return op.Is("builtin.constant") })
-	if removed != 1 {
-		t.Errorf("EraseOps removed %d, want 1", removed)
-	}
-}
-
 func TestTypeMiscellany(t *testing.T) {
-	if (NoneType{}).String() != "none" {
-		t.Error("NoneType string")
-	}
 	st := StreamType{Elem: F64()}
 	if st.String() != "stream<f64>" {
 		t.Errorf("depthless stream = %q", st.String())
@@ -147,29 +45,8 @@ func TestTypeMiscellany(t *testing.T) {
 	if mr.String() != "memref<4xf64>" {
 		t.Errorf("spaceless memref = %q", mr.String())
 	}
-	if mr.NumElements() != 4 {
-		t.Error("memref NumElements")
-	}
-	dyn := MemRefType{Shape: []int{-1}, Elem: F64()}
-	if dyn.NumElements() != -1 {
-		t.Error("dynamic memref NumElements must be -1")
-	}
-	tt := TensorOf(F64(), 2, 3)
-	if tt.NumElements() != 6 || tt.Rank() != 2 {
-		t.Error("tensor helpers")
-	}
-	dynT := TensorType{Shape: []int{-1}, Elem: F64()}
-	if dynT.NumElements() != -1 {
-		t.Error("dynamic tensor NumElements must be -1")
-	}
-	if ElemOf(tt).String() != "f64" || ElemOf(F32()).String() != "f32" {
-		t.Error("ElemOf")
-	}
-	if len(ShapeOf(tt)) != 2 || ShapeOf(F64()) != nil {
-		t.Error("ShapeOf")
-	}
-	if ElemOf(StreamType{Elem: I32()}).String() != "i32" {
-		t.Error("ElemOf stream")
+	if TensorOf(F64(), 2, 3).Rank() != 2 {
+		t.Error("tensor rank")
 	}
 	if !TypesEqual(nil, nil) || TypesEqual(nil, F64()) {
 		t.Error("TypesEqual nil handling")
@@ -186,9 +63,6 @@ func TestAttrStrings(t *testing.T) {
 	if BoolAttr(true).String() != "true" {
 		t.Error("BoolAttr")
 	}
-	if (TypeAttr{Type: F64()}).String() != "f64" {
-		t.Error("TypeAttr")
-	}
 	arr := IntsAttr(1, 2, 3)
 	if arr.String() != "[1, 2, 3]" {
 		t.Errorf("ArrayAttr = %q", arr.String())
@@ -197,31 +71,17 @@ func TestAttrStrings(t *testing.T) {
 	if sarr.String() != `["a", "b"]` {
 		t.Errorf("StringsAttr = %q", sarr.String())
 	}
-	small := DenseAttr{Shape: []int{2}, Elem: F64(), Data: []float64{1, 2}}
-	if !strings.Contains(small.String(), "[1, 2]") {
-		t.Errorf("small DenseAttr = %q", small.String())
-	}
-	big := DenseAttr{Shape: []int{100}, Elem: F64(), Data: make([]float64, 100)}
-	if !strings.Contains(big.String(), "...100 values...") {
-		t.Errorf("big DenseAttr = %q", big.String())
-	}
 }
 
 func TestModuleHelpers(t *testing.T) {
 	ctx := NewContext()
 	m := NewModule(ctx, "helpers")
-	if m.Name() != "helpers" || m.Context() != ctx || m.Op() == nil {
-		t.Error("module accessors broken")
+	if m.Context() != ctx {
+		t.Error("module context broken")
 	}
 	b := NewBuilder(ctx, m.Body())
-	if b.Context() != ctx || b.Block() != m.Body() {
-		t.Error("builder accessors broken")
-	}
-	fn1, _, _ := b.Func("a", FunctionType{})
-	b.Func("b", FunctionType{})
-	if len(m.Funcs()) != 2 || m.Funcs()[0] != fn1 {
-		t.Error("Funcs listing broken")
-	}
+	buildFunc(b, "a")
+	buildFunc(b, "b")
 	blocks := 0
 	m.WalkBlocks(func(*Block) { blocks++ })
 	if blocks != 3 { // module body + two func bodies

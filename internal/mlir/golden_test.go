@@ -87,9 +87,9 @@ func TestGoldenEKLLowered(t *testing.T) {
 	}
 	checkGolden(t, "ekl_kernel.mlir", module.String())
 
-	// Through the full pipeline: einsum -> esn normalization -> teil loop
-	// nests -> affine.for, verifying between passes.
-	pm := mlir.NewPassManager().Add(ekl.LowerToESN(), ekl.LowerToTeIL(), ekl.LowerToAffine())
+	// Through the full pipeline: einsum -> teil loop nests -> affine.for,
+	// verifying between passes.
+	pm := mlir.NewPassManager().Add(ekl.LowerToTeIL(), ekl.LowerToAffine())
 	if err := pm.Run(module); err != nil {
 		t.Fatal(err)
 	}

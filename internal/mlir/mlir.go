@@ -64,9 +64,6 @@ func (c *Context) RegisterDialect(name string) *Dialect {
 	return d
 }
 
-// Dialect returns a registered dialect or nil.
-func (c *Context) Dialect(name string) *Dialect { return c.dialects[name] }
-
 // DialectNames returns the sorted names of all registered dialects.
 func (c *Context) DialectNames() []string {
 	names := make([]string, 0, len(c.dialects))
@@ -88,9 +85,6 @@ func (d *Dialect) RegisterOp(info *OpInfo) {
 	cp.Name = qualified
 	d.ops[info.Name] = &cp
 }
-
-// OpInfo returns the definition for an unqualified op name, or nil.
-func (d *Dialect) OpInfo(name string) *OpInfo { return d.ops[name] }
 
 // lookupOp resolves "dialect.op" to its OpInfo. Unregistered ops are legal
 // (unknown dialects are allowed, as in MLIR) and yield nil.

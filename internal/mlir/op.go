@@ -17,23 +17,8 @@ type Value struct {
 // Type returns the value's type.
 func (v *Value) Type() Type { return v.typ }
 
-// SetType replaces the type (used by lowering passes that refine shapes).
-func (v *Value) SetType(t Type) { v.typ = t }
-
-// DefiningOp returns the op producing this value, or nil for block args.
-func (v *Value) DefiningOp() *Op { return v.def }
-
-// IsBlockArg reports whether the value is a block argument.
-func (v *Value) IsBlockArg() bool { return v.ownr != nil }
-
-// Name returns the debug name, if any.
-func (v *Value) Name() string { return v.name }
-
 // SetName attaches a debug name used by the printer.
 func (v *Value) SetName(n string) { v.name = n }
-
-// ID returns the context-unique id (stable within one Context).
-func (v *Value) ID() int { return v.id }
 
 // Op is a generic operation: qualified name, operands, results, attributes,
 // and nested regions.
@@ -50,23 +35,6 @@ type Op struct {
 
 // FullName returns "dialect.name".
 func (o *Op) FullName() string { return o.Dialect + "." + o.Name }
-
-// Is reports whether the op has the given qualified name.
-func (o *Op) Is(qualified string) bool { return o.FullName() == qualified }
-
-// Context returns the owning context.
-func (o *Op) Context() *Context { return o.ctx }
-
-// ParentBlock returns the block containing this op, or nil for the module op.
-func (o *Op) ParentBlock() *Block { return o.parent }
-
-// ParentOp returns the op owning the region containing this op, or nil.
-func (o *Op) ParentOp() *Op {
-	if o.parent == nil || o.parent.region == nil {
-		return nil
-	}
-	return o.parent.region.parent
-}
 
 // Result returns the i-th result value.
 func (o *Op) Result(i int) *Value { return o.Results[i] }
@@ -96,9 +64,6 @@ type Region struct {
 	parent *Op
 }
 
-// ParentOp returns the op owning this region.
-func (r *Region) ParentOp() *Op { return r.parent }
-
 // Entry returns the first block, creating it if the region is empty.
 func (r *Region) Entry() *Block {
 	if len(r.Blocks) == 0 {
@@ -108,22 +73,12 @@ func (r *Region) Entry() *Block {
 	return r.Blocks[0]
 }
 
-// AddBlock appends a fresh block to the region.
-func (r *Region) AddBlock() *Block {
-	b := &Block{region: r}
-	r.Blocks = append(r.Blocks, b)
-	return b
-}
-
 // Block holds arguments and a straight-line list of ops.
 type Block struct {
 	Args   []*Value
 	Ops    []*Op
 	region *Region
 }
-
-// Region returns the region containing this block.
-func (b *Block) Region() *Region { return b.region }
 
 // AddArg appends a typed block argument and returns its value.
 func (b *Block) AddArg(ctx *Context, t Type, name string) *Value {
@@ -136,18 +91,6 @@ func (b *Block) AddArg(ctx *Context, t Type, name string) *Value {
 func (b *Block) push(op *Op) {
 	op.parent = b
 	b.Ops = append(b.Ops, op)
-}
-
-// Terminator returns the last op if its OpInfo marks it as a terminator.
-func (b *Block) Terminator() *Op {
-	if len(b.Ops) == 0 {
-		return nil
-	}
-	last := b.Ops[len(b.Ops)-1]
-	if info := last.ctx.lookupOp(last.Dialect, last.Name); info != nil && info.Terminator {
-		return last
-	}
-	return nil
 }
 
 // Module is the root of an IR tree: a builtin.module op with one region.
@@ -168,35 +111,8 @@ func NewModule(ctx *Context, name string) *Module {
 // Context returns the owning context.
 func (m *Module) Context() *Context { return m.ctx }
 
-// Op returns the underlying builtin.module op.
-func (m *Module) Op() *Op { return m.op }
-
-// Name returns the module symbol name.
-func (m *Module) Name() string { return GetString(m.op.Attrs, "sym_name", "") }
-
 // Body returns the module's entry block.
 func (m *Module) Body() *Block { return m.op.Regions[0].Entry() }
-
-// Funcs returns all builtin.func ops in the module body, in order.
-func (m *Module) Funcs() []*Op {
-	var fns []*Op
-	for _, op := range m.Body().Ops {
-		if op.Is("builtin.func") {
-			fns = append(fns, op)
-		}
-	}
-	return fns
-}
-
-// FindFunc returns the builtin.func with the given sym_name, or nil.
-func (m *Module) FindFunc(name string) *Op {
-	for _, fn := range m.Funcs() {
-		if GetString(fn.Attrs, "sym_name", "") == name {
-			return fn
-		}
-	}
-	return nil
-}
 
 // Walk visits every op in the module in pre-order (op before its regions).
 func (m *Module) Walk(fn func(*Op)) { walkOp(m.op, fn) }
@@ -245,15 +161,6 @@ func NewBuilder(ctx *Context, block *Block) *Builder {
 	return &Builder{ctx: ctx, block: block}
 }
 
-// SetInsertionBlock moves the insertion point.
-func (b *Builder) SetInsertionBlock(blk *Block) { b.block = blk }
-
-// Block returns the current insertion block.
-func (b *Builder) Block() *Block { return b.block }
-
-// Context returns the builder's context.
-func (b *Builder) Context() *Context { return b.ctx }
-
 // Create builds an op with the given qualified name, operands, result types
 // and attributes, appends it to the insertion block, and returns it.
 func (b *Builder) Create(qualified string, operands []*Value, resultTypes []Type, attrs map[string]Attribute) *Op {
@@ -283,35 +190,10 @@ func (b *Builder) CreateWithRegions(qualified string, operands []*Value, resultT
 	return op
 }
 
-// Func creates a builtin.func with the signature and returns (op, entry
-// block, builder positioned in the entry block).
-func (b *Builder) Func(name string, sig FunctionType) (*Op, *Block, *Builder) {
-	op := b.CreateWithRegions("builtin.func", nil, nil, map[string]Attribute{
-		"sym_name": StringAttr(name),
-		"type":     TypeAttr{Type: sig},
-	}, 1)
-	entry := op.Regions[0].Entry()
-	for i, in := range sig.Inputs {
-		entry.AddArg(b.ctx, in, fmt.Sprintf("arg%d", i))
-	}
-	return op, entry, NewBuilder(b.ctx, entry)
-}
-
 // ConstantFloat emits builtin.constant with a float value.
 func (b *Builder) ConstantFloat(v float64, t Type) *Value {
 	op := b.Create("builtin.constant", nil, []Type{t}, map[string]Attribute{"value": FloatAttr(v)})
 	return op.Result(0)
-}
-
-// ConstantInt emits builtin.constant with an integer value.
-func (b *Builder) ConstantInt(v int64, t Type) *Value {
-	op := b.Create("builtin.constant", nil, []Type{t}, map[string]Attribute{"value": IntAttr(v)})
-	return op.Result(0)
-}
-
-// Return emits builtin.return.
-func (b *Builder) Return(vals ...*Value) *Op {
-	return b.Create("builtin.return", vals, nil, nil)
 }
 
 func splitQualified(q string) (dialect, name string, ok bool) {

@@ -52,11 +52,6 @@ func (pm *PassManager) Add(passes ...Pass) *PassManager {
 	return pm
 }
 
-// AddFunc appends a function pass.
-func (pm *PassManager) AddFunc(name string, fn func(m *Module) error) *PassManager {
-	return pm.Add(PassFunc{PassName: name, Fn: fn})
-}
-
 // Run executes the pipeline. On error it reports which pass failed. Stats
 // are recorded for each executed pass.
 func (pm *PassManager) Run(m *Module) error {
@@ -84,87 +79,4 @@ func (pm *PassManager) Run(m *Module) error {
 		}
 	}
 	return nil
-}
-
-// PipelineString renders the pipeline like "a,b,c" for logs.
-func (pm *PassManager) PipelineString() string {
-	names := make([]string, len(pm.passes))
-	for i, p := range pm.passes {
-		names[i] = p.Name()
-	}
-	return strings.Join(names, ",")
-}
-
-// ReplaceAllUses rewrites every use of old with new within the module.
-func (m *Module) ReplaceAllUses(old, new *Value) {
-	m.Walk(func(op *Op) {
-		for i, operand := range op.Operands {
-			if operand == old {
-				op.Operands[i] = new
-			}
-		}
-	})
-}
-
-// EraseOps removes ops matching pred from every block (results must be
-// unused or already replaced).
-func (m *Module) EraseOps(pred func(*Op) bool) int {
-	removed := 0
-	m.WalkBlocks(func(b *Block) {
-		kept := b.Ops[:0]
-		for _, op := range b.Ops {
-			if pred(op) {
-				removed++
-				continue
-			}
-			kept = append(kept, op)
-		}
-		b.Ops = kept
-	})
-	return removed
-}
-
-// DeadCodeElim removes side-effect-free ops whose results are all unused.
-// Side effects are conservatively assumed for ops with regions, terminators,
-// and any op name carrying "store", "write", "output", "yield" or "call".
-func DeadCodeElim() Pass {
-	return PassFunc{PassName: "dce", Fn: func(m *Module) error {
-		for {
-			used := make(map[*Value]bool)
-			m.Walk(func(op *Op) {
-				for _, v := range op.Operands {
-					used[v] = true
-				}
-			})
-			removed := m.EraseOps(func(op *Op) bool {
-				if len(op.Regions) > 0 || len(op.Results) == 0 {
-					return false
-				}
-				if hasSideEffectName(op) {
-					return false
-				}
-				if info := op.ctx.lookupOp(op.Dialect, op.Name); info != nil && info.Terminator {
-					return false
-				}
-				for _, r := range op.Results {
-					if used[r] {
-						return false
-					}
-				}
-				return true
-			})
-			if removed == 0 {
-				return nil
-			}
-		}
-	}}
-}
-
-func hasSideEffectName(op *Op) bool {
-	for _, frag := range []string{"store", "write", "output", "yield", "call", "push", "send"} {
-		if strings.Contains(op.Name, frag) {
-			return true
-		}
-	}
-	return false
 }

@@ -15,17 +15,6 @@ func (m *Module) String() string {
 	return p.b.String()
 }
 
-// String renders a single op subtree.
-func (o *Op) String() string {
-	p := &printer{names: make(map[*Value]string)}
-	// Make operands referencable even when printing a detached subtree.
-	for _, v := range o.Operands {
-		p.nameOf(v)
-	}
-	p.printOp(o, 0)
-	return p.b.String()
-}
-
 type printer struct {
 	b     strings.Builder
 	names map[*Value]string

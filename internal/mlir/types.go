@@ -20,19 +20,6 @@ func TypesEqual(a, b Type) bool {
 	return a.String() == b.String()
 }
 
-// IntegerType is a fixed-width integer ("i32", "ui8" when unsigned).
-type IntegerType struct {
-	Width    int
-	Unsigned bool
-}
-
-func (t IntegerType) String() string {
-	if t.Unsigned {
-		return fmt.Sprintf("ui%d", t.Width)
-	}
-	return fmt.Sprintf("i%d", t.Width)
-}
-
 // FloatType is an IEEE-754 binary float of the given width (16, 32, 64) or
 // the truncated bfloat16 when BF is set.
 type FloatType struct {
@@ -52,16 +39,6 @@ type IndexType struct{}
 
 func (IndexType) String() string { return "index" }
 
-// BoolType is a 1-bit predicate, printed as i1.
-type BoolType struct{}
-
-func (BoolType) String() string { return "i1" }
-
-// NoneType is the unit type for ops executed purely for effect.
-type NoneType struct{}
-
-func (NoneType) String() string { return "none" }
-
 // TensorType is an immutable value-semantics tensor. A -1 dim is dynamic.
 type TensorType struct {
 	Shape []int
@@ -74,18 +51,6 @@ func (t TensorType) String() string {
 
 // Rank returns the number of dimensions.
 func (t TensorType) Rank() int { return len(t.Shape) }
-
-// NumElements returns the static element count, or -1 if any dim is dynamic.
-func (t TensorType) NumElements() int {
-	n := 1
-	for _, d := range t.Shape {
-		if d < 0 {
-			return -1
-		}
-		n *= d
-	}
-	return n
-}
 
 // MemRefType is a buffer-semantics tensor living in an addressable memory.
 // Space names follow the EVEREST platform model: "host", "ddr", "hbm", "plm"
@@ -103,18 +68,6 @@ func (t MemRefType) String() string {
 	return fmt.Sprintf("memref<%s%s, %q>", dimsString(t.Shape), t.Elem, t.Space)
 }
 
-// NumElements returns the static element count, or -1 if any dim is dynamic.
-func (t MemRefType) NumElements() int {
-	n := 1
-	for _, d := range t.Shape {
-		if d < 0 {
-			return -1
-		}
-		n *= d
-	}
-	return n
-}
-
 // StreamType is a FIFO channel of elements, as used between dataflow actors
 // (dfg dialect) and AXI-Stream endpoints.
 type StreamType struct {
@@ -127,103 +80,6 @@ func (t StreamType) String() string {
 		return fmt.Sprintf("stream<%s, %d>", t.Elem, t.Depth)
 	}
 	return fmt.Sprintf("stream<%s>", t.Elem)
-}
-
-// FunctionType types builtin.func ops and call sites.
-type FunctionType struct {
-	Inputs  []Type
-	Results []Type
-}
-
-func (t FunctionType) String() string {
-	var b strings.Builder
-	b.WriteString("(")
-	for i, in := range t.Inputs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(in.String())
-	}
-	b.WriteString(") -> (")
-	for i, r := range t.Results {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(r.String())
-	}
-	b.WriteString(")")
-	return b.String()
-}
-
-// FixedType is a base2-dialect signed fixed-point type with IntBits integer
-// bits (including sign) and FracBits fractional bits.
-type FixedType struct {
-	IntBits  int
-	FracBits int
-}
-
-func (t FixedType) String() string { return fmt.Sprintf("!base2.fixed<%d,%d>", t.IntBits, t.FracBits) }
-
-// TotalBits returns the storage width of the fixed-point format.
-func (t FixedType) TotalBits() int { return t.IntBits + t.FracBits }
-
-// PositType is a base2-dialect posit<N,ES> universal-number type.
-type PositType struct {
-	N  int
-	ES int
-}
-
-func (t PositType) String() string { return fmt.Sprintf("!base2.posit<%d,%d>", t.N, t.ES) }
-
-// BitWidthOf returns the modelled storage width in bits of t, used by the
-// HLS resource estimator. Unknown aggregate types return 0.
-func BitWidthOf(t Type) int {
-	switch tt := t.(type) {
-	case IntegerType:
-		return tt.Width
-	case FloatType:
-		if tt.BF {
-			return 16
-		}
-		return tt.Width
-	case BoolType:
-		return 1
-	case IndexType:
-		return 64
-	case FixedType:
-		return tt.TotalBits()
-	case PositType:
-		return tt.N
-	default:
-		return 0
-	}
-}
-
-// ElemOf returns the element type of tensor/memref/stream types, or the type
-// itself for scalars.
-func ElemOf(t Type) Type {
-	switch tt := t.(type) {
-	case TensorType:
-		return tt.Elem
-	case MemRefType:
-		return tt.Elem
-	case StreamType:
-		return tt.Elem
-	default:
-		return t
-	}
-}
-
-// ShapeOf returns the shape of tensor/memref types and nil for scalars.
-func ShapeOf(t Type) []int {
-	switch tt := t.(type) {
-	case TensorType:
-		return tt.Shape
-	case MemRefType:
-		return tt.Shape
-	default:
-		return nil
-	}
 }
 
 func dimsString(shape []int) string {
@@ -245,18 +101,6 @@ func F64() Type { return FloatType{Width: 64} }
 
 // F32 returns the 32-bit float type.
 func F32() Type { return FloatType{Width: 32} }
-
-// BF16 returns the bfloat16 type.
-func BF16() Type { return FloatType{Width: 16, BF: true} }
-
-// I64 returns the 64-bit signed integer type.
-func I64() Type { return IntegerType{Width: 64} }
-
-// I32 returns the 32-bit signed integer type.
-func I32() Type { return IntegerType{Width: 32} }
-
-// I1 returns the 1-bit predicate type.
-func I1() Type { return BoolType{} }
 
 // Index returns the index type.
 func Index() Type { return IndexType{} }

@@ -12,15 +12,15 @@ type VerifyError struct {
 
 func (e *VerifyError) Error() string { return fmt.Sprintf("verify %s: %v", e.Op, e.Err) }
 
+// Unwrap returns the underlying cause.
+func (e *VerifyError) Unwrap() error { return e.Err }
+
 func valueLabel(v *Value) string {
 	if v.name != "" {
 		return v.name
 	}
 	return fmt.Sprintf("v%d", v.id)
 }
-
-// Unwrap returns the underlying cause.
-func (e *VerifyError) Unwrap() error { return e.Err }
 
 // Verify checks structural validity of the whole module:
 //

@@ -12,7 +12,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 )
 
 // Stack is one transport configuration.
@@ -81,12 +80,6 @@ func StackByName(name string) (Stack, error) {
 	}
 }
 
-// GoodputGBs returns the achievable payload bandwidth in GB/s.
-func (s Stack) GoodputGBs() float64 {
-	eff := float64(s.MTU) / float64(s.MTU+s.FrameOverhead)
-	return s.LineRateGbps / 8 * eff * s.AckFactor
-}
-
 // SendSeconds models a one-way transfer of n payload bytes.
 func (s Stack) SendSeconds(n int64) float64 {
 	if n < 0 {
@@ -98,69 +91,4 @@ func (s Stack) SendSeconds(n int64) float64 {
 	}
 	wire := float64(n+frames*int64(s.FrameOverhead)) / (s.LineRateGbps / 8 * 1e9)
 	return s.LatencyUs*1e-6 + wire/s.AckFactor
-}
-
-// RoundTripSeconds models a request/response of the given payload sizes.
-func (s Stack) RoundTripSeconds(req, resp int64) float64 {
-	return s.SendSeconds(req) + s.SendSeconds(resp)
-}
-
-// World is a ZRLMPI communicator over `Ranks` endpoints (hosts or FPGAs).
-type World struct {
-	Ranks int
-	Stack Stack
-}
-
-// NewWorld validates and builds a communicator.
-func NewWorld(ranks int, s Stack) (World, error) {
-	if ranks < 1 {
-		return World{}, fmt.Errorf("netsim: world needs >= 1 rank, got %d", ranks)
-	}
-	return World{Ranks: ranks, Stack: s}, nil
-}
-
-// SendRecv models a point-to-point message of n bytes.
-func (w World) SendRecv(n int64) float64 { return w.Stack.SendSeconds(n) }
-
-// Broadcast models a binomial-tree broadcast of n bytes to all ranks.
-func (w World) Broadcast(n int64) float64 {
-	if w.Ranks <= 1 {
-		return 0
-	}
-	steps := math.Ceil(math.Log2(float64(w.Ranks)))
-	return steps * w.Stack.SendSeconds(n)
-}
-
-// AllReduce models a ring allreduce of n bytes: 2(p-1) steps moving n/p.
-func (w World) AllReduce(n int64) float64 {
-	p := w.Ranks
-	if p <= 1 {
-		return 0
-	}
-	chunk := n / int64(p)
-	if chunk < 1 {
-		chunk = 1
-	}
-	return float64(2*(p-1)) * w.Stack.SendSeconds(chunk)
-}
-
-// Gather models gathering n bytes from every rank at the root (serialized
-// arrivals on the root's link).
-func (w World) Gather(n int64) float64 {
-	if w.Ranks <= 1 {
-		return 0
-	}
-	return float64(w.Ranks-1) * w.Stack.SendSeconds(n)
-}
-
-// Scatter models the root sending n bytes to each rank.
-func (w World) Scatter(n int64) float64 { return w.Gather(n) }
-
-// Barrier models a dissemination barrier (log2 p rounds of empty messages).
-func (w World) Barrier() float64 {
-	if w.Ranks <= 1 {
-		return 0
-	}
-	steps := math.Ceil(math.Log2(float64(w.Ranks)))
-	return steps * w.Stack.SendSeconds(0)
 }

@@ -6,13 +6,10 @@
 package onnxlite
 
 import (
-	"encoding/json"
 	"fmt"
-	"math"
 
 	"everest/internal/mlir"
 	"everest/internal/mlir/dialects"
-	"everest/internal/tensor"
 )
 
 // OpType enumerates the supported graph operators.
@@ -44,19 +41,6 @@ type Model struct {
 	InitDim map[string][]int     `json:"init_dim"`
 	Nodes   []Node               `json:"nodes"`
 	Outputs []string             `json:"outputs"`
-}
-
-// ParseJSON loads a model from its JSON serialization (the interchange form
-// standing in for protobuf ONNX files).
-func ParseJSON(data []byte) (*Model, error) {
-	var m Model
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("onnxlite: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }
 
 // Validate checks graph well-formedness: defined names, acyclic order,
@@ -105,159 +89,6 @@ func (m *Model) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Run executes the graph on the given inputs.
-func (m *Model) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	env := make(map[string]*tensor.Tensor)
-	for name, shape := range m.Inputs {
-		t, ok := inputs[name]
-		if !ok {
-			return nil, fmt.Errorf("onnxlite: missing input %q", name)
-		}
-		if len(t.Shape()) != len(shape) {
-			return nil, fmt.Errorf("onnxlite: input %q rank mismatch", name)
-		}
-		env[name] = t
-	}
-	for name, data := range m.Init {
-		env[name] = tensor.FromData(append([]float64(nil), data...), m.InitDim[name]...)
-	}
-	for _, n := range m.Nodes {
-		args := make([]*tensor.Tensor, len(n.Inputs))
-		for i, in := range n.Inputs {
-			args[i] = env[in]
-		}
-		out, err := applyOp(n.Op, args)
-		if err != nil {
-			return nil, fmt.Errorf("onnxlite: node %q: %w", n.Name, err)
-		}
-		env[n.Output] = out
-	}
-	res := make(map[string]*tensor.Tensor, len(m.Outputs))
-	for _, out := range m.Outputs {
-		res[out] = env[out]
-	}
-	return res, nil
-}
-
-func applyOp(op OpType, args []*tensor.Tensor) (*tensor.Tensor, error) {
-	switch op {
-	case OpMatMul:
-		if len(args) != 2 || args[0].Rank() != 2 || args[1].Rank() != 2 {
-			return nil, fmt.Errorf("op MatMul wants two rank-2 tensors")
-		}
-		if args[0].Shape()[1] != args[1].Shape()[0] {
-			return nil, fmt.Errorf("op MatMul inner dims %d vs %d", args[0].Shape()[1], args[1].Shape()[0])
-		}
-		return tensor.MatMul(args[0], args[1]), nil
-	case OpAdd:
-		if len(args) != 2 {
-			return nil, fmt.Errorf("op Add wants two tensors")
-		}
-		// Row-broadcast bias: (N,D) + (D).
-		if args[0].Rank() == 2 && args[1].Rank() == 1 && args[0].Shape()[1] == args[1].Shape()[0] {
-			out := args[0].Clone()
-			rows, cols := out.Shape()[0], out.Shape()[1]
-			for i := 0; i < rows; i++ {
-				for j := 0; j < cols; j++ {
-					out.Set(out.At(i, j)+args[1].At(j), i, j)
-				}
-			}
-			return out, nil
-		}
-		return tensor.Add(args[0], args[1]), nil
-	case OpRelu:
-		if len(args) != 1 {
-			return nil, fmt.Errorf("op Relu wants one tensor")
-		}
-		return args[0].Map(func(v float64) float64 {
-			if v < 0 {
-				return 0
-			}
-			return v
-		}), nil
-	case OpConv2D:
-		if len(args) != 2 || args[0].Rank() != 2 || args[1].Rank() != 2 {
-			return nil, fmt.Errorf("op Conv2D wants image and kernel, both rank-2")
-		}
-		return conv2d(args[0], args[1])
-	case OpSoftmax:
-		if len(args) != 1 || args[0].Rank() != 2 {
-			return nil, fmt.Errorf("op Softmax wants one rank-2 tensor")
-		}
-		return softmaxRows(args[0]), nil
-	case OpMaxPool:
-		if len(args) != 1 || args[0].Rank() != 2 {
-			return nil, fmt.Errorf("op MaxPool wants one rank-2 tensor")
-		}
-		return maxPool2(args[0]), nil
-	}
-	return nil, fmt.Errorf("unknown op %q", op)
-}
-
-func conv2d(img, k *tensor.Tensor) (*tensor.Tensor, error) {
-	ih, iw := img.Shape()[0], img.Shape()[1]
-	kh, kw := k.Shape()[0], k.Shape()[1]
-	if kh > ih || kw > iw {
-		return nil, fmt.Errorf("op Conv2D kernel larger than image")
-	}
-	oh, ow := ih-kh+1, iw-kw+1
-	out := tensor.New(oh, ow)
-	for i := 0; i < oh; i++ {
-		for j := 0; j < ow; j++ {
-			s := 0.0
-			for a := 0; a < kh; a++ {
-				for b := 0; b < kw; b++ {
-					s += img.At(i+a, j+b) * k.At(a, b)
-				}
-			}
-			out.Set(s, i, j)
-		}
-	}
-	return out, nil
-}
-
-func softmaxRows(x *tensor.Tensor) *tensor.Tensor {
-	rows, cols := x.Shape()[0], x.Shape()[1]
-	out := tensor.New(rows, cols)
-	for i := 0; i < rows; i++ {
-		max := x.At(i, 0)
-		for j := 1; j < cols; j++ {
-			if x.At(i, j) > max {
-				max = x.At(i, j)
-			}
-		}
-		sum := 0.0
-		for j := 0; j < cols; j++ {
-			v := expFast(x.At(i, j) - max)
-			out.Set(v, i, j)
-			sum += v
-		}
-		for j := 0; j < cols; j++ {
-			out.Set(out.At(i, j)/sum, i, j)
-		}
-	}
-	return out
-}
-
-func maxPool2(x *tensor.Tensor) *tensor.Tensor {
-	h, w := x.Shape()[0]/2, x.Shape()[1]/2
-	out := tensor.New(h, w)
-	for i := 0; i < h; i++ {
-		for j := 0; j < w; j++ {
-			m := x.At(2*i, 2*j)
-			for a := 0; a < 2; a++ {
-				for b := 0; b < 2; b++ {
-					if v := x.At(2*i+a, 2*j+b); v > m {
-						m = v
-					}
-				}
-			}
-			out.Set(m, i, j)
-		}
-	}
-	return out
 }
 
 // Lower emits the model as a jabbah-dialect MLIR module: the OSA layer that
@@ -376,5 +207,3 @@ func DenseMLP(name string, batch, d, hidden, out int, weights map[string][]float
 		Outputs: []string{"y"},
 	}
 }
-
-func expFast(x float64) float64 { return math.Exp(x) }

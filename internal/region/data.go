@@ -12,8 +12,8 @@ import (
 // (region.dstore), WAN-fetches the ones it is missing from the
 // federation, and prefetches them ahead of forecast demand exactly like
 // bitstreams. The federation keeps a dataset catalog (dataCat) mirroring
-// the bitstream catalog: only partitions placed or published somewhere
-// are priced and fetched — an unknown ref is outside source data that
+// the bitstream catalog: only partitions published somewhere are priced
+// and fetched — an unknown ref is outside source data that
 // costs the same everywhere and drops out of the routing argmin.
 //
 // The tiering composes without double-charging: a WAN fetch lands a

@@ -390,8 +390,8 @@ type Federation struct {
 
 	appNeeds map[string][]dataset.Part // app -> bitstreams (learned at first serve)
 
-	// dataCat is the federation dataset catalog: partitions placed or
-	// published somewhere, the scope of the locality/fetch pricing that
+	// dataCat is the federation dataset catalog: partitions published
+	// somewhere, the scope of the locality/fetch pricing that
 	// mirrors the bitstream catalog. Guarded by mu.
 	dataCat dataset.Catalog
 	// appReads remembers each app's external dataset reads (learned at

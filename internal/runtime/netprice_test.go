@@ -110,9 +110,6 @@ func TestWorkflowVariantsSeedTuner(t *testing.T) {
 		t.Fatal("no tuner")
 	}
 	tn := &st.tuner
-	if got := tn.Expected(VariantCPU1); got != 123 {
-		t.Fatalf("cpu1 seed = %g, want the compiled 123", got)
-	}
 	if got := tn.Best(); got != VariantCPU16 {
 		t.Fatalf("best = %s, want cpu16", got)
 	}

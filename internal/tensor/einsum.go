@@ -161,17 +161,8 @@ func parseLabels(s string) ([]rune, error) {
 	return labels, nil
 }
 
-// MatMul returns the matrix product of two rank-2 tensors.
-func MatMul(a, b *Tensor) *Tensor { return MustEinsum("ij,jk->ik", a, b) }
-
 // MatVec returns the matrix-vector product of a rank-2 and a rank-1 tensor.
 func MatVec(a, v *Tensor) *Tensor { return MustEinsum("ij,j->i", a, v) }
 
 // Dot returns the inner product of two rank-1 tensors.
 func Dot(a, b *Tensor) float64 { return MustEinsum("i,i->", a, b).Item() }
-
-// Outer returns the outer product of two rank-1 tensors.
-func Outer(a, b *Tensor) *Tensor { return MustEinsum("i,j->ij", a, b) }
-
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor { return MustEinsum("ij->ji", a) }

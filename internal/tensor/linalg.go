@@ -87,15 +87,6 @@ func SolveSPD(a, b *Tensor) (*Tensor, error) {
 	return nil, fmt.Errorf("tensor: SolveSPD failed even with jitter %.3g", jitter)
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Tensor {
-	t := New(n, n)
-	for i := 0; i < n; i++ {
-		t.Set(1, i, i)
-	}
-	return t
-}
-
 // Mean2 returns the per-column mean of a rank-2 tensor (rows are samples).
 func Mean2(x *Tensor) *Tensor {
 	rows, cols := x.Shape()[0], x.Shape()[1]
@@ -156,20 +147,6 @@ func Inverse2(a *Tensor) (*Tensor, error) {
 		}
 	}
 	return inv, nil
-}
-
-// LogDetSPD returns log(det A) for SPD A via its Cholesky factor.
-func LogDetSPD(a *Tensor) (float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return 0, err
-	}
-	n := l.Shape()[0]
-	s := 0.0
-	for i := 0; i < n; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s, nil
 }
 
 func squareDim(a *Tensor) (int, error) {

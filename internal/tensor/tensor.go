@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 )
 
 // Tensor is a dense row-major float64 tensor. A data-less tensor (Shaped)
@@ -51,13 +50,6 @@ func FromData(data []float64, shape ...int) *Tensor {
 	}
 	t := &Tensor{shape: append([]int(nil), shape...), data: data}
 	t.computeStrides()
-	return t
-}
-
-// Scalar returns a rank-0 tensor holding v.
-func Scalar(v float64) *Tensor {
-	t := New()
-	t.data[0] = v
 	return t
 }
 
@@ -137,18 +129,6 @@ func (t *Tensor) Fill(v float64) *Tensor {
 	return t
 }
 
-// Reshape returns a view-copy with a new shape of equal size.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
-	}
-	return FromData(append([]float64(nil), t.data...), shape...)
-}
-
 // Item returns the single element of a scalar tensor.
 func (t *Tensor) Item() float64 {
 	if len(t.data) != 1 {
@@ -209,17 +189,6 @@ func (t *Tensor) Mean() float64 {
 	return t.Sum() / float64(len(t.data))
 }
 
-// Max returns the maximum element (-Inf for empty tensors).
-func (t *Tensor) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Min returns the minimum element (+Inf for empty tensors).
 func (t *Tensor) Min() float64 {
 	m := math.Inf(1)
@@ -259,17 +228,6 @@ func RMSE(a, b *Tensor) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(a.data)))
-}
-
-// String renders small tensors fully and large ones by shape only.
-func (t *Tensor) String() string {
-	if len(t.data) > 32 {
-		return fmt.Sprintf("tensor%v<%d elems>", t.shape, len(t.data))
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "tensor%v", t.shape)
-	fmt.Fprintf(&b, "%v", t.data)
-	return b.String()
 }
 
 func sameShape(a, b []int) bool {

@@ -222,35 +222,6 @@ func Viterbi(tr *Trellis) ([]int, error) {
 	return path, nil
 }
 
-// ViterbiBrute enumerates all candidate sequences (exponential; test oracle
-// for Viterbi optimality on tiny traces).
-func ViterbiBrute(tr *Trellis) []int {
-	n := len(tr.Emission)
-	var best []int
-	bestScore := math.Inf(-1)
-	cur := make([]int, n)
-	var rec func(i int, acc float64)
-	rec = func(i int, acc float64) {
-		if i == n {
-			if acc > bestScore {
-				bestScore = acc
-				best = append([]int(nil), cur...)
-			}
-			return
-		}
-		for c := range tr.Emission[i] {
-			add := tr.Emission[i][c]
-			if i > 0 {
-				add += tr.Trans[i-1][cur[i-1]][c]
-			}
-			cur[i] = c
-			rec(i+1, acc+add)
-		}
-	}
-	rec(0, 0)
-	return best
-}
-
 // MatchResult is stage 4's output: the matched edges per GPS point and the
 // road-speed vector derived from timestamps.
 type MatchResult struct {

@@ -83,12 +83,6 @@ func GridNetwork(nx, ny int, spacing float64, seed int64) *Network {
 // Out returns the outgoing edge IDs of a node.
 func (n *Network) Out(v NodeID) []int { return n.out[v] }
 
-// EdgeMidpoint returns the midpoint of an edge.
-func (n *Network) EdgeMidpoint(e int) Point {
-	a, b := n.Nodes[n.Edges[e].From], n.Nodes[n.Edges[e].To]
-	return Point{X: (a.X + b.X) / 2, Y: (a.Y + b.Y) / 2}
-}
-
 // ProjectOntoEdge returns the closest point on edge e to p and its distance.
 func (n *Network) ProjectOntoEdge(e int, p Point) (Point, float64) {
 	a := n.Nodes[n.Edges[e].From]
@@ -102,17 +96,6 @@ func (n *Network) ProjectOntoEdge(e int, p Point) (Point, float64) {
 	}
 	proj := Point{X: a.X + t*abx, Y: a.Y + t*aby}
 	return proj, proj.Dist(p)
-}
-
-// NearbyEdges returns edge IDs whose projection distance to p is <= radius.
-func (n *Network) NearbyEdges(p Point, radius float64) []int {
-	var out []int
-	for e := range n.Edges {
-		if _, d := n.ProjectOntoEdge(e, p); d <= radius {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // pqItem is a Dijkstra frontier entry.

@@ -135,9 +135,3 @@ func PTDRKernel(routeLen, samples int) hls.Kernel {
 func PTDRBytes(routeLen, samples int) (in, out int64) {
 	return int64(routeLen * 96 * 8), int64(samples * 4)
 }
-
-// PTDRKernelSchedule runs the default HLS schedule of the PTDR kernel
-// (pipelined, Vitis cost model), used by tests and the E9 bench.
-func PTDRKernelSchedule(k hls.Kernel) (hls.Report, error) {
-	return hls.Schedule(k, hls.Directives{PipelineEnabled: true}, hls.VitisBackend{})
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"everest/internal/condrust"
+	"everest/internal/hls"
 )
 
 func testNet(t *testing.T) *Network {
@@ -141,7 +142,7 @@ func TestViterbiMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		brute := ViterbiBrute(tr)
+		brute := viterbiBrute(tr)
 		score := func(path []int) float64 {
 			s := tr.Emission[0][path[0]]
 			for i := 1; i < len(path); i++ {
@@ -383,7 +384,36 @@ func TestPTDRKernelSchedulable(t *testing.T) {
 	if k.Nest.Trips() != 100*10000 {
 		t.Error("trip count wrong")
 	}
-	if _, err := PTDRKernelSchedule(k); err != nil {
+	if _, err := hls.Schedule(k, hls.Directives{PipelineEnabled: true}, hls.VitisBackend{}); err != nil {
 		t.Errorf("PTDR kernel must schedule: %v", err)
 	}
+}
+
+// viterbiBrute enumerates all candidate sequences (exponential; the
+// oracle for Viterbi optimality on tiny traces).
+func viterbiBrute(tr *Trellis) []int {
+	n := len(tr.Emission)
+	var best []int
+	bestScore := math.Inf(-1)
+	cur := make([]int, n)
+	var rec func(i int, acc float64)
+	rec = func(i int, acc float64) {
+		if i == n {
+			if acc > bestScore {
+				bestScore = acc
+				best = append([]int(nil), cur...)
+			}
+			return
+		}
+		for c := range tr.Emission[i] {
+			add := tr.Emission[i][c]
+			if i > 0 {
+				add += tr.Trans[i-1][cur[i-1]][c]
+			}
+			cur[i] = c
+			rec(i+1, acc+add)
+		}
+	}
+	rec(0, 0)
+	return best
 }

@@ -1,6 +1,7 @@
 package variants
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -52,7 +53,7 @@ func TestONNXToEKLMatchesModelRun(t *testing.T) {
 	for _, out := range res.Outputs {
 		eklOut = out
 	}
-	ref, err := m.Run(map[string]*tensor.Tensor{"x": binding.Tensors["x"]})
+	ref, err := runModel(m, map[string]*tensor.Tensor{"x": binding.Tensors["x"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestCompileONNXDerivesOperatingPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := m2.Run(map[string]*tensor.Tensor{"x": binding.Tensors["x"]})
+	ref, err := runModel(m2, map[string]*tensor.Tensor{"x": binding.Tensors["x"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestONNXSharedInitializerDeclaredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := shared.Run(map[string]*tensor.Tensor{"x": binding.Tensors["x"]})
+	ref, err := runModel(shared, map[string]*tensor.Tensor{"x": binding.Tensors["x"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,4 +212,88 @@ func TestMergeVariants(t *testing.T) {
 	if math.Abs(byName[runtime.VariantFPGA]-1) > 1e-9 {
 		t.Fatalf("fpga mean = %g ms, want 1 (only kernel a offers it)", byName[runtime.VariantFPGA])
 	}
+}
+
+// runModel is the reference interpreter the EKL translations are checked
+// against: it executes the graph on the given inputs, node by node, for
+// the operators these tests' models use.
+func runModel(m *onnxlite.Model, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	env := make(map[string]*tensor.Tensor)
+	for name, shape := range m.Inputs {
+		t, ok := inputs[name]
+		if !ok {
+			return nil, fmt.Errorf("missing input %q", name)
+		}
+		if len(t.Shape()) != len(shape) {
+			return nil, fmt.Errorf("input %q rank mismatch", name)
+		}
+		env[name] = t
+	}
+	for name, data := range m.Init {
+		env[name] = tensor.FromData(append([]float64(nil), data...), m.InitDim[name]...)
+	}
+	for _, n := range m.Nodes {
+		args := make([]*tensor.Tensor, len(n.Inputs))
+		for i, in := range n.Inputs {
+			args[i] = env[in]
+		}
+		out, err := applyOp(n.Op, args)
+		if err != nil {
+			return nil, fmt.Errorf("node %q: %w", n.Name, err)
+		}
+		env[n.Output] = out
+	}
+	res := make(map[string]*tensor.Tensor, len(m.Outputs))
+	for _, out := range m.Outputs {
+		res[out] = env[out]
+	}
+	return res, nil
+}
+
+func applyOp(op onnxlite.OpType, args []*tensor.Tensor) (*tensor.Tensor, error) {
+	switch op {
+	case onnxlite.OpMatMul:
+		return tensor.MustEinsum("ij,jk->ik", args[0], args[1]), nil
+	case onnxlite.OpAdd:
+		// Row-broadcast bias: (N,D) + (D).
+		if args[0].Rank() == 2 && args[1].Rank() == 1 && args[0].Shape()[1] == args[1].Shape()[0] {
+			out := args[0].Clone()
+			rows, cols := out.Shape()[0], out.Shape()[1]
+			for i := 0; i < rows; i++ {
+				for j := 0; j < cols; j++ {
+					out.Set(out.At(i, j)+args[1].At(j), i, j)
+				}
+			}
+			return out, nil
+		}
+		return tensor.Add(args[0], args[1]), nil
+	case onnxlite.OpRelu:
+		return args[0].Map(func(v float64) float64 {
+			if v < 0 {
+				return 0
+			}
+			return v
+		}), nil
+	case onnxlite.OpSoftmax:
+		x := args[0]
+		rows, cols := x.Shape()[0], x.Shape()[1]
+		out := tensor.New(rows, cols)
+		for i := 0; i < rows; i++ {
+			max := x.At(i, 0)
+			for j := 1; j < cols; j++ {
+				max = math.Max(max, x.At(i, j))
+			}
+			sum := 0.0
+			for j := 0; j < cols; j++ {
+				v := math.Exp(x.At(i, j) - max)
+				out.Set(v, i, j)
+				sum += v
+			}
+			for j := 0; j < cols; j++ {
+				out.Set(out.At(i, j)/sum, i, j)
+			}
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("no reference for op %q", op)
 }

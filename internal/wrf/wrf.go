@@ -18,7 +18,6 @@
 package wrf
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -33,11 +32,6 @@ type Config struct {
 	// RadiationEvery applies radiation each N steps (WRF-style radiation
 	// calling frequency).
 	RadiationEvery int
-}
-
-// DefaultConfig returns a small stable configuration.
-func DefaultConfig() Config {
-	return Config{NX: 24, NY: 24, NZ: 8, DT: 60, DX: 3000, RadiationEvery: 1}
 }
 
 // State is the prognostic model state.
@@ -163,21 +157,8 @@ func (s *State) RadiationFraction() float64 {
 	return s.RadiationFlops / total
 }
 
-// MeanT returns the domain-mean temperature (sanity diagnostics).
-func (s *State) MeanT() float64 { return s.T.Mean() }
-
 // RMSE returns the temperature RMSE between two states.
 func RMSE(a, b *State) float64 { return tensor.RMSE(a.T, b.T) }
-
-// Validate checks for numerical blow-up.
-func (s *State) Validate() error {
-	for _, v := range s.T.Data() {
-		if math.IsNaN(v) || v < 100 || v > 400 {
-			return fmt.Errorf("wrf: temperature field blew up (value %g)", v)
-		}
-	}
-	return nil
-}
 
 func maxi(a, b int) int {
 	if a > b {

@@ -134,7 +134,7 @@ func discard[T any](_ T, err error) error { return err }
 // frontMethods lists every exported method of the three serving fronts.
 // A method added to a front without an entry here fails
 // TestFrontLifecycle, so the invariant "every mutating call refuses after
-// Shutdown" covers it from its first commit; TestSurfaceReached checks
+// Shutdown" covers it from its first commit; TestFrontSurfaceReached checks
 // that something reaches it.
 var frontMethods = map[string]lifeEntry{
 	"runtime.Engine.Health":   {readOnly, func(p *lifeProbe) error { p.eng.Health(); return nil }},

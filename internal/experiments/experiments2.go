@@ -14,7 +14,6 @@ import (
 	"everest/internal/sdk"
 	"everest/internal/tensor"
 	"everest/internal/traffic"
-	"everest/internal/virt"
 )
 
 // E6 — resource manager (§VI-A): HEFT vs FIFO on DAG families, plus
@@ -176,7 +175,6 @@ func E7() (Table, error) {
 	record("fpga recovered")
 	t.metric("recovered_fpga", boolTo01(at.Select().Config["impl"] == "fpga"))
 	t.Notes = append(t.Notes, "goal: exec_time <= 120ms; rank: minimize energy; hot-plug latency 50ms per VF op")
-	_ = virt.HotplugSeconds
 	return t, nil
 }
 

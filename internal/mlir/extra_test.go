@@ -3,7 +3,37 @@ package mlir
 import (
 	"strings"
 	"testing"
+	"time"
 )
+
+func TestPassManagerDump(t *testing.T) {
+	ctx := NewContext()
+	m := NewModule(ctx, "dump")
+	b := NewBuilder(ctx, m.Body())
+	_, _, fb := buildFunc(b, "f")
+	ret(fb, fb.ConstantFloat(1, F64()))
+
+	var dump strings.Builder
+	pm := NewPassManager()
+	pm.DumpEachTo = &dump
+	noop := func(*Module) error { return nil }
+	pm.Add(PassFunc{PassName: "noop", Fn: noop}).Add(PassFunc{PassName: "again", Fn: noop})
+	if err := pm.Run(m); err != nil {
+		t.Fatal(err)
+	}
+	text := dump.String()
+	if !strings.Contains(text, "after noop") || !strings.Contains(text, "after again") {
+		t.Error("dump must include per-pass sections")
+	}
+	for _, st := range pm.Stats {
+		if st.Duration < 0 || st.Duration > time.Minute {
+			t.Errorf("implausible pass duration %v", st.Duration)
+		}
+		if st.OpsAfter <= 0 {
+			t.Errorf("OpsAfter not recorded for %s", st.Pass)
+		}
+	}
+}
 
 func TestPassManagerErrorPropagation(t *testing.T) {
 	ctx := NewContext()

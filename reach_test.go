@@ -37,11 +37,10 @@ func loadProgram(t *testing.T) *program {
 	t.Helper()
 	p := &program{fset: token.NewFileSet(), pkgs: map[string]*types.Package{}, files: map[string][]*ast.File{},
 		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Instances:  map[*ast.Ident]types.Instance{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Types:     map[ast.Expr]types.TypeAndValue{},
+			Instances: map[*ast.Ident]types.Instance{},
+			Defs:      map[*ast.Ident]types.Object{},
+			Uses:      map[*ast.Ident]types.Object{},
 		}}
 	std := map[string]bool{}
 	for mod, root := range modules {

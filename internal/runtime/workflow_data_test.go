@@ -182,6 +182,7 @@ func FuzzWorkflowData(f *testing.F) {
 	f.Add([]byte{2 | 1<<2 | 1<<4 | 1<<5, 0, 6, 1, 2 | 1<<2 | 1<<4 | 2<<5 | 1<<7, 1, 0, 2})
 	f.Add([]byte{3 | 2<<2, 0, 1, 2, 3, 4, 1 | 1<<2 | 1<<7, 5, 0, 1 | 1<<4 | 3<<5, 10}) // later write
 	f.Add([]byte{1 | 1<<2, 4, 4, 2, 13, 22})                                           // same key, new sizes
+	f.Add([]byte{})                                                                    // no tasks
 	bitstreams := []string{"", "bs-a", "bs-b", "bs-ptdr"}
 	names := []string{"pts", "wts", "part"}
 
@@ -190,6 +191,7 @@ func FuzzWorkflowData(f *testing.F) {
 			return dataset.Ref{Name: names[b%9/3], Partition: int(b % 3), Bytes: int64(b/9) * 10}
 		}
 		w := NewWorkflow()
+		checkData(t, w, "before any task")
 		type snapshot struct{ got, want []dataset.Part }
 		var snaps []snapshot
 		for i := 0; len(data) > 0 && i < 32; i++ {

@@ -17,37 +17,29 @@ import (
 // each to visit with the name of its package directory.
 func walkInternal(t *testing.T, visit func(fset *token.FileSet, pkg string, file *ast.File)) {
 	t.Helper()
-	walkSources(t, []string{"internal"}, visit)
-}
-
-// walkSources is walkInternal over every directory tree in roots.
-func walkSources(t *testing.T, roots []string, visit func(fset *token.FileSet, pkg string, file *ast.File)) {
-	t.Helper()
 	fset := token.NewFileSet()
-	for _, root := range roots {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if path == filepath.Join("internal", "condrust") || d.Name() == "testdata" {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			visit(fset, filepath.Base(filepath.Dir(path)), file)
-			return nil
-		})
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
+		if d.IsDir() {
+			if path == filepath.Join("internal", "condrust") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(fset, filepath.Base(filepath.Dir(path)), file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -61,28 +61,14 @@ type OperatingPoint struct {
 	Metrics map[Metric]float64
 }
 
-// GoalOp is a constraint direction.
-type GoalOp int
-
-// Goal operators.
-const (
-	LE GoalOp = iota // metric <= value
-)
-
-// Goal is one constraint on a metric.
+// Goal is one upper bound on a metric: metric <= Value.
 type Goal struct {
 	Metric Metric
-	Op     GoalOp
 	Value  float64
 }
 
 // Satisfied reports whether v meets the goal.
-func (g Goal) Satisfied(v float64) bool {
-	if g.Op == LE {
-		return v <= g.Value
-	}
-	return v >= g.Value
-}
+func (g Goal) Satisfied(v float64) bool { return v <= g.Value }
 
 // Rank is the optimization objective over feasible points.
 type Rank struct {

@@ -51,7 +51,7 @@ func TestSelectHonorsGoals(t *testing.T) {
 	// Minimize energy subject to exec_time <= 100ms: cpu1 is cheapest in
 	// energy but too slow; fpga wins (fast AND frugal). Tighten to force
 	// cpu16 exclusion too.
-	goals := []Goal{{Metric: MetricTimeMs, Op: LE, Value: 100}}
+	goals := []Goal{{Metric: MetricTimeMs, Value: 100}}
 	a, err := New(implKnob(), defaultPoints(), goals, Rank{Metric: MetricEnergyJ, Minimize: true})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestSelectHonorsGoals(t *testing.T) {
 		t.Errorf("Select = %s, want fpga", got)
 	}
 	// Unreachable goal: closest point wins (graceful degradation).
-	a.goals = []Goal{{Metric: MetricTimeMs, Op: LE, Value: 1}}
+	a.goals = []Goal{{Metric: MetricTimeMs, Value: 1}}
 	if got := a.Select().Config["impl"]; got != "fpga" {
 		t.Errorf("closest-to-feasible = %s, want fpga (30ms nearest to 1ms)", got)
 	}
@@ -69,7 +69,7 @@ func TestSelectHonorsGoals(t *testing.T) {
 func TestObserveAdaptsSelection(t *testing.T) {
 	// E7 in miniature: the FPGA is unplugged, its observed time degrades,
 	// and selection falls back to cpu16.
-	goals := []Goal{{Metric: MetricTimeMs, Op: LE, Value: 100}}
+	goals := []Goal{{Metric: MetricTimeMs, Value: 100}}
 	a, err := New(implKnob(), defaultPoints(), goals, Rank{Metric: MetricEnergyJ, Minimize: true})
 	if err != nil {
 		t.Fatal(err)
@@ -144,11 +144,11 @@ func TestSelectDeterministicOnTies(t *testing.T) {
 }
 
 func TestGoalSatisfied(t *testing.T) {
-	if !(Goal{Metric: MetricTimeMs, Op: LE, Value: 10}).Satisfied(10) {
-		t.Error("LE must include equality")
+	if !(Goal{Metric: MetricTimeMs, Value: 10}).Satisfied(10) {
+		t.Error("a goal must include equality")
 	}
-	if (Goal{Metric: MetricTimeMs, Op: LE, Value: 10}).Satisfied(11) {
-		t.Error("LE violated")
+	if (Goal{Metric: MetricTimeMs, Value: 10}).Satisfied(11) {
+		t.Error("goal violated")
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 	"everest/internal/runtime"
 )
 
-// dataWorkflow is a single software task reading the given partitions and
-// writing the given outputs.
 // resident reports whether site i's store holds the partition.
 func resident(f *Fleet, i int, r dataset.Ref) bool {
 	return f.sites[i].dstore.Holds(dataset.Intern(r).ID)
@@ -36,6 +34,8 @@ func partitions(name string, bytes int64, n int) []dataset.Ref {
 func warmDeploys(s SiteStats) int    { return s.WarmDeploys }
 func guaranteedDone(s SiteStats) int { return s.Guaranteed }
 
+// dataWorkflow is a single software task reading the given partitions and
+// writing the given outputs.
 func dataWorkflow(reads, writes []dataset.Ref) *runtime.Workflow {
 	w := runtime.NewWorkflow()
 	if err := w.Submit(runtime.TaskSpec{
@@ -563,10 +563,9 @@ func TestDataCountersMatchTrace(t *testing.T) {
 }
 
 // TestLineageDeterminism: two concurrent workflows publish the same
-// dataset name, and the full fleet trace, which orders the publishes, is
-// byte-identical across GOMAXPROCS widths. The dataset store's tests pin
-// the (time, workflow id, task) tie-break that picks the resident
-// version.
+// dataset name, and the resident version must resolve by the (time,
+// workflow id, task) tie-break — with the full fleet trace byte-identical
+// across GOMAXPROCS widths.
 func TestLineageDeterminism(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
@@ -592,9 +591,24 @@ func TestLineageDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !resident(f, 0, model) {
+		// The model is the store's only partition, so the least recently
+		// used version is the resident one.
+		f.mu.Lock()
+		v, ok := f.sites[0].dstore.Oldest()
+		ds := f.sites[0].dstore.Stats()
+		f.mu.Unlock()
+		if !ok || v.ID != dataset.Intern(model).ID {
 			t.Fatal("model not resident")
 		}
+		// Both writers complete at the same modelled time, so the higher
+		// workflow id (trainB) owns the name: the outcome is a pure
+		// function of (time, workflow, task).
+		if v.Workflow != "trainB" || ds.Superseded != 1 || ds.Rejected != 0 {
+			t.Fatalf("resident version by %s, superseded %d, rejected %d; want trainB superseding trainA once",
+				v.Workflow, ds.Superseded, ds.Rejected)
+		}
+		fmt.Fprintf(&buf, "version %s %s %.9f\n", v.Workflow, v.Task, v.Time)
+		fmt.Fprintf(&buf, "published %d superseded %d rejected %d\n", ds.Published, ds.Superseded, ds.Rejected)
 		f.Shutdown()
 		return buf.Bytes()
 	}

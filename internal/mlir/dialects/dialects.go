@@ -1,6 +1,6 @@
 // Package dialects registers the EVEREST MLIR dialects of Fig. 5 of the
-// paper: the frontends (ekl, cfdlang, jabbah), the tensor middle layers
-// (teil, esn), the custom-format layer (base2), and the coordination /
+// paper: the frontends (ekl, cfdlang, jabbah), the tensor middle layer
+// (teil), the custom-format layer (base2), and the coordination /
 // integration / backend layers (dfg, olympus, evp, fsm).
 //
 // Each Register* function installs operation definitions (arities plus
@@ -17,7 +17,6 @@ import (
 // RegisterAll installs every EVEREST dialect into ctx.
 func RegisterAll(ctx *mlir.Context) {
 	RegisterEKL(ctx)
-	RegisterESN(ctx)
 	RegisterTeIL(ctx)
 	RegisterCFDlang(ctx)
 	RegisterJabbah(ctx)
@@ -52,19 +51,6 @@ func RegisterEKL(ctx *mlir.Context) *mlir.Dialect {
 	d.RegisterOp(&mlir.OpInfo{Name: "output", MinOperands: 1, MaxOperands: 1,
 		Summary: "bind result tensor (in-place construction target)",
 		Verify:  requireString("name")})
-	return d
-}
-
-// RegisterESN installs the Einstein-notation dialect, the normalized form of
-// contractions shared by ekl and cfdlang lowering.
-func RegisterESN(ctx *mlir.Context) *mlir.Dialect {
-	d := ctx.RegisterDialect("esn")
-	d.RegisterOp(&mlir.OpInfo{Name: "contract", MinOperands: 1, MaxOperands: -1, NumResults: 1,
-		Summary: "sum-of-products over named indices", Verify: verifyEinsum})
-	d.RegisterOp(&mlir.OpInfo{Name: "map", MinOperands: 1, MaxOperands: -1, NumResults: 1,
-		Verify: requireString("fn")})
-	d.RegisterOp(&mlir.OpInfo{Name: "reduce", MinOperands: 1, MaxOperands: 1, NumResults: 1,
-		Verify: requireString("fn")})
 	return d
 }
 

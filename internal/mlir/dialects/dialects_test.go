@@ -16,7 +16,7 @@ func newCtx() *mlir.Context {
 func TestRegisterAllInstallsEveryDialect(t *testing.T) {
 	ctx := newCtx()
 	want := []string{"affine", "base2", "builtin", "cfdlang", "dfg", "ekl",
-		"esn", "evp", "fsm", "jabbah", "olympus", "teil"}
+		"evp", "fsm", "jabbah", "olympus", "teil"}
 	got := ctx.DialectNames()
 	if len(got) != len(want) {
 		t.Fatalf("dialects = %v, want %v", got, want)

@@ -11,7 +11,7 @@
 //   - a PassManager running module passes with statistics, and
 //   - a deterministic textual printer in generic-MLIR syntax.
 //
-// EVEREST dialects (ekl, esn, teil, base2, dfg, olympus, evp, fsm — the blue
+// EVEREST dialects (ekl, teil, base2, dfg, olympus, evp, fsm — the blue
 // boxes of Fig. 5) live in the dialects subpackage and register themselves on
 // a Context via their Register functions.
 package mlir

@@ -110,6 +110,12 @@ func TestWorkflowVariantsSeedTuner(t *testing.T) {
 		t.Fatal("no tuner")
 	}
 	tn := &st.tuner
+	// One observation of twice the seed moves the EWMA to 1.5x the seed, so
+	// the drift reads 1.5 only when cpu1 was seeded with the compiled 123.
+	tn.Observe(VariantCPU1, 246)
+	if got := tn.Drift(VariantCPU1); got != 1.5 {
+		t.Fatalf("cpu1 drift after observing 246 ms = %g, want 1.5 (the compiled seed 123)", got)
+	}
 	if got := tn.Best(); got != VariantCPU16 {
 		t.Fatalf("best = %s, want cpu16", got)
 	}

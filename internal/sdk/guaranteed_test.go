@@ -11,11 +11,6 @@ import (
 	"everest/internal/fleet"
 )
 
-// TestGuaranteedVerifierZeroViolations is the PR-8 soundness contract: at
-// best-effort saturation, through an accelerator unplug AND a 3x CPU
-// slowdown on site 0, not one admitted guaranteed workflow may finish past
-// its proven bound. The admission math is either sound or it is not —
-// the gate is exactly zero, not "few".
 // guaranteedDone sums guaranteed-class completions across sites.
 func guaranteedDone(st fleet.Stats) int {
 	n := 0
@@ -25,6 +20,11 @@ func guaranteedDone(st fleet.Stats) int {
 	return n
 }
 
+// TestGuaranteedVerifierZeroViolations is the PR-8 soundness contract: at
+// best-effort saturation, through an accelerator unplug AND a 3x CPU
+// slowdown on site 0, not one admitted guaranteed workflow may finish past
+// its proven bound. The admission math is either sound or it is not —
+// the gate is exactly zero, not "few".
 func TestGuaranteedVerifierZeroViolations(t *testing.T) {
 	sc := DefaultGuaranteedScenario()
 	res, err := sc.Run()

@@ -1,6 +1,6 @@
 // Package tensor provides dense row-major float64 tensors and the
 // Einstein-notation contraction engine backing the EVEREST tensor dialects
-// (teil/esn) and the reference interpreter of the EVEREST Kernel Language.
+// (teil) and the reference interpreter of the EVEREST Kernel Language.
 package tensor
 
 import (

@@ -276,7 +276,7 @@ func TestHotplugOrderingNestedCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(order) != 2 || order[0] != VFPlugged || order[1] != VFPlugged {
-		t.Fatalf("delivery order: %v, want [VFPlugged VFPlugged]", order)
+		t.Fatalf("delivery order: %v, want [%d %d] (VFPlugged twice)", order, VFPlugged, VFPlugged)
 	}
 }
 

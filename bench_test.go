@@ -69,9 +69,10 @@ func BenchmarkE6_ResourceManager(b *testing.B) {
 	benchExperiment(b, experiments.E6, "recovery_inflation")
 }
 
-// BenchmarkE7_Autotune — §VI-C mARGOt adaptation.
+// BenchmarkE7_Autotune — §VI-B/C mARGOt adaptation across a VF unplug
+// and replug, with each phase's mean served span.
 func BenchmarkE7_Autotune(b *testing.B) {
-	benchExperiment(b, experiments.E7, "recovered_fpga")
+	benchExperiment(b, experiments.E7, "recovered_fpga", "steady_span_s", "unplugged_span_s", "replugged_span_s")
 }
 
 // BenchmarkE8_AnomalyAutoML — §VII TPE vs random.

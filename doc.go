@@ -27,7 +27,9 @@
 //     partial-reconfiguration regions (internal/stream, fronted by
 //     sdk.StreamServer) — all over the platform models
 //     (internal/platform, internal/netsim), SR-IOV virtualization
-//     (internal/virt), and the mARGOt autotuner (internal/autotuner);
+//     (internal/virt, its VF hot-plug reaching the engine through
+//     sdk.AttachHypervisor), and the mARGOt variant tuner each adaptive
+//     engine embeds per workflow (internal/autotuner);
 //   - the anomaly detection service (internal/anomaly) with TPE AutoML.
 //
 // The four driving use cases are implemented as workloads — WRF-style

@@ -1,3 +1,7 @@
+// Package autotuner implements the EVEREST dynamic autotuner (paper §VI-C),
+// mARGOt (Gadioli et al., IEEE TC 2019), as the per-workflow variant tuner
+// the adaptive serving engine embeds: one implementation-variant knob
+// whose expected latencies track the live environment (experiment E7).
 package autotuner
 
 import "fmt"
@@ -15,22 +19,20 @@ type Variant struct {
 	BoundMs float64
 }
 
-// Tuner is the mARGOt instance the adaptive engine embeds per workload:
+// Tuner is the mARGOt instance the adaptive engine embeds per workflow:
 // one "impl" knob whose operating points carry expected execution latency,
 // ranked minimize-time. The engine consults Available/Drift on every
-// dispatch and feeds Observe from completions, so variant selection tracks
-// the live environment instead of the static plan. Hot-plug events need no
-// hook here: a device's attachment is priced per placement, and a tuner's
-// knowledge lives only while its workflow is served (the engine reseeds a
-// recycled record's tuner with Reset). A Tuner is not safe for
-// concurrent use: each belongs to one workflow, and its engine touches it
-// only under the serve lock.
+// dispatch and feeds Observe from completions (an EWMA with alpha 0.5), so
+// variant selection tracks the live environment instead of the static
+// plan. Hot-plug events need no hook here: a device's attachment is priced
+// per placement, and a tuner's knowledge lives only while its workflow is
+// served (the engine reseeds a recycled record's tuner with Reset). A
+// Tuner is not safe for concurrent use: each belongs to one workflow, and
+// its engine touches it only under the serve lock.
 //
-// The knowledge base is one slice of points in seed order rather than a
-// general Autotuner: the engine calls Best on every placement of every
-// task, and the general operating-point snapshot (one map allocation
-// per point per call) dominated dispatch profiles. Semantics are identical
-// to an Autotuner with a single "impl" knob and an EWMA alpha of 0.5.
+// The knowledge base is one slice of points in seed order, scanned
+// linearly: the engine calls Best on every placement of every task, so a
+// lookup allocates nothing.
 type Tuner struct {
 	points []point
 }
@@ -135,7 +137,7 @@ func (t *Tuner) Available(name string) bool {
 }
 
 // Observe feeds one measured latency (ms) for a variant back into the
-// knowledge base with the same EWMA the general autotuner applies.
+// knowledge base: the expected latency moves halfway to the observation.
 func (t *Tuner) Observe(name string, ms float64) {
 	if i, ok := t.index(name); ok {
 		p := &t.points[i]

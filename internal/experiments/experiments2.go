@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"everest/internal/anomaly"
-	"everest/internal/autotuner"
 	"everest/internal/base2"
 	"everest/internal/hls"
 	"everest/internal/olympus"
@@ -14,6 +16,7 @@ import (
 	"everest/internal/sdk"
 	"everest/internal/tensor"
 	"everest/internal/traffic"
+	"everest/internal/virt"
 )
 
 // E6 — resource manager (§VI-A): HEFT vs FIFO on DAG families, plus
@@ -126,56 +129,139 @@ func E6() (Table, error) {
 	return t, nil
 }
 
-// E7 — mARGOt dynamic autotuning (§VI-C): variant selection adapts when the
-// FPGA disappears (VF unplugged) and recovers when it returns.
+// E7 — mARGOt dynamic autotuning (§VI-B/C) through the serving system:
+// the guest's SR-IOV VF is unplugged and plugged back between serves, the
+// hypervisor's notifications reach the adaptive engine, and its
+// per-workflow tuners move the Monte-Carlo tasks off the FPGA and back.
 func E7() (Table, error) {
 	t := Table{
 		ID:     "E7",
-		Title:  "mARGOt autotuning: PTDR variant selection under environment changes",
-		Header: []string{"phase", "selected variant", "expected time ms", "expected energy J"},
+		Title:  "mARGOt autotuning: PTDR variant selection across a VF unplug and replug (served, 1 node)",
+		Header: []string{"phase", "opened by", "at s", "mc task variants", "mean span s"},
 	}
-	knobs := []autotuner.Knob{{Name: "impl", Values: []string{"cpu1", "cpu16", "fpga"}}}
-	points := []autotuner.OperatingPoint{
-		{Config: autotuner.Config{"impl": "cpu1"},
-			Metrics: map[autotuner.Metric]float64{autotuner.MetricTimeMs: 840, autotuner.MetricEnergyJ: 42}},
-		{Config: autotuner.Config{"impl": "cpu16"},
-			Metrics: map[autotuner.Metric]float64{autotuner.MetricTimeMs: 95, autotuner.MetricEnergyJ: 118}},
-		{Config: autotuner.Config{"impl": "fpga"},
-			Metrics: map[autotuner.Metric]float64{autotuner.MetricTimeMs: 31, autotuner.MetricEnergyJ: 24}},
-	}
-	goals := []autotuner.Goal{{Metric: autotuner.MetricTimeMs, Value: 120}}
-	at, err := autotuner.New(knobs, points, goals, autotuner.Rank{Metric: autotuner.MetricEnergyJ, Minimize: true})
+	run, err := adaptLoop()
 	if err != nil {
 		return t, err
 	}
-	record := func(phase string) {
-		sel := at.Select()
-		t.Rows = append(t.Rows, []string{phase, sel.Config["impl"],
-			f3(sel.Metrics[autotuner.MetricTimeMs]), f3(sel.Metrics[autotuner.MetricEnergyJ])})
-	}
-	record("steady state")
-	sel0 := at.Select().Config["impl"]
-	t.metric("initial_fpga", boolTo01(sel0 == "fpga"))
-
-	// FPGA VF unplugged: observed fpga times degrade to software fallback.
-	for i := 0; i < 8; i++ {
-		if err := at.Observe(autotuner.Config{"impl": "fpga"}, autotuner.MetricTimeMs, 2100); err != nil {
-			return t, err
+	flags := [3]string{"initial_fpga", "degraded_cpu16", "recovered_fpga"}
+	want := [3]string{runtime.VariantFPGA, runtime.VariantCPU16, runtime.VariantFPGA}
+	for i, ph := range run.phases {
+		// mc0 and mc1 are sdk.AdaptiveWorkflow's only tasks with an fpga variant.
+		mix, n := map[string]int{}, 0
+		for _, s := range ph.scheds {
+			for _, a := range s.Assignments {
+				if strings.HasPrefix(a.Task, "mc") {
+					v := a.Variant
+					if v == runtime.VariantFPGA && !a.OnFPGA {
+						v += " fallback"
+					}
+					mix[v]++
+					n++
+				}
+			}
 		}
-	}
-	record("fpga unplugged")
-	t.metric("degraded_cpu16", boolTo01(at.Select().Config["impl"] == "cpu16"))
-
-	// FPGA returns.
-	for i := 0; i < 14; i++ {
-		if err := at.Observe(autotuner.Config{"impl": "fpga"}, autotuner.MetricTimeMs, 31); err != nil {
-			return t, err
+		var cells []string
+		for _, v := range slices.Sorted(maps.Keys(mix)) {
+			cells = append(cells, fmt.Sprintf("%s %d/%d", v, mix[v], n))
 		}
+		t.Rows = append(t.Rows, []string{ph.name, ph.event, f3(ph.at), strings.Join(cells, ", "), f3(ph.meanSpan)})
+		t.metric(ph.name+"_span_s", ph.meanSpan)
+		t.metric(flags[i], boolTo01(n > 0 && mix[want[i]] == n))
 	}
-	record("fpga recovered")
-	t.metric("recovered_fpga", boolTo01(at.Select().Config["impl"] == "fpga"))
-	t.Notes = append(t.Notes, "goal: exec_time <= 120ms; rank: minimize energy; hot-plug latency 50ms per VF op")
+	t.Notes = append(t.Notes, fmt.Sprintf(
+		"%d AdaptiveWorkflows per phase on node00 (Xeon + Alveo U55C), one guest holding device 0's VF; "+
+			"VF unplug %.0f ms, replug %.0f ms; events stamped at the latest served makespan",
+		adaptPhaseWorkflows, run.unplugS*1000, run.plugS*1000))
 	return t, nil
+}
+
+// adaptPhaseWorkflows is the number of workflows E7 serves per phase.
+const adaptPhaseWorkflows = 4
+
+// adaptPhase is one phase of E7's loop: the hot-plug call that opens it,
+// the modelled time the engine stamps on it, the schedules served after
+// it, and their mean span (first task start to completion).
+type adaptPhase struct {
+	name, event  string
+	at, meanSpan float64
+	scheds       []*runtime.Schedule
+}
+
+// adaptRun is one pass of E7's loop.
+type adaptRun struct {
+	phases         [3]adaptPhase             // steady, unplugged, replugged
+	unplugS, plugS float64                   // the VF operations' modelled latencies
+	traced         map[runtime.EventKind]int // events the engine traced, by kind
+}
+
+// adaptLoop serves E7's three phases on one node, node00 with an Alveo
+// U55C: one host with one guest VM holding device 0's VF, an adaptive
+// HEFT engine, and sdk.AttachHypervisor stamping each hot-plug event at
+// the latest served makespan.
+func adaptLoop() (run adaptRun, err error) {
+	node := platform.NewNode("node00", platform.XeonModel(), platform.AlveoU55C())
+	bs := sdk.ScenarioBitstream()
+	if _, err := node.Program(0, -1, bs); err != nil {
+		return run, err
+	}
+	hyp, err := virt.NewHypervisor(node, 1)
+	if err != nil {
+		return run, err
+	}
+	if _, err := hyp.DefineVM("guest", 8); err != nil {
+		return run, err
+	}
+	if _, err := hyp.PlugVF("guest", 0); err != nil {
+		return run, err
+	}
+	run.traced = map[runtime.EventKind]int{}
+	eng := runtime.NewEngine(platform.NewCluster(node), runtime.EngineConfig{
+		Policy: runtime.PolicyHEFT, Adaptive: true,
+		Trace: func(ev runtime.Event) { run.traced[ev.Kind]++ },
+	})
+	last := 0.0 // the latest served makespan: the clock the hot-plug events read
+	sdk.AttachHypervisor(eng, hyp, func() float64 { return last })
+	if err := eng.Start(); err != nil {
+		return run, err
+	}
+	defer eng.Shutdown()
+	wf := 0 // workflow index across phases: it sets task sizes and names
+	for i := range run.phases {
+		ph := &run.phases[i]
+		ph.at = last
+		switch i {
+		case 0:
+			ph.name, ph.event = "steady", "engine start"
+		case 1:
+			ph.name, ph.event = "unplugged", "UnplugVF"
+			run.unplugS, err = hyp.UnplugVF("guest", 0)
+		case 2:
+			ph.name, ph.event = "replugged", "PlugVF"
+			run.plugS, err = hyp.PlugVF("guest", 0)
+		}
+		if err != nil {
+			return run, err
+		}
+		for ; len(ph.scheds) < adaptPhaseWorkflows; wf++ {
+			fut, err := eng.Submit(sdk.AdaptiveWorkflow(wf, bs.ID),
+				runtime.SubmitOptions{Name: fmt.Sprintf("guest/wf%d", wf+1), Tenant: "guest"})
+			if err != nil {
+				return run, err
+			}
+			sched, err := fut.Wait()
+			if err != nil {
+				return run, err
+			}
+			first := sched.Makespan
+			for _, a := range sched.Assignments {
+				first = min(first, a.Start)
+			}
+			ph.meanSpan += (sched.Makespan - first) / adaptPhaseWorkflows
+			ph.scheds = append(ph.scheds, sched)
+			last = max(last, sched.Makespan)
+		}
+	}
+	return run, nil
 }
 
 // E8 — anomaly detection AutoML (§VII): TPE vs random search at equal trial

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"everest/internal/runtime"
 )
 
 // tableDigests pins every experiment's printed table: the first 16 hex
@@ -17,7 +19,7 @@ var tableDigests = map[string]string{
 	"E4":  "4da32d4002c471db",
 	"E5":  "f44b3044926033a6",
 	"E6":  "253120dd42d1648c",
-	"E7":  "c824552898096cb0",
+	"E7":  "e615d7aac4b5664b",
 	"E8":  "7bdbb101413f943c",
 	"E9":  "2b080c4ba9915a81",
 	"E10": "236a7a8945d32ffa",
@@ -146,6 +148,31 @@ func TestE7Shape(t *testing.T) {
 	for _, key := range []string{"initial_fpga", "degraded_cpu16", "recovered_fpga"} {
 		if tab.KeyMetrics[key] != 1 {
 			t.Errorf("autotuner adaptation failed at %q", key)
+		}
+	}
+	run, err := adaptLoop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AttachHypervisor drops every Apply error, so only the engine's own
+	// trace shows that the hot-plug calls reached it.
+	unplugs, plugs := run.traced[runtime.EventDeviceUnplug], run.traced[runtime.EventDevicePlug]
+	if unplugs != 1 || plugs != 1 {
+		t.Errorf("engine traced %d device unplugs and %d plugs, want 1 and 1", unplugs, plugs)
+	}
+	steady, unplugged := run.phases[0].meanSpan, run.phases[1].meanSpan
+	if unplugged <= steady {
+		t.Errorf("unplugged mean span %gs must exceed the steady %gs", unplugged, steady)
+	}
+	// One node serves every task in sequence, so a phase's boundary event,
+	// stamped at the latest served makespan, precedes all of its tasks.
+	for _, ph := range run.phases {
+		for _, s := range ph.scheds {
+			for _, a := range s.Assignments {
+				if a.Start < ph.at {
+					t.Errorf("%s: task %s starts at %gs, before the %s at %gs", ph.name, a.Task, a.Start, ph.event, ph.at)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package dialects registers the EVEREST MLIR dialects of Fig. 5 of the
-// paper: the frontends (ekl, cfdlang, jabbah), the tensor middle layer
-// (teil), the custom-format layer (base2), and the coordination /
-// integration / backend layers (dfg, olympus, evp, fsm).
+// paper that a compilation flow here builds: the frontends (ekl, cfdlang,
+// jabbah), the tensor middle layer (teil), the coordination and
+// system-generation layers (dfg, olympus), and the loop level (affine).
 //
 // Each Register* function installs operation definitions (arities plus
 // semantic verifiers) into an mlir.Context. RegisterAll installs everything,
@@ -20,11 +20,8 @@ func RegisterAll(ctx *mlir.Context) {
 	RegisterTeIL(ctx)
 	RegisterCFDlang(ctx)
 	RegisterJabbah(ctx)
-	RegisterBase2(ctx)
 	RegisterDFG(ctx)
 	RegisterOlympus(ctx)
-	RegisterEVP(ctx)
-	RegisterFSM(ctx)
 	RegisterAffine(ctx)
 }
 
@@ -103,19 +100,6 @@ func RegisterJabbah(ctx *mlir.Context) *mlir.Dialect {
 	return d
 }
 
-// RegisterBase2 installs the binary-numeral-type dialect (Friebel et al.,
-// HEART 2023): conversions between IEEE floats and custom formats.
-func RegisterBase2(ctx *mlir.Context) *mlir.Dialect {
-	d := ctx.RegisterDialect("base2")
-	d.RegisterOp(&mlir.OpInfo{Name: "quantize", MinOperands: 1, MaxOperands: 1, NumResults: 1,
-		Summary: "float -> custom format", Verify: verifyCast})
-	d.RegisterOp(&mlir.OpInfo{Name: "dequantize", MinOperands: 1, MaxOperands: 1, NumResults: 1,
-		Summary: "custom format -> float", Verify: verifyCast})
-	d.RegisterOp(&mlir.OpInfo{Name: "arith", MinOperands: 2, MaxOperands: 2, NumResults: 1,
-		Summary: "format-preserving arithmetic", Verify: requireString("fn")})
-	return d
-}
-
 // RegisterDFG installs the dataflow-graph dialect produced from ConDRust
 // (paper §V-A2, Fig. 4): deterministic actors connected by streams.
 func RegisterDFG(ctx *mlir.Context) *mlir.Dialect {
@@ -142,32 +126,6 @@ func RegisterOlympus(ctx *mlir.Context) *mlir.Dialect {
 	d.RegisterOp(&mlir.OpInfo{Name: "dma", MinOperands: 2, MaxOperands: 2,
 		Summary: "host<->device transfer edge"})
 	d.RegisterOp(&mlir.OpInfo{Name: "done", MinOperands: 0, MaxOperands: 0, Terminator: true})
-	return d
-}
-
-// RegisterEVP installs the EVEREST-platform integration dialect: deployment
-// targets and runtime bindings.
-func RegisterEVP(ctx *mlir.Context) *mlir.Dialect {
-	d := ctx.RegisterDialect("evp")
-	d.RegisterOp(&mlir.OpInfo{Name: "target", NumResults: 1, Verify: requireString("platform")})
-	d.RegisterOp(&mlir.OpInfo{Name: "deploy", MinOperands: 1, MaxOperands: -1,
-		Verify: requireString("node")})
-	d.RegisterOp(&mlir.OpInfo{Name: "variant", MinOperands: 0, MaxOperands: 0, NumResults: 1,
-		Summary: "autotuner-selectable implementation variant",
-		Verify:  requireString("name")})
-	return d
-}
-
-// RegisterFSM installs the finite-state-machine dialect used for generated
-// controllers of the memory subsystem.
-func RegisterFSM(ctx *mlir.Context) *mlir.Dialect {
-	d := ctx.RegisterDialect("fsm")
-	d.RegisterOp(&mlir.OpInfo{Name: "machine", NumRegions: 1, Verify: requireString("sym_name")})
-	d.RegisterOp(&mlir.OpInfo{Name: "state", NumRegions: 1, Verify: requireString("name")})
-	d.RegisterOp(&mlir.OpInfo{Name: "transition", MinOperands: 0, MaxOperands: 1,
-		Verify: requireString("to")})
-	d.RegisterOp(&mlir.OpInfo{Name: "action", MinOperands: 0, MaxOperands: -1,
-		Verify: requireString("do")})
 	return d
 }
 
@@ -260,16 +218,6 @@ func verifyAffineFor(op *mlir.Op) error {
 	if len(op.Regions) != 1 || len(op.Regions[0].Blocks) == 0 ||
 		len(op.Regions[0].Blocks[0].Args) != 1 {
 		return fmt.Errorf("affine.for body must have exactly one induction argument")
-	}
-	return nil
-}
-
-func verifyCast(op *mlir.Op) error {
-	if len(op.Operands) != 1 || len(op.Results) != 1 {
-		return fmt.Errorf("cast must be unary")
-	}
-	if mlir.TypesEqual(op.Operand(0).Type(), op.Result(0).Type()) {
-		return fmt.Errorf("cast between identical types %s", op.Operand(0).Type())
 	}
 	return nil
 }

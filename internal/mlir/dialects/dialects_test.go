@@ -15,8 +15,8 @@ func newCtx() *mlir.Context {
 
 func TestRegisterAllInstallsEveryDialect(t *testing.T) {
 	ctx := newCtx()
-	want := []string{"affine", "base2", "builtin", "cfdlang", "dfg", "ekl",
-		"evp", "fsm", "jabbah", "olympus", "teil"}
+	want := []string{"affine", "builtin", "cfdlang", "dfg", "ekl",
+		"jabbah", "olympus", "teil"}
 	got := ctx.DialectNames()
 	if len(got) != len(want) {
 		t.Fatalf("dialects = %v, want %v", got, want)
@@ -37,11 +37,6 @@ func buildIn(t *testing.T) (*mlir.Module, *mlir.Builder) {
 	fn := b.CreateWithRegions("builtin.func", nil, nil, map[string]mlir.Attribute{"sym_name": mlir.StringAttr("f")}, 1)
 	return m, mlir.NewBuilder(ctx, fn.Regions[0].Entry())
 }
-
-// testType is an opaque type for ops whose verifiers only compare types.
-type testType string
-
-func (t testType) String() string { return string(t) }
 
 func TestEinsumVerifier(t *testing.T) {
 	m, fb := buildIn(t)
@@ -126,23 +121,6 @@ func TestAffineForVerifier(t *testing.T) {
 	}
 }
 
-func TestBase2CastVerifier(t *testing.T) {
-	m, fb := buildIn(t)
-	v := fb.ConstantFloat(0, mlir.F64())
-	fb.Create("base2.quantize", []*mlir.Value{v}, []mlir.Type{mlir.F64()}, nil) // same type
-	if err := m.Verify(); err == nil {
-		t.Error("identity cast must fail")
-	}
-
-	m2, fb2 := buildIn(t)
-	v2 := fb2.ConstantFloat(0, mlir.F64())
-	fb2.Create("base2.quantize", []*mlir.Value{v2},
-		[]mlir.Type{testType("!base2.fixed<8,8>")}, nil)
-	if err := m2.Verify(); err != nil {
-		t.Errorf("valid quantize rejected: %v", err)
-	}
-}
-
 func TestDFGNodeVerifier(t *testing.T) {
 	m, fb := buildIn(t)
 	fb.Create("dfg.node", nil, []mlir.Type{mlir.F64()}, nil) // missing fn
@@ -188,47 +166,6 @@ func TestOlympusVerifiers(t *testing.T) {
 		map[string]mlir.Attribute{"width": mlir.IntAttr(512), "lanes": mlir.IntAttr(4)})
 	if err := m3.Verify(); err != nil {
 		t.Errorf("valid bus rejected: %v", err)
-	}
-}
-
-func TestFSMOps(t *testing.T) {
-	ctx := newCtx()
-	m := mlir.NewModule(ctx, "fsm")
-	b := mlir.NewBuilder(ctx, m.Body())
-	mach := b.CreateWithRegions("fsm.machine", nil, nil, map[string]mlir.Attribute{
-		"sym_name": mlir.StringAttr("dbuf_ctrl"),
-	}, 1)
-	mb := mlir.NewBuilder(ctx, mach.Regions[0].Entry())
-	st := mb.CreateWithRegions("fsm.state", nil, nil, map[string]mlir.Attribute{
-		"name": mlir.StringAttr("load"),
-	}, 1)
-	sb := mlir.NewBuilder(ctx, st.Regions[0].Entry())
-	sb.Create("fsm.action", nil, nil, map[string]mlir.Attribute{"do": mlir.StringAttr("dma_read")})
-	sb.Create("fsm.transition", nil, nil, map[string]mlir.Attribute{"to": mlir.StringAttr("exec")})
-	if err := m.Verify(); err != nil {
-		t.Fatalf("fsm module rejected: %v", err)
-	}
-	if m.CountOps("fsm.state") != 1 || m.CountOps("fsm.transition") != 1 {
-		t.Error("fsm op counts wrong")
-	}
-}
-
-func TestEVPOps(t *testing.T) {
-	m, fb := buildIn(t)
-	tgt := fb.Create("evp.target", nil, []mlir.Type{testType("none")},
-		map[string]mlir.Attribute{"platform": mlir.StringAttr("alveo-u55c")})
-	fb.Create("evp.deploy", []*mlir.Value{tgt.Result(0)}, nil,
-		map[string]mlir.Attribute{"node": mlir.StringAttr("node00")})
-	fb.Create("evp.variant", nil, []mlir.Type{testType("none")},
-		map[string]mlir.Attribute{"name": mlir.StringAttr("fpga")})
-	if err := m.Verify(); err != nil {
-		t.Fatalf("evp ops rejected: %v", err)
-	}
-
-	m2, fb2 := buildIn(t)
-	fb2.Create("evp.target", nil, []mlir.Type{testType("none")}, nil)
-	if err := m2.Verify(); err == nil {
-		t.Error("evp.target without platform must fail")
 	}
 }
 

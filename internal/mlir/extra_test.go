@@ -78,9 +78,6 @@ func TestTypeMiscellany(t *testing.T) {
 	if TensorOf(F64(), 2, 3).Rank() != 2 {
 		t.Error("tensor rank")
 	}
-	if !TypesEqual(nil, nil) || TypesEqual(nil, F64()) {
-		t.Error("TypesEqual nil handling")
-	}
 }
 
 func TestAttrStrings(t *testing.T) {

@@ -12,14 +12,6 @@ type Type interface {
 	String() string
 }
 
-// TypesEqual reports structural equality of two types.
-func TypesEqual(a, b Type) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.String() == b.String()
-}
-
 // FloatType is an IEEE-754 binary float of the given width (16, 32, 64) or
 // the truncated bfloat16 when BF is set.
 type FloatType struct {

@@ -51,9 +51,6 @@ type TaskSpec struct {
 	// a node with a programmed device is available, the task runs there.
 	NeedsFPGA   bool
 	BitstreamID string
-
-	// Knobs forwards fine-tuning parameters to the autotuner layer.
-	Knobs map[string]string
 }
 
 // ReadBytes returns the task's input size: declared InputBytes when

@@ -444,15 +444,6 @@ func (p *program) conversions(decl ast.Decl, convert func(from, to types.Type)) 
 	})
 }
 
-// unreachedAllowed lists the exported names under internal/ that no
-// non-test file reaches and that stay anyway, each with its reason. Tests
-// reaching a name is never a reason: a test oracle lives in its package's
-// test files.
-var unreachedAllowed = map[string]string{
-	"sdk.AttachHypervisor": "ROADMAP item 21 reaches it from E7 (VF hot-plug driving the serving engine); " +
-		"deleting it would drop four of the six sdk race-stress tests CI runs",
-}
-
 // configTypes names each front's config struct by package directory.
 var configTypes = map[string]string{"runtime": "EngineConfig", "fleet": "Config", "region": "Config", "stream": "Config"}
 
@@ -463,29 +454,18 @@ var configTypes = map[string]string{"runtime": "EngineConfig", "fleet": "Config"
 // outside its own declaration (its own package counts; unexporting a name
 // removes no code), or converts a value to an interface whose method it
 // implements (container/heap reaches a heap's Len, Less, Swap, Push and
-// Pop). unreachedAllowed holds the exceptions. Every exported field of
-// the config structs in configTypes must be set by a non-test file outside
-// its package, as a composite-literal key or an assignment target: a knob
+// Pop). There is no allow-list. Every exported field of the config
+// structs in configTypes must be set by a non-test file outside its
+// package, as a composite-literal key or an assignment target: a knob
 // nothing turns is deleted, not kept.
 func TestFrontSurfaceReached(t *testing.T) {
 	p := loadProgram(t)
 	surface := p.exportedSurface()
 	hit := p.reached(t, surface)
 	var wrong []string
-	names := map[string]bool{}
 	for obj, name := range surface {
-		names[name] = true
-		_, allowed := unreachedAllowed[name]
-		switch {
-		case !hit[obj] && !allowed:
+		if !hit[obj] {
 			wrong = append(wrong, name+": no non-test file reaches it (delete it)")
-		case hit[obj] && allowed:
-			wrong = append(wrong, name+": allow-listed, but a non-test file reaches it")
-		}
-	}
-	for name := range unreachedAllowed {
-		if !names[name] {
-			wrong = append(wrong, name+": allow-listed, but no such exported name")
 		}
 	}
 

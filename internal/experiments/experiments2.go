@@ -151,11 +151,7 @@ func E7() (Table, error) {
 		for _, s := range ph.scheds {
 			for _, a := range s.Assignments {
 				if strings.HasPrefix(a.Task, "mc") {
-					v := a.Variant
-					if v == runtime.VariantFPGA && !a.OnFPGA {
-						v += " fallback"
-					}
-					mix[v]++
+					mix[a.Variant]++
 					n++
 				}
 			}

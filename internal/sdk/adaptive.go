@@ -12,10 +12,10 @@ import (
 
 // This file wires the adaptive loop's outer layers: the virt→engine
 // bridge that turns SR-IOV hot-plug notifications into engine
-// environment events (AttachHypervisor), the FPGA-leaning synthetic workload the
-// adaptive-placement experiment schedules (AdaptiveWorkflow), and the
-// engine-tier scenario both adaptation experiments (E-adapt, E-compile)
-// serve.
+// environment events (AttachHypervisor, which E7 drives), the
+// FPGA-leaning synthetic workload the adaptive-placement experiments
+// schedule (AdaptiveWorkflow: E7 and E-adapt), and the engine-tier
+// scenario both adaptation experiments (E-adapt, E-compile) serve.
 
 // AttachHypervisor subscribes an engine to a hypervisor's hot-plug
 // notifications, closing the virt side of the adaptation loop:
@@ -56,7 +56,7 @@ func AttachHypervisor(e *runtime.Engine, h *virt.Hypervisor, clock func() float6
 }
 
 // AdaptiveWorkflow returns a deterministic FPGA-leaning workflow for the
-// adaptive-placement experiment: a prep stage feeding two offloadable
+// adaptive-placement experiments (E7, E-adapt): a prep stage feeding two offloadable
 // compute stages and a software post stage. The offload weight is what
 // makes placement react to hot-plug faults; index i varies the task sizes
 // like SyntheticWorkflow does.

@@ -70,9 +70,10 @@ func BenchmarkE6_ResourceManager(b *testing.B) {
 }
 
 // BenchmarkE7_Autotune — §VI-B/C mARGOt adaptation across a VF unplug
-// and replug, with each phase's mean served span.
+// and replug: the three phase flags and each phase's mean served span.
 func BenchmarkE7_Autotune(b *testing.B) {
-	benchExperiment(b, experiments.E7, "recovered_fpga", "steady_span_s", "unplugged_span_s", "replugged_span_s")
+	benchExperiment(b, experiments.E7, "initial_fpga", "degraded_cpu16", "recovered_fpga",
+		"steady_span_s", "unplugged_span_s", "replugged_span_s")
 }
 
 // BenchmarkE8_AnomalyAutoML — §VII TPE vs random.

@@ -42,7 +42,6 @@ type point struct {
 	name     string
 	seed     float64 // design-time expected ms
 	expected float64 // live expected ms (EWMA)
-	obs      int     // observation count
 }
 
 // index resolves a variant name with a linear scan: tuners hold a handful
@@ -142,6 +141,5 @@ func (t *Tuner) Observe(name string, ms float64) {
 	if i, ok := t.index(name); ok {
 		p := &t.points[i]
 		p.expected = 0.5*p.expected + 0.5*ms
-		p.obs++
 	}
 }

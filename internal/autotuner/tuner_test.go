@@ -15,14 +15,6 @@ func expected(tn *Tuner, name string) float64 {
 	return 0
 }
 
-// observations returns how many measurements a variant has received.
-func observations(tn *Tuner, name string) int {
-	if i, ok := tn.index(name); ok {
-		return tn.points[i].obs
-	}
-	return 0
-}
-
 // variantNames returns the variant names in seed order.
 func variantNames(tn *Tuner) []string {
 	names := make([]string, len(tn.points))
@@ -74,9 +66,6 @@ func TestTunerSelectsAndAdapts(t *testing.T) {
 		t.Fatalf("after degradation best = %q (fpga now %.0fms), want cpu16",
 			got, expected(tn, "fpga"))
 	}
-	if observations(tn, "fpga") != 6 {
-		t.Fatalf("observations = %d, want 6", observations(tn, "fpga"))
-	}
 	if d := tn.Drift("fpga"); d < 10 {
 		t.Fatalf("fpga drift = %g, want >= 10 (expected latency blew up)", d)
 	}
@@ -106,9 +95,6 @@ func TestTunerResetRestoresSeeds(t *testing.T) {
 	for _, v := range seeds {
 		if got := expected(tn, v.Name); got != v.ExpectedMs {
 			t.Errorf("%s expected %g after Reset, want the seed %g", v.Name, got, v.ExpectedMs)
-		}
-		if got := observations(tn, v.Name); got != 0 {
-			t.Errorf("%s has %d observations after Reset, want 0", v.Name, got)
 		}
 		if got := tn.Drift(v.Name); got != 1 {
 			t.Errorf("%s drift %g after Reset, want 1", v.Name, got)

@@ -216,7 +216,9 @@ func adaptLoop() (run adaptRun, err error) {
 		Trace: func(ev runtime.Event) { run.traced[ev.Kind]++ },
 	})
 	last := 0.0 // the latest served makespan: the clock the hot-plug events read
-	sdk.AttachHypervisor(eng, hyp, func() float64 { return last })
+	if err := sdk.AttachHypervisor(eng, hyp, func() float64 { return last }); err != nil {
+		return run, err
+	}
 	if err := eng.Start(); err != nil {
 		return run, err
 	}

@@ -154,8 +154,9 @@ func TestE7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// AttachHypervisor drops every Apply error, so only the engine's own
-	// trace shows that the hot-plug calls reached it.
+	// AttachHypervisor refuses a node the engine does not serve, but an
+	// Apply that changes no attachment is silent, so only the engine's own
+	// trace shows that each hot-plug call moved the device.
 	unplugs, plugs := run.traced[runtime.EventDeviceUnplug], run.traced[runtime.EventDevicePlug]
 	if unplugs != 1 || plugs != 1 {
 		t.Errorf("engine traced %d device unplugs and %d plugs, want 1 and 1", unplugs, plugs)

@@ -87,12 +87,6 @@ const (
 	EventPreempt
 	// EventEvictStore fires when a bounded region store drops an artifact.
 	EventEvictStore
-	// EventDataFetch fires when a missing dataset partition is WAN-staged
-	// on the serving path (the workflow pays the stall).
-	EventDataFetch
-	// EventDataPrefetch fires when the forecaster WAN-stages a partition
-	// ahead of demand (off the critical path).
-	EventDataPrefetch
 	// EventReject fires when no region can serve (or prove) a request.
 	EventReject
 	// EventDone fires when a workflow's region-level completion is known.
@@ -102,7 +96,7 @@ const (
 // eventNames holds each EventKind's name, indexed by kind.
 var eventNames = [...]string{
 	"route", "handoff", "fetch", "prefetch", "hold", "release", "preempt",
-	"evict-store", "data-fetch", "data-prefetch", "reject", "done",
+	"evict-store", "reject", "done",
 }
 
 func (k EventKind) String() string {
@@ -145,12 +139,6 @@ const (
 	// preemptPenalty is the modelled restart cost a held batch workflow
 	// pays every time a priority arrival pushes it back.
 	preemptPenalty = 0.050
-	// datasetStoreBytes bounds the dataset half of each region's artifact
-	// store: published partitions cached next to the bitstream images,
-	// WAN-fetched on demand and eligible for prefetch like any other
-	// artifact. Each region's fleet sites keep their own, smaller stores
-	// below this one.
-	datasetStoreBytes = 1 << 30
 )
 
 // Config configures a Federation. Every region's fleet places with HEFT
@@ -235,7 +223,7 @@ type Result struct {
 	Arrival   float64
 	Handoff   float64 // WAN payload transfer stall (served away from home)
 	Fetch     float64 // WAN artifact fetch stall on the serving path
-	DataFetch float64 // WAN dataset staging stall on the serving path
+	DataFetch float64 // always 0: the region tier stages no datasets (kept for callers that sum the parts)
 	Hold      float64 // modelled time parked in the batch hold queue
 	Wait      float64 // fleet queue delay
 	Deploy    float64 // bitstream deployment stall
@@ -316,13 +304,6 @@ type RegionStats struct {
 	StoreEvictions  int // images the StoreSlots bound evicted (read from the store)
 	PartitionSkips  int // fetches skipped because the WAN was partitioned
 
-	DataFetches      int     // dataset partitions WAN-staged on serve paths
-	DataFetchSeconds float64 // modelled stall those fetches cost
-	DataFetchedBytes int64   // dataset bytes shipped over the WAN
-	DataPrefetches   int     // partitions staged ahead of demand
-	DataPublished    int     // partition publishes attempted into the region store
-	DataEvictions    int     // partitions the byte bound evicted (read from the store)
-
 	Fleet fleet.Stats
 }
 
@@ -339,8 +320,6 @@ type Stats struct {
 	WANFetches      int
 	PrefetchFetches int
 	Warms           int
-	DataFetches     int
-	DataPrefetches  int
 
 	Guaranteed      int
 	BoundViolations int
@@ -361,13 +340,12 @@ type region struct {
 	gFrontier float64 // latest guaranteed completion (batch holds behind it)
 	nextRoll  float64
 
-	// The region artifact store, guarded by the federation mutex: images
-	// holds the bitstreams (one entry each, bounded to StoreSlots; reg
-	// holds exactly its IDs), dstore the published dataset partitions.
-	// Both are WAN-fetched from the federation on demand, priced by their
-	// links, and prefetch-eligible.
-	images, dstore      *dataset.Store
-	imageLink, dataLink dataset.Link
+	// The region artifact store, guarded by the federation mutex: the
+	// bitstreams (one entry each, bounded to StoreSlots; reg holds exactly
+	// its IDs), WAN-fetched from the catalog on demand over imageLink, and
+	// prefetch-eligible.
+	images    *dataset.Store
+	imageLink dataset.Link
 
 	stats RegionStats
 }
@@ -389,15 +367,6 @@ type Federation struct {
 	heldSeq   int
 
 	appNeeds map[string][]dataset.Part // app -> bitstreams (learned at first serve)
-
-	// dataCat is the federation dataset catalog: partitions published
-	// somewhere, the scope of the locality/fetch pricing that
-	// mirrors the bitstream catalog. Guarded by mu.
-	dataCat dataset.Catalog
-	// appReads remembers each app's external dataset reads (learned at
-	// first serve, like appNeeds) so prefetch can stage data ahead of
-	// demand alongside the app's bitstreams.
-	appReads map[string][]dataset.Part
 }
 
 // New builds a federation over an artifact catalog the caller hands over
@@ -450,9 +419,7 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 		}
 	}
 	f := &Federation{cfg: cfg, catalog: catalog, wan: *cfg.WAN,
-		appNeeds: make(map[string][]dataset.Part),
-		dataCat:  make(dataset.Catalog),
-		appReads: make(map[string][]dataset.Part)}
+		appNeeds: make(map[string][]dataset.Part)}
 	for i := 0; i < cfg.Regions; i++ {
 		i := i
 		name := fmt.Sprintf("region%02d", i)
@@ -483,7 +450,6 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 			fc:       NewForecaster(cfg.WindowSeconds, 0.5, cfg.ForecastLag),
 			nextRoll: cfg.WindowSeconds,
 			images:   dataset.NewStore(0, cfg.StoreSlots),
-			dstore:   dataset.NewStore(datasetStoreBytes, 0),
 		}
 		r.stats.Name = name
 		// A region cut off from the WAN, or asking for an image the catalog
@@ -497,12 +463,6 @@ func New(catalog *platform.Registry, cfg Config) (*Federation, error) {
 				return fallbackSeconds, false
 			}
 			return f.wan.SendSeconds(f.imageBytes(r, ent.Resources())), true
-		}
-		r.dataLink = func(p dataset.Part, at float64) (float64, bool) {
-			if f.partitioned(r.idx, at) {
-				return fallbackSeconds, false
-			}
-			return f.wan.SendSeconds(p.Ref.Bytes), true
 		}
 		f.regions = append(f.regions, r)
 	}
@@ -642,18 +602,18 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 // route picks the serving region for interactive and guaranteed work and
 // serves inline. Candidates are priced as
 //
-//	queueWait + handoff(WAN payload + penalty, non-home)
-//	          + fetch estimate + data estimate
+//	queueWait + handoff(WAN payload + penalty, non-home) + fetch estimate
 //
-// with the home region winning ties. A WAN partition (of home or of the
-// candidate) removes every non-home candidate; the home region is always
-// one. Guaranteed requests try
+// with the home region winning ties. Dataset reads are outside source
+// data at this tier, even a partition another region's workflow wrote:
+// they cost the same everywhere (nothing), so they never sway the route.
+// A WAN partition (of home or of the candidate) removes every non-home
+// candidate; the home region is always one. Guaranteed requests try
 // candidates cheapest-first until one region's fleet proves the
 // (stall-shrunk) deadline; when none can, the request is rejected.
 func (f *Federation) route(req Request, h *Handle) error {
 	home := req.Home
 	needs := req.Workflow.Needs()
-	known := f.dataCat.Known(req.Workflow.Reads())
 	var cands []routeCand
 	for _, r := range f.regions {
 		if r.idx != home && (f.partitioned(home, req.Arrival) || f.partitioned(r.idx, req.Arrival)) {
@@ -664,7 +624,7 @@ func (f *Federation) route(req Request, h *Handle) error {
 			handoff = f.wan.SendSeconds(req.InputBytes) + handoffPenalty
 		}
 		eff := req.Arrival + handoff
-		cost := handoff + r.fl.QueueWait(eff) + r.images.Estimate(needs, eff, r.imageLink) + r.dstore.Estimate(known, eff, r.dataLink)
+		cost := handoff + r.fl.QueueWait(eff) + r.images.Estimate(needs, eff, r.imageLink)
 		cands = append(cands, routeCand{idx: r.idx, cost: cost})
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].less(cands[b], home) })
@@ -713,11 +673,11 @@ func (a routeCand) less(b routeCand, home int) bool {
 }
 
 // tryGuaranteed serves a guaranteed request at region r: stalls (WAN
-// handoff, artifact fetches, dataset staging) are charged first and
-// shrink the deadline the fleet must prove.
+// handoff, artifact fetches) are charged first and shrink the deadline the
+// fleet must prove.
 func (f *Federation) tryGuaranteed(r *region, req Request, h *Handle) error {
-	handoff, fetch, dfetch := f.stage(r, req, req.Arrival)
-	stall := handoff + fetch + dfetch
+	handoff, fetch := f.stage(r, req, req.Arrival)
+	stall := handoff + fetch
 	if req.Deadline <= stall {
 		return fmt.Errorf("%w: %s: stalls %.4gs consume the %.4gs deadline",
 			fleet.ErrSaturated, r.name, stall, req.Deadline)
@@ -729,36 +689,34 @@ func (f *Federation) tryGuaranteed(r *region, req Request, h *Handle) error {
 	if err != nil {
 		return err
 	}
-	f.finish(r, req, tk, nil, handoff, fetch, dfetch, 0, 0, h)
+	f.finish(r, req, tk, nil, handoff, fetch, 0, 0, h)
 	return nil
 }
 
 // stage charges the serving-path stalls of req at region r from at: the
-// WAN handoff (away from home), then artifact fetches, then dataset
-// staging.
-func (f *Federation) stage(r *region, req Request, at float64) (handoff, fetch, dfetch float64) {
+// WAN handoff (away from home), then artifact fetches.
+func (f *Federation) stage(r *region, req Request, at float64) (handoff, fetch float64) {
 	if r.idx != req.Home {
 		handoff = f.wan.SendSeconds(req.InputBytes)
 	}
 	fetch = f.ensureArtifacts(r, req.Workflow.Needs(), at+handoff, false)
-	dfetch = f.ensureData(r, f.dataCat.Known(req.Workflow.Reads()), at+handoff+fetch, false)
-	return handoff, fetch, dfetch
+	return handoff, fetch
 }
 
 // serveNow serves one request at region r with the given serving-path
 // arrival (the hold release for batch work), resolving h.
 func (f *Federation) serveNow(r *region, req Request, at float64, pushes int, h *Handle) {
-	handoff, fetch, dfetch := f.stage(r, req, at)
+	handoff, fetch := f.stage(r, req, at)
 	tk, err := r.fl.Submit(fleet.Request{
 		Tenant: req.Tenant, Name: req.Name, Workflow: req.Workflow,
-		Arrival: at + handoff + fetch + dfetch,
+		Arrival: at + handoff + fetch,
 	})
-	f.finish(r, req, tk, err, handoff, fetch, dfetch, at-req.Arrival, pushes, h)
+	f.finish(r, req, tk, err, handoff, fetch, at-req.Arrival, pushes, h)
 }
 
 // finish waits out the fleet serve (unless its Submit failed with err) and
 // fills the handle's result.
-func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, err error, handoff, fetch, dfetch, hold float64, pushes int, h *Handle) {
+func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, err error, handoff, fetch, hold float64, pushes int, h *Handle) {
 	var res fleet.Result
 	if err == nil {
 		res, err = tk.Wait()
@@ -772,20 +730,18 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, err error,
 	if req.App != "" {
 		if _, ok := f.appNeeds[req.App]; !ok {
 			f.appNeeds[req.App] = req.Workflow.Needs()
-			f.appReads[req.App] = req.Workflow.Reads()
 		}
 	}
-	f.publishData(r, req.Workflow, req.Name, res.Completion)
-	cold := fetch > 0 || dfetch > 0 || res.Deploy > 0
+	cold := fetch > 0 || res.Deploy > 0
 	out := Result{
 		Region: r.name, Site: res.Site, Class: req.Class,
-		Arrival: req.Arrival, Handoff: handoff, Fetch: fetch, DataFetch: dfetch, Hold: hold,
+		Arrival: req.Arrival, Handoff: handoff, Fetch: fetch, Hold: hold,
 		Wait: res.Wait, Deploy: res.Deploy, Service: res.Service,
 		Completion: res.Completion, Latency: res.Completion - req.Arrival,
 		Cold: cold, Guaranteed: res.Guaranteed, Preemptions: pushes, Sched: res.Sched,
 	}
 	if res.Guaranteed {
-		out.Bound = handoff + fetch + dfetch + res.Bound
+		out.Bound = handoff + fetch + res.Bound
 		r.gFrontier = math.Max(r.gFrontier, res.Completion)
 		r.stats.Guaranteed++
 	} else if req.Class == Interactive {
@@ -994,14 +950,6 @@ func (f *Federation) prefetch(r *region, at float64) {
 				r.stats.Warms++
 			}
 		}
-		// Datasets are prefetch-eligible like bitstreams: stage the app's
-		// known external partitions into the region store ahead of the
-		// demand, so the arriving workflows find them resident. Each is
-		// its own transfer starting at the roll.
-		known := f.dataCat.Known(f.appReads[st.app])
-		for i := range known {
-			f.ensureData(r, known[i:i+1], at, true)
-		}
 	}
 }
 
@@ -1062,7 +1010,6 @@ func (f *Federation) Stats() Stats {
 	for _, r := range f.regions {
 		rs := r.stats
 		rs.StoreEvictions = r.images.Stats().Evictions
-		rs.DataEvictions = r.dstore.Stats().Evictions
 		rs.Fleet = r.fl.Stats()
 		out.Completed += rs.Served
 		out.Failed += rs.Failed
@@ -1072,8 +1019,6 @@ func (f *Federation) Stats() Stats {
 		out.WANFetches += rs.WANFetches
 		out.PrefetchFetches += rs.PrefetchFetches
 		out.Warms += rs.Warms
-		out.DataFetches += rs.DataFetches
-		out.DataPrefetches += rs.DataPrefetches
 		out.Guaranteed += rs.Guaranteed
 		out.BoundViolations += rs.Fleet.BoundViolations()
 		if rs.Fleet.Makespan > out.Makespan {

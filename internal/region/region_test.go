@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"everest/internal/dataset"
 	"everest/internal/fleet"
 	"everest/internal/hls"
 	"everest/internal/platform"
@@ -695,6 +696,46 @@ func TestUnnamedWorkflowName(t *testing.T) {
 	}
 	if len(names) != 12 || names[4] != "named" || names[10] != "default/wf11" || names[11] != "tenantA/wf12" {
 		t.Fatalf("served names %q, want named fifth, default/wf11 and tenantA/wf12 last", names)
+	}
+}
+
+// TestRegionUnknownReadsFree: the region tier stages no datasets, so every
+// read is outside source data there: an archive nobody published, and a
+// partition a workflow in another region wrote. Both price 0 everywhere,
+// so the reader stays at its home region and its serve is not cold.
+func TestRegionUnknownReadsFree(t *testing.T) {
+	f := newTestFed(t, platform.NewRegistry(), Config{Regions: 2})
+	defer f.Shutdown()
+	serve := func(req Request) Result {
+		t.Helper()
+		h, err := f.SubmitAt(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	data := func(reads, writes []dataset.Ref) *runtime.Workflow {
+		w := runtime.NewWorkflow()
+		if err := w.Submit(runtime.TaskSpec{Name: "stage", Flops: 1e9, Reads: reads, Writes: writes}); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	model := dataset.Ref{Name: "shared/model", Bytes: 1 << 30}
+	ext := dataset.Ref{Name: "external/archive", Bytes: 1 << 40}
+	prod := serve(Request{Name: "producer", Home: 1, Arrival: 0, Class: Interactive,
+		Workflow: data(nil, []dataset.Ref{model})})
+	if prod.Region != "region01" {
+		t.Fatalf("producer served at %s, want its home region01", prod.Region)
+	}
+	res := serve(Request{Name: "reader", Home: 0, Arrival: prod.Completion, Class: Interactive,
+		Workflow: data([]dataset.Ref{ext, model}, nil)})
+	if res.Region != "region00" || res.DataFetch != 0 || res.Cold {
+		t.Fatalf("reader: region=%s DataFetch=%g cold=%v, want a free home serve", res.Region, res.DataFetch, res.Cold)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sdk
 
 import (
+	"errors"
 	"fmt"
 
 	"everest/internal/hls"
@@ -29,30 +30,71 @@ import (
 // hypervisor's VF table at attach time, before or after Start: a device
 // whose guests hold no VF while guests exist is unreachable, exactly as
 // if its last VF had just been unplugged.
-func AttachHypervisor(e *runtime.Engine, h *virt.Hypervisor, clock func() float64) {
+//
+// A hypervisor over a node the engine does not serve, or with more
+// devices than the engine's node of that name, is refused and not
+// subscribed: its hot-plug events could reach no accelerator. An
+// attach-time detach the engine refuses (runtime.ErrShutDown after
+// Shutdown) is returned too.
+func AttachHypervisor(e *runtime.Engine, h *virt.Hypervisor, clock func() float64) error {
+	node := h.Node.Name
+	if err := servesNode(e, node, len(h.Node.Devices)); err != nil {
+		return err
+	}
 	now := func() float64 {
 		if clock == nil {
 			return 0
 		}
 		return clock()
 	}
+	apply := func(kind runtime.EnvEventKind, dev int) error {
+		return e.Apply(runtime.EnvEvent{Kind: kind, Node: node, Device: dev, At: now()})
+	}
 	h.Subscribe(func(ev virt.HotplugEvent) {
+		var err error
 		switch {
 		case ev.Kind == virt.VFUnplugged && ev.AssignedVFs == 0:
-			_ = e.Apply(runtime.EnvEvent{Kind: runtime.EnvUnplug, Node: ev.Node, Device: ev.Device, At: now()})
+			err = apply(runtime.EnvUnplug, ev.Device)
 		case ev.Kind == virt.VFPlugged && ev.AssignedVFs == 1:
-			_ = e.Apply(runtime.EnvEvent{Kind: runtime.EnvPlug, Node: ev.Node, Device: ev.Device, At: now()})
+			err = apply(runtime.EnvPlug, ev.Device)
+		}
+		// A shut-down engine serves nothing more, and the hypervisor keeps
+		// every engine ever attached subscribed, so its refusal is the
+		// expected answer. Attach checked the node and its devices, so any
+		// other refusal comes from a non-finite clock: a caller's bug that
+		// would lose the event, reported on the plugging goroutine.
+		if err != nil && !errors.Is(err, runtime.ErrShutDown) {
+			panic(fmt.Sprintf("sdk: hot-plug event refused: %v", err))
 		}
 	})
 	st := h.Query()
 	if len(st.VMs) == 0 {
-		return // no guests: host-side access, devices stay attached
+		return nil // no guests: host-side access, devices stay attached
 	}
 	for dev := 0; dev < len(st.AssignedVFs); dev++ { // device order: a deterministic trace
 		if st.AssignedVFs[dev] == 0 {
-			_ = e.Apply(runtime.EnvEvent{Kind: runtime.EnvUnplug, Node: st.Node, Device: dev, At: now()})
+			if err := apply(runtime.EnvUnplug, dev); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// servesNode checks that e serves the named node with at least devices
+// devices.
+func servesNode(e *runtime.Engine, node string, devices int) error {
+	for _, nh := range e.Health() {
+		if nh.Node != node {
+			continue
+		}
+		if devices > nh.DevicesTotal {
+			return fmt.Errorf("sdk: hypervisor exposes %d devices of node %s, the engine serves %d",
+				devices, node, nh.DevicesTotal)
+		}
+		return nil
+	}
+	return fmt.Errorf("sdk: engine serves no node %q", node)
 }
 
 // AdaptiveWorkflow returns a deterministic FPGA-leaning workflow for the

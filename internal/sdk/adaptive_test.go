@@ -1,6 +1,7 @@
 package sdk
 
 import (
+	"math"
 	goruntime "runtime"
 	"testing"
 
@@ -108,7 +109,9 @@ func TestAttachHypervisor(t *testing.T) {
 	}
 
 	eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
-	AttachHypervisor(eng, hyp, nil)
+	if err := AttachHypervisor(eng, hyp, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,9 @@ func TestAttachHypervisor(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng = runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
-	AttachHypervisor(eng, hyp, nil)
+	if err := AttachHypervisor(eng, hyp, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +186,9 @@ func TestShutDownEngineLeavesHotplugToLiveEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT})
-	AttachHypervisor(old, hyp, nil)
+	if err := AttachHypervisor(old, hyp, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := old.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +203,9 @@ func TestShutDownEngineLeavesHotplugToLiveEngine(t *testing.T) {
 			}
 		},
 	})
-	AttachHypervisor(live, hyp, nil)
+	if err := AttachHypervisor(live, hyp, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := live.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +273,9 @@ func TestAttachHypervisorAfterStart(t *testing.T) {
 	if offlineDevices(s.Cluster, eng) != 0 {
 		t.Fatal("no hypervisor attached yet: the device must be online")
 	}
-	AttachHypervisor(eng, hyp, nil)
+	if err := AttachHypervisor(eng, hyp, nil); err != nil {
+		t.Fatal(err)
+	}
 	if offlineDevices(s.Cluster, eng) != 1 {
 		t.Fatal("a hypervisor whose last VF is unplugged must detach the device on attach")
 	}
@@ -274,6 +285,59 @@ func TestAttachHypervisorAfterStart(t *testing.T) {
 	if offlineDevices(s.Cluster, eng) != 0 {
 		t.Fatal("replugging the first VF must reattach the device")
 	}
+}
+
+// TestAttachHypervisorRefusesUnservedNode: a hypervisor whose node the
+// engine does not serve (a misspelled name), or whose node exposes more
+// devices than the engine's node of that name, is refused at attach, and
+// its hot-plug events then reach nothing. A non-finite clock reading
+// would lose a hot-plug event, so the plugging call panics instead.
+func TestAttachHypervisorRefusesUnservedNode(t *testing.T) {
+	s := New(DefaultCluster(2))
+	eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
+	if err := eng.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Shutdown()
+	name := s.Cluster.Nodes[0].Name
+	for _, node := range []*platform.Node{
+		platform.NewNode(name+"x", platform.XeonModel(), platform.AlveoU55C()),
+		platform.NewNode(name, platform.XeonModel(), platform.AlveoU55C(), platform.AlveoU55C()),
+	} {
+		hyp, err := virt.NewHypervisor(node, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hyp.DefineVM("guest", 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := AttachHypervisor(eng, hyp, nil); err == nil {
+			t.Errorf("attach of a hypervisor over %s with %d devices succeeded", node.Name, len(node.Devices))
+		}
+		if offlineDevices(s.Cluster, eng) != 0 {
+			t.Errorf("refused attach of %s detached a device", node.Name)
+		}
+	}
+
+	hyp, err := virt.NewHypervisor(s.Cluster.Nodes[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hyp.DefineVM("guest", 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hyp.PlugVF("guest", 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := AttachHypervisor(eng, hyp, func() float64 { return math.NaN() }); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an unplug stamped at a NaN clock reading must panic, not vanish")
+		}
+	}()
+	_, _ = hyp.UnplugVF("guest", 0)
 }
 
 // TestPreStartBatchHonoursAttachedHypervisor: the pre-Start batch is
@@ -287,7 +351,9 @@ func TestPreStartBatchHonoursAttachedHypervisor(t *testing.T) {
 		s := New(DefaultCluster(3))
 		hyp, node, bsID := detachedHypervisor(t, s)
 		eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
-		AttachHypervisor(eng, hyp, nil)
+		if err := AttachHypervisor(eng, hyp, nil); err != nil {
+			t.Fatal(err)
+		}
 		futs := make([]*runtime.Future, 8)
 		for i := range futs {
 			fut, err := eng.Submit(AdaptiveWorkflow(i, bsID), runtime.SubmitOptions{Tenant: "batch"})

@@ -103,7 +103,7 @@ func regionPins(res RegionResult) []float64 {
 	st := res.Stats
 	out = append(out, float64(st.Submitted), float64(st.Completed), float64(st.Failed), float64(st.Rejected),
 		float64(st.ColdServes), float64(st.Preemptions), float64(st.Handoffs), float64(st.WANFetches),
-		float64(st.PrefetchFetches), float64(st.Warms), float64(st.DataFetches), float64(st.DataPrefetches),
+		float64(st.PrefetchFetches), float64(st.Warms),
 		float64(st.Guaranteed), float64(st.BoundViolations), st.Makespan)
 	for _, r := range st.Regions {
 		out = append(out, float64(r.Served), float64(r.Failed),
@@ -111,8 +111,6 @@ func regionPins(res RegionResult) []float64 {
 			float64(r.Handoffs), float64(r.HandedOff), float64(r.ColdServes), float64(r.Preemptions), float64(r.Holds),
 			float64(r.WANFetches), r.WANFetchSeconds, float64(r.PrefetchFetches), r.PrefetchSeconds,
 			float64(r.Warms), float64(r.StoreEvictions), float64(r.PartitionSkips),
-			float64(r.DataFetches), r.DataFetchSeconds, float64(r.DataFetchedBytes),
-			float64(r.DataPrefetches), float64(r.DataPublished), float64(r.DataEvictions),
 			// Sites never scale (0 ups, 0 downs, every site active); the
 			// constants keep the recorded digests.
 			0, 0, float64(len(r.Fleet.Sites)))
@@ -160,7 +158,7 @@ func TestScenarioResultsPinned(t *testing.T) {
 		"E-apps":    "672c4c08925ea624",
 		"E-wcet":    "623fd79da954052b",
 		"E-data":    "8f7690dbc7894aa6",
-		"E-region":  "6c992d11d2a02afc",
+		"E-region":  "08ca60ab9de8865e",
 		"E-stream":  "bf737720d9a456dd",
 	}
 	run := func(name string, pins func(t *testing.T) []float64) {

@@ -263,30 +263,27 @@ func TestRegionPRKernelsRunOnNoFPGA(t *testing.T) {
 	}
 }
 
-// TestRegionDataPlaneIdlePinned pins that E-region moves no data through
-// the region tier's named data plane. Its workflows write partitions and
-// the region stores publish every one, but no workflow reads a partition
-// any workflow writes: the apps' external reads are outside source data
-// the federation catalog never knows. So the stores fetch, prefetch and
-// evict nothing. ROADMAP item 24 either gives a region scenario a dataset
-// it reads, which moves these counts, or deletes the unused data plane.
-func TestRegionDataPlaneIdlePinned(t *testing.T) {
+// TestRegionReadsNoWrittenPartition pins the premise that lets the region
+// tier price every dataset read at 0: E-region's workflows write
+// partitions, but none reads a partition any workflow writes. Their
+// external reads are outside source data that costs the same in every
+// region, so a region-tier dataset store would fetch, prefetch and evict
+// nothing. A region scenario that reads what another workflow wrote
+// breaks this premise, and needs a region data plane to price the read.
+func TestRegionReadsNoWrittenPartition(t *testing.T) {
 	s, err := DefaultRegionScenario().BuildSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
 	read, written := map[dataset.ID]bool{}, map[dataset.ID]bool{}
-	outputs := 0
-	res, err := DefaultRegionScenario().runSuite(s, func(w *rt.Workflow, _ region.Result) {
+	if _, err := DefaultRegionScenario().runSuite(s, func(w *rt.Workflow, _ region.Result) {
 		for _, p := range w.Reads() {
 			read[p.ID] = true
 		}
 		for _, o := range w.Outputs() {
 			written[o.ID] = true
 		}
-		outputs += len(w.Outputs())
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for id := range read {
@@ -294,21 +291,8 @@ func TestRegionDataPlaneIdlePinned(t *testing.T) {
 			t.Errorf("E-region reads partition %v, which a workflow writes", id.Value())
 		}
 	}
-	if res.Stats.DataFetches != 0 || res.Stats.DataPrefetches != 0 {
-		t.Errorf("federation staged %d and prefetched %d partitions, want 0 and 0",
-			res.Stats.DataFetches, res.Stats.DataPrefetches)
-	}
-	published := 0
-	for _, rs := range res.Stats.Regions {
-		published += rs.DataPublished
-		if rs.DataFetches != 0 || rs.DataPrefetches != 0 || rs.DataEvictions != 0 {
-			t.Errorf("region %s: data fetches %d, prefetches %d, evictions %d, want 0",
-				rs.Name, rs.DataFetches, rs.DataPrefetches, rs.DataEvictions)
-		}
-	}
-	if outputs == 0 || published != outputs {
-		t.Errorf("region stores published %d partitions, want every output of the served workflows (%d)",
-			published, outputs)
+	if len(written) == 0 {
+		t.Error("E-region writes no partition: the premise checks nothing")
 	}
 }
 

@@ -55,7 +55,9 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 
 	eng := runtime.NewEngine(s.Cluster, runtime.EngineConfig{Policy: runtime.PolicyHEFT, Adaptive: true})
 	for _, h := range hyps {
-		sdk.AttachHypervisor(eng, h, nil)
+		if err := sdk.AttachHypervisor(eng, h, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)

@@ -123,7 +123,6 @@ type Hypervisor struct {
 	mu        sync.Mutex
 	pfs       []*PF
 	vms       map[string]*VM
-	plugOps   int // statistics: number of plug/unplug operations
 	subs      []func(HotplugEvent)
 	pending   []HotplugEvent // events enqueued under mu, delivered in order
 	notifying bool           // one goroutine drains pending at a time
@@ -241,7 +240,6 @@ func (h *Hypervisor) PlugVF(vmName string, device int) (float64, error) {
 		if vf.Assigned == "" {
 			vf.Assigned = vmName
 			vm.vfs[vf.ID] = vf
-			h.plugOps++
 			free, assigned := h.deviceVFState(device)
 			h.pending = append(h.pending, HotplugEvent{
 				Kind: VFPlugged, Node: h.Node.Name, VM: vmName, Device: device,
@@ -268,7 +266,6 @@ func (h *Hypervisor) UnplugVF(vmName string, device int) (float64, error) {
 		if vf.Device == device {
 			vf.Assigned = ""
 			delete(vm.vfs, id)
-			h.plugOps++
 			free, assigned := h.deviceVFState(device)
 			h.pending = append(h.pending, HotplugEvent{
 				Kind: VFUnplugged, Node: h.Node.Name, VM: vmName, Device: device,
@@ -327,7 +324,6 @@ type NodeStatus struct {
 	VMs         []VMStatus
 	FreeVFs     map[int]int // device -> free VF count
 	AssignedVFs map[int]int // device -> VFs currently held by guests
-	PlugOps     int
 }
 
 // VMStatus summarizes one guest.
@@ -341,10 +337,7 @@ type VMStatus struct {
 func (h *Hypervisor) Query() NodeStatus {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := NodeStatus{
-		Node: h.Node.Name, FreeVFs: make(map[int]int),
-		AssignedVFs: make(map[int]int), PlugOps: h.plugOps,
-	}
+	st := NodeStatus{Node: h.Node.Name, FreeVFs: make(map[int]int), AssignedVFs: make(map[int]int)}
 	names := make([]string, 0, len(h.vms))
 	for name := range h.vms {
 		names = append(names, name)

@@ -132,36 +132,37 @@ func Features(farm *Farm, s Sample) []float64 {
 }
 
 // KRR is Kernel Ridge Regression with an RBF kernel. The regressor owns
-// its training state in flat buffers it reuses from fit to fit: the raw
+// its training state in buffers it reuses from fit to fit: the raw
 // training values (the warm-refit prefix), the same values max-abs-scaled
-// and laid out like the raw ones, the Cholesky factor L of K+λI (packed
-// lower-triangular, entry (i, j), j <= i, at i(i+1)/2+j), and the fit's
-// solution in one of two forms, chosen by the entry point that made the
-// fit. Fit and FitRows keep the dual coefficients α = (K+λI)⁻¹(y−ȳ), so
-// a Predict costs one kernel vector and a dot product. FitLagged keeps
-// the forward solves u = L⁻¹y and v = L⁻¹1, and a Predict forward-solves
-// its kernel vector k too, w = L⁻¹k, and returns ȳ + w·(u − ȳv); that w
-// is the next lagged fit's new factor row (see FitLagged). K+λI itself is
-// never stored: the factorization computes each entry where it uses it.
-// Refits therefore allocate only when the training set outgrows the
-// buffers, and a refit whose rows extend the previous fit's recomputes
-// only the new rows (see FitRows). Predict scales its input and keeps its
-// kernel vector in buffers the regressor owns, so a KRR is not safe for
-// concurrent use.
+// and laid out like the raw ones, the Cholesky factor L of K+λI (in
+// blocks of rows that never move, see cholBlock), and the fit's solution
+// in one of two forms, chosen by the entry point that made the fit. Fit
+// and FitRows keep the dual coefficients α = (K+λI)⁻¹(y−ȳ), so a Predict
+// costs one kernel vector and a dot product. FitLagged keeps the forward
+// solves u = L⁻¹y and v = L⁻¹1, and a Predict forward-solves its kernel
+// vector k too, w = L⁻¹k, and returns ȳ + w·(u − ȳv); that w is the next
+// lagged fit's new factor row (see FitLagged). K+λI itself is never
+// stored: the factorization computes each entry where it uses it. Refits
+// therefore allocate only when the training set outgrows the buffers, a
+// factor that gains rows allocates only its new blocks and copies none of
+// its old rows, and a refit whose rows extend the previous fit's
+// recomputes only the new rows (see FitRows). Predict scales its input
+// and keeps its kernel vector in buffers the regressor owns, so a KRR is
+// not safe for concurrent use.
 type KRR struct {
 	Lambda float64 // ridge regularization
 	Gamma  float64 // RBF width
 	// n rows of d features; row i starts at raw[i*stride], and the value
 	// at offset p of the span is scaled by scale[p%stride]
 	n, d, stride int
-	raw          []float64 // the (n-1)·stride+d raw values spanned by the rows
-	xs           []float64 // raw divided by its scales; row i is xs[i*stride:i*stride+d]
-	maxAbs       []float64 // max-abs of the raw values at each offset modulo stride
-	scale        []float64 // maxAbs with zeros replaced by 1
-	chol         []float64 // packed lower-triangular Cholesky factor L of K+λI
-	alpha        []float64 // dual coefficients, or u = L⁻¹y after a lagged fit
-	v            []float64 // L⁻¹1 after a lagged fit
-	feat         []float64 // Predict's scaled features, reused
+	raw          []float64   // the (n-1)·stride+d raw values spanned by the rows
+	xs           []float64   // raw divided by its scales; row i is xs[i*stride:i*stride+d]
+	maxAbs       []float64   // max-abs of the raw values at each offset modulo stride
+	scale        []float64   // maxAbs with zeros replaced by 1
+	chol         [][]float64 // Cholesky factor L of K+λI in blocks of cholBlock rows (see rows)
+	alpha        []float64   // dual coefficients, or u = L⁻¹y after a lagged fit
+	v            []float64   // L⁻¹1 after a lagged fit
+	feat         []float64   // Predict's scaled features, reused
 	// Predict's kernel vector, kv[j] = k(feat, row j), forward-solved in
 	// place to L⁻¹kv after a lagged fit
 	kv    []float64
@@ -316,7 +317,9 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64, lagged bool) error
 
 	// Factor K+λI, adding jitter to the diagonal geometrically until it
 	// is positive definite (up to 8 attempts).
-	k.chol = grow(k.chol, n*(n+1)/2)
+	for b := len(k.chol); b*cholBlock < n; b++ {
+		k.chol = append(k.chol, make([]float64, cholBlock*(cholBlock*b)+cholBlock*(cholBlock+1)/2))
+	}
 	jitter := 0.0
 	for attempt := 0; attempt < 8; attempt++ {
 		if k.factor(keep, kv, jitter) {
@@ -341,6 +344,44 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64, lagged bool) error
 
 // row returns training row i, scaled, in place.
 func (k *KRR) row(i int) []float64 { return k.xs[i*k.stride : i*k.stride+k.d] }
+
+// cholBlock is how many consecutive factor rows share one allocation.
+// Block b holds rows b·cholBlock up to (b+1)·cholBlock−1 packed, each row
+// of length i+1 after the one before it: 64b+36 entries at 8 rows. A
+// block is allocated when its first row is needed and never copied, so
+// a factor that gains rows keeps every row it had where it was.
+const cholBlock = 8
+
+// rowCursor walks the factor's rows in order: next returns row i, entries
+// (i, 0..i), and moves to row i+1. It carries its block and offset, so no
+// loop recomputes where a row starts.
+type rowCursor struct {
+	blocks [][]float64
+	blk    []float64 // blocks[b]
+	i, b   int
+	off    int // where row i starts in blk; len(blk) once the block is done
+}
+
+// rows returns a cursor at factor row i, which may be one past the last
+// row the blocks hold (a refit that adds no row factors from there).
+func (k *KRR) rows(i int) rowCursor {
+	b, r := i/cholBlock, i%cholBlock
+	if r == 0 && b > 0 {
+		b, r = b-1, cholBlock // the end of the block before: no block b needed yet
+	}
+	return rowCursor{blocks: k.chol, blk: k.chol[b], i: i, b: b, off: r*(b*cholBlock) + r*(r+1)/2}
+}
+
+func (c *rowCursor) next() []float64 {
+	if c.off == len(c.blk) {
+		c.b++
+		c.blk, c.off = c.blocks[c.b], 0
+	}
+	row := c.blk[c.off : c.off+c.i+1]
+	c.off += c.i + 1
+	c.i++
+	return row
+}
 
 // prefixRows returns how many leading rows of x the previous fit's
 // Cholesky rows can serve as they are, and how many leading raw values of
@@ -374,9 +415,10 @@ func sameBits(a, b []float64) bool {
 // fit those entries already eliminated, so only the diagonal is left.
 // It reports false at the first non-positive pivot.
 func (k *KRR) factor(from int, kv []float64, jitter float64) bool {
+	ci := k.rows(from)
 	for i := from; i < k.n; i++ {
 		xi := k.row(i)
-		li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+		li := ci.next()
 		first := 0 // the first entry left to eliminate
 		if kv != nil && i == k.n-1 {
 			copy(li, kv)
@@ -389,8 +431,12 @@ func (k *KRR) factor(from int, kv []float64, jitter float64) bool {
 			}
 		}
 		li[i] = k.rbf(xi, xi) + k.Lambda + jitter
+		cj := k.rows(first)
 		for j := first; j <= i; j++ {
-			lj := k.chol[j*(j+1)/2 : j*(j+1)/2+j+1]
+			lj := li
+			if j < i {
+				lj = cj.next()
+			}
 			sum := li[j]
 			lr := lj[:j]
 			lc := li[:len(lr)]
@@ -418,8 +464,10 @@ func (k *KRR) forward(y []float64, keep int) {
 	k.alpha = grow(k.alpha, k.n)
 	k.v = grow(k.v, k.n)
 	u, v := k.alpha, k.v
-	for i := max(keep-1, 0); i < k.n; i++ {
-		li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+	from := max(keep-1, 0)
+	ci := k.rows(from)
+	for i := from; i < k.n; i++ {
+		li := ci.next()
 		su, sv := y[i], 1.0
 		lr := li[:i]
 		ur, vr := u[:len(lr)], v[:len(lr)]
@@ -440,8 +488,9 @@ func (k *KRR) solve(y []float64) {
 	for i, v := range y {
 		a[i] = v - k.yMean
 	}
+	ci := k.rows(0)
 	for i := 0; i < n; i++ {
-		li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+		li := ci.next()
 		s := a[i]
 		for c, v := range li[:i] {
 			s -= v * a[c]
@@ -451,12 +500,12 @@ func (k *KRR) solve(y []float64) {
 	for i := n - 1; i >= 0; i-- {
 		s := a[i]
 		// Column i of L below the diagonal: entry (c, i) for c > i.
-		off := (i+1)*(i+2)/2 + i
+		col := k.rows(i)
+		lii := col.next()[i]
 		for c := i + 1; c < n; c++ {
-			s -= k.chol[off] * a[c]
-			off += c + 1
+			s -= col.next()[i] * a[c]
 		}
-		a[i] = s / k.chol[i*(i+1)/2+i]
+		a[i] = s / lii
 	}
 	k.backSolved = true
 }
@@ -490,8 +539,9 @@ func (k *KRR) Predict(feat []float64) (float64, error) {
 	kv := k.kv[:k.n]
 	if k.lagged {
 		u, v := k.alpha[:k.n], k.v[:k.n]
+		ci := k.rows(0)
 		for i := range kv {
-			li := k.chol[i*(i+1)/2 : i*(i+1)/2+i+1]
+			li := ci.next()
 			s := k.rbf(fs, k.row(i))
 			lr := li[:i]
 			w := kv[:len(lr)]

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -213,6 +214,47 @@ func TestKRRNewMaximumRefitsColdOnce(t *testing.T) {
 	}
 }
 
+// TestKRRFactorRowsStayPut replays one forecaster series at lag 16:
+// the history grows window by window to the 8×lag cap and is trimmed
+// past it, and the regressor is refitted in place (FitLagged) and asked
+// for the next window after each one, from minFit = lag+4 windows on.
+// Adding rows must never move a factor row the regressor holds: row 0
+// keeps its backing array while the factor grows to 112 rows. The whole
+// replay, 144 windows, allocates at most seriesBytes; a factor that was
+// reallocated and copied as it grew allocated 189 KB, and blocked rows
+// allocate 67 KB, the final factor's 51 KB included.
+func TestKRRFactorRowsStayPut(t *testing.T) {
+	const lag, maxHist, windows = 16, 8 * 16, 144
+	const seriesBytes = 80 << 10
+	counts := waveCounts(windows)
+	k := DefaultKRR()
+	var row0 *float64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for w := lag + 4; w <= windows; w++ {
+		hist := counts[max(0, w-maxHist):w]
+		if err := k.FitLagged(hist, lag); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Predict(hist[len(hist)-lag:]); err != nil {
+			t.Fatal(err)
+		}
+		c := k.rows(0)
+		if r0 := &c.next()[0]; row0 == nil {
+			row0 = r0
+		} else if r0 != row0 {
+			t.Fatalf("window %d: %d rows moved factor row 0", w, k.n)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if want := maxHist - lag; k.n != want || len(k.chol) != (want+cholBlock-1)/cholBlock {
+		t.Fatalf("the factor ends with %d rows in %d blocks, want %d rows", k.n, len(k.chol), want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > seriesBytes {
+		t.Errorf("one series through %d windows allocates %d B, budget %d", windows, got, seriesBytes)
+	}
+}
+
 // TestKRRWarmRollWork pins the work of a forecaster roll on a growing
 // history: refitted in place (FitLagged) after every window and asked
 // for the next one, every refit after the first keeps all previous
@@ -301,7 +343,7 @@ func TestKRRFormChangeRefitsCold(t *testing.T) {
 				t.Fatalf("the refit kept %d rows, kernel vector reused %v; want a cold fit", warm.kept, warm.kvUsed)
 			}
 			m := n + 1
-			same := sameBits(warm.chol[:m*(m+1)/2], cold.chol) && sameBits(warm.alpha[:m], cold.alpha)
+			same := sameFactor(warm, cold) && sameBits(warm.alpha[:m], cold.alpha)
 			if cold.lagged {
 				same = same && sameBits(warm.v[:m], cold.v)
 			}
@@ -316,6 +358,21 @@ func TestKRRFormChangeRefitsCold(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sameFactor reports whether a and b hold factors of the same order
+// whose every row is the same bit for bit.
+func sameFactor(a, b *KRR) bool {
+	if a.n != b.n {
+		return false
+	}
+	ca, cb := a.rows(0), b.rows(0)
+	for range a.n {
+		if !sameBits(ca.next(), cb.next()) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzKRRWarmRefit replays arbitrary append-only sequences of small

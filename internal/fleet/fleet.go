@@ -727,7 +727,7 @@ func (f *Fleet) shut() {
 func (f *Fleet) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := Stats{Submitted: f.submitted, Rejected: f.rejected}
+	out := Stats{Submitted: f.submitted, Rejected: f.rejected, Sites: make([]SiteStats, 0, len(f.sites))}
 	for _, s := range f.sites {
 		ss := s.stats
 		ds := s.dstore.Stats()

@@ -33,16 +33,36 @@ func valueLabel(v *Value) string {
 // Unregistered ops (unknown dialects) are structurally checked only, matching
 // MLIR's "unregistered dialects allowed" mode used during staged lowering.
 func (m *Module) Verify() error {
-	scope := make(map[*Value]bool)
-	return verifyOp(m.op, scope)
+	v := verifier{visible: make(map[*Value]bool)}
+	return v.op(m.op)
 }
 
-func verifyOp(op *Op, visible map[*Value]bool) error {
+// verifier holds the values visible at the op being checked: everything
+// visible at its enclosing ops, plus its block's arguments, plus the
+// results of the ops before it in its block. Isolation is not enforced:
+// EVEREST dialects use implicit capture like MLIR's affine/scf regions.
+// A block records the values it makes visible and removes exactly those
+// on exit, so verification costs O(ops) instead of copying the visible
+// set into every nested block.
+type verifier struct {
+	visible map[*Value]bool
+	added   []*Value // values the open blocks made visible, innermost last
+}
+
+// add makes x visible, recording it for removal unless it already was.
+func (v *verifier) add(x *Value) {
+	if !v.visible[x] {
+		v.visible[x] = true
+		v.added = append(v.added, x)
+	}
+}
+
+func (v *verifier) op(op *Op) error {
 	for i, operand := range op.Operands {
 		if operand == nil {
 			return &VerifyError{Op: op.FullName(), Err: fmt.Errorf("operand %d is nil", i)}
 		}
-		if !visible[operand] {
+		if !v.visible[operand] {
 			return &VerifyError{Op: op.FullName(),
 				Err: fmt.Errorf("operand %d (%%%s) used before definition", i, valueLabel(operand))}
 		}
@@ -62,37 +82,40 @@ func verifyOp(op *Op, visible map[*Value]bool) error {
 
 	for _, region := range op.Regions {
 		for _, block := range region.Blocks {
-			// Values visible inside a nested block: everything visible at the
-			// op, plus the block's own arguments, plus (incrementally) each
-			// op's results. Isolation is not enforced: EVEREST dialects use
-			// implicit capture like MLIR's affine/scf regions.
-			inner := make(map[*Value]bool, len(visible)+len(block.Args))
-			for v := range visible {
-				inner[v] = true
-			}
-			for _, a := range block.Args {
-				inner[a] = true
-			}
-			for i, nested := range block.Ops {
-				nestedInfo := nested.ctx.lookupOp(nested.Dialect, nested.Name)
-				if nestedInfo != nil && nestedInfo.Terminator && i != len(block.Ops)-1 {
-					return &VerifyError{Op: nested.FullName(),
-						Err: fmt.Errorf("terminator is not the last op in its block")}
-				}
-				if err := verifyOp(nested, inner); err != nil {
-					return err
-				}
-				for _, r := range nested.Results {
-					inner[r] = true
-				}
+			if err := v.block(block); err != nil {
+				return err
 			}
 		}
 	}
 
-	// Results become visible to the parent scope after the op completes.
+	// Results become visible to the enclosing block after the op completes.
 	for _, r := range op.Results {
-		visible[r] = true
+		v.add(r)
 	}
+	return nil
+}
+
+// block verifies a nested block's ops, each seeing the block's arguments
+// and the results of the ops before it, then hides what the block added.
+func (v *verifier) block(block *Block) error {
+	mark := len(v.added)
+	for _, a := range block.Args {
+		v.add(a)
+	}
+	for i, nested := range block.Ops {
+		nestedInfo := nested.ctx.lookupOp(nested.Dialect, nested.Name)
+		if nestedInfo != nil && nestedInfo.Terminator && i != len(block.Ops)-1 {
+			return &VerifyError{Op: nested.FullName(),
+				Err: fmt.Errorf("terminator is not the last op in its block")}
+		}
+		if err := v.op(nested); err != nil {
+			return err
+		}
+	}
+	for _, x := range v.added[mark:] {
+		delete(v.visible, x)
+	}
+	v.added = v.added[:mark]
 	return nil
 }
 

@@ -33,7 +33,7 @@ package region
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"everest/internal/dataset"
@@ -367,6 +367,15 @@ type Federation struct {
 	heldSeq   int
 
 	appNeeds map[string][]dataset.Part // app -> bitstreams (learned at first serve)
+
+	// Scratch reused from call to call: route's candidate regions and
+	// prefetch's due apps. Neither function is re-entered: route runs only
+	// from SubmitAt and prefetch only from advance's rolls, which SubmitAt
+	// and drain finish before they route or release, neither calls the
+	// other or itself, and the trace callbacks they reach run under mu,
+	// so they cannot call back into the federation.
+	cands []routeCand
+	due   []dueApp
 }
 
 // New builds a federation over an artifact catalog the caller hands over
@@ -614,7 +623,7 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 func (f *Federation) route(req Request, h *Handle) error {
 	home := req.Home
 	needs := req.Workflow.Needs()
-	var cands []routeCand
+	cands := f.cands[:0]
 	for _, r := range f.regions {
 		if r.idx != home && (f.partitioned(home, req.Arrival) || f.partitioned(r.idx, req.Arrival)) {
 			continue
@@ -627,7 +636,8 @@ func (f *Federation) route(req Request, h *Handle) error {
 		cost := handoff + r.fl.QueueWait(eff) + r.images.Estimate(needs, eff, r.imageLink)
 		cands = append(cands, routeCand{idx: r.idx, cost: cost})
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].less(cands[b], home) })
+	f.cands = cands
+	slices.SortFunc(cands, func(a, b routeCand) int { return a.compare(b, home) })
 	if req.Class != Guaranteed {
 		r := f.regions[cands[0].idx]
 		if f.cfg.Trace != nil {
@@ -670,6 +680,17 @@ func (a routeCand) less(b routeCand, home int) bool {
 		return a.idx == home
 	}
 	return a.idx < b.idx
+}
+
+// compare is less as a three-way comparison, for slices.SortFunc.
+func (a routeCand) compare(b routeCand, home int) int {
+	switch {
+	case a.less(b, home):
+		return -1
+	case b.less(a, home):
+		return 1
+	}
+	return 0
 }
 
 // tryGuaranteed serves a guaranteed request at region r: stalls (WAN
@@ -925,20 +946,25 @@ func (f *Federation) roll(r *region, at float64) {
 // store or site caches cannot hold every staged artifact, the hottest
 // apps' bitstreams land last — most-recently-used — and survive the LRU.
 func (f *Federation) prefetch(r *region, at float64) {
-	type stage struct {
-		app  string
-		pred float64
-	}
-	var due []stage
+	due := f.due[:0]
 	for _, app := range r.fc.Apps() {
 		if _, ok := f.appNeeds[app]; !ok {
 			continue // never served anywhere yet: nothing to stage
 		}
 		if pred := r.fc.Predict(app); pred >= f.cfg.WarmThreshold {
-			due = append(due, stage{app, pred})
+			due = append(due, dueApp{app, pred})
 		}
 	}
-	sort.SliceStable(due, func(a, b int) bool { return due[a].pred < due[b].pred })
+	f.due = due
+	slices.SortStableFunc(due, func(a, b dueApp) int {
+		switch {
+		case a.pred < b.pred:
+			return -1
+		case b.pred < a.pred:
+			return 1
+		}
+		return 0
+	})
 	for _, st := range due {
 		needs := f.appNeeds[st.app]
 		for i, p := range needs {
@@ -951,6 +977,12 @@ func (f *Federation) prefetch(r *region, at float64) {
 			}
 		}
 	}
+}
+
+// dueApp is one app prefetch stages, with its predicted demand.
+type dueApp struct {
+	app  string
+	pred float64
 }
 
 // Drain advances modelled time to at and serves every held batch
@@ -1006,7 +1038,8 @@ func (f *Federation) shut() {
 // Stats snapshots the federation.
 func (f *Federation) Stats() Stats {
 	f.mu.Lock()
-	out := Stats{Submitted: f.submitted, Rejected: f.rejected}
+	out := Stats{Submitted: f.submitted, Rejected: f.rejected,
+		Regions: make([]RegionStats, 0, len(f.regions))}
 	for _, r := range f.regions {
 		rs := r.stats
 		rs.StoreEvictions = r.images.Stats().Evictions

@@ -637,10 +637,18 @@ func TestRouteCandOrdering(t *testing.T) {
 		{"home breaks cost tie", routeCand{idx: home, cost: 1}, routeCand{idx: 0, cost: 1}, true},
 		{"non-home loses tie", routeCand{idx: 0, cost: 1}, routeCand{idx: home, cost: 1}, false},
 		{"index breaks non-home tie", routeCand{idx: 0, cost: 1}, routeCand{idx: 2, cost: 1}, true},
+		// A NaN cost is unordered, as under <: it neither wins nor loses
+		// (cmp.Compare would put it first).
+		{"NaN cost never wins", routeCand{idx: home, cost: math.NaN()}, routeCand{idx: 2, cost: 1}, false},
+		{"nothing beats a NaN cost", routeCand{idx: 2, cost: 1}, routeCand{idx: home, cost: math.NaN()}, false},
 	}
 	for _, tc := range cases {
 		if got := tc.a.less(tc.b, home); got != tc.want {
 			t.Errorf("%s: less = %v, want %v", tc.name, got, tc.want)
+		}
+		// route sorts with compare: it must order exactly as less does.
+		if got, rev := tc.a.compare(tc.b, home), tc.b.compare(tc.a, home); (got < 0) != tc.want || got != -rev {
+			t.Errorf("%s: compare = %d (reversed %d), want less = %v", tc.name, got, rev, tc.want)
 		}
 	}
 }

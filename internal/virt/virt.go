@@ -170,7 +170,10 @@ func (h *Hypervisor) Subscribe(fn func(HotplugEvent)) {
 // guarantees no two callbacks interleave out of order. Callbacks run
 // without the lock held, so they may call back into the hypervisor — a
 // nested plug/unplug enqueues its event and returns, and the outer drain
-// delivers it.
+// delivers it. A subscriber that panics ends this drain: the panic goes
+// on up to the plug/unplug that was draining, the event it was handed
+// counts as delivered (later subscribers miss it), the events after it
+// stay queued, and the next plug/unplug drains them.
 func (h *Hypervisor) drain() {
 	h.mu.Lock()
 	if h.notifying {
@@ -178,6 +181,16 @@ func (h *Hypervisor) drain() {
 		return
 	}
 	h.notifying = true
+	delivered := false
+	defer func() {
+		if !delivered {
+			// A subscriber panicked, outside the lock: give the drain up
+			// and let the panic go on.
+			h.mu.Lock()
+			h.notifying = false
+			h.mu.Unlock()
+		}
+	}()
 	for len(h.pending) > 0 {
 		ev := h.pending[0]
 		h.pending = h.pending[1:]
@@ -190,6 +203,7 @@ func (h *Hypervisor) drain() {
 	}
 	h.notifying = false
 	h.mu.Unlock()
+	delivered = true
 }
 
 // deviceVFState counts the device's free and assigned VFs. Callers hold

@@ -1,6 +1,7 @@
 package virt
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -243,6 +244,47 @@ func TestHotplugEvents(t *testing.T) {
 	}
 	if _, err := h.PlugVF("guest2", 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHotplugSubscriberPanicReleasesDrain: a subscriber that panics once
+// must not wedge delivery. Its panic reaches the plug that was draining,
+// the event its callback enqueued stays queued, and the next plug
+// delivers that event and its own, in order, to every subscriber.
+func TestHotplugSubscriberPanicReleasesDrain(t *testing.T) {
+	h, _ := NewHypervisor(testNode(t), 2)
+	if _, err := h.DefineVM("guest", 2); err != nil {
+		t.Fatal(err)
+	}
+	panicked := false
+	h.Subscribe(func(ev HotplugEvent) {
+		if !panicked {
+			panicked = true
+			if _, err := h.UnplugVF("guest", 0); err != nil {
+				t.Error(err)
+			}
+			panic("subscriber failed")
+		}
+	})
+	var got []HotplugKind
+	h.Subscribe(func(ev HotplugEvent) { got = append(got, ev.Kind) })
+
+	func() {
+		defer func() {
+			if r := recover(); r != "subscriber failed" {
+				t.Fatalf("PlugVF recovered %v, want the subscriber's panic", r)
+			}
+		}()
+		h.PlugVF("guest", 0)
+	}()
+	if len(got) != 0 {
+		t.Fatalf("second subscriber saw %v before the panicking one returned", got)
+	}
+	if _, err := h.PlugVF("guest", 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []HotplugKind{VFUnplugged, VFPlugged}; !slices.Equal(got, want) {
+		t.Fatalf("after the panic, the next plug delivered %v, want %v", got, want)
 	}
 }
 

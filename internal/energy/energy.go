@@ -132,17 +132,22 @@ func Features(farm *Farm, s Sample) []float64 {
 }
 
 // KRR is Kernel Ridge Regression with an RBF kernel. The regressor owns
-// its training state in buffers it reuses from fit to fit: the raw
-// training values (the warm-refit prefix), the same values max-abs-scaled
-// and laid out like the raw ones, the Cholesky factor L of K+λI (in
-// blocks of rows that never move, see cholBlock), and the fit's solution
-// in one of two forms, chosen by the entry point that made the fit. Fit
-// and FitRows keep the dual coefficients α = (K+λI)⁻¹(y−ȳ), so a Predict
-// costs one kernel vector and a dot product. FitLagged keeps the forward
-// solves u = L⁻¹y and v = L⁻¹1, and a Predict forward-solves its kernel
-// vector k too, w = L⁻¹k, and returns ȳ + w·(u − ȳv); that w is the next
-// lagged fit's new factor row (see FitLagged). K+λI itself is never
-// stored: the factorization computes each entry where it uses it. Refits
+// its training state in buffers it reuses from fit to fit: the training
+// values max-abs-scaled, the Cholesky factor L of K+λI (in blocks of rows
+// that never move, see cholBlock), and the fit's solution in one of two
+// forms, chosen by the entry point that made the fit. Fit and FitRows
+// keep the dual coefficients α = (K+λI)⁻¹(y−ȳ), so a Predict costs one
+// kernel vector and a dot product; they also keep a copy of the raw
+// values their rows spanned, the prefix a warm refit must extend.
+// FitLagged fits the series the regressor owns (Append, Trim) and reads
+// it in place, so it needs no copy. It keeps the forward solves u = L⁻¹y
+// and v = L⁻¹1, and a Predict forward-solves its kernel vector k too,
+// w = L⁻¹k, and returns ȳ + w·(u − ȳv); that w is the next lagged fit's
+// new factor row (see FitLagged). u and v are per-row vectors kept in
+// the factor's blocks beside the rows they belong to, and w is kept in
+// the factor row it becomes, so all three grow with the factor and are
+// never copied either. K+λI itself is never stored:
+// the factorization computes each entry where it uses it. Refits
 // therefore allocate only when the training set outgrows the buffers, a
 // factor that gains rows allocates only its new blocks and copies none of
 // its old rows, and a refit whose rows extend the previous fit's
@@ -152,21 +157,24 @@ func Features(farm *Farm, s Sample) []float64 {
 type KRR struct {
 	Lambda float64 // ridge regularization
 	Gamma  float64 // RBF width
-	// n rows of d features; row i starts at raw[i*stride], and the value
-	// at offset p of the span is scaled by scale[p%stride]
+	// n rows of d features; row i starts at offset i*stride of the values
+	// the rows span, and the value at offset p is scaled by
+	// scale[p%stride]
 	n, d, stride int
-	raw          []float64   // the (n-1)·stride+d raw values spanned by the rows
-	xs           []float64   // raw divided by its scales; row i is xs[i*stride:i*stride+d]
-	maxAbs       []float64   // max-abs of the raw values at each offset modulo stride
-	scale        []float64   // maxAbs with zeros replaced by 1
-	chol         [][]float64 // Cholesky factor L of K+λI in blocks of cholBlock rows (see rows)
-	alpha        []float64   // dual coefficients, or u = L⁻¹y after a lagged fit
-	v            []float64   // L⁻¹1 after a lagged fit
-	feat         []float64   // Predict's scaled features, reused
-	// Predict's kernel vector, kv[j] = k(feat, row j), forward-solved in
-	// place to L⁻¹kv after a lagged fit
-	kv    []float64
-	yMean float64
+	// series is the lagged series (Append, Trim), oldest first, which
+	// FitLagged reads in place; trimmed marks it rewritten since the last
+	// fit, so the next lagged fit refits cold.
+	series  []float64
+	trimmed bool
+	raw     []float64   // FitRows: the (n-1)·stride+d raw values its rows spanned
+	xs      []float64   // the spanned values divided by their scales; row i is xs[i*stride:i*stride+d]
+	maxAbs  []float64   // max-abs of the raw values at each offset modulo stride
+	scale   []float64   // maxAbs with zeros replaced by 1
+	chol    [][]float64 // Cholesky factor L of K+λI in blocks of cholBlock rows (see rows), and u and v (see vec)
+	alpha   []float64   // dual coefficients after FitRows
+	feat    []float64   // Predict's scaled features, reused
+	kv      []float64   // Predict's kernel vector after FitRows, kv[j] = k(feat, row j)
+	yMean   float64
 
 	fitted bool
 	// lagged marks a fit made by FitLagged: it keeps u and v, not α.
@@ -176,12 +184,13 @@ type KRR struct {
 	// rows of any later factor over an extension of the same rows.
 	exact         bool
 	lambda, gamma float64
-	// kvOK marks feat and kv as computed by a Predict since the last fit,
-	// with that fit's scales and γ. kvUsed records whether the last fit
-	// took its new row's kernel entries from them (after a lagged fit,
-	// its eliminated factor row), kept how many factor rows it reused
-	// from the fit before (0: it factored cold), and backSolved whether
-	// it ran a back substitution (dual form only).
+	// kvOK marks feat and the kernel vector (kv, or w after a lagged fit)
+	// as computed by a Predict since the last fit, with that fit's scales
+	// and γ. kvUsed records whether the last fit took its new row's
+	// kernel entries from them (after a lagged fit, its eliminated factor
+	// row), kept how many factor rows it reused from the fit before (0: it
+	// factored cold), and backSolved whether it ran a back substitution
+	// (dual form only).
 	kvOK, kvUsed, backSolved bool
 	kept                     int
 }
@@ -227,30 +236,47 @@ func (k *KRR) FitRows(x []float64, n, d int, y []float64) error {
 	return k.fit(x, n, d, d, y, false)
 }
 
-// FitLagged fits the autoregression of one series on its lag windows in
-// place: row i is series[i:i+lag] and its target series[i+lag], for the
-// len(series)−lag rows that have a target. Every lag column holds the
-// same series, so all of them share one scale: the max-abs of the values
-// the rows span, series[:len(series)−1]. The regressor keeps that span
-// scaled once and reads each row in place from it. series is read, not
-// kept. A refit over an extension of the previous fit's series, by the
-// previous FitLagged, is warm as in FitRows, so a new series maximum
-// turns exactly one refit cold.
+// Append extends the lagged series FitLagged fits by one value.
+func (k *KRR) Append(v float64) { k.series = append(k.series, v) }
+
+// Trim keeps the lagged series' last n values, in place. Trimming rewrites
+// every row, so the next FitLagged refits cold.
+func (k *KRR) Trim(n int) {
+	if drop := len(k.series) - max(n, 0); drop > 0 {
+		k.series = k.series[:copy(k.series, k.series[drop:])]
+		k.trimmed = true
+	}
+}
+
+// Series returns the lagged series, oldest first. It is the regressor's
+// own buffer: the caller reads it and must not write it.
+func (k *KRR) Series() []float64 { return k.series }
+
+// FitLagged fits the autoregression of the lagged series (Append, Trim)
+// on its lag windows, read in place: row i is series[i:i+lag] and its
+// target series[i+lag], for the len(series)−lag rows that have a target.
+// Every lag column holds the same series, so all of them share one scale:
+// the max-abs of the values the rows span, series[:len(series)−1]. The
+// regressor keeps that span scaled once and reads each row in place from
+// it. Because only Append and Trim change the series, a refit after
+// Appends alone extends the previous FitLagged's rows and is warm as in
+// FitRows, with no prefix to compare; a new series maximum turns exactly
+// one refit cold, and so does a Trim.
 //
 // The fit keeps the forward solves u = L⁻¹y and v = L⁻¹1 instead of dual
 // coefficients (see KRR), so a warm refit extends both by one entry per
-// new row and runs no back substitution. A Predict after it leaves
-// w = L⁻¹k in its kernel-vector buffer, which is exactly the next
-// factor row's entries left of the diagonal when that row's scaled
-// features are the Predict's, bit for bit. A warm refit that adds that
-// one row then copies w in and computes only the diagonal,
-// √(k(x,x)+λ−w·w): one forecaster roll costs one kernel vector and one
-// O(n²/2) elimination, both in Predict.
-func (k *KRR) FitLagged(series []float64, lag int) error {
-	if lag < 1 || len(series) < lag {
+// new row and runs no back substitution. A Predict after it
+// forward-solves w = L⁻¹k into the factor row a refit adding one row
+// would fill, and w is exactly that row's entries left of the diagonal
+// when the row's scaled features are the Predict's, bit for bit. A warm
+// refit that adds that one row then finds w in place and computes only
+// the diagonal, √(k(x,x)+λ−w·w): one forecaster roll costs one kernel
+// vector and one O(n²/2) elimination, both in Predict.
+func (k *KRR) FitLagged(lag int) error {
+	if lag < 1 || len(k.series) < lag {
 		return fmt.Errorf("energy: KRR training shape mismatch")
 	}
-	return k.fit(series, len(series)-lag, lag, 1, series[lag:], true)
+	return k.fit(k.series, len(k.series)-lag, lag, 1, k.series[lag:], true)
 }
 
 // fit is the body of FitRows and FitLagged: n rows of d features, row i
@@ -265,6 +291,7 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64, lagged bool) error
 	span := (n-1)*stride + d
 	keep, from := k.prefixRows(x, n, d, stride, lagged)
 	kvOK := k.kvOK
+	k.trimmed = false
 	k.fitted, k.exact, k.kvOK, k.kvUsed, k.backSolved, k.kept = false, false, false, false, false, 0
 	k.n, k.d, k.stride, k.lagged = n, d, stride, lagged
 
@@ -288,8 +315,10 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64, lagged bool) error
 		}
 	}
 
-	k.raw = grow(k.raw, span)
-	copy(k.raw[from:], x[from:span])
+	if !lagged {
+		k.raw = grow(k.raw, span)
+		copy(k.raw[from:], x[from:span])
+	}
 	if keep == 0 {
 		from = 0
 	}
@@ -303,11 +332,10 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64, lagged bool) error
 	// one, the scales held, and its scaled features are the ones Predict
 	// evaluated.
 	k.feat = grow(k.feat, d)
-	k.kv = grow(k.kv, n)
-	var kv []float64
-	if kvOK && keep > 0 && n == keep+1 && sameBits(k.row(n-1), k.feat) {
-		kv, k.kvUsed = k.kv[:n-1], true
+	if !lagged {
+		k.kv = grow(k.kv, n)
 	}
+	k.kvUsed = kvOK && keep > 0 && n == keep+1 && sameBits(k.row(n-1), k.feat)
 
 	k.yMean = 0
 	for _, v := range y {
@@ -317,12 +345,11 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64, lagged bool) error
 
 	// Factor K+λI, adding jitter to the diagonal geometrically until it
 	// is positive definite (up to 8 attempts).
-	for b := len(k.chol); b*cholBlock < n; b++ {
-		k.chol = append(k.chol, make([]float64, cholBlock*(cholBlock*b)+cholBlock*(cholBlock+1)/2))
-	}
+	k.growRows(n)
+	reuse := k.kvUsed
 	jitter := 0.0
 	for attempt := 0; attempt < 8; attempt++ {
-		if k.factor(keep, kv, jitter) {
+		if k.factor(keep, reuse, jitter) {
 			if lagged {
 				k.forward(y, keep)
 			} else {
@@ -332,7 +359,7 @@ func (k *KRR) fit(x []float64, n, d, stride int, y []float64, lagged bool) error
 			k.lambda, k.gamma = k.Lambda, k.Gamma
 			return nil
 		}
-		keep, kv = 0, nil
+		keep, reuse = 0, false
 		if jitter == 0 {
 			jitter = 1e-10
 		} else {
@@ -347,10 +374,34 @@ func (k *KRR) row(i int) []float64 { return k.xs[i*k.stride : i*k.stride+k.d] }
 
 // cholBlock is how many consecutive factor rows share one allocation.
 // Block b holds rows b·cholBlock up to (b+1)·cholBlock−1 packed, each row
-// of length i+1 after the one before it: 64b+36 entries at 8 rows. A
+// of length i+1 after the one before it, then those rows' entries of the
+// lagged form's per-row vectors (see vec): 64b+52 entries at 8 rows. A
 // block is allocated when its first row is needed and never copied, so
-// a factor that gains rows keeps every row it had where it was.
+// a factor that gains rows keeps every row it had where it was, and u
+// and v grow with it.
 const cholBlock = 8
+
+// The lagged form's per-row vectors, by their place in a block: each
+// block ends with its rows' entries of u, then v.
+const (
+	vecU      = iota // u = L⁻¹y
+	vecV             // v = L⁻¹1
+	blockVecs = iota * cholBlock
+)
+
+// vec returns block b's cholBlock entries of per-row vector which (vecU
+// or vecV): the entries of rows b·cholBlock on.
+func (k *KRR) vec(b, which int) *[cholBlock]float64 {
+	t := k.chol[b]
+	return (*[cholBlock]float64)(t[len(t)-blockVecs+which*cholBlock:])
+}
+
+// growRows allocates the blocks factor rows up to n-1 need.
+func (k *KRR) growRows(n int) {
+	for b := len(k.chol); b*cholBlock < n; b++ {
+		k.chol = append(k.chol, make([]float64, cholBlock*(cholBlock*b)+cholBlock*(cholBlock+1)/2+blockVecs))
+	}
+}
 
 // rowCursor walks the factor's rows in order: next returns row i, entries
 // (i, 0..i), and moves to row i+1. It carries its block and offset, so no
@@ -359,7 +410,7 @@ type rowCursor struct {
 	blocks [][]float64
 	blk    []float64 // blocks[b]
 	i, b   int
-	off    int // where row i starts in blk; len(blk) once the block is done
+	off    int // where row i starts in blk; where blk's vectors start once the block is done
 }
 
 // rows returns a cursor at factor row i, which may be one past the last
@@ -373,7 +424,7 @@ func (k *KRR) rows(i int) rowCursor {
 }
 
 func (c *rowCursor) next() []float64 {
-	if c.off == len(c.blk) {
+	if c.off == len(c.blk)-blockVecs {
 		c.b++
 		c.blk, c.off = c.blocks[c.b], 0
 	}
@@ -384,15 +435,21 @@ func (c *rowCursor) next() []float64 {
 }
 
 // prefixRows returns how many leading rows of x the previous fit's
-// Cholesky rows can serve as they are, and how many leading raw values of
-// x that fit already holds: all of that fit's rows and its raw span when
-// it qualifies for a warm refit (FitRows) in the same form, else 0 and 0.
+// Cholesky rows can serve as they are, and how many leading values of x
+// that fit already spanned: all of that fit's rows and its span when it
+// qualifies for a warm refit in the same form, else 0 and 0. A lagged
+// refit qualifies unless the series was trimmed since (FitLagged); a dual
+// one when the raw values it kept are a bitwise prefix of x (FitRows).
 func (k *KRR) prefixRows(x []float64, n, d, stride int, lagged bool) (rows, values int) {
 	if !k.exact || lagged != k.lagged || d != k.d || stride != k.stride || n < k.n ||
-		k.lambda != k.Lambda || k.gamma != k.Gamma || !sameBits(k.raw, x[:len(k.raw)]) {
+		k.lambda != k.Lambda || k.gamma != k.Gamma {
 		return 0, 0
 	}
-	return k.n, len(k.raw)
+	span := (k.n-1)*stride + d
+	if lagged && k.trimmed || !lagged && !sameBits(k.raw, x[:span]) {
+		return 0, 0
+	}
+	return k.n, span
 }
 
 // sameBits reports whether a and b, of equal length, hold the same
@@ -410,20 +467,22 @@ func sameBits(a, b []float64) bool {
 // diagonal, on top of rows 0..from-1 already in chol. K+λI is never held
 // whole: each row's entries, k(row j, row i) left of the diagonal and
 // k(row i, row i)+λ on it, are computed into the factor row that
-// eliminates them in place. kv, when not nil, holds the last row's
-// entries left of the diagonal: its kernel entries, or after a lagged
-// fit those entries already eliminated, so only the diagonal is left.
-// It reports false at the first non-positive pivot.
-func (k *KRR) factor(from int, kv []float64, jitter float64) bool {
+// eliminates them in place. With reuse set, the last Predict's kernel
+// vector holds the last row's entries left of the diagonal: its kernel
+// entries (kv), or after a lagged fit those entries already eliminated
+// and in place in the row (w), so only the diagonal is left. It reports
+// false at the first non-positive pivot.
+func (k *KRR) factor(from int, reuse bool, jitter float64) bool {
 	ci := k.rows(from)
 	for i := from; i < k.n; i++ {
 		xi := k.row(i)
 		li := ci.next()
 		first := 0 // the first entry left to eliminate
-		if kv != nil && i == k.n-1 {
-			copy(li, kv)
+		if reuse && i == k.n-1 {
 			if k.lagged {
-				first = i
+				first = i // Predict left w in this row
+			} else {
+				copy(li, k.kv[:i])
 			}
 		} else {
 			for j := range li[:i] {
@@ -437,11 +496,21 @@ func (k *KRR) factor(from int, kv []float64, jitter float64) bool {
 			if j < i {
 				lj = cj.next()
 			}
+			// Four terms a step, in order: a one-term loop's speed hangs
+			// on whether it happens to straddle a cache line, and a cold
+			// refit spends most of its time here.
 			sum := li[j]
 			lr := lj[:j]
 			lc := li[:len(lr)]
-			for c, v := range lr {
-				sum -= lc[c] * v
+			c := 0
+			for ; c+4 <= len(lr); c += 4 {
+				sum -= lc[c] * lr[c]
+				sum -= lc[c+1] * lr[c+1]
+				sum -= lc[c+2] * lr[c+2]
+				sum -= lc[c+3] * lr[c+3]
+			}
+			for ; c < len(lr); c++ {
+				sum -= lc[c] * lr[c]
 			}
 			if i == j {
 				if sum <= 0 {
@@ -456,26 +525,23 @@ func (k *KRR) factor(from int, kv []float64, jitter float64) bool {
 	return true
 }
 
-// forward extends u = L⁻¹y (in alpha) and v = L⁻¹1 past the first keep
-// rows, which kept their factor rows. u's last kept entry is solved
-// again: its target, the previous series' last value, lies outside the
-// span the prefix check compared.
+// forward extends u = L⁻¹y and v = L⁻¹1 past the first keep rows, which
+// kept their factor rows, their targets and so their entries of both.
 func (k *KRR) forward(y []float64, keep int) {
-	k.alpha = grow(k.alpha, k.n)
-	k.v = grow(k.v, k.n)
-	u, v := k.alpha, k.v
-	from := max(keep-1, 0)
-	ci := k.rows(from)
-	for i := from; i < k.n; i++ {
+	ci := k.rows(keep)
+	for i := keep; i < k.n; i++ {
 		li := ci.next()
 		su, sv := y[i], 1.0
-		lr := li[:i]
-		ur, vr := u[:len(lr)], v[:len(lr)]
-		for c, l := range lr {
-			su -= l * ur[c]
-			sv -= l * vr[c]
+		var u, v *[cholBlock]float64
+		for c, l := range li[:i] {
+			if c%cholBlock == 0 {
+				u, v = k.vec(c/cholBlock, vecU), k.vec(c/cholBlock, vecV)
+			}
+			su -= l * u[c%cholBlock]
+			sv -= l * v[c%cholBlock]
 		}
-		u[i], v[i] = su/li[i], sv/li[i]
+		b, r := i/cholBlock, i%cholBlock
+		k.vec(b, vecU)[r], k.vec(b, vecV)[r] = su/li[i], sv/li[i]
 	}
 }
 
@@ -521,9 +587,11 @@ func (k *KRR) rbf(a, b []float64) float64 {
 }
 
 // Predict returns the regression output for one feature vector. It keeps
-// the scaled features and their kernel vector for the next fit (FitRows);
-// after a lagged fit it forward-solves that vector in place, row by row,
-// with the operations the factorization would eliminate it with.
+// the scaled features and their kernel vector for the next fit (FitRows).
+// After a lagged fit it forward-solves that vector row by row, with the
+// operations the factorization would eliminate it with, into the factor
+// row a refit adding one row would fill (allocating its block, which that
+// refit would allocate, if it is the first row of a block).
 func (k *KRR) Predict(feat []float64) (float64, error) {
 	if !k.fitted {
 		return 0, fmt.Errorf("energy: KRR not fitted")
@@ -536,22 +604,25 @@ func (k *KRR) Predict(feat []float64) (float64, error) {
 		fs[j] = v / k.scale[j%k.stride]
 	}
 	out := k.yMean
-	kv := k.kv[:k.n]
 	if k.lagged {
-		u, v := k.alpha[:k.n], k.v[:k.n]
+		k.growRows(k.n + 1)
+		next := k.rows(k.n)
+		w := next.next()[:k.n]
 		ci := k.rows(0)
-		for i := range kv {
+		for i := range w {
 			li := ci.next()
 			s := k.rbf(fs, k.row(i))
 			lr := li[:i]
-			w := kv[:len(lr)]
+			wr := w[:len(lr)]
 			for c, l := range lr {
-				s -= w[c] * l
+				s -= wr[c] * l
 			}
-			kv[i] = s / li[i]
-			out += kv[i] * (u[i] - k.yMean*v[i])
+			w[i] = s / li[i]
+			b, r := i/cholBlock, i%cholBlock
+			out += w[i] * (k.vec(b, vecU)[r] - k.yMean*k.vec(b, vecV)[r])
 		}
 	} else {
+		kv := k.kv[:k.n]
 		for i, a := range k.alpha[:k.n] {
 			kv[i] = k.rbf(fs, k.row(i))
 			out += a * kv[i]

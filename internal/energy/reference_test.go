@@ -13,8 +13,10 @@ import (
 // verbatim as the reference the new code must match bit for bit: dense
 // n×n Gram through rowOf and tensor.At/Set. Fit scales each column by its
 // own max-abs and solves for the dual coefficients with tensor.SolveSPD.
-// FitLagged materializes the lag windows, scales them all by the max-abs
-// of the whole matrix (the one-scale rule of KRR.FitLagged), and keeps
+// Its lagged series takes Append and Trim like KRR's, and FitLagged
+// refits it cold every time: it materializes the lag windows, scales
+// them all by the max-abs of the whole matrix (the one-scale rule of
+// KRR.FitLagged), and keeps
 // the dense Cholesky factor L of SolveSPD's jitter ladder with the
 // forward solves u = L⁻¹y and v = L⁻¹1; its Predict forward-solves the
 // kernel vector, w = L⁻¹k, and returns ȳ + w·(u − ȳv), in KRR's
@@ -27,6 +29,15 @@ type refKRR struct {
 	u, v          []float64      // L⁻¹y and L⁻¹1 (FitLagged)
 	yMean         float64
 	scale         []float64
+	series        []float64 // the lagged series (Append, Trim)
+}
+
+func (k *refKRR) Append(v float64) { k.series = append(k.series, v) }
+
+func (k *refKRR) Trim(n int) {
+	if len(k.series) > n {
+		k.series = append([]float64(nil), k.series[len(k.series)-n:]...)
+	}
 }
 
 func (k *refKRR) Fit(x *tensor.Tensor, y []float64) error {
@@ -53,7 +64,8 @@ func (k *refKRR) Fit(x *tensor.Tensor, y []float64) error {
 
 // FitLagged fits row i = series[i:i+lag], target series[i+lag], with every
 // column scaled by the max-abs of all the rows' values.
-func (k *refKRR) FitLagged(series []float64, lag int) error {
+func (k *refKRR) FitLagged(lag int) error {
+	series := k.series
 	n := len(series) - lag
 	if n < 2 {
 		return fmt.Errorf("energy: KRR needs at least 2 samples")
@@ -310,11 +322,11 @@ func TestKRRFitLaggedMatchesReference(t *testing.T) {
 			}
 		}
 		y := series[lag:]
-		ref, refRows := &refKRR{Lambda: lambda, Gamma: gamma}, &refKRR{Lambda: lambda, Gamma: gamma}
+		ref, refRows := &refKRR{Lambda: lambda, Gamma: gamma, series: series}, &refKRR{Lambda: lambda, Gamma: gamma}
 		rows := NewKRR(lambda, gamma)
-		got := NewKRR(lambda, gamma)
-		refErr, refRowsErr := ref.FitLagged(series, lag), refRows.Fit(x, y)
-		rowsErr, gotErr := rows.FitRows(x.Data(), n, lag, y), got.FitLagged(series, lag)
+		got := laggedKRR(lambda, gamma, series)
+		refErr, refRowsErr := ref.FitLagged(lag), refRows.Fit(x, y)
+		rowsErr, gotErr := rows.FitRows(x.Data(), n, lag, y), got.FitLagged(lag)
 		if (refErr == nil) != (gotErr == nil) || (refRowsErr == nil) != (rowsErr == nil) {
 			t.Fatalf("trial %d: reference FitLagged error %v, FitLagged error %v; reference Fit error %v, FitRows error %v",
 				trial, refErr, gotErr, refRowsErr, rowsErr)
@@ -328,9 +340,9 @@ func TestKRRFitLaggedMatchesReference(t *testing.T) {
 		if !sameBits(ref.scale, refRows.scale) {
 			scalesDiffer++
 		}
-		if !sameBits(got.alpha[:n], ref.u) || !sameBits(got.v[:n], ref.v) {
+		if u, v := lagVec(got, vecU), lagVec(got, vecV); !sameBits(u, ref.u) || !sameBits(v, ref.v) {
 			t.Fatalf("trial %d (n=%d lag=%d λ=%g γ=%g): u = %v, v = %v; reference u = %v, v = %v",
-				trial, n, lag, lambda, gamma, got.alpha[:n], got.v[:n], ref.u, ref.v)
+				trial, n, lag, lambda, gamma, u, v, ref.u, ref.v)
 		}
 		for q := 0; q < 5; q++ {
 			feat := make([]float64, lag)
@@ -346,7 +358,7 @@ func TestKRRFitLaggedMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d (n=%d lag=%d λ=%g γ=%g): FitLagged predict = %v, reference %v",
 					trial, n, lag, lambda, gamma, have, want)
 			}
-			// Predict forward-solves its kernel vector in place; asking
+			// Predict forward-solves its kernel vector into w; asking
 			// again must not read what the first call left there.
 			if again, _ := got.Predict(feat); math.Float64bits(again) != math.Float64bits(have) {
 				t.Fatalf("trial %d: a second Predict on the same features = %v, first %v", trial, again, have)

@@ -14,45 +14,80 @@ type warmStats struct {
 	jittered int // fits that needed diagonal jitter
 }
 
+// laggedKRR returns a regressor whose lagged series holds series.
+func laggedKRR(lambda, gamma float64, series []float64) *KRR {
+	k := NewKRR(lambda, gamma)
+	for _, v := range series {
+		k.Append(v)
+	}
+	return k
+}
+
+// lagVec gathers per-row vector which (vecU or vecV) of k's lagged
+// fit from the factor's blocks.
+func lagVec(k *KRR, which int) []float64 {
+	x := make([]float64, k.n)
+	for i := range x {
+		x[i] = k.vec(i/cholBlock, which)[i%cholBlock]
+	}
+	return x
+}
+
 // replayWarmRefit drives one KRR the way the region forecaster does:
-// window counts arrive one at a time, the history is capped at maxHist
-// (the prefix shifts once it is full), and after every arrival the
-// regressor is refitted in place on the history's lag windows (FitLagged)
-// and asked for the next window. Every warm refit must equal, bit for
-// bit, a fresh cold FitLagged and the reference's FitLagged on the same
+// window counts arrive one at a time (Append), the history is trimmed to
+// maxHist (the rows shift once it is full), and after every arrival the
+// regressor is refitted on the history's lag windows (FitLagged) and
+// asked for the next window. Every refit must equal, bit for bit, a
+// fresh KRR's FitLagged and the reference's FitLagged on the same
 // history: the error outcome, the forward solves u = L⁻¹y and v = L⁻¹1,
-// and the prediction.
+// and the prediction; every refit after a trim must be cold.
 // With foreign set, the regressor is also asked about features no later
 // row holds after every fit, so the next fit must not reuse that
-// Predict's kernel vector.
-func replayWarmRefit(t testing.TB, counts []float64, lag, maxHist int, lambda, gamma float64, foreign bool) warmStats {
+// Predict's kernel vector. halve, when not nil, picks the steps before
+// whose count the history is also trimmed to half its length.
+func replayWarmRefit(t testing.TB, counts []float64, lag, maxHist int, lambda, gamma float64, foreign bool, halve func(step int) bool) warmStats {
 	t.Helper()
 	var st warmStats
 	warm := NewKRR(lambda, gamma)
-	var hist []float64
+	ref := &refKRR{Lambda: lambda, Gamma: gamma}
+	trimmed := false // a trim dropped values since the last refit
 	for step, c := range counts {
-		hist = append(hist, c)
-		if len(hist) > maxHist {
-			hist = hist[len(hist)-maxHist:]
+		before := len(warm.Series())
+		if halve != nil && halve(step) {
+			warm.Trim(before / 2)
+			ref.Trim(before / 2)
+		}
+		warm.Append(c)
+		ref.Append(c)
+		warm.Trim(maxHist)
+		ref.Trim(maxHist)
+		hist := warm.Series()
+		trimmed = trimmed || len(hist) <= before
+		if !sameBits(hist, ref.series) {
+			t.Fatalf("step %d: series %v, reference %v", step, hist, ref.series)
 		}
 		n := len(hist) - lag
 		if n < 2 {
 			continue
 		}
-		warmErr := warm.FitLagged(hist, lag)
-		cold := NewKRR(lambda, gamma)
-		coldErr := cold.FitLagged(hist, lag)
-		ref := &refKRR{Lambda: lambda, Gamma: gamma}
-		refErr := ref.FitLagged(hist, lag)
+		warmErr := warm.FitLagged(lag)
+		cold := laggedKRR(lambda, gamma, hist)
+		coldErr := cold.FitLagged(lag)
+		refErr := ref.FitLagged(lag)
 		if (warmErr == nil) != (coldErr == nil) || (refErr == nil) != (coldErr == nil) {
 			t.Fatalf("step %d: warm error %v, cold error %v, reference error %v", step, warmErr, coldErr, refErr)
 		}
+		wasTrimmed := trimmed
+		trimmed = false
 		if coldErr != nil {
 			continue
 		}
 		st.fits++
 		if warm.kept > 0 {
 			st.warm++
+			if wasTrimmed {
+				t.Fatalf("step %d: the refit after a trim kept %d rows, want a cold fit", step, warm.kept)
+			}
 		}
 		if warm.kvUsed {
 			st.kvReused++
@@ -66,13 +101,12 @@ func replayWarmRefit(t testing.TB, counts []float64, lag, maxHist int, lambda, g
 		if warm.exact != cold.exact {
 			t.Fatalf("step %d: warm fit exact=%v, cold exact=%v", step, warm.exact, cold.exact)
 		}
-		// A lagged fit keeps u in alpha's buffer.
 		for _, vec := range []struct {
 			name             string
 			warm, cold, want []float64
 		}{
-			{"u", warm.alpha[:n], cold.alpha[:n], ref.u},
-			{"v", warm.v[:n], cold.v[:n], ref.v},
+			{"u", lagVec(warm, vecU), lagVec(cold, vecU), ref.u},
+			{"v", lagVec(warm, vecV), lagVec(cold, vecV), ref.v},
 		} {
 			for i, w := range vec.warm {
 				if math.Float64bits(w) != math.Float64bits(vec.cold[i]) {
@@ -128,9 +162,9 @@ func TestKRRWarmRefitMatchesCold(t *testing.T) {
 		{name: "history cap shifts the prefix", counts: wave, lag: 4, maxHist: 32, lambda: 0.01, gamma: 0.05},
 		{name: "scale raised mid-sequence", counts: burst, lag: 4, maxHist: 1000, lambda: 0.01, gamma: 0.05},
 		{name: "scale lowered as the cap trims a burst", counts: burst, lag: 4, maxHist: 24, lambda: 0.01, gamma: 0.05},
-		// Capped zeros shift onto the same bits, so the refit after the
-		// 1 arrives keeps every row while its last target changed: u's
-		// last kept entry must be solved again.
+		// Capped zeros shift onto the same bits, so the rows look kept,
+		// and the last target changes when the 1 arrives: the trim
+		// alone must turn the refit cold.
 		{name: "capped history keeps its rows, last target changes", counts: append(make([]float64, 24), 1),
 			lag: 4, maxHist: 16, lambda: 0.01, gamma: 0.05},
 		{name: "forecaster geometry", counts: wave, lag: 16, maxHist: 128, lambda: 0.01, gamma: 0.05, wantKV: true},
@@ -144,7 +178,7 @@ func TestKRRWarmRefitMatchesCold(t *testing.T) {
 			lag: 2, maxHist: 1000, lambda: 0, gamma: 1, wantJitter: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := replayWarmRefit(t, tc.counts, tc.lag, tc.maxHist, tc.lambda, tc.gamma, tc.foreign)
+			st := replayWarmRefit(t, tc.counts, tc.lag, tc.maxHist, tc.lambda, tc.gamma, tc.foreign, nil)
 			if st.warm == 0 || st.fits == 0 {
 				t.Fatalf("sequence exercised %d warm refits of %d fits", st.warm, st.fits)
 			}
@@ -184,7 +218,7 @@ func burstWave(before, after int) []float64 {
 
 // TestKRRNewMaximumRefitsColdOnce pins the work one new series maximum
 // costs the forecaster's regressor: a lag-16 history of the wave grows
-// window by window past a burst, refitted in place (FitLagged) after
+// window by window past a burst (Append), refitted (FitLagged) after
 // every window, and every refit after the first must reuse the previous
 // factor except the one whose rows first span the burst. Under a scale
 // per lag column, before the one-scale rule, the burst raised each
@@ -193,10 +227,11 @@ func burstWave(before, after int) []float64 {
 func TestKRRNewMaximumRefitsColdOnce(t *testing.T) {
 	const lag = 16
 	counts := burstWave(40, 40)
-	krr := DefaultKRR()
+	krr := laggedKRR(0.01, 0.05, counts[:39])
 	fits, cold, coldRows := 0, 0, 0
 	for end := 40; end <= len(counts); end++ {
-		if err := krr.FitLagged(counts[:end], lag); err != nil {
+		krr.Append(counts[end-1])
+		if err := krr.FitLagged(lag); err != nil {
 			t.Fatal(err)
 		}
 		if fits++; fits > 1 && krr.kept == 0 {
@@ -221,8 +256,9 @@ func TestKRRNewMaximumRefitsColdOnce(t *testing.T) {
 // Adding rows must never move a factor row the regressor holds: row 0
 // keeps its backing array while the factor grows to 112 rows. The whole
 // replay, 144 windows, allocates at most seriesBytes; a factor that was
-// reallocated and copied as it grew allocated 189 KB, and blocked rows
-// allocate 67 KB, the final factor's 51 KB included.
+// reallocated and copied as it grew allocated 189 KB. Blocked rows
+// allocate 72 KB, which includes the final factor's 52 KB, the 8 KB
+// block of the row Predict fills and the history the regressor owns.
 func TestKRRFactorRowsStayPut(t *testing.T) {
 	const lag, maxHist, windows = 16, 8 * 16, 144
 	const seriesBytes = 80 << 10
@@ -231,11 +267,16 @@ func TestKRRFactorRowsStayPut(t *testing.T) {
 	var row0 *float64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for w := lag + 4; w <= windows; w++ {
-		hist := counts[max(0, w-maxHist):w]
-		if err := k.FitLagged(hist, lag); err != nil {
+	for w := 1; w <= windows; w++ {
+		k.Append(counts[w-1])
+		k.Trim(maxHist)
+		if w < lag+4 {
+			continue
+		}
+		if err := k.FitLagged(lag); err != nil {
 			t.Fatal(err)
 		}
+		hist := k.Series()
 		if _, err := k.Predict(hist[len(hist)-lag:]); err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +288,125 @@ func TestKRRFactorRowsStayPut(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if want := maxHist - lag; k.n != want || len(k.chol) != (want+cholBlock-1)/cholBlock {
-		t.Fatalf("the factor ends with %d rows in %d blocks, want %d rows", k.n, len(k.chol), want)
+	// The blocks hold one row more than the factor: the one the last
+	// Predict forward-solved its kernel vector into.
+	if want := maxHist - lag; k.n != want || len(k.chol) != want/cholBlock+1 {
+		t.Fatalf("the factor ends with %d rows in %d blocks, want %d rows in %d", k.n, len(k.chol), want, want/cholBlock+1)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > seriesBytes {
 		t.Errorf("one series through %d windows allocates %d B, budget %d", windows, got, seriesBytes)
+	}
+}
+
+// TestKRRLaggedGrowthAllocs grows one forecaster series at lag 16 from
+// minFit = lag+4 windows to the 8×lag cap, appending a window, refitting
+// (FitLagged) and predicting at each, and counts every step's heap
+// allocations. A step may allocate only new factor blocks (and the list
+// that holds them) and the doubling of the history and of its scaled
+// copy xs: the regressor keeps no second copy of the history, and u, v
+// and Predict's kernel vector live in the factor's blocks, so none of
+// them regrows.
+func TestKRRLaggedGrowthAllocs(t *testing.T) {
+	const lag, maxHist = 16, 8 * 16
+	// What one regrowth of xs costs in this build: one object, or two
+	// under the race detector, which keeps append's make apart.
+	var buf []float64
+	perGrow := uint64(testing.AllocsPerRun(10, func() { buf = grow(buf[:0:0], 8) }))
+	counts := waveCounts(maxHist)
+	k := laggedKRR(0.01, 0.05, counts[:lag+4])
+	if err := k.FitLagged(lag); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Predict(counts[4 : lag+4]); err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	mallocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	grown := 0
+	for w := lag + 5; w <= maxHist; w++ {
+		histCap, xsCap, blocks, listCap := cap(k.series), cap(k.xs), len(k.chol), cap(k.chol)
+		before := mallocs()
+		k.Append(counts[w-1])
+		if err := k.FitLagged(lag); err != nil {
+			t.Fatal(err)
+		}
+		h := k.Series()
+		if _, err := k.Predict(h[len(h)-lag:]); err != nil {
+			t.Fatal(err)
+		}
+		got := mallocs() - before
+		want := uint64(len(k.chol) - blocks)
+		for _, changed := range []bool{cap(k.series) != histCap, cap(k.chol) != listCap} {
+			if changed {
+				want++
+			}
+		}
+		if cap(k.xs) != xsCap {
+			want += perGrow
+		}
+		if got != want {
+			t.Errorf("window %d (%d rows): the step allocates %d objects, want %d", w, k.n, got, want)
+		}
+		grown += int(want)
+	}
+	if grown == 0 {
+		t.Fatal("no step grew a buffer: the replay exercised no allocation")
+	}
+}
+
+// TestKRRTrimRefitsCold trims a lag-16 series at the 8×lag cap window by
+// window and requires every refit after a trim to be cold and to equal,
+// bit for bit, a fresh regressor fitted on the trimmed series: the
+// factor, u, v and the prediction. A history of zeros shifts onto the
+// same bits, and its refits must be cold all the same.
+func TestKRRTrimRefitsCold(t *testing.T) {
+	const lag, maxHist = 16, 8 * 16
+	for _, tc := range []struct {
+		name   string
+		counts []float64
+	}{
+		{"wave", waveCounts(maxHist + 24)},
+		{"zeros", append(make([]float64, maxHist+8), 1, 0, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := DefaultKRR()
+			trims := 0
+			for w, c := range tc.counts {
+				k.Append(c)
+				k.Trim(maxHist)
+				if w+1 < lag+4 {
+					continue
+				}
+				if err := k.FitLagged(lag); err != nil {
+					t.Fatal(err)
+				}
+				if w+1 > maxHist {
+					trims++
+					if k.kept != 0 {
+						t.Fatalf("window %d: the refit after a trim kept %d rows, want a cold fit", w, k.kept)
+					}
+				}
+				h := k.Series()
+				fresh := laggedKRR(0.01, 0.05, h)
+				if err := fresh.FitLagged(lag); err != nil {
+					t.Fatal(err)
+				}
+				if !sameFactor(k, fresh) || !sameBits(lagVec(k, vecU), lagVec(fresh, vecU)) || !sameBits(lagVec(k, vecV), lagVec(fresh, vecV)) {
+					t.Fatalf("window %d: the refit's factor or forward solves differ from a fresh fit's", w)
+				}
+				p, _ := k.Predict(h[len(h)-lag:])
+				q, _ := fresh.Predict(h[len(h)-lag:])
+				if math.Float64bits(p) != math.Float64bits(q) {
+					t.Fatalf("window %d: predict = %v after the trim, %v fresh", w, p, q)
+				}
+			}
+			if trims == 0 {
+				t.Fatal("the series was never trimmed")
+			}
+		})
 	}
 }
 
@@ -268,10 +423,14 @@ func TestKRRWarmRollWork(t *testing.T) {
 	counts := waveCounts(100)
 	lagged, dual := DefaultKRR(), DefaultKRR()
 	rolls := 0
+	for _, c := range counts[:lag+1] {
+		lagged.Append(c)
+	}
 	for end := lag + 2; end <= len(counts); end++ {
 		hist := counts[:end]
 		n := end - lag
-		if err := lagged.FitLagged(hist, lag); err != nil {
+		lagged.Append(hist[end-1])
+		if err := lagged.FitLagged(lag); err != nil {
 			t.Fatal(err)
 		}
 		rows := make([]float64, 0, n*lag)
@@ -317,7 +476,12 @@ func TestKRRFormChangeRefitsCold(t *testing.T) {
 	series := waveCounts(24)
 	const n = 20 // rows of the first fit; the refit adds one
 	fitRows := func(k *KRR, rows int) error { return k.FitRows(series[:rows], rows, 1, series[1:rows+1]) }
-	fitLagged := func(k *KRR, rows int) error { return k.FitLagged(series[:rows+1], 1) }
+	fitLagged := func(k *KRR, rows int) error {
+		for _, v := range series[len(k.Series()) : rows+1] {
+			k.Append(v)
+		}
+		return k.FitLagged(1)
+	}
 	for _, tc := range []struct {
 		name         string
 		first, refit func(*KRR, int) error
@@ -342,10 +506,11 @@ func TestKRRFormChangeRefitsCold(t *testing.T) {
 			if warm.kept != 0 || warm.kvUsed {
 				t.Fatalf("the refit kept %d rows, kernel vector reused %v; want a cold fit", warm.kept, warm.kvUsed)
 			}
-			m := n + 1
-			same := sameFactor(warm, cold) && sameBits(warm.alpha[:m], cold.alpha)
+			same := sameFactor(warm, cold)
 			if cold.lagged {
-				same = same && sameBits(warm.v[:m], cold.v)
+				same = same && sameBits(lagVec(warm, vecU), lagVec(cold, vecU)) && sameBits(lagVec(warm, vecV), lagVec(cold, vecV))
+			} else {
+				same = same && sameBits(warm.alpha[:n+1], cold.alpha)
 			}
 			if !same {
 				t.Fatal("the refit's factor or solution differs from a fresh fit's")
@@ -375,15 +540,18 @@ func sameFactor(a, b *KRR) bool {
 	return true
 }
 
-// FuzzKRRWarmRefit replays arbitrary append-only sequences of small
-// window counts through replayWarmRefit: the first two bytes pick the lag,
-// whether λ is 0 (singular kernels, the jitter ladder) and whether a
-// Predict on foreign features follows every fit; the rest are counts (the
-// high bit of a byte makes it a burst that raises a scale).
+// FuzzKRRWarmRefit replays arbitrary sequences of small window counts
+// through replayWarmRefit: the first two bytes pick the lag, whether λ is
+// 0 (singular kernels, the jitter ladder), whether a Predict on foreign
+// features follows every fit, and whether a count byte with bit 6 set
+// halves the history before it arrives (a Trim away from the cap); the
+// rest are counts (the high bit of a byte makes it a burst that raises a
+// scale).
 func FuzzKRRWarmRefit(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 2, 3, 1, 2, 5, 4, 1, 2, 3, 6})
 	f.Add([]byte{4, 1, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 200, 0, 1, 0, 4, 0, 0, 0})
 	f.Add([]byte{3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1})
+	f.Add([]byte{2, 5, 1, 2, 3, 1, 2, 5, 4, 1, 2, 3, 6, 0x41, 2, 3, 1, 4, 2, 0xc3, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 200 {
 			return
@@ -401,7 +569,11 @@ func FuzzKRRWarmRefit(f *testing.F) {
 			}
 			counts = append(counts, c)
 		}
-		replayWarmRefit(t, counts, lag, 4*lag+2, lambda, 0.05, data[1]&2 != 0)
+		var halve func(int) bool
+		if data[1]&4 != 0 {
+			halve = func(step int) bool { return data[2+step]&0x40 != 0 }
+		}
+		replayWarmRefit(t, counts, lag, 4*lag+2, lambda, 0.05, data[1]&2 != 0, halve)
 	})
 }
 

@@ -10,11 +10,14 @@ import (
 	"everest/internal/runtime"
 )
 
+// needPart interns bitstream id the way Workflow.Submit resolves needs.
+func needPart(id string) dataset.Part { return dataset.Intern(dataset.Ref{Name: id}) }
+
 // needParts interns bitstream IDs the way Workflow.Submit resolves needs.
 func needParts(ids ...string) []dataset.Part {
 	var out []dataset.Part
 	for _, id := range ids {
-		out = append(out, dataset.Intern(dataset.Ref{Name: id}))
+		out = append(out, needPart(id))
 	}
 	return out
 }

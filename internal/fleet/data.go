@@ -69,13 +69,13 @@ func (f *Fleet) PlaceDataset(i int, at float64, refs ...dataset.Ref) error {
 // Resident partitions cost nothing — that is the locality win the router
 // priced.
 func (f *Fleet) fetchData(s *site, w *work, at float64) (float64, int64) {
-	return s.dstore.Stage(w.reads, at, w.t.Name, f.registryLink, func(x dataset.Fetch) {
+	return s.dstore.Stage(w.reads, at, w.name, f.registryLink, func(x dataset.Fetch) {
 		s.stats.DatasetFetches++
 		s.stats.DatasetFetchedBytes += x.Part.Ref.Bytes
 		s.stats.DatasetFetchSeconds += x.Seconds
 		if f.cfg.Trace != nil {
-			f.trace(Event{Kind: EventDataFetch, Site: s.name, Tenant: w.t.Tenant,
-				Workflow: w.t.Name, Time: x.At,
+			f.trace(Event{Kind: EventDataFetch, Site: s.name, Tenant: w.tenant,
+				Workflow: w.name, Time: x.At,
 				Detail: fmt.Sprintf("%v %dB in %.4gs", x.Part.ID.Value(), x.Part.Ref.Bytes, x.Seconds)})
 			f.traceEvicted(s, x.Evicted, x.At)
 		}
@@ -90,14 +90,14 @@ func (f *Fleet) fetchData(s *site, w *work, at float64) (float64, int64) {
 func (f *Fleet) publishOutputs(s *site, w *work, completion float64) {
 	for _, o := range w.wf.Outputs() {
 		evicted := s.dstore.Publish(dataset.Version{
-			Ref: o.Ref, ID: o.ID, Time: completion, Workflow: w.t.Name, Task: o.Task,
+			Ref: o.Ref, ID: o.ID, Time: completion, Workflow: w.name, Task: o.Task,
 		})
 		s.stats.DatasetPublished++
 		s.stats.DatasetPublishedBytes += o.Ref.Bytes
 		f.catalog.Add(o.ID)
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventDataPublish, Site: s.name,
-				Tenant: w.t.Tenant, Workflow: w.t.Name, Time: completion,
+				Tenant: w.tenant, Workflow: w.name, Time: completion,
 				Detail: fmt.Sprintf("%v %dB by %s", o.ID.Value(), o.Ref.Bytes, o.Task)})
 			f.traceEvicted(s, evicted, completion)
 		}

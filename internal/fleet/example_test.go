@@ -75,10 +75,11 @@ func Example() {
 		if err != nil {
 			panic(err)
 		}
-		if _, err := t.Wait(); err != nil {
+		res, err := t.Wait()
+		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%s/%s -> %s\n", t.Tenant, t.Name, t.Site)
+		fmt.Printf("%s/%s -> %s\n", req.Tenant, req.Name, res.Site)
 	}
 	stats := f.Shutdown()
 	s0 := stats.Sites[0]

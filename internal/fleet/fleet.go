@@ -238,12 +238,9 @@ type Result struct {
 	Bound      float64
 }
 
-// Ticket is the caller's handle on one served workflow.
+// Ticket is the caller's handle on one served workflow. The site that
+// served it is Result.Site.
 type Ticket struct {
-	Site   string
-	Tenant string
-	Name   string
-
 	// sched is the storage the site engine serves the workflow into
 	// (runtime.Engine.Serve); res.Sched points at it once it succeeded.
 	sched runtime.Schedule
@@ -378,11 +375,12 @@ type site struct {
 
 // work is one routed workflow on its way through serve.
 type work struct {
-	t       *Ticket
-	wf      *runtime.Workflow
-	arrival float64
-	needs   []dataset.Part // bitstreams the workflow's FPGA tasks request (Ref.Name is the ID)
-	reads   []dataset.Part // known external dataset partitions the workflow reads
+	t            *Ticket
+	tenant, name string // the request's, defaulted by Submit
+	wf           *runtime.Workflow
+	arrival      float64
+	needs        []dataset.Part // bitstreams the workflow's FPGA tasks request (Ref.Name is the ID)
+	reads        []dataset.Part // known external dataset partitions the workflow reads
 
 	// Guaranteed-class fields: the admitted deadline and proven bound
 	// (relative to arrival).
@@ -525,26 +523,28 @@ func (f *Fleet) QueueWait(arrival float64) float64 {
 	return best
 }
 
-// Warm pre-stages bitstream id, at modelled time at, into the least-busy
+// Warm pre-stages bitstream p, at modelled time at, into the least-busy
 // site on which an online device fits it, without occupying the serving
 // queue: staging runs on the deployment control plane concurrently with
 // serving, so it steals no service time from workflows — which is what
-// makes speculative prefetch pay. An already-resident bitstream is a free
-// no-op. Returns the chosen site index and the modelled staging seconds;
+// makes speculative prefetch pay. p is the bitstream ID interned as
+// dataset.Ref{Name: id}, the part runtime.Workflow.Needs lists for it, so
+// a caller holding a workflow's needs warms them without interning them
+// again. An already-resident bitstream is a free no-op. Returns the
+// chosen site index and the modelled staging seconds;
 // an error means the fleet was shut down (runtime.ErrShutDown), the
 // registry lacks the bitstream, or no online device fits it on any site,
 // in which case the least-busy site records the fallback.
-func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
+func (f *Fleet) Warm(p dataset.Part, at float64) (int, float64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.life.Check(runtime.Control); err != nil {
 		return -1, 0, err
 	}
-	ent, err := f.reg.Entry(id)
+	ent, err := f.reg.Entry(p.Ref.Name)
 	if err != nil {
 		return -1, 0, fmt.Errorf("fleet: warm: %w", err)
 	}
-	p := dataset.Intern(dataset.Ref{Name: id})
 	best, fit := 0, -1
 	for i, s := range f.sites {
 		if s.live(p, at) {
@@ -562,7 +562,7 @@ func (f *Fleet) Warm(id string, at float64) (int, float64, error) {
 	}
 	dt := f.warm(f.sites[best], p, at)
 	if dt == 0 {
-		return best, 0, fmt.Errorf("fleet: warm %s: no online device fits on %s", id, f.sites[best].name)
+		return best, 0, fmt.Errorf("fleet: warm %s: no online device fits on %s", p.Ref.Name, f.sites[best].name)
 	}
 	return best, dt, nil
 }
@@ -697,8 +697,8 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 		f.trace(Event{Kind: EventRoute, Site: s.name, Tenant: tenant, Workflow: name,
 			Time: req.Arrival, Detail: detail})
 	}
-	t := &Ticket{Site: s.name, Tenant: tenant, Name: name}
-	f.serve(s, &work{t: t, wf: req.Workflow, arrival: req.Arrival, needs: needs, reads: known,
+	t := &Ticket{}
+	f.serve(s, &work{t: t, tenant: tenant, name: name, wf: req.Workflow, arrival: req.Arrival, needs: needs, reads: known,
 		guaranteed: req.Guaranteed, deadline: req.Deadline, bound: bound})
 	return t, nil
 }
@@ -956,7 +956,7 @@ func (f *Fleet) serve(s *site, w *work) {
 	deploy := f.deployNeeds(s, w, start)
 	fetch, fetchedBytes := f.fetchData(s, w, start+deploy)
 
-	err := s.engine.Serve(w.wf, runtime.SubmitOptions{Name: t.Name, Tenant: t.Tenant}, &t.sched)
+	err := s.engine.Serve(w.wf, runtime.SubmitOptions{Name: w.name, Tenant: w.tenant}, &t.sched)
 
 	if w.guaranteed {
 		s.stats.Guaranteed++
@@ -984,8 +984,8 @@ func (f *Fleet) serve(s *site, w *work) {
 		s.busyUntil = start + deploy + fetch + partial
 		t.err = fmt.Errorf("fleet: %s: %w", s.name, err)
 		if f.cfg.Trace != nil {
-			f.trace(Event{Kind: EventDone, Site: s.name, Tenant: t.Tenant,
-				Workflow: t.Name, Time: start, Detail: "error: " + err.Error()})
+			f.trace(Event{Kind: EventDone, Site: s.name, Tenant: w.tenant,
+				Workflow: w.name, Time: start, Detail: "error: " + err.Error()})
 		}
 		return
 	}
@@ -1014,7 +1014,7 @@ func (f *Fleet) serve(s *site, w *work) {
 		Guaranteed: w.guaranteed, Bound: w.bound,
 	}
 	if f.cfg.Trace != nil {
-		f.trace(Event{Kind: EventDone, Site: s.name, Tenant: t.Tenant, Workflow: t.Name,
+		f.trace(Event{Kind: EventDone, Site: s.name, Tenant: w.tenant, Workflow: w.name,
 			Time: completion, Detail: fmt.Sprintf("latency=%.4gs", completion-w.arrival)})
 	}
 }
@@ -1028,18 +1028,18 @@ func (f *Fleet) deployNeeds(s *site, w *work, at float64) float64 {
 		if s.bstore.Contains(p.ID) && s.live(p, at+total) {
 			s.stats.CacheHits++
 			if f.cfg.Trace != nil {
-				f.trace(Event{Kind: EventCacheHit, Site: s.name, Tenant: w.t.Tenant,
-					Workflow: w.t.Name, Bitstream: id, Time: at + total})
+				f.trace(Event{Kind: EventCacheHit, Site: s.name, Tenant: w.tenant,
+					Workflow: w.name, Bitstream: id, Time: at + total})
 			}
 			continue
 		}
 		f.dropStale(s, p, at+total)
 		s.stats.CacheMisses++
 		if f.cfg.Trace != nil {
-			f.trace(Event{Kind: EventCacheMiss, Site: s.name, Tenant: w.t.Tenant,
-				Workflow: w.t.Name, Bitstream: id, Time: at + total})
+			f.trace(Event{Kind: EventCacheMiss, Site: s.name, Tenant: w.tenant,
+				Workflow: w.name, Bitstream: id, Time: at + total})
 		}
-		total += f.deployOne(s, w.t.Tenant, w.t.Name, p, at+total)
+		total += f.deployOne(s, w.tenant, w.name, p, at+total)
 	}
 	return total
 }

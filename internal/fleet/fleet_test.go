@@ -362,20 +362,21 @@ func TestConcurrentSubmittersServeInline(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for j := 0; j < perSubmitter; j++ {
+				name := fmt.Sprintf("g%d-%d", g, j)
 				tk, err := f.Submit(Request{Tenant: fmt.Sprintf("t%d", g%3),
-					Name: fmt.Sprintf("g%d-%d", g, j), Workflow: cpuWorkflow(),
+					Name: name, Workflow: cpuWorkflow(),
 					Arrival: float64(j) * 0.01})
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				res, err := tk.Wait()
-				if err != nil || res.Sched == nil || res.Site != tk.Site {
-					t.Errorf("%s unresolved when Submit returned: %+v %v", tk.Name, res, err)
+				if err != nil || res.Sched == nil || res.Site == "" {
+					t.Errorf("%s unresolved when Submit returned: %+v %v", name, res, err)
 					return
 				}
 				mu.Lock()
-				results[tk.Name] = res
+				results[name] = res
 				mu.Unlock()
 			}
 		}(g)
@@ -574,7 +575,8 @@ func TestSubmitRejectsNonFiniteInput(t *testing.T) {
 	} {
 		tk, err := f.Submit(req)
 		if err == nil {
-			t.Fatalf("arrival %g deadline %g: admitted on %s, want an error", req.Arrival, req.Deadline, tk.Site)
+			res, _ := tk.Wait()
+			t.Fatalf("arrival %g deadline %g: admitted on %s, want an error", req.Arrival, req.Deadline, res.Site)
 		}
 		if errors.Is(err, ErrSaturated) {
 			t.Fatalf("arrival %g deadline %g: %v wraps ErrSaturated, want a bad-request error",
@@ -596,9 +598,13 @@ func TestSubmitRejectsNonFiniteInput(t *testing.T) {
 // accepted submission of any tenant, named or not. Building it costs one
 // allocation.
 func TestUnnamedWorkflowName(t *testing.T) {
-	f := newTestFleet(t, platform.NewRegistry(), Config{Sites: 1})
+	var last string // the workflow of the last completion traced
+	f := newTestFleet(t, platform.NewRegistry(), Config{Sites: 1, Trace: func(ev Event) {
+		if ev.Kind == EventDone {
+			last = ev.Workflow
+		}
+	}})
 	defer f.Shutdown()
-	var last *Ticket
 	for i := 1; i <= 12; i++ {
 		req := Request{Tenant: "tenantA", Workflow: cpuWorkflow(), Arrival: float64(i)}
 		switch {
@@ -607,14 +613,12 @@ func TestUnnamedWorkflowName(t *testing.T) {
 		case i == 5:
 			req.Name = "named"
 		}
-		tk, err := f.Submit(req)
-		if err != nil {
+		if _, err := f.Submit(req); err != nil {
 			t.Fatal(err)
 		}
-		last = tk
 	}
-	if last.Name != "tenantB/wf12" {
-		t.Fatalf("twelfth submission named %q, want tenantB/wf12", last.Name)
+	if last != "tenantB/wf12" {
+		t.Fatalf("twelfth submission named %q, want tenantB/wf12", last)
 	}
 	if got := WorkflowName("tenantA", 12); got != "tenantA/wf12" {
 		t.Fatalf("WorkflowName = %q, want tenantA/wf12", got)

@@ -46,7 +46,7 @@ func selfEvictFleet(trace func(Event)) (*Fleet, func(int) Request, error) {
 		return nil, nil, err
 	}
 	for _, id := range []string{"B", "X"} {
-		if _, _, err := f.Warm(id, 0); err != nil {
+		if _, _, err := f.Warm(needPart(id), 0); err != nil {
 			return nil, nil, err
 		}
 	}

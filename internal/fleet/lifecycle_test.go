@@ -120,7 +120,7 @@ func TestShutdownRacesMutators(t *testing.T) {
 	})
 	warmed := 0 // accepted Warms that staged a bitstream
 	race(&warm, func(i int) error {
-		_, dt, err := f.Warm(fmt.Sprintf("warm-%d", i%warmIDs), float64(i))
+		_, dt, err := f.Warm(needPart(fmt.Sprintf("warm-%d", i%warmIDs)), float64(i))
 		if err == nil && dt > 0 {
 			warmed++
 		}

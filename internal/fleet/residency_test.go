@@ -31,7 +31,7 @@ func TestWarmDropsStaleCopy(t *testing.T) {
 		}})
 	defer f.Shutdown()
 	for _, id := range []string{"a", "b"} {
-		if _, _, err := f.Warm(id, 0); err != nil {
+		if _, _, err := f.Warm(needPart(id), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,7 +39,7 @@ func TestWarmDropsStaleCopy(t *testing.T) {
 	if _, err := nodes[1].SetDeviceOffline(0, true, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.Warm("b", 2); err != nil {
+	if _, _, err := f.Warm(needPart("b"), 2); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []string{"a", "", "b"} {
@@ -78,7 +78,7 @@ func TestResidencyCountersMatchTrace(t *testing.T) {
 			}
 		}
 		if i%5 == 0 {
-			if _, _, err := f.Warm(ids[(i/5)%len(ids)], at); err != nil {
+			if _, _, err := f.Warm(needPart(ids[(i/5)%len(ids)]), at); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -377,7 +377,7 @@ func FuzzSiteResidency(f *testing.F) {
 				}
 				ref.serve(id, start)
 			case resWarm:
-				_, _, _ = fl.Warm(id, at)
+				_, _, _ = fl.Warm(needPart(id), at)
 				ref.warm(id, at)
 			case resUnplug:
 				n := s.cluster.Nodes[int(arg&0x03)%nodes]

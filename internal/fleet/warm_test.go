@@ -16,7 +16,7 @@ func TestWarmStagesAndIsIdempotent(t *testing.T) {
 	f := newTestFleet(t, reg, Config{Sites: 2, CacheSlots: 2})
 	defer f.Shutdown()
 
-	site, dt, err := f.Warm("bs-w", 0)
+	site, dt, err := f.Warm(needPart("bs-w"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestWarmStagesAndIsIdempotent(t *testing.T) {
 		t.Fatalf("first warm must pay transfer+reconfig, got %g", dt)
 	}
 	// Second warm finds the bitstream resident: free no-op.
-	site2, dt2, err := f.Warm("bs-w", 1)
+	site2, dt2, err := f.Warm(needPart("bs-w"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestWarmErrors(t *testing.T) {
 	reg := platform.NewRegistry()
 	f := newTestFleet(t, reg, Config{Sites: 1})
 	defer f.Shutdown()
-	if _, _, err := f.Warm("missing", 0); err == nil {
+	if _, _, err := f.Warm(needPart("missing"), 0); err == nil {
 		t.Fatal("warming an unregistered bitstream must fail")
 	}
 }
@@ -81,7 +81,7 @@ func TestWarmSkipsSitesWithNoFit(t *testing.T) {
 		return testCluster(1)(i)
 	}})
 	defer f.Shutdown()
-	site, dt, err := f.Warm("bs", 0)
+	site, dt, err := f.Warm(needPart("bs"), 0)
 	if err != nil || site != 1 || dt <= 0 {
 		t.Fatalf("Warm = (site %d, %gs, %v), want a staging on site 1", site, dt, err)
 	}
@@ -91,7 +91,7 @@ func TestWarmSkipsSitesWithNoFit(t *testing.T) {
 
 	none := newTestFleet(t, reg, Config{Sites: 2, NewCluster: cpuOnly})
 	defer none.Shutdown()
-	if _, _, err := none.Warm("bs", 0); err == nil {
+	if _, _, err := none.Warm(needPart("bs"), 0); err == nil {
 		t.Fatal("a fleet with no FPGA must refuse to warm")
 	}
 }
@@ -186,7 +186,7 @@ func TestControlCallsRefuseAfterShutdown(t *testing.T) {
 
 	// bs-b is resident nowhere, so a warm that went through would deploy.
 	for name, call := range map[string]func() error{
-		"Warm":         func() error { _, _, err := f.Warm("bs-b", 1); return err },
+		"Warm":         func() error { _, _, err := f.Warm(needPart("bs-b"), 1); return err },
 		"WarmAll":      func() error { _, err := f.WarmAll("bs-b", 1); return err },
 		"PlaceDataset": func() error { return f.PlaceDataset(1, 1, dataset.Ref{Name: "late", Bytes: 1 << 20}) },
 	} {

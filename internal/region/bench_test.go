@@ -91,7 +91,7 @@ func TestRegionSubmitAllocBudget(t *testing.T) {
 	}
 	for _, r := range f.regions {
 		fc := r.fc
-		if len(fc.series) == 0 || len(fc.series[0].hist) < fc.minFit {
+		if len(fc.series) == 0 || len(fc.series[0].krr.Series()) < fc.minFit {
 			t.Fatalf("%s forecasts no app from a KRR: want every roll to refit", r.name)
 		}
 	}

@@ -19,9 +19,12 @@ import (
 )
 
 // Forecaster buckets per-app arrivals into fixed modelled-time windows
-// and predicts the next window's count per app. It is driven entirely by
-// modelled time from a single goroutine (the federation's serving path),
-// so it needs no locking, and every prediction is deterministic.
+// and predicts the next window's count per app. Each app's window history
+// is held once, in its KRR, which fits it in place and keeps its
+// per-row solves in its factor's blocks (see series). It is driven
+// entirely by modelled time from a single goroutine (the federation's
+// serving path), so it needs no locking, and every prediction is
+// deterministic.
 type Forecaster struct {
 	window  float64 // window length, modelled seconds
 	alpha   float64 // EWMA smoothing factor
@@ -35,23 +38,24 @@ type Forecaster struct {
 	series []series       // per-app state, indexed like apps
 }
 
-// series is one app's demand state. Its KRR is refitted at every Predict
-// on the lag windows of the app's window history, read in place
-// (energy.FitLagged), with one scale for the whole history. While the
-// history only grows, each refit extends the previous one's rows and is
-// warm unless a new maximum entered them, which turns that one refit
-// cold. The one row a closed window adds is the previous Predict's
-// features, and that Predict's forward-solved kernel vector is the row's
-// Cholesky entries, so the warm refit computes only the diagonal and
-// extends the fit's forward solves by one entry. A roll therefore costs
-// one kernel vector and one O(n²/2) elimination, both in Predict, and
-// no back substitution. Once the history is trimmed at maxHist the rows
-// shift and the refit is cold.
+// series is one app's demand state. The app's window history lives in
+// one buffer, its KRR's lagged series (energy.KRR.Append): the counts of
+// the closed windows, oldest first. The KRR is refitted at every Predict
+// on the history's lag windows, read in place (energy.KRR.FitLagged),
+// with one scale for the whole history. While the history only grows,
+// each refit extends the previous one's rows and is warm unless a new
+// maximum entered them, which turns that one refit cold. The one row a
+// closed window adds is the previous Predict's features, and that
+// Predict's forward-solved kernel vector is the row's Cholesky entries,
+// so the warm refit computes only the diagonal and extends the fit's
+// forward solves by one entry. A roll therefore costs one kernel vector
+// and one O(n²/2) elimination, both in Predict, and no back
+// substitution. Once the history is trimmed at maxHist the rows shift and
+// the refit is cold.
 type series struct {
-	count float64   // arrivals in the open window
-	hist  []float64 // closed-window counts, oldest first
+	count float64 // arrivals in the open window
 	ewma  float64
-	krr   *energy.KRR
+	krr   *energy.KRR // its lagged series is the window history
 }
 
 // NewForecaster returns a forecaster over windows of the given modelled
@@ -101,10 +105,8 @@ func (f *Forecaster) RollTo(t float64) {
 		for i := range f.series {
 			s := &f.series[i]
 			c := s.count
-			s.hist = append(s.hist, c)
-			if len(s.hist) > f.maxHist {
-				s.hist = s.hist[len(s.hist)-f.maxHist:]
-			}
+			s.krr.Append(c)
+			s.krr.Trim(f.maxHist)
 			s.ewma = f.alpha*c + (1-f.alpha)*s.ewma
 			s.count = 0
 		}
@@ -123,7 +125,7 @@ func (f *Forecaster) Predict(app string) float64 {
 	}
 	s := &f.series[i]
 	base := s.ewma
-	if len(s.hist) >= f.minFit {
+	if len(s.krr.Series()) >= f.minFit {
 		if krr, err := f.fitPredict(s); err == nil && krr > base {
 			base = krr
 		}
@@ -138,8 +140,9 @@ func (f *Forecaster) Predict(app string) float64 {
 // hist[i:i+lag], its target hist[i+lag] — and predicts the next window
 // from the most recent lag counts.
 func (f *Forecaster) fitPredict(s *series) (float64, error) {
-	if err := s.krr.FitLagged(s.hist, f.lag); err != nil {
+	if err := s.krr.FitLagged(f.lag); err != nil {
 		return 0, err
 	}
-	return s.krr.Predict(s.hist[len(s.hist)-f.lag:])
+	h := s.krr.Series()
+	return s.krr.Predict(h[len(h)-f.lag:])
 }

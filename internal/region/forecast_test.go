@@ -51,7 +51,7 @@ func TestForecasterPredictsPeriodicReturn(t *testing.T) {
 	// next window is a burst window.
 	f.RollTo(40)
 	ewma := 0.0
-	for _, c := range f.series[f.index["wave"]].hist {
+	for _, c := range f.series[f.index["wave"]].krr.Series() {
 		ewma = 0.5*c + 0.5*ewma
 	}
 	if ewma >= 1 {
@@ -108,7 +108,7 @@ func fullForecaster() *Forecaster {
 // rows and the features in place from the history.
 func TestForecasterPredictAllocFree(t *testing.T) {
 	f := fullForecaster()
-	if n := len(f.series[0].hist); n != 8*f.lag {
+	if n := len(f.series[0].krr.Series()); n != 8*f.lag {
 		t.Fatalf("history holds %d windows, want the 8×lag cap %d", n, 8*f.lag)
 	}
 	if got := testing.AllocsPerRun(100, func() { f.Predict("wave") }); got > 0 {

@@ -972,7 +972,7 @@ func (f *Federation) prefetch(r *region, at float64) {
 			if f.ensureArtifacts(r, needs[i:i+1], at, true); !r.images.Holds(p.ID) {
 				continue // partitioned, or absent from the catalog
 			}
-			if _, dt, err := r.fl.Warm(p.Ref.Name, at); err == nil && dt > 0 {
+			if _, dt, err := r.fl.Warm(p, at); err == nil && dt > 0 {
 				r.stats.Warms++
 			}
 		}

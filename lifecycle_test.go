@@ -163,7 +163,10 @@ var frontMethods = map[string]lifeEntry{
 		bs.ID = "probe-late"
 		return p.fl.Publish(bs)
 	}},
-	"fleet.Fleet.Warm":         {refuses, func(p *lifeProbe) error { _, _, err := p.fl.Warm(sdk.ScenarioBitstream().ID, 1); return err }},
+	"fleet.Fleet.Warm": {refuses, func(p *lifeProbe) error {
+		_, _, err := p.fl.Warm(dataset.Intern(dataset.Ref{Name: sdk.ScenarioBitstream().ID}), 1)
+		return err
+	}},
 	"fleet.Fleet.WarmAll":      {refuses, func(p *lifeProbe) error { return discard(p.fl.WarmAll(sdk.ScenarioBitstream().ID, 1)) }},
 	"fleet.Fleet.PlaceDataset": {refuses, func(p *lifeProbe) error { return p.fl.PlaceDataset(0, 1, lateRef) }},
 	"fleet.Fleet.Submit": {refuses, func(p *lifeProbe) error {

@@ -54,6 +54,11 @@ type Reference struct {
 	// and -update refuses to move an exact value, so a refresh can never
 	// silently launder a broken invariant into a new baseline.
 	Exact bool `json:"exact,omitempty"`
+	// Ceiling gates the metric at or below Value, ignoring the tolerance:
+	// any increase fails, any decrease passes, and -update may lower Value
+	// but never raise it. It pins counts that only a regression raises
+	// (allocations per op), so they ratchet down one refresh at a time.
+	Ceiling bool `json:"ceiling,omitempty"`
 }
 
 // benchName strips the optional "@alias" suffix off a baseline key.
@@ -132,6 +137,8 @@ func check(base Baseline, observed map[string]map[string]float64) (lines []strin
 		}
 		if ref.Exact {
 			regressed = got != ref.Value
+		} else if ref.Ceiling {
+			regressed = got > ref.Value
 		} else if ref.HigherIsBetter {
 			regressed = got < ref.Value*(1-tol)
 		} else {
@@ -145,6 +152,9 @@ func check(base Baseline, observed map[string]map[string]float64) (lines []strin
 		if ref.Exact {
 			lines = append(lines, fmt.Sprintf("%s %s: %s = %.4g (exact baseline %.4g)",
 				verdict, key, ref.Metric, got, ref.Value))
+		} else if ref.Ceiling {
+			lines = append(lines, fmt.Sprintf("%s %s: %s = %.4g (ceiling %.4g)",
+				verdict, key, ref.Metric, got, ref.Value))
 		} else {
 			lines = append(lines, fmt.Sprintf("%s %s: %s = %.4g (baseline %.4g, %+.1f%%, tolerance %.0f%%)",
 				verdict, key, ref.Metric, got, ref.Value, change*100, tol*100))
@@ -156,7 +166,8 @@ func check(base Baseline, observed map[string]map[string]float64) (lines []strin
 // update rewrites the baseline's values from the observed metrics,
 // keeping metric names, directions, and tolerance. Exact references are
 // verified, never rewritten: a run that deviates from an exact pin fails
-// the update rather than re-baselining the invariant.
+// the update rather than re-baselining the invariant. A ceiling only
+// comes down: a run above it fails the update the same way.
 func update(base Baseline, observed map[string]map[string]float64) (Baseline, error) {
 	for key, ref := range base.Benchmarks {
 		got, found := observed[benchName(key)][ref.Metric]
@@ -169,6 +180,10 @@ func update(base Baseline, observed map[string]map[string]float64) (Baseline, er
 					ref.Metric, key, got, ref.Value)
 			}
 			continue
+		}
+		if ref.Ceiling && got > ref.Value {
+			return base, fmt.Errorf("benchgate: ceiling metric %q of %s is %.4g, above its ceiling %.4g — fix the regression, don't raise the ceiling",
+				ref.Metric, key, got, ref.Value)
 		}
 		ref.Value = got
 		base.Benchmarks[key] = ref
@@ -188,6 +203,11 @@ func loadBaseline(path string) (Baseline, error) {
 	}
 	if len(base.Benchmarks) == 0 {
 		return Baseline{}, fmt.Errorf("benchgate: baseline %s gates no benchmarks", path)
+	}
+	for key, ref := range base.Benchmarks {
+		if ref.Ceiling && (ref.Exact || ref.HigherIsBetter) {
+			return Baseline{}, fmt.Errorf("benchgate: baseline %s: %s is a ceiling, so neither exact nor higher-is-better", path, key)
+		}
 	}
 	return base, nil
 }

@@ -460,3 +460,105 @@ func TestUpdateRefusesToMoveExactPin(t *testing.T) {
 		t.Error("baseline rewritten despite the failed exact refresh")
 	}
 }
+
+// allocBench renders a per-layer result line with the given allocations
+// per op, the count BENCH_12 holds under a ceiling.
+func allocBench(allocs float64) string {
+	return "BenchmarkEngineSubmit-8 \t 20000\t 4321 ns/op\t 936 B/op\t " + strconvF(allocs) + " allocs/op\n"
+}
+
+func ceilingBaseline(allocs float64) Baseline {
+	return Baseline{Benchmarks: map[string]Reference{
+		"BenchmarkEngineSubmit": {Metric: "allocs/op", Value: allocs, Ceiling: true},
+	}}
+}
+
+// TestCeilingGatesIncreases: a ceiling ignores the tolerance — one
+// allocation above it fails, though 6 vs 5 would pass a 25% tolerance —
+// and any reading at or below it passes.
+func TestCeilingGatesIncreases(t *testing.T) {
+	for _, tc := range []struct {
+		allocs float64
+		pass   bool
+	}{{5, true}, {4, true}, {0, true}, {6, false}, {5.5, false}} {
+		observed, err := parseBench(strings.NewReader(allocBench(tc.allocs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, ok := check(ceilingBaseline(5), observed)
+		if ok != tc.pass {
+			t.Errorf("%g allocs/op against a ceiling of 5: pass %v, want %v\n%s",
+				tc.allocs, ok, tc.pass, strings.Join(lines, "\n"))
+		}
+	}
+}
+
+// TestUpdateOnlyLowersCeiling: -update ratchets a ceiling down to a lower
+// reading and keeps it a ceiling, but refuses, leaving the file as it
+// was, a reading above it.
+func TestUpdateOnlyLowersCeiling(t *testing.T) {
+	dir := t.TempDir()
+	baselinePath := filepath.Join(dir, "BENCH.json")
+	inputPath := filepath.Join(dir, "bench.out")
+	raw, err := json.Marshal(ceilingBaseline(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(baselinePath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refresh := func(allocs float64) error {
+		if err := os.WriteFile(inputPath, []byte(allocBench(allocs)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var sink strings.Builder
+		return run("", baselinePath, inputPath, true, &sink)
+	}
+	read := func() []byte {
+		raw, err := os.ReadFile(baselinePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	if err := refresh(4); err != nil {
+		t.Fatal(err)
+	}
+	lowered := read()
+	var updated Baseline
+	if err := json.Unmarshal(lowered, &updated); err != nil {
+		t.Fatal(err)
+	}
+	if ref := updated.Benchmarks["BenchmarkEngineSubmit"]; ref.Value != 4 || !ref.Ceiling {
+		t.Fatalf("ceiling after a refresh at 4: %+v, want a ceiling of 4", ref)
+	}
+	if err := refresh(5); err == nil {
+		t.Fatal("-update above the ceiling must fail")
+	}
+	if string(read()) != string(lowered) {
+		t.Error("baseline rewritten despite the refused raise")
+	}
+}
+
+// TestLoadBaselineRefusesContradictoryCeiling: a ceiling bounds from above
+// only, so one that is also exact or higher-is-better is refused.
+func TestLoadBaselineRefusesContradictoryCeiling(t *testing.T) {
+	dir := t.TempDir()
+	for name, ref := range map[string]Reference{
+		"exact":  {Metric: "allocs/op", Value: 5, Ceiling: true, Exact: true},
+		"higher": {Metric: "allocs/op", Value: 5, Ceiling: true, HigherIsBetter: true},
+	} {
+		raw, err := json.Marshal(Baseline{Benchmarks: map[string]Reference{"BenchmarkX": ref}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "BENCH_"+name+".json")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadBaseline(path); err == nil {
+			t.Errorf("%s ceiling accepted", name)
+		}
+	}
+}

@@ -109,7 +109,7 @@ func TestCompiledStagesDeriveFromCompilation(t *testing.T) {
 					a.Name, sk.Stage, task.Flops, task.InputBytes, task.OutputBytes,
 					c.Flops, c.InputBytes, c.OutputBytes)
 			}
-			for _, v := range []string{runtime.VariantCPU1, runtime.VariantCPU16, runtime.VariantFPGA} {
+			for _, v := range []string{runtime.VariantCPU1.String(), runtime.VariantCPU16.String(), runtime.VariantFPGA.String()} {
 				if p, ok := c.Point(v); !ok || p.LatencySeconds <= 0 {
 					t.Errorf("%s/%s: operating point %s not derived", a.Name, sk.Stage, v)
 				}

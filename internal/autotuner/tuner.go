@@ -21,8 +21,9 @@ type Variant struct {
 
 // Tuner is the mARGOt instance the adaptive engine embeds per workflow:
 // one "impl" knob whose operating points carry expected execution latency,
-// ranked minimize-time. The engine consults Available/Drift on every
-// dispatch and feeds Observe from completions (an EWMA with alpha 0.5), so
+// ranked minimize-time. The engine resolves each variant it knows to its
+// point once per workflow (Index), consults Drift on every placement and
+// feeds Observe from completions (an EWMA with alpha 0.5), so
 // variant selection tracks the live environment instead of the static
 // plan. Hot-plug events need no hook here: a device's attachment is priced
 // per placement, and a tuner's knowledge lives only while its workflow is
@@ -30,9 +31,8 @@ type Variant struct {
 // Tuner is not safe for concurrent use: each belongs to one workflow, and
 // its engine touches it only under the serve lock.
 //
-// The knowledge base is one slice of points in seed order, scanned
-// linearly: the engine calls Best on every placement of every task, so a
-// lookup allocates nothing.
+// The knowledge base is one slice of points in seed order, addressed by
+// position, so a lookup allocates nothing.
 type Tuner struct {
 	points []point
 }
@@ -44,11 +44,12 @@ type point struct {
 	expected float64 // live expected ms (EWMA)
 }
 
-// index resolves a variant name with a linear scan: tuners hold a handful
-// of variants (cpu1/cpu16/fpga), where scanning a short slice beats a map
-// on both lookup time and construction allocations — Reset runs once per
-// submitted workflow on the engine's hot path.
-func (t *Tuner) index(name string) (int, bool) {
+// Index resolves a variant name to the position of its point, which Drift
+// and Observe take, with a linear scan: tuners hold a handful of variants
+// (cpu1/cpu16/fpga), where scanning a short slice beats a map on both
+// lookup time and construction allocations — Reset runs once per submitted
+// workflow on the engine's hot path. A position holds until the next Reset.
+func (t *Tuner) Index(name string) (int, bool) {
 	for i := range t.points {
 		if t.points[i].name == name {
 			return i, true
@@ -71,7 +72,7 @@ func NewTuner(variants []Variant) (*Tuner, error) {
 // observation, so a recycled tuner is indistinguishable from a new one. It
 // reuses the tuner's storage and allocates only when variants outnumber
 // its capacity. It does not retain variants. A malformed set is refused
-// with the error NewTuner gives, and leaves no variant Available.
+// with the error NewTuner gives, and leaves no variant to Index.
 func (t *Tuner) Reset(variants []Variant) error {
 	if cap(t.points) < len(variants) {
 		t.points = make([]point, 0, len(variants))
@@ -98,7 +99,7 @@ func (t *Tuner) seed(v Variant) error {
 		return fmt.Errorf("autotuner: variant %q bound %.4gms must be absent (0) or >= expected %.4gms",
 			v.Name, v.BoundMs, v.ExpectedMs)
 	}
-	if _, dup := t.index(v.Name); dup {
+	if _, dup := t.Index(v.Name); dup {
 		return fmt.Errorf("autotuner: duplicate variant %q", v.Name)
 	}
 	t.points = append(t.points, point{name: v.Name, seed: v.ExpectedMs, expected: v.ExpectedMs})
@@ -117,29 +118,22 @@ func (t *Tuner) Best() string {
 	return t.points[best].name
 }
 
-// Drift returns expected/seed for a variant: the learned multiplicative
-// deviation of the live environment from the design-time model (1 = on
-// model). Schedulers scale their per-task nominal estimates by it.
-func (t *Tuner) Drift(name string) float64 {
-	i, ok := t.index(name)
-	if !ok || t.points[i].seed <= 0 || t.points[i].expected <= 0 {
+// Drift returns expected/seed for the variant at position i (Index): the
+// learned multiplicative deviation of the live environment from the
+// design-time model (1 = on model). Schedulers scale their per-task
+// nominal estimates by it.
+func (t *Tuner) Drift(i int) float64 {
+	p := &t.points[i]
+	if p.seed <= 0 || p.expected <= 0 {
 		return 1
 	}
-	return t.points[i].expected / t.points[i].seed
+	return p.expected / p.seed
 }
 
-// Available reports whether the tuner knows a variant, and so may select
-// it.
-func (t *Tuner) Available(name string) bool {
-	_, ok := t.index(name)
-	return ok
-}
-
-// Observe feeds one measured latency (ms) for a variant back into the
-// knowledge base: the expected latency moves halfway to the observation.
-func (t *Tuner) Observe(name string, ms float64) {
-	if i, ok := t.index(name); ok {
-		p := &t.points[i]
-		p.expected = 0.5*p.expected + 0.5*ms
-	}
+// Observe feeds one measured latency (ms) for the variant at position i
+// (Index) back into the knowledge base: the expected latency moves halfway
+// to the observation.
+func (t *Tuner) Observe(i int, ms float64) {
+	p := &t.points[i]
+	p.expected = 0.5*p.expected + 0.5*ms
 }

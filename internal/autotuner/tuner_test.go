@@ -9,10 +9,26 @@ import (
 // expected returns a variant's current expected latency in ms (0 for
 // unknown variants).
 func expected(tn *Tuner, name string) float64 {
-	if i, ok := tn.index(name); ok {
+	if i, ok := tn.Index(name); ok {
 		return tn.points[i].expected
 	}
 	return 0
+}
+
+// at returns the position of a variant the tuner must know.
+func at(t *testing.T, tn *Tuner, name string) int {
+	t.Helper()
+	i, ok := tn.Index(name)
+	if !ok {
+		t.Fatalf("tuner does not know %q", name)
+	}
+	return i
+}
+
+// known reports whether the tuner knows a variant.
+func known(tn *Tuner, name string) bool {
+	_, ok := tn.Index(name)
+	return ok
 }
 
 // variantNames returns the variant names in seed order.
@@ -60,21 +76,21 @@ func TestTunerSelectsAndAdapts(t *testing.T) {
 	// The fpga variant degrades in the field (device unplugged, runs fall
 	// back to slow software): observations push its expectation past cpu16.
 	for i := 0; i < 6; i++ {
-		tn.Observe("fpga", 900)
+		tn.Observe(at(t, tn, "fpga"), 900)
 	}
 	if got := tn.Best(); got != "cpu16" {
 		t.Fatalf("after degradation best = %q (fpga now %.0fms), want cpu16",
 			got, expected(tn, "fpga"))
 	}
-	if d := tn.Drift("fpga"); d < 10 {
+	if d := tn.Drift(at(t, tn, "fpga")); d < 10 {
 		t.Fatalf("fpga drift = %g, want >= 10 (expected latency blew up)", d)
 	}
-	if d := tn.Drift("cpu16"); math.Abs(d-1) > 1e-9 {
+	if d := tn.Drift(at(t, tn, "cpu16")); math.Abs(d-1) > 1e-9 {
 		t.Fatalf("untouched cpu16 drift = %g, want 1", d)
 	}
 	// Fast fpga observations recover the selection.
 	for i := 0; i < 12; i++ {
-		tn.Observe("fpga", 15)
+		tn.Observe(at(t, tn, "fpga"), 15)
 	}
 	if got := tn.Best(); got != "fpga" {
 		t.Fatalf("after recovery best = %q, want fpga", got)
@@ -87,7 +103,7 @@ func TestTunerResetRestoresSeeds(t *testing.T) {
 	seeds := []Variant{{Name: "cpu1", ExpectedMs: 1000}, {Name: "cpu16", ExpectedMs: 120}, {Name: "fpga", ExpectedMs: 15}}
 	tn := newTestTuner(t)
 	for _, v := range seeds {
-		tn.Observe(v.Name, 7*v.ExpectedMs)
+		tn.Observe(at(t, tn, v.Name), 7*v.ExpectedMs)
 	}
 	if err := tn.Reset(seeds); err != nil {
 		t.Fatal(err)
@@ -96,7 +112,7 @@ func TestTunerResetRestoresSeeds(t *testing.T) {
 		if got := expected(tn, v.Name); got != v.ExpectedMs {
 			t.Errorf("%s expected %g after Reset, want the seed %g", v.Name, got, v.ExpectedMs)
 		}
-		if got := tn.Drift(v.Name); got != 1 {
+		if got := tn.Drift(at(t, tn, v.Name)); got != 1 {
 			t.Errorf("%s drift %g after Reset, want 1", v.Name, got)
 		}
 	}
@@ -115,7 +131,7 @@ func TestTunerResetReusesStorage(t *testing.T) {
 		if err := tn.Reset(seeds); err != nil {
 			t.Fatal(err)
 		}
-		tn.Observe("fpga", 60)
+		tn.Observe(at(t, tn, "fpga"), 60)
 	}); got != 0 {
 		t.Fatalf("Reset into a tuner with room allocates %.1f per run, want 0", got)
 	}
@@ -144,26 +160,24 @@ func TestTunerResetRefusesLikeNewTuner(t *testing.T) {
 			t.Errorf("Reset(%+v) = %v, want %q", bad, err, want)
 		}
 		for _, name := range []string{"cpu1", "cpu16", "fpga", "a", "b"} {
-			if tn.Available(name) {
+			if known(tn, name) {
 				t.Errorf("after Reset(%+v) refused, %q is still available", bad, name)
 			}
 		}
 	}
 }
 
-// TestTunerAvailableIsKnownVariant: a tuner offers exactly the variants
-// it was seeded with, and unknown names read as absent.
+// TestTunerAvailableIsKnownVariant: a tuner knows exactly the variants it
+// was seeded with, each at its place in the seed order, and unknown names
+// read as absent.
 func TestTunerAvailableIsKnownVariant(t *testing.T) {
 	tn := newTestTuner(t)
-	for _, v := range variantNames(tn) {
-		if !tn.Available(v) {
-			t.Errorf("seeded variant %q must be available", v)
+	for want, v := range variantNames(tn) {
+		if got, ok := tn.Index(v); !ok || got != want {
+			t.Errorf("seeded variant %q at %d (known %v), want %d", v, got, ok, want)
 		}
 	}
-	if tn.Available("ghost") {
-		t.Fatal("unknown variant must be unavailable")
-	}
-	if expected(tn, "ghost") != 0 || tn.Drift("ghost") != 1 {
-		t.Fatal("unknown variant must report zero expectation, unit drift")
+	if known(tn, "ghost") || expected(tn, "ghost") != 0 {
+		t.Fatal("unknown variant must be absent, with zero expectation")
 	}
 }

@@ -557,18 +557,36 @@ func (k *KRR) solve(y []float64) {
 	ci := k.rows(0)
 	for i := 0; i < n; i++ {
 		li := ci.next()
+		// Four terms a step, in order, as factor eliminates.
 		s := a[i]
-		for c, v := range li[:i] {
-			s -= v * a[c]
+		lr := li[:i]
+		ar := a[:len(lr)]
+		c := 0
+		for ; c+4 <= len(lr); c += 4 {
+			s -= lr[c] * ar[c]
+			s -= lr[c+1] * ar[c+1]
+			s -= lr[c+2] * ar[c+2]
+			s -= lr[c+3] * ar[c+3]
+		}
+		for ; c < len(lr); c++ {
+			s -= lr[c] * ar[c]
 		}
 		a[i] = s / li[i]
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := a[i]
-		// Column i of L below the diagonal: entry (c, i) for c > i.
+		// Column i of L below the diagonal: entry (c, i) for c > i, four
+		// terms a step.
 		col := k.rows(i)
 		lii := col.next()[i]
-		for c := i + 1; c < n; c++ {
+		c := i + 1
+		for ; c+4 <= n; c += 4 {
+			s -= col.next()[i] * a[c]
+			s -= col.next()[i] * a[c+1]
+			s -= col.next()[i] * a[c+2]
+			s -= col.next()[i] * a[c+3]
+		}
+		for ; c < n; c++ {
 			s -= col.next()[i] * a[c]
 		}
 		a[i] = s / lii
@@ -611,11 +629,19 @@ func (k *KRR) Predict(feat []float64) (float64, error) {
 		ci := k.rows(0)
 		for i := range w {
 			li := ci.next()
+			// Four terms a step, in order, as factor eliminates.
 			s := k.rbf(fs, k.row(i))
 			lr := li[:i]
 			wr := w[:len(lr)]
-			for c, l := range lr {
-				s -= wr[c] * l
+			c := 0
+			for ; c+4 <= len(lr); c += 4 {
+				s -= wr[c] * lr[c]
+				s -= wr[c+1] * lr[c+1]
+				s -= wr[c+2] * lr[c+2]
+				s -= wr[c+3] * lr[c+3]
+			}
+			for ; c < len(lr); c++ {
+				s -= wr[c] * lr[c]
 			}
 			w[i] = s / li[i]
 			b, r := i/cholBlock, i%cholBlock

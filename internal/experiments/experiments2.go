@@ -144,14 +144,14 @@ func E7() (Table, error) {
 		return t, err
 	}
 	flags := [3]string{"initial_fpga", "degraded_cpu16", "recovered_fpga"}
-	want := [3]string{runtime.VariantFPGA, runtime.VariantCPU16, runtime.VariantFPGA}
+	want := [3]runtime.Variant{runtime.VariantFPGA, runtime.VariantCPU16, runtime.VariantFPGA}
 	for i, ph := range run.phases {
 		// mc0 and mc1 are sdk.AdaptiveWorkflow's only tasks with an fpga variant.
 		mix, n := map[string]int{}, 0
 		for _, s := range ph.scheds {
 			for _, a := range s.Assignments {
 				if strings.HasPrefix(a.Task, "mc") {
-					mix[a.Variant]++
+					mix[a.Variant.String()]++
 					n++
 				}
 			}
@@ -162,7 +162,7 @@ func E7() (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{ph.name, ph.event, f3(ph.at), strings.Join(cells, ", "), f3(ph.meanSpan)})
 		t.metric(ph.name+"_span_s", ph.meanSpan)
-		t.metric(flags[i], boolTo01(n > 0 && mix[want[i]] == n))
+		t.metric(flags[i], boolTo01(n > 0 && mix[want[i].String()] == n))
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"%d AdaptiveWorkflows per phase on node00 (Xeon + Alveo U55C), one guest holding device 0's VF; "+

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"testing"
 
 	"everest/internal/autotuner"
@@ -292,9 +293,9 @@ func adaptiveChurnFleet(tb testing.TB) (*Fleet, func()) {
 	}
 	compiled := fpgaWorkflow("bs-a")
 	compiled.SetVariants([]autotuner.Variant{
-		{Name: runtime.VariantCPU1, ExpectedMs: 400},
-		{Name: runtime.VariantCPU16, ExpectedMs: 40},
-		{Name: runtime.VariantFPGA, ExpectedMs: 4, BoundMs: 8},
+		{Name: runtime.VariantCPU1.String(), ExpectedMs: 400},
+		{Name: runtime.VariantCPU16.String(), ExpectedMs: 40},
+		{Name: runtime.VariantFPGA.String(), ExpectedMs: 4, BoundMs: 8},
 	})
 	mix := []*runtime.Workflow{compiled, cpuWorkflow()}
 	for _, id := range ids[1:] {
@@ -340,6 +341,27 @@ func TestFleetChurnSubmitAllocBudget(t *testing.T) {
 	}
 	if evictions == 0 || st.Failed != 0 {
 		t.Fatalf("fixture evicted %d bitstreams with %d failures: want a churning cache", evictions, st.Failed)
+	}
+}
+
+// TestFleetChurnSubmitByteBudget is TestFleetChurnSubmitAllocBudget in
+// bytes: the heap bytes one warmed Submit of the churn mix allocates,
+// averaged over many and rounded down, so a stray allocation elsewhere in
+// the process moves it by less than a byte. The ticket, the name and the
+// 56-B assignment records make it up, so a record or ticket that grows
+// shows here.
+func TestFleetChurnSubmitByteBudget(t *testing.T) {
+	f, submit := adaptiveChurnFleet(t)
+	defer f.Shutdown()
+	const runs, budget = 2000, 312
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for range runs {
+		submit()
+	}
+	goruntime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > budget {
+		t.Errorf("adaptive one-slot Submit allocates %d B per run, budget %d", got, budget)
 	}
 }
 

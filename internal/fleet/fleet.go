@@ -678,8 +678,10 @@ func (f *Fleet) Submit(req Request) (*Ticket, error) {
 	}
 	if err != nil {
 		f.rejected++
-		f.trace(Event{Kind: EventReject, Tenant: tenant, Workflow: req.Name,
-			Time: req.Arrival, Detail: err.Error()})
+		if f.cfg.Trace != nil { // the refusal's text is formatted only when read
+			f.trace(Event{Kind: EventReject, Tenant: tenant, Workflow: req.Name,
+				Time: req.Arrival, Detail: err.Error()})
+		}
 		return nil, err
 	}
 	f.submitted++
@@ -809,11 +811,24 @@ func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs, reads []dataset.Part
 		}
 	}
 	if best < 0 {
-		return 0, 0, fmt.Errorf("%w: no site can prove a %.4gs deadline (%d sites)",
-			ErrSaturated, deadline, len(f.sites))
+		return 0, 0, &deadlineRefusal{deadline: deadline, sites: len(f.sites)}
 	}
 	return best, bestBound, nil
 }
+
+// deadlineRefusal is routeGuaranteed's refusal: no site can prove the
+// deadline. It wraps ErrSaturated and formats its text only when read, so
+// a refusal costs one small allocation.
+type deadlineRefusal struct {
+	deadline float64
+	sites    int
+}
+
+func (r *deadlineRefusal) Error() string {
+	return fmt.Sprintf("%v: no site can prove a %.4gs deadline (%d sites)", ErrSaturated, r.deadline, r.sites)
+}
+
+func (r *deadlineRefusal) Unwrap() error { return ErrSaturated }
 
 // admissionBound evaluates the guaranteed-class inequality on one site for
 // a workflow whose own worst case (deploys, staging, service) is own,

@@ -645,9 +645,9 @@ func TestTicketSchedulesAreOwned(t *testing.T) {
 	defer f.Shutdown()
 	shapes := []*runtime.Workflow{fpgaWorkflow("bs0"), cpuWorkflow(), fpgaWorkflow("bs0")}
 	shapes[2].SetVariants([]autotuner.Variant{
-		{Name: runtime.VariantCPU1, ExpectedMs: 400},
-		{Name: runtime.VariantCPU16, ExpectedMs: 40},
-		{Name: runtime.VariantFPGA, ExpectedMs: 4},
+		{Name: runtime.VariantCPU1.String(), ExpectedMs: 400},
+		{Name: runtime.VariantCPU16.String(), ExpectedMs: 40},
+		{Name: runtime.VariantFPGA.String(), ExpectedMs: 4},
 	})
 	var scheds []*runtime.Schedule
 	var copies []runtime.Schedule

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -68,7 +69,8 @@ func TestGuaranteedAdmitAndSettle(t *testing.T) {
 }
 
 // TestGuaranteedRefusesImpossibleDeadline asks for a bound no site can
-// prove: Submit must refuse with ErrSaturated and serve nothing.
+// prove: Submit must refuse with ErrSaturated, in the text it always had,
+// and serve nothing.
 func TestGuaranteedRefusesImpossibleDeadline(t *testing.T) {
 	reg := platform.NewRegistry()
 	f := newTestFleet(t, reg, Config{Sites: 2})
@@ -77,6 +79,9 @@ func TestGuaranteedRefusesImpossibleDeadline(t *testing.T) {
 	_, err := f.Submit(Request{Workflow: cpuWorkflow(), Guaranteed: true, Deadline: 1e-12})
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("expected ErrSaturated, got %v", err)
+	}
+	if want := fmt.Errorf("%w: no site can prove a %.4gs deadline (%d sites)", ErrSaturated, 1e-12, 2).Error(); err.Error() != want {
+		t.Errorf("refusal reads %q, want %q", err, want)
 	}
 	st := f.Stats()
 	if st.Rejected != 1 || st.Submitted != 0 {

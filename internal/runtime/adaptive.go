@@ -31,15 +31,38 @@ import (
 // the gap between the two under induced faults is what
 // BenchmarkAdaptivePlacement measures.
 
-// Implementation variants of one task (the paper's E7 knob values).
+// Variant is one implementation a task may run as: the engine's closed set
+// of operating points (the paper's E7 knob values), one byte wide. The
+// tuner's vocabulary stays the names String returns; seedTuner resolves
+// them to tuner points once per workflow, and a seeded name outside the
+// set is never a placement candidate.
+type Variant uint8
+
+// Implementation variants of one task.
 const (
+	// VariantAsSubmitted runs the task as its spec requests: the static
+	// engine's only variant, and the adaptive engine's when the tuner
+	// knows none the task can run as.
+	VariantAsSubmitted Variant = iota
 	// VariantCPU1 is the single-core software fallback.
-	VariantCPU1 = "cpu1"
+	VariantCPU1
 	// VariantCPU16 is the parallel software implementation.
-	VariantCPU16 = "cpu16"
+	VariantCPU16
 	// VariantFPGA is the offloaded kernel.
-	VariantFPGA = "fpga"
+	VariantFPGA
+	numVariants
 )
+
+var variantNames = [numVariants]string{"", "cpu1", "cpu16", "fpga"}
+
+// String returns the variant's tuner name: "cpu1", "cpu16" or "fpga", and
+// "" as submitted.
+func (v Variant) String() string {
+	if v < numVariants {
+		return variantNames[v]
+	}
+	return fmt.Sprintf("Variant(%d)", v)
+}
 
 // cpu16Cores is the core count of the parallel software variant.
 const cpu16Cores = 16
@@ -66,7 +89,7 @@ func fpgaCostOn(t *TaskSpec, n *platform.Node, at float64) (cost float64, devIdx
 }
 
 // costLive returns what executing task t on node n costs for a requested
-// variant ("" = as submitted, the static engine's path), priced at the
+// variant (as submitted on the static engine's path), priced at the
 // task's modelled start time `at`: the load factor and device attachment
 // in effect *then* apply, so environment events never act retroactively on
 // modelled-earlier work regardless of wall-clock interleaving. It also
@@ -75,7 +98,7 @@ func fpgaCostOn(t *TaskSpec, n *platform.Node, at float64) (cost float64, devIdx
 // was detached. The fallback model is uniform: a detached device degrades
 // the task to its as-submitted software execution (TaskSpec.Cores),
 // whichever path detects the detach.
-func costLive(t *TaskSpec, n *platform.Node, variant string, at float64) (cost, nominal float64, onFPGA bool, devIdx int, fellBack bool) {
+func costLive(t *TaskSpec, n *platform.Node, variant Variant, at float64) (cost, nominal float64, onFPGA bool, devIdx int, fellBack bool) {
 	bytes := t.TotalBytes()
 	switch variant {
 	case VariantFPGA:
@@ -274,6 +297,7 @@ func (e *Engine) Apply(ev EnvEvent) error {
 // when some task can actually offload somewhere.
 func (e *Engine) seedTuner(st *wfState) bool {
 	if len(st.variants) > 0 && st.tuner.Reset(st.variants) == nil {
+		st.resolvePoints()
 		return true
 	}
 	// A malformed set falls through to the engine-derived seeds.
@@ -311,29 +335,50 @@ func (e *Engine) seedTuner(st *wfState) bool {
 	}
 	var seeds [3]autotuner.Variant
 	variants := append(seeds[:0],
-		autotuner.Variant{Name: VariantCPU1, ExpectedMs: ms(cpu1, nTasks)},
-		autotuner.Variant{Name: VariantCPU16, ExpectedMs: ms(cpu16, nTasks)})
+		autotuner.Variant{Name: VariantCPU1.String(), ExpectedMs: ms(cpu1, nTasks)},
+		autotuner.Variant{Name: VariantCPU16.String(), ExpectedMs: ms(cpu16, nTasks)})
 	if nFPGA > 0 {
-		variants = append(variants, autotuner.Variant{Name: VariantFPGA, ExpectedMs: ms(fpga, nFPGA)})
+		variants = append(variants, autotuner.Variant{Name: VariantFPGA.String(), ExpectedMs: ms(fpga, nFPGA)})
 	}
 	// A refused set leaves the workflow to static placement.
-	return st.tuner.Reset(variants) == nil
+	if st.tuner.Reset(variants) != nil {
+		return false
+	}
+	st.resolvePoints()
+	return true
 }
+
+// resolvePoints records where the freshly seeded tuner keeps each variant's
+// point, so placement and completion look a variant up by position, never
+// by name.
+func (st *wfState) resolvePoints() {
+	for v := range numVariants {
+		i, ok := st.tuner.Index(v.String())
+		if !ok {
+			i = -1
+		}
+		st.points[v] = i
+	}
+}
+
+// known reports whether the workflow's tuner holds variant v.
+func (st *wfState) known(v Variant) bool { return st.points[v] >= 0 }
 
 // variantsInto appends the implementation variants task may run as, among
 // those the workflow tuner knows, into the caller's scratch buffer (no
-// per-placement allocation).
-func (e *Engine) variantsInto(buf []string, st *wfState, t *TaskSpec) []string {
-	for _, v := range [...]string{VariantCPU1, VariantCPU16} {
-		if st.tuner.Available(v) {
+// per-placement allocation). A task that can run as none of them runs as
+// submitted.
+func (e *Engine) variantsInto(buf []Variant, st *wfState, t *TaskSpec) []Variant {
+	for _, v := range [...]Variant{VariantCPU1, VariantCPU16} {
+		if st.known(v) {
 			buf = append(buf, v)
 		}
 	}
-	if t.NeedsFPGA && t.BitstreamID != "" && st.tuner.Available(VariantFPGA) {
+	if t.NeedsFPGA && t.BitstreamID != "" && st.known(VariantFPGA) {
 		buf = append(buf, VariantFPGA)
 	}
 	if len(buf) == 0 {
-		buf = append(buf, st.tuner.Best()) // graceful degradation
+		buf = append(buf, VariantAsSubmitted)
 	}
 	return buf
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"everest/internal/autotuner"
 	"everest/internal/platform"
 )
 
@@ -62,7 +63,7 @@ func TestAdaptiveSelectsFPGAVariant(t *testing.T) {
 			t.Errorf("task %s ran as %v, want FPGA (healthy cluster)", a.Task, a.Node)
 		}
 	}
-	if got := sched.VariantCounts()[VariantFPGA]; got != 4 {
+	if got := sched.VariantCounts()[VariantFPGA.String()]; got != 4 {
 		t.Errorf("fpga variant count = %d, want 4 (%+v)", got, sched.VariantCounts())
 	}
 	if sched.Adapt.Fallbacks != 0 {
@@ -114,7 +115,7 @@ func TestAdaptiveReactsToUnplug(t *testing.T) {
 	}
 	// The switch must go to the parallel software variant, not the
 	// single-core fallback the static engine would pay.
-	if got := sched.VariantCounts()[VariantCPU16]; got != 4 {
+	if got := sched.VariantCounts()[VariantCPU16.String()]; got != 4 {
 		t.Errorf("cpu16 count = %d, want 4 (%+v)", got, sched.VariantCounts())
 	}
 	if sched.Adapt.Fallbacks != 0 {
@@ -322,5 +323,62 @@ func TestMonitorLearnsThroughEngine(t *testing.T) {
 	}
 	if est < 2 {
 		t.Errorf("slowdown estimate for %s = %g, want >= 2", slow, est)
+	}
+}
+
+// seededTask returns a one-task workflow, a CPU task of 1 GFLOP on 4
+// cores, whose tuner is seeded with the named variants only.
+func seededTask(t *testing.T, names ...string) *Workflow {
+	t.Helper()
+	w := NewWorkflow()
+	if err := w.Submit(TaskSpec{Name: "t", Flops: 1e9, Cores: 4}); err != nil {
+		t.Fatal(err)
+	}
+	var seeds []autotuner.Variant
+	for _, name := range names {
+		seeds = append(seeds, autotuner.Variant{Name: name, ExpectedMs: 1})
+	}
+	w.SetVariants(seeds)
+	return w
+}
+
+// TestAdaptiveServesTaskWithNoUsableVariant: a workflow seeded only with
+// fpga has no variant its software task can run as, so the adaptive
+// engine serves it as submitted, exactly as the static engine does,
+// instead of refusing it for want of a node that can run fpga.
+func TestAdaptiveServesTaskWithNoUsableVariant(t *testing.T) {
+	static, err := ServeAlone(testCluster(2), EngineConfig{Policy: PolicyHEFT}, seededTask(t, "fpga"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := ServeAlone(testCluster(2), EngineConfig{Policy: PolicyHEFT, Adaptive: true}, seededTask(t, "fpga"))
+	if err != nil {
+		t.Fatalf("adaptive engine refused the fpga-seeded software task: %v", err)
+	}
+	if sched.Makespan != static.Makespan {
+		t.Errorf("adaptive makespan %g, want the static engine's %g", sched.Makespan, static.Makespan)
+	}
+	if a := sched.Assignments[0]; a.Variant != VariantAsSubmitted || a.OnFPGA {
+		t.Errorf("task ran as %q (on FPGA %v), want as submitted in software", a.Variant, a.OnFPGA)
+	}
+}
+
+// TestAdaptivePricesUnknownVariantAsBilled: a workflow seeded only with a
+// name outside the engine's variants (gpu) runs as submitted, and its
+// placement estimate is what execution bills: the engine's frontier after
+// serving it ends where the task did, not at a cpu1 estimate.
+func TestAdaptivePricesUnknownVariantAsBilled(t *testing.T) {
+	e := startEngine(t, testCluster(2), EngineConfig{Policy: PolicyHEFT, Adaptive: true})
+	defer e.Shutdown()
+	var sched Schedule
+	if err := e.Serve(seededTask(t, "gpu"), SubmitOptions{}, &sched); err != nil {
+		t.Fatal(err)
+	}
+	a := sched.Assignments[0]
+	if got := e.Stats().Backlog; got != a.End {
+		t.Errorf("placement priced the task to end at %g, execution billed %g", got, a.End)
+	}
+	if a.Variant != VariantAsSubmitted || len(sched.VariantCounts()) != 0 {
+		t.Errorf("task recorded as %q (counts %v), want as submitted", a.Variant, sched.VariantCounts())
 	}
 }

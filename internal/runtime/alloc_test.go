@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"testing"
+	"unsafe"
 
 	"everest/internal/netsim"
 )
@@ -30,6 +31,18 @@ func assertAllocs(t *testing.T, what string, budget float64, fn func()) {
 	t.Helper()
 	if got := testing.AllocsPerRun(200, fn); got > budget {
 		t.Errorf("%s allocates %.1f per run, budget %.0f", what, got, budget)
+	}
+}
+
+// TestAssignmentRecordSize pins the served schedule record, which every
+// completed task of every workflow allocates, at 56 B on a 64-bit target:
+// two names, two times, two flags and the one-byte variant.
+func TestAssignmentRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned layout is the 64-bit one")
+	}
+	if got := unsafe.Sizeof(Assignment{}); got != 56 {
+		t.Errorf("Assignment is %d B, want 56", got)
 	}
 }
 

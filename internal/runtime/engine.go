@@ -518,6 +518,9 @@ type wfState struct {
 	// workflow's seeds (adaptive mode only).
 	tuner autotuner.Tuner
 	tuned bool
+	// points holds the tuner's position of each variant's point, -1 when
+	// the tuner does not know it (resolvePoints, when tuned).
+	points [numVariants]int
 	// variants are the workflow's compiler-derived tuner seeds
 	// (Workflow.SetVariants), read-only; empty means the engine derives
 	// its own.
@@ -647,9 +650,9 @@ type execRequest struct {
 	tidx    int32
 	ready   float64 // dep outputs available on this node (incl. transfers)
 	restart bool
-	moved   int64  // bytes this placement pulls from other nodes
-	groups  int    // batched transfers feeding this placement
-	variant string // implementation variant ("" = as submitted)
+	moved   int64   // bytes this placement pulls from other nodes
+	groups  int     // batched transfers feeding this placement
+	variant Variant // implementation variant
 }
 
 // execReport is one inline execution's completion (or loss) notice.
@@ -665,7 +668,7 @@ type execReport struct {
 	groups   int     // batched transfers that fed it
 	lost     bool    // node died before the task finished
 	failAt   float64 // when (only meaningful if lost)
-	variant  string  // implementation variant requested ("" = as submitted)
+	variant  Variant // implementation variant requested
 	nominal  float64 // design-time cost of what actually ran (load learning)
 	fellBack bool    // FPGA placement executed on CPU (device detached)
 }
@@ -727,8 +730,6 @@ type dispatchState struct {
 	gBytes   []int64
 	gCount   []int32
 	gTouched []int32
-	// variant candidate scratch (adaptive placements).
-	variantsBuf []string
 
 	// Aggregates feeding the Stats snapshot, maintained incrementally
 	// where the event loop mutates queues/active/nodeFree so publishing a
@@ -748,19 +749,18 @@ type dispatchState struct {
 func (e *Engine) newDispatchState() *dispatchState {
 	nn := len(e.nodes)
 	return &dispatchState{
-		nodeFree:    make([]float64, nn),
-		clock:       make([]float64, nn),
-		dead:        make([]bool, nn),
-		deadAt:      make([]float64, nn),
-		heap:        NewTimeHeap(nn),
-		inHeap:      make([]bool, nn),
-		tenantIdx:   make(map[string]int),
-		active:      make(map[*wfState]bool),
-		gLatest:     make([]float64, nn),
-		gBytes:      make([]int64, nn),
-		gCount:      make([]int32, nn),
-		gTouched:    make([]int32, 0, nn),
-		variantsBuf: make([]string, 0, 3),
+		nodeFree:  make([]float64, nn),
+		clock:     make([]float64, nn),
+		dead:      make([]bool, nn),
+		deadAt:    make([]float64, nn),
+		heap:      NewTimeHeap(nn),
+		inHeap:    make([]bool, nn),
+		tenantIdx: make(map[string]int),
+		active:    make(map[*wfState]bool),
+		gLatest:   make([]float64, nn),
+		gBytes:    make([]int64, nn),
+		gCount:    make([]int32, nn),
+		gTouched:  make([]int32, 0, nn),
 	}
 }
 
@@ -953,7 +953,7 @@ func (e *Engine) onReport(ds *dispatchState, rep execReport) {
 		e.monitor.ObserveRatio(rep.node, dur, rep.nominal)
 	}
 	if st.tuned && rep.variant == VariantFPGA {
-		st.tuner.Observe(rep.variant, dur*1000)
+		st.tuner.Observe(st.points[VariantFPGA], dur*1000)
 	}
 	if rep.fellBack {
 		st.sched.Adapt.Fallbacks++
@@ -1101,20 +1101,22 @@ func (e *Engine) place(ds *dispatchState, item readyItem) {
 		}
 	}
 
-	variants := ds.variantsBuf[:0]
+	var buf [numVariants]Variant
+	variants := buf[:0]
 	fpgaDrift := 1.0
 	if adaptive {
 		variants = e.variantsInto(variants, st, task)
 		// The fpga drift is node-independent: computed once per placement,
 		// not inside the node loop.
-		fpgaDrift = st.tuner.Drift(VariantFPGA)
+		if st.known(VariantFPGA) {
+			fpgaDrift = st.tuner.Drift(st.points[VariantFPGA])
+		}
 	} else {
-		variants = append(variants, "")
+		variants = append(variants, VariantAsSubmitted)
 	}
-	ds.variantsBuf = variants
 
 	taskBytes := task.TotalBytes()
-	bestNode, bestVariant := -1, ""
+	bestNode, bestVariant := -1, VariantAsSubmitted
 	bestReady, bestEnd := 0.0, 0.0
 	bestBytes := int64(0)
 	bestGroups := 0
@@ -1142,9 +1144,10 @@ func (e *Engine) place(ds *dispatchState, item readyItem) {
 		}
 		for _, v := range variants {
 			var est float64
-			if !adaptive {
+			switch v {
+			case VariantAsSubmitted:
 				est, _, _ = costOn(task, n)
-			} else if v == VariantFPGA {
+			case VariantFPGA:
 				// Priced at the modelled time the task would start there:
 				// the scheduler knows the environment as of that moment,
 				// not the end of any scripted fault timeline.
@@ -1153,7 +1156,7 @@ func (e *Engine) place(ds *dispatchState, item readyItem) {
 					continue // no programmed device attached at ready time
 				}
 				est = c * fpgaDrift
-			} else {
+			default:
 				cores := 1
 				if v == VariantCPU16 {
 					cores = cpu16Cores
@@ -1195,7 +1198,7 @@ func (e *Engine) place(ds *dispatchState, item readyItem) {
 	if adaptive {
 		e.trace(Event{
 			Kind: EventVariant, Workflow: st.name, Tenant: st.tenant,
-			Task: task.Name, Node: e.nodes[bestNode].Name, Time: bestReady, Detail: bestVariant,
+			Task: task.Name, Node: e.nodes[bestNode].Name, Time: bestReady, Detail: bestVariant.String(),
 		})
 	}
 	// Transfer stats are accounted on completion (onReport), not here: a

@@ -102,8 +102,8 @@ func TestWorkflowVariantsSeedTuner(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SetVariants([]autotuner.Variant{
-		{Name: VariantCPU1, ExpectedMs: 123},
-		{Name: VariantCPU16, ExpectedMs: 7},
+		{Name: VariantCPU1.String(), ExpectedMs: 123},
+		{Name: VariantCPU16.String(), ExpectedMs: 7},
 	})
 	st := e.newWFState(w, "wf", "tenant", &Schedule{})
 	if !e.seedTuner(st) {
@@ -112,14 +112,14 @@ func TestWorkflowVariantsSeedTuner(t *testing.T) {
 	tn := &st.tuner
 	// One observation of twice the seed moves the EWMA to 1.5x the seed, so
 	// the drift reads 1.5 only when cpu1 was seeded with the compiled 123.
-	tn.Observe(VariantCPU1, 246)
-	if got := tn.Drift(VariantCPU1); got != 1.5 {
+	tn.Observe(st.points[VariantCPU1], 246)
+	if got := tn.Drift(st.points[VariantCPU1]); got != 1.5 {
 		t.Fatalf("cpu1 drift after observing 246 ms = %g, want 1.5 (the compiled seed 123)", got)
 	}
-	if got := tn.Best(); got != VariantCPU16 {
+	if got := tn.Best(); got != VariantCPU16.String() {
 		t.Fatalf("best = %s, want cpu16", got)
 	}
-	if tn.Available(VariantFPGA) {
+	if st.known(VariantFPGA) {
 		t.Fatal("fpga must be absent when the compiled set has no fpga point")
 	}
 
@@ -129,9 +129,9 @@ func TestWorkflowVariantsSeedTuner(t *testing.T) {
 	if err := w2.Submit(TaskSpec{Name: "t", Flops: 1e9, Cores: 1}); err != nil {
 		t.Fatal(err)
 	}
-	w2.SetVariants([]autotuner.Variant{{Name: VariantCPU1, ExpectedMs: -1}})
+	w2.SetVariants([]autotuner.Variant{{Name: VariantCPU1.String(), ExpectedMs: -1}})
 	st2 := e.newWFState(w2, "wf2", "tenant", &Schedule{})
-	if !e.seedTuner(st2) || !st2.tuner.Available(VariantCPU16) {
+	if !e.seedTuner(st2) || !st2.known(VariantCPU16) {
 		t.Fatal("malformed variant set must fall back to derived seeds")
 	}
 }

@@ -263,8 +263,8 @@ type Assignment struct {
 	Start   float64
 	End     float64
 	OnFPGA  bool
-	Restart bool   // true if this run replaces one lost to a node failure
-	Variant string // implementation variant the adaptive engine selected ("" = as submitted)
+	Restart bool    // true if this run replaces one lost to a node failure
+	Variant Variant // implementation variant the adaptive engine selected
 }
 
 // Schedule is the result of serving one workflow.
@@ -294,8 +294,8 @@ type AdaptStats struct {
 func (s *Schedule) VariantCounts() map[string]int {
 	counts := make(map[string]int)
 	for _, a := range s.Assignments {
-		if a.Variant != "" {
-			counts[a.Variant]++
+		if a.Variant != VariantAsSubmitted {
+			counts[a.Variant.String()]++
 		}
 	}
 	return counts

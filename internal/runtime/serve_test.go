@@ -125,7 +125,7 @@ func TestIdleUnplugAppliesBeforeNextSubmit(t *testing.T) {
 			if ev.Kind == EventVariant && ev.Workflow == "second" {
 				for st := range e.ds.active {
 					if st.name == "second" {
-						drift = append(drift, st.tuner.Drift(VariantFPGA))
+						drift = append(drift, st.tuner.Drift(st.points[VariantFPGA]))
 					}
 				}
 			}
@@ -398,10 +398,10 @@ func TestRecycledTunerStartsUndegraded(t *testing.T) {
 		for st := range e.ds.active {
 			switch {
 			case ev.Kind == EventTaskDone && st.name == "degraded":
-				learned = append(learned, st.tuner.Drift(VariantFPGA))
+				learned = append(learned, st.tuner.Drift(st.points[VariantFPGA]))
 				records = append(records, st)
 			case ev.Kind == EventVariant && st.name == "next":
-				seeded = append(seeded, st.tuner.Drift(VariantFPGA))
+				seeded = append(seeded, st.tuner.Drift(st.points[VariantFPGA]))
 				records = append(records, st)
 			}
 		}

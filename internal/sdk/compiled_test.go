@@ -46,8 +46,8 @@ func TestCompiledScenarioDeterministicAndAdaptiveWins(t *testing.T) {
 	// both choices coming from compiler-derived operating points.
 	fpga, cpu16 := 0, 0
 	for _, ts := range adaptive1.Stats.Tenants {
-		fpga += ts.Variants[runtime.VariantFPGA]
-		cpu16 += ts.Variants[runtime.VariantCPU16]
+		fpga += ts.Variants[runtime.VariantFPGA.String()]
+		cpu16 += ts.Variants[runtime.VariantCPU16.String()]
 	}
 	if fpga == 0 || cpu16 == 0 {
 		t.Fatalf("adaptive arm should place both fpga and cpu16 variants, got fpga=%d cpu16=%d", fpga, cpu16)

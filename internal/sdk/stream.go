@@ -173,7 +173,7 @@ func appStages(a *apps.App) ([]stream.StageSpec, error) {
 			Cores:         spec.Cores,
 		}
 		if c, ok := a.Kernel(name); ok {
-			if p, ok := c.Point(runtime.VariantFPGA); ok {
+			if p, ok := c.Point(runtime.VariantFPGA.String()); ok {
 				st.Bitstream = c.Design.Bitstream
 				st.FPGASecondsPerEvent = p.LatencySeconds / batch
 				// Software fallback cost if the device detaches mid-run.

@@ -8,11 +8,11 @@ import (
 
 // Latency histogram used on the steady-state per-event path: log-spaced
 // buckets (8 linear sub-buckets per power-of-two octave above a 1 µs
-// floor), so recording is a Frexp plus two integer ops — no allocation, no
-// sort, O(1) — and a million-event stream costs a 520-entry array instead
-// of a million float64s. Percentiles quantize to the recorded bucket's
-// upper edge (≤ ~9% relative error), which is far inside the benchmark
-// gate's tolerance and exactly deterministic.
+// floor), so recording is one division and a read of the quotient's
+// bits — no allocation, no sort, O(1) — and a million-event stream costs
+// a 512-entry array instead of a million float64s. Percentiles quantize
+// to the recorded bucket's upper edge (≤ ~9% relative error), which is
+// far inside the benchmark gate's tolerance and exactly deterministic.
 
 // histMin is the histogram floor: latencies below 1 µs land in bucket 0.
 const histMin = 1e-6
@@ -30,20 +30,20 @@ type hist struct {
 	buckets [histOctaves * histSub]int64
 }
 
-// bucketOf maps a latency to its bucket index.
+// bucketOf maps a latency to its bucket index. The quotient x = lat/histMin
+// is at least 1 there, so its unbiased exponent is the octave and the top
+// three bits of its mantissa are the linear sub-bucket: x = 2^oct·(1+m),
+// and sub = ⌊8m⌋.
 func bucketOf(lat float64) int {
 	if lat < histMin {
 		return 0
 	}
-	frac, exp := math.Frexp(lat / histMin) // frac in [0.5, 1), exp >= 1
-	oct := exp - 1
+	bits := math.Float64bits(lat / histMin)
+	oct := int(bits>>52) - 1023 // sign bit clear: x >= 1
 	if oct >= histOctaves {
 		return histOctaves*histSub - 1
 	}
-	sub := int((frac - 0.5) * 2 * histSub) // linear within the octave
-	if sub >= histSub {
-		sub = histSub - 1
-	}
+	sub := int(bits>>(52-3)) & (histSub - 1)
 	return oct*histSub + sub
 }
 

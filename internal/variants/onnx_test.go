@@ -85,7 +85,7 @@ func TestCompileONNXDerivesOperatingPoints(t *testing.T) {
 	if c.Flops <= 0 || c.InputBytes <= 0 || c.OutputBytes <= 0 {
 		t.Fatalf("workload model not derived: flops=%g in=%d out=%d", c.Flops, c.InputBytes, c.OutputBytes)
 	}
-	for _, v := range []string{runtime.VariantCPU1, runtime.VariantCPU16, runtime.VariantFPGA} {
+	for _, v := range []string{runtime.VariantCPU1.String(), runtime.VariantCPU16.String(), runtime.VariantFPGA.String()} {
 		p, ok := c.Point(v)
 		if !ok {
 			t.Fatalf("missing operating point %s (have %+v)", v, c.Points)
@@ -190,27 +190,27 @@ func TestCompileONNXRejectsNonChainModels(t *testing.T) {
 // fpga present when any kernel offers it.
 func TestMergeVariants(t *testing.T) {
 	a := &Compiled{Points: []OperatingPoint{
-		{Variant: runtime.VariantCPU1, LatencySeconds: 0.010},
-		{Variant: runtime.VariantCPU16, LatencySeconds: 0.002},
-		{Variant: runtime.VariantFPGA, LatencySeconds: 0.001},
+		{Variant: runtime.VariantCPU1.String(), LatencySeconds: 0.010},
+		{Variant: runtime.VariantCPU16.String(), LatencySeconds: 0.002},
+		{Variant: runtime.VariantFPGA.String(), LatencySeconds: 0.001},
 	}}
 	b := &Compiled{Points: []OperatingPoint{
-		{Variant: runtime.VariantCPU1, LatencySeconds: 0.030},
-		{Variant: runtime.VariantCPU16, LatencySeconds: 0.006},
+		{Variant: runtime.VariantCPU1.String(), LatencySeconds: 0.030},
+		{Variant: runtime.VariantCPU16.String(), LatencySeconds: 0.006},
 	}}
 	merged := MergeVariants(a, b, nil)
 	byName := make(map[string]float64)
 	for _, v := range merged {
 		byName[v.Name] = v.ExpectedMs
 	}
-	if math.Abs(byName[runtime.VariantCPU1]-20) > 1e-9 {
-		t.Fatalf("cpu1 mean = %g ms, want 20", byName[runtime.VariantCPU1])
+	if math.Abs(byName[runtime.VariantCPU1.String()]-20) > 1e-9 {
+		t.Fatalf("cpu1 mean = %g ms, want 20", byName[runtime.VariantCPU1.String()])
 	}
-	if math.Abs(byName[runtime.VariantCPU16]-4) > 1e-9 {
-		t.Fatalf("cpu16 mean = %g ms, want 4", byName[runtime.VariantCPU16])
+	if math.Abs(byName[runtime.VariantCPU16.String()]-4) > 1e-9 {
+		t.Fatalf("cpu16 mean = %g ms, want 4", byName[runtime.VariantCPU16.String()])
 	}
-	if math.Abs(byName[runtime.VariantFPGA]-1) > 1e-9 {
-		t.Fatalf("fpga mean = %g ms, want 1 (only kernel a offers it)", byName[runtime.VariantFPGA])
+	if math.Abs(byName[runtime.VariantFPGA.String()]-1) > 1e-9 {
+		t.Fatalf("fpga mean = %g ms, want 1 (only kernel a offers it)", byName[runtime.VariantFPGA.String()])
 	}
 }
 

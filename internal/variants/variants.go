@@ -66,7 +66,7 @@ func (o Options) normalize() (hls.Backend, base2.Format, *platform.Device, platf
 
 // OperatingPoint is one implementation variant's derived characteristics.
 type OperatingPoint struct {
-	Variant        string  // runtime.VariantCPU1 / VariantCPU16 / VariantFPGA
+	Variant        string  // the name of runtime.VariantCPU1, VariantCPU16 or VariantFPGA
 	LatencySeconds float64 // expected execution latency of one kernel run
 	// BoundSeconds is the variant's proven worst-case latency under nominal
 	// load: the schedule-derived WCET priced through the device timeline for
@@ -246,8 +246,8 @@ func DerivePoints(design *olympus.Design, dev *platform.Device, cpu platform.CPU
 	cpu1 := cpu.TimeSeconds(flops, bytes, 1)
 	cpu16 := cpu.TimeSeconds(flops, bytes, 16)
 	points := []OperatingPoint{
-		{Variant: runtime.VariantCPU1, LatencySeconds: cpu1, BoundSeconds: cpu1, Cores: 1},
-		{Variant: runtime.VariantCPU16, LatencySeconds: cpu16, BoundSeconds: cpu16, Cores: 16},
+		{Variant: runtime.VariantCPU1.String(), LatencySeconds: cpu1, BoundSeconds: cpu1, Cores: 1},
+		{Variant: runtime.VariantCPU16.String(), LatencySeconds: cpu16, BoundSeconds: cpu16, Cores: 16},
 	}
 	wl := platform.Workload{BytesIn: inBytes, BytesOut: outBytes, Batches: 4}
 	tl, err := platform.Execute(dev, design.Bitstream, wl)
@@ -264,7 +264,7 @@ func DerivePoints(design *olympus.Design, dev *platform.Device, cpu platform.CPU
 		return nil, err // Execute succeeded, so this can only be a model bug
 	}
 	points = append(points, OperatingPoint{
-		Variant:        runtime.VariantFPGA,
+		Variant:        runtime.VariantFPGA.String(),
 		LatencySeconds: tl.Total,
 		BoundSeconds:   bound.Total,
 		Resources:      design.Bitstream.TotalResources(),
@@ -278,7 +278,7 @@ func (c *Compiled) Summary() []string {
 	rows := make([]string, 0, len(c.Points))
 	for _, p := range c.Points {
 		switch p.Variant {
-		case runtime.VariantFPGA:
+		case runtime.VariantFPGA.String():
 			rows = append(rows, fmt.Sprintf("%-6s : %10.4gms  (%s, %s)",
 				p.Variant, p.LatencySeconds*1000, p.DeviceClass, p.Resources))
 		default:

@@ -75,7 +75,7 @@ func TestOperatingPointsDerivedFromSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpga, ok := c.Point(runtime.VariantFPGA)
+	fpga, ok := c.Point(runtime.VariantFPGA.String())
 	if !ok {
 		t.Fatal("no fpga operating point")
 	}
@@ -99,7 +99,7 @@ func TestOperatingPointsDerivedFromSchedule(t *testing.T) {
 	for _, tc := range []struct {
 		variant string
 		cores   int
-	}{{runtime.VariantCPU1, 1}, {runtime.VariantCPU16, 16}} {
+	}{{runtime.VariantCPU1.String(), 1}, {runtime.VariantCPU16.String(), 16}} {
 		p, ok := c.Point(tc.variant)
 		if !ok {
 			t.Fatalf("no %s point", tc.variant)
@@ -132,10 +132,10 @@ func TestFormatFlipsTheWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best := slowTuner.Best(); best != runtime.VariantCPU16 {
+	if best := slowTuner.Best(); best != runtime.VariantCPU16.String() {
 		t.Fatalf("f32 compile: tuner best = %s, want cpu16 (fpga should lose)", best)
 	}
-	if !slowTuner.Available(runtime.VariantFPGA) {
+	if _, ok := slowTuner.Index(runtime.VariantFPGA.String()); !ok {
 		t.Fatal("fpga variant should exist (and lose), not be absent")
 	}
 
@@ -147,7 +147,7 @@ func TestFormatFlipsTheWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best := fastTuner.Best(); best != runtime.VariantFPGA {
+	if best := fastTuner.Best(); best != runtime.VariantFPGA.String() {
 		t.Fatalf("fixed16 compile: tuner best = %s, want fpga", best)
 	}
 }
@@ -189,7 +189,7 @@ func TestCompileCFDlangMatmul(t *testing.T) {
 	if c.Report.LatencyCycle != wantCycles {
 		t.Fatalf("latency %d, want %d", c.Report.LatencyCycle, wantCycles)
 	}
-	if _, ok := c.Point(runtime.VariantCPU16); !ok {
+	if _, ok := c.Point(runtime.VariantCPU16.String()); !ok {
 		t.Fatal("missing cpu16 point")
 	}
 	if err := c.Module.Verify(); err != nil {

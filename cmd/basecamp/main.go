@@ -287,8 +287,8 @@ func serveEngine(fs *flag.FlagSet) func() error {
 		cfg.Adaptive = *adaptive
 		if *trace {
 			cfg.Trace = func(ev runtime.Event) {
-				fmt.Printf("  [%8.4fs] %-13s wf=%-12s task=%-8s node=%-10s %s\n",
-					ev.Time, ev.Kind, ev.Workflow, ev.Task, ev.Node, ev.Detail)
+				fmt.Printf("  [%8.4fs] %-13s tenant=%-9s wf=%-12s task=%-8s node=%-10s %s\n",
+					ev.Time, ev.Kind, ev.Tenant, ev.Workflow, ev.Task, ev.Node, ev.Detail)
 			}
 		}
 		eng := runtime.NewEngine(s.Cluster, cfg)
@@ -319,8 +319,8 @@ func serveEngine(fs *flag.FlagSet) func() error {
 		stats := sdk.TallyOf(futs)
 
 		fmt.Printf("cluster    : %d compute nodes + cloudfpga0 (%d total)\n", *nodes, len(s.Cluster.Nodes))
-		fmt.Printf("workflows  : %d across %d tenants (policy %s, %s)\n",
-			stats.Completed, len(stats.Tenants), cfg.Policy, placement(cfg.Adaptive))
+		fmt.Printf("workflows  : %d submitted, %d done, %d failed across %d tenants (policy %s, %s)\n",
+			stats.Submitted, stats.Completed, stats.Failed, len(stats.Tenants), cfg.Policy, placement(cfg.Adaptive))
 		fmt.Printf("serial     : %.3gs modelled, back-to-back\n", serial)
 		fmt.Printf("concurrent : %.3gs modelled\n", stats.Makespan)
 		if stats.Makespan > 0 {
@@ -599,8 +599,8 @@ func serveStream(fs *flag.FlagSet) func() error {
 	return func() error {
 		if *trace {
 			sc.Trace = func(ev stream.Event) {
-				fmt.Printf("  [%10.6fs] %-7s pipe=%-10s stage=%-9s dev=%-11s %d ev\n",
-					ev.Time, ev.Kind, ev.Pipeline, ev.Stage, ev.Device, ev.Events)
+				fmt.Printf("  [%10.6fs] %-7s pipe=%-10s stage=%-9s dev=%-11s bs=%-12s %d ev\n",
+					ev.Time, ev.Kind, ev.Pipeline, ev.Stage, ev.Device, ev.Bitstream, ev.Events)
 			}
 		}
 		srv, err := build()
@@ -691,8 +691,8 @@ func serveRegion(fs *flag.FlagSet) func() error {
 	return func() error {
 		if *trace {
 			sc.Trace = func(ev region.Event) {
-				fmt.Printf("  [%8.4fs] %-10s region=%-9s tenant=%-9s wf=%-14s app=%-8s %s\n",
-					ev.Time, ev.Kind, ev.Region, ev.Tenant, ev.Workflow, ev.App, ev.Detail)
+				fmt.Printf("  [%8.4fs] %-10s region=%-9s tenant=%-9s wf=%-14s app=%-8s bs=%-12s %s\n",
+					ev.Time, ev.Kind, ev.Region, ev.Tenant, ev.Workflow, ev.App, ev.Bitstream, ev.Detail)
 			}
 		}
 		res, err := sc.Run()
@@ -702,11 +702,11 @@ func serveRegion(fs *flag.FlagSet) func() error {
 		banner()
 		fmt.Printf("completed  : %d (%d rejected), makespan %.4gs modelled\n", res.Completed, res.Rejected, res.Makespan)
 		fmt.Printf("throughput : %.4g workflows/s modelled\n", res.Throughput)
-		fmt.Printf("latency    : p50 %.4gs, p95 %.4gs, max %.4gs; tail p99 %.4gs, cold-start overhead p99 %.4gs\n",
-			res.P50, res.P95, res.Max, res.TailP99, res.TailColdStartP99)
-		fmt.Printf("guaranteed : %d admitted / %d requested (rate %.2f); %d degraded to best-effort; %d bound violations (sound iff 0)\n",
+		fmt.Printf("latency    : p50 %.4gs, p95 %.4gs, max %.4gs, batch p95 %.4gs; tail p99 %.4gs, cold-start overhead p99 %.4gs\n",
+			res.P50, res.P95, res.Max, res.BatchP95, res.TailP99, res.TailColdStartP99)
+		fmt.Printf("guaranteed : %d admitted / %d requested (rate %.2f); %d degraded to best-effort; %d bound violations (sound iff 0), bound tightness %.3g\n",
 			res.GuaranteedAdmitted, res.GuaranteedAdmitted+res.GuaranteedRefused,
-			res.GuaranteedAdmitRate, res.GuaranteedRefused, res.BoundViolations)
+			res.GuaranteedAdmitRate, res.GuaranteedRefused, res.BoundViolations, res.BoundTightness)
 		fmt.Printf("wan        : prefetch %v, %d handoffs, %d cold serves, %d prefetch stages, %d warms, %d preemptions\n",
 			sc.Prefetch, res.Handoffs, res.ColdServes, res.PrefetchFetches, res.Warms, res.Preemptions)
 		for _, r := range res.Stats.Regions {

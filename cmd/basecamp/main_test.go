@@ -80,9 +80,19 @@ func TestServeNeedsAKnownScenario(t *testing.T) {
 }
 
 func TestServeEngineSmoke(t *testing.T) {
-	if err := serve("engine", "-workflows", "3", "-nodes", "2", "-fail", "node00@0.001",
-		"-adaptive", "-net", "tcp10g", "-policy", "fifo", "-trace"); err != nil {
+	out, err := capture(t, func() error {
+		return serve("engine", "-workflows", "3", "-nodes", "2", "-fail", "node00@0.001",
+			"-adaptive", "-net", "tcp10g", "-policy", "fifo", "-trace")
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Every submission resolves exactly once, and the trace names each
+	// event's tenant.
+	for _, want := range []string{"3 submitted, 3 done, 0 failed", "tenant=tenant00"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("traced serve engine output lacks %q:\n%s", want, out)
+		}
 	}
 	rejectAll(t, serve, [][]string{
 		{"engine", "-workflows", "0"},
@@ -96,7 +106,7 @@ func TestServeEngineSmoke(t *testing.T) {
 	})
 	// The default run is deterministic. Workflow names break ties in the
 	// engine, so a change to them moves these numbers.
-	out, err := capture(t, func() error { return serve("engine") })
+	out, err = capture(t, func() error { return serve("engine") })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +207,14 @@ func TestServeStreamSmoke(t *testing.T) {
 	if err := serve("stream", "-events", "20000"); err != nil {
 		t.Fatal(err)
 	}
-	if err := serve("stream", "-events", "500", "-pipelines", "1", "-apps", "traffic", "-trace"); err != nil {
+	out, err := capture(t, func() error {
+		return serve("stream", "-events", "500", "-pipelines", "1", "-apps", "traffic", "-trace")
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(out, "bs=traffic") {
+		t.Errorf("stream trace names no bitstream:\n%s", out)
 	}
 }
 
@@ -225,8 +241,14 @@ func TestServeRejectsStreamIncompatibleFlags(t *testing.T) {
 }
 
 func TestServeRegionsSmoke(t *testing.T) {
-	if err := serve("region", "-workflows", "60", "-prefetch=false", "-trace"); err != nil {
+	out, err := capture(t, func() error { return serve("region", "-workflows", "60", "-prefetch=false", "-trace") })
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, want := range []string{"bs=traffic", "batch p95 ", "bound tightness "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("traced serve region output lacks %q", want)
+		}
 	}
 }
 

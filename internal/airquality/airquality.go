@@ -273,7 +273,6 @@ func (c *Corrector) Apply(forecast float64, w Weather) float64 {
 type Decision struct {
 	Reduce       bool
 	PredictedMax float64
-	Threshold    float64
 }
 
 // PlanDay decides whether to activate emission reduction for the next day
@@ -285,7 +284,7 @@ func PlanDay(forecast []float64, threshold float64) Decision {
 			max = v
 		}
 	}
-	return Decision{Reduce: max > threshold, PredictedMax: max, Threshold: threshold}
+	return Decision{Reduce: max > threshold, PredictedMax: max}
 }
 
 // DecisionCost scores a sequence of decisions against the truth: a false

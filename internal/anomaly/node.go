@@ -164,9 +164,6 @@ func (r Report) JSON() (string, error) {
 type DetectionNode struct {
 	Detector  Detector
 	Threshold float64
-	// WindowSize bounds the sliding window used for model updates.
-	WindowSize int
-	window     []*tensor.Tensor
 }
 
 // CalibrateThreshold sets the detection threshold at the (1-contamination)

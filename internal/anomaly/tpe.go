@@ -223,8 +223,6 @@ func (t *TPE) logDensity(a Assignment, set []Trial) float64 {
 
 // RandomSearch is the E8 baseline: uniform sampling with the same API.
 type RandomSearch struct {
-	Space []Param
-	rng   *rand.Rand
 	inner *TPE
 }
 
@@ -235,7 +233,7 @@ func NewRandomSearch(space []Param, seed int64) (*RandomSearch, error) {
 		return nil, err
 	}
 	t.Startup = math.MaxInt32 // never leave the random phase
-	return &RandomSearch{Space: space, inner: t}, nil
+	return &RandomSearch{inner: t}, nil
 }
 
 // Suggest proposes a uniform random assignment.

@@ -51,10 +51,8 @@ func (Float32) Quantize(x float64) float64 { return float64(float32(x)) }
 
 // ErrorStats summarizes quantization error over a data set.
 type ErrorStats struct {
-	MaxAbs  float64
-	RMSE    float64
-	MaxRel  float64 // relative to |x|, ignoring |x| < relFloor
-	Samples int
+	MaxAbs float64
+	MaxRel float64 // relative to |x|, ignoring |x| < relFloor
 }
 
 const relFloor = 1e-30
@@ -63,24 +61,17 @@ const relFloor = 1e-30
 // by the E4 accuracy/resource sweep.
 func MeasureError(f Format, xs []float64) ErrorStats {
 	var st ErrorStats
-	st.Samples = len(xs)
-	if len(xs) == 0 {
-		return st
-	}
-	var sq float64
 	for _, x := range xs {
 		q := f.Quantize(x)
 		d := math.Abs(q - x)
 		if d > st.MaxAbs {
 			st.MaxAbs = d
 		}
-		sq += d * d
 		if ax := math.Abs(x); ax > relFloor {
 			if rel := d / ax; rel > st.MaxRel {
 				st.MaxRel = rel
 			}
 		}
 	}
-	st.RMSE = math.Sqrt(sq / float64(len(xs)))
 	return st
 }

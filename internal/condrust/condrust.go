@@ -45,7 +45,6 @@ type Call struct {
 // Stmt is one `let name: Type = call(args);` statement.
 type Stmt struct {
 	Name string
-	Type string
 	Call Call
 	Attr *KernelAttr
 	Line int
@@ -59,14 +58,12 @@ type Param struct {
 
 // Func is a parsed ConDRust function.
 type Func struct {
-	Name    string
-	Params  []Param
-	RetType string
-	Stmts   []Stmt
+	Name   string
+	Params []Param
+	Stmts  []Stmt
 	// Tail is the returned expression: a call or a bare name.
 	Tail     Call
 	TailName string // set when the tail is a bare identifier
-	Line     int
 }
 
 // Program is a set of functions.
@@ -186,7 +183,7 @@ func parseFunc(l *lexer) (*Func, error) {
 		return nil, err
 	}
 	l.skipSpace()
-	f := &Func{Name: l.ident(), Line: l.line}
+	f := &Func{Name: l.ident()}
 	if f.Name == "" {
 		return nil, fmt.Errorf("condrust:%d: expected function name", l.line)
 	}
@@ -212,7 +209,7 @@ func parseFunc(l *lexer) (*Func, error) {
 	}
 	if l.accept("->") {
 		l.skipSpace()
-		f.RetType = l.ident()
+		l.ident() // the return type
 	}
 	if err := l.expect("{"); err != nil {
 		return nil, err
@@ -238,7 +235,7 @@ func parseFunc(l *lexer) (*Func, error) {
 			}
 			if l.accept(":") {
 				l.skipSpace()
-				s.Type = l.ident()
+				l.ident() // the binding's type
 			}
 			if err := l.expect("="); err != nil {
 				return nil, err

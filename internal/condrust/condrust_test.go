@@ -30,9 +30,6 @@ func TestParseFig4(t *testing.T) {
 	if len(f.Params) != 2 || f.Params[0].Name != "gv" || f.Params[1].Type != "MapCell" {
 		t.Errorf("params wrong: %+v", f.Params)
 	}
-	if f.RetType != "RoadSpeedVector" {
-		t.Errorf("return type %q", f.RetType)
-	}
 	if len(f.Stmts) != 3 {
 		t.Fatalf("want 3 statements, got %d", len(f.Stmts))
 	}

@@ -10,7 +10,6 @@ import (
 
 // Node is one actor of the extracted dataflow graph.
 type Node struct {
-	ID   int
 	Name string // bound name ("cv"), or "__tail" for the result
 	Fn   string
 	Args []string // producer names (params or earlier bindings)
@@ -52,7 +51,7 @@ func BuildGraph(f *Func) (*Graph, error) {
 			}
 		}
 		g.Nodes = append(g.Nodes, &Node{
-			ID: len(g.Nodes), Name: s.Name, Fn: s.Call.Fn,
+			Name: s.Name, Fn: s.Call.Fn,
 			Args: append([]string(nil), s.Call.Args...), Attr: s.Attr,
 		})
 		defined[s.Name] = true
@@ -70,7 +69,7 @@ func BuildGraph(f *Func) (*Graph, error) {
 			}
 		}
 		g.Nodes = append(g.Nodes, &Node{
-			ID: len(g.Nodes), Name: "__tail", Fn: f.Tail.Fn,
+			Name: "__tail", Fn: f.Tail.Fn,
 			Args: append([]string(nil), f.Tail.Args...),
 		})
 		g.Result = "__tail"

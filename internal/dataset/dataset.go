@@ -103,14 +103,9 @@ func Supersedes(a, b Version) bool {
 
 // StoreStats counts store activity (modelled run totals).
 type StoreStats struct {
-	Hits           int   // Contains probes (Stage's included) that found a part
-	Misses         int   // probes that did not
-	Published      int   // publishes accepted (new or superseding)
-	Superseded     int   // publishes that replaced a resident version
-	Rejected       int   // publishes dropped by the lineage tie-break
-	Evictions      int   // parts evicted by the byte or entry bound
-	PublishedBytes int64 // bytes accepted into the store
-	EvictedBytes   int64 // bytes evicted by the byte or entry bound
+	Hits      int // Contains probes (Stage's included) that found a part
+	Misses    int // probes that did not
+	Evictions int // parts evicted by the byte or entry bound
 }
 
 // entry is one resident partition, linked into the store's recency list.
@@ -268,20 +263,14 @@ func (s *Store) Publish(v Version) []Version {
 	if e, ok := s.resident[v.ID]; ok {
 		s.touch(e)
 		if !Supersedes(v, e.ver) {
-			s.stats.Rejected++
 			return s.evicted
 		}
 		s.bytes += v.Ref.Bytes - e.ver.Ref.Bytes
 		e.ver = v
-		s.stats.Published++
-		s.stats.Superseded++
-		s.stats.PublishedBytes += v.Ref.Bytes
 		return s.enforce(e)
 	}
 	if s.capacity > 0 && v.Ref.Bytes > s.capacity {
-		// Larger than the whole store: never resident, count as rejected
-		// so the caller sees the publish went nowhere.
-		s.stats.Rejected++
+		// Larger than the whole store: never resident.
 		return s.evicted
 	}
 	e := s.free
@@ -294,8 +283,6 @@ func (s *Store) Publish(v Version) []Version {
 	s.pushNewest(e)
 	s.resident[v.ID] = e
 	s.bytes += v.Ref.Bytes
-	s.stats.Published++
-	s.stats.PublishedBytes += v.Ref.Bytes
 	return s.enforce(e)
 }
 
@@ -334,7 +321,6 @@ func (s *Store) unlink(e *entry) {
 	delete(s.resident, e.ver.ID)
 	s.bytes -= e.ver.Ref.Bytes
 	s.stats.Evictions++
-	s.stats.EvictedBytes += e.ver.Ref.Bytes
 	*e = entry{next: s.free}
 	s.free = e
 }

@@ -76,24 +76,17 @@ func (s *scanStore) Publish(v Version) []Version {
 	if e, ok := s.resident[key]; ok {
 		e.use = s.seq
 		if !Supersedes(v, e.ver) {
-			s.stats.Rejected++
 			return nil
 		}
 		s.bytes += v.Ref.Bytes - e.ver.Ref.Bytes
 		e.ver = v
-		s.stats.Published++
-		s.stats.Superseded++
-		s.stats.PublishedBytes += v.Ref.Bytes
 		return s.enforce(key)
 	}
 	if s.capacity > 0 && v.Ref.Bytes > s.capacity {
-		s.stats.Rejected++
 		return nil
 	}
 	s.resident[key] = &scanEntry{ver: v, use: s.seq}
 	s.bytes += v.Ref.Bytes
-	s.stats.Published++
-	s.stats.PublishedBytes += v.Ref.Bytes
 	return s.enforce(key)
 }
 
@@ -116,7 +109,6 @@ func (s *scanStore) enforce(keep Key) []Version {
 		delete(s.resident, oldestKey)
 		s.bytes -= oldest.ver.Ref.Bytes
 		s.stats.Evictions++
-		s.stats.EvictedBytes += oldest.ver.Ref.Bytes
 		evicted = append(evicted, oldest.ver)
 	}
 	return evicted
@@ -144,7 +136,6 @@ func (s *scanStore) Evict(r Ref) bool {
 		delete(s.resident, r.Key())
 		s.bytes -= e.ver.Ref.Bytes
 		s.stats.Evictions++
-		s.stats.EvictedBytes += e.ver.Ref.Bytes
 	}
 	return ok
 }

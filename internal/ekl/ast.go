@@ -17,7 +17,6 @@ type Kernel struct {
 	Params  []*ParamDecl
 	Outputs []*OutputDecl
 	Stmts   []*Stmt
-	Line    int
 }
 
 // Output returns the output declaration with the given name, or nil.
@@ -40,7 +39,6 @@ type TensorDecl struct {
 	Name    string
 	Dims    []Dim
 	IsIndex bool
-	Line    int
 }
 
 // Dim is one declared dimension: either a literal Size or a symbolic Sym.
@@ -63,7 +61,6 @@ type ParamDecl struct {
 	IsInt   bool
 	Default float64
 	HasDef  bool
-	Line    int
 }
 
 // OutputDecl names a produced tensor and (optionally) the index order of its
@@ -71,7 +68,6 @@ type ParamDecl struct {
 type OutputDecl struct {
 	Name    string
 	Indices []string // empty means first-appearance order of the defining stmt
-	Line    int
 }
 
 // Stmt is one assignment: Name[LHS...] (=|+=) RHS.

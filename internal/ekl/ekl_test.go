@@ -90,8 +90,8 @@ func TestAxpy(t *testing.T) {
 			t.Fatalf("out = %v, want %v", out.Data(), want)
 		}
 	}
-	if res.Dims["N"] != 3 {
-		t.Errorf("symbolic dim N = %d, want 3", res.Dims["N"])
+	if shape := out.Shape(); len(shape) != 1 || shape[0] != 3 {
+		t.Errorf("out shape = %v, want [3] (symbolic dim N bound to 3)", shape)
 	}
 }
 

@@ -26,9 +26,6 @@ type Result struct {
 	// All maps every assigned name (including temporaries) to its tensor,
 	// useful for debugging and for the lowering tests.
 	All map[string]*tensor.Tensor
-	// Dims maps symbolic dimension names to the concrete extents they were
-	// unified with at bind time.
-	Dims map[string]int
 	// Trace records, per executed statement, the inferred iteration space.
 	// The MLIR lowering uses it to emit concrete loop nests.
 	Trace []StmtInfo
@@ -36,7 +33,6 @@ type Result struct {
 
 // StmtInfo records the iteration space inferred for one statement.
 type StmtInfo struct {
-	Name    string         // assigned tensor
 	Free    []string       // free indices in iteration order
 	Extents map[string]int // extent of every index (free and summed)
 	SumIdx  []string       // reduction indices, if any
@@ -46,11 +42,11 @@ type StmtInfo struct {
 // the reference semantics of EKL: the HLS path must produce numerically
 // identical results (experiment E1).
 func (k *Kernel) Run(b Binding) (*Result, error) {
-	env, dims, err := k.interpret(b, false)
+	env, err := k.interpret(b, false)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Outputs: make(map[string]*tensor.Tensor), All: env.tensors, Dims: dims, Trace: env.trace}
+	res := &Result{Outputs: make(map[string]*tensor.Tensor), All: env.tensors, Trace: env.trace}
 	for _, out := range k.Outputs {
 		res.Outputs[out.Name] = env.tensors[out.Name]
 	}
@@ -63,14 +59,14 @@ func (k *Kernel) Run(b Binding) (*Result, error) {
 // error wherever Run errors. It reports false, with no error, at the first
 // statement it cannot prove: that one needs Run.
 func (k *Kernel) inferShapes(b Binding) (*Shapes, bool, error) {
-	env, dims, err := k.interpret(b, true)
+	env, err := k.interpret(b, true)
 	switch {
 	case err == errNeedsValues:
 		return nil, false, nil
 	case err != nil:
 		return nil, false, err
 	}
-	return newShapes(env.tensors, dims, env.trace), true, nil
+	return newShapes(env.tensors, env.trace), true, nil
 }
 
 // errNeedsValues stops a shape pass at a statement whose per-point loop
@@ -79,26 +75,26 @@ var errNeedsValues = errors.New("ekl: statement needs evaluation")
 
 // interpret binds the kernel and executes its statements in order; with
 // shapesOnly, as far as the shape pass goes.
-func (k *Kernel) interpret(b Binding, shapesOnly bool) (*evalEnv, map[string]int, error) {
-	env, dims, err := k.bind(b, shapesOnly)
+func (k *Kernel) interpret(b Binding, shapesOnly bool) (*evalEnv, error) {
+	env, err := k.bind(b, shapesOnly)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, s := range k.Stmts {
 		err := env.exec(s)
 		if err == errNeedsValues {
-			return nil, nil, err
+			return nil, err
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("ekl: kernel %q line %d: %w", k.Name, s.Line, err)
+			return nil, fmt.Errorf("ekl: kernel %q line %d: %w", k.Name, s.Line, err)
 		}
 	}
 	for _, out := range k.Outputs {
 		if _, ok := env.tensors[out.Name]; !ok {
-			return nil, nil, fmt.Errorf("ekl: kernel %q: output %q never assigned", k.Name, out.Name)
+			return nil, fmt.Errorf("ekl: kernel %q: output %q never assigned", k.Name, out.Name)
 		}
 	}
-	return env, dims, nil
+	return env, nil
 }
 
 // Check performs the static (binding-independent) checks: unique names,
@@ -169,9 +165,9 @@ func (k *Kernel) Check() error {
 // bind validates the binding against the declarations and unifies symbolic
 // dimension extents. Unless shapesOnly, it gives each data-less input a
 // fresh tensor of synthetic values (synthesize).
-func (k *Kernel) bind(b Binding, shapesOnly bool) (*evalEnv, map[string]int, error) {
+func (k *Kernel) bind(b Binding, shapesOnly bool) (*evalEnv, error) {
 	if err := k.Check(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	env := &evalEnv{
 		kernel:     k,
@@ -184,22 +180,22 @@ func (k *Kernel) bind(b Binding, shapesOnly bool) (*evalEnv, map[string]int, err
 	for _, in := range k.Inputs {
 		t, ok := b.Tensors[in.Name]
 		if !ok {
-			return nil, nil, fmt.Errorf("ekl: kernel %q: missing input tensor %q", k.Name, in.Name)
+			return nil, fmt.Errorf("ekl: kernel %q: missing input tensor %q", k.Name, in.Name)
 		}
 		if t.Rank() != len(in.Dims) {
-			return nil, nil, fmt.Errorf("ekl: kernel %q: input %q has rank %d, declared %d",
+			return nil, fmt.Errorf("ekl: kernel %q: input %q has rank %d, declared %d",
 				k.Name, in.Name, t.Rank(), len(in.Dims))
 		}
 		for d, dim := range in.Dims {
 			got := t.Shape()[d]
 			if dim.Sym != "" {
 				if prev, ok := dims[dim.Sym]; ok && prev != got {
-					return nil, nil, fmt.Errorf("ekl: kernel %q: dimension %s bound to both %d and %d",
+					return nil, fmt.Errorf("ekl: kernel %q: dimension %s bound to both %d and %d",
 						k.Name, dim.Sym, prev, got)
 				}
 				dims[dim.Sym] = got
 			} else if dim.Size != got {
-				return nil, nil, fmt.Errorf("ekl: kernel %q: input %q dim %d is %d, declared %d",
+				return nil, fmt.Errorf("ekl: kernel %q: input %q dim %d is %d, declared %d",
 					k.Name, in.Name, d, got, dim.Size)
 			}
 		}
@@ -212,16 +208,16 @@ func (k *Kernel) bind(b Binding, shapesOnly bool) (*evalEnv, map[string]int, err
 		v, ok := b.Scalars[p.Name]
 		if !ok {
 			if !p.HasDef {
-				return nil, nil, fmt.Errorf("ekl: kernel %q: missing parameter %q", k.Name, p.Name)
+				return nil, fmt.Errorf("ekl: kernel %q: missing parameter %q", k.Name, p.Name)
 			}
 			v = p.Default
 		}
 		if p.IsInt && v != math.Trunc(v) {
-			return nil, nil, fmt.Errorf("ekl: kernel %q: iparam %q must be integral, got %g", k.Name, p.Name, v)
+			return nil, fmt.Errorf("ekl: kernel %q: iparam %q must be integral, got %g", k.Name, p.Name, v)
 		}
 		env.scalars[p.Name] = v
 	}
-	return env, dims, nil
+	return env, nil
 }
 
 // syntheticSeed starts the xorshift stream that synthesize draws from.
@@ -292,7 +288,7 @@ func (e *evalEnv) exec(s *Stmt) error {
 
 	// Record the iteration space for the lowering pipeline, including any
 	// reduction indices with their extents.
-	info := StmtInfo{Name: s.Name, Free: append([]string(nil), freeOrder...), Extents: extents}
+	info := StmtInfo{Free: append([]string(nil), freeOrder...), Extents: extents}
 	var sumErr error
 	walkExpr(s.RHS, func(x Expr) {
 		if sumErr != nil {

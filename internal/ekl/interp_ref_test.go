@@ -23,7 +23,7 @@ type refEnv struct {
 
 // refRun is Kernel.Run on the tree-walking evaluator.
 func refRun(k *Kernel, b Binding) (*Result, error) {
-	env0, dims, err := k.bind(b, false)
+	env0, err := k.bind(b, false)
 	if err != nil {
 		return nil, err
 	}
@@ -33,7 +33,7 @@ func refRun(k *Kernel, b Binding) (*Result, error) {
 			return nil, fmt.Errorf("ekl: kernel %q line %d: %w", k.Name, s.Line, err)
 		}
 	}
-	res := &Result{Outputs: make(map[string]*tensor.Tensor), All: env.tensors, Dims: dims, Trace: env.trace}
+	res := &Result{Outputs: make(map[string]*tensor.Tensor), All: env.tensors, Trace: env.trace}
 	for _, out := range k.Outputs {
 		t, ok := env.tensors[out.Name]
 		if !ok {
@@ -67,7 +67,7 @@ func (e *refEnv) exec(s *Stmt) error {
 
 	// Record the iteration space for the lowering pipeline, including any
 	// reduction indices with their extents.
-	info := StmtInfo{Name: s.Name, Free: append([]string(nil), freeOrder...), Extents: extents}
+	info := StmtInfo{Free: append([]string(nil), freeOrder...), Extents: extents}
 	var sumErr error
 	walkExpr(s.RHS, func(x Expr) {
 		if sumErr != nil {

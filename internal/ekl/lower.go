@@ -496,8 +496,7 @@ func LowerToAffine() mlir.Pass {
 type Shapes struct {
 	// Tensors maps every input and every assigned name to its shape.
 	Tensors map[string][]int
-	// Dims and Trace are as in Result.
-	Dims  map[string]int
+	// Trace is as in Result.
 	Trace []StmtInfo
 }
 
@@ -514,16 +513,16 @@ func (s *Shapes) Size(name string) int {
 	return n
 }
 
-func newShapes(tensors map[string]*tensor.Tensor, dims map[string]int, trace []StmtInfo) *Shapes {
+func newShapes(tensors map[string]*tensor.Tensor, trace []StmtInfo) *Shapes {
 	out := make(map[string][]int, len(tensors))
 	for name, t := range tensors {
 		out[name] = t.Shape()
 	}
-	return &Shapes{Tensors: out, Dims: dims, Trace: trace}
+	return &Shapes{Tensors: out, Trace: trace}
 }
 
 // SpecializedShapes returns the shapes of a run: what Lower returns for the
 // same kernel and binding.
 func SpecializedShapes(res *Result) *Shapes {
-	return newShapes(res.All, res.Dims, res.Trace)
+	return newShapes(res.All, res.Trace)
 }

@@ -73,7 +73,7 @@ func (p *parser) expect(kind TokenKind, text string) (Token, error) {
 }
 
 func (p *parser) parseKernel() (*Kernel, error) {
-	kw, err := p.expect(TokKeyword, "kernel")
+	_, err := p.expect(TokKeyword, "kernel")
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func (p *parser) parseKernel() (*Kernel, error) {
 	if _, err := p.expect(TokPunct, "{"); err != nil {
 		return nil, err
 	}
-	k := &Kernel{Name: name.Text, Line: kw.Line}
+	k := &Kernel{Name: name.Text}
 	for !p.accept(TokPunct, "}") {
 		switch {
 		case p.at(TokKeyword, "input"):
@@ -125,7 +125,7 @@ func (p *parser) parseKernel() (*Kernel, error) {
 }
 
 func (p *parser) parseInput() (*TensorDecl, error) {
-	kw := p.next() // input
+	p.next() // input
 	name, err := p.expect(TokIdent, "")
 	if err != nil {
 		return nil, err
@@ -136,7 +136,7 @@ func (p *parser) parseInput() (*TensorDecl, error) {
 	if _, err := p.expect(TokPunct, "["); err != nil {
 		return nil, err
 	}
-	d := &TensorDecl{Name: name.Text, Line: kw.Line}
+	d := &TensorDecl{Name: name.Text}
 	for {
 		t := p.cur()
 		switch t.Kind {
@@ -183,7 +183,7 @@ func (p *parser) parseParam() (*ParamDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &ParamDecl{Name: name.Text, IsInt: kw.Text == "iparam", Line: kw.Line}
+	d := &ParamDecl{Name: name.Text, IsInt: kw.Text == "iparam"}
 	if p.accept(TokOp, "=") {
 		neg := p.accept(TokOp, "-")
 		num, err := p.expect(TokNumber, "")
@@ -201,12 +201,12 @@ func (p *parser) parseParam() (*ParamDecl, error) {
 }
 
 func (p *parser) parseOutput() (*OutputDecl, error) {
-	kw := p.next() // output
+	p.next() // output
 	name, err := p.expect(TokIdent, "")
 	if err != nil {
 		return nil, err
 	}
-	d := &OutputDecl{Name: name.Text, Line: kw.Line}
+	d := &OutputDecl{Name: name.Text}
 	if p.accept(TokPunct, "[") {
 		for {
 			ix, err := p.expect(TokIdent, "")

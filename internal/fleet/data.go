@@ -72,7 +72,6 @@ func (f *Fleet) fetchData(s *site, w *work, at float64) (float64, int64) {
 	return s.dstore.Stage(w.reads, at, w.name, f.registryLink, func(x dataset.Fetch) {
 		s.stats.DatasetFetches++
 		s.stats.DatasetFetchedBytes += x.Part.Ref.Bytes
-		s.stats.DatasetFetchSeconds += x.Seconds
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventDataFetch, Site: s.name, Tenant: w.tenant,
 				Workflow: w.name, Time: x.At,

@@ -30,10 +30,6 @@ func partitions(name string, bytes int64, n int) []dataset.Ref {
 	return refs
 }
 
-// warmDeploys and guaranteedDone read one site's counter for sum.
-func warmDeploys(s SiteStats) int    { return s.WarmDeploys }
-func guaranteedDone(s SiteStats) int { return s.Guaranteed }
-
 // dataWorkflow is a single software task reading the given partitions and
 // writing the given outputs.
 func dataWorkflow(reads, writes []dataset.Ref) *runtime.Workflow {
@@ -595,7 +591,6 @@ func TestLineageDeterminism(t *testing.T) {
 		// used version is the resident one.
 		f.mu.Lock()
 		v, ok := f.sites[0].dstore.Oldest()
-		ds := f.sites[0].dstore.Stats()
 		f.mu.Unlock()
 		if !ok || v.ID != dataset.Intern(model).ID {
 			t.Fatal("model not resident")
@@ -603,12 +598,10 @@ func TestLineageDeterminism(t *testing.T) {
 		// Both writers complete at the same modelled time, so the higher
 		// workflow id (trainB) owns the name: the outcome is a pure
 		// function of (time, workflow, task).
-		if v.Workflow != "trainB" || ds.Superseded != 1 || ds.Rejected != 0 {
-			t.Fatalf("resident version by %s, superseded %d, rejected %d; want trainB superseding trainA once",
-				v.Workflow, ds.Superseded, ds.Rejected)
+		if v.Workflow != "trainB" {
+			t.Fatalf("resident version by %s, want trainB superseding trainA", v.Workflow)
 		}
 		fmt.Fprintf(&buf, "version %s %s %.9f\n", v.Workflow, v.Task, v.Time)
-		fmt.Fprintf(&buf, "published %d superseded %d rejected %d\n", ds.Published, ds.Superseded, ds.Rejected)
 		f.Shutdown()
 		return buf.Bytes()
 	}

@@ -265,11 +265,6 @@ type SiteStats struct {
 	FallbackDeploys int // required bitstreams no online device could host
 	DeploySeconds   float64
 
-	// Prefetch accounting: bitstreams staged by Warm (control-plane
-	// deploys that stalled no workflow) and their modelled staging time.
-	WarmDeploys int
-	WarmSeconds float64
-
 	// Dataset-store accounting: serve-time locality probes over known
 	// partitions (hits read in place, misses ship), fetch traffic, publish
 	// volume, and LRU evictions. Hits, misses and evictions are read from
@@ -279,19 +274,16 @@ type SiteStats struct {
 	DatasetMisses         int
 	DatasetFetches        int
 	DatasetFetchedBytes   int64
-	DatasetFetchSeconds   float64
 	DatasetPublished      int
 	DatasetPublishedBytes int64
 	DatasetEvictions      int
 
-	// Guaranteed-class accounting: completions admitted on proof, and how
-	// many of them missed their promised bound (the verifier gates this at
-	// exactly zero).
-	Guaranteed      int
+	// BoundViolations counts guaranteed completions (admitted on proof)
+	// that missed their promised bound; the verifier gates it at exactly
+	// zero.
 	BoundViolations int
 
 	BusyUntil float64 // modelled completion frontier
-	Engine    runtime.EngineStats
 }
 
 // Stats aggregates the fleet.
@@ -603,8 +595,6 @@ func (f *Fleet) warm(s *site, p dataset.Part, at float64) float64 {
 	if dt == 0 {
 		return 0
 	}
-	s.stats.WarmDeploys++
-	s.stats.WarmSeconds += dt
 	if f.cfg.Trace != nil {
 		f.trace(Event{Kind: EventWarm, Site: s.name, Tenant: "prefetch", Bitstream: p.Ref.Name,
 			Time: at, Detail: fmt.Sprintf("staged in %.4gs", dt)})
@@ -736,7 +726,6 @@ func (f *Fleet) Stats() Stats {
 		ss.DatasetHits, ss.DatasetMisses, ss.DatasetEvictions = ds.Hits, ds.Misses, ds.Evictions
 		ss.Evictions = s.bstore.Stats().Evictions
 		ss.BusyUntil = s.busyUntil
-		ss.Engine = s.engine.Stats()
 		out.Completed += ss.Served
 		out.Failed += ss.Failed
 		if ss.BusyUntil > out.Makespan {
@@ -771,8 +760,7 @@ func (f *Fleet) route(tenant string, last int, hasLast bool, needs, reads []data
 		}
 	}
 	if best < 0 {
-		return 0, fmt.Errorf("%w (%d sites, queue bound %.3gs)",
-			ErrSaturated, len(f.sites), f.cfg.MaxQueueSeconds)
+		return 0, &refusal{bound: f.cfg.MaxQueueSeconds, sites: int32(len(f.sites))}
 	}
 	return best, nil
 }
@@ -811,24 +799,29 @@ func (f *Fleet) routeGuaranteed(w *runtime.Workflow, needs, reads []dataset.Part
 		}
 	}
 	if best < 0 {
-		return 0, 0, &deadlineRefusal{deadline: deadline, sites: len(f.sites)}
+		return 0, 0, &refusal{bound: deadline, sites: int32(len(f.sites)), guaranteed: true}
 	}
 	return best, bestBound, nil
 }
 
-// deadlineRefusal is routeGuaranteed's refusal: no site can prove the
-// deadline. It wraps ErrSaturated and formats its text only when read, so
-// a refusal costs one small allocation.
-type deadlineRefusal struct {
-	deadline float64
-	sites    int
+// refusal is the fleet's admission refusal: route's when every site's
+// queue wait exceeds the queue bound, routeGuaranteed's when no site can
+// prove the deadline. It wraps ErrSaturated and formats its text only when
+// read, so a refusal costs one 16-B allocation.
+type refusal struct {
+	bound      float64 // the queue bound, or the guaranteed deadline
+	sites      int32
+	guaranteed bool
 }
 
-func (r *deadlineRefusal) Error() string {
-	return fmt.Sprintf("%v: no site can prove a %.4gs deadline (%d sites)", ErrSaturated, r.deadline, r.sites)
+func (r *refusal) Error() string {
+	if r.guaranteed {
+		return fmt.Sprintf("%v: no site can prove a %.4gs deadline (%d sites)", ErrSaturated, r.bound, r.sites)
+	}
+	return fmt.Sprintf("%v (%d sites, queue bound %.3gs)", ErrSaturated, r.sites, r.bound)
 }
 
-func (r *deadlineRefusal) Unwrap() error { return ErrSaturated }
+func (r *refusal) Unwrap() error { return ErrSaturated }
 
 // admissionBound evaluates the guaranteed-class inequality on one site for
 // a workflow whose own worst case (deploys, staging, service) is own,
@@ -840,7 +833,7 @@ func (f *Fleet) admissionBound(s *site, arrival, own, deadline float64) (float64
 	// the last settled makespan (estimates only ratchet down on reports),
 	// and the next service delta is measured from the settled makespan — so
 	// the gap is time the next workflow can be billed for.
-	overhang := s.engine.Stats().Backlog - s.lastMakespan
+	overhang := s.engine.Backlog() - s.lastMakespan
 	if overhang < 0 {
 		overhang = 0
 	}
@@ -973,9 +966,6 @@ func (f *Fleet) serve(s *site, w *work) {
 
 	err := s.engine.Serve(w.wf, runtime.SubmitOptions{Name: w.name, Tenant: w.tenant}, &t.sched)
 
-	if w.guaranteed {
-		s.stats.Guaranteed++
-	}
 	if err != nil {
 		s.stats.Failed++
 		s.stats.DeploySeconds += deploy
@@ -988,7 +978,7 @@ func (f *Fleet) serve(s *site, w *work) {
 		// executed before failing; advance the site timeline accordingly so
 		// the engine's clock progress is not misattributed to the NEXT
 		// workflow's service delta.
-		frontier := s.engine.Stats().Backlog
+		frontier := s.engine.Backlog()
 		partial := frontier - s.lastMakespan
 		if partial < 0 {
 			partial = 0

@@ -161,9 +161,8 @@ func TestShutdownRacesMutators(t *testing.T) {
 	if i := len(place.accepted); resident(f, i%2, dataset.Ref{Name: fmt.Sprintf("place-%d", i), Bytes: 1 << 10}) {
 		t.Error("the refused PlaceDataset published its partition")
 	}
-	if got := sum(final, warmDeploys) - sum(base, warmDeploys); got != warmed || traced[EventWarm] != got {
-		t.Errorf("%d warm deploys and %d warm events, want the %d accepted Warms that staged",
-			got, traced[EventWarm], warmed)
+	if traced[EventWarm] != warmed {
+		t.Errorf("%d warm events, want the %d accepted Warms that staged", traced[EventWarm], warmed)
 	}
 	if got := final.Submitted - base.Submitted; got != len(submit.accepted) || traced[EventRoute] != got {
 		t.Errorf("%d submitted and %d routed, want %d accepted Submits", got, traced[EventRoute], len(submit.accepted))

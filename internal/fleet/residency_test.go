@@ -93,9 +93,9 @@ func TestResidencyCountersMatchTrace(t *testing.T) {
 		at = res.Completion
 	}
 	st := f.Stats()
-	if st.Evictions() == 0 || st.Redeploys() == 0 || sum(st, warmDeploys) == 0 || st.CacheHits() == 0 {
+	if st.Evictions() == 0 || st.Redeploys() == 0 || counts[EventWarm] == 0 || st.CacheHits() == 0 {
 		t.Fatalf("hits %d, evictions %d, redeploys %d, warms %d: want residency churn",
-			st.CacheHits(), st.Evictions(), st.Redeploys(), sum(st, warmDeploys))
+			st.CacheHits(), st.Evictions(), st.Redeploys(), counts[EventWarm])
 	}
 	for _, c := range []struct {
 		kind EventKind
@@ -103,7 +103,6 @@ func TestResidencyCountersMatchTrace(t *testing.T) {
 	}{
 		{EventCacheHit, st.CacheHits()}, {EventCacheMiss, st.CacheMisses()},
 		{EventEvict, st.Evictions()}, {EventRedeploy, st.Redeploys()},
-		{EventWarm, sum(st, warmDeploys)},
 	} {
 		if counts[c.kind] != c.n {
 			t.Errorf("%d %v events, counter reads %d", counts[c.kind], c.kind, c.n)
@@ -202,7 +201,6 @@ func (r *refSite) warm(id string, at float64) {
 	}
 	r.dropStale(id)
 	if r.deploy(id, at) {
-		r.stats.WarmDeploys++
 		r.events = append(r.events, "warm "+id)
 	}
 }
@@ -391,7 +389,7 @@ func FuzzSiteResidency(f *testing.F) {
 			st := fl.Stats().Sites[0]
 			if st.CacheHits != ref.stats.CacheHits || st.CacheMisses != ref.stats.CacheMisses ||
 				st.Evictions != ref.stats.Evictions || st.Redeploys != ref.stats.Redeploys ||
-				st.FallbackDeploys != ref.stats.FallbackDeploys || st.WarmDeploys != ref.stats.WarmDeploys {
+				st.FallbackDeploys != ref.stats.FallbackDeploys {
 				t.Fatalf("op %d: counters %+v, reference %+v", i, st, ref.stats)
 			}
 			checkOneRecord(t, i, s, ref)

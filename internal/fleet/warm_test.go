@@ -10,6 +10,13 @@ import (
 	"everest/internal/runtime"
 )
 
+// staged reports whether site i's bitstream store holds bitstream id.
+func staged(f *Fleet, i int, id string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sites[i].bstore.Holds(needPart(id).ID)
+}
+
 func TestWarmStagesAndIsIdempotent(t *testing.T) {
 	reg := platform.NewRegistry()
 	reg.Put(testBitstream("bs-w"))
@@ -31,12 +38,8 @@ func TestWarmStagesAndIsIdempotent(t *testing.T) {
 	if site2 != site || dt2 != 0 {
 		t.Fatalf("re-warm = (site %d, %g), want resident no-op on site %d", site2, dt2, site)
 	}
-	st := f.Stats()
-	if sum(st, warmDeploys) != 1 {
-		t.Fatalf("WarmDeploys = %d, want 1", sum(st, warmDeploys))
-	}
-	if st.Sites[site].WarmSeconds != dt {
-		t.Fatalf("WarmSeconds = %g, want %g", st.Sites[site].WarmSeconds, dt)
+	if !staged(f, site, "bs-w") || staged(f, 1-site, "bs-w") {
+		t.Fatalf("bs-w staged on site 0/1 = %v/%v, want only site %d", staged(f, 0, "bs-w"), staged(f, 1, "bs-w"), site)
 	}
 
 	// A warmed bitstream makes the first real serve a cache hit: no
@@ -85,8 +88,8 @@ func TestWarmSkipsSitesWithNoFit(t *testing.T) {
 	if err != nil || site != 1 || dt <= 0 {
 		t.Fatalf("Warm = (site %d, %gs, %v), want a staging on site 1", site, dt, err)
 	}
-	if st := f.Stats(); st.Sites[1].WarmDeploys != 1 || st.Sites[0].FallbackDeploys != 0 {
-		t.Fatalf("site stats %+v, want one warm deploy on site 1 and no fallback on site 0", st.Sites)
+	if st := f.Stats(); !staged(f, 1, "bs") || st.Sites[0].FallbackDeploys != 0 {
+		t.Fatalf("site stats %+v, want bs staged on site 1 and no fallback on site 0", st.Sites)
 	}
 
 	none := newTestFleet(t, reg, Config{Sites: 2, NewCluster: cpuOnly})
@@ -136,9 +139,9 @@ func TestWarmAllStagesEverySite(t *testing.T) {
 	if dt <= 0 {
 		t.Fatalf("first warm-all staged nothing (dt=%g)", dt)
 	}
-	for i, s := range f.Stats().Sites {
-		if s.WarmDeploys != 1 {
-			t.Fatalf("site %d WarmDeploys = %d, want 1", i, s.WarmDeploys)
+	for i := range f.Sites() {
+		if !staged(f, i, "bs-w") {
+			t.Fatalf("site %d does not hold bs-w after WarmAll", i)
 		}
 	}
 	// Everything resident: re-warming the fleet is free.

@@ -29,25 +29,27 @@ func RegisterAll(ctx *mlir.Context) {
 // representation of parsed EKL programs (paper §V-A1, Fig. 3).
 func RegisterEKL(ctx *mlir.Context) *mlir.Dialect {
 	d := ctx.RegisterDialect("ekl")
-	d.RegisterOp(&mlir.OpInfo{Name: "kernel", NumRegions: 1, Summary: "EKL kernel definition",
+	// EKL kernel definition.
+	d.RegisterOp(&mlir.OpInfo{Name: "kernel", NumRegions: 1,
 		Verify: requireString("sym_name")})
-	d.RegisterOp(&mlir.OpInfo{Name: "tensor", NumResults: 1, Summary: "named tensor binding",
+	// Named tensor binding.
+	d.RegisterOp(&mlir.OpInfo{Name: "tensor", NumResults: 1,
 		Verify: requireString("name")})
-	d.RegisterOp(&mlir.OpInfo{Name: "einsum", MinOperands: 1, MaxOperands: -1, NumResults: 1,
-		Summary: "Einstein-notation contraction", Verify: verifyEinsum})
-	d.RegisterOp(&mlir.OpInfo{Name: "select", MinOperands: 3, MaxOperands: 3, NumResults: 1,
-		Summary: "elementwise select(cond, a, b)"})
-	d.RegisterOp(&mlir.OpInfo{Name: "gather", MinOperands: 2, MaxOperands: -1, NumResults: 1,
-		Summary: "subscripted subscript a[i[x], x]"})
-	d.RegisterOp(&mlir.OpInfo{Name: "range_pair", MinOperands: 1, MaxOperands: 2, NumResults: 1,
-		Summary: "two-point index window [j, j+1]"})
-	d.RegisterOp(&mlir.OpInfo{Name: "binary", MinOperands: 2, MaxOperands: 2, NumResults: 1,
-		Summary: "elementwise broadcasted arithmetic", Verify: requireString("fn")})
+	// Einstein-notation contraction.
+	d.RegisterOp(&mlir.OpInfo{Name: "einsum", MinOperands: 1, MaxOperands: -1, NumResults: 1, Verify: verifyEinsum})
+	// Elementwise select(cond, a, b).
+	d.RegisterOp(&mlir.OpInfo{Name: "select", MinOperands: 3, MaxOperands: 3, NumResults: 1})
+	// Subscripted subscript a[i[x], x].
+	d.RegisterOp(&mlir.OpInfo{Name: "gather", MinOperands: 2, MaxOperands: -1, NumResults: 1})
+	// Two-point index window [j, j+1].
+	d.RegisterOp(&mlir.OpInfo{Name: "range_pair", MinOperands: 1, MaxOperands: 2, NumResults: 1})
+	// Elementwise broadcasted arithmetic.
+	d.RegisterOp(&mlir.OpInfo{Name: "binary", MinOperands: 2, MaxOperands: 2, NumResults: 1, Verify: requireString("fn")})
 	d.RegisterOp(&mlir.OpInfo{Name: "unary", MinOperands: 1, MaxOperands: 1, NumResults: 1,
 		Verify: requireString("fn")})
+	// Bind result tensor (in-place construction target).
 	d.RegisterOp(&mlir.OpInfo{Name: "output", MinOperands: 1, MaxOperands: 1,
-		Summary: "bind result tensor (in-place construction target)",
-		Verify:  requireString("name")})
+		Verify: requireString("name")})
 	return d
 }
 
@@ -55,18 +57,19 @@ func RegisterEKL(ctx *mlir.Context) *mlir.Dialect {
 // ARRAY 2019): bufferized tensor programs ready for HLS.
 func RegisterTeIL(ctx *mlir.Context) *mlir.Dialect {
 	d := ctx.RegisterDialect("teil")
-	d.RegisterOp(&mlir.OpInfo{Name: "alloc", NumResults: 1, Summary: "tensor buffer allocation"})
+	// Tensor buffer allocation.
+	d.RegisterOp(&mlir.OpInfo{Name: "alloc", NumResults: 1})
 	d.RegisterOp(&mlir.OpInfo{Name: "load", MinOperands: 1, MaxOperands: -1, NumResults: 1})
 	d.RegisterOp(&mlir.OpInfo{Name: "store", MinOperands: 2, MaxOperands: -1})
-	d.RegisterOp(&mlir.OpInfo{Name: "loop", MinOperands: 0, MaxOperands: 0, NumRegions: 1,
-		Summary: "dense loop nest over named index space", Verify: verifyLoop})
+	// Dense loop nest over named index space.
+	d.RegisterOp(&mlir.OpInfo{Name: "loop", MinOperands: 0, MaxOperands: 0, NumRegions: 1, Verify: verifyLoop})
 	d.RegisterOp(&mlir.OpInfo{Name: "yield", MinOperands: 0, MaxOperands: -1, Terminator: true})
 	d.RegisterOp(&mlir.OpInfo{Name: "binary", MinOperands: 2, MaxOperands: 2, NumResults: 1,
 		Verify: requireString("fn")})
 	d.RegisterOp(&mlir.OpInfo{Name: "unary", MinOperands: 1, MaxOperands: 1, NumResults: 1,
 		Verify: requireString("fn")})
-	d.RegisterOp(&mlir.OpInfo{Name: "accumulate", MinOperands: 2, MaxOperands: 2, NumResults: 1,
-		Summary: "reduction accumulate into scalar carry"})
+	// Reduction accumulate into scalar carry.
+	d.RegisterOp(&mlir.OpInfo{Name: "accumulate", MinOperands: 2, MaxOperands: 2, NumResults: 1})
 	return d
 }
 
@@ -77,8 +80,8 @@ func RegisterCFDlang(ctx *mlir.Context) *mlir.Dialect {
 	d.RegisterOp(&mlir.OpInfo{Name: "decl", NumResults: 1, Verify: requireString("name")})
 	d.RegisterOp(&mlir.OpInfo{Name: "mul", MinOperands: 2, MaxOperands: 2, NumResults: 1})
 	d.RegisterOp(&mlir.OpInfo{Name: "add", MinOperands: 2, MaxOperands: 2, NumResults: 1})
-	d.RegisterOp(&mlir.OpInfo{Name: "contract", MinOperands: 1, MaxOperands: 1, NumResults: 1,
-		Summary: "pairwise index contraction t.ij.ij"})
+	// Pairwise index contraction t.ij.ij.
+	d.RegisterOp(&mlir.OpInfo{Name: "contract", MinOperands: 1, MaxOperands: 1, NumResults: 1})
 	d.RegisterOp(&mlir.OpInfo{Name: "out", MinOperands: 1, MaxOperands: 1,
 		Verify: requireString("name")})
 	return d
@@ -105,9 +108,10 @@ func RegisterJabbah(ctx *mlir.Context) *mlir.Dialect {
 func RegisterDFG(ctx *mlir.Context) *mlir.Dialect {
 	d := ctx.RegisterDialect("dfg")
 	d.RegisterOp(&mlir.OpInfo{Name: "graph", NumRegions: 1, Verify: requireString("sym_name")})
-	d.RegisterOp(&mlir.OpInfo{Name: "node", MinOperands: 0, MaxOperands: -1, NumResults: -1,
-		Summary: "dataflow actor", Verify: verifyDFGNode})
-	d.RegisterOp(&mlir.OpInfo{Name: "channel", NumResults: 1, Summary: "typed FIFO edge"})
+	// Dataflow actor.
+	d.RegisterOp(&mlir.OpInfo{Name: "node", MinOperands: 0, MaxOperands: -1, NumResults: -1, Verify: verifyDFGNode})
+	// Typed FIFO edge.
+	d.RegisterOp(&mlir.OpInfo{Name: "channel", NumResults: 1})
 	d.RegisterOp(&mlir.OpInfo{Name: "output", MinOperands: 0, MaxOperands: -1})
 	return d
 }
@@ -119,12 +123,14 @@ func RegisterOlympus(ctx *mlir.Context) *mlir.Dialect {
 	d.RegisterOp(&mlir.OpInfo{Name: "system", NumRegions: 1, Verify: requireString("sym_name")})
 	d.RegisterOp(&mlir.OpInfo{Name: "kernel_inst", MinOperands: 0, MaxOperands: -1, NumResults: -1,
 		Verify: requireString("kernel")})
-	d.RegisterOp(&mlir.OpInfo{Name: "plm", NumResults: 1, Summary: "private local memory",
+	// Private local memory.
+	d.RegisterOp(&mlir.OpInfo{Name: "plm", NumResults: 1,
 		Verify: verifyPLM})
-	d.RegisterOp(&mlir.OpInfo{Name: "bus", NumResults: 1, Summary: "memory bus with lanes",
+	// Memory bus with lanes.
+	d.RegisterOp(&mlir.OpInfo{Name: "bus", NumResults: 1,
 		Verify: verifyBus})
-	d.RegisterOp(&mlir.OpInfo{Name: "dma", MinOperands: 2, MaxOperands: 2,
-		Summary: "host<->device transfer edge"})
+	// Host<->device transfer edge.
+	d.RegisterOp(&mlir.OpInfo{Name: "dma", MinOperands: 2, MaxOperands: 2})
 	d.RegisterOp(&mlir.OpInfo{Name: "done", MinOperands: 0, MaxOperands: 0, Terminator: true})
 	return d
 }
@@ -138,8 +144,8 @@ func RegisterAffine(ctx *mlir.Context) *mlir.Dialect {
 	d.RegisterOp(&mlir.OpInfo{Name: "load", MinOperands: 1, MaxOperands: -1, NumResults: 1})
 	d.RegisterOp(&mlir.OpInfo{Name: "store", MinOperands: 2, MaxOperands: -1})
 	d.RegisterOp(&mlir.OpInfo{Name: "yield", MinOperands: 0, MaxOperands: -1, Terminator: true})
-	d.RegisterOp(&mlir.OpInfo{Name: "apply", MinOperands: 0, MaxOperands: -1, NumResults: 1,
-		Summary: "affine index arithmetic"})
+	// Affine index arithmetic.
+	d.RegisterOp(&mlir.OpInfo{Name: "apply", MinOperands: 0, MaxOperands: -1, NumResults: 1})
 	return d
 }
 

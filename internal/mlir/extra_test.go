@@ -45,8 +45,8 @@ func TestPassManagerErrorPropagation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("pass error must name the pass: %v", err)
 	}
-	if len(pm.Stats) != 1 || pm.Stats[0].Err == nil {
-		t.Error("failing pass must record its error in stats")
+	if len(pm.Stats) != 1 || pm.Stats[0].Pass != "boom" {
+		t.Errorf("stats %+v, want the failing pass recorded", pm.Stats)
 	}
 }
 

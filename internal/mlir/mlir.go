@@ -45,7 +45,6 @@ type Dialect struct {
 // optional semantic verifier invoked by Module.Verify.
 type OpInfo struct {
 	Name        string // fully qualified, e.g. "teil.contract"
-	Summary     string // one-line doc
 	MinOperands int
 	MaxOperands int // -1 means variadic
 	NumResults  int // -1 means variadic

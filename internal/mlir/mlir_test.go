@@ -63,8 +63,7 @@ func TestVerifyRejectsUseBeforeDef(t *testing.T) {
 	b := NewBuilder(ctx, m.Body())
 	_, _, fb := buildFunc(b, "f")
 	// Manufacture a value that was never defined in scope.
-	orphanOp := &Op{ctx: ctx, Dialect: "builtin", Name: "constant"}
-	orphan := &Value{id: ctx.newID(), typ: F64(), def: orphanOp}
+	orphan := &Value{id: ctx.newID(), typ: F64()}
 	fb.Create("builtin.return", []*Value{orphan}, nil, nil)
 	if err := m.Verify(); err == nil {
 		t.Fatal("Verify must reject use of undefined value")

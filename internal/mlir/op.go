@@ -8,9 +8,6 @@ import (
 type Value struct {
 	id   int
 	typ  Type
-	def  *Op    // defining op; nil for block arguments
-	ownr *Block // owning block for block arguments; nil for op results
-	idx  int    // result index or argument index
 	name string // optional debug name (e.g. the EKL identifier)
 }
 
@@ -30,7 +27,6 @@ type Op struct {
 	Results  []*Value
 	Attrs    map[string]Attribute
 	Regions  []*Region
-	parent   *Block
 }
 
 // FullName returns "dialect.name".
@@ -52,7 +48,7 @@ func (o *Op) SetAttr(key string, a Attribute) {
 
 // AddRegion appends a fresh region (with an empty entry block) to the op.
 func (o *Op) AddRegion() *Region {
-	r := &Region{parent: o}
+	r := &Region{}
 	r.Entry()
 	o.Regions = append(o.Regions, r)
 	return r
@@ -61,13 +57,12 @@ func (o *Op) AddRegion() *Region {
 // Region is an ordered list of blocks nested under an op.
 type Region struct {
 	Blocks []*Block
-	parent *Op
 }
 
 // Entry returns the first block, creating it if the region is empty.
 func (r *Region) Entry() *Block {
 	if len(r.Blocks) == 0 {
-		b := &Block{region: r}
+		b := &Block{}
 		r.Blocks = append(r.Blocks, b)
 	}
 	return r.Blocks[0]
@@ -75,23 +70,19 @@ func (r *Region) Entry() *Block {
 
 // Block holds arguments and a straight-line list of ops.
 type Block struct {
-	Args   []*Value
-	Ops    []*Op
-	region *Region
+	Args []*Value
+	Ops  []*Op
 }
 
 // AddArg appends a typed block argument and returns its value.
 func (b *Block) AddArg(ctx *Context, t Type, name string) *Value {
-	v := &Value{id: ctx.newID(), typ: t, ownr: b, idx: len(b.Args), name: name}
+	v := &Value{id: ctx.newID(), typ: t, name: name}
 	b.Args = append(b.Args, v)
 	return v
 }
 
 // push appends an op (used by the builder).
-func (b *Block) push(op *Op) {
-	op.parent = b
-	b.Ops = append(b.Ops, op)
-}
+func (b *Block) push(op *Op) { b.Ops = append(b.Ops, op) }
 
 // Module is the root of an IR tree: a builtin.module op with one region.
 type Module struct {
@@ -103,7 +94,7 @@ type Module struct {
 func NewModule(ctx *Context, name string) *Module {
 	op := &Op{ctx: ctx, Dialect: "builtin", Name: "module"}
 	op.SetAttr("sym_name", StringAttr(name))
-	op.Regions = []*Region{{parent: op}}
+	op.Regions = []*Region{{}}
 	op.Regions[0].Entry()
 	return &Module{ctx: ctx, op: op}
 }
@@ -172,8 +163,8 @@ func (b *Builder) Create(qualified string, operands []*Value, resultTypes []Type
 	if attrs != nil {
 		op.Attrs = attrs
 	}
-	for i, rt := range resultTypes {
-		op.Results = append(op.Results, &Value{id: b.ctx.newID(), typ: rt, def: op, idx: i})
+	for _, rt := range resultTypes {
+		op.Results = append(op.Results, &Value{id: b.ctx.newID(), typ: rt})
 	}
 	b.block.push(op)
 	return op
@@ -183,7 +174,7 @@ func (b *Builder) Create(qualified string, operands []*Value, resultTypes []Type
 func (b *Builder) CreateWithRegions(qualified string, operands []*Value, resultTypes []Type, attrs map[string]Attribute, nRegions int) *Op {
 	op := b.Create(qualified, operands, resultTypes, attrs)
 	for i := 0; i < nRegions; i++ {
-		r := &Region{parent: op}
+		r := &Region{}
 		r.Entry()
 		op.Regions = append(op.Regions, r)
 	}

@@ -31,16 +31,14 @@ type PassStat struct {
 	Pass     string
 	Duration time.Duration
 	OpsAfter int
-	Err      error
 }
 
 // PassManager runs a pipeline of passes with verification between stages.
 type PassManager struct {
-	passes      []Pass
-	VerifyEach  bool // verify the module after every pass (default true via NewPassManager)
-	Stats       []PassStat
-	DumpEachTo  *strings.Builder // optional: textual IR after each pass
-	FailOnStats bool
+	passes     []Pass
+	VerifyEach bool // verify the module after every pass (default true via NewPassManager)
+	Stats      []PassStat
+	DumpEachTo *strings.Builder // optional: textual IR after each pass
 }
 
 // NewPassManager returns a PassManager with per-pass verification enabled.
@@ -59,7 +57,7 @@ func (pm *PassManager) Run(m *Module) error {
 	for _, p := range pm.passes {
 		start := time.Now()
 		err := p.Run(m)
-		stat := PassStat{Pass: p.Name(), Duration: time.Since(start), Err: err}
+		stat := PassStat{Pass: p.Name(), Duration: time.Since(start)}
 		if err == nil {
 			n := 0
 			m.Walk(func(*Op) { n++ })

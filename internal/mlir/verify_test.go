@@ -162,7 +162,7 @@ func (g *moduleGen) fill(block *Block, visible []*Value, depth int) {
 			for bi := range int(g.byte() % 3) {
 				blk := r.Entry()
 				if bi > 0 {
-					blk = &Block{region: r}
+					blk = &Block{}
 					r.Blocks = append(r.Blocks, blk)
 				}
 				for range int(g.byte() % 3) {
@@ -262,7 +262,7 @@ func TestVerifyNestedValueNotVisibleAfterItsOp(t *testing.T) {
 func TestVerifySiblingBlockValueNotVisible(t *testing.T) {
 	m, inner, op := scopeModule()
 	x := inner.Create("test.def", nil, []Type{F64()}, nil).Result(0)
-	second := &Block{region: op.Regions[0]}
+	second := &Block{}
 	op.Regions[0].Blocks = append(op.Regions[0].Blocks, second)
 	NewBuilder(m.ctx, second).Create("test.use", []*Value{x}, nil, nil)
 	wantUseBeforeDef(t, m)

@@ -16,7 +16,6 @@ import (
 
 // Stack is one transport configuration.
 type Stack struct {
-	Name          string
 	LineRateGbps  float64 // physical line rate
 	MTU           int     // payload bytes per frame
 	FrameOverhead int     // header bytes per frame (eth+ip+proto)
@@ -26,12 +25,12 @@ type Stack struct {
 
 // TCP10G returns the cloudFPGA 10G TCP stack model.
 func TCP10G() Stack {
-	return Stack{Name: "tcp10g", LineRateGbps: 10, MTU: 1460, FrameOverhead: 78, LatencyUs: 25, AckFactor: 0.95}
+	return Stack{LineRateGbps: 10, MTU: 1460, FrameOverhead: 78, LatencyUs: 25, AckFactor: 0.95}
 }
 
 // UDP10G returns the cloudFPGA 10G UDP stack model.
 func UDP10G() Stack {
-	return Stack{Name: "udp10g", LineRateGbps: 10, MTU: 1472, FrameOverhead: 66, LatencyUs: 20, AckFactor: 1.0}
+	return Stack{LineRateGbps: 10, MTU: 1472, FrameOverhead: 66, LatencyUs: 20, AckFactor: 1.0}
 }
 
 // Eth100G returns the data-center fabric joining federated sites to the
@@ -40,7 +39,7 @@ func UDP10G() Stack {
 // magnitude faster than the cloudFPGA 10G stacks, so reconfiguration
 // latency, not the wire, dominates a cold deploy.
 func Eth100G() Stack {
-	return Stack{Name: "eth100g", LineRateGbps: 100, MTU: 4096, FrameOverhead: 58, LatencyUs: 3, AckFactor: 1.0}
+	return Stack{LineRateGbps: 100, MTU: 4096, FrameOverhead: 58, LatencyUs: 3, AckFactor: 1.0}
 }
 
 // WAN10G returns the metro-scale inter-region fabric: a leased 10G wave
@@ -50,7 +49,7 @@ func Eth100G() Stack {
 // image) across regions is latency-priced, not bandwidth-priced, for
 // anything small.
 func WAN10G() Stack {
-	return Stack{Name: "wan10g", LineRateGbps: 10, MTU: 1460, FrameOverhead: 78, LatencyUs: 5000, AckFactor: 0.95}
+	return Stack{LineRateGbps: 10, MTU: 1460, FrameOverhead: 78, LatencyUs: 5000, AckFactor: 0.95}
 }
 
 // WAN1G returns the geo-scale inter-region fabric: a shared 1G VPN link
@@ -59,7 +58,7 @@ func WAN10G() Stack {
 // which is what makes cold inter-region bitstream fetches dominate
 // cold-start latency — and speculative prefetch worth building.
 func WAN1G() Stack {
-	return Stack{Name: "wan1g", LineRateGbps: 1, MTU: 1460, FrameOverhead: 78, LatencyUs: 40000, AckFactor: 0.9}
+	return Stack{LineRateGbps: 1, MTU: 1460, FrameOverhead: 78, LatencyUs: 40000, AckFactor: 0.9}
 }
 
 // StackByName resolves "tcp10g", "udp10g", "eth100g", "wan10g", or "wan1g".

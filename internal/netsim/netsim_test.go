@@ -16,7 +16,7 @@ func TestGoodputBelowLineRate(t *testing.T) {
 	for _, s := range []Stack{TCP10G(), UDP10G()} {
 		g := goodputGBs(s)
 		if g <= 0 || g >= s.LineRateGbps/8 {
-			t.Errorf("%s goodput %g must be positive and below line rate", s.Name, g)
+			t.Errorf("%+v goodput %g must be positive and below line rate", s, g)
 		}
 	}
 	if goodputGBs(UDP10G()) <= goodputGBs(TCP10G()) {
@@ -90,7 +90,7 @@ func TestWANStacks(t *testing.T) {
 	}
 	for _, s := range []Stack{metro, geo} {
 		if g := goodputGBs(s); g <= 0 || g >= s.LineRateGbps/8 {
-			t.Errorf("%s goodput %g must be positive and below line rate", s.Name, g)
+			t.Errorf("%+v goodput %g must be positive and below line rate", s, g)
 		}
 	}
 }

@@ -16,7 +16,11 @@ func approxEq(a, b float64) bool {
 }
 
 func TestSendSecondsFramingEdges(t *testing.T) {
-	for _, stack := range []Stack{TCP10G(), UDP10G()} {
+	for _, name := range []string{"tcp10g", "udp10g"} {
+		stack, err := StackByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rate := stack.LineRateGbps / 8 * 1e9 // bytes per second on the wire
 		cases := []struct {
 			name   string
@@ -31,7 +35,7 @@ func TestSendSecondsFramingEdges(t *testing.T) {
 			{"two MTUs + 1", 2*int64(stack.MTU) + 1, 3},
 		}
 		for _, tc := range cases {
-			t.Run(stack.Name+"/"+tc.name, func(t *testing.T) {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
 				wireBytes := float64(tc.bytes + tc.frames*int64(stack.FrameOverhead))
 				want := stack.LatencyUs*1e-6 + wireBytes/rate/stack.AckFactor
 				got := stack.SendSeconds(tc.bytes)
@@ -48,7 +52,7 @@ func TestSendSecondsFramingEdges(t *testing.T) {
 		perByte := 1 / rate / stack.AckFactor
 		wantCliff := (1 + float64(stack.FrameOverhead)) * perByte
 		if !approxEq(cliff, wantCliff) {
-			t.Errorf("%s: MTU+1 cliff = %.4g, want frame overhead %.4g", stack.Name, cliff, wantCliff)
+			t.Errorf("%s: MTU+1 cliff = %.4g, want frame overhead %.4g", name, cliff, wantCliff)
 		}
 	}
 }
@@ -92,15 +96,15 @@ func TestLatencyToBandwidthCrossover(t *testing.T) {
 		x := crossoverBytes(tc.stack)
 		got = append(got, x)
 		if x < tc.lo || x > tc.hi {
-			t.Errorf("%s: crossover at %d bytes, want within [%d, %d]",
-				tc.stack.Name, x, tc.lo, tc.hi)
+			t.Errorf("%+v: crossover at %d bytes, want within [%d, %d]",
+				tc.stack, x, tc.lo, tc.hi)
 		}
 		// Below the crossover the stack latency dominates; above, the wire.
 		if w := wireSeconds(tc.stack, x/2); w >= tc.stack.LatencyUs*1e-6 {
-			t.Errorf("%s: %d bytes should be latency-bound (wire %.4g)", tc.stack.Name, x/2, w)
+			t.Errorf("%+v: %d bytes should be latency-bound (wire %.4g)", tc.stack, x/2, w)
 		}
 		if w := wireSeconds(tc.stack, 4*x); w <= tc.stack.LatencyUs*1e-6 {
-			t.Errorf("%s: %d bytes should be bandwidth-bound (wire %.4g)", tc.stack.Name, 4*x, w)
+			t.Errorf("%+v: %d bytes should be bandwidth-bound (wire %.4g)", tc.stack, 4*x, w)
 		}
 	}
 	// UDP's lower latency and ack-free goodput move its crossover earlier:

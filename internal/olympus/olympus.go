@@ -41,7 +41,6 @@ type Options struct {
 
 // Buffer describes one kernel buffer for PLM planning.
 type Buffer struct {
-	Name  string
 	Bytes int64
 	// Phase groups buffers by kernel phase; buffers in different phases
 	// have disjoint lifetimes and can share storage when SharePLM is on.
@@ -78,9 +77,7 @@ func PlanPLM(buffers []Buffer, share bool) int64 {
 type Design struct {
 	Bitstream platform.Bitstream
 	HostCode  []string // generated driver call sequence
-	// Diagnostics
-	ReplicasTried int
-	FitUtil       float64
+	FitUtil   float64  // diagnostic: utilization of the fitted design
 }
 
 // Generate builds the FPGA system architecture for a kernel on a device.
@@ -137,9 +134,7 @@ func Generate(k hls.Kernel, backend hls.Backend, dev *platform.Device, buffers [
 
 	// Find the largest replica count that fits the budget.
 	var bs platform.Bitstream
-	tried := 0
 	for rep := maxRep; rep >= 1; rep-- {
-		tried++
 		lanes := rep
 		if busWidth%lanes != 0 {
 			continue
@@ -171,9 +166,8 @@ func Generate(k hls.Kernel, backend hls.Backend, dev *platform.Device, buffers [
 	}
 
 	d := &Design{
-		Bitstream:     bs,
-		ReplicasTried: tried,
-		FitUtil:       bs.TotalResources().Utilization(dev.Capacity),
+		Bitstream: bs,
+		FitUtil:   bs.TotalResources().Utilization(dev.Capacity),
 	}
 	d.HostCode = hostDriver(bs)
 	return d, nil

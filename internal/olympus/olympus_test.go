@@ -22,9 +22,9 @@ func streamKernel() hls.Kernel {
 
 func testBuffers() []Buffer {
 	return []Buffer{
-		{Name: "in", Bytes: 1 << 16, Phase: 0},
-		{Name: "tmp", Bytes: 1 << 16, Phase: 0},
-		{Name: "out", Bytes: 1 << 16, Phase: 1},
+		{Bytes: 1 << 16, Phase: 0}, // in
+		{Bytes: 1 << 16, Phase: 0}, // tmp
+		{Bytes: 1 << 16, Phase: 1}, // out
 	}
 }
 

@@ -30,17 +30,12 @@ const (
 
 // MemorySpec describes one device memory system.
 type MemorySpec struct {
-	Kind          string  // "hbm2", "ddr4"
-	Channels      int     // pseudo-channels for HBM
 	BandwidthGBs  float64 // aggregate peak bandwidth, GB/s
-	LatencyNs     float64 // access latency
-	SizeBytes     int64
-	PortWidthBits int // AXI port width per channel
+	PortWidthBits int     // AXI port width per channel
 }
 
 // LinkSpec describes a host or network link.
 type LinkSpec struct {
-	Kind         string  // "pcie3x16", "tcp10g"
 	BandwidthGBs float64 // effective payload bandwidth, GB/s
 	LatencyUs    float64 // one-way latency
 }
@@ -142,13 +137,10 @@ func AlveoU55C() *Device {
 		Name:       "alveo-u55c",
 		Attachment: PCIeAttached,
 		Capacity:   hls.Resources{LUT: 1303680, FF: 2607360, DSP: 9024, BRAM: 4032},
-		Memory: MemorySpec{
-			Kind: "hbm2", Channels: 32, BandwidthGBs: 460, LatencyNs: 120,
-			SizeBytes: 16 << 30, PortWidthBits: 256,
-		},
-		Host:      LinkSpec{Kind: "pcie3x16", BandwidthGBs: 12, LatencyUs: 5},
-		FabricMHz: 450,
-		PRRegions: 4,
+		Memory:     MemorySpec{BandwidthGBs: 460, PortWidthBits: 256}, // 16 GiB HBM2, 32 pseudo-channels
+		Host:       LinkSpec{BandwidthGBs: 12, LatencyUs: 5},          // PCIe 3.0 x16
+		FabricMHz:  450,
+		PRRegions:  4,
 	}
 }
 
@@ -158,13 +150,10 @@ func AlveoU280() *Device {
 		Name:       "alveo-u280",
 		Attachment: PCIeAttached,
 		Capacity:   hls.Resources{LUT: 1304000, FF: 2607000, DSP: 9024, BRAM: 4032},
-		Memory: MemorySpec{
-			Kind: "hbm2", Channels: 32, BandwidthGBs: 460, LatencyNs: 128,
-			SizeBytes: 8 << 30, PortWidthBits: 256,
-		},
-		Host:      LinkSpec{Kind: "pcie4x8", BandwidthGBs: 14, LatencyUs: 4},
-		FabricMHz: 450,
-		PRRegions: 4,
+		Memory:     MemorySpec{BandwidthGBs: 460, PortWidthBits: 256}, // 8 GiB HBM2, 32 pseudo-channels
+		Host:       LinkSpec{BandwidthGBs: 14, LatencyUs: 4},          // PCIe 4.0 x8
+		FabricMHz:  450,
+		PRRegions:  4,
 	}
 }
 
@@ -176,13 +165,10 @@ func CloudFPGA() *Device {
 		Name:       "cloudfpga-ku060",
 		Attachment: NetworkAttached,
 		Capacity:   hls.Resources{LUT: 331680, FF: 663360, DSP: 2760, BRAM: 2160},
-		Memory: MemorySpec{
-			Kind: "ddr4", Channels: 2, BandwidthGBs: 38, LatencyNs: 90,
-			SizeBytes: 8 << 30, PortWidthBits: 512,
-		},
-		Host:      LinkSpec{Kind: "tcp10g", BandwidthGBs: 1.1, LatencyUs: 25},
-		FabricMHz: 322,
-		PRRegions: 2,
+		Memory:     MemorySpec{BandwidthGBs: 38, PortWidthBits: 512}, // 8 GiB DDR4, 2 channels
+		Host:       LinkSpec{BandwidthGBs: 1.1, LatencyUs: 25},       // 10 Gbps TCP
+		FabricMHz:  322,
+		PRRegions:  2,
 	}
 }
 

@@ -90,7 +90,6 @@ type NodeHealth struct {
 	SlowdownEst   float64 // learned load factor (>= 1)
 	DevicesOnline int
 	DevicesTotal  int
-	Failed        bool
 }
 
 // Snapshot returns the health of every cluster node, sorted by name.
@@ -111,7 +110,6 @@ func (m *Monitor) Snapshot() []NodeHealth {
 				h.DevicesOnline++
 			}
 		}
-		_, h.Failed = n.FailedAt()
 		out = append(out, h)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })

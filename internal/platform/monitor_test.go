@@ -141,7 +141,7 @@ func TestMonitorSnapshotAndAvailability(t *testing.T) {
 	if n0.DevicesOnline != 0 || n0.DevicesTotal != 1 {
 		t.Fatalf("n0 devices: %+v", n0)
 	}
-	if !snap[1].Failed {
+	if _, failed := c.FindNode("n1").FailedAt(); !failed {
 		t.Fatal("n1 must report failed")
 	}
 }

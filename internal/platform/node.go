@@ -439,7 +439,7 @@ type Cluster struct {
 func NewCluster(nodes ...*Node) *Cluster {
 	return &Cluster{
 		Nodes:   nodes,
-		Network: LinkSpec{Kind: "eth100g", BandwidthGBs: 11, LatencyUs: 3},
+		Network: LinkSpec{BandwidthGBs: 11, LatencyUs: 3},
 	}
 }
 

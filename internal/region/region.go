@@ -218,7 +218,6 @@ type Request struct {
 type Result struct {
 	Region string
 	Site   string
-	Class  Class
 
 	Arrival   float64
 	Handoff   float64 // WAN payload transfer stall (served away from home)
@@ -239,13 +238,6 @@ type Result struct {
 	// Guaranteed-class fields: the proven bound relative to Arrival.
 	Guaranteed bool
 	Bound      float64
-
-	// Preemptions counts how many times this workflow was pushed back
-	// while held (batch only).
-	Preemptions int
-
-	// Sched is the serving engine's schedule of the workflow.
-	Sched *runtime.Schedule
 }
 
 // Handle is the caller's handle on one submitted workflow. Interactive
@@ -285,16 +277,13 @@ type RegionStats struct {
 	Served int
 	Failed int
 
-	Guaranteed  int
-	Interactive int
-	Batch       int
+	Guaranteed int
+	Batch      int
 
-	Handoffs  int // served here for another region's gateway
-	HandedOff int // gateway arrivals this region shipped elsewhere
+	Handoffs int // served here for another region's gateway
 
 	ColdServes  int
 	Preemptions int
-	Holds       int
 
 	WANFetches      int
 	WANFetchSeconds float64
@@ -302,7 +291,6 @@ type RegionStats struct {
 	PrefetchSeconds float64
 	Warms           int
 	StoreEvictions  int // images the StoreSlots bound evicted (read from the store)
-	PartitionSkips  int // fetches skipped because the WAN was partitioned
 
 	Fleet fleet.Stats
 }
@@ -321,7 +309,6 @@ type Stats struct {
 	PrefetchFetches int
 	Warms           int
 
-	Guaranteed      int
 	BoundViolations int
 
 	Makespan float64
@@ -580,7 +567,6 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 			hw := &held{h: h, req: req, release: release, seq: f.heldSeq}
 			h.held = hw
 			home.held = append(home.held, hw)
-			home.stats.Holds++
 			if f.cfg.Trace != nil {
 				f.trace(Event{Kind: EventHold, Region: home.name, Tenant: req.Tenant,
 					Workflow: req.Name, App: req.App, Time: req.Arrival,
@@ -589,7 +575,7 @@ func (f *Federation) SubmitAt(req Request) (*Handle, error) {
 			return h, nil
 		}
 		h := &Handle{fed: f}
-		f.serveNow(home, req, req.Arrival, 0, h)
+		f.serveNow(home, req, req.Arrival, h)
 		return h, h.err
 	}
 
@@ -645,7 +631,7 @@ func (f *Federation) route(req Request, h *Handle) error {
 				Workflow: req.Name, App: req.App, Time: req.Arrival,
 				Detail: fmt.Sprintf("cost=%.4gs of %d candidate(s)", cands[0].cost, len(cands))})
 		}
-		f.serveNow(r, req, req.Arrival, 0, h)
+		f.serveNow(r, req, req.Arrival, h)
 		return h.err
 	}
 	var lastErr error
@@ -710,7 +696,7 @@ func (f *Federation) tryGuaranteed(r *region, req Request, h *Handle) error {
 	if err != nil {
 		return err
 	}
-	f.finish(r, req, tk, nil, handoff, fetch, 0, 0, h)
+	f.finish(r, req, tk, nil, handoff, fetch, 0, h)
 	return nil
 }
 
@@ -726,18 +712,18 @@ func (f *Federation) stage(r *region, req Request, at float64) (handoff, fetch f
 
 // serveNow serves one request at region r with the given serving-path
 // arrival (the hold release for batch work), resolving h.
-func (f *Federation) serveNow(r *region, req Request, at float64, pushes int, h *Handle) {
+func (f *Federation) serveNow(r *region, req Request, at float64, h *Handle) {
 	handoff, fetch := f.stage(r, req, at)
 	tk, err := r.fl.Submit(fleet.Request{
 		Tenant: req.Tenant, Name: req.Name, Workflow: req.Workflow,
 		Arrival: at + handoff + fetch,
 	})
-	f.finish(r, req, tk, err, handoff, fetch, at-req.Arrival, pushes, h)
+	f.finish(r, req, tk, err, handoff, fetch, at-req.Arrival, h)
 }
 
 // finish waits out the fleet serve (unless its Submit failed with err) and
 // fills the handle's result.
-func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, err error, handoff, fetch, hold float64, pushes int, h *Handle) {
+func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, err error, handoff, fetch, hold float64, h *Handle) {
 	var res fleet.Result
 	if err == nil {
 		res, err = tk.Wait()
@@ -755,20 +741,18 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, err error,
 	}
 	cold := fetch > 0 || res.Deploy > 0
 	out := Result{
-		Region: r.name, Site: res.Site, Class: req.Class,
+		Region: r.name, Site: res.Site,
 		Arrival: req.Arrival, Handoff: handoff, Fetch: fetch, Hold: hold,
 		Wait: res.Wait, Deploy: res.Deploy, Service: res.Service,
 		Completion: res.Completion, Latency: res.Completion - req.Arrival,
-		Cold: cold, Guaranteed: res.Guaranteed, Preemptions: pushes, Sched: res.Sched,
+		Cold: cold, Guaranteed: res.Guaranteed,
 	}
 	if res.Guaranteed {
 		out.Bound = handoff + fetch + res.Bound
 		r.gFrontier = math.Max(r.gFrontier, res.Completion)
 		r.stats.Guaranteed++
-	} else if req.Class == Interactive {
-		r.stats.Interactive++
-	} else {
-		r.stats.Batch++
+	} else if req.Class != Interactive {
+		r.stats.Batch++ // batch work, and guaranteed work degraded to best-effort
 	}
 	r.stats.Served++
 	if cold {
@@ -776,7 +760,6 @@ func (f *Federation) finish(r *region, req Request, tk *fleet.Ticket, err error,
 	}
 	if r.idx != req.Home {
 		r.stats.Handoffs++
-		f.regions[req.Home].stats.HandedOff++
 		if f.cfg.Trace != nil {
 			f.trace(Event{Kind: EventHandoff, Region: r.name, Tenant: req.Tenant,
 				Workflow: req.Name, App: req.App, Time: req.Arrival,
@@ -802,9 +785,6 @@ func (f *Federation) ensureArtifacts(r *region, needs []dataset.Part, at float64
 	seconds, _ := r.images.Stage(needs, at, "(fetch)", r.imageLink, func(x dataset.Fetch) {
 		id := x.Part.Ref.Name
 		if !x.Shipped {
-			if f.partitioned(r.idx, x.At) {
-				r.stats.PartitionSkips++
-			}
 			return
 		}
 		for _, ev := range x.Evicted {
@@ -925,7 +905,7 @@ func (f *Federation) release(r *region, hw *held) {
 			Workflow: hw.req.Name, App: hw.req.App, Time: hw.release,
 			Detail: fmt.Sprintf("held %.4gs pushes=%d", hw.release-hw.req.Arrival, hw.pushes)})
 	}
-	f.serveNow(r, hw.req, hw.release, hw.pushes, hw.h)
+	f.serveNow(r, hw.req, hw.release, hw.h)
 }
 
 // roll processes one region's window boundary: close forecast windows
@@ -1052,7 +1032,6 @@ func (f *Federation) Stats() Stats {
 		out.WANFetches += rs.WANFetches
 		out.PrefetchFetches += rs.PrefetchFetches
 		out.Warms += rs.Warms
-		out.Guaranteed += rs.Guaranteed
 		out.BoundViolations += rs.Fleet.BoundViolations()
 		if rs.Fleet.Makespan > out.Makespan {
 			out.Makespan = rs.Fleet.Makespan

@@ -363,6 +363,36 @@ func TestAdaptiveServesTaskWithNoUsableVariant(t *testing.T) {
 	}
 }
 
+// TestAdaptiveServesWhenNoVariantPrices: an FPGA task seeded only with
+// fpga, on a cluster whose one programmed device is unplugged at 0, has
+// no variant the adaptive engine can price on any live node. The engine
+// prices and bills it as submitted, through the software fallback,
+// exactly as the static engine does, instead of refusing it.
+func TestAdaptiveServesWhenNoVariantPrices(t *testing.T) {
+	serve := func(adaptive bool) (*Schedule, error) {
+		cluster, bs := programmedCluster(t, 2)
+		w := fpgaChain(t, 1, bs.ID)
+		w.SetVariants([]autotuner.Variant{{Name: VariantFPGA.String(), ExpectedMs: 1}})
+		return ServeAlone(cluster, EngineConfig{Policy: PolicyHEFT, Adaptive: adaptive,
+			Events: []EnvEvent{{Kind: EnvUnplug, Node: cluster.Nodes[0].Name, At: 0}}}, w)
+	}
+	static, err := serve(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := serve(true)
+	if err != nil {
+		t.Fatalf("adaptive engine refused the task the static engine serves: %v", err)
+	}
+	if sched.Makespan != static.Makespan {
+		t.Errorf("adaptive makespan %g, want the static engine's %g", sched.Makespan, static.Makespan)
+	}
+	if a := sched.Assignments[0]; a.Variant != VariantAsSubmitted || a.OnFPGA || sched.Adapt.Fallbacks != static.Adapt.Fallbacks {
+		t.Errorf("task ran as %q (on FPGA %v, %d fallbacks), want as submitted in software like the static %+v",
+			a.Variant, a.OnFPGA, sched.Adapt.Fallbacks, static.Adapt)
+	}
+}
+
 // TestAdaptivePricesUnknownVariantAsBilled: a workflow seeded only with a
 // name outside the engine's variants (gpu) runs as submitted, and its
 // placement estimate is what execution bills: the engine's frontier after
@@ -375,7 +405,7 @@ func TestAdaptivePricesUnknownVariantAsBilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := sched.Assignments[0]
-	if got := e.Stats().Backlog; got != a.End {
+	if got := e.Backlog(); got != a.End {
 		t.Errorf("placement priced the task to end at %g, execution billed %g", got, a.End)
 	}
 	if a.Variant != VariantAsSubmitted || len(sched.VariantCounts()) != 0 {

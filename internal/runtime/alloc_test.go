@@ -113,7 +113,6 @@ func TestOnReportAllocFree(t *testing.T) {
 		// Restore: the completion consumed a pending task, readied its
 		// child, and appended one assignment.
 		st.pending++
-		ds.pendingTotal++
 		st.remaining[1] = 1
 		st.doneAt[0], st.locAt[0] = 0, -1
 		st.sched.Assignments = st.sched.Assignments[:0]

@@ -165,33 +165,6 @@ type SubmitOptions struct {
 	Tenant string // fairness domain (defaults to "default")
 }
 
-// EngineStats is a point-in-time snapshot of one engine's serving state —
-// the per-engine export a federation tier (internal/fleet) reads to judge a
-// site's queue depth and accelerator capacity before routing work to it.
-// Counter fields are the event loop's own, read under the serve lock;
-// device fields are computed from the cluster at snapshot time.
-type EngineStats struct {
-	Submitted int // workflows the engine has admitted
-	Completed int // workflows drained successfully
-	Failed    int // workflows drained with an error
-	Active    int // workflows in flight
-	// ReadyTasks counts tasks sitting in the tenant fairness queues,
-	// dependency-ready but not yet placed on a node.
-	ReadyTasks int
-	// PendingTasks counts unfinished tasks across all active workflows
-	// (ready, queued on nodes, and still dependency-blocked).
-	PendingTasks int
-	// Backlog is the modelled frontier: the latest estimated earliest-idle
-	// time across nodes — how far into modelled time the engine's accepted
-	// work already reaches.
-	Backlog float64
-	// OnlineDevices counts attached accelerator devices on alive nodes;
-	// ProgrammedOnline counts the subset carrying a bitstream (the capacity
-	// the fpga variant can actually reach).
-	OnlineDevices    int
-	ProgrammedOnline int
-}
-
 // Lifecycle is the one lifecycle state of a serving front (Engine,
 // fleet.Fleet, region.Federation), guarded by the front's own lock: it is
 // Unstarted when built, Serving after Start, and Shut for good after
@@ -242,9 +215,8 @@ type Engine struct {
 
 	// Node index tables, built at Start: the event loop addresses nodes by
 	// dense integer index, never by name.
-	nodes   []*platform.Node
-	nodeIdx map[string]int
-	queues  []*workQueue // per-node FIFO, indexed like nodes
+	nodes  []*platform.Node
+	queues []*workQueue // per-node FIFO, indexed like nodes
 
 	// mu is the serve lock: Start, Submit and Shutdown run the event loop
 	// under it, Apply writes the nodes under it, and it guards everything
@@ -280,43 +252,20 @@ func (e *Engine) Health() []platform.NodeHealth {
 	return e.monitor.Snapshot()
 }
 
-// Stats returns a snapshot of the engine's serving state. The counter
-// fields are the event loop's (zero before Start); the device fields are
-// computed from the cluster at call time, so they include every event
-// Apply has written. Stats takes the serve lock, so it waits while a
-// Start, Submit or Apply runs, and must not be called from the engine's
-// own trace callback. Safe to call from any other goroutine, before
-// Start, and after Shutdown.
-func (e *Engine) Stats() EngineStats {
+// Backlog returns the engine's modelled frontier: the latest estimated
+// earliest-idle time across nodes, how far into modelled time its accepted
+// work already reaches (zero before Start). A federation tier
+// (internal/fleet) reads it to judge a site's queue depth before routing
+// work there. Backlog takes the serve lock, so it waits while a Start,
+// Submit or Apply runs, and must not be called from the engine's own
+// trace callback.
+func (e *Engine) Backlog() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var st EngineStats
-	if ds := e.ds; ds != nil {
-		st = EngineStats{
-			Submitted:    ds.submitted,
-			Completed:    ds.completed,
-			Failed:       ds.failed,
-			Active:       len(ds.active),
-			ReadyTasks:   ds.readyCount,
-			PendingTasks: ds.pendingTotal,
-			Backlog:      ds.backlog,
-		}
+	if e.ds == nil {
+		return 0
 	}
-	for _, n := range e.cluster.Nodes {
-		if _, failed := n.FailedAt(); failed {
-			continue
-		}
-		for idx := range n.Devices {
-			if !n.DeviceOnline(idx) {
-				continue
-			}
-			st.OnlineDevices++
-			if _, ok := n.Programmed(idx); ok {
-				st.ProgrammedOnline++
-			}
-		}
-	}
-	return st
+	return e.ds.backlog
 }
 
 // raiseBacklog tracks the modelled frontier as nodeFree entries advance.
@@ -350,10 +299,8 @@ func (e *Engine) Start() error {
 	// reads it by node index. Evidence comes only from served tasks, so
 	// the monitor NewEngine built has none to lose.
 	e.monitor = platform.NewMonitor(e.cluster)
-	e.nodeIdx = make(map[string]int, len(e.nodes))
 	e.queues = make([]*workQueue, len(e.nodes))
-	for i, n := range e.nodes {
-		e.nodeIdx[n.Name] = i
+	for i := range e.nodes {
 		// Queues sized from the cluster: a node rarely holds more than a few
 		// in-flight placements per peer node feeding it.
 		e.queues[i] = newWorkQueueCap(4 * len(e.nodes))
@@ -706,7 +653,6 @@ type dispatchState struct {
 	nodeFree []float64 // estimated earliest idle time per node (placement)
 	clock    []float64 // realized per-node modelled clock (execution)
 	dead     []bool    // observed node deaths
-	deadAt   []float64
 
 	// heap orders the per-node queue heads by modelled start time with the
 	// deterministic tie-break (time, workflow, task, node index). inHeap
@@ -731,15 +677,8 @@ type dispatchState struct {
 	gCount   []int32
 	gTouched []int32
 
-	// Aggregates feeding the Stats snapshot, maintained incrementally
-	// where the event loop mutates queues/active/nodeFree so publishing a
-	// snapshot is O(1).
-	submitted    int
-	completed    int
-	failed       int
-	readyCount   int     // items across all fairness queues
-	pendingTotal int     // unfinished tasks across active workflows
-	backlog      float64 // max nodeFree
+	readyCount int     // items across all fairness queues
+	backlog    float64 // max nodeFree, read by Backlog
 }
 
 // newDispatchState sizes every per-node array and scratch buffer from the
@@ -752,7 +691,6 @@ func (e *Engine) newDispatchState() *dispatchState {
 		nodeFree:  make([]float64, nn),
 		clock:     make([]float64, nn),
 		dead:      make([]bool, nn),
-		deadAt:    make([]float64, nn),
 		heap:      NewTimeHeap(nn),
 		inHeap:    make([]bool, nn),
 		tenantIdx: make(map[string]int),
@@ -886,15 +824,12 @@ func (ds *dispatchState) tenantQueue(tenant string) int {
 }
 
 func (e *Engine) onSubmit(ds *dispatchState, st *wfState) {
-	ds.submitted++
 	e.trace(Event{Kind: EventSubmit, Workflow: st.name, Tenant: st.tenant})
-	st.sched.Policy = e.cfg.Policy
 	if st.pending == 0 { // empty workflow completes immediately
 		e.finish(ds, st, nil)
 		return
 	}
 	ds.active[st] = true
-	ds.pendingTotal += st.pending
 	if e.cfg.Adaptive {
 		st.tuned = e.seedTuner(st)
 	}
@@ -915,7 +850,6 @@ func (e *Engine) onReport(ds *dispatchState, rep execReport) {
 		// First observation of this node's death: mark it and trace.
 		if !ds.dead[rep.node] {
 			ds.dead[rep.node] = true
-			ds.deadAt[rep.node] = rep.failAt
 			e.trace(Event{Kind: EventNodeFailure, Node: nodeName, Time: rep.failAt})
 		}
 		if st.finished {
@@ -970,7 +904,6 @@ func (e *Engine) onReport(ds *dispatchState, rep execReport) {
 	st.doneAt[rep.tidx] = rep.end
 	st.locAt[rep.tidx] = int32(rep.node)
 	st.pending--
-	ds.pendingTotal--
 	e.trace(Event{
 		Kind: EventTaskDone, Workflow: st.name, Tenant: st.tenant,
 		Task: taskName, Node: nodeName, Time: rep.end,
@@ -1009,14 +942,8 @@ func (e *Engine) finish(ds *dispatchState, st *wfState, err error) {
 	}
 	st.finished = true
 	delete(ds.active, st)
-	// An error finish abandons the workflow's unfinished tasks (its stale
-	// ready items are skipped — and uncounted — when popped).
-	ds.pendingTotal -= st.pending
-	if err != nil {
-		ds.failed++
-	} else {
-		ds.completed++
-	}
+	// An error finish abandons the workflow's unfinished tasks: their
+	// stale ready items are skipped when popped.
 	st.err = err
 	if st.fut != nil {
 		st.fut.resolve(err)
@@ -1120,60 +1047,72 @@ func (e *Engine) place(ds *dispatchState, item readyItem) {
 	bestReady, bestEnd := 0.0, 0.0
 	bestBytes := int64(0)
 	bestGroups := 0
-	for ni, n := range e.nodes {
-		if ds.dead[ni] {
-			continue
-		}
-		ready, moved, groups := 0.0, int64(0), 0
-		for _, src := range touched {
-			arrive := ds.gLatest[src]
-			if int(src) != ni {
-				arrive += e.transferSeconds(e.nodes[src].Name, n.Name, ds.gBytes[src], int(ds.gCount[src]))
-				moved += ds.gBytes[src]
-				groups++
+	// When no variant of an adaptive task prices on any live node (say an
+	// fpga-only seed whose accelerators are all detached at their ready
+	// times), a second pass prices the task as submitted, as the static
+	// engine does, and execution bills it so.
+	for pass := 0; pass < 2 && bestNode < 0; pass++ {
+		if pass == 1 {
+			if variants[0] == VariantAsSubmitted {
+				break
 			}
-			if arrive > ready {
-				ready = arrive
+			variants = append(variants[:0], VariantAsSubmitted)
+		}
+		for ni, n := range e.nodes {
+			if ds.dead[ni] {
+				continue
 			}
-		}
-		if item.minStart > ready {
-			ready = item.minStart
-		}
-		if free := ds.nodeFree[ni]; free > ready {
-			ready = free
-		}
-		for _, v := range variants {
-			var est float64
-			switch v {
-			case VariantAsSubmitted:
-				est, _, _ = costOn(task, n)
-			case VariantFPGA:
-				// Priced at the modelled time the task would start there:
-				// the scheduler knows the environment as of that moment,
-				// not the end of any scripted fault timeline.
-				c, _, ok := fpgaCostOn(task, n, ready)
-				if !ok {
-					continue // no programmed device attached at ready time
+			ready, moved, groups := 0.0, int64(0), 0
+			for _, src := range touched {
+				arrive := ds.gLatest[src]
+				if int(src) != ni {
+					arrive += e.transferSeconds(e.nodes[src].Name, n.Name, ds.gBytes[src], int(ds.gCount[src]))
+					moved += ds.gBytes[src]
+					groups++
 				}
-				est = c * fpgaDrift
-			default:
-				cores := 1
-				if v == VariantCPU16 {
-					cores = cpu16Cores
+				if arrive > ready {
+					ready = arrive
 				}
-				est = n.RunCPU(task.Flops, taskBytes, cores) * e.monitor.SlowdownEstimate(ni)
 			}
-			end := ready + est
-			better := bestNode < 0 || end < bestEnd
-			if e.cfg.Policy == PolicyFIFO {
-				// FIFO places by earliest start; variants on one node tie
-				// on start, so the estimate breaks the tie among them.
-				better = bestNode < 0 || ready < bestReady ||
-					(adaptive && ready == bestReady && end < bestEnd)
+			if item.minStart > ready {
+				ready = item.minStart
 			}
-			if better {
-				bestNode, bestVariant, bestReady, bestEnd = ni, v, ready, end
-				bestBytes, bestGroups = moved, groups
+			if free := ds.nodeFree[ni]; free > ready {
+				ready = free
+			}
+			for _, v := range variants {
+				var est float64
+				switch v {
+				case VariantAsSubmitted:
+					est, _, _ = costOn(task, n)
+				case VariantFPGA:
+					// Priced at the modelled time the task would start there:
+					// the scheduler knows the environment as of that moment,
+					// not the end of any scripted fault timeline.
+					c, _, ok := fpgaCostOn(task, n, ready)
+					if !ok {
+						continue // no programmed device attached at ready time
+					}
+					est = c * fpgaDrift
+				default:
+					cores := 1
+					if v == VariantCPU16 {
+						cores = cpu16Cores
+					}
+					est = n.RunCPU(task.Flops, taskBytes, cores) * e.monitor.SlowdownEstimate(ni)
+				}
+				end := ready + est
+				better := bestNode < 0 || end < bestEnd
+				if e.cfg.Policy == PolicyFIFO {
+					// FIFO places by earliest start; variants on one node tie
+					// on start, so the estimate breaks the tie among them.
+					better = bestNode < 0 || ready < bestReady ||
+						(adaptive && ready == bestReady && end < bestEnd)
+				}
+				if better {
+					bestNode, bestVariant, bestReady, bestEnd = ni, v, ready, end
+					bestBytes, bestGroups = moved, groups
+				}
 			}
 		}
 	}

@@ -6,23 +6,19 @@ import (
 	"everest/internal/platform"
 )
 
-func TestEngineStatsLifecycle(t *testing.T) {
+// TestEngineBacklogLifecycle: the backlog frontier is zero before Start
+// and reaches a served workflow's makespan, and the engine is idle after
+// Shutdown.
+func TestEngineBacklogLifecycle(t *testing.T) {
 	c := platform.NewCluster(
 		platform.NewNode("n0", platform.XeonModel(), platform.AlveoU55C()),
 		platform.NewNode("n1", platform.XeonModel()),
 	)
 	e := NewEngine(c, EngineConfig{})
-
-	st := e.Stats()
-	if st.Submitted != 0 || st.Active != 0 {
-		t.Fatalf("pre-start stats should be zero, got %+v", st)
+	if got := e.Backlog(); got != 0 {
+		t.Fatalf("pre-start backlog = %g, want 0", got)
 	}
-	if st.OnlineDevices != 1 {
-		t.Fatalf("online devices = %d, want 1", st.OnlineDevices)
-	}
-	if st.ProgrammedOnline != 0 {
-		t.Fatalf("programmed devices = %d, want 0 (nothing staged)", st.ProgrammedOnline)
-	}
+	assertIdle(t, e, "before Start")
 
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
@@ -38,31 +34,23 @@ func TestEngineStatsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fut.Wait(); err != nil {
+	sched, err := fut.Wait()
+	if err != nil {
 		t.Fatal(err)
 	}
 	e.Shutdown()
-
-	st = e.Stats()
-	if st.Submitted != 1 || st.Completed != 1 || st.Failed != 0 {
-		t.Fatalf("submitted/completed/failed = %d/%d/%d, want 1/1/0",
-			st.Submitted, st.Completed, st.Failed)
-	}
 	assertIdle(t, e, "after Shutdown")
-	if st.Backlog <= 0 {
-		t.Fatalf("backlog frontier should advance past served work, got %g", st.Backlog)
+	if got := e.Backlog(); got <= 0 || got != sched.Makespan {
+		t.Fatalf("backlog frontier = %g, want the served makespan %g", got, sched.Makespan)
 	}
 }
 
 // assertIdle fails unless e is idle: no workflow in flight, no ready item,
-// no pending task and every node queue and the head heap empty. Start,
-// Submit and Shutdown return with the engine idle, so Apply, which runs
-// between them, never finds a placement to invalidate.
+// and every node queue and the head heap empty. Start, Submit and
+// Shutdown return with the engine idle, so Apply, which runs between them,
+// never finds a placement to invalidate.
 func assertIdle(t *testing.T, e *Engine, when string) {
 	t.Helper()
-	if st := e.Stats(); st.Active != 0 || st.ReadyTasks != 0 || st.PendingTasks != 0 {
-		t.Fatalf("%s: engine not idle: %+v", when, st)
-	}
 	if e.ds == nil {
 		return
 	}
@@ -71,8 +59,9 @@ func assertIdle(t *testing.T, e *Engine, when string) {
 			t.Fatalf("%s: node %d still has a queued request", when, ni)
 		}
 	}
-	if e.ds.heap.Len() != 0 || len(e.ds.active) != 0 {
-		t.Fatalf("%s: %d heap heads and %d active workflows left", when, e.ds.heap.Len(), len(e.ds.active))
+	if e.ds.heap.Len() != 0 || len(e.ds.active) != 0 || e.ds.readyCount != 0 {
+		t.Fatalf("%s: %d heap heads, %d active workflows and %d ready items left",
+			when, e.ds.heap.Len(), len(e.ds.active), e.ds.readyCount)
 	}
 }
 
@@ -132,8 +121,8 @@ func TestEngineIdleAfterFaultedAdaptiveServes(t *testing.T) {
 	n0 := e.nodes[0].Name
 	e.Shutdown()
 	assertIdle(t, e, "after Shutdown")
-	if st := e.Stats(); st.Completed != 12 || st.Failed != 0 {
-		t.Fatalf("completed/failed = %d/%d, want 12/0", st.Completed, st.Failed)
+	if len(futs) != 12 {
+		t.Fatalf("%d futures, want 12", len(futs))
 	}
 	// The run is faulted: node 0's accelerator serves before the unplug
 	// and no task in between, while node 1's keeps serving.
@@ -197,7 +186,9 @@ func TestReplugGapPinned(t *testing.T) {
 	}
 }
 
-func TestEngineStatsCountsFailures(t *testing.T) {
+// TestEngineFailedWorkflowLeavesIdle: a workflow on an all-dead cluster
+// resolves with an error, and the engine it failed on is idle.
+func TestEngineFailedWorkflowLeavesIdle(t *testing.T) {
 	c := platform.NewCluster(platform.NewNode("n0", platform.XeonModel()))
 	e := NewEngine(c, EngineConfig{
 		Failures: []NodeFailure{{Node: "n0", AtTime: 0}},
@@ -216,22 +207,17 @@ func TestEngineStatsCountsFailures(t *testing.T) {
 	if _, err := fut.Wait(); err == nil {
 		t.Fatal("workflow on an all-dead cluster should fail")
 	}
+	assertIdle(t, e, "after the failed Submit")
 	e.Shutdown()
-	st := e.Stats()
-	if st.Failed != 1 || st.Completed != 0 {
-		t.Fatalf("failed/completed = %d/%d, want 1/0", st.Failed, st.Completed)
-	}
-	if st.OnlineDevices != 0 {
-		t.Fatalf("failed node's devices should not count online, got %d", st.OnlineDevices)
-	}
+	assertIdle(t, e, "after Shutdown")
 }
 
-// TestEngineStatsPublishedBeforeWait drives submit-and-wait rounds and
-// reads Stats the moment each Wait returns: the snapshot must already
-// count the completion and reach the workflow's makespan. Guaranteed-class
-// admission reads Backlog at exactly that moment, so a stale snapshot
-// would understate the bound it proves.
-func TestEngineStatsPublishedBeforeWait(t *testing.T) {
+// TestEngineBacklogPublishedBeforeWait drives submit-and-wait rounds and
+// reads Backlog the moment each Wait returns: it must already reach the
+// workflow's makespan. Guaranteed-class admission reads Backlog at
+// exactly that moment, so a stale frontier would understate the bound it
+// proves.
+func TestEngineBacklogPublishedBeforeWait(t *testing.T) {
 	c := platform.NewCluster(platform.NewNode("n0", platform.XeonModel()))
 	e := NewEngine(c, EngineConfig{})
 	if err := e.Start(); err != nil {
@@ -251,10 +237,8 @@ func TestEngineStatsPublishedBeforeWait(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := e.Stats()
-		if st.Completed != i+1 || st.Backlog < sched.Makespan {
-			t.Fatalf("round %d: stats completed=%d backlog=%g after Wait, want %d and >= %g",
-				i, st.Completed, st.Backlog, i+1, sched.Makespan)
+		if got := e.Backlog(); got < sched.Makespan {
+			t.Fatalf("round %d: backlog=%g after Wait, want >= %g", i, got, sched.Makespan)
 		}
 	}
 }

@@ -271,9 +271,8 @@ type Assignment struct {
 type Schedule struct {
 	Assignments []Assignment
 	Makespan    float64
-	Transfers   int   // inter-node dependency transfers
-	MovedBytes  int64 // total bytes moved between nodes
-	Policy      Policy
+	Transfers   int        // inter-node dependency transfers
+	MovedBytes  int64      // total bytes moved between nodes
 	Adapt       AdaptStats // adaptation and recovery activity
 }
 

@@ -83,9 +83,7 @@ func TestEngineEarlySubmissionsNeverBlock(t *testing.T) {
 			t.Fatalf("pre-Start workflow %d: %v, %+v", i, err, sched)
 		}
 	}
-	if st := e.Stats(); st.Completed != n || st.Active != 0 {
-		t.Fatalf("stats after Start: %+v", st)
-	}
+	assertIdle(t, e, "after Start")
 }
 
 func TestEngineShutdownUnstartedFailsQueued(t *testing.T) {

@@ -68,7 +68,7 @@ func AttachHypervisor(e *runtime.Engine, h *virt.Hypervisor, clock func() float6
 		}
 	})
 	st := h.Query()
-	if len(st.VMs) == 0 {
+	if st.VMs == 0 {
 		return nil // no guests: host-side access, devices stay attached
 	}
 	for dev := 0; dev < len(st.AssignedVFs); dev++ { // device order: a deterministic trace

@@ -73,15 +73,15 @@ func TestAdaptiveBeatsStaticUnderFaults(t *testing.T) {
 	}
 }
 
-// offlineDevices counts the accelerators of c the engine sees detached:
-// Stats applies the control calls made so far, then counts the attached
-// ones (no node of these tests fails).
-func offlineDevices(c *platform.Cluster, e *runtime.Engine) int {
-	total := 0
-	for _, n := range c.Nodes {
-		total += len(n.Devices)
+// offlineDevices counts the accelerators the engine sees detached, from
+// its monitor's health snapshot (taken under the serve lock, after the
+// control calls made so far).
+func offlineDevices(e *runtime.Engine) int {
+	off := 0
+	for _, h := range e.Health() {
+		off += h.DevicesTotal - h.DevicesOnline
 	}
-	return total - e.Stats().OnlineDevices
+	return off
 }
 
 // TestAttachHypervisor drives the full virt→engine path: unplugging the
@@ -117,7 +117,7 @@ func TestAttachHypervisor(t *testing.T) {
 	}
 	// Engine start resets attachment state; the VF is still plugged, so the
 	// device starts online.
-	if offlineDevices(s.Cluster, eng) != 0 {
+	if offlineDevices(eng) != 0 {
 		t.Fatal("device must start online")
 	}
 	eng.Shutdown()
@@ -135,7 +135,7 @@ func TestAttachHypervisor(t *testing.T) {
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if offlineDevices(s.Cluster, eng) != 1 {
+	if offlineDevices(eng) != 1 {
 		t.Fatal("device unplugged before Start must come up detached")
 	}
 	// Restore the VF so the live unplug/replug sequence below starts from
@@ -143,19 +143,19 @@ func TestAttachHypervisor(t *testing.T) {
 	if _, err := hyp.PlugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	if offlineDevices(s.Cluster, eng) != 0 {
+	if offlineDevices(eng) != 0 {
 		t.Fatal("replug must reattach the device")
 	}
 	if _, err := hyp.UnplugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	if offlineDevices(s.Cluster, eng) != 1 {
+	if offlineDevices(eng) != 1 {
 		t.Error("unplugging the last VF must detach the device")
 	}
 	if _, err := hyp.PlugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	if offlineDevices(s.Cluster, eng) != 0 {
+	if offlineDevices(eng) != 0 {
 		t.Error("replugging the first VF must reattach the device")
 	}
 	eng.Shutdown()
@@ -270,19 +270,19 @@ func TestAttachHypervisorAfterStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Shutdown()
-	if offlineDevices(s.Cluster, eng) != 0 {
+	if offlineDevices(eng) != 0 {
 		t.Fatal("no hypervisor attached yet: the device must be online")
 	}
 	if err := AttachHypervisor(eng, hyp, nil); err != nil {
 		t.Fatal(err)
 	}
-	if offlineDevices(s.Cluster, eng) != 1 {
+	if offlineDevices(eng) != 1 {
 		t.Fatal("a hypervisor whose last VF is unplugged must detach the device on attach")
 	}
 	if _, err := hyp.PlugVF("guest", 0); err != nil {
 		t.Fatal(err)
 	}
-	if offlineDevices(s.Cluster, eng) != 0 {
+	if offlineDevices(eng) != 0 {
 		t.Fatal("replugging the first VF must reattach the device")
 	}
 }
@@ -314,7 +314,7 @@ func TestAttachHypervisorRefusesUnservedNode(t *testing.T) {
 		if err := AttachHypervisor(eng, hyp, nil); err == nil {
 			t.Errorf("attach of a hypervisor over %s with %d devices succeeded", node.Name, len(node.Devices))
 		}
-		if offlineDevices(s.Cluster, eng) != 0 {
+		if offlineDevices(eng) != 0 {
 			t.Errorf("refused attach of %s detached a device", node.Name)
 		}
 	}

@@ -273,8 +273,12 @@ func TestFleetRouterFallbackAllDevicesOffline(t *testing.T) {
 	if s0.FallbackDeploys == 0 {
 		t.Fatalf("dead site should report fallback deploys, got %+v", s0)
 	}
-	if s0.Engine.OnlineDevices != 0 {
-		t.Fatalf("dead site reports %d online devices", s0.Engine.OnlineDevices)
+	for _, n := range srv.Fleet().Cluster(0).Nodes {
+		for idx := range n.Devices {
+			if n.DeviceOnline(idx) {
+				t.Fatalf("dead site's %s device %d is online", n.Name, idx)
+			}
+		}
 	}
 }
 

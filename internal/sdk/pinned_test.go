@@ -43,7 +43,7 @@ func enginePins(t *testing.T, sc AdaptiveScenario) []float64 {
 		out = append(out, res.Makespan, float64(st.Submitted), float64(st.Completed), float64(st.Failed), st.Makespan)
 		for _, name := range slices.Sorted(maps.Keys(st.Tenants)) {
 			ts := st.Tenants[name]
-			out = append(out, float64(ts.Submitted), float64(ts.Completed), float64(ts.Failed), ts.LastFinish,
+			out = append(out, float64(ts.Completed), float64(ts.Failed), ts.LastFinish,
 				float64(ts.Reschedules), float64(ts.Fallbacks))
 			for _, v := range slices.Sorted(maps.Keys(ts.Variants)) {
 				out = append(out, float64(ts.Variants[v]))
@@ -75,8 +75,8 @@ func fleetPins(res FleetResult) []float64 {
 		out = append(out, float64(s.Served), float64(s.Failed), float64(s.CacheHits), float64(s.CacheMisses),
 			float64(s.Evictions), float64(s.Redeploys), float64(s.FallbackDeploys), s.DeploySeconds,
 			float64(s.DatasetHits), float64(s.DatasetMisses), float64(s.DatasetFetches), float64(s.DatasetFetchedBytes),
-			s.DatasetFetchSeconds, float64(s.DatasetPublished), float64(s.DatasetPublishedBytes), float64(s.DatasetEvictions),
-			float64(s.Guaranteed), float64(s.BoundViolations), s.BusyUntil)
+			float64(s.DatasetPublished), float64(s.DatasetPublishedBytes), float64(s.DatasetEvictions),
+			float64(s.BoundViolations), s.BusyUntil)
 	}
 	return out
 }
@@ -104,13 +104,13 @@ func regionPins(res RegionResult) []float64 {
 	out = append(out, float64(st.Submitted), float64(st.Completed), float64(st.Failed), float64(st.Rejected),
 		float64(st.ColdServes), float64(st.Preemptions), float64(st.Handoffs), float64(st.WANFetches),
 		float64(st.PrefetchFetches), float64(st.Warms),
-		float64(st.Guaranteed), float64(st.BoundViolations), st.Makespan)
+		float64(st.BoundViolations), st.Makespan)
 	for _, r := range st.Regions {
 		out = append(out, float64(r.Served), float64(r.Failed),
-			float64(r.Guaranteed), float64(r.Interactive), float64(r.Batch),
-			float64(r.Handoffs), float64(r.HandedOff), float64(r.ColdServes), float64(r.Preemptions), float64(r.Holds),
+			float64(r.Guaranteed), float64(r.Batch),
+			float64(r.Handoffs), float64(r.ColdServes), float64(r.Preemptions),
 			float64(r.WANFetches), r.WANFetchSeconds, float64(r.PrefetchFetches), r.PrefetchSeconds,
-			float64(r.Warms), float64(r.StoreEvictions), float64(r.PartitionSkips),
+			float64(r.Warms), float64(r.StoreEvictions),
 			// Sites never scale (0 ups, 0 downs, every site active); the
 			// constants keep the recorded digests.
 			0, 0, float64(len(r.Fleet.Sites)))
@@ -119,8 +119,8 @@ func regionPins(res RegionResult) []float64 {
 		for _, s := range f.Sites {
 			out = append(out, float64(s.Served), float64(s.Failed), float64(s.CacheHits), float64(s.CacheMisses),
 				float64(s.Evictions), float64(s.Redeploys), float64(s.FallbackDeploys), s.DeploySeconds,
-				float64(s.WarmDeploys), s.WarmSeconds, 1, // every site serves; kept for the digest
-				float64(s.Guaranteed), float64(s.BoundViolations), s.BusyUntil)
+				1, // every site serves; kept for the digest
+				float64(s.BoundViolations), s.BusyUntil)
 		}
 	}
 	return out
@@ -137,7 +137,7 @@ func streamPins(st stream.Stats) []float64 {
 		out = append(out, float64(p.Events), float64(p.Done), float64(p.Shed), float64(p.Windows),
 			p.P50, p.P99, p.Mean, p.Max)
 		for _, s := range p.Stages {
-			out = append(out, float64(s.Windows), s.BusySeconds, float64(s.ShedWindows), float64(s.ShedEvents))
+			out = append(out, float64(s.Windows), s.BusySeconds, float64(s.ShedEvents))
 		}
 	}
 	for _, d := range st.Devices {
@@ -152,14 +152,14 @@ func streamPins(st stream.Stats) []float64 {
 // means a modelled number moved; say why before updating it.
 func TestScenarioResultsPinned(t *testing.T) {
 	want := map[string]string{
-		"E-adapt":   "20003102ac9fddb4",
-		"E-compile": "0b58bca6f341af9c",
-		"E-fleet":   "97b7d04a37484626",
-		"E-apps":    "672c4c08925ea624",
-		"E-wcet":    "623fd79da954052b",
-		"E-data":    "8f7690dbc7894aa6",
-		"E-region":  "08ca60ab9de8865e",
-		"E-stream":  "bf737720d9a456dd",
+		"E-adapt":   "e70749a02045beb4",
+		"E-compile": "7cad0ecf9ac89ac4",
+		"E-fleet":   "347c284deb3dd926",
+		"E-apps":    "66a4471a142882fc",
+		"E-wcet":    "84b4f037b1ed13c6",
+		"E-data":    "9098da3fae46c9be",
+		"E-region":  "365cbbfa46d8ee9d",
+		"E-stream":  "44435f5922cff14d",
 	}
 	run := func(name string, pins func(t *testing.T) []float64) {
 		t.Run(name, func(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"everest/internal/dataset"
+	"everest/internal/fleet"
 	"everest/internal/platform"
 	"everest/internal/region"
 )
@@ -68,7 +69,7 @@ func TestPublishWhileServingFleet(t *testing.T) {
 	fl := srv.Fleet()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	accepted := 0
+	accepted, guaranteed := 0, 0
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -81,18 +82,23 @@ func TestPublishWhileServingFleet(t *testing.T) {
 			for i := 0; i < publishPerWorker; i++ {
 				wf := AdaptiveWorkflow(i, publishNeed(w, i))
 				at := float64(i) * 0.01
+				var tk *fleet.Ticket
 				var err error
 				if i%2 == 0 {
-					_, err = srv.SubmitGuaranteedAt("g", "", wf, at, 1e3)
+					tk, err = srv.SubmitGuaranteedAt("g", "", wf, at, 1e3)
 				} else {
-					_, err = srv.SubmitAt("b", "", wf, at)
+					tk, err = srv.SubmitAt("b", "", wf, at)
 				}
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				res, _ := tk.Wait()
 				mu.Lock()
 				accepted++
+				if res.Guaranteed {
+					guaranteed++
+				}
 				mu.Unlock()
 			}
 		}()
@@ -116,9 +122,9 @@ func TestPublishWhileServingFleet(t *testing.T) {
 		}
 	}
 	st := srv.Shutdown().Fleet
-	if st.Completed != accepted || guaranteedDone(st) == 0 || st.BoundViolations() != 0 {
+	if st.Completed != accepted || guaranteed == 0 || st.BoundViolations() != 0 {
 		t.Fatalf("completed %d of %d accepted, %d guaranteed, %d bound violations",
-			st.Completed, accepted, guaranteedDone(st), st.BoundViolations())
+			st.Completed, accepted, guaranteed, st.BoundViolations())
 	}
 }
 
@@ -179,8 +185,12 @@ func TestPublishWhileServingRegion(t *testing.T) {
 		}
 	}
 	st := srv.Shutdown().Federation
-	if st.Completed != len(handles) || st.Guaranteed == 0 || st.BoundViolations != 0 {
+	guaranteed := 0
+	for _, r := range st.Regions {
+		guaranteed += r.Guaranteed
+	}
+	if st.Completed != len(handles) || guaranteed == 0 || st.BoundViolations != 0 {
 		t.Fatalf("completed %d of %d accepted, %d guaranteed, %d bound violations",
-			st.Completed, len(handles), st.Guaranteed, st.BoundViolations)
+			st.Completed, len(handles), guaranteed, st.BoundViolations)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"everest/internal/apps"
 	"everest/internal/dataset"
 	"everest/internal/fleet"
+	"everest/internal/platform"
 	"everest/internal/region"
 	rt "everest/internal/runtime"
 )
@@ -150,22 +151,32 @@ func TestRegionScenarioPrefetchContrast(t *testing.T) {
 // region partitioned for a stretch must keep serving locally (degrading
 // artifact fetches), and the run must still complete every workflow.
 func TestRegionScenarioPartition(t *testing.T) {
+	// fetches runs the scenario and counts region00's WAN fetches inside
+	// the partition window [5, 20).
+	fetches := func(sc RegionScenario) int {
+		n := 0
+		sc.Trace = func(ev region.Event) {
+			if ev.Region == "region00" && ev.Kind == region.EventFetch && ev.Time >= 5 && ev.Time < 20 {
+				n++
+			}
+		}
+		res, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != sc.Workflows {
+			t.Fatalf("completed %d/%d (partitions %v)", res.Completed, sc.Workflows, sc.Partitions)
+		}
+		return n
+	}
 	sc := DefaultRegionScenario()
 	sc.Workflows = 60
+	open := fetches(sc)
 	sc.Partitions = []region.Partition{{Region: 0, From: 5, Until: 20}}
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed != sc.Workflows {
-		t.Fatalf("completed %d/%d under partition", res.Completed, sc.Workflows)
-	}
-	skips := 0
-	for _, r := range res.Stats.Regions {
-		skips += r.PartitionSkips
-	}
-	if skips == 0 {
-		t.Fatal("partition never forced a local degrade")
+	// The partition forces local degrades: region00 fetches in the window
+	// when the WAN is up, and never while it is cut off.
+	if cut := fetches(sc); open == 0 || cut != 0 {
+		t.Fatalf("region00 WAN fetches in [5, 20): %d open, %d partitioned; want some, then none", open, cut)
 	}
 }
 
@@ -226,25 +237,57 @@ func TestRegionScenarioDeterministicTrace(t *testing.T) {
 }
 
 // TestRegionPRKernelsRunOnNoFPGA pins the PR-region gap as exact counts
-// of E-region's FPGA-requesting tasks that ran on an FPGA, read from each
-// result's schedule and the workflow specs. With partial reconfiguration
-// on, kernels are deployed into PR regions that the engine never prices
-// (Node.KernelTime matches only the whole-device image), so none runs on
-// an FPGA; with it off, whole-device deploys serve some. ROADMAP item 2
-// fixes the pricing and flips the PR-on pin to at least the PR-off count.
+// of FPGA-requesting tasks that ran on an FPGA, read from each served
+// workflow's schedule and spec. It serves the first prKernelWorkflows
+// workflows of E-region's app suite through one region's fleet, built the
+// way the federation builds each of its fleets: the region tier forwards
+// PartialReconfig to its fleets, whose results still carry the schedule.
+// With partial reconfiguration on, kernels are deployed into PR regions
+// that the engine never prices (Node.KernelTime matches only the
+// whole-device image), so none runs on an FPGA; with it off,
+// whole-device deploys serve some. ROADMAP item 2 fixes the pricing and
+// flips the PR-on pin to at least the PR-off count.
 func TestRegionPRKernelsRunOnNoFPGA(t *testing.T) {
-	s, err := DefaultRegionScenario().BuildSuite()
+	sc := DefaultRegionScenario()
+	s, err := sc.BuildSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		partial        bool
 		onFPGA, wanted int
-	}{{true, 0, 400}, {false, 124, 400}} {
-		sc := DefaultRegionScenario()
-		sc.PartialReconfig = tc.partial
+	}{{true, 0, prKernelWanted}, {false, prKernelOffFPGA, prKernelWanted}} {
+		reg := platform.NewRegistry()
+		for _, bs := range s.Bitstreams() {
+			if err := reg.Put(bs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := fleet.New(reg, fleet.Config{
+			Sites:           sc.SitesPerRegion,
+			NewCluster:      func(int) *platform.Cluster { return DefaultCluster(sc.NodesPerSite) },
+			CacheSlots:      sc.CacheSlots,
+			PartialReconfig: tc.partial,
+			Adaptive:        sc.Adaptive,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Start(); err != nil {
+			t.Fatal(err)
+		}
 		onFPGA, wanted := 0, 0
-		if _, err := sc.runSuite(s, func(w *rt.Workflow, res region.Result) {
+		for i := range prKernelWorkflows {
+			_, w := s.Workflow(i)
+			tk, err := f.Submit(fleet.Request{Tenant: fmt.Sprintf("tenant%02d", i%8), Workflow: w,
+				Arrival: float64(i) * sc.ArrivalGap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tk.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, a := range res.Sched.Assignments {
 				if spec, _ := w.Get(a.Task); spec.NeedsFPGA {
 					wanted++
@@ -253,15 +296,19 @@ func TestRegionPRKernelsRunOnNoFPGA(t *testing.T) {
 					}
 				}
 			}
-		}); err != nil {
-			t.Fatal(err)
 		}
+		f.Shutdown()
 		if onFPGA != tc.onFPGA || wanted != tc.wanted {
 			t.Errorf("PartialReconfig %v: %d of %d FPGA-requesting tasks ran on an FPGA, want %d of %d",
 				tc.partial, onFPGA, wanted, tc.onFPGA, tc.wanted)
 		}
 	}
 }
+
+// prKernelWorkflows is how many suite workflows the PR-gap pin serves,
+// and prKernelWanted and prKernelOffFPGA its FPGA-requesting tasks and how
+// many of them whole-device deploys run on an FPGA.
+const prKernelWorkflows, prKernelWanted, prKernelOffFPGA = 120, 240, 33
 
 // TestRegionReadsNoWrittenPartition pins the premise that lets the region
 // tier price every dataset read at 0: E-region's workflows write

@@ -32,23 +32,17 @@ type CompileOptions struct {
 
 // CompileResult is everything the flow produced for one kernel.
 type CompileResult struct {
-	Kernel    *ekl.Kernel
-	Module    *mlir.Module // lowered EKL module (ekl -> teil -> affine)
-	HLSKernel hls.Kernel
-	Report    hls.Report
-	Design    *olympus.Design
-	PassStats []mlir.PassStat
-	// Compiled is the underlying variant-pipeline result: the derived
-	// workload model and the cpu1/cpu16/fpga operating points.
-	Compiled *variants.Compiled
+	Kernel *ekl.Kernel
+	Module *mlir.Module // lowered EKL module (ekl -> teil -> affine)
+	Report hls.Report
+	Design *olympus.Design
 }
 
 // Compile runs the full data-driven compilation flow of §V on an EKL kernel
 // source: parse/check, shape-specialize against the binding, lower through
 // the MLIR dialect stack, HLS-schedule, and generate the FPGA system
 // architecture. It delegates to the variant-generation pipeline
-// (internal/variants), so the result also carries the derived operating
-// points that seed the adaptive runtime's tuners.
+// (internal/variants).
 func Compile(src string, binding ekl.Binding, opt CompileOptions) (*CompileResult, error) {
 	c, err := variants.CompileEKL(src, binding, variants.Options{
 		Backend: opt.Backend, Format: opt.Format, Device: opt.Device,
@@ -57,11 +51,7 @@ func Compile(src string, binding ekl.Binding, opt CompileOptions) (*CompileResul
 	if err != nil {
 		return nil, err
 	}
-	return &CompileResult{
-		Kernel: c.Kernel, Module: c.Module, HLSKernel: c.HLSKernel,
-		Report: c.Report, Design: c.Design, PassStats: c.PassStats,
-		Compiled: c,
-	}, nil
+	return &CompileResult{Kernel: c.Kernel, Module: c.Module, Report: c.Report, Design: c.Design}, nil
 }
 
 // SDK bundles the runtime-side state: the bitstream registry and cluster.
@@ -128,9 +118,8 @@ func (s *SDK) Deploy(bitstreamID, node string) (float64, error) {
 
 // Placement is one CPU/FPGA allocation choice for a sub-kernel (E10).
 type Placement struct {
-	Stage   string
-	Target  string  // "cpu" or "fpga"
-	TimeSec float64 // modelled execution time
+	Stage  string
+	Target string // "cpu" or "fpga"
 }
 
 // StageCost describes one pipeline stage for placement exploration.
@@ -157,7 +146,7 @@ func ExplorePlacement(stages []StageCost, cpu platform.CPUModel, dev *platform.D
 	var out []Placement
 	for _, st := range stages {
 		cpuTime := cpu.TimeSeconds(st.Flops, st.BytesIn+st.BytesOut, 1)
-		choice := Placement{Stage: st.Name, Target: "cpu", TimeSec: cpuTime}
+		choice := Placement{Stage: st.Name, Target: "cpu"}
 		if st.Offloadable {
 			design, err := olympus.Generate(st.Kernel, backend, dev, nil, olympus.Options{
 				SharePLM: true, DoubleBuffer: true, Replicate: true, MaxReplicas: 8, PackData: true,
@@ -167,7 +156,7 @@ func ExplorePlacement(stages []StageCost, cpu platform.CPUModel, dev *platform.D
 					BytesIn: st.BytesIn, BytesOut: st.BytesOut, Batches: 4,
 				})
 				if err == nil && reconfig+tl.Total < cpuTime {
-					choice = Placement{Stage: st.Name, Target: "fpga", TimeSec: reconfig + tl.Total}
+					choice.Target = "fpga"
 				}
 			}
 		}

@@ -238,7 +238,6 @@ type StreamPoint struct {
 	Throughput float64 // achieved events per modelled second, all pipelines
 	P50        float64
 	P99        float64
-	Done       int64
 	Shed       int64
 	Swaps      int64
 	SLOMet     bool
@@ -269,7 +268,7 @@ func (s *StreamServer) Saturate(rates []float64) ([]StreamPoint, StreamPoint, er
 		return StreamPoint{
 			Rate: r, Throughput: st.Throughput,
 			P50: st.P50, P99: st.P99,
-			Done: st.Done, Shed: st.Shed, Swaps: st.Swaps,
+			Shed: st.Shed, Swaps: st.Swaps,
 			SLOMet: st.P99 <= s.sc.SLO && float64(st.Shed) <= 0.001*float64(st.Events),
 		}, err
 	})

@@ -4,7 +4,6 @@ import "everest/internal/runtime"
 
 // TenantStats aggregates one tenant's submissions.
 type TenantStats struct {
-	Submitted  int
 	Completed  int
 	Failed     int
 	LastFinish float64 // modelled completion time of the tenant's last workflow
@@ -33,7 +32,6 @@ func TallyOf(futs []*runtime.Future) Tally {
 	out := Tally{Submitted: len(futs), Tenants: make(map[string]TenantStats)}
 	for _, fut := range futs {
 		ts := out.Tenants[fut.Tenant]
-		ts.Submitted++
 		if sched, err := fut.Wait(); err != nil {
 			out.Failed++
 			ts.Failed++

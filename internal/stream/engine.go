@@ -167,7 +167,6 @@ func New(cfg Config, specs []PipelineSpec) (*Engine, error) {
 			sr.spec = st
 			sr.node = host
 			sr.queue = make([]*window, queueWindows)
-			sr.stats.Name = st.Name
 			if !st.fpga() {
 				continue
 			}
@@ -519,7 +518,6 @@ func (e *Engine) shedWindow(p *pipeline, k int, w *window, t float64) {
 	n := int64(len(w.arrivals))
 	p.shed += n
 	si := &p.stages[k]
-	si.stats.ShedWindows++
 	si.stats.ShedEvents += n
 	if e.cfg.Trace != nil {
 		e.cfg.Trace(Event{Kind: EventShed, Pipeline: p.spec.Name, Stage: si.spec.Name,

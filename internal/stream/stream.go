@@ -151,11 +151,9 @@ type Event struct {
 
 // StageStats is one operator's serving counters.
 type StageStats struct {
-	Name        string
 	Windows     int64   // windows served
 	BusySeconds float64 // modelled service time, swaps included
-	ShedWindows int64   // windows dropped at this stage's input queue
-	ShedEvents  int64
+	ShedEvents  int64   // events dropped at this stage's input queue
 }
 
 // PipelineStats is one pipeline's outcome.

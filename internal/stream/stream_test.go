@@ -383,12 +383,12 @@ func TestEngineShedPolicy(t *testing.T) {
 		t.Errorf("shed p99 = %gs, shedding should bound latency", st.P99)
 	}
 	ps := st.Pipelines[0]
-	var shedW int64
+	var shedE int64
 	for _, sg := range ps.Stages {
-		shedW += sg.ShedWindows
+		shedE += sg.ShedEvents
 	}
-	if shedW == 0 {
-		t.Errorf("no stage accounted the dropped windows: %+v", ps.Stages)
+	if shedE == 0 || shedE != ps.Shed {
+		t.Errorf("stages account %d dropped events, pipeline shed %d: %+v", shedE, ps.Shed, ps.Stages)
 	}
 }
 

@@ -141,7 +141,6 @@ type Trellis struct {
 	// Trans[i][c][d] is the log transition probability from candidate c at
 	// point i to candidate d at point i+1.
 	Trans [][][]float64
-	Cands [][]Candidate
 }
 
 // BuildTrellis is stage 2 of Fig. 4: Gaussian emissions on projection
@@ -157,7 +156,7 @@ func BuildTrellis(net *Network, points []GPSPoint, cands [][]Candidate, gpsSigma
 	if beta <= 0 {
 		beta = 30
 	}
-	tr := &Trellis{Cands: cands}
+	tr := &Trellis{}
 	for i := range points {
 		em := make([]float64, len(cands[i]))
 		for c, cand := range cands[i] {

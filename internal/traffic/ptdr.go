@@ -63,12 +63,9 @@ func (p *SpeedProfile) SampleTravelTime(net *Network, route []int, departSec flo
 // consumes ("Probabilistic Time Dependent Routing to infer correct arrival
 // times").
 type PTDRResult struct {
-	Samples    int
-	Mean       float64
-	P05        float64
-	P50        float64
-	P95        float64
-	FlopsTotal float64 // modelled work, for the CPU/FPGA comparison
+	P05 float64
+	P50 float64
+	P95 float64
 }
 
 // MonteCarlo runs n travel-time samples and summarizes the distribution.
@@ -81,14 +78,12 @@ func MonteCarlo(net *Network, p *SpeedProfile, route []int, departSec float64, n
 	}
 	rng := rand.New(rand.NewSource(seed))
 	times := make([]float64, n)
-	sum := 0.0
 	for i := 0; i < n; i++ {
 		t, err := p.SampleTravelTime(net, route, departSec, rng)
 		if err != nil {
 			return nil, err
 		}
 		times[i] = t
-		sum += t
 	}
 	sort.Float64s(times)
 	q := func(f float64) float64 {
@@ -101,11 +96,7 @@ func MonteCarlo(net *Network, p *SpeedProfile, route []int, departSec float64, n
 		frac := pos - float64(lo)
 		return times[lo]*(1-frac) + times[hi]*frac
 	}
-	return &PTDRResult{
-		Samples: n, Mean: sum / float64(n),
-		P05: q(0.05), P50: q(0.50), P95: q(0.95),
-		FlopsTotal: FlopsPerSample(len(route)) * float64(n),
-	}, nil
+	return &PTDRResult{P05: q(0.05), P50: q(0.50), P95: q(0.95)}, nil
 }
 
 // FlopsPerSample models the per-sample arithmetic of the PTDR kernel: per

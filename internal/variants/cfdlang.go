@@ -44,9 +44,7 @@ func CompileCFDlang(src, name string, inputs map[string]*tensor.Tensor, opt Opti
 		if d.Output {
 			phase = 1
 		}
-		buffers = append(buffers, olympus.Buffer{
-			Name: d.Name, Bytes: sizeOf(d.Dims) * elemBytes, Phase: phase,
-		})
+		buffers = append(buffers, olympus.Buffer{Bytes: sizeOf(d.Dims) * elemBytes, Phase: phase})
 	}
 	design, err := olympus.Generate(hk, backend, dev, buffers, opt.Olympus)
 	if err != nil {
@@ -56,7 +54,7 @@ func CompileCFDlang(src, name string, inputs map[string]*tensor.Tensor, opt Opti
 
 	c := &Compiled{
 		KernelName: name, Frontend: "cfdlang", Program: p,
-		Module: module, HLSKernel: hk, Report: design.Bitstream.Report, Design: design,
+		Module: module, Report: design.Bitstream.Report, Design: design,
 		Flops: CPUFlops(hk.Nest), InputBytes: inBytes, OutputBytes: outBytes,
 	}
 	c.Points, err = DerivePoints(design, dev, cpu, c.Flops, inBytes, outBytes)

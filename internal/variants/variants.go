@@ -83,9 +83,8 @@ type OperatingPoint struct {
 // Compiled is the result of one source-to-schedule compilation.
 type Compiled struct {
 	KernelName string
-	Frontend   string       // "ekl" or "cfdlang"
-	Module     *mlir.Module // lowered module (frontend -> teil -> affine)
-	HLSKernel  hls.Kernel
+	Frontend   string          // "ekl" or "cfdlang"
+	Module     *mlir.Module    // lowered module (frontend -> teil -> affine)
 	Report     hls.Report      // HLS schedule of one accelerator instance
 	Design     *olympus.Design // generated system (bitstream carries Report)
 	PassStats  []mlir.PassStat
@@ -207,12 +206,12 @@ func CompileEKL(src string, binding ekl.Binding, opt Options) (*Compiled, error)
 	for _, in := range k.Inputs {
 		n := int64(shapes.Size(in.Name)) * elemBytes
 		inBytes += n
-		buffers = append(buffers, olympus.Buffer{Name: in.Name, Bytes: n, Phase: 0})
+		buffers = append(buffers, olympus.Buffer{Bytes: n, Phase: 0})
 	}
 	for _, out := range k.Outputs {
 		n := int64(shapes.Size(out.Name)) * elemBytes
 		outBytes += n
-		buffers = append(buffers, olympus.Buffer{Name: out.Name, Bytes: n, Phase: 1})
+		buffers = append(buffers, olympus.Buffer{Bytes: n, Phase: 1})
 	}
 	design, err := olympus.Generate(hk, backend, dev, buffers, opt.Olympus)
 	if err != nil {
@@ -223,7 +222,7 @@ func CompileEKL(src string, binding ekl.Binding, opt Options) (*Compiled, error)
 		KernelName: k.Name, Frontend: "ekl",
 		// The report is the one inside the generated bitstream: what the
 		// runtime executes is exactly what the compiler scheduled.
-		Module: module, HLSKernel: hk, Report: design.Bitstream.Report, Design: design,
+		Module: module, Report: design.Bitstream.Report, Design: design,
 		PassStats: pm.Stats, Kernel: k,
 		Flops: CPUFlops(hk.Nest), InputBytes: inBytes, OutputBytes: outBytes,
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"everest/internal/base2"
+	"everest/internal/cfdlang"
 	"everest/internal/ekl"
 	"everest/internal/hls"
 	"everest/internal/platform"
@@ -27,6 +28,29 @@ func fixedOpt(t *testing.T) Options {
 	return o
 }
 
+// scheduledNest rebuilds the loop nest CompileEKL schedules for example
+// name under opt: the HLS kernel the operating points derive from.
+func scheduledNest(t *testing.T, name string, opt Options) hls.LoopNest {
+	t.Helper()
+	_, format, _, _, err := opt.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, binding, err := ExampleKernel(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := ekl.ParseKernel(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, shapes, err := ekl.Lower(k, binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hls.FromEKLKernel(k, shapes, format).Nest
+}
+
 func approx(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-12+1e-9*math.Abs(b)
 }
@@ -41,6 +65,7 @@ func TestOperatingPointsDerivedFromSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nest := scheduledNest(t, "windpower", fixedOpt(t))
 
 	// The bitstream the runtime executes embeds the exact schedule the
 	// compiler produced: the runtime's fpga cost IS the HLS report.
@@ -52,7 +77,7 @@ func TestOperatingPointsDerivedFromSchedule(t *testing.T) {
 	// (banked ports + single-cycle fixed accumulate) the cycle count is
 	// (trips-1)*II + depth. Trips come from the windpower binding extents.
 	trips := int64(96 * 192 * 12)
-	if got := c.HLSKernel.Nest.Trips(); got != trips {
+	if got := nest.Trips(); got != trips {
 		t.Fatalf("nest trips = %d, want N*M*D = %d", got, trips)
 	}
 	if c.Report.II != 1 {
@@ -90,7 +115,7 @@ func TestOperatingPointsDerivedFromSchedule(t *testing.T) {
 	}
 
 	// Software points == CPU cost model over the scheduled nest.
-	wantFlops := CPUFlops(c.HLSKernel.Nest)
+	wantFlops := CPUFlops(nest)
 	if c.Flops != wantFlops {
 		t.Fatalf("derived flops %.6g != cost model %.6g", c.Flops, wantFlops)
 	}
@@ -179,13 +204,25 @@ func TestCompileCFDlangMatmul(t *testing.T) {
 	}
 	// C = (A x B) contracted over [2 3]: the contracted pair iterates in
 	// lockstep, so the nest is 64 x 96 x 48 — not the rank-4 product space.
-	if got := c.HLSKernel.Nest.Trips(); got != 64*96*48 {
+	p, err := cfdlang.Parse(MatmulCFD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, format, _, _, err := Options{}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hk, _, _ := kernelFromProgram(p, "matmul", format)
+	if got := hk.Nest.Trips(); got != 64*96*48 {
 		t.Fatalf("matmul trips = %d, want %d", got, 64*96*48)
 	}
-	if !c.HLSKernel.Nest.Reduction {
+	if !hk.Nest.Reduction {
 		t.Fatal("contraction must mark the nest as a reduction")
 	}
-	wantCycles := (c.HLSKernel.Nest.Trips()-1)*int64(c.Report.II) + int64(c.Report.IterLatency)
+	if c.Flops != CPUFlops(hk.Nest) {
+		t.Fatalf("derived flops %.6g != cost model %.6g", c.Flops, CPUFlops(hk.Nest))
+	}
+	wantCycles := (hk.Nest.Trips()-1)*int64(c.Report.II) + int64(c.Report.IterLatency)
 	if c.Report.LatencyCycle != wantCycles {
 		t.Fatalf("latency %d, want %d", c.Report.LatencyCycle, wantCycles)
 	}

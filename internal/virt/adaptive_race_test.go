@@ -66,23 +66,26 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 	const workflows = 24
 	futs := make([]*runtime.Future, workflows)
 	var wg sync.WaitGroup
-	// A reader polling Stats and Health from its own goroutine: both take
-	// the serve lock, so they read the event loop's counters and the
+	// A reader polling Backlog and Health from its own goroutine: both
+	// take the serve lock, so they read the event loop's frontier and the
 	// monitor between submissions, never during one.
 	done := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var backlog float64
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			if st := eng.Stats(); st.Completed > st.Submitted {
-				t.Errorf("stats completed %d > submitted %d", st.Completed, st.Submitted)
+			b := eng.Backlog()
+			if b < backlog {
+				t.Errorf("backlog fell from %g to %g", backlog, b)
 				return
 			}
+			backlog = b
 			if h := eng.Health(); len(h) != len(s.Cluster.Nodes) {
 				t.Errorf("health covers %d nodes, want %d", len(h), len(s.Cluster.Nodes))
 				return
@@ -150,9 +153,6 @@ func TestUnplugRacedAgainstDispatch(t *testing.T) {
 	eng.Shutdown()
 	if stats := sdk.TallyOf(futs); stats.Completed != workflows || stats.Failed != 0 {
 		t.Fatalf("completed %d failed %d, want %d/0", stats.Completed, stats.Failed, workflows)
-	}
-	if st := eng.Stats(); st.Completed != workflows {
-		t.Fatalf("engine stats count %d completed, want %d", st.Completed, workflows)
 	}
 }
 

@@ -67,26 +67,12 @@ type VF struct {
 // PF is the physical function: the management interface of one device.
 type PF struct {
 	Device int
-	MaxVFs int
 	VFs    []*VF
-}
-
-// FreeVFs returns the unassigned VFs.
-func (p *PF) FreeVFs() []*VF {
-	var out []*VF
-	for _, vf := range p.VFs {
-		if vf.Assigned == "" {
-			out = append(out, vf)
-		}
-	}
-	return out
 }
 
 // VM is a guest machine.
 type VM struct {
-	Name  string
-	VCPUs int
-	vfs   map[int]*VF // keyed by VF ID
+	vfs map[int]*VF // keyed by VF ID
 }
 
 // HotplugKind classifies hot-plug notifications.
@@ -107,10 +93,7 @@ const (
 // on.
 type HotplugEvent struct {
 	Kind        HotplugKind
-	Node        string
-	VM          string
 	Device      int
-	FreeVFs     int // free VFs left in the device's SR-IOV pool
 	AssignedVFs int // VFs of the device still assigned to some VM
 }
 
@@ -137,7 +120,7 @@ func NewHypervisor(node *platform.Node, maxVFs int) (*Hypervisor, error) {
 	h := &Hypervisor{Node: node, vms: make(map[string]*VM)}
 	id := 0
 	for d := range node.Devices {
-		pf := &PF{Device: d, MaxVFs: maxVFs}
+		pf := &PF{Device: d}
 		for i := 0; i < maxVFs; i++ {
 			pf.VFs = append(pf.VFs, &VF{ID: id, Device: d})
 			id++
@@ -206,20 +189,19 @@ func (h *Hypervisor) drain() {
 	delivered = true
 }
 
-// deviceVFState counts the device's free and assigned VFs. Callers hold
+// assignedVFs counts the device's VFs assigned to some VM. Callers hold
 // h.mu.
-func (h *Hypervisor) deviceVFState(device int) (free, assigned int) {
+func (h *Hypervisor) assignedVFs(device int) int {
 	if device < 0 || device >= len(h.pfs) {
-		return 0, 0
+		return 0
 	}
+	assigned := 0
 	for _, vf := range h.pfs[device].VFs {
-		if vf.Assigned == "" {
-			free++
-		} else {
+		if vf.Assigned != "" {
 			assigned++
 		}
 	}
-	return free, assigned
+	return assigned
 }
 
 // DefineVM creates a guest (virsh define + start analogue).
@@ -232,7 +214,7 @@ func (h *Hypervisor) DefineVM(name string, vcpus int) (*VM, error) {
 	if _, dup := h.vms[name]; dup {
 		return nil, fmt.Errorf("virt: VM %q already defined", name)
 	}
-	vm := &VM{Name: name, VCPUs: vcpus, vfs: make(map[int]*VF)}
+	vm := &VM{vfs: make(map[int]*VF)}
 	h.vms[name] = vm
 	return vm, nil
 }
@@ -254,10 +236,8 @@ func (h *Hypervisor) PlugVF(vmName string, device int) (float64, error) {
 		if vf.Assigned == "" {
 			vf.Assigned = vmName
 			vm.vfs[vf.ID] = vf
-			free, assigned := h.deviceVFState(device)
 			h.pending = append(h.pending, HotplugEvent{
-				Kind: VFPlugged, Node: h.Node.Name, VM: vmName, Device: device,
-				FreeVFs: free, AssignedVFs: assigned,
+				Kind: VFPlugged, Device: device, AssignedVFs: h.assignedVFs(device),
 			})
 			h.mu.Unlock()
 			h.drain()
@@ -280,10 +260,8 @@ func (h *Hypervisor) UnplugVF(vmName string, device int) (float64, error) {
 		if vf.Device == device {
 			vf.Assigned = ""
 			delete(vm.vfs, id)
-			free, assigned := h.deviceVFState(device)
 			h.pending = append(h.pending, HotplugEvent{
-				Kind: VFUnplugged, Node: h.Node.Name, VM: vmName, Device: device,
-				FreeVFs: free, AssignedVFs: assigned,
+				Kind: VFUnplugged, Device: device, AssignedVFs: h.assignedVFs(device),
 			})
 			h.mu.Unlock()
 			h.drain()
@@ -334,37 +312,17 @@ func (h *Hypervisor) RunAccelerated(vmName string, device int, tl platform.Timel
 // autotuner consume ("the node ... can respond to queries about available
 // resources and the system's current status").
 type NodeStatus struct {
-	Node        string
-	VMs         []VMStatus
-	FreeVFs     map[int]int // device -> free VF count
+	VMs         int         // guests defined
 	AssignedVFs map[int]int // device -> VFs currently held by guests
-}
-
-// VMStatus summarizes one guest.
-type VMStatus struct {
-	Name  string
-	VCPUs int
-	VFs   int
 }
 
 // Query returns the current status snapshot.
 func (h *Hypervisor) Query() NodeStatus {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := NodeStatus{Node: h.Node.Name, FreeVFs: make(map[int]int), AssignedVFs: make(map[int]int)}
-	names := make([]string, 0, len(h.vms))
-	for name := range h.vms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		vm := h.vms[name]
-		st.VMs = append(st.VMs, VMStatus{Name: vm.Name, VCPUs: vm.VCPUs, VFs: len(vm.vfs)})
-	}
+	st := NodeStatus{VMs: len(h.vms), AssignedVFs: make(map[int]int)}
 	for _, pf := range h.pfs {
-		free := len(pf.FreeVFs())
-		st.FreeVFs[pf.Device] = free
-		st.AssignedVFs[pf.Device] = len(pf.VFs) - free
+		st.AssignedVFs[pf.Device] = h.assignedVFs(pf.Device)
 	}
 	return st
 }

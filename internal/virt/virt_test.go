@@ -34,9 +34,11 @@ func TestHypervisorSetup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := h.Query()
-	if st.FreeVFs[0] != 4 {
-		t.Errorf("free VFs = %d, want 4", st.FreeVFs[0])
+	if vfs := len(h.pfs[0].VFs); vfs != 4 {
+		t.Errorf("device 0 pool holds %d VFs, want 4", vfs)
+	}
+	if st := h.Query(); st.VMs != 0 || st.AssignedVFs[0] != 0 {
+		t.Errorf("fresh hypervisor query %+v, want no guests and no assigned VFs", st)
 	}
 }
 
@@ -46,8 +48,8 @@ func TestVMLifecycle(t *testing.T) {
 		t.Error("unnamed VM must fail")
 	}
 	vm, err := h.DefineVM("guest1", 4)
-	if err != nil || vm.Name != "guest1" {
-		t.Fatal(err)
+	if err != nil || vm == nil || h.Query().VMs != 1 {
+		t.Fatalf("DefineVM = %v, %v; want one guest", vm, err)
 	}
 	if _, err := h.DefineVM("guest1", 2); err == nil {
 		t.Error("duplicate VM must fail")
@@ -167,9 +169,8 @@ func TestRebalance(t *testing.T) {
 	if dt <= 0 {
 		t.Error("rebalance must take hot-plug time")
 	}
-	st := h.Query()
-	if st.VMs[0].VFs != 3 || st.VMs[1].VFs != 1 {
-		t.Errorf("rebalance result wrong: %+v", st.VMs)
+	if a, b := len(h.vms["a"].vfs), len(h.vms["b"].vfs); a != 3 || b != 1 {
+		t.Errorf("rebalance result a=%d b=%d, want 3/1", a, b)
 	}
 	// Shift demand: a shrinks, b grows.
 	if _, err := h.Rebalance(map[string]map[int]int{
@@ -178,22 +179,8 @@ func TestRebalance(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st = h.Query()
-	if st.VMs[0].VFs != 1 || st.VMs[1].VFs != 3 {
-		t.Errorf("second rebalance wrong: %+v", st.VMs)
-	}
-}
-
-func TestQueryDeterministicOrder(t *testing.T) {
-	h, _ := NewHypervisor(testNode(t), 2)
-	for _, name := range []string{"zeta", "alpha", "mid"} {
-		if _, err := h.DefineVM(name, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := h.Query()
-	if st.VMs[0].Name != "alpha" || st.VMs[2].Name != "zeta" {
-		t.Errorf("VM order must be sorted: %+v", st.VMs)
+	if a, b := len(h.vms["a"].vfs), len(h.vms["b"].vfs); a != 1 || b != 3 {
+		t.Errorf("second rebalance a=%d b=%d, want 1/3", a, b)
 	}
 }
 
@@ -219,12 +206,11 @@ func TestHotplugEvents(t *testing.T) {
 		t.Fatalf("got %d events, want 3: %+v", len(events), events)
 	}
 	first := events[0]
-	if first.Kind != VFPlugged || first.Node != "hv0" || first.VM != "guest1" ||
-		first.Device != 0 || first.FreeVFs != 1 || first.AssignedVFs != 1 {
+	if first.Kind != VFPlugged || first.Device != 0 || first.AssignedVFs != 1 {
 		t.Errorf("first event: %+v", first)
 	}
 	last := events[2]
-	if last.Kind != VFUnplugged || last.FreeVFs != 1 || last.AssignedVFs != 1 {
+	if last.Kind != VFUnplugged || last.AssignedVFs != 1 {
 		t.Errorf("unplug event: %+v", last)
 	}
 
@@ -357,7 +343,7 @@ func TestHotplugOrderingConcurrent(t *testing.T) {
 	st := h.Query()
 	mu.Lock()
 	defer mu.Unlock()
-	if want := 4 - st.FreeVFs[0]; last != want {
+	if want := st.AssignedVFs[0]; last != want {
 		t.Fatalf("last delivered AssignedVFs = %d, want %d (final state)", last, want)
 	}
 }

@@ -41,19 +41,19 @@ type lifeProbe struct {
 	traced   int
 }
 
-// lifeState is every observable a mutating call could move: stats
-// (which count dataset placements), health, trace, the registries and
-// node state.
+// lifeState is every observable a mutating call could move: the engine's
+// backlog, stats (which count dataset placements), health, trace, the
+// registries and node state.
 type lifeState struct {
-	Engine runtime.EngineStats
-	Health []platform.NodeHealth
-	Fleet  fleet.Stats
-	Fed    region.Stats
-	Traced int
-	Late   [2]bool // the refused Publish's bitstream is in the registry, the catalog
-	Online []bool
-	Slow   []float64
-	Failed []bool
+	Backlog float64
+	Health  []platform.NodeHealth
+	Fleet   fleet.Stats
+	Fed     region.Stats
+	Traced  int
+	Late    [2]bool // the refused Publish's bitstream is in the registry, the catalog
+	Online  []bool
+	Slow    []float64
+	Failed  []bool
 }
 
 // lateRef is the partition the refused placement names.
@@ -61,7 +61,7 @@ var lateRef = dataset.Ref{Name: "probe/late", Bytes: 1 << 20}
 
 func (p *lifeProbe) state() lifeState {
 	s := lifeState{
-		Engine: p.eng.Stats(), Health: p.eng.Health(),
+		Backlog: p.eng.Backlog(), Health: p.eng.Health(),
 		Fleet: p.fl.Stats(), Fed: p.fed.Stats(), Traced: p.traced,
 	}
 	for i, reg := range []*platform.Registry{p.reg, p.cat} {
@@ -138,7 +138,7 @@ func discard[T any](_ T, err error) error { return err }
 // that something reaches it.
 var frontMethods = map[string]lifeEntry{
 	"runtime.Engine.Health":   {readOnly, func(p *lifeProbe) error { p.eng.Health(); return nil }},
-	"runtime.Engine.Stats":    {readOnly, func(p *lifeProbe) error { p.eng.Stats(); return nil }},
+	"runtime.Engine.Backlog":  {readOnly, func(p *lifeProbe) error { p.eng.Backlog(); return nil }},
 	"runtime.Engine.Start":    {lifecycle, func(p *lifeProbe) error { return p.eng.Start() }},
 	"runtime.Engine.Shutdown": {lifecycle, func(p *lifeProbe) error { p.eng.Shutdown(); return nil }},
 	"runtime.Engine.Submit": {refuses, func(p *lifeProbe) error {
